@@ -1,13 +1,15 @@
 // Command chaossmoke is the query-protection soak `make ci` runs: an
-// in-process federation behind faultnet proxies driven through four
+// in-process federation behind faultnet proxies driven through five
 // fault phases — clean baseline, saturating overload with deadlines,
-// asymmetric partition windows, and a node crash with failover — while
-// every query outcome is classified and three invariants are asserted
-// at the end:
+// asymmetric partition windows, a node crash with failover, and
+// distributed joins over a split federation with a refusing node and a
+// severed fragment reply — while every query outcome is classified and
+// three invariants are asserted at the end:
 //
 //  1. No query executes twice: the nodes' executed counters sum to
-//     exactly the number of completed queries (at-most-once held, and
-//     no shed query secretly ran).
+//     exactly the number of completed queries — two subqueries per
+//     completed distributed join — (at-most-once held, and no shed
+//     query secretly ran).
 //  2. No accepted query is lost: zero hard failures across all phases;
 //     every non-completed query carries a typed shed/expired error.
 //  3. Shedding is observable: the overload phase produced typed
@@ -31,6 +33,7 @@ import (
 	"github.com/qamarket/qamarket/internal/cluster"
 	"github.com/qamarket/qamarket/internal/faultnet"
 	"github.com/qamarket/qamarket/internal/market"
+	"github.com/qamarket/qamarket/internal/sqldb"
 )
 
 // tally aggregates classified query outcomes across all phases.
@@ -291,20 +294,132 @@ func main() {
 	}
 	fmt.Printf("chaossmoke: partition+crash ok (%d queries through the faults)\n", pd.completed)
 
+	// Phase 5 — distributed joins. The Distributor's subqueries go
+	// through the same lifecycle as everything above, so the same
+	// protection must hold for them: big lives on two nodes and dim on
+	// the other two (no node can answer the join), the faster big node
+	// refuses every connection for the first half of the lane, and the
+	// faster dim node's first fragment reply is cut after one byte.
+	joins, splitExecuted := distributedLane(&counts, &qid)
+
 	// Global invariants over every phase.
-	executed := slow.Executed()
+	executed := slow.Executed() + splitExecuted
 	for _, n := range nodes {
 		executed += n.Executed()
 	}
 	completed := counts.completed.Load()
-	if int64(executed) != completed {
-		die("INVARIANT: nodes executed %d queries but clients completed %d — a query ran twice or shed work executed", executed, completed)
+	if int64(executed) != completed+joins {
+		die("INVARIANT: nodes executed %d queries but clients completed %d (%d of them two-fragment joins) — a query ran twice or shed work executed", executed, completed, joins)
 	}
 	if failed := counts.failed.Load(); failed != 0 {
 		die("INVARIANT: %d accepted queries lost to untyped failures", failed)
 	}
 	fmt.Printf("chaossmoke: ok in %v — completed=%d shed=%d expired=%d, executed-once=%d\n",
 		time.Since(start).Round(time.Millisecond), completed, counts.shed.Load(), counts.expired.Load(), executed)
+}
+
+// distributedLane runs the Distributor phase on its own split
+// federation and returns the joins completed and the subqueries its
+// nodes executed. Connection arithmetic for the severed reply (fresh
+// transport, dim node d0 always outbids d1): the first join reaches d0
+// as conn 0 whole-query negotiate, 1 big-subquery negotiate, 2
+// dim-subquery negotiate, 3 the dim fetch — the one that is cut.
+func distributedLane(counts *tally, qid *atomic.Int64) (joins int64, executed int) {
+	seed := func(ddl ...string) *sqldb.DB {
+		db := sqldb.Open()
+		for _, q := range ddl {
+			if _, _, err := db.Exec(q); err != nil {
+				die("distributed seed %q: %v", q, err)
+			}
+		}
+		return db
+	}
+	big := []string{
+		"CREATE TABLE big (id INT, k INT, v FLOAT)",
+		"INSERT INTO big VALUES (1, 1, 5.0), (2, 1, 7.5), (3, 2, 1.0), (4, 3, 9.0), (5, 3, 2.5), (6, 4, 4.0)",
+	}
+	dim := []string{
+		"CREATE TABLE dim (k INT, name TEXT)",
+		"INSERT INTO dim VALUES (1, 'ada'), (2, 'bob'), (3, 'cyd'), (4, 'dee')",
+	}
+	layout := []struct {
+		ddl      []string
+		slowdown float64
+		plan     faultnet.Schedule
+	}{
+		{ddl: big, slowdown: 1},  // b0: wins big, refuses connections at first
+		{ddl: big, slowdown: 20}, // b1: the runner-up that must carry big meanwhile
+		{ddl: dim, slowdown: 1, plan: func(conn int) faultnet.Plan { // d0: wins dim
+			if conn == 3 {
+				return faultnet.Plan{TruncateReplyAfter: 1}
+			}
+			return faultnet.Plan{}
+		}},
+		{ddl: dim, slowdown: 20}, // d1
+	}
+	var nodes []*cluster.Node
+	var proxies []*faultnet.Proxy
+	var addrs []string
+	for i, l := range layout {
+		n, err := cluster.StartNode("127.0.0.1:0", cluster.NodeConfig{
+			DB: seed(l.ddl...), Slowdown: l.slowdown, MsPerCostUnit: 0.05, PeriodMs: 20,
+		})
+		if err != nil {
+			die("distributed node %d: %v", i, err)
+		}
+		defer n.Close()
+		p, err := faultnet.Start("127.0.0.1:0", n.Addr(), l.plan)
+		if err != nil {
+			die("distributed proxy %d: %v", i, err)
+		}
+		defer p.Close()
+		nodes, proxies, addrs = append(nodes, n), append(proxies, p), append(addrs, p.Addr())
+	}
+	client, err := cluster.NewClient(cluster.ClientConfig{
+		Addrs: addrs, Transport: cluster.TransportFresh,
+		PeriodMs: 20, MaxBackoffMs: 160, MaxRetries: 300,
+		Timeout: 250 * time.Millisecond, BreakerThreshold: 2,
+		BreakerCooldown: 300 * time.Millisecond,
+		AtMostOnce:      true, ExecRetries: 4,
+		Jitter: rand.New(rand.NewSource(67)),
+	})
+	if err != nil {
+		die("distributed client: %v", err)
+	}
+	defer client.Close()
+	d := cluster.NewDistributor(client)
+	before := counts.snapshot()
+	const total = 8
+	proxies[0].SetRefuse(true)
+	for i := 0; i < total; i++ {
+		if i == total/2 {
+			proxies[0].SetRefuse(false)
+		}
+		id := qid.Add(1)
+		out, err := d.Run(id, `SELECT dim.name, SUM(big.v) AS total FROM big
+			JOIN dim ON big.k = dim.k GROUP BY dim.name ORDER BY dim.name`)
+		if err == nil && (out.Subqueries != 2 || len(out.Result.Rows) != 4) {
+			err = fmt.Errorf("join returned %d rows from %d subqueries, want 4 from 2", len(out.Result.Rows), out.Subqueries)
+		}
+		counts.classify("distributed", cluster.Outcome{QueryID: id, Err: err})
+	}
+	dd := counts.delta(before)
+	if dd.completed != total {
+		die("distributed: %d/%d joins completed (shed=%d expired=%d failed=%d)", dd.completed, total, dd.shed, dd.expired, dd.failed)
+	}
+	st, err := client.Stats(addrs[2])
+	if err != nil {
+		die("distributed: stats from d0: %v", err)
+	}
+	if st.Health["dedup_hits_total"] < 1 {
+		die("distributed: the severed fragment reply was not answered from d0's dedup window")
+	}
+	for _, n := range nodes {
+		executed += n.Executed()
+	}
+	fmt.Printf("chaossmoke: distributed ok (%d joins around a refusing node, %d dedup replays, %d subqueries executed)\n",
+		dd.completed, int(st.Health["dedup_hits_total"]), executed)
+	return dd.completed, executed
 }
 
 // snapshot and delta let phases assert over their own slice of the

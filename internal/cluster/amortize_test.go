@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/qamarket/qamarket/internal/catalog"
+	"github.com/qamarket/qamarket/internal/metrics"
 )
 
 func TestClassKey(t *testing.T) {
@@ -546,5 +547,113 @@ func TestShardProbeSkipsInfeasibleNodes(t *testing.T) {
 	c.cfg.NoShardProbe = true
 	if got := c.probeSet("SELECT a FROM t1"); len(got) != 3 {
 		t.Errorf("NoShardProbe probe set = %d, want 3", len(got))
+	}
+}
+
+// TestFetchRidesBidCache: fetches are admitted like executes. A second
+// same-class FetchEach inside the cache's TTL costs zero negotiate RPCs
+// — before the lifecycles were unified, fetches never consulted the
+// cache and paid the full fan-out every time.
+func TestFetchRidesBidCache(t *testing.T) {
+	_, c, sql, want := fetchFederation(t, ClientConfig{BidCacheTTL: time.Minute})
+	fetch := func(id int64) int {
+		t.Helper()
+		rows := 0
+		out := c.FetchEach(id, sql, func(blk *ColBlock) error { rows += blk.Rows; return nil })
+		if out.Err != nil {
+			t.Fatalf("FetchEach %d: %v", id, out.Err)
+		}
+		return rows
+	}
+	fetch(1)
+	afterFirst := c.RPCCounts()["negotiate"]
+	if afterFirst == 0 {
+		t.Fatal("first fetch negotiated nothing")
+	}
+	if got := fetch(2); got != len(want.Rows) {
+		t.Errorf("cache-admitted fetch delivered %d rows, want %d", got, len(want.Rows))
+	}
+	if got := c.RPCCounts()["negotiate"]; got != afterFirst {
+		t.Errorf("cache-admitted fetch still negotiated: %d -> %d RPCs", afterFirst, got)
+	}
+	if hits := c.health.Counter(metrics.BidCacheHitsTotal); hits != 1 {
+		t.Errorf("bid_cache_hits_total = %d, want 1", hits)
+	}
+}
+
+// TestCacheAdmittedFetchRefusedRenegotiatesAtOnce: when the only cached
+// candidate answers a fetch with a typed refusal, or with Accepted=false,
+// the entry dies and the query goes straight back to the market — the
+// market was never heard refusing it, so there is no period to wait out.
+func TestCacheAdmittedFetchRefusedRenegotiatesAtOnce(t *testing.T) {
+	for name, refuse := range map[string]func(f *lifeFed){
+		"typed overload": func(f *lifeFed) { f.a.working.Add(int64(f.a.cfg.MaxInflight)) },
+		"supply race lost": func(f *lifeFed) {
+			// QA-NT registers the class on A's first offer; then sell A out.
+			if _, _, err := f.c.negotiateAll(lifeSQL, nil, time.Time{}); err != nil {
+				f.t.Fatal(err)
+			}
+			sig, _, _, _ := f.a.estimate(lifeSQL)
+			for f.a.pricer.accept(sig) {
+			}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			f := startLifeFed(t, false)
+			class := classKey(lifeSQL)
+			f.c.bids.put(class, []*nodeState{f.c.lookup(f.proxyA.Addr())}) // A alone, as a won round would cache it
+			refuse(f)
+			rounds0 := f.c.RPCCounts()["negotiate"]
+			res, out := f.c.Fetch(1, lifeSQL)
+			if out.Err != nil || len(res.Rows) != lifeRows {
+				t.Fatalf("fetch: %v (%v)", out.Err, res)
+			}
+			if out.Node != "B" {
+				t.Errorf("ran on %q, want B from the fresh round", out.Node)
+			}
+			h := f.c.Health()
+			if h[metrics.BidCacheHitsTotal] != 1 || h[metrics.BidCacheInvalidationsTotal] != 1 {
+				t.Errorf("hits = %v invalidations = %v, want 1 and 1", h[metrics.BidCacheHitsTotal], h[metrics.BidCacheInvalidationsTotal])
+			}
+			if got := f.c.RPCCounts()["negotiate"] - rounds0; got != 2 {
+				t.Errorf("negotiate RPCs = %d, want one fresh round of 2", got)
+			}
+			if h[metrics.BackoffMsTotal] != 0 {
+				t.Errorf("backoff_ms_total = %v: slept out a period the market never refused", h[metrics.BackoffMsTotal])
+			}
+		})
+	}
+}
+
+// TestDistributorFragmentsRideBidCache: the Distributor's fragments are
+// ordinary lifecycles, so a repeated join fetches them through cached
+// ladders — and each completed join still executes exactly two
+// subqueries.
+func TestDistributorFragmentsRideBidCache(t *testing.T) {
+	client, nodes, _ := splitFederationBehindProxies(t, ClientConfig{
+		Mechanism: MechGreedy, PeriodMs: 50, Timeout: 5 * time.Second, BidCacheTTL: time.Minute,
+	})
+	d := NewDistributor(client)
+	if _, err := d.Run(1, distJoinSQL); err != nil {
+		t.Fatal(err)
+	}
+	afterFirst := client.RPCCounts()["negotiate"]
+	out, err := d.Run(2, distJoinSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Result.Rows) != 3 {
+		t.Errorf("cached-ladder join returned %d rows, want 3", len(out.Result.Rows))
+	}
+	// Only the whole-query probe (which nobody can offer on, so nothing
+	// is cached for it) still goes to the wire.
+	if got := client.RPCCounts()["negotiate"] - afterFirst; got != int64(len(nodes)) {
+		t.Errorf("second join cost %d negotiate RPCs, want %d (whole-query probe only)", got, len(nodes))
+	}
+	if hits := client.health.Counter(metrics.BidCacheHitsTotal); hits != 2 {
+		t.Errorf("bid_cache_hits_total = %d, want 2 (one per fragment)", hits)
+	}
+	if executed := nodes[0].Executed() + nodes[1].Executed(); executed != 4 {
+		t.Errorf("2 joins executed %d subqueries, want exactly 2 per completed join", executed)
 	}
 }

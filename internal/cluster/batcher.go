@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -87,24 +88,25 @@ func (g *negotiator) negotiate(queryID int64, sql, class string, tc *traceCtx, d
 	}
 	items := w.items
 	g.mu.Unlock()
-	g.fanout(items)
+	g.c.health.Inc(metrics.BatchWindowsTotal)
+	g.c.fanout(items)
 	close(w.done)
 	return it.pr, it.elapsed, it.err
 }
 
-// fanout runs one sealed window's proposal round: one batched CFP per
-// probed node, per-query classification, per-query ranking.
-func (g *negotiator) fanout(items []*batchItem) {
-	c := g.c
+// fanout runs one proposal round for a sealed window of same-class
+// queries (a plain CFP is a window of one): one CFP per probed node,
+// per-query classification, per-query ranking. It reports how many
+// nodes it probed.
+func (c *Client) fanout(items []*batchItem) int {
 	start := time.Now()
-	c.health.Inc(metrics.BatchWindowsTotal)
 	// Same class ⇒ same relations: probe once for the whole window.
 	members := c.probeSet(items[0].sql)
 	if len(members) == 0 {
 		for _, it := range items {
 			it.err = errors.New("cluster: membership view is empty")
 		}
-		return
+		return 0
 	}
 	// grid[qi][mi] is query qi's outcome at member mi.
 	grid := make([][]negOutcome, len(items))
@@ -122,7 +124,7 @@ func (g *negotiator) fanout(items []*batchItem) {
 		wg.Add(1)
 		go func(mi int, ns *nodeState) {
 			defer wg.Done()
-			g.askNode(items, ns, grid, mi)
+			c.askNode(items, ns, grid, mi)
 		}(mi, ns)
 	}
 	wg.Wait()
@@ -130,23 +132,32 @@ func (g *negotiator) fanout(items []*batchItem) {
 	for qi, it := range items {
 		it.elapsed = elapsed
 		pr, reachable := rankOffers(members, grid[qi])
-		if !reachable {
-			it.err = aggregateNodeErrors(members, outcomeErrors(grid[qi]))
+		if reachable {
+			it.pr = pr
 			continue
 		}
-		it.pr = pr
+		it.err = aggregateNodeErrors(members, grid[qi])
+		for _, o := range grid[qi] {
+			if errors.Is(o.err, ErrTooLarge) {
+				// An oversized request fails identically everywhere;
+				// typing the aggregate lets the lifecycle fail fast instead
+				// of burning its retry rounds on a hopeless resubmit.
+				it.err = fmt.Errorf("%w: %v", ErrTooLarge, it.err)
+				break
+			}
+		}
 	}
+	return len(members)
 }
 
 // askNode sends one node its share of the window: the batched CFP, or
 // per-query CFPs when the node is known to predate batching.
-func (g *negotiator) askNode(items []*batchItem, ns *nodeState, grid [][]negOutcome, mi int) {
-	c := g.c
+func (c *Client) askNode(items []*batchItem, ns *nodeState, grid [][]negOutcome, mi int) {
 	ns.mu.Lock()
 	noBatch := ns.noBatch
 	ns.mu.Unlock()
 	if noBatch && len(items) > 1 {
-		g.askPerQuery(items, ns, grid, mi, 0)
+		c.askPerQuery(items, ns, grid, mi, 0)
 		return
 	}
 	lead := items[0]
@@ -159,64 +170,53 @@ func (g *negotiator) askNode(items []*batchItem, ns *nodeState, grid [][]negOutc
 			QueryID: it.queryID, SQL: it.sql, DeadlineMs: remainingMs(it.deadline),
 		})
 	}
-	var rep reply
-	if err := c.rpcOn(ns, req, &rep, c.cfg.Timeout); err != nil {
-		ns.breaker.failure()
-		for qi := range grid {
-			grid[qi][mi] = negOutcome{err: err}
+	var (
+		rep      reply
+		answered bool
+	)
+	grid[0][mi], answered = c.askNegotiate(ns, req, &rep)
+	switch {
+	case len(items) == 1:
+	case !answered:
+		for qi := 1; qi < len(grid); qi++ {
+			grid[qi][mi] = grid[0][mi]
 		}
-		return
-	}
-	lead0 := c.classifyNegotiate(ns, rep.Negotiate, rep.Code, rep.Err)
-	grid[0][mi] = lead0
-	if len(items) == 1 {
-		return
-	}
-	if rep.Code == CodeDraining {
+	case rep.Code == CodeDraining:
 		// The whole node is going away (classify already tripped its
 		// breaker and pruned it); every rider sees the same refusal.
 		for qi := 1; qi < len(grid); qi++ {
 			grid[qi][mi] = negOutcome{err: errDraining}
 		}
-		return
-	}
-	if rep.Batch == nil {
+	case rep.Batch == nil:
 		// An old node: it ignored the batch field and answered the lead
 		// query only. Remember that, and give the riders the individual
 		// CFPs they would have sent pre-batching.
 		ns.mu.Lock()
 		ns.noBatch = true
 		ns.mu.Unlock()
-		g.askPerQuery(items, ns, grid, mi, 1)
-		return
-	}
-	for j := range items[1:] {
-		qi := j + 1
-		if j >= len(rep.Batch) {
-			grid[qi][mi] = negOutcome{err: errors.New("cluster: short batch reply")}
-			continue
+		c.askPerQuery(items, ns, grid, mi, 1)
+	default:
+		for j := range items[1:] {
+			qi := j + 1
+			if j >= len(rep.Batch) {
+				grid[qi][mi] = negOutcome{err: errors.New("cluster: short batch reply")}
+				continue
+			}
+			bp := rep.Batch[j]
+			grid[qi][mi] = c.classifyNegotiate(ns, bp.Negotiate, bp.Code, bp.Err)
 		}
-		bp := rep.Batch[j]
-		grid[qi][mi] = c.classifyNegotiate(ns, bp.Negotiate, bp.Code, bp.Err)
 	}
 }
 
 // askPerQuery negotiates items[from:] with one node individually — the
 // degradation path for nodes without batch support.
-func (g *negotiator) askPerQuery(items []*batchItem, ns *nodeState, grid [][]negOutcome, mi, from int) {
-	c := g.c
+func (c *Client) askPerQuery(items []*batchItem, ns *nodeState, grid [][]negOutcome, mi, from int) {
 	for qi := from; qi < len(items); qi++ {
 		it := items[qi]
 		var rep reply
-		err := c.rpcOn(ns, &request{
+		grid[qi][mi], _ = c.askNegotiate(ns, &request{
 			Op: "negotiate", SQL: it.sql, Mechanism: c.cfg.Mechanism, Trace: it.tc,
 			DeadlineMs: remainingMs(it.deadline),
-		}, &rep, c.cfg.Timeout)
-		if err != nil {
-			ns.breaker.failure()
-			grid[qi][mi] = negOutcome{err: err}
-			continue
-		}
-		grid[qi][mi] = c.classifyNegotiate(ns, rep.Negotiate, rep.Code, rep.Err)
+		}, &rep)
 	}
 }

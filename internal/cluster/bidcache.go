@@ -9,8 +9,8 @@ import (
 
 // bidCache is the client's winning-bid cache: one negotiation round's
 // ranked proposal ladder, kept per query class and reused to admit
-// follow-up queries of the class straight to execute — the amortization
-// that turns O(view) negotiate RPCs per query into O(1).
+// follow-up queries of the class straight to execute or fetch — the
+// amortization that turns O(view) negotiate RPCs per query into O(1).
 //
 // Coherence rule: a cached bid is exactly as durable as the market
 // state it priced. Each candidate is stamped with the bidder's gossiped

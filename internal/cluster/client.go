@@ -124,8 +124,8 @@ type ClientConfig struct {
 	// BidCacheTTL, when positive, enables the winning-bid cache: each
 	// negotiation round's ranked proposals are cached per query class,
 	// stamped with every bidder's gossiped market epoch, and follow-up
-	// queries of the class are admitted straight to execute while the
-	// stamp holds. The entry dies on epoch bump, membership change, a
+	// queries of the class — executes and fetches alike — are admitted
+	// straight to the chosen node while the stamp holds. The entry dies on epoch bump, membership change, a
 	// typed refusal (overload/expired/draining), or this TTL — whichever
 	// comes first. Set it to the federation's market period: the paper
 	// prices per period, so a winning bid is valid for at most one
@@ -638,29 +638,6 @@ func (c *Client) takeRetryToken() bool {
 	return false
 }
 
-// attemptKind classifies one execute/fetch attempt for the retry and
-// failover logic.
-type attemptKind int
-
-const (
-	// attemptOK: a well-formed reply arrived (the query ran, or the
-	// supply race was lost — the caller inspects Accepted).
-	attemptOK attemptKind = iota
-	// attemptFatal: a terminal engine/protocol error; retrying cannot
-	// help.
-	attemptFatal
-	// attemptRefused: a typed refusal (overload/expired/draining) or a
-	// hard-stop interruption. The query did not run; another candidate
-	// may be tried immediately and the breaker saw a live node.
-	attemptRefused
-	// attemptNotSent: the request never reached the node (dial failed);
-	// trying the next candidate is always safe.
-	attemptNotSent
-	// attemptLost: the request was sent but the reply never arrived —
-	// the query may or may not have executed.
-	attemptLost
-)
-
 // startSpan opens a client-side span when tracing is on; nil otherwise
 // (a nil *trace.Active no-ops everywhere).
 func (c *Client) startSpan(traceID int64, parent, name string) *trace.Active {
@@ -683,243 +660,44 @@ func childCtx(tc *traceCtx, sp *trace.Active) *traceCtx {
 
 // Run evaluates one query: negotiate with every node in the live view
 // (waiting for all replies, as the paper's implementation did), send it
-// to the best offer, and return the outcome. Refusals and transient
-// transport failures are retried with capped exponential backoff up to
-// MaxRetries; per-node circuit breakers keep dead nodes from charging
-// a timeout on every round. When the winning bidder fails without
-// having run the query, the runner-up from the same proposal round is
-// tried before paying a full renegotiation fan-out; every retry round,
-// failover, and retransmit is charged against the retry budget.
+// to the best offer, and return the outcome. Retries, failover, the
+// retry budget and the amortization layers are the shared query
+// lifecycle's (lifecycle.go).
 func (c *Client) Run(queryID int64, sql string) Outcome {
-	start := time.Now()
-	var deadline time.Time
-	if c.cfg.QueryTimeout > 0 {
-		deadline = start.Add(c.cfg.QueryTimeout)
-	}
-	out := Outcome{QueryID: queryID, Submitted: start}
-	root := c.startSpan(queryID, "", "run")
-	tc := childCtx(&traceCtx{V: traceV, ID: queryID}, root)
-	if root == nil {
-		tc = nil // tracing off: requests stay id-less on the wire
-	}
-	finish := func(err error) Outcome {
-		out.Err = err
-		out.TotalMs = float64(time.Since(start)) / float64(time.Millisecond)
-		if err != nil {
-			root.Annotate("error: %v", err)
-		} else {
-			root.Annotate("node=%s retries=%d", out.Node, out.Retries)
-		}
-		root.Finish()
-		return out
-	}
-	noteRetry := func() bool {
-		out.Retries++
-		c.health.Inc(metrics.RetriesTotal)
-		return c.takeRetryToken()
-	}
-	budgetErr := func() error {
-		return fmt.Errorf("cluster: query %d: %w", queryID, ErrRetryBudget)
-	}
-	// class is the query's market class, the key of both the winning-bid
-	// cache and the CFP coalescing windows ("" with both disabled).
-	var class string
-	if c.bids != nil || c.batches != nil {
-		class = classKey(sql)
-	}
-	// unreachableRounds counts consecutive rounds where no node answered
-	// at all; it drives the exponential backoff and resets the moment
-	// the federation responds. Market refusals keep the paper's
-	// resubmit-next-period cadence (a jittered single period) so the
-	// QA-NT price dynamics are untouched by the resilience layer.
-	unreachableRounds := 0
-	for attempt := 0; ; attempt++ {
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			return finish(fmt.Errorf("cluster: query %d: %w after %d rounds", queryID, ErrExpired, attempt))
-		}
-		// Cached admission: a still-valid ladder for the class skips the
-		// negotiate fan-out entirely — execute burns supply on its own, so
-		// the market stays consistent; a lost supply race below drops the
-		// entry and renegotiates.
-		var (
-			pr        proposals
-			err       error
-			fromCache = false
-		)
-		if ranked := c.cachedLadder(class); ranked != nil {
-			pr, fromCache = proposals{ranked: ranked}, true
-			root.Annotate("bid cache hit (%d candidates)", len(ranked))
-		} else {
-			var assignDur time.Duration
-			if c.batches != nil {
-				pr, assignDur, err = c.batches.negotiate(queryID, sql, class, tc, deadline)
-			} else {
-				pr, assignDur, err = c.negotiateAll(sql, tc, deadline)
-			}
-			out.AssignMs += float64(assignDur) / float64(time.Millisecond)
-			if err == nil && c.bids != nil && len(pr.ranked) > 0 {
-				c.bids.put(class, pr.ranked)
-			}
-		}
-		if err != nil {
-			if errors.Is(err, ErrTooLarge) {
-				// The request itself exceeds the wire limit; no amount of
-				// retrying changes its size.
-				return finish(fmt.Errorf("cluster: query %d: %w", queryID, err))
-			}
-			// Whole federation unreachable this round: transient until
-			// proven otherwise (a partition heals, a breaker re-probes).
-			if attempt >= c.cfg.MaxRetries {
-				return finish(fmt.Errorf("cluster: query %d after %d rounds: %w", queryID, attempt+1, err))
-			}
-			if !noteRetry() {
-				return finish(budgetErr())
-			}
-			c.sleepBackoff(unreachableRounds, deadline)
-			unreachableRounds++
-			continue
-		}
-		unreachableRounds = 0
-		if len(pr.ranked) == 0 {
-			// Nobody offered: resubmit next period (Section 3.3 client
-			// protocol). Typed refusals flavor the terminal error so shed
-			// work is distinguishable from starvation.
-			if attempt >= c.cfg.MaxRetries {
-				if re := pr.refusalError(); re != nil {
-					return finish(fmt.Errorf("cluster: query %d refused by all nodes after %d rounds: %w", queryID, attempt, re))
-				}
-				return finish(fmt.Errorf("cluster: query %d refused by all nodes after %d rounds", queryID, attempt))
-			}
-			if !noteRetry() {
-				return finish(budgetErr())
-			}
-			c.sleepBackoff(0, deadline)
-			continue
-		}
-		// Failover ladder: the winner first, then the runner-ups from the
-		// same still-fresh proposal round. Each step past the winner is a
-		// failover, charged one retry token.
-		var (
-			win         *executeReply
-			winner      *nodeState
-			terminal    error
-			renegotiate bool
-		)
-	ladder:
-		for ci, cand := range pr.ranked {
-			if ci > 0 {
-				if !c.takeRetryToken() {
-					terminal = budgetErr()
-					break
-				}
-				c.health.Inc(metrics.FailoversTotal)
-			}
-			rep, kind, err := c.execAttempt(cand, queryID, sql, tc, deadline, noteRetry)
-			switch kind {
-			case attemptOK:
-				if !rep.Accepted {
-					// Lost the race for the last supply unit; this round's
-					// other offers may be stale too, so renegotiate (and
-					// drop the cached ladder they came from or fed).
-					c.dropBids(class)
-					renegotiate = true
-					break ladder
-				}
-				win, winner = rep, cand
-				break ladder
-			case attemptFatal:
-				if fromCache {
-					// A fatal answer to a cache-admitted query (e.g. the
-					// node dropped the relation since it bid) impeaches the
-					// cache, not the query: renegotiate it at the market
-					// rather than failing it.
-					c.dropBids(class)
-					renegotiate = true
-					break ladder
-				}
-				terminal = err
-				break ladder
-			case attemptRefused, attemptNotSent:
-				// The query did not run on this candidate; the runner-up
-				// is safe to try immediately. A typed refusal also says
-				// the market moved since the class's proposals were
-				// ranked, so the cached ladder (if any) is stale.
-				if kind == attemptRefused {
-					c.dropBids(class)
-				}
-				continue
-			case attemptLost:
-				if c.cfg.AtMostOnce {
-					// Retransmits (inside execAttempt) did not resolve it:
-					// the outcome is unknown and running it elsewhere could
-					// execute it twice.
-					terminal = err
-					break ladder
-				}
-				// Legacy availability-first semantics: assume the query did
-				// not run and renegotiate it elsewhere. It may have — only
-				// the same-node dedup window can tell, and we are leaving
-				// the node.
-				renegotiate = true
-				break ladder
-			}
-		}
-		switch {
-		case win != nil:
-			out.Node = winner.nodeID()
-			out.NodeAddr = winner.address()
-			out.ExecMs = win.ExecMs
-			out.Rows = win.Rows
-			return finish(nil)
-		case terminal != nil:
-			return finish(terminal)
-		}
-		if fromCache && !renegotiate {
-			// A cached ladder that produced no winner says nothing about
-			// the live market — the cache was stale, the market was never
-			// asked. Drop the entry and renegotiate immediately instead of
-			// sleeping out a market period we never saw refuse us.
-			c.dropBids(class)
-			renegotiate = true
-		}
-		// Ladder exhausted (every candidate refused or unreachable) or a
-		// renegotiation was requested: back to the market.
-		if attempt >= c.cfg.MaxRetries {
-			return finish(fmt.Errorf("cluster: query %d starved after %d rounds", queryID, attempt))
-		}
-		if !noteRetry() {
-			return finish(budgetErr())
-		}
-		if !renegotiate {
-			// All candidates refused: wait out the market period like any
-			// other refusal round.
-			c.sleepBackoff(0, deadline)
-		}
-	}
+	out, _ := c.begin(query{id: queryID, sql: sql}).run()
+	return out
 }
 
-// execAttempt runs one execute attempt against a candidate plus, under
-// AtMostOnce, the same-node retransmits a lost reply gets: the node's
-// dedup window replays the original outcome if the query ran. A
-// returned attemptLost therefore means "outcome unknown" when
-// AtMostOnce is on. A refused or unsent retransmit does NOT prove the
-// original never ran (the admission gate answers before the dedup
-// window), so those keep retransmitting rather than failing over.
-func (c *Client) execAttempt(ns *nodeState, queryID int64, sql string, tc *traceCtx, deadline time.Time, noteRetry func() bool) (*executeReply, attemptKind, error) {
-	rep, kind, err := c.executeOn(ns, queryID, sql, tc, deadline)
-	if kind != attemptLost || !c.cfg.AtMostOnce {
-		return rep, kind, err
+// Fetch runs one query through the market like Run, but ships the
+// result back to the caller and accumulates the rows (streamed binary
+// frames from new nodes, one JSON reply from old ones — the caller
+// cannot tell which). For results too large to hold in memory, use
+// FetchEach.
+func (c *Client) Fetch(queryID int64, sql string) (*sqldb.Result, Outcome) {
+	res := &sqldb.Result{}
+	out, columns := c.begin(query{id: queryID, sql: sql, sink: accumulateSink(res)}).run()
+	if out.Err != nil {
+		return nil, out
 	}
-	for r := 0; r < c.cfg.ExecRetries; r++ {
-		if !noteRetry() {
-			return nil, attemptFatal, fmt.Errorf("cluster: %w with execute outcome unknown on %s", ErrRetryBudget, ns.label())
-		}
-		rep, kind, err = c.executeOn(ns, queryID, sql, tc, deadline)
-		if kind == attemptOK || kind == attemptFatal {
-			return rep, kind, err
-		}
-	}
-	return nil, attemptLost, fmt.Errorf("cluster: %w on %s: %v", ErrOutcomeUnknown, ns.label(), err)
+	res.Columns = columns
+	return res, out
+}
+
+// FetchEach runs one query through the market and streams its result to
+// fn in bounded batches: against a frame-speaking node the whole result
+// is never resident on either side — memory stays O(FetchBatchRows).
+// The ColBlock's buffers are reused between calls; fn must copy out
+// anything it retains. A non-nil error from fn aborts the fetch and
+// surfaces in the outcome.
+//
+// Delivery is exactly-once per row even across a connection lost mid-
+// stream: rows already handed to fn cannot be taken back, so the client
+// resumes only by retransmitting to the same node — whose dedup window
+// replays the identical result — and skipping the delivered prefix. If
+// that node stays unreachable the fetch fails rather than re-deliver.
+func (c *Client) FetchEach(queryID int64, sql string, fn func(*ColBlock) error) Outcome {
+	out, _ := c.begin(query{id: queryID, sql: sql, sink: blockSink(fn, nil)}).run()
+	return out
 }
 
 // sleepBackoff waits the capped exponential backoff for the given retry
@@ -1083,80 +861,44 @@ func rankOffers(members []*nodeState, outs []negOutcome) (proposals, bool) {
 	return pr, reachable
 }
 
-// outcomeErrors projects the per-node errors out of one query's round.
-func outcomeErrors(outs []negOutcome) []error {
-	errs := make([]error, len(outs))
-	for i, o := range outs {
-		errs[i] = o.err
-	}
-	return errs
-}
-
 // negotiateAll broadcasts the call-for-proposals to the current probe
 // set (the live view, shard-trimmed by the query's relations) and ranks
-// the offering nodes by estimated completion. It returns an aggregate
-// error naming every node's failure when none is reachable; typed
-// overload/expired refusals count as reachable.
+// the offering nodes by estimated completion — a CFP window of one,
+// fanned out at once. It returns an aggregate error naming every node's
+// failure when none is reachable; typed overload/expired refusals count
+// as reachable.
 func (c *Client) negotiateAll(sql string, tc *traceCtx, deadline time.Time) (proposals, time.Duration, error) {
-	start := time.Now()
 	var sp *trace.Active
 	if tc != nil {
 		sp = c.startSpan(tc.ID, tc.Span, "negotiate")
 		defer sp.Finish()
 		tc = childCtx(tc, sp)
 	}
-	members := c.probeSet(sql)
-	if len(members) == 0 {
-		return proposals{}, 0, errors.New("cluster: membership view is empty")
-	}
-	outs := make([]negOutcome, len(members))
-	var wg sync.WaitGroup
-	for i, ns := range members {
-		if !ns.breaker.allow() {
-			outs[i] = negOutcome{err: errBreakerOpen}
-			continue
-		}
-		wg.Add(1)
-		go func(i int, ns *nodeState) {
-			defer wg.Done()
-			var rep reply
-			err := c.rpcOn(ns, &request{
-				Op: "negotiate", SQL: sql, Mechanism: c.cfg.Mechanism, Trace: tc,
-				DeadlineMs: remainingMs(deadline),
-			}, &rep, c.cfg.Timeout)
-			if err != nil {
-				if !errors.Is(err, ErrTooLarge) {
-					ns.breaker.failure()
-				}
-				outs[i] = negOutcome{err: err}
-				return
-			}
-			outs[i] = c.classifyNegotiate(ns, rep.Negotiate, rep.Code, rep.Err)
-		}(i, ns)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	pr, reachable := rankOffers(members, outs)
-	if !reachable {
+	it := &batchItem{sql: sql, tc: tc, deadline: deadline}
+	probed := c.fanout([]*batchItem{it})
+	switch best := it.pr.best(); {
+	case it.err != nil:
 		sp.Annotate("no node reachable")
-		agg := aggregateNodeErrors(members, outcomeErrors(outs))
-		for _, o := range outs {
-			if errors.Is(o.err, ErrTooLarge) {
-				// An oversized request fails identically everywhere;
-				// typing the aggregate lets Run fail fast instead of
-				// burning its retry rounds on a hopeless resubmit.
-				agg = fmt.Errorf("%w: %v", ErrTooLarge, agg)
-				break
-			}
+	case best != nil:
+		sp.Annotate("winner=%s of %d nodes (%d offers)", best.nodeID(), probed, len(it.pr.ranked))
+	default:
+		sp.Annotate("no offer from %d nodes (%d overloaded, %d expired)", probed, it.pr.overloads, it.pr.expireds)
+	}
+	return it.pr, it.elapsed, it.err
+}
+
+// askNegotiate sends one CFP to one node and classifies the answer;
+// answered is false when the exchange itself failed. That charges the
+// breaker — unless the request was refused for its size before it was
+// written, which says nothing about the node.
+func (c *Client) askNegotiate(ns *nodeState, req *request, rep *reply) (out negOutcome, answered bool) {
+	if err := c.rpcOn(ns, req, rep, c.cfg.Timeout); err != nil {
+		if !errors.Is(err, ErrTooLarge) {
+			ns.breaker.failure()
 		}
-		return proposals{}, elapsed, agg
+		return negOutcome{err: err}, false
 	}
-	if best := pr.best(); best != nil {
-		sp.Annotate("winner=%s of %d nodes (%d offers)", best.nodeID(), len(members), len(pr.ranked))
-	} else {
-		sp.Annotate("no offer from %d nodes (%d overloaded, %d expired)", len(members), pr.overloads, pr.expireds)
-	}
-	return pr, elapsed, nil
+	return c.classifyNegotiate(ns, rep.Negotiate, rep.Code, rep.Err), true
 }
 
 // noteDraining reacts to a typed draining reply. Under a dynamic view
@@ -1199,89 +941,14 @@ func (c *Client) pruneLocked(id string, incarnation uint64) {
 // aggregateNodeErrors folds per-node failures into one error naming
 // every node by stable ID and address, so "no node reachable" stays
 // diagnosable and correctly attributed across membership changes.
-func aggregateNodeErrors(members []*nodeState, errs []error) error {
-	parts := make([]string, 0, len(errs))
-	for i, err := range errs {
-		if err != nil {
-			parts = append(parts, fmt.Sprintf("%s: %v", members[i].label(), err))
+func aggregateNodeErrors(members []*nodeState, outs []negOutcome) error {
+	parts := make([]string, 0, len(outs))
+	for i, o := range outs {
+		if o.err != nil {
+			parts = append(parts, fmt.Sprintf("%s: %v", members[i].label(), o.err))
 		}
 	}
 	return fmt.Errorf("no node reachable: %s", strings.Join(parts, "; "))
-}
-
-// executeOn dispatches the query to the chosen node and classifies the
-// attempt: OK (reply in hand), a typed refusal (safe to try the next
-// candidate, breaker untouched or tripped-by-type), a transport loss
-// (the query may have run), a never-sent dial failure, or a fatal
-// engine error.
-func (c *Client) executeOn(ns *nodeState, queryID int64, sql string, tc *traceCtx, deadline time.Time) (*executeReply, attemptKind, error) {
-	var sp *trace.Active
-	if tc != nil {
-		sp = c.startSpan(tc.ID, tc.Span, "execute")
-		sp.Annotate("node=%s", ns.nodeID())
-		defer sp.Finish()
-		tc = childCtx(tc, sp)
-	}
-	var rep reply
-	err := c.rpcOn(ns, &request{
-		Op: "execute", SQL: sql, QueryID: queryID, Mechanism: c.cfg.Mechanism, Trace: tc,
-		DeadlineMs: remainingMs(deadline), RunID: c.cfg.RunID,
-	}, &rep, c.cfg.execTimeout())
-	if err != nil {
-		if errors.Is(err, ErrTooLarge) {
-			// The message was refused pre-write for size; the node was
-			// never even bothered. Terminal for the query, invisible to
-			// the breaker.
-			return nil, attemptFatal, fmt.Errorf("cluster: execute on %s: %w", ns.label(), err)
-		}
-		ns.breaker.failure()
-		kind := attemptLost
-		if errors.Is(err, errNotSent) {
-			kind = attemptNotSent
-		}
-		return nil, kind, fmt.Errorf("cluster: execute on %s: %w", ns.label(), err)
-	}
-	switch rep.Code {
-	case CodeDraining:
-		ns.breaker.trip()
-		c.noteDraining(ns)
-		return nil, attemptRefused, fmt.Errorf("cluster: %s: %w", ns.label(), errDraining)
-	case CodeOverload:
-		ns.breaker.success()
-		return nil, attemptRefused, fmt.Errorf("cluster: %s: %w", ns.label(), ErrOverloaded)
-	case CodeExpired:
-		ns.breaker.success()
-		return nil, attemptRefused, fmt.Errorf("cluster: %s: %w", ns.label(), ErrExpired)
-	case CodeTooLarge:
-		// The node answered — healthy — but this message can never fit.
-		ns.breaker.success()
-		return nil, attemptFatal, fmt.Errorf("cluster: %s: %w", ns.label(), ErrTooLarge)
-	}
-	if rep.Err != "" {
-		return nil, attemptFatal, errors.New(rep.Err)
-	}
-	if rep.Execute == nil {
-		return nil, attemptFatal, errors.New("cluster: malformed execute reply")
-	}
-	if rep.Execute.Err == msgNodeStopping {
-		ns.breaker.trip()
-		return nil, attemptRefused, fmt.Errorf("cluster: %s: %s", ns.label(), msgNodeStopping)
-	}
-	if rep.Execute.Err != "" {
-		return nil, attemptFatal, errors.New(rep.Execute.Err)
-	}
-	ns.breaker.success()
-	return rep.Execute, attemptOK, nil
-}
-
-// rpc performs one request/reply exchange by address. Known view
-// members ride their pooled transport; unknown addresses (and
-// TransportFresh) fall back to a fresh dial per RPC.
-func (c *Client) rpc(addr string, req *request, rep *reply, timeout time.Duration) error {
-	if ns := c.lookup(addr); ns != nil {
-		return c.rpcOn(ns, req, rep, timeout)
-	}
-	return freshRPCCounted(addr, req, rep, timeout, c.wire)
 }
 
 // freshRPC is the v0 transport: dial, one exchange, hang up. A dial
@@ -1467,58 +1134,6 @@ func (c *Client) TraceSpans(traceID int64) []trace.Span {
 	return out
 }
 
-// fetchOn dispatches a fetch (execute + result shipping) to the chosen
-// node and accumulates the whole result. Same attempt semantics as
-// executeOn; the rows arrive as a binary frame stream when the server
-// speaks frames and as one JSON reply otherwise, and either way the
-// returned envelope carries them pre-decoded (fetchReply.rows).
-func (c *Client) fetchOn(ns *nodeState, queryID int64, sql string, tc *traceCtx, deadline time.Time) (*fetchReply, attemptKind, error) {
-	var rows []sqldb.Row
-	sink := fetchSink{
-		block: func(blk *ColBlock) error {
-			var err error
-			rows, err = blk.AppendRows(rows)
-			return err
-		},
-		rows: func(_ []string, rs []sqldb.Row) error {
-			rows = append(rows, rs...)
-			return nil
-		},
-	}
-	fr, _, kind, err := c.fetchAttempt(ns, queryID, sql, tc, deadline, 0, sink)
-	if fr != nil {
-		fr.streamed = true
-		fr.decoded = rows
-	}
-	return fr, kind, err
-}
-
-// fetchBlocksOn is fetchOn's block-native sibling: one fetch attempt
-// against the chosen node that delivers the result to onBlock batch by
-// batch, never materializing rows. Streamed frames hand their decoded
-// ColBlocks straight through; a JSON downgrade is bridged through one
-// reusable block (FillFromRows), so the caller sees a single columnar
-// interface regardless of the server's generation. The block's buffers
-// are reused between calls — onBlock must copy out anything retained.
-func (c *Client) fetchBlocksOn(ns *nodeState, queryID int64, sql string, tc *traceCtx, deadline time.Time, onBlock func(*ColBlock) error) (*fetchReply, attemptKind, error) {
-	var bridge ColBlock
-	sink := fetchSink{
-		block: onBlock,
-		rows: func(columns []string, rs []sqldb.Row) error {
-			bridge.FillFromRows(columns, rs)
-			if bridge.Rows == 0 {
-				return nil
-			}
-			return onBlock(&bridge)
-		},
-	}
-	fr, _, kind, err := c.fetchAttempt(ns, queryID, sql, tc, deadline, 0, sink)
-	if fr != nil {
-		fr.streamed = true
-	}
-	return fr, kind, err
-}
-
 // streamRPC is rpcOn's streamed-fetch sibling: the exchange ends either
 // with frames fully consumed by onFrame (jsonReply=false) or a JSON
 // envelope in rep. A streamed success carries no NodeID stamp, so
@@ -1547,396 +1162,4 @@ func (c *Client) streamRPC(ns *nodeState, req *request, rep *reply, timeout time
 		}
 	}
 	return jsonReply, err
-}
-
-// fetchAttempt runs one fetch attempt against a candidate, delivering
-// the result through sink however it arrives: streamed batch frames
-// (sink.block, reusable ColBlocks) from a frame-speaking server, or a
-// JSON reply decoded whole (sink.rows) from everyone older. skip drops
-// that many leading rows before delivery — the resume path after a
-// partial stream, where the server's dedup window replays the identical
-// result. delivered counts rows handed to the sink this attempt; on
-// attemptLost it may be nonzero (the stream died mid-result) and the
-// caller decides between a same-node resume and a discard-and-restart.
-func (c *Client) fetchAttempt(ns *nodeState, queryID int64, sql string, tc *traceCtx, deadline time.Time, skip int64, sink fetchSink) (fr *fetchReply, delivered int64, kind attemptKind, err error) {
-	var sp *trace.Active
-	if tc != nil {
-		sp = c.startSpan(tc.ID, tc.Span, "fetch")
-		sp.Annotate("node=%s", ns.nodeID())
-		defer sp.Finish()
-		tc = childCtx(tc, sp)
-	}
-	req := &request{
-		Op: "fetch", SQL: sql, QueryID: queryID, Mechanism: c.cfg.Mechanism,
-		Enc: c.cfg.FetchEnc, Frame: c.cfg.FrameV, FetchBatch: c.cfg.FetchBatchRows,
-		Trace: tc, DeadlineMs: remainingMs(deadline), RunID: c.cfg.RunID,
-	}
-	var rep reply
-	if c.cfg.FrameV >= frameV1 {
-		fs := &fetchStream{sink: sink, skip: skip}
-		jsonReply, serr := c.streamRPC(ns, req, &rep, c.cfg.execTimeout(), fs.onFrame)
-		if serr != nil {
-			switch {
-			case errors.Is(serr, ErrTooLarge):
-				return nil, fs.delivered, attemptFatal, fmt.Errorf("cluster: fetch on %s: %w", ns.label(), serr)
-			case errors.Is(serr, errStreamAbort):
-				// Our own sink refused the data; the node and transport
-				// are fine.
-				ns.breaker.success()
-				return nil, fs.delivered, attemptFatal, fmt.Errorf("cluster: fetch on %s: %w", ns.label(), serr)
-			case errors.Is(serr, errNotSent):
-				ns.breaker.failure()
-				return nil, 0, attemptNotSent, fmt.Errorf("cluster: fetch on %s: %w", ns.label(), serr)
-			default:
-				ns.breaker.failure()
-				return nil, fs.delivered, attemptLost, fmt.Errorf("cluster: fetch on %s: %w", ns.label(), serr)
-			}
-		}
-		if !jsonReply {
-			// The stream completed through its end frame.
-			switch fs.end.errMsg {
-			case "":
-				ns.breaker.success()
-				return fs.envelope(), fs.delivered, attemptOK, nil
-			case msgNodeStopping:
-				// The stream was truncated by a shutdown: the delivered
-				// prefix is incomplete, classified exactly like a JSON
-				// node-stopping refusal.
-				ns.breaker.trip()
-				return nil, fs.delivered, attemptRefused, fmt.Errorf("cluster: %s: %s", ns.label(), msgNodeStopping)
-			default:
-				return nil, fs.delivered, attemptFatal, errors.New(fs.end.errMsg)
-			}
-		}
-		// JSON downgrade: classify the envelope below, like any non-frame
-		// exchange. The server never mixes frames and a JSON reply for
-		// one request, so nothing was delivered yet.
-	} else {
-		if err := c.rpcOn(ns, req, &rep, c.cfg.execTimeout()); err != nil {
-			if errors.Is(err, ErrTooLarge) {
-				return nil, 0, attemptFatal, fmt.Errorf("cluster: fetch on %s: %w", ns.label(), err)
-			}
-			ns.breaker.failure()
-			kind := attemptLost
-			if errors.Is(err, errNotSent) {
-				kind = attemptNotSent
-			}
-			return nil, 0, kind, fmt.Errorf("cluster: fetch on %s: %w", ns.label(), err)
-		}
-	}
-	switch rep.Code {
-	case CodeDraining:
-		ns.breaker.trip()
-		c.noteDraining(ns)
-		return nil, 0, attemptRefused, fmt.Errorf("cluster: %s: %w", ns.label(), errDraining)
-	case CodeOverload:
-		ns.breaker.success()
-		return nil, 0, attemptRefused, fmt.Errorf("cluster: %s: %w", ns.label(), ErrOverloaded)
-	case CodeExpired:
-		ns.breaker.success()
-		return nil, 0, attemptRefused, fmt.Errorf("cluster: %s: %w", ns.label(), ErrExpired)
-	case CodeTooLarge:
-		// The result only fits on the frame lane and this exchange was
-		// JSON: terminal for the query, healthy node.
-		ns.breaker.success()
-		return nil, 0, attemptFatal, fmt.Errorf("cluster: %s: %w", ns.label(), ErrTooLarge)
-	}
-	if rep.Err != "" {
-		return nil, 0, attemptFatal, errors.New(rep.Err)
-	}
-	if rep.Fetch == nil {
-		return nil, 0, attemptFatal, errors.New("cluster: malformed fetch reply")
-	}
-	if rep.Fetch.Err == msgNodeStopping {
-		ns.breaker.trip()
-		return nil, 0, attemptRefused, fmt.Errorf("cluster: %s: %s", ns.label(), msgNodeStopping)
-	}
-	if rep.Fetch.Err != "" {
-		return nil, 0, attemptFatal, errors.New(rep.Fetch.Err)
-	}
-	ns.breaker.success()
-	if !rep.Fetch.Accepted {
-		// Supply race: no rows shipped; the caller renegotiates.
-		return &fetchReply{streamed: true}, 0, attemptOK, nil
-	}
-	rows, derr := rep.Fetch.rows()
-	if derr != nil {
-		return nil, 0, attemptFatal, derr
-	}
-	if skip > 0 {
-		if skip >= int64(len(rows)) {
-			rows = nil
-		} else {
-			rows = rows[skip:]
-		}
-	}
-	if len(rows) > 0 {
-		if serr := sink.rows(rep.Fetch.Columns, rows); serr != nil {
-			return nil, 0, attemptFatal, fmt.Errorf("%w: %v", errStreamAbort, serr)
-		}
-	}
-	fr = &fetchReply{
-		Accepted: true,
-		Columns:  rep.Fetch.Columns,
-		ExecMs:   rep.Fetch.ExecMs,
-		streamed: true,
-	}
-	return fr, int64(len(rows)), attemptOK, nil
-}
-
-// Fetch runs one query through the market like Run, but ships the
-// result back to the caller: negotiate with the federation, fetch from
-// the best offer through the failover ladder, and accumulate the rows
-// (streamed binary frames from new nodes, one JSON reply from old ones
-// — the caller cannot tell which). For results too large to hold in
-// memory, use FetchEach.
-func (c *Client) Fetch(queryID int64, sql string) (*sqldb.Result, Outcome) {
-	res := &sqldb.Result{}
-	sink := fetchSink{
-		block: func(blk *ColBlock) error {
-			var err error
-			res.Rows, err = blk.AppendRows(res.Rows)
-			return err
-		},
-		rows: func(_ []string, rs []sqldb.Row) error {
-			res.Rows = append(res.Rows, rs...)
-			return nil
-		},
-	}
-	// Accumulate mode owns the buffer, so a stream lost mid-result can
-	// simply be discarded and refetched anywhere.
-	reset := func() { res.Rows = res.Rows[:0] }
-	out, columns := c.fetchLoop(queryID, sql, sink, reset)
-	if out.Err != nil {
-		return nil, out
-	}
-	res.Columns = columns
-	out.Rows = len(res.Rows)
-	return res, out
-}
-
-// FetchEach runs one query through the market and streams its result to
-// fn in bounded batches: against a frame-speaking node the whole result
-// is never resident on either side — memory stays O(FetchBatchRows).
-// The ColBlock's buffers are reused between calls; fn must copy out
-// anything it retains. A non-nil error from fn aborts the fetch and
-// surfaces in the outcome.
-//
-// Delivery is exactly-once per row even across a connection lost mid-
-// stream: rows already handed to fn cannot be taken back, so the client
-// resumes only by retransmitting to the same node — whose dedup window
-// replays the identical result — and skipping the delivered prefix. If
-// that node stays unreachable the fetch fails rather than re-deliver.
-func (c *Client) FetchEach(queryID int64, sql string, fn func(*ColBlock) error) Outcome {
-	var bridge ColBlock
-	sink := fetchSink{
-		block: fn,
-		rows: func(columns []string, rs []sqldb.Row) error {
-			// JSON downgrade: the old node sent the result whole; present
-			// it through the same batch interface.
-			bridge.FillFromRows(columns, rs)
-			if bridge.Rows == 0 {
-				return nil
-			}
-			return fn(&bridge)
-		},
-	}
-	out, _ := c.fetchLoop(queryID, sql, sink, nil)
-	return out
-}
-
-// fetchLoop is the market loop under Fetch and FetchEach: negotiate,
-// walk the failover ladder, resubmit next period on refusal — Run's
-// shape, minus the bid/batch amortization layers (fetches ship results,
-// so admission staleness costs bandwidth, not just a refused execute).
-//
-// reset distinguishes the two delivery modes. Non-nil (accumulate):
-// rows delivered so far are client-owned, so a lost stream discards
-// them and renegotiates anywhere — re-pulling a read-only fragment is
-// wasteful but never incorrect. Nil (callback): delivered rows already
-// escaped to the caller, so after partial delivery only the same node's
-// dedup replay (skip=delivered) may continue the stream; resume
-// retransmits up to ExecRetries, then the fetch is terminal.
-func (c *Client) fetchLoop(queryID int64, sql string, sink fetchSink, reset func()) (Outcome, []string) {
-	start := time.Now()
-	var deadline time.Time
-	if c.cfg.QueryTimeout > 0 {
-		deadline = start.Add(c.cfg.QueryTimeout)
-	}
-	out := Outcome{QueryID: queryID, Submitted: start}
-	root := c.startSpan(queryID, "", "fetch-run")
-	tc := childCtx(&traceCtx{V: traceV, ID: queryID}, root)
-	if root == nil {
-		tc = nil
-	}
-	var columns []string
-	finish := func(err error) (Outcome, []string) {
-		out.Err = err
-		out.TotalMs = msSince(start)
-		if err != nil {
-			root.Annotate("error: %v", err)
-		} else {
-			root.Annotate("node=%s rows=%d retries=%d", out.Node, out.Rows, out.Retries)
-		}
-		root.Finish()
-		return out, columns
-	}
-	noteRetry := func() bool {
-		out.Retries++
-		c.health.Inc(metrics.RetriesTotal)
-		return c.takeRetryToken()
-	}
-	budgetErr := func() error {
-		return fmt.Errorf("cluster: query %d: %w", queryID, ErrRetryBudget)
-	}
-	// delivered counts rows handed to the sink across all attempts; it is
-	// the resume offset for callback mode and the discard size for
-	// accumulate mode.
-	var delivered int64
-	unreachableRounds := 0
-	for attempt := 0; ; attempt++ {
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			return finish(fmt.Errorf("cluster: query %d: %w after %d rounds", queryID, ErrExpired, attempt))
-		}
-		pr, assignDur, err := c.negotiateAll(sql, tc, deadline)
-		out.AssignMs += float64(assignDur) / float64(time.Millisecond)
-		if err != nil {
-			if errors.Is(err, ErrTooLarge) {
-				return finish(fmt.Errorf("cluster: query %d: %w", queryID, err))
-			}
-			if attempt >= c.cfg.MaxRetries {
-				return finish(fmt.Errorf("cluster: query %d after %d rounds: %w", queryID, attempt+1, err))
-			}
-			if !noteRetry() {
-				return finish(budgetErr())
-			}
-			c.sleepBackoff(unreachableRounds, deadline)
-			unreachableRounds++
-			continue
-		}
-		unreachableRounds = 0
-		if len(pr.ranked) == 0 {
-			if attempt >= c.cfg.MaxRetries {
-				if re := pr.refusalError(); re != nil {
-					return finish(fmt.Errorf("cluster: query %d refused by all nodes after %d rounds: %w", queryID, attempt, re))
-				}
-				return finish(fmt.Errorf("cluster: query %d refused by all nodes after %d rounds", queryID, attempt))
-			}
-			if !noteRetry() {
-				return finish(budgetErr())
-			}
-			c.sleepBackoff(0, deadline)
-			continue
-		}
-		var (
-			win         *fetchReply
-			winner      *nodeState
-			terminal    error
-			renegotiate bool
-		)
-	ladder:
-		for ci, cand := range pr.ranked {
-			if ci > 0 {
-				if !c.takeRetryToken() {
-					terminal = budgetErr()
-					break
-				}
-				c.health.Inc(metrics.FailoversTotal)
-			}
-			if delivered > 0 && reset == nil && cand.nodeID() != out.Node {
-				// Callback mode, partially delivered: only the node that
-				// streamed the prefix can replay and resume it. Runner-ups
-				// cannot help this query anymore.
-				continue
-			}
-			fr, n, kind, err := c.fetchAttempt(cand, queryID, sql, tc, deadline, delivered, sink)
-			delivered += n
-			if kind == attemptOK || n > 0 {
-				out.Node = cand.nodeID()
-				out.NodeAddr = cand.address()
-			}
-			switch kind {
-			case attemptOK:
-				if !fr.Accepted {
-					renegotiate = true // lost the supply race; the round is stale
-					break ladder
-				}
-				win, winner = fr, cand
-				break ladder
-			case attemptFatal:
-				terminal = err
-				break ladder
-			case attemptRefused, attemptNotSent:
-				continue
-			case attemptLost:
-				if delivered > 0 && reset == nil {
-					// Rows already escaped to the caller: retransmit to the
-					// same node, skipping the delivered prefix the dedup
-					// replay will resend.
-					fr, kind, err = c.fetchResume(cand, queryID, sql, tc, deadline, &delivered, sink, noteRetry)
-					if kind == attemptOK && fr.Accepted {
-						win, winner = fr, cand
-					} else {
-						terminal = err
-					}
-					break ladder
-				}
-				if reset != nil && delivered > 0 {
-					reset()
-					delivered = 0
-				}
-				renegotiate = true
-				break ladder
-			}
-		}
-		switch {
-		case win != nil:
-			out.Node = winner.nodeID()
-			out.NodeAddr = winner.address()
-			out.ExecMs = win.ExecMs
-			out.Rows = int(delivered)
-			columns = win.Columns
-			return finish(nil)
-		case terminal != nil:
-			return finish(terminal)
-		}
-		if attempt >= c.cfg.MaxRetries {
-			return finish(fmt.Errorf("cluster: query %d starved after %d rounds", queryID, attempt))
-		}
-		if !noteRetry() {
-			return finish(budgetErr())
-		}
-		if !renegotiate {
-			c.sleepBackoff(0, deadline)
-		}
-	}
-}
-
-// fetchResume retransmits a partially-delivered streamed fetch to the
-// same node, resuming at *delivered via the dedup window's replay. Up
-// to ExecRetries retransmits, like execAttempt's outcome-unknown loop;
-// if none completes the stream, the fetch is terminal — failing over
-// would re-deliver rows the caller already consumed.
-func (c *Client) fetchResume(ns *nodeState, queryID int64, sql string, tc *traceCtx, deadline time.Time, delivered *int64, sink fetchSink, noteRetry func() bool) (*fetchReply, attemptKind, error) {
-	var (
-		fr   *fetchReply
-		kind attemptKind
-		err  error
-	)
-	for r := 0; r < c.cfg.ExecRetries; r++ {
-		if !noteRetry() {
-			return nil, attemptFatal, fmt.Errorf("cluster: %w resuming fetch on %s", ErrRetryBudget, ns.label())
-		}
-		var n int64
-		fr, n, kind, err = c.fetchAttempt(ns, queryID, sql, tc, deadline, *delivered, sink)
-		*delivered += n
-		switch kind {
-		case attemptOK, attemptFatal:
-			return fr, kind, err
-		case attemptRefused, attemptNotSent, attemptLost:
-			// The admission gate can refuse a retransmit before the dedup
-			// window sees it; keep trying the same node.
-		}
-	}
-	return nil, attemptFatal, fmt.Errorf("cluster: partially-streamed fetch on %s not resumable: %v", ns.label(), err)
 }

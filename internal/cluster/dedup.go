@@ -7,23 +7,67 @@ import (
 	"time"
 )
 
-// dedupOutcome is one cached execute/fetch result: the executeReply,
-// the fetchReply when the op shipped rows, and the envelope code the
-// original reply carried. For fetches the raw result is cached too, so
-// a retransmit is re-encoded under its *own* request's negotiation
-// (JSON vs frames, batch size) — which also makes the frame stream a
-// replay of identical rows, letting a client resume a partial stream
-// by skipping the rows it already delivered.
+// dedupOutcome is one cached execute/fetch result: the reply's verdict
+// (a fetch's Accepted/ExecMs/Err ride in exec too — the two replies
+// share them) and the envelope code the original reply carried. For
+// fetches the raw result is cached as well, so a retransmit is
+// re-encoded under its *own* request's negotiation (JSON vs frames,
+// batch size) — which also makes the frame stream a replay of identical
+// rows, letting a client resume a partial stream by skipping the rows it
+// already delivered.
 type dedupOutcome struct {
 	exec   executeReply
-	fetch  *fetchReply
 	result *ColBlock
 	code   string
+	// packed holds a small result in place of result, as the header and
+	// batch frames that would stream it; batchAt is where the second
+	// starts (see packResult).
+	packed  []byte
+	batchAt int
 }
 
-// dedupEntry is one in-flight or settled outcome. done is closed when
-// the owner settles; waiters then read out/cacheable under the window
-// lock.
+// packRowsMax bounds the results the window keeps packed. A columnar
+// block spends 120 bytes of slice headers per column and an allocation
+// per typed array and column name; below a few dozen rows that is most
+// of it, and the window holds one result per fetch for its whole TTL.
+// Large results stay as produced: they may alias storage, which costs
+// nothing to keep.
+const packRowsMax = 64
+
+// packResult stores a fetch result in the outcome, a small one as a
+// single allocation in the frame encoding.
+func (o *dedupOutcome) packResult(res *ColBlock) {
+	if res == nil || res.Rows > packRowsMax {
+		o.result = res
+		return
+	}
+	o.packed = appendFetchHeader(nil, 0, res.Columns, 0, 0, res.Rows)
+	o.batchAt = len(o.packed)
+	o.packed = appendFetchBatchCols(o.packed, 0, res)
+}
+
+// block returns the cached result, unpacking it if need be.
+func (o *dedupOutcome) block() *ColBlock {
+	if o.packed == nil {
+		return o.result
+	}
+	var h frameHeader
+	blk := &ColBlock{}
+	err := decodeFetchHeader(o.packed[frameHdrLen:o.batchAt], &h)
+	if err == nil {
+		blk.Columns = h.columns
+		err = decodeFetchBatch(o.packed[o.batchAt+frameHdrLen:], blk)
+	}
+	if err != nil {
+		panic("cluster: dedup window cannot read its own encoding: " + err.Error())
+	}
+	return blk
+}
+
+// dedupEntry is one in-flight or settled outcome. done is made by the
+// first duplicate that has to wait and closed when the owner settles;
+// waiters then read out/cacheable under the window lock. Entries are
+// kept lean: a busy node holds one per query for the whole TTL.
 type dedupEntry struct {
 	done      chan struct{}
 	out       dedupOutcome
@@ -46,6 +90,11 @@ type dedupWindow struct {
 	mu      sync.Mutex
 	entries map[string]*dedupEntry
 	ttl     time.Duration
+	// order lists cached keys oldest first, so eviction happens the
+	// moment an entry's TTL is up — on the next settle — rather than at
+	// the next sweep: the window's footprint is rate × TTL, not rate ×
+	// (TTL + sweep interval).
+	order []string
 }
 
 func newDedupWindow(ttl time.Duration) *dedupWindow {
@@ -71,7 +120,7 @@ func (d *dedupWindow) claim(key string, stop <-chan struct{}) (out dedupOutcome,
 		d.mu.Lock()
 		e, ok := d.entries[key]
 		if !ok {
-			d.entries[key] = &dedupEntry{done: make(chan struct{})}
+			d.entries[key] = &dedupEntry{}
 			d.mu.Unlock()
 			return dedupOutcome{}, false, true
 		}
@@ -86,9 +135,13 @@ func (d *dedupWindow) claim(key string, stop <-chan struct{}) (out dedupOutcome,
 			d.mu.Unlock()
 			return out, true, false
 		}
+		if e.done == nil {
+			e.done = make(chan struct{})
+		}
+		done := e.done
 		d.mu.Unlock()
 		select {
-		case <-e.done:
+		case <-done:
 			// Loop: re-read the settled entry (or re-own if it was an
 			// uncacheable refusal and got cleared).
 		case <-stop:
@@ -113,27 +166,40 @@ func (d *dedupWindow) settle(key string, out dedupOutcome, cacheable bool) {
 	e.cacheable = cacheable
 	e.settled = true
 	e.at = time.Now()
-	close(e.done)
-	if !cacheable {
+	if e.done != nil {
+		close(e.done)
+	}
+	if cacheable {
+		d.order = append(d.order, key)
+	} else {
 		// Keep the settled entry visible only through the waiters'
 		// claim loop: delete now; a waiter looping back finds no entry
 		// and re-owns, which is exactly the retry-a-refusal semantics
 		// we want.
 		delete(d.entries, key)
 	}
+	d.evictLocked(e.at)
 	d.mu.Unlock()
 }
 
-// sweep evicts settled entries older than the TTL. Called from the
-// node's period loop; unsettled (in-flight) entries are never evicted.
+// sweep evicts settled entries older than the TTL. settle does the same
+// on a busy node; the node's period loop calls this so an idle one lets
+// go too. Unsettled (in-flight) entries are never evicted.
 func (d *dedupWindow) sweep(now time.Time) {
 	d.mu.Lock()
-	for k, e := range d.entries {
-		if e.settled && now.Sub(e.at) > d.ttl {
-			delete(d.entries, k)
-		}
-	}
+	d.evictLocked(now)
 	d.mu.Unlock()
+}
+
+// evictLocked drops every cached entry whose TTL has passed. order is
+// in settle order, so they are all at its head; a key is on it exactly
+// while its cacheable entry is in the map (nothing else deletes those).
+func (d *dedupWindow) evictLocked(now time.Time) {
+	for len(d.order) > 0 && now.Sub(d.entries[d.order[0]].at) > d.ttl {
+		delete(d.entries, d.order[0])
+		d.order[0] = "" // the backing array outlives the pop
+		d.order = d.order[1:]
+	}
 }
 
 // size reports the current entry count (tests and gauges).

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/qamarket/qamarket/internal/metrics"
 	"github.com/qamarket/qamarket/internal/sqldb"
 )
 
@@ -16,20 +15,20 @@ import (
 // setting the paper's Section 2.1 delegates to distributed query
 // optimizers like MARIPOSA and the Query/Process Trading framework
 // [13,14]. It decomposes a select-join query into one subquery per
-// referenced relation, allocates each subquery through the same
-// call-for-proposals negotiation as whole queries (so QA-NT's supply
-// vectors keep gating admission at the subquery granularity, exactly
-// the compatibility Section 4 claims), pulls the fragments, and joins
-// them in a local scratch database.
+// referenced relation, sends each subquery through the same query
+// lifecycle as whole queries (so QA-NT's supply vectors keep gating
+// admission at the subquery granularity, exactly the compatibility
+// Section 4 claims), pulls the fragments, and joins them in a local
+// scratch database.
 //
 // Single-relation predicates from the WHERE clause are pushed into the
 // corresponding subquery so fragments shrink before travelling.
 type Distributor struct {
 	client *Client
-	// afterNegotiate, when set, runs between winning a negotiation and
-	// fetching from the winner, with the winner's node ID and the
-	// subquery SQL. Tests use it to kill a node in exactly that window
-	// and assert the retry path re-allocates on the surviving view.
+	// afterNegotiate, when set, is handed to every lifecycle the
+	// Distributor starts (see query.afterNegotiate). Tests use it to kill
+	// a node between its winning a negotiation and the fetch, and assert
+	// the lifecycle re-allocates on the surviving view.
 	afterNegotiate func(nodeID, sql string)
 }
 
@@ -42,6 +41,7 @@ type DistOutcome struct {
 	Subqueries   int
 	FragmentRows int
 	AssignMs     float64 // summed negotiation time across subqueries
+	Retries      int     // summed resubmission rounds across subqueries
 	TotalMs      float64
 	PerNode      map[string]int // fragments fetched per node, by stable node ID
 }
@@ -61,60 +61,68 @@ func (d *Distributor) Run(queryID int64, sql string) (DistOutcome, error) {
 	}
 	out := DistOutcome{PerNode: make(map[string]int)}
 	root := d.client.startSpan(queryID, "", "run")
-	tc := childCtx(&traceCtx{V: traceV, ID: queryID}, root)
-	if root == nil {
-		tc = nil
-	}
 	defer root.Finish()
 
-	// A distributed evaluation shares one deadline across its
-	// subqueries, stamped on every negotiate/fetch RPC.
-	var deadline time.Time
+	// A distributed evaluation shares one root span and one deadline
+	// across the lifecycles of its subqueries.
+	q := query{id: queryID, sub: true, afterNegotiate: d.afterNegotiate}
+	if root != nil {
+		q.tc = childCtx(&traceCtx{V: traceV, ID: queryID}, root)
+	}
 	if d.client.cfg.QueryTimeout > 0 {
-		deadline = start.Add(d.client.cfg.QueryTimeout)
+		q.deadline = start.Add(d.client.cfg.QueryTimeout)
+	}
+	// fetch sends one (sub)query through the lifecycle and books what its
+	// allocation cost.
+	fetch := func(q query) (Outcome, []string) {
+		o, columns := d.client.begin(q).run()
+		out.AssignMs += o.AssignMs
+		out.Retries += o.Retries
+		if o.Err == nil {
+			out.Subqueries++
+			out.FragmentRows += o.Rows
+			out.PerNode[o.Node]++
+		}
+		return o, columns
 	}
 
-	// Fast path: some node can run the whole query.
-	pr, _, err := d.client.negotiateAll(sql, tc, deadline)
-	if node := pr.best(); err == nil && node != nil {
-		if d.afterNegotiate != nil {
-			d.afterNegotiate(node.nodeID(), sql)
-		}
-		fr, _, ferr := d.client.fetchOn(node, queryID, sql, tc, deadline)
-		if ferr == nil && fr.Accepted {
-			rows, derr := fr.rows()
-			if derr != nil {
-				return DistOutcome{}, derr
-			}
-			out.Result = &sqldb.Result{Columns: fr.Columns, Rows: rows}
-			out.Subqueries = 1
-			out.FragmentRows = len(rows)
-			out.PerNode[node.nodeID()]++
-			out.TotalMs = msSince(start)
-			return out, nil
-		}
+	// Fast path: some node can run the whole query. One round at the
+	// market decides; an error other than "nobody took it" is the
+	// query's own.
+	whole := &sqldb.Result{}
+	q.sql, q.sink, q.oneRound = sql, accumulateSink(whole), true
+	switch o, columns := fetch(q); {
+	case o.Err == nil:
+		whole.Columns = columns
+		out.Result = whole
+		out.TotalMs = msSince(start)
+		return out, nil
+	case !errors.Is(o.Err, errUnplaced):
+		return DistOutcome{}, o.Err
 	}
 
 	// Decompose: one subquery per FROM entry, with its single-relation
 	// conjuncts pushed down. Fragments stream into the loader block by
 	// block — literal text is rendered straight off each batch's typed
 	// columns, so fragment rows are never materialized as value slices
-	// on this side of the wire.
+	// on this side of the wire. The loader is the client's own buffer
+	// (its reset makes the sink resettable), so a stream lost mid-
+	// fragment is discarded and re-pulled from any node: wasteful for a
+	// read-only fragment, never incorrect.
 	scratch := getScratch()
 	defer putScratch(scratch)
 	pushed, residual := splitConjuncts(sel)
 	var loader fragmentLoader
+	q.oneRound, q.sink = false, blockSink(loader.add, loader.reset)
 	for i, ref := range sel.From {
 		name := ref.Name()
-		sub := buildSubquery(ref, pushed[i])
 		loader.reset()
-		frNode, err := d.allocateFetch(queryID, sub, tc, deadline, &loader)
-		if err != nil {
-			return DistOutcome{}, fmt.Errorf("cluster: subquery for %s: %w", name, err)
+		q.sql = buildSubquery(ref, pushed[i])
+		o, columns := fetch(q)
+		if o.Err != nil {
+			return DistOutcome{}, fmt.Errorf("cluster: subquery for %s: %w", name, o.Err)
 		}
-		out.Subqueries++
-		out.PerNode[frNode.nodeID()]++
-		out.FragmentRows += loader.rows
+		loader.ensureColumns(columns)
 		if err := loader.load(scratch, name); err != nil {
 			return DistOutcome{}, err
 		}
@@ -130,64 +138,6 @@ func (d *Distributor) Run(queryID int64, sql string) (DistOutcome, error) {
 	out.Result = res // result rows are fresh slices, safe past the pool
 	out.TotalMs = msSince(start)
 	return out, nil
-}
-
-// allocateFetch negotiates a subquery and streams it from the best
-// offer into the loader, retrying through the market's periods like
-// Client.Run. The failover ladder walks the round's runner-ups when
-// the winner refused or was unreachable before the request went out; a
-// lost reply or a fatal engine error surfaces exactly like in Run.
-// Every attempt resets the loader first, so a stream lost mid-fragment
-// discards the partial text and the retry starts clean.
-func (d *Distributor) allocateFetch(queryID int64, sql string, tc *traceCtx, deadline time.Time, loader *fragmentLoader) (*nodeState, error) {
-	for attempt := 0; attempt <= d.client.cfg.MaxRetries; attempt++ {
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			return nil, fmt.Errorf("subquery %q: %w", sql, ErrExpired)
-		}
-		pr, _, err := d.client.negotiateAll(sql, tc, deadline)
-		if err != nil {
-			return nil, err
-		}
-		if len(pr.ranked) == 0 {
-			time.Sleep(time.Duration(d.client.cfg.PeriodMs) * time.Millisecond)
-			continue
-		}
-		renegotiated := false
-		for ci, node := range pr.ranked {
-			if ci > 0 {
-				if !d.client.takeRetryToken() {
-					return nil, fmt.Errorf("subquery %q: %w", sql, ErrRetryBudget)
-				}
-				d.client.health.Inc(metrics.FailoversTotal)
-			}
-			if d.afterNegotiate != nil {
-				d.afterNegotiate(node.nodeID(), sql)
-			}
-			loader.reset()
-			fr, kind, err := d.client.fetchBlocksOn(node, queryID, sql, tc, deadline, loader.add)
-			switch kind {
-			case attemptOK:
-				if !fr.Accepted {
-					renegotiated = true // lost the supply race; this round is stale
-				}
-			case attemptFatal:
-				return nil, err
-			case attemptRefused, attemptNotSent:
-				continue // next candidate is safe: the subquery did not run here
-			case attemptLost:
-				// Fetches are read-only fragment pulls: re-running one is
-				// wasteful but never incorrect, so the availability-first
-				// renegotiate is always the right call here.
-				renegotiated = true
-			}
-			if renegotiated {
-				break
-			}
-			loader.ensureColumns(fr.Columns)
-			return node, nil
-		}
-	}
-	return nil, fmt.Errorf("cluster: subquery %q refused by all nodes", sql)
 }
 
 // scratchPool recycles the local scratch databases distributed joins
@@ -323,17 +273,11 @@ func (l *fragmentLoader) reset() {
 	l.ins.Reset()
 }
 
-// add consumes one block of the fragment stream. It is handed to
-// fetchBlocksOn, so the block's buffers are only valid for the call —
+// add consumes one block of the fragment stream. It is a fetch sink's
+// block callback, so the block's buffers are only valid for the call —
 // everything retained is copied into the loader's builder.
 func (l *fragmentLoader) add(blk *ColBlock) error {
-	if len(l.columns) == 0 {
-		l.columns = append(l.columns, blk.Columns...)
-		for range blk.Columns {
-			l.types = append(l.types, sqldb.TInt)
-			l.typed = append(l.typed, false)
-		}
-	}
+	l.ensureColumns(blk.Columns)
 	if len(blk.Cols) != len(l.columns) {
 		return fmt.Errorf("cluster: fragment block has %d columns, header promised %d", len(blk.Cols), len(l.columns))
 	}
@@ -403,8 +347,9 @@ func (l *fragmentLoader) add(blk *ColBlock) error {
 	return nil
 }
 
-// ensureColumns seeds the column list from the fetch envelope when no
-// block carried one — a zero-row fragment still needs its table shape.
+// ensureColumns seeds the column list, once: from the first block, or
+// from the fetch envelope when no block carried one — a zero-row
+// fragment still needs its table shape.
 func (l *fragmentLoader) ensureColumns(columns []string) {
 	if len(l.columns) > 0 {
 		return

@@ -2,15 +2,27 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
+	"github.com/qamarket/qamarket/internal/faultnet"
+	"github.com/qamarket/qamarket/internal/metrics"
 	"github.com/qamarket/qamarket/internal/sqldb"
 )
 
 // splitFederation builds two nodes with disjoint tables so a join
 // across them is evaluable nowhere as a whole.
 func splitFederation(t *testing.T, mech Mechanism) (*Client, []*Node) {
+	t.Helper()
+	client, nodes, _ := splitFederationBehindProxies(t, ClientConfig{Mechanism: mech, PeriodMs: 50, Timeout: 5 * time.Second})
+	return client, nodes
+}
+
+// splitFederationBehindProxies is splitFederation with a fault-injecting
+// proxy in front of each node and the caller's client settings.
+func splitFederationBehindProxies(t *testing.T, ccfg ClientConfig) (*Client, []*Node, []*faultnet.Proxy) {
 	t.Helper()
 	mk := func(ddl ...string) *sqldb.DB {
 		db := sqldb.Open()
@@ -30,21 +42,28 @@ func splitFederation(t *testing.T, mech Mechanism) (*Client, []*Node) {
 		"INSERT INTO customers VALUES (10, 'ada', TRUE), (20, 'bob', FALSE), (30, 'cyd', TRUE)",
 	)
 	var nodes []*Node
-	var addrs []string
+	var proxies []*faultnet.Proxy
 	for _, db := range []*sqldb.DB{dbA, dbB} {
 		n, err := StartNode("127.0.0.1:0", NodeConfig{DB: db, MsPerCostUnit: 0.01, PeriodMs: 50})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { n.Close() })
+		p, err := faultnet.Start("127.0.0.1:0", n.Addr(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
 		nodes = append(nodes, n)
-		addrs = append(addrs, n.Addr())
+		proxies = append(proxies, p)
+		ccfg.Addrs = append(ccfg.Addrs, p.Addr())
 	}
-	client, err := NewClient(ClientConfig{Addrs: addrs, Mechanism: mech, PeriodMs: 50, Timeout: 5 * time.Second})
+	client, err := NewClient(ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return client, nodes
+	t.Cleanup(client.Close)
+	return client, nodes, proxies
 }
 
 func TestDistributedJoinAcrossNodes(t *testing.T) {
@@ -63,6 +82,14 @@ func TestDistributedJoinAcrossNodes(t *testing.T) {
 	}
 	if len(out.PerNode) != 2 {
 		t.Errorf("fragments from %d nodes, want 2", len(out.PerNode))
+	}
+	// Three proposal rounds went to the wire (whole query, two
+	// subqueries), none of them resubmitted.
+	if out.AssignMs <= 0 {
+		t.Errorf("AssignMs = %v, want the summed negotiation time", out.AssignMs)
+	}
+	if out.Retries != 0 {
+		t.Errorf("Retries = %d on an idle federation", out.Retries)
 	}
 	// Reference result computed on a single database holding everything.
 	ref := sqldb.Open()
@@ -127,6 +154,9 @@ func TestDistributedFastPathSingleNode(t *testing.T) {
 	if out.Subqueries != 1 {
 		t.Errorf("subqueries = %d, want 1 (fast path)", out.Subqueries)
 	}
+	if out.AssignMs <= 0 {
+		t.Errorf("AssignMs = %v, want the fast path's negotiation time", out.AssignMs)
+	}
 	if out.Result.Rows[0][0].Int != 4 {
 		t.Errorf("count = %v, want 4", out.Result.Rows[0][0])
 	}
@@ -160,6 +190,97 @@ func TestDistributedRejectsNonSelect(t *testing.T) {
 	}
 	if _, err := d.Run(1, "SELECT * FROM nowhere JOIN customers ON nowhere.id = customers.id"); err == nil {
 		t.Error("unknown relation accepted")
+	}
+}
+
+const distJoinSQL = `SELECT customers.name, SUM(orders.amount) AS total
+	FROM orders JOIN customers ON orders.cust = customers.id
+	GROUP BY customers.name ORDER BY customers.name`
+
+// TestDistributedBacksOffWhileUnreachable: a round in which no node
+// answers is transient for the Distributor exactly as it is for Run — it
+// backs off and resubmits instead of failing the join on the spot (which
+// it did while it carried its own copy of the loop).
+func TestDistributedBacksOffWhileUnreachable(t *testing.T) {
+	client, _, proxies := splitFederationBehindProxies(t, ClientConfig{
+		Mechanism: MechGreedy, PeriodMs: 20, Timeout: time.Second,
+		BreakerThreshold: 100, // the partition must not outlast itself as open breakers
+		Jitter:           rand.New(rand.NewSource(3)),
+	})
+	for _, p := range proxies {
+		p.SetRefuse(true)
+	}
+	// Heal once the client has provably sat out a round.
+	returned, healed := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(healed)
+		for client.Health()[metrics.RetriesTotal] < 1 {
+			select {
+			case <-returned:
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+		for _, p := range proxies {
+			p.SetRefuse(false)
+		}
+	}()
+	out, err := NewDistributor(client).Run(1, distJoinSQL)
+	close(returned)
+	<-healed
+	if err != nil {
+		t.Fatalf("join across a healed partition: %v", err)
+	}
+	if out.Subqueries != 2 || len(out.Result.Rows) != 3 {
+		t.Fatalf("subqueries = %d rows = %d, want 2 and 3", out.Subqueries, len(out.Result.Rows))
+	}
+	if out.Retries < 1 {
+		t.Errorf("Retries = %d, want the backed-off rounds counted", out.Retries)
+	}
+	if got := client.Health()[metrics.BackoffMsTotal]; got <= 0 {
+		t.Errorf("backoff_ms_total = %v, want the wait accounted", got)
+	}
+}
+
+// TestDistributedNoOfferWaitHonorsDeadline: the resubmit-next-period
+// wait of a subquery nobody offers on is clipped to the query's
+// deadline. The Distributor used to sleep a flat period and discover the
+// expiry afterwards.
+func TestDistributedNoOfferWaitHonorsDeadline(t *testing.T) {
+	const period = 2 * time.Second
+	client, _, _ := splitFederationBehindProxies(t, ClientConfig{
+		Mechanism: MechGreedy, PeriodMs: period.Milliseconds(), Timeout: time.Second,
+		QueryTimeout: 100 * time.Millisecond,
+	})
+	start := time.Now()
+	_, err := NewDistributor(client).Run(1,
+		"SELECT * FROM nowhere JOIN customers ON nowhere.id = customers.id")
+	if !errors.Is(err, ErrExpired) {
+		t.Fatalf("err = %v, want ErrExpired", err)
+	}
+	if took := time.Since(start); took > period/2 {
+		t.Fatalf("expiry surfaced after %v: the wait ignored the %v deadline", took, client.cfg.QueryTimeout)
+	}
+}
+
+// TestDistributedFastPathLostReplyUnderAtMostOnce: when the whole-query
+// fetch's reply is lost under AtMostOnce the outcome is unknown and the
+// Distributor must say so. It used to drop the lost attempt on the floor
+// and run the query again as fragments.
+func TestDistributedFastPathLostReplyUnderAtMostOnce(t *testing.T) {
+	client, nodes, proxies := splitFederationBehindProxies(t, ClientConfig{
+		Mechanism: MechGreedy, PeriodMs: 20, Transport: TransportFresh,
+		Timeout: 100 * time.Millisecond, ExecTimeoutFactor: 1,
+		AtMostOnce: true, ExecRetries: 1,
+	})
+	d := NewDistributor(client)
+	d.afterNegotiate = func(string, string) { proxies[0].Partition(faultnet.ServerToClient) }
+	_, err := d.Run(1, "SELECT COUNT(*) FROM orders")
+	if !errors.Is(err, ErrOutcomeUnknown) {
+		t.Fatalf("err = %v, want ErrOutcomeUnknown", err)
+	}
+	if got := nodes[0].Executed(); got != 1 {
+		t.Fatalf("orders node executed %d queries, want the one whose reply was lost", got)
 	}
 }
 

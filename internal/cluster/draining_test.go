@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/qamarket/qamarket/internal/metrics"
+	"github.com/qamarket/qamarket/internal/sqldb"
 )
 
 // startCodedStub runs a minimal server that answers every request,
@@ -52,7 +53,8 @@ func startDrainingStub(t *testing.T) string {
 	return startCodedStub(t, CodeDraining, "node draining")
 }
 
-// breakerOps are the four client ops the typed-reply audits drive.
+// breakerOps are the client ops the typed-reply audits drive: every
+// wire op, with fetch under both sink kinds.
 var breakerOps = []struct {
 	name string
 	call func(t *testing.T, c *Client) error
@@ -66,8 +68,12 @@ var breakerOps = []struct {
 		return err
 	}},
 	{"fetch", func(t *testing.T, c *Client) error {
-		_, _, err := c.fetchOn(c.nodes()[0], 1, "SELECT 1 FROM t", nil, time.Time{})
-		return err
+		q := query{id: 1, sql: "SELECT 1 FROM t", sink: accumulateSink(&sqldb.Result{})}
+		return c.begin(q).attempt(c.nodes()[0]).err
+	}},
+	{"fetch-each", func(t *testing.T, c *Client) error {
+		q := query{id: 1, sql: "SELECT 1 FROM t", sink: blockSink(func(*ColBlock) error { return nil }, nil)}
+		return c.begin(q).attempt(c.nodes()[0]).err
 	}},
 	{"stats", func(t *testing.T, c *Client) error {
 		_, err := c.Stats(c.nodes()[0].address())

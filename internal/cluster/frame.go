@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"github.com/qamarket/qamarket/internal/driver"
-	"github.com/qamarket/qamarket/internal/sqldb"
 )
 
 // Binary fetch framing (frameV1). The newline-delimited JSON lane stays
@@ -111,16 +110,6 @@ func appendFetchHeader(buf []byte, id uint64, columns []string, execMs float64, 
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(batchRows))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(totalRows))
 	return endFrame(buf, hdr)
-}
-
-// appendFetchBatch appends one batch frame carrying res.Rows[lo:hi].
-// It is the row-input convenience over appendFetchBatchCols (tests and
-// the JSON downgrade use it); the streaming path hands the encoder a
-// driver block directly and never materializes rows.
-func appendFetchBatch(buf []byte, id uint64, res *sqldb.Result, lo, hi int) []byte {
-	var blk ColBlock
-	blk.FillFromRows(res.Columns, res.Rows[lo:hi])
-	return appendFetchBatchCols(buf, id, &blk)
 }
 
 // appendFetchBatchCols appends one batch frame carrying blk's rows as

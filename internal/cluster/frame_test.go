@@ -513,3 +513,11 @@ func TestFrameMetricsExposition(t *testing.T) {
 		t.Error("raw per-version counter name leaked into the exposition")
 	}
 }
+
+// appendFetchBatch appends one batch frame carrying res.Rows[lo:hi]: the
+// row-input convenience over appendFetchBatchCols for the frame tests.
+func appendFetchBatch(buf []byte, id uint64, res *sqldb.Result, lo, hi int) []byte {
+	var blk ColBlock
+	blk.FillFromRows(res.Columns, res.Rows[lo:hi])
+	return appendFetchBatchCols(buf, id, &blk)
+}

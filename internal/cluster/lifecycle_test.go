@@ -1,0 +1,339 @@
+package cluster
+
+import (
+	"errors"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+	"time"
+
+	"github.com/qamarket/qamarket/internal/driver"
+	"github.com/qamarket/qamarket/internal/faultnet"
+	"github.com/qamarket/qamarket/internal/market"
+	"github.com/qamarket/qamarket/internal/metrics"
+	"github.com/qamarket/qamarket/internal/sqldb"
+)
+
+// executeOn is one execute attempt at the lifecycle's attempt seam, in
+// the shape the wire-level tests have always called it: they pin what a
+// single exchange with a single node classifies as.
+func (c *Client) executeOn(ns *nodeState, id int64, sql string, tc *traceCtx, deadline time.Time) (*executeReply, attemptKind, error) {
+	res := c.begin(query{id: id, sql: sql, sub: true, tc: tc, deadline: deadline}).attempt(ns)
+	if res.kind != attemptOK {
+		return nil, res.kind, res.err
+	}
+	return &executeReply{Accepted: res.accepted, Rows: int(res.rows), ExecMs: res.execMs}, res.kind, nil
+}
+
+// lifeFed is the conformance fixture: two real nodes over fault-
+// injecting mock drivers, each behind a fault-injecting proxy. Node A is
+// forty times faster than B, so a proposal round ranks A first unless A
+// reports a backlog; the script under test is what A does with the query
+// it won.
+type lifeFed struct {
+	t              *testing.T
+	a, b           *Node
+	mockA, mockB   *driver.Mock
+	proxyA, proxyB *faultnet.Proxy
+	c              *Client
+}
+
+const (
+	lifeSQL   = "SELECT a, b FROM t"
+	lifeRows  = 4
+	lifeBurst = 50 // retry tokens the client starts with
+)
+
+func startLifeFed(t *testing.T, atMostOnce bool) *lifeFed {
+	t.Helper()
+	f := &lifeFed{t: t}
+	start := func(id string, slowdown float64) (*Node, *driver.Mock, *faultnet.Proxy) {
+		db := sqldb.Open()
+		for _, q := range []string{
+			"CREATE TABLE t (a INT, b TEXT)",
+			"INSERT INTO t VALUES (1, 'w'), (2, 'x'), (3, 'y'), (4, 'z')",
+		} {
+			if _, _, err := db.Exec(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mock := driver.NewMock(driver.NewLegacy(db), driver.MockConfig{})
+		n, err := StartNode("127.0.0.1:0", NodeConfig{
+			Driver: mock, NodeID: id, Slowdown: slowdown, MsPerCostUnit: 0.05,
+			ShareQueueState: true,
+			// One period outlasts the test: supply moves only when a row's
+			// script moves it.
+			PeriodMs: 60_000, Market: market.DefaultConfig(1),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.CloseNow() })
+		p, err := faultnet.Start("127.0.0.1:0", n.Addr(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		return n, mock, p
+	}
+	f.a, f.mockA, f.proxyA = start("A", 1)
+	f.b, f.mockB, f.proxyB = start("B", 40)
+	c, err := NewClient(ClientConfig{
+		Addrs:     []string{f.proxyA.Addr(), f.proxyB.Addr()},
+		Mechanism: MechQANT, Transport: TransportFresh,
+		PeriodMs: 10, Timeout: 150 * time.Millisecond, ExecTimeoutFactor: 1,
+		QueryTimeout: 20 * time.Second, AtMostOnce: atMostOnce, ExecRetries: 2,
+		RetryBudget: 1e-6, RetryBurst: lifeBurst, BidCacheTTL: time.Minute,
+		FetchBatchRows: 1, Jitter: rand.New(rand.NewSource(7)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	f.c = c
+	return f
+}
+
+// tokensTaken reads how many retry tokens the client has spent.
+func (f *lifeFed) tokensTaken() int {
+	f.c.retry.mu.Lock()
+	defer f.c.retry.mu.Unlock()
+	return int(math.Round(lifeBurst - f.c.retry.tokens))
+}
+
+// lifeWant is what one scripted query must look like from outside.
+type lifeWant struct {
+	rounds        int // proposal rounds that went to the wire
+	failovers     int
+	tokens        int
+	invalidations int
+	breakerA      breakerState
+	err           error // nil, a typed sentinel, or errLifeFatal
+	node          string
+	// bUntouched asserts the runner-up never executed anything: the
+	// partial-delivery rule's "never a runner-up".
+	bUntouched bool
+}
+
+// errLifeFatal stands for "a terminal error of no particular type".
+var errLifeFatal = errors.New("fatal")
+
+// lifeOps are the three terminal ops — the only thing Run, Fetch and
+// FetchEach differ in. sink builds the op's sink over the caller's row
+// buffer, tapping every delivered block.
+var lifeOps = []struct {
+	name     string
+	callback bool // rows escape to the caller: the non-resettable sink
+	sink     func(got *sqldb.Result, onBlock func()) *fetchSink
+}{
+	{name: "execute", sink: func(*sqldb.Result, func()) *fetchSink { return nil }},
+	{name: "fetch-accumulate", sink: func(got *sqldb.Result, onBlock func()) *fetchSink {
+		sink := accumulateSink(got)
+		block := sink.block
+		sink.block = func(blk *ColBlock) error {
+			defer onBlock()
+			return block(blk)
+		}
+		return sink
+	}},
+	{name: "fetch-callback", callback: true, sink: func(got *sqldb.Result, onBlock func()) *fetchSink {
+		return blockSink(func(blk *ColBlock) error {
+			defer onBlock()
+			var err error
+			got.Rows, err = blk.AppendRows(got.Rows)
+			return err
+		}, nil)
+	}},
+}
+
+// TestLifecycleConformance runs one script of per-candidate behaviours
+// against all three terminal ops and requires the same journey from
+// each: proposal rounds, failovers, retry tokens, bid-cache
+// invalidations, the winner's breaker and the terminal error type. The
+// only rows whose legal outcome depends on the op are the partial-
+// delivery ones, and they say so (wantCallback).
+func TestLifecycleConformance(t *testing.T) {
+	rows := []struct {
+		name       string
+		atMostOnce bool
+		cached     bool // admit the scripted query from a warmed bid cache
+		fetchOnly  bool // the script needs a row stream to cut
+		// arm makes A misbehave; it runs after A won the round, right
+		// before the first attempt on it.
+		arm func(f *lifeFed)
+		// onBlock runs after the first block reaches the sink.
+		onBlock      func(f *lifeFed)
+		want         lifeWant
+		wantCallback *lifeWant
+	}{
+		{name: "ok",
+			want: lifeWant{rounds: 1, node: "A"}},
+		{name: "supply race lost",
+			// Another client takes A's remaining supply between its offer
+			// and our request: the round is stale, back to the market.
+			arm: func(f *lifeFed) {
+				sig, _, _, err := f.a.estimate(lifeSQL)
+				if err != nil {
+					f.t.Error(err)
+				}
+				for i := 0; f.a.pricer.accept(sig); i++ {
+					if i > 50_000_000 {
+						f.t.Error("A's supply never ran out")
+						return
+					}
+				}
+			},
+			want: lifeWant{rounds: 2, tokens: 1, invalidations: 1, node: "B"}},
+		{name: "typed overload",
+			arm:  func(f *lifeFed) { f.a.working.Add(int64(f.a.cfg.MaxInflight)) },
+			want: lifeWant{rounds: 1, failovers: 1, tokens: 1, invalidations: 1, node: "B"}},
+		{name: "typed expired",
+			arm: func(f *lifeFed) {
+				f.a.mu.Lock()
+				f.a.backlogMs = 1e12
+				f.a.mu.Unlock()
+			},
+			want: lifeWant{rounds: 1, failovers: 1, tokens: 1, invalidations: 1, node: "B"}},
+		{name: "typed draining",
+			arm:  func(f *lifeFed) { f.a.draining.Store(true) },
+			want: lifeWant{rounds: 1, failovers: 1, tokens: 1, invalidations: 1, breakerA: breakerOpen, node: "B"}},
+		{name: "not sent",
+			arm:  func(f *lifeFed) { f.proxyA.Close() },
+			want: lifeWant{rounds: 1, failovers: 1, tokens: 1, node: "B"}},
+		{name: "lost",
+			// Availability first: the query may have run on A, and runs
+			// again wherever the market sends it.
+			arm:  func(f *lifeFed) { f.proxyA.Partition(faultnet.ServerToClient) },
+			want: lifeWant{rounds: 2, tokens: 1, invalidations: 1, node: "B"}},
+		{name: "lost under AtMostOnce", atMostOnce: true,
+			arm:  func(f *lifeFed) { f.proxyA.Partition(faultnet.ServerToClient) },
+			want: lifeWant{rounds: 1, tokens: 2, breakerA: breakerOpen, err: ErrOutcomeUnknown, bUntouched: true}},
+		{name: "fatal",
+			arm:  func(f *lifeFed) { f.mockA.FailNextExec(1) },
+			want: lifeWant{rounds: 1, err: errLifeFatal, bUntouched: true}},
+		{name: "fatal from cached ladder", cached: true,
+			// A's engine broke since it bid and its queue backed up. The
+			// cache is impeached, not the query: one fresh round, where B
+			// now finishes first.
+			arm: func(f *lifeFed) {
+				f.mockA.FailNextExec(1)
+				f.a.mu.Lock()
+				f.a.backlogMs = 5_000
+				f.a.mu.Unlock()
+			},
+			want: lifeWant{rounds: 1, tokens: 1, invalidations: 1, node: "B"}},
+		{name: "lost after partial delivery", fetchOnly: true,
+			arm: func(f *lifeFed) { f.a.frameSever.Store(1) },
+			// Resettable sink: discard the prefix, renegotiate anywhere (A
+			// wins again and replays from its dedup window).
+			want: lifeWant{rounds: 2, tokens: 1, invalidations: 1, node: "A"},
+			// Rows escaped: resume on A with skip = delivered, nothing else.
+			wantCallback: &lifeWant{rounds: 1, tokens: 1, node: "A", bUntouched: true}},
+		{name: "lost after partial delivery, node gone", fetchOnly: true,
+			arm:     func(f *lifeFed) { f.a.frameSever.Store(1) },
+			onBlock: func(f *lifeFed) { f.proxyA.Close() },
+			// Resettable sink: B serves the whole result.
+			want: lifeWant{rounds: 2, tokens: 1, invalidations: 1, node: "B"},
+			// Rows escaped and A cannot resume: terminal. B is never asked.
+			wantCallback: &lifeWant{rounds: 1, tokens: 2, breakerA: breakerOpen, err: errLifeFatal, bUntouched: true}},
+	}
+	for _, row := range rows {
+		for _, op := range lifeOps {
+			if row.fetchOnly && op.name == "execute" {
+				continue
+			}
+			t.Run(row.name+"/"+op.name, func(t *testing.T) {
+				t.Parallel()
+				f := startLifeFed(t, row.atMostOnce)
+				run := func(id int64, hook func(nodeID, sql string), onBlock func()) (Outcome, []sqldb.Row) {
+					got := &sqldb.Result{}
+					q := query{id: id, sql: lifeSQL, sink: op.sink(got, onBlock), afterNegotiate: hook}
+					out, _ := f.c.begin(q).run()
+					return out, got.Rows
+				}
+				if row.cached {
+					if out, _ := run(1, nil, func() {}); out.Err != nil || out.Node != "A" {
+						t.Fatalf("warm-up: node %q err %v", out.Node, out.Err)
+					}
+				}
+				health0, rpc0, tok0 := f.c.Health(), f.c.RPCCounts()["negotiate"], f.tokensTaken()
+				execB0 := f.mockB.Executions()
+
+				armed, tapped := false, false
+				hook := func(nodeID, _ string) {
+					if nodeID == "A" && !armed && row.arm != nil {
+						armed = true
+						row.arm(f)
+					}
+				}
+				onBlock := func() {
+					if !tapped && row.onBlock != nil {
+						tapped = true
+						row.onBlock(f)
+					}
+				}
+				out, got := run(2, hook, onBlock)
+
+				want := row.want
+				if op.callback && row.wantCallback != nil {
+					want = *row.wantCallback
+				}
+				health := f.c.Health()
+				delta := func(k string) int { return int(health[k] - health0[k]) }
+				if r := int(f.c.RPCCounts()["negotiate"]-rpc0) / 2; r != want.rounds {
+					t.Errorf("proposal rounds = %d, want %d", r, want.rounds)
+				}
+				if d := delta(metrics.FailoversTotal); d != want.failovers {
+					t.Errorf("failovers = %d, want %d", d, want.failovers)
+				}
+				if d := f.tokensTaken() - tok0; d != want.tokens {
+					t.Errorf("retry tokens taken = %d, want %d", d, want.tokens)
+				}
+				if d := delta(metrics.RetriesTotal); d != out.Retries {
+					t.Errorf("retries_total moved %d, outcome says %d", d, out.Retries)
+				}
+				if d := delta(metrics.BidCacheInvalidationsTotal); d != want.invalidations {
+					t.Errorf("bid cache invalidations = %d, want %d", d, want.invalidations)
+				}
+				if st := f.c.lookup("A").breaker.snapshot(); st != want.breakerA {
+					t.Errorf("A's breaker = %v, want %v", st, want.breakerA)
+				}
+				switch {
+				case want.err == nil:
+					if out.Err != nil {
+						t.Fatalf("err = %v, want success", out.Err)
+					}
+				case want.err == errLifeFatal:
+					for _, typed := range []error{ErrOverloaded, ErrExpired, ErrRetryBudget, ErrOutcomeUnknown} {
+						if out.Err == nil || errors.Is(out.Err, typed) {
+							t.Errorf("err = %v, want an untyped terminal error", out.Err)
+						}
+					}
+				case !errors.Is(out.Err, want.err):
+					t.Errorf("err = %v, want %v", out.Err, want.err)
+				}
+				if out.Node != want.node {
+					t.Errorf("ran on %q, want %q", out.Node, want.node)
+				}
+				if want.bUntouched && f.mockB.Executions() != execB0 {
+					t.Errorf("runner-up executed %d queries, want none", f.mockB.Executions()-execB0)
+				}
+				if want.err == nil {
+					if out.Rows != lifeRows {
+						t.Errorf("outcome rows = %d, want %d", out.Rows, lifeRows)
+					}
+					if op.name != "execute" {
+						wantRows := []sqldb.Row{
+							{sqldb.NewInt(1), sqldb.NewText("w")}, {sqldb.NewInt(2), sqldb.NewText("x")},
+							{sqldb.NewInt(3), sqldb.NewText("y")}, {sqldb.NewInt(4), sqldb.NewText("z")},
+						}
+						if !reflect.DeepEqual(got, wantRows) {
+							t.Errorf("caller holds %v, want every row exactly once", got)
+						}
+					}
+				}
+			})
+		}
+	}
+}

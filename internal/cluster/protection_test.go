@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"github.com/qamarket/qamarket/internal/faultnet"
 	"github.com/qamarket/qamarket/internal/market"
 	"github.com/qamarket/qamarket/internal/metrics"
+	"github.com/qamarket/qamarket/internal/sqldb"
 )
 
 // protectionQuery returns a one-node federation plus a query that is
@@ -83,13 +85,17 @@ func TestSeveredReplyRetryExecutesOnce(t *testing.T) {
 		t.Fatalf("dedup_hits_total = %g, want 1", got)
 	}
 
-	// Under a partition that never heals, execAttempt's same-node
-	// retransmits exhaust and the client reports the outcome unknown
-	// instead of failing over — the query still ran exactly once.
+	// Under a partition that never heals, the lifecycle's same-node
+	// retransmits (settle) exhaust and the client reports the outcome
+	// unknown instead of failing over — the query still ran exactly once.
 	p.Partition(faultnet.ServerToClient)
-	_, kind, err = c.execAttempt(ns, 3, sql, nil, time.Time{}, func() bool { return true })
-	if kind != attemptLost || !errors.Is(err, ErrOutcomeUnknown) {
-		t.Fatalf("unhealed partition: kind = %v err = %v, want attemptLost/ErrOutcomeUnknown", kind, err)
+	l := c.begin(query{id: 3, sql: sql})
+	res := l.settle(ns)
+	if res.kind != attemptLost || !errors.Is(res.err, ErrOutcomeUnknown) {
+		t.Fatalf("unhealed partition: kind = %v err = %v, want attemptLost/ErrOutcomeUnknown", res.kind, res.err)
+	}
+	if l.out.Retries != 2 {
+		t.Fatalf("settle charged %d retransmits, want ExecRetries = 2", l.out.Retries)
 	}
 	p.Heal()
 	rep, kind, err = c.executeOn(ns, 3, sql, nil, time.Time{})
@@ -491,5 +497,76 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	}
 	if got := c.Health()[metrics.RetryBudgetExhaustedTotal]; got != 1 {
 		t.Fatalf("retry_budget_exhausted_total = %g, want 1", got)
+	}
+}
+
+// TestDedupWindowPacksSmallResults: a small fetch result is cached as
+// one packed allocation and replays cell-identical; a large one is kept
+// as produced (it may alias storage, and re-encoding it would cost a
+// copy per fetch).
+func TestDedupWindowPacksSmallResults(t *testing.T) {
+	rows := []sqldb.Row{
+		{sqldb.NewInt(1), sqldb.NewFloat(2.5), sqldb.NewText("it's"), sqldb.NewBool(true)},
+		{sqldb.Null, sqldb.Null, sqldb.NewText(""), sqldb.NewBool(false)},
+		{sqldb.NewInt(-7), sqldb.NewFloat(0), sqldb.Null, sqldb.Null},
+	}
+	var small ColBlock
+	small.FillFromRows([]string{"a", "b", "c", "d"}, rows)
+	var out dedupOutcome
+	out.packResult(&small)
+	if out.packed == nil || out.result != nil {
+		t.Fatalf("a %d-row result was not packed", small.Rows)
+	}
+	replay := out.block()
+	got, err := replay.AppendRows(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(replay.Columns, small.Columns) || !reflect.DeepEqual(got, rows) {
+		t.Fatalf("packed result replays %v %v, want %v %v", replay.Columns, got, small.Columns, rows)
+	}
+
+	var big ColBlock
+	bigRows := make([]sqldb.Row, packRowsMax+1)
+	for i := range bigRows {
+		bigRows[i] = sqldb.Row{sqldb.NewInt(int64(i))}
+	}
+	big.FillFromRows([]string{"n"}, bigRows)
+	out = dedupOutcome{}
+	out.packResult(&big)
+	if out.packed != nil || out.block() != &big {
+		t.Fatal("a result over packRowsMax must be cached as produced")
+	}
+}
+
+// TestDedupWindowEvictsAtTTL: a cached outcome leaves the window on the
+// first settle after its TTL, not at the next periodic sweep — the
+// window's footprint follows rate × TTL.
+func TestDedupWindowEvictsAtTTL(t *testing.T) {
+	d := newDedupWindow(time.Minute)
+	settle := func(key string, cacheable bool) {
+		t.Helper()
+		if _, hit, owner := d.claim(key, nil); hit || !owner {
+			t.Fatalf("claim(%s): hit=%v owner=%v, want a fresh owner", key, hit, owner)
+		}
+		d.settle(key, dedupOutcome{exec: executeReply{Accepted: cacheable}}, cacheable)
+	}
+	settle("old", true)
+	settle("refused", false) // never cached, never queued
+	settle("young", true)
+	if got := d.size(); got != 2 {
+		t.Fatalf("window holds %d entries, want the 2 cacheable ones", got)
+	}
+	d.entries["old"].at = time.Now().Add(-2 * time.Minute)
+	settle("newer", true)
+	if _, hit, _ := d.claim("young", nil); !hit {
+		t.Fatal("an entry inside its TTL was evicted")
+	}
+	if _, ok := d.entries["old"]; ok {
+		t.Fatal("an expired entry survived the next settle")
+	}
+	d.sweep(time.Now().Add(2 * time.Minute))
+	if got := d.size(); got != 0 {
+		t.Fatalf("sweep past every TTL left %d entries", got)
 	}
 }

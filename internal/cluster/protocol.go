@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"github.com/qamarket/qamarket/internal/membership"
-	"github.com/qamarket/qamarket/internal/sqldb"
 	"github.com/qamarket/qamarket/internal/trace"
 )
 
@@ -264,12 +263,6 @@ type fetchReply struct {
 	Cols   []wireColumn `json:"cols,omitempty"`
 	ExecMs float64      `json:"exec_ms"`
 	Err    string       `json:"error,omitempty"`
-
-	// streamed marks an envelope the client synthesized from a binary
-	// frame stream: the rows never rode JSON, they were decoded into
-	// decoded as the frames arrived. Unexported — never marshalled.
-	streamed bool
-	decoded  []sqldb.Row
 }
 
 // NodeStats reports a node's market state for observability.

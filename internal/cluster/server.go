@@ -1016,14 +1016,12 @@ func (n *Node) fetch(req *request) (fetchReply, *ColBlock, string) {
 		key := dedupKey(req.RunID, "fetch", req.QueryID, req.SQL)
 		if out, hit, _ := n.dedup.claim(key, n.stopCh); hit {
 			n.health.Inc(metrics.DedupHitsTotal)
-			if out.fetch != nil {
-				return *out.fetch, out.result, out.code
-			}
-			return fetchReply{Err: out.exec.Err, Accepted: out.exec.Accepted}, nil, out.code
+			return fetchReply{Accepted: out.exec.Accepted, ExecMs: out.exec.ExecMs, Err: out.exec.Err}, out.block(), out.code
 		}
 		fr, res, code := n.fetchOnce(req)
-		cacheable := cacheableOutcome(executeReply{Accepted: fr.Accepted, Err: fr.Err}, code)
-		n.dedup.settle(key, dedupOutcome{fetch: &fr, result: res, code: code}, cacheable)
+		out := dedupOutcome{exec: executeReply{Accepted: fr.Accepted, ExecMs: fr.ExecMs, Err: fr.Err}, code: code}
+		out.packResult(res)
+		n.dedup.settle(key, out, cacheableOutcome(out.exec, code))
 		return fr, res, code
 	}
 	return n.fetchOnce(req)

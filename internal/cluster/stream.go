@@ -128,11 +128,51 @@ func (n *Node) streamFetch(conn net.Conn, w *bufio.Writer, wmu *sync.Mutex, id u
 // fetchSink receives a fetch result however it arrives: block gets
 // streamed batches as reusable ColBlocks (buffers overwritten between
 // calls — copy out anything retained), rows gets a JSON downgrade's
-// decoded result whole. Each caller wires both so old and new servers
-// feed the same consumer.
+// decoded result whole, so old and new servers feed the same consumer.
+//
+// reset says who owns delivered rows. Non-nil: they sit in a buffer the
+// client owns, reset discards them, and a query whose stream died
+// mid-result may start over on any node. Nil: rows escape to the caller
+// as they arrive and the lifecycle's partial-delivery rule applies.
 type fetchSink struct {
 	block func(*ColBlock) error
 	rows  func(columns []string, rows []sqldb.Row) error
+	reset func()
+}
+
+// accumulateSink collects the whole result into res.Rows.
+func accumulateSink(res *sqldb.Result) *fetchSink {
+	return &fetchSink{
+		block: func(blk *ColBlock) error {
+			var err error
+			res.Rows, err = blk.AppendRows(res.Rows)
+			return err
+		},
+		rows: func(_ []string, rs []sqldb.Row) error {
+			res.Rows = append(res.Rows, rs...)
+			return nil
+		},
+		reset: func() { res.Rows = res.Rows[:0] },
+	}
+}
+
+// blockSink hands the result to fn batch by batch, never materializing
+// rows: streamed frames pass their decoded ColBlocks straight through,
+// and a JSON downgrade is bridged through one reusable block, so fn sees
+// a single columnar interface whatever the server's generation.
+func blockSink(fn func(*ColBlock) error, reset func()) *fetchSink {
+	var bridge ColBlock
+	return &fetchSink{
+		block: fn,
+		rows: func(columns []string, rs []sqldb.Row) error {
+			bridge.FillFromRows(columns, rs)
+			if bridge.Rows == 0 {
+				return nil
+			}
+			return fn(&bridge)
+		},
+		reset: reset,
+	}
 }
 
 // fetchStream decodes one streamed fetch reply: header, then batch
@@ -208,19 +248,6 @@ func (fs *fetchStream) onFrame(typ byte, payload []byte) (bool, error) {
 		return true, nil
 	}
 	return false, fmt.Errorf("%w: unexpected frame type %d", errFrameDecode, typ)
-}
-
-// envelope synthesizes the fetchReply a JSON exchange would have
-// produced, for the classification ladder above fetchAttempt. The rows
-// already went through the sink, so the envelope carries none.
-func (fs *fetchStream) envelope() *fetchReply {
-	return &fetchReply{
-		Accepted: fs.header.accepted,
-		Columns:  append([]string(nil), fs.header.columns...),
-		ExecMs:   fs.header.execMs,
-		Err:      fs.end.errMsg,
-		streamed: true,
-	}
 }
 
 // freshStream is the fresh-transport analogue of mconn.stream: dial,

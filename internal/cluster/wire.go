@@ -270,9 +270,6 @@ func decodeCols(cols []wireColumn) ([]sqldb.Row, error) {
 // legacy tagged Rows. An old server that ignored the Enc field simply
 // never sets Cols, so mixed-version federations keep working.
 func (fr *fetchReply) rows() ([]sqldb.Row, error) {
-	if fr.streamed {
-		return fr.decoded, nil
-	}
 	if fr.Cols != nil {
 		return decodeCols(fr.Cols)
 	}
