@@ -3,11 +3,11 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"strconv"
+	"slices"
 	"strings"
-	"sync"
 	"time"
 
+	"github.com/qamarket/qamarket/internal/engine"
 	"github.com/qamarket/qamarket/internal/sqldb"
 )
 
@@ -19,10 +19,12 @@ import (
 // lifecycle as whole queries (so QA-NT's supply vectors keep gating
 // admission at the subquery granularity, exactly the compatibility
 // Section 4 claims), pulls the fragments, and joins them in a local
-// scratch database.
+// scratch engine.
 //
 // Single-relation predicates from the WHERE clause are pushed into the
-// corresponding subquery so fragments shrink before travelling.
+// corresponding subquery, and each subquery selects only the columns
+// the query reads from its relation, so fragments shrink before
+// travelling.
 type Distributor struct {
 	client *Client
 	// afterNegotiate, when set, is handed to every lifecycle the
@@ -102,55 +104,50 @@ func (d *Distributor) Run(queryID int64, sql string) (DistOutcome, error) {
 	}
 
 	// Decompose: one subquery per FROM entry, with its single-relation
-	// conjuncts pushed down. Fragments stream into the loader block by
-	// block — literal text is rendered straight off each batch's typed
-	// columns, so fragment rows are never materialized as value slices
-	// on this side of the wire. The loader is the client's own buffer
-	// (its reset makes the sink resettable), so a stream lost mid-
-	// fragment is discarded and re-pulled from any node: wasteful for a
-	// read-only fragment, never incorrect.
-	scratch := getScratch()
-	defer putScratch(scratch)
+	// conjuncts and its projection pushed down. Fragments stay blocks:
+	// each arriving batch's typed arrays are appended to a table of a
+	// per-query scratch engine, named after the FROM binding. The scratch
+	// is the client's own buffer (dropping the table makes the sink
+	// resettable), so a stream lost mid-fragment is discarded and
+	// re-pulled from any node: wasteful for a read-only fragment, never
+	// incorrect.
+	scratch := engine.Open()
 	pushed, residual := splitConjuncts(sel)
-	var loader fragmentLoader
-	q.oneRound, q.sink = false, blockSink(loader.add, loader.reset)
+	needed := fragmentColumns(sel, residual)
+	var name string // binding of the fragment in flight
+	q.oneRound, q.sink = false, blockSink(
+		func(blk *ColBlock) error { return scratch.AppendBlock(name, blk) },
+		func() { scratch.DropTable(name) })
 	for i, ref := range sel.From {
-		name := ref.Name()
-		loader.reset()
-		q.sql = buildSubquery(ref, pushed[i])
+		name = ref.Name()
+		if scratch.HasRelation(name) {
+			return DistOutcome{}, fmt.Errorf("cluster: relation %q appears twice in FROM; alias one", name)
+		}
+		q.sql = buildSubquery(ref, needed[name], pushed[i])
 		o, columns := fetch(q)
 		if o.Err != nil {
 			return DistOutcome{}, fmt.Errorf("cluster: subquery for %s: %w", name, o.Err)
 		}
-		loader.ensureColumns(columns)
-		if err := loader.load(scratch, name); err != nil {
-			return DistOutcome{}, err
+		// A zero-row fragment delivered no block; its table takes its
+		// shape from the fetch envelope.
+		if err := scratch.AppendBlock(name, &ColBlock{Columns: columns}); err != nil {
+			return DistOutcome{}, fmt.Errorf("cluster: fragment %s: %w", name, err)
 		}
 	}
 	// Re-run the original query shape against the local fragments: the
 	// fragment tables are named after the FROM aliases, so only the
 	// table names (and the already-pushed WHERE) change.
-	local := rewriteLocal(sel, residual)
-	res, err := scratch.Select(local)
+	blk, err := scratch.Select(rewriteLocal(sel, residual))
 	if err != nil {
 		return DistOutcome{}, fmt.Errorf("cluster: local join: %w", err)
 	}
-	out.Result = res // result rows are fresh slices, safe past the pool
+	res := &sqldb.Result{Columns: blk.Columns}
+	if res.Rows, err = blk.AppendRows(nil); err != nil {
+		return DistOutcome{}, fmt.Errorf("cluster: local join: %w", err)
+	}
+	out.Result = res
 	out.TotalMs = msSince(start)
 	return out, nil
-}
-
-// scratchPool recycles the local scratch databases distributed joins
-// assemble fragments in. A decomposed query used to pay a fresh
-// sqldb.Open per evaluation; pooling with Reset keeps the map/slice
-// backbone warm across queries on the coordinator's hot path.
-var scratchPool = sync.Pool{New: func() any { return sqldb.Open() }}
-
-func getScratch() *sqldb.DB { return scratchPool.Get().(*sqldb.DB) }
-
-func putScratch(db *sqldb.DB) {
-	db.Reset()
-	scratchPool.Put(db)
 }
 
 // splitConjuncts partitions the WHERE clause's AND-conjuncts into
@@ -166,22 +163,20 @@ func splitConjuncts(sel *sqldb.SelectStmt) (pushed [][]sqldb.Expr, residual []sq
 		names[f.Name()] = i
 	}
 	for _, c := range conjuncts(sel.Where) {
-		quals := map[string]bool{}
-		unqualified := false
-		collectQuals(c, quals, &unqualified)
-		if !unqualified && len(quals) == 1 {
-			for q := range quals {
-				if i, ok := names[q]; ok {
-					pushed[i] = append(pushed[i], c)
-					quals = nil
-					break
-				}
+		// Pushdown is safe when every reference is qualified by one and the
+		// same binding.
+		binding, single := "", true
+		walkRefs(c, func(r *sqldb.ColumnRef) {
+			if r.Table == "" || (binding != "" && r.Table != binding) {
+				single = false
 			}
-			if quals == nil {
-				continue
-			}
+			binding = r.Table
+		})
+		if i, ok := names[binding]; ok && single {
+			pushed[i] = append(pushed[i], c)
+		} else {
+			residual = append(residual, c)
 		}
-		residual = append(residual, c)
 	}
 	return pushed, residual
 }
@@ -194,47 +189,93 @@ func conjuncts(e sqldb.Expr) []sqldb.Expr {
 	return []sqldb.Expr{e}
 }
 
-// collectQuals gathers the table qualifiers referenced by an
-// expression; unqualified column references make pushdown unsafe.
-func collectQuals(e sqldb.Expr, quals map[string]bool, unqualified *bool) {
+// walkRefs calls visit for every column reference in an expression.
+func walkRefs(e sqldb.Expr, visit func(*sqldb.ColumnRef)) {
 	switch x := e.(type) {
 	case *sqldb.ColumnRef:
-		if x.Table == "" {
-			*unqualified = true
-		} else {
-			quals[x.Table] = true
-		}
+		visit(x)
 	case *sqldb.BinaryExpr:
-		collectQuals(x.Left, quals, unqualified)
-		collectQuals(x.Right, quals, unqualified)
+		walkRefs(x.Left, visit)
+		walkRefs(x.Right, visit)
 	case *sqldb.UnaryExpr:
-		collectQuals(x.X, quals, unqualified)
+		walkRefs(x.X, visit)
 	case *sqldb.AggExpr:
 		if x.Arg != nil {
-			collectQuals(x.Arg, quals, unqualified)
+			walkRefs(x.Arg, visit)
 		}
 	case *sqldb.InExpr:
-		collectQuals(x.X, quals, unqualified)
+		walkRefs(x.X, visit)
 		for _, item := range x.List {
-			collectQuals(item, quals, unqualified)
+			walkRefs(item, visit)
 		}
 	case *sqldb.BetweenExpr:
-		collectQuals(x.X, quals, unqualified)
-		collectQuals(x.Lo, quals, unqualified)
-		collectQuals(x.Hi, quals, unqualified)
+		walkRefs(x.X, visit)
+		walkRefs(x.Lo, visit)
+		walkRefs(x.Hi, visit)
 	case *sqldb.LikeExpr:
-		collectQuals(x.X, quals, unqualified)
-		collectQuals(x.Pattern, quals, unqualified)
+		walkRefs(x.X, visit)
+		walkRefs(x.Pattern, visit)
 	case *sqldb.IsNullExpr:
-		collectQuals(x.X, quals, unqualified)
+		walkRefs(x.X, visit)
 	}
 }
 
-// buildSubquery renders "SELECT * FROM rel [WHERE pushed...]" with the
-// pushed conjuncts rewritten against the bare relation.
-func buildSubquery(ref sqldb.TableRef, pushed []sqldb.Expr) string {
+// fragmentColumns lists, per FROM binding, the columns the local join
+// reads from it: select items, join conditions, the residual WHERE
+// (pushed conjuncts are evaluated where the fragment lives), GROUP BY
+// and ORDER BY. Each list is sorted, so queries that need the same
+// columns ask for them in the same words and share a query class. It
+// returns nil — every subquery ships whole rows — when an item is a
+// star or a reference is unqualified: which binding that column comes
+// from is not knowable without the nodes' schemas, the same rule that
+// keeps such a conjunct out of predicate pushdown.
+func fragmentColumns(sel *sqldb.SelectStmt, residual []sqldb.Expr) map[string][]string {
+	needed := map[string][]string{}
+	unqualified := false
+	note := func(r *sqldb.ColumnRef) {
+		if r.Table == "" {
+			unqualified = true
+		} else if !slices.Contains(needed[r.Table], r.Column) {
+			needed[r.Table] = append(needed[r.Table], r.Column)
+		}
+	}
+	for _, it := range sel.Items {
+		if it.Star {
+			return nil
+		}
+		walkRefs(it.Expr, note)
+	}
+	for i := range sel.Joins {
+		note(&sel.Joins[i].Left)
+		note(&sel.Joins[i].Right)
+	}
+	// ORDER BY with select aliases resolved, as the executors read it.
+	orderKeys, err := sqldb.OrderKeyExprs(sel)
+	if err != nil {
+		return nil // the local join reports it
+	}
+	for _, e := range slices.Concat(residual, sel.GroupBy, orderKeys) {
+		walkRefs(e, note)
+	}
+	if unqualified {
+		return nil
+	}
+	for _, cols := range needed {
+		slices.Sort(cols)
+	}
+	return needed
+}
+
+// buildSubquery renders "SELECT cols FROM rel [WHERE pushed...]" with
+// the pushed conjuncts rewritten against the bare relation; no cols
+// means the whole row.
+func buildSubquery(ref sqldb.TableRef, cols []string, pushed []sqldb.Expr) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "SELECT * FROM %s", ref.Table)
+	items := "*"
+	if len(cols) > 0 {
+		items = strings.Join(cols, ", ")
+	}
+	fmt.Fprintf(&b, "SELECT %s FROM %s", items, ref.Table)
 	if ref.Alias != "" && ref.Alias != ref.Table {
 		fmt.Fprintf(&b, " AS %s", ref.Alias)
 	}
@@ -250,142 +291,7 @@ func buildSubquery(ref sqldb.TableRef, pushed []sqldb.Expr) string {
 	return b.String()
 }
 
-// fragmentLoader turns a streamed fragment into local DDL + one bulk
-// INSERT without ever materializing rows: each arriving ColBlock is
-// rendered to SQL literal text straight off its typed arrays (one
-// cursor per array), and column types are inferred from the first
-// non-null kind byte seen per column (all-null fragments default to
-// INT, which can hold NULLs anyway). reset discards any partial
-// fragment so a failover retry starts clean.
-type fragmentLoader struct {
-	columns []string
-	types   []sqldb.Type
-	typed   []bool
-	rows    int
-	ins     strings.Builder
-}
-
-func (l *fragmentLoader) reset() {
-	l.columns = l.columns[:0]
-	l.types = l.types[:0]
-	l.typed = l.typed[:0]
-	l.rows = 0
-	l.ins.Reset()
-}
-
-// add consumes one block of the fragment stream. It is a fetch sink's
-// block callback, so the block's buffers are only valid for the call —
-// everything retained is copied into the loader's builder.
-func (l *fragmentLoader) add(blk *ColBlock) error {
-	l.ensureColumns(blk.Columns)
-	if len(blk.Cols) != len(l.columns) {
-		return fmt.Errorf("cluster: fragment block has %d columns, header promised %d", len(blk.Cols), len(l.columns))
-	}
-	for j := range blk.Cols {
-		if l.typed[j] {
-			continue
-		}
-		for _, k := range blk.Cols[j].Kinds {
-			switch k {
-			case kindByteInt:
-				l.types[j], l.typed[j] = sqldb.TInt, true
-			case kindByteFloat:
-				l.types[j], l.typed[j] = sqldb.TFloat, true
-			case kindByteText:
-				l.types[j], l.typed[j] = sqldb.TText, true
-			case kindByteBool:
-				l.types[j], l.typed[j] = sqldb.TBool, true
-			}
-			if l.typed[j] {
-				break
-			}
-		}
-	}
-	// Render the block's rows as literal tuples. One cursor per typed
-	// array per column; the kind bytes drive which array each cell
-	// reads, mirroring the wire decode.
-	ncols := len(l.columns)
-	offs := make([]struct{ i, f, s, b int }, ncols)
-	var num [32]byte
-	for r := 0; r < blk.Rows; r++ {
-		if l.rows > 0 || r > 0 {
-			l.ins.WriteByte(',')
-		}
-		l.ins.WriteByte('(')
-		for j := 0; j < ncols; j++ {
-			if j > 0 {
-				l.ins.WriteByte(',')
-			}
-			col := &blk.Cols[j]
-			off := &offs[j]
-			switch col.Kinds[r] {
-			case kindByteInt:
-				l.ins.Write(strconv.AppendInt(num[:0], col.Ints[off.i], 10))
-				off.i++
-			case kindByteFloat:
-				l.ins.Write(strconv.AppendFloat(num[:0], col.Floats[off.f], 'g', -1, 64))
-				off.f++
-			case kindByteText:
-				l.ins.WriteByte('\'')
-				l.ins.WriteString(col.Texts[off.s])
-				l.ins.WriteByte('\'')
-				off.s++
-			case kindByteBool:
-				if col.Bools[off.b] {
-					l.ins.WriteString("TRUE")
-				} else {
-					l.ins.WriteString("FALSE")
-				}
-				off.b++
-			default:
-				l.ins.WriteString("NULL")
-			}
-		}
-		l.ins.WriteByte(')')
-	}
-	l.rows += blk.Rows
-	return nil
-}
-
-// ensureColumns seeds the column list, once: from the first block, or
-// from the fetch envelope when no block carried one — a zero-row
-// fragment still needs its table shape.
-func (l *fragmentLoader) ensureColumns(columns []string) {
-	if len(l.columns) > 0 {
-		return
-	}
-	l.columns = append(l.columns, columns...)
-	for range columns {
-		l.types = append(l.types, sqldb.TInt)
-		l.typed = append(l.typed, false)
-	}
-}
-
-// load materializes the accumulated fragment as a local table named
-// after the FROM binding.
-func (l *fragmentLoader) load(db *sqldb.DB, name string) error {
-	var ddl strings.Builder
-	fmt.Fprintf(&ddl, "CREATE TABLE %s (", name)
-	for j, c := range l.columns {
-		if j > 0 {
-			ddl.WriteString(", ")
-		}
-		fmt.Fprintf(&ddl, "%s %s", c, l.types[j])
-	}
-	ddl.WriteString(")")
-	if _, _, err := db.Exec(ddl.String()); err != nil {
-		return err
-	}
-	if l.rows == 0 {
-		return nil
-	}
-	if _, _, err := db.Exec("INSERT INTO " + name + " VALUES " + l.ins.String()); err != nil {
-		return err
-	}
-	return nil
-}
-
-// rewriteLocal adapts the original SELECT to the scratch database: the
+// rewriteLocal adapts the original SELECT to the scratch engine: the
 // FROM entries point at the fragment tables (named by binding), and
 // the WHERE keeps only the residual conjuncts.
 func rewriteLocal(sel *sqldb.SelectStmt, residual []sqldb.Expr) *sqldb.SelectStmt {

@@ -332,88 +332,6 @@ func jsonHop(t *testing.T, v any) any {
 	return out
 }
 
-func TestFragmentTypeInference(t *testing.T) {
-	db := sqldb.Open()
-	rows := []sqldb.Row{
-		{sqldb.Null, sqldb.NewFloat(1.5), sqldb.NewText("x"), sqldb.NewBool(true)},
-		{sqldb.NewInt(2), sqldb.Null, sqldb.Null, sqldb.Null},
-	}
-	var blk ColBlock
-	blk.FillFromRows([]string{"a", "b", "c", "d"}, rows)
-	var loader fragmentLoader
-	loader.reset()
-	if err := loader.add(&blk); err != nil {
-		t.Fatalf("loader.add: %v", err)
-	}
-	if err := loader.load(db, "frag"); err != nil {
-		t.Fatalf("loader.load: %v", err)
-	}
-	res, err := db.Query("SELECT a, b, c, d FROM frag WHERE a IS NOT NULL")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 || res.Rows[0][0].Int != 2 {
-		t.Errorf("fragment rows = %v", res.Rows)
-	}
-	// Empty fragments still create the table: the columns arrive via the
-	// fetch envelope when no block carried any.
-	loader.reset()
-	loader.ensureColumns([]string{"a"})
-	if err := loader.load(db, "empty"); err != nil {
-		t.Fatal(err)
-	}
-	if !db.HasRelation("empty") {
-		t.Error("empty fragment table missing")
-	}
-	// A loader is reused across fragments; a reset must fully clear the
-	// partial text a severed stream left behind.
-	loader.reset()
-	blk.FillFromRows([]string{"a"}, []sqldb.Row{{sqldb.NewInt(7)}})
-	if err := loader.add(&blk); err != nil {
-		t.Fatal(err)
-	}
-	loader.reset()
-	blk.FillFromRows([]string{"a"}, []sqldb.Row{{sqldb.NewInt(9)}})
-	if err := loader.add(&blk); err != nil {
-		t.Fatal(err)
-	}
-	if err := loader.load(db, "retried"); err != nil {
-		t.Fatal(err)
-	}
-	res, err = db.Query("SELECT a FROM retried")
-	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].Int != 9 {
-		t.Fatalf("retried fragment = %v (err %v), want one row 9", res, err)
-	}
-}
-
-// TestScratchPoolReuse pins the distributed layer's scratch-database
-// pooling: a returned database comes back reset (no relation leaks into
-// the next query's join), and the steady-state get/put cycle stays
-// allocation-free instead of paying a fresh sqldb.Open per query.
-func TestScratchPoolReuse(t *testing.T) {
-	db := getScratch()
-	if _, _, err := db.Exec("CREATE TABLE leak (a INT)"); err != nil {
-		t.Fatal(err)
-	}
-	putScratch(db)
-	got := getScratch()
-	defer putScratch(got)
-	if got.HasRelation("leak") {
-		t.Fatal("scratch database returned to the pool still holds relations")
-	}
-	if raceEnabled {
-		// sync.Pool deliberately bypasses itself at random under the race
-		// detector, so pooled allocation counts are nondeterministic there.
-		return
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		putScratch(getScratch())
-	})
-	if allocs > 2 {
-		t.Fatalf("scratch get/put costs %.0f allocs/op; pooling should make it ~free", allocs)
-	}
-}
-
 func TestSplitConjuncts(t *testing.T) {
 	stmt, err := sqldb.Parse(`SELECT a.x FROM t AS a JOIN u AS b ON a.k = b.k
 		WHERE a.x > 1 AND b.y < 2 AND a.z + b.w = 3`)

@@ -70,18 +70,6 @@ func IndexableEq(sel *SelectStmt, refIdx int) (string, Value, bool) {
 // enforces identically.
 const MaxViewDepth = maxViewDepth
 
-// Reset drops every table, view, and index, returning the instance to
-// its freshly-opened state. The maps are cleared in place, so a pooled
-// scratch instance keeps its buckets instead of reallocating them.
-func (db *DB) Reset() {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	clear(db.tables)
-	clear(db.views)
-	clear(db.indexes)
-	clear(db.tableIndexes)
-}
-
 // TableSchema returns the column definitions of a base table.
 func (db *DB) TableSchema(name string) ([]ColumnDef, bool) {
 	db.mu.RLock()
