@@ -43,7 +43,7 @@ func (o *dedupOutcome) packResult(res *ColBlock) {
 	}
 	o.packed = appendFetchHeader(nil, 0, res.Columns, 0, 0, res.Rows)
 	o.batchAt = len(o.packed)
-	o.packed = appendFetchBatchCols(o.packed, 0, res)
+	o.packed = appendFetchBatchCols(o.packed, 0, res.Dense())
 }
 
 // block returns the cached result, unpacking it if need be.

@@ -90,21 +90,53 @@ func (c *Client) RefreshView() error {
 	return lastErr
 }
 
-// refreshLoop polls the membership view every ViewRefresh until Close.
+// refreshLoop polls the membership view until Close: at once, then —
+// while a configured address is still an unresolved seed entry, that
+// is, while the node that answered has not yet heard of a member the
+// client was told about — again after 1 ms, 2 ms, 4 ms, … capped at
+// ViewRefresh, and from then on every ViewRefresh. A client started
+// next to its federation therefore has its first full view when the
+// join gossip lands, not one refresh period (or, when the gossip misses
+// that tick, two) later; a poll at start alone would be too early.
 func (c *Client) refreshLoop() {
 	defer c.refreshWG.Done()
+	for delay := time.Millisecond; ; delay = min(2*delay, c.cfg.ViewRefresh) {
+		// Errors are transient by construction (every node was
+		// unreachable this time); the next poll retries.
+		_ = c.RefreshView()
+		if !c.hasUnresolvedSeed() {
+			break
+		}
+		select {
+		case <-time.After(delay):
+		case <-c.stopRefresh:
+			return
+		}
+	}
 	t := time.NewTicker(c.cfg.ViewRefresh)
 	defer t.Stop()
 	for {
 		select {
 		case <-t.C:
-			// Errors are transient by construction (every node was
-			// unreachable this tick); the next tick retries.
 			_ = c.RefreshView()
 		case <-c.stopRefresh:
 			return
 		}
 	}
+}
+
+// hasUnresolvedSeed reports whether the view still holds an entry known
+// only by its configured address.
+func (c *Client) hasUnresolvedSeed() bool {
+	for _, ns := range c.nodes() {
+		ns.mu.Lock()
+		resolved := ns.resolved
+		ns.mu.Unlock()
+		if !resolved {
+			return true
+		}
+	}
+	return false
 }
 
 // applyMembers folds one node's merged table into the client view.

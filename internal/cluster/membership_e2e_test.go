@@ -388,3 +388,59 @@ func TestStaticViewIgnoresDraining(t *testing.T) {
 		t.Fatalf("breaker = %v, want open", st)
 	}
 }
+
+// TestClientFirstViewArrivesWithTheFederation: a refreshing client
+// started right after its nodes must not wait out a ViewRefresh period
+// (100 ms here, and at the parent of this test a second one whenever
+// the join gossip missed the first poll) for its first view. It polls
+// at start and re-polls with a doubling delay until every configured
+// address is a known member, so the view is whole — every node alive,
+// relation filters decoded, which shard probing needs — as soon as the
+// federation can say so.
+func TestClientFirstViewArrivesWithTheFederation(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	ds, err := GenerateDataset(DatasetParams{
+		Nodes: 4, Tables: 6, Views: 10, RowsPerTable: 60,
+		MinCopies: 3, MaxCopies: 4,
+	}, rng)
+	if err != nil {
+		t.Fatalf("dataset: %v", err)
+	}
+	var seeds, addrs []string
+	for i, id := range []string{"n0", "n1", "n2", "n3"} {
+		n, err := StartNode("127.0.0.1:0", NodeConfig{
+			DB: ds.DBs[i], MsPerCostUnit: 0.01, PeriodMs: 25,
+			NodeID: id, Seeds: seeds, GossipPeriodMs: 100,
+		})
+		if err != nil {
+			t.Fatalf("node %s: %v", id, err)
+		}
+		t.Cleanup(func() { n.Close() })
+		addrs = append(addrs, n.Addr())
+		seeds = addrs[:1]
+	}
+	started := time.Now()
+	client, err := NewClient(ClientConfig{
+		Addrs: addrs, Mechanism: MechQANT, PeriodMs: 25, ViewRefresh: 100 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	whole := func() bool {
+		members := client.Members()
+		for _, m := range members {
+			if m.State != "alive" || m.CatalogFilter == "" {
+				return false
+			}
+		}
+		return len(members) == 4
+	}
+	for !whole() {
+		if since := time.Since(started); since > 50*time.Millisecond {
+			t.Fatalf("view not whole %v after the client started: %+v", since, client.Members())
+		}
+		time.Sleep(500 * time.Microsecond)
+	}
+	t.Logf("first whole view after %v", time.Since(started))
+}

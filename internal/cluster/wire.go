@@ -171,6 +171,7 @@ func encodeColsBlock(blk *ColBlock) []wireColumn {
 	if len(blk.Columns) == 0 {
 		return nil
 	}
+	blk = blk.Dense()
 	cols := make([]wireColumn, len(blk.Cols))
 	for j := range cols {
 		c := &blk.Cols[j]

@@ -3,6 +3,7 @@ package driver
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/qamarket/qamarket/internal/sqldb"
 )
@@ -45,6 +46,14 @@ type Block struct {
 	Columns []string
 	Rows    int
 	Cols    []Col
+	// Sel, when non-nil, makes the block a selection over Cols instead
+	// of a copy: row k of the block is row Sel[k] of every column and
+	// Rows == len(Sel). Only a producer whose columns are row-aligned
+	// may set it — each column one kind with no NULLs, so its typed
+	// array is indexed by row, which the wire layout cannot say of a
+	// sparse column — and the block owns the slice. Every method honours
+	// it; code that reads Cols directly calls Dense first.
+	Sel []int32
 }
 
 // Reset empties the block, keeping its buffers for reuse.
@@ -52,6 +61,59 @@ func (b *Block) Reset() {
 	b.Columns = b.Columns[:0]
 	b.Rows = 0
 	b.Cols = b.Cols[:0]
+	b.Sel = nil
+}
+
+// Dense returns the block with its selection applied: b itself when Sel
+// is nil, otherwise a copy holding exactly the selected rows.
+func (b *Block) Dense() *Block {
+	if b.Sel == nil {
+		return b
+	}
+	d := &Block{Columns: b.Columns, Rows: b.Rows, Cols: make([]Col, len(b.Cols))}
+	for j := range b.Cols {
+		d.Cols[j].gather(&b.Cols[j], b.Sel)
+	}
+	return d
+}
+
+// gather overwrites c, reusing its buffers, with rows sel of the
+// row-aligned column src.
+func (c *Col) gather(src *Col, sel []int32) {
+	c.Kinds = pick(c.Kinds, src.Kinds, sel)
+	c.Ints = pick(c.Ints, src.Ints, sel)
+	c.Floats = pick(c.Floats, src.Floats, sel)
+	c.Texts = pick(c.Texts, src.Texts, sel)
+	c.Bools = pick(c.Bools, src.Bools, sel)
+}
+
+// pick overwrites dst with src's entries sel; an array the column does
+// not use stays empty.
+func pick[T any](dst, src []T, sel []int32) []T {
+	if len(src) == 0 {
+		return dst[:0]
+	}
+	dst = slices.Grow(dst[:0], len(sel))[:len(sel)]
+	for k, i := range sel {
+		dst[k] = src[i]
+	}
+	return dst
+}
+
+// at boxes row r of a row-aligned column.
+func (c *Col) at(r int32) (sqldb.Value, error) {
+	switch k := c.Kinds[r]; k {
+	case KindByteInt:
+		return sqldb.NewInt(c.Ints[r]), nil
+	case KindByteFloat:
+		return sqldb.NewFloat(c.Floats[r]), nil
+	case KindByteText:
+		return sqldb.NewText(c.Texts[r]), nil
+	case KindByteBool:
+		return sqldb.NewBool(c.Bools[r]), nil
+	default:
+		return sqldb.Null, fmt.Errorf("%w: kind %q in a selected column", ErrMalformed, k)
+	}
 }
 
 // AppendRows materializes the block's rows onto dst, keeping one typed-
@@ -62,6 +124,22 @@ func (b *Block) Reset() {
 func (b *Block) AppendRows(dst []sqldb.Row) ([]sqldb.Row, error) {
 	ncols := len(b.Cols)
 	if b.Rows == 0 || ncols == 0 {
+		return dst, nil
+	}
+	if b.Sel != nil {
+		cells := make([]sqldb.Value, b.Rows*ncols)
+		for _, r := range b.Sel {
+			row := cells[:ncols:ncols]
+			cells = cells[ncols:]
+			for j := range b.Cols {
+				v, err := b.Cols[j].at(r)
+				if err != nil {
+					return dst, err
+				}
+				row[j] = v
+			}
+			dst = append(dst, row)
+		}
 		return dst, nil
 	}
 	type colCursor struct{ ints, floats, texts, bools int }
@@ -117,6 +195,9 @@ func (b *Block) AppendRows(dst []sqldb.Row) ([]sqldb.Row, error) {
 // AppendRows keeps per-column counters instead.
 func (b *Block) Value(i, j int) (sqldb.Value, error) {
 	col := &b.Cols[j]
+	if b.Sel != nil {
+		return col.at(b.Sel[i])
+	}
 	if i >= len(col.Kinds) {
 		return sqldb.Null, fmt.Errorf("%w: row %d beyond kinds", ErrMalformed, i)
 	}
@@ -153,6 +234,11 @@ func (b *Block) Drop(k int) {
 	if k > b.Rows {
 		k = b.Rows
 	}
+	if b.Sel != nil {
+		b.Sel = b.Sel[k:]
+		b.Rows -= k
+		return
+	}
 	for j := range b.Cols {
 		col := &b.Cols[j]
 		ni, nf, ns, nb := countKinds(col.Kinds[:k])
@@ -173,6 +259,11 @@ func (b *Block) Truncate(n int) {
 		n = 0
 	}
 	if n >= b.Rows {
+		return
+	}
+	if b.Sel != nil {
+		b.Sel = b.Sel[:n]
+		b.Rows = n
 		return
 	}
 	for j := range b.Cols {
@@ -212,6 +303,7 @@ func countKinds(kinds []byte) (ni, nf, ns, nb int) {
 func (b *Block) FillFromRows(columns []string, rows []sqldb.Row) {
 	b.Columns = append(b.Columns[:0], columns...)
 	b.Rows = len(rows)
+	b.Sel = nil
 	ncols := len(columns)
 	if cap(b.Cols) < ncols {
 		b.Cols = make([]Col, ncols)
@@ -263,6 +355,10 @@ func FromResult(res *sqldb.Result) *Block {
 type Cursor struct {
 	Row  int
 	offs []colOffsets
+	// own holds the batch of a walk over a block with Sel. The cursor
+	// keeps these buffers, not out: out's arrays may alias the storage
+	// an earlier dense walk sliced, which a gather must not write.
+	own []Col
 }
 
 type colOffsets struct{ ints, floats, texts, bools int }
@@ -273,11 +369,30 @@ type colOffsets struct{ ints, floats, texts, bools int }
 // returns false when the cursor is exhausted (out is left untouched).
 // The batch aliases b: it is valid until b's buffers are reused. The
 // block must be well-formed (driver-produced or decode-validated).
+//
+// A block with Sel is gathered instead, one batch at a time into
+// buffers the cursor reuses: out is as dense as any other batch, valid
+// until the next call, and the walk holds O(maxRows) memory however
+// many rows the block selects.
 func (b *Block) NextBatch(cur *Cursor, maxRows int, out *Block) bool {
 	if cur.Row >= b.Rows || maxRows <= 0 {
 		return false
 	}
 	ncols := len(b.Cols)
+	if b.Sel != nil {
+		sel := b.Sel[cur.Row:min(cur.Row+maxRows, b.Rows)]
+		if len(cur.own) != ncols {
+			cur.own = make([]Col, ncols)
+		}
+		out.Columns = append(out.Columns[:0], b.Columns...)
+		out.Rows = len(sel)
+		for j := range b.Cols {
+			cur.own[j].gather(&b.Cols[j], sel)
+		}
+		out.Cols = append(out.Cols[:0], cur.own...)
+		cur.Row += len(sel)
+		return true
+	}
 	if cur.Row == 0 || cap(cur.offs) < ncols {
 		if cap(cur.offs) < ncols {
 			cur.offs = make([]colOffsets, ncols)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -136,4 +137,88 @@ func BenchmarkExecutorJoin10000(b *testing.B) {
 		// Even rows only (d = TRUE), so a covers the 50 even keys.
 		"SELECT dim.name, COUNT(*), SUM(big.b) FROM big JOIN dim ON big.a = dim.k WHERE big.d = TRUE GROUP BY dim.name",
 		50)
+}
+
+// shapesSrc is the repo benchmark's star layout (benchmark/workloads.go,
+// buildBig): a 200k-row big(a INT, b FLOAT, c TEXT, d BOOL) whose b is
+// half a permutation of the row numbers, so a threshold selects a known
+// share of rows scattered over the table, and a 100-row dim.
+var shapesSrc = sync.OnceValue(func() *sqldb.DB {
+	const bigRows, dimRows = 200_000, 100
+	rng := rand.New(rand.NewSource(1))
+	db := sqldb.Open()
+	mustExecB(db, "CREATE TABLE dim (k INT, name TEXT)")
+	mustExecB(db, "CREATE TABLE big (a INT, b FLOAT, c TEXT, d BOOL)")
+	dim := make([]sqldb.Row, dimRows)
+	for i, name := range rng.Perm(dimRows) {
+		dim[i] = sqldb.Row{sqldb.NewInt(int64(i)), sqldb.NewText(fmt.Sprintf("d%02d", name))}
+	}
+	big := make([]sqldb.Row, bigRows)
+	for i, p := range rng.Perm(bigRows) {
+		big[i] = sqldb.Row{
+			sqldb.NewInt(int64(rng.Intn(dimRows))),
+			sqldb.NewFloat(0.5 * float64(p)),
+			sqldb.NewText(fmt.Sprintf("t%03d", rng.Intn(997))),
+			sqldb.NewBool(rng.Intn(2) == 0),
+		}
+	}
+	if err := db.AppendTableRows("dim", dim); err != nil {
+		panic(err)
+	}
+	if err := db.AppendTableRows("big", big); err != nil {
+		panic(err)
+	}
+	return db
+})
+
+var shapesDB = sync.OnceValue(func() *DB { return FromDB(shapesSrc()) })
+
+// BenchmarkExecutorShapes runs the statements the repo benchmark's
+// engine-bound workloads execute — scan-exec's four shapes and the
+// fragment dist-join pulls from each big node — through the vector
+// engine alone, so a before/after of the executor does not need the
+// 12-second federation harness. Results are not read: scan-exec is
+// execute-only.
+func BenchmarkExecutorShapes(b *testing.B) {
+	e := shapesDB()
+	for _, shape := range []struct {
+		name, sql string
+		rows      int
+	}{
+		{"scan", "SELECT a, b FROM big WHERE b < 50000.250", 100_001},
+		{"aggregate", "SELECT COUNT(*), SUM(b) FROM big WHERE b < 50000.250", 1},
+		{"groupby", "SELECT a, COUNT(*), SUM(b) FROM big WHERE b < 50000.250 GROUP BY a", 100},
+		{"starjoin", "SELECT dim.name, COUNT(*), SUM(big.b) FROM big JOIN dim ON big.a = dim.k WHERE big.b < 50000.250 GROUP BY dim.name", 100},
+		{"fragment", "SELECT a, b FROM big WHERE (big.b >= 20000.250) AND (big.b < 30000.250)", 20_000},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			st, err := e.Prepare(shape.sql)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				blk, err := st.Execute()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if blk.Rows != shape.rows {
+					b.Fatalf("%d result rows, want %d", blk.Rows, shape.rows)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFromDB is set-up's transposition of the 200k-row layout.
+func BenchmarkFromDB(b *testing.B) {
+	src := shapesSrc()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if e := FromDB(src); len(e.tables) != 2 {
+			b.Fatal("tables missing")
+		}
+	}
 }

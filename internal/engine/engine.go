@@ -1,10 +1,16 @@
 // Package engine is the vectorized columnar executor behind the
-// "vector" storage driver: tables are stored column-wise and queries
-// run scan→filter→project→(hash-join/aggregate) over whole columns,
-// with typed kernels on the hot comparisons and pooled scratch for
-// selection vectors. Results are emitted as driver.Blocks whose arrays
-// alias the engine's own column vectors, so the cluster's binary frame
-// lane serializes them with zero transposition.
+// "vector" storage driver. Tables are stored column-wise, and a query
+// runs over one intermediate form — column vectors that alias storage
+// plus one selection vector (erel) — so that filtering replaces a
+// selection instead of copying rows: the leading conjuncts of WHERE
+// that cannot raise refine the selection on the scan, below any join;
+// joins emit row-index pairs and copy only the columns still named
+// after them; aggregates and GROUP BY fold over (vector, selection)
+// with typed keys. Results are emitted as driver.Blocks whose arrays
+// alias the engine's own column vectors — through Block.Sel when the
+// result is a selection of them — so the cluster's binary frame lane
+// serializes them with zero transposition and copies only the rows it
+// ships.
 //
 // The engine is a semantic mirror of the row-based reference engine
 // (internal/sqldb): same SQL dialect (it reuses sqldb's parser and
@@ -54,16 +60,7 @@ func FromDB(src *sqldb.DB) *DB {
 	for _, name := range src.Tables() {
 		cols, _ := src.TableSchema(name)
 		rows, _ := src.TableRows(name)
-		t := e.newTable(name, cols)
-		for _, row := range rows {
-			for ci := range t.vecs {
-				if ci < len(row) {
-					t.vecs[ci].appendVal(row[ci])
-				} else {
-					t.vecs[ci].appendVal(sqldb.Null)
-				}
-			}
-		}
+		e.newTable(name, cols).load(rows)
 	}
 	for _, name := range src.Views() {
 		v, _ := src.ViewSelect(name)
@@ -88,6 +85,59 @@ func (e *DB) newTable(name string, cols []sqldb.ColumnDef) *table {
 	t := &table{name: name, cols: cols, idx: idx, vecs: vecs}
 	e.tables[name] = t
 	return t
+}
+
+// load fills a new table's vectors from row-major rows, sizing every
+// array once: one pass counts each column's kinds, a second writes in
+// place. Cells beyond a short row are NULL.
+func (t *table) load(rows []sqldb.Row) {
+	counts := make([][sqldb.KindBool + 1]int, len(t.vecs))
+	for _, row := range rows {
+		for ci := range row[:min(len(row), len(counts))] {
+			counts[ci][row[ci].Kind]++
+		}
+	}
+	for ci, v := range t.vecs {
+		n := &counts[ci]
+		v.kinds = make([]byte, len(rows))
+		v.offs = make([]int32, len(rows))
+		if n[sqldb.KindInt] > 0 {
+			v.ints = make([]int64, 0, n[sqldb.KindInt])
+		}
+		if n[sqldb.KindFloat] > 0 {
+			v.floats = make([]float64, 0, n[sqldb.KindFloat])
+		}
+		if n[sqldb.KindText] > 0 {
+			v.texts = make([]string, 0, n[sqldb.KindText])
+		}
+		if n[sqldb.KindBool] > 0 {
+			v.bools = make([]bool, 0, n[sqldb.KindBool])
+		}
+	}
+	for i, row := range rows {
+		for ci, v := range t.vecs {
+			cell := &sqldb.Null
+			if ci < len(row) {
+				cell = &row[ci]
+			}
+			switch cell.Kind {
+			case sqldb.KindInt:
+				v.kinds[i], v.offs[i] = driver.KindByteInt, int32(len(v.ints))
+				v.ints = append(v.ints, cell.Int)
+			case sqldb.KindFloat:
+				v.kinds[i], v.offs[i] = driver.KindByteFloat, int32(len(v.floats))
+				v.floats = append(v.floats, cell.Float)
+			case sqldb.KindText:
+				v.kinds[i], v.offs[i] = driver.KindByteText, int32(len(v.texts))
+				v.texts = append(v.texts, cell.Str)
+			case sqldb.KindBool:
+				v.kinds[i], v.offs[i] = driver.KindByteBool, int32(len(v.bools))
+				v.bools = append(v.bools, cell.Bool)
+			default:
+				v.kinds[i] = driver.KindByteNull
+			}
+		}
+	}
 }
 
 // addIndex registers and builds an index. Caller guarantees the table
@@ -217,15 +267,13 @@ func (s *vecStmt) Execute() (*driver.Block, error) {
 func (e *DB) Select(s *sqldb.SelectStmt) (*driver.Block, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	names, vecs, n, err := e.selectLocked(s, 0)
+	var sc scratch
+	defer sc.release()
+	names, out, err := e.selectLocked(s, 0, &sc)
 	if err != nil {
 		return nil, err
 	}
-	cols := make([]driver.Col, len(vecs))
-	for j, v := range vecs {
-		cols[j] = v.asCol()
-	}
-	return &driver.Block{Columns: names, Rows: n, Cols: cols}, nil
+	return out.block(names), nil
 }
 
 // Query parses and executes a SELECT.
@@ -513,7 +561,7 @@ func (t *table) erel() erel {
 	for i, c := range t.cols {
 		cols[i] = ebind{qual: t.name, name: c.Name}
 	}
-	return erel{cols: cols, vecs: t.vecs, nrows: t.nrows()}
+	return erel{cols: cols, vecs: t.vecs, n: t.nrows()}
 }
 
 func sortedKeys[M ~map[string]V, V any](m M) []string {

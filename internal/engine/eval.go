@@ -202,14 +202,12 @@ func (e *DB) evalLogical(x *sqldb.BinaryExpr, rel *erel, sel []int32, n int) (vr
 		}
 		return applyElementwise(x.Op, &l, &r, n)
 	}
-	lvals := make([]sqldb.Value, n)
 	rest := getSel()
 	defer putSel(rest)
 	restPos := getSel()
 	defer putSel(restPos)
 	for k := 0; k < n; k++ {
-		lvals[k] = l.value(k)
-		if lvals[k].Kind == sqldb.KindBool && lvals[k].Bool == shortOn {
+		if lv := l.value(k); lv.Kind == sqldb.KindBool && lv.Bool == shortOn {
 			continue
 		}
 		ri := k
@@ -231,7 +229,7 @@ func (e *DB) evalLogical(x *sqldb.BinaryExpr, rel *erel, sel []int32, n int) (vr
 	for k := 0; k < n; k++ {
 		if pos < len(*restPos) && int((*restPos)[pos]) == k {
 			// ApplyBinary on AND/OR never errors.
-			v, _ := sqldb.ApplyBinary(x.Op, lvals[k], r.value(pos))
+			v, _ := sqldb.ApplyBinary(x.Op, l.value(k), r.value(pos))
 			out.appendVal(v)
 			pos++
 			continue
@@ -263,12 +261,62 @@ func applyElementwise(op string, l, r *vres, n int) (vres, error) {
 	return vres{vec: out}, nil
 }
 
+// ordering is a comparison operator as the set of outcomes of comparing
+// its left operand with its right that it accepts. The outcome is
+// Compare's: less, greater, or — everything else, a NaN on either side
+// included — equal. It is stored the way holds reads it, as 0 or 1: the
+// answer for "equal", and whether "less" and "greater" are answered
+// differently.
+type ordering struct{ eq, ltFlips, gtFlips int }
+
+func accepts(lt, eq, gt int) ordering { return ordering{eq: eq, ltFlips: lt ^ eq, gtFlips: gt ^ eq} }
+
+func orderingOf(op string) (ordering, bool) {
+	switch op {
+	case "=":
+		return accepts(0, 1, 0), true
+	case "<>":
+		return accepts(1, 0, 1), true
+	case "<":
+		return accepts(1, 0, 0), true
+	case "<=":
+		return accepts(1, 1, 0), true
+	case ">":
+		return accepts(0, 0, 1), true
+	case ">=":
+		return accepts(0, 1, 1), true
+	}
+	return ordering{}, false
+}
+
+// mirrored is the operator with its operands swapped.
+func (o ordering) mirrored() ordering {
+	return ordering{eq: o.eq, ltFlips: o.gtFlips, gtFlips: o.ltFlips}
+}
+
+// holds is 1 when a compares with b as the operator accepts, else 0:
+// the answer for "equal", flipped when a is less and less is answered
+// differently, likewise greater. The two flags compile to SETcc and the
+// rest is integer arithmetic, so a filter over unsorted values — where
+// a branch on the data would mispredict every other row — has none.
+func (o ordering) holds(a, b float64) int {
+	var lt, gt int
+	if a < b {
+		lt = 1
+	}
+	if a > b {
+		gt = 1
+	}
+	return o.eq ^ lt&o.ltFlips ^ gt&o.gtFlips
+}
+
 // compareKernel runs =, <>, <, <=, >, >= over NULL-free numeric
-// operands as a typed float64 loop — the hot path of a filtered scan.
-// It is exactly Compare's numeric semantics (all numeric comparisons in
-// the row engine go through float64), so results are bit-identical.
+// operands as a typed float64 loop. It is exactly Compare's numeric
+// semantics (all numeric comparisons in the row engine go through
+// float64), so results are bit-identical.
 func compareKernel(op string, l, r *vres, n int) (vres, bool) {
 	lk, rk := l.numericKind(), r.numericKind()
+	keep, _ := orderingOf(op)
 	if lk == 0 || rk == 0 || (lk == 'c' && rk == 'c') {
 		return vres{}, false
 	}
@@ -281,61 +329,40 @@ func compareKernel(op string, l, r *vres, n int) (vres, bool) {
 		out.kinds[i] = driver.KindByteBool
 		out.offs[i] = int32(i)
 	}
-	// Specialize the common shape — int column vs constant with the
-	// identity selection — into a branch-light loop; everything else
-	// numeric goes through the generic accessor.
-	if lk == 'i' && rk == 'c' && l.sel == nil {
-		bf, _ := r.c.AsFloat()
-		ints := l.vec.ints
-		switch op {
-		case "=":
-			for i, v := range ints {
-				out.bools[i] = float64(v) == bf
-			}
-		case "<>":
-			for i, v := range ints {
-				out.bools[i] = float64(v) != bf
-			}
-		case "<":
-			for i, v := range ints {
-				out.bools[i] = float64(v) < bf
-			}
-		case "<=":
-			for i, v := range ints {
-				out.bools[i] = float64(v) <= bf
-			}
-		case ">":
-			for i, v := range ints {
-				out.bools[i] = float64(v) > bf
-			}
-		default:
-			for i, v := range ints {
-				out.bools[i] = float64(v) >= bf
-			}
+	if lk != 'c' && rk != 'c' {
+		for k := range out.bools {
+			af, _ := l.numericAt(k)
+			bf, _ := r.numericAt(k)
+			out.bools[k] = keep.holds(af, bf) != 0
 		}
 		return vres{vec: out}, true
 	}
-	for k := 0; k < n; k++ {
-		af, _ := l.numericAt(k)
-		bf, _ := r.numericAt(k)
-		var b bool
-		switch op {
-		case "=":
-			b = af == bf
-		case "<>":
-			b = af != bf
-		case "<":
-			b = af < bf
-		case "<=":
-			b = af <= bf
-		case ">":
-			b = af > bf
-		default:
-			b = af >= bf
-		}
-		out.bools[k] = b
+	// The common shape, a column against a constant, runs typed.
+	col, c := l, r
+	if lk == 'c' {
+		col, c, keep = r, l, keep.mirrored()
+	}
+	cf, _ := c.c.AsFloat()
+	if col.vec.uniform() == driver.KindByteInt {
+		compareConst(out.bools, col.vec.ints, col.sel, keep, cf)
+	} else {
+		compareConst(out.bools, col.vec.floats, col.sel, keep, cf)
 	}
 	return vres{vec: out}, true
+}
+
+// compareConst writes, per entry, whether the column value compares
+// with c as keep accepts.
+func compareConst[T int64 | float64](out []bool, vals []T, sel []int32, keep ordering, c float64) {
+	if sel == nil {
+		for k := range out {
+			out[k] = keep.holds(float64(vals[k]), c) != 0
+		}
+		return
+	}
+	for k, i := range sel {
+		out[k] = keep.holds(float64(vals[i]), c) != 0
+	}
 }
 
 // evalScalar mirrors the row engine's evalExpr against one relation
@@ -442,115 +469,6 @@ func (e *DB) evalScalar(ex sqldb.Expr, rel *erel, ri int) (sqldb.Value, error) {
 	default:
 		return sqldb.Null, fmt.Errorf("sqldb: unhandled expression %T", ex)
 	}
-}
-
-// evalAggregateVec mirrors the row engine's grouped evaluation:
-// aggregate nodes fold the group's rows, arithmetic combines folded
-// operands, and anything else evaluates against the group's first row
-// (NULL for an empty group).
-func (e *DB) evalAggregateVec(ex sqldb.Expr, rel *erel, rows []int32) (sqldb.Value, error) {
-	switch x := ex.(type) {
-	case *sqldb.AggExpr:
-		return e.foldAggVec(x, rel, rows)
-	case *sqldb.BinaryExpr:
-		l, err := e.evalAggregateVec(x.Left, rel, rows)
-		if err != nil {
-			return sqldb.Null, err
-		}
-		r, err := e.evalAggregateVec(x.Right, rel, rows)
-		if err != nil {
-			return sqldb.Null, err
-		}
-		return sqldb.ApplyBinary(x.Op, l, r)
-	case *sqldb.UnaryExpr:
-		v, err := e.evalAggregateVec(x.X, rel, rows)
-		if err != nil {
-			return sqldb.Null, err
-		}
-		return sqldb.ApplyUnary(x.Op, v)
-	default:
-		if len(rows) == 0 {
-			return sqldb.Null, nil
-		}
-		return e.evalScalar(ex, rel, int(rows[0]))
-	}
-}
-
-// foldAggVec folds one aggregate over a group. A plain column argument
-// over a NULL-free numeric column folds as a typed loop; everything
-// else replays the row engine's fold (NULL skipping, float64 sums, the
-// int-preserving SUM, first-wins ties in MIN/MAX) value by value.
-func (e *DB) foldAggVec(a *sqldb.AggExpr, rel *erel, rows []int32) (sqldb.Value, error) {
-	if a.Star {
-		return sqldb.NewInt(int64(len(rows))), nil
-	}
-	if c, ok := a.Arg.(*sqldb.ColumnRef); ok && len(rows) > 0 {
-		i, err := rel.resolve(c)
-		if err != nil {
-			return sqldb.Null, err
-		}
-		vec := rel.vecs[i]
-		switch vec.uniform() {
-		case driver.KindByteInt:
-			return foldNumeric(a.Func, len(rows), true, func(k int) float64 { return float64(vec.ints[rows[k]]) },
-				func(k int) sqldb.Value { return sqldb.NewInt(vec.ints[rows[k]]) })
-		case driver.KindByteFloat:
-			return foldNumeric(a.Func, len(rows), false, func(k int) float64 { return vec.floats[rows[k]] },
-				func(k int) sqldb.Value { return sqldb.NewFloat(vec.floats[rows[k]]) })
-		}
-	}
-	var count int64
-	var sum float64
-	allInt := true
-	var minV, maxV sqldb.Value
-	first := true
-	for _, ri := range rows {
-		v, err := e.evalScalar(a.Arg, rel, int(ri))
-		if err != nil {
-			return sqldb.Null, err
-		}
-		if v.IsNull() {
-			continue
-		}
-		count++
-		if f, ok := v.AsFloat(); ok {
-			sum += f
-			if v.Kind != sqldb.KindInt {
-				allInt = false
-			}
-		} else if a.Func == "SUM" || a.Func == "AVG" {
-			return sqldb.Null, fmt.Errorf("sqldb: %s over non-numeric value %s", a.Func, v)
-		}
-		if first || sqldb.Compare(v, minV) < 0 {
-			minV = v
-		}
-		if first || sqldb.Compare(v, maxV) > 0 {
-			maxV = v
-		}
-		first = false
-	}
-	return finishFold(a.Func, count, sum, allInt, minV, maxV)
-}
-
-// foldNumeric is the typed fold over a NULL-free numeric column: count
-// is the group size, sums accumulate in float64 (like the row engine),
-// and MIN/MAX keep the first row achieving the extreme under strict
-// float64 comparison — exactly Compare's tie behavior.
-func foldNumeric(fn string, n int, isInt bool, at func(int) float64, box func(int) sqldb.Value) (sqldb.Value, error) {
-	var sum float64
-	minK, maxK := 0, 0
-	minF, maxF := at(0), at(0)
-	for k := 0; k < n; k++ {
-		f := at(k)
-		sum += f
-		if f < minF {
-			minF, minK = f, k
-		}
-		if f > maxF {
-			maxF, maxK = f, k
-		}
-	}
-	return finishFold(fn, int64(n), sum, isInt, box(minK), box(maxK))
 }
 
 // finishFold is the row engine's aggregate finalization, shared by both

@@ -16,6 +16,7 @@ import (
 // none. A block whose shape disagrees with the table or with its own
 // kind bytes is refused whole, before any row lands.
 func (e *DB) AppendBlock(name string, blk *driver.Block) error {
+	blk = blk.Dense()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	t, exists := e.tables[name]

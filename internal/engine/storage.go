@@ -108,33 +108,42 @@ func (c *colVec) appendFrom(src *colVec, i int) {
 }
 
 // gather builds the column containing src's rows sel, in order. A
-// uniform source takes the typed bulk path (no per-row kind switch).
+// uniform source is one typed bulk copy under constant kind bytes; a
+// mixed or NULL-bearing one goes row by row.
 func gather(src *colVec, sel []int32) *colVec {
-	dst := &colVec{
-		kinds: make([]byte, 0, len(sel)),
-		offs:  make([]int32, 0, len(sel)),
-	}
-	switch src.uniform() {
-	case driver.KindByteInt:
-		dst.ints = make([]int64, len(sel))
-		for k, i := range sel {
-			dst.ints[k] = src.ints[i]
-			dst.kinds = append(dst.kinds, driver.KindByteInt)
-			dst.offs = append(dst.offs, int32(k))
-		}
-	case driver.KindByteFloat:
-		dst.floats = make([]float64, len(sel))
-		for k, i := range sel {
-			dst.floats[k] = src.floats[i]
-			dst.kinds = append(dst.kinds, driver.KindByteFloat)
-			dst.offs = append(dst.offs, int32(k))
-		}
-	default:
+	n := len(sel)
+	dst := &colVec{kinds: make([]byte, n), offs: make([]int32, n)}
+	u := src.uniform()
+	if u == 0 {
+		dst.kinds, dst.offs = dst.kinds[:0], dst.offs[:0]
 		for _, i := range sel {
 			dst.appendFrom(src, int(i))
 		}
+		return dst
+	}
+	for k := range dst.kinds {
+		dst.kinds[k] = u
+		dst.offs[k] = int32(k)
+	}
+	switch u {
+	case driver.KindByteInt:
+		dst.ints = pick(src.ints, sel)
+	case driver.KindByteFloat:
+		dst.floats = pick(src.floats, sel)
+	case driver.KindByteText:
+		dst.texts = pick(src.texts, sel)
+	default:
+		dst.bools = pick(src.bools, sel)
 	}
 	return dst
+}
+
+func pick[T any](src []T, sel []int32) []T {
+	out := make([]T, len(sel))
+	for k, i := range sel {
+		out[k] = src[i]
+	}
+	return out
 }
 
 // asCol views the column as a wire-ready driver column. The returned
