@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench benchsmoke loadsmoke membersmoke tracesmoke chaossmoke scalesmoke fuzzsmoke execsmoke scalersmoke ci
+.PHONY: all build test vet race bench benchsmoke loadsmoke membersmoke tracesmoke chaossmoke scalesmoke fuzzsmoke execsmoke scalersmoke oneledger ci
 
 all: build test
 
@@ -57,14 +57,27 @@ tracesmoke:
 chaossmoke:
 	$(GO) run -race ./cmd/chaossmoke
 
-# fuzzsmoke runs the frame-decoder fuzzer briefly on every CI run: the
-# binary lane's malformed-input promise ("error, never panic, never
-# unbounded allocation") plus the committed crasher corpus as
-# regression seeds. Five seconds finds shallow decoder regressions;
-# run `go test -fuzz FuzzFrameDecode ./internal/cluster` unbounded
-# when touching frame.go.
+# fuzzsmoke runs the two fuzzers briefly on every CI run, each with its
+# committed corpus as regression seeds. FuzzFrameDecode holds the binary
+# lane's malformed-input promise ("error, never panic, never unbounded
+# allocation"); FuzzSellerLedger drives market.Seller through arbitrary
+# offer / accept / decline / new-class / re-cost / period-boundary
+# scripts against an independent model of the capacity ledger. Five
+# seconds finds shallow regressions; run either unbounded (`go test
+# -fuzz <name> <pkg>`) when touching frame.go or seller.go.
 fuzzsmoke:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime 5s
+	$(GO) test ./internal/market -run '^$$' -fuzz '^FuzzSellerLedger$$' -fuzztime 5s
+
+# oneledger keeps the capacity ledger in one place: only internal/market
+# (Seller.supplySet) may turn a budget into a time-budget supply set.
+# The files let through build fixed textbook sets with no ledger behind
+# them (Figure 1, the examples, the benchmark's Agent replay, the
+# facade's doc comment).
+oneledger:
+	@if grep -rnE '(Exact)?TimeBudgetSupplySet\{' --include='*.go' . \
+		| grep -vE '^\./(internal/market/|benchmark/|examples/|internal/experiments/figure1\.go:|qamarket\.go:[0-9]+://)|_test\.go:'; \
+	then echo 'oneledger: a time-budget supply set is built outside internal/market (see DESIGN.md, "One QA-NT seller")'; exit 1; fi
 
 # execsmoke soaks the storage-driver seam: a federation whose nodes
 # front different executors (row, vector, mock) is checked for
@@ -89,4 +102,4 @@ scalesmoke:
 scalersmoke:
 	$(GO) run ./cmd/scalersmoke
 
-ci: build vet test race benchsmoke loadsmoke membersmoke tracesmoke chaossmoke scalesmoke execsmoke fuzzsmoke scalersmoke
+ci: build vet oneledger test race benchsmoke loadsmoke membersmoke tracesmoke chaossmoke scalesmoke execsmoke fuzzsmoke scalersmoke

@@ -4,29 +4,34 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/qamarket/qamarket/internal/economics"
 	"github.com/qamarket/qamarket/internal/market"
 )
 
-// QANT adapts the market.Agent to the simulator's Mechanism interface,
+// QANT adapts market.Seller to the simulator's Mechanism interface,
 // realizing the full decentralized protocol of Section 3.3:
 //
-//   - every node runs a private QA-NT agent whose supply set is its time
-//     budget over the period T and its per-class execution costs;
+//   - every adopting node runs a private market.Seller — the QA-NT agent
+//     over the node's time budget for the period T and its per-class
+//     execution costs (the seller owns the budget and the period
+//     boundary; see its doc);
 //   - when a query arrives, the client asks every capable server; a
-//     server offers iff its remaining supply admits the class (agents
+//     server offers iff its remaining supply admits the class (sellers
 //     whose supply is exhausted refuse and raise their private price);
 //   - the client takes the best offer (earliest estimated completion,
 //     as a distributed query optimizer would) and declines the rest;
-//   - a query refused by all servers is resubmitted in the next period;
-//   - at period boundaries agents cut prices of unsold supply and
-//     re-solve eq. (4).
+//   - a query refused by all servers is resubmitted in the next period.
+//
+// What this adapter owns is the translation from the simulator's View
+// to per-node cost tables, which nodes adopt the market at all, and the
+// client side of the negotiation (Assign).
 //
 // QA-NT is the only mechanism here that respects node autonomy: servers
 // decide for themselves what to offer, and prices never leave the node.
 type QANT struct {
-	cfg    market.Config
-	agents []*market.Agent
+	cfg market.Config
+	// sellers holds one seller per node; nil for non-adopters and, as a
+	// whole, until the first view reveals the federation.
+	sellers []*market.Seller
 	// Exact selects the exact DP supply solver instead of the greedy
 	// density heuristic (DESIGN.md solver ablation).
 	Exact bool
@@ -37,32 +42,14 @@ type QANT struct {
 	// the partial-adoption experiment verifies it.
 	Adopters map[int]bool
 
-	// Rolling capacity accounting. A node's period budget is T plus the
-	// carry from previous periods: unused capacity is saved (up to
-	// carryCap) so queries costing more than one period can still be
-	// supplied, and oversized accepted work puts the node in debt so it
-	// does not oversell while its queue drains. Without this, a class
-	// whose execution cost exceeds T could never appear in any supply
-	// vector even on an idle federation.
-	costs    [][]float64
-	carry    []float64
-	carryCap []float64
-
-	// scratch holds the exact solver's reusable DP buffers; agents run
-	// strictly sequentially within one mechanism, so one set suffices.
-	scratch *market.DPScratch
-
 	// offered is Assign's reusable buffer of nodes that offered in the
 	// current negotiation round.
 	offered []int
-
-	// started guards lazy initialization from the first view.
-	started bool
 }
 
-// NewQANT builds the mechanism; agents are created lazily on the first
+// NewQANT builds the mechanism; sellers are created lazily on the first
 // period callback, when the view reveals the federation's size, class
-// universe and per-node costs. cfg.Classes is overwritten from the view.
+// universe and per-node costs.
 func NewQANT(cfg market.Config) *QANT { return &QANT{cfg: cfg} }
 
 // Name implements Mechanism.
@@ -80,116 +67,78 @@ func (m *QANT) Traits() Traits {
 }
 
 // Agents exposes the per-node agents for observability (price traces in
-// the examples and experiments). It returns nil before the first period.
-func (m *QANT) Agents() []*market.Agent { return m.agents }
+// the examples and experiments); non-adopters have a nil entry. It
+// returns nil before the first period.
+func (m *QANT) Agents() []*market.Agent {
+	if m.sellers == nil {
+		return nil
+	}
+	agents := make([]*market.Agent, len(m.sellers))
+	for n, s := range m.sellers {
+		if s != nil {
+			agents[n] = s.Agent()
+		}
+	}
+	return agents
+}
 
-// OnPeriodStart implements Periodic: refresh every node's budget from
-// the carry account and re-solve eq. (4).
+// OnPeriodStart implements Periodic: every seller opens its period.
 func (m *QANT) OnPeriodStart(v View) {
-	if !m.started {
+	if m.sellers == nil {
 		m.init(v)
 	}
-	for n, a := range m.agents {
-		if a == nil {
-			continue
+	for _, s := range m.sellers {
+		if s != nil {
+			s.BeginPeriod()
 		}
-		if err := a.SetSupplySet(m.supplySet(n, float64(v.PeriodMs())+m.carry[n])); err != nil {
-			panic(fmt.Sprintf("alloc: QA-NT supply set: %v", err))
-		}
-		a.BeginPeriod()
 	}
 }
 
-// OnPeriodEnd implements Periodic: settle the capacity account and cut
-// prices of unsold supply.
+// OnPeriodEnd implements Periodic: every seller closes its period.
 func (m *QANT) OnPeriodEnd(v View) {
-	if !m.started {
-		return
-	}
-	period := float64(v.PeriodMs())
-	for n, a := range m.agents {
-		if a == nil {
-			continue
+	for _, s := range m.sellers {
+		if s != nil {
+			s.EndPeriod()
 		}
-		used := 0.0
-		for c, cnt := range a.Accepted() {
-			if cnt > 0 {
-				used += float64(cnt) * m.costs[n][c]
-			}
-		}
-		m.carry[n] += period - used
-		if m.carry[n] > m.carryCap[n] {
-			m.carry[n] = m.carryCap[n]
-		}
-		a.EndPeriod()
 	}
 }
 
-// supplySet builds the node's supply set for the given budget.
-func (m *QANT) supplySet(node int, budget float64) economics.SupplySet {
-	if budget < 0 {
-		budget = 0
-	}
-	if m.Exact {
-		if m.scratch == nil {
-			m.scratch = &market.DPScratch{}
-		}
-		return market.ExactTimeBudgetSupplySet{
-			Cost:        m.costs[node],
-			Budget:      budget,
-			Granularity: 10,
-			Scratch:     m.scratch,
-		}
-	}
-	return economics.TimeBudgetSupplySet{Cost: m.costs[node], Budget: budget}
-}
-
+// init builds one seller per adopting node from the view's costs; a
+// class the node cannot evaluate (infinite cost) enters its table as 0.
 func (m *QANT) init(v View) {
 	k := v.NumClasses()
-	period := float64(v.PeriodMs())
-	m.cfg.Classes = k
-	m.agents = make([]*market.Agent, v.NumNodes())
-	m.costs = make([][]float64, v.NumNodes())
-	m.carry = make([]float64, v.NumNodes())
-	m.carryCap = make([]float64, v.NumNodes())
-	for n := range m.agents {
+	newSeller := market.NewSeller
+	if m.Exact {
+		// Sellers run strictly sequentially within one mechanism, so
+		// one set of DP buffers serves them all.
+		scratch := &market.DPScratch{}
+		newSeller = func(cfg market.Config, periodMs float64, costs []float64) (*market.Seller, error) {
+			return market.NewExactSeller(cfg, periodMs, costs, scratch)
+		}
+	}
+	m.sellers = make([]*market.Seller, v.NumNodes())
+	for n := range m.sellers {
 		if m.Adopters != nil && !m.Adopters[n] {
 			continue // ordinary server: no agent, accepts anything feasible
 		}
 		cost := make([]float64, k)
-		maxCost := 0.0
-		for c := 0; c < k; c++ {
+		for c := range cost {
 			if ec := v.Cost(n, c); !math.IsInf(ec, 1) {
 				cost[c] = ec
-				if ec > maxCost {
-					maxCost = ec
-				}
 			}
 		}
-		m.costs[n] = cost
-		// Allow saving enough capacity to supply the node's most
-		// expensive class at least once, but never less than one period.
-		m.carryCap[n] = math.Max(period, maxCost)
-		agent, err := market.NewAgent(m.supplySet(n, period), m.cfg)
+		seller, err := newSeller(m.cfg, float64(v.PeriodMs()), cost)
 		if err != nil {
-			panic(fmt.Sprintf("alloc: building QA-NT agent: %v", err))
+			panic(fmt.Sprintf("alloc: building QA-NT seller: %v", err))
 		}
-		m.agents[n] = agent
+		m.sellers[n] = seller
 	}
-	m.started = true
 }
 
 // Assign implements Mechanism: the client-side negotiation round.
 func (m *QANT) Assign(q Query, v View) Decision {
-	if !m.started {
-		m.init(v)
-		for _, a := range m.agents {
-			// Non-adopting nodes have no agent; only adopters run the
-			// market cycle.
-			if a != nil {
-				a.BeginPeriod()
-			}
-		}
+	if m.sellers == nil {
+		m.OnPeriodStart(v) // first dispatch arrived before the first period callback
 	}
 	bestNode := -1
 	best := math.Inf(1)
@@ -197,9 +146,9 @@ func (m *QANT) Assign(q Query, v View) Decision {
 	for _, n := range v.FeasibleNodes(q.Class) {
 		// The server decides autonomously whether to offer; a refusal
 		// already moved its private price (the trading-failure signal).
-		// Non-adopting nodes (nil agent) behave like ordinary servers
+		// Non-adopting nodes (nil seller) behave like ordinary servers
 		// and always offer.
-		if m.agents[n] != nil && !m.agents[n].Offer(q.Class) {
+		if m.sellers[n] != nil && !m.sellers[n].Offer(q.Class) {
 			continue
 		}
 		offered = append(offered, n)
@@ -214,17 +163,17 @@ func (m *QANT) Assign(q Query, v View) Decision {
 		return Decision{Retry: true}
 	}
 	for _, n := range offered {
-		if m.agents[n] == nil {
+		if m.sellers[n] == nil {
 			continue
 		}
 		if n == bestNode {
-			if err := m.agents[n].Accept(q.Class); err != nil {
-				// The agent offered above, so acceptance cannot fail
+			if err := m.sellers[n].Accept(q.Class); err != nil {
+				// The seller offered above, so acceptance cannot fail
 				// unless the protocol is misused; surface loudly.
 				panic(fmt.Sprintf("alloc: QA-NT accept: %v", err))
 			}
 		} else {
-			m.agents[n].Decline(q.Class)
+			m.sellers[n].Decline(q.Class)
 		}
 	}
 	return Decision{Node: bestNode}

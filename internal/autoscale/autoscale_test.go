@@ -2,6 +2,7 @@ package autoscale
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -357,5 +358,81 @@ func TestBelowMinScalesUpWithoutPressure(t *testing.T) {
 	}
 	if up == 0 {
 		t.Fatalf("fleet below Min never scaled up")
+	}
+}
+
+// nodeSource samples one live node the way ClientSource would, minus
+// the RPC.
+type nodeSource struct{ node *cluster.Node }
+
+func (s nodeSource) Sample() []Sample {
+	return []Sample{{ID: "n", Telemetry: s.node.MarketTelemetry()}}
+}
+
+// TestClassArrivalIsNotARestart runs the controller against a real
+// node's telemetry across a class arrival. The node's pricer used to
+// replace its market agent whenever a new plan signature showed up,
+// zeroing the lifetime counters; regressed() read that as a restart,
+// re-baselined the member and dropped its whole sample for the tick —
+// so the offers made before the arrival never reached the signals.
+func TestClassArrivalIsNotARestart(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ds, err := cluster.GenerateDataset(cluster.DatasetParams{
+		Nodes: 1, Tables: 4, Views: 4, RowsPerTable: 40, MinCopies: 1, MaxCopies: 1,
+	}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A period far longer than the test: no tick interleaves, and the
+	// budget covers every query below.
+	node, err := cluster.StartNode("127.0.0.1:0", cluster.NodeConfig{
+		DB: ds.DBs[0], MsPerCostUnit: 0.02, PeriodMs: 600_000, Market: market.DefaultConfig(1),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	client, err := cluster.NewClient(cluster.ClientConfig{
+		Addrs: []string{node.Addr()}, Mechanism: cluster.MechQANT, PeriodMs: 50, Timeout: 5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	templates, err := ds.GenerateTemplates(6, 1, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var qid int64
+	run := func(tpl int) {
+		t.Helper()
+		qid++
+		if out := client.Run(qid, templates[tpl].Instantiate(rng)); out.Err != nil {
+			t.Fatalf("query %d: %v", qid, out.Err)
+		}
+	}
+
+	ctl, err := New(Config{Min: 1, Max: 4, CapacityMs: 100, Warmup: 1, Clock: fixedClock()},
+		nodeSource{node}, &countingActuator{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		run(0)
+	}
+	ctl.Tick() // baseline
+	classes := len(node.MarketTelemetry().Classes)
+	for i := 0; i < 4; i++ {
+		run(0)
+	}
+	for tpl := 1; len(node.MarketTelemetry().Classes) == classes; tpl++ {
+		if tpl == len(templates) {
+			t.Fatal("no template produced a second plan signature")
+		}
+		run(tpl) // the class arrival
+	}
+	d := ctl.Tick()
+	if d.Signals.Offers < 5 || d.Signals.Accepts < 5 {
+		t.Fatalf("class arrival dropped the member's sample: signals %+v", d.Signals)
 	}
 }

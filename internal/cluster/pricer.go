@@ -2,151 +2,75 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"sync"
 
-	"github.com/qamarket/qamarket/internal/economics"
 	"github.com/qamarket/qamarket/internal/market"
-	"github.com/qamarket/qamarket/internal/vector"
 )
 
-// pricer is a node's dynamic QA-NT market agent for the real cluster.
+// pricer is the real cluster's adapter onto market.Seller, which owns
+// the whole QA-NT loop (prices, supply, the period budget and boundary).
 //
 // Unlike the simulator, a real node does not know the query-class
 // universe upfront: it discovers classes as plan signatures arrive
-// (Section 2.1 — each node keeps its own private classification). The
-// pricer grows its class table on demand, rebuilding the underlying
-// fixed-K market agent while preserving learned prices, and runs the
-// same rolling capacity-carry accounting as the simulator adapter so
-// classes costing more than one period remain suppliable.
+// (Section 2.1 — each node keeps its own private classification). What
+// the pricer owns is that classification (plan signature → the
+// seller's class index), the policy for when a refined cost estimate
+// counts as drift worth re-planning for, the lock that serializes the
+// node's goroutines on the seller, and the rendering of the seller's
+// state as telemetry and checkpoints.
 type pricer struct {
-	mu       sync.Mutex
-	cfg      market.Config
-	periodMs float64
-
+	mu      sync.Mutex
 	classes map[string]int // signature -> class index
-	costs   []float64      // estimated ms per class
-	agent   *market.Agent
-	carry   float64
-	// usedMs is the period-to-date work accepted by agents that were
-	// replaced mid-period. A rebuild starts the fresh agent on a new
-	// (empty) period, so its Accepted vector forgets work already
-	// performed; the fold into usedMs keeps the capacity account exact —
-	// tick charges it against carry and the rebuilt agent plans only the
-	// remaining budget.
-	usedMs float64
+	seller  *market.Seller
 }
 
 // driftFloorMs is the absolute half of the cost-drift test: estimate
-// jitter below it never triggers a rebuild, no matter how small the
+// jitter below it never triggers a re-plan, no matter how small the
 // stored cost. Without it a stored cost of 0 makes the relative
-// threshold degenerate (|Δ| > 0), rebuilding the agent on every
-// request; a quarter millisecond is far below anything the supply
-// solve is sensitive to.
+// threshold degenerate (|Δ| > 0), re-planning on every request; a
+// quarter millisecond is far below anything the supply solve is
+// sensitive to.
 const driftFloorMs = 0.25
 
 // newPricer builds an empty pricer; classes appear via observe.
-func newPricer(cfg market.Config, periodMs float64) *pricer {
-	return &pricer{
-		cfg:      cfg,
-		periodMs: periodMs,
-		classes:  make(map[string]int),
+func newPricer(cfg market.Config, periodMs float64) (*pricer, error) {
+	seller, err := market.NewSeller(cfg, periodMs, nil)
+	if err != nil {
+		return nil, err
 	}
+	return &pricer{classes: make(map[string]int), seller: seller}, nil
 }
 
 // observe registers (or refreshes) the class behind a plan signature
-// with its current cost estimate, returning its index. Rebuilding the
-// agent on a class-universe change keeps learned prices.
+// with its current cost estimate, returning its index. Callers hold mu.
 func (p *pricer) observe(signature string, costMs float64) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if idx, ok := p.classes[signature]; ok {
-		if d := math.Abs(p.costs[idx] - costMs); d > driftFloorMs && d > p.costs[idx]*0.25 {
-			// Cost estimate drifted (history refined it): refresh the
-			// supply set; prices stay. Work already accepted was performed
-			// under the old estimate, so fold it before the cost changes.
-			p.foldAcceptedLocked()
-			p.costs[idx] = costMs
-			p.rebuildLocked(p.agent.Prices())
-		}
-		return idx
+	idx, ok := p.classes[signature]
+	if !ok {
+		idx = p.seller.AddClass(costMs)
+		p.classes[signature] = idx
+	} else if old := p.seller.Cost(idx); drifted(old, costMs) {
+		p.seller.Recost(idx, costMs) // history refined the estimate
 	}
-	idx := len(p.costs)
-	p.costs = append(p.costs, costMs)
-	p.classes[signature] = idx
-	var prices vector.Prices
-	if p.agent != nil {
-		p.foldAcceptedLocked()
-		prices = append(p.agent.Prices(), p.initialPrice())
-	}
-	p.rebuildLocked(prices)
 	return idx
 }
 
-// foldAcceptedLocked banks the current agent's period-to-date accepted
-// work into usedMs, charged at the cost estimates it was accepted
-// under. Call before any rebuild: the replacement agent starts a fresh
-// period with a zero Accepted vector.
-func (p *pricer) foldAcceptedLocked() {
-	if p.agent == nil {
-		return
-	}
-	for c, cnt := range p.agent.Accepted() {
-		if cnt > 0 {
-			p.usedMs += float64(cnt) * p.costs[c]
-		}
-	}
-}
-
-func (p *pricer) initialPrice() float64 {
-	if p.cfg.InitialPrice > 0 {
-		return p.cfg.InitialPrice
-	}
-	return 1
-}
-
-// rebuildLocked replaces the agent for the current class universe,
-// seeding it with the given prices (nil = all initial).
-func (p *pricer) rebuildLocked(prices vector.Prices) {
-	cfg := p.cfg
-	cfg.Classes = len(p.costs)
-	agent, err := market.NewAgent(p.supplySetLocked(), cfg)
-	if err != nil {
-		// Config was validated at construction; only a programming error
-		// can land here.
-		panic(fmt.Sprintf("cluster: rebuilding agent: %v", err))
-	}
-	if prices != nil {
-		if err := agent.SetPrices(prices); err != nil {
-			panic(fmt.Sprintf("cluster: carrying prices: %v", err))
-		}
-	}
-	agent.BeginPeriod()
-	p.agent = agent
-}
-
-func (p *pricer) supplySetLocked() economics.SupplySet {
-	// usedMs is nonzero only between a mid-period rebuild and the next
-	// tick: the replacement agent may plan only what is left of the
-	// period, not a fresh budget on top of work already performed.
-	budget := p.periodMs + p.carry - p.usedMs
-	if budget < 0 {
-		budget = 0
-	}
-	return economics.TimeBudgetSupplySet{
-		Cost:   append([]float64(nil), p.costs...),
-		Budget: budget,
-	}
+// drifted is the cost-drift policy: a new estimate replaces the stored
+// one when it differs by more than a quarter of it and by more than
+// driftFloorMs.
+func drifted(old, est float64) bool {
+	d := math.Abs(old - est)
+	return d > driftFloorMs && d > old*0.25
 }
 
 // offer runs the QA-NT server-side decision for one request of the
 // given signature/cost. It returns whether the node offers.
 func (p *pricer) offer(signature string, costMs float64) bool {
-	idx := p.observe(signature, costMs)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.agent.Offer(idx)
+	return p.seller.Offer(p.observe(signature, costMs))
 }
 
 // accept burns one unit of supply; false when supply ran out since the
@@ -155,69 +79,15 @@ func (p *pricer) accept(signature string) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	idx, ok := p.classes[signature]
-	if !ok {
-		return false
-	}
-	return p.agent.Accept(idx) == nil
+	return ok && p.seller.Accept(idx) == nil
 }
 
-// tick advances one market period: settle the capacity account, cut
-// unsold prices, re-solve the supply problem.
+// tick advances one market period.
 func (p *pricer) tick() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.agent == nil {
-		return
-	}
-	// The period's spend is what mid-period-replaced agents banked plus
-	// what the current agent accepted since the last rebuild.
-	used := p.usedMs
-	for c, cnt := range p.agent.Accepted() {
-		if cnt > 0 {
-			used += float64(cnt) * p.costs[c]
-		}
-	}
-	p.usedMs = 0
-	p.carry += p.periodMs - used
-	maxCost := p.periodMs
-	for _, c := range p.costs {
-		if c > maxCost {
-			maxCost = c
-		}
-	}
-	if p.carry > maxCost {
-		p.carry = maxCost
-	}
-	p.agent.EndPeriod()
-	if err := p.agent.SetSupplySet(p.supplySetLocked()); err != nil {
-		panic(fmt.Sprintf("cluster: refreshing supply set: %v", err))
-	}
-	p.agent.BeginPeriod()
-}
-
-// prices snapshots the private price table keyed by signature.
-func (p *pricer) prices() map[string]float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make(map[string]float64, len(p.classes))
-	if p.agent == nil {
-		return out
-	}
-	pr := p.agent.Prices()
-	for sig, idx := range p.classes {
-		out[sig] = pr[idx]
-	}
-	return out
-}
-
-// stats snapshots the agent counters.
-func (p *pricer) stats() market.Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.agent == nil {
-		return market.Stats{}
-	}
-	return p.agent.Stats()
+	p.seller.EndPeriod()
+	p.seller.BeginPeriod()
 }
 
 // ClassTelemetry is the observable market state of one query class,
@@ -246,30 +116,22 @@ type MarketTelemetry struct {
 }
 
 // telemetry snapshots the pricer's market state. A pricer that has not
-// yet observed any class returns an empty (but non-nil-stats) snapshot.
+// yet observed any class returns an empty snapshot.
 func (p *pricer) telemetry() MarketTelemetry {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := MarketTelemetry{CarryMs: p.carry}
-	if p.agent == nil {
+	tel := p.seller.Agent().Telemetry()
+	out := MarketTelemetry{CarryMs: p.seller.Carry()}
+	if tel.Classes == 0 {
 		return out
 	}
-	tel := p.agent.Telemetry()
 	out.Active = tel.Active
-	out.Stats = market.Stats{
-		Periods:  tel.Periods,
-		Offers:   tel.Offers,
-		Accepts:  tel.Accepts,
-		Rejects:  tel.Rejects,
-		Unsold:   tel.Unsold,
-		PriceUps: tel.PriceUps,
-		PriceDns: tel.PriceDns,
-	}
+	out.Stats = p.seller.Agent().Stats()
 	out.Classes = make([]ClassTelemetry, 0, len(p.classes))
 	for sig, idx := range p.classes {
 		out.Classes = append(out.Classes, ClassTelemetry{
 			Signature: sig,
-			CostMs:    p.costs[idx],
+			CostMs:    p.seller.Cost(idx),
 			Price:     tel.Prices[idx],
 			Planned:   tel.Planned[idx],
 			Remaining: tel.Remaining[idx],
@@ -283,44 +145,28 @@ func (p *pricer) telemetry() MarketTelemetry {
 }
 
 // PricerState is the serializable market state of one node: the
-// private classification (plan signature -> class), the learned cost
-// estimates and prices, and the capacity carry. qanode checkpoints it
-// across restarts so a node does not relearn its market position.
+// private classification (plan signature -> class) and the seller's
+// snapshot (learned cost estimates and prices, the capacity carry and
+// the lifetime counters). qanode checkpoints it across restarts so a
+// node does not relearn its market position.
 type PricerState struct {
 	Classes map[string]int `json:"classes"`
-	Costs   []float64      `json:"costs"`
-	Prices  []float64      `json:"prices"`
-	Carry   float64        `json:"carry"`
-	// Stats carries the agent's lifetime counters across restarts so a
-	// recovered node's observability does not reset to zero.
-	Stats market.Stats `json:"stats"`
+	market.Snapshot
 }
 
 // snapshot captures the pricer's persistent state.
 func (p *pricer) snapshot() PricerState {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	st := PricerState{
-		Classes: make(map[string]int, len(p.classes)),
-		Costs:   append([]float64(nil), p.costs...),
-		Carry:   p.carry,
-	}
-	for sig, idx := range p.classes {
-		st.Classes[sig] = idx
-	}
-	if p.agent != nil {
-		st.Prices = p.agent.Prices()
-		st.Stats = p.agent.Stats()
-	}
-	return st
+	return PricerState{Classes: maps.Clone(p.classes), Snapshot: p.seller.Snapshot()}
 }
 
-// restore installs a previously captured state, rebuilding the agent
-// with the learned prices.
+// restore installs a previously captured state and begins a fresh
+// period; on error the pricer is unchanged.
 func (p *pricer) restore(st PricerState) error {
-	if len(st.Costs) != len(st.Classes) || (st.Prices != nil && len(st.Prices) != len(st.Costs)) {
-		return fmt.Errorf("cluster: inconsistent pricer state (%d classes, %d costs, %d prices)",
-			len(st.Classes), len(st.Costs), len(st.Prices))
+	if len(st.Costs) != len(st.Classes) {
+		return fmt.Errorf("cluster: inconsistent pricer state (%d classes, %d costs)",
+			len(st.Classes), len(st.Costs))
 	}
 	for sig, idx := range st.Classes {
 		if idx < 0 || idx >= len(st.Costs) {
@@ -329,35 +175,10 @@ func (p *pricer) restore(st PricerState) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if err := p.seller.Restore(st.Snapshot); err != nil {
+		return fmt.Errorf("cluster: restoring pricer state: %w", err)
+	}
 	p.classes = make(map[string]int, len(st.Classes))
-	for sig, idx := range st.Classes {
-		p.classes[sig] = idx
-	}
-	p.costs = append([]float64(nil), st.Costs...)
-	p.carry = st.Carry
-	p.usedMs = 0 // a restore starts a fresh period
-	if len(p.costs) == 0 {
-		p.agent = nil
-		return nil
-	}
-	if st.Prices == nil {
-		// Legacy checkpoint without prices: rebuild at initial prices.
-		p.rebuildLocked(nil)
-		return nil
-	}
-	// market.Restore resumes both the learned prices and the lifetime
-	// counters; the supply set is rebuilt fresh (capacity may have
-	// changed across the restart).
-	cfg := p.cfg
-	cfg.Classes = len(p.costs)
-	agent, err := market.Restore(p.supplySetLocked(), cfg, market.Snapshot{
-		Prices: append([]float64(nil), st.Prices...),
-		Stats:  st.Stats,
-	})
-	if err != nil {
-		return fmt.Errorf("cluster: restoring market agent: %w", err)
-	}
-	agent.BeginPeriod()
-	p.agent = agent
+	maps.Copy(p.classes, st.Classes)
 	return nil
 }

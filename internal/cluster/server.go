@@ -244,6 +244,10 @@ func StartNode(addr string, cfg NodeConfig) (*Node, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	pricer, err := newPricer(cfg.Market, float64(cfg.PeriodMs))
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: listen %s: %w", addr, err)
@@ -254,7 +258,7 @@ func StartNode(addr string, cfg NodeConfig) (*Node, error) {
 	n := &Node{
 		cfg:     cfg,
 		ln:      ln,
-		pricer:  newPricer(cfg.Market, float64(cfg.PeriodMs)),
+		pricer:  pricer,
 		health:  metrics.NewHealth(),
 		tracer:  trace.NewRecorder(cfg.NodeID, trace.DefaultCapacity, time.Now),
 		opHist:  make(map[string]*metrics.Histogram),
@@ -1239,7 +1243,13 @@ func (n *Node) noteCheckpoint() {
 }
 
 func (n *Node) nodeStats() NodeStats {
-	st := n.pricer.stats()
+	// One telemetry snapshot renders the counters, the price table and
+	// the market picture, so a period tick cannot make them disagree.
+	tel := n.MarketTelemetry()
+	prices := make(map[string]float64, len(tel.Classes))
+	for _, c := range tel.Classes {
+		prices[c.Signature] = c.Price
+	}
 	n.mu.Lock()
 	executed := n.executed
 	n.mu.Unlock()
@@ -1249,12 +1259,11 @@ func (n *Node) nodeStats() NodeStats {
 	if ts := n.lastCheckpoint.Load(); ts > 0 {
 		health[metrics.CheckpointAgeMs] = float64(time.Now().UnixMilli() - ts)
 	}
-	tel := n.MarketTelemetry()
 	return NodeStats{
 		Executed: executed,
-		Offers:   st.Offers,
-		Rejects:  st.Rejects,
-		Prices:   n.pricer.prices(),
+		Offers:   tel.Stats.Offers,
+		Rejects:  tel.Stats.Rejects,
+		Prices:   prices,
 		Health:   health,
 		Market:   &tel,
 	}

@@ -1,6 +1,7 @@
 package market
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -166,4 +167,210 @@ func TestPriceSignalsAreLocal(t *testing.T) {
 	}
 	// The point is structural: they evolved independently. Feed b the
 	// same history and they must match.
+}
+
+// ledgerStream hands checkSellerLedger its script one byte at a time;
+// an exhausted stream yields zeros, so any byte string is a valid one.
+type ledgerStream struct{ data []byte }
+
+func (s *ledgerStream) next() int {
+	if len(s.data) == 0 {
+		return 0
+	}
+	b := s.data[0]
+	s.data = s.data[1:]
+	return int(b)
+}
+
+// cost decodes a class cost: 0 (the node cannot evaluate the class) or
+// 1ms … 1.5× the longest period, so classes dearer than one period —
+// the reason carry exists — are common.
+func (s *ledgerStream) cost() float64 { return float64(s.next()) * 3 }
+
+// checkSellerLedger drives a Seller through the script in data —
+// interleaved offer / accept / decline / new-class / re-cost /
+// period-boundary steps, the server's whole repertoire — and after
+// every step checks it against an independent model that charges each
+// accepted query once, at the cost in force when it was accepted:
+//
+//  1. the ledger is conserved: spent + unspent = T + carry (a node
+//     already in debt plans nothing), and an always-active seller never
+//     sells past its budget;
+//  2. the plan fits its budget, and remaining supply stays within
+//     [0, planned];
+//  3. carry never exceeds max(T, dearest class), and every period
+//     boundary settles it to exactly what the model computes;
+//  4. prices stay valid and within [PriceFloor, PriceCap], and no class
+//     is raised more than MaxAdjustsPerPeriod times in a period however
+//     often the period is re-planned;
+//  5. lifetime counters never decrease.
+//
+// TestSellerLedgerUnderRandomTrading feeds it seeded random scripts and
+// FuzzSellerLedger whatever the fuzzer invents.
+func checkSellerLedger(t *testing.T, data []byte) {
+	in := &ledgerStream{data: data}
+	cfg := DefaultConfig(0)
+	cfg.Lambda = 0.02 + float64(in.next()%48)/100
+	cfg.MaxAdjustsPerPeriod = in.next() % 4
+	if in.next()%2 == 1 {
+		cfg.ActivationThreshold = 1.5
+	}
+	exact := in.next()%3 == 0
+	period := []float64{50, 100, 500}[in.next()%3]
+	costs := make([]float64, in.next()%4)
+	for c := range costs {
+		costs[c] = in.cost()
+	}
+	newSeller := NewSeller
+	if exact {
+		newSeller = func(cfg Config, periodMs float64, costs []float64) (*Seller, error) {
+			return NewExactSeller(cfg, periodMs, costs, nil)
+		}
+	}
+	s, err := newSeller(cfg, period, costs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.BeginPeriod()
+	cfg = s.cfg // with the defaults filled in
+
+	// The model.
+	const eps = 1e-6
+	costs = append([]float64(nil), costs...)
+	carry, spent := 0.0, 0.0
+	startPrice := s.Agent().Prices()
+	limit := func() float64 {
+		l := period
+		for _, c := range costs {
+			l = math.Max(l, c)
+		}
+		return l
+	}
+	maxRaise := math.Pow(1+cfg.Lambda, float64(cfg.MaxAdjustsPerPeriod))
+	last := s.Agent().Stats()
+
+	for step := 0; len(in.data) > 0 && step < 2000; step++ {
+		op, k := in.next()%16, 0
+		if len(costs) > 0 {
+			k = in.next() % len(costs)
+		}
+		switch {
+		case len(costs) == 0 && op < 13, op == 10 && len(costs) < 10:
+			costs = append(costs, in.cost())
+			startPrice = append(startPrice, cfg.InitialPrice)
+			if got := s.AddClass(costs[len(costs)-1]); got != len(costs)-1 {
+				t.Fatalf("step %d: AddClass returned %d, want %d", step, got, len(costs)-1)
+			}
+		case op < 7: // offer, and the client takes it
+			if s.Offer(k) {
+				if costs[k] <= 0 {
+					t.Fatalf("step %d: offered class %d, which the node cannot evaluate", step, k)
+				}
+				if err := s.Accept(k); err != nil {
+					t.Fatalf("step %d: accept after offer: %v", step, err)
+				}
+				spent += costs[k]
+			}
+		case op < 9: // offer, and the client goes elsewhere
+			if s.Offer(k) {
+				s.Decline(k)
+			}
+		case op == 9: // accept out of the blue: fine iff supply remains
+			if s.Accept(k) == nil {
+				spent += costs[k]
+			}
+		case op < 13:
+			costs[k] = in.cost()
+			s.Recost(k, costs[k])
+			carry = math.Min(carry, limit())
+		default: // period boundary
+			s.EndPeriod()
+			if len(costs) > 0 { // a seller with no classes has no market to settle
+				carry = math.Min(carry+period-spent, limit())
+			}
+			spent = 0
+			if math.Abs(s.Carry()-carry) > eps {
+				t.Fatalf("step %d: boundary settled carry %g, model says %g", step, s.Carry(), carry)
+			}
+			s.BeginPeriod()
+			startPrice = s.Agent().Prices()
+		}
+
+		a := s.Agent()
+		budget, sold, plannedMs := 0.0, 0.0, 0.0
+		switch set := a.set.(type) {
+		case economics.TimeBudgetSupplySet:
+			budget = set.Budget
+		case ExactTimeBudgetSupplySet:
+			budget = set.Budget
+		}
+		for c := range costs {
+			if s.Cost(c) != costs[c] {
+				t.Fatalf("step %d: class %d costs %g, model says %g", step, c, s.Cost(c), costs[c])
+			}
+			sold += float64(a.accepted[c]) * costs[c]
+			plannedMs += float64(a.planned[c]) * costs[c]
+			if a.supply[c] < 0 || a.supply[c] > a.planned[c] {
+				t.Fatalf("step %d: class %d has %d left of %d planned", step, c, a.supply[c], a.planned[c])
+			}
+			if a.prices[c] < cfg.PriceFloor || a.prices[c] > cfg.PriceCap || math.IsNaN(a.prices[c]) {
+				t.Fatalf("step %d: price[%d] = %g outside [%g, %g]", step, c, a.prices[c], cfg.PriceFloor, cfg.PriceCap)
+			}
+			if cfg.MaxAdjustsPerPeriod > 0 && a.prices[c] > startPrice[c]*maxRaise*(1+eps) {
+				t.Fatalf("step %d: price[%d] rose %g → %g in one period, over %d raises of λ=%g",
+					step, c, startPrice[c], a.prices[c], cfg.MaxAdjustsPerPeriod, cfg.Lambda)
+			}
+		}
+		if math.Abs(s.used+sold-spent) > eps {
+			t.Fatalf("step %d: seller charged %g this period, model says %g", step, s.used+sold, spent)
+		}
+		// What the plan was solved against is what was left of T + carry
+		// at that point (spent−sold is the spend before the plan), or
+		// nothing if the node was already in debt.
+		unspent := budget - sold
+		if left := period + carry - (spent - sold); left < 0 {
+			if budget != 0 {
+				t.Fatalf("step %d: planned %gms of budget while %gms in debt", step, budget, -left)
+			}
+		} else if math.Abs(spent+unspent-(period+carry)) > eps {
+			t.Fatalf("step %d: ledger broken: spent %g + unspent %g != T %g + carry %g", step, spent, unspent, period, carry)
+		}
+		// An always-active seller never sells past its budget. A
+		// threshold seller can, once: work it took off-plan while
+		// inactive is not deducted from the plan it starts enforcing when
+		// a price crosses the threshold mid-period (see the note in
+		// TestInvariantsUnderRandomTrading). The ledger above still
+		// charges every query, so the excess becomes debt.
+		if cfg.ActivationThreshold == 0 && unspent < -eps {
+			t.Fatalf("step %d: sold %gms past the budget", step, -unspent)
+		}
+		if plannedMs > budget+eps {
+			t.Fatalf("step %d: planned %gms against a budget of %gms", step, plannedMs, budget)
+		}
+		if s.Carry() > limit()+eps {
+			t.Fatalf("step %d: carry %g above its cap %g", step, s.Carry(), limit())
+		}
+		st := a.Stats()
+		if st.Periods < last.Periods || st.Offers < last.Offers || st.Accepts < last.Accepts || st.Rejects < last.Rejects ||
+			st.Unsold < last.Unsold || st.PriceUps < last.PriceUps || st.PriceDns < last.PriceDns {
+			t.Fatalf("step %d: lifetime counters went backwards: %+v → %+v", step, last, st)
+		}
+		last = st
+	}
+}
+
+func TestSellerLedgerUnderRandomTrading(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		script := make([]byte, 600)
+		rand.New(rand.NewSource(seed)).Read(script)
+		checkSellerLedger(t, script)
+	}
+}
+
+// FuzzSellerLedger lets the fuzzer write the script; `make fuzzsmoke`
+// runs it for a few seconds on every CI run.
+func FuzzSellerLedger(f *testing.F) {
+	f.Add([]byte{10, 1, 0, 1, 1, 2, 20, 200, 0, 0, 0, 0, 13, 0, 10, 0, 5, 11, 0, 90, 0, 0, 15, 0})
+	f.Add([]byte{40, 0, 1, 0, 0, 0, 10, 0, 7, 0, 0, 9, 0, 12, 0, 0, 14})
+	f.Fuzz(checkSellerLedger)
 }

@@ -56,9 +56,6 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() error {
-	if c.Classes <= 0 {
-		return errors.New("market: Classes must be positive")
-	}
 	if c.Lambda <= 0 {
 		return errors.New("market: Lambda must be positive")
 	}
@@ -117,33 +114,51 @@ type Stats struct {
 // encodes the node's capabilities S_i (Section 2.2): which classes it
 // can evaluate and how many fit in one period.
 func NewAgent(set economics.SupplySet, cfg Config) (*Agent, error) {
+	if cfg.Classes <= 0 {
+		return nil, errors.New("market: Classes must be positive")
+	}
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
 	if set == nil {
 		return nil, errors.New("market: nil supply set")
 	}
-	a := &Agent{
-		cfg:      cfg,
-		set:      set,
-		prices:   vector.NewPrices(cfg.Classes, cfg.InitialPrice),
-		supply:   vector.New(cfg.Classes),
-		planned:  vector.New(cfg.Classes),
-		accepted: vector.New(cfg.Classes),
-		adjusts:  make([]int, cfg.Classes),
+	a := &Agent{cfg: cfg, set: set}
+	a.cfg.Classes = 0
+	for k := 0; k < cfg.Classes; k++ {
+		a.addClass()
 	}
 	return a, nil
+}
+
+// addClass grows every per-class vector by one class, in place: the new
+// class starts at the initial price with nothing planned, while the
+// other classes keep their prices, their remaining supply, their
+// per-period adjustment counts and the lifetime counters.
+func (a *Agent) addClass() {
+	a.cfg.Classes++
+	a.prices = append(a.prices, a.cfg.InitialPrice)
+	a.supply = append(a.supply, 0)
+	a.planned = append(a.planned, 0)
+	a.accepted = append(a.accepted, 0)
+	a.adjusts = append(a.adjusts, 0)
+}
+
+// replan solves eq. (4) over set against the current prices and
+// installs the result as the supply on offer, forgetting the work
+// accepted under the previous plan (the caller has accounted for it).
+func (a *Agent) replan(set economics.SupplySet) {
+	a.set = set
+	a.planned = set.BestResponse(a.prices)
+	a.supply = a.planned.Clone()
+	a.accepted = vector.New(a.cfg.Classes)
 }
 
 // BeginPeriod starts a new time period τ: it solves eq. (4) against the
 // current private prices and installs the resulting supply vector.
 func (a *Agent) BeginPeriod() {
-	a.planned = a.set.BestResponse(a.prices)
-	a.supply = a.planned.Clone()
-	a.accepted = vector.New(a.cfg.Classes)
-	for i := range a.adjusts {
-		a.adjusts[i] = 0
-	}
+	a.replan(a.set)
+	clear(a.adjusts)
 }
 
 // Active reports whether market pricing currently restricts supply. With

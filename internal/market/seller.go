@@ -1,0 +1,241 @@
+package market
+
+import (
+	"errors"
+	"fmt"
+	"math"
+
+	"github.com/qamarket/qamarket/internal/economics"
+	"github.com/qamarket/qamarket/internal/vector"
+)
+
+// Seller is one node's whole QA-NT loop: an Agent plus what turns a
+// node's clock into the agent's supply set — a per-class cost table
+// that can grow and be re-costed, and the capacity ledger. Both the
+// simulator (alloc.QANT) and the TCP server (cluster's pricer) drive
+// this one type, so a result shown on one transfers to the other.
+//
+// The ledger. A period grants the node T milliseconds. What it does not
+// sell is saved in carry, up to max(T, dearest class) so a class costing
+// more than one period can still be supplied once enough has been
+// saved; what it oversells becomes negative carry, so the node stops
+// offering while its queue drains. Within a period
+//
+//	spent + unspent = T + carry
+//
+// where spent is the work accepted so far, each query charged at the
+// cost estimate it was accepted under, and unspent is the budget the
+// current plan was solved against minus what that plan has sold (zero
+// while the node is in debt). AddClass and Recost keep the identity:
+// they charge the work accepted so far at the old costs, then re-plan
+// over the unspent remainder only.
+//
+// A period boundary is EndPeriod then BeginPeriod with no trading in
+// between: EndPeriod settles carry += T − spent, caps it and cuts the
+// prices of unsold supply; BeginPeriod re-solves eq. (4) over T + carry.
+//
+// Like Agent, a Seller is not safe for concurrent use.
+type Seller struct {
+	cfg    Config // validated, defaults applied; Classes unused
+	agent  *Agent
+	period float64   // T in milliseconds
+	costs  []float64 // ms per class; <= 0 marks a class the node cannot evaluate
+	carry  float64
+	// used is this period's work accepted before the last re-plan, at
+	// the costs then in force. The agent's accepted vector holds the
+	// work accepted since; the two together are the period's spend.
+	used float64
+	// exact, when non-nil, selects the exact DP solver over the greedy
+	// density heuristic and supplies its reusable buffers.
+	exact *DPScratch
+}
+
+// NewSeller builds a seller with period T = periodMs over the given
+// per-class costs (possibly none: classes can arrive later through
+// AddClass). cfg.Classes is ignored; the cost table sets K. Nothing is
+// on offer until the first BeginPeriod.
+func NewSeller(cfg Config, periodMs float64, costs []float64) (*Seller, error) {
+	return newSeller(cfg, periodMs, costs, nil)
+}
+
+// NewExactSeller is NewSeller with eq. (4) solved exactly by dynamic
+// programming (the DESIGN.md solver ablation). Sellers that never run
+// concurrently may share one scratch; nil allocates a private one.
+func NewExactSeller(cfg Config, periodMs float64, costs []float64, scratch *DPScratch) (*Seller, error) {
+	if scratch == nil {
+		scratch = &DPScratch{}
+	}
+	return newSeller(cfg, periodMs, costs, scratch)
+}
+
+func newSeller(cfg Config, periodMs float64, costs []float64, exact *DPScratch) (*Seller, error) {
+	if err := cfg.applyDefaults(); err != nil {
+		return nil, err
+	}
+	cfg.Classes = 0
+	s := &Seller{cfg: cfg, period: periodMs, exact: exact}
+	s.install(Snapshot{Costs: costs})
+	return s, nil
+}
+
+// install makes a (validated) snapshot the seller's state, at the start
+// of a period nobody has traded in.
+func (s *Seller) install(snap Snapshot) {
+	a := &Agent{cfg: s.cfg, stats: snap.Stats}
+	for range snap.Costs {
+		a.addClass()
+	}
+	copy(a.prices, snap.Prices) // none recorded: the initial prices stand
+	s.agent, s.costs, s.carry, s.used = a, append([]float64(nil), snap.Costs...), snap.Carry, 0
+	s.capCarry()
+	a.set = s.supplySet()
+}
+
+// supplySet is the one place a period budget becomes a supply set: what
+// is left of T + carry after this period's earlier spend.
+func (s *Seller) supplySet() economics.SupplySet {
+	budget := s.period + s.carry - s.used
+	if budget < 0 {
+		budget = 0
+	}
+	if s.exact != nil {
+		return ExactTimeBudgetSupplySet{Cost: s.costs, Budget: budget, Granularity: 10, Scratch: s.exact}
+	}
+	return economics.TimeBudgetSupplySet{Cost: s.costs, Budget: budget}
+}
+
+// capCarry bounds savings by max(T, dearest class).
+func (s *Seller) capCarry() {
+	limit := s.period
+	for _, c := range s.costs {
+		if c > limit {
+			limit = c
+		}
+	}
+	if s.carry > limit {
+		s.carry = limit
+	}
+}
+
+// charge moves the work accepted under the current plan into used, at
+// the costs it was accepted under.
+func (s *Seller) charge() {
+	for c, cnt := range s.agent.accepted {
+		if cnt > 0 {
+			s.used += float64(cnt) * s.costs[c]
+			s.agent.accepted[c] = 0
+		}
+	}
+}
+
+// replan re-solves eq. (4) over the unspent budget, mid-period. Prices,
+// this period's adjustment counts and the lifetime counters stay.
+func (s *Seller) replan() {
+	s.capCarry()
+	s.agent.replan(s.supplySet())
+}
+
+// AddClass appends a class costing costMs and returns its index. The
+// class starts at the initial price; the rest of the period is
+// re-planned with it in the running.
+func (s *Seller) AddClass(costMs float64) int {
+	s.charge()
+	s.costs = append(s.costs, costMs)
+	s.agent.addClass()
+	s.replan()
+	return len(s.costs) - 1
+}
+
+// Recost replaces class k's cost estimate and re-plans the rest of the
+// period. Work already accepted stays charged at the old estimate.
+func (s *Seller) Recost(k int, costMs float64) {
+	s.agent.mustClass(k)
+	s.charge()
+	s.costs[k] = costMs
+	s.replan()
+}
+
+// Offer, Accept and Decline are the agent's (steps 4–10 of the listing).
+func (s *Seller) Offer(k int) bool   { return s.agent.Offer(k) }
+func (s *Seller) Accept(k int) error { return s.agent.Accept(k) }
+func (s *Seller) Decline(k int)      { s.agent.Decline(k) }
+
+// Agent exposes the seller's agent for observation (prices, planned
+// and remaining supply, counters, Telemetry); drive it only through
+// the seller.
+func (s *Seller) Agent() *Agent { return s.agent }
+
+// Cost returns class k's current cost estimate in milliseconds.
+func (s *Seller) Cost(k int) float64 { return s.costs[k] }
+
+// Carry returns the capacity saved (positive) or owed (negative).
+func (s *Seller) Carry() float64 { return s.carry }
+
+// EndPeriod closes the period: settle the ledger, then cut the price of
+// every class with unsold supply. A seller with no classes yet has no
+// market to close and saves nothing.
+func (s *Seller) EndPeriod() {
+	if len(s.costs) == 0 {
+		return
+	}
+	s.charge()
+	s.carry += s.period - s.used
+	s.used = 0
+	s.capCarry()
+	s.agent.EndPeriod()
+}
+
+// BeginPeriod opens the next period over T + carry.
+func (s *Seller) BeginPeriod() {
+	s.agent.set = s.supplySet()
+	s.agent.BeginPeriod()
+}
+
+// Snapshot is a seller's persistent state: everything a node needs to
+// resume its market position after a restart. Learned prices are the
+// valuable part — they encode the node's view of the demand it has seen.
+// Per-period state (remaining supply, adjustment counts, work accepted)
+// is deliberately excluded: a restore always begins a fresh period.
+type Snapshot struct {
+	Costs []float64 `json:"costs"`
+	// Prices may be nil (checkpoints older than price persistence):
+	// every class then restarts at the initial price.
+	Prices []float64 `json:"prices"`
+	Carry  float64   `json:"carry"`
+	Stats  Stats     `json:"stats"`
+}
+
+// Snapshot captures the seller's persistent state.
+func (s *Seller) Snapshot() Snapshot {
+	return Snapshot{
+		Costs:  append([]float64(nil), s.costs...),
+		Prices: append([]float64(nil), s.agent.prices...),
+		Carry:  s.carry,
+		Stats:  s.agent.stats,
+	}
+}
+
+// Restore replaces the seller's state with a snapshot and begins a
+// fresh period. Snapshots come from checkpoint files, so nothing in
+// them is trusted: costs must be finite and non-negative, carry finite
+// (it is then capped as at any period boundary), prices valid and one
+// per class. On error the seller is unchanged.
+func (s *Seller) Restore(snap Snapshot) error {
+	for k, c := range snap.Costs {
+		if c < 0 || math.IsNaN(c) || math.IsInf(c, 0) {
+			return fmt.Errorf("market: snapshot cost[%d] = %g", k, c)
+		}
+	}
+	if math.IsNaN(snap.Carry) || math.IsInf(snap.Carry, 0) {
+		return fmt.Errorf("market: snapshot carry = %g", snap.Carry)
+	}
+	if snap.Prices != nil && len(snap.Prices) != len(snap.Costs) {
+		return fmt.Errorf("market: snapshot has %d prices for %d classes", len(snap.Prices), len(snap.Costs))
+	}
+	if !vector.Prices(snap.Prices).IsValid() {
+		return errors.New("market: snapshot prices invalid")
+	}
+	s.install(snap)
+	s.BeginPeriod()
+	return nil
+}

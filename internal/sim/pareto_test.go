@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"github.com/qamarket/qamarket/internal/alloc"
@@ -8,6 +9,7 @@ import (
 	"github.com/qamarket/qamarket/internal/costmodel"
 	"github.com/qamarket/qamarket/internal/economics"
 	"github.com/qamarket/qamarket/internal/market"
+	"github.com/qamarket/qamarket/internal/metrics"
 	"github.com/qamarket/qamarket/internal/vector"
 	"github.com/qamarket/qamarket/internal/workload"
 )
@@ -53,23 +55,148 @@ func TestQANTConvergesToParetoOptimalPeriods(t *testing.T) {
 	cfg := market.DefaultConfig(2)
 	cfg.Lambda = 0.05 // finer steps estimate equilibrium prices better (eq. 6)
 	fed := figure1System(t, alloc.NewQANT(cfg))
-
-	var arrivals []workload.Arrival
 	const periods = 60
+	col, err := fed.Run(figure1Overload(periods, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSettledPeriodsPareto(t, col, periods/2, periods-5)
+}
+
+// TestLearningSellersConvergeToParetoOptimalPeriods runs the same claim
+// over the code path only the TCP server used to have: each node's
+// seller starts knowing one class (q2, under a private class index that
+// differs from the workload's), meets q1 only after a few periods and
+// takes it in through Seller.AddClass mid-period, at an estimate a
+// third too high that Seller.Recost later corrects — a real node's
+// class discovery and plan-history refinement. Growing and re-costing
+// the market in flight must not cost it its equilibrium.
+func TestLearningSellersConvergeToParetoOptimalPeriods(t *testing.T) {
+	cfg := market.DefaultConfig(1)
+	cfg.Lambda = 0.05
+	mech := &learningQANT{cfg: cfg}
+	fed := figure1System(t, mech)
+	const periods, q1From = 70, 4
+	col, err := fed.Run(figure1Overload(periods, q1From))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n, s := range mech.sellers {
+		if got := len(s.Agent().Prices()); got != 2 {
+			t.Fatalf("node %d ended with %d classes, want 2 (q1 learned through AddClass)", n, got)
+		}
+		if s.Cost(1) != figure1Costs[n][0] {
+			t.Fatalf("node %d: q1 estimate %g was never corrected to %g", n, s.Cost(1), figure1Costs[n][0])
+		}
+		if st := s.Agent().Stats(); st.Periods < periods {
+			t.Fatalf("node %d: lifetime counters lost across growth: %+v", n, st)
+		}
+	}
+	checkSettledPeriodsPareto(t, col, periods/2, periods-5)
+}
+
+// learningQANT is QA-NT over sellers that discover their classes the
+// way a cluster node does. Local class 0 is the workload's q2; q1
+// becomes local class 1 when a node first sees it.
+type learningQANT struct {
+	cfg     market.Config
+	sellers []*market.Seller
+	local   []map[int]int // per node: workload class -> the seller's class index
+	seenQ1  []int         // per node: q1 requests seen, for the estimate correction
+}
+
+func (m *learningQANT) Name() string         { return "qa-nt-learning" }
+func (m *learningQANT) Traits() alloc.Traits { return alloc.NewQANT(m.cfg).Traits() }
+
+func (m *learningQANT) OnPeriodStart(v alloc.View) {
+	if m.sellers == nil {
+		for n := 0; n < v.NumNodes(); n++ {
+			s, err := market.NewSeller(m.cfg, float64(v.PeriodMs()), []float64{v.Cost(n, 1)})
+			if err != nil {
+				panic(err)
+			}
+			m.sellers = append(m.sellers, s)
+			m.local = append(m.local, map[int]int{1: 0})
+		}
+		m.seenQ1 = make([]int, v.NumNodes())
+	}
+	for _, s := range m.sellers {
+		s.BeginPeriod()
+	}
+}
+
+func (m *learningQANT) OnPeriodEnd(alloc.View) {
+	for _, s := range m.sellers {
+		s.EndPeriod()
+	}
+}
+
+// classAt is the node-side classification of an incoming request: the
+// pricer's observe, with the drift policy replaced by a script.
+func (m *learningQANT) classAt(n, class int, v alloc.View) int {
+	k, known := m.local[n][class]
+	if !known {
+		k = m.sellers[n].AddClass(v.Cost(n, class) * 4 / 3) // EXPLAIN overshoots
+		m.local[n][class] = k
+	}
+	if class == 0 {
+		if m.seenQ1[n]++; m.seenQ1[n] == 5 {
+			m.sellers[n].Recost(k, v.Cost(n, class)) // execution history corrects it
+		}
+	}
+	return k
+}
+
+func (m *learningQANT) Assign(q alloc.Query, v alloc.View) alloc.Decision {
+	if m.sellers == nil {
+		m.OnPeriodStart(v)
+	}
+	best, bestFinish := -1, math.Inf(1)
+	var offered []int
+	for _, n := range v.FeasibleNodes(q.Class) {
+		if !m.sellers[n].Offer(m.classAt(n, q.Class, v)) {
+			continue
+		}
+		offered = append(offered, n)
+		if f := v.Backlog(n) + v.Cost(n, q.Class); f < bestFinish {
+			best, bestFinish = n, f
+		}
+	}
+	if best < 0 {
+		return alloc.Decision{Retry: true}
+	}
+	for _, n := range offered {
+		if k := m.local[n][q.Class]; n != best {
+			m.sellers[n].Decline(k)
+		} else if err := m.sellers[n].Accept(k); err != nil {
+			panic(err)
+		}
+	}
+	return alloc.Decision{Node: best}
+}
+
+// figure1Overload is the paper's steady overload, 2×q1 + 6×q2 per
+// 500 ms period for the given number of periods; q1 is withheld before
+// period q1From.
+func figure1Overload(periods, q1From int64) []workload.Arrival {
+	var arrivals []workload.Arrival
 	for p := int64(0); p < periods; p++ {
 		at := p * 500
-		for i := 0; i < 2; i++ {
+		for i := 0; i < 2 && p >= q1From; i++ {
 			arrivals = append(arrivals, workload.Arrival{At: at, Class: 0, Origin: 0})
 		}
 		for i := 0; i < 6; i++ {
 			arrivals = append(arrivals, workload.Arrival{At: at, Class: 1, Origin: 0})
 		}
 	}
-	col, err := fed.Run(arrivals)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return arrivals
+}
 
+// checkSettledPeriodsPareto extracts the realized per-period supply
+// profile of periods [from, to) and requires most of them to be Pareto
+// optimal for the per-period demand, by brute force.
+func checkSettledPeriodsPareto(t *testing.T, col *metrics.Collector, from, to int) {
+	t.Helper()
 	type key struct{ period, node int }
 	startedAt := map[key]vector.Quantity{}
 	for _, s := range col.Samples() {
@@ -88,7 +215,7 @@ func TestQANTConvergesToParetoOptimalPeriods(t *testing.T) {
 	prefs := []economics.Preference{economics.ThroughputPreference}
 
 	optimal, checked := 0, 0
-	for p := periods / 2; p < periods-5; p++ {
+	for p := from; p < to; p++ {
 		s0 := startedAt[key{p, 0}]
 		s1 := startedAt[key{p, 1}]
 		if s0 == nil {
