@@ -57,17 +57,21 @@ tracesmoke:
 chaossmoke:
 	$(GO) run -race ./cmd/chaossmoke
 
-# fuzzsmoke runs the two fuzzers briefly on every CI run, each with its
-# committed corpus as regression seeds. FuzzFrameDecode holds the binary
-# lane's malformed-input promise ("error, never panic, never unbounded
-# allocation"); FuzzSellerLedger drives market.Seller through arbitrary
-# offer / accept / decline / new-class / re-cost / period-boundary
-# scripts against an independent model of the capacity ledger. Five
-# seconds finds shallow regressions; run either unbounded (`go test
-# -fuzz <name> <pkg>`) when touching frame.go or seller.go.
+# fuzzsmoke runs the three fuzzers briefly on every CI run, each with
+# its committed corpus as regression seeds. FuzzFrameDecode holds the
+# binary lane's malformed-input promise ("error, never panic, never
+# unbounded allocation"); FuzzSellerLedger drives market.Seller through
+# arbitrary offer / accept / decline / new-class / re-cost /
+# period-boundary scripts against an independent model of the capacity
+# ledger; FuzzKeyTable drives the engine's key table through add / find
+# scripts over numbers and texts against a Go map and a first-appearance
+# slice. Five seconds finds shallow regressions; run any unbounded (`go
+# test -fuzz <name> <pkg>`) when touching frame.go, seller.go or
+# group.go.
 fuzzsmoke:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime 5s
 	$(GO) test ./internal/market -run '^$$' -fuzz '^FuzzSellerLedger$$' -fuzztime 5s
+	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzKeyTable$$' -fuzztime 5s
 
 # oneledger keeps the capacity ledger in one place: only internal/market
 # (Seller.supplySet) may turn a budget into a time-budget supply set.

@@ -124,7 +124,9 @@ func main() {
 	}
 	ref := driver.NewLegacy(ds.DBs[0])
 
-	// One executor per node: the heterogeneous fleet under test.
+	// One executor per node: the heterogeneous fleet under test. The
+	// binaries default to vector, so "row" is named: this lane is what
+	// keeps the opt-in driver exercised behind a live node.
 	rowDrv, err := engine.SelectDriver("row", ds.DBs[0])
 	if err != nil {
 		die("row driver: %v", err)

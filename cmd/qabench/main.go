@@ -25,7 +25,7 @@ func main() {
 	skipReal := flag.Bool("skip-real", false, "skip the real TCP cluster experiment (figure 7)")
 	svgDir := flag.String("svg", "", "also render each figure as an SVG into this directory")
 	parallel := flag.Int("parallel", 0, "worker-pool width for sweep points (0 = GOMAXPROCS, 1 = sequential; output is identical at any width)")
-	driverName := flag.String("driver", "row", "storage executor for figure 7's real federation nodes: row | vector | mock:row | mock:vector")
+	driverName := flag.String("driver", "vector", "storage executor for figure 7's real federation nodes: vector | row (the test oracle; opt-in) | mock:row | mock:vector")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()

@@ -167,7 +167,7 @@ func main() {
 	flag.StringVar(&o.enc, "enc", "compact", "fetch result encoding to advertise: compact | tagged (JSON downgrade path)")
 	flag.BoolVar(&o.frame, "frame", true, "negotiate binary frame streaming for fetches (false: force JSON replies)")
 	flag.IntVar(&o.fetchBatch, "fetch-batch", 0, "max rows per streamed fetch batch to request (0: server default)")
-	flag.StringVar(&o.driverName, "driver", "row", "storage executor for self-hosted nodes: row | vector | mock:row | mock:vector")
+	flag.StringVar(&o.driverName, "driver", "vector", "storage executor for self-hosted nodes: vector | row (the test oracle; opt-in) | mock:row | mock:vector")
 	flag.Parse()
 
 	rep, err := run(&o)

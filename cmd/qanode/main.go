@@ -54,7 +54,7 @@ func main() {
 		maxInflight  = flag.Int("max-inflight", 0, "max concurrently handled work requests before typed overload refusals (0 = default 256)")
 		maxQueue     = flag.Int("max-queue", 0, "executor queue depth before typed overload refusals (0 = default 256)")
 		dedupWindow  = flag.Duration("dedup-window", 0, "how long execute/fetch outcomes stay replayable for at-most-once retries (0 = default 60s)")
-		driverName   = flag.String("driver", "row", "storage executor: row (legacy engine), vector (columnar), mock:row, mock:vector")
+		driverName   = flag.String("driver", "vector", "storage executor: vector (the columnar engine), row (sqldb's row executor, the engine's test oracle; opt-in), mock:row, mock:vector")
 	)
 	flag.Parse()
 

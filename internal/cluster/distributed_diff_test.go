@@ -229,7 +229,10 @@ func TestDistributorMatchesOracle(t *testing.T) {
 // apostrophe, on any float strconv prints with an exponent, on a column
 // whose kind changes after the first row, and would have run a text
 // shaped like SQL. Blocks carry all of them, plus an all-NULL column and
-// a fragment with no rows.
+// a fragment with no rows. What still travels as SQL text is a
+// pushed-down predicate, on the way out: its literals hold the same
+// apostrophes and the same floats, and must read back on the node as
+// what they were.
 func TestDistributorCarriesWhatSQLTextCouldNot(t *testing.T) {
 	num := func(v float64) sqldb.Value {
 		if v < 1e6 && v == float64(int64(v)) {
@@ -275,16 +278,26 @@ func TestDistributorCarriesWhatSQLTextCouldNot(t *testing.T) {
 	for i, tc := range []struct {
 		sql     string
 		ordered bool
+		selects bool // the oracle's answer must hold a row
 	}{
-		{"SELECT fact.id, fact.v, dim.label, dim.spare FROM fact JOIN dim ON fact.k = dim.k ORDER BY fact.id", true},
-		{"SELECT dim.label, SUM(fact.v), MIN(fact.v), MAX(fact.v), COUNT(dim.spare) FROM fact JOIN dim ON fact.k = dim.k GROUP BY dim.label ORDER BY dim.label", true},
-		{"SELECT * FROM fact JOIN dim ON fact.k = dim.k WHERE fact.v < 2", false},
-		{"SELECT fact.id, dim.label FROM fact JOIN dim ON fact.k = dim.k WHERE dim.k > 100", true},
-		{"SELECT COUNT(*), MAX(dim.label) FROM fact JOIN dim ON fact.k = dim.k WHERE fact.id < 0", true},
+		{sql: "SELECT fact.id, fact.v, dim.label, dim.spare FROM fact JOIN dim ON fact.k = dim.k ORDER BY fact.id", ordered: true},
+		{sql: "SELECT dim.label, SUM(fact.v), MIN(fact.v), MAX(fact.v), COUNT(dim.spare) FROM fact JOIN dim ON fact.k = dim.k GROUP BY dim.label ORDER BY dim.label", ordered: true},
+		{sql: "SELECT * FROM fact JOIN dim ON fact.k = dim.k WHERE fact.v < 2"},
+		{sql: "SELECT fact.id, dim.label FROM fact JOIN dim ON fact.k = dim.k WHERE dim.k > 100", ordered: true},
+		{sql: "SELECT COUNT(*), MAX(dim.label) FROM fact JOIN dim ON fact.k = dim.k WHERE fact.id < 0", ordered: true},
+		// Pushed-down literals: each predicate selects something, so a
+		// literal that reads back as another value shows.
+		{sql: "SELECT fact.id, dim.label FROM fact JOIN dim ON fact.k = dim.k WHERE dim.label = 'O''Brien' ORDER BY fact.id", ordered: true, selects: true},
+		{sql: "SELECT fact.id, dim.label FROM fact JOIN dim ON fact.k = dim.k WHERE dim.label <> 'it''''s' AND dim.label <> '''); DROP TABLE dim; --'", selects: true},
+		{sql: "SELECT fact.id, fact.v FROM fact JOIN dim ON fact.k = dim.k WHERE fact.v >= 1000000000000000000000.0 ORDER BY fact.id", ordered: true, selects: true},
+		{sql: "SELECT fact.id, fact.v FROM fact JOIN dim ON fact.k = dim.k WHERE fact.v < 0.0000005 AND fact.v * 2 < 3.0", selects: true},
 	} {
 		want, err := oracle.Query(tc.sql)
 		if err != nil {
 			t.Fatalf("oracle: %s: %v", tc.sql, err)
+		}
+		if tc.selects && len(want.Rows) == 0 {
+			t.Fatalf("%s: the oracle selects nothing, so the predicate proves nothing", tc.sql)
 		}
 		out, err := d.Run(int64(i+1), tc.sql)
 		if err != nil {

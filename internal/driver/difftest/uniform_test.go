@@ -230,3 +230,129 @@ func TestDifferentialPinned(t *testing.T) {
 		check(t, "SELECT k FROM u2 WHERE k < 5 AND f < 50", false, 2)
 	})
 }
+
+// TestDifferentialJoinOutput names what a join output that stays two
+// selections makes reachable: columns of one relation read through
+// different selections, composed by a further join, a filter, a sort or
+// a view, and gathered only where the result leaves the engine. Every
+// case runs over the twin while its columns are of one kind (typed keys)
+// and again after u2.k has turned mixed (boxed keys), positionally and
+// with error text to the letter, like TestDifferentialPinned.
+func TestDifferentialJoinOutput(t *testing.T) {
+	row, vec := openUniform(t, rand.New(rand.NewSource(seed+4)))
+	for _, d := range []driver.Driver{row, vec} {
+		if _, err := driver.ExecScript(d, "CREATE VIEW j1 AS SELECT u1.a AS a, u1.c AS c, u2.f AS f, u1.b + u2.f AS s FROM u1 JOIN u2 ON u1.a = u2.k WHERE u1.b < 20"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		name    string
+		minRows int
+		sqls    []string
+	}{
+		// x ⋈ y on the nearly unique f has about as many rows as u2 and
+		// fewer than u1, so the first join's output is the second's build
+		// side; u1 ⋈ u2 on the 20-valued key has more rows than u2, so
+		// there it is the probe side.
+		{"three tables, join output as build side", 4, []string{
+			"SELECT u1.a, u1.c, x.e, y.k FROM u2 x JOIN u2 y ON x.f = y.f JOIN u1 ON u1.a = x.k",
+			"SELECT y.e, COUNT(*), SUM(u1.b), MIN(x.f) FROM u2 x JOIN u2 y ON x.f = y.f JOIN u1 ON u1.a = y.k GROUP BY y.e",
+		}},
+		{"three tables, join output as probe side", 8, []string{
+			"SELECT u1.b, u2.e, z.f FROM u1 JOIN u2 ON u1.a = u2.k JOIN u2 z ON u1.c = z.e WHERE z.f < 30",
+			"SELECT z.e, u2.k, COUNT(*), SUM(u1.b), MAX(z.f) FROM u1 JOIN u2 ON u1.a = u2.k JOIN u2 z ON u2.e = z.e GROUP BY z.e, u2.k",
+		}},
+		{"star and mixed projection are gathered at the result", 8, []string{
+			"SELECT * FROM u1 JOIN u2 ON u1.a = u2.k",
+			"SELECT u2.e, u1.a, u2.f, u1.c, u1.b FROM u1 JOIN u2 ON u1.a = u2.k WHERE u1.b < 10",
+			"SELECT u2.f, u1.b - u2.f, u1.c FROM u2 JOIN u1 ON u1.a = u2.k",
+			"SELECT DISTINCT u1.c, u2.e FROM u1 JOIN u2 ON u1.a = u2.k",
+		}},
+		{"view over a join as a join input", 4, []string{
+			"SELECT a, c, f, s FROM j1",
+			"SELECT j1.c, j1.s, u2.e FROM j1 JOIN u2 ON j1.a = u2.k WHERE u2.f < 50",
+			"SELECT u2.e, j1.f, j1.c FROM u2 JOIN j1 ON j1.f = u2.f",
+			"SELECT j1.c, COUNT(*), SUM(j1.f), MIN(j1.s) FROM j1 JOIN u2 ON j1.c = u2.e GROUP BY j1.c",
+		}},
+		{"ORDER BY and LIMIT over join output", 5, []string{
+			"SELECT u1.b, u2.f, u1.c FROM u1 JOIN u2 ON u1.a = u2.k ORDER BY u2.f DESC, u1.b LIMIT 12 OFFSET 3",
+			"SELECT u1.a, u2.e FROM u1 JOIN u2 ON u1.a = u2.k WHERE u1.b < 15 ORDER BY u2.e, u1.a DESC LIMIT 7",
+			"SELECT u2.e, u1.c FROM u1 JOIN u2 ON u1.a = u2.k LIMIT 5 OFFSET 40",
+		}},
+		{"residual WHERE names both sides", 4, []string{
+			"SELECT u1.a, u1.b, u2.f FROM u1 JOIN u2 ON u1.a = u2.k WHERE u1.b < u2.f",
+			"SELECT u1.c, u2.e FROM u1 JOIN u2 ON u1.a = u2.k WHERE u1.b < 20 AND (u1.c = u2.e OR u2.f > 90)",
+			"SELECT u2.e, COUNT(*), AVG(u1.b) FROM u1 JOIN u2 ON u1.a = u2.k WHERE u1.c <> u2.e AND u2.f IS NOT NULL GROUP BY u2.e",
+		}},
+		// The dimension's text column sits behind more positions than it
+		// has rows, and the fact side's behind its half of the pairs.
+		{"GROUP BY a text column of either side", 4, []string{
+			"SELECT u2.e, COUNT(*), SUM(u1.b), MIN(u1.a) FROM u1 JOIN u2 ON u1.a = u2.k WHERE u1.b < 25 GROUP BY u2.e",
+			"SELECT u1.c, COUNT(*), SUM(u2.f), MAX(u1.b) FROM u1 JOIN u2 ON u1.a = u2.k GROUP BY u1.c",
+		}},
+		// The index on u1.a serves a = 4: the scan's selection is the
+		// index's posting list, which every later operator reads and none
+		// may write. The last statement reads it again.
+		{"index-served selection", 2, []string{
+			"SELECT c, COUNT(*), SUM(b) FROM u1 WHERE a = 4 GROUP BY c",
+			"SELECT a, b, c FROM u1 WHERE a = 4 AND b < 15 AND c LIKE '%a%'",
+			"SELECT u1.c, u2.e, COUNT(*) FROM u1 JOIN u2 ON u1.a = u2.k WHERE u1.a = 4 AND u1.b < u2.f GROUP BY u1.c, u2.e",
+			"SELECT u1.b, u2.f FROM u1 JOIN u2 ON u1.a = u2.k WHERE u1.a = 4 ORDER BY u1.b DESC LIMIT 6",
+			"SELECT * FROM u1 WHERE a = 4",
+		}},
+	}
+	empty := []string{
+		"SELECT u1.a, u2.e FROM u1 JOIN u2 ON u1.c = u2.e WHERE u2.f < -1000",
+		"SELECT * FROM u1 JOIN u2 ON u1.d = u2.k",
+		"SELECT u1.c, COUNT(*) FROM u1 JOIN u2 ON u1.d = u2.k GROUP BY u1.c",
+		"SELECT u1.a, z.e FROM u1 JOIN u2 ON u1.d = u2.k JOIN u2 z ON z.k = u1.a ORDER BY z.e LIMIT 3",
+	}
+	count := func(sql string) int64 {
+		v, err := mustAgree(t, row, vec, sql).Value(0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v.Int
+	}
+	for _, phase := range []string{"uniform", "mixed keys"} {
+		if phase == "mixed keys" {
+			mixKeys(t, row, vec)
+		}
+		xy, fact, dim := count("SELECT COUNT(*) FROM u2 x JOIN u2 y ON x.f = y.f"), count("SELECT COUNT(*) FROM u1 JOIN u2 ON u1.a = u2.k"), count("SELECT COUNT(*) FROM u2")
+		if xy >= t1Rows || fact <= dim {
+			t.Fatalf("fixture: x ⋈ y has %d rows (want fewer than u1's %d), u1 ⋈ u2 has %d (want more than u2's %d)", xy, t1Rows, fact, dim)
+		}
+		for _, c := range cases {
+			t.Run(phase+"/"+c.name, func(t *testing.T) {
+				for _, sql := range c.sqls {
+					if blk := mustAgree(t, row, vec, sql); blk.Rows < c.minRows {
+						t.Fatalf("%d rows, the case needs at least %d to mean anything\n  %s", blk.Rows, c.minRows, sql)
+					}
+				}
+			})
+		}
+		t.Run(phase+"/join with zero matches", func(t *testing.T) {
+			for _, sql := range empty {
+				if blk := mustAgree(t, row, vec, sql); blk.Rows != 0 {
+					t.Fatalf("%d rows, the case is a join that matches nothing\n  %s", blk.Rows, sql)
+				}
+			}
+			// One group holds no rows at all.
+			if blk := mustAgree(t, row, vec, "SELECT COUNT(*), SUM(u1.b), MIN(u2.e) FROM u1 JOIN u2 ON u1.d = u2.k"); blk.Rows != 1 {
+				t.Fatalf("%d rows from a global aggregate", blk.Rows)
+			}
+		})
+	}
+}
+
+// mustAgree fails the test unless both engines answer sql with the same
+// cells in the same order, and returns the answer.
+func mustAgree(t *testing.T, row, vec driver.Driver, sql string) *driver.Block {
+	t.Helper()
+	if same, failed := compareOne(t, row, vec, sql, 0); !same || failed {
+		_, err := run(row, sql)
+		t.Fatalf("engines diverge or fail (row engine: %v)\n  %s", err, sql)
+	}
+	blk, _ := run(row, sql)
+	return blk
+}

@@ -16,8 +16,9 @@ import (
 //   - a filtered scan allocates the selection it returns (4 B a kept
 //     row) and nothing per output column;
 //   - a filtered aggregate, grouped or not, allocates per group;
-//   - a star join allocates for the pairs and the columns read after
-//     it, never for a column nothing names.
+//   - a star join allocates per group too: its pairs are pooled
+//     selections and it copies no column;
+//   - a tiny join pays for a tiny table.
 func TestSelectAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops at random under -race, so pooled scratch is reallocated")
@@ -43,6 +44,19 @@ func TestSelectAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := src.AppendTableRows("dim", dim); err != nil {
+		t.Fatal(err)
+	}
+	mustExecB(src, "CREATE TABLE small (k INT, g INT)")
+	mustExecB(src, "CREATE TABLE small2 (k INT, v FLOAT)")
+	small, small2 := make([]sqldb.Row, 50), make([]sqldb.Row, 50)
+	for i := range small {
+		small[i] = sqldb.Row{sqldb.NewInt(int64(i)), sqldb.NewInt(int64(i % 8))}
+		small2[i] = sqldb.Row{sqldb.NewInt(int64(49 - i)), sqldb.NewFloat(float64(i) / 4)}
+	}
+	if err := src.AppendTableRows("small", small); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.AppendTableRows("small2", small2); err != nil {
 		t.Fatal(err)
 	}
 	e := FromDB(src)
@@ -91,12 +105,17 @@ func TestSelectAllocBudget(t *testing.T) {
 		{"filtered aggregate", "SELECT COUNT(*), SUM(b), MIN(a), AVG(b) FROM big" + where, 1, 64, 8 << 10},
 		{"filtered GROUP BY, 100 groups", "SELECT a, COUNT(*), SUM(b) FROM big" + where + " GROUP BY a", 100, 200, 48 << 10},
 		{"filtered GROUP BY, 2 groups", "SELECT d, COUNT(*), MAX(b) FROM big" + where + " GROUP BY d", 2, 80, 8 << 10},
-		// Pairs (8 B a joined row) plus the two columns read after the
-		// join, b and name (13 and 21 B a row with kinds and offsets):
-		// 42 B a joined row, 21 B an input row. c and d, which nothing
-		// names, and a and k, which only the join condition does, are
-		// not gathered.
-		{"star join", "SELECT dim.name, COUNT(*), SUM(big.b) FROM big JOIN dim ON big.a = dim.k WHERE big.b < 5000 GROUP BY dim.name", 100, 400, 32 * bigRows},
+		// The pairs, the key numbers and the bucket lists are pooled
+		// selections and no column is gathered, so what is left is what
+		// the GROUP BY above costs — the per-group accumulators and the
+		// 100 output rows — plus the key table's keys: under 4 B an input
+		// row, where the gathered b and name used to cost 21.
+		{"star join", "SELECT dim.name, COUNT(*), SUM(big.b) FROM big JOIN dim ON big.a = dim.k WHERE big.b < 5000 GROUP BY dim.name", 100, 200, 4 * bigRows},
+		// 50 rows × 50 rows into 8 groups: the table is sized from the 50
+		// rows it is fed, not from the largest selection in the pool. The
+		// budget is what the parent commit, with Go maps and two
+		// gathered columns, read.
+		{"small join", "SELECT small.g, COUNT(*), SUM(small2.v) FROM small JOIN small2 ON small.k = small2.k GROUP BY small.g", 8, 83, 8488},
 	} {
 		allocs, bytes := measure(c.sql, c.rows)
 		if allocs > c.maxAllocs || bytes > c.maxBytes {

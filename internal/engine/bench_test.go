@@ -178,7 +178,9 @@ var shapesDB = sync.OnceValue(func() *DB { return FromDB(shapesSrc()) })
 // fragment dist-join pulls from each big node — through the vector
 // engine alone, so a before/after of the executor does not need the
 // 12-second federation harness. Results are not read: scan-exec is
-// execute-only.
+// execute-only. The last two are the keyed paths those statements miss:
+// text keys (997 of them), and a join whose build side repeats its keys
+// (10,001 rows a side, about ten to a key, 100k pairs).
 func BenchmarkExecutorShapes(b *testing.B) {
 	e := shapesDB()
 	for _, shape := range []struct {
@@ -190,6 +192,8 @@ func BenchmarkExecutorShapes(b *testing.B) {
 		{"groupby", "SELECT a, COUNT(*), SUM(b) FROM big WHERE b < 50000.250 GROUP BY a", 100},
 		{"starjoin", "SELECT dim.name, COUNT(*), SUM(big.b) FROM big JOIN dim ON big.a = dim.k WHERE big.b < 50000.250 GROUP BY dim.name", 100},
 		{"fragment", "SELECT a, b FROM big WHERE (big.b >= 20000.250) AND (big.b < 30000.250)", 20_000},
+		{"groupby-text", "SELECT c, COUNT(*), SUM(b) FROM big WHERE b < 50000.250 GROUP BY c", 997},
+		{"join-n-to-m", "SELECT COUNT(*), SUM(y.b) FROM big x JOIN big y ON x.c = y.c WHERE x.b < 5000.250 AND y.b < 5000.250", 1},
 	} {
 		b.Run(shape.name, func(b *testing.B) {
 			st, err := e.Prepare(shape.sql)

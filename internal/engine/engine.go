@@ -1,16 +1,17 @@
 // Package engine is the vectorized columnar executor behind the
 // "vector" storage driver. Tables are stored column-wise, and a query
-// runs over one intermediate form — column vectors that alias storage
-// plus one selection vector (erel) — so that filtering replaces a
-// selection instead of copying rows: the leading conjuncts of WHERE
-// that cannot raise refine the selection on the scan, below any join;
-// joins emit row-index pairs and copy only the columns still named
-// after them; aggregates and GROUP BY fold over (vector, selection)
-// with typed keys. Results are emitted as driver.Blocks whose arrays
-// alias the engine's own column vectors — through Block.Sel when the
-// result is a selection of them — so the cluster's binary frame lane
-// serializes them with zero transposition and copies only the rows it
-// ships.
+// runs over one intermediate form — column vectors that alias storage,
+// each read through a selection vector (erel) — so that filtering
+// replaces a selection instead of copying rows: the leading conjuncts
+// of WHERE that cannot raise refine the selection on the scan, below
+// any join; a join's output is its inputs' vectors behind the two
+// halves of the matching pairs, and copies no value; aggregates and
+// GROUP BY fold over (vector, selection) with typed keys numbered in
+// one open-addressing table. Results are emitted as driver.Blocks whose
+// arrays alias the engine's own column vectors — through Block.Sel when
+// the result is a selection of them — so the cluster's binary frame
+// lane serializes them with zero transposition and copies only the rows
+// it ships.
 //
 // The engine is a semantic mirror of the row-based reference engine
 // (internal/sqldb): same SQL dialect (it reuses sqldb's parser and
@@ -557,11 +558,11 @@ func (e *DB) rowMatches(where sqldb.Expr, rel *erel, ri int) (bool, error) {
 
 // erel views the table as an intermediate relation.
 func (t *table) erel() erel {
-	cols := make([]ebind, len(t.cols))
+	cols := make([]ecol, len(t.cols))
 	for i, c := range t.cols {
-		cols[i] = ebind{qual: t.name, name: c.Name}
+		cols[i] = ecol{qual: t.name, name: c.Name, vec: t.vecs[i]}
 	}
-	return erel{cols: cols, vecs: t.vecs, n: t.nrows()}
+	return erel{cols: cols, n: t.nrows()}
 }
 
 func sortedKeys[M ~map[string]V, V any](m M) []string {

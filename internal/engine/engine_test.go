@@ -22,17 +22,16 @@ func queryStrings(t *testing.T, e *DB, sql string) [][]string {
 	if err != nil {
 		t.Fatalf("Query(%q): %v", sql, err)
 	}
-	out := make([][]string, blk.Rows)
-	for i := 0; i < blk.Rows; i++ {
-		row := make([]string, len(blk.Cols))
-		for j := range blk.Cols {
-			v, err := blk.Value(i, j)
-			if err != nil {
-				t.Fatalf("Value(%d,%d): %v", i, j, err)
-			}
-			row[j] = v.String()
+	rows, err := blk.AppendRows(nil) // one walk; Block.Value walks a column per cell
+	if err != nil {
+		t.Fatalf("AppendRows(%q): %v", sql, err)
+	}
+	out := make([][]string, len(rows))
+	for i, r := range rows {
+		out[i] = make([]string, len(r))
+		for j, v := range r {
+			out[i][j] = v.String()
 		}
-		out[i] = row
 	}
 	return out
 }

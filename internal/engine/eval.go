@@ -67,15 +67,15 @@ func (v *vres) numericKind() byte {
 	return 0
 }
 
-// evalVec evaluates an expression over the rows sel of rel (nil sel =
-// all n rows, ascending). Logical AND/OR keep the row engine's lazy
+// evalVec evaluates an expression over the n positions pos of rel (nil
+// pos = all of them, in order). Logical AND/OR keep the row engine's lazy
 // semantics per entry — the right side is only ever evaluated for
 // entries the left side did not short-circuit — so data-dependent
 // errors surface for exactly the same set of rows as the row engine.
 // Comparisons over NULL-free numeric columns run as typed kernels; any
 // node shape without a kernel falls back to the scalar mirror row by
 // row.
-func (e *DB) evalVec(ex sqldb.Expr, rel *erel, sel []int32, n int) (vres, error) {
+func (e *DB) evalVec(ex sqldb.Expr, rel *erel, pos []int32, n int) (vres, error) {
 	switch x := ex.(type) {
 	case *sqldb.Literal:
 		return vres{isConst: true, c: x.Val}, nil
@@ -89,17 +89,17 @@ func (e *DB) evalVec(ex sqldb.Expr, rel *erel, sel []int32, n int) (vres, error)
 		if err != nil {
 			return vres{}, err
 		}
-		return vres{vec: rel.vecs[i], sel: sel}, nil
+		return vres{vec: rel.cols[i].vec, sel: compose(rel.cols[i].sel, pos)}, nil
 	case *sqldb.BinaryExpr:
 		switch x.Op {
 		case "AND", "OR":
-			return e.evalLogical(x, rel, sel, n)
+			return e.evalLogical(x, rel, pos, n)
 		case "=", "<>", "<", "<=", ">", ">=":
-			l, err := e.evalVec(x.Left, rel, sel, n)
+			l, err := e.evalVec(x.Left, rel, pos, n)
 			if err != nil {
 				return vres{}, err
 			}
-			r, err := e.evalVec(x.Right, rel, sel, n)
+			r, err := e.evalVec(x.Right, rel, pos, n)
 			if err != nil {
 				return vres{}, err
 			}
@@ -108,18 +108,18 @@ func (e *DB) evalVec(ex sqldb.Expr, rel *erel, sel []int32, n int) (vres, error)
 			}
 			return applyElementwise(x.Op, &l, &r, n)
 		default:
-			l, err := e.evalVec(x.Left, rel, sel, n)
+			l, err := e.evalVec(x.Left, rel, pos, n)
 			if err != nil {
 				return vres{}, err
 			}
-			r, err := e.evalVec(x.Right, rel, sel, n)
+			r, err := e.evalVec(x.Right, rel, pos, n)
 			if err != nil {
 				return vres{}, err
 			}
 			return applyElementwise(x.Op, &l, &r, n)
 		}
 	case *sqldb.UnaryExpr:
-		v, err := e.evalVec(x.X, rel, sel, n)
+		v, err := e.evalVec(x.X, rel, pos, n)
 		if err != nil {
 			return vres{}, err
 		}
@@ -145,35 +145,25 @@ func (e *DB) evalVec(ex sqldb.Expr, rel *erel, sel []int32, n int) (vres, error)
 			if err != nil {
 				return vres{}, err
 			}
-			vec := rel.vecs[i]
+			vec, sel := rel.cols[i].vec, compose(rel.cols[i].sel, pos)
 			out := &colVec{}
-			if sel == nil {
-				for k := 0; k < n; k++ {
-					out.appendVal(sqldb.NewBool((vec.kinds[k] == driver.KindByteNull) != x.Neg))
-				}
-			} else {
-				for _, i := range sel {
-					out.appendVal(sqldb.NewBool((vec.kinds[i] == driver.KindByteNull) != x.Neg))
-				}
+			for k := 0; k < n; k++ {
+				out.appendVal(sqldb.NewBool((vec.kinds[rowAt(sel, k)] == driver.KindByteNull) != x.Neg))
 			}
 			return vres{vec: out}, nil
 		}
-		return e.evalFallback(ex, rel, sel, n)
+		return e.evalFallback(ex, rel, pos, n)
 	default:
-		return e.evalFallback(ex, rel, sel, n)
+		return e.evalFallback(ex, rel, pos, n)
 	}
 }
 
 // evalFallback runs the scalar mirror row by row — bitwise-faithful
 // semantics for every node shape without a vectorized kernel.
-func (e *DB) evalFallback(ex sqldb.Expr, rel *erel, sel []int32, n int) (vres, error) {
+func (e *DB) evalFallback(ex sqldb.Expr, rel *erel, pos []int32, n int) (vres, error) {
 	out := &colVec{}
 	for k := 0; k < n; k++ {
-		ri := k
-		if sel != nil {
-			ri = int(sel[k])
-		}
-		v, err := e.evalScalar(ex, rel, ri)
+		v, err := e.evalScalar(ex, rel, rowAt(pos, k))
 		if err != nil {
 			return vres{}, err
 		}
@@ -185,9 +175,9 @@ func (e *DB) evalFallback(ex sqldb.Expr, rel *erel, sel []int32, n int) (vres, e
 // evalLogical is vectorized AND/OR with the row engine's short-circuit
 // rule: AND answers false immediately when the left is boolean false
 // (OR answers true when it is boolean true) and only the surviving
-// subset of rows ever evaluates the right side.
-func (e *DB) evalLogical(x *sqldb.BinaryExpr, rel *erel, sel []int32, n int) (vres, error) {
-	l, err := e.evalVec(x.Left, rel, sel, n)
+// subset of positions ever evaluates the right side.
+func (e *DB) evalLogical(x *sqldb.BinaryExpr, rel *erel, pos []int32, n int) (vres, error) {
+	l, err := e.evalVec(x.Left, rel, pos, n)
 	if err != nil {
 		return vres{}, err
 	}
@@ -196,7 +186,7 @@ func (e *DB) evalLogical(x *sqldb.BinaryExpr, rel *erel, sel []int32, n int) (vr
 		if l.c.Kind == sqldb.KindBool && l.c.Bool == shortOn {
 			return vres{isConst: true, c: sqldb.NewBool(shortOn)}, nil
 		}
-		r, err := e.evalVec(x.Right, rel, sel, n)
+		r, err := e.evalVec(x.Right, rel, pos, n)
 		if err != nil {
 			return vres{}, err
 		}
@@ -210,11 +200,7 @@ func (e *DB) evalLogical(x *sqldb.BinaryExpr, rel *erel, sel []int32, n int) (vr
 		if lv := l.value(k); lv.Kind == sqldb.KindBool && lv.Bool == shortOn {
 			continue
 		}
-		ri := k
-		if sel != nil {
-			ri = int(sel[k])
-		}
-		*rest = append(*rest, int32(ri))
+		*rest = append(*rest, int32(rowAt(pos, k)))
 		*restPos = append(*restPos, int32(k))
 	}
 	var r vres
@@ -225,13 +211,13 @@ func (e *DB) evalLogical(x *sqldb.BinaryExpr, rel *erel, sel []int32, n int) (vr
 		}
 	}
 	out := &colVec{}
-	pos := 0
+	next := 0
 	for k := 0; k < n; k++ {
-		if pos < len(*restPos) && int((*restPos)[pos]) == k {
+		if next < len(*restPos) && int((*restPos)[next]) == k {
 			// ApplyBinary on AND/OR never errors.
-			v, _ := sqldb.ApplyBinary(x.Op, l.value(k), r.value(pos))
+			v, _ := sqldb.ApplyBinary(x.Op, l.value(k), r.value(next))
 			out.appendVal(v)
-			pos++
+			next++
 			continue
 		}
 		out.appendVal(sqldb.NewBool(shortOn))
@@ -365,8 +351,8 @@ func compareConst[T int64 | float64](out []bool, vals []T, sel []int32, keep ord
 	}
 }
 
-// evalScalar mirrors the row engine's evalExpr against one relation
-// row, node for node — same short-circuits, same NULL handling, same
+// evalScalar mirrors the row engine's evalExpr against one position of
+// a relation, node for node — same short-circuits, same NULL handling, same
 // error text — using the scalar kernels sqldb exports.
 func (e *DB) evalScalar(ex sqldb.Expr, rel *erel, ri int) (sqldb.Value, error) {
 	switch x := ex.(type) {
@@ -377,7 +363,7 @@ func (e *DB) evalScalar(ex sqldb.Expr, rel *erel, ri int) (sqldb.Value, error) {
 		if err != nil {
 			return sqldb.Null, err
 		}
-		return rel.vecs[i].value(ri), nil
+		return rel.cols[i].vec.value(rowAt(rel.cols[i].sel, ri)), nil
 	case *sqldb.BinaryExpr:
 		l, err := e.evalScalar(x.Left, rel, ri)
 		if err != nil {

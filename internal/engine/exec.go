@@ -10,35 +10,59 @@ import (
 	"github.com/qamarket/qamarket/internal/sqldb"
 )
 
-// ebind names one column of an intermediate relation.
-type ebind struct {
-	qual string
-	name string
+// ecol is one column of an intermediate relation: the binding it is
+// named by, its vector, and the selection the vector is read through.
+type ecol struct {
+	qual, name string
+	vec        *colVec
+	sel        []int32 // nil = the vector's rows as they are
 }
 
 // erel is the one intermediate form every operator reads and writes:
-// column vectors plus one selection vector. The vectors alias table
-// storage (or the output of a pipeline breaker below) and are never
-// copied to drop a row; sel lists the rows the relation holds, in
-// order, and filters only ever replace it. A join's output holds a nil
-// vector for every column nothing after the join can name.
+// column vectors, each read through a selection. The vectors alias table
+// storage (or the owned output of an expression or an aggregation below)
+// and are never copied to drop, repeat or reorder a row; position k of
+// the relation holds, in column c, row c.sel[k] of c.vec. A scan's
+// columns share one selection and filters only ever replace it; a
+// join's output keeps each input's vectors and reads them through that
+// input's half of the matching pairs.
 type erel struct {
-	cols []ebind
-	vecs []*colVec
-	sel  []int32 // nil = every row of the vectors
-	n    int     // rows in the relation: len(sel), or the vectors' length
+	cols []ecol
+	n    int // positions in the relation
 	// card is the row count the row engine's relation has at this point
 	// — it filters after its joins, so pushed-down conjuncts do not
 	// lower it — and is what a join picks its build side from.
 	card int
 }
 
-// row maps position k of the relation to a row of its vectors.
-func (r *erel) row(k int) int32 {
-	if r.sel != nil {
-		return r.sel[k]
+// sameSel reports whether two selections are one: the same array, not
+// equal contents. Columns that came from one input share theirs.
+func sameSel(a, b []int32) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// restrict makes the relation hold positions pos of what it held, in
+// that order — a filter's survivors, a join's half of the pairs, a
+// sort's permutation — by reading each distinct selection through pos.
+// No selection is written: one may be an index's posting list.
+func (r *erel) restrict(pos []int32, sc *scratch) {
+	var from, to []int32
+	for j := range r.cols {
+		c := &r.cols[j]
+		switch {
+		case c.sel == nil:
+			c.sel = pos
+		case from != nil && sameSel(c.sel, from):
+			c.sel = to
+		default:
+			from, to = c.sel, sc.borrow(len(pos))[:len(pos)]
+			for k, p := range pos {
+				to[k] = from[p]
+			}
+			c.sel = to
+		}
 	}
-	return int32(k)
+	r.n = len(pos)
 }
 
 // resolve finds the position of a column reference, enforcing the same
@@ -102,7 +126,7 @@ func (sc *scratch) release() {
 // filter → projection or aggregation → DISTINCT → stable sort →
 // OFFSET/LIMIT. The leading conjuncts of WHERE that cannot raise run
 // on the scans instead (pushdown). The result is the output columns'
-// names and a relation holding them, its cols unset.
+// names and a relation holding them, its columns unbound.
 func (e *DB) selectLocked(s *sqldb.SelectStmt, depth int, sc *scratch) ([]string, erel, error) {
 	if depth > sqldb.MaxViewDepth {
 		return nil, erel{}, fmt.Errorf("sqldb: view nesting exceeds %d", sqldb.MaxViewDepth)
@@ -117,17 +141,12 @@ func (e *DB) selectLocked(s *sqldb.SelectStmt, depth int, sc *scratch) ([]string
 	if err != nil {
 		return nil, erel{}, err
 	}
-	var named colRefs
-	if len(s.Joins) > 0 {
-		named = namedColumns(s, where, orderExprs)
-	}
 	for i, join := range s.Joins {
 		right, err := e.scanRef(s, i+1, depth, pushed, sc)
 		if err != nil {
 			return nil, erel{}, err
 		}
-		named.joined()
-		rel, err = hashJoinVec(&rel, &right, join, &named)
+		rel, err = hashJoinVec(&rel, &right, join, sc)
 		if err != nil {
 			return nil, erel{}, err
 		}
@@ -205,7 +224,17 @@ func (e *DB) selectLocked(s *sqldb.SelectStmt, depth int, sc *scratch) ([]string
 	} else if hi-lo < nout {
 		perm = identity(lo, hi)
 	}
-	return names, output(vis, nout, perm), nil
+	// The result stays late: each output column as it is — a relation's
+	// vector behind its selection, or an owned one — read through perm.
+	out := erel{cols: make([]ecol, len(vis)), n: nout}
+	for j := range vis {
+		out.cols[j].vec, out.cols[j].sel = vis[j].vec, vis[j].sel
+	}
+	if perm != nil {
+		out.restrict(perm, sc)
+	}
+	out.card = out.n
+	return names, out, nil
 }
 
 // identity lists lo, lo+1, …, hi-1.
@@ -217,38 +246,12 @@ func identity(lo, hi int) []int32 {
 	return p
 }
 
-// output assembles a select's result relation from its output columns
-// (n positions each) and the positions perm keeps. While every column
-// is read through the same selection — plain references to a filtered
-// scan — or through none, the result stays late: the vectors as they
-// are and one selection, composed with perm. A mix of the two is the
-// one shape that cannot be said that way and is gathered dense.
-func output(vis []vres, n int, perm []int32) erel {
-	out := erel{vecs: make([]*colVec, len(vis)), n: n}
-	if perm != nil {
-		out.n = len(perm)
+// rowAt reads position k through a selection; nil is the identity.
+func rowAt(sel []int32, k int) int {
+	if sel != nil {
+		return int(sel[k])
 	}
-	out.card = out.n
-	selected := 0
-	for j := range vis {
-		out.vecs[j] = vis[j].vec
-		if vis[j].sel != nil {
-			selected++
-		}
-	}
-	switch selected {
-	case 0:
-		out.sel = perm
-	case len(vis):
-		out.sel = compose(vis[0].sel, perm)
-	default:
-		for j := range vis {
-			if idx := compose(vis[j].sel, perm); idx != nil {
-				out.vecs[j] = gather(vis[j].vec, idx)
-			}
-		}
-	}
-	return out
+	return k
 }
 
 // compose reads positions perm through selection sel; nil is the
@@ -267,117 +270,30 @@ func compose(sel, perm []int32) []int32 {
 	return out
 }
 
-// block turns a select's result into the driver's result block. A
-// selection over row-aligned columns (each one kind, no NULLs) leaves
-// the engine as it is — Block.Sel, an exact-size copy the block owns,
-// over columns that alias storage — and is gathered batch by batch at
-// the socket, if it is read at all. Anything else is gathered here: the
-// wire layout cannot address a row of a sparse column.
+// block turns a select's result into the driver's result block, and is
+// where a join's output is finally gathered. One selection shared by
+// row-aligned columns (each one kind, no NULLs) leaves the engine as it
+// is — Block.Sel, an exact-size copy the block owns, over columns that
+// alias storage — and is gathered batch by batch at the socket, if it
+// is read at all. Anything else is gathered here, each column through
+// its own selection: the wire layout has one selection to offer and
+// cannot address a row of a sparse column.
 func (r *erel) block(names []string) *driver.Block {
-	blk := &driver.Block{Columns: names, Rows: r.n, Cols: make([]driver.Col, len(r.vecs))}
-	late := r.sel != nil && r.n > 0
-	for _, v := range r.vecs {
-		late = late && v.uniform() != 0
+	blk := &driver.Block{Columns: names, Rows: r.n, Cols: make([]driver.Col, len(r.cols))}
+	late := r.n > 0 && len(r.cols) > 0 && r.cols[0].sel != nil
+	for _, c := range r.cols {
+		late = late && c.vec.uniform() != 0 && sameSel(c.sel, r.cols[0].sel)
 	}
-	for j, v := range r.vecs {
-		if r.sel != nil && !late {
-			v = gather(v, r.sel)
+	for j, c := range r.cols {
+		if c.sel != nil && !late {
+			c.vec = gather(c.vec, c.sel)
 		}
-		blk.Cols[j] = v.asCol()
+		blk.Cols[j] = c.vec.asCol()
 	}
 	if late {
-		blk.Sel = append(make([]int32, 0, r.n), r.sel...)
+		blk.Sel = append(make([]int32, 0, r.n), r.cols[0].sel...)
 	}
 	return blk
-}
-
-// colRefs is the column references that can still be asked of a join's
-// output. The join is the one operator that copies columns, and it
-// copies a column only when some reference after it can name it — same
-// name, and no qualifier or the column's own binding — which is the
-// rule resolve matches by, so "ambiguous column" and "unknown column"
-// surface exactly as they would with every column carried along. A
-// star item names them all.
-type colRefs struct {
-	star bool
-	// refs holds two per join, in join order, then everything read
-	// after the last join: the residual WHERE (the pushed-down
-	// conjuncts ran on the scans), items, GROUP BY, ORDER BY. joined
-	// drops a join's pair once its condition is about to run.
-	refs []*sqldb.ColumnRef
-}
-
-func namedColumns(s *sqldb.SelectStmt, residual sqldb.Expr, orderExprs []sqldb.Expr) colRefs {
-	c := colRefs{refs: make([]*sqldb.ColumnRef, 0, 8+2*len(s.Joins))}
-	add := func(r *sqldb.ColumnRef) { c.refs = append(c.refs, r) }
-	for i := range s.Joins {
-		add(&s.Joins[i].Left)
-		add(&s.Joins[i].Right)
-	}
-	if residual != nil {
-		walkRefs(residual, add)
-	}
-	for _, it := range s.Items {
-		if it.Star {
-			c.star = true
-			continue
-		}
-		walkRefs(it.Expr, add)
-	}
-	for _, g := range s.GroupBy {
-		walkRefs(g, add)
-	}
-	for _, o := range orderExprs {
-		walkRefs(o, add)
-	}
-	return c
-}
-
-// joined moves past one join condition.
-func (c *colRefs) joined() { c.refs = c.refs[2:] }
-
-// names reports whether a remaining reference can resolve to column b.
-func (c *colRefs) names(b ebind) bool {
-	if c.star {
-		return true
-	}
-	for _, r := range c.refs {
-		if r.Column == b.name && (r.Table == "" || r.Table == b.qual) {
-			return true
-		}
-	}
-	return false
-}
-
-// walkRefs calls visit for every column reference in an expression.
-func walkRefs(ex sqldb.Expr, visit func(*sqldb.ColumnRef)) {
-	switch x := ex.(type) {
-	case *sqldb.ColumnRef:
-		visit(x)
-	case *sqldb.BinaryExpr:
-		walkRefs(x.Left, visit)
-		walkRefs(x.Right, visit)
-	case *sqldb.UnaryExpr:
-		walkRefs(x.X, visit)
-	case *sqldb.AggExpr:
-		if x.Arg != nil {
-			walkRefs(x.Arg, visit)
-		}
-	case *sqldb.InExpr:
-		walkRefs(x.X, visit)
-		for _, item := range x.List {
-			walkRefs(item, visit)
-		}
-	case *sqldb.BetweenExpr:
-		walkRefs(x.X, visit)
-		walkRefs(x.Lo, visit)
-		walkRefs(x.Hi, visit)
-	case *sqldb.LikeExpr:
-		walkRefs(x.X, visit)
-		walkRefs(x.Pattern, visit)
-	case *sqldb.IsNullExpr:
-		walkRefs(x.X, visit)
-	}
 }
 
 // cmpLit is one pushed-down conjunct: column col of FROM entry from,
@@ -512,51 +428,51 @@ func numericConst(ex sqldb.Expr) (float64, bool) {
 func (e *DB) scanRef(s *sqldb.SelectStmt, refIdx, depth int, pushed []cmpLit, sc *scratch) (erel, error) {
 	ref := s.From[refIdx]
 	qual := ref.Name()
-	var rel erel
-	if t, ok := e.tables[ref.Table]; ok {
-		rel = erel{cols: make([]ebind, len(t.cols)), vecs: t.vecs, n: t.nrows()}
-		for i, c := range t.cols {
-			rel.cols[i] = ebind{qual: qual, name: c.Name}
+	t, ok := e.tables[ref.Table]
+	if !ok {
+		v, ok := e.views[ref.Table]
+		if !ok {
+			return erel{}, fmt.Errorf("sqldb: unknown relation %q", ref.Table)
 		}
-		if col, val, ok := sqldb.IndexableEq(s, refIdx); ok {
-			if ix := e.lookupIndex(ref.Table, col); ix != nil {
-				rel.sel = ix.m[val.GroupKey()]
-				if rel.sel == nil {
-					rel.sel = []int32{}
-				}
-				rel.n = len(rel.sel)
-			}
-		}
-	} else if v, ok := e.views[ref.Table]; ok {
-		var names []string
-		var err error
-		if names, rel, err = e.selectLocked(v, depth+1, sc); err != nil {
+		names, rel, err := e.selectLocked(v, depth+1, sc)
+		if err != nil {
 			return erel{}, fmt.Errorf("sqldb: expanding view %q: %w", ref.Table, err)
 		}
-		rel.cols = make([]ebind, len(names))
 		for i, name := range names {
-			rel.cols[i] = ebind{qual: qual, name: name}
+			rel.cols[i].qual, rel.cols[i].name = qual, name
 		}
-	} else {
-		return erel{}, fmt.Errorf("sqldb: unknown relation %q", ref.Table)
+		return rel, nil // pushable names a base table's column: nothing was pushed onto a view
+	}
+	rel := erel{cols: make([]ecol, len(t.cols)), n: t.nrows()}
+	var sel []int32
+	if col, val, ok := sqldb.IndexableEq(s, refIdx); ok {
+		if ix := e.lookupIndex(ref.Table, col); ix != nil {
+			if sel = ix.m[val.GroupKey()]; sel == nil {
+				sel = []int32{}
+			}
+			rel.n = len(sel)
+		}
 	}
 	rel.card = rel.n
 
-	owned := false // rel.sel is this scan's to overwrite, not an index's posting list
+	owned := false // sel is this scan's to overwrite, not an index's posting list
 	for _, p := range pushed {
 		if p.from != refIdx {
 			continue
 		}
-		dst := rel.sel
+		dst := sel
 		if !owned {
 			dst, owned = sc.borrow(rel.n), true
 		}
-		if vec := rel.vecs[p.col]; vec.uniform() == driver.KindByteInt {
-			rel.sel = refine(dst, vec.ints, rel.sel, rel.n, p.keep, p.c)
+		if vec := t.vecs[p.col]; vec.uniform() == driver.KindByteInt {
+			sel = refine(dst, vec.ints, sel, rel.n, p.keep, p.c)
 		} else {
-			rel.sel = refine(dst, vec.floats, rel.sel, rel.n, p.keep, p.c)
+			sel = refine(dst, vec.floats, sel, rel.n, p.keep, p.c)
 		}
-		rel.n = len(rel.sel)
+		rel.n = len(sel)
+	}
+	for i, c := range t.cols {
+		rel.cols[i] = ecol{qual: qual, name: c.Name, vec: t.vecs[i], sel: sel}
 	}
 	return rel, nil
 }
@@ -583,92 +499,66 @@ func refine[T int64 | float64](dst []int32, vals []T, src []int32, n int, keep o
 	return dst[:w]
 }
 
-// hashJoinVec performs the equi-join over its inputs' selections: hash
-// the build side's key column, probe with the other, collect the
-// matching row-index pairs, then gather — the join is a pipeline
-// breaker — only the columns something after it still names. The build
-// side is the input with the smaller card, the row engine's choice, so
-// the pairs come out in its order; key semantics mirror it exactly too:
-// NULLs never join and keys match by value group-key, which for two
-// NULL-free numeric columns is their float64 image and for two
-// NULL-free text columns the string itself, so those stay unboxed.
-func hashJoinVec(left, right *erel, on sqldb.JoinOn, named *colRefs) (erel, error) {
+// hashJoinVec performs the equi-join and copies no value: its output is
+// both inputs' vectors, each read through its input's half of the
+// matching pairs. The build side is the input with the smaller card,
+// the row engine's choice, so the pairs come out in its order; key
+// semantics mirror it exactly too: NULLs never join and keys match by
+// value group-key, which two NULL-free columns of one class (keyClass)
+// match by unboxed.
+func hashJoinVec(left, right *erel, on sqldb.JoinOn, sc *scratch) (erel, error) {
 	lcol, rcol, err := splitJoinColsVec(left, right, on)
 	if err != nil {
 		return erel{}, err
 	}
-	buildLeft := left.card <= right.card
-	build, probe := left, right
-	bcol, pcol := lcol, rcol
-	if !buildLeft {
-		build, probe = right, left
-		bcol, pcol = rcol, lcol
+	var lpos, rpos []int32
+	if left.card <= right.card {
+		lpos, rpos = joinPairs(left, right, lcol, rcol, sc)
+	} else {
+		rpos, lpos = joinPairs(right, left, rcol, lcol, sc)
 	}
-	bvec, pvec := build.vecs[bcol], probe.vecs[pcol]
-
-	bIdx := getSel()
-	pIdx := getSel()
-	defer putSel(bIdx)
-	defer putSel(pIdx)
-
-	switch bu, pu := bvec.uniform(), pvec.uniform(); {
-	case isNumeric(bu) && isNumeric(pu):
-		joinPairs(build, probe, numericKeys(build, bvec), numericKeys(probe, pvec), bIdx, pIdx)
-	case bu == driver.KindByteText && pu == driver.KindByteText:
-		joinPairs(build, probe, textKeys(build, bvec), textKeys(probe, pvec), bIdx, pIdx)
-	default:
-		joinPairs(build, probe, boxedKeys(build, bvec), boxedKeys(probe, pvec), bIdx, pIdx)
-	}
-
-	leftSel, rightSel := *bIdx, *pIdx
-	if !buildLeft {
-		leftSel, rightSel = *pIdx, *bIdx
-	}
-	out := erel{
-		cols: append(append(make([]ebind, 0, len(left.cols)+len(right.cols)), left.cols...), right.cols...),
-		vecs: append(append(make([]*colVec, 0, len(left.vecs)+len(right.vecs)), left.vecs...), right.vecs...),
-		n:    len(leftSel),
-		card: len(leftSel),
-	}
-	for j, v := range out.vecs {
-		sel := leftSel
-		if j >= len(left.vecs) {
-			sel = rightSel
-		}
-		if v != nil && named.names(out.cols[j]) {
-			out.vecs[j] = gather(v, sel)
-		} else {
-			out.vecs[j] = nil
-		}
-	}
-	return out, nil
+	left.restrict(lpos, sc)
+	right.restrict(rpos, sc)
+	return erel{
+		cols: append(append(make([]ecol, 0, len(left.cols)+len(right.cols)), left.cols...), right.cols...),
+		n:    len(lpos),
+		card: len(lpos),
+	}, nil
 }
 
-// joinPairs appends the matching (build row, probe row) pairs in the
-// row engine's emission order: probe order, and build order within one
-// probe row's matches. The build side's keys are numbered by first
-// appearance and its rows laid out bucket by bucket, so the table is a
-// map of integers and three arrays whatever the number of keys. A key
-// function reports false for NULL, which never joins.
-func joinPairs[K comparable](build, probe *erel, bkey, pkey func(int) (K, bool), bIdx, pIdx *[]int32) {
-	bucket := make([]int32, build.n)
-	ids, first := numberKeys(bucket, bkey)
-	start, rows := bucketRows(bucket, len(first), build)
-	for k := 0; k < probe.n; k++ {
-		key, ok := pkey(k)
-		if !ok {
-			continue
-		}
-		id, hit := ids[key]
-		if !hit {
-			continue
-		}
-		p := probe.row(k)
-		for _, b := range rows[start[id]:start[id+1]] {
-			*bIdx = append(*bIdx, b)
-			*pIdx = append(*pIdx, p)
+// joinPairs lists the matching (build position, probe position) pairs
+// in the row engine's emission order: probe order, and build order
+// within one probe row's matches. The build side's keys are numbered by
+// first appearance and its positions laid out bucket by bucket; the
+// probe side's are looked up in the same table, which says how many
+// pairs there are before one is written.
+func joinPairs(build, probe *erel, bcol, pcol int, sc *scratch) (bpos, ppos []int32) {
+	b, p := &build.cols[bcol], &probe.cols[pcol]
+	class := keyClass(b.vec.uniform())
+	typed := class != 0 && class == keyClass(p.vec.uniform())
+	t := newKeyTable(sc, build.n)
+	bid, pid := sc.borrow(build.n)[:build.n], sc.borrow(probe.n)[:probe.n]
+	t.ids(bid, b.vec, b.sel, typed, true)
+	start, rows := bucketRows(bid, t.len(), sc)
+	t.ids(pid, p.vec, p.sel, typed, false)
+	pairs := 0
+	for _, id := range pid {
+		if id >= 0 {
+			pairs += int(start[id+1] - start[id])
 		}
 	}
+	bpos, ppos = sc.borrow(pairs)[:pairs], sc.borrow(pairs)[:pairs]
+	w := 0
+	for k, id := range pid {
+		if id < 0 {
+			continue
+		}
+		for _, b := range rows[start[id]:start[id+1]] {
+			bpos[w], ppos[w] = b, int32(k)
+			w++
+		}
+	}
+	return bpos, ppos
 }
 
 // splitJoinColsVec resolves the ON condition's two sides, either order.
@@ -697,7 +587,7 @@ func splitJoinColsVec(left, right *erel, on sqldb.JoinOn) (int, int, error) {
 // its selection with the rows that pass (predicate strictly true, like
 // the row engine: NULL filters out).
 func (e *DB) filter(where sqldb.Expr, rel *erel, sc *scratch) error {
-	v, err := e.evalVec(where, rel, rel.sel, rel.n)
+	v, err := e.evalVec(where, rel, nil, rel.n)
 	if err != nil {
 		return err
 	}
@@ -710,17 +600,17 @@ func (e *DB) filter(where sqldb.Expr, rel *erel, sc *scratch) error {
 	case v.sel == nil && v.vec.uniform() == driver.KindByteBool:
 		for k, b := range v.vec.bools {
 			if b {
-				keep = append(keep, rel.row(k))
+				keep = append(keep, int32(k))
 			}
 		}
 	default:
 		for k := 0; k < rel.n; k++ {
 			if val := v.value(k); val.Kind == sqldb.KindBool && val.Bool {
-				keep = append(keep, rel.row(k))
+				keep = append(keep, int32(k))
 			}
 		}
 	}
-	rel.sel, rel.n = keep, len(keep)
+	rel.restrict(keep, sc)
 	return nil
 }
 
@@ -739,7 +629,7 @@ func (e *DB) executeProjection(s *sqldb.SelectStmt, rel *erel, orderExprs []sqld
 			out[i].vec = &colVec{}
 			continue
 		}
-		v, err := e.evalVec(ex, rel, rel.sel, rel.n)
+		v, err := e.evalVec(ex, rel, nil, rel.n)
 		if err != nil {
 			return nil, nil, nil, 0, err
 		}

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
+	"math/bits"
 	"strings"
 
 	"github.com/qamarket/qamarket/internal/driver"
@@ -11,13 +13,12 @@ import (
 
 // Typed keys. GROUP BY and the hash join match values by
 // sqldb.Value.GroupKey; over a NULL-free column of one kind the same
-// equivalence has an unboxed form, and these are the key functions that
-// produce it, by position of a relation. Numbers — ints and floats
-// alike — key by the bits of their float64 image, which is what
-// GroupKey formats: ints that round to one float64 share a key, -0 and
-// +0 do not, and every NaN is the one "NaN". Texts and bools key by
-// themselves. Every other column keeps the boxed GroupKey string, and
-// reports NULL, which never joins.
+// equivalence has an unboxed form. Numbers — ints and floats alike —
+// key by the bits of their float64 image, which is what GroupKey
+// formats: ints that round to one float64 share a key, -0 and +0 do
+// not, and every NaN is the one "NaN". Texts key by themselves and
+// bools as the numbers 0 and 1. Every other column keys by the boxed
+// GroupKey string, and its NULLs get no key: they never join.
 
 var nanKey = math.Float64bits(math.NaN())
 
@@ -28,62 +29,183 @@ func numberBits(f float64) uint64 {
 	return math.Float64bits(f)
 }
 
-func isNumeric(kind byte) bool {
-	return kind == driver.KindByteInt || kind == driver.KindByteFloat
-}
-
-// numericKeys is the key function of a uniform numeric column of rel.
-func numericKeys(rel *erel, vec *colVec) func(int) (uint64, bool) {
-	if vec.uniform() == driver.KindByteInt {
-		return func(k int) (uint64, bool) { return numberBits(float64(vec.ints[rel.row(k)])), true }
+// keyClass is what two NULL-free one-kind columns must share for their
+// typed keys to be comparable: 'n' for numbers of either kind, the kind
+// itself for texts and bools, 0 for a column that has no typed key.
+func keyClass(kind byte) byte {
+	if kind == driver.KindByteInt || kind == driver.KindByteFloat {
+		return 'n'
 	}
-	return func(k int) (uint64, bool) { return numberBits(vec.floats[rel.row(k)]), true }
+	return kind
 }
 
-func textKeys(rel *erel, vec *colVec) func(int) (string, bool) {
-	return func(k int) (string, bool) { return vec.texts[rel.row(k)], true }
+// keyTable numbers keys by first appearance: the row engine's group
+// order, and the bucket numbers of a join's build side. It is an
+// open-addressing table (power-of-two, linear probing) whose slots hold
+// key numbers; the keys themselves sit in number order beside it. One
+// table holds numbers or texts, never both.
+type keyTable struct {
+	sc    *scratch
+	slots []int32 // 1 + the number of the key in the slot, 0 when empty
+	shift uint    // 64 - log2(len(slots)): a hash's top bits are its slot
+	nums  []uint64
+	texts []string
 }
 
-func boolKeys(rel *erel, vec *colVec) func(int) (bool, bool) {
-	return func(k int) (bool, bool) { return vec.bools[rel.row(k)], true }
+// maxInitialKeys bounds the slots a table starts with, so grouping 100k
+// rows into 100 groups does not clear a 100k-key table first; a column
+// with more distinct keys than this doubles its way up.
+const maxInitialKeys = 1024
+
+// newKeyTable sizes the table from the n positions it will be fed: a
+// 50-row join side pays for 128 slots.
+func newKeyTable(sc *scratch, n int) *keyTable {
+	t := &keyTable{sc: sc}
+	t.resize(max(3, bits.Len(uint(2*min(n, maxInitialKeys)))))
+	return t
 }
 
-// boxedKeys is the key function of any column: the GroupKey string.
-func boxedKeys(rel *erel, vec *colVec) func(int) (string, bool) {
-	return func(k int) (string, bool) {
-		v := vec.value(int(rel.row(k)))
-		return v.GroupKey(), !v.IsNull()
+func (t *keyTable) len() int { return len(t.nums) + len(t.texts) }
+
+// resize gives the table 2^log empty slots and puts its keys back: each
+// is distinct, so its probe ends at an empty slot.
+func (t *keyTable) resize(log int) {
+	t.slots = t.sc.borrow(1 << log)[:1<<log]
+	clear(t.slots)
+	t.shift = uint(64 - log)
+	for id, key := range t.nums {
+		_, h := probe(t, t.nums, hashNumber(key), key)
+		t.slots[h] = int32(id) + 1
+	}
+	for id, key := range t.texts {
+		_, h := probe(t, t.texts, hashText(key), key)
+		t.slots[h] = int32(id) + 1
 	}
 }
 
-// numberKeys numbers the keys of positions 0..len(ids)-1 by first
-// appearance, writing each position's number to ids (-1 for a NULL key)
-// and returning the numbering and each number's first position.
-func numberKeys[K comparable](ids []int32, key func(int) (K, bool)) (map[K]int32, []int32) {
-	seen := make(map[K]int32)
-	var first []int32
-	for k := range ids {
-		kk, ok := key(k)
-		if !ok {
-			ids[k] = -1
-			continue
+// hashNumber is Fibonacci hashing. The slot is the product's top bits
+// because the keys' entropy is at the top: the float64 images of small
+// integers share some 46 trailing zero bits, which the low bits of any
+// product keep.
+func hashNumber(key uint64) uint64 { return key * 0x9E3779B97F4A7C15 }
+
+var textSeed = maphash.MakeSeed()
+
+func hashText(key string) uint64 { return maphash.String(textSeed, key) }
+
+// probe walks from a hash's slot to the key's — returning its number —
+// or to the empty slot where the walk ends, returning -1 and the slot.
+func probe[K comparable](t *keyTable, keys []K, hash uint64, key K) (int32, uint64) {
+	for h := hash >> t.shift; ; h = (h + 1) & uint64(len(t.slots)-1) {
+		id := t.slots[h] - 1
+		if id < 0 || keys[id] == key {
+			return id, h
 		}
-		id, dup := seen[kk]
-		if !dup {
-			id = int32(len(first))
-			seen[kk] = id
-			first = append(first, int32(k))
-		}
-		ids[k] = id
 	}
-	return seen, first
 }
 
-// bucketRows lists a relation's rows bucket after bucket, in relation
-// order within each: rows[start[b]:start[b+1]] are bucket b's. ids
-// gives each position's bucket, -1 for none.
-func bucketRows(ids []int32, buckets int, rel *erel) (start, rows []int32) {
-	start = make([]int32, buckets+1)
+// number returns the number of a key, giving it the next one when it is
+// new and add is set and -1 when it is new and add is not.
+func (t *keyTable) number(key uint64, add bool) int32 {
+	id, h := probe(t, t.nums, hashNumber(key), key)
+	if id < 0 && add {
+		t.nums = append(t.nums, key)
+		id = t.fill(h)
+	}
+	return id
+}
+
+// text is number for a text key.
+func (t *keyTable) text(key string, add bool) int32 {
+	id, h := probe(t, t.texts, hashText(key), key)
+	if id < 0 && add {
+		t.texts = append(t.texts, key)
+		id = t.fill(h)
+	}
+	return id
+}
+
+// fill puts the key just appended in the empty slot its probe ended at,
+// and doubles the table once it is half full.
+func (t *keyTable) fill(h uint64) int32 {
+	n := t.len()
+	t.slots[h] = int32(n)
+	if 2*n > len(t.slots) {
+		t.resize(65 - int(t.shift))
+	}
+	return int32(n - 1)
+}
+
+// ids writes to dst the key number of each position of a column read
+// through sel (nil = the column's first len(dst) rows), in position
+// order, so with add set the numbers come out in order of first
+// appearance. Without add an unseen key is -1. typed says the column's
+// one kind keys unboxed; otherwise the key is the GroupKey string and a
+// NULL's number is -1.
+func (t *keyTable) ids(dst []int32, vec *colVec, sel []int32, typed, add bool) {
+	switch kind := vec.uniform(); {
+	case !typed:
+		for k := range dst {
+			if v := vec.value(rowAt(sel, k)); v.IsNull() {
+				dst[k] = -1
+			} else {
+				dst[k] = t.text(v.GroupKey(), add)
+			}
+		}
+	case kind == driver.KindByteInt:
+		numberIDs(t, dst, vec.ints, sel, add)
+	case kind == driver.KindByteFloat:
+		numberIDs(t, dst, vec.floats, sel, add)
+	case kind == driver.KindByteBool:
+		for k := range dst {
+			key := uint64(0)
+			if vec.bools[rowAt(sel, k)] {
+				key = 1
+			}
+			dst[k] = t.number(key, add)
+		}
+	case len(sel) > len(vec.texts):
+		// More positions than rows — a dimension's column behind a join:
+		// look each row up once and remember its number (as 2 + id, so
+		// that 0 is "not looked up yet" and 1 a miss).
+		rowID := t.sc.borrow(len(vec.texts))[:len(vec.texts)]
+		clear(rowID)
+		for k, r := range sel {
+			if rowID[r] == 0 {
+				rowID[r] = 2 + t.text(vec.texts[r], add)
+			}
+			dst[k] = rowID[r] - 2
+		}
+	default:
+		for k := range dst {
+			dst[k] = t.text(vec.texts[rowAt(sel, k)], add)
+		}
+	}
+}
+
+// numberIDs is ids over a numeric column. A key found in its hash's own
+// slot — nearly every row of a column with few keys — is read here, from
+// locals the stores to dst cannot alias; anything else takes the table's
+// general walk, which may move the table.
+func numberIDs[T int64 | float64](t *keyTable, dst []int32, vals []T, sel []int32, add bool) {
+	slots, nums, shift := t.slots, t.nums, t.shift
+	for k := range dst {
+		key := numberBits(float64(vals[rowAt(sel, k)]))
+		id := slots[hashNumber(key)>>shift] - 1
+		if id < 0 || nums[id] != key {
+			id = t.number(key, add)
+			slots, nums, shift = t.slots, t.nums, t.shift
+		}
+		dst[k] = id
+	}
+}
+
+// bucketRows lists positions bucket after bucket, in order within each:
+// rows[start[b]:start[b+1]] are bucket b's. ids gives each position's
+// bucket, -1 for none.
+func bucketRows(ids []int32, buckets int, sc *scratch) (start, rows []int32) {
+	start = sc.borrow(buckets + 1)[:buckets+1]
+	clear(start)
 	for _, id := range ids {
 		if id >= 0 {
 			start[id+1]++
@@ -92,11 +214,11 @@ func bucketRows(ids []int32, buckets int, rel *erel) (start, rows []int32) {
 	for b := 0; b < buckets; b++ {
 		start[b+1] += start[b]
 	}
-	rows = make([]int32, start[buckets])
-	fill := append([]int32(nil), start[:buckets]...)
+	rows = sc.borrow(int(start[buckets]))[:start[buckets]]
+	fill := append(sc.borrow(buckets), start[:buckets]...)
 	for k, id := range ids {
 		if id >= 0 {
-			rows[fill[id]] = rel.row(k)
+			rows[fill[id]] = int32(k)
 			fill[id]++
 		}
 	}
@@ -109,12 +231,13 @@ func bucketRows(ids []int32, buckets int, rel *erel) (start, rows []int32) {
 type grouping struct {
 	e     *DB
 	rel   *erel
+	sc    *scratch
 	gid   []int32 // group of each position; nil = one group holds them all
-	first []int32 // per group, the row of its first member; -1 when it has none
+	first []int32 // per group, the position of its first member; -1 when it has none
 	size  []int64 // per group, its rows
 	folds map[*sqldb.AggExpr]*typedFold
-	// start and rows list each group's rows, group after group; built
-	// when an aggregate without a typed fold first asks (members).
+	// start and rows list each group's positions, group after group;
+	// built when an aggregate without a typed fold first asks (members).
 	start, rows []int32
 }
 
@@ -166,13 +289,13 @@ func (e *DB) executeGrouped(s *sqldb.SelectStmt, rel *erel, orderExprs []sqldb.E
 // groupRows partitions the relation. A single key that is a NULL-free
 // column of one kind is numbered by its typed key; any other key list
 // builds the row engine's key string per row.
-func (e *DB) groupRows(keys []sqldb.Expr, rel *erel, sc *scratch) (*grouping, error) {
-	g := &grouping{e: e, rel: rel}
+func (e *DB) groupRows(keys []sqldb.Expr, rel *erel, sc *scratch) (grouping, error) {
+	g := grouping{e: e, rel: rel, sc: sc}
 	if len(keys) == 0 {
 		// A global aggregate over an empty input still yields one row.
 		g.first, g.size = []int32{-1}, []int64{int64(rel.n)}
 		if rel.n > 0 {
-			g.first[0] = rel.row(0)
+			g.first[0] = 0
 		}
 		return g, nil
 	}
@@ -180,51 +303,45 @@ func (e *DB) groupRows(keys []sqldb.Expr, rel *erel, sc *scratch) (*grouping, er
 		return g, nil
 	}
 	g.gid = sc.borrow(rel.n)[:rel.n]
-	var vec *colVec
+	t := newKeyTable(sc, rel.n)
+	var col *ecol
 	if len(keys) == 1 {
-		vec = plainColumn(keys[0], rel)
+		col = plainColumn(keys[0], rel)
 	}
-	if vec != nil && vec.uniform() != 0 {
-		switch vec.uniform() {
-		case driver.KindByteText:
-			_, g.first = numberKeys(g.gid, textKeys(rel, vec))
-		case driver.KindByteBool:
-			_, g.first = numberKeys(g.gid, boolKeys(rel, vec))
-		default:
-			_, g.first = numberKeys(g.gid, numericKeys(rel, vec))
-		}
+	if col != nil && col.vec.uniform() != 0 {
+		t.ids(g.gid, col.vec, col.sel, true, true)
 	} else {
 		gvals := make([]vres, len(keys))
 		for i, k := range keys {
-			v, err := e.evalVec(k, rel, rel.sel, rel.n)
+			v, err := e.evalVec(k, rel, nil, rel.n)
 			if err != nil {
-				return nil, err
+				return grouping{}, err
 			}
 			gvals[i] = v
 		}
 		var kb strings.Builder
-		_, g.first = numberKeys(g.gid, func(k int) (string, bool) {
+		for k := range g.gid {
 			kb.Reset()
 			for i := range gvals {
 				kb.WriteString(gvals[i].value(k).GroupKey())
 				kb.WriteByte('|')
 			}
-			return kb.String(), true
-		})
+			g.gid[k] = t.text(kb.String(), true)
+		}
 	}
-	g.size = make([]int64, len(g.first))
-	for _, id := range g.gid {
+	g.first, g.size = make([]int32, t.len()), make([]int64, t.len())
+	for k, id := range g.gid {
+		if g.size[id] == 0 {
+			g.first[id] = int32(k)
+		}
 		g.size[id]++
-	}
-	for id, k := range g.first {
-		g.first[id] = rel.row(int(k))
 	}
 	return g, nil
 }
 
-// plainColumn returns the relation's vector when the expression is a
+// plainColumn returns the relation's column when the expression is a
 // plain column reference that resolves, else nil.
-func plainColumn(ex sqldb.Expr, rel *erel) *colVec {
+func plainColumn(ex sqldb.Expr, rel *erel) *ecol {
 	c, ok := ex.(*sqldb.ColumnRef)
 	if !ok {
 		return nil
@@ -233,7 +350,7 @@ func plainColumn(ex sqldb.Expr, rel *erel) *colVec {
 	if err != nil {
 		return nil // the scalar mirror raises it where the row engine would
 	}
-	return rel.vecs[i]
+	return &rel.cols[i]
 }
 
 // typedFold is one aggregate over a NULL-free numeric column, folded
@@ -263,26 +380,30 @@ func (g *grouping) planFolds(ex sqldb.Expr) {
 		if x.Star || g.folds[x] != nil {
 			return
 		}
-		vec := plainColumn(x.Arg, g.rel)
-		if vec == nil || !isNumeric(vec.uniform()) {
+		col := plainColumn(x.Arg, g.rel)
+		if col == nil || keyClass(col.vec.uniform()) != 'n' {
 			return
 		}
+		vec, sel := col.vec, col.sel
 		f := &typedFold{vec: vec}
 		switch x.Func {
 		case "COUNT":
 		case "SUM", "AVG":
 			f.sum = make([]float64, len(g.first))
 			if vec.uniform() == driver.KindByteInt {
-				foldSums(f.sum, vec.ints, g)
+				foldSums(f.sum, vec.ints, sel, g.gid, g.rel.n)
 			} else {
-				foldSums(f.sum, vec.floats, g)
+				foldSums(f.sum, vec.floats, sel, g.gid, g.rel.n)
 			}
 		case "MIN", "MAX":
-			f.lo, f.hi = append([]int32(nil), g.first...), append([]int32(nil), g.first...)
+			f.lo, f.hi = make([]int32, len(g.first)), make([]int32, len(g.first))
+			for id, k := range g.first {
+				f.lo[id], f.hi[id] = int32(rowAt(sel, int(k))), int32(rowAt(sel, int(k)))
+			}
 			if vec.uniform() == driver.KindByteInt {
-				foldExtremes(f.lo, f.hi, vec.ints, g)
+				foldExtremes(f.lo, f.hi, vec.ints, sel, g.gid, g.rel.n)
 			} else {
-				foldExtremes(f.lo, f.hi, vec.floats, g)
+				foldExtremes(f.lo, f.hi, vec.floats, sel, g.gid, g.rel.n)
 			}
 		default:
 			return
@@ -294,24 +415,26 @@ func (g *grouping) planFolds(ex sqldb.Expr) {
 	}
 }
 
-func foldSums[T int64 | float64](sum []float64, vals []T, g *grouping) {
-	for k := 0; k < g.rel.n; k++ {
+// foldSums adds the column's values, read through its own selection in
+// relation order, into their groups' sums.
+func foldSums[T int64 | float64](sum []float64, vals []T, sel, gid []int32, n int) {
+	for k := 0; k < n; k++ {
 		id := int32(0)
-		if g.gid != nil {
-			id = g.gid[k]
+		if gid != nil {
+			id = gid[k]
 		}
-		sum[id] += float64(vals[g.rel.row(k)])
+		sum[id] += float64(vals[rowAt(sel, k)])
 	}
 }
 
 // foldExtremes starts from each group's first row in lo and hi.
-func foldExtremes[T int64 | float64](lo, hi []int32, vals []T, g *grouping) {
-	for k := 0; k < g.rel.n; k++ {
+func foldExtremes[T int64 | float64](lo, hi []int32, vals []T, sel, gid []int32, n int) {
+	for k := 0; k < n; k++ {
 		id := int32(0)
-		if g.gid != nil {
-			id = g.gid[k]
+		if gid != nil {
+			id = gid[k]
 		}
-		r := g.rel.row(k)
+		r := int32(rowAt(sel, k))
 		f := float64(vals[r])
 		if f < float64(vals[lo[id]]) {
 			lo[id] = r
@@ -406,16 +529,17 @@ func (g *grouping) fold(a *sqldb.AggExpr, grp int) (sqldb.Value, error) {
 	return finishFold(a.Func, count, sum, allInt, minV, maxV)
 }
 
-// members lists the rows of one group, in relation order.
+// members lists the positions of one group, in relation order.
 func (g *grouping) members(grp int) []int32 {
-	if g.gid == nil {
-		if g.rel.sel == nil {
-			return identity(0, g.rel.n)
+	if g.rows == nil {
+		if g.gid == nil {
+			g.rows = identity(0, g.rel.n)
+		} else {
+			g.start, g.rows = bucketRows(g.gid, len(g.first), g.sc)
 		}
-		return g.rel.sel
 	}
-	if g.start == nil {
-		g.start, g.rows = bucketRows(g.gid, len(g.first), g.rel)
+	if g.gid == nil {
+		return g.rows
 	}
 	return g.rows[g.start[grp]:g.start[grp+1]]
 }

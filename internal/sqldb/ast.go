@@ -190,7 +190,7 @@ func (*BetweenExpr) expr() {}
 func (*LikeExpr) expr()    {}
 func (*IsNullExpr) expr()  {}
 
-func (l *Literal) String() string { return l.Val.String() }
+func (l *Literal) String() string { return l.Val.sqlLiteral() }
 
 func (c *ColumnRef) String() string {
 	if c.Table != "" {

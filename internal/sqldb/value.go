@@ -24,6 +24,7 @@ package sqldb
 import (
 	"fmt"
 	"strconv"
+	"strings"
 )
 
 // Type is a column type.
@@ -111,6 +112,26 @@ func (v Value) String() string {
 		return "FALSE"
 	default:
 		return fmt.Sprintf("Value(kind=%d)", int(v.Kind))
+	}
+}
+
+// sqlLiteral renders the value as SQL the lexer reads back to the same
+// value, which String — the rendering error text uses — does not
+// promise: an apostrophe in a text is doubled, and a float is written in
+// fixed point (the lexer knows no exponent) with a fraction, since a
+// number without one is an INT.
+func (v Value) sqlLiteral() string {
+	switch v.Kind {
+	case KindFloat:
+		s := strconv.FormatFloat(v.Float, 'f', -1, 64)
+		if !strings.Contains(s, ".") {
+			s += ".0"
+		}
+		return s
+	case KindText:
+		return "'" + strings.ReplaceAll(v.Str, "'", "''") + "'"
+	default:
+		return v.String()
 	}
 }
 
