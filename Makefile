@@ -61,9 +61,9 @@ chaossmoke:
 # its committed corpus as regression seeds. FuzzFrameDecode holds the
 # binary lane's malformed-input promise ("error, never panic, never
 # unbounded allocation"); FuzzSellerLedger drives market.Seller through
-# arbitrary offer / accept / decline / new-class / re-cost /
-# period-boundary scripts against an independent model of the capacity
-# ledger; FuzzKeyTable drives the engine's key table through add / find
+# arbitrary offer / accept / new-class / re-cost / period-boundary
+# scripts, with and without the activation threshold, against an
+# independent model of the one capacity account; FuzzKeyTable drives the engine's key table through add / find
 # scripts over numbers and texts against a Go map and a first-appearance
 # slice. Five seconds finds shallow regressions; run any unbounded (`go
 # test -fuzz <name> <pkg>`) when touching frame.go, seller.go or
@@ -74,14 +74,19 @@ fuzzsmoke:
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzKeyTable$$' -fuzztime 5s
 
 # oneledger keeps the capacity ledger in one place: only internal/market
-# (Seller.supplySet) may turn a budget into a time-budget supply set.
-# The files let through build fixed textbook sets with no ledger behind
-# them (Figure 1, the examples, the benchmark's Agent replay, the
-# facade's doc comment).
+# (Seller.supplySet) may turn a budget into a time-budget supply set,
+# and only a Seller may sell from one — Seller.Agent() and QANT.Agents()
+# are observers, and trading through them would admit work the account
+# never sees. The files let through build fixed textbook sets with no
+# ledger behind them (Figure 1, the examples, the benchmark's Agent
+# replay, the facade's doc comment).
 oneledger:
 	@if grep -rnE '(Exact)?TimeBudgetSupplySet\{' --include='*.go' . \
 		| grep -vE '^\./(internal/market/|benchmark/|examples/|internal/experiments/figure1\.go:|qamarket\.go:[0-9]+://)|_test\.go:'; \
 	then echo 'oneledger: a time-budget supply set is built outside internal/market (see DESIGN.md, "One QA-NT seller")'; exit 1; fi
+	@if grep -rnE '\.Agent\(\)\.(Offer|Accept)\(|Agents\(\)\[[^]]*\]\.(Offer|Accept)\(' --include='*.go' . \
+		| grep -vE '^\./internal/market/|_test\.go:'; \
+	then echo 'oneledger: a seller is traded through its observer, past the ledger (see DESIGN.md, "One QA-NT seller")'; exit 1; fi
 
 # execsmoke soaks the storage-driver seam: a federation whose nodes
 # front different executors (row, vector, mock) is checked for

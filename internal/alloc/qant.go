@@ -18,7 +18,8 @@ import (
 //     server offers iff its remaining supply admits the class (sellers
 //     whose supply is exhausted refuse and raise their private price);
 //   - the client takes the best offer (earliest estimated completion,
-//     as a distributed query optimizer would) and declines the rest;
+//     as a distributed query optimizer would); an offer not taken stays
+//     on sale and moves no price;
 //   - a query refused by all servers is resubmitted in the next period.
 //
 // What this adapter owns is the translation from the simulator's View
@@ -41,10 +42,6 @@ type QANT struct {
 	// global throughput by modifying only the adopters' behaviour, and
 	// the partial-adoption experiment verifies it.
 	Adopters map[int]bool
-
-	// offered is Assign's reusable buffer of nodes that offered in the
-	// current negotiation round.
-	offered []int
 }
 
 // NewQANT builds the mechanism; sellers are created lazily on the first
@@ -142,7 +139,6 @@ func (m *QANT) Assign(q Query, v View) Decision {
 	}
 	bestNode := -1
 	best := math.Inf(1)
-	offered := m.offered[:0]
 	for _, n := range v.FeasibleNodes(q.Class) {
 		// The server decides autonomously whether to offer; a refusal
 		// already moved its private price (the trading-failure signal).
@@ -151,29 +147,20 @@ func (m *QANT) Assign(q Query, v View) Decision {
 		if m.sellers[n] != nil && !m.sellers[n].Offer(q.Class) {
 			continue
 		}
-		offered = append(offered, n)
 		if f := estimatedFinish(v, n, q.Class); f < best {
 			best, bestNode = f, n
 		}
 	}
-	m.offered = offered
 	if bestNode < 0 {
 		// No server offered: resubmit in the next time period (step 4 of
 		// the client protocol in Section 3.3).
 		return Decision{Retry: true}
 	}
-	for _, n := range offered {
-		if m.sellers[n] == nil {
-			continue
-		}
-		if n == bestNode {
-			if err := m.sellers[n].Accept(q.Class); err != nil {
-				// The seller offered above, so acceptance cannot fail
-				// unless the protocol is misused; surface loudly.
-				panic(fmt.Sprintf("alloc: QA-NT accept: %v", err))
-			}
-		} else {
-			m.sellers[n].Decline(q.Class)
+	if s := m.sellers[bestNode]; s != nil {
+		if err := s.Accept(q.Class); err != nil {
+			// The seller offered above, so acceptance cannot fail
+			// unless the protocol is misused; surface loudly.
+			panic(fmt.Sprintf("alloc: QA-NT accept: %v", err))
 		}
 	}
 	return Decision{Node: bestNode}

@@ -599,7 +599,7 @@ func TestCacheAdmittedFetchRefusedRenegotiatesAtOnce(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			f := startLifeFed(t, false)
+			f := startLifeFed(t, false, lifePatient)
 			class := classKey(lifeSQL)
 			f.c.bids.put(class, []*nodeState{f.c.lookup(f.proxyA.Addr())}) // A alone, as a won round would cache it
 			refuse(f)

@@ -43,9 +43,17 @@ const (
 	lifeSQL   = "SELECT a, b FROM t"
 	lifeRows  = 4
 	lifeBurst = 50 // retry tokens the client starts with
+
+	// The client's RPC timeout is the fixture's only wall-clock bound.
+	// Nothing scripted reaches lifePatient, so a loaded host cannot turn
+	// B's 16 ms answer into a lost reply and a second proposal round. A
+	// row whose script swallows replies has to sit the timeout out, and
+	// asks for lifeBrisk.
+	lifePatient = 10 * time.Second
+	lifeBrisk   = 150 * time.Millisecond
 )
 
-func startLifeFed(t *testing.T, atMostOnce bool) *lifeFed {
+func startLifeFed(t *testing.T, atMostOnce bool, timeout time.Duration) *lifeFed {
 	t.Helper()
 	f := &lifeFed{t: t}
 	start := func(id string, slowdown float64) (*Node, *driver.Mock, *faultnet.Proxy) {
@@ -82,7 +90,7 @@ func startLifeFed(t *testing.T, atMostOnce bool) *lifeFed {
 	c, err := NewClient(ClientConfig{
 		Addrs:     []string{f.proxyA.Addr(), f.proxyB.Addr()},
 		Mechanism: MechQANT, Transport: TransportFresh,
-		PeriodMs: 10, Timeout: 150 * time.Millisecond, ExecTimeoutFactor: 1,
+		PeriodMs: 10, Timeout: timeout, ExecTimeoutFactor: 1,
 		QueryTimeout: 20 * time.Second, AtMostOnce: atMostOnce, ExecRetries: 2,
 		RetryBudget: 1e-6, RetryBurst: lifeBurst, BidCacheTTL: time.Minute,
 		FetchBatchRows: 1, Jitter: rand.New(rand.NewSource(7)),
@@ -159,6 +167,7 @@ func TestLifecycleConformance(t *testing.T) {
 		atMostOnce bool
 		cached     bool // admit the scripted query from a warmed bid cache
 		fetchOnly  bool // the script needs a row stream to cut
+		brisk      bool // the script waits for an RPC timeout to fire
 		// arm makes A misbehave; it runs after A won the round, right
 		// before the first attempt on it.
 		arm func(f *lifeFed)
@@ -201,12 +210,12 @@ func TestLifecycleConformance(t *testing.T) {
 		{name: "not sent",
 			arm:  func(f *lifeFed) { f.proxyA.Close() },
 			want: lifeWant{rounds: 1, failovers: 1, tokens: 1, node: "B"}},
-		{name: "lost",
+		{name: "lost", brisk: true,
 			// Availability first: the query may have run on A, and runs
 			// again wherever the market sends it.
 			arm:  func(f *lifeFed) { f.proxyA.Partition(faultnet.ServerToClient) },
 			want: lifeWant{rounds: 2, tokens: 1, invalidations: 1, node: "B"}},
-		{name: "lost under AtMostOnce", atMostOnce: true,
+		{name: "lost under AtMostOnce", atMostOnce: true, brisk: true,
 			arm:  func(f *lifeFed) { f.proxyA.Partition(faultnet.ServerToClient) },
 			want: lifeWant{rounds: 1, tokens: 2, breakerA: breakerOpen, err: ErrOutcomeUnknown, bUntouched: true}},
 		{name: "fatal",
@@ -245,7 +254,11 @@ func TestLifecycleConformance(t *testing.T) {
 			}
 			t.Run(row.name+"/"+op.name, func(t *testing.T) {
 				t.Parallel()
-				f := startLifeFed(t, row.atMostOnce)
+				timeout := lifePatient
+				if row.brisk {
+					timeout = lifeBrisk
+				}
+				f := startLifeFed(t, row.atMostOnce, timeout)
 				run := func(id int64, hook func(nodeID, sql string), onBlock func()) (Outcome, []sqldb.Row) {
 					got := &sqldb.Result{}
 					q := query{id: id, sql: lifeSQL, sink: op.sink(got, onBlock), afterNegotiate: hook}

@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"github.com/qamarket/qamarket/internal/market"
+	"github.com/qamarket/qamarket/internal/sqldb"
 )
 
 func newTestPricer(t *testing.T, cfg market.Config, periodMs float64) *pricer {
@@ -162,5 +165,121 @@ func TestObserveKeepsStatsMonotoneAndAdjustCap(t *testing.T) {
 				t.Errorf("second raise in one period under MaxAdjustsPerPeriod 1: price %g, want %g", got, want)
 			}
 		})
+	}
+}
+
+// TestTelemetryKeepsThePeriodsSales: learning a class (or re-costing
+// one) mid-period re-plans the seller, which used to zero the period's
+// per-class sales — so ClassTelemetry.Accepted, qa_market_accepted and
+// the autoscaler's accepted-weighted cost and price lost them on every
+// period in which a node met a new signature.
+func TestTelemetryKeepsThePeriodsSales(t *testing.T) {
+	p := newTestPricer(t, market.DefaultConfig(1), 100)
+	for i := 0; i < 2; i++ {
+		if !p.offer("a", 20) || !p.accept("a") {
+			t.Fatalf("sale %d failed", i)
+		}
+	}
+	p.offer("b", 50) // a new signature: AddClass, then a re-plan
+	p.offer("a", 40) // drift: Recost, then a re-plan
+	for _, c := range p.telemetry().Classes {
+		if want := map[string]int{"a": 2, "b": 0}[c.Signature]; c.Accepted != want {
+			t.Errorf("class %s: telemetry reads %d sales this period, want %d", c.Signature, c.Accepted, want)
+		}
+	}
+}
+
+// TestNodeNeverOversellsAcrossActivation checks "supply never oversold
+// within a period" on the server path, in the Section 5.1 threshold
+// regime the real-federation harnesses run: a real node sells work off
+// its plan while its pricing is inactive, refusals push a price over
+// the threshold mid-period, and what MarketTelemetry says the period
+// sold must still fit the period's budget. (An inactive agent used to
+// admit against a second counter, so the plan it enforced after the
+// flip sold the off-plan milliseconds again.)
+func TestNodeNeverOversellsAcrossActivation(t *testing.T) {
+	// One period outlasts the test, so the market moves only when the
+	// script moves it. A sale takes its cost in wall-clock time, so the
+	// node starts the period restored deep in debt, with leftMs to sell.
+	const periodMs, leftMs = 60_000, 256
+	db := sqldb.Open()
+	for _, q := range []string{"CREATE TABLE t (a INT)", "CREATE TABLE u (a INT)"} {
+		if _, _, err := db.Exec(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4+16; i++ {
+		tbl := "t" // 4 rows in t, 16 in u
+		if i >= 4 {
+			tbl = "u"
+		}
+		if _, _, err := db.Exec(fmt.Sprintf("INSERT INTO %s VALUES (%d)", tbl, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const cheap, dear = "SELECT a FROM t", "SELECT a FROM u" // 16 ms and 64 ms at 2 ms a cost unit
+	cfg := market.DefaultConfig(1)
+	cfg.Lambda, cfg.ActivationThreshold = 0.3, 1.5 // two refusals activate pricing
+	n, err := StartNode("127.0.0.1:0", NodeConfig{DB: db, MsPerCostUnit: 2, PeriodMs: periodMs, Market: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.CloseNow() })
+	if err := n.pricer.restore(PricerState{Snapshot: market.Snapshot{Carry: leftMs - periodMs}}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewClient(ClientConfig{
+		Addrs: []string{n.Addr()}, Mechanism: MechQANT,
+		PeriodMs: 1, MaxRetries: 1, Timeout: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+
+	// cheap is met first and gets the plan; dear is then on offer only
+	// because pricing is inactive and it still fits.
+	id := int64(0)
+	buy := func(sql string) bool { id++; return c.Run(id, sql).Err == nil }
+	if !buy(cheap) || !buy(dear) || !buy(dear) {
+		t.Fatal("inactive node refused work that fits what is left")
+	}
+	quoted := map[string]float64{}
+	for _, cl := range n.MarketTelemetry().Classes {
+		quoted[cl.Signature] = cl.CostMs
+	}
+	if n.MarketTelemetry().Active {
+		t.Fatal("pricing active before any refusal")
+	}
+	// Demand for cheap until the node has refused it well past the two
+	// refusals that cross the threshold.
+	for refused := 0; refused < 4 && id < 200; {
+		if !buy(cheap) {
+			refused++
+		}
+	}
+	tel := n.MarketTelemetry()
+	if !tel.Active {
+		t.Fatalf("refusals never activated pricing: %+v", tel)
+	}
+	soldMs, sales, recosted := 0.0, 0, false
+	for _, cl := range tel.Classes {
+		soldMs += float64(cl.Accepted) * cl.CostMs
+		sales += cl.Accepted
+		recosted = recosted || cl.CostMs != quoted[cl.Signature]
+	}
+	if sales != int(n.Executed()) || sales < 4 {
+		t.Errorf("telemetry counts %d sales this period, the node executed %d", sales, n.Executed())
+	}
+	// Accepted·CostMs is what the ledger charged unless a stalled host
+	// made execution history re-cost a class mid-test.
+	if budget := periodMs + tel.CarryMs; !recosted && soldMs > budget+1e-9 {
+		t.Errorf("the period sold %.0f ms of a %.0f ms budget: %+v", soldMs, budget, tel.Classes)
+	}
+	// Re-costed or not: a period that sold no more than it had closes
+	// without debt.
+	n.pricer.tick()
+	if carry := n.MarketTelemetry().CarryMs; carry < -1e-9 {
+		t.Errorf("the period closed %.0f ms in debt: it sold past its budget", -carry)
 	}
 }

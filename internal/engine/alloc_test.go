@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"github.com/qamarket/qamarket/internal/sqldb"
@@ -62,9 +63,13 @@ func TestSelectAllocBudget(t *testing.T) {
 	e := FromDB(src)
 
 	// measure reports allocations and bytes per execution, in steady
-	// state: the first run fills the selection pool.
+	// state: the first run fills the selection pool, and the collector
+	// is held off while the runs are counted — a cycle empties every
+	// sync.Pool, and one ~100 KB selection allocated again is over
+	// 2 KB a run, twice the per-column budget below.
 	measure := func(sql string, wantRows int) (allocs, bytes float64) {
 		t.Helper()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		st, err := e.Prepare(sql)
 		if err != nil {
 			t.Fatal(err)

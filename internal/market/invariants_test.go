@@ -16,8 +16,8 @@ import (
 //  1. prices stay within [floor, cap] and remain valid (positive,
 //     finite) forever;
 //  2. the planned supply vector is always feasible;
-//  3. accepted work never exceeds the planned supply while the agent
-//     is active;
+//  3. accepted work never exceeds the planned supply, whatever the
+//     activation threshold (a bare agent only ever sells its plan);
 //  4. Offer never returns true for a class the node cannot evaluate.
 func TestInvariantsUnderRandomTrading(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
@@ -59,21 +59,12 @@ func TestInvariantsUnderRandomTrading(t *testing.T) {
 						if err := agent.Accept(class); err != nil {
 							t.Fatalf("seed %d period %d: accept after offer: %v", seed, period, err)
 						}
-					} else {
-						agent.Decline(class)
 					}
 				}
 			}
-			// With always-active pricing, accepted work cannot exceed
-			// the planned supply. (A threshold agent may legitimately
-			// exceed it: work accepted while inactive only has to fit
-			// the capacity, and activation can flip mid-period.)
-			if cfg.ActivationThreshold == 0 {
-				accepted := agent.Accepted()
-				if !accepted.LEQ(planned) {
-					t.Fatalf("seed %d period %d: accepted %v exceeds planned %v while active",
-						seed, period, accepted, planned)
-				}
+			if accepted := agent.Accepted(); !accepted.LEQ(planned) {
+				t.Fatalf("seed %d period %d: accepted %v exceeds planned %v",
+					seed, period, accepted, planned)
 			}
 			p := agent.Prices()
 			if !p.IsValid() {
@@ -140,8 +131,10 @@ func TestExcessDemandConvergence(t *testing.T) {
 	}
 }
 
-// TestPriceSignalsAreLocal verifies autonomy: adjusting one agent's
-// market never touches another agent (no shared state).
+// TestPriceSignalsAreLocal verifies autonomy: one agent's trading never
+// touches another agent (no shared state), and an agent's prices are a
+// function of its own history alone — feed a second agent the same
+// history and it arrives at the same prices.
 func TestPriceSignalsAreLocal(t *testing.T) {
 	mk := func() *Agent {
 		a, err := NewAgent(economics.TimeBudgetSupplySet{Cost: []float64{100}, Budget: 500}, DefaultConfig(1))
@@ -150,23 +143,31 @@ func TestPriceSignalsAreLocal(t *testing.T) {
 		}
 		return a
 	}
-	a, b := mk(), mk()
-	a.BeginPeriod()
-	b.BeginPeriod()
-	for i := 0; i < 10; i++ {
-		for a.Offer(0) {
-			if err := a.Accept(0); err != nil {
-				t.Fatal(err)
+	// One period: sell out, then ten refusals raise the price.
+	trade := func(a *Agent) {
+		a.BeginPeriod()
+		for i := 0; i < 10; i++ {
+			for a.Offer(0) {
+				if err := a.Accept(0); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
+		a.EndPeriod()
 	}
-	a.EndPeriod()
-	b.EndPeriod()
-	if a.Prices()[0] == b.Prices()[0] {
-		t.Skip("prices coincidentally equal; nothing to check")
+	a, b := mk(), mk()
+	start := b.Prices()[0]
+	trade(a)
+	if a.Prices()[0] == start {
+		t.Fatal("the history moved no price; nothing to check")
 	}
-	// The point is structural: they evolved independently. Feed b the
-	// same history and they must match.
+	if got := b.Prices()[0]; got != start {
+		t.Fatalf("a's trading moved b's price %g → %g", start, got)
+	}
+	trade(b)
+	if a.Prices()[0] != b.Prices()[0] {
+		t.Errorf("same history, different prices: %g vs %g", a.Prices()[0], b.Prices()[0])
+	}
 }
 
 // ledgerStream hands checkSellerLedger its script one byte at a time;
@@ -188,15 +189,19 @@ func (s *ledgerStream) next() int {
 func (s *ledgerStream) cost() float64 { return float64(s.next()) * 3 }
 
 // checkSellerLedger drives a Seller through the script in data —
-// interleaved offer / accept / decline / new-class / re-cost /
-// period-boundary steps, the server's whole repertoire — and after
-// every step checks it against an independent model that charges each
-// accepted query once, at the cost in force when it was accepted:
+// interleaved offer / accept / new-class / re-cost / period-boundary
+// steps, the server's whole repertoire — and after every step checks it
+// against an independent model that charges each accepted query once,
+// at the cost in force when it was accepted (spent), so that
+// left = T + carry − spent. Whether or not pricing is active:
 //
-//  1. the ledger is conserved: spent + unspent = T + carry (a node
-//     already in debt plans nothing), and an always-active seller never
-//     sells past its budget;
-//  2. the plan fits its budget, and remaining supply stays within
+//  1. the seller has charged exactly what the model has, no sale cost
+//     more than was left at the time, and what is still on offer fits
+//     what is left now: Σ remaining·cost ≤ max(left, 0) — nothing is on
+//     offer while in debt, which only a mid-period carry cap (a re-cost
+//     that cheapens the dearest class) can cause;
+//  2. the plan fits the budget it was solved against, that budget is
+//     what was left at the solve, and remaining supply stays within
 //     [0, planned];
 //  3. carry never exceeds max(T, dearest class), and every period
 //     boundary settles it to exactly what the model computes;
@@ -254,6 +259,16 @@ func checkSellerLedger(t *testing.T, data []byte) {
 		if len(costs) > 0 {
 			k = in.next() % len(costs)
 		}
+		// sold is the model's side of an accepted sale.
+		sold := func() {
+			if costs[k] <= 0 {
+				t.Fatalf("step %d: sold class %d, which the node cannot evaluate", step, k)
+			}
+			if left := period + carry - spent; costs[k] > left+eps {
+				t.Fatalf("step %d: sold %gms of class %d with %gms left", step, costs[k], k, left)
+			}
+			spent += costs[k]
+		}
 		switch {
 		case len(costs) == 0 && op < 13, op == 10 && len(costs) < 10:
 			costs = append(costs, in.cost())
@@ -263,21 +278,16 @@ func checkSellerLedger(t *testing.T, data []byte) {
 			}
 		case op < 7: // offer, and the client takes it
 			if s.Offer(k) {
-				if costs[k] <= 0 {
-					t.Fatalf("step %d: offered class %d, which the node cannot evaluate", step, k)
-				}
 				if err := s.Accept(k); err != nil {
 					t.Fatalf("step %d: accept after offer: %v", step, err)
 				}
-				spent += costs[k]
+				sold()
 			}
 		case op < 9: // offer, and the client goes elsewhere
-			if s.Offer(k) {
-				s.Decline(k)
-			}
-		case op == 9: // accept out of the blue: fine iff supply remains
+			s.Offer(k)
+		case op == 9: // accept out of the blue: fine iff it is on offer
 			if s.Accept(k) == nil {
-				spent += costs[k]
+				sold()
 			}
 		case op < 13:
 			costs[k] = in.cost()
@@ -297,22 +307,24 @@ func checkSellerLedger(t *testing.T, data []byte) {
 		}
 
 		a := s.Agent()
-		budget, sold, plannedMs := 0.0, 0.0, 0.0
+		budget := 0.0 // what the current plan was solved against
 		switch set := a.set.(type) {
 		case economics.TimeBudgetSupplySet:
 			budget = set.Budget
 		case ExactTimeBudgetSupplySet:
 			budget = set.Budget
 		}
+		onOfferMs, plannedMs, onPlanMs := 0.0, 0.0, 0.0
 		for c := range costs {
 			if s.Cost(c) != costs[c] {
 				t.Fatalf("step %d: class %d costs %g, model says %g", step, c, s.Cost(c), costs[c])
 			}
-			sold += float64(a.accepted[c]) * costs[c]
-			plannedMs += float64(a.planned[c]) * costs[c]
 			if a.supply[c] < 0 || a.supply[c] > a.planned[c] {
 				t.Fatalf("step %d: class %d has %d left of %d planned", step, c, a.supply[c], a.planned[c])
 			}
+			onOfferMs += float64(a.supply[c]) * costs[c]
+			plannedMs += float64(a.planned[c]) * costs[c]
+			onPlanMs += float64(a.planned[c]-a.supply[c]) * costs[c]
 			if a.prices[c] < cfg.PriceFloor || a.prices[c] > cfg.PriceCap || math.IsNaN(a.prices[c]) {
 				t.Fatalf("step %d: price[%d] = %g outside [%g, %g]", step, c, a.prices[c], cfg.PriceFloor, cfg.PriceCap)
 			}
@@ -321,28 +333,20 @@ func checkSellerLedger(t *testing.T, data []byte) {
 					step, c, startPrice[c], a.prices[c], cfg.MaxAdjustsPerPeriod, cfg.Lambda)
 			}
 		}
-		if math.Abs(s.used+sold-spent) > eps {
-			t.Fatalf("step %d: seller charged %g this period, model says %g", step, s.used+sold, spent)
+		left := period + carry - spent
+		if math.Abs(s.used-spent) > eps {
+			t.Fatalf("step %d: seller charged %g this period, model says %g", step, s.used, spent)
 		}
-		// What the plan was solved against is what was left of T + carry
-		// at that point (spent−sold is the spend before the plan), or
-		// nothing if the node was already in debt.
-		unspent := budget - sold
-		if left := period + carry - (spent - sold); left < 0 {
-			if budget != 0 {
-				t.Fatalf("step %d: planned %gms of budget while %gms in debt", step, budget, -left)
-			}
-		} else if math.Abs(spent+unspent-(period+carry)) > eps {
-			t.Fatalf("step %d: ledger broken: spent %g + unspent %g != T %g + carry %g", step, spent, unspent, period, carry)
+		if onOfferMs > math.Max(left, 0)+eps {
+			t.Fatalf("step %d: %gms still on offer with %gms left (T %g + carry %g − spent %g)",
+				step, onOfferMs, left, period, carry, spent)
 		}
-		// An always-active seller never sells past its budget. A
-		// threshold seller can, once: work it took off-plan while
-		// inactive is not deducted from the plan it starts enforcing when
-		// a price crosses the threshold mid-period (see the note in
-		// TestInvariantsUnderRandomTrading). The ledger above still
-		// charges every query, so the excess becomes debt.
-		if cfg.ActivationThreshold == 0 && unspent < -eps {
-			t.Fatalf("step %d: sold %gms past the budget", step, -unspent)
+		// The plan was solved against what was left at that point (every
+		// sale since came off the plan: an off-plan sale re-solves), or
+		// against nothing if the node was in debt.
+		if math.Abs(budget-math.Max(left+onPlanMs, 0)) > eps {
+			t.Fatalf("step %d: ledger broken: plan solved against %gms, sold %gms of it, yet %gms left",
+				step, budget, onPlanMs, left)
 		}
 		if plannedMs > budget+eps {
 			t.Fatalf("step %d: planned %gms against a budget of %gms", step, plannedMs, budget)

@@ -44,9 +44,11 @@ type Config struct {
 	// 1e6.
 	PriceFloor, PriceCap float64
 	// ActivationThreshold implements the Section 5.1 deployment advice:
-	// the agent always tracks prices, but only restricts supply through
-	// them when some price exceeds the threshold (a decentralized signal
-	// that the system is overloaded). Zero means "always active".
+	// the agent always tracks prices, but its Seller only restricts
+	// supply through them when some price exceeds the threshold (a
+	// decentralized signal that the system is overloaded). Zero means
+	// "always active". A bare Agent has no budget to fall back on and
+	// always sells from its plan; the threshold only drives Active.
 	ActivationThreshold float64
 	// MaxAdjustsPerPeriod bounds how many upward adjustments a single
 	// class may receive within one period, preventing price blow-up when
@@ -91,8 +93,8 @@ type Agent struct {
 	set      economics.SupplySet
 	prices   vector.Prices
 	supply   vector.Quantity // remaining offers in the current period
-	planned  vector.Quantity // supply vector chosen at BeginPeriod
-	accepted vector.Quantity // work accepted in the current period
+	planned  vector.Quantity // supply vector chosen by the last solve of eq. (4)
+	accepted vector.Quantity // sales in the current period, reset by BeginPeriod
 	adjusts  []int           // upward adjustments per class this period
 
 	// Stats accumulate across the agent's lifetime.
@@ -145,19 +147,18 @@ func (a *Agent) addClass() {
 }
 
 // replan solves eq. (4) over set against the current prices and
-// installs the result as the supply on offer, forgetting the work
-// accepted under the previous plan (the caller has accounted for it).
+// installs the result as the supply on offer.
 func (a *Agent) replan(set economics.SupplySet) {
 	a.set = set
 	a.planned = set.BestResponse(a.prices)
 	a.supply = a.planned.Clone()
-	a.accepted = vector.New(a.cfg.Classes)
 }
 
 // BeginPeriod starts a new time period τ: it solves eq. (4) against the
 // current private prices and installs the resulting supply vector.
 func (a *Agent) BeginPeriod() {
 	a.replan(a.set)
+	clear(a.accepted)
 	clear(a.adjusts)
 }
 
@@ -179,32 +180,24 @@ func (a *Agent) Active() bool {
 
 // Offer implements steps 4–10 of the QA-NT listing for one incoming
 // request of class k. It returns true when the node offers to evaluate
-// the query (s_ik > 0 while pricing is active, or residual capacity
-// exists while it is not). When it returns false the price of k has
+// the query (s_ik > 0). When it returns false the price of k has
 // already been raised by λ·p_k — the trading failure is the price
-// signal, and prices are tracked even below the activation threshold.
+// signal.
 func (a *Agent) Offer(k int) bool {
 	a.mustClass(k)
-	if a.Active() {
-		if a.supply[k] > 0 {
-			a.stats.Offers++
-			return true
-		}
-	} else if a.fitsCapacity(k) {
-		a.stats.Offers++
-		return true
-	}
-	a.stats.Rejects++
-	a.raise(k)
-	return false
+	return a.answer(k, a.supply[k] > 0)
 }
 
-// fitsCapacity reports whether one more class-k query fits the node's
-// supply set on top of the work already accepted this period.
-func (a *Agent) fitsCapacity(k int) bool {
-	probe := a.accepted.Clone()
-	probe[k]++
-	return a.set.Feasible(probe)
+// answer records the reply to one request of class k: an offer, or a
+// refusal, which raises the class's price.
+func (a *Agent) answer(k int, offer bool) bool {
+	if offer {
+		a.stats.Offers++
+	} else {
+		a.stats.Rejects++
+		a.raise(k)
+	}
+	return offer
 }
 
 // Accept records that a client accepted this node's offer for one
@@ -213,26 +206,18 @@ func (a *Agent) fitsCapacity(k int) bool {
 // caller (accepting more than was offered).
 func (a *Agent) Accept(k int) error {
 	a.mustClass(k)
-	if a.Active() {
-		if a.supply[k] <= 0 {
-			return fmt.Errorf("market: accept of class %d without remaining supply", k)
-		}
-	} else if !a.fitsCapacity(k) {
-		return fmt.Errorf("market: accept of class %d beyond node capacity", k)
+	if a.supply[k] <= 0 {
+		return fmt.Errorf("market: accept of class %d without remaining supply", k)
 	}
-	if a.supply[k] > 0 {
-		a.supply[k]--
-	}
-	a.accepted[k]++
-	a.stats.Accepts++
+	a.supply[k]--
+	a.sold(k)
 	return nil
 }
 
-// Decline records that a client declined this node's offer (it chose a
-// different seller). The supply unit stays available for other buyers;
-// no price movement happens — only trading *failures* move prices.
-func (a *Agent) Decline(k int) {
-	a.mustClass(k)
+// sold counts one class-k sale.
+func (a *Agent) sold(k int) {
+	a.accepted[k]++
+	a.stats.Accepts++
 }
 
 // EndPeriod implements steps 12–14: every class with unsold supply has
@@ -257,23 +242,13 @@ func (a *Agent) Prices() vector.Prices { return a.prices.Clone() }
 func (a *Agent) RemainingSupply() vector.Quantity { return a.supply.Clone() }
 
 // PlannedSupply returns a copy of the supply vector chosen by the last
-// BeginPeriod (the s_i* of eq. 4).
+// solve of eq. (4) (its s_i*): BeginPeriod's, or a Seller's mid-period
+// re-plan over what was left.
 func (a *Agent) PlannedSupply() vector.Quantity { return a.planned.Clone() }
 
 // Accepted returns a copy of the per-class counts of work accepted in
 // the current period.
 func (a *Agent) Accepted() vector.Quantity { return a.accepted.Clone() }
-
-// SetSupplySet swaps the agent's supply set; the next BeginPeriod uses
-// it. Callers use this to reflect capacity that changes between periods
-// (e.g. the rolling budget of the simulator adapter).
-func (a *Agent) SetSupplySet(set economics.SupplySet) error {
-	if set == nil {
-		return errors.New("market: nil supply set")
-	}
-	a.set = set
-	return nil
-}
 
 // Stats returns a snapshot of the agent's lifetime counters.
 func (a *Agent) Stats() Stats { return a.stats }

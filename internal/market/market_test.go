@@ -183,39 +183,6 @@ func TestMarketDynamicsShiftSupply(t *testing.T) {
 	t.Fatal("q1 never entered the supply vector after 100 periods of excess demand")
 }
 
-func TestActivationThreshold(t *testing.T) {
-	cfg := DefaultConfig(2)
-	cfg.ActivationThreshold = 5
-	a := newTestAgent(t, []float64{400, 100}, 500, cfg)
-	a.BeginPeriod()
-	if a.Active() {
-		t.Fatal("agent active below threshold")
-	}
-	// Inactive: any query fitting the capacity is accepted, including
-	// class 0 which the priced supply vector would exclude.
-	if !a.Offer(0) {
-		t.Fatal("inactive agent refused a feasible query")
-	}
-	if err := a.Accept(0); err != nil {
-		t.Fatalf("accept: %v", err)
-	}
-	// 400 of 500 ms used: a second class-0 query does not fit.
-	if a.Offer(0) {
-		t.Error("inactive agent offered beyond capacity")
-	}
-	// One q2 still fits (100 ms left).
-	if !a.Offer(1) {
-		t.Error("inactive agent refused a fitting query")
-	}
-	// Force the price over the threshold: the agent becomes active.
-	if err := a.SetPrices(vector.Prices{10, 1}); err != nil {
-		t.Fatalf("SetPrices: %v", err)
-	}
-	if !a.Active() {
-		t.Error("agent inactive above threshold")
-	}
-}
-
 func TestSetPricesValidation(t *testing.T) {
 	a := newTestAgent(t, []float64{100}, 500, DefaultConfig(1))
 	if err := a.SetPrices(vector.Prices{1, 2}); err == nil {
@@ -311,23 +278,5 @@ func TestExactVersusGreedyRandomized(t *testing.T) {
 				t.Errorf("case %d/%d: exact %g < greedy %g", i, j, ev, gv)
 			}
 		}
-	}
-}
-
-func TestSupplySetSwap(t *testing.T) {
-	a := newTestAgent(t, []float64{100}, 500, DefaultConfig(1))
-	a.BeginPeriod()
-	if got := a.PlannedSupply()[0]; got != 5 {
-		t.Fatalf("planned %d, want 5", got)
-	}
-	if err := a.SetSupplySet(economics.TimeBudgetSupplySet{Cost: []float64{100}, Budget: 1000}); err != nil {
-		t.Fatalf("SetSupplySet: %v", err)
-	}
-	a.BeginPeriod()
-	if got := a.PlannedSupply()[0]; got != 10 {
-		t.Fatalf("planned %d after swap, want 10", got)
-	}
-	if err := a.SetSupplySet(nil); err == nil {
-		t.Error("nil supply set accepted")
 	}
 }

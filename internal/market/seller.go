@@ -15,20 +15,26 @@ import (
 // simulator (alloc.QANT) and the TCP server (cluster's pricer) drive
 // this one type, so a result shown on one transfers to the other.
 //
-// The ledger. A period grants the node T milliseconds. What it does not
-// sell is saved in carry, up to max(T, dearest class) so a class costing
-// more than one period can still be supplied once enough has been
-// saved; what it oversells becomes negative carry, so the node stops
-// offering while its queue drains. Within a period
+// The ledger is one account. A period grants the node T milliseconds;
+// what it does not sell is saved in carry, up to max(T, dearest class)
+// so a class costing more than one period can still be supplied once
+// enough has been saved. Negative carry is debt — restored from a
+// checkpoint, or left when a re-cost lowers that cap mid-period — and
+// the node stops offering until later periods have paid it off.
+// Every sale is charged when it happens, at the cost estimate it was
+// accepted under, so at any moment
 //
-//	spent + unspent = T + carry
+//	left = T + carry − spent
 //
-// where spent is the work accepted so far, each query charged at the
-// cost estimate it was accepted under, and unspent is the budget the
-// current plan was solved against minus what that plan has sold (zero
-// while the node is in debt). AddClass and Recost keep the identity:
-// they charge the work accepted so far at the old costs, then re-plan
-// over the unspent remainder only.
+// is what the node can still sell this period, and one invariant holds
+// after every step: what is on offer fits what is left,
+// Σ remaining·cost ≤ max(left, 0), and no sale is larger than left.
+// admits is the one rule that keeps it. A sale from the plan burns its
+// unit; a sale off the plan, and AddClass and Recost, re-solve eq. (4)
+// over what is left. Whether pricing is active (Agent.Active, the
+// Section 5.1 threshold) changes only what is offered — the plan, or
+// anything that still fits — never the account, so crossing the
+// threshold mid-period cannot sell the same millisecond twice.
 //
 // A period boundary is EndPeriod then BeginPeriod with no trading in
 // between: EndPeriod settles carry += T − spent, caps it and cuts the
@@ -41,10 +47,7 @@ type Seller struct {
 	period float64   // T in milliseconds
 	costs  []float64 // ms per class; <= 0 marks a class the node cannot evaluate
 	carry  float64
-	// used is this period's work accepted before the last re-plan, at
-	// the costs then in force. The agent's accepted vector holds the
-	// work accepted since; the two together are the period's spend.
-	used float64
+	used   float64 // spent: this period's sales, each at the cost it was accepted under
 	// exact, when non-nil, selects the exact DP solver over the greedy
 	// density heuristic and supplies its reusable buffers.
 	exact *DPScratch
@@ -91,13 +94,14 @@ func (s *Seller) install(snap Snapshot) {
 	a.set = s.supplySet()
 }
 
-// supplySet is the one place a period budget becomes a supply set: what
-// is left of T + carry after this period's earlier spend.
+// left is the account: what remains of T + carry after this period's
+// sales. Negative while the node is in debt.
+func (s *Seller) left() float64 { return s.period + s.carry - s.used }
+
+// supplySet is the one place a budget becomes a supply set: what is
+// left, or nothing while the node is in debt.
 func (s *Seller) supplySet() economics.SupplySet {
-	budget := s.period + s.carry - s.used
-	if budget < 0 {
-		budget = 0
-	}
+	budget := max(s.left(), 0)
 	if s.exact != nil {
 		return ExactTimeBudgetSupplySet{Cost: s.costs, Budget: budget, Granularity: 10, Scratch: s.exact}
 	}
@@ -117,19 +121,8 @@ func (s *Seller) capCarry() {
 	}
 }
 
-// charge moves the work accepted under the current plan into used, at
-// the costs it was accepted under.
-func (s *Seller) charge() {
-	for c, cnt := range s.agent.accepted {
-		if cnt > 0 {
-			s.used += float64(cnt) * s.costs[c]
-			s.agent.accepted[c] = 0
-		}
-	}
-}
-
-// replan re-solves eq. (4) over the unspent budget, mid-period. Prices,
-// this period's adjustment counts and the lifetime counters stay.
+// replan re-solves eq. (4) over what is left, mid-period. Prices, this
+// period's sales and adjustment counts and the lifetime counters stay.
 func (s *Seller) replan() {
 	s.capCarry()
 	s.agent.replan(s.supplySet())
@@ -139,7 +132,6 @@ func (s *Seller) replan() {
 // class starts at the initial price; the rest of the period is
 // re-planned with it in the running.
 func (s *Seller) AddClass(costMs float64) int {
-	s.charge()
 	s.costs = append(s.costs, costMs)
 	s.agent.addClass()
 	s.replan()
@@ -150,15 +142,38 @@ func (s *Seller) AddClass(costMs float64) int {
 // period. Work already accepted stays charged at the old estimate.
 func (s *Seller) Recost(k int, costMs float64) {
 	s.agent.mustClass(k)
-	s.charge()
 	s.costs[k] = costMs
 	s.replan()
 }
 
-// Offer, Accept and Decline are the agent's (steps 4–10 of the listing).
-func (s *Seller) Offer(k int) bool   { return s.agent.Offer(k) }
-func (s *Seller) Accept(k int) error { return s.agent.Accept(k) }
-func (s *Seller) Decline(k int)      { s.agent.Decline(k) }
+// admits is the admission rule, the only one: the node can evaluate
+// class k, and either the plan has a unit of it or pricing is inactive
+// and one more still fits what is left.
+func (s *Seller) admits(k int) bool {
+	s.agent.mustClass(k)
+	c := s.costs[k]
+	return c > 0 && (s.agent.supply[k] > 0 || !s.agent.Active() && c <= s.left())
+}
+
+// Offer answers one request of class k (steps 4–10 of the listing); a
+// refusal raises the class's price.
+func (s *Seller) Offer(k int) bool { return s.agent.answer(k, s.admits(k)) }
+
+// Accept sells one class-k query and charges it. It returns an error
+// when the query is not on offer (another client took the supply since
+// the offer, or the caller never asked).
+func (s *Seller) Accept(k int) error {
+	if !s.admits(k) {
+		return fmt.Errorf("market: accept of class %d, which is not on offer", k)
+	}
+	s.used += s.costs[k]
+	if s.agent.supply[k] > 0 {
+		return s.agent.Accept(k) // on plan: burn the unit
+	}
+	s.agent.sold(k)
+	s.replan() // off plan: what is still on offer must fit what is left
+	return nil
+}
 
 // Agent exposes the seller's agent for observation (prices, planned
 // and remaining supply, counters, Telemetry); drive it only through
@@ -178,7 +193,6 @@ func (s *Seller) EndPeriod() {
 	if len(s.costs) == 0 {
 		return
 	}
-	s.charge()
 	s.carry += s.period - s.used
 	s.used = 0
 	s.capCarry()

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
+
+	"github.com/qamarket/qamarket/internal/vector"
 )
 
 func newTestSeller(t *testing.T, cfg Config, periodMs float64, costs ...float64) *Seller {
@@ -82,6 +84,150 @@ func TestSellerReplansRemainingCapacity(t *testing.T) {
 	}
 	if plannedMs < 40-1e-9 {
 		t.Fatalf("re-plan offered %.1fms, leaving part of the 40ms unspent budget unplanned", plannedMs)
+	}
+}
+
+// TestSellerTelemetrySurvivesReplan: a class arrival or a cost drift
+// re-plans the rest of the period but must not forget what the period
+// has already sold — Telemetry().Accepted feeds qa_market_accepted and
+// the autoscaler's accepted-weighted cost and price.
+func TestSellerTelemetrySurvivesReplan(t *testing.T) {
+	for name, change := range map[string]func(s *Seller){
+		"class arrival": func(s *Seller) { s.AddClass(50) },
+		"cost drift":    func(s *Seller) { s.Recost(0, 40); s.AddClass(50) },
+	} {
+		s := newTestSeller(t, DefaultConfig(1), 100, 20)
+		sell(t, s, 0, 2)
+		change(s)
+		if got := s.Agent().Telemetry().Accepted; !vector.Quantity(got).Equal(vector.Quantity{2, 0}) {
+			t.Errorf("%s: the period's sales read %v afterwards, want [2 0]", name, got)
+		}
+		s.EndPeriod()
+		s.BeginPeriod()
+		if got := s.Agent().Accepted(); !got.IsZero() {
+			t.Errorf("%s: sales %v carried into the next period", name, got)
+		}
+	}
+}
+
+// TestActivationThreshold is the Section 5.1 regime on the one account:
+// below the threshold the seller offers anything that still fits what
+// is left, above it what eq. (4) planned out of what is left, and
+// crossing mid-period changes only which of the two it does.
+func TestActivationThreshold(t *testing.T) {
+	cfg := DefaultConfig(2)
+	cfg.ActivationThreshold = 5
+	s := newTestSeller(t, cfg, 500, 400, 100)
+	a := s.Agent()
+	if a.Active() {
+		t.Fatal("agent active below threshold")
+	}
+	// Inactive: class 0 is on offer although the plan, (0, 5) at equal
+	// prices, excludes it. Selling it re-plans the 100 ms left.
+	sell(t, s, 0, 1)
+	if want := (vector.Quantity{0, 1}); !a.RemainingSupply().Equal(want) {
+		t.Fatalf("after an off-plan sale %v is on offer, want %v", a.RemainingSupply(), want)
+	}
+	if s.Offer(0) {
+		t.Error("inactive seller offered 400 ms with 100 ms left")
+	}
+	if !s.Offer(1) {
+		t.Error("inactive seller refused a query that fits")
+	}
+	// Force a price over the threshold: pricing activates, and exactly
+	// the re-planned remainder is on offer — not the period's first plan.
+	if err := a.SetPrices(vector.Prices{10, 1}); err != nil {
+		t.Fatalf("SetPrices: %v", err)
+	}
+	if !a.Active() {
+		t.Fatal("agent inactive above threshold")
+	}
+	if want := (vector.Quantity{0, 1}); !a.RemainingSupply().Equal(want) {
+		t.Fatalf("crossing the threshold put %v on offer, want %v", a.RemainingSupply(), want)
+	}
+	sell(t, s, 1, 1)
+	if s.Offer(0) || s.Offer(1) {
+		t.Error("active seller offered with the period's budget spent")
+	}
+	if err := s.Accept(1); err == nil {
+		t.Error("accept with nothing on offer did not error")
+	}
+	s.EndPeriod()
+	if s.Carry() != 0 {
+		t.Errorf("the period sold 500 of 500 ms yet settled carry %g", s.Carry())
+	}
+}
+
+// TestThresholdFlipNeverOversells is FuzzSellerLedger's first finding
+// (testdata/fuzz/FuzzSellerLedger/threshold-flip-oversell) as a named
+// regression: work taken off-plan while inactive used not to be
+// deducted from the plan the agent started enforcing once a refusal
+// pushed a price over the threshold, so the period's budget sold twice.
+func TestThresholdFlipNeverOversells(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		exact  bool
+		carry  float64
+		period float64
+		costs  []float64
+		first  int // the class sold off-plan while inactive
+	}{
+		{name: "greedy", period: 500, costs: []float64{400, 100}},
+		{name: "exact", exact: true, period: 500, costs: []float64{400, 100}},
+		{name: "with savings", carry: 300, period: 500, costs: []float64{700, 100}},
+		{name: "the fuzzer's", exact: true, period: 500, costs: []float64{144, 144}, first: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(0)
+			cfg.Lambda = 0.42
+			cfg.ActivationThreshold = 1.5
+			s, err := NewSeller(cfg, tc.period, nil)
+			if tc.exact {
+				s, err = NewExactSeller(cfg, tc.period, nil, nil)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Restore is how a seller comes by savings without living
+			// through the periods that earned them.
+			if err := s.Restore(Snapshot{Costs: tc.costs, Carry: tc.carry}); err != nil {
+				t.Fatal(err)
+			}
+			budget, spent := tc.period+tc.carry, 0.0
+			buy := func(k int) bool {
+				if !s.Offer(k) {
+					return false
+				}
+				if err := s.Accept(k); err != nil {
+					t.Fatalf("accept after offer: %v", err)
+				}
+				spent += tc.costs[k]
+				if spent > budget {
+					t.Fatalf("sold %gms of a %gms budget (active: %t)", spent, budget, s.Agent().Active())
+				}
+				return true
+			}
+			if s.Agent().Active() {
+				t.Fatal("seller starts active")
+			}
+			if !buy(tc.first) {
+				t.Fatalf("inactive seller refused class %d with the whole budget left", tc.first)
+			}
+			// Demand for everything until refusals push a price over the
+			// threshold, then keep buying whatever is still offered.
+			for round := 0; round < 50; round++ {
+				for k := range tc.costs {
+					buy(k)
+				}
+			}
+			if !s.Agent().Active() {
+				t.Fatal("refusals never activated pricing; the flip was not exercised")
+			}
+			s.EndPeriod()
+			if want := math.Min(budget-spent, s.period); math.Abs(s.Carry()-want) > 1e-9 {
+				t.Errorf("carry %g after selling %g of %g, want %g", s.Carry(), spent, budget, want)
+			}
+		})
 	}
 }
 

@@ -14,8 +14,9 @@ type Telemetry struct {
 	// Prices is a copy of the private per-class price vector.
 	Prices []float64 `json:"prices"`
 	// Planned, Remaining, and Accepted describe the current period: the
-	// supply vector chosen at BeginPeriod, the unsold portion of it, and
-	// the per-class work accepted so far.
+	// supply vector chosen by the last solve of eq. (4) (BeginPeriod's,
+	// or a Seller's mid-period re-plan), the unsold portion of it, and
+	// the per-class work accepted since the period began.
 	Planned   []int `json:"planned"`
 	Remaining []int `json:"remaining"`
 	Accepted  []int `json:"accepted"`

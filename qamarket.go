@@ -30,7 +30,6 @@ import (
 	"github.com/qamarket/qamarket/internal/market"
 	"github.com/qamarket/qamarket/internal/membership"
 	"github.com/qamarket/qamarket/internal/metrics"
-	"github.com/qamarket/qamarket/internal/qtrade"
 	"github.com/qamarket/qamarket/internal/sim"
 	"github.com/qamarket/qamarket/internal/sqldb"
 	"github.com/qamarket/qamarket/internal/vector"
@@ -191,28 +190,6 @@ const (
 func EquitableSplit(agg Quantity, demand []Quantity) []Quantity {
 	return economics.EquitableSplit(agg, demand)
 }
-
-// Query-trading auction substrate (the paper's Section 2.1 setting).
-type (
-	// Auction runs CFP/bid/award rounds over a set of sellers.
-	Auction = qtrade.Auction
-	// CFP is a call-for-proposals for one (sub)query.
-	CFP = qtrade.CFP
-	// Bid is a seller's answer to a CFP.
-	Bid = qtrade.Bid
-	// TradeSeller answers CFPs (qtrade.Seller).
-	TradeSeller = qtrade.Seller
-	// MarketSeller gates any seller behind a QA-NT agent.
-	MarketSeller = qtrade.MarketSeller
-)
-
-// NewAuction builds a query-trading auction.
-func NewAuction(sellers []TradeSeller, valuation qtrade.Valuation, maxRounds int) (*Auction, error) {
-	return qtrade.NewAuction(sellers, valuation, maxRounds)
-}
-
-// EarliestDelivery is the valuation preferring the soonest completion.
-func EarliestDelivery(cfp CFP, b Bid) float64 { return qtrade.EarliestDelivery(cfp, b) }
 
 // Satisfaction is a node's utility under the equitable criterion.
 func Satisfaction(consumption, demand Quantity) float64 {
