@@ -57,7 +57,7 @@ tracesmoke:
 chaossmoke:
 	$(GO) run -race ./cmd/chaossmoke
 
-# fuzzsmoke runs the three fuzzers briefly on every CI run, each with
+# fuzzsmoke runs the four fuzzers briefly on every CI run, each with
 # its committed corpus as regression seeds. FuzzFrameDecode holds the
 # binary lane's malformed-input promise ("error, never panic, never
 # unbounded allocation"); FuzzSellerLedger drives market.Seller through
@@ -65,13 +65,16 @@ chaossmoke:
 # scripts, with and without the activation threshold, against an
 # independent model of the one capacity account; FuzzKeyTable drives the engine's key table through add / find
 # scripts over numbers and texts against a Go map and a first-appearance
-# slice. Five seconds finds shallow regressions; run any unbounded (`go
-# test -fuzz <name> <pkg>`) when touching frame.go, seller.go or
-# group.go.
+# slice; FuzzParse holds the SQL front end to "never panic, print back
+# to the same parse, keywords ASCII case-insensitive, errors at a rune
+# boundary". Five seconds finds shallow regressions; run any unbounded
+# (`go test -fuzz <name> <pkg>`) when touching frame.go, seller.go,
+# group.go, lexer.go or parser.go.
 fuzzsmoke:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime 5s
 	$(GO) test ./internal/market -run '^$$' -fuzz '^FuzzSellerLedger$$' -fuzztime 5s
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzKeyTable$$' -fuzztime 5s
+	$(GO) test ./internal/sqldb -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s
 
 # oneledger keeps the capacity ledger in one place: only internal/market
 # (Seller.supplySet) may turn a budget into a time-budget supply set,

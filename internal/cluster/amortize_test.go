@@ -593,8 +593,8 @@ func TestCacheAdmittedFetchRefusedRenegotiatesAtOnce(t *testing.T) {
 			if _, _, err := f.c.negotiateAll(lifeSQL, nil, time.Time{}); err != nil {
 				f.t.Fatal(err)
 			}
-			sig, _, _, _ := f.a.estimate(lifeSQL)
-			for f.a.pricer.accept(sig) {
+			st, _, _, _ := f.a.estimate(lifeSQL)
+			for f.a.pricer.accept(st.Hints().Signature) {
 			}
 		},
 	} {

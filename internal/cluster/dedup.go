@@ -1,79 +1,133 @@
 package cluster
 
 import (
-	"fmt"
-	"hash/fnv"
+	"encoding/binary"
+	"hash/maphash"
+	"math"
+	"math/bits"
 	"sync"
 	"time"
 )
 
-// dedupOutcome is one cached execute/fetch result: the reply's verdict
-// (a fetch's Accepted/ExecMs/Err ride in exec too — the two replies
-// share them) and the envelope code the original reply carried. For
-// fetches the raw result is cached as well, so a retransmit is
+// dedupKey names one execute or fetch of one client run. QueryID alone
+// is not unique — the distributed subquery layer reuses one query id
+// across its fetch subqueries — so the run id, the op and the SQL are
+// hashed into sum with the window's random seed. Two live outcomes
+// share a key only if their query ids match and a 64-bit hash collides:
+// a window of a million outcomes that all shared one query id would
+// meet that less than once in 10^7 fills.
+type dedupKey struct {
+	queryID int64
+	sum     uint64
+}
+
+// dedupRecord is one settled outcome as the window keeps it. packed is
+// a single exact-size allocation:
+//
+//	flags     1 byte   bit 0: accepted
+//	rows      uvarint  executeReply.Rows
+//	exec ms   8 bytes  float64 bits, little-endian
+//	wait ms   8 bytes  float64 bits, little-endian
+//	error     uvarint length, then the bytes
+//	header    uvarint length (0: no packed result), then a header frame's payload
+//	batch     the rest: one batch frame's payload
+//
+// A fetch result of at most packRowsMax rows is packed as the payloads
+// of the header and batch frames that would stream it, without their
+// 16-byte frame headers; a larger one is kept as produced in big (it may
+// alias storage, which costs nothing to keep). A retransmit is then
 // re-encoded under its *own* request's negotiation (JSON vs frames,
 // batch size) — which also makes the frame stream a replay of identical
 // rows, letting a client resume a partial stream by skipping the rows it
 // already delivered.
-type dedupOutcome struct {
-	exec   executeReply
-	result *ColBlock
-	code   string
-	// packed holds a small result in place of result, as the header and
-	// batch frames that would stream it; batchAt is where the second
-	// starts (see packResult).
-	packed  []byte
-	batchAt int
+type dedupRecord struct {
+	packed []byte
+	big    *ColBlock
 }
 
 // packRowsMax bounds the results the window keeps packed. A columnar
 // block spends 120 bytes of slice headers per column and an allocation
 // per typed array and column name; below a few dozen rows that is most
 // of it, and the window holds one result per fetch for its whole TTL.
-// Large results stay as produced: they may alias storage, which costs
-// nothing to keep.
 const packRowsMax = 64
 
-// packResult stores a fetch result in the outcome, a small one as a
-// single allocation in the frame encoding.
-func (o *dedupOutcome) packResult(res *ColBlock) {
-	if res == nil || res.Rows > packRowsMax {
-		o.result = res
-		return
+// stoppedRecord is what a duplicate waiting on an owner reads when the
+// node stops first.
+var stoppedRecord = packRecord(executeReply{Err: msgNodeStopping}, nil)
+
+// packRecord builds the record of one outcome; res is a fetch's result
+// (nil for an execute, or a fetch that produced none).
+func packRecord(rep executeReply, res *ColBlock) dedupRecord {
+	var rec dedupRecord
+	var hdr, batch []byte
+	if res != nil && res.Rows > packRowsMax {
+		rec.big = res
+	} else if res != nil {
+		fb := getFrameBuf()
+		defer putFrameBuf(fb)
+		f := appendFetchHeader(fb.b[:0], 0, res.Columns, 0, 0, res.Rows)
+		m := len(f)
+		f = appendFetchBatchCols(f, 0, res.Dense())
+		fb.b = f
+		hdr, batch = f[frameHdrLen:m], f[m+frameHdrLen:]
 	}
-	o.packed = appendFetchHeader(nil, 0, res.Columns, 0, 0, res.Rows)
-	o.batchAt = len(o.packed)
-	o.packed = appendFetchBatchCols(o.packed, 0, res.Dense())
+	size := 1 + uvarintLen(rep.Rows) + 16 + uvarintLen(len(rep.Err)) + len(rep.Err) +
+		uvarintLen(len(hdr)) + len(hdr) + len(batch)
+	p := make([]byte, 0, size)
+	var flags byte
+	if rep.Accepted {
+		flags = 1
+	}
+	p = append(p, flags)
+	p = binary.AppendUvarint(p, uint64(rep.Rows))
+	p = binary.LittleEndian.AppendUint64(p, math.Float64bits(rep.ExecMs))
+	p = binary.LittleEndian.AppendUint64(p, math.Float64bits(rep.WaitMs))
+	p = binary.AppendUvarint(p, uint64(len(rep.Err)))
+	p = append(p, rep.Err...)
+	p = binary.AppendUvarint(p, uint64(len(hdr)))
+	p = append(p, hdr...)
+	rec.packed = append(p, batch...)
+	return rec
 }
 
-// block returns the cached result, unpacking it if need be.
-func (o *dedupOutcome) block() *ColBlock {
-	if o.packed == nil {
-		return o.result
+func uvarintLen(n int) int { return (bits.Len64(uint64(n)|1) + 6) / 7 }
+
+// outcome unpacks the record: the verdict, and the fetch result it
+// carries (nil if none).
+func (r dedupRecord) outcome() (executeReply, *ColBlock) {
+	c := cursor{p: r.packed}
+	flags, ok1 := c.u8()
+	rows, ok2 := c.uvarint()
+	exec, ok3 := c.u64()
+	wait, ok4 := c.u64()
+	elen, ok5 := c.uvarint()
+	msg, ok6 := c.bytes(int(elen))
+	hlen, ok7 := c.uvarint()
+	hdr, ok8 := c.bytes(int(hlen))
+	if !(ok1 && ok2 && ok3 && ok4 && ok5 && ok6 && ok7 && ok8) {
+		panic("cluster: dedup window cannot read its own record")
+	}
+	rep := executeReply{
+		Accepted: flags&1 != 0,
+		Rows:     int(rows),
+		ExecMs:   math.Float64frombits(exec),
+		WaitMs:   math.Float64frombits(wait),
+		Err:      string(msg),
+	}
+	if r.big != nil || len(hdr) == 0 {
+		return rep, r.big
 	}
 	var h frameHeader
 	blk := &ColBlock{}
-	err := decodeFetchHeader(o.packed[frameHdrLen:o.batchAt], &h)
+	err := decodeFetchHeader(hdr, &h)
 	if err == nil {
 		blk.Columns = h.columns
-		err = decodeFetchBatch(o.packed[o.batchAt+frameHdrLen:], blk)
+		err = decodeFetchBatch(r.packed[c.off:], blk)
 	}
 	if err != nil {
 		panic("cluster: dedup window cannot read its own encoding: " + err.Error())
 	}
-	return blk
-}
-
-// dedupEntry is one in-flight or settled outcome. done is made by the
-// first duplicate that has to wait and closed when the owner settles;
-// waiters then read out/cacheable under the window lock. Entries are
-// kept lean: a busy node holds one per query for the whole TTL.
-type dedupEntry struct {
-	done      chan struct{}
-	out       dedupOutcome
-	cacheable bool
-	settled   bool
-	at        time.Time // settle time, for TTL eviction
+	return rep, blk
 }
 
 // dedupWindow gives execute/fetch at-most-once semantics: the first
@@ -84,102 +138,125 @@ type dedupEntry struct {
 // Only outcomes that represent completed work (the query ran, or the
 // engine rejected its SQL deterministically) are cacheable. Refusals —
 // overload, expired, supply race, node stopping — settle uncacheable:
-// the entry is deleted once waiters are released, so a later retry with
+// nothing is kept once waiters are released, so a later retry with
 // fresh budget is re-admitted instead of being served a stale refusal.
+// A cached outcome therefore never carries an envelope code.
 type dedupWindow struct {
-	mu      sync.Mutex
-	entries map[string]*dedupEntry
-	ttl     time.Duration
-	// order lists cached keys oldest first, so eviction happens the
-	// moment an entry's TTL is up — on the next settle — rather than at
-	// the next sweep: the window's footprint is rate × TTL, not rate ×
+	mu   sync.Mutex
+	seed maphash.Seed
+	ttl  time.Duration
+	// base is the origin of settle times: durations since it keep the
+	// monotonic clock at a third of a time.Time's size.
+	base time.Time
+	// flights holds the claimed, unsettled keys; the channel is made by
+	// the first duplicate that has to wait and closed by settle.
+	flights map[dedupKey]chan struct{}
+	// settled indexes the cached outcomes: each key's value is its
+	// outcome's sequence number, ring[seq-head]. A busy node keeps one
+	// outcome per query for the whole TTL and deletes as fast as it
+	// inserts, which leaves a Go map at about twice the slots it holds,
+	// so the map carries 24-byte slots and the records live in the ring.
+	settled map[dedupKey]uint64
+	// ring holds the cached outcomes oldest first, so eviction happens
+	// the moment an entry's TTL is up — on the next settle — rather than
+	// at the next sweep: the window's footprint is rate × TTL, not rate ×
 	// (TTL + sweep interval).
-	order []string
+	ring []settledOutcome
+	head uint64 // sequence number of ring[0]
+}
+
+type settledOutcome struct {
+	key dedupKey
+	at  time.Duration // since the window's base
+	rec dedupRecord
 }
 
 func newDedupWindow(ttl time.Duration) *dedupWindow {
-	return &dedupWindow{entries: make(map[string]*dedupEntry), ttl: ttl}
+	return &dedupWindow{
+		seed:    maphash.MakeSeed(),
+		ttl:     ttl,
+		base:    time.Now(),
+		flights: make(map[dedupKey]chan struct{}),
+		settled: make(map[dedupKey]uint64),
+	}
 }
 
-// dedupKey builds the window key. QueryID alone is not unique — the
-// distributed subquery layer reuses one query id across its fetch
-// subqueries — so the SQL hash disambiguates within a query.
-func dedupKey(runID, op string, queryID int64, sql string) string {
-	h := fnv.New64a()
-	h.Write([]byte(sql))
-	return fmt.Sprintf("%s|%s|%d|%x", runID, op, queryID, h.Sum64())
+// key builds the window key of one execute (fetch=false) or fetch.
+func (d *dedupWindow) key(runID string, fetch bool, queryID int64, sql string) dedupKey {
+	var h maphash.Hash
+	h.SetSeed(d.seed)
+	// The run id's length keeps (run, SQL) pairs from sharing a byte string.
+	var pre [9]byte
+	binary.LittleEndian.PutUint64(pre[:8], uint64(len(runID)))
+	if fetch {
+		pre[8] = 1
+	}
+	h.Write(pre[:])
+	h.WriteString(runID)
+	h.WriteString(sql)
+	return dedupKey{queryID: queryID, sum: h.Sum64()}
 }
 
 // claim resolves a key: the first caller becomes the owner (claim
 // returns owner=true) and must call settle exactly once; duplicates
 // block until the owner settles (or stop closes) and get the cached
 // outcome with hit=true. A duplicate of an uncacheable outcome gets
-// hit=false after the entry is cleared and becomes the new owner.
-func (d *dedupWindow) claim(key string, stop <-chan struct{}) (out dedupOutcome, hit, owner bool) {
+// hit=false once the owner settles and becomes the new owner.
+func (d *dedupWindow) claim(key dedupKey, stop <-chan struct{}) (rec dedupRecord, hit, owner bool) {
 	for {
 		d.mu.Lock()
-		e, ok := d.entries[key]
-		if !ok {
-			d.entries[key] = &dedupEntry{}
+		if seq, ok := d.settled[key]; ok {
+			rec := d.ring[seq-d.head].rec
 			d.mu.Unlock()
-			return dedupOutcome{}, false, true
+			return rec, true, false
 		}
-		if e.settled {
-			out, cacheable := e.out, e.cacheable
-			if !cacheable {
-				// Refusal entries are transient; clear and re-own.
-				delete(d.entries, key)
-				d.mu.Unlock()
-				return dedupOutcome{}, false, true
-			}
+		done, inFlight := d.flights[key]
+		if !inFlight {
+			d.flights[key] = nil
 			d.mu.Unlock()
-			return out, true, false
+			return dedupRecord{}, false, true
 		}
-		if e.done == nil {
-			e.done = make(chan struct{})
+		if done == nil {
+			done = make(chan struct{})
+			d.flights[key] = done
 		}
-		done := e.done
 		d.mu.Unlock()
 		select {
 		case <-done:
-			// Loop: re-read the settled entry (or re-own if it was an
-			// uncacheable refusal and got cleared).
+			// Loop: read the settled outcome, or re-own if it was an
+			// uncacheable refusal and nothing was kept.
 		case <-stop:
-			return dedupOutcome{exec: executeReply{Err: msgNodeStopping}}, true, false
+			return stoppedRecord, true, false
 		}
 	}
 }
 
 // settle publishes the owner's outcome and releases waiters. A
-// cacheable outcome stays in the window until the TTL sweep; an
-// uncacheable one (a refusal) is deleted immediately, so released
-// waiters loop back, find no entry, and re-own — retrying a refusal
-// re-admits the query rather than replaying the stale refusal.
-func (d *dedupWindow) settle(key string, out dedupOutcome, cacheable bool) {
+// cacheable outcome is packed and stays in the window for the TTL; an
+// uncacheable one (a refusal) is dropped, so released waiters loop back,
+// find nothing, and re-own — retrying a refusal re-admits the query
+// rather than replaying the stale refusal.
+func (d *dedupWindow) settle(key dedupKey, rep executeReply, res *ColBlock, cacheable bool) {
+	var rec dedupRecord
+	if cacheable {
+		rec = packRecord(rep, res)
+	}
 	d.mu.Lock()
-	e, ok := d.entries[key]
-	if !ok || e.settled {
-		d.mu.Unlock()
+	defer d.mu.Unlock()
+	done, ok := d.flights[key]
+	if !ok {
 		return
 	}
-	e.out = out
-	e.cacheable = cacheable
-	e.settled = true
-	e.at = time.Now()
-	if e.done != nil {
-		close(e.done)
+	delete(d.flights, key)
+	if done != nil {
+		close(done)
 	}
+	now := time.Since(d.base)
 	if cacheable {
-		d.order = append(d.order, key)
-	} else {
-		// Keep the settled entry visible only through the waiters'
-		// claim loop: delete now; a waiter looping back finds no entry
-		// and re-owns, which is exactly the retry-a-refusal semantics
-		// we want.
-		delete(d.entries, key)
+		d.settled[key] = d.head + uint64(len(d.ring))
+		d.ring = append(d.ring, settledOutcome{key, now, rec})
 	}
-	d.evictLocked(e.at)
-	d.mu.Unlock()
+	d.evictLocked(now)
 }
 
 // sweep evicts settled entries older than the TTL. settle does the same
@@ -187,24 +264,26 @@ func (d *dedupWindow) settle(key string, out dedupOutcome, cacheable bool) {
 // go too. Unsettled (in-flight) entries are never evicted.
 func (d *dedupWindow) sweep(now time.Time) {
 	d.mu.Lock()
-	d.evictLocked(now)
+	d.evictLocked(now.Sub(d.base))
 	d.mu.Unlock()
 }
 
-// evictLocked drops every cached entry whose TTL has passed. order is
-// in settle order, so they are all at its head; a key is on it exactly
-// while its cacheable entry is in the map (nothing else deletes those).
-func (d *dedupWindow) evictLocked(now time.Time) {
-	for len(d.order) > 0 && now.Sub(d.entries[d.order[0]].at) > d.ttl {
-		delete(d.entries, d.order[0])
-		d.order[0] = "" // the backing array outlives the pop
-		d.order = d.order[1:]
+// evictLocked drops every cached entry whose TTL has passed. ring is
+// in settle order, so they are all at its head; a key is indexed exactly
+// while its outcome is on the ring (nothing else deletes either).
+func (d *dedupWindow) evictLocked(now time.Duration) {
+	for len(d.ring) > 0 && now-d.ring[0].at > d.ttl {
+		delete(d.settled, d.ring[0].key)
+		d.ring[0] = settledOutcome{} // the backing array outlives the pop
+		d.ring = d.ring[1:]
+		d.head++
 	}
 }
 
-// size reports the current entry count (tests and gauges).
+// size reports the current entry count, in flight or settled (tests and
+// gauges).
 func (d *dedupWindow) size() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.entries)
+	return len(d.flights) + len(d.settled)
 }

@@ -271,6 +271,15 @@ func (c *cursor) u64() (uint64, bool) {
 	return v, true
 }
 
+func (c *cursor) uvarint() (uint64, bool) {
+	v, n := binary.Uvarint(c.p[c.off:])
+	if n <= 0 {
+		return 0, false
+	}
+	c.off += n
+	return v, true
+}
+
 func (c *cursor) bytes(n int) ([]byte, bool) {
 	if n < 0 || c.remaining() < n {
 		return nil, false

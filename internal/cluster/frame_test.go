@@ -206,9 +206,16 @@ func TestStreamedFetchBoundedMemory(t *testing.T) {
 		delivered int64
 		sum       int64
 		maxRows   int
+		// sentAtFirst is how many batches the server had written when
+		// the first reached the client: frames wait in the connection's
+		// buffer only until it fills, never for the end frame.
+		sentAtFirst = -1.0
 	)
 	fs := &fetchStream{sink: fetchSink{
 		block: func(blk *ColBlock) error {
+			if sentAtFirst < 0 {
+				sentAtFirst = srv.health.Snapshot()[metrics.FetchBatchesTotal]
+			}
 			if blk.Rows > maxRows {
 				maxRows = blk.Rows
 			}
@@ -257,6 +264,9 @@ func TestStreamedFetchBoundedMemory(t *testing.T) {
 	}
 	if got := srv.health.Snapshot()[metrics.FetchBatchesTotal]; got != float64((totalRows+batch-1)/batch) {
 		t.Fatalf("fetch_batches_total = %v", got)
+	}
+	if sentAtFirst > 2 {
+		t.Fatalf("the first batch arrived after the server had written %v batches", sentAtFirst)
 	}
 }
 

@@ -182,11 +182,12 @@ func TestLifecycleConformance(t *testing.T) {
 			// Another client takes A's remaining supply between its offer
 			// and our request: the round is stale, back to the market.
 			arm: func(f *lifeFed) {
-				sig, _, _, err := f.a.estimate(lifeSQL)
+				st, _, _, err := f.a.estimate(lifeSQL)
 				if err != nil {
 					f.t.Error(err)
+					return
 				}
-				for i := 0; f.a.pricer.accept(sig); i++ {
+				for i := 0; f.a.pricer.accept(st.Hints().Signature); i++ {
 					if i > 50_000_000 {
 						f.t.Error("A's supply never ran out")
 						return

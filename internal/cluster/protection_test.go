@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -326,8 +327,12 @@ func TestDeadlineShedsBeforeExecution(t *testing.T) {
 // with the expired error instead of burning executor time.
 func TestQueuedJobExpiresAtDequeue(t *testing.T) {
 	_, node, _, sql := protectionQuery(t)
+	st, _, _, err := node.estimate(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
 	job := &execJob{
-		sql: sql, reply: make(chan executeReply, 1), estMs: 1,
+		stmt: st, reply: make(chan executeReply, 1), estMs: 1,
 		queued: time.Now().Add(-10 * time.Millisecond), deadline: time.Now().Add(-5 * time.Millisecond),
 	}
 	node.execCh <- job
@@ -501,9 +506,9 @@ func TestRetryBudgetExhausted(t *testing.T) {
 }
 
 // TestDedupWindowPacksSmallResults: a small fetch result is cached as
-// one packed allocation and replays cell-identical; a large one is kept
-// as produced (it may alias storage, and re-encoding it would cost a
-// copy per fetch).
+// one packed allocation beside its verdict and replays cell-identical; a
+// large one is kept as produced (it may alias storage, and re-encoding
+// it would cost a copy per fetch).
 func TestDedupWindowPacksSmallResults(t *testing.T) {
 	rows := []sqldb.Row{
 		{sqldb.NewInt(1), sqldb.NewFloat(2.5), sqldb.NewText("it's"), sqldb.NewBool(true)},
@@ -512,18 +517,24 @@ func TestDedupWindowPacksSmallResults(t *testing.T) {
 	}
 	var small ColBlock
 	small.FillFromRows([]string{"a", "b", "c", "d"}, rows)
-	var out dedupOutcome
-	out.packResult(&small)
-	if out.packed == nil || out.result != nil {
-		t.Fatalf("a %d-row result was not packed", small.Rows)
+	verdict := executeReply{Accepted: true, Rows: 3, ExecMs: 0.125, WaitMs: 1e-5, Err: "ünchanged"}
+	rec := packRecord(verdict, &small)
+	if rec.big != nil || len(rec.packed) != cap(rec.packed) {
+		t.Fatalf("a %d-row result was not packed into one exact-size record", small.Rows)
 	}
-	replay := out.block()
+	rep, replay := rec.outcome()
+	if rep != verdict {
+		t.Fatalf("packed verdict replays %+v, want %+v", rep, verdict)
+	}
 	got, err := replay.AppendRows(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(replay.Columns, small.Columns) || !reflect.DeepEqual(got, rows) {
 		t.Fatalf("packed result replays %v %v, want %v %v", replay.Columns, got, small.Columns, rows)
+	}
+	if rep, res := packRecord(verdict, nil).outcome(); res != nil || rep != verdict {
+		t.Fatal("an outcome without a result must replay without one")
 	}
 
 	var big ColBlock
@@ -532,9 +543,8 @@ func TestDedupWindowPacksSmallResults(t *testing.T) {
 		bigRows[i] = sqldb.Row{sqldb.NewInt(int64(i))}
 	}
 	big.FillFromRows([]string{"n"}, bigRows)
-	out = dedupOutcome{}
-	out.packResult(&big)
-	if out.packed != nil || out.block() != &big {
+	rec = packRecord(verdict, &big)
+	if rep, res := rec.outcome(); rec.big != &big || res != &big || rep != verdict {
 		t.Fatal("a result over packRowsMax must be cached as produced")
 	}
 }
@@ -544,12 +554,13 @@ func TestDedupWindowPacksSmallResults(t *testing.T) {
 // window's footprint follows rate × TTL.
 func TestDedupWindowEvictsAtTTL(t *testing.T) {
 	d := newDedupWindow(time.Minute)
-	settle := func(key string, cacheable bool) {
+	key := func(sql string) dedupKey { return d.key("run", false, 1, sql) }
+	settle := func(sql string, cacheable bool) {
 		t.Helper()
-		if _, hit, owner := d.claim(key, nil); hit || !owner {
-			t.Fatalf("claim(%s): hit=%v owner=%v, want a fresh owner", key, hit, owner)
+		if _, hit, owner := d.claim(key(sql), nil); hit || !owner {
+			t.Fatalf("claim(%s): hit=%v owner=%v, want a fresh owner", sql, hit, owner)
 		}
-		d.settle(key, dedupOutcome{exec: executeReply{Accepted: cacheable}}, cacheable)
+		d.settle(key(sql), executeReply{Accepted: cacheable}, nil, cacheable)
 	}
 	settle("old", true)
 	settle("refused", false) // never cached, never queued
@@ -557,16 +568,61 @@ func TestDedupWindowEvictsAtTTL(t *testing.T) {
 	if got := d.size(); got != 2 {
 		t.Fatalf("window holds %d entries, want the 2 cacheable ones", got)
 	}
-	d.entries["old"].at = time.Now().Add(-2 * time.Minute)
+	if d.ring[0].key != key("old") {
+		t.Fatal("the oldest entry does not head the eviction order")
+	}
+	d.ring[0].at -= 2 * time.Minute
 	settle("newer", true)
-	if _, hit, _ := d.claim("young", nil); !hit {
+	if _, hit, _ := d.claim(key("young"), nil); !hit {
 		t.Fatal("an entry inside its TTL was evicted")
 	}
-	if _, ok := d.entries["old"]; ok {
+	if _, ok := d.settled[key("old")]; ok {
 		t.Fatal("an expired entry survived the next settle")
 	}
 	d.sweep(time.Now().Add(2 * time.Minute))
 	if got := d.size(); got != 0 {
 		t.Fatalf("sweep past every TTL left %d entries", got)
 	}
+}
+
+// TestDedupWindowBytesPerOutcome pins what the window costs a busy
+// node: every fetch's outcome stays for the whole TTL, so its bytes
+// times the query rate times the TTL are resident. The outcome is
+// small-fetch's — a one-join star query grouped into 8 rows of (grp, n,
+// total) — and the count is everything the window holds for it: record,
+// index slot and ring entry.
+func TestDedupWindowBytesPerOutcome(t *testing.T) {
+	rows := make([]sqldb.Row, 8)
+	for g := range rows {
+		rows[g] = sqldb.Row{sqldb.NewInt(int64(g)), sqldb.NewInt(int64(10 + g)), sqldb.NewFloat(512.25 + float64(g))}
+	}
+	var res ColBlock
+	res.FillFromRows([]string{"grp", "n", "total"}, rows)
+	const (
+		entries = 40_000
+		runID   = "r-1760000000000000000-1"
+		sql     = "SELECT r3.grp, COUNT(*) AS n, SUM(r3.v) AS total FROM r3 JOIN v5 ON r3.k = v5.k WHERE r3.v > 42 GROUP BY r3.grp ORDER BY r3.grp"
+	)
+	d := newDedupWindow(time.Hour)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := int64(0); i < entries; i++ {
+		key := d.key(runID, true, i, sql)
+		if _, _, owner := d.claim(key, nil); !owner {
+			t.Fatalf("query %d: not the owner", i)
+		}
+		d.settle(key, executeReply{Accepted: true, ExecMs: 0.0123}, &res, true)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if got := d.size(); got != entries {
+		t.Fatalf("window holds %d outcomes, want %d", got, entries)
+	}
+	perEntry := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / entries
+	t.Logf("%.0f heap bytes per cached 8-row outcome", perEntry)
+	if perEntry > 500 {
+		t.Fatalf("a cached 8-row outcome holds %.0f heap bytes, budget is 500", perEntry)
+	}
+	runtime.KeepAlive(d)
 }

@@ -108,13 +108,12 @@ func TestSelBlockFramesMatchDense(t *testing.T) {
 	}
 	// The dedup window packs a small result as its frames.
 	small := selBlock(t, selTestNarrow)
-	var viaSel, viaDense dedupOutcome
-	viaSel.packResult(small)
-	viaDense.packResult(small.Dense())
-	if viaSel.packed == nil || !bytes.Equal(viaSel.packed, viaDense.packed) {
+	viaSel := packRecord(executeReply{Accepted: true}, small)
+	viaDense := packRecord(executeReply{Accepted: true}, small.Dense())
+	if viaSel.big != nil || !bytes.Equal(viaSel.packed, viaDense.packed) {
 		t.Fatal("packed form of the selection differs from its dense copy's")
 	}
-	if got, want := viaSel.block(), small.Dense(); !reflect.DeepEqual(mustAppendRows(t, got), mustAppendRows(t, want)) {
+	if _, got := viaSel.outcome(); !reflect.DeepEqual(mustAppendRows(t, got), mustAppendRows(t, small.Dense())) {
 		t.Fatal("unpacked rows differ")
 	}
 }

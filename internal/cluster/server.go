@@ -224,7 +224,7 @@ type Node struct {
 }
 
 type execJob struct {
-	sql      string
+	stmt     driver.Statement // prepared at admission, priced by its hints
 	reply    chan executeReply
 	estMs    float64
 	withRows bool      // fetch: ship result rows back
@@ -879,32 +879,34 @@ func (n *Node) hintsTargetMs(h driver.CostHints) float64 {
 
 // estimate plans the SQL through the storage driver and produces the
 // node's execution-time estimate: the paper's EXPLAIN-then-history
-// scheme, with the driver's cost hints standing in for EXPLAIN.
-func (n *Node) estimate(sql string) (sig string, estMs float64, fromHistory bool, err error) {
-	st, err := n.cfg.Driver.Prepare(sql)
+// scheme, with the driver's cost hints standing in for EXPLAIN. The
+// statement it returns is the one an admitted execute or fetch runs, so
+// the query is planned once and executed as it was priced.
+func (n *Node) estimate(sql string) (st driver.Statement, estMs float64, fromHistory bool, err error) {
+	st, err = n.cfg.Driver.Prepare(sql)
 	if err != nil {
-		return "", 0, false, err
+		return nil, 0, false, err
 	}
 	h := st.Hints()
-	sig = h.Signature
 	n.mu.Lock()
-	ema, ok := n.history[sig]
+	ema, ok := n.history[h.Signature]
 	n.mu.Unlock()
 	if ok {
-		return sig, ema, true, nil
+		return st, ema, true, nil
 	}
-	return sig, n.hintsTargetMs(h), false, nil
+	return st, n.hintsTargetMs(h), false, nil
 }
 
 func (n *Node) negotiate(req *request) (negotiateReply, string) {
 	sp := n.traceStart(req, "solve")
 	defer sp.Finish()
-	sig, estMs, fromHistory, err := n.estimate(req.SQL)
+	st, estMs, fromHistory, err := n.estimate(req.SQL)
 	if err != nil {
 		// Unknown relations (or malformed SQL) mean "cannot evaluate".
 		sp.Annotate("infeasible: %s", err)
 		return negotiateReply{Feasible: false, Err: err.Error()}, ""
 	}
+	sig := st.Hints().Signature
 	if code := n.shedExpired(req, estMs); code != "" {
 		// The remaining budget cannot cover this node's backlog plus the
 		// query itself: refuse before burning market supply on an offer.
@@ -980,24 +982,25 @@ func cacheableOutcome(rep executeReply, code string) bool {
 
 func (n *Node) execute(req *request) (executeReply, string) {
 	if req.RunID != "" {
-		key := dedupKey(req.RunID, "execute", req.QueryID, req.SQL)
-		if out, hit, _ := n.dedup.claim(key, n.stopCh); hit {
+		key := n.dedup.key(req.RunID, false, req.QueryID, req.SQL)
+		if rec, hit, _ := n.dedup.claim(key, n.stopCh); hit {
 			n.health.Inc(metrics.DedupHitsTotal)
-			return out.exec, out.code
+			rep, _ := rec.outcome()
+			return rep, ""
 		}
 		rep, code := n.executeOnce(req)
-		n.dedup.settle(key, dedupOutcome{exec: rep, code: code}, cacheableOutcome(rep, code))
+		n.dedup.settle(key, rep, nil, cacheableOutcome(rep, code))
 		return rep, code
 	}
 	return n.executeOnce(req)
 }
 
 func (n *Node) executeOnce(req *request) (executeReply, string) {
-	sig, estMs, _, err := n.estimate(req.SQL)
+	st, estMs, _, err := n.estimate(req.SQL)
 	if err != nil {
 		return executeReply{Err: err.Error()}, ""
 	}
-	job, rep, code := n.admit(req, sig, estMs, false)
+	job, rep, code := n.admit(req, st, estMs, false)
 	if code != "" || rep.Err != "" || job == nil {
 		return rep, code
 	}
@@ -1017,26 +1020,26 @@ func (n *Node) executeOnce(req *request) (executeReply, string) {
 // frame-stream resume, re-encodes the identical rows its own way.
 func (n *Node) fetch(req *request) (fetchReply, *ColBlock, string) {
 	if req.RunID != "" {
-		key := dedupKey(req.RunID, "fetch", req.QueryID, req.SQL)
-		if out, hit, _ := n.dedup.claim(key, n.stopCh); hit {
+		key := n.dedup.key(req.RunID, true, req.QueryID, req.SQL)
+		if rec, hit, _ := n.dedup.claim(key, n.stopCh); hit {
 			n.health.Inc(metrics.DedupHitsTotal)
-			return fetchReply{Accepted: out.exec.Accepted, ExecMs: out.exec.ExecMs, Err: out.exec.Err}, out.block(), out.code
+			rep, res := rec.outcome()
+			return fetchReply{Accepted: rep.Accepted, ExecMs: rep.ExecMs, Err: rep.Err}, res, ""
 		}
 		fr, res, code := n.fetchOnce(req)
-		out := dedupOutcome{exec: executeReply{Accepted: fr.Accepted, ExecMs: fr.ExecMs, Err: fr.Err}, code: code}
-		out.packResult(res)
-		n.dedup.settle(key, out, cacheableOutcome(out.exec, code))
+		rep := executeReply{Accepted: fr.Accepted, ExecMs: fr.ExecMs, Err: fr.Err}
+		n.dedup.settle(key, rep, res, cacheableOutcome(rep, code))
 		return fr, res, code
 	}
 	return n.fetchOnce(req)
 }
 
 func (n *Node) fetchOnce(req *request) (fetchReply, *ColBlock, string) {
-	sig, estMs, _, err := n.estimate(req.SQL)
+	st, estMs, _, err := n.estimate(req.SQL)
 	if err != nil {
 		return fetchReply{Err: err.Error()}, nil, ""
 	}
-	job, rep, code := n.admit(req, sig, estMs, true)
+	job, rep, code := n.admit(req, st, estMs, true)
 	if code != "" || rep.Err != "" || job == nil {
 		return fetchReply{Accepted: rep.Accepted, Err: rep.Err}, nil, code
 	}
@@ -1067,7 +1070,7 @@ func expiredCode(rep executeReply) string {
 // QA-NT supply; the later non-blocking enqueue can still lose a rare
 // race, which costs one accepted unit of supply — bounded, and far
 // cheaper than blocking every admitted request behind a full queue.
-func (n *Node) admit(req *request, sig string, estMs float64, withRows bool) (*execJob, executeReply, string) {
+func (n *Node) admit(req *request, st driver.Statement, estMs float64, withRows bool) (*execJob, executeReply, string) {
 	if code := n.shedExpired(req, estMs); code != "" {
 		return nil, executeReply{Err: msgExpired}, code
 	}
@@ -1075,11 +1078,11 @@ func (n *Node) admit(req *request, sig string, estMs float64, withRows bool) (*e
 		n.health.Inc(metrics.OverloadTotal)
 		return nil, executeReply{Err: msgOverloaded}, CodeOverload
 	}
-	if req.Mechanism == MechQANT && !n.pricer.accept(sig) {
+	if req.Mechanism == MechQANT && !n.pricer.accept(st.Hints().Signature) {
 		// Supply sold out since the offer (another client won the race).
 		return nil, executeReply{Accepted: false}, ""
 	}
-	job := &execJob{sql: req.SQL, reply: make(chan executeReply, 1), estMs: estMs,
+	job := &execJob{stmt: st, reply: make(chan executeReply, 1), estMs: estMs,
 		withRows: withRows, trace: req.Trace, queued: time.Now(), deadline: jobDeadline(req)}
 	n.mu.Lock()
 	n.backlogMs += estMs
@@ -1131,15 +1134,9 @@ func (n *Node) runJob(job *execJob) {
 		n.finishJob(job, executeReply{Err: msgExpired})
 		return
 	}
-	st, err := n.cfg.Driver.Prepare(job.sql)
-	if err != nil {
-		n.recordJobError(job, queued, err)
-		n.finishJob(job, executeReply{Err: err.Error()})
-		return
-	}
-	hints := st.Hints()
+	hints := job.stmt.Hints()
 	start := time.Now()
-	blk, err := st.Execute()
+	blk, err := job.stmt.Execute()
 	if err != nil {
 		n.recordJobError(job, queued, err)
 		n.finishJob(job, executeReply{Err: err.Error()})
@@ -1176,8 +1173,9 @@ func (n *Node) runJob(job *execJob) {
 	n.executed++
 	n.mu.Unlock()
 	if job.trace != nil && job.trace.V >= 1 {
-		// The queue span covers enqueue -> dequeue+plan; the exec span is
-		// the engine run (including the heterogeneity stretch).
+		// The queue span covers enqueue -> dequeue (the statement was
+		// planned at admission); the exec span is the engine run
+		// (including the heterogeneity stretch).
 		qstart := job.queued
 		if qstart.IsZero() {
 			qstart = queued

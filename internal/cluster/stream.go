@@ -19,12 +19,14 @@ import (
 // (fetchStream, fed by mconn.stream or freshStream).
 //
 // Memory stays O(batch) on both sides by construction: the server
-// appends one batch into a pooled buffer and flushes it before
-// building the next, and the client decodes each frame into one
-// reusable ColBlock handed to the caller's sink. When the sink is
-// slow, the client's demux blocks, its socket reads stop, and TCP
-// backpressure stalls the server's flush — the transport itself is the
-// flow control.
+// appends one batch into a pooled buffer and hands it to the
+// connection's writer before building the next, and the client decodes
+// each frame into one reusable ColBlock handed to the caller's sink. A
+// batch larger than the writer's buffer goes straight to the socket; a
+// small reply's frames collect in the buffer and leave in one write at
+// the end frame. When the sink is slow, the client's demux blocks, its
+// socket reads stop, and TCP backpressure stalls the server's write —
+// the transport itself is the flow control.
 
 // frameStream carries an accepted fetch result from the handler to
 // serveConn's writer goroutine, which streams it as binary frames.
@@ -39,17 +41,23 @@ type frameStream struct {
 // healthy, so the failure is terminal for the query, not the node.
 var errStreamAbort = errors.New("cluster: fetch sink aborted stream")
 
-// writeFrame flushes the frame bytes appended to buf since start,
-// under the connection's shared write lock. Taking the lock per frame
+// writeFrame writes one frame to the connection's writer under its
+// shared write lock and flushes the writer if flush is set (the end
+// frame); a frame that outgrows the buffer reaches the socket anyway.
+// Another reply's writeMsg flushes whatever is buffered with its own
+// message, so frames keep their order. Taking the lock per frame
 // (not per stream) keeps the multiplexed connection live for other
 // replies between batches of a long stream.
-func writeFrame(w *bufio.Writer, wmu *sync.Mutex, frame []byte) error {
+func writeFrame(w *bufio.Writer, wmu *sync.Mutex, frame []byte, flush bool) error {
 	wmu.Lock()
 	defer wmu.Unlock()
 	if _, err := w.Write(frame); err != nil {
 		return err
 	}
-	return w.Flush()
+	if flush {
+		return w.Flush()
+	}
+	return nil
 }
 
 // streamFetch writes one accepted fetch result as a frame stream:
@@ -57,8 +65,9 @@ func writeFrame(w *bufio.Writer, wmu *sync.Mutex, frame []byte) error {
 // stream truncates it with an end frame carrying msgNodeStopping, so
 // the client knows the delivered prefix is incomplete; the PR 6
 // classification (node stopping = safe to resubmit elsewhere) holds
-// for partial streams too. The write buffer is pooled and reused
-// across streams.
+// for partial streams too. The frame buffer is pooled and reused
+// across streams; only the end frame flushes, so a small reply costs
+// one write.
 func (n *Node) streamFetch(conn net.Conn, w *bufio.Writer, wmu *sync.Mutex, id uint64, fs *frameStream) error {
 	fb := getFrameBuf()
 	defer func() {
@@ -71,7 +80,7 @@ func (n *Node) streamFetch(conn net.Conn, w *bufio.Writer, wmu *sync.Mutex, id u
 	total := res.Rows
 	buf := appendFetchHeader(fb.b[:0], id, res.Columns, fs.execMs, fs.batch, total)
 	fb.b = buf[:0]
-	if err := writeFrame(w, wmu, buf); err != nil {
+	if err := writeFrame(w, wmu, buf, false); err != nil {
 		return err
 	}
 	n.health.Add(metrics.FetchBytesTotal, int64(len(buf)))
@@ -97,15 +106,19 @@ func (n *Node) streamFetch(conn net.Conn, w *bufio.Writer, wmu *sync.Mutex, id u
 			break
 		}
 		if cut := n.frameSever.Load(); cut > 0 && int32(batches) >= cut {
-			// Test hook: simulate a connection lost mid-stream. One-shot
-			// so the retransmit after re-dial streams cleanly.
+			// Test hook: simulate a connection lost mid-stream, after the
+			// frames written so far have reached the client. One-shot so
+			// the retransmit after re-dial streams cleanly.
 			n.frameSever.Store(0)
+			wmu.Lock()
+			_ = w.Flush() // the connection is closed next either way
+			wmu.Unlock()
 			conn.Close()
 			return fmt.Errorf("cluster: frame stream severed by test hook")
 		}
 		buf = appendFetchBatchCols(fb.b[:0], id, &batch)
 		fb.b = buf[:0]
-		if err := writeFrame(w, wmu, buf); err != nil {
+		if err := writeFrame(w, wmu, buf, false); err != nil {
 			return err
 		}
 		sent += uint64(batch.Rows)
@@ -116,7 +129,7 @@ func (n *Node) streamFetch(conn net.Conn, w *bufio.Writer, wmu *sync.Mutex, id u
 
 	buf = appendFetchEnd(fb.b[:0], id, sent, batches, errMsg)
 	fb.b = buf[:0]
-	if err := writeFrame(w, wmu, buf); err != nil {
+	if err := writeFrame(w, wmu, buf, true); err != nil {
 		return err
 	}
 	n.health.Add(metrics.FetchBytesTotal, int64(len(buf)))

@@ -41,6 +41,7 @@ type Mock struct {
 
 	failNext atomic.Int64
 	execs    atomic.Int64
+	prepares atomic.Int64
 }
 
 // NewMock wraps inner with the given fault knobs.
@@ -53,6 +54,10 @@ func NewMock(inner Driver, cfg MockConfig) *Mock {
 // Executions reports how many Execute calls reached the inner engine —
 // the counter executed-once assertions read.
 func (m *Mock) Executions() int64 { return m.execs.Load() }
+
+// Prepares reports how many Prepare calls reached the inner engine —
+// the counter plan-once assertions read.
+func (m *Mock) Prepares() int64 { return m.prepares.Load() }
 
 // FailNextExec queues n injected Execute failures.
 func (m *Mock) FailNextExec(n int) { m.failNext.Store(int64(n)) }
@@ -70,6 +75,7 @@ func (m *Mock) Exec(sql string) (int, error) { return m.inner.Exec(sql) }
 // negotiation has already priced the statement, which is where a real
 // backend fails too.
 func (m *Mock) Prepare(sql string) (Statement, error) {
+	m.prepares.Add(1)
 	inner, err := m.inner.Prepare(sql)
 	if err != nil {
 		return nil, err

@@ -1,14 +1,23 @@
 package sqldb
 
 import (
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode/utf8"
 )
 
+// lexErrOffset reads the byte offset a lexer error names.
+var lexErrOffset = regexp.MustCompile(`at offset (\d+)$`)
+
 // FuzzParse feeds arbitrary byte strings through the SQL parser: it
 // must never panic, and whatever it accepts must render back to SQL
-// that parses to the same rendering (round-trip stability).
+// that parses to the same rendering (round-trip stability). Underneath,
+// the lexer must classify a word as a keyword exactly when
+// strings.ToUpper spells one and the word is ASCII (ToUpper also maps ı
+// and ſ onto I and S; keyword matching deliberately does not), and
+// every error it reports must name a rune boundary inside the input.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		"SELECT * FROM t",
@@ -31,6 +40,28 @@ func FuzzParse(f *testing.F) {
 		if !utf8.ValidString(input) || len(input) > 4096 {
 			t.Skip()
 		}
+		toks, err := lex(input, nil)
+		if err != nil {
+			m := lexErrOffset.FindStringSubmatch(err.Error())
+			if m == nil {
+				t.Fatalf("lex(%q) error names no offset: %v", input, err)
+			}
+			off, _ := strconv.Atoi(m[1])
+			if off >= len(input) || !utf8.RuneStart(input[off]) {
+				t.Fatalf("lex(%q) error offset %d is not a rune boundary inside the input: %v", input, off, err)
+			}
+		}
+		for _, tok := range toks {
+			if tok.kind != tokKeyword && tok.kind != tokIdent {
+				continue
+			}
+			// Keyword spellings and folded names keep the word's length.
+			w := input[tok.pos : tok.pos+len(tok.text)]
+			_, kw := keywords[strings.ToUpper(w)]
+			if want := kw && isASCII(w); (tok.kind == tokKeyword) != want {
+				t.Fatalf("lex(%q): word %q lexed as %q (kind %d), keyword=%v", input, w, tok.text, tok.kind, want)
+			}
+		}
 		stmt, err := Parse(input)
 		if err != nil {
 			return // rejection is fine; panics are not
@@ -48,6 +79,15 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("unstable rendering: %q -> %q", rendered, s2.String())
 		}
 	})
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
 }
 
 // FuzzLikeMatch checks the wildcard matcher never panics and honors

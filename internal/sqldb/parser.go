@@ -4,11 +4,29 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 )
+
+// tokenBufs recycles token slices between parses: a statement's AST
+// holds substrings of its input, never its tokens, so the slice is free
+// once Parse returns.
+var tokenBufs = sync.Pool{New: func() any { return new([]token) }}
+
+// maxPooledTokens bounds the slices tokenBufs keeps; a bulk INSERT's is
+// left to the collector.
+const maxPooledTokens = 4096
 
 // Parse parses one SQL statement.
 func Parse(input string) (Statement, error) {
-	toks, err := lex(input)
+	buf := tokenBufs.Get().(*[]token)
+	toks, err := lex(input, *buf)
+	defer func() {
+		if cap(toks) <= maxPooledTokens {
+			clear(toks[:cap(toks)]) // hold no substrings of this input
+			*buf = toks[:0]
+			tokenBufs.Put(buf)
+		}
+	}()
 	if err != nil {
 		return nil, err
 	}
@@ -124,22 +142,26 @@ func (p *parser) parseCreateTable() (Statement, error) {
 }
 
 func (p *parser) parseType() (Type, error) {
-	t := p.next()
+	// Look before consuming: the error must not step past EOF.
+	t := p.cur()
 	if t.kind != tokKeyword {
 		return 0, p.errorf("expected a type, found %q", t.text)
 	}
+	var typ Type
 	switch t.text {
 	case "INT":
-		return TInt, nil
+		typ = TInt
 	case "FLOAT":
-		return TFloat, nil
+		typ = TFloat
 	case "TEXT":
-		return TText, nil
+		typ = TText
 	case "BOOL":
-		return TBool, nil
+		typ = TBool
 	default:
 		return 0, p.errorf("unknown type %q", t.text)
 	}
+	p.pos++
+	return typ, nil
 }
 
 func (p *parser) parseCreateIndex() (Statement, error) {

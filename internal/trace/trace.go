@@ -3,11 +3,12 @@
 // through negotiate -> allocate -> execute -> fetch across client and
 // server processes.
 //
-// Spans are recorded into a fixed-capacity ring buffer (old traces are
-// overwritten, never grown), the clock is injected like everywhere else
-// in the repo (tests drive it by hand for byte-identical output), and
-// span identity is a recorder-local counter qualified by the recorder's
-// origin — no global randomness, no allocation beyond the buffer slot.
+// Spans are recorded into a ring buffer that grows on use up to a fixed
+// capacity and then overwrites the oldest, the clock is injected like
+// everywhere else in the repo (tests drive it by hand for byte-identical
+// output), and span identity is a recorder-local counter qualified by
+// the recorder's origin — no global randomness, no allocation beyond the
+// buffer slot.
 // The cluster package carries trace context on the wire (a
 // version-negotiated request field, like the fetch-row encoding) so
 // server-side spans parent correctly under the client's, and
@@ -43,6 +44,8 @@ type Clock func() time.Time
 // DefaultCapacity is the span ring size used when NewRecorder is given
 // a non-positive capacity: enough for thousands of queries' lifecycles
 // while bounding a long-lived node's trace memory to a few hundred KB.
+// The ring grows as spans arrive, so a recorder nobody traces through
+// holds none of it.
 const DefaultCapacity = 4096
 
 // Recorder collects spans into a ring buffer. All methods are
@@ -56,6 +59,7 @@ type Recorder struct {
 	mu   sync.Mutex
 	seq  uint64
 	buf  []Span
+	size int  // the ring's capacity; buf grows up to it
 	next int  // next slot to overwrite
 	full bool // buf has wrapped at least once
 }
@@ -69,7 +73,7 @@ func NewRecorder(origin string, capacity int, clock Clock) *Recorder {
 	if clock == nil {
 		clock = time.Now
 	}
-	return &Recorder{origin: origin, clock: clock, buf: make([]Span, 0, capacity)}
+	return &Recorder{origin: origin, clock: clock, size: capacity}
 }
 
 // Origin returns the identity the recorder stamps on its spans.
@@ -162,13 +166,18 @@ func (r *Recorder) Record(traceID int64, parent, name string, start time.Time, d
 
 func (r *Recorder) commit(s Span) {
 	r.mu.Lock()
-	if len(r.buf) < cap(r.buf) {
+	if len(r.buf) < r.size {
+		if len(r.buf) == cap(r.buf) {
+			grown := make([]Span, len(r.buf), min(max(2*len(r.buf), 16), r.size))
+			copy(grown, r.buf)
+			r.buf = grown
+		}
 		r.buf = append(r.buf, s)
 	} else {
 		r.buf[r.next] = s
 		r.full = true
 	}
-	r.next = (r.next + 1) % cap(r.buf)
+	r.next = (r.next + 1) % r.size
 	r.mu.Unlock()
 }
 

@@ -66,12 +66,15 @@ func TestRecorderDeterministicSpans(t *testing.T) {
 func TestRecorderRingOverwritesOldest(t *testing.T) {
 	clk := newManualClock()
 	r := NewRecorder("c", 4, clk.Now)
+	if cap(r.buf) != 0 {
+		t.Fatalf("an unused recorder holds a %d-span ring", cap(r.buf))
+	}
 	for i := int64(1); i <= 6; i++ {
 		r.Record(i, "", "op", clk.Now(), 1, "")
 		clk.Advance(time.Millisecond)
 	}
-	if r.Len() != 4 {
-		t.Fatalf("ring holds %d, want 4", r.Len())
+	if r.Len() != 4 || cap(r.buf) != 4 {
+		t.Fatalf("ring holds %d in %d slots, want 4 in 4", r.Len(), cap(r.buf))
 	}
 	all := r.All()
 	if len(all) != 4 {
@@ -85,6 +88,16 @@ func TestRecorderRingOverwritesOldest(t *testing.T) {
 	}
 	if r.Spans(1) != nil {
 		t.Fatal("overwritten trace still readable")
+	}
+
+	// A ring that grows in steps wraps the same way.
+	r = NewRecorder("c", 40, clk.Now)
+	for i := int64(1); i <= 100; i++ {
+		r.Record(i, "", "op", clk.Now(), 1, "")
+	}
+	all = r.All()
+	if len(all) != 40 || cap(r.buf) != 40 || all[0].TraceID != 61 || all[39].TraceID != 100 {
+		t.Fatalf("40-span ring after 100 spans: %d spans in %d slots, %d..%d", len(all), cap(r.buf), all[0].TraceID, all[len(all)-1].TraceID)
 	}
 }
 
