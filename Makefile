@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench benchsmoke loadsmoke membersmoke tracesmoke chaossmoke scalesmoke fuzzsmoke execsmoke scalersmoke oneledger ci
+.PHONY: all build test vet race bench benchsmoke loadsmoke membersmoke tracesmoke chaossmoke scalesmoke fuzzsmoke execsmoke scalersmoke oneledger onelane ci
 
 all: build test
 
@@ -91,6 +91,17 @@ oneledger:
 		| grep -vE '^\./internal/market/|_test\.go:'; \
 	then echo 'oneledger: a seller is traded through its observer, past the ledger (see DESIGN.md, "One QA-NT seller")'; exit 1; fi
 
+# onelane keeps one lane for fetch results: an accepted fetch leaves a
+# node as binary frames (internal/cluster/frame.go) and refusals as the
+# JSON envelope an execute gets. It fails when a non-test file under
+# internal/cluster declares a slice-typed JSON field for result rows or
+# columns, or when the client options that picked a JSON lane come back.
+onelane:
+	@if grep -nE '\[\][^`]*`json:"(rows|cols)' internal/cluster/*.go | grep -v '_test\.go:'; \
+	then echo 'onelane: result rows have a JSON field again (see DESIGN.md §9, "Two lanes")'; exit 1; fi
+	@if grep -rnwE 'FetchEnc|FrameV' --include='*.go' .; \
+	then echo 'onelane: FetchEnc/FrameV are back; a fetch result has one lane (see DESIGN.md §9, "Two lanes")'; exit 1; fi
+
 # execsmoke soaks the storage-driver seam: a federation whose nodes
 # front different executors (row, vector, mock) is checked for
 # cell-level parity against a local oracle, multi-frame streaming,
@@ -114,4 +125,4 @@ scalesmoke:
 scalersmoke:
 	$(GO) run ./cmd/scalersmoke
 
-ci: build vet oneledger test race benchsmoke loadsmoke membersmoke tracesmoke chaossmoke scalesmoke execsmoke fuzzsmoke scalersmoke
+ci: build vet oneledger onelane test race benchsmoke loadsmoke membersmoke tracesmoke chaossmoke scalesmoke execsmoke fuzzsmoke scalersmoke

@@ -53,13 +53,11 @@ type transportTiming struct {
 
 // fetchTiming is the zero-copy framing trajectory row: the 1,000-row
 // fetch round trip's steady-state allocation count and throughput on
-// the binary frame lane, next to the compact-JSON encoding it replaced
-// as the hot path (which cost ~1,120 allocs per fetch).
+// the binary frame lane.
 type fetchTiming struct {
-	Rows               int     `json:"rows"`
-	FrameAllocsPerOp   float64 `json:"frame_allocs_per_op"`
-	FrameMBPerS        float64 `json:"frame_mb_per_s"`
-	CompactAllocsPerOp float64 `json:"compact_allocs_per_op"`
+	Rows             int     `json:"rows"`
+	FrameAllocsPerOp float64 `json:"frame_allocs_per_op"`
+	FrameMBPerS      float64 `json:"frame_mb_per_s"`
 }
 
 // executorTiming is the storage-executor trajectory: the same filtered
@@ -268,27 +266,23 @@ func main() {
 	entries = append(entries, micro...)
 	// The transport micro-benchmarks: per-RPC cost fresh vs pooled
 	// (sequential and 8-way concurrent) and the fetch-path result
-	// round trip with allocs/op (tagged and compact JSON, binary frames).
+	// round trip over binary frames with allocs/op.
 	transportBenches, err := runBenchPkg("./internal/cluster",
-		`^(BenchmarkTransportRPC|BenchmarkTransportConcurrent|BenchmarkFetchEncoding|BenchmarkFetchFrameRoundTrip)`, microTime)
+		`^(BenchmarkTransportRPC|BenchmarkTransportConcurrent|BenchmarkFetchFrameRoundTrip)`, microTime)
 	if err != nil {
 		fatal(err)
 	}
 	entries = append(entries, transportBenches...)
 	fetch := fetchTiming{Rows: 1000}
 	for _, e := range transportBenches {
-		switch e.Name {
-		case "BenchmarkFetchFrameRoundTrip":
-			if e.AllocsPerOp != nil {
-				fetch.FrameAllocsPerOp = *e.AllocsPerOp
-			}
-			if e.MBPerS != nil {
-				fetch.FrameMBPerS = *e.MBPerS
-			}
-		case "BenchmarkFetchEncodingCompact":
-			if e.AllocsPerOp != nil {
-				fetch.CompactAllocsPerOp = *e.AllocsPerOp
-			}
+		if e.Name != "BenchmarkFetchFrameRoundTrip" {
+			continue
+		}
+		if e.AllocsPerOp != nil {
+			fetch.FrameAllocsPerOp = *e.AllocsPerOp
+		}
+		if e.MBPerS != nil {
+			fetch.FrameMBPerS = *e.MBPerS
 		}
 	}
 

@@ -88,7 +88,7 @@ func TestBenchLineParsesThroughputColumn(t *testing.T) {
 		mbps, bpo, allocs string
 	}{
 		{"BenchmarkFetchFrameRoundTrip-8   200  63822 ns/op  497.05 MB/s  8908 B/op  14 allocs/op", "497.05", "8908", "14"},
-		{"BenchmarkFetchEncodingCompact-8  200  933079 ns/op  450978 B/op  1120 allocs/op", "", "450978", "1120"},
+		{"BenchmarkTransportRPC/pooled-8  200  933079 ns/op  450978 B/op  1120 allocs/op", "", "450978", "1120"},
 		{"BenchmarkFigure1  1  1115 ns/op", "", "", ""},
 	}
 	for _, tc := range cases {

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"math"
@@ -139,17 +138,6 @@ type ClientConfig struct {
 	// static views that never refreshed) are always probed, so the
 	// default is safe in mixed fleets.
 	NoShardProbe bool
-	// FrameV selects the binary fetch-frame version advertised on fetch
-	// requests: 0 (the default) advertises the newest this build speaks
-	// (frameV1), -1 disables frames so fetch replies stay JSON (the
-	// pre-frame wire, for rollback and benchmarks). After validation the
-	// field holds the wire value.
-	FrameV int
-	// FetchEnc selects the JSON fetch-row encoding advertised: 0 (the
-	// default) the newest (encCompact), -1 the v0 tagged encoding.
-	// Frames bypass it; it governs JSON fetch replies (old servers, or
-	// FrameV -1). After validation the field holds the wire value.
-	FetchEnc int
 	// FetchBatchRows asks servers to bound streamed fetch batches to
 	// this many rows (servers clamp to their own FetchBatchRows config).
 	// Zero accepts the server default.
@@ -232,18 +220,6 @@ func (c *ClientConfig) validate() error {
 	}
 	if c.BidCacheTTL < 0 {
 		return fmt.Errorf("cluster: BidCacheTTL %v is negative", c.BidCacheTTL)
-	}
-	switch {
-	case c.FrameV == 0 || c.FrameV > frameV1:
-		c.FrameV = frameV1
-	case c.FrameV < 0:
-		c.FrameV = 0 // frames disabled: the field stays off the wire
-	}
-	switch {
-	case c.FetchEnc == 0 || c.FetchEnc > encCompact:
-		c.FetchEnc = encCompact
-	case c.FetchEnc < 0:
-		c.FetchEnc = encTagged
 	}
 	if c.FetchBatchRows < 0 {
 		return fmt.Errorf("cluster: FetchBatchRows %d is negative", c.FetchBatchRows)
@@ -375,8 +351,8 @@ type Client struct {
 	rpcCounts map[string]int64
 
 	// wire tallies bytes on every client-owned connection (pooled and
-	// fresh), the denominator-free raw wire cost qaload's per-encoding
-	// bytes_per_query report divides down.
+	// fresh), the denominator-free raw wire cost qaload's bytes_per_query
+	// report divides down.
 	wire *wireCounter
 
 	stopRefresh chan struct{}
@@ -669,10 +645,8 @@ func (c *Client) Run(queryID int64, sql string) Outcome {
 }
 
 // Fetch runs one query through the market like Run, but ships the
-// result back to the caller and accumulates the rows (streamed binary
-// frames from new nodes, one JSON reply from old ones — the caller
-// cannot tell which). For results too large to hold in memory, use
-// FetchEach.
+// result back to the caller as streamed binary frames and accumulates
+// the rows. For results too large to hold in memory, use FetchEach.
 func (c *Client) Fetch(queryID int64, sql string) (*sqldb.Result, Outcome) {
 	res := &sqldb.Result{}
 	out, columns := c.begin(query{id: queryID, sql: sql, sink: accumulateSink(res)}).run()
@@ -684,8 +658,8 @@ func (c *Client) Fetch(queryID int64, sql string) (*sqldb.Result, Outcome) {
 }
 
 // FetchEach runs one query through the market and streams its result to
-// fn in bounded batches: against a frame-speaking node the whole result
-// is never resident on either side — memory stays O(FetchBatchRows).
+// fn in bounded batches: the whole result is never resident on either
+// side — memory stays O(FetchBatchRows).
 // The ColBlock's buffers are reused between calls; fn must copy out
 // anything it retains. A non-nil error from fn aborts the fetch and
 // surfaces in the outcome.
@@ -696,7 +670,7 @@ func (c *Client) Fetch(queryID int64, sql string) (*sqldb.Result, Outcome) {
 // replays the identical result — and skipping the delivered prefix. If
 // that node stays unreachable the fetch fails rather than re-deliver.
 func (c *Client) FetchEach(queryID int64, sql string, fn func(*ColBlock) error) Outcome {
-	out, _ := c.begin(query{id: queryID, sql: sql, sink: blockSink(fn, nil)}).run()
+	out, _ := c.begin(query{id: queryID, sql: sql, sink: &fetchSink{block: fn}}).run()
 	return out
 }
 
@@ -892,7 +866,7 @@ func (c *Client) negotiateAll(sql string, tc *traceCtx, deadline time.Time) (pro
 // breaker — unless the request was refused for its size before it was
 // written, which says nothing about the node.
 func (c *Client) askNegotiate(ns *nodeState, req *request, rep *reply) (out negOutcome, answered bool) {
-	if err := c.rpcOn(ns, req, rep, c.cfg.Timeout); err != nil {
+	if err := c.rpcOn(ns, req, rep, c.cfg.Timeout, nil); err != nil {
 		if !errors.Is(err, ErrTooLarge) {
 			ns.breaker.failure()
 		}
@@ -951,41 +925,15 @@ func aggregateNodeErrors(members []*nodeState, outs []negOutcome) error {
 	return fmt.Errorf("no node reachable: %s", strings.Join(parts, "; "))
 }
 
-// freshRPC is the v0 transport: dial, one exchange, hang up. A dial
-// failure is wrapped errNotSent: the request never reached the node,
-// which the failover ladder uses to fail over without double-execution
-// risk.
-func freshRPC(addr string, req *request, rep *reply, timeout time.Duration) error {
-	return freshRPCCounted(addr, req, rep, timeout, nil)
-}
-
-// freshRPCCounted is freshRPC with the connection's traffic tallied on
-// wc (nil disables accounting — server-side gossip exchanges are not a
-// client's wire cost).
-func freshRPCCounted(addr string, req *request, rep *reply, timeout time.Duration, wc *wireCounter) error {
-	conn, err := dial(addr, timeout)
-	if err != nil {
-		return fmt.Errorf("%w: %v", errNotSent, err)
-	}
-	defer conn.Close()
-	if wc != nil {
-		conn = &countedConn{Conn: conn, wc: wc}
-	}
-	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-		return err
-	}
-	w := bufio.NewWriter(conn)
-	if err := writeMsg(w, req); err != nil {
-		return err
-	}
-	return readMsg(bufio.NewReader(conn), rep)
-}
-
 // rpcOn performs one exchange with a view member, recording the
 // latency of successful RPCs (failures are already counted by the
 // breaker and retry metrics) in the member's per-op histogram, and
-// resolving the member's stable ID from the reply's NodeID stamp.
-func (c *Client) rpcOn(ns *nodeState, req *request, rep *reply, timeout time.Duration) error {
+// resolving the member's stable ID from the reply's NodeID stamp. A
+// fetch passes onFrame and ends with its frames consumed, or with a JSON
+// envelope in rep (a refusal or an error); every other op gets one JSON
+// reply. A frame stream carries no NodeID stamp — harmless, since
+// fetches target nodes the client already negotiated with.
+func (c *Client) rpcOn(ns *nodeState, req *request, rep *reply, timeout time.Duration, onFrame frameFunc) error {
 	start := time.Now()
 	c.countRPC(req.Op)
 	ns.mu.Lock()
@@ -998,10 +946,10 @@ func (c *Client) rpcOn(ns *nodeState, req *request, rep *reply, timeout time.Dur
 			// Pool get failures are dial-stage: the request was not sent.
 			err = fmt.Errorf("%w: %v", errNotSent, err)
 		} else {
-			err = mc.call(req, rep, timeout)
+			err = mc.call(req, rep, timeout, onFrame)
 		}
 	} else {
-		err = freshRPCCounted(addr, req, rep, timeout, c.wire)
+		err = freshRPC(addr, req, rep, timeout, c.wire, onFrame)
 	}
 	if err == nil {
 		ns.observe(req.Op, msSince(start))
@@ -1088,7 +1036,7 @@ func (c *Client) Stats(node string) (*NodeStats, error) {
 		return nil, fmt.Errorf("cluster: unknown node %q", node)
 	}
 	var rep reply
-	if err := c.rpcOn(ns, &request{Op: "stats"}, &rep, c.cfg.Timeout); err != nil {
+	if err := c.rpcOn(ns, &request{Op: "stats"}, &rep, c.cfg.Timeout, nil); err != nil {
 		return nil, err
 	}
 	if rep.Code == CodeDraining {
@@ -1118,7 +1066,7 @@ func (c *Client) TraceSpans(traceID int64) []trace.Span {
 		go func(i int, ns *nodeState) {
 			defer wg.Done()
 			var rep reply
-			if err := c.rpcOn(ns, &request{Op: "spans", QueryID: traceID}, &rep, c.cfg.Timeout); err != nil {
+			if err := c.rpcOn(ns, &request{Op: "spans", QueryID: traceID}, &rep, c.cfg.Timeout, nil); err != nil {
 				return
 			}
 			if rep.Err == "" && rep.Spans != nil {
@@ -1132,34 +1080,4 @@ func (c *Client) TraceSpans(traceID int64) []trace.Span {
 		out = append(out, spans...)
 	}
 	return out
-}
-
-// streamRPC is rpcOn's streamed-fetch sibling: the exchange ends either
-// with frames fully consumed by onFrame (jsonReply=false) or a JSON
-// envelope in rep. A streamed success carries no NodeID stamp, so
-// passive ID learning only happens on the JSON path — harmless, since
-// fetches target nodes the client already negotiated with.
-func (c *Client) streamRPC(ns *nodeState, req *request, rep *reply, timeout time.Duration, onFrame func(typ byte, payload []byte) (bool, error)) (jsonReply bool, err error) {
-	start := time.Now()
-	c.countRPC(req.Op)
-	ns.mu.Lock()
-	nt, addr := ns.transport, ns.addr
-	ns.mu.Unlock()
-	if nt != nil {
-		var mc *mconn
-		if mc, err = nt.lane(req.Op).get(timeout); err != nil {
-			err = fmt.Errorf("%w: %v", errNotSent, err)
-		} else {
-			jsonReply, err = mc.stream(req, rep, timeout, onFrame)
-		}
-	} else {
-		jsonReply, err = freshStream(addr, req, rep, timeout, onFrame, c.wire)
-	}
-	if err == nil {
-		ns.observe(req.Op, msSince(start))
-		if jsonReply && rep.NodeID != "" {
-			c.learnID(ns, rep.NodeID)
-		}
-	}
-	return jsonReply, err
 }

@@ -36,10 +36,9 @@ type dedupKey struct {
 // of the header and batch frames that would stream it, without their
 // 16-byte frame headers; a larger one is kept as produced in big (it may
 // alias storage, which costs nothing to keep). A retransmit is then
-// re-encoded under its *own* request's negotiation (JSON vs frames,
-// batch size) — which also makes the frame stream a replay of identical
-// rows, letting a client resume a partial stream by skipping the rows it
-// already delivered.
+// re-streamed cut to its *own* request's batch size — a replay of
+// identical rows, letting a client resume a partial stream by skipping
+// the rows it already delivered.
 type dedupRecord struct {
 	packed []byte
 	big    *ColBlock

@@ -115,9 +115,10 @@ func (d *Distributor) Run(queryID int64, sql string) (DistOutcome, error) {
 	pushed, residual := splitConjuncts(sel)
 	needed := fragmentColumns(sel, residual)
 	var name string // binding of the fragment in flight
-	q.oneRound, q.sink = false, blockSink(
-		func(blk *ColBlock) error { return scratch.AppendBlock(name, blk) },
-		func() { scratch.DropTable(name) })
+	q.oneRound, q.sink = false, &fetchSink{
+		block: func(blk *ColBlock) error { return scratch.AppendBlock(name, blk) },
+		reset: func() { scratch.DropTable(name) },
+	}
 	for i, ref := range sel.From {
 		name = ref.Name()
 		if scratch.HasRelation(name) {

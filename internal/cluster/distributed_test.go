@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
 	"math/rand"
 	"testing"
@@ -282,54 +281,6 @@ func TestDistributedFastPathLostReplyUnderAtMostOnce(t *testing.T) {
 	if got := nodes[0].Executed(); got != 1 {
 		t.Fatalf("orders node executed %d queries, want the one whose reply was lost", got)
 	}
-}
-
-func TestWireRoundTrip(t *testing.T) {
-	vals := []sqldb.Value{
-		sqldb.Null,
-		sqldb.NewInt(0),
-		sqldb.NewInt(-42),
-		sqldb.NewInt(1 << 40),
-		sqldb.NewFloat(3.25),
-		sqldb.NewFloat(-0.5),
-		sqldb.NewText(""),
-		sqldb.NewText("it's"),
-		sqldb.NewBool(true),
-		sqldb.NewBool(false),
-	}
-	for _, v := range vals {
-		// Simulate the JSON hop: marshal the wire form and decode it as
-		// generic JSON the way the receiver sees it.
-		got, err := fromWire(jsonHop(t, toWire(v)))
-		if err != nil {
-			t.Fatalf("fromWire(%v): %v", v, err)
-		}
-		if got.Kind != v.Kind || !sqldb.Equal(got, v) {
-			t.Errorf("round trip %v -> %v", v, got)
-		}
-	}
-	if _, err := fromWire("naked string"); err == nil {
-		t.Error("malformed wire value accepted")
-	}
-	if _, err := fromWire(map[string]any{"z": 1.0}); err == nil {
-		t.Error("unknown wire kind accepted")
-	}
-	if _, err := fromWire(map[string]any{"i": 1.5}); err == nil {
-		t.Error("fractional wire int accepted")
-	}
-}
-
-func jsonHop(t *testing.T, v any) any {
-	t.Helper()
-	b, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out any
-	if err := json.Unmarshal(b, &out); err != nil {
-		t.Fatal(err)
-	}
-	return out
 }
 
 func TestSplitConjuncts(t *testing.T) {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -72,7 +73,7 @@ var breakerOps = []struct {
 		return c.begin(q).attempt(c.nodes()[0]).err
 	}},
 	{"fetch-each", func(t *testing.T, c *Client) error {
-		q := query{id: 1, sql: "SELECT 1 FROM t", sink: blockSink(func(*ColBlock) error { return nil }, nil)}
+		q := query{id: 1, sql: "SELECT 1 FROM t", sink: &fetchSink{block: func(*ColBlock) error { return nil }}}
 		return c.begin(q).attempt(c.nodes()[0]).err
 	}},
 	{"stats", func(t *testing.T, c *Client) error {
@@ -186,5 +187,91 @@ func TestMarketRefusalsDoNotTripBreaker(t *testing.T) {
 				t.Fatalf("breaker after %s transport error = %v, want open", op.name, st)
 			}
 		})
+	}
+}
+
+// TestFetchRefusalsAnswerInJSON: a fetch that does not run to a result
+// is answered in the JSON envelope an execute gets, never in frames, and
+// the client classifies it over either transport as it classifies the
+// execute's: market refusals leave the breaker closed and may move on, a
+// draining or stopping node opens it, and a SQL error is terminal.
+func TestFetchRefusalsAnswerInJSON(t *testing.T) {
+	cases := []struct {
+		name, sql, code string
+		arm             func(n *Node)
+		kind            attemptKind
+		err             error // nil: an untyped terminal error
+		breaker         breakerState
+	}{
+		{name: "overload", code: CodeOverload, kind: attemptRefused, err: ErrOverloaded,
+			arm: func(n *Node) { n.working.Add(int64(n.cfg.MaxInflight)) }},
+		{name: "expired", code: CodeExpired, kind: attemptRefused, err: ErrExpired,
+			arm: func(n *Node) {
+				n.mu.Lock()
+				n.backlogMs = 1e12
+				n.mu.Unlock()
+			}},
+		{name: "draining", code: CodeDraining, kind: attemptRefused, err: errDraining, breaker: breakerOpen,
+			arm: func(n *Node) { n.draining.Store(true) }},
+		{name: "sql error", sql: "SELECT nope FROM missing", kind: attemptFatal},
+		// The executor has stopped while connections are still up: the
+		// window a hard stop opens before it severs them.
+		{name: "node stopping", kind: attemptRefused, breaker: breakerOpen,
+			arm: func(n *Node) { n.stopOnce.Do(func() { close(n.stopCh) }) }},
+	}
+	for _, transport := range []Transport{TransportPooled, TransportFresh} {
+		for _, tc := range cases {
+			t.Run(string(transport)+"/"+tc.name, func(t *testing.T) {
+				n, c, _ := selFederation(t, nil, ClientConfig{
+					Transport: transport, QueryTimeout: 10 * time.Second, BreakerThreshold: 1,
+				})
+				// A stopped executor leaves CloseNow nothing to do; finish the
+				// stop it began.
+				t.Cleanup(func() { n.CloseNow(); n.ln.Close(); n.closeConns(); n.wg.Wait() })
+				sql := tc.sql
+				if sql == "" {
+					sql = selTestNarrow
+				}
+				if tc.arm != nil {
+					tc.arm(n)
+				}
+
+				conn, err := net.DialTimeout("tcp", n.Addr(), time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer conn.Close()
+				conn.SetDeadline(time.Now().Add(5 * time.Second))
+				if err := writeMsg(bufio.NewWriter(conn), &request{Op: "fetch", SQL: sql, DeadlineMs: 10_000}); err != nil {
+					t.Fatal(err)
+				}
+				r := bufio.NewReader(conn)
+				if first, err := r.Peek(1); err != nil || first[0] == frameMagic {
+					t.Fatalf("refused fetch answered with %q (err %v), want JSON", first, err)
+				}
+				var rep reply
+				if err := readMsg(r, &rep); err != nil {
+					t.Fatal(err)
+				}
+				// The node-wide gates (inflight, drain) refuse in the envelope
+				// itself, everything past them in its execute reply.
+				refused := rep.Err != "" || rep.Execute != nil && !rep.Execute.Accepted && rep.Execute.Err != ""
+				if rep.Code != tc.code || !refused {
+					t.Fatalf("reply = %+v (execute %+v), want code %q and an error", rep, rep.Execute, tc.code)
+				}
+
+				q := query{id: 1, sql: sql, sink: accumulateSink(&sqldb.Result{})}
+				res := c.begin(q).attempt(c.nodes()[0])
+				if res.kind != tc.kind {
+					t.Fatalf("attempt kind = %v (err %v), want %v", res.kind, res.err, tc.kind)
+				}
+				if tc.err != nil && !errors.Is(res.err, tc.err) {
+					t.Fatalf("err = %v, want %v", res.err, tc.err)
+				}
+				if st := c.nodes()[0].breaker.snapshot(); st != tc.breaker {
+					t.Fatalf("breaker = %v, want %v", st, tc.breaker)
+				}
+			})
+		}
 	}
 }

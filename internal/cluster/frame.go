@@ -12,24 +12,20 @@ import (
 	"github.com/qamarket/qamarket/internal/driver"
 )
 
-// Binary fetch framing (frameV1). The newline-delimited JSON lane stays
-// the protocol's request and control plane — requests are small and the
-// additive-field negotiation (enc/trace/deadline_ms/batch/frame) lives
-// there — but a successful fetch result may come back as a sequence of
-// length-prefixed little-endian binary frames instead of one JSON
-// message. A client advertises the newest frame version it decodes in
-// the request's "frame" field; a server that speaks it streams the
-// result as
+// Binary fetch framing (frameV1). The newline-delimited JSON lane is the
+// protocol's request and control plane — requests are small and the
+// additive fields (trace/deadline_ms/batch/fetch_batch) live there — and
+// every accepted fetch result comes back as a sequence of length-prefixed
+// little-endian binary frames:
 //
 //	header frame  (accepted, exec ms, column names, batch size, row count)
 //	batch frame   (<= batch-size rows as typed columns)  — repeated
 //	end frame     (terminal marker: rows sent, batch count, error)
 //
-// and every refusal, error, or old-version exchange stays a JSON reply,
-// so the frame path only ever carries the hot payload. The first byte
-// distinguishes the lanes: frames start with frameMagic (0xFA), which
-// can never open a JSON message ('{' is 0x7B), so readers peek one byte
-// and demux.
+// Every refusal or error stays a JSON reply, so the frame path only ever
+// carries the hot payload. The first byte distinguishes the lanes:
+// frames start with frameMagic (0xFA), which can never open a JSON
+// message ('{' is 0x7B), so readers peek one byte and demux.
 //
 // Frame layout (all integers little-endian):
 //
@@ -49,14 +45,12 @@ const (
 	frameHdrLen     = 16
 	// maxFramePayload bounds one frame's payload, the binary lane's
 	// analogue of maxLineBytes: a corrupt length prefix must not make a
-	// reader allocate gigabytes. Batches are bounded by FetchBatchRows,
-	// so real payloads sit far below this.
+	// reader allocate gigabytes. Writers cut batches to fit it (see
+	// appendFittingBatch), and refuse a result whose header cannot.
 	maxFramePayload = 1 << 26
 )
 
-// frameV1 is the newest frame version this build speaks. The request's
-// Frame field carries the client's newest supported version; zero (the
-// field omitted) means the client predates frames and gets JSON.
+// frameV1 is the frame version byte this build writes and reads.
 const frameV1 = 1
 
 // errFrameDecode reports a malformed frame. The connection is
@@ -112,8 +106,50 @@ func appendFetchHeader(buf []byte, id uint64, columns []string, execMs float64, 
 	return endFrame(buf, hdr)
 }
 
+// checkFetchHeader reports a result whose header frame cannot be
+// written: a column name longer than the header's 16-bit length field (an
+// unaliased expression is named by its text), or names that together
+// pass maxFramePayload. The node answers such a fetch with an error reply
+// before it packs or streams anything.
+func checkFetchHeader(columns []string) error {
+	size := 25 // accepted, exec ms, column count, batch size, row count
+	for i, name := range columns {
+		if len(name) > math.MaxUint16 {
+			return fmt.Errorf("cluster: result column %d is named by %d bytes, over the frame header's %d; alias it",
+				i+1, len(name), math.MaxUint16)
+		}
+		size += 2 + len(name)
+	}
+	if size > maxFramePayload {
+		return fmt.Errorf("cluster: result column names take %d bytes, over the %d-byte frame limit", size, maxFramePayload)
+	}
+	return nil
+}
+
+// appendFittingBatch appends one batch frame carrying as many leading
+// rows of blk as fit in maxFramePayload and returns how many it took:
+// all of them, unless their texts are huge, in which case the count
+// halves until the frame fits. Zero means blk's first row alone is over
+// the limit; buf then comes back unchanged. piece is the cut's scratch.
+func appendFittingBatch(buf []byte, id uint64, blk, piece *ColBlock) ([]byte, int) {
+	src := blk
+	for {
+		out := appendFetchBatchCols(buf, id, src)
+		if len(out)-len(buf)-frameHdrLen <= maxFramePayload {
+			return out, src.Rows
+		}
+		if src.Rows == 1 {
+			return buf, 0
+		}
+		piece.Columns, piece.Rows, piece.Sel = blk.Columns, blk.Rows, nil
+		piece.Cols = append(piece.Cols[:0], blk.Cols...)
+		piece.Truncate(src.Rows / 2)
+		src = piece
+	}
+}
+
 // appendFetchBatchCols appends one batch frame carrying blk's rows as
-// typed columns: per column, one kind byte per row (the encCompact
+// typed columns: per column, one kind byte per row (the driver's kind
 // alphabet), then the non-null values of each type in row order — ints
 // and floats as fixed 8-byte words, texts as a length table plus one
 // concatenated blob (so the client can decode all of a column's strings
@@ -396,15 +432,15 @@ func decodeFetchBatch(p []byte, blk *ColBlock) error {
 		var ni, nf, ns, nb int
 		for _, k := range kinds {
 			switch k {
-			case kindByteInt:
+			case driver.KindByteInt:
 				ni++
-			case kindByteFloat:
+			case driver.KindByteFloat:
 				nf++
-			case kindByteText:
+			case driver.KindByteText:
 				ns++
-			case kindByteBool:
+			case driver.KindByteBool:
 				nb++
-			case kindByteNull:
+			case driver.KindByteNull:
 			default:
 				return fmt.Errorf("%w: column %d kind byte %q", errFrameDecode, j, k)
 			}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -297,54 +298,71 @@ func fetchFederation(t *testing.T, ccfg ClientConfig) (*Node, *Client, string, *
 	return nodes[0], c, sql, want
 }
 
-// TestFetchFrameMatchesJSON is the interop acceptance matrix: the same
-// query fetched over the binary frame stream, over compact JSON
-// (frame-declining server), and by a legacy client (no frame field,
-// tagged encoding) must produce identical results — and the non-fetch
-// ops keep working in every pairing.
+// TestFetchFrameMatchesJSON: a fetch request, a JSON line that carries
+// no negotiation field at all, is answered with a frame stream whose
+// rows match the oracle's; and through the client the same query's
+// Fetch returns those rows while Run and Stats keep working beside it.
+// Frames are the only result lane, so the frame client against the
+// frame server is the one row of the matrix this test used to be.
 func TestFetchFrameMatchesJSON(t *testing.T) {
-	cases := []struct {
-		name      string
-		cfg       ClientConfig
-		noFrames  bool
-		wantFrame bool
-	}{
-		{name: "frame-client-frame-server", wantFrame: true},
-		{name: "frame-client-json-server", noFrames: true},
-		{name: "legacy-client-new-server", cfg: ClientConfig{FrameV: -1, FetchEnc: -1}},
-		{name: "compact-client-new-server", cfg: ClientConfig{FrameV: -1}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			node, c, sql, want := fetchFederation(t, tc.cfg)
-			node.noFrames.Store(tc.noFrames)
+	node, c, sql, want := fetchFederation(t, ClientConfig{})
+	t.Run("raw-fetch-line", func(t *testing.T) { checkRawFetchFrames(t, node, sql, want) })
+	t.Run("frame-client-frame-server", func(t *testing.T) {
+		if out := c.Run(1, sql); out.Err != nil {
+			t.Fatalf("Run: %v", out.Err)
+		}
+		res, out := c.Fetch(2, sql)
+		if out.Err != nil {
+			t.Fatalf("Fetch: %v", out.Err)
+		}
+		if !reflect.DeepEqual(res.Columns, want.Columns) || !reflect.DeepEqual(res.Rows, want.Rows) {
+			t.Fatalf("fetched result differs:\n got %v %v\nwant %v %v", res.Columns, res.Rows, want.Columns, want.Rows)
+		}
+		if out.Rows != len(want.Rows) {
+			t.Fatalf("outcome rows %d, want %d", out.Rows, len(want.Rows))
+		}
+		if _, err := c.Stats(node.ID()); err != nil {
+			t.Fatalf("Stats: %v", err)
+		}
+	})
+}
 
-			// All four ops against this pairing: negotiate + execute via
-			// Run, fetch via Fetch, stats via Stats.
-			if out := c.Run(1, sql); out.Err != nil {
-				t.Fatalf("Run: %v", out.Err)
-			}
-			res, out := c.Fetch(2, sql)
-			if out.Err != nil {
-				t.Fatalf("Fetch: %v", out.Err)
-			}
-			if !reflect.DeepEqual(res.Columns, want.Columns) || !reflect.DeepEqual(res.Rows, want.Rows) {
-				t.Fatalf("fetched result differs:\n got %v %v\nwant %v %v", res.Columns, res.Rows, want.Columns, want.Rows)
-			}
-			if out.Rows != len(want.Rows) {
-				t.Fatalf("outcome rows %d, want %d", out.Rows, len(want.Rows))
-			}
-			if _, err := c.Stats(node.ID()); err != nil {
-				t.Fatalf("Stats: %v", err)
-			}
-			negotiated := node.health.Snapshot()[metrics.FrameNegotiatedCounter(frameV1)]
-			if tc.wantFrame && negotiated == 0 {
-				t.Fatal("expected a frame-negotiated fetch, counter is 0")
-			}
-			if !tc.wantFrame && negotiated != 0 {
-				t.Fatalf("expected pure JSON, frame_negotiated=%v", negotiated)
-			}
-		})
+// checkRawFetchFrames writes a bare fetch line to node and checks the
+// answer is a frame stream carrying want.
+func checkRawFetchFrames(t *testing.T, node *Node, sql string, want *sqldb.Result) {
+	t.Helper()
+	conn, err := net.DialTimeout("tcp", node.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	line, err := json.Marshal(map[string]any{"op": "fetch", "sql": sql, "query_id": 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(append(line, '\n')); err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReader(conn)
+	if first, err := r.Peek(1); err != nil || first[0] != frameMagic {
+		t.Fatalf("fetch %s answered with %q (err %v), want a frame", line, first, err)
+	}
+	raw := &sqldb.Result{}
+	fs := &fetchStream{sink: *accumulateSink(raw)}
+	for !fs.done {
+		fm, err := readFrame(r)
+		if err != nil {
+			t.Fatalf("readFrame: %v", err)
+		}
+		_, err = fs.onFrame(fm.typ, fm.payload)
+		fm.release()
+		if err != nil {
+			t.Fatalf("onFrame: %v", err)
+		}
+	}
+	if !reflect.DeepEqual(fs.header.columns, want.Columns) || !reflect.DeepEqual(raw.Rows, want.Rows) {
+		t.Fatalf("raw fetch differs:\n got %v %v\nwant %v %v", fs.header.columns, raw.Rows, want.Columns, want.Rows)
 	}
 }
 
@@ -490,9 +508,8 @@ func TestOversizedRequestTypedRefusal(t *testing.T) {
 	})
 }
 
-// TestFrameMetricsExposition: the per-version negotiation counters
-// render as one qa_frame_negotiated_total family with a version label,
-// alongside the stream counters.
+// TestFrameMetricsExposition: a fetch moves the stream counters, and
+// the exposition renders them.
 func TestFrameMetricsExposition(t *testing.T) {
 	node, c, sql, _ := fetchFederation(t, ClientConfig{})
 	if _, out := c.Fetch(1, sql); out.Err != nil {
@@ -511,16 +528,12 @@ func TestFrameMetricsExposition(t *testing.T) {
 	}
 	rec := string(body)
 	for _, want := range []string{
-		`qa_frame_negotiated_total{node="` + node.ID() + `",version="1"} 1`,
 		"qa_fetch_batches_total{",
 		"qa_fetch_bytes_total{",
 	} {
 		if !strings.Contains(rec, want) {
 			t.Errorf("exposition missing %q", want)
 		}
-	}
-	if strings.Contains(rec, "frame_negotiated_v1") {
-		t.Error("raw per-version counter name leaked into the exposition")
 	}
 }
 
@@ -530,4 +543,134 @@ func appendFetchBatch(buf []byte, id uint64, res *sqldb.Result, lo, hi int) []by
 	var blk ColBlock
 	blk.FillFromRows(res.Columns, res.Rows[lo:hi])
 	return appendFetchBatchCols(buf, id, &blk)
+}
+
+// frameLimitNode starts a node over a one-column table t of rows rows
+// and a client that gives up after two retries.
+func frameLimitNode(t *testing.T, rows int, ccfg ClientConfig) (*Node, *Client) {
+	t.Helper()
+	db := sqldb.Open()
+	if _, _, err := db.Exec("CREATE TABLE t (a INT)"); err != nil {
+		t.Fatal(err)
+	}
+	data := make([]sqldb.Row, rows)
+	for i := range data {
+		data[i] = sqldb.Row{sqldb.NewInt(int64(i))}
+	}
+	if err := db.AppendTableRows("t", data); err != nil {
+		t.Fatal(err)
+	}
+	n, err := StartNode("127.0.0.1:0", NodeConfig{DB: db, MsPerCostUnit: 1e-6, PeriodMs: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.CloseNow() })
+	ccfg.Addrs, ccfg.PeriodMs, ccfg.MaxRetries = []string{n.Addr()}, 50, 2
+	c, err := NewClient(ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	return n, c
+}
+
+// TestLongColumnNameFetchFailsOnce: an unaliased expression is named by
+// its text, and a name longer than the header frame's 16-bit length
+// field cannot be framed. The node answers such a fetch with an error
+// before it packs or streams anything, so the query fails once with a
+// readable error, the breaker stays closed and the node keeps serving.
+// (It used to send a header the client could not decode; the client's
+// retransmit then made the node read back its own dedup record and
+// panic.)
+func TestLongColumnNameFetchFailsOnce(t *testing.T) {
+	n, c := frameLimitNode(t, 1, ClientConfig{AtMostOnce: true, Timeout: 5 * time.Second})
+	_, out := c.Fetch(1, "SELECT '"+strings.Repeat("a", 65_537)+"' FROM t")
+	if out.Err == nil || !strings.Contains(out.Err.Error(), "alias it") {
+		t.Fatalf("err = %v, want the node's readable refusal", out.Err)
+	}
+	if out.Retries != 0 {
+		t.Fatalf("failed after %d retries, want at once", out.Retries)
+	}
+	if st := c.nodes()[0].breaker.snapshot(); st != breakerClosed {
+		t.Fatalf("breaker %v, want closed", st)
+	}
+	if res, out := c.Fetch(2, "SELECT a FROM t"); out.Err != nil || len(res.Rows) != 1 {
+		t.Fatalf("the node stopped serving: %v", out.Err)
+	}
+	if st, err := c.Stats(n.ID()); err != nil || st.Executed != 2 {
+		t.Fatalf("executed %v (err %v), want each query once", st, err)
+	}
+}
+
+// TestOversizedBatchIsCut: 4,096 rows of 17,000-byte texts make a
+// default batch of 69.7 MB, past the 64 MiB a reader accepts. The writer
+// cuts the batch where its frame would pass the limit, so the result
+// arrives intact in one attempt. (It used to write the batch whole: the
+// client dropped the connection, and the query re-ran every round until
+// the retries ran out.)
+func TestOversizedBatchIsCut(t *testing.T) {
+	const rows, width = 4096, 17_000
+	n, c := frameLimitNode(t, rows, ClientConfig{Timeout: 10 * time.Second})
+	var got int
+	out := c.FetchEach(1, "SELECT a, '"+strings.Repeat("x", width)+"' AS s FROM t", func(blk *ColBlock) error {
+		for i, v := range blk.Cols[0].Ints {
+			if v != int64(got+i) || len(blk.Cols[1].Texts[i]) != width {
+				return fmt.Errorf("row %d: a=%d, %d-byte text", got+i, v, len(blk.Cols[1].Texts[i]))
+			}
+		}
+		got += blk.Rows
+		return nil
+	})
+	if out.Err != nil || out.Retries != 0 {
+		t.Fatalf("err %v after %d retries, want the result in one attempt", out.Err, out.Retries)
+	}
+	if got != rows {
+		t.Fatalf("delivered %d rows, want %d", got, rows)
+	}
+	if frames := n.health.Snapshot()[metrics.FetchBatchesTotal]; frames < 2 {
+		t.Fatalf("%v batch frames, want the batch cut", frames)
+	}
+}
+
+// TestOversizedRowEndsStream: a row that alone passes maxFramePayload
+// cannot be framed at all. The stream ends with an error in its end
+// frame and no batch frame is written. The row's 65 columns share one
+// 1 MiB text, so the test holds the text once.
+func TestOversizedRowEndsStream(t *testing.T) {
+	text := strings.Repeat("x", 1<<20)
+	row := make(sqldb.Row, 65)
+	cols := make([]string, len(row))
+	for j := range row {
+		row[j], cols[j] = sqldb.NewText(text), fmt.Sprintf("c%d", j)
+	}
+	var res ColBlock
+	res.FillFromRows(cols, []sqldb.Row{row})
+	srv := &Node{health: metrics.NewHealth()}
+	conn := &countingConn{}
+	var wmu sync.Mutex
+	if err := srv.streamFetch(conn, bufio.NewWriter(conn), &wmu, 1, &frameStream{res: &res, batch: 4096}); err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReader(&conn.buf)
+	var types []byte
+	var end frameEnd
+	for {
+		fm, err := readFrame(r)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("readFrame: %v", err)
+		}
+		types = append(types, fm.typ)
+		if fm.typ == frameTypeEnd {
+			if end, err = decodeFetchEnd(fm.payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fm.release()
+	}
+	if !reflect.DeepEqual(types, []byte{frameTypeHeader, frameTypeEnd}) || !strings.Contains(end.errMsg, "frame limit") {
+		t.Fatalf("frames %v, end %+v: want a header and an end frame carrying the error", types, end)
+	}
 }

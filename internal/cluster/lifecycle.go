@@ -369,60 +369,42 @@ func (l *lifecycle) attempt(ns *nodeState) attemptResult {
 		DeadlineMs: remainingMs(l.deadline), RunID: c.cfg.RunID,
 	}
 	var (
-		rep    reply
-		fs     *fetchStream // non-nil when the reply may arrive as frames
-		framed bool         // the reply did arrive as a complete frame stream
-		err    error
+		rep     reply
+		fs      *fetchStream // a fetch's frame consumer
+		onFrame frameFunc
+		res     attemptResult
 	)
 	if q.sink != nil {
-		req.Enc, req.Frame, req.FetchBatch = c.cfg.FetchEnc, c.cfg.FrameV, c.cfg.FetchBatchRows
-	}
-	if q.sink != nil && c.cfg.FrameV >= frameV1 {
+		req.FetchBatch = c.cfg.FetchBatchRows
 		fs = &fetchStream{sink: *q.sink, skip: l.shipped}
-		var jsonReply bool
-		jsonReply, err = c.streamRPC(ns, req, &rep, c.cfg.execTimeout(), fs.onFrame)
-		// The server never mixes frames and a JSON reply for one request:
-		// after a JSON downgrade nothing was delivered yet.
-		framed = err == nil && !jsonReply
-	} else {
-		err = c.rpcOn(ns, req, &rep, c.cfg.execTimeout())
+		onFrame = fs.onFrame
 	}
+	err := c.rpcOn(ns, req, &rep, c.cfg.execTimeout(), onFrame)
 
-	// The op's own reply arrives in one of three shapes; ans is what they
-	// share. (A completed frame stream leaves the JSON envelope empty.)
-	var ans struct {
-		has, accepted bool
-		err           string
-		execMs        float64
-		columns       []string
-	}
+	// The answer is an accepted fetch's complete frame stream or a JSON
+	// envelope. A fetch envelope never carries an accepted result: one
+	// that claims to is malformed.
+	var (
+		has   bool
+		opErr string
+	)
 	switch {
-	case framed:
-		ans.has, ans.accepted, ans.err, ans.execMs = true, fs.header.accepted, fs.end.errMsg, fs.header.execMs
-		ans.columns = append([]string(nil), fs.header.columns...)
-	case q.sink == nil && rep.Execute != nil:
-		ans.has, ans.accepted, ans.err, ans.execMs = true, rep.Execute.Accepted, rep.Execute.Err, rep.Execute.ExecMs
-	case q.sink != nil && rep.Fetch != nil:
-		ans.has, ans.accepted, ans.err, ans.execMs = true, rep.Fetch.Accepted, rep.Fetch.Err, rep.Fetch.ExecMs
-		ans.columns = rep.Fetch.Columns
+	case fs != nil && fs.done:
+		has, res.accepted, opErr, res.execMs = true, fs.header.accepted, fs.end.errMsg, fs.header.execMs
+		res.columns = append([]string(nil), fs.header.columns...)
+	case rep.Execute != nil && (q.sink == nil || !rep.Execute.Accepted):
+		has, res.accepted, opErr, res.execMs = true, rep.Execute.Accepted, rep.Execute.Err, rep.Execute.ExecMs
 	}
-	res := attemptResult{accepted: ans.accepted, execMs: ans.execMs, columns: ans.columns}
 	if err != nil {
 		res.kind, res.err = classifyTransport(ns, op, err)
 	} else {
-		res.kind, res.err = c.classifyReply(ns, op, rep.Code, rep.Err, ans.has, ans.err)
-	}
-	if fs != nil {
-		res.rows = fs.delivered // possibly nonzero on a failed attempt
+		res.kind, res.err = c.classifyReply(ns, op, rep.Code, rep.Err, has, opErr)
 	}
 	switch {
-	case framed || res.kind != attemptOK || !res.accepted:
-	case q.sink == nil:
+	case fs != nil:
+		res.rows = fs.delivered // possibly nonzero on a failed attempt
+	case res.kind == attemptOK && res.accepted:
 		res.rows = int64(rep.Execute.Rows)
-	default: // a JSON fetch reply still holds its rows
-		if res.rows, res.err = deliverJSON(rep.Fetch, q.sink, l.shipped); res.err != nil {
-			res.kind = attemptFatal
-		}
 	}
 	l.shipped += res.rows
 	if res.kind != attemptOK && l.shipped > 0 && !l.escaped() {
@@ -430,23 +412,6 @@ func (l *lifecycle) attempt(ns *nodeState) attemptResult {
 		l.shipped = 0
 	}
 	return res
-}
-
-// deliverJSON hands a JSON fetch reply's rows, decoded whole, to the
-// sink, minus the skip rows a previous attempt already delivered.
-func deliverJSON(fr *fetchReply, sink *fetchSink, skip int64) (int64, error) {
-	rows, err := fr.rows()
-	if err != nil {
-		return 0, err
-	}
-	rows = rows[min(skip, int64(len(rows))):]
-	if len(rows) == 0 {
-		return 0, nil
-	}
-	if err := sink.rows(fr.Columns, rows); err != nil {
-		return 0, fmt.Errorf("%w: %v", errStreamAbort, err)
-	}
-	return int64(len(rows)), nil
 }
 
 // classifyTransport maps a failed exchange onto an attempt kind and
@@ -488,8 +453,7 @@ func (c *Client) classifyReply(ns *nodeState, op, code, envErr string, has bool,
 		ns.breaker.success()
 		return attemptRefused, fmt.Errorf("cluster: %s: %w", ns.label(), ErrExpired)
 	case CodeTooLarge:
-		// The node answered — healthy — but this message (or, on the JSON
-		// lane, this result) can never fit.
+		// The node answered — healthy — but this message can never fit.
 		ns.breaker.success()
 		return attemptFatal, fmt.Errorf("cluster: %s: %w", ns.label(), ErrTooLarge)
 	}

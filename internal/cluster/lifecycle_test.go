@@ -146,12 +146,12 @@ var lifeOps = []struct {
 		return sink
 	}},
 	{name: "fetch-callback", callback: true, sink: func(got *sqldb.Result, onBlock func()) *fetchSink {
-		return blockSink(func(blk *ColBlock) error {
+		return &fetchSink{block: func(blk *ColBlock) error {
 			defer onBlock()
 			var err error
 			got.Rows, err = blk.AppendRows(got.Rows)
 			return err
-		}, nil)
+		}}
 	}},
 }
 

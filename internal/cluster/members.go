@@ -69,7 +69,7 @@ func (c *Client) RefreshView() error {
 	var lastErr error
 	for _, ns := range c.nodes() {
 		var rep reply
-		if err := c.rpcOn(ns, &request{Op: "members"}, &rep, c.cfg.Timeout); err != nil {
+		if err := c.rpcOn(ns, &request{Op: "members"}, &rep, c.cfg.Timeout, nil); err != nil {
 			lastErr = err
 			continue
 		}

@@ -30,12 +30,6 @@ func (n *Node) MetricsHandler() http.Handler {
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			if ver, ok := metrics.FrameNegotiatedVersion(name); ok {
-				// Per-version negotiation counters render as one family with
-				// a version label, the conventional Prometheus shape.
-				p.Counter("qa_frame_negotiated_total", metrics.Labels{"node": n.cfg.NodeID, "version": ver}, float64(health[name]))
-				continue
-			}
 			p.Counter("qa_"+metrics.SanitizeMetricName(name), node, float64(health[name]))
 		}
 		gauges := n.health.Gauges()

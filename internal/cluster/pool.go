@@ -41,7 +41,7 @@ var (
 )
 
 // wireCounter tallies bytes crossing a set of connections, for the
-// per-encoding bytes_per_query accounting in qaload reports.
+// bytes_per_query accounting in qaload reports.
 type wireCounter struct {
 	in  atomic.Int64
 	out atomic.Int64
@@ -73,14 +73,6 @@ type rpcResult struct {
 	err   error
 }
 
-// pendingCall is one in-flight RPC awaiting demuxed results. A plain
-// call gets exactly one result; a streamed fetch (stream=true) gets a
-// sequence of frames ending at the terminal frame or a JSON downgrade.
-type pendingCall struct {
-	ch     chan rpcResult
-	stream bool
-}
-
 // streamChanDepth buffers a few frames per streamed call so the
 // readLoop rarely blocks on a healthy consumer. When the consumer falls
 // behind, the readLoop's blocking send stops socket reads and TCP
@@ -90,9 +82,10 @@ const streamChanDepth = 8
 
 // mconn is one multiplexed connection: writes are serialized under wmu,
 // replies are read by a single readLoop goroutine and routed to waiting
-// callers through the pending map. A connection dies on its first
-// protocol error or timeout; every in-flight caller then receives the
-// terminal error, and the pool dials a replacement on next use.
+// callers through the pending map: one result channel per in-flight
+// call, fed one JSON reply or a fetch's frames. A connection dies on its
+// first protocol error or timeout; every in-flight caller then receives
+// the terminal error, and the pool dials a replacement on next use.
 type mconn struct {
 	conn net.Conn
 
@@ -106,7 +99,7 @@ type mconn struct {
 
 	mu      sync.Mutex
 	nextID  uint64
-	pending map[uint64]*pendingCall
+	pending map[uint64]chan rpcResult
 	dead    bool
 	deadErr error
 }
@@ -116,15 +109,34 @@ func newMconn(conn net.Conn) *mconn {
 		conn:    conn,
 		w:       bufio.NewWriter(conn),
 		deadCh:  make(chan struct{}),
-		pending: make(map[uint64]*pendingCall),
+		pending: make(map[uint64]chan rpcResult),
 	}
 	go mc.readLoop()
 	return mc
 }
 
-// call performs one RPC: register a pending id, write the request, wait
-// for the demuxed reply or the timeout.
-func (mc *mconn) call(req *request, rep *reply, timeout time.Duration) error {
+// call performs one RPC: register a pending id, write the request, then
+// read the demuxed answer. A JSON reply lands in rep. A fetch passes
+// onFrame, and its frames are delivered to it in arrival order until it
+// returns done=true on the terminal frame; the timeout is then a
+// per-frame progress bound, not a whole-stream bound. A frame for a call
+// without onFrame is a protocol violation that kills the connection.
+//
+// A non-nil onFrame error aborts consumption without poisoning the
+// connection: the demux keeps draining (and dropping) the remaining
+// frames for this id, so other RPCs multiplexed on the connection are
+// unaffected.
+func (mc *mconn) call(req *request, rep *reply, timeout time.Duration, onFrame frameFunc) error {
+	// Only a stream watches deadCh: its channel can be full when the
+	// connection dies, so fail's error may not fit. A plain call's one
+	// slot always has room for it, and leaving the shared channel out of
+	// its select keeps concurrent callers off one channel lock.
+	depth := 1
+	var dead <-chan struct{}
+	if onFrame != nil {
+		depth, dead = streamChanDepth, mc.deadCh
+	}
+	ch := make(chan rpcResult, depth)
 	mc.mu.Lock()
 	if mc.dead {
 		err := mc.deadErr
@@ -133,8 +145,7 @@ func (mc *mconn) call(req *request, rep *reply, timeout time.Duration) error {
 	}
 	mc.nextID++
 	id := mc.nextID
-	pc := &pendingCall{ch: make(chan rpcResult, 1)}
-	mc.pending[id] = pc
+	mc.pending[id] = ch
 	mc.mu.Unlock()
 
 	req.ID = id
@@ -154,122 +165,63 @@ func (mc *mconn) call(req *request, rep *reply, timeout time.Duration) error {
 
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
-	select {
-	case res := <-pc.ch:
-		if res.err != nil {
-			return res.err
-		}
-		if res.rep == nil {
-			// A frame routed to a non-streaming call is a protocol
-			// violation; the connection is no longer trustworthy.
-			res.frame.release()
-			err := errors.New("cluster: unexpected binary frame for non-streamed rpc")
-			mc.fail(err)
-			return err
-		}
-		*rep = *res.rep
-		return nil
-	case <-timer.C:
-		mc.unregister(id)
-		mc.fail(errRPCTimeout)
-		return fmt.Errorf("%w after %v", errRPCTimeout, timeout)
-	}
-}
-
-// stream performs one streamed-fetch RPC. The server answers either
-// with a plain JSON envelope (an old node, a refusal, or an error) —
-// delivered into rep with jsonReply=true exactly like call — or with a
-// sequence of binary frames delivered to onFrame in arrival order.
-// onFrame returns done=true on the terminal frame; the timeout is a
-// per-frame progress bound, not a whole-stream bound.
-//
-// A non-nil onFrame error aborts consumption without poisoning the
-// connection: the demux keeps draining (and dropping) the remaining
-// frames for this id, so other RPCs multiplexed on the connection are
-// unaffected.
-func (mc *mconn) stream(req *request, rep *reply, timeout time.Duration, onFrame func(typ byte, payload []byte) (bool, error)) (jsonReply bool, err error) {
-	mc.mu.Lock()
-	if mc.dead {
-		err := mc.deadErr
-		mc.mu.Unlock()
-		return false, err
-	}
-	mc.nextID++
-	id := mc.nextID
-	pc := &pendingCall{ch: make(chan rpcResult, streamChanDepth), stream: true}
-	mc.pending[id] = pc
-	mc.mu.Unlock()
-
-	req.ID = id
-	mc.wmu.Lock()
-	mc.conn.SetWriteDeadline(time.Now().Add(timeout))
-	err = writeMsg(mc.w, req)
-	mc.wmu.Unlock()
-	if err != nil {
-		mc.unregister(id)
-		if !errors.Is(err, ErrTooLarge) {
-			mc.fail(err)
-		}
-		return false, err
-	}
-
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
 	for {
 		var res rpcResult
 		select {
-		case res = <-pc.ch:
+		case res = <-ch:
 		default:
 			// Nothing buffered: wait, but notice connection death — the
 			// buffered-first read above guarantees results that raced in
 			// before the failure (possibly including the terminal frame)
 			// are processed before the death is reported.
 			select {
-			case res = <-pc.ch:
-			case <-mc.deadCh:
-				return false, mc.terminalErr()
+			case res = <-ch:
+			case <-dead:
+				return mc.terminalErr()
 			case <-timer.C:
 				mc.unregister(id)
 				mc.fail(errRPCTimeout)
-				return false, fmt.Errorf("%w mid-stream after %v", errRPCTimeout, timeout)
+				return fmt.Errorf("%w after %v", errRPCTimeout, timeout)
 			}
 		}
 		switch {
 		case res.err != nil:
-			return false, res.err
+			return res.err
 		case res.rep != nil:
-			// JSON downgrade: an old server, a refusal, or an error.
 			*rep = *res.rep
-			return true, nil
-		default:
-			done, ferr := onFrame(res.frame.typ, res.frame.payload)
+			return nil
+		case onFrame == nil:
+			// The connection is no longer trustworthy.
 			res.frame.release()
-			if ferr != nil {
-				// Keep draining the stream's remaining frames in the
-				// background: the demux may already be blocked sending to
-				// this channel, and only the terminal message (or the
-				// connection dying) ends the server's stream. The
-				// connection stays usable for other RPCs throughout.
-				go mc.drainStream(pc)
-				return false, ferr
-			}
-			if done {
-				// The demux already unregistered the id on the terminal
-				// frame.
-				return false, nil
-			}
-			timer.Reset(timeout)
+			mc.fail(errUnexpectedFrame)
+			return errUnexpectedFrame
 		}
+		done, ferr := onFrame(res.frame.typ, res.frame.payload)
+		res.frame.release()
+		if ferr != nil {
+			// Keep draining the stream's remaining frames in the
+			// background: the demux may already be blocked sending to this
+			// channel, and only the terminal message (or the connection
+			// dying) ends the server's stream. The connection stays usable
+			// for other RPCs throughout.
+			go mc.drainStream(ch)
+			return ferr
+		}
+		if done {
+			// The demux already unregistered the id on the terminal frame.
+			return nil
+		}
+		timer.Reset(timeout)
 	}
 }
 
 // drainStream consumes and discards an aborted stream's remaining
 // messages until its terminal message or connection death, keeping the
 // shared readLoop from blocking on the abandoned channel.
-func (mc *mconn) drainStream(pc *pendingCall) {
+func (mc *mconn) drainStream(ch chan rpcResult) {
 	for {
 		select {
-		case res := <-pc.ch:
+		case res := <-ch:
 			final := res.err != nil || res.rep != nil || res.frame.typ == frameTypeEnd
 			res.frame.release()
 			if final {
@@ -336,7 +288,7 @@ func (mc *mconn) readLoop() {
 // an unbounded result. Connection death unblocks the send.
 func (mc *mconn) route(id uint64, res rpcResult, final bool) {
 	mc.mu.Lock()
-	pc, ok := mc.pending[id]
+	ch, ok := mc.pending[id]
 	if ok && final {
 		delete(mc.pending, id)
 	}
@@ -346,7 +298,7 @@ func (mc *mconn) route(id uint64, res rpcResult, final bool) {
 		return
 	}
 	select {
-	case pc.ch <- res:
+	case ch <- res:
 	case <-mc.deadCh:
 		res.frame.release()
 	}
@@ -371,9 +323,9 @@ func (mc *mconn) fail(err error) {
 	mc.mu.Unlock()
 	close(mc.deadCh)
 	mc.conn.Close()
-	for _, pc := range waiters {
+	for _, ch := range waiters {
 		select {
-		case pc.ch <- rpcResult{err: err}:
+		case ch <- rpcResult{err: err}:
 		default:
 		}
 	}

@@ -43,28 +43,22 @@ type request struct {
 	SQL       string    `json:"sql,omitempty"`
 	QueryID   int64     `json:"query_id,omitempty"`
 	Mechanism Mechanism `json:"mechanism,omitempty"`
-	// Enc advertises the newest fetch-row encoding the client decodes
-	// (see encTagged/encCompact). Servers reply with min(Enc, newest they
-	// speak); old servers ignore the field and reply tagged, so mixed
-	// fleets interoperate during rollout.
-	Enc int `json:"enc,omitempty"`
 	// Gossip carries the sender's membership table on a "gossip" op
 	// (anti-entropy push-pull; the reply carries the receiver's table
-	// back). Versioned like Enc: the payload's V field lets future
-	// table formats coexist with old nodes.
+	// back). The payload's V field lets future table formats coexist
+	// with old nodes.
 	Gossip *gossipPayload `json:"gossip,omitempty"`
 	// Trace carries the client's trace context when the query is being
-	// traced. Additive and versioned like Enc and Gossip: old servers
-	// ignore the unknown field (the query still runs, untraced on that
-	// node), and old clients omit it, so mixed fleets interoperate.
+	// traced. Additive and versioned like Gossip: old servers ignore the
+	// unknown field (the query still runs, untraced on that node), and
+	// old clients omit it, so mixed fleets interoperate.
 	Trace *traceCtx `json:"trace,omitempty"`
 	// DeadlineMs is the query's remaining time budget in milliseconds
 	// when the request left the client. It is relative, not a wall-clock
 	// instant, so federations need no clock sync; the cost is that time
 	// on the wire is not charged. Zero means "no deadline". Additive
-	// like Enc and Trace: old servers ignore it (the query just isn't
-	// shed server-side), old clients omit it, so mixed fleets
-	// interoperate.
+	// like Trace: old servers ignore it (the query just isn't shed
+	// server-side), old clients omit it, so mixed fleets interoperate.
 	DeadlineMs int64 `json:"deadline_ms,omitempty"`
 	// RunID names the client run for at-most-once dedup: the server
 	// caches execute/fetch outcomes keyed by (RunID, op, QueryID, SQL
@@ -76,23 +70,15 @@ type request struct {
 	// call-for-proposals on a "negotiate" op: the request's own
 	// SQL/QueryID/DeadlineMs fields describe the first query exactly as
 	// an unbatched negotiate would, and Batch holds the rest of the
-	// coalesced window. Additive like Enc, Trace, and DeadlineMs: an
-	// old server ignores the unknown field and answers the first query
-	// alone (the client then renegotiates the remainder per query), and
-	// a single-query window omits the field entirely, making the
-	// request byte-identical to a legacy negotiate.
+	// coalesced window. Additive like Trace and DeadlineMs: an old
+	// server ignores the unknown field and answers the first query alone
+	// (the client then renegotiates the remainder per query), and a
+	// single-query window omits the field entirely, making the request
+	// byte-identical to a legacy negotiate.
 	Batch []batchQuery `json:"batch,omitempty"`
-	// Frame advertises the newest binary fetch-frame version the client
-	// decodes (see frameV1). A frame-speaking server answers an accepted
-	// fetch by streaming length-prefixed binary frames instead of one
-	// JSON reply; everything else (refusals, errors, other ops) stays
-	// JSON. Additive like Enc: old servers ignore the field and reply
-	// JSON, old clients omit it and are never sent a frame, so mixed
-	// fleets interoperate byte-identically.
-	Frame int `json:"frame,omitempty"`
 	// FetchBatch asks the server to bound streamed fetch batches to this
 	// many rows. Servers clamp it to their own FetchBatchRows config;
-	// zero accepts the server default. Meaningless without Frame.
+	// zero accepts the server default.
 	FetchBatch int `json:"fetch_batch,omitempty"`
 }
 
@@ -137,8 +123,7 @@ type spansReply struct {
 
 // gossipV is the newest gossip payload version this build speaks. The
 // member rows are additive JSON, so a v1 node merges whatever fields it
-// understands from a newer payload — V exists to make that negotiation
-// explicit, exactly like the fetch-row Enc field.
+// understands from a newer payload — V exists to make that explicit.
 const gossipV = 1
 
 // wireMember is one membership-table row on the wire.
@@ -217,18 +202,6 @@ func fromWireMembers(ws []wireMember) []membership.Member {
 	return out
 }
 
-// Fetch-row encodings, in negotiation order. The request's Enc field
-// carries the client's newest supported version.
-const (
-	// encTagged is the v0 per-cell encoding: every non-null value is a
-	// single-key {"kind": value} object (see toWire).
-	encTagged = 0
-	// encCompact is the v1 columnar encoding: one kind byte per row plus
-	// typed per-column arrays (see encodeCols), cutting decode work from
-	// O(rows×cols) map allocations to O(cols) slices.
-	encCompact = 1
-)
-
 // negotiateReply answers a call-for-proposals.
 type negotiateReply struct {
 	Feasible   bool    `json:"feasible"`        // node holds the data
@@ -240,29 +213,15 @@ type negotiateReply struct {
 	Err        string  `json:"error,omitempty"` // parse/plan failure
 }
 
-// executeReply answers an execution request.
+// executeReply answers an execute, and a fetch whose result does not
+// stream: refused, failed, or beaten to the last unit of supply. An
+// accepted fetch answers with frames instead (frame.go).
 type executeReply struct {
 	Accepted bool    `json:"accepted"` // false when QA-NT supply ran out meanwhile
 	Rows     int     `json:"rows"`
 	ExecMs   float64 `json:"exec_ms"`
 	WaitMs   float64 `json:"wait_ms"`
 	Err      string  `json:"error,omitempty"`
-}
-
-// fetchReply answers a fetch request: like execute, but the result
-// rows travel back to the client. Used by the distributed subquery
-// layer (Distributor) to pull relation fragments for local joining.
-type fetchReply struct {
-	Accepted bool     `json:"accepted"`
-	Columns  []string `json:"columns"`
-	Rows     [][]any  `json:"rows,omitempty"` // encTagged values, see toWire
-	// Cols is the encCompact representation: one entry per column, row
-	// count carried by each column's Kinds string. Exactly one of Rows
-	// and Cols is populated on a non-empty result; which one depends on
-	// the request's negotiated Enc.
-	Cols   []wireColumn `json:"cols,omitempty"`
-	ExecMs float64      `json:"exec_ms"`
-	Err    string       `json:"error,omitempty"`
 }
 
 // NodeStats reports a node's market state for observability.
@@ -302,12 +261,11 @@ const (
 	// passed while the job sat queued). Also a market refusal: the node
 	// is healthy, the query just can't make it here in time.
 	CodeExpired = "expired"
-	// CodeTooLarge marks a message refused for exceeding the wire size
-	// limit: an oversized request line, or a JSON fetch reply that only
-	// fits on the binary frame lane. The answering node is healthy and
-	// said so in a well-formed reply, so clients must NOT trip the
-	// breaker — but a retry of the same message cannot succeed either,
-	// so the error is terminal, not a resubmit.
+	// CodeTooLarge marks a request line refused for exceeding the wire
+	// size limit. The answering node is healthy and said so in a
+	// well-formed reply, so clients must NOT trip the breaker — but a
+	// retry of the same message cannot succeed either, so the error is
+	// terminal, not a resubmit.
 	CodeTooLarge = "too_large"
 )
 
@@ -334,7 +292,6 @@ type reply struct {
 	// must be negotiated per query.
 	Batch   []batchProposal `json:"batch,omitempty"`
 	Execute *executeReply   `json:"execute,omitempty"`
-	Fetch   *fetchReply     `json:"fetch,omitempty"`
 	Stats   *NodeStats      `json:"stats,omitempty"`
 	Gossip  *gossipPayload  `json:"gossip,omitempty"`
 	Members *membersReply   `json:"members,omitempty"`

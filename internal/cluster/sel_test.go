@@ -17,9 +17,8 @@ import (
 // A filtered scan of NULL-free columns leaves the vector engine as a
 // selection over storage (driver.Block.Sel), not a copy. These tests
 // hold the cluster's side of that: whatever reads the block — the frame
-// writer, the JSON encoders, the dedup window's replay and its packed
-// form, the mock driver's truncation — delivers the rows a dense block
-// would have.
+// writer, the dedup window's replay and its packed form, the mock
+// driver's truncation — delivers the rows a dense block would have.
 
 const selTestRows = 600
 
@@ -127,40 +126,32 @@ func mustAppendRows(t *testing.T, b *ColBlock) []sqldb.Row {
 	return rows
 }
 
-// The same filtered fetch over the frame lane, compact JSON and tagged
-// JSON: one result.
+// A filtered fetch, and its retransmit answered from the dedup window:
+// the same rows as the row engine's, both times. Frames are the only
+// encoding a fetch is answered in.
 func TestSelFetchSameRowsOnEveryEncoding(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		cfg  ClientConfig
-	}{
-		{"frames", ClientConfig{FetchBatchRows: 50}},
-		{"compact JSON", ClientConfig{FrameV: -1}},
-		{"tagged JSON", ClientConfig{FrameV: -1, FetchEnc: -1}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			node, c, oracle := selFederation(t, nil, tc.cfg)
-			for id, sql := range []string{selTestWide, selTestNarrow} {
-				want, err := oracle.Query(sql)
-				if err != nil {
-					t.Fatal(err)
+	t.Run("frames", func(t *testing.T) {
+		node, c, oracle := selFederation(t, nil, ClientConfig{FetchBatchRows: 50})
+		for id, sql := range []string{selTestWide, selTestNarrow} {
+			want, err := oracle.Query(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Twice: the second is the dedup window's copy, re-streamed.
+			for attempt := 0; attempt < 2; attempt++ {
+				res, out := c.Fetch(int64(id+1), sql)
+				if out.Err != nil {
+					t.Fatalf("Fetch: %v", out.Err)
 				}
-				// Twice: the second is the dedup window's copy, re-encoded.
-				for attempt := 0; attempt < 2; attempt++ {
-					res, out := c.Fetch(int64(id+1), sql)
-					if out.Err != nil {
-						t.Fatalf("Fetch: %v", out.Err)
-					}
-					if !reflect.DeepEqual(res.Columns, want.Columns) || !reflect.DeepEqual(res.Rows, want.Rows) {
-						t.Fatalf("attempt %d of %q: %d rows differ from the oracle's %d", attempt, sql, len(res.Rows), len(want.Rows))
-					}
+				if !reflect.DeepEqual(res.Columns, want.Columns) || !reflect.DeepEqual(res.Rows, want.Rows) {
+					t.Fatalf("attempt %d of %q: %d rows differ from the oracle's %d", attempt, sql, len(res.Rows), len(want.Rows))
 				}
 			}
-			if hits := node.health.Snapshot()[metrics.DedupHitsTotal]; hits != 2 {
-				t.Fatalf("dedup hits = %v, want each query's second fetch answered from the window", hits)
-			}
-		})
-	}
+		}
+		if hits := node.health.Snapshot()[metrics.DedupHitsTotal]; hits != 2 {
+			t.Fatalf("dedup hits = %v, want each query's second fetch answered from the window", hits)
+		}
+	})
 }
 
 // A filtered fetch cut mid-stream resumes from the dedup

@@ -90,11 +90,11 @@ type NodeConfig struct {
 	// for at-most-once retransmits (keyed by the client's run id).
 	// Default 60s.
 	DedupWindow time.Duration
-	// FetchBatchRows bounds one binary fetch-stream batch: a frame-
-	// negotiated fetch result is shipped in frames of at most this many
-	// rows, so neither side ever buffers more than one batch of a huge
-	// result. Clients may request smaller batches (request.FetchBatch);
-	// larger asks are clamped here. Default 4096.
+	// FetchBatchRows bounds one binary fetch-stream batch: a fetch result
+	// is shipped in frames of at most this many rows, so neither side
+	// ever buffers more than one batch of a huge result. Clients may
+	// request smaller batches (request.FetchBatch); larger asks are
+	// clamped here. Default 4096.
 	FetchBatchRows int
 	// NodeID is the node's stable identity in the membership registry,
 	// constant across address changes. Empty generates a random one.
@@ -210,11 +210,9 @@ type Node struct {
 	// dedup is the at-most-once window for execute/fetch retransmits.
 	dedup *dedupWindow
 
-	// noFrames (test hook) answers every fetch in JSON even when the
-	// client negotiated frames, simulating a pre-frame node; frameSever
-	// (test hook) severs the stream's connection after that many batch
-	// frames, for partial-stream resume tests. Both zero in production.
-	noFrames   atomic.Bool
+	// frameSever (test hook) severs the stream's connection after that
+	// many batch frames, for partial-stream resume tests. Zero in
+	// production.
 	frameSever atomic.Int32
 
 	execCh   chan *execJob
@@ -393,7 +391,7 @@ func (n *Node) gossipWith(addr string) {
 		timeout = 200 * time.Millisecond
 	}
 	var rep reply
-	if err := freshRPC(addr, req, &rep, timeout); err != nil {
+	if err := freshRPC(addr, req, &rep, timeout, nil, nil); err != nil {
 		n.health.Inc(metrics.GossipFailuresTotal)
 		return
 	}
@@ -423,7 +421,7 @@ func (n *Node) broadcastLeave() {
 		go func(addr string) {
 			defer wg.Done()
 			var rep reply
-			_ = freshRPC(addr, req, &rep, 250*time.Millisecond)
+			_ = freshRPC(addr, req, &rep, 250*time.Millisecond, nil, nil)
 		}(m.Addr)
 	}
 	wg.Wait()
@@ -654,8 +652,8 @@ func (n *Node) serveConn(conn net.Conn) {
 			}
 			var err error
 			if rep.stream != nil {
-				// Frame-negotiated fetch: the result streams as binary
-				// frames, taking wmu per frame so other replies interleave.
+				// Accepted fetch: the result streams as binary frames,
+				// taking wmu per frame so other replies interleave.
 				err = n.streamFetch(conn, w, &wmu, req.ID, rep.stream)
 			} else {
 				wmu.Lock()
@@ -750,37 +748,16 @@ func (n *Node) handleWork(req *request, rep *reply) {
 			}
 			rep.Batch = append(rep.Batch, bp)
 		}
-	case "execute":
-		er, code := n.execute(req)
-		rep.Execute = &er
+	default: // execute, fetch
+		er, res, code := n.execute(req)
 		rep.Code = code
-	case "fetch":
-		fr, blk, code := n.fetch(req)
-		rep.Code = code
-		if code == "" && fr.Err == "" && fr.Accepted && req.Frame >= frameV1 && !n.noFrames.Load() {
-			// Frame-negotiated success: defer encoding to the stream
-			// writer. Refusals, errors, and old clients stay JSON.
-			n.health.Inc(metrics.FrameNegotiatedCounter(frameV1))
-			rep.stream = &frameStream{res: blk, execMs: fr.ExecMs, batch: n.fetchBatchRows(req)}
+		if req.Op == "fetch" && code == "" && er.Accepted && er.Err == "" {
+			// The result leaves as a frame stream, encoded by the writer;
+			// refusals and errors answer in the JSON envelope below.
+			rep.stream = &frameStream{res: res, execMs: er.ExecMs, batch: n.fetchBatchRows(req)}
 			return
 		}
-		if blk != nil {
-			fr.Columns = blk.Columns
-			// The client advertised the newest encoding it decodes; ship
-			// compact columns to encCompact-aware clients and the legacy
-			// tagged rows to everyone older.
-			if req.Enc >= encCompact {
-				fr.Cols = encodeColsBlock(blk)
-			} else {
-				rows, rerr := encodeRowsBlock(blk)
-				if rerr != nil {
-					fr.Err = rerr.Error()
-				} else {
-					fr.Rows = rows
-				}
-			}
-		}
-		rep.Fetch = &fr
+		rep.Execute = &er
 	}
 }
 
@@ -980,78 +957,41 @@ func cacheableOutcome(rep executeReply, code string) bool {
 	return rep.Accepted || rep.Err != ""
 }
 
-func (n *Node) execute(req *request) (executeReply, string) {
+// execute runs an execute or a fetch: a fetch is an execute that keeps
+// its result, which the caller streams as frames. Under a run id the
+// outcome goes through the dedup window, result included, so a
+// retransmit — a frame-stream resume among them — replays the identical
+// rows, cut to its own request's batch size.
+func (n *Node) execute(req *request) (rep executeReply, res *ColBlock, code string) {
+	fetch := req.Op == "fetch"
 	if req.RunID != "" {
-		key := n.dedup.key(req.RunID, false, req.QueryID, req.SQL)
+		key := n.dedup.key(req.RunID, fetch, req.QueryID, req.SQL)
 		if rec, hit, _ := n.dedup.claim(key, n.stopCh); hit {
 			n.health.Inc(metrics.DedupHitsTotal)
-			rep, _ := rec.outcome()
-			return rep, ""
+			rep, res = rec.outcome()
+			return rep, res, ""
 		}
-		rep, code := n.executeOnce(req)
-		n.dedup.settle(key, rep, nil, cacheableOutcome(rep, code))
-		return rep, code
+		defer func() { n.dedup.settle(key, rep, res, cacheableOutcome(rep, code)) }()
 	}
-	return n.executeOnce(req)
-}
-
-func (n *Node) executeOnce(req *request) (executeReply, string) {
 	st, estMs, _, err := n.estimate(req.SQL)
 	if err != nil {
-		return executeReply{Err: err.Error()}, ""
+		return executeReply{Err: err.Error()}, nil, ""
 	}
-	job, rep, code := n.admit(req, st, estMs, false)
-	if code != "" || rep.Err != "" || job == nil {
-		return rep, code
-	}
-	select {
-	case rep := <-job.reply:
-		return rep, expiredCode(rep)
-	case <-n.stopCh:
-		return executeReply{Err: msgNodeStopping}, ""
-	}
-}
-
-// fetch is execute plus result shipping: the distributed subquery
-// layer pulls relation fragments through it. The raw result is
-// returned un-encoded (and cached un-encoded in the dedup window) so
-// the caller — handleWork — encodes per the *current* request's
-// negotiation: a retransmit from a differently-negotiated client, or a
-// frame-stream resume, re-encodes the identical rows its own way.
-func (n *Node) fetch(req *request) (fetchReply, *ColBlock, string) {
-	if req.RunID != "" {
-		key := n.dedup.key(req.RunID, true, req.QueryID, req.SQL)
-		if rec, hit, _ := n.dedup.claim(key, n.stopCh); hit {
-			n.health.Inc(metrics.DedupHitsTotal)
-			rep, res := rec.outcome()
-			return fetchReply{Accepted: rep.Accepted, ExecMs: rep.ExecMs, Err: rep.Err}, res, ""
-		}
-		fr, res, code := n.fetchOnce(req)
-		rep := executeReply{Accepted: fr.Accepted, ExecMs: fr.ExecMs, Err: fr.Err}
-		n.dedup.settle(key, rep, res, cacheableOutcome(rep, code))
-		return fr, res, code
-	}
-	return n.fetchOnce(req)
-}
-
-func (n *Node) fetchOnce(req *request) (fetchReply, *ColBlock, string) {
-	st, estMs, _, err := n.estimate(req.SQL)
-	if err != nil {
-		return fetchReply{Err: err.Error()}, nil, ""
-	}
-	job, rep, code := n.admit(req, st, estMs, true)
-	if code != "" || rep.Err != "" || job == nil {
-		return fetchReply{Accepted: rep.Accepted, Err: rep.Err}, nil, code
+	job, rep, code := n.admit(req, st, estMs, fetch)
+	if job == nil {
+		return rep, nil, code
 	}
 	select {
-	case rep := <-job.reply:
-		if rep.Err != "" {
-			return fetchReply{Err: rep.Err}, nil, expiredCode(rep)
-		}
-		return fetchReply{Accepted: true, ExecMs: rep.ExecMs}, job.result, ""
+	case rep = <-job.reply:
 	case <-n.stopCh:
-		return fetchReply{Err: msgNodeStopping}, nil, ""
+		return executeReply{Err: msgNodeStopping}, nil, ""
 	}
+	if job.result != nil {
+		if err := checkFetchHeader(job.result.Columns); err != nil {
+			return executeReply{Err: err.Error()}, nil, ""
+		}
+	}
+	return rep, job.result, expiredCode(rep)
 }
 
 // expiredCode maps the executor's queued-too-long drop onto the typed

@@ -14,9 +14,9 @@ import (
 )
 
 // This file holds the two halves of a streamed fetch: the server's
-// frame writer (streamFetch, invoked by serveConn when the fetch
-// handler negotiated frames) and the client's frame consumer
-// (fetchStream, fed by mconn.stream or freshStream).
+// frame writer (streamFetch, invoked by serveConn for every accepted
+// fetch) and the client's frame consumer (fetchStream, fed by mconn.call
+// or freshRPC).
 //
 // Memory stays O(batch) on both sides by construction: the server
 // appends one batch into a pooled buffer and hands it to the
@@ -65,9 +65,11 @@ func writeFrame(w *bufio.Writer, wmu *sync.Mutex, frame []byte, flush bool) erro
 // stream truncates it with an end frame carrying msgNodeStopping, so
 // the client knows the delivered prefix is incomplete; the PR 6
 // classification (node stopping = safe to resubmit elsewhere) holds
-// for partial streams too. The frame buffer is pooled and reused
-// across streams; only the end frame flushes, so a small reply costs
-// one write.
+// for partial streams too. A batch is cut short where its frame would
+// pass maxFramePayload, and a row that alone would ends the stream with
+// an error in its end frame: no frame leaves that a reader refuses. The
+// frame buffer is pooled and reused across streams; only the end frame
+// flushes, so a small reply costs one write.
 func (n *Node) streamFetch(conn net.Conn, w *bufio.Writer, wmu *sync.Mutex, id uint64, fs *frameStream) error {
 	fb := getFrameBuf()
 	defer func() {
@@ -90,20 +92,18 @@ func (n *Node) streamFetch(conn net.Conn, w *bufio.Writer, wmu *sync.Mutex, id u
 	// them straight onto the wire — no row materialization anywhere on
 	// the server's hot path.
 	var (
-		sent    uint64
-		batches int
-		errMsg  string
-		cur     driver.Cursor
-		batch   ColBlock
+		sent         uint64
+		batches      int
+		errMsg       string
+		cur          driver.Cursor
+		batch, piece ColBlock
 	)
-	for res.NextBatch(&cur, fs.batch, &batch) {
+	for errMsg == "" && res.NextBatch(&cur, fs.batch, &batch) {
 		select {
 		case <-n.stopCh:
 			errMsg = msgNodeStopping
+			continue
 		default:
-		}
-		if errMsg != "" {
-			break
 		}
 		if cut := n.frameSever.Load(); cut > 0 && int32(batches) >= cut {
 			// Test hook: simulate a connection lost mid-stream, after the
@@ -116,15 +116,24 @@ func (n *Node) streamFetch(conn net.Conn, w *bufio.Writer, wmu *sync.Mutex, id u
 			conn.Close()
 			return fmt.Errorf("cluster: frame stream severed by test hook")
 		}
-		buf = appendFetchBatchCols(fb.b[:0], id, &batch)
-		fb.b = buf[:0]
-		if err := writeFrame(w, wmu, buf, false); err != nil {
-			return err
+		// Nearly always one frame takes the whole batch; a cut frame's
+		// rows are dropped before the rest goes out.
+		for rows := 0; rows < batch.Rows; {
+			batch.Drop(rows)
+			buf, rows = appendFittingBatch(fb.b[:0], id, &batch, &piece)
+			fb.b = buf[:0]
+			if rows == 0 {
+				errMsg = fmt.Sprintf("cluster: result row %d alone is over the %d-byte frame limit", sent+1, maxFramePayload)
+				break
+			}
+			if err := writeFrame(w, wmu, buf, false); err != nil {
+				return err
+			}
+			sent += uint64(rows)
+			batches++
+			n.health.Inc(metrics.FetchBatchesTotal)
+			n.health.Add(metrics.FetchBytesTotal, int64(len(buf)))
 		}
-		sent += uint64(batch.Rows)
-		batches++
-		n.health.Inc(metrics.FetchBatchesTotal)
-		n.health.Add(metrics.FetchBytesTotal, int64(len(buf)))
 	}
 
 	buf = appendFetchEnd(fb.b[:0], id, sent, batches, errMsg)
@@ -138,10 +147,9 @@ func (n *Node) streamFetch(conn net.Conn, w *bufio.Writer, wmu *sync.Mutex, id u
 
 // --- Client side ------------------------------------------------------
 
-// fetchSink receives a fetch result however it arrives: block gets
-// streamed batches as reusable ColBlocks (buffers overwritten between
-// calls — copy out anything retained), rows gets a JSON downgrade's
-// decoded result whole, so old and new servers feed the same consumer.
+// fetchSink receives a fetch result batch by batch: block gets each
+// streamed batch as a reusable ColBlock (buffers overwritten between
+// calls — copy out anything retained).
 //
 // reset says who owns delivered rows. Non-nil: they sit in a buffer the
 // client owns, reset discards them, and a query whose stream died
@@ -149,7 +157,6 @@ func (n *Node) streamFetch(conn net.Conn, w *bufio.Writer, wmu *sync.Mutex, id u
 // as they arrive and the lifecycle's partial-delivery rule applies.
 type fetchSink struct {
 	block func(*ColBlock) error
-	rows  func(columns []string, rows []sqldb.Row) error
 	reset func()
 }
 
@@ -161,30 +168,7 @@ func accumulateSink(res *sqldb.Result) *fetchSink {
 			res.Rows, err = blk.AppendRows(res.Rows)
 			return err
 		},
-		rows: func(_ []string, rs []sqldb.Row) error {
-			res.Rows = append(res.Rows, rs...)
-			return nil
-		},
 		reset: func() { res.Rows = res.Rows[:0] },
-	}
-}
-
-// blockSink hands the result to fn batch by batch, never materializing
-// rows: streamed frames pass their decoded ColBlocks straight through,
-// and a JSON downgrade is bridged through one reusable block, so fn sees
-// a single columnar interface whatever the server's generation.
-func blockSink(fn func(*ColBlock) error, reset func()) *fetchSink {
-	var bridge ColBlock
-	return &fetchSink{
-		block: fn,
-		rows: func(columns []string, rs []sqldb.Row) error {
-			bridge.FillFromRows(columns, rs)
-			if bridge.Rows == 0 {
-				return nil
-			}
-			return fn(&bridge)
-		},
-		reset: reset,
 	}
 }
 
@@ -206,8 +190,8 @@ type fetchStream struct {
 	end       frameEnd
 }
 
-// onFrame consumes one frame; it is the callback handed to
-// mconn.stream / freshStream. done=true ends the stream.
+// onFrame consumes one frame; it is the callback handed to mconn.call /
+// freshRPC. done=true ends the stream.
 func (fs *fetchStream) onFrame(typ byte, payload []byte) (bool, error) {
 	switch typ {
 	case frameTypeHeader:
@@ -263,50 +247,60 @@ func (fs *fetchStream) onFrame(typ byte, payload []byte) (bool, error) {
 	return false, fmt.Errorf("%w: unexpected frame type %d", errFrameDecode, typ)
 }
 
-// freshStream is the fresh-transport analogue of mconn.stream: dial,
-// send the request, then demux by peeking the first byte of each
-// message — frames feed onFrame, a JSON reply lands in rep
-// (jsonReply=true). The per-message read deadline is a progress bound,
-// like the pooled path's per-frame timer.
-func freshStream(addr string, req *request, rep *reply, timeout time.Duration, onFrame func(typ byte, payload []byte) (bool, error), wc *wireCounter) (jsonReply bool, err error) {
+// frameFunc consumes one frame of a streamed fetch; done ends the stream.
+type frameFunc func(typ byte, payload []byte) (done bool, err error)
+
+// errUnexpectedFrame reports frames answering a call that expected one
+// JSON reply: the peer broke the protocol.
+var errUnexpectedFrame = errors.New("cluster: unexpected binary frame for non-streamed rpc")
+
+// freshRPC is the v0 transport: dial, send the request, read the
+// answer, hang up. The answer is one JSON reply, landing in rep, or —
+// for a fetch, whose caller passes onFrame — frames fed to onFrame until
+// it reports done; the first byte of each message tells them apart.
+// Each frame renews the read deadline, a progress bound like the pooled
+// path's per-frame timer. A dial failure is wrapped errNotSent: the request
+// never reached the node, which the failover ladder uses to fail over
+// without double-execution risk. wc, when set, tallies the traffic
+// (server-side gossip exchanges are not a client's wire cost).
+func freshRPC(addr string, req *request, rep *reply, timeout time.Duration, wc *wireCounter, onFrame frameFunc) error {
 	conn, err := dial(addr, timeout)
 	if err != nil {
-		return false, fmt.Errorf("%w: %v", errNotSent, err)
+		return fmt.Errorf("%w: %v", errNotSent, err)
 	}
 	defer conn.Close()
 	if wc != nil {
 		conn = &countedConn{Conn: conn, wc: wc}
 	}
-	if err := conn.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
-		return false, err
+	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
+		return err
 	}
-	w := bufio.NewWriter(conn)
-	if err := writeMsg(w, req); err != nil {
-		return false, err
+	if err := writeMsg(bufio.NewWriter(conn), req); err != nil {
+		return err
 	}
 	r := bufio.NewReader(conn)
 	for {
-		if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-			return false, err
-		}
 		first, err := r.Peek(1)
 		if err != nil {
-			return false, err
+			return err
 		}
 		if first[0] != frameMagic {
-			return true, readMsg(r, rep)
+			return readMsg(r, rep)
+		}
+		if onFrame == nil {
+			return errUnexpectedFrame
 		}
 		fm, err := readFrame(r)
 		if err != nil {
-			return false, err
+			return err
 		}
 		done, ferr := onFrame(fm.typ, fm.payload)
 		fm.release()
-		if ferr != nil {
-			return false, ferr
+		if ferr != nil || done {
+			return ferr
 		}
-		if done {
-			return false, nil
+		if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
+			return err
 		}
 	}
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -110,40 +109,6 @@ func benchResult() *sqldb.Result {
 	return res
 }
 
-// benchEncodingRoundTrip measures the full fetch path cost of an
-// encoding: server-side encode, the JSON hop, client-side decode.
-func benchEncodingRoundTrip(b *testing.B, enc int) {
-	res := benchResult()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fr := &fetchReply{Accepted: true, Columns: res.Columns}
-		if enc >= encCompact {
-			fr.Cols = encodeCols(res)
-		} else {
-			fr.Rows = encodeRows(res)
-		}
-		data, err := json.Marshal(fr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		got := new(fetchReply)
-		if err := json.Unmarshal(data, got); err != nil {
-			b.Fatal(err)
-		}
-		rows, err := got.rows()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != len(res.Rows) {
-			b.Fatalf("decoded %d rows", len(rows))
-		}
-	}
-}
-
-func BenchmarkFetchEncodingTagged(b *testing.B)  { benchEncodingRoundTrip(b, encTagged) }
-func BenchmarkFetchEncodingCompact(b *testing.B) { benchEncodingRoundTrip(b, encCompact) }
-
 // resetFetchStream rewinds a fetchStream for the next decode while
 // keeping its reusable header/block buffers warm.
 func resetFetchStream(fs *fetchStream) {
@@ -185,11 +150,9 @@ func benchFrameRoundTrip(blk *ColBlock, fb *frameBuf, src *bytes.Reader, br *buf
 	return fs.delivered, nil
 }
 
-// BenchmarkFetchFrameRoundTrip is the binary lane's counterpart to the
-// JSON encoding benchmarks above: the same 1,000-row result through
-// frame encode + streamed decode. The acceptance criterion for the
-// framing tentpole is <= 16 allocs/op here (the JSON compact path
-// costs ~1,120), asserted by TestFetchFrameAllocs.
+// BenchmarkFetchFrameRoundTrip is one 1,000-row result through frame
+// encode + streamed decode. The acceptance criterion for the framing
+// tentpole is <= 16 allocs/op here, asserted by TestFetchFrameAllocs.
 func BenchmarkFetchFrameRoundTrip(b *testing.B) {
 	res := benchResult()
 	blk := driver.FromResult(res)

@@ -79,8 +79,8 @@ const (
 	// ShardSkipsTotal counts per-node CFPs not sent because the member's
 	// gossiped relation filter proved it infeasible for the query.
 	ShardSkipsTotal = "shard_skips_total"
-	// FetchBatchesTotal counts binary batch frames a server streamed to
-	// frame-speaking fetch clients.
+	// FetchBatchesTotal counts binary batch frames a server streamed on
+	// fetches.
 	FetchBatchesTotal = "fetch_batches_total"
 	// FetchBytesTotal accumulates frame bytes (headers included) a
 	// server streamed on the binary fetch lane.
@@ -92,29 +92,6 @@ const (
 	// admitted but not yet running).
 	QueueDepth = "queue_depth"
 )
-
-// FrameNegotiatedPrefix keys the per-version frame-negotiation counters:
-// FrameNegotiatedCounter(v) registers under "frame_negotiated_v<v>_total"
-// so the flat Health registry stays label-free, and exposition layers
-// render the family as frame_negotiated_total{version="<v>"}.
-const FrameNegotiatedPrefix = "frame_negotiated_v"
-
-// FrameNegotiatedCounter names the counter for fetches negotiated onto
-// binary frame version v.
-func FrameNegotiatedCounter(v int) string {
-	return fmt.Sprintf("%s%d_total", FrameNegotiatedPrefix, v)
-}
-
-// FrameNegotiatedVersion parses a FrameNegotiatedCounter name back into
-// its version label, reporting ok=false for unrelated names.
-func FrameNegotiatedVersion(name string) (string, bool) {
-	if len(name) <= len(FrameNegotiatedPrefix)+len("_total") ||
-		name[:len(FrameNegotiatedPrefix)] != FrameNegotiatedPrefix ||
-		name[len(name)-len("_total"):] != "_total" {
-		return "", false
-	}
-	return name[len(FrameNegotiatedPrefix) : len(name)-len("_total")], true
-}
 
 // Health is a concurrency-safe named counter/gauge set for
 // failure-domain observability: breaker transitions, retries, drains,
