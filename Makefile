@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench benchsmoke loadsmoke membersmoke tracesmoke chaossmoke scalesmoke fuzzsmoke execsmoke scalersmoke oneledger onelane ci
+.PHONY: all build test vet race bench benchsmoke loadsmoke membersmoke tracesmoke chaossmoke scalesmoke fuzzsmoke execsmoke scalersmoke oneledger onelane onekinds ci
 
 all: build test
 
@@ -102,6 +102,15 @@ onelane:
 	@if grep -rnwE 'FetchEnc|FrameV' --include='*.go' .; \
 	then echo 'onelane: FetchEnc/FrameV are back; a fetch result has one lane (see DESIGN.md §9, "Two lanes")'; exit 1; fi
 
+# onekinds keeps one kind-byte counter: driver.CountKinds, which counts
+# a run of kind bytes with one vectorized pass per kind present. It fails
+# when a non-test file outside internal/driver tallies kind bytes itself
+# — an ni++ / nf += 1 / "ni, ni+1" counter or a [256]int histogram.
+onekinds:
+	@if grep -rnE '\b(ni|nf|ns|nb)(\+\+|[[:space:]]*\+=)|\b(ni|nf|ns|nb),[[:space:]]*(ni|nf|ns|nb)[[:space:]]*\+[[:space:]]*1\b|\[256\]int' --include='*.go' . \
+		| grep -vE '^\./internal/driver/|_test\.go:'; \
+	then echo 'onekinds: kind bytes are counted outside driver.CountKinds (see DESIGN.md §15, "Block = wire format")'; exit 1; fi
+
 # execsmoke soaks the storage-driver seam: a federation whose nodes
 # front different executors (row, vector, mock) is checked for
 # cell-level parity against a local oracle, multi-frame streaming,
@@ -125,4 +134,4 @@ scalesmoke:
 scalersmoke:
 	$(GO) run ./cmd/scalersmoke
 
-ci: build vet oneledger onelane test race benchsmoke loadsmoke membersmoke tracesmoke chaossmoke scalesmoke execsmoke fuzzsmoke scalersmoke
+ci: build vet oneledger onelane onekinds test race benchsmoke loadsmoke membersmoke tracesmoke chaossmoke scalesmoke execsmoke fuzzsmoke scalersmoke

@@ -275,7 +275,7 @@ func main() {
 	entries = append(entries, transportBenches...)
 	fetch := fetchTiming{Rows: 1000}
 	for _, e := range transportBenches {
-		if e.Name != "BenchmarkFetchFrameRoundTrip" {
+		if e.Name != "BenchmarkFetchFrameRoundTrip/acceptance" {
 			continue
 		}
 		if e.AllocsPerOp != nil {

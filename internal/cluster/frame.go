@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"github.com/qamarket/qamarket/internal/driver"
@@ -129,14 +130,15 @@ func checkFetchHeader(columns []string) error {
 // appendFittingBatch appends one batch frame carrying as many leading
 // rows of blk as fit in maxFramePayload and returns how many it took:
 // all of them, unless their texts are huge, in which case the count
-// halves until the frame fits. Zero means blk's first row alone is over
-// the limit; buf then comes back unchanged. piece is the cut's scratch.
+// halves until the payload size fits, and only then is the frame
+// encoded. Zero means blk's first row alone is over the limit; buf then
+// comes back unchanged. piece is the cut's scratch.
 func appendFittingBatch(buf []byte, id uint64, blk, piece *ColBlock) ([]byte, int) {
 	src := blk
 	for {
-		out := appendFetchBatchCols(buf, id, src)
-		if len(out)-len(buf)-frameHdrLen <= maxFramePayload {
-			return out, src.Rows
+		size := batchPayloadSize(src)
+		if size <= maxFramePayload {
+			return appendBatchSized(buf, id, src, size), src.Rows
 		}
 		if src.Rows == 1 {
 			return buf, 0
@@ -148,58 +150,108 @@ func appendFittingBatch(buf []byte, id uint64, blk, piece *ColBlock) ([]byte, in
 	}
 }
 
+// batchPayloadSize is the exact payload length of blk's batch frame.
+func batchPayloadSize(blk *ColBlock) int {
+	size := 8 // row and column counts
+	for j := range blk.Cols {
+		col := &blk.Cols[j]
+		size += len(col.Kinds) + 20 + 8*(len(col.Ints)+len(col.Floats)) + 4*len(col.Texts) + (len(col.Bools)+7)/8
+		for _, t := range col.Texts {
+			size += len(t)
+		}
+	}
+	return size
+}
+
 // appendFetchBatchCols appends one batch frame carrying blk's rows as
 // typed columns: per column, one kind byte per row (the driver's kind
 // alphabet), then the non-null values of each type in row order — ints
 // and floats as fixed 8-byte words, texts as a length table plus one
 // concatenated blob (so the client can decode all of a column's strings
-// with a single allocation), bools as packed bits. Because driver
-// blocks already hold exactly this layout, encoding is a straight copy
-// of each typed array — no per-row dispatch and no transposition.
+// with a single allocation), bools as packed bits with zero padding.
+// Driver blocks already hold exactly this layout, so encoding moves
+// arrays, not values: the payload is sized and reserved once, the kind
+// bytes and text bytes are copied, and every word is written by index —
+// no append and no switch per value, and no transposition.
 func appendFetchBatchCols(buf []byte, id uint64, blk *ColBlock) []byte {
+	return appendBatchSized(buf, id, blk, batchPayloadSize(blk))
+}
+
+// appendBatchSized is appendFetchBatchCols with the payload size, which
+// must be batchPayloadSize(blk), already known.
+func appendBatchSized(buf []byte, id uint64, blk *ColBlock, size int) []byte {
+	buf = slices.Grow(buf, frameHdrLen+size)
 	buf, hdr := beginFrame(buf, frameTypeBatch, id)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(blk.Rows))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(blk.Cols)))
+	start := len(buf)
+	buf = buf[:start+size]
+	p := buf[start:]
+	le := binary.LittleEndian
+	le.PutUint32(p, uint32(blk.Rows))
+	le.PutUint32(p[4:], uint32(len(blk.Cols)))
+	o := 8
 	for j := range blk.Cols {
 		col := &blk.Cols[j]
-		buf = append(buf, col.Kinds...)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(col.Ints)))
+		o += copy(p[o:], col.Kinds)
+
+		le.PutUint32(p[o:], uint32(len(col.Ints)))
+		o += 4
 		for _, v := range col.Ints {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+			le.PutUint64(p[o:o+8], uint64(v))
+			o += 8
 		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(col.Floats)))
+
+		le.PutUint32(p[o:], uint32(len(col.Floats)))
+		o += 4
 		for _, v := range col.Floats {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+			le.PutUint64(p[o:o+8], math.Float64bits(v))
+			o += 8
 		}
-		blobLen := 0
-		for _, t := range col.Texts {
-			blobLen += len(t)
+
+		// count, blob length, length table, blob: the blob length is
+		// patched once the texts are copied.
+		le.PutUint32(p[o:], uint32(len(col.Texts)))
+		lens := p[o+8 : o+8+4*len(col.Texts)]
+		blob := o + 8 + len(lens)
+		end := blob
+		for i, t := range col.Texts {
+			le.PutUint32(lens[4*i:], uint32(len(t)))
+			end += copy(p[end:], t)
 		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(col.Texts)))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(blobLen))
-		for _, t := range col.Texts {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(t)))
-		}
-		for _, t := range col.Texts {
-			buf = append(buf, t...)
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(col.Bools)))
-		var bits, filled byte
-		for _, v := range col.Bools {
-			if v {
-				bits |= 1 << filled
-			}
-			filled++
-			if filled == 8 {
-				buf = append(buf, bits)
-				bits, filled = 0, 0
-			}
-		}
-		if filled > 0 {
-			buf = append(buf, bits)
-		}
+		le.PutUint32(p[o+4:], uint32(end-blob))
+		o = end
+
+		le.PutUint32(p[o:], uint32(len(col.Bools)))
+		o += 4
+		o += packBools(p[o:], col.Bools)
 	}
 	return endFrame(buf, hdr)
+}
+
+// packBools writes bs to dst as bits, least significant first, eight to
+// a byte and zero padding in the last, and returns the bytes written.
+func packBools(dst []byte, bs []bool) int {
+	n := (len(bs) + 7) / 8
+	full := len(bs) / 8
+	for i := range dst[:full] {
+		b := bs[8*i : 8*i+8 : 8*i+8]
+		dst[i] = b2u8(b[0]) | b2u8(b[1])<<1 | b2u8(b[2])<<2 | b2u8(b[3])<<3 |
+			b2u8(b[4])<<4 | b2u8(b[5])<<5 | b2u8(b[6])<<6 | b2u8(b[7])<<7
+	}
+	if full < n {
+		var bits byte
+		for k, v := range bs[8*full:] {
+			bits |= b2u8(v) << k
+		}
+		dst[full] = bits
+	}
+	return n
+}
+
+func b2u8(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
 }
 
 // appendFetchEnd appends the terminal frame: rows and batches sent, and
@@ -328,7 +380,6 @@ func (c *cursor) bytes(n int) ([]byte, bool) {
 // frameHeader is the decoded header frame. Columns is reused across
 // streams by the owning fetchStream.
 type frameHeader struct {
-	accepted  bool
 	execMs    float64
 	columns   []string
 	batchRows int
@@ -342,10 +393,10 @@ func decodeFetchHeader(p []byte, h *frameHeader) error {
 	acc, ok1 := c.u8()
 	bits, ok2 := c.u64()
 	ncols, ok3 := c.u32()
-	if !ok1 || !ok2 || !ok3 || int(ncols) > c.remaining() {
+	// The accepted flag is always 1: a refusal never reaches the frame lane.
+	if !ok1 || !ok2 || !ok3 || acc != 1 || int(ncols) > c.remaining() {
 		return fmt.Errorf("%w: header prefix", errFrameDecode)
 	}
-	h.accepted = acc != 0
 	h.execMs = math.Float64frombits(bits)
 	h.columns = h.columns[:0]
 	for i := 0; i < int(ncols); i++ {
@@ -403,7 +454,11 @@ type (
 
 // decodeFetchBatch parses a batch-frame payload into blk, reusing its
 // buffers, and validates every count against the kind bytes so a
-// malformed frame is an error, never a panic.
+// malformed frame is an error, never a panic. It moves arrays, not
+// values: CountKinds sizes each typed array once, which is then filled
+// by index. It accepts only the encoder's own bytes — a bool column's
+// padding bits must be zero — so a payload that decodes re-encodes to
+// itself (FuzzFrameDecode holds that).
 func decodeFetchBatch(p []byte, blk *ColBlock) error {
 	c := cursor{p: p}
 	nrows, ok1 := c.u32()
@@ -423,27 +478,16 @@ func decodeFetchBatch(p []byte, blk *ColBlock) error {
 	}
 	blk.Cols = blk.Cols[:ncols]
 	blk.Rows = int(nrows)
+	le := binary.LittleEndian
 	for j := range blk.Cols {
 		col := &blk.Cols[j]
 		kinds, ok := c.bytes(int(nrows))
 		if !ok {
 			return fmt.Errorf("%w: column %d kinds", errFrameDecode, j)
 		}
-		var ni, nf, ns, nb int
-		for _, k := range kinds {
-			switch k {
-			case driver.KindByteInt:
-				ni++
-			case driver.KindByteFloat:
-				nf++
-			case driver.KindByteText:
-				ns++
-			case driver.KindByteBool:
-				nb++
-			case driver.KindByteNull:
-			default:
-				return fmt.Errorf("%w: column %d kind byte %q", errFrameDecode, j, k)
-			}
+		ni, nf, ns, nb, known := driver.CountKinds(kinds)
+		if !known {
+			return fmt.Errorf("%w: column %d has a byte that is no kind", errFrameDecode, j)
 		}
 		col.Kinds = append(col.Kinds[:0], kinds...)
 
@@ -451,20 +495,20 @@ func decodeFetchBatch(p []byte, blk *ColBlock) error {
 		if !ok || int(cnt) != ni || c.remaining() < ni*8 {
 			return fmt.Errorf("%w: column %d ints", errFrameDecode, j)
 		}
-		col.Ints = col.Ints[:0]
-		for i := 0; i < ni; i++ {
-			v, _ := c.u64()
-			col.Ints = append(col.Ints, int64(v))
+		w, _ := c.bytes(ni * 8)
+		col.Ints = resize(col.Ints, ni)
+		for i := range col.Ints {
+			col.Ints[i] = int64(le.Uint64(w[8*i:]))
 		}
 
 		cnt, ok = c.u32()
 		if !ok || int(cnt) != nf || c.remaining() < nf*8 {
 			return fmt.Errorf("%w: column %d floats", errFrameDecode, j)
 		}
-		col.Floats = col.Floats[:0]
-		for i := 0; i < nf; i++ {
-			v, _ := c.u64()
-			col.Floats = append(col.Floats, math.Float64frombits(v))
+		w, _ = c.bytes(nf * 8)
+		col.Floats = resize(col.Floats, nf)
+		for i := range col.Floats {
+			col.Floats[i] = math.Float64frombits(le.Uint64(w[8*i:]))
 		}
 
 		cnt, ok = c.u32()
@@ -481,14 +525,14 @@ func decodeFetchBatch(p []byte, blk *ColBlock) error {
 		// individual values are substrings of it. This is the decode
 		// path's only steady-state allocation.
 		blob := string(blobBytes)
-		col.Texts = col.Texts[:0]
+		col.Texts = resize(col.Texts, ns)
 		off := 0
-		for i := 0; i < ns; i++ {
-			l := int(binary.LittleEndian.Uint32(lens[i*4:]))
-			if l < 0 || off+l > len(blob) {
+		for i := range col.Texts {
+			l := int(le.Uint32(lens[4*i:]))
+			if l < 0 || l > len(blob)-off {
 				return fmt.Errorf("%w: column %d text lengths exceed blob", errFrameDecode, j)
 			}
-			col.Texts = append(col.Texts, blob[off:off+l])
+			col.Texts[i] = blob[off : off+l]
 			off += l
 		}
 		if off != len(blob) {
@@ -503,13 +547,27 @@ func decodeFetchBatch(p []byte, blk *ColBlock) error {
 		if !ok {
 			return fmt.Errorf("%w: column %d bool bits", errFrameDecode, j)
 		}
-		col.Bools = col.Bools[:0]
-		for i := 0; i < nb; i++ {
-			col.Bools = append(col.Bools, packed[i/8]&(1<<(i%8)) != 0)
+		if nb%8 != 0 && packed[len(packed)-1]>>(nb%8) != 0 {
+			return fmt.Errorf("%w: column %d sets bool padding bits", errFrameDecode, j)
+		}
+		col.Bools = resize(col.Bools, nb)
+		for i := 0; i+8 <= nb; i += 8 {
+			b, d := packed[i/8], col.Bools[i:i+8:i+8]
+			d[0], d[1], d[2], d[3] = b&1 != 0, b&2 != 0, b&4 != 0, b&8 != 0
+			d[4], d[5], d[6], d[7] = b&16 != 0, b&32 != 0, b&64 != 0, b&128 != 0
+		}
+		for i := nb &^ 7; i < nb; i++ {
+			col.Bools[i] = packed[i/8]>>(i%8)&1 != 0
 		}
 	}
 	if c.remaining() != 0 {
 		return fmt.Errorf("%w: %d trailing batch bytes", errFrameDecode, c.remaining())
 	}
 	return nil
+}
+
+// resize returns s with length n, reusing its array when it is big
+// enough; the contents are left for the caller to overwrite.
+func resize[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
 }

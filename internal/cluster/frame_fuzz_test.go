@@ -10,8 +10,11 @@ import (
 // readFrame's header validation, then whichever payload decoder the
 // type byte selects, then row materialization. The invariant is
 // "error, never panic, never unbounded allocation" — the same promise
-// maxLineBytes makes on the JSON lane. Seeded with the golden frames
-// of a mixed-kind result so mutations start from valid streams.
+// maxLineBytes makes on the JSON lane — plus canonical frames: every
+// header, batch or end payload that decodes re-encodes to exactly the
+// same bytes, which is what shows the encoders and decoders are
+// inverses. Seeded with the golden frames of a mixed-kind result so
+// mutations start from valid streams.
 func FuzzFrameDecode(f *testing.F) {
 	res := frameTestResult(9)
 	f.Add(appendFetchHeader(nil, 1, res.Columns, 2.5, 4, 9))
@@ -29,6 +32,7 @@ func FuzzFrameDecode(f *testing.F) {
 		stream = appendFetchBatch(stream, 7, res, lo, hi)
 	}
 	f.Add(appendFetchEnd(stream, 7, 9, 5, ""))
+	f.Add(appendFetchBatchCols(nil, 7, goldenBatchBlock()))
 	f.Add([]byte{frameMagic})
 	f.Add([]byte{})
 
@@ -43,10 +47,14 @@ func FuzzFrameDecode(f *testing.F) {
 			if err != nil {
 				return
 			}
+			var re []byte
 			switch fm.typ {
 			case frameTypeHeader:
-				if decodeFetchHeader(fm.payload, &h) == nil && len(h.columns) > 1<<20 {
-					t.Fatalf("header decoded %d columns from %d bytes", len(h.columns), len(fm.payload))
+				if decodeFetchHeader(fm.payload, &h) == nil {
+					if len(h.columns) > 1<<20 {
+						t.Fatalf("header decoded %d columns from %d bytes", len(h.columns), len(fm.payload))
+					}
+					re = appendFetchHeader(nil, fm.id, h.columns, h.execMs, h.batchRows, int(h.totalRows))
 				}
 			case frameTypeBatch:
 				if decodeFetchBatch(fm.payload, &blk) == nil {
@@ -56,9 +64,15 @@ func FuzzFrameDecode(f *testing.F) {
 					if _, err := blk.AppendRows(nil); err != nil {
 						t.Fatalf("decoded batch failed to materialize: %v", err)
 					}
+					re = appendFetchBatchCols(nil, fm.id, &blk)
 				}
 			case frameTypeEnd:
-				decodeFetchEnd(fm.payload)
+				if end, err := decodeFetchEnd(fm.payload); err == nil {
+					re = appendFetchEnd(nil, fm.id, end.rows, end.batches, end.errMsg)
+				}
+			}
+			if re != nil && !bytes.Equal(re[frameHdrLen:], fm.payload) {
+				t.Fatalf("type %d payload decodes, but re-encodes differently:\n got %x\nwant %x", fm.typ, re[frameHdrLen:], fm.payload)
 			}
 			fm.release()
 		}

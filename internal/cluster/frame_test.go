@@ -2,10 +2,13 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -94,7 +97,7 @@ func TestFrameHeaderEndRoundTrip(t *testing.T) {
 	if err := decodeFetchHeader(fm.payload, &h); err != nil {
 		t.Fatalf("decode header: %v", err)
 	}
-	if !h.accepted || h.execMs != 12.25 || h.batchRows != 512 || h.totalRows != 9001 ||
+	if h.execMs != 12.25 || h.batchRows != 512 || h.totalRows != 9001 ||
 		!reflect.DeepEqual(h.columns, cols) {
 		t.Fatalf("header round trip: %+v", h)
 	}
@@ -672,5 +675,127 @@ func TestOversizedRowEndsStream(t *testing.T) {
 	}
 	if !reflect.DeepEqual(types, []byte{frameTypeHeader, frameTypeEnd}) || !strings.Contains(end.errMsg, "frame limit") {
 		t.Fatalf("frames %v, end %+v: want a header and an end frame carrying the error", types, end)
+	}
+}
+
+// goldenBatchBlock is a mixed-kind block with the values a codec most
+// easily gets wrong: NULLs in every column, empty texts, nine bools (a
+// partial last byte), the int64 extremes and other negative ints, NaN,
+// −0 and ±Inf, and a column that mixes all four kinds.
+func goldenBatchBlock() *ColBlock {
+	in, fl, tx, bo, nul := sqldb.NewInt, sqldb.NewFloat, sqldb.NewText, sqldb.NewBool, sqldb.Null
+	rows := []sqldb.Row{
+		{in(-1), fl(math.NaN()), tx(""), bo(true), in(5)},
+		{nul, fl(math.Copysign(0, -1)), tx("a"), bo(false), fl(-0.5)},
+		{in(math.MinInt64), fl(1.5), nul, bo(true), tx("mixed")},
+		{in(7), nul, tx("näme-✓"), bo(true), bo(true)},
+		{in(-42), fl(math.Inf(1)), tx("xyz"), nul, nul},
+		{in(0), fl(-2.25), tx(""), bo(false), in(-6)},
+		{nul, nul, nul, bo(true), fl(math.Inf(-1))},
+		{in(3), fl(0), tx("q"), bo(false), tx("")},
+		{in(-9), fl(1e300), tx("✓"), bo(true), bo(false)},
+		{in(math.MaxInt64), fl(-1), tx(""), bo(true), nul},
+		{in(2), fl(3), tx("z"), nul, in(0)},
+	}
+	var blk ColBlock
+	blk.FillFromRows([]string{"i", "f", "s", "b", "m"}, rows)
+	return &blk
+}
+
+// goldenBatchHex is the batch frame (request id 7) that the per-value
+// encoder this codec replaced wrote for goldenBatchBlock.
+const goldenBatchHex = "fa0102000700000000000000a10100000b00000005000000696e696969696e6969696909000000" +
+	"ffffffffffffffff00000000000000800700000000000000d6ffffffffffffff0000000000000000" +
+	"0300000000000000f7ffffffffffffffffffffffffffff7f02000000000000000000000000000000" +
+	"00000000000000006666666e66666e666666660000000009000000010000000000f87f0000000000" +
+	"000080000000000000f83f000000000000f07f00000000000002c000000000000000009c7500883c" +
+	"e4377e000000000000f0bf000000000000084000000000000000000000000073736e7373736e7373" +
+	"737300000000000000000900000012000000000000000100000009000000030000000000000001000" +
+	"000030000000000000001000000616ec3a46d652de29c9378797a71e29c937a000000006262626" +
+	"26e62626262626e0000000000000000000000000000000009000000ad01696673626e696673626e" +
+	"69030000000500000000000000faffffffffffffff000000000000000002000000000000000000e0" +
+	"bf000000000000f0ff020000000500000005000000000000006d697865640200000001"
+
+// TestFrameBatchGoldenBytes pins the batch layout itself, not only the
+// round trip: the encoder must write the committed bytes, and they must
+// decode back to the block.
+func TestFrameBatchGoldenBytes(t *testing.T) {
+	want, err := hex.DecodeString(goldenBatchHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk := goldenBatchBlock()
+	if got := appendFetchBatchCols(nil, 7, blk); !bytes.Equal(got, want) {
+		t.Fatalf("batch frame differs from the golden bytes:\n got %x\nwant %x", got, want)
+	}
+	if size := batchPayloadSize(blk); size != len(want)-frameHdrLen {
+		t.Fatalf("batchPayloadSize = %d, the frame carries %d", size, len(want)-frameHdrLen)
+	}
+	var back ColBlock
+	if err := decodeFetchBatch(want[frameHdrLen:], &back); err != nil {
+		t.Fatal(err)
+	}
+	back.Columns = blk.Columns
+	if got := appendFetchBatchCols(nil, 7, &back); !bytes.Equal(got, want) {
+		t.Fatalf("decoded golden batch re-encodes to %x", got)
+	}
+}
+
+// TestFrameDecodeRejectsNonCanonical: the encoder zeroes a bool column's
+// padding bits and always marks a header accepted, so a payload that
+// sets either decodes to a block or header some other payload already
+// encodes. The decoders refuse it, which makes decode → encode the
+// identity FuzzFrameDecode checks.
+func TestFrameDecodeRejectsNonCanonical(t *testing.T) {
+	golden, err := hex.DecodeString(goldenBatchHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Column b's nine bools end in 0x01: bit 0 is the ninth bool, bits
+	// 1-7 pad. Column m's two bools end the payload in one byte.
+	for _, at := range []int{bytes.Index(golden, []byte{0xad, 0x01}) + 1, len(golden) - 1} {
+		for bit := 7; bit >= 2; bit-- {
+			mut := append([]byte(nil), golden...)
+			mut[at] |= 1 << bit
+			var blk ColBlock
+			if err := decodeFetchBatch(mut[frameHdrLen:], &blk); !errors.Is(err, errFrameDecode) {
+				t.Fatalf("padding bit %d of byte %d set: err = %v", bit, at, err)
+			}
+		}
+	}
+	header := appendFetchHeader(nil, 1, []string{"a"}, 1, 4, 9)
+	for _, flag := range []byte{0, 2, 0xff} {
+		mut := append([]byte(nil), header...)
+		mut[frameHdrLen] = flag
+		var h frameHeader
+		if err := decodeFetchHeader(mut[frameHdrLen:], &h); !errors.Is(err, errFrameDecode) {
+			t.Fatalf("header flag %d: err = %v", flag, err)
+		}
+	}
+}
+
+// TestFetchStreamRejectsColumnCountMismatch: a batch must carry exactly
+// the header's columns. A 2-column header followed by a 1-column batch
+// used to come out of Fetch as columns [a b] with one-cell rows, and a
+// zero-column batch — 8 payload bytes — as however many rows it
+// claimed.
+func TestFetchStreamRejectsColumnCountMismatch(t *testing.T) {
+	res := &sqldb.Result{Columns: []string{"a", "b"}}
+	oneCol := appendFetchBatch(nil, 1, &sqldb.Result{Columns: []string{"a"}, Rows: []sqldb.Row{{sqldb.NewInt(1)}}}, 0, 1)
+	noCols := appendFetchBatchCols(nil, 1, &ColBlock{Rows: 1_000_000})
+	for name, batch := range map[string][]byte{"one column": oneCol, "no columns": noCols} {
+		t.Run(name, func(t *testing.T) {
+			res.Rows = nil
+			fs := &fetchStream{sink: *accumulateSink(res)}
+			header := appendFetchHeader(nil, 1, res.Columns, 1, 4096, 1)
+			if _, err := fs.onFrame(frameTypeHeader, header[frameHdrLen:]); err != nil {
+				t.Fatal(err)
+			}
+			_, err := fs.onFrame(frameTypeBatch, batch[frameHdrLen:])
+			if !errors.Is(err, errFrameDecode) || fs.recv != 0 || fs.delivered != 0 || len(res.Rows) != 0 {
+				t.Fatalf("err = %v after %d received and %d delivered rows (%d accumulated), want errFrameDecode and none",
+					err, fs.recv, fs.delivered, len(res.Rows))
+			}
+		})
 	}
 }

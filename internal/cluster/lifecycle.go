@@ -390,7 +390,7 @@ func (l *lifecycle) attempt(ns *nodeState) attemptResult {
 	)
 	switch {
 	case fs != nil && fs.done:
-		has, res.accepted, opErr, res.execMs = true, fs.header.accepted, fs.end.errMsg, fs.header.execMs
+		has, res.accepted, opErr, res.execMs = true, true, fs.end.errMsg, fs.header.execMs
 		res.columns = append([]string(nil), fs.header.columns...)
 	case rep.Execute != nil && (q.sink == nil || !rep.Execute.Accepted):
 		has, res.accepted, opErr, res.execMs = true, rep.Execute.Accepted, rep.Execute.Err, rep.Execute.ExecMs

@@ -211,6 +211,12 @@ func (fs *fetchStream) onFrame(typ byte, payload []byte) (bool, error) {
 		if err := decodeFetchBatch(payload, &fs.block); err != nil {
 			return false, err
 		}
+		// A batch carries the header's columns, and rows only through
+		// them: a zero-column batch costs 8 bytes whatever rows it claims.
+		if ncols := len(fs.block.Cols); ncols != len(fs.header.columns) || (ncols == 0 && fs.block.Rows > 0) {
+			return false, fmt.Errorf("%w: batch of %d rows × %d columns under a %d-column header",
+				errFrameDecode, fs.block.Rows, ncols, len(fs.header.columns))
+		}
 		fs.batches++
 		fs.recv += uint64(fs.block.Rows)
 		if fs.skip > 0 {

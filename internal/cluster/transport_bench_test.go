@@ -124,8 +124,7 @@ func resetFetchStream(fs *fetchStream) {
 // returns — so the encode half exercises the zero-transposition path
 // the server runs in production. Returns the rows delivered to the
 // sink.
-func benchFrameRoundTrip(blk *ColBlock, fb *frameBuf, src *bytes.Reader, br *bufio.Reader, fs *fetchStream, cur *driver.Cursor, chunk *ColBlock) (int64, error) {
-	const batch = 256
+func benchFrameRoundTrip(blk *ColBlock, batch int, fb *frameBuf, src *bytes.Reader, br *bufio.Reader, fs *fetchStream, cur *driver.Cursor, chunk *ColBlock) (int64, error) {
 	buf := appendFetchHeader(fb.b[:0], 1, blk.Columns, 1, batch, blk.Rows)
 	cur.Row = 0
 	for blk.NextBatch(cur, batch, chunk) {
@@ -150,43 +149,86 @@ func benchFrameRoundTrip(blk *ColBlock, fb *frameBuf, src *bytes.Reader, br *buf
 	return fs.delivered, nil
 }
 
-// BenchmarkFetchFrameRoundTrip is one 1,000-row result through frame
-// encode + streamed decode. The acceptance criterion for the framing
-// tentpole is <= 16 allocs/op here, asserted by TestFetchFrameAllocs.
-func BenchmarkFetchFrameRoundTrip(b *testing.B) {
-	res := benchResult()
-	blk := driver.FromResult(res)
-	fb := getFrameBuf()
-	defer putFrameBuf(fb)
-	var (
-		src bytes.Reader
-		sum int64
-	)
-	br := bufio.NewReader(&src)
-	var (
-		cur   driver.Cursor
-		chunk ColBlock
-	)
-	fs := &fetchStream{sink: fetchSink{block: func(blk *ColBlock) error {
-		for _, v := range blk.Cols[0].Ints {
-			sum += v
-		}
-		return nil
-	}}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var bytesPerOp int
-	for i := 0; i < b.N; i++ {
-		n, err := benchFrameRoundTrip(blk, fb, &src, br, fs, &cur, &chunk)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if n != int64(blk.Rows) {
-			b.Fatalf("delivered %d rows", n)
-		}
-		bytesPerOp = len(fb.b)
+// bulkBlock is bulk-fetch's result shape: rows of INT, FLOAT, TEXT and
+// BOOL with no NULLs, so every batch NextBatch cuts aliases the block.
+func bulkBlock(rows int) *ColBlock {
+	res := &sqldb.Result{Columns: []string{"a", "b", "c", "d"}}
+	for i := 0; i < rows; i++ {
+		res.Rows = append(res.Rows, sqldb.Row{
+			sqldb.NewInt(int64(i % 1000)),
+			sqldb.NewFloat(float64(i) / 2),
+			sqldb.NewText(fmt.Sprintf("w%03d", i%997)),
+			sqldb.NewBool(i%3 == 0),
+		})
 	}
-	b.SetBytes(int64(bytesPerOp))
+	return driver.FromResult(res)
+}
+
+// selFragment is dist-join's fragment shape: a selection of every other
+// row of an (INT, FLOAT) table, walked by gathering each batch.
+func selFragment(rows int) *ColBlock {
+	res := &sqldb.Result{Columns: []string{"a", "b"}}
+	sel := make([]int32, rows)
+	for i := 0; i < 2*rows; i++ {
+		res.Rows = append(res.Rows, sqldb.Row{sqldb.NewInt(int64(i % 100)), sqldb.NewFloat(float64(i) / 2)})
+	}
+	for k := range sel {
+		sel[k] = int32(2 * k)
+	}
+	blk := driver.FromResult(res)
+	blk.Sel, blk.Rows = sel, rows
+	return blk
+}
+
+// BenchmarkFetchFrameRoundTrip is a result through frame encode +
+// streamed decode. "acceptance" is the 1,000-row mixed result in
+// 256-row batches whose allocation budget TestFetchFrameAllocs pins;
+// "bulk" is bulk-fetch's 4,096-row batches aliasing storage; "sel" is a
+// 20,000-row dist-join fragment that carries its selection.
+func BenchmarkFetchFrameRoundTrip(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		blk   *ColBlock
+		batch int
+	}{
+		{"acceptance", driver.FromResult(benchResult()), 256},
+		{"bulk", bulkBlock(16_384), 4096},
+		{"sel", selFragment(20_000), 4096},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			blk := bc.blk
+			fb := getFrameBuf()
+			defer putFrameBuf(fb)
+			var (
+				src   bytes.Reader
+				sum   int64
+				cur   driver.Cursor
+				chunk ColBlock
+			)
+			br := bufio.NewReader(&src)
+			fs := &fetchStream{sink: fetchSink{block: func(blk *ColBlock) error {
+				for _, v := range blk.Cols[0].Ints {
+					sum += v
+				}
+				return nil
+			}}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var bytesPerOp int
+			for i := 0; i < b.N; i++ {
+				n, err := benchFrameRoundTrip(blk, bc.batch, fb, &src, br, fs, &cur, &chunk)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if n != int64(blk.Rows) {
+					b.Fatalf("delivered %d rows", n)
+				}
+				bytesPerOp = len(fb.b)
+			}
+			b.SetBytes(int64(bytesPerOp))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blk.Rows), "ns/row")
+		})
+	}
 }
 
 // TestFetchFrameAllocs pins the framing tentpole's allocation budget:
@@ -218,7 +260,7 @@ func TestFetchFrameAllocs(t *testing.T) {
 		return nil
 	}}}
 	allocs := testing.AllocsPerRun(50, func() {
-		if n, err := benchFrameRoundTrip(blk, fb, &src, br, fs, &cur, &chunk); err != nil || n != int64(blk.Rows) {
+		if n, err := benchFrameRoundTrip(blk, 256, fb, &src, br, fs, &cur, &chunk); err != nil || n != int64(blk.Rows) {
 			t.Fatalf("round trip: n=%d err=%v", n, err)
 		}
 	})

@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -240,7 +241,7 @@ func (b *Block) Drop(k int) {
 	}
 	for j := range b.Cols {
 		col := &b.Cols[j]
-		ni, nf, ns, nb := countKinds(col.Kinds[:k])
+		ni, nf, ns, nb, _ := CountKinds(col.Kinds[:k])
 		col.Kinds = col.Kinds[k:]
 		col.Ints = col.Ints[ni:]
 		col.Floats = col.Floats[nf:]
@@ -267,7 +268,7 @@ func (b *Block) Truncate(n int) {
 	}
 	for j := range b.Cols {
 		col := &b.Cols[j]
-		ni, nf, ns, nb := countKinds(col.Kinds[:n])
+		ni, nf, ns, nb, _ := CountKinds(col.Kinds[:n])
 		col.Kinds = col.Kinds[:n]
 		col.Ints = col.Ints[:ni]
 		col.Floats = col.Floats[:nf]
@@ -277,22 +278,32 @@ func (b *Block) Truncate(n int) {
 	b.Rows = n
 }
 
-// countKinds tallies how many values of each typed array a run of kind
-// bytes consumes.
-func countKinds(kinds []byte) (ni, nf, ns, nb int) {
-	for _, k := range kinds {
-		switch k {
-		case KindByteInt:
-			ni++
-		case KindByteFloat:
-			nf++
-		case KindByteText:
-			ns++
-		case KindByteBool:
-			nb++
+// kindAlphabet is every kind byte, in the order CountKinds reports the
+// typed ones.
+var kindAlphabet = [...]byte{KindByteInt, KindByteFloat, KindByteText, KindByteBool, KindByteNull}
+
+// CountKinds reports how many values of each typed array a run of kind
+// bytes consumes, and whether every byte is one of the five kinds. It is
+// the one place kind bytes are counted: a vectorized bytes.Count per
+// kind, the first row's kind first, so a column of one kind — every
+// NULL-free column — costs one pass and a mixed one a pass per kind
+// present before the tally reaches the end.
+func CountKinds(kinds []byte) (ni, nf, ns, nb int, ok bool) {
+	var n [len(kindAlphabet)]int
+	left := len(kinds)
+	if left > 0 {
+		if s := bytes.IndexByte(kindAlphabet[:], kinds[0]); s >= 0 {
+			n[s] = bytes.Count(kinds, kindAlphabet[s:s+1])
+			left -= n[s]
 		}
 	}
-	return
+	for s := range n {
+		if left > 0 && n[s] == 0 {
+			n[s] = bytes.Count(kinds, kindAlphabet[s:s+1])
+			left -= n[s]
+		}
+	}
+	return n[0], n[1], n[2], n[3], left == 0
 }
 
 // FillFromRows loads already-materialized rows into the block, reusing
@@ -363,7 +374,8 @@ type colOffsets struct{ ints, floats, texts, bools int }
 
 // NextBatch slices the next up-to-maxRows rows of b into out as
 // subslices of b's arrays — no values are copied, so the only cost is
-// the kind-byte scan that finds each typed array's split point. It
+// CountKinds over each column's kind bytes, which finds each typed
+// array's split point in one vectorized pass for a column of one kind. It
 // returns false when the cursor is exhausted (out is left untouched).
 // The batch aliases b: it is valid until b's buffers are reused. The
 // block must be well-formed (driver-produced or decode-validated).
@@ -414,7 +426,7 @@ func (b *Block) NextBatch(cur *Cursor, maxRows int, out *Block) bool {
 		col := &b.Cols[j]
 		off := &cur.offs[j]
 		kinds := col.Kinds[cur.Row : cur.Row+n]
-		ni, nf, ns, nb := countKinds(kinds)
+		ni, nf, ns, nb, _ := CountKinds(kinds)
 		out.Cols[j] = Col{
 			Kinds:  kinds,
 			Ints:   col.Ints[off.ints : off.ints+ni],

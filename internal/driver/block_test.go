@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -215,5 +216,54 @@ func TestBlockDropAndTruncateAgreeWithDense(t *testing.T) {
 			}
 			sameRows(t, "Truncate, Drop, batches", got, c.want[20:n-10])
 		})
+	}
+}
+
+// TestCountKindsMatchesASwitch: the bulk counter agrees with a per-byte
+// switch on uniform, mixed and empty runs, and on runs holding a byte
+// that is no kind, wherever it sits.
+func TestCountKindsMatchesASwitch(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	alphabet := []byte{KindByteNull, KindByteInt, KindByteFloat, KindByteText, KindByteBool}
+	var runs [][]byte
+	for _, n := range []int{0, 1, 7, 64, 4096} {
+		for _, k := range append(alphabet, 'x') {
+			runs = append(runs, bytes.Repeat([]byte{k}, n))
+		}
+		for kinds := 2; kinds <= len(alphabet); kinds++ {
+			run := make([]byte, n)
+			for i := range run {
+				run[i] = alphabet[rng.Intn(kinds)]
+			}
+			runs = append(runs, run)
+			if n > 0 {
+				bad := append([]byte(nil), run...)
+				bad[rng.Intn(n)] = byte(rng.Intn(256))
+				runs = append(runs, bad)
+			}
+		}
+	}
+	for _, run := range runs {
+		var want [4]int
+		wantOK := true
+		for _, k := range run {
+			switch k {
+			case KindByteInt:
+				want[0]++
+			case KindByteFloat:
+				want[1]++
+			case KindByteText:
+				want[2]++
+			case KindByteBool:
+				want[3]++
+			case KindByteNull:
+			default:
+				wantOK = false
+			}
+		}
+		ni, nf, ns, nb, ok := CountKinds(run)
+		if [4]int{ni, nf, ns, nb} != want || ok != wantOK {
+			t.Fatalf("CountKinds(%q) = %d %d %d %d %v, want %v %v", run, ni, nf, ns, nb, ok, want, wantOK)
+		}
 	}
 }

@@ -226,3 +226,49 @@ func BenchmarkFromDB(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAppendBlock is the distributed join's ingest: a 20,480-row
+// fragment arrives as five 4,096-row batches and lands in a fresh
+// scratch table. "fragment" is dist-join's shape (INT and FLOAT, no
+// NULLs); "mixed" has a NULL in every seventh cell and a column that
+// mixes all four kinds.
+func BenchmarkAppendBlock(b *testing.B) {
+	const batchRows, batches = 4096, 5
+	for _, shape := range []struct {
+		name string
+		row  func(i int) sqldb.Row
+	}{
+		{"fragment", func(i int) sqldb.Row {
+			return sqldb.Row{sqldb.NewInt(int64(i % 100)), sqldb.NewFloat(float64(i) / 2)}
+		}},
+		{"mixed", func(i int) sqldb.Row {
+			mixed := []sqldb.Value{sqldb.NewInt(int64(i)), sqldb.NewFloat(0.5), sqldb.NewText("m"), sqldb.NewBool(true)}[i%4]
+			row := sqldb.Row{sqldb.NewInt(int64(i % 100)), sqldb.NewFloat(float64(i) / 2), mixed}
+			if i%7 == 0 {
+				row[i%3] = sqldb.Null
+			}
+			return row
+		}},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			rows := make([]sqldb.Row, batchRows)
+			for i := range rows {
+				rows[i] = shape.row(i)
+			}
+			var blk driver.Block
+			blk.FillFromRows([]string{"a", "b", "c"}[:len(rows[0])], rows)
+			e := Open()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.DropTable("frag")
+				for k := 0; k < batches; k++ {
+					if err := e.AppendBlock("frag", &blk); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batchRows*batches), "ns/row")
+		})
+	}
+}

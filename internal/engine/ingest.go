@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/qamarket/qamarket/internal/driver"
 	"github.com/qamarket/qamarket/internal/sqldb"
@@ -33,13 +34,8 @@ func (e *DB) AppendBlock(name string, blk *driver.Block) error {
 	}
 	for j := range blk.Cols {
 		c := &blk.Cols[j]
-		var n [256]int // rows per kind byte
-		for _, k := range c.Kinds {
-			n[k]++
-		}
-		known := n[driver.KindByteInt] + n[driver.KindByteFloat] + n[driver.KindByteText] + n[driver.KindByteBool] + n[driver.KindByteNull]
-		if len(c.Kinds) != blk.Rows || known != blk.Rows || n[driver.KindByteInt] != len(c.Ints) ||
-			n[driver.KindByteFloat] != len(c.Floats) || n[driver.KindByteText] != len(c.Texts) || n[driver.KindByteBool] != len(c.Bools) {
+		ni, nf, ns, nb, ok := driver.CountKinds(c.Kinds)
+		if !ok || len(c.Kinds) != blk.Rows || ni != len(c.Ints) || nf != len(c.Floats) || ns != len(c.Texts) || nb != len(c.Bools) {
 			return fmt.Errorf("%w: column %d arrays disagree with its %d kind bytes over %d rows", driver.ErrMalformed, j, len(c.Kinds), blk.Rows)
 		}
 	}
@@ -53,20 +49,16 @@ func (e *DB) AppendBlock(name string, blk *driver.Block) error {
 	firstNew := t.nrows()
 	for j := range blk.Cols {
 		c, v := &blk.Cols[j], t.vecs[j]
-		ni, nf, ns, nb := int32(len(v.ints)), int32(len(v.floats)), int32(len(v.texts)), int32(len(v.bools))
-		for _, k := range c.Kinds {
-			off := int32(0)
-			switch k {
-			case driver.KindByteInt:
-				off, ni = ni, ni+1
-			case driver.KindByteFloat:
-				off, nf = nf, nf+1
-			case driver.KindByteText:
-				off, ns = ns, ns+1
-			case driver.KindByteBool:
-				off, nb = nb, nb+1
-			}
-			v.offs = append(v.offs, off)
+		// A row's offset is the count of earlier rows of its kind, taken
+		// from the cursor its kind byte selects; NULL's never moves off 0.
+		next := [len(cursorStep)]int32{0, int32(len(v.ints)), int32(len(v.floats)), int32(len(v.texts)), int32(len(v.bools))}
+		base := len(v.offs)
+		v.offs = slices.Grow(v.offs, len(c.Kinds))[:base+len(c.Kinds)]
+		offs := v.offs[base:]
+		for r, k := range c.Kinds {
+			cur := kindCursor[k]
+			offs[r] = next[cur]
+			next[cur] += cursorStep[cur]
 		}
 		v.kinds = append(v.kinds, c.Kinds...)
 		v.ints = append(v.ints, c.Ints...)
@@ -79,6 +71,14 @@ func (e *DB) AppendBlock(name string, blk *driver.Block) error {
 	}
 	return nil
 }
+
+// kindCursor maps a kind byte to AppendBlock's offset cursor: 0 for a
+// NULL, then one per typed array in driver.Col's order. Every other byte
+// maps to 0 too, but AppendBlock has refused such a block by then.
+var kindCursor = [256]uint8{driver.KindByteInt: 1, driver.KindByteFloat: 2, driver.KindByteText: 3, driver.KindByteBool: 4}
+
+// cursorStep is how far a row moves its cursor: NULL's stays put.
+var cursorStep = [5]int32{0, 1, 1, 1, 1}
 
 // DropTable removes base table name and its indexes; an absent table is
 // not an error. It is how a consumer takes back a partially ingested
