@@ -4,9 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -190,10 +194,10 @@ func TestSingleQueryWindowIsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestNewClientOldServerDegrades proves a coalesced window against a
-// pre-batching node falls back to per-query negotiation: the riders
-// still get proposals, the node is remembered as batch-unaware, and
-// later windows never offer it a batch again.
+// TestNewClientOldServerDegrades pins what a coalesced window gets from
+// a node that ignores the batch field: the lead's proposal stands, the
+// rider fails at that node with a short batch reply, and the next
+// window still offers the node a batch.
 func TestNewClientOldServerDegrades(t *testing.T) {
 	srv := startScriptedServer(t, false, "")
 	c, err := NewClient(ClientConfig{
@@ -217,41 +221,69 @@ func TestNewClientOldServerDegrades(t *testing.T) {
 			time.Sleep(20 * time.Millisecond) // second call rides the first's window
 		}
 		wg.Wait()
-		for i := range results {
-			if errs[i] != nil {
-				t.Fatalf("window query %d: %v", i, errs[i])
-			}
-			if len(results[i].ranked) != 1 {
-				t.Fatalf("window query %d got %d candidates, want 1", i, len(results[i].ranked))
-			}
+		if errs[0] != nil || len(results[0].ranked) != 1 {
+			t.Fatalf("lead got %d candidates (err %v), want its own proposal", len(results[0].ranked), errs[0])
+		}
+		if errs[1] == nil || !strings.Contains(errs[1].Error(), "short batch reply") {
+			t.Fatalf("rider err = %v, want a short batch reply", errs[1])
 		}
 	}
-	window("SELECT a FROM t1 WHERE a > 1", "SELECT a FROM t1 WHERE a > 2")
-	first := srv.requestLines()
-	// One batched CFP (ignored by the old server), then the rider's
-	// individual renegotiation.
-	if len(first) != 2 {
-		t.Fatalf("first window sent %d requests, want 2 (batched + rider fallback): %s", len(first), first)
-	}
-	if !bytes.Contains(first[0], []byte(`"batch"`)) {
-		t.Errorf("first request carried no batch field: %s", first[0])
-	}
-	if bytes.Contains(first[1], []byte(`"batch"`)) {
-		t.Errorf("rider fallback still batched: %s", first[1])
-	}
-	ns := c.lookup(srv.ln.Addr().String())
-	ns.mu.Lock()
-	noBatch := ns.noBatch
-	ns.mu.Unlock()
-	if !noBatch {
-		t.Fatal("old server not remembered as batch-unaware")
-	}
-	// The next window must go per-query from the start.
-	window("SELECT a FROM t1 WHERE a > 3", "SELECT a FROM t1 WHERE a > 4")
-	for _, line := range srv.requestLines()[2:] {
-		if bytes.Contains(line, []byte(`"batch"`)) {
-			t.Errorf("batch offered to a known batch-unaware node: %s", line)
+	for i, sqls := range [][2]string{
+		{"SELECT a FROM t1 WHERE a > 1", "SELECT a FROM t1 WHERE a > 2"},
+		{"SELECT a FROM t1 WHERE a > 3", "SELECT a FROM t1 WHERE a > 4"},
+	} {
+		window(sqls[0], sqls[1])
+		lines := srv.requestLines()
+		if len(lines) != i+1 {
+			t.Fatalf("after window %d the node saw %d requests, want one batched CFP per window: %s", i, len(lines), lines)
 		}
+		if !bytes.Contains(lines[i], []byte(`"batch"`)) {
+			t.Errorf("window %d sent no batch field: %s", i, lines[i])
+		}
+	}
+}
+
+// TestBatchedWindowOverloadIsTyped: a node at MaxInflight refuses a
+// batched CFP at its admission gate, before any query is solved, so the
+// reply carries no batch array. Every rider must still see the typed
+// overload refusal — a live node shedding work, renegotiated on the
+// period cadence — and the node's breaker must stay closed.
+func TestBatchedWindowOverloadIsTyped(t *testing.T) {
+	n := startSingleNode(t, func(cfg *NodeConfig) { cfg.MaxInflight = 1 })
+	n.working.Add(1) // the only slot is held
+	c, err := NewClient(ClientConfig{
+		Addrs: []string{n.Addr()}, Mechanism: MechGreedy, Transport: TransportFresh,
+		BatchWindow: 200 * time.Millisecond, BatchLimit: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var wg sync.WaitGroup
+	results := make([]proposals, 2)
+	errs := make([]error, 2)
+	for i, sql := range []string{"SELECT a FROM t WHERE a > 1", "SELECT a FROM t WHERE a > 2"} {
+		wg.Add(1)
+		go func(i int, sql string) {
+			defer wg.Done()
+			results[i], _, errs[i] = c.batches.negotiate(int64(i), sql, classKey(sql), nil, time.Time{})
+		}(i, sql)
+		time.Sleep(20 * time.Millisecond) // second call rides the first's window
+	}
+	wg.Wait()
+	if got := c.RPCCounts()["negotiate"]; got != 1 {
+		t.Fatalf("window of 2 cost %d negotiate RPCs, want one batched CFP", got)
+	}
+	for i, name := range []string{"lead", "rider"} {
+		if errs[i] != nil {
+			t.Fatalf("%s: %v, want a reachable round", name, errs[i])
+		}
+		if re := results[i].refusalError(); !errors.Is(re, ErrOverloaded) {
+			t.Errorf("%s refusal = %v, want %v", name, re, ErrOverloaded)
+		}
+	}
+	if st := c.nodes()[0].breaker.snapshot(); st != breakerClosed {
+		t.Errorf("breaker %v after a typed overload, want closed", st)
 	}
 }
 
@@ -280,7 +312,7 @@ func rawExchange(t *testing.T, addr string, req any) []byte {
 // an unbatched negotiate with the legacy reply shape: no batch key
 // leaks into the envelope an old client will decode.
 func TestOldClientNewServerUnchanged(t *testing.T) {
-	ds, _, addrs := startTestFederation(t, []float64{1})
+	ds, _, addrs := startTestFederation(t, []float64{1}, nil)
 	rng := rand.New(rand.NewSource(11))
 	templates, err := ds.GenerateTemplates(1, 1, rng)
 	if err != nil {
@@ -656,4 +688,135 @@ func TestDistributorFragmentsRideBidCache(t *testing.T) {
 	if executed := nodes[0].Executed() + nodes[1].Executed(); executed != 4 {
 		t.Errorf("2 joins executed %d subqueries, want exactly 2 per completed join", executed)
 	}
+}
+
+// TestHundredNodeAmortizedNegotiation stands up a 100-node gossip-joined
+// federation with every amortization layer on — batched CFPs, the
+// epoch-stamped bid cache, per-class shard probing — and drives a
+// closed-loop star-query mix through it while two data-less members
+// leave mid-run. The bid cache must admit queries straight to execute,
+// shard probing must skip provably infeasible nodes, every query must
+// complete, and the nodes, departed ones included, must have executed
+// exactly what the client completed: cache-admitted and batch-negotiated
+// queries keep the at-most-once contract of fully negotiated ones.
+func TestHundredNodeAmortizedNegotiation(t *testing.T) {
+	const nodes, queries, workers = 100, 120, 8
+	rng := rand.New(rand.NewSource(17))
+	ds, err := GenerateDataset(DatasetParams{
+		Nodes: nodes, Tables: 20, Views: 30, RowsPerTable: 10,
+		MinCopies: 2, MaxCopies: 3,
+	}, rng)
+	if err != nil {
+		t.Fatalf("dataset: %v", err)
+	}
+	fleet := make([]*Node, nodes)
+	addrs := make([]string, nodes)
+	var seeds []string
+	for i := range fleet {
+		// Every node joins through scale-000, whose table is the client's
+		// view, so nothing here waits on gossip rounds; a slow gossip clock
+		// keeps 100 nodes pushing 100-member tables from taking both cores
+		// under the race detector.
+		fleet[i] = startGossipNode(t, ds.DBs[i], fmt.Sprintf("scale-%03d", i), seeds,
+			1+3*float64(i)/(nodes-1), func(cfg *NodeConfig) {
+				cfg.MsPerCostUnit, cfg.PeriodMs, cfg.GossipPeriodMs = 0.0001, 50, 2000
+			})
+		addrs[i] = fleet[i].Addr()
+		seeds = addrs[:1]
+	}
+	// Runs before the nodes' own cleanups: a graceful leave would tell
+	// every peer, ten thousand dials for the fleet.
+	t.Cleanup(func() {
+		for _, n := range fleet {
+			n.CloseNow()
+		}
+	})
+	templates, err := ds.GenerateTemplates(8, 2, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Greedy: the mix concentrates every class on its 1-3 holders, where
+	// market supply races retry for whole periods; the cache, batcher and
+	// prober run the same under both mechanisms.
+	client, err := NewClient(ClientConfig{
+		Addrs:     addrs,
+		Mechanism: MechGreedy,
+		PeriodMs:  50, MaxRetries: 300,
+		Timeout:     2 * time.Second,
+		ViewRefresh: 100 * time.Millisecond,
+		BatchWindow: 2 * time.Millisecond,
+		BidCacheTTL: 300 * time.Millisecond,
+		AtMostOnce:  true, ExecRetries: 4,
+		Jitter: rand.New(rand.NewSource(18)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	// Shard probing starts from a converged view, not a race against it.
+	waitFor(t, 10*time.Second, func() bool {
+		members := client.Members()
+		for _, m := range members {
+			if m.CatalogFilter == "" {
+				return false
+			}
+		}
+		return len(members) == nodes
+	}, "catalog filters never reached the client for all 100 members")
+
+	// Churn victims hold no data, so their departure exercises view
+	// pruning and cache invalidation without making any class infeasible.
+	var churn []*Node
+	for i, db := range ds.DBs {
+		if len(churn) < 2 && len(db.Tables())+len(db.Views()) == 0 {
+			churn = append(churn, fleet[i])
+		}
+	}
+	if len(churn) < 2 {
+		t.Fatal("the dataset left no two data-less nodes to churn")
+	}
+	var completed atomic.Int64
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			wrng := rand.New(rand.NewSource(19 + int64(w)))
+			for id := next.Add(1); id <= queries; id = next.Add(1) {
+				if id == queries/2 {
+					// Two members leave while every other worker has a query
+					// in flight.
+					churn[0].Close()
+					churn[1].Close()
+				}
+				sql := templates[wrng.Intn(len(templates))].Instantiate(wrng)
+				if out := client.Run(id, sql); out.Err != nil {
+					t.Errorf("query %d: %v", id, out.Err)
+				} else {
+					completed.Add(1)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	health := client.Health()
+	if health[metrics.BidCacheHitsTotal] == 0 {
+		t.Errorf("the bid cache admitted no query (misses %v): cached admission is dead", health[metrics.BidCacheMissesTotal])
+	}
+	if health[metrics.ShardSkipsTotal] == 0 {
+		t.Error("shard probing skipped no node despite converged filters")
+	}
+	executed := 0
+	for _, n := range fleet {
+		executed += n.Executed()
+	}
+	if int64(executed) != completed.Load() {
+		t.Errorf("nodes executed %d queries but the client completed %d: a query ran twice or was lost", executed, completed.Load())
+	}
+	t.Logf("completed %d, cache hits %v, invalidations %v, batch windows %v, coalesced %v, shard skips %v",
+		completed.Load(), health[metrics.BidCacheHitsTotal], health[metrics.BidCacheInvalidationsTotal],
+		health[metrics.BatchWindowsTotal], health[metrics.BatchCoalescedTotal], health[metrics.ShardSkipsTotal])
 }

@@ -14,12 +14,13 @@ import (
 // window and leads it; queries of the class arriving within BatchWindow
 // ride along; the sealed window fans out ONE RPC per probed node (the
 // negotiate request's additive batch field) and every rider gets its
-// own ranked proposal ladder back. Nodes that predate the batch field
-// answer the lead query only — the window detects that (no batch array
-// in the reply), marks the node, and renegotiates the riders against it
-// individually, so mixed fleets degrade to exactly the old wire
-// behavior. A window of one omits the batch field entirely and is
-// byte-identical to an unbatched negotiate.
+// own ranked proposal ladder back. A node-wide refusal (draining, or
+// overload at the admission gate) answers the whole window at once and
+// every rider shares it. Only a server that ignores the batch field
+// answers without the riders' proposals; each rider then fails at that
+// node ("short batch reply") and the lead's proposal stands. A window
+// of one omits the batch field entirely and is byte-identical to an
+// unbatched negotiate.
 type negotiator struct {
 	c       *Client
 	mu      sync.Mutex
@@ -150,16 +151,9 @@ func (c *Client) fanout(items []*batchItem) int {
 	return len(members)
 }
 
-// askNode sends one node its share of the window: the batched CFP, or
-// per-query CFPs when the node is known to predate batching.
+// askNode sends one node its share of the window: one CFP, with the
+// riders in its batch field.
 func (c *Client) askNode(items []*batchItem, ns *nodeState, grid [][]negOutcome, mi int) {
-	ns.mu.Lock()
-	noBatch := ns.noBatch
-	ns.mu.Unlock()
-	if noBatch && len(items) > 1 {
-		c.askPerQuery(items, ns, grid, mi, 0)
-		return
-	}
 	lead := items[0]
 	req := &request{
 		Op: "negotiate", SQL: lead.sql, Mechanism: c.cfg.Mechanism, Trace: lead.tc,
@@ -187,14 +181,12 @@ func (c *Client) askNode(items []*batchItem, ns *nodeState, grid [][]negOutcome,
 		for qi := 1; qi < len(grid); qi++ {
 			grid[qi][mi] = negOutcome{err: errDraining}
 		}
-	case rep.Batch == nil:
-		// An old node: it ignored the batch field and answered the lead
-		// query only. Remember that, and give the riders the individual
-		// CFPs they would have sent pre-batching.
-		ns.mu.Lock()
-		ns.noBatch = true
-		ns.mu.Unlock()
-		c.askPerQuery(items, ns, grid, mi, 1)
+	case rep.Code == CodeOverload:
+		// The node-wide admission gate refused the whole window before
+		// any query was solved: every rider gets the same market refusal.
+		for qi := 1; qi < len(grid); qi++ {
+			grid[qi][mi] = negOutcome{refusal: CodeOverload}
+		}
 	default:
 		for j := range items[1:] {
 			qi := j + 1
@@ -205,18 +197,5 @@ func (c *Client) askNode(items []*batchItem, ns *nodeState, grid [][]negOutcome,
 			bp := rep.Batch[j]
 			grid[qi][mi] = c.classifyNegotiate(ns, bp.Negotiate, bp.Code, bp.Err)
 		}
-	}
-}
-
-// askPerQuery negotiates items[from:] with one node individually — the
-// degradation path for nodes without batch support.
-func (c *Client) askPerQuery(items []*batchItem, ns *nodeState, grid [][]negOutcome, mi, from int) {
-	for qi := from; qi < len(items); qi++ {
-		it := items[qi]
-		var rep reply
-		grid[qi][mi], _ = c.askNegotiate(ns, &request{
-			Op: "negotiate", SQL: it.sql, Mechanism: c.cfg.Mechanism, Trace: it.tc,
-			DeadlineMs: remainingMs(it.deadline),
-		}, &rep)
 	}
 }

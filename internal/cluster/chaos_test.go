@@ -2,9 +2,13 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,7 +26,7 @@ import (
 // charges, and the restarted node must resume its checkpointed price
 // table.
 func TestChaosPartitionCrashRestart(t *testing.T) {
-	ds, nodes, addrs := startTestFederation(t, []float64{1, 1, 1})
+	ds, nodes, addrs := startTestFederation(t, []float64{1, 1, 1}, nil)
 
 	// Node 1 sits behind a partitionable link; node 2 behind a link that
 	// will blackhole while the node is down (crashed-but-routable).
@@ -162,4 +166,275 @@ func TestChaosPartitionCrashRestart(t *testing.T) {
 		t.Errorf("only %d/%d queries completed after full recovery", completedAfterRecovery, total-27)
 	}
 	t.Logf("window=%v dials=%d (cap %d) health=%v", windowElapsed, dialsInWindow, maxDials, health)
+}
+
+// soakTally classifies query outcomes the way a load tool does: typed
+// sheds and expiries are the market refusing work; anything else that
+// is not a completion is a lost query and fails the test on the spot.
+type soakTally struct {
+	mu                                sync.Mutex
+	completed, shed, expired, untyped int
+}
+
+func (s *soakTally) classify(t *testing.T, phase string, out Outcome) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case out.Err == nil:
+		s.completed++
+	case errors.Is(out.Err, ErrExpired):
+		s.expired++
+	case errors.Is(out.Err, ErrOverloaded), errors.Is(out.Err, ErrRetryBudget):
+		s.shed++
+	default:
+		s.untyped++
+		t.Errorf("%s: query %d lost to an untyped failure: %v", phase, out.QueryID, out.Err)
+	}
+}
+
+func (s *soakTally) String() string {
+	return fmt.Sprintf("completed=%d shed=%d expired=%d untyped=%d", s.completed, s.shed, s.expired, s.untyped)
+}
+
+// TestChaosSoakExecutesOnce soaks the query-protection layer through
+// five fault phases — a clean baseline, saturating overload under
+// deadlines, severed execute replies, a one-way partition and a crash,
+// and distributed joins around a refusing node with a severed fragment
+// reply — and then audits the whole run: every query completed or was
+// refused with a typed error, and the nodes executed exactly what the
+// clients completed (two subqueries per join), so no query ran twice
+// and no shed query ran in secret. Faults flip at fixed query indices
+// and faultnet plans are pure functions of the connection index, so a
+// failure reproduces.
+func TestChaosSoakExecutesOnce(t *testing.T) {
+	proxy := func(target string, plan faultnet.Schedule) *faultnet.Proxy {
+		t.Helper()
+		p, err := faultnet.Start("127.0.0.1:0", target, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		return p
+	}
+	// Deliberately small capacity — one executor each, two admitted work
+	// requests, a two-deep queue — so single-digit workers saturate a node.
+	small := func(_ int, cfg *NodeConfig) { cfg.PeriodMs, cfg.MaxInflight, cfg.MaxQueue = 20, 2, 2 }
+	ds, nodes, addrs := startTestFederation(t, []float64{8, 10, 12}, small)
+	proxies := []*faultnet.Proxy{proxy(addrs[0], nil), proxy(addrs[1], nil), proxy(addrs[2], nil)}
+	var qid atomic.Int64
+
+	// The fault phases need every query to survive one outage, and a join
+	// is feasible only where all its relations are co-located.
+	rng := rand.New(rand.NewSource(61))
+	templates, err := ds.GenerateTemplates(6, 1, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sqls []string
+	for tries := 0; len(sqls) < 34 && tries < 4096; tries++ {
+		sql := templates[tries%len(templates)].Instantiate(rng)
+		feasible := 0
+		for _, db := range ds.DBs {
+			if _, err := db.Explain(sql); err == nil {
+				feasible++
+			}
+		}
+		if feasible >= 2 {
+			sqls = append(sqls, sql)
+		}
+	}
+	if len(sqls) < 34 {
+		t.Fatalf("only %d/34 generated queries are feasible on 2+ nodes", len(sqls))
+	}
+
+	// The soak client is at-most-once, so a lost reply is retransmitted
+	// into the server's dedup window instead of renegotiated into a
+	// possible double execution. Greedy: these slow nodes would exceed a
+	// 20 ms period's supply and never offer, and the subject here is the
+	// protection layer, not price dynamics.
+	client, err := NewClient(ClientConfig{
+		Addrs:    []string{proxies[0].Addr(), proxies[1].Addr(), proxies[2].Addr()},
+		PeriodMs: 20, MaxBackoffMs: 160, MaxRetries: 300,
+		Timeout: 250 * time.Millisecond, BreakerThreshold: 2,
+		BreakerCooldown: 300 * time.Millisecond,
+		AtMostOnce:      true, ExecRetries: 8,
+		Jitter: rand.New(rand.NewSource(63)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(client.Close)
+
+	// Baseline: a clean federation completes everything.
+	baseline := &soakTally{}
+	for _, sql := range sqls[:10] {
+		baseline.classify(t, "baseline", client.Run(qid.Add(1), sql))
+	}
+	if baseline.completed != 10 {
+		t.Fatalf("baseline: %v, want 10 completed", baseline)
+	}
+
+	// Overload: eight closed-loop workers with a 300 ms end-to-end
+	// deadline against one glacial node of their own. One execution burns
+	// a large slice of the deadline, so the backlog must shed with typed
+	// expiries and the two-request gate with typed overload refusals.
+	ods, slow, slowAddr := startTestFederation(t, []float64{30}, small)
+	otemplates, err := ods.GenerateTemplates(4, 1, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oc, err := NewClient(ClientConfig{
+		Addrs:    slowAddr,
+		PeriodMs: 20, MaxRetries: 300,
+		Timeout: 250 * time.Millisecond, BreakerThreshold: 100,
+		AtMostOnce: true, ExecRetries: 8,
+		QueryTimeout: 300 * time.Millisecond,
+		RetryBudget:  200, RetryBurst: 64,
+		Jitter: rand.New(rand.NewSource(64)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(oc.Close)
+	osqls := make([]string, 24)
+	for i := range osqls {
+		osqls[i] = otemplates[i%len(otemplates)].Instantiate(rng)
+	}
+	overload := &soakTally{}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(mine []string) {
+			defer wg.Done()
+			for _, sql := range mine {
+				overload.classify(t, "overload", oc.Run(qid.Add(1), sql))
+			}
+		}(osqls[3*w : 3*w+3])
+	}
+	wg.Wait()
+	if overload.shed+overload.expired == 0 {
+		t.Fatalf("overload: 24 queries against a saturated node shed none with a typed refusal: %v", overload)
+	}
+
+	// Severed replies: a one-node lane whose proxy cuts every execute
+	// reply after one byte. Under the fresh transport each query is the
+	// connection triple [negotiate, execute (cut), retransmit], and the
+	// retransmit must be answered from the node's dedup window.
+	cut := proxy(addrs[0], func(conn int) faultnet.Plan {
+		if conn%3 == 1 {
+			return faultnet.Plan{TruncateReplyAfter: 1}
+		}
+		return faultnet.Plan{}
+	})
+	dc, err := NewClient(ClientConfig{
+		Addrs: []string{cut.Addr()}, Transport: TransportFresh,
+		PeriodMs: 20, Timeout: 2 * time.Second,
+		AtMostOnce: true, ExecRetries: 4,
+		Jitter: rand.New(rand.NewSource(65)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(dc.Close)
+	tabs := ds.DBs[0].Tables() // the lane sees node 0 alone
+	severed := &soakTally{}
+	for i := 0; i < 3; i++ {
+		severed.classify(t, "severed reply", dc.Run(qid.Add(1), "SELECT * FROM "+tabs[i%len(tabs)]))
+	}
+	if severed.completed != 3 {
+		t.Fatalf("severed reply: %v, want 3 completed", severed)
+	}
+
+	// Partition and crash on the soak client: node 1 drops into a one-way
+	// partition that heals, then node 2's streams are severed and its
+	// dials refused until it "recovers". Every relation has two copies,
+	// so every query must still complete.
+	outage := &soakTally{}
+	for i, sql := range sqls[10:34] {
+		switch i {
+		case 4:
+			proxies[1].Partition(faultnet.ClientToServer)
+		case 10:
+			proxies[1].Heal()
+		case 14:
+			proxies[2].Sever()
+			proxies[2].SetRefuse(true)
+		case 20:
+			proxies[2].SetRefuse(false)
+		}
+		outage.classify(t, "partition+crash", client.Run(qid.Add(1), sql))
+	}
+	if outage.completed != 24 {
+		t.Fatalf("partition+crash: %v, want 24 completed", outage)
+	}
+
+	// Distributed joins go through the same lifecycle, so the same
+	// protection holds for their fragments. big lives on b0 and b1, dim
+	// on d0 and d1, so no node answers the join whole. The faster big
+	// node b0 refuses every connection for the first half of the lane;
+	// the faster dim node d0 has its first fragment reply cut after one
+	// byte — under the fresh transport d0 sees the first join as conn 0
+	// whole-query negotiate, 1 big negotiate, 2 dim negotiate, 3 the dim
+	// fetch.
+	const big = `CREATE TABLE big (id INT, k INT, v FLOAT);
+		INSERT INTO big VALUES (1, 1, 5.0), (2, 1, 7.5), (3, 2, 1.0), (4, 3, 9.0), (5, 3, 2.5), (6, 4, 4.0)`
+	const dim = `CREATE TABLE dim (k INT, name TEXT);
+		INSERT INTO dim VALUES (1, 'ada'), (2, 'bob'), (3, 'cyd'), (4, 'dee')`
+	_, split, splitAddrs := startTestFederation(t, []float64{1, 20, 1, 20}, func(i int, cfg *NodeConfig) {
+		cfg.DB = loadScripts(t, []string{big, big, dim, dim}[i])
+		cfg.MsPerCostUnit, cfg.PeriodMs = 0.05, 20
+	})
+	b0 := proxy(splitAddrs[0], nil)
+	d0 := proxy(splitAddrs[2], func(conn int) faultnet.Plan {
+		if conn == 3 {
+			return faultnet.Plan{TruncateReplyAfter: 1}
+		}
+		return faultnet.Plan{}
+	})
+	jc, err := NewClient(ClientConfig{
+		Addrs:     []string{b0.Addr(), splitAddrs[1], d0.Addr(), splitAddrs[3]},
+		Transport: TransportFresh,
+		PeriodMs:  20, MaxBackoffMs: 160, MaxRetries: 300,
+		Timeout: 250 * time.Millisecond, BreakerThreshold: 2,
+		BreakerCooldown: 300 * time.Millisecond,
+		AtMostOnce:      true, ExecRetries: 4,
+		Jitter: rand.New(rand.NewSource(67)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(jc.Close)
+	d := NewDistributor(jc)
+	joins := &soakTally{}
+	b0.SetRefuse(true)
+	for i := 0; i < 8; i++ {
+		if i == 4 {
+			b0.SetRefuse(false)
+		}
+		id := qid.Add(1)
+		out, err := d.Run(id, `SELECT dim.name, SUM(big.v) AS total FROM big
+			JOIN dim ON big.k = dim.k GROUP BY dim.name ORDER BY dim.name`)
+		if err == nil && (out.Subqueries != 2 || len(out.Result.Rows) != 4) {
+			t.Errorf("join %d returned %d rows from %d subqueries, want 4 from 2", id, len(out.Result.Rows), out.Subqueries)
+		}
+		joins.classify(t, "distributed", Outcome{QueryID: id, Err: err})
+	}
+	if joins.completed != 8 {
+		t.Fatalf("distributed: %v, want 8 joins completed", joins)
+	}
+	if hits := split[2].health.Snapshot()[metrics.DedupHitsTotal]; hits < 1 {
+		t.Error("the severed fragment reply was not answered from d0's dedup window")
+	}
+
+	// The audit over every phase.
+	executed := 0
+	for _, n := range append(append(append([]*Node(nil), nodes...), slow...), split...) {
+		executed += n.Executed()
+	}
+	completed := baseline.completed + overload.completed + severed.completed + outage.completed + joins.completed
+	if executed != completed+joins.completed {
+		t.Fatalf("nodes executed %d queries but clients completed %d, %d of them two-fragment joins: a query ran twice or shed work executed",
+			executed, completed, joins.completed)
+	}
+	t.Logf("overload %v; executed once: %d", overload, executed)
 }

@@ -73,7 +73,7 @@ func TestCheckpointerRejectsBadConfig(t *testing.T) {
 // table recorded in the checkpoint and keep trading without a market
 // reset.
 func TestCrashRestartResumesPriceTable(t *testing.T) {
-	ds, nodes, addrs := startTestFederation(t, []float64{1, 2})
+	ds, nodes, addrs := startTestFederation(t, []float64{1, 2}, nil)
 	client, err := NewClient(ClientConfig{
 		Addrs: addrs, Mechanism: MechQANT, PeriodMs: 50, MaxRetries: 100, Timeout: 5 * time.Second,
 	})

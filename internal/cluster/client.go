@@ -264,10 +264,6 @@ type nodeState struct {
 	// filterEnc the advertised encoding it was parsed from.
 	filter    *catalog.RelationFilter
 	filterEnc string
-	// noBatch records that this node answered a batched CFP without a
-	// batch reply: it predates the negotiate batch field, so coalesced
-	// windows stop offering it batches and negotiate per query instead.
-	noBatch bool
 
 	// transport is the two-lane pooled transport (nil under
 	// TransportFresh). Guarded by mu because a member can move to a

@@ -12,8 +12,9 @@ import (
 
 // startTestFederation spins up n nodes over a small dataset with the
 // given per-node slowdowns. The time scale is compressed so the whole
-// suite stays fast.
-func startTestFederation(t *testing.T, slowdowns []float64) (*Dataset, []*Node, []string) {
+// suite stays fast. mutate, when set, edits node i's config on top of
+// these defaults before the node starts.
+func startTestFederation(t *testing.T, slowdowns []float64, mutate func(i int, cfg *NodeConfig)) (*Dataset, []*Node, []string) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(17))
 	maxCopies := 3
@@ -41,6 +42,9 @@ func startTestFederation(t *testing.T, slowdowns []float64) (*Dataset, []*Node, 
 			MsPerCostUnit: 0.02,
 			PeriodMs:      50,
 			Market:        market.DefaultConfig(1),
+		}
+		if mutate != nil {
+			mutate(i, &cfg)
 		}
 		n, err := StartNode("127.0.0.1:0", cfg)
 		if err != nil {
@@ -140,7 +144,7 @@ func TestTemplatesAreEvaluableSomewhere(t *testing.T) {
 }
 
 func TestNegotiateExecuteRoundTrip(t *testing.T) {
-	ds, nodes, addrs := startTestFederation(t, []float64{1, 1, 1})
+	ds, nodes, addrs := startTestFederation(t, []float64{1, 1, 1}, nil)
 	client, err := NewClient(ClientConfig{Addrs: addrs, Mechanism: MechGreedy, PeriodMs: 50})
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +180,7 @@ func TestNegotiateExecuteRoundTrip(t *testing.T) {
 }
 
 func TestInfeasibleQueryFails(t *testing.T) {
-	_, _, addrs := startTestFederation(t, []float64{1, 1})
+	_, _, addrs := startTestFederation(t, []float64{1, 1}, nil)
 	client, err := NewClient(ClientConfig{
 		Addrs: addrs, Mechanism: MechGreedy, PeriodMs: 20, MaxRetries: 2,
 	})
@@ -192,7 +196,7 @@ func TestInfeasibleQueryFails(t *testing.T) {
 func TestGreedyPrefersFastNode(t *testing.T) {
 	// Node 0 is 10x slower: on an idle system the greedy client must
 	// route to a fast replica whenever one holds the data.
-	ds, nodes, addrs := startTestFederation(t, []float64{10, 1, 1})
+	ds, nodes, addrs := startTestFederation(t, []float64{10, 1, 1}, nil)
 	client, err := NewClient(ClientConfig{Addrs: addrs, Mechanism: MechGreedy, PeriodMs: 50})
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +237,7 @@ func TestGreedyPrefersFastNode(t *testing.T) {
 }
 
 func TestQANTServesWorkload(t *testing.T) {
-	ds, nodes, addrs := startTestFederation(t, []float64{1, 2, 4})
+	ds, nodes, addrs := startTestFederation(t, []float64{1, 2, 4}, nil)
 	client, err := NewClient(ClientConfig{
 		Addrs: addrs, Mechanism: MechQANT, PeriodMs: 50, MaxRetries: 100,
 	})
@@ -283,7 +287,7 @@ func TestQANTServesWorkload(t *testing.T) {
 }
 
 func TestHistoryEstimatorConverges(t *testing.T) {
-	ds, _, addrs := startTestFederation(t, []float64{1})
+	ds, _, addrs := startTestFederation(t, []float64{1}, nil)
 	client, err := NewClient(ClientConfig{Addrs: addrs, Mechanism: MechGreedy, PeriodMs: 50})
 	if err != nil {
 		t.Fatal(err)

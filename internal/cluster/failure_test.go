@@ -14,7 +14,7 @@ import (
 // TestNodeFailureMidWorkload kills one node partway through a workload
 // and verifies the client keeps completing queries on the survivors.
 func TestNodeFailureMidWorkload(t *testing.T) {
-	ds, nodes, addrs := startTestFederation(t, []float64{1, 1, 1})
+	ds, nodes, addrs := startTestFederation(t, []float64{1, 1, 1}, nil)
 	client, err := NewClient(ClientConfig{
 		Addrs: addrs, Mechanism: MechGreedy, PeriodMs: 50, Timeout: 2 * time.Second,
 	})
@@ -138,7 +138,7 @@ func TestReadMsgLineCap(t *testing.T) {
 // TestConcurrentClientsShareOneMarket runs several clients against the
 // same QA-NT federation at once; accounting must stay exact.
 func TestConcurrentClientsShareOneMarket(t *testing.T) {
-	ds, nodes, addrs := startTestFederation(t, []float64{1, 2})
+	ds, nodes, addrs := startTestFederation(t, []float64{1, 2}, nil)
 	rng := rand.New(rand.NewSource(55))
 	templates, err := ds.GenerateTemplates(4, 1, rng)
 	if err != nil {

@@ -24,10 +24,11 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 }
 
 // startGossipNode is startTestFederation's membership-aware sibling:
-// explicit node ID, join seeds, and a compressed gossip clock.
-func startGossipNode(t *testing.T, db *sqldb.DB, id string, seeds []string, slowdown float64) *Node {
+// explicit node ID, join seeds, and a compressed gossip clock. mutate,
+// when set, edits the config on top of these defaults.
+func startGossipNode(t *testing.T, db *sqldb.DB, id string, seeds []string, slowdown float64, mutate func(*NodeConfig)) *Node {
 	t.Helper()
-	n, err := StartNode("127.0.0.1:0", NodeConfig{
+	cfg := NodeConfig{
 		DB:                 db,
 		Slowdown:           slowdown,
 		MsPerCostUnit:      0.01,
@@ -38,7 +39,11 @@ func startGossipNode(t *testing.T, db *sqldb.DB, id string, seeds []string, slow
 		SuspectAfterRounds: 3,
 		EvictAfterRounds:   3,
 		MembershipSeed:     int64(len(id)) + int64(id[len(id)-1]),
-	})
+	}
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	n, err := StartNode("127.0.0.1:0", cfg)
 	if err != nil {
 		t.Fatalf("node %s: %v", id, err)
 	}
@@ -77,12 +82,30 @@ func clientHas(c *Client, id string) bool {
 	return false
 }
 
+// everyTable reports whether each node's table lists exactly the given
+// members as live.
+func everyTable(nodes []*Node, live ...string) bool {
+	for _, n := range nodes {
+		ids := liveIDs(n)
+		if len(ids) != len(live) {
+			return false
+		}
+		for _, id := range live {
+			if !ids[id] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // TestChurnJoinAndEviction is the end-to-end acceptance scenario: a
 // client seeded with a single address discovers a 3-node federation
 // through gossip, a 4th (faster) node joins live and starts receiving
 // allocations with no client restart, and a crashed node is suspected,
 // evicted, and pruned from the client's view within bounded gossip
-// rounds.
+// rounds. Each step must converge on every member's table, not just on
+// the seed's.
 func TestChurnJoinAndEviction(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	ds, err := GenerateDataset(DatasetParams{
@@ -94,13 +117,11 @@ func TestChurnJoinAndEviction(t *testing.T) {
 	}
 
 	// Founding members: n0 starts a federation of one, n1 and n2 join it.
-	n0 := startGossipNode(t, ds.DBs[0], "n0", nil, 4)
-	n1 := startGossipNode(t, ds.DBs[1], "n1", []string{n0.Addr()}, 4)
-	n2 := startGossipNode(t, ds.DBs[2], "n2", []string{n0.Addr()}, 4)
-	waitFor(t, 5*time.Second, func() bool {
-		ids := liveIDs(n0)
-		return ids["n0"] && ids["n1"] && ids["n2"]
-	}, "founding members never converged on n0's table")
+	n0 := startGossipNode(t, ds.DBs[0], "n0", nil, 4, nil)
+	n1 := startGossipNode(t, ds.DBs[1], "n1", []string{n0.Addr()}, 4, nil)
+	n2 := startGossipNode(t, ds.DBs[2], "n2", []string{n0.Addr()}, 4, nil)
+	waitFor(t, 5*time.Second, func() bool { return everyTable([]*Node{n0, n1, n2}, "n0", "n1", "n2") },
+		"founding members never converged on every founder's table")
 
 	// The client knows one seed address; gossip must hand it the rest.
 	client, err := NewClient(ClientConfig{
@@ -131,7 +152,9 @@ func TestChurnJoinAndEviction(t *testing.T) {
 
 	// Elastic entry: a faster node joins the live market. The client must
 	// pick it up and start routing work to it without a restart.
-	n3 := startGossipNode(t, ds.DBs[3], "n3", []string{n0.Addr()}, 1)
+	n3 := startGossipNode(t, ds.DBs[3], "n3", []string{n0.Addr()}, 1, nil)
+	waitFor(t, 5*time.Second, func() bool { return everyTable([]*Node{n0, n1, n2, n3}, "n0", "n1", "n2", "n3") },
+		"late joiner n3 never converged on every table")
 	waitFor(t, 5*time.Second, func() bool { return clientHasLive(client, "n3") },
 		"client never discovered the late joiner n3")
 	for _, m := range client.Members() {
@@ -157,8 +180,8 @@ func TestChurnJoinAndEviction(t *testing.T) {
 	// Crash (no drain, no goodbye): the failure detector must suspect
 	// and evict n1, and the client view must follow.
 	n1.CloseNow()
-	waitFor(t, 10*time.Second, func() bool { return !liveIDs(n0)["n1"] },
-		"crashed n1 never evicted from n0's table")
+	waitFor(t, 10*time.Second, func() bool { return everyTable([]*Node{n0, n2, n3}, "n0", "n2", "n3") },
+		"crashed n1 never evicted from every survivor's table")
 	waitFor(t, 10*time.Second, func() bool { return !clientHas(client, "n1") },
 		"crashed n1 never pruned from the client view")
 
@@ -177,8 +200,6 @@ func TestChurnJoinAndEviction(t *testing.T) {
 	if completed < 8 {
 		t.Errorf("only %d/12 queries completed after eviction", completed)
 	}
-	_ = n2
-	_ = n3
 }
 
 // TestGracefulLeavePrunesBeforeEviction: a drained departure announces
@@ -192,8 +213,8 @@ func TestGracefulLeavePrunesBeforeEviction(t *testing.T) {
 	if _, _, err := db.Exec("INSERT INTO t VALUES (1)"); err != nil {
 		t.Fatal(err)
 	}
-	n0 := startGossipNode(t, db, "g0", nil, 1)
-	n1 := startGossipNode(t, db, "g1", []string{n0.Addr()}, 1)
+	n0 := startGossipNode(t, db, "g0", nil, 1, nil)
+	n1 := startGossipNode(t, db, "g1", []string{n0.Addr()}, 1, nil)
 	waitFor(t, 5*time.Second, func() bool { return liveIDs(n0)["g1"] },
 		"g1 never joined")
 

@@ -38,7 +38,7 @@ func TestFallbackNodeIDDeterministic(t *testing.T) {
 }
 
 func TestStartNodeDerivesStableFallbackID(t *testing.T) {
-	_, nodes, _ := startTestFederation(t, []float64{1, 1})
+	_, nodes, _ := startTestFederation(t, []float64{1, 1}, nil)
 	if nodes[0].ID() == nodes[1].ID() {
 		t.Fatalf("two nodes share fallback ID %s", nodes[0].ID())
 	}
@@ -92,89 +92,94 @@ func TestBackoffJitterDefaultsSeeded(t *testing.T) {
 }
 
 // TestQueryTraceEndToEnd drives one traced query through a two-node
-// federation and asserts the assembled cross-process span tree: the
-// client's run/negotiate/execute spans plus the winning server's
-// solve/queue/exec spans, parented across the wire trace context.
+// federation under each mechanism and asserts the assembled
+// cross-process span tree: the client's run/negotiate/execute spans plus
+// the winning server's solve/queue/exec spans, parented across the wire
+// trace context.
 func TestQueryTraceEndToEnd(t *testing.T) {
-	ds, nodes, addrs := startTestFederation(t, []float64{1, 4})
-	tracer := trace.NewRecorder("client", 0, nil)
-	client, err := NewClient(ClientConfig{
-		Addrs:     addrs,
-		Mechanism: MechGreedy,
-		PeriodMs:  50,
-		Tracer:    tracer,
-		Jitter:    rand.New(rand.NewSource(1)),
-	})
-	if err != nil {
-		t.Fatalf("NewClient: %v", err)
-	}
-	defer client.Close()
+	for _, mech := range []Mechanism{MechGreedy, MechQANT} {
+		t.Run(string(mech), func(t *testing.T) {
+			ds, nodes, addrs := startTestFederation(t, []float64{1, 4}, nil)
+			tracer := trace.NewRecorder("client", 0, nil)
+			client, err := NewClient(ClientConfig{
+				Addrs:     addrs,
+				Mechanism: mech,
+				PeriodMs:  50,
+				Tracer:    tracer,
+				Jitter:    rand.New(rand.NewSource(1)),
+			})
+			if err != nil {
+				t.Fatalf("NewClient: %v", err)
+			}
+			defer client.Close()
 
-	sql := "SELECT * FROM " + ds.Relations[0]
-	const qid = 42
-	out := client.Run(qid, sql)
-	if out.Err != nil {
-		t.Fatalf("Run: %v", out.Err)
-	}
+			sql := "SELECT * FROM " + ds.Relations[0]
+			const qid = 42
+			out := client.Run(qid, sql)
+			if out.Err != nil {
+				t.Fatalf("Run: %v", out.Err)
+			}
 
-	spans := client.TraceSpans(qid)
-	byName := map[string][]trace.Span{}
-	for _, s := range spans {
-		if s.TraceID != qid {
-			t.Fatalf("span %s carries trace %d, want %d", s.ID, s.TraceID, qid)
-		}
-		byName[s.Name] = append(byName[s.Name], s)
-	}
-	for _, name := range []string{"run", "negotiate", "execute", "solve", "queue", "exec"} {
-		if len(byName[name]) == 0 {
-			t.Errorf("no %q span in trace: %v", name, byName)
-		}
-	}
-	// Both nodes answered the call-for-proposals, so both solved.
-	if len(byName["solve"]) != 2 {
-		t.Errorf("want one solve span per node, got %d", len(byName["solve"]))
-	}
-	// Server spans parent under client spans across the wire.
-	ids := map[string]trace.Span{}
-	for _, s := range spans {
-		ids[s.ID] = s
-	}
-	for _, s := range byName["solve"] {
-		p, ok := ids[s.Parent]
-		if !ok || p.Name != "negotiate" || p.Origin != "client" {
-			t.Errorf("solve span parents under %+v, want client negotiate", p)
-		}
-	}
-	for _, s := range byName["exec"] {
-		if p := ids[s.Parent]; p.Name != "execute" {
-			t.Errorf("exec span parents under %q, want execute", p.Name)
-		}
-	}
+			spans := client.TraceSpans(qid)
+			byName := map[string][]trace.Span{}
+			for _, s := range spans {
+				if s.TraceID != qid {
+					t.Fatalf("span %s carries trace %d, want %d", s.ID, s.TraceID, qid)
+				}
+				byName[s.Name] = append(byName[s.Name], s)
+			}
+			for _, name := range []string{"run", "negotiate", "execute", "solve", "queue", "exec"} {
+				if len(byName[name]) == 0 {
+					t.Errorf("no %q span in trace: %v", name, byName)
+				}
+			}
+			// Both nodes answered the call-for-proposals, so both solved.
+			if len(byName["solve"]) != 2 {
+				t.Errorf("want one solve span per node, got %d", len(byName["solve"]))
+			}
+			// Server spans parent under client spans across the wire.
+			ids := map[string]trace.Span{}
+			for _, s := range spans {
+				ids[s.ID] = s
+			}
+			for _, s := range byName["solve"] {
+				p, ok := ids[s.Parent]
+				if !ok || p.Name != "negotiate" || p.Origin != "client" {
+					t.Errorf("solve span parents under %+v, want client negotiate", p)
+				}
+			}
+			for _, s := range byName["exec"] {
+				if p := ids[s.Parent]; p.Name != "execute" {
+					t.Errorf("exec span parents under %q, want execute", p.Name)
+				}
+			}
 
-	rendered := trace.RenderTree(spans)
-	for _, want := range []string{"run", "negotiate", "solve", "exec", "[client]"} {
-		if !strings.Contains(rendered, want) {
-			t.Errorf("rendered tree missing %q:\n%s", want, rendered)
-		}
-	}
+			rendered := trace.RenderTree(spans)
+			for _, want := range []string{"run", "negotiate", "solve", "exec", "[client]"} {
+				if !strings.Contains(rendered, want) {
+					t.Errorf("rendered tree missing %q:\n%s", want, rendered)
+				}
+			}
 
-	// Untraced clients leave no server-side spans: the trace field is
-	// omitted and id-less requests still execute (old-client interop).
-	plain, err := NewClient(ClientConfig{Addrs: addrs, PeriodMs: 50})
-	if err != nil {
-		t.Fatalf("NewClient: %v", err)
-	}
-	defer plain.Close()
-	before := len(nodes[0].tracer.All()) + len(nodes[1].tracer.All())
-	if out := plain.Run(43, sql); out.Err != nil {
-		t.Fatalf("untraced Run: %v", out.Err)
-	}
-	after := len(nodes[0].tracer.All()) + len(nodes[1].tracer.All())
-	if after != before {
-		t.Errorf("untraced query grew server span rings: %d -> %d", before, after)
-	}
-	if got := plain.TraceSpans(43); len(got) != 0 {
-		t.Errorf("untraced query produced %d spans", len(got))
+			// Untraced clients leave no server-side spans: the trace field is
+			// omitted and id-less requests still execute (old-client interop).
+			plain, err := NewClient(ClientConfig{Addrs: addrs, Mechanism: mech, PeriodMs: 50})
+			if err != nil {
+				t.Fatalf("NewClient: %v", err)
+			}
+			defer plain.Close()
+			before := len(nodes[0].tracer.All()) + len(nodes[1].tracer.All())
+			if out := plain.Run(43, sql); out.Err != nil {
+				t.Fatalf("untraced Run: %v", out.Err)
+			}
+			after := len(nodes[0].tracer.All()) + len(nodes[1].tracer.All())
+			if after != before {
+				t.Errorf("untraced query grew server span rings: %d -> %d", before, after)
+			}
+			if got := plain.TraceSpans(43); len(got) != 0 {
+				t.Errorf("untraced query produced %d spans", len(got))
+			}
+		})
 	}
 }
 
@@ -183,7 +188,7 @@ func TestQueryTraceEndToEnd(t *testing.T) {
 // still negotiates normally (the server only acts on V >= 1, and
 // decoding unknown JSON fields never fails).
 func TestTraceContextIgnoredByValue(t *testing.T) {
-	ds, nodes, _ := startTestFederation(t, []float64{1})
+	ds, nodes, _ := startTestFederation(t, []float64{1}, nil)
 	req := &request{Op: "negotiate", SQL: "SELECT * FROM " + ds.Relations[0],
 		Trace: &traceCtx{V: 0, ID: 7, Span: "x-1"}}
 	rep := nodes[0].handle(req)
@@ -196,7 +201,7 @@ func TestTraceContextIgnoredByValue(t *testing.T) {
 }
 
 func TestMetricsHandlerExposition(t *testing.T) {
-	ds, nodes, addrs := startTestFederation(t, []float64{1})
+	ds, nodes, addrs := startTestFederation(t, []float64{1}, nil)
 	client, err := NewClient(ClientConfig{Addrs: addrs, Mechanism: MechQANT, PeriodMs: 50})
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)

@@ -15,7 +15,7 @@ import (
 // two invocations see byte-identical workloads.
 func runTransportWorkload(t *testing.T, transport Transport, nClients, nQueries int) map[int64]int {
 	t.Helper()
-	ds, nodes, addrs := startTestFederation(t, []float64{1, 2, 3})
+	ds, nodes, addrs := startTestFederation(t, []float64{1, 2, 3}, nil)
 	templates, err := ds.GenerateTemplates(8, 2, rand.New(rand.NewSource(23)))
 	if err != nil {
 		t.Fatalf("templates: %v", err)
@@ -98,7 +98,7 @@ func TestConcurrentTransportsAgree(t *testing.T) {
 // the client needs at most 4 connections to one node, where the fresh
 // transport would have dialed once per exchange.
 func TestPooledReusesConnections(t *testing.T) {
-	_, nodes, addrs := startTestFederation(t, []float64{1})
+	_, nodes, addrs := startTestFederation(t, []float64{1}, nil)
 	client, err := NewClient(ClientConfig{
 		Addrs: addrs, Mechanism: MechGreedy, PeriodMs: 25,
 		Timeout: 5 * time.Second, Transport: TransportPooled,
@@ -129,7 +129,7 @@ func TestPooledReusesConnections(t *testing.T) {
 // single-connection pool and checks every caller gets its own reply —
 // the demux-by-id property, exercised directly.
 func TestMultiplexedPipelining(t *testing.T) {
-	_, _, addrs := startTestFederation(t, []float64{1})
+	_, _, addrs := startTestFederation(t, []float64{1}, nil)
 	client, err := NewClient(ClientConfig{
 		Addrs: addrs, Mechanism: MechGreedy, PeriodMs: 25,
 		Timeout: 5 * time.Second, Transport: TransportPooled, PoolSize: 1,

@@ -22,7 +22,7 @@ import (
 // feasible on it, the shared fixture of the protection tests.
 func protectionQuery(t *testing.T) (*Dataset, *Node, string, string) {
 	t.Helper()
-	ds, nodes, addrs := startTestFederation(t, []float64{1})
+	ds, nodes, addrs := startTestFederation(t, []float64{1}, nil)
 	rng := rand.New(rand.NewSource(41))
 	templates, err := ds.GenerateTemplates(4, 1, rng)
 	if err != nil {

@@ -70,11 +70,12 @@ type request struct {
 	// call-for-proposals on a "negotiate" op: the request's own
 	// SQL/QueryID/DeadlineMs fields describe the first query exactly as
 	// an unbatched negotiate would, and Batch holds the rest of the
-	// coalesced window. Additive like Trace and DeadlineMs: an old
-	// server ignores the unknown field and answers the first query alone
-	// (the client then renegotiates the remainder per query), and a
-	// single-query window omits the field entirely, making the request
-	// byte-identical to a legacy negotiate.
+	// coalesced window. A node-wide refusal (draining, or overload at
+	// the admission gate) carries no Batch and answers every query of
+	// the window. Only a server that ignores the field answers the first
+	// query alone, and the rest fail at that node as a short batch
+	// reply. A single-query window omits the field entirely, making the
+	// request byte-identical to an unbatched negotiate.
 	Batch []batchQuery `json:"batch,omitempty"`
 	// FetchBatch asks the server to bound streamed fetch batches to this
 	// many rows. Servers clamp it to their own FetchBatchRows config;

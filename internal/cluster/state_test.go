@@ -17,7 +17,7 @@ import (
 // (classes, prices, history) survives a save/restore cycle onto a
 // fresh node.
 func TestMarketStateCheckpoint(t *testing.T) {
-	ds, nodes, addrs := startTestFederation(t, []float64{1, 2})
+	ds, nodes, addrs := startTestFederation(t, []float64{1, 2}, nil)
 	client, err := NewClient(ClientConfig{
 		Addrs: addrs, Mechanism: MechQANT, PeriodMs: 50, MaxRetries: 50, Timeout: 5 * time.Second,
 	})
@@ -76,7 +76,7 @@ func TestMarketStateCheckpoint(t *testing.T) {
 }
 
 func TestRestoreMarketStateRejectsGarbage(t *testing.T) {
-	_, nodes, _ := startTestFederation(t, []float64{1})
+	_, nodes, _ := startTestFederation(t, []float64{1}, nil)
 	if err := nodes[0].RestoreMarketState([]byte("{broken")); err == nil {
 		t.Error("broken JSON accepted")
 	}
@@ -186,7 +186,7 @@ func TestRestoreOldCheckpoints(t *testing.T) {
 	}
 
 	// And through the node's own entry point.
-	_, nodes, _ := startTestFederation(t, []float64{1})
+	_, nodes, _ := startTestFederation(t, []float64{1}, nil)
 	if err := nodes[0].RestoreMarketState(file); err != nil {
 		t.Fatalf("node refused the parent checkpoint: %v", err)
 	}

@@ -78,14 +78,14 @@ type FlashCrowdResult struct {
 	Launched int64 `json:"launched"`
 	Drained  int64 `json:"drained"`
 	// MaxStepObserved is the largest |action| any decision took, and
-	// CooldownRespected whether all actions kept the configured
-	// spacing — the guardrail conduct the smoke asserts.
+	// CooldownRespected whether all actions kept the configured spacing
+	// (TestFlashCrowdScalesAndBehaves asserts both).
 	MaxStepObserved   int  `json:"max_step_observed"`
 	CooldownRespected bool `json:"cooldown_respected"`
 	Decisions         int  `json:"decisions"`
 }
 
-// ReplicaPool is the in-process actuator for experiments and smokes:
+// ReplicaPool is the in-process actuator for experiments and tests:
 // Launch starts real cluster nodes that join the federation by
 // gossiping a seed, Drain retires the youngest pool-owned replica
 // through the graceful drain path. Founders are not pool-owned — the
