@@ -19,12 +19,11 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# bench regenerates BENCH_qamarket.json — the committed benchmark
-# trajectory (figure wall-clocks, hot-path ns/op + allocs/op, the
-# sequential-vs-parallel qabench timing, and the 100-node federation
-# row: negotiate RPCs per completed query, full fan-out vs amortized).
+# bench runs the benchmark (benchmark/README.md): every seeded
+# federation workload, reported end to end and layer by layer. The
+# micro-benchmarks are `go test -run NONE -bench <name> <pkg>`.
 bench:
-	$(GO) run ./cmd/benchjson
+	$(GO) run ./benchmark
 
 # benchsmoke just proves every benchmark still compiles and runs.
 benchsmoke:

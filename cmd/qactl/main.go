@@ -28,19 +28,18 @@ import (
 
 func main() {
 	var (
-		nodeList  = flag.String("nodes", "", "comma-separated seed server addresses")
-		sql       = flag.String("sql", "", "query to evaluate")
-		mech      = flag.String("mechanism", "greedy", "greedy | qa-nt")
-		period    = flag.Int64("period", 500, "resubmission period in ms")
-		repeat    = flag.Int("repeat", 1, "times to run the query")
-		gap       = flag.Duration("gap", 0, "wait between repeats")
-		stats     = flag.String("stats", "", "print market stats of one node (ID or address) and exit")
-		members   = flag.Bool("members", false, "print the live membership view and exit")
-		refresh   = flag.Duration("refresh", 0, "membership view refresh period (0 = static seed view)")
-		transport = flag.String("transport", "pooled", "rpc transport: pooled | fresh")
-		hist      = flag.Bool("hist", false, "print per-op RPC latency histograms after the run")
-		traceID   = flag.Int64("trace", 0, "trace ID: with -sql, run the query traced under this ID; alone, assemble and print the federation's retained spans for it")
-		scaler    = flag.String("scaler", "", "print a qascale daemon's decision ring (base URL of its -metrics-addr) and exit")
+		nodeList = flag.String("nodes", "", "comma-separated seed server addresses")
+		sql      = flag.String("sql", "", "query to evaluate")
+		mech     = flag.String("mechanism", "greedy", "greedy | qa-nt")
+		period   = flag.Int64("period", 500, "resubmission period in ms")
+		repeat   = flag.Int("repeat", 1, "times to run the query")
+		gap      = flag.Duration("gap", 0, "wait between repeats")
+		stats    = flag.String("stats", "", "print market stats of one node (ID or address) and exit")
+		members  = flag.Bool("members", false, "print the live membership view and exit")
+		refresh  = flag.Duration("refresh", 0, "membership view refresh period (0 = static seed view)")
+		hist     = flag.Bool("hist", false, "print per-op RPC latency histograms after the run")
+		traceID  = flag.Int64("trace", 0, "trace ID: with -sql, run the query traced under this ID; alone, assemble and print the federation's retained spans for it")
+		scaler   = flag.String("scaler", "", "print a qascale daemon's decision ring (base URL of its -metrics-addr) and exit")
 	)
 	flag.Parse()
 
@@ -64,7 +63,6 @@ func main() {
 		Mechanism:   cluster.Mechanism(*mech),
 		PeriodMs:    *period,
 		Timeout:     30 * time.Second,
-		Transport:   cluster.Transport(*transport),
 		ViewRefresh: *refresh,
 		Tracer:      tracer,
 	})

@@ -1,7 +1,6 @@
 // Command qaload is the federation load generator: it drives a set of
 // qanode servers (or a self-hosted in-process federation) with a
-// seeded query mix and reports throughput plus latency histograms, the
-// transport trajectory's measurement tool.
+// seeded query mix and reports throughput plus latency histograms.
 //
 // Closed mode (default) keeps -clients workers each running one query
 // at a time until -queries complete: the classic closed-loop benchmark
@@ -40,7 +39,6 @@ type options struct {
 	nodes       string
 	selfNodes   int
 	mechanism   string
-	transport   string
 	poolSize    int
 	clients     int
 	queries     int
@@ -73,11 +71,9 @@ type options struct {
 	fetchBatch  int
 }
 
-// loadReport is qaload's result, printed as text or JSON (-json); the
-// JSON form is what cmd/benchjson records into BENCH_qamarket.json.
+// loadReport is qaload's result, printed as text or JSON (-json).
 type loadReport struct {
 	Mode      string `json:"mode"`
-	Transport string `json:"transport"`
 	Mechanism string `json:"mechanism"`
 	Clients   int    `json:"clients"`
 	Completed int64  `json:"completed"`
@@ -130,7 +126,6 @@ func main() {
 	flag.StringVar(&o.nodes, "nodes", "", "comma-separated server addresses (empty: self-host)")
 	flag.IntVar(&o.selfNodes, "selfnodes", 3, "nodes to self-host in-process when -nodes is empty")
 	flag.StringVar(&o.mechanism, "mechanism", "greedy", "allocation mechanism: greedy | qa-nt")
-	flag.StringVar(&o.transport, "transport", "pooled", "rpc transport: pooled | fresh")
 	flag.IntVar(&o.poolSize, "poolsize", 0, "connections per node per lane (0: default)")
 	flag.IntVar(&o.clients, "clients", 8, "concurrent workers (closed mode)")
 	flag.IntVar(&o.queries, "queries", 200, "total queries to run (closed mode)")
@@ -278,7 +273,6 @@ func run(o *options) (*loadReport, error) {
 		Mechanism:      cluster.Mechanism(o.mechanism),
 		PeriodMs:       o.period,
 		Timeout:        30 * time.Second,
-		Transport:      cluster.Transport(o.transport),
 		PoolSize:       o.poolSize,
 		Tracer:         tracer,
 		QueryTimeout:   o.deadline,
@@ -301,7 +295,7 @@ func run(o *options) (*loadReport, error) {
 	}
 
 	rep := &loadReport{
-		Mode: o.mode, Transport: o.transport, Mechanism: o.mechanism, Clients: o.clients,
+		Mode: o.mode, Mechanism: o.mechanism, Clients: o.clients,
 	}
 	if o.nodes == "" {
 		rep.Executor = o.driverName
@@ -470,8 +464,8 @@ func phaseBreakdown(spans []trace.Span) map[string]metrics.HistSummary {
 }
 
 func printReport(r *loadReport) {
-	fmt.Printf("%s load, %s transport, %s: %d completed, %d failed, %d shed, %d expired, %d retries in %.0f ms -> %.1f queries/sec\n",
-		r.Mode, r.Transport, r.Mechanism, r.Completed, r.Failed, r.Shed, r.Expired, r.Retries, r.ElapsedMs, r.QPS)
+	fmt.Printf("%s load, %s: %d completed, %d failed, %d shed, %d expired, %d retries in %.0f ms -> %.1f queries/sec\n",
+		r.Mode, r.Mechanism, r.Completed, r.Failed, r.Shed, r.Expired, r.Retries, r.ElapsedMs, r.QPS)
 	fmt.Printf("  query total  %s\n", r.TotalMs)
 	fmt.Printf("  assignment   %s\n", r.AssignMs)
 	if r.RPCBytesIn > 0 || r.RPCBytesOut > 0 {

@@ -167,7 +167,7 @@ func TestSingleQueryWindowIsByteIdentical(t *testing.T) {
 	sql := "SELECT a FROM t1 WHERE a > 7"
 	srv := startScriptedServer(t, false, "")
 	legacy, err := NewClient(ClientConfig{
-		Addrs: []string{srv.ln.Addr().String()}, Mechanism: MechGreedy, Transport: TransportFresh,
+		Addrs: []string{srv.ln.Addr().String()}, Mechanism: MechGreedy, freshDial: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestSingleQueryWindowIsByteIdentical(t *testing.T) {
 		t.Fatalf("legacy negotiate: %v", err)
 	}
 	batched, err := NewClient(ClientConfig{
-		Addrs: []string{srv.ln.Addr().String()}, Mechanism: MechGreedy, Transport: TransportFresh,
+		Addrs: []string{srv.ln.Addr().String()}, Mechanism: MechGreedy, freshDial: true,
 		BatchWindow: time.Millisecond,
 	})
 	if err != nil {
@@ -201,7 +201,7 @@ func TestSingleQueryWindowIsByteIdentical(t *testing.T) {
 func TestNewClientOldServerDegrades(t *testing.T) {
 	srv := startScriptedServer(t, false, "")
 	c, err := NewClient(ClientConfig{
-		Addrs: []string{srv.ln.Addr().String()}, Mechanism: MechGreedy, Transport: TransportFresh,
+		Addrs: []string{srv.ln.Addr().String()}, Mechanism: MechGreedy, freshDial: true,
 		BatchWindow: 200 * time.Millisecond, BatchLimit: 2,
 	})
 	if err != nil {
@@ -252,7 +252,7 @@ func TestBatchedWindowOverloadIsTyped(t *testing.T) {
 	n := startSingleNode(t, func(cfg *NodeConfig) { cfg.MaxInflight = 1 })
 	n.working.Add(1) // the only slot is held
 	c, err := NewClient(ClientConfig{
-		Addrs: []string{n.Addr()}, Mechanism: MechGreedy, Transport: TransportFresh,
+		Addrs: []string{n.Addr()}, Mechanism: MechGreedy, freshDial: true,
 		BatchWindow: 200 * time.Millisecond, BatchLimit: 2,
 	})
 	if err != nil {
@@ -430,7 +430,7 @@ func TestBidCacheTypedRefusalsInvalidate(t *testing.T) {
 			srv := startScriptedServer(t, true, code)
 			c, err := NewClient(ClientConfig{
 				Addrs: []string{srv.ln.Addr().String()}, Mechanism: MechGreedy,
-				Transport: TransportFresh, BidCacheTTL: time.Minute,
+				freshDial: true, BidCacheTTL: time.Minute,
 				PeriodMs: 1, MaxRetries: 1,
 			})
 			if err != nil {
@@ -465,7 +465,7 @@ func TestBidCacheHitSkipsNegotiate(t *testing.T) {
 	srv := startScriptedServer(t, true, "")
 	c, err := NewClient(ClientConfig{
 		Addrs: []string{srv.ln.Addr().String()}, Mechanism: MechGreedy,
-		Transport: TransportFresh, BidCacheTTL: time.Minute,
+		freshDial: true, BidCacheTTL: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -499,7 +499,7 @@ func TestBidCacheHitSkipsNegotiate(t *testing.T) {
 func TestBatchedWindowSharesOneRPC(t *testing.T) {
 	srv := startScriptedServer(t, true, "")
 	c, err := NewClient(ClientConfig{
-		Addrs: []string{srv.ln.Addr().String()}, Mechanism: MechGreedy, Transport: TransportFresh,
+		Addrs: []string{srv.ln.Addr().String()}, Mechanism: MechGreedy, freshDial: true,
 		BatchWindow: 300 * time.Millisecond, BatchLimit: 3,
 	})
 	if err != nil {
@@ -695,8 +695,9 @@ func TestDistributorFragmentsRideBidCache(t *testing.T) {
 // epoch-stamped bid cache, per-class shard probing — and drives a
 // closed-loop star-query mix through it while two data-less members
 // leave mid-run. The bid cache must admit queries straight to execute,
-// shard probing must skip provably infeasible nodes, every query must
-// complete, and the nodes, departed ones included, must have executed
+// shard probing must skip provably infeasible nodes, the client must
+// send fewer than 2 negotiate RPCs per completed query where full
+// fan-out sends ~100, every query must complete, and the nodes, departed ones included, must have executed
 // exactly what the client completed: cache-admitted and batch-negotiated
 // queries keep the at-most-once contract of fully negotiated ones.
 func TestHundredNodeAmortizedNegotiation(t *testing.T) {
@@ -809,6 +810,12 @@ func TestHundredNodeAmortizedNegotiation(t *testing.T) {
 	if health[metrics.ShardSkipsTotal] == 0 {
 		t.Error("shard probing skipped no node despite converged filters")
 	}
+	// Full fan-out costs a negotiate RPC per member per query, ~100 here;
+	// the amortization layers together must keep it under 2 per query.
+	negotiates := client.RPCCounts()["negotiate"]
+	if c := completed.Load(); c == 0 || float64(negotiates)/float64(c) >= 2 {
+		t.Errorf("%d negotiate RPCs for %d completed queries, want < 2 per query", negotiates, c)
+	}
 	executed := 0
 	for _, n := range fleet {
 		executed += n.Executed()
@@ -816,7 +823,7 @@ func TestHundredNodeAmortizedNegotiation(t *testing.T) {
 	if int64(executed) != completed.Load() {
 		t.Errorf("nodes executed %d queries but the client completed %d: a query ran twice or was lost", executed, completed.Load())
 	}
-	t.Logf("completed %d, cache hits %v, invalidations %v, batch windows %v, coalesced %v, shard skips %v",
-		completed.Load(), health[metrics.BidCacheHitsTotal], health[metrics.BidCacheInvalidationsTotal],
+	t.Logf("completed %d, negotiate RPCs %d, cache hits %v, invalidations %v, batch windows %v, coalesced %v, shard skips %v",
+		completed.Load(), negotiates, health[metrics.BidCacheHitsTotal], health[metrics.BidCacheInvalidationsTotal],
 		health[metrics.BatchWindowsTotal], health[metrics.BatchCoalescedTotal], health[metrics.ShardSkipsTotal])
 }

@@ -327,7 +327,7 @@ func TestChaosSoakExecutesOnce(t *testing.T) {
 		return faultnet.Plan{}
 	})
 	dc, err := NewClient(ClientConfig{
-		Addrs: []string{cut.Addr()}, Transport: TransportFresh,
+		Addrs: []string{cut.Addr()}, freshDial: true,
 		PeriodMs: 20, Timeout: 2 * time.Second,
 		AtMostOnce: true, ExecRetries: 4,
 		Jitter: rand.New(rand.NewSource(65)),
@@ -393,7 +393,7 @@ func TestChaosSoakExecutesOnce(t *testing.T) {
 	})
 	jc, err := NewClient(ClientConfig{
 		Addrs:     []string{b0.Addr(), splitAddrs[1], d0.Addr(), splitAddrs[3]},
-		Transport: TransportFresh,
+		freshDial: true,
 		PeriodMs:  20, MaxBackoffMs: 160, MaxRetries: 300,
 		Timeout: 250 * time.Millisecond, BreakerThreshold: 2,
 		BreakerCooldown: 300 * time.Millisecond,

@@ -51,15 +51,10 @@ type ClientConfig struct {
 	// BreakerCooldown is how long an open breaker waits before probing
 	// the node again (default 2s).
 	BreakerCooldown time.Duration
-	// Transport selects the RPC transport: TransportPooled (default)
-	// keeps persistent multiplexed connections per node, TransportFresh
-	// dials per RPC (the v0 behavior, kept for comparison).
-	Transport Transport
 	// PoolSize is how many connections each per-node, per-lane pool
-	// holds under TransportPooled (default 2). The client keeps two
-	// lanes per node — control (negotiate/stats) and data
-	// (execute/fetch) — so a short RPC timing out never evicts a
-	// connection carrying a long execution.
+	// holds (default 2). The client keeps two lanes per node — control
+	// (negotiate/stats) and data (execute/fetch) — so a short RPC timing
+	// out never evicts a connection carrying a long execution.
 	PoolSize int
 	// ViewRefresh, when positive, makes the client poll a live node's
 	// merged membership table (the "members" op) this often and fold
@@ -142,6 +137,12 @@ type ClientConfig struct {
 	// this many rows (servers clamp to their own FetchBatchRows config).
 	// Zero accepts the server default.
 	FetchBatchRows int
+
+	// freshDial makes every RPC dial its own connection (freshRPC)
+	// instead of riding the per-node pools: the reference the package's
+	// tests compare the pools against, and what scripted servers that
+	// answer one request per connection need.
+	freshDial bool
 }
 
 func (c *ClientConfig) validate() error {
@@ -180,13 +181,6 @@ func (c *ClientConfig) validate() error {
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 2 * time.Second
-	}
-	switch c.Transport {
-	case "":
-		c.Transport = TransportPooled
-	case TransportPooled, TransportFresh:
-	default:
-		return fmt.Errorf("cluster: unknown transport %q", c.Transport)
 	}
 	if c.PoolSize <= 0 {
 		c.PoolSize = 2
@@ -266,7 +260,7 @@ type nodeState struct {
 	filterEnc string
 
 	// transport is the two-lane pooled transport (nil under
-	// TransportFresh). Guarded by mu because a member can move to a
+	// freshDial). Guarded by mu because a member can move to a
 	// new address across a restart.
 	transport *nodeTransport
 
@@ -356,8 +350,8 @@ type Client struct {
 	closeOnce   sync.Once
 }
 
-// NewClient builds a client. Under the default pooled transport the
-// client owns persistent connections; call Close when done with it.
+// NewClient builds a client. The client owns persistent connections;
+// call Close when done with it.
 func NewClient(cfg ClientConfig) (*Client, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -404,7 +398,7 @@ func (c *Client) newNodeState(id, addr string, resolved bool) *nodeState {
 		state:    "seed",
 		lat:      make(map[string]*metrics.Histogram),
 	}
-	if c.cfg.Transport == TransportPooled {
+	if !c.cfg.freshDial {
 		ns.transport = newNodeTransport(addr, c.cfg.PoolSize, c.wire)
 	}
 	return ns
@@ -417,8 +411,7 @@ func (c *Client) WireBytes() (in, out int64) {
 }
 
 // Close stops the view refresher and shuts the client's pooled
-// connections down. Safe to call more than once, and a no-op for
-// transports under TransportFresh.
+// connections down. Safe to call more than once.
 func (c *Client) Close() {
 	c.closeOnce.Do(func() {
 		close(c.stopRefresh)

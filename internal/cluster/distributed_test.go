@@ -268,7 +268,7 @@ func TestDistributedNoOfferWaitHonorsDeadline(t *testing.T) {
 // and run the query again as fragments.
 func TestDistributedFastPathLostReplyUnderAtMostOnce(t *testing.T) {
 	client, nodes, proxies := splitFederationBehindProxies(t, ClientConfig{
-		Mechanism: MechGreedy, PeriodMs: 20, Transport: TransportFresh,
+		Mechanism: MechGreedy, PeriodMs: 20, freshDial: true,
 		Timeout: 100 * time.Millisecond, ExecTimeoutFactor: 1,
 		AtMostOnce: true, ExecRetries: 1,
 	})

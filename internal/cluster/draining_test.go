@@ -86,14 +86,14 @@ var breakerOps = []struct {
 // asks for: every client op that receives a typed draining reply must
 // trip the node's breaker the same way, under both transports.
 func TestDrainingTripsBreakerOnEveryOp(t *testing.T) {
-	for _, transport := range []Transport{TransportPooled, TransportFresh} {
+	for _, transport := range transports {
 		for _, op := range breakerOps {
-			t.Run(string(transport)+"/"+op.name, func(t *testing.T) {
+			t.Run(transport.name+"/"+op.name, func(t *testing.T) {
 				addr := startDrainingStub(t)
 				c, err := NewClient(ClientConfig{
 					Addrs:     []string{addr},
 					Timeout:   2 * time.Second,
-					Transport: transport,
+					freshDial: transport.fresh,
 					// High threshold proves the open circuit came from the
 					// typed trip, not accumulated failures.
 					BreakerThreshold: 100,
@@ -127,15 +127,15 @@ func TestMarketRefusalsDoNotTripBreaker(t *testing.T) {
 		{CodeOverload, msgOverloaded},
 		{CodeExpired, msgExpired},
 	}
-	for _, transport := range []Transport{TransportPooled, TransportFresh} {
+	for _, transport := range transports {
 		for _, refusal := range refusals {
 			for _, op := range breakerOps {
-				t.Run(string(transport)+"/"+refusal.code+"/"+op.name, func(t *testing.T) {
+				t.Run(transport.name+"/"+refusal.code+"/"+op.name, func(t *testing.T) {
 					addr := startCodedStub(t, refusal.code, refusal.msg)
 					c, err := NewClient(ClientConfig{
 						Addrs:     []string{addr},
 						Timeout:   2 * time.Second,
-						Transport: transport,
+						freshDial: transport.fresh,
 						// Threshold 1: a single failure charged to the breaker
 						// would open it, so a closed breaker after the call
 						// proves the refusal was not charged at all.
@@ -219,11 +219,11 @@ func TestFetchRefusalsAnswerInJSON(t *testing.T) {
 		{name: "node stopping", kind: attemptRefused, breaker: breakerOpen,
 			arm: func(n *Node) { n.stopOnce.Do(func() { close(n.stopCh) }) }},
 	}
-	for _, transport := range []Transport{TransportPooled, TransportFresh} {
+	for _, transport := range transports {
 		for _, tc := range cases {
-			t.Run(string(transport)+"/"+tc.name, func(t *testing.T) {
+			t.Run(transport.name+"/"+tc.name, func(t *testing.T) {
 				n, c, _ := selFederation(t, nil, ClientConfig{
-					Transport: transport, QueryTimeout: 10 * time.Second, BreakerThreshold: 1,
+					freshDial: transport.fresh, QueryTimeout: 10 * time.Second, BreakerThreshold: 1,
 				})
 				// A stopped executor leaves CloseNow nothing to do; finish the
 				// stop it began.

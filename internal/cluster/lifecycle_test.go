@@ -89,7 +89,7 @@ func startLifeFed(t *testing.T, atMostOnce bool, timeout time.Duration) *lifeFed
 	f.b, f.mockB, f.proxyB = start("B", 40)
 	c, err := NewClient(ClientConfig{
 		Addrs:     []string{f.proxyA.Addr(), f.proxyB.Addr()},
-		Mechanism: MechQANT, Transport: TransportFresh,
+		Mechanism: MechQANT, freshDial: true,
 		PeriodMs: 10, Timeout: timeout, ExecTimeoutFactor: 1,
 		QueryTimeout: 20 * time.Second, AtMostOnce: atMostOnce, ExecRetries: 2,
 		RetryBudget: 1e-6, RetryBurst: lifeBurst, BidCacheTTL: time.Minute,

@@ -215,7 +215,7 @@ func (c *Client) updateMember(ns *nodeState, m membership.Member) {
 			ns.transport = nil
 		}
 		ns.addr = m.Addr
-		if c.cfg.Transport == TransportPooled {
+		if !c.cfg.freshDial {
 			ns.transport = newNodeTransport(m.Addr, c.cfg.PoolSize, c.wire)
 		}
 	}

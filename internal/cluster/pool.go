@@ -10,23 +10,13 @@ import (
 	"time"
 )
 
-// Transport selects how a Client carries its RPCs.
-type Transport string
-
-const (
-	// TransportPooled (the default) keeps a small pool of persistent
-	// multiplexed connections per node: requests carry client-assigned
-	// ids, many RPCs ride one connection concurrently, and a reader
-	// goroutine demuxes replies to the waiting callers. Connections dial
-	// lazily and are evicted on any protocol error or RPC timeout — a
-	// stream that lost a reply is suspect, and re-dialing keeps the
-	// breaker's dials-per-window accounting identical to fresh dialing.
-	TransportPooled Transport = "pooled"
-	// TransportFresh dials a new connection per RPC: the v0 behavior,
-	// kept for rollout comparison (qaload -transport fresh) and as the
-	// baseline in the transport benchmarks.
-	TransportFresh Transport = "fresh"
-)
+// A Client carries its RPCs over a small pool of persistent multiplexed
+// connections per node: requests carry client-assigned ids, many RPCs
+// ride one connection concurrently, and a reader goroutine demuxes
+// replies to the waiting callers. Connections dial lazily and are
+// evicted on any protocol error or RPC timeout — a stream that lost a
+// reply is suspect, and re-dialing keeps the breaker's dials-per-window
+// accounting identical to dialing per RPC (freshRPC).
 
 // Transport-layer errors. All of them count as node failures for the
 // circuit breaker, exactly like a dial error on the fresh path.

@@ -8,12 +8,21 @@ import (
 	"time"
 )
 
+// testTransport names one of the two RPC paths a test can run a client
+// over: the per-node pools, or a dial per RPC (freshDial).
+type testTransport struct {
+	name  string
+	fresh bool
+}
+
+var transports = []testTransport{{"pooled", false}, {"fresh", true}}
+
 // runTransportWorkload stands up a fresh 3-node federation, drives it
 // with nClients goroutines × nQueries sequential queries each, and
 // returns each query's result cardinality keyed by query id. The
 // dataset, templates, and per-goroutine SQL streams are all seeded, so
 // two invocations see byte-identical workloads.
-func runTransportWorkload(t *testing.T, transport Transport, nClients, nQueries int) map[int64]int {
+func runTransportWorkload(t *testing.T, transport testTransport, nClients, nQueries int) map[int64]int {
 	t.Helper()
 	ds, nodes, addrs := startTestFederation(t, []float64{1, 2, 3}, nil)
 	templates, err := ds.GenerateTemplates(8, 2, rand.New(rand.NewSource(23)))
@@ -25,7 +34,7 @@ func runTransportWorkload(t *testing.T, transport Transport, nClients, nQueries 
 		Mechanism: MechGreedy, // always offers: results depend only on the data
 		PeriodMs:  25,
 		Timeout:   5 * time.Second,
-		Transport: transport,
+		freshDial: transport.fresh,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +53,7 @@ func runTransportWorkload(t *testing.T, transport Transport, nClients, nQueries 
 				sql := templates[rng.Intn(len(templates))].Instantiate(rng)
 				out := client.Run(id, sql)
 				if out.Err != nil {
-					t.Errorf("transport %s query %d: %v", transport, id, out.Err)
+					t.Errorf("transport %s query %d: %v", transport.name, id, out.Err)
 					return
 				}
 				mu.Lock()
@@ -69,7 +78,7 @@ func runTransportWorkload(t *testing.T, transport Transport, nClients, nQueries 
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("transport %s: %d connections still open after Close", transport, open)
+			t.Fatalf("transport %s: %d connections still open after Close", transport.name, open)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -81,8 +90,8 @@ func runTransportWorkload(t *testing.T, transport Transport, nClients, nQueries 
 // pooled transports producing identical results and leaking nothing.
 func TestConcurrentTransportsAgree(t *testing.T) {
 	const nClients, nQueries = 8, 5
-	pooled := runTransportWorkload(t, TransportPooled, nClients, nQueries)
-	fresh := runTransportWorkload(t, TransportFresh, nClients, nQueries)
+	pooled := runTransportWorkload(t, transports[0], nClients, nQueries)
+	fresh := runTransportWorkload(t, transports[1], nClients, nQueries)
 	if len(pooled) != nClients*nQueries || len(fresh) != nClients*nQueries {
 		t.Fatalf("completed pooled=%d fresh=%d, want %d", len(pooled), len(fresh), nClients*nQueries)
 	}
@@ -101,7 +110,7 @@ func TestPooledReusesConnections(t *testing.T) {
 	_, nodes, addrs := startTestFederation(t, []float64{1}, nil)
 	client, err := NewClient(ClientConfig{
 		Addrs: addrs, Mechanism: MechGreedy, PeriodMs: 25,
-		Timeout: 5 * time.Second, Transport: TransportPooled,
+		Timeout: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +141,7 @@ func TestMultiplexedPipelining(t *testing.T) {
 	_, _, addrs := startTestFederation(t, []float64{1}, nil)
 	client, err := NewClient(ClientConfig{
 		Addrs: addrs, Mechanism: MechGreedy, PeriodMs: 25,
-		Timeout: 5 * time.Second, Transport: TransportPooled, PoolSize: 1,
+		Timeout: 5 * time.Second, PoolSize: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

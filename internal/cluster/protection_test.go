@@ -47,7 +47,7 @@ func TestSeveredReplyRetryExecutesOnce(t *testing.T) {
 	defer p.Close()
 
 	c, err := NewClient(ClientConfig{
-		Addrs: []string{p.Addr()}, Transport: TransportFresh,
+		Addrs: []string{p.Addr()}, freshDial: true,
 		Timeout: 100 * time.Millisecond, ExecTimeoutFactor: 2,
 		AtMostOnce: true, ExecRetries: 2,
 	})
@@ -160,7 +160,7 @@ func TestFailoverToRunnerUp(t *testing.T) {
 	_, node, addr, sql := protectionQuery(t)
 	stub := startWinningStub(t)
 	c, err := NewClient(ClientConfig{
-		Addrs: []string{stub, addr}, Transport: TransportFresh,
+		Addrs: []string{stub, addr}, freshDial: true,
 		Timeout: 2 * time.Second, BreakerThreshold: 1,
 	})
 	if err != nil {
@@ -208,7 +208,7 @@ func TestAdmissionOverloadTypedReply(t *testing.T) {
 	}
 	defer node.Close()
 	c, err := NewClient(ClientConfig{
-		Addrs: []string{node.Addr()}, Transport: TransportFresh, Timeout: 2 * time.Second,
+		Addrs: []string{node.Addr()}, freshDial: true, Timeout: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -413,7 +413,7 @@ func TestDeadlineInterop(t *testing.T) {
 	t.Run("new-client-old-node", func(t *testing.T) {
 		addr := startLegacyStub(t)
 		c, err := NewClient(ClientConfig{
-			Addrs: []string{addr}, Transport: TransportFresh, Timeout: time.Second,
+			Addrs: []string{addr}, freshDial: true, Timeout: time.Second,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -33,10 +33,10 @@ func startBenchNode(b *testing.B) (*Node, string) {
 	return n, n.Addr()
 }
 
-func benchClient(b *testing.B, addr string, transport Transport) *Client {
+func benchClient(b *testing.B, addr string, transport testTransport) *Client {
 	b.Helper()
 	c, err := NewClient(ClientConfig{
-		Addrs: []string{addr}, Timeout: 5 * time.Second, Transport: transport,
+		Addrs: []string{addr}, Timeout: 5 * time.Second, freshDial: transport.fresh,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -48,8 +48,8 @@ func benchClient(b *testing.B, addr string, transport Transport) *Client {
 // BenchmarkTransportRPC measures one sequential stats exchange: the
 // pooled transport saves the dial round trip the fresh one pays per op.
 func BenchmarkTransportRPC(b *testing.B) {
-	for _, transport := range []Transport{TransportFresh, TransportPooled} {
-		b.Run(string(transport), func(b *testing.B) {
+	for _, transport := range transports {
+		b.Run(transport.name, func(b *testing.B) {
 			_, addr := startBenchNode(b)
 			c := benchClient(b, addr, transport)
 			if _, err := c.Stats(addr); err != nil { // warm the pool / plan caches
@@ -70,8 +70,8 @@ func BenchmarkTransportRPC(b *testing.B) {
 // the pooled transport overlap RPCs on a handful of connections where
 // the fresh transport pays a dial each.
 func BenchmarkTransportConcurrent(b *testing.B) {
-	for _, transport := range []Transport{TransportFresh, TransportPooled} {
-		b.Run(string(transport), func(b *testing.B) {
+	for _, transport := range transports {
+		b.Run(transport.name, func(b *testing.B) {
 			_, addr := startBenchNode(b)
 			c := benchClient(b, addr, transport)
 			if _, err := c.Stats(addr); err != nil {

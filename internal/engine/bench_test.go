@@ -10,12 +10,15 @@ import (
 	"github.com/qamarket/qamarket/internal/sqldb"
 )
 
-// The executor trajectory benchmarks: the same workload through the
-// legacy row-at-a-time driver and the vectorized columnar engine, at
-// scan sizes spanning three orders of magnitude plus a join.
-// cmd/benchjson divides ns/op by the input row count into the
-// ns_per_row series committed to BENCH_qamarket.json; the acceptance
-// bar for the vectorized executor is >= 3x on the 100k filtered scan.
+// The executor benchmarks: the same workload through the legacy
+// row-at-a-time driver and the vectorized columnar engine, at scan sizes
+// spanning three orders of magnitude plus a join. Divide ns/op by the
+// input row count in the benchmark name for ns per input row:
+//
+//	go test -run NONE -bench Executor ./internal/engine
+//
+// The acceptance bar for the vectorized executor is >= 3x on the 100k
+// filtered scan.
 
 // benchDataset lazily builds one row database per scan size (seeding is
 // the expensive part, so it is shared across sub-benchmarks) plus a
@@ -115,7 +118,7 @@ func runExecBench(b *testing.B, key, sql string, wantRows int) {
 
 // Filtered scans: SELECT with an arithmetic predicate selecting half
 // the table, projecting two columns. The row counts in the benchmark
-// names are the scanned input sizes benchjson divides by.
+// names are the scanned input sizes.
 
 func BenchmarkExecutorScan1000(b *testing.B) {
 	runExecBench(b, "1000", "SELECT a, b FROM big WHERE b < 250.0", 500)

@@ -15,10 +15,9 @@ import (
 // flash-crowd workload — quiet, a sudden arrival spike, quiet again —
 // is driven twice over a real TCP federation, once against a static
 // fleet and once with the market-driven autoscaler closing the
-// telemetry loop. The comparison the ROADMAP asks for is the peak
-// phase's tail latency: the static fleet saturates (queues, rejects,
-// retries), the scaled fleet recruits supply and holds response time
-// roughly flat.
+// telemetry loop. The comparison is the peak phase's tail latency: the
+// static fleet saturates (queues, rejects, retries), the scaled fleet
+// recruits supply into the spike.
 type FlashCrowdOptions struct {
 	// BaseNodes is the founding fleet — and the static baseline's
 	// permanent size.

@@ -15,9 +15,9 @@ import (
 // scale and asserts the structural promises that hold regardless of
 // machine noise: both legs complete work, the scaled leg actually grew
 // past the static fleet during the spike, every controller action was
-// bounded by max-step, and the cooldown spacing held. The p99 ordering
-// itself is a real-time measurement and belongs to the benchmark
-// trajectory, not a unit test.
+// bounded by max-step, and the cooldown spacing held. It checks the
+// scaler's conduct, not its latency: the p99 ordering is a real-time
+// measurement, reported over seeds in DESIGN.md §16, not asserted.
 func TestFlashCrowdScalesAndBehaves(t *testing.T) {
 	opt := DefaultFlashCrowd()
 	opt.WavesPerPhase = 5

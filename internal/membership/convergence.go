@@ -21,9 +21,9 @@ type Convergence struct {
 // SimulateConvergence meshes n in-memory registries through direct
 // Merge calls (no network), joins an (n+1)th member knowing only the
 // first node, and then crashes one member — measuring the rounds until
-// every view agrees on each change. It is the membership-convergence
-// benchmark behind BENCH_qamarket.json and is fully deterministic for
-// a given (n, seed).
+// every view agrees on each change. It is fully deterministic for a
+// given (n, seed), so a change in the round counts means the protocol
+// changed, not the machine.
 func SimulateConvergence(n int, seed int64) (Convergence, error) {
 	if n < 2 {
 		return Convergence{}, fmt.Errorf("membership: SimulateConvergence needs >= 2 nodes, got %d", n)

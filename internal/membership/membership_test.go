@@ -247,10 +247,9 @@ func TestParseStateRoundTrip(t *testing.T) {
 	}
 }
 
-// BenchmarkMembershipConvergence is the convergence row of the tracked
-// benchmark trajectory: rounds-to-agreement for join and eviction in a
-// 16-node mesh, reported as custom metrics alongside the wall cost of
-// simulating it.
+// BenchmarkMembershipConvergence reports rounds-to-agreement for join
+// and eviction in a 16-node mesh as custom metrics, alongside the wall
+// cost of simulating it.
 func BenchmarkMembershipConvergence(b *testing.B) {
 	var last Convergence
 	for i := 0; i < b.N; i++ {
