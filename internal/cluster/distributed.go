@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/qamarket/qamarket/internal/engine"
@@ -18,8 +19,8 @@ import (
 // referenced relation, sends each subquery through the same query
 // lifecycle as whole queries (so QA-NT's supply vectors keep gating
 // admission at the subquery granularity, exactly the compatibility
-// Section 4 claims), pulls the fragments, and joins them in a local
-// scratch engine.
+// Section 4 claims), pulls the fragments concurrently, and joins them in
+// a local scratch engine.
 //
 // Single-relation predicates from the WHERE clause are pushed into the
 // corresponding subquery, and each subquery selects only the columns
@@ -28,9 +29,10 @@ import (
 type Distributor struct {
 	client *Client
 	// afterNegotiate, when set, is handed to every lifecycle the
-	// Distributor starts (see query.afterNegotiate). Tests use it to kill
-	// a node between its winning a negotiation and the fetch, and assert
-	// the lifecycle re-allocates on the surviving view.
+	// Distributor starts (see query.afterNegotiate), and so runs on the
+	// fragments' goroutines. Tests use it to kill a node between its
+	// winning a negotiation and the fetch, and assert the lifecycle
+	// re-allocates on the surviving view.
 	afterNegotiate func(nodeID, sql string)
 }
 
@@ -48,9 +50,24 @@ type DistOutcome struct {
 	PerNode      map[string]int // fragments fetched per node, by stable node ID
 }
 
-// Run evaluates the query, decomposing if needed. Queries a single
-// node can answer are delegated to the ordinary protocol (result rows
-// are still fetched, since the caller wants them).
+// book adds one lifecycle's outcome.
+func (out *DistOutcome) book(o Outcome) {
+	out.AssignMs += o.AssignMs
+	out.Retries += o.Retries
+	if o.Err == nil {
+		out.Subqueries++
+		out.FragmentRows += o.Rows
+		out.PerNode[o.Node]++
+	}
+}
+
+// Run evaluates the query as a plan of at most three steps: ask the
+// market once whether a single node takes the whole query — unless the
+// gossiped relation filters already prove none holds all its relations
+// — else pull one fragment per FROM entry, concurrently, and join them
+// locally. Queries a single node can answer are delegated to the
+// ordinary protocol (result rows are still fetched, since the caller
+// wants them).
 func (d *Distributor) Run(queryID int64, sql string) (DistOutcome, error) {
 	start := time.Now()
 	stmt, err := sqldb.Parse(sql)
@@ -60,6 +77,10 @@ func (d *Distributor) Run(queryID int64, sql string) (DistOutcome, error) {
 	sel, ok := stmt.(*sqldb.SelectStmt)
 	if !ok {
 		return DistOutcome{}, errors.New("cluster: distributor handles SELECT only")
+	}
+	rels := make([]string, len(sel.From))
+	for i, ref := range sel.From {
+		rels[i] = ref.Table
 	}
 	out := DistOutcome{PerNode: make(map[string]int)}
 	root := d.client.startSpan(queryID, "", "run")
@@ -74,66 +95,72 @@ func (d *Distributor) Run(queryID int64, sql string) (DistOutcome, error) {
 	if d.client.cfg.QueryTimeout > 0 {
 		q.deadline = start.Add(d.client.cfg.QueryTimeout)
 	}
-	// fetch sends one (sub)query through the lifecycle and books what its
-	// allocation cost.
-	fetch := func(q query) (Outcome, []string) {
-		o, columns := d.client.begin(q).run()
-		out.AssignMs += o.AssignMs
-		out.Retries += o.Retries
-		if o.Err == nil {
-			out.Subqueries++
-			out.FragmentRows += o.Rows
-			out.PerNode[o.Node]++
-		}
-		return o, columns
-	}
 
 	// Fast path: some node can run the whole query. One round at the
 	// market decides; an error other than "nobody took it" is the
 	// query's own.
-	whole := &sqldb.Result{}
-	q.sql, q.sink, q.oneRound = sql, accumulateSink(whole), true
-	switch o, columns := fetch(q); {
-	case o.Err == nil:
-		whole.Columns = columns
-		out.Result = whole
-		out.TotalMs = msSince(start)
-		return out, nil
-	case !errors.Is(o.Err, errUnplaced):
-		return DistOutcome{}, o.Err
+	if !d.client.noneHoldsAll(rels) {
+		whole := &sqldb.Result{}
+		wq := q
+		wq.sql, wq.sink, wq.oneRound = sql, accumulateSink(whole), true
+		o, columns := d.client.begin(wq).run()
+		out.book(o)
+		switch {
+		case o.Err == nil:
+			whole.Columns = columns
+			out.Result = whole
+			out.TotalMs = msSince(start)
+			return out, nil
+		case !errors.Is(o.Err, errUnplaced):
+			return DistOutcome{}, o.Err
+		}
+	} else {
+		root.Annotate("relation filters: no member holds %v", rels)
 	}
 
 	// Decompose: one subquery per FROM entry, with its single-relation
-	// conjuncts and its projection pushed down. Fragments stay blocks:
-	// each arriving batch's typed arrays are appended to a table of a
-	// per-query scratch engine, named after the FROM binding. The scratch
-	// is the client's own buffer (dropping the table makes the sink
-	// resettable), so a stream lost mid-fragment is discarded and
-	// re-pulled from any node: wasteful for a read-only fragment, never
-	// incorrect.
+	// conjuncts and its projection pushed down, each its own lifecycle on
+	// its own goroutine. Fragments stay blocks: a fragment's header
+	// declares a table of a per-query scratch engine, named after the
+	// FROM binding and sized from the announced row count, and each
+	// arriving batch's typed arrays are appended to it. The scratch is the
+	// client's own buffer (dropping the table makes the sink resettable),
+	// so a stream lost mid-fragment is discarded and re-pulled from any
+	// node: wasteful for a read-only fragment, never incorrect, and the
+	// other fragments never notice.
+	bound := make(map[string]bool, len(sel.From))
+	for _, ref := range sel.From {
+		if bound[ref.Name()] {
+			return DistOutcome{}, fmt.Errorf("cluster: relation %q appears twice in FROM; alias one", ref.Name())
+		}
+		bound[ref.Name()] = true
+	}
 	scratch := engine.Open()
 	pushed, residual := splitConjuncts(sel)
 	needed := fragmentColumns(sel, residual)
-	var name string // binding of the fragment in flight
-	q.oneRound, q.sink = false, &fetchSink{
-		block: func(blk *ColBlock) error { return scratch.AppendBlock(name, blk) },
-		reset: func() { scratch.DropTable(name) },
-	}
+	frags := make([]Outcome, len(sel.From))
+	var wg sync.WaitGroup
 	for i, ref := range sel.From {
-		name = ref.Name()
-		if scratch.HasRelation(name) {
-			return DistOutcome{}, fmt.Errorf("cluster: relation %q appears twice in FROM; alias one", name)
+		fq := q
+		fq.sql = buildSubquery(ref, needed[ref.Name()], pushed[i])
+		fq.sink = fragmentSink(scratch, ref.Name())
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			frags[i], _ = d.client.begin(fq).run()
+		}()
+	}
+	wg.Wait()
+	// Merged in FROM order, so the outcome and the error reported do not
+	// depend on which fragment finished first.
+	for i, o := range frags {
+		out.book(o)
+		if o.Err != nil && err == nil {
+			err = fmt.Errorf("cluster: subquery for %s: %w", sel.From[i].Name(), o.Err)
 		}
-		q.sql = buildSubquery(ref, needed[name], pushed[i])
-		o, columns := fetch(q)
-		if o.Err != nil {
-			return DistOutcome{}, fmt.Errorf("cluster: subquery for %s: %w", name, o.Err)
-		}
-		// A zero-row fragment delivered no block; its table takes its
-		// shape from the fetch envelope.
-		if err := scratch.AppendBlock(name, &ColBlock{Columns: columns}); err != nil {
-			return DistOutcome{}, fmt.Errorf("cluster: fragment %s: %w", name, err)
-		}
+	}
+	if err != nil {
+		return DistOutcome{}, err
 	}
 	// Re-run the original query shape against the local fragments: the
 	// fragment tables are named after the FROM aliases, so only the
@@ -149,6 +176,19 @@ func (d *Distributor) Run(queryID int64, sql string) (DistOutcome, error) {
 	out.Result = res
 	out.TotalMs = msSince(start)
 	return out, nil
+}
+
+// fragmentSink lands one fragment in table name of the scratch engine:
+// the header declares the table — a zero-row fragment included — and
+// reserves the rows it announces, so every typed array grows once.
+func fragmentSink(scratch *engine.DB, name string) *fetchSink {
+	return &fetchSink{
+		header: func(columns []string, rows uint64) error {
+			return scratch.Reserve(name, columns, int(min(rows, engine.MaxReserveRows)))
+		},
+		block: func(blk *ColBlock) error { return scratch.AppendBlock(name, blk) },
+		reset: func() { scratch.DropTable(name) },
+	}
 }
 
 // splitConjuncts partitions the WHERE clause's AND-conjuncts into

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -27,21 +28,53 @@ import (
 // and the wire take.
 func federationOver(t testing.TB, drivers ...driver.Driver) *Client {
 	t.Helper()
-	ccfg := ClientConfig{Mechanism: MechGreedy, PeriodMs: 50, Timeout: 5 * time.Second}
-	for _, d := range drivers {
-		n, err := StartNode("127.0.0.1:0", NodeConfig{Driver: d, MsPerCostUnit: 1e-9, PeriodMs: 50})
+	client, _ := startOver(t, ClientConfig{Mechanism: MechGreedy, PeriodMs: 50, Timeout: 5 * time.Second}, false, drivers...)
+	return client
+}
+
+// startOver is federationOver with the caller's client settings and the
+// nodes returned. gossiped joins the nodes into one membership and has
+// the client refresh its view from it; it returns once every member's
+// relation filter has reached the client.
+func startOver(t testing.TB, ccfg ClientConfig, gossiped bool, drivers ...driver.Driver) (*Client, []*Node) {
+	t.Helper()
+	var nodes []*Node
+	for i, d := range drivers {
+		cfg := NodeConfig{Driver: d, MsPerCostUnit: 1e-9, PeriodMs: 50}
+		if gossiped {
+			cfg.NodeID, cfg.GossipPeriodMs = fmt.Sprintf("g%d", i), 15
+			if i > 0 {
+				cfg.Seeds = []string{nodes[0].Addr()}
+			}
+		}
+		n, err := StartNode("127.0.0.1:0", cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { n.Close() })
+		nodes = append(nodes, n)
 		ccfg.Addrs = append(ccfg.Addrs, n.Addr())
+	}
+	if gossiped {
+		ccfg.ViewRefresh = 20 * time.Millisecond
 	}
 	client, err := NewClient(ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(client.Close)
-	return client
+	if gossiped {
+		waitFor(t, 10*time.Second, func() bool {
+			filtered := 0
+			for _, m := range client.Members() {
+				if m.State == "alive" && m.CatalogFilter != "" {
+					filtered++
+				}
+			}
+			return filtered == len(nodes)
+		}, "the members' relation filters never reached the client")
+	}
+	return client, nodes
 }
 
 // loadScripts opens a row database holding the given scripts' relations.
@@ -135,15 +168,25 @@ func TestDistributorMatchesOracle(t *testing.T) {
 		driver.NewLegacy(loadScripts(t, sales)),
 		engine.FromDB(loadScripts(t, diffRest)))
 	d := NewDistributor(client)
-	var subqueries []string
-	d.afterNegotiate = func(_, sql string) { subqueries = append(subqueries, sql) }
+	// Fragments run on their own goroutines, so the hook records under a
+	// lock, and what it recorded is compared as a count per subquery
+	// text: one fragment per binding, whatever order they ran in.
+	var (
+		mu         sync.Mutex
+		subqueries map[string]int
+	)
+	d.afterNegotiate = func(_, sql string) {
+		mu.Lock()
+		defer mu.Unlock()
+		subqueries[sql]++
+	}
 
 	const sc = "sales JOIN customers ON sales.cust = customers.id"
 	cases := []struct {
 		name    string
 		sql     string
 		ordered bool     // the query fixes the order of every row
-		subs    []string // expected subquery texts, in FROM order
+		subs    []string // expected subquery texts, one per FROM entry
 	}{
 		{name: "plain join", ordered: true,
 			sql: "SELECT sales.id, customers.name FROM " + sc + " ORDER BY sales.id, customers.name"},
@@ -206,7 +249,7 @@ func TestDistributorMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", tc.name, err)
 		}
-		subqueries = subqueries[:0]
+		subqueries = map[string]int{}
 		out, err := d.Run(int64(i+1), tc.sql)
 		if err != nil {
 			t.Errorf("%s: %v", tc.name, err)
@@ -218,9 +261,18 @@ func TestDistributorMatchesOracle(t *testing.T) {
 		if err := sameCells(out.Result, want, tc.ordered); err != nil {
 			t.Errorf("%s: %v\n  %s", tc.name, err, tc.sql)
 		}
-		if tc.subs != nil && !reflect.DeepEqual(subqueries, tc.subs) {
-			t.Errorf("%s: subqueries\n got %q\nwant %q", tc.name, subqueries, tc.subs)
+		if tc.subs == nil {
+			continue
 		}
+		wantSubs := map[string]int{}
+		for _, sub := range tc.subs {
+			wantSubs[sub]++
+		}
+		mu.Lock()
+		if !reflect.DeepEqual(subqueries, wantSubs) {
+			t.Errorf("%s: subqueries\n got %v\nwant %v", tc.name, subqueries, wantSubs)
+		}
+		mu.Unlock()
 	}
 }
 
@@ -322,7 +374,10 @@ func TestDistributorRejectsRepeatedBinding(t *testing.T) {
 
 // BenchmarkDistributedJoin runs the benchmark's star-join shape through
 // an in-process two-node split: a 20k-row fragment of big and all of dim
-// travel as blocks into the scratch engine and join there.
+// travel as blocks into the scratch engine and join there. The pair is
+// gossip-joined, so the client holds both relation filters and skips
+// the whole-query round; negotiate-rpcs/op shows it (the fragments' own
+// ladders come from one CFP each to their one holder).
 func BenchmarkDistributedJoin(b *testing.B) {
 	const bigRows, dimRows = 200_000, 100
 	big := loadScripts(b, "CREATE TABLE big (a INT, b FLOAT, c TEXT, d BOOL)")
@@ -344,10 +399,13 @@ func BenchmarkDistributedJoin(b *testing.B) {
 	if err := dim.AppendTableRows("dim", rows); err != nil {
 		b.Fatal(err)
 	}
-	d := NewDistributor(federationOver(b, engine.FromDB(big), engine.FromDB(dim)))
+	client, _ := startOver(b, ClientConfig{Mechanism: MechGreedy, PeriodMs: 50, Timeout: 5 * time.Second}, true,
+		engine.FromDB(big), engine.FromDB(dim))
+	d := NewDistributor(client)
 	// b is 0.5 × a permutation of the row numbers: a range 10,000 wide
 	// holds exactly 20,000 rows.
 	const sql = "SELECT dim.name, COUNT(*), SUM(big.b) FROM big JOIN dim ON big.a = dim.k WHERE big.b >= 30000 AND big.b < 40000 GROUP BY dim.name"
+	rpcs0 := client.RPCCounts()["negotiate"]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -359,4 +417,5 @@ func BenchmarkDistributedJoin(b *testing.B) {
 			b.Fatalf("fragment rows = %d, result rows = %d", out.FragmentRows, len(out.Result.Rows))
 		}
 	}
+	b.ReportMetric(float64(client.RPCCounts()["negotiate"]-rpcs0)/float64(b.N), "negotiate-rpcs/op")
 }

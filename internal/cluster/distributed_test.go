@@ -2,10 +2,15 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/qamarket/qamarket/internal/driver"
+	"github.com/qamarket/qamarket/internal/engine"
 	"github.com/qamarket/qamarket/internal/faultnet"
 	"github.com/qamarket/qamarket/internal/metrics"
 	"github.com/qamarket/qamarket/internal/sqldb"
@@ -19,30 +24,22 @@ func splitFederation(t *testing.T, mech Mechanism) (*Client, []*Node) {
 	return client, nodes
 }
 
+// The split federation's two databases: orders on the first node,
+// customers on the second.
+const (
+	splitOrders = `CREATE TABLE orders (id INT, cust INT, amount FLOAT);
+INSERT INTO orders VALUES (1, 10, 5.0), (2, 10, 7.5), (3, 20, 1.0), (4, 30, 9.0)`
+	splitCustomers = `CREATE TABLE customers (id INT, name TEXT, vip BOOL);
+INSERT INTO customers VALUES (10, 'ada', TRUE), (20, 'bob', FALSE), (30, 'cyd', TRUE)`
+)
+
 // splitFederationBehindProxies is splitFederation with a fault-injecting
 // proxy in front of each node and the caller's client settings.
 func splitFederationBehindProxies(t *testing.T, ccfg ClientConfig) (*Client, []*Node, []*faultnet.Proxy) {
 	t.Helper()
-	mk := func(ddl ...string) *sqldb.DB {
-		db := sqldb.Open()
-		for _, q := range ddl {
-			if _, _, err := db.Exec(q); err != nil {
-				t.Fatalf("seed %q: %v", q, err)
-			}
-		}
-		return db
-	}
-	dbA := mk(
-		"CREATE TABLE orders (id INT, cust INT, amount FLOAT)",
-		"INSERT INTO orders VALUES (1, 10, 5.0), (2, 10, 7.5), (3, 20, 1.0), (4, 30, 9.0)",
-	)
-	dbB := mk(
-		"CREATE TABLE customers (id INT, name TEXT, vip BOOL)",
-		"INSERT INTO customers VALUES (10, 'ada', TRUE), (20, 'bob', FALSE), (30, 'cyd', TRUE)",
-	)
 	var nodes []*Node
 	var proxies []*faultnet.Proxy
-	for _, db := range []*sqldb.DB{dbA, dbB} {
+	for _, db := range []*sqldb.DB{loadScripts(t, splitOrders), loadScripts(t, splitCustomers)} {
 		n, err := StartNode("127.0.0.1:0", NodeConfig{DB: db, MsPerCostUnit: 0.01, PeriodMs: 50})
 		if err != nil {
 			t.Fatal(err)
@@ -91,18 +88,7 @@ func TestDistributedJoinAcrossNodes(t *testing.T) {
 		t.Errorf("Retries = %d on an idle federation", out.Retries)
 	}
 	// Reference result computed on a single database holding everything.
-	ref := sqldb.Open()
-	for _, q := range []string{
-		"CREATE TABLE orders (id INT, cust INT, amount FLOAT)",
-		"INSERT INTO orders VALUES (1, 10, 5.0), (2, 10, 7.5), (3, 20, 1.0), (4, 30, 9.0)",
-		"CREATE TABLE customers (id INT, name TEXT, vip BOOL)",
-		"INSERT INTO customers VALUES (10, 'ada', TRUE), (20, 'bob', FALSE), (30, 'cyd', TRUE)",
-	} {
-		if _, _, err := ref.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := ref.Query(sql)
+	want, err := loadScripts(t, splitOrders, splitCustomers).Query(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,4 +294,193 @@ func exprStrings(es []sqldb.Expr) []string {
 		out[i] = e.String()
 	}
 	return out
+}
+
+// TestDistributorFiltersAnswerTheProbe: on a gossip-joined split the
+// client holds both members' relation filters, which prove that no
+// member holds orders and customers together, so the join sends no
+// whole-query CFP — each fragment's round goes to its one holder — and
+// still matches the oracle. Where the filters cannot decide, the round
+// runs as before: a relation one member holds takes the fast path, a
+// static view carries no filters, and NoShardProbe turns them off.
+func TestDistributorFiltersAnswerTheProbe(t *testing.T) {
+	want, err := loadScripts(t, splitOrders, splitCustomers).Query(distJoinSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ccfg := ClientConfig{Mechanism: MechGreedy, PeriodMs: 50, Timeout: 5 * time.Second}
+	gossiped := func(t *testing.T, ccfg ClientConfig) *Client {
+		client, _ := startOver(t, ccfg, true,
+			driver.NewLegacy(loadScripts(t, splitOrders)), driver.NewLegacy(loadScripts(t, splitCustomers)))
+		return client
+	}
+	// join runs the split join and returns the negotiate RPCs it cost.
+	join := func(t *testing.T, c *Client) int64 {
+		t.Helper()
+		rpcs0 := c.RPCCounts()["negotiate"]
+		out, err := NewDistributor(c).Run(1, distJoinSQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Subqueries != 2 {
+			t.Errorf("subqueries = %d, want 2 fragments", out.Subqueries)
+		}
+		assertSameResult(t, out.Result, want)
+		return c.RPCCounts()["negotiate"] - rpcs0
+	}
+
+	t.Run("filters rule the whole query out", func(t *testing.T) {
+		c := gossiped(t, ccfg)
+		skips0 := c.health.Counter(metrics.ShardSkipsTotal)
+		if got := join(t, c); got != 2 {
+			t.Errorf("join cost %d negotiate RPCs, want 2: one per fragment, to its holder, and no whole-query round", got)
+		}
+		// Both members for the skipped round, the non-holder for each fragment.
+		if got := c.health.Counter(metrics.ShardSkipsTotal) - skips0; got != 4 {
+			t.Errorf("shard skips = %d, want 4", got)
+		}
+	})
+	t.Run("a member holds every relation", func(t *testing.T) {
+		c := gossiped(t, ccfg)
+		rpcs0 := c.RPCCounts()["negotiate"]
+		out, err := NewDistributor(c).Run(2, "SELECT COUNT(*) FROM orders")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Subqueries != 1 || out.Result.Rows[0][0].Int != 4 {
+			t.Errorf("subqueries = %d, count = %v: want the fast path's 1 and 4", out.Subqueries, out.Result.Rows)
+		}
+		if got := c.RPCCounts()["negotiate"] - rpcs0; got != 1 {
+			t.Errorf("fast path cost %d negotiate RPCs, want 1 to the holder", got)
+		}
+	})
+	t.Run("static view", func(t *testing.T) {
+		c, _ := splitFederation(t, MechGreedy)
+		if got := join(t, c); got != 6 {
+			t.Errorf("join cost %d negotiate RPCs, want 6: three rounds to both members", got)
+		}
+	})
+	t.Run("NoShardProbe", func(t *testing.T) {
+		off := ccfg
+		off.NoShardProbe = true
+		if got := join(t, gossiped(t, off)); got != 6 {
+			t.Errorf("join cost %d negotiate RPCs, want 6: three rounds to both members", got)
+		}
+	})
+}
+
+// threeWaySQL joins the three relations threeWaySplit spreads over
+// three nodes.
+const threeWaySQL = `SELECT sales.id, customers.name, items.label
+	FROM sales JOIN customers ON sales.cust = customers.id JOIN items ON sales.item = items.id
+	ORDER BY sales.id`
+
+// threeWaySplit starts one node per relation of threeWaySQL — sales,
+// customers, items, in FROM order — and returns them with the oracle,
+// one database holding all three.
+func threeWaySplit(t *testing.T, ccfg ClientConfig) (*Client, []*Node, *sqldb.DB) {
+	t.Helper()
+	var sales strings.Builder
+	sales.WriteString("CREATE TABLE sales (id INT, cust INT, item INT);\nINSERT INTO sales VALUES ")
+	for i := 0; i < 40; i++ {
+		if i > 0 {
+			sales.WriteString(", ")
+		}
+		fmt.Fprintf(&sales, "(%d, %d, %d)", i, i%5, i%3)
+	}
+	const (
+		customers = "CREATE TABLE customers (id INT, name TEXT);\nINSERT INTO customers VALUES (0, 'ada'), (1, 'bob'), (2, 'cyd'), (3, 'dee'), (4, 'eve')"
+		items     = "CREATE TABLE items (id INT, label TEXT);\nINSERT INTO items VALUES (0, 'bolt'), (1, 'nut'), (2, 'gear')"
+	)
+	client, nodes := startOver(t, ccfg, false,
+		driver.NewLegacy(loadScripts(t, sales.String())),
+		engine.FromDB(loadScripts(t, customers)),
+		driver.NewLegacy(loadScripts(t, items)))
+	return client, nodes, loadScripts(t, sales.String(), customers, items)
+}
+
+// TestDistributorFragmentSeveredConcurrently: the fragments of a
+// three-way join run as concurrent lifecycles, and the sales node severs
+// its stream after two of ten batches. That fragment alone starts over —
+// its table dropped, its node's dedup window replaying the result — and
+// the join matches the oracle with each fragment executed exactly once.
+func TestDistributorFragmentSeveredConcurrently(t *testing.T) {
+	client, nodes, oracle := threeWaySplit(t, ClientConfig{
+		Mechanism: MechGreedy, PeriodMs: 50, Timeout: 5 * time.Second, FetchBatchRows: 4,
+	})
+	want, err := oracle.Query(threeWaySQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes[0].frameSever.Store(2)
+	d := NewDistributor(client)
+	var (
+		mu       sync.Mutex
+		attempts = map[string]int{}
+	)
+	d.afterNegotiate = func(_, sql string) {
+		mu.Lock()
+		defer mu.Unlock()
+		attempts[sql]++
+	}
+	out, err := d.Run(1, threeWaySQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameCells(out.Result, want, true); err != nil {
+		t.Fatal(err)
+	}
+	if nodes[0].frameSever.Load() != 0 {
+		t.Fatal("the sever never fired")
+	}
+	if out.Subqueries != 3 || out.FragmentRows != 40+5+3 || out.Retries < 1 {
+		t.Errorf("subqueries = %d, fragment rows = %d, retries = %d: want 3, 48 and the re-pull counted",
+			out.Subqueries, out.FragmentRows, out.Retries)
+	}
+	for i, n := range nodes {
+		if got := n.Executed(); got != 1 {
+			t.Errorf("node %d executed %d subqueries, want 1", i, got)
+		}
+	}
+	if hits := nodes[0].health.Snapshot()[metrics.DedupHitsTotal]; hits < 1 {
+		t.Error("the severed fragment was not replayed from the dedup window")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(attempts) != 3 {
+		t.Errorf("attempted subqueries %v, want one per FROM entry", attempts)
+	}
+}
+
+// TestDistributorReportsFromOrderFirstFailure: when two fragments fail,
+// the error names the earlier FROM entry although it fails last — its
+// node dies only after the later entry's node has died and that
+// fragment has had time to give up — because outcomes are merged in
+// FROM order once every fragment has finished.
+func TestDistributorReportsFromOrderFirstFailure(t *testing.T) {
+	client, nodes, _ := threeWaySplit(t, ClientConfig{
+		Mechanism: MechGreedy, PeriodMs: 20, Timeout: time.Second, MaxRetries: 1,
+	})
+	d := NewDistributor(client)
+	var killSales, killCustomers sync.Once
+	customersDown := make(chan struct{})
+	d.afterNegotiate = func(_, sql string) {
+		switch {
+		case strings.Contains(sql, "FROM customers"):
+			killCustomers.Do(func() {
+				nodes[1].CloseNow()
+				close(customersDown)
+			})
+		case strings.Contains(sql, "FROM sales"):
+			killSales.Do(func() {
+				<-customersDown
+				time.Sleep(200 * time.Millisecond)
+				nodes[0].CloseNow()
+			})
+		}
+	}
+	_, err := d.Run(1, threeWaySQL)
+	if err == nil || !strings.Contains(err.Error(), "subquery for sales") {
+		t.Fatalf("err = %v, want the sales fragment's failure", err)
+	}
 }

@@ -14,12 +14,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/qamarket/qamarket/internal/driver"
+	"github.com/qamarket/qamarket/internal/engine"
 	"github.com/qamarket/qamarket/internal/metrics"
 	"github.com/qamarket/qamarket/internal/sqldb"
 )
@@ -797,5 +799,49 @@ func TestFetchStreamRejectsColumnCountMismatch(t *testing.T) {
 					err, fs.recv, fs.delivered, len(res.Rows))
 			}
 		})
+	}
+}
+
+// TestFetchStreamChecksHeaderCount: the header's row count sizes the
+// Distributor's scratch tables, so a clean end frame must agree with it
+// — a header that announces more (or fewer) rows than the stream
+// carries is malformed — while an end frame carrying an error may stop
+// short of it. A header announcing 2^40 rows sizes the fragment's table
+// to the clamp, not to the claim.
+func TestFetchStreamChecksHeaderCount(t *testing.T) {
+	res := frameTestResult(3)
+	batch := appendFetchBatch(nil, 1, res, 0, 3)
+	for _, tc := range []struct {
+		claim  int
+		endErr string
+		ok     bool
+	}{
+		{claim: 3, ok: true},
+		{claim: 1 << 40},
+		{claim: 4},
+		{claim: 2},
+		{claim: 1 << 40, endErr: msgNodeStopping, ok: true},
+	} {
+		scratch := engine.Open()
+		fs := &fetchStream{sink: *fragmentSink(scratch, "frag")}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		header := appendFetchHeader(nil, 1, res.Columns, 1, 4096, tc.claim)
+		if _, err := fs.onFrame(frameTypeHeader, header[frameHdrLen:]); err != nil {
+			t.Fatalf("claim %d: header: %v", tc.claim, err)
+		}
+		if _, err := fs.onFrame(frameTypeBatch, batch[frameHdrLen:]); err != nil {
+			t.Fatalf("claim %d: batch: %v", tc.claim, err)
+		}
+		runtime.ReadMemStats(&after)
+		// Four columns reserved to 2^16 rows come to a few MB.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 32<<20 {
+			t.Errorf("claim %d: header and one batch allocated %d bytes", tc.claim, grew)
+		}
+		end := appendFetchEnd(nil, 1, 3, 1, tc.endErr)
+		_, err := fs.onFrame(frameTypeEnd, end[frameHdrLen:])
+		if tc.ok != (err == nil) || (err != nil && !errors.Is(err, errFrameDecode)) {
+			t.Errorf("claim %d, end error %q: err = %v, want ok=%t or errFrameDecode", tc.claim, tc.endErr, err, tc.ok)
+		}
 	}
 }

@@ -37,7 +37,7 @@ type query struct {
 
 	// The Distributor runs several lifecycles under one user query: it
 	// owns the root span and the deadline and hands both down (sub), and
-	// it asks the market about the whole query exactly once, decomposing
+	// it asks the market about the whole query at most once, decomposing
 	// rather than waiting a period for an offer (oneRound).
 	sub      bool
 	tc       *traceCtx
@@ -407,7 +407,9 @@ func (l *lifecycle) attempt(ns *nodeState) attemptResult {
 		res.rows = int64(rep.Execute.Rows)
 	}
 	l.shipped += res.rows
-	if res.kind != attemptOK && l.shipped > 0 && !l.escaped() {
+	// A failed attempt into a resettable sink leaves nothing behind, not
+	// even what a header declared before any row arrived.
+	if res.kind != attemptOK && fs != nil && fs.gotHeader && q.sink.reset != nil {
 		q.sink.reset()
 		l.shipped = 0
 	}

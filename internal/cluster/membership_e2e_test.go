@@ -11,7 +11,7 @@ import (
 )
 
 // waitFor polls cond until it holds or the deadline passes.
-func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
+func waitFor(t testing.TB, d time.Duration, cond func() bool, msg string) {
 	t.Helper()
 	deadline := time.Now().Add(d)
 	for time.Now().Before(deadline) {

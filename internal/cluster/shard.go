@@ -163,13 +163,7 @@ func (c *Client) probeSet(sql string) []*nodeState {
 	if len(rels) == 0 {
 		return members
 	}
-	idx := alloc.ScanFeasible(len(members), func(i int) bool {
-		ns := members[i]
-		ns.mu.Lock()
-		f := ns.filter
-		ns.mu.Unlock()
-		return f == nil || f.HoldsAll(rels)
-	})
+	idx, _ := mayHoldAll(members, rels)
 	if len(idx) == 0 || len(idx) == len(members) {
 		return members
 	}
@@ -179,4 +173,43 @@ func (c *Client) probeSet(sql string) []*nodeState {
 	}
 	c.health.Add(metrics.ShardSkipsTotal, int64(len(members)-len(idx)))
 	return out
+}
+
+// noneHoldsAll reports whether the gossiped filters prove that no member
+// holds every relation in rels: each member advertises a filter and no
+// filter passes. It is the Distributor's reason to skip the whole-query
+// round — a round whose parsed relations come from the statement
+// itself, so unlike probeSet there is no parsing artifact to fall back
+// on. With shard probing off, or a member without a filter, the market
+// is asked. The skipped round's fan-out counts as shard skips.
+func (c *Client) noneHoldsAll(rels []string) bool {
+	members := c.nodes()
+	if c.cfg.NoShardProbe || len(members) == 0 || len(rels) == 0 {
+		return false
+	}
+	if idx, filtered := mayHoldAll(members, rels); !filtered || len(idx) > 0 {
+		return false
+	}
+	c.health.Add(metrics.ShardSkipsTotal, int64(len(members)))
+	return true
+}
+
+// mayHoldAll is the one walk over the members' gossiped filters: idx
+// lists the members that may hold every relation in rels (a member
+// without a filter always may), and filtered reports whether every
+// member had a filter to test.
+func mayHoldAll(members []*nodeState, rels []string) (idx []int, filtered bool) {
+	filtered = true
+	idx = alloc.ScanFeasible(len(members), func(i int) bool {
+		ns := members[i]
+		ns.mu.Lock()
+		f := ns.filter
+		ns.mu.Unlock()
+		if f == nil {
+			filtered = false
+			return true
+		}
+		return f.HoldsAll(rels)
+	})
+	return idx, filtered
 }

@@ -149,15 +149,20 @@ func (n *Node) streamFetch(conn net.Conn, w *bufio.Writer, wmu *sync.Mutex, id u
 
 // fetchSink receives a fetch result batch by batch: block gets each
 // streamed batch as a reusable ColBlock (buffers overwritten between
-// calls — copy out anything retained).
+// calls — copy out anything retained). header, when set, is called once
+// per stream, before any batch, with the result's columns and the row
+// count the node announced — a size from outside the program, which a
+// clean end frame later confirms but which may be a lie until then.
 //
 // reset says who owns delivered rows. Non-nil: they sit in a buffer the
-// client owns, reset discards them, and a query whose stream died
-// mid-result may start over on any node. Nil: rows escape to the caller
-// as they arrive and the lifecycle's partial-delivery rule applies.
+// client owns, reset discards them (and whatever header declared), and
+// a query whose stream died mid-result may start over on any node. Nil:
+// rows escape to the caller as they arrive and the lifecycle's
+// partial-delivery rule applies.
 type fetchSink struct {
-	block func(*ColBlock) error
-	reset func()
+	header func(columns []string, rows uint64) error
+	block  func(*ColBlock) error
+	reset  func()
 }
 
 // accumulateSink collects the whole result into res.Rows.
@@ -203,6 +208,11 @@ func (fs *fetchStream) onFrame(typ byte, payload []byte) (bool, error) {
 		}
 		fs.gotHeader = true
 		fs.block.Columns = fs.header.columns
+		if fs.sink.header != nil {
+			if err := fs.sink.header(fs.header.columns, fs.header.totalRows); err != nil {
+				return false, fmt.Errorf("%w: %v", errStreamAbort, err)
+			}
+		}
 		return false, nil
 	case frameTypeBatch:
 		if !fs.gotHeader {
@@ -243,8 +253,9 @@ func (fs *fetchStream) onFrame(typ byte, payload []byte) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		if end.errMsg == "" && end.rows != fs.recv {
-			return false, fmt.Errorf("%w: end frame claims %d rows, received %d", errFrameDecode, end.rows, fs.recv)
+		if end.errMsg == "" && (end.rows != fs.recv || end.rows != fs.header.totalRows) {
+			return false, fmt.Errorf("%w: end frame claims %d rows, received %d under a header announcing %d",
+				errFrameDecode, end.rows, fs.recv, fs.header.totalRows)
 		}
 		fs.end = end
 		fs.done = true

@@ -234,7 +234,8 @@ func BenchmarkFromDB(b *testing.B) {
 // fragment arrives as five 4,096-row batches and lands in a fresh
 // scratch table. "fragment" is dist-join's shape (INT and FLOAT, no
 // NULLs); "mixed" has a NULL in every seventh cell and a column that
-// mixes all four kinds.
+// mixes all four kinds. The "reserved" variants declare the table with
+// Reserve first, as a fetch header does, so each array grows once.
 func BenchmarkAppendBlock(b *testing.B) {
 	const batchRows, batches = 4096, 5
 	for _, shape := range []struct {
@@ -253,25 +254,36 @@ func BenchmarkAppendBlock(b *testing.B) {
 			return row
 		}},
 	} {
-		b.Run(shape.name, func(b *testing.B) {
-			rows := make([]sqldb.Row, batchRows)
-			for i := range rows {
-				rows[i] = shape.row(i)
+		for _, reserved := range []bool{false, true} {
+			name := shape.name
+			if reserved {
+				name += "/reserved"
 			}
-			var blk driver.Block
-			blk.FillFromRows([]string{"a", "b", "c"}[:len(rows[0])], rows)
-			e := Open()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.DropTable("frag")
-				for k := 0; k < batches; k++ {
-					if err := e.AppendBlock("frag", &blk); err != nil {
-						b.Fatal(err)
+			b.Run(name, func(b *testing.B) {
+				rows := make([]sqldb.Row, batchRows)
+				for i := range rows {
+					rows[i] = shape.row(i)
+				}
+				var blk driver.Block
+				blk.FillFromRows([]string{"a", "b", "c"}[:len(rows[0])], rows)
+				e := Open()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					e.DropTable("frag")
+					if reserved {
+						if err := e.Reserve("frag", blk.Columns, batchRows*batches); err != nil {
+							b.Fatal(err)
+						}
+					}
+					for k := 0; k < batches; k++ {
+						if err := e.AppendBlock("frag", &blk); err != nil {
+							b.Fatal(err)
+						}
 					}
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batchRows*batches), "ns/row")
-		})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batchRows*batches), "ns/row")
+			})
+		}
 	}
 }

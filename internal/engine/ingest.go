@@ -15,19 +15,15 @@ import (
 // append each, and every value keeps the kind it arrived with: nothing
 // is coerced to a declared column type, because an ingested table has
 // none. A block whose shape disagrees with the table or with its own
-// kind bytes is refused whole, before any row lands.
+// kind bytes is refused whole, before any row lands. An array that must
+// grow grows once to the size Reserve set, when that is more.
 func (e *DB) AppendBlock(name string, blk *driver.Block) error {
 	blk = blk.Dense()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	t, exists := e.tables[name]
-	ncols := len(blk.Columns)
-	if exists {
-		ncols = len(t.cols)
-	} else if _, ok := e.views[name]; ok {
-		return fmt.Errorf("sqldb: %q already exists as a view", name)
-	} else if ncols == 0 {
-		return fmt.Errorf("sqldb: table %q has no columns", name)
+	t, ncols, err := e.ingestTarget(name, blk.Columns)
+	if err != nil {
+		return err
 	}
 	if len(blk.Cols) != ncols && (blk.Rows > 0 || len(blk.Cols) > 0) {
 		return fmt.Errorf("%w: %d columns for table %q, which has %d", driver.ErrMalformed, len(blk.Cols), name, ncols)
@@ -39,12 +35,8 @@ func (e *DB) AppendBlock(name string, blk *driver.Block) error {
 			return fmt.Errorf("%w: column %d arrays disagree with its %d kind bytes over %d rows", driver.ErrMalformed, j, len(c.Kinds), blk.Rows)
 		}
 	}
-	if !exists {
-		cols := make([]sqldb.ColumnDef, ncols)
-		for i, c := range blk.Columns {
-			cols[i].Name = c
-		}
-		t = e.newTable(name, cols)
+	if t == nil {
+		t = e.declareTable(name, blk.Columns)
 	}
 	firstNew := t.nrows()
 	for j := range blk.Cols {
@@ -53,23 +45,84 @@ func (e *DB) AppendBlock(name string, blk *driver.Block) error {
 		// from the cursor its kind byte selects; NULL's never moves off 0.
 		next := [len(cursorStep)]int32{0, int32(len(v.ints)), int32(len(v.floats)), int32(len(v.texts)), int32(len(v.bools))}
 		base := len(v.offs)
-		v.offs = slices.Grow(v.offs, len(c.Kinds))[:base+len(c.Kinds)]
+		v.offs = growTo(v.offs, len(c.Kinds), t.reserve)[:base+len(c.Kinds)]
 		offs := v.offs[base:]
 		for r, k := range c.Kinds {
 			cur := kindCursor[k]
 			offs[r] = next[cur]
 			next[cur] += cursorStep[cur]
 		}
-		v.kinds = append(v.kinds, c.Kinds...)
-		v.ints = append(v.ints, c.Ints...)
-		v.floats = append(v.floats, c.Floats...)
-		v.texts = append(v.texts, c.Texts...)
-		v.bools = append(v.bools, c.Bools...)
+		v.kinds = append(growTo(v.kinds, len(c.Kinds), t.reserve), c.Kinds...)
+		v.ints = append(growTo(v.ints, len(c.Ints), t.reserve), c.Ints...)
+		v.floats = append(growTo(v.floats, len(c.Floats), t.reserve), c.Floats...)
+		v.texts = append(growTo(v.texts, len(c.Texts), t.reserve), c.Texts...)
+		v.bools = append(growTo(v.bools, len(c.Bools), t.reserve), c.Bools...)
 	}
 	for _, ix := range e.tableIndexes[name] {
 		ix.add(t, firstNew)
 	}
 	return nil
+}
+
+// MaxReserveRows bounds a reservation: a row count that arrives from
+// outside the program sizes a table up to here and no further, and a
+// table that outgrows it grows by append like an unreserved one.
+const MaxReserveRows = 1 << 16
+
+// Reserve declares base table name with columns, unless it exists, and
+// sizes it for rows more rows (at most MaxReserveRows): each array the
+// following appends must grow, they grow once, to that size, instead of
+// repeatedly by append. It allocates nothing itself, so an array no row
+// uses stays empty.
+func (e *DB) Reserve(name string, columns []string, rows int) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	t, ncols, err := e.ingestTarget(name, columns)
+	if err != nil {
+		return err
+	}
+	if len(columns) != ncols {
+		return fmt.Errorf("%w: %d columns for table %q, which has %d", driver.ErrMalformed, len(columns), name, ncols)
+	}
+	if t == nil {
+		t = e.declareTable(name, columns)
+	}
+	t.reserve = t.nrows() + min(max(rows, 0), MaxReserveRows)
+	return nil
+}
+
+// ingestTarget finds the base table an ingest shaped by columns lands
+// in: the table, when it exists, with its own column count; else nil
+// with the count columns would declare, once checked that they can.
+func (e *DB) ingestTarget(name string, columns []string) (*table, int, error) {
+	if t, ok := e.tables[name]; ok {
+		return t, len(t.cols), nil
+	}
+	if _, ok := e.views[name]; ok {
+		return nil, 0, fmt.Errorf("sqldb: %q already exists as a view", name)
+	}
+	if len(columns) == 0 {
+		return nil, 0, fmt.Errorf("sqldb: table %q has no columns", name)
+	}
+	return nil, len(columns), nil
+}
+
+// declareTable creates an ingested table: named columns, no types.
+func (e *DB) declareTable(name string, columns []string) *table {
+	cols := make([]sqldb.ColumnDef, len(columns))
+	for i, c := range columns {
+		cols[i].Name = c
+	}
+	return e.newTable(name, cols)
+}
+
+// growTo makes room for n more elements in s. When it must grow and want
+// (a reservation) is larger than it needs, it grows to want in one step.
+func growTo[T any](s []T, n, want int) []T {
+	if n == 0 || len(s)+n <= cap(s) {
+		return s
+	}
+	return slices.Grow(s, max(len(s)+n, want)-len(s))
 }
 
 // kindCursor maps a kind byte to AppendBlock's offset cursor: 0 for a

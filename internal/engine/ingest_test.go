@@ -167,3 +167,74 @@ func TestAppendBlockRefusesMalformed(t *testing.T) {
 		t.Error("ingest into a view's name accepted")
 	}
 }
+
+// TestReserveSizesOnce: Reserve declares the table, and the batches that
+// follow grow each array they touch once, to the reserved row count —
+// the same rows land as without it, and an array no row uses stays
+// empty. A reservation on an existing table must name its columns.
+func TestReserveSizesOnce(t *testing.T) {
+	e := Open()
+	const batch, batches = 100, 5
+	if err := e.Reserve("frag", []string{"k", "v"}, batch*batches); err != nil {
+		t.Fatal(err)
+	}
+	if got := queryStrings(t, e, "SELECT COUNT(*) FROM frag"); !reflect.DeepEqual(got, [][]string{{"0"}}) {
+		t.Fatalf("declared table counts %v", got)
+	}
+	rows := make([]sqldb.Row, batch)
+	for i := range rows {
+		rows[i] = sqldb.Row{sqldb.NewInt(int64(i)), sqldb.NewFloat(0.5)}
+	}
+	blk := blockOf([]string{"k", "v"}, rows...)
+	var first []*int64
+	for b := 0; b < batches; b++ {
+		if err := e.AppendBlock("frag", blk); err != nil {
+			t.Fatal(err)
+		}
+		k := e.tables["frag"].vecs[0]
+		first = append(first, &k.ints[0])
+		if min(cap(k.kinds), cap(k.offs), cap(k.ints)) < batch*batches {
+			t.Fatalf("batch %d: caps kinds %d offs %d ints %d, want the %d reserved", b, cap(k.kinds), cap(k.offs), cap(k.ints), batch*batches)
+		}
+	}
+	for _, p := range first[1:] {
+		if p != first[0] {
+			t.Fatal("a reserved array moved: it grew more than once")
+		}
+	}
+	if v := e.tables["frag"].vecs[1]; v.ints != nil || v.texts != nil || len(v.floats) != batch*batches {
+		t.Errorf("float column arrays: %d ints %d texts %d floats", len(v.ints), len(v.texts), len(v.floats))
+	}
+	if got := queryStrings(t, e, "SELECT COUNT(*), SUM(k), SUM(v) FROM frag"); !reflect.DeepEqual(got, [][]string{{"500", "24750", "250"}}) {
+		t.Errorf("aggregates over the reserved table = %v", got)
+	}
+	if err := e.Reserve("frag", []string{"k"}, 10); !errors.Is(err, driver.ErrMalformed) {
+		t.Errorf("reserving frag with one column: err = %v, want ErrMalformed", err)
+	}
+	if err := e.Reserve("nocols", nil, 10); err == nil || e.HasRelation("nocols") {
+		t.Errorf("a reservation without columns declared a table (err %v)", err)
+	}
+}
+
+// TestReserveClamps: a row count from outside the program — a fetch
+// header claiming 2^40 rows — sizes no array past MaxReserveRows, and
+// the rows that really arrive still land.
+func TestReserveClamps(t *testing.T) {
+	e := Open()
+	if err := e.Reserve("frag", []string{"k", "s"}, 1<<40); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AppendBlock("frag", blockOf([]string{"k", "s"}, sqldb.Row{sqldb.NewInt(1), sqldb.NewText("a")})); err != nil {
+		t.Fatal(err)
+	}
+	for j, v := range e.tables["frag"].vecs {
+		for name, c := range map[string]int{"kinds": cap(v.kinds), "offs": cap(v.offs), "ints": cap(v.ints), "texts": cap(v.texts)} {
+			if c > MaxReserveRows {
+				t.Errorf("column %d %s cap %d, over the %d-row clamp", j, name, c, MaxReserveRows)
+			}
+		}
+	}
+	if got := queryStrings(t, e, "SELECT k, s FROM frag"); !reflect.DeepEqual(got, [][]string{{"1", "'a'"}}) {
+		t.Errorf("rows = %v", got)
+	}
+}

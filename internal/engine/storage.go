@@ -166,6 +166,9 @@ type table struct {
 	cols []sqldb.ColumnDef
 	idx  map[string]int
 	vecs []*colVec
+	// reserve is the row count Reserve sized the table for; ingest grows
+	// an array straight to it.
+	reserve int
 }
 
 func (t *table) nrows() int {
