@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench benchsmoke loadsmoke fuzzsmoke oneledger onelane onekinds ci
+.PHONY: all build test vet race bench benchsmoke loadsmoke fuzzsmoke oneledger onelane onekinds onerow ci
 
 all: build test
 
@@ -89,4 +89,14 @@ onekinds:
 		| grep -vE '^\./internal/driver/|_test\.go:'; \
 	then echo 'onekinds: kind bytes are counted outside driver.CountKinds (see DESIGN.md §15, "Block = wire format")'; exit 1; fi
 
-ci: build vet oneledger onelane onekinds test race benchsmoke loadsmoke fuzzsmoke
+# onerow keeps one product executor: every node runs the vectorized
+# engine (cluster.NodeConfig.DB builds engine.FromDB), and sqldb's row
+# engine is that engine's oracle only. It fails when a non-test file
+# outside internal/driver and benchmark wraps the row engine or the
+# fault mock as a driver, or picks an executor by name.
+onerow:
+	@if grep -rnE '\bdriver\.New(Legacy|Mock)\(|\bengine\.SelectDriver\(' --include='*.go' . \
+		| grep -vE '^\./(internal/driver|benchmark)/|_test\.go:'; \
+	then echo 'onerow: a product path builds the row engine, the mock or a named executor (see DESIGN.md §15, "One executor and its oracle")'; exit 1; fi
+
+ci: build vet oneledger onelane onekinds onerow test race benchsmoke loadsmoke fuzzsmoke

@@ -123,18 +123,14 @@ func main() {
 }
 
 // printMembers renders the client's membership view: stable ID,
-// address, gossiped state, incarnation, client breaker state, the
-// advertised storage executor, and the advertised catalog digest.
+// address, gossiped state, incarnation, client breaker state, and the
+// advertised catalog digest.
 func printMembers(client *cluster.Client) {
-	fmt.Printf("%-14s %-22s %-8s %-5s %-6s %-9s %-11s %s\n",
-		"ID", "ADDR", "STATE", "INC", "EPOCH", "BREAKER", "EXEC", "CATALOG")
+	fmt.Printf("%-14s %-22s %-8s %-5s %-6s %-9s %s\n",
+		"ID", "ADDR", "STATE", "INC", "EPOCH", "BREAKER", "CATALOG")
 	for _, m := range client.Members() {
-		exec := m.Driver
-		if exec == "" {
-			exec = "-" // a node that predates the driver seam
-		}
-		fmt.Printf("%-14s %-22s %-8s %-5d %-6d %-9s %-11s %s\n",
-			m.ID, m.Addr, m.State, m.Incarnation, m.Epoch, m.Breaker, exec, m.CatalogDigest)
+		fmt.Printf("%-14s %-22s %-8s %-5d %-6d %-9s %s\n",
+			m.ID, m.Addr, m.State, m.Incarnation, m.Epoch, m.Breaker, m.CatalogDigest)
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"github.com/qamarket/qamarket/internal/cluster"
-	"github.com/qamarket/qamarket/internal/engine"
 	"github.com/qamarket/qamarket/internal/market"
 	"github.com/qamarket/qamarket/internal/metrics"
 	"github.com/qamarket/qamarket/internal/trace"
@@ -67,7 +66,6 @@ type options struct {
 	bidCache    time.Duration
 	noShard     bool
 	fetch       bool
-	driverName  string
 	fetchBatch  int
 }
 
@@ -115,10 +113,6 @@ type loadReport struct {
 	BytesPerQuery float64 `json:"bytes_per_query,omitempty"`
 	// RowsFetched counts the rows shipped back in fetch mode (-fetch).
 	RowsFetched int64 `json:"rows_fetched,omitempty"`
-
-	// Executor is the storage driver self-hosted nodes ran ("" when the
-	// federation is external and qaload cannot know).
-	Executor string `json:"executor,omitempty"`
 }
 
 func main() {
@@ -155,7 +149,6 @@ func main() {
 	flag.BoolVar(&o.noShard, "noshard", false, "disable per-class shard probing (fan CFPs to every member regardless of gossiped filters)")
 	flag.BoolVar(&o.fetch, "fetch", false, "ship results back (client.Fetch) instead of execute-only (client.Run)")
 	flag.IntVar(&o.fetchBatch, "fetch-batch", 0, "max rows per streamed fetch batch to request (0: server default)")
-	flag.StringVar(&o.driverName, "driver", "vector", "storage executor for self-hosted nodes: vector | row (the test oracle; opt-in) | mock:row | mock:vector")
 	flag.Parse()
 
 	rep, err := run(&o)
@@ -215,13 +208,8 @@ func run(o *options) (*loadReport, error) {
 			if o.selfNodes > 1 {
 				spread = float64(i) / float64(o.selfNodes-1)
 			}
-			drv, err := engine.SelectDriver(o.driverName, ds.DBs[i])
-			if err != nil {
-				return nil, err
-			}
 			cfg := cluster.NodeConfig{
 				DB:            ds.DBs[i],
-				Driver:        drv,
 				Slowdown:      1 + 13*spread,
 				MsPerCostUnit: o.msPerCost,
 				PeriodMs:      o.period,
@@ -296,9 +284,6 @@ func run(o *options) (*loadReport, error) {
 
 	rep := &loadReport{
 		Mode: o.mode, Mechanism: o.mechanism, Clients: o.clients,
-	}
-	if o.nodes == "" {
-		rep.Executor = o.driverName
 	}
 	totalHist := metrics.NewHistogram()
 	assignHist := metrics.NewHistogram()

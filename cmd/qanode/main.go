@@ -1,13 +1,13 @@
-// Command qanode runs one federation server node: an embedded sqldb
-// instance loaded from a SQL script, wrapped with the QA-NT market
-// agent, listening for negotiate/execute requests over TCP.
+// Command qanode runs one federation server node: the vectorized engine
+// loaded from a SQL script, wrapped with the QA-NT market agent,
+// listening for negotiate/execute requests over TCP.
 //
 // Example:
 //
 //	qanode -addr 127.0.0.1:7001 -init schema.sql -cpu-slowdown 2 -io-slowdown 6
 //
-// The init script is a sequence of semicolon-free statements separated
-// by blank lines or lines ending in ';'.
+// The init script is a ';'-separated sequence of statements; blank
+// statements and -- line comments are skipped.
 package main
 
 import (
@@ -23,9 +23,9 @@ import (
 	"time"
 
 	"github.com/qamarket/qamarket/internal/cluster"
+	"github.com/qamarket/qamarket/internal/driver"
 	"github.com/qamarket/qamarket/internal/engine"
 	"github.com/qamarket/qamarket/internal/market"
-	"github.com/qamarket/qamarket/internal/sqldb"
 )
 
 func main() {
@@ -54,24 +54,18 @@ func main() {
 		maxInflight  = flag.Int("max-inflight", 0, "max concurrently handled work requests before typed overload refusals (0 = default 256)")
 		maxQueue     = flag.Int("max-queue", 0, "executor queue depth before typed overload refusals (0 = default 256)")
 		dedupWindow  = flag.Duration("dedup-window", 0, "how long execute/fetch outcomes stay replayable for at-most-once retries (0 = default 60s)")
-		driverName   = flag.String("driver", "vector", "storage executor: vector (the columnar engine), row (sqldb's row executor, the engine's test oracle; opt-in), mock:row, mock:vector")
 	)
 	flag.Parse()
 
-	db := sqldb.Open()
+	db := engine.Open()
 	if *initFile != "" {
 		if err := loadScript(db, *initFile); err != nil {
 			die(err)
 		}
 	}
-	drv, err := engine.SelectDriver(*driverName, db)
-	if err != nil {
-		die(err)
-	}
 	mcfg := market.Config{Lambda: *lambda, InitialPrice: 1, ActivationThreshold: *threshold, Classes: 1}
 	node, err := cluster.StartNode(*addr, cluster.NodeConfig{
-		DB:                 db,
-		Driver:             drv,
+		Driver:             db,
 		Slowdown:           *slow,
 		IOSlowdown:         *ioSlow,
 		CPUSlowdown:        *cpuSlow,
@@ -133,8 +127,8 @@ func main() {
 		}()
 		fmt.Printf("qanode: metrics on http://%s/metrics\n", ln.Addr())
 	}
-	fmt.Printf("qanode: %s serving on %s via %s executor (%d tables, %d views)\n",
-		node.ID(), node.Addr(), drv.Name(), len(drv.Tables()), len(drv.Views()))
+	fmt.Printf("qanode: %s serving on %s (%d tables, %d views)\n",
+		node.ID(), node.Addr(), len(db.Tables()), len(db.Views()))
 	if seeds := splitSeeds(*join); len(seeds) > 0 {
 		fmt.Printf("qanode: joining federation via %v\n", seeds)
 	}
@@ -171,12 +165,12 @@ func splitSeeds(s string) []string {
 }
 
 // loadScript executes a ';'-separated SQL script file.
-func loadScript(db *sqldb.DB, path string) error {
+func loadScript(db *engine.DB, path string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	if _, err := sqldb.ExecScript(db, string(raw)); err != nil {
+	if _, err := driver.ExecScript(db, string(raw)); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	return nil

@@ -1,7 +1,7 @@
 // Federation: a real three-node federation over localhost TCP.
 //
-// Each node runs an embedded sqldb instance holding copies of a small
-// star schema plus a QA-NT market agent; a client negotiates every
+// Each node runs the embedded vectorized engine over a copy of a small
+// star schema, built from a sqldb row store, plus a QA-NT market agent; a client negotiates every
 // query with all nodes and dispatches it to the best offer. This is
 // the Section 5.2 setup in miniature.
 package main

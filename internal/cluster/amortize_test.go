@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,7 +16,9 @@ import (
 	"time"
 
 	"github.com/qamarket/qamarket/internal/catalog"
+	"github.com/qamarket/qamarket/internal/engine"
 	"github.com/qamarket/qamarket/internal/metrics"
+	"github.com/qamarket/qamarket/internal/sqldb"
 )
 
 func TestClassKey(t *testing.T) {
@@ -37,8 +40,13 @@ func TestClassKey(t *testing.T) {
 	if classKey("SELECT v FROM t03") == classKey("SELECT v FROM t04") {
 		t.Error("different relations landed in the same class")
 	}
+	if classKey("SELECT x FROM té2") == classKey("SELECT x FROM té3") {
+		t.Error("digits after a non-ASCII letter were read as a literal: two relations share a class")
+	}
 }
 
+// TestRelationsIn pins the relations the shard probe reads from a query
+// (sqldb.Relations): a name it misreads trims the CFP to the wrong nodes.
 func TestRelationsIn(t *testing.T) {
 	cases := []struct {
 		sql  string
@@ -50,21 +58,22 @@ func TestRelationsIn(t *testing.T) {
 		{"SELECT a FROM t1 x, t2 y WHERE x.a = y.a", []string{"t1", "t2"}},
 		{"SELECT a FROM t1 JOIN t2 ON t1.a = t2.a", []string{"t1", "t2"}},
 		{"SELECT a FROM t1 GROUP BY a", []string{"t1"}},
+		{"SELECT a FROM t1 AS x, t2 AS y WHERE x.a = y.a", []string{"t1", "t2"}},
+		{"SELECT a FROM t1 x JOIN t2 y ON x.a = y.a", []string{"t1", "t2"}},
+		// Names are read as the lexer folds them, whatever the letters.
+		{"SELECT x FROM T", []string{"t"}},
+		{"SELECT x FROM té", []string{"té"}},
+		{"select x from T03 where x > 1", []string{"t03"}},
+		{"SELECT x FROM t1 -- join dim", []string{"t1"}},
+		{"SELECT x FROM t1 WHERE s = 'a, FROM b'", []string{"t1"}},
 		// Shapes the extractor must refuse to guess about.
 		{"SELECT a FROM (SELECT a FROM t1) s", nil},
 		{"SELECT 1", nil},
+		{"SELECT x FROM 'unterminated", nil},
 	}
 	for _, tc := range cases {
-		got := relationsIn(tc.sql)
-		if len(got) != len(tc.want) {
-			t.Errorf("relationsIn(%q) = %v, want %v", tc.sql, got, tc.want)
-			continue
-		}
-		for i := range tc.want {
-			if got[i] != tc.want[i] {
-				t.Errorf("relationsIn(%q) = %v, want %v", tc.sql, got, tc.want)
-				break
-			}
+		if got := sqldb.Relations(tc.sql); !slices.Equal(got, tc.want) {
+			t.Errorf("Relations(%q) = %v, want %v", tc.sql, got, tc.want)
 		}
 	}
 }
@@ -532,6 +541,24 @@ func TestBatchedWindowSharesOneRPC(t *testing.T) {
 	lines := srv.requestLines()
 	if len(lines) != 1 || !bytes.Contains(lines[0], []byte(`"batch"`)) {
 		t.Errorf("expected one batched request, got %d: %s", len(lines), lines)
+	}
+}
+
+// TestShardProbeReadsNonASCIIRelations: the probe reads a query's
+// relations with the SQL lexer, so a relation named with a non-ASCII
+// letter is looked up whole. Node A holds té and node B holds t; the
+// call for proposals for "FROM té" must reach A, not stop at B because
+// the name was cut at its first non-ASCII byte.
+func TestShardProbeReadsNonASCIIRelations(t *testing.T) {
+	client, _ := startOver(t, ClientConfig{Mechanism: MechGreedy, PeriodMs: 20, MaxRetries: 3, Timeout: 5 * time.Second}, true,
+		engine.FromDB(loadScripts(t, "CREATE TABLE té (x INT); INSERT INTO té VALUES (1), (2)")),
+		engine.FromDB(loadScripts(t, "CREATE TABLE t (x INT); INSERT INTO t VALUES (3)")))
+	res, out := client.Fetch(1, "SELECT x FROM té")
+	if out.Err != nil {
+		t.Fatalf("Fetch(SELECT x FROM té): %v", out.Err)
+	}
+	if len(res.Rows) != 2 {
+		t.Fatalf("Fetch(SELECT x FROM té) = %d rows, want té's 2", len(res.Rows))
 	}
 }
 

@@ -250,9 +250,6 @@ type nodeState struct {
 	incarnation uint64
 	epoch       uint64
 	catalog     string
-	// driver is the member's gossiped storage-executor name ("" until
-	// a view refresh carries one).
-	driver string
 	// filter is the member's parsed relation filter (nil until a view
 	// refresh carries one; nil means "probe for everything"), and
 	// filterEnc the advertised encoding it was parsed from.

@@ -82,7 +82,7 @@ func loadScripts(t testing.TB, scripts ...string) *sqldb.DB {
 	t.Helper()
 	db := sqldb.Open()
 	for _, s := range scripts {
-		if _, err := sqldb.ExecScript(db, s); err != nil {
+		if _, err := driver.ExecScript(driver.NewLegacy(db), s); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,26 +1,31 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/qamarket/qamarket/internal/catalog"
 	"github.com/qamarket/qamarket/internal/driver"
 	"github.com/qamarket/qamarket/internal/engine"
+	"github.com/qamarket/qamarket/internal/membership"
 	"github.com/qamarket/qamarket/internal/sqldb"
 )
 
-// TestMixedExecutorFleet fronts the row, vector and fault-injecting mock
-// executors with live gossip-joined nodes over fully replicated data, so
-// any node answers any query and the row engine over one copy is the
-// oracle:
+// TestMixedExecutorFleet fronts three gossip-joined nodes over fully
+// replicated data — a node built from its row store (so it runs the
+// vectorized engine), the same with 16-row fetch batches, and a
+// fault-injecting mock over the vectorized engine — so any node answers
+// any query and the row engine over one copy is the oracle:
 //
-//  1. each of the row and vector nodes, fetched alone through the frame
-//     lane, matches the oracle cell for cell, and the vector node streams
-//     a wide scan as several bounded blocks;
-//  2. one market client over all three completes every query correctly,
-//     and gossip advertises each member's executor by name;
+//  1. each of the two plain nodes, fetched alone through the frame
+//     lane, matches the oracle cell for cell, and the 16-row node
+//     streams a wide scan as several bounded blocks;
+//  2. one market client over all three completes every query correctly;
 //  3. a glacial engine that outlasts the RPC timeout forces retransmits
 //     that the dedup window absorbs into exactly one execution;
 //  4. an injected engine fault surfaces as a terminal error carrying the
@@ -43,28 +48,24 @@ func TestMixedExecutorFleet(t *testing.T) {
 		}
 		return res
 	}
-	rowDrv, err := engine.SelectDriver("row", ds.DBs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	vecDrv, err := engine.SelectDriver("vector", ds.DBs[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	mock := driver.NewMock(driver.NewLegacy(ds.DBs[2]), driver.MockConfig{})
+	mock := driver.NewMock(engine.FromDB(ds.DBs[2]), driver.MockConfig{})
+	ids := []string{"plain", "batched", "mock"}
 	var nodes []*Node
 	var seeds []string
-	for i, drv := range []driver.Driver{rowDrv, vecDrv, mock} {
-		nodes = append(nodes, startGossipNode(t, nil, []string{"row", "vector", "mock"}[i], seeds, 4, func(cfg *NodeConfig) {
-			cfg.Driver, cfg.GossipPeriodMs = drv, 40
-			if drv == vecDrv {
+	for i, id := range ids {
+		nodes = append(nodes, startGossipNode(t, ds.DBs[i], id, seeds, 4, func(cfg *NodeConfig) {
+			cfg.GossipPeriodMs = 40
+			switch id {
+			case "batched":
 				cfg.FetchBatchRows = 16 // a wide scan is a multi-frame stream
+			case "mock":
+				cfg.DB, cfg.Driver = nil, mock
 			}
 		}))
 		seeds = []string{nodes[0].Addr()}
 	}
-	waitFor(t, 5*time.Second, func() bool { return everyTable(nodes, "row", "vector", "mock") },
-		"the three executors never converged into one federation")
+	waitFor(t, 5*time.Second, func() bool { return everyTable(nodes, ids...) },
+		"the three nodes never converged into one federation")
 
 	templates, err := ds.GenerateTemplates(5, 1, rng)
 	if err != nil {
@@ -104,9 +105,9 @@ func TestMixedExecutorFleet(t *testing.T) {
 		}
 	}
 
-	fetchAll("row node", client(93, 5*time.Second, nodes[0].Addr()))
+	fetchAll("plain node", client(93, 5*time.Second, nodes[0].Addr()))
 	vc := client(94, 5*time.Second, nodes[1].Addr())
-	fetchAll("vector node", vc)
+	fetchAll("batched node", vc)
 	scan := "SELECT id, k, v, grp FROM t00 WHERE v > 1.0"
 	streamed := &sqldb.Result{}
 	blocks := 0
@@ -133,16 +134,7 @@ func TestMixedExecutorFleet(t *testing.T) {
 	if err := mixed.RefreshView(); err != nil {
 		t.Fatal(err)
 	}
-	seen := map[string]bool{}
-	for _, m := range mixed.Members() {
-		seen[m.Driver] = true
-	}
-	for _, name := range []string{"row", "vector", "mock:row"} {
-		if !seen[name] {
-			t.Errorf("gossip view advertises no %q executor: %v", name, seen)
-		}
-	}
-	fetchAll("mixed federation", mixed)
+	fetchAll("federation", mixed)
 
 	// A retransmit lands while the first attempt still executes; the
 	// dedup window must hand it the one execution's outcome.
@@ -178,5 +170,66 @@ func TestMixedExecutorFleet(t *testing.T) {
 	qid++
 	if rout := mc.Run(qid, sqls[1]); rout.Err != nil {
 		t.Fatalf("resubmission after the burned fault: %v", rout.Err)
+	}
+}
+
+// TestNodeFromDBRunsVectorEngine: a node configured with only a row
+// store (startSingleNode sets DB and no Driver) copies it into the
+// vectorized engine, prepares through that engine, and keeps no
+// reference to the row store.
+func TestNodeFromDBRunsVectorEngine(t *testing.T) {
+	n := startSingleNode(t, nil)
+	if _, ok := n.cfg.Driver.(*engine.DB); !ok {
+		t.Fatalf("node built from DB runs %T, want *engine.DB", n.cfg.Driver)
+	}
+	if n.cfg.DB != nil {
+		t.Fatal("node keeps its *sqldb.DB after copying it into the engine")
+	}
+	st, _, _, err := n.estimate("SELECT a, b FROM t WHERE a = 1")
+	if err != nil {
+		t.Fatalf("estimate: %v", err)
+	}
+	blk, err := st.Execute()
+	if err != nil || blk.Rows != 50 {
+		t.Fatalf("prepared statement executed to %v rows (err %v), want 50", blk, err)
+	}
+}
+
+// TestGossipRowWithExecutorNameMerges: member rows from nodes built
+// before the executor's name left the wire carry a "drv" field. A
+// current node decodes and merges such a row — first sight and a
+// heartbeat update — with every other field intact, and gossips the
+// row on without it.
+func TestGossipRowWithExecutorNameMerges(t *testing.T) {
+	n := startGossipNode(t, selTestDB(t), "new", nil, 1, func(cfg *NodeConfig) {
+		cfg.GossipPeriodMs = 60_000 // no round runs while the test looks
+	})
+	filter := catalog.NewRelationFilter([]string{"fact", "dim"}).Encode()
+	row := func(hb int, digest string) json.RawMessage {
+		return json.RawMessage(fmt.Sprintf(`{"op":"gossip","gossip":{"v":1,"from":"old","members":[`+
+			`{"id":"old","addr":"127.0.0.1:9","inc":3,"hb":%d,"state":"alive","catalog":%q,"cf":%q,"drv":"row","epoch":11}]}}`,
+			hb, digest, filter))
+	}
+	for _, step := range []struct {
+		hb     uint64
+		digest string
+	}{{7, "2:00000000deadbeef"}, {8, "2:00000000feedface"}} {
+		raw := rawExchange(t, n.Addr(), row(int(step.hb), step.digest))
+		if bytes.Contains(raw, []byte(`"drv"`)) {
+			t.Fatalf("gossip reply still carries an executor name: %s", raw)
+		}
+		var got *membership.Member
+		for _, m := range n.Members() {
+			if m.ID == "old" {
+				got = &m
+			}
+		}
+		want := membership.Member{
+			ID: "old", Addr: "127.0.0.1:9", Incarnation: 3, Heartbeat: step.hb,
+			State: membership.StateAlive, CatalogDigest: step.digest, CatalogFilter: filter, Epoch: 11,
+		}
+		if got == nil || *got != want {
+			t.Fatalf("hb %d: merged row = %+v, want %+v", step.hb, got, want)
+		}
 	}
 }

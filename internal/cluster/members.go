@@ -27,9 +27,6 @@ type MemberInfo struct {
 	// CatalogFilter is the member's advertised relation filter, hex
 	// encoded ("" when the member predates filters or hosts nothing).
 	CatalogFilter string
-	// Driver is the member's advertised storage executor ("row",
-	// "vector", "mock:row"; "" on old nodes).
-	Driver string
 	// Breaker is the client-side circuit state for the member
 	// (closed, open, half-open).
 	Breaker string
@@ -49,7 +46,6 @@ func (c *Client) Members() []MemberInfo {
 			Epoch:         ns.epoch,
 			CatalogDigest: ns.catalog,
 			CatalogFilter: ns.filterEnc,
-			Driver:        ns.driver,
 		}
 		ns.mu.Unlock()
 		info.Breaker = ns.breaker.snapshot().String()
@@ -223,7 +219,6 @@ func (c *Client) updateMember(ns *nodeState, m membership.Member) {
 	ns.incarnation = m.Incarnation
 	ns.epoch = m.Epoch
 	ns.catalog = m.CatalogDigest
-	ns.driver = m.Driver
 	if m.CatalogFilter != ns.filterEnc {
 		ns.filterEnc = m.CatalogFilter
 		// A malformed advertisement decodes to nil: the member is probed

@@ -1,7 +1,7 @@
 // Package cluster is the "real implementation" of the paper's Section
-// 5.2: a federation of server nodes, each wrapping an embedded sqldb
-// instance and a private QA-NT market agent, talking to clients over
-// TCP. Clients negotiate each query with every node (call-for-proposals,
+// 5.2: a federation of server nodes, each wrapping the embedded
+// vectorized engine (internal/engine) and a private QA-NT market agent,
+// talking to clients over TCP. Clients negotiate each query with every node (call-for-proposals,
 // exactly like the paper's implementation, which "waited for a reply
 // from all nodes before deciding"), then send it to the best offer.
 //
@@ -144,9 +144,6 @@ type wireMember struct {
 	// relations. Additive like Catalog — old rows omit it and stay
 	// fully probed.
 	CatalogFilter string `json:"cf,omitempty"`
-	// Driver names the member's storage executor ("row", "vector",
-	// "mock:row"). Additive: old rows omit it.
-	Driver string `json:"drv,omitempty"`
 	// Epoch is the member's market age in pricer periods.
 	Epoch uint64 `json:"epoch,omitempty"`
 }
@@ -177,7 +174,6 @@ func toWireMembers(ms []membership.Member) []wireMember {
 			State:         m.State.String(),
 			Catalog:       m.CatalogDigest,
 			CatalogFilter: m.CatalogFilter,
-			Driver:        m.Driver,
 			Epoch:         m.Epoch,
 		}
 	}
@@ -196,7 +192,6 @@ func fromWireMembers(ws []wireMember) []membership.Member {
 			State:         membership.ParseState(w.State),
 			CatalogDigest: w.Catalog,
 			CatalogFilter: w.CatalogFilter,
-			Driver:        w.Driver,
 			Epoch:         w.Epoch,
 		}
 	}

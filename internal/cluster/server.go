@@ -15,6 +15,7 @@ import (
 
 	"github.com/qamarket/qamarket/internal/catalog"
 	"github.com/qamarket/qamarket/internal/driver"
+	"github.com/qamarket/qamarket/internal/engine"
 	"github.com/qamarket/qamarket/internal/market"
 	"github.com/qamarket/qamarket/internal/membership"
 	"github.com/qamarket/qamarket/internal/metrics"
@@ -25,13 +26,14 @@ import (
 // NodeConfig parameterizes one federation server.
 type NodeConfig struct {
 	// DB is the node's local database (tables, views, data). When
-	// Driver is nil it is wrapped in the row-at-a-time legacy driver;
-	// callers that set Driver directly may leave DB nil.
+	// Driver is nil the node copies it into the vectorized engine
+	// (engine.FromDB) and drops this reference, so the node holds its
+	// data once; callers that set Driver directly may leave DB nil.
 	DB *sqldb.DB
 	// Driver is the node's storage executor. Every query the node
 	// plans or runs goes through it: Prepare supplies the cost hints
 	// the QA-NT estimator prices, Execute produces the columnar block
-	// the frame lane ships. Nil selects the legacy row driver over DB.
+	// the frame lane ships. Nil selects the vectorized engine over DB.
 	Driver driver.Driver
 	// Slowdown models node heterogeneity: the node's execution time is
 	// Slowdown times the baseline (the paper's slowest PC was ~14x the
@@ -130,7 +132,8 @@ func (c *NodeConfig) validate() error {
 		if c.DB == nil {
 			return errors.New("cluster: NodeConfig.DB is nil")
 		}
-		c.Driver = driver.NewLegacy(c.DB)
+		c.Driver = engine.FromDB(c.DB)
+		c.DB = nil
 	}
 	if c.Slowdown < 1 {
 		c.Slowdown = 1
@@ -281,7 +284,6 @@ func StartNode(addr string, cfg NodeConfig) (*Node, error) {
 			Addr:          ln.Addr().String(),
 			CatalogDigest: catalogDigest(cfg.Driver),
 			CatalogFilter: catalogFilter(cfg.Driver),
-			Driver:        cfg.Driver.Name(),
 		},
 		Fanout:       cfg.GossipFanout,
 		SuspectAfter: cfg.SuspectAfterRounds,

@@ -5,6 +5,7 @@ import (
 
 	"github.com/qamarket/qamarket/internal/alloc"
 	"github.com/qamarket/qamarket/internal/metrics"
+	"github.com/qamarket/qamarket/internal/sqldb"
 )
 
 // This file holds the client's per-class market sharding: queries are
@@ -41,109 +42,12 @@ func classKey(sql string) string {
 	return b.String()
 }
 
-// isIdentByte reports whether c can appear inside an identifier.
+// isIdentByte reports whether c can appear inside an identifier. Every
+// byte of a multi-byte UTF-8 sequence counts: the lexer reads non-ASCII
+// letters as identifier letters, so the digits in "té2" name a relation
+// and stay.
 func isIdentByte(c byte) bool {
-	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_'
-}
-
-// relationsIn extracts the relation names a query references: the
-// identifiers after FROM (comma lists included, aliases skipped) and
-// after each JOIN. It is deliberately conservative — any construct it
-// does not understand (a subquery, a parenthesized source) returns nil,
-// which callers treat as "probe everyone".
-func relationsIn(sql string) []string {
-	toks := sqlTokens(sql)
-	var rels []string
-	for i := 0; i < len(toks); i++ {
-		lower := strings.ToLower(toks[i])
-		if lower != "from" && lower != "join" {
-			continue
-		}
-		j := i + 1
-		for {
-			if j >= len(toks) || !isIdentToken(toks[j]) {
-				return nil // subquery or shape we don't parse: full fan-out
-			}
-			rels = append(rels, toks[j])
-			j++
-			// Skip one alias-shaped identifier (which may also be the next
-			// clause's keyword — either way the list ends unless a comma
-			// follows).
-			if lower == "from" && j < len(toks) && isIdentToken(toks[j]) && !isKeyword(toks[j]) {
-				j++
-			}
-			if lower != "from" || j >= len(toks) || toks[j] != "," {
-				break
-			}
-			j++
-		}
-		i = j - 1
-	}
-	return rels
-}
-
-// sqlTokens splits SQL into identifier/number runs and single-byte
-// punctuation, discarding whitespace. String literals are kept as one
-// opaque token so quoted commas cannot masquerade as list separators.
-func sqlTokens(sql string) []string {
-	var toks []string
-	for i := 0; i < len(sql); {
-		c := sql[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case isIdentByte(c):
-			j := i
-			for j < len(sql) && isIdentByte(sql[j]) {
-				j++
-			}
-			toks = append(toks, sql[i:j])
-			i = j
-		case c == '\'':
-			j := i + 1
-			for j < len(sql) && sql[j] != '\'' {
-				j++
-			}
-			if j < len(sql) {
-				j++
-			}
-			toks = append(toks, sql[i:j])
-			i = j
-		default:
-			toks = append(toks, sql[i:i+1])
-			i++
-		}
-	}
-	return toks
-}
-
-// isIdentToken reports whether tok is an identifier starting with a
-// letter or underscore.
-func isIdentToken(tok string) bool {
-	if tok == "" {
-		return false
-	}
-	c := tok[0]
-	if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_') {
-		return false
-	}
-	for i := 1; i < len(tok); i++ {
-		if !isIdentByte(tok[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// isKeyword reports whether an identifier-shaped token is a clause
-// keyword that ends a FROM list rather than aliasing a relation.
-func isKeyword(tok string) bool {
-	switch strings.ToLower(tok) {
-	case "where", "group", "order", "limit", "having", "join", "inner",
-		"left", "right", "full", "cross", "on", "union", "as":
-		return true
-	}
-	return false
+	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_' || c >= 0x80
 }
 
 // probeSet returns the members the CFP for sql should fan out to. With
@@ -159,7 +63,7 @@ func (c *Client) probeSet(sql string) []*nodeState {
 	if c.cfg.NoShardProbe || len(members) < 2 {
 		return members
 	}
-	rels := relationsIn(sql)
+	rels := sqldb.Relations(sql)
 	if len(rels) == 0 {
 		return members
 	}

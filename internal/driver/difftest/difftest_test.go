@@ -284,9 +284,9 @@ func TestDifferentialRowVsVector(t *testing.T) {
 
 	row := driver.NewLegacy(sqldb.Open())
 	vec := engine.Open()
-	for _, d := range []driver.Driver{row, vec} {
+	for name, d := range map[string]driver.Driver{"row": row, "vector": vec} {
 		if _, err := driver.ExecScript(d, script); err != nil {
-			t.Fatalf("loading dataset into %s: %v", d.Name(), err)
+			t.Fatalf("loading dataset into %s: %v", name, err)
 		}
 	}
 

@@ -67,9 +67,9 @@ func openUniform(t *testing.T, rng *rand.Rand) (*driver.Legacy, *engine.DB) {
 	t.Helper()
 	script := buildUniformDataset(rng)
 	row, vec := driver.NewLegacy(sqldb.Open()), engine.Open()
-	for _, d := range []driver.Driver{row, vec} {
+	for name, d := range map[string]driver.Driver{"row": row, "vector": vec} {
 		if _, err := driver.ExecScript(d, script); err != nil {
-			t.Fatalf("loading dataset into %s: %v", d.Name(), err)
+			t.Fatalf("loading dataset into %s: %v", name, err)
 		}
 	}
 	return row, vec

@@ -4,10 +4,11 @@
 // each qanode is a pricing front-end, and the engine behind it is an
 // implementation detail the market must not see. This package defines
 // the narrow contract that makes that true — prepare a statement, read
-// its cost hints, execute it into typed column blocks — plus the two
-// shipped backends' shared plumbing (the legacy row adapter and the
-// fault-injecting mock; the vectorized columnar engine lives in
-// internal/engine).
+// its cost hints, execute it into typed column blocks. Every product
+// node runs one backend, the vectorized columnar engine in
+// internal/engine. This package adds the row engine's adapter (Legacy),
+// which is that engine's oracle and nothing else, and a fault-injecting
+// wrapper for tests (Mock).
 //
 // Every driver must agree with the reference engine (internal/sqldb)
 // cell-for-cell: the differential harness in difftest runs randomized
@@ -27,8 +28,9 @@ import (
 // plan-derived cost split the node scales by its I/O and CPU slowdown
 // factors. Every driver prices through sqldb.PlanSelectOn against its
 // own catalog, so two backends holding the same data report
-// byte-identical signatures and costs — the property that keeps a mixed
-// row/vectorized federation's market classes coherent.
+// byte-identical signatures and costs — the property that lets the row
+// engine stand as the vectorized engine's oracle on prices as well as
+// results.
 type CostHints struct {
 	// Signature is the plan-shape signature (sqldb.Plan.Signature).
 	Signature string
@@ -56,22 +58,16 @@ type Statement interface {
 }
 
 // Driver is one storage backend behind a federation node. The surface
-// is deliberately narrow: the catalog views the gossip layer advertises
-// (Tables/Views/HasRelation), DDL/DML ingestion (Exec), and the
+// is what a node calls: the catalog listings the gossip layer hashes
+// into the member row (Tables/Views), DDL/DML ingestion (Exec), and the
 // prepare/execute query path. Everything else — pricing, deadlines,
-// dedup, wire encoding — lives above the seam and is identical across
-// backends.
+// dedup, wire encoding — lives above the seam, and no part of it knows
+// which backend answers.
 type Driver interface {
-	// Name identifies the backend ("row", "vector", "mock:..."); it is
-	// advertised in gossip next to the catalog digest so operators can
-	// see which executor answers for each node.
-	Name() string
 	// Tables lists base-table names, sorted.
 	Tables() []string
 	// Views lists view names, sorted.
 	Views() []string
-	// HasRelation reports whether name is a table or view here.
-	HasRelation(name string) bool
 	// Exec parses and executes one statement (DDL, DML, or a SELECT
 	// whose rows are discarded), returning the number of rows affected.
 	Exec(sql string) (int, error)
@@ -80,10 +76,11 @@ type Driver interface {
 }
 
 // ExecScript executes a ';'-separated statement sequence against any
-// driver — the driver-generic analogue of sqldb.ExecScript, sharing its
-// format (qanode -init files): empty statements and line comments are
-// skipped, errors report the 1-based statement index, and the total
-// DML-affected row count is returned.
+// driver, in the format of qanode's -init files: empty statements and
+// line comments are skipped, errors report the 1-based statement index,
+// and the total DML-affected row count is returned. Statements run one
+// at a time with no transaction, so a failing script leaves the
+// statements before the failure applied.
 func ExecScript(d Driver, script string) (int, error) {
 	total := 0
 	idx := 0

@@ -3,10 +3,12 @@ package driver
 import "github.com/qamarket/qamarket/internal/sqldb"
 
 // Legacy adapts the row-based reference engine (internal/sqldb),
-// unchanged, to the driver seam. Planning delegates to the engine's
-// EXPLAIN; execution runs the row pipeline and transposes the result
-// into a column block once, after which the frame lane streams it
-// batch-at-a-time without touching rows again.
+// unchanged, to the driver seam, so the vectorized engine's oracle
+// speaks the same contract: the differential tests, the Distributor's
+// oracle test and the benchmark's replay compare through it. No
+// product node runs it. Planning delegates to the engine's EXPLAIN;
+// execution runs the row pipeline and transposes the result into a
+// column block once.
 type Legacy struct {
 	db *sqldb.DB
 }
@@ -19,17 +21,11 @@ func NewLegacy(db *sqldb.DB) *Legacy { return &Legacy{db: db} }
 // (local oracles in tests, dataset loaders).
 func (l *Legacy) DB() *sqldb.DB { return l.db }
 
-// Name reports "row", the executor family this driver fronts.
-func (l *Legacy) Name() string { return "row" }
-
 // Tables lists base tables, sorted.
 func (l *Legacy) Tables() []string { return l.db.Tables() }
 
 // Views lists views, sorted.
 func (l *Legacy) Views() []string { return l.db.Views() }
-
-// HasRelation reports whether name is a table or view.
-func (l *Legacy) HasRelation(name string) bool { return l.db.HasRelation(name) }
 
 // Exec executes one statement, returning rows affected.
 func (l *Legacy) Exec(sql string) (int, error) {

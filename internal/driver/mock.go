@@ -33,8 +33,7 @@ type MockConfig struct {
 	TruncateRows int
 }
 
-// Mock wraps any driver with configurable faults for tests and smoke
-// binaries. Fault state is safe for concurrent use.
+// Mock wraps any driver with configurable faults for tests. Fault state is safe for concurrent use.
 type Mock struct {
 	inner Driver
 	cfg   MockConfig
@@ -62,13 +61,8 @@ func (m *Mock) Prepares() int64 { return m.prepares.Load() }
 // FailNextExec queues n injected Execute failures.
 func (m *Mock) FailNextExec(n int) { m.failNext.Store(int64(n)) }
 
-// Name reports the inner executor behind a "mock:" prefix, so a
-// gossip-advertised fault node is recognizable in member listings.
-func (m *Mock) Name() string { return "mock:" + m.inner.Name() }
-
 func (m *Mock) Tables() []string             { return m.inner.Tables() }
 func (m *Mock) Views() []string              { return m.inner.Views() }
-func (m *Mock) HasRelation(name string) bool { return m.inner.HasRelation(name) }
 func (m *Mock) Exec(sql string) (int, error) { return m.inner.Exec(sql) }
 
 // Prepare plans through the inner driver; faults fire at Execute, after

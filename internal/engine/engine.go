@@ -151,9 +151,6 @@ func (e *DB) addIndex(name, tbl, column string) {
 	e.tableIndexes[tbl] = append(e.tableIndexes[tbl], ix)
 }
 
-// Name reports "vector", the executor family.
-func (e *DB) Name() string { return "vector" }
-
 // Tables lists base tables, sorted.
 func (e *DB) Tables() []string {
 	e.mu.RLock()

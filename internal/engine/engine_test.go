@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/qamarket/qamarket/internal/driver"
 	"github.com/qamarket/qamarket/internal/sqldb"
 )
 
@@ -146,7 +147,7 @@ func TestEngineFromDBRoundTrip(t *testing.T) {
 		INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3, NULL);
 		CREATE INDEX t_a ON t (a);
 		CREATE VIEW big AS SELECT a FROM t WHERE a > 1`
-	if _, err := sqldb.ExecScript(src, script); err != nil {
+	if _, err := driver.ExecScript(driver.NewLegacy(src), script); err != nil {
 		t.Fatal(err)
 	}
 	e := FromDB(src)

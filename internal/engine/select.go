@@ -7,22 +7,14 @@ import (
 	"github.com/qamarket/qamarket/internal/sqldb"
 )
 
-// SelectDriver resolves a -driver flag value to a storage driver over
-// the given database. "row" (or empty) is the legacy row-at-a-time
-// adapter, "vector" copies the data into the columnar engine, and a
-// "mock:" prefix wraps either in the fault-injecting mock. This lives
-// in the engine package — not driver — because driver cannot import
-// its own implementations without a cycle.
+// SelectDriver returns the vectorized engine over a copy of db; "vector"
+// is the only name it knows. It stays only because benchmark/fed.go
+// calls it: a node built from cluster.NodeConfig.DB already gets
+// FromDB(DB), and the next change to the benchmark calls FromDB there
+// and deletes this function.
 func SelectDriver(name string, db *sqldb.DB) (driver.Driver, error) {
-	switch name {
-	case "", "row":
-		return driver.NewLegacy(db), nil
-	case "vector":
-		return FromDB(db), nil
-	case "mock", "mock:row":
-		return driver.NewMock(driver.NewLegacy(db), driver.MockConfig{}), nil
-	case "mock:vector":
-		return driver.NewMock(FromDB(db), driver.MockConfig{}), nil
+	if name != "vector" {
+		return nil, fmt.Errorf("unknown driver %q (want vector)", name)
 	}
-	return nil, fmt.Errorf("unknown driver %q (want row, vector, mock:row, or mock:vector)", name)
+	return FromDB(db), nil
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/qamarket/qamarket/internal/cluster"
-	"github.com/qamarket/qamarket/internal/engine"
 	"github.com/qamarket/qamarket/internal/market"
 )
 
@@ -47,10 +46,7 @@ type Figure7Options struct {
 	// query's execution time on the node (the paper's slow PC needed up
 	// to 3 s per EXPLAIN).
 	ExplainFraction float64
-	// Driver names the storage executor every node runs ("", "row",
-	// "vector", "mock:row", "mock:vector") — the -driver flag.
-	Driver string
-	Seed   int64
+	Seed            int64
 }
 
 // DefaultFigure7 mirrors the paper's setup, time-compressed.
@@ -165,11 +161,6 @@ func figure7Run(opt Figure7Options, ds *cluster.Dataset, templates []cluster.Que
 		if i == opt.WirelessNode {
 			cfg.LinkLatency = opt.LinkLatency
 		}
-		drv, err := engine.SelectDriver(opt.Driver, ds.DBs[i])
-		if err != nil {
-			return Figure7Run{}, err
-		}
-		cfg.Driver = drv
 		n, err := cluster.StartNode("127.0.0.1:0", cfg)
 		if err != nil {
 			return Figure7Run{}, err

@@ -100,11 +100,6 @@ type Member struct {
 	// shipping schemas. Empty on old nodes; consumers must then treat
 	// the member as feasible for everything.
 	CatalogFilter string
-	// Driver names the storage executor behind the node's market
-	// offers ("row", "vector", "mock:row", ...). Advertised so
-	// operators can see a mixed row/vectorized federation in member
-	// listings; empty on old nodes.
-	Driver string
 	// Epoch is the member's market age in pricer periods — how long
 	// its QA-NT agent has been adjusting prices.
 	Epoch uint64
@@ -435,7 +430,6 @@ func mergeEntry(e *entry, rm Member) bool {
 		e.m.Addr = rm.Addr
 		e.m.CatalogDigest = rm.CatalogDigest
 		e.m.CatalogFilter = rm.CatalogFilter
-		e.m.Driver = rm.Driver
 		if rm.Epoch > e.m.Epoch {
 			e.m.Epoch = rm.Epoch
 		}

@@ -5,10 +5,9 @@ import (
 	"sort"
 )
 
-// This file is the exported surface alternate executors build on. The
-// storage-driver seam (internal/driver) lets a federation node front any
-// engine, but every engine must agree with this one cell-for-cell —
-// drivers are differential-tested against sqldb — so the scalar
+// This file is the exported surface the vectorized engine builds on. It
+// must agree with this one cell-for-cell — it is differential-tested
+// against sqldb — so the scalar
 // semantics (NULL logic, coercions, hash keys) are exported here as the
 // single source of truth instead of being re-implemented per backend.
 

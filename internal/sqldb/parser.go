@@ -20,13 +20,7 @@ const maxPooledTokens = 4096
 func Parse(input string) (Statement, error) {
 	buf := tokenBufs.Get().(*[]token)
 	toks, err := lex(input, *buf)
-	defer func() {
-		if cap(toks) <= maxPooledTokens {
-			clear(toks[:cap(toks)]) // hold no substrings of this input
-			*buf = toks[:0]
-			tokenBufs.Put(buf)
-		}
-	}()
+	defer releaseTokens(buf, toks)
 	if err != nil {
 		return nil, err
 	}
@@ -40,6 +34,20 @@ func Parse(input string) (Statement, error) {
 		return nil, p.errorf("trailing input after statement")
 	}
 	return stmt, nil
+}
+
+// releaseTokens returns the slice lex filled (or, when lex failed, the
+// one it was handed) to tokenBufs, cleared so the pool holds no
+// substrings of its input.
+func releaseTokens(buf *[]token, toks []token) {
+	if toks == nil {
+		toks = *buf
+	}
+	if cap(toks) <= maxPooledTokens {
+		clear(toks[:cap(toks)])
+		*buf = toks[:0]
+		tokenBufs.Put(buf)
+	}
 }
 
 type parser struct {

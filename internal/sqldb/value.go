@@ -3,10 +3,11 @@
 // an executor for select-project-join-group-sort queries.
 //
 // It stands in for the "leading commercial RDBMS" of the paper's
-// Section 5.2 experiments: the cluster package runs one sqldb instance
-// per federation node, estimates query costs with EXPLAIN (plus past
-// execution history, exactly as the paper describes), and executes the
-// workload's star queries against it.
+// Section 5.2 experiments. Its parser, planner and scalar semantics are
+// shared with the vectorized engine (internal/engine) that every
+// federation node runs, and its row executor is that engine's oracle:
+// the differential tests and the benchmark check every answer against
+// it.
 //
 // Supported statements:
 //
