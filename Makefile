@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench benchsmoke loadsmoke fuzzsmoke oneledger onelane onekinds onerow ci
+.PHONY: all build test vet race bench benchsmoke loadsmoke fuzzsmoke oneledger onelane onekinds onerow oneonce ci
 
 all: build test
 
@@ -35,7 +35,7 @@ benchsmoke:
 loadsmoke:
 	$(GO) run ./cmd/qaload -selfnodes 2 -clients 4 -queries 24 -mix 3 -mspercost 0.005 -period 25
 
-# fuzzsmoke runs the four fuzzers briefly on every CI run, each with
+# fuzzsmoke runs the five fuzzers briefly on every CI run, each with
 # its committed corpus as regression seeds. FuzzFrameDecode holds the
 # binary lane's malformed-input promise ("error, never panic, never
 # unbounded allocation"); FuzzSellerLedger drives market.Seller through
@@ -45,14 +45,17 @@ loadsmoke:
 # scripts over numbers and texts against a Go map and a first-appearance
 # slice; FuzzParse holds the SQL front end to "never panic, print back
 # to the same parse, keywords ASCII case-insensitive, errors at a rune
-# boundary". Five seconds finds shallow regressions; run any unbounded
+# boundary"; FuzzLikeMatch holds the LIKE matcher to "never panic, '%'
+# matches everything, a pattern without wildcards matches only itself".
+# Five seconds finds shallow regressions; run any unbounded
 # (`go test -fuzz <name> <pkg>`) when touching frame.go, seller.go,
-# group.go, lexer.go or parser.go.
+# group.go, lexer.go, parser.go or the LIKE matcher.
 fuzzsmoke:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime 5s
 	$(GO) test ./internal/market -run '^$$' -fuzz '^FuzzSellerLedger$$' -fuzztime 5s
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzKeyTable$$' -fuzztime 5s
 	$(GO) test ./internal/sqldb -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s
+	$(GO) test ./internal/sqldb -run '^$$' -fuzz '^FuzzLikeMatch$$' -fuzztime 5s
 
 # oneledger keeps the capacity ledger in one place: only internal/market
 # (Seller.supplySet) may turn a budget into a time-budget supply set,
@@ -99,4 +102,18 @@ onerow:
 		| grep -vE '^\./(internal/driver|benchmark)/|_test\.go:'; \
 	then echo 'onerow: a product path builds the row engine, the mock or a named executor (see DESIGN.md §15, "One executor and its oracle")'; exit 1; fi
 
-ci: build vet oneledger onelane onekinds onerow test race benchsmoke loadsmoke fuzzsmoke
+# oneonce keeps at-most-once the client's only lost-reply policy: a
+# lost execute or fetch reply is retransmitted to the same node, whose
+# dedup window replays the outcome, and never renegotiated elsewhere.
+# It fails when a Go file names the deleted policy switch or the
+# exported knobs that only tests set, or when qaload grows its
+# shard-probing off-switch back. The conformance row "lost under
+# AtMostOnce" keeps its name from when the policy was a switch.
+oneonce:
+	@if grep -rnwE 'AtMostOnce|ExecRetries|NoShardProbe' --include='*.go' . \
+		| grep -v 'name: "lost under AtMostOnce"'; \
+	then echo 'oneonce: a lost-reply policy or a test-only client knob is exported again (see DESIGN.md §12, "Lost replies")'; exit 1; fi
+	@if grep -niE 'noshard' cmd/qaload/*.go; \
+	then echo 'oneonce: qaload defines -noshard again; a static view (no -refresh) probes every member'; exit 1; fi
+
+ci: build vet oneledger onelane onekinds onerow oneonce test race benchsmoke loadsmoke fuzzsmoke

@@ -64,7 +64,6 @@ type options struct {
 	refresh     time.Duration
 	batch       time.Duration
 	bidCache    time.Duration
-	noShard     bool
 	fetch       bool
 	fetchBatch  int
 }
@@ -79,11 +78,15 @@ type loadReport struct {
 	// Shed counts queries every node refused with typed overload
 	// replies until the retry limit — the federation protecting itself,
 	// not failing. Expired counts queries whose deadline (-deadline)
-	// ran out, client-side or via typed expired sheds. Neither is
-	// folded into Failed, so overload experiments can tell refusal
-	// from breakage.
+	// ran out, client-side or via typed expired sheds. Unknown counts
+	// queries whose execute or fetch reply was lost past the client's
+	// same-node retransmits (cluster.ErrOutcomeUnknown): they ran once
+	// or not at all, and the client would not risk running them twice.
+	// None is folded into Failed, so overload and fault experiments can
+	// tell refusal and lost replies from breakage.
 	Shed      int64                          `json:"shed"`
 	Expired   int64                          `json:"expired"`
+	Unknown   int64                          `json:"unknown"`
 	Retries   int64                          `json:"retries"`
 	ElapsedMs float64                        `json:"elapsed_ms"`
 	QPS       float64                        `json:"qps"`
@@ -146,7 +149,6 @@ func main() {
 	flag.DurationVar(&o.refresh, "refresh", 0, "client membership view refresh interval; needed to learn gossiped filters/epochs (0 = static view)")
 	flag.DurationVar(&o.batch, "batch", 0, "coalesce same-class negotiations arriving within this window into one batched CFP per node (0 = off)")
 	flag.DurationVar(&o.bidCache, "bidcache", 0, "winning-bid cache TTL; epoch-stamped ladders admit same-class queries without renegotiating (0 = off)")
-	flag.BoolVar(&o.noShard, "noshard", false, "disable per-class shard probing (fan CFPs to every member regardless of gossiped filters)")
 	flag.BoolVar(&o.fetch, "fetch", false, "ship results back (client.Fetch) instead of execute-only (client.Run)")
 	flag.IntVar(&o.fetchBatch, "fetch-batch", 0, "max rows per streamed fetch batch to request (0: server default)")
 	flag.Parse()
@@ -268,7 +270,6 @@ func run(o *options) (*loadReport, error) {
 		ViewRefresh:    o.refresh,
 		BatchWindow:    o.batch,
 		BidCacheTTL:    o.bidCache,
-		NoShardProbe:   o.noShard,
 		FetchBatchRows: o.fetchBatch,
 	}
 	client, err := cluster.NewClient(ccfg)
@@ -289,7 +290,7 @@ func run(o *options) (*loadReport, error) {
 	assignHist := metrics.NewHistogram()
 	shedHist := metrics.NewHistogram()
 	expiredHist := metrics.NewHistogram()
-	var completed, failed, shed, expired, retries, rowsFetched atomic.Int64
+	var completed, failed, shed, expired, unknown, retries, rowsFetched atomic.Int64
 	runOne := func(id int64, workerRng *rand.Rand) {
 		var out cluster.Outcome
 		if o.fetch {
@@ -314,6 +315,8 @@ func run(o *options) (*loadReport, error) {
 			// shed by protection, not broken.
 			shed.Add(1)
 			shedHist.Observe(out.TotalMs)
+		case errors.Is(out.Err, cluster.ErrOutcomeUnknown):
+			unknown.Add(1)
 		default:
 			failed.Add(1)
 		}
@@ -375,6 +378,7 @@ func run(o *options) (*loadReport, error) {
 	rep.Failed = failed.Load()
 	rep.Shed = shed.Load()
 	rep.Expired = expired.Load()
+	rep.Unknown = unknown.Load()
 	rep.Retries = retries.Load()
 	rep.QPS = float64(rep.Completed) / (rep.ElapsedMs / 1000)
 	rep.TotalMs = totalHist.Summary()
@@ -449,8 +453,8 @@ func phaseBreakdown(spans []trace.Span) map[string]metrics.HistSummary {
 }
 
 func printReport(r *loadReport) {
-	fmt.Printf("%s load, %s: %d completed, %d failed, %d shed, %d expired, %d retries in %.0f ms -> %.1f queries/sec\n",
-		r.Mode, r.Mechanism, r.Completed, r.Failed, r.Shed, r.Expired, r.Retries, r.ElapsedMs, r.QPS)
+	fmt.Printf("%s load, %s: %d completed, %d failed, %d shed, %d expired, %d unknown, %d retries in %.0f ms -> %.1f queries/sec\n",
+		r.Mode, r.Mechanism, r.Completed, r.Failed, r.Shed, r.Expired, r.Unknown, r.Retries, r.ElapsedMs, r.QPS)
 	fmt.Printf("  query total  %s\n", r.TotalMs)
 	fmt.Printf("  assignment   %s\n", r.AssignMs)
 	if r.RPCBytesIn > 0 || r.RPCBytesOut > 0 {

@@ -211,7 +211,7 @@ func TestNewClientOldServerDegrades(t *testing.T) {
 	srv := startScriptedServer(t, false, "")
 	c, err := NewClient(ClientConfig{
 		Addrs: []string{srv.ln.Addr().String()}, Mechanism: MechGreedy, freshDial: true,
-		BatchWindow: 200 * time.Millisecond, BatchLimit: 2,
+		BatchWindow: 200 * time.Millisecond, batchLimit: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +262,7 @@ func TestBatchedWindowOverloadIsTyped(t *testing.T) {
 	n.working.Add(1) // the only slot is held
 	c, err := NewClient(ClientConfig{
 		Addrs: []string{n.Addr()}, Mechanism: MechGreedy, freshDial: true,
-		BatchWindow: 200 * time.Millisecond, BatchLimit: 2,
+		BatchWindow: 200 * time.Millisecond, batchLimit: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -509,7 +509,7 @@ func TestBatchedWindowSharesOneRPC(t *testing.T) {
 	srv := startScriptedServer(t, true, "")
 	c, err := NewClient(ClientConfig{
 		Addrs: []string{srv.ln.Addr().String()}, Mechanism: MechGreedy, freshDial: true,
-		BatchWindow: 300 * time.Millisecond, BatchLimit: 3,
+		BatchWindow: 300 * time.Millisecond, batchLimit: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -603,9 +603,9 @@ func TestShardProbeSkipsInfeasibleNodes(t *testing.T) {
 		t.Errorf("all-excluded probe set = %d, want full view of 3", len(got))
 	}
 	// Probing off: full view regardless of filters.
-	c.cfg.NoShardProbe = true
+	c.cfg.noShardProbe = true
 	if got := c.probeSet("SELECT a FROM t1"); len(got) != 3 {
-		t.Errorf("NoShardProbe probe set = %d, want 3", len(got))
+		t.Errorf("noShardProbe probe set = %d, want 3", len(got))
 	}
 }
 
@@ -658,7 +658,7 @@ func TestCacheAdmittedFetchRefusedRenegotiatesAtOnce(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			f := startLifeFed(t, false, lifePatient)
+			f := startLifeFed(t, lifePatient)
 			class := classKey(lifeSQL)
 			f.c.bids.put(class, []*nodeState{f.c.lookup(f.proxyA.Addr())}) // A alone, as a won round would cache it
 			refuse(f)
@@ -775,8 +775,8 @@ func TestHundredNodeAmortizedNegotiation(t *testing.T) {
 		ViewRefresh: 100 * time.Millisecond,
 		BatchWindow: 2 * time.Millisecond,
 		BidCacheTTL: 300 * time.Millisecond,
-		AtMostOnce:  true, ExecRetries: 4,
-		Jitter: rand.New(rand.NewSource(18)),
+		execRetries: 4,
+		Jitter:      rand.New(rand.NewSource(18)),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -45,7 +45,7 @@ type batchItem struct {
 // that only the leader touches it.
 type batchWindow struct {
 	items []*batchItem
-	full  chan struct{} // closed when BatchLimit seals the window early
+	full  chan struct{} // closed when batchLimit seals the window early
 	done  chan struct{} // closed when every item's result is in place
 }
 
@@ -63,7 +63,7 @@ func (g *negotiator) negotiate(queryID int64, sql, class string, tc *traceCtx, d
 	if w := g.windows[class]; w != nil {
 		// Ride the open window.
 		w.items = append(w.items, it)
-		if len(w.items) >= g.c.cfg.BatchLimit {
+		if len(w.items) >= g.c.cfg.batchLimit {
 			// Full: seal now and stop admitting; the leader fans out.
 			delete(g.windows, class)
 			close(w.full)

@@ -54,8 +54,8 @@ func TestChaosPartitionCrashRestart(t *testing.T) {
 	)
 	client, err := NewClient(ClientConfig{
 		Addrs: []string{addrs[0], p1.Addr(), p2.Addr()}, Mechanism: MechQANT,
-		PeriodMs: 20, MaxBackoffMs: 160, MaxRetries: 300,
-		BreakerThreshold: threshold, BreakerCooldown: cooldown,
+		PeriodMs: 20, maxBackoffMs: 160, MaxRetries: 300,
+		breakerThreshold: threshold, breakerCooldown: cooldown,
 		Timeout: timeout,
 	})
 	if err != nil {
@@ -247,18 +247,18 @@ func TestChaosSoakExecutesOnce(t *testing.T) {
 		t.Fatalf("only %d/34 generated queries are feasible on 2+ nodes", len(sqls))
 	}
 
-	// The soak client is at-most-once, so a lost reply is retransmitted
-	// into the server's dedup window instead of renegotiated into a
-	// possible double execution. Greedy: these slow nodes would exceed a
-	// 20 ms period's supply and never offer, and the subject here is the
-	// protection layer, not price dynamics.
+	// A lost reply is retransmitted into the server's dedup window,
+	// never renegotiated into a possible double execution; execRetries
+	// gives the soak's severed lanes room to heal. Greedy: these slow
+	// nodes would exceed a 20 ms period's supply and never offer, and
+	// the subject here is the protection layer, not price dynamics.
 	client, err := NewClient(ClientConfig{
 		Addrs:    []string{proxies[0].Addr(), proxies[1].Addr(), proxies[2].Addr()},
-		PeriodMs: 20, MaxBackoffMs: 160, MaxRetries: 300,
-		Timeout: 250 * time.Millisecond, BreakerThreshold: 2,
-		BreakerCooldown: 300 * time.Millisecond,
-		AtMostOnce:      true, ExecRetries: 8,
-		Jitter: rand.New(rand.NewSource(63)),
+		PeriodMs: 20, maxBackoffMs: 160, MaxRetries: 300,
+		Timeout: 250 * time.Millisecond, breakerThreshold: 2,
+		breakerCooldown: 300 * time.Millisecond,
+		execRetries:     8,
+		Jitter:          rand.New(rand.NewSource(63)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -286,10 +286,10 @@ func TestChaosSoakExecutesOnce(t *testing.T) {
 	oc, err := NewClient(ClientConfig{
 		Addrs:    slowAddr,
 		PeriodMs: 20, MaxRetries: 300,
-		Timeout: 250 * time.Millisecond, BreakerThreshold: 100,
-		AtMostOnce: true, ExecRetries: 8,
+		Timeout: 250 * time.Millisecond, breakerThreshold: 100,
+		execRetries:  8,
 		QueryTimeout: 300 * time.Millisecond,
-		RetryBudget:  200, RetryBurst: 64,
+		RetryBudget:  200, retryBurst: 64,
 		Jitter: rand.New(rand.NewSource(64)),
 	})
 	if err != nil {
@@ -329,8 +329,8 @@ func TestChaosSoakExecutesOnce(t *testing.T) {
 	dc, err := NewClient(ClientConfig{
 		Addrs: []string{cut.Addr()}, freshDial: true,
 		PeriodMs: 20, Timeout: 2 * time.Second,
-		AtMostOnce: true, ExecRetries: 4,
-		Jitter: rand.New(rand.NewSource(65)),
+		execRetries: 4,
+		Jitter:      rand.New(rand.NewSource(65)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -394,11 +394,11 @@ func TestChaosSoakExecutesOnce(t *testing.T) {
 	jc, err := NewClient(ClientConfig{
 		Addrs:     []string{b0.Addr(), splitAddrs[1], d0.Addr(), splitAddrs[3]},
 		freshDial: true,
-		PeriodMs:  20, MaxBackoffMs: 160, MaxRetries: 300,
-		Timeout: 250 * time.Millisecond, BreakerThreshold: 2,
-		BreakerCooldown: 300 * time.Millisecond,
-		AtMostOnce:      true, ExecRetries: 4,
-		Jitter: rand.New(rand.NewSource(67)),
+		PeriodMs:  20, maxBackoffMs: 160, MaxRetries: 300,
+		Timeout: 250 * time.Millisecond, breakerThreshold: 2,
+		breakerCooldown: 300 * time.Millisecond,
+		execRetries:     4,
+		Jitter:          rand.New(rand.NewSource(67)),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -29,28 +29,13 @@ type ClientConfig struct {
 	Mechanism Mechanism
 	// PeriodMs is the base wait before renegotiating a query every
 	// server refused (QA-NT resubmission). Consecutive refusals back
-	// off exponentially from this base up to MaxBackoffMs.
+	// off exponentially from this base up to eight periods.
 	PeriodMs int64
-	// MaxBackoffMs caps the exponential retry backoff. Defaults to
-	// 8*PeriodMs.
-	MaxBackoffMs int64
 	// MaxRetries caps resubmissions before the query fails.
 	MaxRetries int
-	// Timeout bounds each RPC except execution.
+	// Timeout bounds each RPC except execution; an execute or fetch RPC,
+	// which blocks for the query's whole run time, gets twenty times it.
 	Timeout time.Duration
-	// ExecTimeoutFactor multiplies Timeout for execution RPCs, which
-	// block for the query's whole run time. Default 20; must not be
-	// negative.
-	ExecTimeoutFactor int
-	// BreakerThreshold is how many consecutive failures open a node's
-	// circuit breaker (default 3). While open, the node is skipped
-	// entirely until BreakerCooldown elapses and a single probe is
-	// admitted, so a dead node costs one timeout per breaker window
-	// instead of one per query.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker waits before probing
-	// the node again (default 2s).
-	BreakerCooldown time.Duration
 	// PoolSize is how many connections each per-node, per-lane pool
 	// holds (default 2). The client keeps two lanes per node — control
 	// (negotiate/stats) and data (execute/fetch) — so a short RPC timing
@@ -84,37 +69,23 @@ type ClientConfig struct {
 	// RunID names this client run for server-side at-most-once dedup:
 	// servers cache execute/fetch outcomes under (RunID, query id, SQL)
 	// so a retransmit after a lost reply replays the original outcome.
-	// Empty derives a process-unique id.
+	// A lost reply is only ever retransmitted to the same node, so a
+	// query runs at most once (see ErrOutcomeUnknown). Empty derives a
+	// process-unique id.
 	RunID string
-	// AtMostOnce selects the lost-reply policy. When false (default,
-	// the pre-protection behavior) a lost execute reply makes the
-	// client renegotiate the query elsewhere — maximally available, but
-	// the query may run twice if the first node actually executed it.
-	// When true the client retransmits to the *same* node (where the
-	// dedup window makes the retry safe) up to ExecRetries times, and
-	// declares the outcome unknown rather than risk a double execution.
-	AtMostOnce bool
-	// ExecRetries bounds the same-node retransmits of a lost execute/
-	// fetch reply under AtMostOnce (default 2).
-	ExecRetries int
 	// RetryBudget is a client-wide token-bucket refill rate (tokens per
 	// second) charged for every retry round, failover, and retransmit,
-	// so retries cannot amplify an overload. Zero (default) disables
-	// the budget.
+	// so retries cannot amplify an overload. The bucket holds 16 tokens
+	// and starts full. Zero (default) disables the budget.
 	RetryBudget float64
-	// RetryBurst is the retry bucket's capacity (default 16 when
-	// RetryBudget is set). The bucket starts full.
-	RetryBurst float64
 	// BatchWindow, when positive, coalesces same-class queries that
 	// need a call-for-proposals within this window into ONE batched CFP
 	// per node (the negotiate request's additive batch field): the
 	// first arrival leads the window, later arrivals ride it, and every
-	// query still receives its own per-node proposal. Zero (default)
-	// negotiates every query individually, the pre-batching behavior.
+	// query still receives its own per-node proposal. A window seals
+	// early at 16 queries. Zero (default) negotiates every query
+	// individually, the pre-batching behavior.
 	BatchWindow time.Duration
-	// BatchLimit caps how many queries one window coalesces (default
-	// 16); a full window seals and fans out immediately.
-	BatchLimit int
 	// BidCacheTTL, when positive, enables the winning-bid cache: each
 	// negotiation round's ranked proposals are cached per query class,
 	// stamped with every bidder's gossiped market epoch, and follow-up
@@ -125,24 +96,27 @@ type ClientConfig struct {
 	// prices per period, so a winning bid is valid for at most one
 	// epoch. Zero (default) disables the cache.
 	BidCacheTTL time.Duration
-	// NoShardProbe disables per-class shard probing. By default the
-	// client tests each member's gossiped relation filter against the
-	// query's referenced relations and skips the CFP fan-out to nodes
-	// provably unable to evaluate it — the sim-side FeasibleNodes index
-	// lifted into the live client. Members without a filter (old nodes,
-	// static views that never refreshed) are always probed, so the
-	// default is safe in mixed fleets.
-	NoShardProbe bool
 	// FetchBatchRows asks servers to bound streamed fetch batches to
 	// this many rows (servers clamp to their own FetchBatchRows config).
 	// Zero accepts the server default.
 	FetchBatchRows int
 
+	// Test hooks, left zero outside the package's tests: validate fills
+	// in the product values given in parentheses.
+	//
 	// freshDial makes every RPC dial its own connection (freshRPC)
 	// instead of riding the per-node pools: the reference the package's
 	// tests compare the pools against, and what scripted servers that
 	// answer one request per connection need.
-	freshDial bool
+	freshDial         bool
+	maxBackoffMs      int64         // retry backoff cap (8*PeriodMs)
+	execTimeoutFactor int           // Timeout multiple for execute and fetch RPCs (20)
+	breakerThreshold  int           // consecutive failures that open a node's breaker (3)
+	breakerCooldown   time.Duration // an open breaker's wait before its probe (2s)
+	execRetries       int           // same-node retransmits of a lost reply (2)
+	retryBurst        float64       // retry bucket capacity (16)
+	batchLimit        int           // queries that seal a batch window early (16)
+	noShardProbe      bool          // fan every CFP out to the whole view (false)
 }
 
 func (c *ClientConfig) validate() error {
@@ -155,11 +129,8 @@ func (c *ClientConfig) validate() error {
 	if c.PeriodMs <= 0 {
 		c.PeriodMs = 500
 	}
-	if c.MaxBackoffMs <= 0 {
-		c.MaxBackoffMs = 8 * c.PeriodMs
-	}
-	if c.MaxBackoffMs < c.PeriodMs {
-		return fmt.Errorf("cluster: MaxBackoffMs %d below PeriodMs %d", c.MaxBackoffMs, c.PeriodMs)
+	if c.maxBackoffMs <= 0 {
+		c.maxBackoffMs = 8 * c.PeriodMs
 	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 40
@@ -167,20 +138,14 @@ func (c *ClientConfig) validate() error {
 	if c.Timeout <= 0 {
 		c.Timeout = 5 * time.Second
 	}
-	if c.ExecTimeoutFactor < 0 {
-		return fmt.Errorf("cluster: ExecTimeoutFactor %d is negative", c.ExecTimeoutFactor)
+	if c.execTimeoutFactor <= 0 {
+		c.execTimeoutFactor = 20
 	}
-	if c.ExecTimeoutFactor == 0 {
-		c.ExecTimeoutFactor = 20
+	if c.breakerThreshold <= 0 {
+		c.breakerThreshold = 3
 	}
-	if c.BreakerThreshold < 0 {
-		return fmt.Errorf("cluster: BreakerThreshold %d is negative", c.BreakerThreshold)
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 2 * time.Second
+	if c.breakerCooldown <= 0 {
+		c.breakerCooldown = 2 * time.Second
 	}
 	if c.PoolSize <= 0 {
 		c.PoolSize = 2
@@ -197,20 +162,20 @@ func (c *ClientConfig) validate() error {
 	if c.RunID == "" {
 		c.RunID = fmt.Sprintf("r-%d-%d", time.Now().UnixNano(), runIDSeq.Add(1))
 	}
-	if c.ExecRetries <= 0 {
-		c.ExecRetries = 2
+	if c.execRetries <= 0 {
+		c.execRetries = 2
 	}
 	if c.RetryBudget < 0 {
 		return fmt.Errorf("cluster: RetryBudget %g is negative", c.RetryBudget)
 	}
-	if c.RetryBurst <= 0 {
-		c.RetryBurst = 16
+	if c.retryBurst <= 0 {
+		c.retryBurst = 16
 	}
 	if c.BatchWindow < 0 {
 		return fmt.Errorf("cluster: BatchWindow %v is negative", c.BatchWindow)
 	}
-	if c.BatchLimit <= 0 {
-		c.BatchLimit = 16
+	if c.batchLimit <= 0 {
+		c.batchLimit = 16
 	}
 	if c.BidCacheTTL < 0 {
 		return fmt.Errorf("cluster: BidCacheTTL %v is negative", c.BidCacheTTL)
@@ -226,7 +191,7 @@ var runIDSeq atomic.Uint64
 
 // execTimeout is the budget for an execution RPC.
 func (c *ClientConfig) execTimeout() time.Duration {
-	return time.Duration(c.ExecTimeoutFactor) * c.Timeout
+	return time.Duration(c.execTimeoutFactor) * c.Timeout
 }
 
 // nodeState is everything the client keeps per federation member:
@@ -363,7 +328,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		stopRefresh: make(chan struct{}),
 	}
 	if cfg.RetryBudget > 0 {
-		c.retry = newTokenBucket(cfg.RetryBudget, cfg.RetryBurst)
+		c.retry = newTokenBucket(cfg.RetryBudget, cfg.retryBurst)
 	}
 	if cfg.BidCacheTTL > 0 {
 		c.bids = newBidCache(cfg.BidCacheTTL, nil)
@@ -388,7 +353,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 // histograms) for a node entering the view.
 func (c *Client) newNodeState(id, addr string, resolved bool) *nodeState {
 	ns := &nodeState{
-		breaker:  newBreaker(c.cfg.BreakerThreshold, c.cfg.BreakerCooldown, c.noteTransition),
+		breaker:  newBreaker(c.cfg.breakerThreshold, c.cfg.breakerCooldown, c.noteTransition),
 		id:       id,
 		addr:     addr,
 		resolved: resolved,
@@ -543,9 +508,12 @@ var (
 	// ErrRetryBudget reports a query abandoned because the client-wide
 	// retry token bucket ran dry.
 	ErrRetryBudget = errors.New("retry budget exhausted")
-	// ErrOutcomeUnknown reports an execute whose reply was lost under
-	// AtMostOnce after the retransmit limit: the query may or may not
-	// have run; the client refuses to risk a double execution.
+	// ErrOutcomeUnknown reports an execute or fetch whose reply was lost
+	// and stayed lost through the retransmits to the same node: the
+	// query ran there once or not at all, and the client will not run
+	// it anywhere else, since that could execute it twice. It is the
+	// price of at-most-once execution, the client's only lost-reply
+	// policy.
 	ErrOutcomeUnknown = errors.New("execute outcome unknown")
 )
 
@@ -661,7 +629,7 @@ func (c *Client) FetchEach(queryID int64, sql string, fn func(*ColBlock) error) 
 }
 
 // sleepBackoff waits the capped exponential backoff for the given retry
-// round: PeriodMs doubled per round, capped at MaxBackoffMs, jittered
+// round: PeriodMs doubled per round, capped at eight periods, jittered
 // into [1/2, 1] of the target so synchronized clients desynchronize.
 // With a deadline set the sleep is clipped to the remaining budget —
 // sleeping past the deadline would just discover the expiry later.
@@ -681,7 +649,7 @@ func (c *Client) sleepBackoff(round int, deadline time.Time) {
 
 func (c *Client) backoffDelay(round int) time.Duration {
 	base := float64(c.cfg.PeriodMs)
-	ceil := float64(c.cfg.MaxBackoffMs)
+	ceil := float64(c.cfg.maxBackoffMs)
 	target := base * math.Pow(2, float64(round))
 	if target > ceil || math.IsInf(target, 1) {
 		target = ceil

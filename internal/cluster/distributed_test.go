@@ -189,7 +189,7 @@ const distJoinSQL = `SELECT customers.name, SUM(orders.amount) AS total
 func TestDistributedBacksOffWhileUnreachable(t *testing.T) {
 	client, _, proxies := splitFederationBehindProxies(t, ClientConfig{
 		Mechanism: MechGreedy, PeriodMs: 20, Timeout: time.Second,
-		BreakerThreshold: 100, // the partition must not outlast itself as open breakers
+		breakerThreshold: 100, // the partition must not outlast itself as open breakers
 		Jitter:           rand.New(rand.NewSource(3)),
 	})
 	for _, p := range proxies {
@@ -249,14 +249,14 @@ func TestDistributedNoOfferWaitHonorsDeadline(t *testing.T) {
 }
 
 // TestDistributedFastPathLostReplyUnderAtMostOnce: when the whole-query
-// fetch's reply is lost under AtMostOnce the outcome is unknown and the
-// Distributor must say so. It used to drop the lost attempt on the floor
-// and run the query again as fragments.
+// fetch's reply is lost the outcome is unknown (the client is
+// at-most-once) and the Distributor must say so. It used to drop the
+// lost attempt on the floor and run the query again as fragments.
 func TestDistributedFastPathLostReplyUnderAtMostOnce(t *testing.T) {
 	client, nodes, proxies := splitFederationBehindProxies(t, ClientConfig{
 		Mechanism: MechGreedy, PeriodMs: 20, freshDial: true,
-		Timeout: 100 * time.Millisecond, ExecTimeoutFactor: 1,
-		AtMostOnce: true, ExecRetries: 1,
+		Timeout: 100 * time.Millisecond, execTimeoutFactor: 1,
+		execRetries: 1,
 	})
 	d := NewDistributor(client)
 	d.afterNegotiate = func(string, string) { proxies[0].Partition(faultnet.ServerToClient) }
@@ -302,7 +302,7 @@ func exprStrings(es []sqldb.Expr) []string {
 // whole-query CFP — each fragment's round goes to its one holder — and
 // still matches the oracle. Where the filters cannot decide, the round
 // runs as before: a relation one member holds takes the fast path, a
-// static view carries no filters, and NoShardProbe turns them off.
+// static view carries no filters, and noShardProbe turns them off.
 func TestDistributorFiltersAnswerTheProbe(t *testing.T) {
 	want, err := loadScripts(t, splitOrders, splitCustomers).Query(distJoinSQL)
 	if err != nil {
@@ -360,9 +360,9 @@ func TestDistributorFiltersAnswerTheProbe(t *testing.T) {
 			t.Errorf("join cost %d negotiate RPCs, want 6: three rounds to both members", got)
 		}
 	})
-	t.Run("NoShardProbe", func(t *testing.T) {
+	t.Run("shard probing off", func(t *testing.T) {
 		off := ccfg
-		off.NoShardProbe = true
+		off.noShardProbe = true
 		if got := join(t, gossiped(t, off)); got != 6 {
 			t.Errorf("join cost %d negotiate RPCs, want 6: three rounds to both members", got)
 		}

@@ -96,7 +96,7 @@ func TestDrainingTripsBreakerOnEveryOp(t *testing.T) {
 					freshDial: transport.fresh,
 					// High threshold proves the open circuit came from the
 					// typed trip, not accumulated failures.
-					BreakerThreshold: 100,
+					breakerThreshold: 100,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -139,7 +139,7 @@ func TestMarketRefusalsDoNotTripBreaker(t *testing.T) {
 						// Threshold 1: a single failure charged to the breaker
 						// would open it, so a closed breaker after the call
 						// proves the refusal was not charged at all.
-						BreakerThreshold: 1,
+						breakerThreshold: 1,
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -174,7 +174,7 @@ func TestMarketRefusalsDoNotTripBreaker(t *testing.T) {
 			c, err := NewClient(ClientConfig{
 				Addrs:            []string{addr},
 				Timeout:          500 * time.Millisecond,
-				BreakerThreshold: 1,
+				breakerThreshold: 1,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -223,7 +223,7 @@ func TestFetchRefusalsAnswerInJSON(t *testing.T) {
 		for _, tc := range cases {
 			t.Run(transport.name+"/"+tc.name, func(t *testing.T) {
 				n, c, _ := selFederation(t, nil, ClientConfig{
-					freshDial: transport.fresh, QueryTimeout: 10 * time.Second, BreakerThreshold: 1,
+					freshDial: transport.fresh, QueryTimeout: 10 * time.Second, breakerThreshold: 1,
 				})
 				// A stopped executor leaves CloseNow nothing to do; finish the
 				// stop it began.

@@ -81,9 +81,9 @@ func TestMixedExecutorFleet(t *testing.T) {
 		c, err := NewClient(ClientConfig{
 			Addrs:    addrs,
 			PeriodMs: 20, MaxRetries: 100,
-			Timeout: timeout, ExecTimeoutFactor: 1, BreakerThreshold: 100,
-			AtMostOnce: true, ExecRetries: 16,
-			Jitter: rand.New(rand.NewSource(seed)),
+			Timeout: timeout, execTimeoutFactor: 1, breakerThreshold: 100,
+			execRetries: 16,
+			Jitter:      rand.New(rand.NewSource(seed)),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -430,7 +430,7 @@ func TestFetchSinkAbortKeepsConnectionUsable(t *testing.T) {
 // caller sees every row exactly once.
 func TestPartialStreamResume(t *testing.T) {
 	node, c, sql, want := fetchFederation(t, ClientConfig{
-		FetchBatchRows: 1, ExecRetries: 3, Timeout: 2 * time.Second,
+		FetchBatchRows: 1, execRetries: 3, Timeout: 2 * time.Second,
 	})
 	if len(want.Rows) < 2 {
 		t.Skipf("need a multi-row result, got %d", len(want.Rows))
@@ -588,7 +588,7 @@ func frameLimitNode(t *testing.T, rows int, ccfg ClientConfig) (*Node, *Client) 
 // retransmit then made the node read back its own dedup record and
 // panic.)
 func TestLongColumnNameFetchFailsOnce(t *testing.T) {
-	n, c := frameLimitNode(t, 1, ClientConfig{AtMostOnce: true, Timeout: 5 * time.Second})
+	n, c := frameLimitNode(t, 1, ClientConfig{Timeout: 5 * time.Second})
 	_, out := c.Fetch(1, "SELECT '"+strings.Repeat("a", 65_537)+"' FROM t")
 	if out.Err == nil || !strings.Contains(out.Err.Error(), "alias it") {
 		t.Fatalf("err = %v, want the node's readable refusal", out.Err)

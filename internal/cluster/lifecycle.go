@@ -18,6 +18,12 @@ import (
 // deadline check → admit → walk the failover ladder → attempt → classify
 // → done, next rung, same-node retransmit, renegotiate, or back off.
 //
+// The lost-reply rule. A request that was sent but whose reply never
+// arrived may have run. The only legal continuation is a retransmit to
+// the same node, whose dedup window replays the original outcome; when
+// the retransmits run out the query fails with ErrOutcomeUnknown rather
+// than run anywhere else, which could execute it twice.
+//
 // The partial-delivery rule. A sink without reset hands rows to the
 // caller as they arrive, and they cannot be taken back. Once such a sink
 // has received a row, the only legal continuation is a retransmit to the
@@ -25,7 +31,8 @@ import (
 // skip set to the rows delivered. Never a runner-up, never a cache
 // impeachment, never a renegotiation: each would deliver the prefix
 // twice. A sink with reset is the client's own buffer; a failed attempt
-// discards it and the query continues anywhere.
+// discards it, and the query continues where the attempt's kind allows:
+// on the same node after a lost reply, anywhere after a refusal.
 
 // query is one trip through the lifecycle.
 type query struct {
@@ -62,7 +69,7 @@ const (
 	// stepFail: terminal — retrying cannot help, or is not allowed.
 	stepFail
 	// stepRenegotiate: the offers went stale under the query (supply
-	// race, lost reply, stale cache); the market was never heard
+	// race, stale cache); the market was never heard
 	// refusing it, so ask again without waiting.
 	stepRenegotiate
 	// stepNextPeriod: the market answered and nobody took the query;
@@ -260,15 +267,9 @@ func (l *lifecycle) round() (step, error) {
 			c.dropBids(l.class)
 		case attemptNotSent:
 		case attemptLost:
-			if c.cfg.AtMostOnce {
-				// settle's retransmits did not resolve it: the outcome is
-				// unknown and running it elsewhere could execute it twice.
-				return stepFail, res.err
-			}
-			// Availability first: assume the query did not run and
-			// renegotiate it elsewhere. It may have — only the same-node
-			// dedup window can tell, and we are leaving the node.
-			return stepRenegotiate, res.err
+			// settle's retransmits did not resolve it: the outcome is
+			// unknown and running it elsewhere could execute it twice.
+			return stepFail, res.err
 		}
 	}
 	if fromCache {
@@ -303,19 +304,22 @@ func (l *lifecycle) admit() (pr proposals, fromCache bool, err error) {
 }
 
 // settle attempts the query on one candidate and, where only this node
-// can continue it, retransmits up to ExecRetries times. Two cases pin a
-// query to its node: a reply lost under AtMostOnce (the node's dedup
+// can continue it, retransmits up to execRetries times. Two cases pin a
+// query to its node: a lost reply (the lost-reply rule: the node's dedup
 // window replays the original outcome if the query ran) and rows
 // escaped to the caller (the partial-delivery rule). A refused or unsent
 // retransmit does not prove the original never ran — the admission gate
-// answers before the dedup window — so those keep retransmitting.
+// answers before the dedup window — so those keep retransmitting. A
+// lost reply the retransmits cannot resolve comes back as attemptLost
+// wrapping ErrOutcomeUnknown; escaped rows that cannot be resumed, as
+// attemptFatal.
 func (l *lifecycle) settle(ns *nodeState) attemptResult {
 	res := l.attempt(ns)
 	settled := res.kind == attemptOK || res.kind == attemptFatal
-	if settled || !(l.escaped() || res.kind == attemptLost && l.c.cfg.AtMostOnce) {
+	if settled || !(l.escaped() || res.kind == attemptLost) {
 		return res
 	}
-	for r := 0; r < l.c.cfg.ExecRetries; r++ {
+	for r := 0; r < l.c.cfg.execRetries; r++ {
 		if !l.noteRetry() {
 			return attemptResult{kind: attemptFatal, err: fmt.Errorf("cluster: %w retransmitting to %s", ErrRetryBudget, ns.label())}
 		}

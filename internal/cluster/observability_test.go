@@ -74,7 +74,7 @@ func TestBackoffJitterSeeded(t *testing.T) {
 			t.Errorf("distinct seeds produced identical first delay %v", d1)
 		}
 		base := time.Duration(c1.cfg.PeriodMs) * time.Millisecond
-		ceil := time.Duration(c1.cfg.MaxBackoffMs) * time.Millisecond
+		ceil := time.Duration(c1.cfg.maxBackoffMs) * time.Millisecond
 		if d1 < base/2 || d1 > ceil {
 			t.Fatalf("round %d: delay %v outside [base/2, cap]", round, d1)
 		}

@@ -48,8 +48,8 @@ func TestSeveredReplyRetryExecutesOnce(t *testing.T) {
 
 	c, err := NewClient(ClientConfig{
 		Addrs: []string{p.Addr()}, freshDial: true,
-		Timeout: 100 * time.Millisecond, ExecTimeoutFactor: 2,
-		AtMostOnce: true, ExecRetries: 2,
+		Timeout: 100 * time.Millisecond, execTimeoutFactor: 2,
+		execRetries: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestSeveredReplyRetryExecutesOnce(t *testing.T) {
 		t.Fatalf("unhealed partition: kind = %v err = %v, want attemptLost/ErrOutcomeUnknown", res.kind, res.err)
 	}
 	if l.out.Retries != 2 {
-		t.Fatalf("settle charged %d retransmits, want ExecRetries = 2", l.out.Retries)
+		t.Fatalf("settle charged %d retransmits, want execRetries = 2", l.out.Retries)
 	}
 	p.Heal()
 	rep, kind, err = c.executeOn(ns, 3, sql, nil, time.Time{})
@@ -161,7 +161,7 @@ func TestFailoverToRunnerUp(t *testing.T) {
 	stub := startWinningStub(t)
 	c, err := NewClient(ClientConfig{
 		Addrs: []string{stub, addr}, freshDial: true,
-		Timeout: 2 * time.Second, BreakerThreshold: 1,
+		Timeout: 2 * time.Second, breakerThreshold: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -486,8 +486,8 @@ func TestRetryBudgetExhausted(t *testing.T) {
 
 	c, err := NewClient(ClientConfig{
 		Addrs: []string{addr}, Timeout: 200 * time.Millisecond,
-		PeriodMs: 10, MaxRetries: 50, BreakerThreshold: 1,
-		RetryBudget: 0.0001, RetryBurst: 1,
+		PeriodMs: 10, MaxRetries: 50, breakerThreshold: 1,
+		RetryBudget: 0.0001, retryBurst: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -40,32 +40,34 @@ func TestExecTimeoutFactorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.cfg.ExecTimeoutFactor != 20 {
-		t.Errorf("default ExecTimeoutFactor = %d, want 20", c.cfg.ExecTimeoutFactor)
+	if c.cfg.execTimeoutFactor != 20 {
+		t.Errorf("default execTimeoutFactor = %d, want 20", c.cfg.execTimeoutFactor)
 	}
 	if got, want := c.cfg.execTimeout(), 20*c.cfg.Timeout; got != want {
 		t.Errorf("execTimeout = %v, want %v", got, want)
 	}
-	c, err = NewClient(ClientConfig{Addrs: []string{"127.0.0.1:9"}, ExecTimeoutFactor: 5, Timeout: time.Second})
+	c, err = NewClient(ClientConfig{Addrs: []string{"127.0.0.1:9"}, execTimeoutFactor: 5, Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := c.cfg.execTimeout(); got != 5*time.Second {
 		t.Errorf("execTimeout = %v, want 5s", got)
 	}
-	if _, err := NewClient(ClientConfig{Addrs: []string{"127.0.0.1:9"}, ExecTimeoutFactor: -1}); err == nil {
-		t.Error("negative ExecTimeoutFactor accepted")
+	// The test hooks' product values: what every client outside the
+	// package's tests runs with.
+	c, err = NewClient(ClientConfig{Addrs: []string{"127.0.0.1:9"}, PeriodMs: 100})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewClient(ClientConfig{Addrs: []string{"127.0.0.1:9"}, BreakerThreshold: -2}); err == nil {
-		t.Error("negative BreakerThreshold accepted")
-	}
-	if _, err := NewClient(ClientConfig{Addrs: []string{"127.0.0.1:9"}, PeriodMs: 100, MaxBackoffMs: 50}); err == nil {
-		t.Error("MaxBackoffMs below PeriodMs accepted")
+	got := [...]any{c.cfg.maxBackoffMs, c.cfg.breakerThreshold, c.cfg.breakerCooldown, c.cfg.execRetries, c.cfg.retryBurst, c.cfg.batchLimit}
+	want := [...]any{int64(800), 3, 2 * time.Second, 2, 16.0, 16}
+	if got != want {
+		t.Errorf("defaults (maxBackoffMs, breakerThreshold, breakerCooldown, execRetries, retryBurst, batchLimit) = %v, want %v", got, want)
 	}
 }
 
 func TestBackoffDelayBounds(t *testing.T) {
-	c, err := NewClient(ClientConfig{Addrs: []string{"127.0.0.1:9"}, PeriodMs: 20, MaxBackoffMs: 160})
+	c, err := NewClient(ClientConfig{Addrs: []string{"127.0.0.1:9"}, PeriodMs: 20, maxBackoffMs: 160})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +103,10 @@ func TestRetryAgainstFlakyServer(t *testing.T) {
 
 	client, err := NewClient(ClientConfig{
 		Addrs: []string{proxy.Addr()}, Mechanism: MechGreedy,
-		PeriodMs: 20, MaxBackoffMs: 80, MaxRetries: 20,
+		PeriodMs: 20, maxBackoffMs: 80, MaxRetries: 20,
 		// Keep the breaker out of the way: this test isolates the
 		// backoff path.
-		BreakerThreshold: 100,
+		breakerThreshold: 100,
 		Timeout:          2 * time.Second,
 	})
 	if err != nil {
@@ -153,7 +155,7 @@ func TestBreakerLimitsDialsToDeadNode(t *testing.T) {
 	client, err := NewClient(ClientConfig{
 		Addrs: []string{node.Addr(), dead.Addr()}, Mechanism: MechGreedy,
 		PeriodMs: 20, MaxRetries: 5,
-		BreakerThreshold: 2, BreakerCooldown: time.Minute,
+		breakerThreshold: 2, breakerCooldown: time.Minute,
 		Timeout: 150 * time.Millisecond,
 	})
 	if err != nil {

@@ -158,7 +158,7 @@ func TestSelFetchSameRowsOnEveryEncoding(t *testing.T) {
 // window's replay of the retained selection; every row arrives once.
 func TestSelFetchSeveredStreamResumes(t *testing.T) {
 	node, c, oracle := selFederation(t, nil, ClientConfig{
-		FetchBatchRows: 32, ExecRetries: 3, Timeout: 2 * time.Second,
+		FetchBatchRows: 32, execRetries: 3, Timeout: 2 * time.Second,
 	})
 	want, err := oracle.Query(selTestWide)
 	if err != nil {

@@ -60,7 +60,7 @@ func isIdentByte(c byte) bool {
 // the market's own refusals are the authority on infeasibility.
 func (c *Client) probeSet(sql string) []*nodeState {
 	members := c.nodes()
-	if c.cfg.NoShardProbe || len(members) < 2 {
+	if c.cfg.noShardProbe || len(members) < 2 {
 		return members
 	}
 	rels := sqldb.Relations(sql)
@@ -88,7 +88,7 @@ func (c *Client) probeSet(sql string) []*nodeState {
 // is asked. The skipped round's fan-out counts as shard skips.
 func (c *Client) noneHoldsAll(rels []string) bool {
 	members := c.nodes()
-	if c.cfg.NoShardProbe || len(members) == 0 || len(rels) == 0 {
+	if c.cfg.noShardProbe || len(members) == 0 || len(rels) == 0 {
 		return false
 	}
 	if idx, filtered := mayHoldAll(members, rels); !filtered || len(idx) > 0 {
