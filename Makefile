@@ -35,7 +35,7 @@ benchsmoke:
 loadsmoke:
 	$(GO) run ./cmd/qaload -selfnodes 2 -clients 4 -queries 24 -mix 3 -mspercost 0.005 -period 25
 
-# fuzzsmoke runs the five fuzzers briefly on every CI run, each with
+# fuzzsmoke runs the six fuzzers briefly on every CI run, each with
 # its committed corpus as regression seeds. FuzzFrameDecode holds the
 # binary lane's malformed-input promise ("error, never panic, never
 # unbounded allocation"); FuzzSellerLedger drives market.Seller through
@@ -43,17 +43,22 @@ loadsmoke:
 # scripts, with and without the activation threshold, against an
 # independent model of the one capacity account; FuzzKeyTable drives the engine's key table through add / find
 # scripts over numbers and texts against a Go map and a first-appearance
-# slice; FuzzParse holds the SQL front end to "never panic, print back
-# to the same parse, keywords ASCII case-insensitive, errors at a rune
-# boundary"; FuzzLikeMatch holds the LIKE matcher to "never panic, '%'
+# slice; FuzzCompareKernel holds the comparison kernels of scans and
+# filters (refine, which compiles its compare per operator, and
+# compareConst) to the general form, ordering.holds, over arbitrary float64 and int64 bits and
+# constants, mirrored or not; FuzzParse holds the SQL front end to
+# "never panic, print back to the same parse, keywords ASCII
+# case-insensitive, errors at a rune boundary"; FuzzLikeMatch holds the LIKE matcher to "never panic, '%'
 # matches everything, a pattern without wildcards matches only itself".
 # Five seconds finds shallow regressions; run any unbounded
 # (`go test -fuzz <name> <pkg>`) when touching frame.go, seller.go,
-# group.go, lexer.go, parser.go or the LIKE matcher.
+# group.go, the comparison kernels, lexer.go, parser.go or the LIKE
+# matcher.
 fuzzsmoke:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime 5s
 	$(GO) test ./internal/market -run '^$$' -fuzz '^FuzzSellerLedger$$' -fuzztime 5s
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzKeyTable$$' -fuzztime 5s
+	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzCompareKernel$$' -fuzztime 5s
 	$(GO) test ./internal/sqldb -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s
 	$(GO) test ./internal/sqldb -run '^$$' -fuzz '^FuzzLikeMatch$$' -fuzztime 5s
 

@@ -146,7 +146,9 @@ func BenchmarkExecutorJoin10000(b *testing.B) {
 // buildBig): a 200k-row big(a INT, b FLOAT, c TEXT, d BOOL) whose b is
 // half a permutation of the row numbers, so a threshold selects a known
 // share of rows scattered over the table, and a 100-row dim.
-var shapesSrc = sync.OnceValue(func() *sqldb.DB {
+var shapesSrc = sync.OnceValue(newShapesSrc)
+
+func newShapesSrc() *sqldb.DB {
 	const bigRows, dimRows = 200_000, 100
 	rng := rand.New(rand.NewSource(1))
 	db := sqldb.Open()
@@ -172,32 +174,44 @@ var shapesSrc = sync.OnceValue(func() *sqldb.DB {
 		panic(err)
 	}
 	return db
-})
+}
 
 var shapesDB = sync.OnceValue(func() *DB { return FromDB(shapesSrc()) })
 
-// BenchmarkExecutorShapes runs the statements the repo benchmark's
-// engine-bound workloads execute — scan-exec's four shapes and the
-// fragment dist-join pulls from each big node — through the vector
-// engine alone, so a before/after of the executor does not need the
-// 12-second federation harness. Results are not read: scan-exec is
-// execute-only. The last two are the keyed paths those statements miss:
-// text keys (997 of them), and a join whose build side repeats its keys
-// (10,001 rows a side, about ten to a key, 100k pairs).
+// executorShapes are the statements the repo benchmark's engine-bound
+// workloads execute — scan-exec's four shapes and the fragment
+// dist-join pulls from each big node — and the two keyed paths those
+// miss: text keys (997 of them), and a join whose build side repeats
+// its keys (10,001 rows a side, about ten to a key, 100k pairs). Between
+// them they reach every kernel a per-row change lands in: a compare
+// compiled per operator (every shape refines all 200k rows), the
+// one-group fold in a register (aggregate, join-n-to-m), numbered keys
+// (groupby, groupby-text), the unique-key join emission (starjoin: dim.k
+// is a primary key) and the bucket walk (join-n-to-m).
+var executorShapes = []struct {
+	name, sql string
+	rows      int
+}{
+	{"scan", "SELECT a, b FROM big WHERE b < 50000.250", 100_001},
+	{"aggregate", "SELECT COUNT(*), SUM(b) FROM big WHERE b < 50000.250", 1},
+	{"groupby", "SELECT a, COUNT(*), SUM(b) FROM big WHERE b < 50000.250 GROUP BY a", 100},
+	{"starjoin", "SELECT dim.name, COUNT(*), SUM(big.b) FROM big JOIN dim ON big.a = dim.k WHERE big.b < 50000.250 GROUP BY dim.name", 100},
+	{"fragment", "SELECT a, b FROM big WHERE (big.b >= 20000.250) AND (big.b < 30000.250)", 20_000},
+	{"groupby-text", "SELECT c, COUNT(*), SUM(b) FROM big WHERE b < 50000.250 GROUP BY c", 997},
+	{"join-n-to-m", "SELECT COUNT(*), SUM(y.b) FROM big x JOIN big y ON x.c = y.c WHERE x.b < 5000.250 AND y.b < 5000.250", 1},
+}
+
+// BenchmarkExecutorShapes runs executorShapes through the vector engine
+// alone, so a before/after of the executor does not need the 12-second
+// federation harness. Results are not read: scan-exec is execute-only.
+// TestExecutorShapesMatchRowEngine holds the same statements' results
+// to the row engine's. Timings on a shared host drift between sets, so
+// compare alternating runs, one core each:
+//
+//	GOMAXPROCS=1 go test -run NONE -bench ExecutorShapes ./internal/engine
 func BenchmarkExecutorShapes(b *testing.B) {
 	e := shapesDB()
-	for _, shape := range []struct {
-		name, sql string
-		rows      int
-	}{
-		{"scan", "SELECT a, b FROM big WHERE b < 50000.250", 100_001},
-		{"aggregate", "SELECT COUNT(*), SUM(b) FROM big WHERE b < 50000.250", 1},
-		{"groupby", "SELECT a, COUNT(*), SUM(b) FROM big WHERE b < 50000.250 GROUP BY a", 100},
-		{"starjoin", "SELECT dim.name, COUNT(*), SUM(big.b) FROM big JOIN dim ON big.a = dim.k WHERE big.b < 50000.250 GROUP BY dim.name", 100},
-		{"fragment", "SELECT a, b FROM big WHERE (big.b >= 20000.250) AND (big.b < 30000.250)", 20_000},
-		{"groupby-text", "SELECT c, COUNT(*), SUM(b) FROM big WHERE b < 50000.250 GROUP BY c", 997},
-		{"join-n-to-m", "SELECT COUNT(*), SUM(y.b) FROM big x JOIN big y ON x.c = y.c WHERE x.b < 5000.250 AND y.b < 5000.250", 1},
-	} {
+	for _, shape := range executorShapes {
 		b.Run(shape.name, func(b *testing.B) {
 			st, err := e.Prepare(shape.sql)
 			if err != nil {

@@ -285,6 +285,9 @@ func (o ordering) mirrored() ordering {
 // differently, likewise greater. The two flags compile to SETcc and the
 // rest is integer arithmetic, so a filter over unsorted values — where
 // a branch on the data would mispredict every other row — has none.
+// It is the general form, two compares and the flag arithmetic; refine,
+// which filters a scanned column by a constant, runs it only for = and
+// <> (kernel).
 func (o ordering) holds(a, b float64) int {
 	var lt, gt int
 	if a < b {
@@ -294,6 +297,40 @@ func (o ordering) holds(a, b float64) int {
 		gt = 1
 	}
 	return o.eq ^ lt&o.ltFlips ^ gt&o.gtFlips
+}
+
+// less is 1 when a < b, else 0, as a SETcc.
+func less(a, b float64) int {
+	var lt int
+	if a < b {
+		lt = 1
+	}
+	return lt
+}
+
+// kernel is the loop refine compiles a comparison of a column with a
+// constant to. An operator that answers "greater" as it answers
+// "equal" — <, >= — is one compare, v < c, XOR-ed with its answer for
+// "equal"; one that answers "less" as it answers "equal" — >, <= — is
+// c < v, likewise.
+// The XOR keeps Compare's NaN: no compare holds on one, so a NaN gets
+// the answer for "equal" (NaN <= c holds). = and <> keep holds.
+type kernel int
+
+const (
+	kernelHolds kernel = iota
+	kernelLess
+	kernelGreater
+)
+
+func (o ordering) kernel() kernel {
+	switch {
+	case o.ltFlips == 1 && o.gtFlips == 0:
+		return kernelLess
+	case o.ltFlips == 0 && o.gtFlips == 1:
+		return kernelGreater
+	}
+	return kernelHolds
 }
 
 // compareKernel runs =, <>, <, <=, >, >= over NULL-free numeric

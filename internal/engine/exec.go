@@ -480,17 +480,45 @@ func (e *DB) scanRef(s *sqldb.SelectStmt, refIdx, depth int, pushed []cmpLit, sc
 // refine keeps the rows of src (nil = the first n rows) whose value
 // compares with c as keep allows, writing them to dst, which has room
 // for all of them and may be src itself: the write never passes the
-// read. The loop stores every candidate and advances past the kept
-// ones, so it has no data-dependent branch.
+// read. The loop is the one keep's kernel compiles to; it stores every
+// candidate and advances past the kept ones, so it has no
+// data-dependent branch.
 func refine[T int64 | float64](dst []int32, vals []T, src []int32, n int, keep ordering, c float64) []int32 {
 	dst = dst[:n]
-	w := 0
-	if src == nil {
-		for i, v := range vals[:n] {
-			dst[w] = int32(i)
-			w += keep.holds(float64(v), c)
+	w, eq := 0, keep.eq
+	switch keep.kernel() {
+	case kernelLess:
+		if src == nil {
+			for i, v := range vals[:n] {
+				dst[w] = int32(i)
+				w += less(float64(v), c) ^ eq
+			}
+			break
 		}
-	} else {
+		for _, i := range src {
+			dst[w] = i
+			w += less(float64(vals[i]), c) ^ eq
+		}
+	case kernelGreater:
+		if src == nil {
+			for i, v := range vals[:n] {
+				dst[w] = int32(i)
+				w += less(c, float64(v)) ^ eq
+			}
+			break
+		}
+		for _, i := range src {
+			dst[w] = i
+			w += less(c, float64(vals[i])) ^ eq
+		}
+	default:
+		if src == nil {
+			for i, v := range vals[:n] {
+				dst[w] = int32(i)
+				w += keep.holds(float64(v), c)
+			}
+			break
+		}
 		for _, i := range src {
 			dst[w] = i
 			w += keep.holds(float64(vals[i]), c)
@@ -531,7 +559,10 @@ func hashJoinVec(left, right *erel, on sqldb.JoinOn, sc *scratch) (erel, error) 
 // within one probe row's matches. The build side's keys are numbered by
 // first appearance and its positions laid out bucket by bucket; the
 // probe side's are looked up in the same table, which says how many
-// pairs there are before one is written.
+// pairs there are before one is written. When every key sits on exactly
+// one build row — a foreign key probing a primary key — bucket id is
+// the one row rows[id], and a probe row has one pair when its key was
+// found and none when not: no bucket to walk.
 func joinPairs(build, probe *erel, bcol, pcol int, sc *scratch) (bpos, ppos []int32) {
 	b, p := &build.cols[bcol], &probe.cols[pcol]
 	class := keyClass(b.vec.uniform())
@@ -549,6 +580,15 @@ func joinPairs(build, probe *erel, bcol, pcol int, sc *scratch) (bpos, ppos []in
 	}
 	bpos, ppos = sc.borrow(pairs)[:pairs], sc.borrow(pairs)[:pairs]
 	w := 0
+	if len(rows) == t.len() {
+		for k, id := range pid {
+			if id >= 0 {
+				bpos[w], ppos[w] = rows[id], int32(k)
+				w++
+			}
+		}
+		return bpos, ppos
+	}
 	for k, id := range pid {
 		if id < 0 {
 			continue

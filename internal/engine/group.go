@@ -52,16 +52,19 @@ type keyTable struct {
 	texts []string
 }
 
-// maxInitialKeys bounds the slots a table starts with, so grouping 100k
-// rows into 100 groups does not clear a 100k-key table first; a column
-// with more distinct keys than this doubles its way up.
+// maxInitialKeys bounds the keys a table starts with room for, so
+// grouping 100k rows into 100 groups does not clear a 100k-key table
+// first; a column with more distinct keys than this doubles its way up.
 const maxInitialKeys = 1024
 
-// newKeyTable sizes the table from the n positions it will be fed: a
-// 50-row join side pays for 128 slots.
+// newKeyTable sizes the table from the n positions it will be fed, at
+// four slots a key: a 50-row join side pays for 256 slots, and a
+// 100-key dimension gets 512, where all but one of its keys sit in
+// their hash's own slot (at 256, 13 do not), which is the slot
+// numberIDs reads without a walk.
 func newKeyTable(sc *scratch, n int) *keyTable {
 	t := &keyTable{sc: sc}
-	t.resize(max(3, bits.Len(uint(2*min(n, maxInitialKeys)))))
+	t.resize(max(3, bits.Len(uint(4*min(n, maxInitialKeys)))))
 	return t
 }
 
@@ -416,14 +419,27 @@ func (g *grouping) planFolds(ex sqldb.Expr) {
 }
 
 // foldSums adds the column's values, read through its own selection in
-// relation order, into their groups' sums.
+// relation order, into their groups' sums. One group (gid nil) keeps
+// its running sum in a local, which the compiler holds in a register:
+// the additions are the same in the same order, so the sum has the
+// same bits.
 func foldSums[T int64 | float64](sum []float64, vals []T, sel, gid []int32, n int) {
-	for k := 0; k < n; k++ {
-		id := int32(0)
-		if gid != nil {
-			id = gid[k]
+	if gid == nil {
+		s := sum[0]
+		if sel == nil {
+			for _, v := range vals[:n] {
+				s += float64(v)
+			}
+		} else {
+			for _, i := range sel[:n] {
+				s += float64(vals[i])
+			}
 		}
-		sum[id] += float64(vals[rowAt(sel, k)])
+		sum[0] = s
+		return
+	}
+	for k := 0; k < n; k++ {
+		sum[gid[k]] += float64(vals[rowAt(sel, k)])
 	}
 }
 
