@@ -68,14 +68,19 @@ fuzzsmoke:
 # are observers, and trading through them would admit work the account
 # never sees. The files let through build fixed textbook sets with no
 # ledger behind them (Figure 1, the examples, the benchmark's Agent
-# replay, the facade's doc comment).
+# replay, the facade's doc comment). It also keeps eq. (4) on one
+# solver, economics.TimeBudgetSupplySet's greedy-by-density: it fails
+# when a Go file names the deleted DP solver or its plumbing, or the
+# deleted economics extras that no figure used.
 oneledger:
-	@if grep -rnE '(Exact)?TimeBudgetSupplySet\{' --include='*.go' . \
+	@if grep -rnE 'TimeBudgetSupplySet\{' --include='*.go' . \
 		| grep -vE '^\./(internal/market/|benchmark/|examples/|internal/experiments/figure1\.go:|qamarket\.go:[0-9]+://)|_test\.go:'; \
 	then echo 'oneledger: a time-budget supply set is built outside internal/market (see DESIGN.md, "One QA-NT seller")'; exit 1; fi
 	@if grep -rnE '\.Agent\(\)\.(Offer|Accept)\(|Agents\(\)\[[^]]*\]\.(Offer|Accept)\(' --include='*.go' . \
 		| grep -vE '^\./internal/market/|_test\.go:'; \
 	then echo 'oneledger: a seller is traded through its observer, past the ledger (see DESIGN.md, "One QA-NT seller")'; exit 1; fi
+	@if grep -rnwE 'ExactTimeBudgetSupplySet|DPScratch|NewExactSeller|SupportingPrices|VerifySTWE|EquitableSplit' --include='*.go' .; \
+	then echo 'oneledger: a second eq. (4) solver or a deleted economics extra is back (see DESIGN.md, "One QA-NT seller")'; exit 1; fi
 
 # onelane keeps one lane for fetch results: an accepted fetch leaves a
 # node as binary frames (internal/cluster/frame.go) and refusals as the

@@ -33,9 +33,6 @@ type QANT struct {
 	// sellers holds one seller per node; nil for non-adopters and, as a
 	// whole, until the first view reveals the federation.
 	sellers []*market.Seller
-	// Exact selects the exact DP supply solver instead of the greedy
-	// density heuristic (DESIGN.md solver ablation).
-	Exact bool
 	// Adopters, when non-nil, marks which nodes run QA-NT agents.
 	// Non-adopting nodes behave like ordinary servers that accept any
 	// feasible query — Section 4 claims the mechanism still optimizes
@@ -104,15 +101,6 @@ func (m *QANT) OnPeriodEnd(v View) {
 // class the node cannot evaluate (infinite cost) enters its table as 0.
 func (m *QANT) init(v View) {
 	k := v.NumClasses()
-	newSeller := market.NewSeller
-	if m.Exact {
-		// Sellers run strictly sequentially within one mechanism, so
-		// one set of DP buffers serves them all.
-		scratch := &market.DPScratch{}
-		newSeller = func(cfg market.Config, periodMs float64, costs []float64) (*market.Seller, error) {
-			return market.NewExactSeller(cfg, periodMs, costs, scratch)
-		}
-	}
 	m.sellers = make([]*market.Seller, v.NumNodes())
 	for n := range m.sellers {
 		if m.Adopters != nil && !m.Adopters[n] {
@@ -124,7 +112,7 @@ func (m *QANT) init(v View) {
 				cost[c] = ec
 			}
 		}
-		seller, err := newSeller(m.cfg, float64(v.PeriodMs()), cost)
+		seller, err := market.NewSeller(m.cfg, float64(v.PeriodMs()), cost)
 		if err != nil {
 			panic(fmt.Sprintf("alloc: building QA-NT seller: %v", err))
 		}

@@ -27,18 +27,6 @@ func ExampleTatonnement() {
 	// excess demand: (0, 0)
 }
 
-// ExampleEquitableSplit shows the Section 6 extension: max-min fair
-// division of a scarce aggregate supply.
-func ExampleEquitableSplit() {
-	demand := []vector.Quantity{{4}, {4}}
-	cons := economics.EquitableSplit(vector.Quantity{6}, demand)
-	fmt.Println("node 0:", cons[0], "node 1:", cons[1])
-	fmt.Printf("min satisfaction: %.2f\n", economics.MinSatisfaction(cons, demand))
-	// Output:
-	// node 0: (3) node 1: (3)
-	// min satisfaction: 0.75
-}
-
 // ExampleDominates verifies the paper's Section 2.2 claim that the QA
 // allocation Pareto-dominates the load balancer's.
 func ExampleDominates() {

@@ -150,7 +150,7 @@ func (t TimeBudgetSupplySet) Feasible(s vector.Quantity) bool {
 	return used <= t.Budget+1e-9
 }
 
-// BestResponse implements SupplySet by solving the bounded knapsack of
+// BestResponse implements SupplySet by solving the unbounded knapsack of
 // eq. (4) greedily by value density p_k / cost_k. The greedy solution is
 // the integer rounding of the exact continuous optimum (which puts the
 // whole budget on the densest class); Section 5.1 attributes QA-NT's

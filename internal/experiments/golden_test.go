@@ -18,8 +18,8 @@ import (
 // parallel-vs-sequential tests only compare a run with itself, so
 // without this table a refactor that reorders one float operation in
 // the capacity ledger would pass every test while moving every figure.
-// A digest covers the exact float bits of each series and, for the two
-// direct runs, every per-query sample plus every agent's final prices.
+// A digest covers the exact float bits of each series and, for the
+// direct run, every per-query sample plus every agent's final prices.
 //
 // A mismatch means seeded results changed. If that is intended, say so
 // in CHANGES.md and re-record with the digest the failure prints.
@@ -45,11 +45,6 @@ func TestGoldenSimulatorOutput(t *testing.T) {
 			res, err := Figure6(Quick())
 			hashPoints(h, res.Points)
 			return err
-		}},
-		{"sim exact solver", "5a610403e691b5fc", func(h hash.Hash) error {
-			mech := alloc.NewQANT(market.DefaultConfig(2))
-			mech.Exact = true
-			return hashOverloadRun(h, mech)
 		}},
 		{"sim partial adoption", "9b355bb50d75805c", func(h hash.Hash) error {
 			mech := alloc.NewQANT(market.DefaultConfig(2))

@@ -220,19 +220,12 @@ func checkSellerLedger(t *testing.T, data []byte) {
 	if in.next()%2 == 1 {
 		cfg.ActivationThreshold = 1.5
 	}
-	exact := in.next()%3 == 0
 	period := []float64{50, 100, 500}[in.next()%3]
 	costs := make([]float64, in.next()%4)
 	for c := range costs {
 		costs[c] = in.cost()
 	}
-	newSeller := NewSeller
-	if exact {
-		newSeller = func(cfg Config, periodMs float64, costs []float64) (*Seller, error) {
-			return NewExactSeller(cfg, periodMs, costs, nil)
-		}
-	}
-	s, err := newSeller(cfg, period, costs)
+	s, err := NewSeller(cfg, period, costs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,13 +300,7 @@ func checkSellerLedger(t *testing.T, data []byte) {
 		}
 
 		a := s.Agent()
-		budget := 0.0 // what the current plan was solved against
-		switch set := a.set.(type) {
-		case economics.TimeBudgetSupplySet:
-			budget = set.Budget
-		case ExactTimeBudgetSupplySet:
-			budget = set.Budget
-		}
+		budget := a.set.(economics.TimeBudgetSupplySet).Budget // what the current plan was solved against
 		onOfferMs, plannedMs, onPlanMs := 0.0, 0.0, 0.0
 		for c := range costs {
 			if s.Cost(c) != costs[c] {
@@ -374,7 +361,7 @@ func TestSellerLedgerUnderRandomTrading(t *testing.T) {
 // FuzzSellerLedger lets the fuzzer write the script; `make fuzzsmoke`
 // runs it for a few seconds on every CI run.
 func FuzzSellerLedger(f *testing.F) {
-	f.Add([]byte{10, 1, 0, 1, 1, 2, 20, 200, 0, 0, 0, 0, 13, 0, 10, 0, 5, 11, 0, 90, 0, 0, 15, 0})
-	f.Add([]byte{40, 0, 1, 0, 0, 0, 10, 0, 7, 0, 0, 9, 0, 12, 0, 0, 14})
+	f.Add([]byte{10, 1, 0, 1, 2, 20, 200, 0, 0, 0, 0, 13, 0, 10, 0, 5, 11, 0, 90, 0, 0, 15, 0})
+	f.Add([]byte{40, 0, 1, 0, 0, 10, 0, 7, 0, 0, 9, 0, 12, 0, 0, 14})
 	f.Fuzz(checkSellerLedger)
 }

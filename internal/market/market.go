@@ -253,19 +253,6 @@ func (a *Agent) Accepted() vector.Quantity { return a.accepted.Clone() }
 // Stats returns a snapshot of the agent's lifetime counters.
 func (a *Agent) Stats() Stats { return a.stats }
 
-// SetPrices overrides the private price vector; intended for tests and
-// for warm-starting agents in ablation studies.
-func (a *Agent) SetPrices(p vector.Prices) error {
-	if p.Len() != a.cfg.Classes {
-		return fmt.Errorf("market: price vector has %d classes, agent has %d", p.Len(), a.cfg.Classes)
-	}
-	if !p.IsValid() {
-		return errors.New("market: invalid price vector")
-	}
-	a.prices = p.Clone()
-	return nil
-}
-
 func (a *Agent) raise(k int) {
 	if a.cfg.MaxAdjustsPerPeriod > 0 && a.adjusts[k] >= a.cfg.MaxAdjustsPerPeriod {
 		return

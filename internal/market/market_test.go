@@ -183,22 +183,6 @@ func TestMarketDynamicsShiftSupply(t *testing.T) {
 	t.Fatal("q1 never entered the supply vector after 100 periods of excess demand")
 }
 
-func TestSetPricesValidation(t *testing.T) {
-	a := newTestAgent(t, []float64{100}, 500, DefaultConfig(1))
-	if err := a.SetPrices(vector.Prices{1, 2}); err == nil {
-		t.Error("wrong dimension accepted")
-	}
-	if err := a.SetPrices(vector.Prices{-1}); err == nil {
-		t.Error("negative price accepted")
-	}
-	if err := a.SetPrices(vector.Prices{3}); err != nil {
-		t.Errorf("valid price rejected: %v", err)
-	}
-	if a.Prices()[0] != 3 {
-		t.Error("SetPrices did not take effect")
-	}
-}
-
 func TestOfferPanicsOnBadClass(t *testing.T) {
 	a := newTestAgent(t, []float64{100}, 500, DefaultConfig(1))
 	a.BeginPeriod()
@@ -208,75 +192,4 @@ func TestOfferPanicsOnBadClass(t *testing.T) {
 		}
 	}()
 	a.Offer(5)
-}
-
-func TestExactSolverMatchesOrBeatsGreedy(t *testing.T) {
-	// A case where greedy-by-density is suboptimal: budget 500,
-	// costs (300, 280), prices (3.0, 2.9). Density favors class 1
-	// (0.0104 vs 0.0100), so greedy takes one of class 1 (value 2.9);
-	// the exact optimum is one of class 0 (value 3.0).
-	cost := []float64{300, 280}
-	p := vector.Prices{3.0, 2.9}
-	greedy := economics.TimeBudgetSupplySet{Cost: cost, Budget: 500}
-	exact := ExactTimeBudgetSupplySet{Cost: cost, Budget: 500, Granularity: 1}
-	gv := greedy.BestResponse(p).Value(p)
-	ev := exact.BestResponse(p).Value(p)
-	if ev < gv {
-		t.Errorf("exact value %g below greedy %g", ev, gv)
-	}
-	if ev != 3.0 {
-		t.Errorf("exact value %g, want 3.0", ev)
-	}
-}
-
-func TestExactSolverFeasibility(t *testing.T) {
-	exact := ExactTimeBudgetSupplySet{Cost: []float64{130, 70, 0}, Budget: 500, Granularity: 1}
-	s := exact.BestResponse(vector.Prices{2, 1, 99})
-	if !exact.Feasible(s) {
-		t.Errorf("exact best response %v infeasible", s)
-	}
-	if s[2] != 0 {
-		t.Errorf("unevaluable class supplied: %v", s)
-	}
-	// Zero budget yields zero supply.
-	empty := ExactTimeBudgetSupplySet{Cost: []float64{100}, Budget: 0}
-	if !empty.BestResponse(vector.Prices{1}).IsZero() {
-		t.Error("zero budget produced supply")
-	}
-	// No affordable class yields zero supply.
-	tooBig := ExactTimeBudgetSupplySet{Cost: []float64{900}, Budget: 500}
-	if !tooBig.BestResponse(vector.Prices{1}).IsZero() {
-		t.Error("unaffordable class produced supply")
-	}
-}
-
-func TestExactVersusGreedyRandomized(t *testing.T) {
-	// The exact solver must never be worse than greedy on any instance.
-	cases := [][]float64{
-		{100, 100, 100},
-		{170, 230, 90},
-		{499, 250, 251},
-		{60, 450, 120},
-	}
-	prices := []vector.Prices{
-		{1, 1, 1},
-		{5, 2, 1},
-		{1, 4, 2},
-		{0.5, 3, 1.1},
-	}
-	for i, cost := range cases {
-		for j, p := range prices {
-			greedy := economics.TimeBudgetSupplySet{Cost: cost, Budget: 500}
-			exact := ExactTimeBudgetSupplySet{Cost: cost, Budget: 500, Granularity: 1}
-			gv := greedy.BestResponse(p).Value(p)
-			es := exact.BestResponse(p)
-			ev := es.Value(p)
-			if !exact.Feasible(es) {
-				t.Errorf("case %d/%d: exact response infeasible", i, j)
-			}
-			if ev+1e-9 < gv {
-				t.Errorf("case %d/%d: exact %g < greedy %g", i, j, ev, gv)
-			}
-		}
-	}
 }

@@ -1,12 +1,10 @@
 package market
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"github.com/qamarket/qamarket/internal/economics"
-	"github.com/qamarket/qamarket/internal/vector"
 )
 
 // Seller is one node's whole QA-NT loop: an Agent plus what turns a
@@ -48,9 +46,6 @@ type Seller struct {
 	costs  []float64 // ms per class; <= 0 marks a class the node cannot evaluate
 	carry  float64
 	used   float64 // spent: this period's sales, each at the cost it was accepted under
-	// exact, when non-nil, selects the exact DP solver over the greedy
-	// density heuristic and supplies its reusable buffers.
-	exact *DPScratch
 }
 
 // NewSeller builds a seller with period T = periodMs over the given
@@ -58,25 +53,11 @@ type Seller struct {
 // AddClass). cfg.Classes is ignored; the cost table sets K. Nothing is
 // on offer until the first BeginPeriod.
 func NewSeller(cfg Config, periodMs float64, costs []float64) (*Seller, error) {
-	return newSeller(cfg, periodMs, costs, nil)
-}
-
-// NewExactSeller is NewSeller with eq. (4) solved exactly by dynamic
-// programming (the DESIGN.md solver ablation). Sellers that never run
-// concurrently may share one scratch; nil allocates a private one.
-func NewExactSeller(cfg Config, periodMs float64, costs []float64, scratch *DPScratch) (*Seller, error) {
-	if scratch == nil {
-		scratch = &DPScratch{}
-	}
-	return newSeller(cfg, periodMs, costs, scratch)
-}
-
-func newSeller(cfg Config, periodMs float64, costs []float64, exact *DPScratch) (*Seller, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
 	cfg.Classes = 0
-	s := &Seller{cfg: cfg, period: periodMs, exact: exact}
+	s := &Seller{cfg: cfg, period: periodMs}
 	s.install(Snapshot{Costs: costs})
 	return s, nil
 }
@@ -101,11 +82,7 @@ func (s *Seller) left() float64 { return s.period + s.carry - s.used }
 // supplySet is the one place a budget becomes a supply set: what is
 // left, or nothing while the node is in debt.
 func (s *Seller) supplySet() economics.SupplySet {
-	budget := max(s.left(), 0)
-	if s.exact != nil {
-		return ExactTimeBudgetSupplySet{Cost: s.costs, Budget: budget, Granularity: 10, Scratch: s.exact}
-	}
-	return economics.TimeBudgetSupplySet{Cost: s.costs, Budget: budget}
+	return economics.TimeBudgetSupplySet{Cost: s.costs, Budget: max(s.left(), 0)}
 }
 
 // capCarry bounds savings by max(T, dearest class).
@@ -232,8 +209,9 @@ func (s *Seller) Snapshot() Snapshot {
 // Restore replaces the seller's state with a snapshot and begins a
 // fresh period. Snapshots come from checkpoint files, so nothing in
 // them is trusted: costs must be finite and non-negative, carry finite
-// (it is then capped as at any period boundary), prices valid and one
-// per class. On error the seller is unchanged.
+// (it is then capped as at any period boundary), prices valid, within
+// [PriceFloor, PriceCap] and one per class. On error the seller is
+// unchanged.
 func (s *Seller) Restore(snap Snapshot) error {
 	for k, c := range snap.Costs {
 		if c < 0 || math.IsNaN(c) || math.IsInf(c, 0) {
@@ -246,8 +224,10 @@ func (s *Seller) Restore(snap Snapshot) error {
 	if snap.Prices != nil && len(snap.Prices) != len(snap.Costs) {
 		return fmt.Errorf("market: snapshot has %d prices for %d classes", len(snap.Prices), len(snap.Costs))
 	}
-	if !vector.Prices(snap.Prices).IsValid() {
-		return errors.New("market: snapshot prices invalid")
+	for k, p := range snap.Prices {
+		if math.IsNaN(p) || math.IsInf(p, 0) || p < s.cfg.PriceFloor || p > s.cfg.PriceCap {
+			return fmt.Errorf("market: snapshot price[%d] = %g outside [%g, %g]", k, p, s.cfg.PriceFloor, s.cfg.PriceCap)
+		}
 	}
 	s.install(snap)
 	s.BeginPeriod()

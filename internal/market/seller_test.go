@@ -136,9 +136,7 @@ func TestActivationThreshold(t *testing.T) {
 	}
 	// Force a price over the threshold: pricing activates, and exactly
 	// the re-planned remainder is on offer — not the period's first plan.
-	if err := a.SetPrices(vector.Prices{10, 1}); err != nil {
-		t.Fatalf("SetPrices: %v", err)
-	}
+	a.prices[0] = 10
 	if !a.Active() {
 		t.Fatal("agent inactive above threshold")
 	}
@@ -166,25 +164,20 @@ func TestActivationThreshold(t *testing.T) {
 func TestThresholdFlipNeverOversells(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
-		exact  bool
 		carry  float64
 		period float64
 		costs  []float64
 		first  int // the class sold off-plan while inactive
 	}{
 		{name: "greedy", period: 500, costs: []float64{400, 100}},
-		{name: "exact", exact: true, period: 500, costs: []float64{400, 100}},
 		{name: "with savings", carry: 300, period: 500, costs: []float64{700, 100}},
-		{name: "the fuzzer's", exact: true, period: 500, costs: []float64{144, 144}, first: 1},
+		{name: "the fuzzer's", period: 500, costs: []float64{144, 144}, first: 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig(0)
 			cfg.Lambda = 0.42
 			cfg.ActivationThreshold = 1.5
 			s, err := NewSeller(cfg, tc.period, nil)
-			if tc.exact {
-				s, err = NewExactSeller(cfg, tc.period, nil, nil)
-			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -291,7 +284,7 @@ func TestNewSellerValidatesConfig(t *testing.T) {
 	if _, err := NewSeller(Config{Lambda: 1.5}, 100, nil); err == nil {
 		t.Error("lambda above 1 accepted")
 	}
-	if _, err := NewExactSeller(Config{Lambda: 0}, 100, nil, nil); err == nil {
+	if _, err := NewSeller(Config{Lambda: 0}, 100, nil); err == nil {
 		t.Error("zero lambda accepted")
 	}
 }
@@ -344,6 +337,8 @@ func TestRestoreValidation(t *testing.T) {
 		{"class-count mismatch", Snapshot{Costs: []float64{100}, Prices: []float64{1, 2}}},
 		{"negative price", Snapshot{Costs: []float64{100}, Prices: []float64{-1}}},
 		{"NaN price", Snapshot{Costs: []float64{100}, Prices: []float64{math.NaN()}}},
+		{"price above the cap", Snapshot{Costs: []float64{100, 200}, Prices: []float64{1e12, 1}}},
+		{"price below the floor", Snapshot{Costs: []float64{100, 200}, Prices: []float64{1, 1e-12}}},
 		{"negative cost", Snapshot{Costs: []float64{-5}, Prices: []float64{1}}},
 		{"NaN cost", Snapshot{Costs: []float64{math.NaN()}, Prices: []float64{1}}},
 		{"infinite cost", Snapshot{Costs: []float64{math.Inf(1)}, Prices: []float64{1}}},

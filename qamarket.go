@@ -183,15 +183,3 @@ const (
 	MechGreedy = cluster.MechGreedy
 	MechQANT   = cluster.MechQANT
 )
-
-// EquitableSplit divides an aggregate supply max-min fairly over node
-// demands — the equitable-allocation extension of the paper's
-// Section 6.
-func EquitableSplit(agg Quantity, demand []Quantity) []Quantity {
-	return economics.EquitableSplit(agg, demand)
-}
-
-// Satisfaction is a node's utility under the equitable criterion.
-func Satisfaction(consumption, demand Quantity) float64 {
-	return economics.Satisfaction(consumption, demand)
-}

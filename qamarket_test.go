@@ -103,11 +103,3 @@ func TestPublicFacadeFederation(t *testing.T) {
 		t.Fatalf("distributor rows: %v", dr.Result.Rows)
 	}
 }
-
-// TestPublicFacadeEquitable checks the §6 extension through the façade.
-func TestPublicFacadeEquitable(t *testing.T) {
-	cons := qm.EquitableSplit(qm.Quantity{6}, []qm.Quantity{{4}, {4}})
-	if qm.Satisfaction(cons[0], qm.Quantity{4}) != 0.75 {
-		t.Errorf("split %v", cons)
-	}
-}
