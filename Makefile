@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench benchsmoke loadsmoke fuzzsmoke oneledger onelane onekinds onerow oneonce ci
+.PHONY: all build test vet race bench benchsmoke loadsmoke fuzzsmoke oneledger onelane onekinds onerow oneonce onewire ci
 
 all: build test
 
@@ -126,4 +126,17 @@ oneonce:
 	@if grep -niE 'noshard' cmd/qaload/*.go; \
 	then echo 'oneonce: qaload defines -noshard again; a static view (no -refresh) probes every member'; exit 1; fi
 
-ci: build vet oneledger onelane onekinds onerow oneonce test race benchsmoke loadsmoke fuzzsmoke
+# onewire keeps one handshake: a client connection opens with a hello
+# that carries the protocol version, the run id and the mechanism, and
+# no request or reply field repeats them or keeps its own old-peer rule.
+# It fails when a non-test internal/cluster file declares run_id,
+# mechanism, fetch_batch or node_id on request or reply, or when a Go
+# file names the deleted per-field versions or the old-peer stub mode.
+onewire:
+	@if awk '/^type (request|reply) struct/,/^}/' $$(ls internal/cluster/*.go | grep -v '_test\.go$$') \
+		| grep -E 'json:"(run_id|mechanism|fetch_batch|node_id)'; \
+	then echo 'onewire: request or reply carries a field the hello carries (see DESIGN.md §9, "One handshake")'; exit 1; fi
+	@if grep -rnwE 'traceV|gossipV|batchAware' --include='*.go' .; \
+	then echo 'onewire: a per-field protocol version or the old-peer stub mode is back (see DESIGN.md §9, "One handshake")'; exit 1; fi
+
+ci: build vet oneledger onelane onekinds onerow oneonce onewire test race benchsmoke loadsmoke fuzzsmoke

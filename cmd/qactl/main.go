@@ -82,9 +82,9 @@ func main() {
 		if err != nil {
 			die(err)
 		}
-		fmt.Printf("node %s: executed=%d offers=%d rejects=%d\n", *stats, st.Executed, st.Offers, st.Rejects)
-		for sig, price := range st.Prices {
-			fmt.Printf("  price %.4f  class %s\n", price, sig)
+		fmt.Printf("node %s: executed=%d offers=%d rejects=%d\n", *stats, st.Executed, st.Market.Stats.Offers, st.Market.Stats.Rejects)
+		for _, c := range st.Market.Classes {
+			fmt.Printf("  price %.4f  class %s\n", c.Price, c.Signature)
 		}
 		return
 	}

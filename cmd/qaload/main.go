@@ -65,7 +65,6 @@ type options struct {
 	batch       time.Duration
 	bidCache    time.Duration
 	fetch       bool
-	fetchBatch  int
 }
 
 // loadReport is qaload's result, printed as text or JSON (-json).
@@ -150,7 +149,6 @@ func main() {
 	flag.DurationVar(&o.batch, "batch", 0, "coalesce same-class negotiations arriving within this window into one batched CFP per node (0 = off)")
 	flag.DurationVar(&o.bidCache, "bidcache", 0, "winning-bid cache TTL; epoch-stamped ladders admit same-class queries without renegotiating (0 = off)")
 	flag.BoolVar(&o.fetch, "fetch", false, "ship results back (client.Fetch) instead of execute-only (client.Run)")
-	flag.IntVar(&o.fetchBatch, "fetch-batch", 0, "max rows per streamed fetch batch to request (0: server default)")
 	flag.Parse()
 
 	rep, err := run(&o)
@@ -259,18 +257,17 @@ func run(o *options) (*loadReport, error) {
 		tracer = trace.NewRecorder("client", capacity, nil)
 	}
 	ccfg := cluster.ClientConfig{
-		Addrs:          addrs,
-		Mechanism:      cluster.Mechanism(o.mechanism),
-		PeriodMs:       o.period,
-		Timeout:        30 * time.Second,
-		PoolSize:       o.poolSize,
-		Tracer:         tracer,
-		QueryTimeout:   o.deadline,
-		RetryBudget:    o.retryBudget,
-		ViewRefresh:    o.refresh,
-		BatchWindow:    o.batch,
-		BidCacheTTL:    o.bidCache,
-		FetchBatchRows: o.fetchBatch,
+		Addrs:        addrs,
+		Mechanism:    cluster.Mechanism(o.mechanism),
+		PeriodMs:     o.period,
+		Timeout:      30 * time.Second,
+		PoolSize:     o.poolSize,
+		Tracer:       tracer,
+		QueryTimeout: o.deadline,
+		RetryBudget:  o.retryBudget,
+		ViewRefresh:  o.refresh,
+		BatchWindow:  o.batch,
+		BidCacheTTL:  o.bidCache,
 	}
 	client, err := cluster.NewClient(ccfg)
 	if err != nil {

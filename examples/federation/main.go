@@ -80,6 +80,6 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("  node %s: executed=%d offers=%d rejects=%d classes=%d\n",
-			addr, st.Executed, st.Offers, st.Rejects, len(st.Prices))
+			addr, st.Executed, st.Market.Stats.Offers, st.Market.Stats.Rejects, len(st.Market.Classes))
 	}
 }

@@ -6,9 +6,9 @@ import (
 
 // ClientSource polls a federation through a cluster client's dynamic
 // membership view: one stats RPC per live member, telemetry lifted off
-// the additive market field. Members that are unreachable, mid-drain
-// past their stats window, or too old to carry the field are simply
-// skipped — the controller is built to tolerate any answering subset.
+// its market field. Members that are unreachable or mid-drain past
+// their stats window are simply skipped — the controller is built to
+// tolerate any answering subset.
 type ClientSource struct {
 	Client *cluster.Client
 }
@@ -23,10 +23,10 @@ func (s ClientSource) Sample() []Sample {
 			continue // left/dead members own no supply to count
 		}
 		st, err := s.Client.Stats(m.ID)
-		if err != nil || st.Market == nil {
+		if err != nil {
 			continue
 		}
-		out = append(out, Sample{ID: m.ID, Telemetry: *st.Market})
+		out = append(out, Sample{ID: m.ID, Telemetry: st.Market})
 	}
 	return out
 }

@@ -3,13 +3,11 @@ package cluster
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -78,178 +76,57 @@ func TestRelationsIn(t *testing.T) {
 	}
 }
 
-// scriptedServer is a minimal wire-speaking fake node for interop
-// tests: it records every request line verbatim and answers from a
-// tiny script. With batchAware false it behaves like a pre-batching
-// build — it ignores the request's batch field entirely and answers
-// the envelope's own query only, which is exactly what encoding/json
-// does to unknown fields on an old struct.
+// scriptedServer is a stub node that records every request past the
+// hello and answers from a tiny script: every negotiate, batch riders
+// included, gets an offer; executes get execCode's typed refusal, or
+// are accepted when it is empty.
 type scriptedServer struct {
-	t  *testing.T
-	ln net.Listener
+	addr     string
+	execCode string
 
-	mu    sync.Mutex
-	lines [][]byte
-
-	batchAware bool
-	execCode   string // typed code execute replies carry ("" accepts)
+	mu   sync.Mutex
+	reqs []request
 }
 
-func startScriptedServer(t *testing.T, batchAware bool, execCode string) *scriptedServer {
+func startScriptedServer(t *testing.T, execCode string) *scriptedServer {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := &scriptedServer{t: t, ln: ln, batchAware: batchAware, execCode: execCode}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go s.serve(conn)
-		}
-	}()
+	s := &scriptedServer{execCode: execCode}
+	s.addr = startStub(t, s.answer)
 	return s
 }
 
-func (s *scriptedServer) serve(conn net.Conn) {
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-	for {
-		line, err := r.ReadBytes('\n')
-		if err != nil {
-			return
+func (s *scriptedServer) answer(req *request) reply {
+	s.mu.Lock()
+	s.reqs = append(s.reqs, *req)
+	s.mu.Unlock()
+	var rep reply
+	switch req.Op {
+	case "negotiate":
+		rep.Negotiate = &negotiateReply{Feasible: true, Offer: true, EstimateMs: 5}
+		for _, bq := range req.Batch {
+			rep.Batch = append(rep.Batch, batchProposal{
+				QueryID:   bq.QueryID,
+				Negotiate: &negotiateReply{Feasible: true, Offer: true, EstimateMs: 5},
+			})
 		}
-		s.mu.Lock()
-		s.lines = append(s.lines, bytes.TrimRight(line, "\n"))
-		s.mu.Unlock()
-		var req request
-		if err := json.Unmarshal(line, &req); err != nil {
-			return
+	case "execute":
+		if s.execCode != "" {
+			rep.Code = s.execCode
+			rep.Err = "scripted refusal"
+		} else {
+			rep.Execute = &executeReply{Accepted: true, Rows: 1, ExecMs: 1}
 		}
-		rep := reply{ID: req.ID, NodeID: "scripted"}
-		switch req.Op {
-		case "negotiate":
-			rep.Negotiate = &negotiateReply{Feasible: true, Offer: true, EstimateMs: 5}
-			if s.batchAware {
-				for _, bq := range req.Batch {
-					rep.Batch = append(rep.Batch, batchProposal{
-						QueryID:   bq.QueryID,
-						Negotiate: &negotiateReply{Feasible: true, Offer: true, EstimateMs: 5},
-					})
-				}
-			}
-		case "execute":
-			if s.execCode != "" {
-				rep.Code = s.execCode
-				rep.Err = "scripted refusal"
-			} else {
-				rep.Execute = &executeReply{Accepted: true, Rows: 1, ExecMs: 1}
-			}
-		default:
-			rep.Err = "scripted server: unknown op " + req.Op
-		}
-		if err := writeMsg(w, &rep); err != nil {
-			return
-		}
+	default:
+		rep.Err = "scripted server: unknown op " + req.Op
 	}
+	return rep
 }
 
-// requestLines snapshots the recorded raw request lines.
-func (s *scriptedServer) requestLines() [][]byte {
+// requests snapshots the recorded requests.
+func (s *scriptedServer) requests() []request {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([][]byte, len(s.lines))
-	copy(out, s.lines)
-	return out
-}
-
-// TestSingleQueryWindowIsByteIdentical proves the new client's batched
-// path degrades to the legacy wire format with nothing to coalesce: the
-// request a window-of-one sends is byte-for-byte the request an
-// unbatched client sends for the same query.
-func TestSingleQueryWindowIsByteIdentical(t *testing.T) {
-	sql := "SELECT a FROM t1 WHERE a > 7"
-	srv := startScriptedServer(t, false, "")
-	legacy, err := NewClient(ClientConfig{
-		Addrs: []string{srv.ln.Addr().String()}, Mechanism: MechGreedy, freshDial: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := legacy.negotiateAll(sql, nil, time.Time{}); err != nil {
-		t.Fatalf("legacy negotiate: %v", err)
-	}
-	batched, err := NewClient(ClientConfig{
-		Addrs: []string{srv.ln.Addr().String()}, Mechanism: MechGreedy, freshDial: true,
-		BatchWindow: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := batched.batches.negotiate(1, sql, classKey(sql), nil, time.Time{}); err != nil {
-		t.Fatalf("batched negotiate: %v", err)
-	}
-	lines := srv.requestLines()
-	if len(lines) != 2 {
-		t.Fatalf("recorded %d request lines, want 2", len(lines))
-	}
-	if !bytes.Equal(lines[0], lines[1]) {
-		t.Errorf("single-query window not byte-identical to legacy negotiate:\n legacy: %s\nbatched: %s", lines[0], lines[1])
-	}
-}
-
-// TestNewClientOldServerDegrades pins what a coalesced window gets from
-// a node that ignores the batch field: the lead's proposal stands, the
-// rider fails at that node with a short batch reply, and the next
-// window still offers the node a batch.
-func TestNewClientOldServerDegrades(t *testing.T) {
-	srv := startScriptedServer(t, false, "")
-	c, err := NewClient(ClientConfig{
-		Addrs: []string{srv.ln.Addr().String()}, Mechanism: MechGreedy, freshDial: true,
-		BatchWindow: 200 * time.Millisecond, batchLimit: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	window := func(sqlA, sqlB string) {
-		t.Helper()
-		var wg sync.WaitGroup
-		results := make([]proposals, 2)
-		errs := make([]error, 2)
-		for i, sql := range []string{sqlA, sqlB} {
-			wg.Add(1)
-			go func(i int, sql string) {
-				defer wg.Done()
-				results[i], _, errs[i] = c.batches.negotiate(int64(i), sql, classKey(sql), nil, time.Time{})
-			}(i, sql)
-			time.Sleep(20 * time.Millisecond) // second call rides the first's window
-		}
-		wg.Wait()
-		if errs[0] != nil || len(results[0].ranked) != 1 {
-			t.Fatalf("lead got %d candidates (err %v), want its own proposal", len(results[0].ranked), errs[0])
-		}
-		if errs[1] == nil || !strings.Contains(errs[1].Error(), "short batch reply") {
-			t.Fatalf("rider err = %v, want a short batch reply", errs[1])
-		}
-	}
-	for i, sqls := range [][2]string{
-		{"SELECT a FROM t1 WHERE a > 1", "SELECT a FROM t1 WHERE a > 2"},
-		{"SELECT a FROM t1 WHERE a > 3", "SELECT a FROM t1 WHERE a > 4"},
-	} {
-		window(sqls[0], sqls[1])
-		lines := srv.requestLines()
-		if len(lines) != i+1 {
-			t.Fatalf("after window %d the node saw %d requests, want one batched CFP per window: %s", i, len(lines), lines)
-		}
-		if !bytes.Contains(lines[i], []byte(`"batch"`)) {
-			t.Errorf("window %d sent no batch field: %s", i, lines[i])
-		}
-	}
+	return append([]request(nil), s.reqs...)
 }
 
 // TestBatchedWindowOverloadIsTyped: a node at MaxInflight refuses a
@@ -297,7 +174,7 @@ func TestBatchedWindowOverloadIsTyped(t *testing.T) {
 }
 
 // rawExchange sends one raw request line to addr and returns the raw
-// reply line — the old-client view of a new server.
+// reply line, as a node gossiping with addr would.
 func rawExchange(t *testing.T, addr string, req any) []byte {
 	t.Helper()
 	conn, err := net.DialTimeout("tcp", addr, time.Second)
@@ -315,48 +192,6 @@ func rawExchange(t *testing.T, addr string, req any) []byte {
 		t.Fatal(err)
 	}
 	return bytes.TrimRight(line, "\n")
-}
-
-// TestOldClientNewServerUnchanged proves a batch-aware server answers
-// an unbatched negotiate with the legacy reply shape: no batch key
-// leaks into the envelope an old client will decode.
-func TestOldClientNewServerUnchanged(t *testing.T) {
-	ds, _, addrs := startTestFederation(t, []float64{1}, nil)
-	rng := rand.New(rand.NewSource(11))
-	templates, err := ds.GenerateTemplates(1, 1, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sql := templates[0].Instantiate(rng)
-	raw := rawExchange(t, addrs[0], &request{Op: "negotiate", SQL: sql, Mechanism: MechGreedy})
-	if bytes.Contains(raw, []byte(`"batch"`)) {
-		t.Fatalf("unbatched negotiate reply leaked a batch field: %s", raw)
-	}
-	var rep reply
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Negotiate == nil || !rep.Negotiate.Feasible {
-		t.Fatalf("unbatched negotiate broken on batch-aware server: %s", raw)
-	}
-	// And the same server solves a batched CFP positionally.
-	var rep2 reply
-	raw2 := rawExchange(t, addrs[0], &request{
-		Op: "negotiate", SQL: sql, Mechanism: MechGreedy,
-		Batch: []batchQuery{{QueryID: 7, SQL: sql}, {QueryID: 8, SQL: "SELECT nope FROM missing"}},
-	})
-	if err := json.Unmarshal(raw2, &rep2); err != nil {
-		t.Fatal(err)
-	}
-	if len(rep2.Batch) != 2 {
-		t.Fatalf("batched negotiate answered %d of 2 batch queries: %s", len(rep2.Batch), raw2)
-	}
-	if rep2.Batch[0].Negotiate == nil || !rep2.Batch[0].Negotiate.Feasible {
-		t.Errorf("batch query 0 got no proposal: %s", raw2)
-	}
-	if rep2.Batch[1].Negotiate != nil && rep2.Batch[1].Negotiate.Feasible {
-		t.Errorf("infeasible batch query reported feasible: %s", raw2)
-	}
 }
 
 // seedBidClient builds a cache-enabled client against addr (no RPCs
@@ -436,9 +271,9 @@ func TestBidCacheTTLExpires(t *testing.T) {
 func TestBidCacheTypedRefusalsInvalidate(t *testing.T) {
 	for _, code := range []string{CodeOverload, CodeExpired, CodeDraining} {
 		t.Run(code, func(t *testing.T) {
-			srv := startScriptedServer(t, true, code)
+			srv := startScriptedServer(t, code)
 			c, err := NewClient(ClientConfig{
-				Addrs: []string{srv.ln.Addr().String()}, Mechanism: MechGreedy,
+				Addrs: []string{srv.addr}, Mechanism: MechGreedy,
 				freshDial: true, BidCacheTTL: time.Minute,
 				PeriodMs: 1, MaxRetries: 1,
 			})
@@ -449,7 +284,7 @@ func TestBidCacheTypedRefusalsInvalidate(t *testing.T) {
 			sql := "SELECT a FROM t1 WHERE a > 5"
 			class := classKey(sql)
 			// Seed the cache the way a successful round would.
-			c.bids.put(class, []*nodeState{c.lookup(srv.ln.Addr().String())})
+			c.bids.put(class, []*nodeState{c.lookup(srv.addr)})
 			out := c.Run(1, sql)
 			if out.Err == nil {
 				t.Fatal("refused query reported success")
@@ -471,9 +306,9 @@ func TestBidCacheTypedRefusalsInvalidate(t *testing.T) {
 // end: with a valid cached ladder, a follow-up query of the class costs
 // zero negotiate RPCs.
 func TestBidCacheHitSkipsNegotiate(t *testing.T) {
-	srv := startScriptedServer(t, true, "")
+	srv := startScriptedServer(t, "")
 	c, err := NewClient(ClientConfig{
-		Addrs: []string{srv.ln.Addr().String()}, Mechanism: MechGreedy,
+		Addrs: []string{srv.addr}, Mechanism: MechGreedy,
 		freshDial: true, BidCacheTTL: time.Minute,
 	})
 	if err != nil {
@@ -503,12 +338,12 @@ func TestBidCacheHitSkipsNegotiate(t *testing.T) {
 }
 
 // TestBatchedWindowSharesOneRPC proves the tentpole arithmetic on the
-// wire: a window of three same-class queries against a batch-aware
-// node costs one negotiate RPC, not three.
+// wire: a window of three same-class queries costs one negotiate RPC
+// per node, not three.
 func TestBatchedWindowSharesOneRPC(t *testing.T) {
-	srv := startScriptedServer(t, true, "")
+	srv := startScriptedServer(t, "")
 	c, err := NewClient(ClientConfig{
-		Addrs: []string{srv.ln.Addr().String()}, Mechanism: MechGreedy, freshDial: true,
+		Addrs: []string{srv.addr}, Mechanism: MechGreedy, freshDial: true,
 		BatchWindow: 300 * time.Millisecond, batchLimit: 3,
 	})
 	if err != nil {
@@ -538,9 +373,8 @@ func TestBatchedWindowSharesOneRPC(t *testing.T) {
 	if n := c.health.Counter("batch_coalesced_total"); n != 2 {
 		t.Errorf("coalesced = %d, want 2", n)
 	}
-	lines := srv.requestLines()
-	if len(lines) != 1 || !bytes.Contains(lines[0], []byte(`"batch"`)) {
-		t.Errorf("expected one batched request, got %d: %s", len(lines), lines)
+	if reqs := srv.requests(); len(reqs) != 1 || len(reqs[0].Batch) != 2 {
+		t.Errorf("expected one request batching two riders, got %+v", reqs)
 	}
 }
 
@@ -550,7 +384,7 @@ func TestBatchedWindowSharesOneRPC(t *testing.T) {
 // call for proposals for "FROM té" must reach A, not stop at B because
 // the name was cut at its first non-ASCII byte.
 func TestShardProbeReadsNonASCIIRelations(t *testing.T) {
-	client, _ := startOver(t, ClientConfig{Mechanism: MechGreedy, PeriodMs: 20, MaxRetries: 3, Timeout: 5 * time.Second}, true,
+	client, _ := startOver(t, ClientConfig{Mechanism: MechGreedy, PeriodMs: 20, MaxRetries: 3, Timeout: 5 * time.Second}, true, 0,
 		engine.FromDB(loadScripts(t, "CREATE TABLE té (x INT); INSERT INTO té VALUES (1), (2)")),
 		engine.FromDB(loadScripts(t, "CREATE TABLE t (x INT); INSERT INTO t VALUES (3)")))
 	res, out := client.Fetch(1, "SELECT x FROM té")
@@ -614,7 +448,7 @@ func TestShardProbeSkipsInfeasibleNodes(t *testing.T) {
 // — before the lifecycles were unified, fetches never consulted the
 // cache and paid the full fan-out every time.
 func TestFetchRidesBidCache(t *testing.T) {
-	_, c, sql, want := fetchFederation(t, ClientConfig{BidCacheTTL: time.Minute})
+	_, c, sql, want := fetchFederation(t, 0, ClientConfig{BidCacheTTL: time.Minute})
 	fetch := func(id int64) int {
 		t.Helper()
 		rows := 0

@@ -16,11 +16,8 @@ import (
 // negotiate request's additive batch field) and every rider gets its
 // own ranked proposal ladder back. A node-wide refusal (draining, or
 // overload at the admission gate) answers the whole window at once and
-// every rider shares it. Only a server that ignores the batch field
-// answers without the riders' proposals; each rider then fails at that
-// node ("short batch reply") and the lead's proposal stands. A window
-// of one omits the batch field entirely and is byte-identical to an
-// unbatched negotiate.
+// every rider shares it. A window of one omits the batch field and is
+// an unbatched negotiate.
 type negotiator struct {
 	c       *Client
 	mu      sync.Mutex
@@ -137,18 +134,30 @@ func (c *Client) fanout(items []*batchItem) int {
 			it.pr = pr
 			continue
 		}
-		it.err = aggregateNodeErrors(members, grid[qi])
-		for _, o := range grid[qi] {
-			if errors.Is(o.err, ErrTooLarge) {
-				// An oversized request fails identically everywhere;
-				// typing the aggregate lets the lifecycle fail fast instead
-				// of burning its retry rounds on a hopeless resubmit.
-				it.err = fmt.Errorf("%w: %v", ErrTooLarge, it.err)
-				break
-			}
-		}
+		it.err = hopeless(aggregateNodeErrors(members, grid[qi]), grid[qi])
 	}
 	return len(members)
+}
+
+// hopeless types a round's "no node reachable" error when no resubmit
+// can succeed, so the lifecycle fails fast instead of burning its retry
+// rounds: an oversized request fails identically everywhere, and a
+// round in which every node refused the hello found no node that speaks
+// this client's protocol.
+func hopeless(err error, outs []negOutcome) error {
+	refused := 0
+	for _, o := range outs {
+		if errors.Is(o.err, ErrTooLarge) {
+			return fmt.Errorf("%w: %v", ErrTooLarge, err)
+		}
+		if errors.Is(o.err, errHelloRefused) {
+			refused++
+		}
+	}
+	if refused == len(outs) {
+		return fmt.Errorf("%w: %v", errHelloRefused, err)
+	}
+	return err
 }
 
 // askNode sends one node its share of the window: one CFP, with the
@@ -156,8 +165,7 @@ func (c *Client) fanout(items []*batchItem) int {
 func (c *Client) askNode(items []*batchItem, ns *nodeState, grid [][]negOutcome, mi int) {
 	lead := items[0]
 	req := &request{
-		Op: "negotiate", SQL: lead.sql, Mechanism: c.cfg.Mechanism, Trace: lead.tc,
-		DeadlineMs: remainingMs(lead.deadline),
+		Op: "negotiate", SQL: lead.sql, Trace: lead.tc, DeadlineMs: remainingMs(lead.deadline),
 	}
 	for _, it := range items[1:] {
 		req.Batch = append(req.Batch, batchQuery{
@@ -169,33 +177,16 @@ func (c *Client) askNode(items []*batchItem, ns *nodeState, grid [][]negOutcome,
 		answered bool
 	)
 	grid[0][mi], answered = c.askNegotiate(ns, req, &rep)
-	switch {
-	case len(items) == 1:
-	case !answered:
-		for qi := 1; qi < len(grid); qi++ {
+	for qi := 1; qi < len(items); qi++ {
+		if !answered || len(rep.Batch) < qi {
+			// The exchange failed, or the node answered the whole window
+			// at once (draining, overload at its admission gate) with no
+			// batch array: every rider shares the lead's outcome, and
+			// classify has already driven the breaker for it.
 			grid[qi][mi] = grid[0][mi]
+			continue
 		}
-	case rep.Code == CodeDraining:
-		// The whole node is going away (classify already tripped its
-		// breaker and pruned it); every rider sees the same refusal.
-		for qi := 1; qi < len(grid); qi++ {
-			grid[qi][mi] = negOutcome{err: errDraining}
-		}
-	case rep.Code == CodeOverload:
-		// The node-wide admission gate refused the whole window before
-		// any query was solved: every rider gets the same market refusal.
-		for qi := 1; qi < len(grid); qi++ {
-			grid[qi][mi] = negOutcome{refusal: CodeOverload}
-		}
-	default:
-		for j := range items[1:] {
-			qi := j + 1
-			if j >= len(rep.Batch) {
-				grid[qi][mi] = negOutcome{err: errors.New("cluster: short batch reply")}
-				continue
-			}
-			bp := rep.Batch[j]
-			grid[qi][mi] = c.classifyNegotiate(ns, bp.Negotiate, bp.Code, bp.Err)
-		}
+		bp := rep.Batch[qi-1]
+		grid[qi][mi] = c.classifyNegotiate(ns, bp.Negotiate, bp.Code, bp.Err)
 	}
 }

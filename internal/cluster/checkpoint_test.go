@@ -103,7 +103,7 @@ func TestCrashRestartResumesPriceTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(preCrash.Prices) == 0 {
+	if len(preCrash.Market.Classes) == 0 {
 		t.Skip("node 0 learned no classes in this layout")
 	}
 	if age, ok := preCrash.Health[metrics.CheckpointAgeMs]; !ok {
@@ -170,11 +170,12 @@ func TestCrashRestartResumesPriceTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(postRestore.Prices) != len(ckptState.Pricer.Classes) {
-		t.Fatalf("restored %d classes, checkpoint has %d", len(postRestore.Prices), len(ckptState.Pricer.Classes))
+	if len(postRestore.Market.Classes) != len(ckptState.Pricer.Classes) {
+		t.Fatalf("restored %d classes, checkpoint has %d", len(postRestore.Market.Classes), len(ckptState.Pricer.Classes))
 	}
+	restoredPrices := classPrices(postRestore)
 	for sig, idx := range ckptState.Pricer.Classes {
-		if got, ok := postRestore.Prices[sig]; !ok || got != ckptState.Pricer.Prices[idx] {
+		if got, ok := restoredPrices[sig]; !ok || got != ckptState.Pricer.Prices[idx] {
 			t.Errorf("class %s: restored price %g, want %g", sig, got, ckptState.Pricer.Prices[idx])
 		}
 	}

@@ -66,9 +66,10 @@ type ClientConfig struct {
 	// queries that cannot finish in time instead of running them for
 	// nobody. Zero (the default) disables deadlines.
 	QueryTimeout time.Duration
-	// RunID names this client run for server-side at-most-once dedup:
-	// servers cache execute/fetch outcomes under (RunID, query id, SQL)
-	// so a retransmit after a lost reply replays the original outcome.
+	// RunID names this client run for server-side at-most-once dedup.
+	// It rides the hello that opens each connection, and servers cache
+	// execute/fetch outcomes under (RunID, query id, SQL) so a retransmit
+	// after a lost reply replays the original outcome.
 	// A lost reply is only ever retransmitted to the same node, so a
 	// query runs at most once (see ErrOutcomeUnknown). Empty derives a
 	// process-unique id.
@@ -96,10 +97,6 @@ type ClientConfig struct {
 	// prices per period, so a winning bid is valid for at most one
 	// epoch. Zero (default) disables the cache.
 	BidCacheTTL time.Duration
-	// FetchBatchRows asks servers to bound streamed fetch batches to
-	// this many rows (servers clamp to their own FetchBatchRows config).
-	// Zero accepts the server default.
-	FetchBatchRows int
 
 	// Test hooks, left zero outside the package's tests: validate fills
 	// in the product values given in parentheses.
@@ -180,9 +177,6 @@ func (c *ClientConfig) validate() error {
 	if c.BidCacheTTL < 0 {
 		return fmt.Errorf("cluster: BidCacheTTL %v is negative", c.BidCacheTTL)
 	}
-	if c.FetchBatchRows < 0 {
-		return fmt.Errorf("cluster: FetchBatchRows %d is negative", c.FetchBatchRows)
-	}
 	return nil
 }
 
@@ -204,9 +198,9 @@ type nodeState struct {
 	breaker *breaker
 
 	// mu guards the identity fields below. A node enters the view
-	// provisionally keyed by its seed address; the first reply's
-	// NodeID stamp resolves the real ID and re-keys the entry, state
-	// intact.
+	// provisionally keyed by its seed address; the node ID its answer
+	// to the first hello names resolves the real ID and re-keys the
+	// entry, state intact.
 	mu          sync.Mutex
 	id          string
 	addr        string
@@ -272,6 +266,8 @@ func (ns *nodeState) observe(op string, ms float64) {
 type Client struct {
 	cfg    ClientConfig
 	health *metrics.Health
+	// hello opens every connection the client dials.
+	hello hello
 
 	// view is the membership view, keyed by stable node ID (seed
 	// address until the node's first reply resolves it). removedInc
@@ -321,6 +317,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	c := &Client{
 		cfg:         cfg,
 		health:      metrics.NewHealth(),
+		hello:       hello{V: protocolVersion, RunID: cfg.RunID, Mechanism: cfg.Mechanism},
 		view:        make(map[string]*nodeState, len(cfg.Addrs)),
 		removedInc:  make(map[string]uint64),
 		rpcCounts:   make(map[string]int64),
@@ -361,7 +358,7 @@ func (c *Client) newNodeState(id, addr string, resolved bool) *nodeState {
 		lat:      make(map[string]*metrics.Histogram),
 	}
 	if !c.cfg.freshDial {
-		ns.transport = newNodeTransport(addr, c.cfg.PoolSize, c.wire)
+		ns.transport = newNodeTransport(addr, &c.hello, c.cfg.PoolSize, c.wire)
 	}
 	return ns
 }
@@ -585,7 +582,7 @@ func childCtx(tc *traceCtx, sp *trace.Active) *traceCtx {
 	if tc == nil || sp == nil {
 		return tc
 	}
-	return &traceCtx{V: traceV, ID: tc.ID, Span: sp.ID()}
+	return &traceCtx{ID: tc.ID, Span: sp.ID()}
 }
 
 // Run evaluates one query: negotiate with every node in the live view
@@ -881,35 +878,36 @@ func aggregateNodeErrors(members []*nodeState, outs []negOutcome) error {
 
 // rpcOn performs one exchange with a view member, recording the
 // latency of successful RPCs (failures are already counted by the
-// breaker and retry metrics) in the member's per-op histogram, and
-// resolving the member's stable ID from the reply's NodeID stamp. A
-// fetch passes onFrame and ends with its frames consumed, or with a JSON
-// envelope in rep (a refusal or an error); every other op gets one JSON
-// reply. A frame stream carries no NodeID stamp — harmless, since
-// fetches target nodes the client already negotiated with.
+// breaker and retry metrics) in the member's per-op histogram. A
+// connection's hello names the node, which resolves the member's stable
+// ID. A fetch passes onFrame and ends with its frames consumed, or with
+// a JSON envelope in rep (a refusal or an error); every other op gets
+// one JSON reply.
 func (c *Client) rpcOn(ns *nodeState, req *request, rep *reply, timeout time.Duration, onFrame frameFunc) error {
 	start := time.Now()
 	c.countRPC(req.Op)
 	ns.mu.Lock()
 	nt, addr := ns.transport, ns.addr
 	ns.mu.Unlock()
-	var err error
+	var (
+		id  string
+		err error
+	)
 	if nt != nil {
 		var mc *mconn
 		if mc, err = nt.lane(req.Op).get(timeout); err != nil {
-			// Pool get failures are dial-stage: the request was not sent.
-			err = fmt.Errorf("%w: %v", errNotSent, err)
+			// A get failure, a refused hello included, precedes the request.
+			err = fmt.Errorf("%w: %w", errNotSent, err)
 		} else {
+			id = mc.nodeID
 			err = mc.call(req, rep, timeout, onFrame)
 		}
 	} else {
-		err = freshRPC(addr, req, rep, timeout, c.wire, onFrame)
+		id, err = freshRPC(addr, &c.hello, req, rep, timeout, c.wire, onFrame)
 	}
+	c.learnID(ns, id)
 	if err == nil {
 		ns.observe(req.Op, msSince(start))
-		if rep.NodeID != "" {
-			c.learnID(ns, rep.NodeID)
-		}
 	}
 	return err
 }
@@ -1008,9 +1006,9 @@ func (c *Client) Stats(node string) (*NodeStats, error) {
 
 // TraceSpans assembles one trace's spans from across the federation:
 // the client's own recorder plus every reachable node's span ring,
-// collected via the "spans" op. Unreachable nodes (and old nodes that
-// answer the unknown op with an error) are skipped — a lossy
-// collection still renders, with orphaned spans becoming tree roots.
+// collected via the "spans" op. Unreachable nodes are skipped — a
+// lossy collection still renders, with orphaned spans becoming tree
+// roots.
 func (c *Client) TraceSpans(traceID int64) []trace.Span {
 	members := c.nodes()
 	collected := make([][]trace.Span, len(members))

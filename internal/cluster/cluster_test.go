@@ -281,7 +281,7 @@ func TestQANTServesWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stats: %v", err)
 	}
-	if len(st.Prices) == 0 {
+	if len(st.Market.Classes) == 0 {
 		t.Error("node 0 learned no query classes")
 	}
 }
@@ -308,7 +308,7 @@ func TestHistoryEstimatorConverges(t *testing.T) {
 	}
 	// After an execution the estimate must come from history.
 	var rep reply
-	if err := client.rpcOn(client.lookup(addrs[0]), &request{Op: "negotiate", SQL: sql, Mechanism: MechGreedy}, &rep, time.Second, nil); err != nil {
+	if err := client.rpcOn(client.lookup(addrs[0]), &request{Op: "negotiate", SQL: sql}, &rep, time.Second, nil); err != nil {
 		t.Fatal(err)
 	}
 	if rep.Negotiate == nil || !rep.Negotiate.FromCache {

@@ -90,7 +90,7 @@ func (d *Distributor) Run(queryID int64, sql string) (DistOutcome, error) {
 	// across the lifecycles of its subqueries.
 	q := query{id: queryID, sub: true, afterNegotiate: d.afterNegotiate}
 	if root != nil {
-		q.tc = childCtx(&traceCtx{V: traceV, ID: queryID}, root)
+		q.tc = childCtx(&traceCtx{ID: queryID}, root)
 	}
 	if d.client.cfg.QueryTimeout > 0 {
 		q.deadline = start.Add(d.client.cfg.QueryTimeout)

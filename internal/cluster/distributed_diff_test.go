@@ -28,7 +28,7 @@ import (
 // and the wire take.
 func federationOver(t testing.TB, drivers ...driver.Driver) *Client {
 	t.Helper()
-	client, _ := startOver(t, ClientConfig{Mechanism: MechGreedy, PeriodMs: 50, Timeout: 5 * time.Second}, false, drivers...)
+	client, _ := startOver(t, ClientConfig{Mechanism: MechGreedy, PeriodMs: 50, Timeout: 5 * time.Second}, false, 0, drivers...)
 	return client
 }
 
@@ -36,11 +36,11 @@ func federationOver(t testing.TB, drivers ...driver.Driver) *Client {
 // nodes returned. gossiped joins the nodes into one membership and has
 // the client refresh its view from it; it returns once every member's
 // relation filter has reached the client.
-func startOver(t testing.TB, ccfg ClientConfig, gossiped bool, drivers ...driver.Driver) (*Client, []*Node) {
+func startOver(t testing.TB, ccfg ClientConfig, gossiped bool, batchRows int, drivers ...driver.Driver) (*Client, []*Node) {
 	t.Helper()
 	var nodes []*Node
 	for i, d := range drivers {
-		cfg := NodeConfig{Driver: d, MsPerCostUnit: 1e-9, PeriodMs: 50}
+		cfg := NodeConfig{Driver: d, MsPerCostUnit: 1e-9, PeriodMs: 50, FetchBatchRows: batchRows}
 		if gossiped {
 			cfg.NodeID, cfg.GossipPeriodMs = fmt.Sprintf("g%d", i), 15
 			if i > 0 {
@@ -399,7 +399,7 @@ func BenchmarkDistributedJoin(b *testing.B) {
 	if err := dim.AppendTableRows("dim", rows); err != nil {
 		b.Fatal(err)
 	}
-	client, _ := startOver(b, ClientConfig{Mechanism: MechGreedy, PeriodMs: 50, Timeout: 5 * time.Second}, true,
+	client, _ := startOver(b, ClientConfig{Mechanism: MechGreedy, PeriodMs: 50, Timeout: 5 * time.Second}, true, 0,
 		engine.FromDB(big), engine.FromDB(dim))
 	d := NewDistributor(client)
 	// b is 0.5 × a permutation of the row numbers: a range 10,000 wide

@@ -310,7 +310,7 @@ func TestDistributorFiltersAnswerTheProbe(t *testing.T) {
 	}
 	ccfg := ClientConfig{Mechanism: MechGreedy, PeriodMs: 50, Timeout: 5 * time.Second}
 	gossiped := func(t *testing.T, ccfg ClientConfig) *Client {
-		client, _ := startOver(t, ccfg, true,
+		client, _ := startOver(t, ccfg, true, 0,
 			driver.NewLegacy(loadScripts(t, splitOrders)), driver.NewLegacy(loadScripts(t, splitCustomers)))
 		return client
 	}
@@ -378,7 +378,7 @@ const threeWaySQL = `SELECT sales.id, customers.name, items.label
 // threeWaySplit starts one node per relation of threeWaySQL — sales,
 // customers, items, in FROM order — and returns them with the oracle,
 // one database holding all three.
-func threeWaySplit(t *testing.T, ccfg ClientConfig) (*Client, []*Node, *sqldb.DB) {
+func threeWaySplit(t *testing.T, batchRows int, ccfg ClientConfig) (*Client, []*Node, *sqldb.DB) {
 	t.Helper()
 	var sales strings.Builder
 	sales.WriteString("CREATE TABLE sales (id INT, cust INT, item INT);\nINSERT INTO sales VALUES ")
@@ -392,7 +392,7 @@ func threeWaySplit(t *testing.T, ccfg ClientConfig) (*Client, []*Node, *sqldb.DB
 		customers = "CREATE TABLE customers (id INT, name TEXT);\nINSERT INTO customers VALUES (0, 'ada'), (1, 'bob'), (2, 'cyd'), (3, 'dee'), (4, 'eve')"
 		items     = "CREATE TABLE items (id INT, label TEXT);\nINSERT INTO items VALUES (0, 'bolt'), (1, 'nut'), (2, 'gear')"
 	)
-	client, nodes := startOver(t, ccfg, false,
+	client, nodes := startOver(t, ccfg, false, batchRows,
 		driver.NewLegacy(loadScripts(t, sales.String())),
 		engine.FromDB(loadScripts(t, customers)),
 		driver.NewLegacy(loadScripts(t, items)))
@@ -405,8 +405,8 @@ func threeWaySplit(t *testing.T, ccfg ClientConfig) (*Client, []*Node, *sqldb.DB
 // its table dropped, its node's dedup window replaying the result — and
 // the join matches the oracle with each fragment executed exactly once.
 func TestDistributorFragmentSeveredConcurrently(t *testing.T) {
-	client, nodes, oracle := threeWaySplit(t, ClientConfig{
-		Mechanism: MechGreedy, PeriodMs: 50, Timeout: 5 * time.Second, FetchBatchRows: 4,
+	client, nodes, oracle := threeWaySplit(t, 4, ClientConfig{
+		Mechanism: MechGreedy, PeriodMs: 50, Timeout: 5 * time.Second,
 	})
 	want, err := oracle.Query(threeWaySQL)
 	if err != nil {
@@ -458,7 +458,7 @@ func TestDistributorFragmentSeveredConcurrently(t *testing.T) {
 // fragment has had time to give up — because outcomes are merged in
 // FROM order once every fragment has finished.
 func TestDistributorReportsFromOrderFirstFailure(t *testing.T) {
-	client, nodes, _ := threeWaySplit(t, ClientConfig{
+	client, nodes, _ := threeWaySplit(t, 0, ClientConfig{
 		Mechanism: MechGreedy, PeriodMs: 20, Timeout: time.Second, MaxRetries: 1,
 	})
 	d := NewDistributor(client)

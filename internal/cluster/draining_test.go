@@ -11,40 +11,11 @@ import (
 	"github.com/qamarket/qamarket/internal/sqldb"
 )
 
-// startCodedStub runs a minimal server that answers every request,
-// regardless of op, with the given typed refusal. It echoes the
-// request id so both transports' framing works against it.
+// startCodedStub runs a stub that answers every request past the
+// hello, regardless of op, with the given typed refusal.
 func startCodedStub(t *testing.T, code, msg string) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				r := bufio.NewReader(conn)
-				w := bufio.NewWriter(conn)
-				for {
-					var req request
-					if err := readMsg(r, &req); err != nil {
-						return
-					}
-					rep := reply{ID: req.ID, Err: msg, Code: code}
-					if err := writeMsg(w, &rep); err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	return ln.Addr().String()
+	return startStub(t, func(*request) reply { return reply{Err: msg, Code: code} })
 }
 
 // startDrainingStub answers everything with the typed draining refusal
@@ -222,7 +193,7 @@ func TestFetchRefusalsAnswerInJSON(t *testing.T) {
 	for _, transport := range transports {
 		for _, tc := range cases {
 			t.Run(transport.name+"/"+tc.name, func(t *testing.T) {
-				n, c, _ := selFederation(t, nil, ClientConfig{
+				n, c, _ := selFederation(t, nil, 0, ClientConfig{
 					freshDial: transport.fresh, QueryTimeout: 10 * time.Second, breakerThreshold: 1,
 				})
 				// A stopped executor leaves CloseNow nothing to do; finish the
@@ -236,16 +207,10 @@ func TestFetchRefusalsAnswerInJSON(t *testing.T) {
 					tc.arm(n)
 				}
 
-				conn, err := net.DialTimeout("tcp", n.Addr(), time.Second)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer conn.Close()
-				conn.SetDeadline(time.Now().Add(5 * time.Second))
+				conn, r := dialGreeted(t, n.Addr(), MechGreedy)
 				if err := writeMsg(bufio.NewWriter(conn), &request{Op: "fetch", SQL: sql, DeadlineMs: 10_000}); err != nil {
 					t.Fatal(err)
 				}
-				r := bufio.NewReader(conn)
 				if first, err := r.Peek(1); err != nil || first[0] == frameMagic {
 					t.Fatalf("refused fetch answered with %q (err %v), want JSON", first, err)
 				}

@@ -13,11 +13,12 @@ import (
 	"github.com/qamarket/qamarket/internal/driver"
 )
 
-// Binary fetch framing (frameV1). The newline-delimited JSON lane is the
-// protocol's request and control plane — requests are small and the
-// additive fields (trace/deadline_ms/batch/fetch_batch) live there — and
-// every accepted fetch result comes back as a sequence of length-prefixed
-// little-endian binary frames:
+// Binary fetch framing. The newline-delimited JSON lane is the
+// protocol's request and control plane: a client's connection opens
+// with the hello, which carries protocolVersion, the run id and the
+// mechanism once for the connection, and small requests follow it.
+// Every accepted fetch result comes back as a sequence of
+// length-prefixed little-endian binary frames:
 //
 //	header frame  (accepted, exec ms, column names, batch size, row count)
 //	batch frame   (<= batch-size rows as typed columns)  — repeated
@@ -32,7 +33,7 @@ import (
 //
 //	offset  size  field
 //	0       1     magic (0xFA)
-//	1       1     version (1)
+//	1       1     version (protocolVersion, the hello's)
 //	2       1     type (1 header, 2 batch, 3 end)
 //	3       1     flags (reserved, 0)
 //	4       8     request id (echoes the request's id)
@@ -50,9 +51,6 @@ const (
 	// appendFittingBatch), and refuse a result whose header cannot.
 	maxFramePayload = 1 << 26
 )
-
-// frameV1 is the frame version byte this build writes and reads.
-const frameV1 = 1
 
 // errFrameDecode reports a malformed frame. The connection is
 // unrecoverable afterwards (the stream position is mid-frame), so
@@ -78,7 +76,7 @@ func putFrameBuf(fb *frameBuf) {
 // returns the header's offset for endFrame to patch.
 func beginFrame(buf []byte, typ byte, id uint64) ([]byte, int) {
 	hdr := len(buf)
-	buf = append(buf, frameMagic, frameV1, typ, 0)
+	buf = append(buf, frameMagic, protocolVersion, typ, 0)
 	buf = binary.LittleEndian.AppendUint64(buf, id)
 	buf = binary.LittleEndian.AppendUint32(buf, 0)
 	return buf, hdr
@@ -290,7 +288,7 @@ func readFrame(r *bufio.Reader) (frameMsg, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return frameMsg{}, err
 	}
-	if hdr[0] != frameMagic || hdr[1] != frameV1 {
+	if hdr[0] != frameMagic || hdr[1] != protocolVersion {
 		return frameMsg{}, fmt.Errorf("%w: magic/version %x/%d", errFrameDecode, hdr[0], hdr[1])
 	}
 	typ := hdr[2]

@@ -278,9 +278,9 @@ func TestStreamedFetchBoundedMemory(t *testing.T) {
 
 // fetchFederation starts one fast node and returns a fetch-capable
 // client plus a query and its locally-computed expected result.
-func fetchFederation(t *testing.T, ccfg ClientConfig) (*Node, *Client, string, *sqldb.Result) {
+func fetchFederation(t *testing.T, batchRows int, ccfg ClientConfig) (*Node, *Client, string, *sqldb.Result) {
 	t.Helper()
-	ds, nodes, addrs := startTestFederation(t, []float64{1}, nil)
+	ds, nodes, addrs := startTestFederation(t, []float64{1}, func(_ int, cfg *NodeConfig) { cfg.FetchBatchRows = batchRows })
 	rng := rand.New(rand.NewSource(23))
 	templates, err := ds.GenerateTemplates(4, 1, rng)
 	if err != nil {
@@ -310,7 +310,7 @@ func fetchFederation(t *testing.T, ccfg ClientConfig) (*Node, *Client, string, *
 // Frames are the only result lane, so the frame client against the
 // frame server is the one row of the matrix this test used to be.
 func TestFetchFrameMatchesJSON(t *testing.T) {
-	node, c, sql, want := fetchFederation(t, ClientConfig{})
+	node, c, sql, want := fetchFederation(t, 0, ClientConfig{})
 	t.Run("raw-fetch-line", func(t *testing.T) { checkRawFetchFrames(t, node, sql, want) })
 	t.Run("frame-client-frame-server", func(t *testing.T) {
 		if out := c.Run(1, sql); out.Err != nil {
@@ -332,16 +332,11 @@ func TestFetchFrameMatchesJSON(t *testing.T) {
 	})
 }
 
-// checkRawFetchFrames writes a bare fetch line to node and checks the
-// answer is a frame stream carrying want.
+// checkRawFetchFrames writes a bare fetch line to node, after the
+// hello, and checks the answer is a frame stream carrying want.
 func checkRawFetchFrames(t *testing.T, node *Node, sql string, want *sqldb.Result) {
 	t.Helper()
-	conn, err := net.DialTimeout("tcp", node.Addr(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	conn, r := dialGreeted(t, node.Addr(), MechGreedy)
 	line, err := json.Marshal(map[string]any{"op": "fetch", "sql": sql, "query_id": 1})
 	if err != nil {
 		t.Fatal(err)
@@ -349,7 +344,6 @@ func checkRawFetchFrames(t *testing.T, node *Node, sql string, want *sqldb.Resul
 	if _, err := conn.Write(append(line, '\n')); err != nil {
 		t.Fatal(err)
 	}
-	r := bufio.NewReader(conn)
 	if first, err := r.Peek(1); err != nil || first[0] != frameMagic {
 		t.Fatalf("fetch %s answered with %q (err %v), want a frame", line, first, err)
 	}
@@ -374,13 +368,13 @@ func checkRawFetchFrames(t *testing.T, node *Node, sql string, want *sqldb.Resul
 // TestFetchEachStreamsBatches drives the callback API end to end over
 // a real federation and checks the rows arrive in order, once each.
 func TestFetchEachStreamsBatches(t *testing.T) {
-	_, c, sql, want := fetchFederation(t, ClientConfig{FetchBatchRows: 2})
+	_, c, sql, want := fetchFederation(t, 2, ClientConfig{})
 	var got []sqldb.Row
 	blocks := 0
 	out := c.FetchEach(1, sql, func(blk *ColBlock) error {
 		blocks++
 		if blk.Rows > 2 {
-			t.Fatalf("block carried %d rows, requested bound 2", blk.Rows)
+			t.Fatalf("block carried %d rows, node batch size 2", blk.Rows)
 		}
 		var err error
 		got, err = blk.AppendRows(got)
@@ -405,7 +399,7 @@ func TestFetchEachStreamsBatches(t *testing.T) {
 // poison the pooled connection or the breaker — the next fetch on the
 // same client succeeds.
 func TestFetchSinkAbortKeepsConnectionUsable(t *testing.T) {
-	_, c, sql, want := fetchFederation(t, ClientConfig{FetchBatchRows: 1})
+	_, c, sql, want := fetchFederation(t, 1, ClientConfig{})
 	boom := errors.New("sink full")
 	out := c.FetchEach(1, sql, func(*ColBlock) error { return boom })
 	if out.Err == nil || !strings.Contains(out.Err.Error(), "sink") {
@@ -429,8 +423,8 @@ func TestFetchSinkAbortKeepsConnectionUsable(t *testing.T) {
 // the dedup window's replay, skipping the delivered prefix, so the
 // caller sees every row exactly once.
 func TestPartialStreamResume(t *testing.T) {
-	node, c, sql, want := fetchFederation(t, ClientConfig{
-		FetchBatchRows: 1, execRetries: 3, Timeout: 2 * time.Second,
+	node, c, sql, want := fetchFederation(t, 1, ClientConfig{
+		execRetries: 3, Timeout: 2 * time.Second,
 	})
 	if len(want.Rows) < 2 {
 		t.Skipf("need a multi-row result, got %d", len(want.Rows))
@@ -463,7 +457,7 @@ func TestPartialStreamResume(t *testing.T) {
 // breaker never trips (the node is healthy; retrying cannot shrink the
 // request).
 func TestOversizedRequestTypedRefusal(t *testing.T) {
-	_, node, addr, _ := protectionQuery(t)
+	_, _, addr, _ := protectionQuery(t)
 
 	t.Run("raw-wire", func(t *testing.T) {
 		conn, err := net.DialTimeout("tcp", addr, time.Second)
@@ -483,7 +477,7 @@ func TestOversizedRequestTypedRefusal(t *testing.T) {
 		if err := readMsg(bufio.NewReader(conn), &rep); err != nil {
 			t.Fatalf("expected a typed refusal before close, got %v", err)
 		}
-		if rep.Code != CodeTooLarge || rep.NodeID != node.ID() {
+		if rep.Code != CodeTooLarge {
 			t.Fatalf("refusal = %+v, want code %q", rep, CodeTooLarge)
 		}
 	})
@@ -516,7 +510,7 @@ func TestOversizedRequestTypedRefusal(t *testing.T) {
 // TestFrameMetricsExposition: a fetch moves the stream counters, and
 // the exposition renders them.
 func TestFrameMetricsExposition(t *testing.T) {
-	node, c, sql, _ := fetchFederation(t, ClientConfig{})
+	node, c, sql, _ := fetchFederation(t, 0, ClientConfig{})
 	if _, out := c.Fetch(1, sql); out.Err != nil {
 		t.Fatalf("Fetch: %v", out.Err)
 	}

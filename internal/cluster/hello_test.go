@@ -1,0 +1,192 @@
+package cluster
+
+import (
+	"bufio"
+	"errors"
+	"io"
+	"net"
+	"testing"
+	"time"
+)
+
+// startStub runs a minimal wire-speaking fake node: it accepts every
+// hello as node "stub" and answers every other request with answer's
+// reply, echoing the request id so both transports' framing works
+// against it.
+func startStub(t *testing.T, answer func(req *request) reply) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				r := bufio.NewReader(conn)
+				w := bufio.NewWriter(conn)
+				for {
+					var req request
+					if err := readMsg(r, &req); err != nil {
+						return
+					}
+					rep := reply{Hello: &helloReply{NodeID: "stub"}}
+					if req.Op != "hello" {
+						rep = answer(&req)
+					}
+					rep.ID = req.ID
+					if err := writeMsg(w, &rep); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// dialGreeted dials addr and says hello as run "raw": a hand-driven
+// client connection in the state every pooled one starts in. The
+// returned reader holds whatever followed the hello reply.
+func dialGreeted(t *testing.T, addr string, mech Mechanism) (net.Conn, *bufio.Reader) {
+	t.Helper()
+	conn, err := net.DialTimeout("tcp", addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	h := &hello{V: protocolVersion, RunID: "raw", Mechanism: mech}
+	if err := writeMsg(bufio.NewWriter(conn), &request{Op: "hello", Hello: h}); err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReader(conn)
+	var rep reply
+	if err := readMsg(r, &rep); err != nil || rep.Hello == nil {
+		t.Fatalf("hello: %+v (err %v)", rep, err)
+	}
+	return conn, r
+}
+
+// TestWorkWithoutHelloRefused: a connection that never said hello has
+// no run id to dedup under, so the node refuses its execute and fetch
+// with the typed protocol code and runs neither. Before the hello, a
+// request that left out its run id ran with no dedup at all. The batch
+// of a batched CFP shares the refusal, and the observability ops still
+// answer on the same connection.
+func TestWorkWithoutHelloRefused(t *testing.T) {
+	_, node, addr, sql := protectionQuery(t)
+	conn, err := net.DialTimeout("tcp", addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	r, w := bufio.NewReader(conn), bufio.NewWriter(conn)
+	for _, req := range []request{
+		{Op: "execute", SQL: sql, QueryID: 1},
+		{Op: "fetch", SQL: sql, QueryID: 2},
+		{Op: "negotiate", SQL: sql, Batch: []batchQuery{{QueryID: 3, SQL: sql}}},
+	} {
+		if err := writeMsg(w, &req); err != nil {
+			t.Fatal(err)
+		}
+		var rep reply
+		if err := readMsg(r, &rep); err != nil {
+			t.Fatalf("%s: %v", req.Op, err)
+		}
+		if rep.Code != CodeProtocol || rep.Execute != nil || rep.Negotiate != nil || rep.Batch != nil {
+			t.Fatalf("%s without a hello answered %+v, want the %q refusal alone", req.Op, rep, CodeProtocol)
+		}
+	}
+	if err := writeMsg(w, &request{Op: "stats"}); err != nil {
+		t.Fatal(err)
+	}
+	var rep reply
+	if err := readMsg(r, &rep); err != nil || rep.Stats == nil {
+		t.Fatalf("stats without a hello: %+v (err %v)", rep, err)
+	}
+	if got := node.Executed(); got != 0 {
+		t.Fatalf("node executed %d queries for a connection with no hello, want 0", got)
+	}
+
+	// Once the connection says hello, the same batched CFP is solved and
+	// answered positionally, an infeasible rider included.
+	h := &hello{V: protocolVersion, RunID: "raw", Mechanism: MechGreedy}
+	if err := writeMsg(w, &request{Op: "hello", Hello: h}, &request{
+		Op: "negotiate", SQL: sql,
+		Batch: []batchQuery{{QueryID: 7, SQL: sql}, {QueryID: 8, SQL: "SELECT nope FROM missing"}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var hrep, nrep reply
+	if err := readMsg(r, &hrep); err != nil || hrep.Hello == nil {
+		t.Fatalf("hello: %+v (err %v)", hrep, err)
+	}
+	if err := readMsg(r, &nrep); err != nil {
+		t.Fatal(err)
+	}
+	if nrep.Negotiate == nil || !nrep.Negotiate.Feasible || len(nrep.Batch) != 2 {
+		t.Fatalf("batched negotiate after the hello answered %+v", nrep)
+	}
+	if b := nrep.Batch; b[0].Negotiate == nil || !b[0].Negotiate.Feasible || b[1].Negotiate == nil || b[1].Negotiate.Feasible {
+		t.Errorf("riders answered %+v and %+v, want a proposal and an infeasible reply", b[0], b[1])
+	}
+}
+
+// TestHelloVersionMismatch: a node refuses a hello of another protocol
+// version with the typed code and closes the connection, and a client
+// whose only offering node refuses its hello fails the query with a
+// typed error after one round, having run it nowhere.
+func TestHelloVersionMismatch(t *testing.T) {
+	_, node, addr, sql := protectionQuery(t)
+
+	t.Run("raw-wire", func(t *testing.T) {
+		conn, err := net.DialTimeout("tcp", addr, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		w := bufio.NewWriter(conn)
+		h := &hello{V: protocolVersion + 1, RunID: "future", Mechanism: MechQANT}
+		if err := writeMsg(w, &request{Op: "hello", Hello: h}); err != nil {
+			t.Fatal(err)
+		}
+		r := bufio.NewReader(conn)
+		var rep reply
+		if err := readMsg(r, &rep); err != nil {
+			t.Fatal(err)
+		}
+		if rep.Code != CodeProtocol || rep.Hello != nil {
+			t.Fatalf("hello v%d answered %+v, want the %q refusal", h.V, rep, CodeProtocol)
+		}
+		if _, err := r.ReadByte(); err != io.EOF {
+			t.Fatalf("connection still open after the refusal (read err %v)", err)
+		}
+	})
+
+	t.Run("client", func(t *testing.T) {
+		c, err := NewClient(ClientConfig{Addrs: []string{addr}, Mechanism: MechQANT, PeriodMs: 10, MaxRetries: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		c.hello.V = protocolVersion + 1 // a client from another protocol version
+		out := c.Run(1, sql)
+		if !errors.Is(out.Err, errHelloRefused) {
+			t.Fatalf("err = %v, want %v", out.Err, errHelloRefused)
+		}
+		if out.Retries != 0 {
+			t.Errorf("retries = %d: resubmitted to a node that cannot serve the client", out.Retries)
+		}
+		if got := node.Executed(); got != 0 {
+			t.Fatalf("node executed %d queries for a refused client, want 0", got)
+		}
+	})
+}

@@ -147,7 +147,7 @@ func (c *Client) begin(q query) *lifecycle {
 			name = "fetch-run"
 		}
 		if l.root = c.startSpan(q.id, "", name); l.root != nil {
-			l.tc = childCtx(&traceCtx{V: traceV, ID: q.id}, l.root)
+			l.tc = childCtx(&traceCtx{ID: q.id}, l.root)
 		}
 	}
 	if c.bids != nil || c.batches != nil {
@@ -212,9 +212,9 @@ func (l *lifecycle) round() (step, error) {
 	c := l.c
 	pr, fromCache, err := l.admit()
 	if err != nil {
-		if errors.Is(err, ErrTooLarge) {
-			// The request itself exceeds the wire limit; no amount of
-			// retrying changes its size.
+		if errors.Is(err, ErrTooLarge) || errors.Is(err, errHelloRefused) {
+			// The request itself exceeds the wire limit, or no node speaks
+			// this client's protocol; no amount of retrying changes either.
 			return stepFail, fmt.Errorf("cluster: query %d: %w", l.q.id, err)
 		}
 		// Whole federation unreachable this round: transient until proven
@@ -368,10 +368,7 @@ func (l *lifecycle) attempt(ns *nodeState) attemptResult {
 		defer sp.Finish()
 		tc = childCtx(tc, sp)
 	}
-	req := &request{
-		Op: op, SQL: q.sql, QueryID: q.id, Mechanism: c.cfg.Mechanism, Trace: tc,
-		DeadlineMs: remainingMs(l.deadline), RunID: c.cfg.RunID,
-	}
+	req := &request{Op: op, SQL: q.sql, QueryID: q.id, Trace: tc, DeadlineMs: remainingMs(l.deadline)}
 	var (
 		rep     reply
 		fs      *fetchStream // a fetch's frame consumer
@@ -379,7 +376,6 @@ func (l *lifecycle) attempt(ns *nodeState) attemptResult {
 		res     attemptResult
 	)
 	if q.sink != nil {
-		req.FetchBatch = c.cfg.FetchBatchRows
 		fs = &fetchStream{sink: *q.sink, skip: l.shipped}
 		onFrame = fs.onFrame
 	}

@@ -69,7 +69,7 @@ func startLifeFed(t *testing.T, timeout time.Duration) *lifeFed {
 		mock := driver.NewMock(driver.NewLegacy(db), driver.MockConfig{})
 		n, err := StartNode("127.0.0.1:0", NodeConfig{
 			Driver: mock, NodeID: id, Slowdown: slowdown, MsPerCostUnit: 0.05,
-			ShareQueueState: true,
+			ShareQueueState: true, FetchBatchRows: 1,
 			// One period outlasts the test: supply moves only when a row's
 			// script moves it.
 			PeriodMs: 60_000, Market: market.DefaultConfig(1),
@@ -93,7 +93,7 @@ func startLifeFed(t *testing.T, timeout time.Duration) *lifeFed {
 		PeriodMs: 10, Timeout: timeout, execTimeoutFactor: 1,
 		QueryTimeout: 20 * time.Second, execRetries: 2,
 		RetryBudget: 1e-6, retryBurst: lifeBurst, BidCacheTTL: time.Minute,
-		FetchBatchRows: 1, Jitter: rand.New(rand.NewSource(7)),
+		Jitter: rand.New(rand.NewSource(7)),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -212,7 +212,7 @@ func (c *Client) updateMember(ns *nodeState, m membership.Member) {
 		}
 		ns.addr = m.Addr
 		if !c.cfg.freshDial {
-			ns.transport = newNodeTransport(m.Addr, c.cfg.PoolSize, c.wire)
+			ns.transport = newNodeTransport(m.Addr, &c.hello, c.cfg.PoolSize, c.wire)
 		}
 	}
 	ns.state = m.State.String()

@@ -183,23 +183,6 @@ func TestQueryTraceEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTraceContextIgnoredByValue checks the additive-field contract
-// from the old-server side: a request carrying an unknown trace version
-// still negotiates normally (the server only acts on V >= 1, and
-// decoding unknown JSON fields never fails).
-func TestTraceContextIgnoredByValue(t *testing.T) {
-	ds, nodes, _ := startTestFederation(t, []float64{1}, nil)
-	req := &request{Op: "negotiate", SQL: "SELECT * FROM " + ds.Relations[0],
-		Trace: &traceCtx{V: 0, ID: 7, Span: "x-1"}}
-	rep := nodes[0].handle(req)
-	if rep.Negotiate == nil || !rep.Negotiate.Feasible {
-		t.Fatalf("negotiate with v0 trace ctx failed: %+v", rep)
-	}
-	if got := nodes[0].tracer.Spans(7); len(got) != 0 {
-		t.Errorf("v0 trace ctx recorded %d spans", len(got))
-	}
-}
-
 func TestMetricsHandlerExposition(t *testing.T) {
 	ds, nodes, addrs := startTestFederation(t, []float64{1}, nil)
 	client, err := NewClient(ClientConfig{Addrs: addrs, Mechanism: MechQANT, PeriodMs: 50})

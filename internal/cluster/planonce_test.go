@@ -6,7 +6,6 @@ import (
 	"net"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/qamarket/qamarket/internal/driver"
 	"github.com/qamarket/qamarket/internal/market"
@@ -36,13 +35,8 @@ func TestOnePreparePerQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer node.CloseNow()
-	conn, err := net.DialTimeout("tcp", node.Addr(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	r, w := bufio.NewReader(conn), bufio.NewWriter(conn)
+	conn, r := dialGreeted(t, node.Addr(), MechQANT)
+	w := bufio.NewWriter(conn)
 
 	const sql = "SELECT a, b FROM t WHERE a > 1"
 	for _, step := range []struct {
@@ -51,11 +45,11 @@ func TestOnePreparePerQuery(t *testing.T) {
 		rows            int
 		prepares, execs int64
 	}{
-		{"negotiate", request{Op: "negotiate", SQL: sql, Mechanism: MechQANT}, 0, 1, 0},
-		{"execute", request{Op: "execute", SQL: sql, Mechanism: MechQANT, QueryID: 1, RunID: "r"}, 3, 1, 1},
-		{"execute retransmit", request{Op: "execute", SQL: sql, Mechanism: MechQANT, QueryID: 1, RunID: "r"}, 3, 0, 0},
-		{"fetch", request{Op: "fetch", SQL: sql, Mechanism: MechQANT, QueryID: 2, RunID: "r"}, 3, 1, 1},
-		{"fetch retransmit", request{Op: "fetch", SQL: sql, Mechanism: MechQANT, QueryID: 2, RunID: "r"}, 3, 0, 0},
+		{"negotiate", request{Op: "negotiate", SQL: sql}, 0, 1, 0},
+		{"execute", request{Op: "execute", SQL: sql, QueryID: 1}, 3, 1, 1},
+		{"execute retransmit", request{Op: "execute", SQL: sql, QueryID: 1}, 3, 0, 0},
+		{"fetch", request{Op: "fetch", SQL: sql, QueryID: 2}, 3, 1, 1},
+		{"fetch retransmit", request{Op: "fetch", SQL: sql, QueryID: 2}, 3, 0, 0},
 	} {
 		prepares, execs := mock.Prepares(), mock.Executions()
 		if err := writeMsg(w, &step.req); err != nil {

@@ -77,7 +77,8 @@ const streamChanDepth = 8
 // first protocol error or timeout; every in-flight caller then receives
 // the terminal error, and the pool dials a replacement on next use.
 type mconn struct {
-	conn net.Conn
+	conn   net.Conn
+	nodeID string // named by the node's answer to the connection's hello
 
 	wmu sync.Mutex // serializes writeMsg calls
 	w   *bufio.Writer
@@ -328,10 +329,12 @@ func (mc *mconn) isDead() bool {
 }
 
 // pool is a fixed-size set of multiplexed connections to one node, used
-// round-robin. Slots dial lazily; dead slots re-dial on next use.
+// round-robin. Slots dial lazily; dead slots re-dial on next use, and
+// every dial opens with the client's hello.
 type pool struct {
-	addr string
-	wc   *wireCounter // nil disables byte accounting
+	addr  string
+	hello *hello
+	wc    *wireCounter // nil disables byte accounting
 
 	mu     sync.Mutex
 	slots  []*mconn
@@ -339,15 +342,15 @@ type pool struct {
 	closed bool
 }
 
-func newPool(addr string, size int, wc *wireCounter) *pool {
-	return &pool{addr: addr, wc: wc, slots: make([]*mconn, size)}
+func newPool(addr string, h *hello, size int, wc *wireCounter) *pool {
+	return &pool{addr: addr, hello: h, wc: wc, slots: make([]*mconn, size)}
 }
 
-// get returns a live connection from the next slot, dialing if the slot
-// is empty or its connection has died. The dial happens outside the
-// pool lock so a slow node never serializes the other slots; if a
-// concurrent caller repopulated the slot first, the loser's dial is
-// discarded.
+// get returns a live connection from the next slot, dialing (and saying
+// hello) if the slot is empty or its connection has died. The dial
+// happens outside the pool lock so a slow node never serializes the
+// other slots; if a concurrent caller repopulated the slot first, the
+// loser's dial is discarded.
 func (p *pool) get(timeout time.Duration) (*mconn, error) {
 	p.mu.Lock()
 	if p.closed {
@@ -362,14 +365,19 @@ func (p *pool) get(timeout time.Duration) (*mconn, error) {
 	}
 	p.mu.Unlock()
 
-	conn, err := dial(p.addr, timeout)
+	conn, err := dial(p.addr, timeout, p.wc)
 	if err != nil {
 		return nil, err
 	}
-	if p.wc != nil {
-		conn = &countedConn{Conn: conn, wc: p.wc}
-	}
 	nc := newMconn(conn)
+	var rep reply
+	if err = nc.call(&request{Op: "hello", Hello: p.hello}, &rep, timeout, nil); err == nil {
+		nc.nodeID, err = helloID(&rep)
+	}
+	if err != nil {
+		nc.fail(err)
+		return nil, err
+	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -412,8 +420,8 @@ type nodeTransport struct {
 	data    *pool
 }
 
-func newNodeTransport(addr string, size int, wc *wireCounter) *nodeTransport {
-	return &nodeTransport{control: newPool(addr, size, wc), data: newPool(addr, size, wc)}
+func newNodeTransport(addr string, h *hello, size int, wc *wireCounter) *nodeTransport {
+	return &nodeTransport{control: newPool(addr, h, size, wc), data: newPool(addr, h, size, wc)}
 }
 
 // lane picks the pool for an op.

@@ -158,9 +158,9 @@ func TestMultiplexedPipelining(t *testing.T) {
 				errs <- err
 				return
 			}
-			if st.Prices == nil && st.Executed == 0 && st.Offers == 0 {
-				// A stats reply is always well-formed; a zero-value with nil
-				// map would mean a crossed or dropped demux.
+			if st.Health == nil {
+				// A stats reply always carries the health map; a reply
+				// without one would mean a crossed or dropped demux.
 				errs <- fmt.Errorf("empty stats reply")
 			}
 		}()

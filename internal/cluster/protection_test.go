@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"math/rand"
 	"net"
@@ -113,43 +111,12 @@ func TestSeveredReplyRetryExecutesOnce(t *testing.T) {
 // overload — the deterministic bait for the failover ladder.
 func startWinningStub(t *testing.T) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				r := bufio.NewReader(conn)
-				w := bufio.NewWriter(conn)
-				for {
-					var req request
-					if err := readMsg(r, &req); err != nil {
-						return
-					}
-					rep := reply{ID: req.ID, NodeID: "stub"}
-					if req.Op == "negotiate" {
-						rep.Negotiate = &negotiateReply{
-							Feasible: true, Offer: true, EstimateMs: 0.001, Signature: "stub",
-						}
-					} else {
-						rep.Err = msgOverloaded
-						rep.Code = CodeOverload
-					}
-					if err := writeMsg(w, &rep); err != nil {
-						return
-					}
-				}
-			}()
+	return startStub(t, func(req *request) reply {
+		if req.Op == "negotiate" {
+			return reply{Negotiate: &negotiateReply{Feasible: true, Offer: true, EstimateMs: 0.001, Signature: "stub"}}
 		}
-	}()
-	return ln.Addr().String()
+		return reply{Err: msgOverloaded, Code: CodeOverload}
+	})
 }
 
 // TestFailoverToRunnerUp drives the runner-up ladder end to end: the
@@ -350,127 +317,6 @@ func TestQueuedJobExpiresAtDequeue(t *testing.T) {
 	if got := node.Executed(); got != 0 {
 		t.Fatalf("node executed %d expired jobs", got)
 	}
-}
-
-// legacyRequest is the wire request an old (pre-deadline) node decodes:
-// the deadline_ms and run_id fields do not exist in its schema.
-type legacyRequest struct {
-	ID      uint64 `json:"id,omitempty"`
-	Op      string `json:"op"`
-	SQL     string `json:"sql,omitempty"`
-	QueryID int64  `json:"query_id,omitempty"`
-}
-
-// startLegacyStub runs an "old node": it decodes requests into the
-// legacy schema (unknown JSON fields like deadline_ms are dropped, as
-// encoding/json guarantees) and answers without envelope codes.
-func startLegacyStub(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				sc := bufio.NewScanner(conn)
-				w := bufio.NewWriter(conn)
-				for sc.Scan() {
-					var req legacyRequest
-					if err := json.Unmarshal(sc.Bytes(), &req); err != nil {
-						return
-					}
-					rep := reply{ID: req.ID, NodeID: "legacy"}
-					switch req.Op {
-					case "negotiate":
-						rep.Negotiate = &negotiateReply{
-							Feasible: true, Offer: true, EstimateMs: 5, Signature: "legacy",
-						}
-					case "execute":
-						rep.Execute = &executeReply{Accepted: true, Rows: 1}
-					}
-					if err := writeMsg(w, &rep); err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	return ln.Addr().String()
-}
-
-// TestDeadlineInterop is the mixed-fleet acceptance check: a deadline-
-// carrying client works against an old node that has never heard of
-// deadline_ms, and an old client's requests (no deadline_ms, no run_id)
-// work against a new node — no shedding, no dedup, no typed codes.
-func TestDeadlineInterop(t *testing.T) {
-	t.Run("new-client-old-node", func(t *testing.T) {
-		addr := startLegacyStub(t)
-		c, err := NewClient(ClientConfig{
-			Addrs: []string{addr}, freshDial: true, Timeout: time.Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		deadline := time.Now().Add(5 * time.Second)
-		pr, _, err := c.negotiateAll("SELECT 1 FROM t", nil, deadline)
-		if err != nil || pr.best() == nil {
-			t.Fatalf("negotiate with deadline against old node: pr=%+v err=%v", pr, err)
-		}
-		rep, kind, err := c.executeOn(pr.best(), 1, "SELECT 1 FROM t", nil, deadline)
-		if kind != attemptOK || err != nil || !rep.Accepted {
-			t.Fatalf("execute with deadline against old node: kind=%v err=%v rep=%+v", kind, err, rep)
-		}
-	})
-	t.Run("old-client-new-node", func(t *testing.T) {
-		_, node, addr, sql := protectionQuery(t)
-		conn, err := net.DialTimeout("tcp", addr, time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		conn.SetDeadline(time.Now().Add(5 * time.Second))
-		w := bufio.NewWriter(conn)
-		r := bufio.NewReader(conn)
-		// An old client's request never carries deadline_ms or run_id;
-		// the zero-valued fields are omitempty, so this is byte-for-byte
-		// the legacy wire format.
-		var rep reply
-		if err := writeMsg(w, &request{Op: "negotiate", SQL: sql}); err != nil {
-			t.Fatal(err)
-		}
-		if err := readMsg(r, &rep); err != nil {
-			t.Fatal(err)
-		}
-		if rep.Code != "" || rep.Negotiate == nil || !rep.Negotiate.Feasible {
-			t.Fatalf("legacy negotiate against new node: %+v", rep)
-		}
-		rep = reply{}
-		if err := writeMsg(w, &request{Op: "execute", QueryID: 7, SQL: sql}); err != nil {
-			t.Fatal(err)
-		}
-		if err := readMsg(r, &rep); err != nil {
-			t.Fatal(err)
-		}
-		if rep.Code != "" || rep.Execute == nil || !rep.Execute.Accepted {
-			t.Fatalf("legacy execute against new node: %+v", rep)
-		}
-		if got := node.Executed(); got != 1 {
-			t.Fatalf("node executed %d, want 1", got)
-		}
-		// No run_id means no dedup entry: old-client retries keep the
-		// pre-protection semantics.
-		if got := node.dedup.size(); got != 0 {
-			t.Fatalf("dedup window holds %d entries for an id-less client", got)
-		}
-	})
 }
 
 // TestRetryBudgetExhausted proves the client-wide token bucket turns a

@@ -32,55 +32,59 @@ const (
 	MechQANT   Mechanism = "qa-nt"
 )
 
+// protocolVersion is the one version of the RPC protocol this build
+// speaks. A client's hello carries it and every binary frame's version
+// byte repeats it; a node refuses a hello with any other version.
+const protocolVersion = 1
+
+// hello opens every connection a client dials: the protocol version
+// plus what stays constant for the client's whole run. The node keeps
+// it as the connection's session, and negotiate, execute and fetch take
+// the run id (at-most-once dedup) and the mechanism from it. Stats,
+// members, spans and node-to-node gossip need no hello.
+type hello struct {
+	V         int       `json:"v"`
+	RunID     string    `json:"run_id"`
+	Mechanism Mechanism `json:"mechanism"`
+}
+
+// helloReply accepts a hello and names the answering node, so a client
+// learns each seed address's stable ID when it first connects.
+type helloReply struct {
+	NodeID string `json:"node_id"`
+}
+
 // request is one RPC from client to server.
 type request struct {
 	// ID tags the request for multiplexed connections: the server echoes
 	// it on the reply so many RPCs can be in flight per connection and
-	// the client can demux. Zero (omitted) keeps the legacy one-at-a-time
-	// framing, where replies match requests by order.
-	ID        uint64    `json:"id,omitempty"`
-	Op        string    `json:"op"` // "negotiate", "execute", "stats"
-	SQL       string    `json:"sql,omitempty"`
-	QueryID   int64     `json:"query_id,omitempty"`
-	Mechanism Mechanism `json:"mechanism,omitempty"`
+	// the client can demux.
+	ID      uint64 `json:"id,omitempty"`
+	Op      string `json:"op"` // "hello", "negotiate", "execute", "fetch", "stats", ...
+	SQL     string `json:"sql,omitempty"`
+	QueryID int64  `json:"query_id,omitempty"`
+	// Hello is the payload of the "hello" op, a connection's first line.
+	Hello *hello `json:"hello,omitempty"`
 	// Gossip carries the sender's membership table on a "gossip" op
 	// (anti-entropy push-pull; the reply carries the receiver's table
-	// back). The payload's V field lets future table formats coexist
-	// with old nodes.
+	// back).
 	Gossip *gossipPayload `json:"gossip,omitempty"`
 	// Trace carries the client's trace context when the query is being
-	// traced. Additive and versioned like Gossip: old servers ignore the
-	// unknown field (the query still runs, untraced on that node), and
-	// old clients omit it, so mixed fleets interoperate.
+	// traced; untraced requests omit it.
 	Trace *traceCtx `json:"trace,omitempty"`
 	// DeadlineMs is the query's remaining time budget in milliseconds
 	// when the request left the client. It is relative, not a wall-clock
 	// instant, so federations need no clock sync; the cost is that time
-	// on the wire is not charged. Zero means "no deadline". Additive
-	// like Trace: old servers ignore it (the query just isn't shed
-	// server-side), old clients omit it, so mixed fleets interoperate.
+	// on the wire is not charged. Zero means "no deadline".
 	DeadlineMs int64 `json:"deadline_ms,omitempty"`
-	// RunID names the client run for at-most-once dedup: the server
-	// caches execute/fetch outcomes keyed by (RunID, op, QueryID, SQL
-	// hash) so a retransmit after a lost reply returns the original
-	// outcome instead of re-running the query. Empty disables dedup
-	// (old clients), and old servers ignore the field.
-	RunID string `json:"run_id,omitempty"`
 	// Batch carries the additional queries of a batched
 	// call-for-proposals on a "negotiate" op: the request's own
 	// SQL/QueryID/DeadlineMs fields describe the first query exactly as
 	// an unbatched negotiate would, and Batch holds the rest of the
-	// coalesced window. A node-wide refusal (draining, or overload at
-	// the admission gate) carries no Batch and answers every query of
-	// the window. Only a server that ignores the field answers the first
-	// query alone, and the rest fail at that node as a short batch
-	// reply. A single-query window omits the field entirely, making the
-	// request byte-identical to an unbatched negotiate.
+	// coalesced window. The reply answers them positionally. A node-wide
+	// refusal (draining, overload at the admission gate, no hello)
+	// carries no Batch and answers every query of the window.
 	Batch []batchQuery `json:"batch,omitempty"`
-	// FetchBatch asks the server to bound streamed fetch batches to this
-	// many rows. Servers clamp it to their own FetchBatchRows config;
-	// zero accepts the server default.
-	FetchBatch int `json:"fetch_batch,omitempty"`
 }
 
 // batchQuery is one additional query of a batched call-for-proposals.
@@ -102,14 +106,10 @@ type batchProposal struct {
 	Code      string          `json:"code,omitempty"`
 }
 
-// traceV is the newest trace-context version this build speaks.
-const traceV = 1
-
 // traceCtx links a server's spans into the client's query trace: the
 // trace ID names the traced query, Span is the client-side span that
 // server spans hang under in the assembled tree.
 type traceCtx struct {
-	V    int    `json:"v"`
 	ID   int64  `json:"id"`
 	Span string `json:"span,omitempty"`
 }
@@ -121,11 +121,6 @@ type spansReply struct {
 	Origin string       `json:"origin"`
 	Spans  []trace.Span `json:"spans"`
 }
-
-// gossipV is the newest gossip payload version this build speaks. The
-// member rows are additive JSON, so a v1 node merges whatever fields it
-// understands from a newer payload — V exists to make that explicit.
-const gossipV = 1
 
 // wireMember is one membership-table row on the wire.
 type wireMember struct {
@@ -150,7 +145,6 @@ type wireMember struct {
 
 // gossipPayload rides both directions of a push-pull gossip exchange.
 type gossipPayload struct {
-	V       int          `json:"v"`
 	From    string       `json:"from"`
 	Members []wireMember `json:"members"`
 }
@@ -222,21 +216,17 @@ type executeReply struct {
 
 // NodeStats reports a node's market state for observability.
 type NodeStats struct {
-	Executed int                `json:"executed"`
-	Offers   int                `json:"offers"`
-	Rejects  int                `json:"rejects"`
-	Prices   map[string]float64 `json:"prices"`
+	Executed int `json:"executed"`
 	// Health carries the node's failure-domain counters and gauges
 	// (drains, drain rejects, checkpoints, checkpoint age — see the
 	// metrics package constants).
 	Health map[string]float64 `json:"health,omitempty"`
 	// Market is the node's per-period market telemetry snapshot —
 	// per-class prices/supply and lifetime trading counters, epoch
-	// stamped. Additive: nodes that predate it omit the field and old
-	// clients ignore it. The autoscaler's control signal rides here
-	// (the stats op stays answerable while draining, so a departing
-	// member keeps reporting until it is gone).
-	Market *MarketTelemetry `json:"market,omitempty"`
+	// stamped. The autoscaler's control signal rides here (the stats op
+	// stays answerable while draining, so a departing member keeps
+	// reporting until it is gone).
+	Market MarketTelemetry `json:"market"`
 }
 
 // Typed reply codes. Codes classify envelope-level errors so clients
@@ -263,6 +253,11 @@ const (
 	// retry of the same message cannot succeed either, so the error is
 	// terminal, not a resubmit.
 	CodeTooLarge = "too_large"
+	// CodeProtocol refuses a hello of a protocol version this node does
+	// not speak (the node then closes the connection), and a negotiate,
+	// execute or fetch on a connection that opened with no hello. Such a
+	// peer cannot serve the client at all, so retrying cannot help.
+	CodeProtocol = "protocol"
 )
 
 // msgNodeStopping is reported inside an execute/fetch reply when a hard
@@ -279,13 +274,11 @@ const (
 
 // reply is the union envelope sent back by the server.
 type reply struct {
-	// ID echoes the request's ID (zero for legacy ordered framing).
+	// ID echoes the request's ID.
 	ID        uint64          `json:"id,omitempty"`
+	Hello     *helloReply     `json:"hello,omitempty"`
 	Negotiate *negotiateReply `json:"negotiate,omitempty"`
-	// Batch answers the request's Batch queries positionally. Only
-	// batch-aware servers populate it; its absence after a batched CFP
-	// tells the client the node is old and the remainder of the window
-	// must be negotiated per query.
+	// Batch answers the request's Batch queries positionally.
 	Batch   []batchProposal `json:"batch,omitempty"`
 	Execute *executeReply   `json:"execute,omitempty"`
 	Stats   *NodeStats      `json:"stats,omitempty"`
@@ -294,11 +287,6 @@ type reply struct {
 	Spans   *spansReply     `json:"spans,omitempty"`
 	Err     string          `json:"error,omitempty"`
 	Code    string          `json:"code,omitempty"`
-	// NodeID stamps every reply with the answering node's stable
-	// identity, so clients learn seed addresses' IDs passively from
-	// their first exchange (old nodes omit it and stay addressed by
-	// seed address).
-	NodeID string `json:"node_id,omitempty"`
 
 	// stream, when set by the fetch handler, tells serveConn to answer
 	// with a binary frame stream instead of marshalling this envelope.
@@ -306,28 +294,30 @@ type reply struct {
 	stream *frameStream
 }
 
-// writeMsg sends one newline-delimited JSON message. The delimiter is
-// written separately: append(b, '\n') would copy the whole marshalled
-// message whenever the buffer is exactly full, and the bufio.Writer
-// coalesces the two writes anyway.
+// writeMsg sends newline-delimited JSON messages in one flush. The
+// delimiter is written separately: append(b, '\n') would copy the whole
+// marshalled message whenever the buffer is exactly full, and the
+// bufio.Writer coalesces the two writes anyway.
 //
 // Messages over maxLineBytes are refused before anything is written —
 // the peer would reject the line anyway, and failing pre-write keeps
 // the connection clean so the sender can answer (or receive) a typed
 // too_large refusal instead of losing the stream mid-line.
-func writeMsg(w *bufio.Writer, v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("cluster: encoding message: %w", err)
-	}
-	if len(b)+1 > maxLineBytes {
-		return fmt.Errorf("%w: %d-byte message", ErrTooLarge, len(b)+1)
-	}
-	if _, err := w.Write(b); err != nil {
-		return err
-	}
-	if err := w.WriteByte('\n'); err != nil {
-		return err
+func writeMsg(w *bufio.Writer, msgs ...any) error {
+	for _, v := range msgs {
+		b, err := json.Marshal(v)
+		if err != nil {
+			return fmt.Errorf("cluster: encoding message: %w", err)
+		}
+		if len(b)+1 > maxLineBytes {
+			return fmt.Errorf("%w: %d-byte message", ErrTooLarge, len(b)+1)
+		}
+		if _, err := w.Write(b); err != nil {
+			return err
+		}
+		if err := w.WriteByte('\n'); err != nil {
+			return err
+		}
 	}
 	return w.Flush()
 }
@@ -370,7 +360,29 @@ func readMsg(r *bufio.Reader, v any) error {
 	return json.Unmarshal(line, v)
 }
 
-// dial connects with a timeout.
-func dial(addr string, timeout time.Duration) (net.Conn, error) {
-	return net.DialTimeout("tcp", addr, timeout)
+// errHelloRefused reports a node that refused the client's hello with
+// the typed protocol code: it speaks another protocol version, so it
+// cannot serve this client at all. The node closes the connection
+// without reading further, so nothing sent after the hello has run.
+var errHelloRefused = errors.New("cluster: node refused the hello")
+
+// dial connects with a timeout, tallying the connection's traffic on wc
+// when set.
+func dial(addr string, timeout time.Duration, wc *wireCounter) (net.Conn, error) {
+	conn, err := net.DialTimeout("tcp", addr, timeout)
+	if err == nil && wc != nil {
+		conn = &countedConn{Conn: conn, wc: wc}
+	}
+	return conn, err
+}
+
+// helloID reads the node's answer to a hello: the node ID it names.
+func helloID(rep *reply) (string, error) {
+	switch {
+	case rep.Code == CodeProtocol:
+		return "", fmt.Errorf("%w: %s", errHelloRefused, rep.Err)
+	case rep.Hello == nil:
+		return "", fmt.Errorf("cluster: malformed hello reply: %s", rep.Err)
+	}
+	return rep.Hello.NodeID, nil
 }

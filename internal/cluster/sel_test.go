@@ -52,7 +52,7 @@ const (
 
 // selFederation starts one node over drv (nil = the vector engine over
 // selTestDB) and a client, and returns the row engine as the oracle.
-func selFederation(t *testing.T, drv driver.Driver, ccfg ClientConfig) (*Node, *Client, *sqldb.DB) {
+func selFederation(t *testing.T, drv driver.Driver, batchRows int, ccfg ClientConfig) (*Node, *Client, *sqldb.DB) {
 	t.Helper()
 	db := selTestDB(t)
 	if drv == nil {
@@ -60,6 +60,7 @@ func selFederation(t *testing.T, drv driver.Driver, ccfg ClientConfig) (*Node, *
 	}
 	n, err := StartNode("127.0.0.1:0", NodeConfig{
 		Driver: drv, MsPerCostUnit: 0.02, PeriodMs: 50, Market: market.DefaultConfig(1),
+		FetchBatchRows: batchRows,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +132,7 @@ func mustAppendRows(t *testing.T, b *ColBlock) []sqldb.Row {
 // encoding a fetch is answered in.
 func TestSelFetchSameRowsOnEveryEncoding(t *testing.T) {
 	t.Run("frames", func(t *testing.T) {
-		node, c, oracle := selFederation(t, nil, ClientConfig{FetchBatchRows: 50})
+		node, c, oracle := selFederation(t, nil, 50, ClientConfig{})
 		for id, sql := range []string{selTestWide, selTestNarrow} {
 			want, err := oracle.Query(sql)
 			if err != nil {
@@ -157,8 +158,8 @@ func TestSelFetchSameRowsOnEveryEncoding(t *testing.T) {
 // A filtered fetch cut mid-stream resumes from the dedup
 // window's replay of the retained selection; every row arrives once.
 func TestSelFetchSeveredStreamResumes(t *testing.T) {
-	node, c, oracle := selFederation(t, nil, ClientConfig{
-		FetchBatchRows: 32, execRetries: 3, Timeout: 2 * time.Second,
+	node, c, oracle := selFederation(t, nil, 32, ClientConfig{
+		execRetries: 3, Timeout: 2 * time.Second,
 	})
 	want, err := oracle.Query(selTestWide)
 	if err != nil {
@@ -201,7 +202,7 @@ func TestSelBlockMockTruncates(t *testing.T) {
 	if blk.Sel == nil || blk.Rows != 5 {
 		t.Fatalf("truncated block: Sel %v, Rows %d", blk.Sel != nil, blk.Rows)
 	}
-	_, c, oracle := selFederation(t, mock, ClientConfig{})
+	_, c, oracle := selFederation(t, mock, 0, ClientConfig{})
 	want, err := oracle.Query(selTestWide)
 	if err != nil {
 		t.Fatal(err)

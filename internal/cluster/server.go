@@ -94,9 +94,7 @@ type NodeConfig struct {
 	DedupWindow time.Duration
 	// FetchBatchRows bounds one binary fetch-stream batch: a fetch result
 	// is shipped in frames of at most this many rows, so neither side
-	// ever buffers more than one batch of a huge result. Clients may
-	// request smaller batches (request.FetchBatch); larger asks are
-	// clamped here. Default 4096.
+	// ever buffers more than one batch of a huge result. Default 4096.
 	FetchBatchRows int
 	// NodeID is the node's stable identity in the membership registry,
 	// constant across address changes. Empty generates a random one.
@@ -384,7 +382,6 @@ func (n *Node) gossipLoop() {
 // and must not compete with query traffic for pooled lanes.
 func (n *Node) gossipWith(addr string) {
 	req := &request{Op: "gossip", Gossip: &gossipPayload{
-		V:       gossipV,
 		From:    n.cfg.NodeID,
 		Members: toWireMembers(n.reg.Members()),
 	}}
@@ -393,7 +390,7 @@ func (n *Node) gossipWith(addr string) {
 		timeout = 200 * time.Millisecond
 	}
 	var rep reply
-	if err := freshRPC(addr, req, &rep, timeout, nil, nil); err != nil {
+	if _, err := freshRPC(addr, nil, req, &rep, timeout, nil, nil); err != nil {
 		n.health.Inc(metrics.GossipFailuresTotal)
 		return
 	}
@@ -410,7 +407,6 @@ func (n *Node) broadcastLeave() {
 	n.reg.Leave()
 	peers := n.reg.Live()
 	req := &request{Op: "gossip", Gossip: &gossipPayload{
-		V:       gossipV,
 		From:    n.cfg.NodeID,
 		Members: toWireMembers(n.reg.Members()),
 	}}
@@ -423,7 +419,7 @@ func (n *Node) broadcastLeave() {
 		go func(addr string) {
 			defer wg.Done()
 			var rep reply
-			_ = freshRPC(addr, req, &rep, 250*time.Millisecond, nil, nil)
+			_, _ = freshRPC(addr, nil, req, &rep, 250*time.Millisecond, nil, nil)
 		}(m.Addr)
 	}
 	wg.Wait()
@@ -606,17 +602,18 @@ func (n *Node) acceptLoop() {
 	}
 }
 
-// serveConn handles one client connection. Requests are dispatched to
-// their own goroutines so a multiplexing client can keep many RPCs in
-// flight on one connection; replies echo the request's id (the client
-// demuxes by it) and share the connection's writer under a mutex.
-// Replies therefore complete in finish order, not arrival order — the
-// legacy one-at-a-time framing (id 0) is unaffected because such
-// clients never pipeline. Work-op concurrency is bounded node-wide by
-// the MaxInflight admission gate in handle (excess answered with a
-// typed overload refusal), not by per-connection backpressure: a
-// refused market participant should learn the node is saturated, not
-// wait blind on a stalled TCP window.
+// serveConn handles one client connection. A hello is answered inline,
+// before the next line is read, and becomes the connection's session
+// (a hello of another protocol version is refused and the connection
+// closed). Other requests run on their own goroutines with the session
+// as it stood, so a multiplexing client can keep many RPCs in flight on
+// one connection; replies echo the request's id (the client demuxes by
+// it), share the connection's writer under a mutex and complete in
+// finish order. Work-op concurrency is bounded node-wide by the
+// MaxInflight admission gate in handle (excess answered with a typed
+// overload refusal), not by per-connection backpressure: a refused
+// market participant should learn the node is saturated, not wait blind
+// on a stalled TCP window.
 func (n *Node) serveConn(conn net.Conn) {
 	n.trackConn(conn)
 	defer n.untrackConn(conn)
@@ -626,6 +623,7 @@ func (n *Node) serveConn(conn net.Conn) {
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
 	var wmu sync.Mutex // serializes writeMsg across handler goroutines
+	var sess *hello    // the connection's hello; nil until one arrives
 	for {
 		var req request
 		if err := readMsg(r, &req); err != nil {
@@ -636,18 +634,33 @@ func (n *Node) serveConn(conn net.Conn) {
 				// size — a healthy-node condition that must not read as
 				// unreachability.
 				wmu.Lock()
-				writeMsg(w, &reply{Err: err.Error(), Code: CodeTooLarge, NodeID: n.cfg.NodeID})
+				writeMsg(w, &reply{Err: err.Error(), Code: CodeTooLarge})
 				wmu.Unlock()
 			}
 			return // client closed, oversized line, or protocol error; drop the conn
+		}
+		if req.Op == "hello" {
+			rep := &reply{ID: req.ID, Hello: &helloReply{NodeID: n.cfg.NodeID}}
+			if h := req.Hello; h == nil || h.V != protocolVersion || h.RunID == "" {
+				rep = &reply{ID: req.ID, Code: CodeProtocol,
+					Err: fmt.Sprintf("hello refused: this node speaks protocol version %d", protocolVersion)}
+			}
+			wmu.Lock()
+			err := writeMsg(w, rep)
+			wmu.Unlock()
+			if err != nil || rep.Hello == nil {
+				return
+			}
+			sess = req.Hello
+			continue
 		}
 		// Count the whole request as in flight until its reply is on the
 		// wire, so a drain never severs a connection mid-reply.
 		n.inflight.Add(1)
 		handlers.Add(1)
-		go func(req request) {
+		go func(req request, sess *hello) {
 			defer handlers.Done()
-			rep := n.handle(&req)
+			rep := n.handle(&req, sess)
 			rep.ID = req.ID
 			if n.cfg.LinkLatency > 0 {
 				time.Sleep(n.cfg.LinkLatency)
@@ -668,17 +681,17 @@ func (n *Node) serveConn(conn net.Conn) {
 				// unblocks and the remaining handlers drain.
 				conn.Close()
 			}
-		}(req)
+		}(req, sess)
 	}
 }
 
 // handle runs one request through the drain gate and its op handler,
-// recording server-side handling latency per op.
-func (n *Node) handle(req *request) *reply {
+// recording server-side handling latency per op. sess is the
+// connection's hello, which the work ops require.
+func (n *Node) handle(req *request, sess *hello) *reply {
 	start := time.Now()
 	defer func() { n.observeOp(req.Op, msSince(start)) }()
 	var rep reply
-	rep.NodeID = n.cfg.NodeID
 	switch {
 	case n.draining.Load() && req.Op != "stats" && req.Op != "gossip" && req.Op != "members" && req.Op != "spans":
 		// Stats and spans stay readable during drain for observability, and the
@@ -691,7 +704,11 @@ func (n *Node) handle(req *request) *reply {
 	default:
 		switch req.Op {
 		case "negotiate", "execute", "fetch":
-			n.handleWork(req, &rep)
+			if sess == nil {
+				rep.Err, rep.Code = "no hello on this connection", CodeProtocol
+				break
+			}
+			n.handleWork(req, sess, &rep)
 		case "stats":
 			sr := n.nodeStats()
 			rep.Stats = &sr
@@ -712,7 +729,7 @@ func (n *Node) handle(req *request) *reply {
 // node-wide admission gate. Past MaxInflight the request is refused
 // with a typed overload reply — a market refusal, answered promptly,
 // that clients must not confuse with unreachability.
-func (n *Node) handleWork(req *request, rep *reply) {
+func (n *Node) handleWork(req *request, sess *hello, rep *reply) {
 	if n.working.Add(1) > int64(n.cfg.MaxInflight) {
 		n.working.Add(-1)
 		n.health.Inc(metrics.OverloadTotal)
@@ -723,7 +740,7 @@ func (n *Node) handleWork(req *request, rep *reply) {
 	defer n.working.Add(-1)
 	switch req.Op {
 	case "negotiate":
-		nr, code := n.negotiate(req)
+		nr, code := n.negotiate(req, sess.Mechanism)
 		rep.Code = code
 		if code == "" {
 			rep.Negotiate = &nr
@@ -736,11 +753,8 @@ func (n *Node) handleWork(req *request, rep *reply) {
 		// query carries its own deadline, so one expired query must not
 		// starve its window-mates.
 		for _, bq := range req.Batch {
-			sub := request{
-				Op: "negotiate", SQL: bq.SQL, QueryID: bq.QueryID,
-				Mechanism: req.Mechanism, DeadlineMs: bq.DeadlineMs, Trace: req.Trace,
-			}
-			bnr, bcode := n.negotiate(&sub)
+			sub := request{Op: "negotiate", SQL: bq.SQL, QueryID: bq.QueryID, DeadlineMs: bq.DeadlineMs, Trace: req.Trace}
+			bnr, bcode := n.negotiate(&sub, sess.Mechanism)
 			bp := batchProposal{QueryID: bq.QueryID, Code: bcode}
 			if bcode == "" {
 				cp := bnr
@@ -751,26 +765,16 @@ func (n *Node) handleWork(req *request, rep *reply) {
 			rep.Batch = append(rep.Batch, bp)
 		}
 	default: // execute, fetch
-		er, res, code := n.execute(req)
+		er, res, code := n.execute(req, sess)
 		rep.Code = code
 		if req.Op == "fetch" && code == "" && er.Accepted && er.Err == "" {
 			// The result leaves as a frame stream, encoded by the writer;
 			// refusals and errors answer in the JSON envelope below.
-			rep.stream = &frameStream{res: res, execMs: er.ExecMs, batch: n.fetchBatchRows(req)}
+			rep.stream = &frameStream{res: res, execMs: er.ExecMs, batch: n.cfg.FetchBatchRows}
 			return
 		}
 		rep.Execute = &er
 	}
-}
-
-// fetchBatchRows resolves the streamed-fetch batch bound for one
-// request: the node's configured cap, tightened by the client's ask.
-func (n *Node) fetchBatchRows(req *request) int {
-	b := n.cfg.FetchBatchRows
-	if req.FetchBatch > 0 && req.FetchBatch < b {
-		b = req.FetchBatch
-	}
-	return b
 }
 
 // handleGossip is the receiving half of a push-pull exchange: merge
@@ -780,7 +784,6 @@ func (n *Node) handleGossip(req *request) *gossipPayload {
 		n.reg.Merge(fromWireMembers(req.Gossip.Members))
 	}
 	return &gossipPayload{
-		V:       gossipV,
 		From:    n.cfg.NodeID,
 		Members: toWireMembers(n.reg.Members()),
 	}
@@ -807,7 +810,7 @@ func (n *Node) handleSpans(req *request) *spansReply {
 // traced request. Untraced requests get a nil *trace.Active, whose
 // methods are no-ops, so normal traffic pays only this nil check.
 func (n *Node) traceStart(req *request, name string) *trace.Active {
-	if req.Trace == nil || req.Trace.V < 1 {
+	if req.Trace == nil {
 		return nil
 	}
 	return n.tracer.Start(req.Trace.ID, req.Trace.Span, name)
@@ -876,7 +879,7 @@ func (n *Node) estimate(sql string) (st driver.Statement, estMs float64, fromHis
 	return st, n.hintsTargetMs(h), false, nil
 }
 
-func (n *Node) negotiate(req *request) (negotiateReply, string) {
+func (n *Node) negotiate(req *request, mech Mechanism) (negotiateReply, string) {
 	sp := n.traceStart(req, "solve")
 	defer sp.Finish()
 	st, estMs, fromHistory, err := n.estimate(req.SQL)
@@ -899,7 +902,7 @@ func (n *Node) negotiate(req *request) (negotiateReply, string) {
 		time.Sleep(time.Duration(estMs * n.cfg.ExplainFraction * float64(time.Millisecond)))
 	}
 	offer := true
-	if req.Mechanism == MechQANT {
+	if mech == MechQANT {
 		offer = n.pricer.offer(sig, estMs)
 	}
 	queue := 0.0
@@ -922,7 +925,7 @@ func (n *Node) negotiate(req *request) (negotiateReply, string) {
 // shedExpired decides whether a deadline-carrying request must be shed:
 // the node's current backlog estimate plus the query's own estimated
 // execution time exceeds the remaining budget. Requests without a
-// deadline (old clients, or none set) are never shed.
+// deadline are never shed.
 func (n *Node) shedExpired(req *request, estMs float64) string {
 	if req.DeadlineMs <= 0 {
 		return ""
@@ -960,26 +963,24 @@ func cacheableOutcome(rep executeReply, code string) bool {
 }
 
 // execute runs an execute or a fetch: a fetch is an execute that keeps
-// its result, which the caller streams as frames. Under a run id the
-// outcome goes through the dedup window, result included, so a
-// retransmit — a frame-stream resume among them — replays the identical
-// rows, cut to its own request's batch size.
-func (n *Node) execute(req *request) (rep executeReply, res *ColBlock, code string) {
+// its result, which the caller streams as frames. The outcome goes
+// through the dedup window under the session's run id, result included,
+// so a retransmit — a frame-stream resume among them — replays the
+// identical rows.
+func (n *Node) execute(req *request, sess *hello) (rep executeReply, res *ColBlock, code string) {
 	fetch := req.Op == "fetch"
-	if req.RunID != "" {
-		key := n.dedup.key(req.RunID, fetch, req.QueryID, req.SQL)
-		if rec, hit, _ := n.dedup.claim(key, n.stopCh); hit {
-			n.health.Inc(metrics.DedupHitsTotal)
-			rep, res = rec.outcome()
-			return rep, res, ""
-		}
-		defer func() { n.dedup.settle(key, rep, res, cacheableOutcome(rep, code)) }()
+	key := n.dedup.key(sess.RunID, fetch, req.QueryID, req.SQL)
+	if rec, hit, _ := n.dedup.claim(key, n.stopCh); hit {
+		n.health.Inc(metrics.DedupHitsTotal)
+		rep, res = rec.outcome()
+		return rep, res, ""
 	}
+	defer func() { n.dedup.settle(key, rep, res, cacheableOutcome(rep, code)) }()
 	st, estMs, _, err := n.estimate(req.SQL)
 	if err != nil {
 		return executeReply{Err: err.Error()}, nil, ""
 	}
-	job, rep, code := n.admit(req, st, estMs, fetch)
+	job, rep, code := n.admit(req, sess.Mechanism, st, estMs, fetch)
 	if job == nil {
 		return rep, nil, code
 	}
@@ -1012,7 +1013,7 @@ func expiredCode(rep executeReply) string {
 // QA-NT supply; the later non-blocking enqueue can still lose a rare
 // race, which costs one accepted unit of supply — bounded, and far
 // cheaper than blocking every admitted request behind a full queue.
-func (n *Node) admit(req *request, st driver.Statement, estMs float64, withRows bool) (*execJob, executeReply, string) {
+func (n *Node) admit(req *request, mech Mechanism, st driver.Statement, estMs float64, withRows bool) (*execJob, executeReply, string) {
 	if code := n.shedExpired(req, estMs); code != "" {
 		return nil, executeReply{Err: msgExpired}, code
 	}
@@ -1020,7 +1021,7 @@ func (n *Node) admit(req *request, st driver.Statement, estMs float64, withRows 
 		n.health.Inc(metrics.OverloadTotal)
 		return nil, executeReply{Err: msgOverloaded}, CodeOverload
 	}
-	if req.Mechanism == MechQANT && !n.pricer.accept(st.Hints().Signature) {
+	if mech == MechQANT && !n.pricer.accept(st.Hints().Signature) {
 		// Supply sold out since the offer (another client won the race).
 		return nil, executeReply{Accepted: false}, ""
 	}
@@ -1043,7 +1044,8 @@ func (n *Node) admit(req *request, st driver.Statement, estMs float64, withRows 
 	}
 }
 
-// dropBacklog reverses an admission's backlog charge after a refusal.
+// dropBacklog takes a job's estimate off the backlog once it ran, failed
+// or was refused.
 func (n *Node) dropBacklog(estMs float64) {
 	n.mu.Lock()
 	n.backlogMs -= estMs
@@ -1108,13 +1110,10 @@ func (n *Node) runJob(job *execJob) {
 	} else {
 		n.history[sig] = execMs
 	}
-	n.backlogMs -= job.estMs
-	if n.backlogMs < 0 {
-		n.backlogMs = 0
-	}
 	n.executed++
 	n.mu.Unlock()
-	if job.trace != nil && job.trace.V >= 1 {
+	n.dropBacklog(job.estMs)
+	if job.trace != nil {
 		// The queue span covers enqueue -> dequeue (the statement was
 		// planned at admission); the exec span is the engine run
 		// (including the heterogeneity stretch).
@@ -1138,7 +1137,7 @@ func (n *Node) runJob(job *execJob) {
 // recordJobError attaches a failed traced job's exec span so the trace
 // tree shows where the query died.
 func (n *Node) recordJobError(job *execJob, queued time.Time, err error) {
-	if job.trace == nil || job.trace.V < 1 {
+	if job.trace == nil {
 		return
 	}
 	n.tracer.Record(job.trace.ID, job.trace.Span, "exec", queued, msSince(queued), "error: "+err.Error())
@@ -1146,12 +1145,7 @@ func (n *Node) recordJobError(job *execJob, queued time.Time, err error) {
 
 func (n *Node) finishJob(job *execJob, rep executeReply) {
 	if rep.Err != "" {
-		n.mu.Lock()
-		n.backlogMs -= job.estMs
-		if n.backlogMs < 0 {
-			n.backlogMs = 0
-		}
-		n.mu.Unlock()
+		n.dropBacklog(job.estMs)
 	}
 	job.reply <- rep
 }
@@ -1183,13 +1177,6 @@ func (n *Node) noteCheckpoint() {
 }
 
 func (n *Node) nodeStats() NodeStats {
-	// One telemetry snapshot renders the counters, the price table and
-	// the market picture, so a period tick cannot make them disagree.
-	tel := n.MarketTelemetry()
-	prices := make(map[string]float64, len(tel.Classes))
-	for _, c := range tel.Classes {
-		prices[c.Signature] = c.Price
-	}
 	n.mu.Lock()
 	executed := n.executed
 	n.mu.Unlock()
@@ -1199,12 +1186,5 @@ func (n *Node) nodeStats() NodeStats {
 	if ts := n.lastCheckpoint.Load(); ts > 0 {
 		health[metrics.CheckpointAgeMs] = float64(time.Now().UnixMilli() - ts)
 	}
-	return NodeStats{
-		Executed: executed,
-		Offers:   tel.Stats.Offers,
-		Rejects:  tel.Stats.Rejects,
-		Prices:   prices,
-		Health:   health,
-		Market:   &tel,
-	}
+	return NodeStats{Executed: executed, Health: health, Market: n.MarketTelemetry()}
 }

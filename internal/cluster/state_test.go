@@ -38,7 +38,7 @@ func TestMarketStateCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st0.Prices) == 0 {
+	if len(st0.Market.Classes) == 0 {
 		t.Skip("node 0 learned no classes in this layout")
 	}
 	data, err := nodes[0].MarketState()
@@ -65,14 +65,24 @@ func TestMarketStateCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st1.Prices) != len(st0.Prices) {
-		t.Fatalf("restored %d classes, want %d", len(st1.Prices), len(st0.Prices))
+	if len(st1.Market.Classes) != len(st0.Market.Classes) {
+		t.Fatalf("restored %d classes, want %d", len(st1.Market.Classes), len(st0.Market.Classes))
 	}
-	for sig, p := range st0.Prices {
-		if got, ok := st1.Prices[sig]; !ok || got != p {
+	restoredPrices := classPrices(st1)
+	for sig, p := range classPrices(st0) {
+		if got, ok := restoredPrices[sig]; !ok || got != p {
 			t.Errorf("class %s: restored price %g, want %g", sig, got, p)
 		}
 	}
+}
+
+// classPrices maps a stats reply's market classes to their prices.
+func classPrices(st *NodeStats) map[string]float64 {
+	out := make(map[string]float64, len(st.Market.Classes))
+	for _, c := range st.Market.Classes {
+		out[c.Signature] = c.Price
+	}
+	return out
 }
 
 func TestRestoreMarketStateRejectsGarbage(t *testing.T) {

@@ -271,53 +271,70 @@ type frameFunc func(typ byte, payload []byte) (done bool, err error)
 // JSON reply: the peer broke the protocol.
 var errUnexpectedFrame = errors.New("cluster: unexpected binary frame for non-streamed rpc")
 
-// freshRPC is the v0 transport: dial, send the request, read the
-// answer, hang up. The answer is one JSON reply, landing in rep, or —
-// for a fetch, whose caller passes onFrame — frames fed to onFrame until
-// it reports done; the first byte of each message tells them apart.
-// Each frame renews the read deadline, a progress bound like the pooled
-// path's per-frame timer. A dial failure is wrapped errNotSent: the request
-// never reached the node, which the failover ladder uses to fail over
-// without double-execution risk. wc, when set, tallies the traffic
-// (server-side gossip exchanges are not a client's wire cost).
-func freshRPC(addr string, req *request, rep *reply, timeout time.Duration, wc *wireCounter, onFrame frameFunc) error {
-	conn, err := dial(addr, timeout)
+// freshRPC is the dial-per-RPC transport: dial, send the request
+// behind a hello (when h is set; node-to-node gossip sends none), read
+// the answers, hang up. It returns the node ID the hello reply named.
+// The request's answer is one JSON reply, landing in rep, or — for a
+// fetch, whose caller passes onFrame — frames fed to onFrame until it
+// reports done; the first byte of each message tells them apart. Each
+// frame renews the read deadline, a progress bound like the pooled
+// path's per-frame timer. A failed dial or a refused hello wraps
+// errNotSent: the request never ran (a node stops reading after a
+// refusal), which the failover ladder uses to fail over without
+// double-execution risk. The hello and the request leave in one write,
+// so a lost or malformed hello reply is a lost reply. wc, when set,
+// tallies the traffic (server-side gossip exchanges are not a client's
+// wire cost).
+func freshRPC(addr string, h *hello, req *request, rep *reply, timeout time.Duration, wc *wireCounter, onFrame frameFunc) (nodeID string, err error) {
+	conn, err := dial(addr, timeout, wc)
 	if err != nil {
-		return fmt.Errorf("%w: %v", errNotSent, err)
+		return "", fmt.Errorf("%w: %v", errNotSent, err)
 	}
 	defer conn.Close()
-	if wc != nil {
-		conn = &countedConn{Conn: conn, wc: wc}
-	}
 	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-		return err
+		return "", err
 	}
-	if err := writeMsg(bufio.NewWriter(conn), req); err != nil {
-		return err
+	msgs := []any{req}
+	if h != nil {
+		msgs = []any{&request{Op: "hello", Hello: h}, req}
+	}
+	if err := writeMsg(bufio.NewWriter(conn), msgs...); err != nil {
+		return "", err
 	}
 	r := bufio.NewReader(conn)
+	if h != nil {
+		var hr reply
+		if err := readMsg(r, &hr); err != nil {
+			return "", err
+		}
+		if nodeID, err = helloID(&hr); errors.Is(err, errHelloRefused) {
+			return "", fmt.Errorf("%w: %w", errNotSent, err)
+		} else if err != nil {
+			return "", err
+		}
+	}
 	for {
 		first, err := r.Peek(1)
 		if err != nil {
-			return err
+			return nodeID, err
 		}
 		if first[0] != frameMagic {
-			return readMsg(r, rep)
+			return nodeID, readMsg(r, rep)
 		}
 		if onFrame == nil {
-			return errUnexpectedFrame
+			return nodeID, errUnexpectedFrame
 		}
 		fm, err := readFrame(r)
 		if err != nil {
-			return err
+			return nodeID, err
 		}
 		done, ferr := onFrame(fm.typ, fm.payload)
 		fm.release()
 		if ferr != nil || done {
-			return ferr
+			return nodeID, ferr
 		}
 		if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-			return err
+			return nodeID, err
 		}
 	}
 }
