@@ -71,7 +71,10 @@ fuzzsmoke:
 # replay, the facade's doc comment). It also keeps eq. (4) on one
 # solver, economics.TimeBudgetSupplySet's greedy-by-density: it fails
 # when a Go file names the deleted DP solver or its plumbing, or the
-# deleted economics extras that no figure used.
+# deleted economics extras that no figure used. And it keeps one buyer,
+# market.Rank: it fails when a non-test file outside internal/market
+# ranks offers itself — adds or compares QueueMs/EstimateMs, sorts
+# offers or bids, or brings back alloc's estimatedFinish.
 oneledger:
 	@if grep -rnE 'TimeBudgetSupplySet\{' --include='*.go' . \
 		| grep -vE '^\./(internal/market/|benchmark/|examples/|internal/experiments/figure1\.go:|qamarket\.go:[0-9]+://)|_test\.go:'; \
@@ -81,6 +84,9 @@ oneledger:
 	then echo 'oneledger: a seller is traded through its observer, past the ledger (see DESIGN.md, "One QA-NT seller")'; exit 1; fi
 	@if grep -rnwE 'ExactTimeBudgetSupplySet|DPScratch|NewExactSeller|SupportingPrices|VerifySTWE|EquitableSplit' --include='*.go' .; \
 	then echo 'oneledger: a second eq. (4) solver or a deleted economics extra is back (see DESIGN.md, "One QA-NT seller")'; exit 1; fi
+	@if grep -rnE '\bestimatedFinish\b|\b(QueueMs|EstimateMs)\b[[:space:]]*[-+<>]|[-+<>][[:space:]]*[[:alnum:]_.]*\b(QueueMs|EstimateMs)\b|(sort|slices)\.[[:alnum:]]+\((offers|bids|ladder|ranked)\b' --include='*.go' . \
+		| grep -vE '^\./internal/market/|_test\.go:'; \
+	then echo 'oneledger: offers are ranked outside market.Rank (see DESIGN.md, "One buyer")'; exit 1; fi
 
 # onelane keeps one lane for fetch results: an accepted fetch leaves a
 # node as binary frames (internal/cluster/frame.go) and refusals as the

@@ -145,7 +145,7 @@ func buildMechanism(name string, seed int64) alloc.Mechanism {
 	case "qa-nt":
 		return alloc.NewQANT(market.DefaultConfig(1))
 	case "greedy":
-		return alloc.NewGreedy(nil, 0)
+		return alloc.NewGreedy()
 	case "random":
 		return alloc.NewRandom(rand.New(rand.NewSource(seed)))
 	case "round-robin":

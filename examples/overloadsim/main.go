@@ -64,7 +64,7 @@ func main() {
 
 	mechs := map[string]alloc.Mechanism{
 		"qa-nt":             alloc.NewQANT(market.DefaultConfig(2)),
-		"greedy":            alloc.NewGreedy(nil, 0),
+		"greedy":            alloc.NewGreedy(),
 		"random":            alloc.NewRandom(rand.New(rand.NewSource(1))),
 		"round-robin":       alloc.NewRoundRobin(),
 		"bnqrd":             alloc.NewBNQRD(),

@@ -40,7 +40,7 @@ func figure1View() *fakeView {
 
 func TestGreedyPicksFastestFinish(t *testing.T) {
 	v := figure1View()
-	g := NewGreedy(nil, 0)
+	g := NewGreedy()
 	d := g.Assign(Query{Class: 0}, v)
 	if d.Retry || d.Node != 0 {
 		t.Errorf("q1 on idle system should go to N1 (400ms): %+v", d)
@@ -54,28 +54,8 @@ func TestGreedyPicksFastestFinish(t *testing.T) {
 
 func TestGreedyRetriesWhenNooneCan(t *testing.T) {
 	v := &fakeView{cost: [][]float64{{inf}, {inf}}, backlog: []float64{0, 0}, period: 500}
-	if d := NewGreedy(nil, 0).Assign(Query{Class: 0}, v); !d.Retry {
+	if d := NewGreedy().Assign(Query{Class: 0}, v); !d.Retry {
 		t.Errorf("expected retry, got %+v", d)
-	}
-}
-
-func TestGreedyRandomizedStaysNearBest(t *testing.T) {
-	v := &fakeView{
-		cost:    [][]float64{{100}, {105}, {2000}},
-		backlog: []float64{0, 0, 0},
-		period:  500,
-	}
-	g := NewGreedy(rand.New(rand.NewSource(4)), 0.1)
-	seen := map[int]bool{}
-	for i := 0; i < 200; i++ {
-		d := g.Assign(Query{Class: 0}, v)
-		seen[d.Node] = true
-		if d.Node == 2 {
-			t.Fatal("randomized greedy chose a node 20x the best")
-		}
-	}
-	if !seen[0] || !seen[1] {
-		t.Errorf("randomization never explored near-ties: %v", seen)
 	}
 }
 
@@ -332,7 +312,7 @@ func TestTraitsMatchTable2(t *testing.T) {
 		workload string
 	}{
 		{qant, true, false, "Dynamic"},
-		{NewGreedy(nil, 0), false, true, "Dynamic"},
+		{NewGreedy(), false, true, "Dynamic"},
 		{NewRandom(rand.New(rand.NewSource(1))), true, true, "Dynamic"},
 		{NewRoundRobin(), true, true, "Dynamic"},
 		{NewBNQRD(), false, true, "Dynamic"},

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/qamarket/qamarket/internal/catalog"
+	"github.com/qamarket/qamarket/internal/market"
 	"github.com/qamarket/qamarket/internal/metrics"
 	"github.com/qamarket/qamarket/internal/sqldb"
 	"github.com/qamarket/qamarket/internal/trace"
@@ -610,7 +611,7 @@ func (c *Client) Fetch(queryID int64, sql string) (*sqldb.Result, Outcome) {
 
 // FetchEach runs one query through the market and streams its result to
 // fn in bounded batches: the whole result is never resident on either
-// side — memory stays O(FetchBatchRows).
+// side — memory stays O(one frame batch, 4096 rows).
 // The ColBlock's buffers are reused between calls; fn must copy out
 // anything it retains. A non-nil error from fn aborts the fetch and
 // surfaces in the outcome.
@@ -749,16 +750,12 @@ func (c *Client) classifyNegotiate(ns *nodeState, neg *negotiateReply, code, err
 }
 
 // rankOffers turns one query's per-node outcomes into the ranked
-// proposal ladder (earliest estimated completion first) plus refusal
-// counts, reporting whether any node was reachable at all — typed
-// refusals count as reachable.
+// proposal ladder (market.Rank: earliest estimated completion first)
+// plus refusal counts, reporting whether any node was reachable at
+// all — typed refusals count as reachable.
 func rankOffers(members []*nodeState, outs []negOutcome) (proposals, bool) {
 	var pr proposals
-	type scored struct {
-		ns     *nodeState
-		finish float64
-	}
-	var offers []scored
+	bids := make([]market.Bid, len(outs))
 	reachable := false
 	for i, o := range outs {
 		switch {
@@ -774,14 +771,11 @@ func rankOffers(members []*nodeState, outs []negOutcome) (proposals, bool) {
 			continue
 		}
 		reachable = true
-		if !o.hasRep || !o.rep.Feasible || !o.rep.Offer {
-			continue
-		}
-		offers = append(offers, scored{members[i], o.rep.QueueMs + o.rep.EstimateMs})
+		bids[i] = market.Bid{QueueMs: o.rep.QueueMs, EstimateMs: o.rep.EstimateMs,
+			Offer: o.hasRep && o.rep.Feasible && o.rep.Offer}
 	}
-	sort.SliceStable(offers, func(i, j int) bool { return offers[i].finish < offers[j].finish })
-	for _, o := range offers {
-		pr.ranked = append(pr.ranked, o.ns)
+	for _, i := range market.Rank(bids, nil) {
+		pr.ranked = append(pr.ranked, members[i])
 	}
 	return pr, reachable
 }

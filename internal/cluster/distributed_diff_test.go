@@ -40,7 +40,7 @@ func startOver(t testing.TB, ccfg ClientConfig, gossiped bool, batchRows int, dr
 	t.Helper()
 	var nodes []*Node
 	for i, d := range drivers {
-		cfg := NodeConfig{Driver: d, MsPerCostUnit: 1e-9, PeriodMs: 50, FetchBatchRows: batchRows}
+		cfg := NodeConfig{Driver: d, MsPerCostUnit: 1e-9, PeriodMs: 50, fetchBatchRows: batchRows}
 		if gossiped {
 			cfg.NodeID, cfg.GossipPeriodMs = fmt.Sprintf("g%d", i), 15
 			if i > 0 {

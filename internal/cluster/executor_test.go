@@ -57,7 +57,7 @@ func TestMixedExecutorFleet(t *testing.T) {
 			cfg.GossipPeriodMs = 40
 			switch id {
 			case "batched":
-				cfg.FetchBatchRows = 16 // a wide scan is a multi-frame stream
+				cfg.fetchBatchRows = 16 // a wide scan is a multi-frame stream
 			case "mock":
 				cfg.DB, cfg.Driver = nil, mock
 			}

@@ -280,7 +280,7 @@ func TestStreamedFetchBoundedMemory(t *testing.T) {
 // client plus a query and its locally-computed expected result.
 func fetchFederation(t *testing.T, batchRows int, ccfg ClientConfig) (*Node, *Client, string, *sqldb.Result) {
 	t.Helper()
-	ds, nodes, addrs := startTestFederation(t, []float64{1}, func(_ int, cfg *NodeConfig) { cfg.FetchBatchRows = batchRows })
+	ds, nodes, addrs := startTestFederation(t, []float64{1}, func(_ int, cfg *NodeConfig) { cfg.fetchBatchRows = batchRows })
 	rng := rand.New(rand.NewSource(23))
 	templates, err := ds.GenerateTemplates(4, 1, rng)
 	if err != nil {

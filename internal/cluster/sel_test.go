@@ -60,7 +60,7 @@ func selFederation(t *testing.T, drv driver.Driver, batchRows int, ccfg ClientCo
 	}
 	n, err := StartNode("127.0.0.1:0", NodeConfig{
 		Driver: drv, MsPerCostUnit: 0.02, PeriodMs: 50, Market: market.DefaultConfig(1),
-		FetchBatchRows: batchRows,
+		fetchBatchRows: batchRows,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -92,10 +92,11 @@ type NodeConfig struct {
 	// for at-most-once retransmits (keyed by the client's run id).
 	// Default 60s.
 	DedupWindow time.Duration
-	// FetchBatchRows bounds one binary fetch-stream batch: a fetch result
+	// fetchBatchRows bounds one binary fetch-stream batch: a fetch result
 	// is shipped in frames of at most this many rows, so neither side
-	// ever buffers more than one batch of a huge result. Default 4096.
-	FetchBatchRows int
+	// ever buffers more than one batch of a huge result. Default 4096;
+	// only tests lower it.
+	fetchBatchRows int
 	// NodeID is the node's stable identity in the membership registry,
 	// constant across address changes. Empty generates a random one.
 	NodeID string
@@ -163,8 +164,8 @@ func (c *NodeConfig) validate() error {
 	if c.DedupWindow <= 0 {
 		c.DedupWindow = 60 * time.Second
 	}
-	if c.FetchBatchRows <= 0 {
-		c.FetchBatchRows = 4096
+	if c.fetchBatchRows <= 0 {
+		c.fetchBatchRows = 4096
 	}
 	if c.GossipPeriodMs <= 0 {
 		c.GossipPeriodMs = 250
@@ -770,7 +771,7 @@ func (n *Node) handleWork(req *request, sess *hello, rep *reply) {
 		if req.Op == "fetch" && code == "" && er.Accepted && er.Err == "" {
 			// The result leaves as a frame stream, encoded by the writer;
 			// refusals and errors answer in the JSON envelope below.
-			rep.stream = &frameStream{res: res, execMs: er.ExecMs, batch: n.cfg.FetchBatchRows}
+			rep.stream = &frameStream{res: res, execMs: er.ExecMs, batch: n.cfg.fetchBatchRows}
 			return
 		}
 		rep.Execute = &er

@@ -144,7 +144,7 @@ func runOne(s Scale, cat *catalog.Catalog, ts []costmodel.Template, mech alloc.M
 func mechanisms(seed int64) map[string]alloc.Mechanism {
 	return map[string]alloc.Mechanism{
 		"qa-nt":             alloc.NewQANT(market.DefaultConfig(1)),
-		"greedy":            alloc.NewGreedy(nil, 0),
+		"greedy":            alloc.NewGreedy(),
 		"random":            alloc.NewRandom(rand.New(rand.NewSource(seed))),
 		"round-robin":       alloc.NewRoundRobin(),
 		"bnqrd":             alloc.NewBNQRD(),

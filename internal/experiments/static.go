@@ -56,7 +56,7 @@ func StaticWorkload(s Scale, loadFrac float64) (StaticResult, error) {
 		case "qa-nt":
 			return alloc.NewQANT(market.DefaultConfig(2))
 		case "greedy":
-			return alloc.NewGreedy(nil, 0)
+			return alloc.NewGreedy()
 		case "random":
 			return alloc.NewRandom(rand.New(rand.NewSource(s.Seed)))
 		default:

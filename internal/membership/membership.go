@@ -151,7 +151,6 @@ type Registry struct {
 	members        map[string]*entry
 	left           bool
 	version        uint64
-	changed        chan struct{}
 }
 
 // TickSummary reports what one failure-detector round changed.
@@ -200,19 +199,12 @@ func New(cfg Config) (*Registry, error) {
 		tombstoneAfter: cfg.TombstoneAfter,
 		rng:            cfg.Rand,
 		members:        map[string]*entry{self.ID: {m: self}},
-		changed:        make(chan struct{}, 1),
 	}
 	return r, nil
 }
 
 // bump records a visible table change. Callers hold r.mu.
-func (r *Registry) bump() {
-	r.version++
-	select {
-	case r.changed <- struct{}{}:
-	default:
-	}
-}
+func (r *Registry) bump() { r.version++ }
 
 // Version counts visible table changes; pollers compare it cheaply.
 func (r *Registry) Version() uint64 {
@@ -220,9 +212,6 @@ func (r *Registry) Version() uint64 {
 	defer r.mu.Unlock()
 	return r.version
 }
-
-// Changed signals (coalesced) whenever the table changes.
-func (r *Registry) Changed() <-chan struct{} { return r.changed }
 
 // Self returns the registry's own row.
 func (r *Registry) Self() Member {

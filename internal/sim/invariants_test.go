@@ -31,8 +31,7 @@ func TestInvariantsAcrossMechanisms(t *testing.T) {
 		}
 		mechs := []alloc.Mechanism{
 			alloc.NewQANT(market.DefaultConfig(2)),
-			alloc.NewGreedy(nil, 0),
-			alloc.NewGreedy(rand.New(rand.NewSource(seed)), 0.2),
+			alloc.NewGreedy(),
 			alloc.NewRandom(rand.New(rand.NewSource(seed))),
 			alloc.NewRoundRobin(),
 			alloc.NewBNQRD(),
@@ -72,7 +71,7 @@ func TestInvariantsAcrossMechanisms(t *testing.T) {
 // order (approximated here by start times never overlapping).
 func TestNodeFIFO(t *testing.T) {
 	cat, ts := twoClassFixture(t, 4)
-	fed, err := New(Config{Catalog: cat, Templates: ts, PeriodMs: 500}, alloc.NewGreedy(nil, 0))
+	fed, err := New(Config{Catalog: cat, Templates: ts, PeriodMs: 500}, alloc.NewGreedy())
 	if err != nil {
 		t.Fatal(err)
 	}

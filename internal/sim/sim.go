@@ -115,23 +115,24 @@ func New(cfg Config, mech alloc.Mechanism) (*Federation, error) {
 	}
 	n := len(cfg.Catalog.Nodes)
 	k := len(cfg.Templates)
-	var cost [][]float64
+	cost := make([][]float64, n)
+	flat := make([]float64, n*k)
+	for i := range cost {
+		cost[i] = flat[i*k : (i+1)*k : (i+1)*k]
+	}
 	if cfg.CostOverride != nil {
 		if len(cfg.CostOverride) != n {
 			return nil, fmt.Errorf("sim: CostOverride has %d nodes, catalog has %d", len(cfg.CostOverride), n)
 		}
-		cost = make([][]float64, n)
 		for i, row := range cfg.CostOverride {
 			if len(row) != k {
 				return nil, fmt.Errorf("sim: CostOverride node %d has %d classes, want %d", i, len(row), k)
 			}
-			cost[i] = append([]float64(nil), row...)
+			copy(cost[i], row)
 		}
 	} else {
 		model := costmodel.New(cfg.Catalog)
-		cost = make([][]float64, n)
 		for i, node := range cfg.Catalog.Nodes {
-			cost[i] = make([]float64, k)
 			for c, t := range cfg.Templates {
 				cost[i][c] = model.Estimate(node, t)
 			}

@@ -32,13 +32,13 @@ func tinyFixture(t *testing.T) (*catalog.Catalog, []costmodel.Template) {
 
 func TestConfigValidation(t *testing.T) {
 	c, ts := tinyFixture(t)
-	if _, err := New(Config{Templates: ts, PeriodMs: 500}, alloc.NewGreedy(nil, 0)); err == nil {
+	if _, err := New(Config{Templates: ts, PeriodMs: 500}, alloc.NewGreedy()); err == nil {
 		t.Error("nil catalog accepted")
 	}
-	if _, err := New(Config{Catalog: c, PeriodMs: 500}, alloc.NewGreedy(nil, 0)); err == nil {
+	if _, err := New(Config{Catalog: c, PeriodMs: 500}, alloc.NewGreedy()); err == nil {
 		t.Error("empty templates accepted")
 	}
-	if _, err := New(Config{Catalog: c, Templates: ts}, alloc.NewGreedy(nil, 0)); err == nil {
+	if _, err := New(Config{Catalog: c, Templates: ts}, alloc.NewGreedy()); err == nil {
 		t.Error("zero period accepted")
 	}
 	if _, err := New(Config{Catalog: c, Templates: ts, PeriodMs: 500}, nil); err == nil {
@@ -48,7 +48,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestEmptyRun(t *testing.T) {
 	c, ts := tinyFixture(t)
-	fed, err := New(Config{Catalog: c, Templates: ts, PeriodMs: 500}, alloc.NewGreedy(nil, 0))
+	fed, err := New(Config{Catalog: c, Templates: ts, PeriodMs: 500}, alloc.NewGreedy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestEmptyRun(t *testing.T) {
 
 func TestUnsortedArrivalsRejected(t *testing.T) {
 	c, ts := tinyFixture(t)
-	fed, err := New(Config{Catalog: c, Templates: ts, PeriodMs: 500}, alloc.NewGreedy(nil, 0))
+	fed, err := New(Config{Catalog: c, Templates: ts, PeriodMs: 500}, alloc.NewGreedy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestUnsortedArrivalsRejected(t *testing.T) {
 
 func TestSingleQueryLifecycle(t *testing.T) {
 	c, ts := tinyFixture(t)
-	fed, err := New(Config{Catalog: c, Templates: ts, PeriodMs: 500}, alloc.NewGreedy(nil, 0))
+	fed, err := New(Config{Catalog: c, Templates: ts, PeriodMs: 500}, alloc.NewGreedy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestFIFOQueuePerNode(t *testing.T) {
 	c, ts := tinyFixture(t)
 	// Remove relation 0 from node 1 so only node 0 can run class 0.
 	delete(c.Nodes[1].Holds, 0)
-	fed, err := New(Config{Catalog: c, Templates: ts, PeriodMs: 500}, alloc.NewGreedy(nil, 0))
+	fed, err := New(Config{Catalog: c, Templates: ts, PeriodMs: 500}, alloc.NewGreedy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestFIFOQueuePerNode(t *testing.T) {
 
 func TestNetworkLatencyAddsToResponse(t *testing.T) {
 	c, ts := tinyFixture(t)
-	base, err := New(Config{Catalog: c, Templates: ts, PeriodMs: 500}, alloc.NewGreedy(nil, 0))
+	base, err := New(Config{Catalog: c, Templates: ts, PeriodMs: 500}, alloc.NewGreedy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestNetworkLatencyAddsToResponse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lat, err := New(Config{Catalog: c, Templates: ts, PeriodMs: 500, NetworkLatencyMs: 40}, alloc.NewGreedy(nil, 0))
+	lat, err := New(Config{Catalog: c, Templates: ts, PeriodMs: 500, NetworkLatencyMs: 40}, alloc.NewGreedy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestInfeasibleEverywhereDropsAfterMaxResubmits(t *testing.T) {
 	delete(c.Nodes[1].Holds, 0)
 	fed, err := New(Config{
 		Catalog: c, Templates: ts, PeriodMs: 500, MaxResubmits: 3, HardCapMs: 60000,
-	}, alloc.NewGreedy(nil, 0))
+	}, alloc.NewGreedy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestCapacityMatchesSimulation(t *testing.T) {
 		return as
 	}
 	run := func(frac float64) float64 {
-		fed, err := New(Config{Catalog: c, Templates: ts, PeriodMs: 500}, alloc.NewGreedy(nil, 0))
+		fed, err := New(Config{Catalog: c, Templates: ts, PeriodMs: 500}, alloc.NewGreedy())
 		if err != nil {
 			t.Fatal(err)
 		}

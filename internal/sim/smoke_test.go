@@ -96,7 +96,7 @@ func TestSmokeOverloadOrdering(t *testing.T) {
 	}
 
 	qant := runMechanism(t, cat, ts, alloc.NewQANT(market.DefaultConfig(2)), arrivals)
-	greedy := runMechanism(t, cat, ts, alloc.NewGreedy(nil, 0), arrivals)
+	greedy := runMechanism(t, cat, ts, alloc.NewGreedy(), arrivals)
 	random := runMechanism(t, cat, ts, alloc.NewRandom(rand.New(rand.NewSource(1))), arrivals)
 	rr := runMechanism(t, cat, ts, alloc.NewRoundRobin(), arrivals)
 	bnqrd := runMechanism(t, cat, ts, alloc.NewBNQRD(), arrivals)

@@ -47,9 +47,6 @@ func Coerce(v Value, t Type) (Value, error) { return coerce(v, t) }
 // path: any GROUP BY clause, or an aggregate in the projection.
 func NeedsAggregation(s *SelectStmt) bool { return needsAggregation(s) }
 
-// ContainsAgg reports whether the expression contains an aggregate call.
-func ContainsAgg(e Expr) bool { return containsAgg(e) }
-
 // OrderKeyExprs returns the ORDER BY key expressions with select
 // aliases substituted (ORDER BY total for SELECT SUM(x) AS total).
 func OrderKeyExprs(s *SelectStmt) ([]Expr, error) { return substituteAliases(s) }

@@ -100,11 +100,10 @@ func NewFederation(cfg SimConfig, mech Mechanism) (*Federation, error) {
 // simulator.
 func NewQANTMechanism(cfg AgentConfig) Mechanism { return alloc.NewQANT(cfg) }
 
-// NewGreedyMechanism returns the Greedy baseline (optionally with a
-// randomization fraction; rng may be nil when frac is 0).
-func NewGreedyMechanism(rng *rand.Rand, frac float64) Mechanism {
-	return alloc.NewGreedy(rng, frac)
-}
+// NewGreedyMechanism returns the Greedy baseline: QA-NT's buyer over
+// servers that always offer, so each query goes to the node that
+// would finish it earliest.
+func NewGreedyMechanism() Mechanism { return alloc.NewGreedy() }
 
 // NewRandomMechanism returns the uniform-random baseline.
 func NewRandomMechanism(rng *rand.Rand) Mechanism { return alloc.NewRandom(rng) }
