@@ -35,10 +35,13 @@ benchsmoke:
 loadsmoke:
 	$(GO) run ./cmd/qaload -selfnodes 2 -clients 4 -queries 24 -mix 3 -mspercost 0.005 -period 25
 
-# fuzzsmoke runs the six fuzzers briefly on every CI run, each with
+# fuzzsmoke runs the seven fuzzers briefly on every CI run, each with
 # its committed corpus as regression seeds. FuzzFrameDecode holds the
 # binary lane's malformed-input promise ("error, never panic, never
-# unbounded allocation"); FuzzSellerLedger drives market.Seller through
+# unbounded allocation"); FuzzDedupWindow drives the at-most-once window
+# through claim / settle / release / sweep scripts against a map model
+# (never two owners of a settled key within its TTL, never a payload
+# after release); FuzzSellerLedger drives market.Seller through
 # arbitrary offer / accept / new-class / re-cost / period-boundary
 # scripts, with and without the activation threshold, against an
 # independent model of the one capacity account; FuzzKeyTable drives the engine's key table through add / find
@@ -51,11 +54,12 @@ loadsmoke:
 # case-insensitive, errors at a rune boundary"; FuzzLikeMatch holds the LIKE matcher to "never panic, '%'
 # matches everything, a pattern without wildcards matches only itself".
 # Five seconds finds shallow regressions; run any unbounded
-# (`go test -fuzz <name> <pkg>`) when touching frame.go, seller.go,
+# (`go test -fuzz <name> <pkg>`) when touching frame.go, dedup.go, seller.go,
 # group.go, the comparison kernels, lexer.go, parser.go or the LIKE
 # matcher.
 fuzzsmoke:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime 5s
+	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzDedupWindow$$' -fuzztime 5s
 	$(GO) test ./internal/market -run '^$$' -fuzz '^FuzzSellerLedger$$' -fuzztime 5s
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzKeyTable$$' -fuzztime 5s
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzCompareKernel$$' -fuzztime 5s

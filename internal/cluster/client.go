@@ -893,6 +893,10 @@ func (c *Client) rpcOn(ns *nodeState, req *request, rep *reply, timeout time.Dur
 			// A get failure, a refused hello included, precedes the request.
 			err = fmt.Errorf("%w: %w", errNotSent, err)
 		} else {
+			if req.Op == "negotiate" || req.Op == "execute" || req.Op == "fetch" {
+				// Taken after get: a dial drops what was queued before it.
+				req.Release = nt.rel.take()
+			}
 			id = mc.nodeID
 			err = mc.call(req, rep, timeout, onFrame)
 		}
@@ -904,6 +908,19 @@ func (c *Client) rpcOn(ns *nodeState, req *request, rep *reply, timeout time.Dur
 		ns.observe(req.Op, msSince(start))
 	}
 	return err
+}
+
+// noteHeld queues a release for a fetch outcome the client now holds
+// whole: its end frame arrived clean and the rows matched the header.
+// Without a pooled transport (the dial-per-RPC test hook) there is no
+// next request to carry it, and the node keeps the result until its TTL.
+func (ns *nodeState) noteHeld(seq uint64) {
+	ns.mu.Lock()
+	nt := ns.transport
+	ns.mu.Unlock()
+	if nt != nil {
+		nt.rel.add(seq)
+	}
 }
 
 // countRPC tallies one RPC attempt under its op. Unlike the latency

@@ -34,20 +34,39 @@ type dedupKey struct {
 //
 // A fetch result of at most packRowsMax rows is packed as the payloads
 // of the header and batch frames that would stream it, without their
-// 16-byte frame headers; a larger one is kept as produced in big (it may
-// alias storage, which costs nothing to keep). A retransmit is then
-// re-streamed cut to its *own* request's batch size — a replay of
-// identical rows, letting a client resume a partial stream by skipping
-// the rows it already delivered.
+// 16-byte frame headers; a larger one is kept as produced in big. That
+// is not free: its columns may alias storage, but a filtered result's
+// selection vector is 4 bytes a row that only the record holds. A
+// retransmit is re-streamed cut to its *own* request's batch size — a
+// replay of identical rows, letting a client resume a partial stream by
+// skipping the rows it already delivered.
+//
+// Once the client reports that it holds the whole stream, release drops
+// both and keeps only the key: a released record has packed == nil.
 type dedupRecord struct {
 	packed []byte
 	big    *ColBlock
 }
 
+// released reports a record whose result its client already holds.
+func (r dedupRecord) released() bool { return r.packed == nil }
+
+// retained is what the record holds that nothing else does: the packed
+// bytes, and a large result's selection vector. A large result's
+// columns alias storage or an operator's output and are not counted.
+func (r dedupRecord) retained() int64 {
+	n := int64(cap(r.packed))
+	if r.big != nil {
+		n += 4 * int64(cap(r.big.Sel))
+	}
+	return n
+}
+
 // packRowsMax bounds the results the window keeps packed. A columnar
 // block spends 120 bytes of slice headers per column and an allocation
 // per typed array and column name; below a few dozen rows that is most
-// of it, and the window holds one result per fetch for its whole TTL.
+// of it, and the window may hold a result until its TTL when the
+// client's release never comes.
 const packRowsMax = 64
 
 // stoppedRecord is what a duplicate waiting on an owner reads when the
@@ -64,7 +83,7 @@ func packRecord(rep executeReply, res *ColBlock) dedupRecord {
 	} else if res != nil {
 		fb := getFrameBuf()
 		defer putFrameBuf(fb)
-		f := appendFetchHeader(fb.b[:0], 0, res.Columns, 0, 0, res.Rows)
+		f := appendFetchHeader(fb.b[:0], 0, res.Columns, 0, 0, res.Rows, 0)
 		m := len(f)
 		f = appendFetchBatchCols(f, 0, res.Dense())
 		fb.b = f
@@ -140,6 +159,12 @@ func (r dedupRecord) outcome() (executeReply, *ColBlock) {
 // nothing is kept once waiters are released, so a later retry with
 // fresh budget is re-admitted instead of being served a stale refusal.
 // A cached outcome therefore never carries an envelope code.
+//
+// A settled outcome's sequence number is its ring position. A fetch's
+// header frame carries it, and the client names it in a later request's
+// release list once it holds the whole stream; release then drops the
+// result and keeps the key for the rest of its TTL, so a duplicate is
+// still caught. It is refused (claim's rec.released()), never re-run.
 type dedupWindow struct {
 	mu   sync.Mutex
 	seed maphash.Seed
@@ -162,10 +187,14 @@ type dedupWindow struct {
 	// (TTL + sweep interval).
 	ring []settledOutcome
 	head uint64 // sequence number of ring[0]
+	// bytes is the sum of retained() over the ring (the
+	// dedup_retained_bytes gauge).
+	bytes int64
 }
 
 type settledOutcome struct {
 	key dedupKey
+	run uint64        // the run's hash: a release must come from it
 	at  time.Duration // since the window's base
 	rec dedupRecord
 }
@@ -196,24 +225,28 @@ func (d *dedupWindow) key(runID string, fetch bool, queryID int64, sql string) d
 	return dedupKey{queryID: queryID, sum: h.Sum64()}
 }
 
+// run hashes a run id for settle and release.
+func (d *dedupWindow) run(runID string) uint64 { return maphash.String(d.seed, runID) }
+
 // claim resolves a key: the first caller becomes the owner (claim
 // returns owner=true) and must call settle exactly once; duplicates
 // block until the owner settles (or stop closes) and get the cached
-// outcome with hit=true. A duplicate of an uncacheable outcome gets
-// hit=false once the owner settles and becomes the new owner.
-func (d *dedupWindow) claim(key dedupKey, stop <-chan struct{}) (rec dedupRecord, hit, owner bool) {
+// outcome and its sequence number with hit=true — a released record
+// among them. A duplicate of an uncacheable outcome gets hit=false once
+// the owner settles and becomes the new owner.
+func (d *dedupWindow) claim(key dedupKey, stop <-chan struct{}) (rec dedupRecord, seq uint64, hit, owner bool) {
 	for {
 		d.mu.Lock()
 		if seq, ok := d.settled[key]; ok {
 			rec := d.ring[seq-d.head].rec
 			d.mu.Unlock()
-			return rec, true, false
+			return rec, seq, true, false
 		}
 		done, inFlight := d.flights[key]
 		if !inFlight {
 			d.flights[key] = nil
 			d.mu.Unlock()
-			return dedupRecord{}, false, true
+			return dedupRecord{}, 0, false, true
 		}
 		if done == nil {
 			done = make(chan struct{})
@@ -225,26 +258,28 @@ func (d *dedupWindow) claim(key dedupKey, stop <-chan struct{}) (rec dedupRecord
 			// Loop: read the settled outcome, or re-own if it was an
 			// uncacheable refusal and nothing was kept.
 		case <-stop:
-			return stoppedRecord, true, false
+			return stoppedRecord, 0, true, false
 		}
 	}
 }
 
-// settle publishes the owner's outcome and releases waiters. A
-// cacheable outcome is packed and stays in the window for the TTL; an
-// uncacheable one (a refusal) is dropped, so released waiters loop back,
-// find nothing, and re-own — retrying a refusal re-admits the query
-// rather than replaying the stale refusal.
-func (d *dedupWindow) settle(key dedupKey, rep executeReply, res *ColBlock, cacheable bool) {
+// settle publishes the owner's outcome, made under run (a run()
+// hash), and wakes waiters. A cacheable outcome is packed and stays in
+// the window for the TTL; its sequence number comes back for the fetch
+// header. An uncacheable one (a refusal) is dropped, so woken waiters
+// loop back, find nothing, and re-own — retrying a refusal re-admits
+// the query rather than replaying the stale refusal.
+func (d *dedupWindow) settle(key dedupKey, run uint64, rep executeReply, res *ColBlock, cacheable bool) (seq uint64) {
 	var rec dedupRecord
 	if cacheable {
 		rec = packRecord(rep, res)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	seq = d.head + uint64(len(d.ring))
 	done, ok := d.flights[key]
 	if !ok {
-		return
+		return d.head - 1 // below the ring: a number that names nothing
 	}
 	delete(d.flights, key)
 	if done != nil {
@@ -252,10 +287,28 @@ func (d *dedupWindow) settle(key dedupKey, rep executeReply, res *ColBlock, cach
 	}
 	now := time.Since(d.base)
 	if cacheable {
-		d.settled[key] = d.head + uint64(len(d.ring))
-		d.ring = append(d.ring, settledOutcome{key, now, rec})
+		d.settled[key] = seq
+		d.ring = append(d.ring, settledOutcome{key, run, now, rec})
+		d.bytes += rec.retained()
 	}
 	d.evictLocked(now)
+	return seq
+}
+
+// release drops the results of the run's settled outcomes named by
+// seqs and keeps their keys, timestamps and ring places. A number that
+// names no settled outcome, another run's or an already released one is
+// ignored.
+func (d *dedupWindow) release(run uint64, seqs []uint64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, seq := range seqs {
+		// Unsigned: a number below head wraps past the ring's length.
+		if i := seq - d.head; i < uint64(len(d.ring)) && d.ring[i].run == run {
+			d.bytes -= d.ring[i].rec.retained()
+			d.ring[i].rec = dedupRecord{}
+		}
+	}
 }
 
 // sweep evicts settled entries older than the TTL. settle does the same
@@ -273,16 +326,17 @@ func (d *dedupWindow) sweep(now time.Time) {
 func (d *dedupWindow) evictLocked(now time.Duration) {
 	for len(d.ring) > 0 && now-d.ring[0].at > d.ttl {
 		delete(d.settled, d.ring[0].key)
+		d.bytes -= d.ring[0].rec.retained()
 		d.ring[0] = settledOutcome{} // the backing array outlives the pop
 		d.ring = d.ring[1:]
 		d.head++
 	}
 }
 
-// size reports the current entry count, in flight or settled (tests and
-// gauges).
-func (d *dedupWindow) size() int {
+// size reports the current entry count, in flight or settled, and the
+// bytes the settled outcomes retain (tests and gauges).
+func (d *dedupWindow) size() (entries int, retained int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.flights) + len(d.settled)
+	return len(d.flights) + len(d.settled), d.bytes
 }

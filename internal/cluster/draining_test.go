@@ -240,3 +240,25 @@ func TestFetchRefusalsAnswerInJSON(t *testing.T) {
 		}
 	}
 }
+
+// TestConnAcceptedAcrossHardStopIsClosed: a connection the accept loop
+// took just before a hard stop, whose serveConn starts only after
+// closeConns ran, is closed at once. It used to be tracked too late to
+// be severed, so its serveConn waited on the idle client and the stop's
+// wg.Wait with it (TestDistributorRetriesAcrossDeparture hung once).
+func TestConnAcceptedAcrossHardStopIsClosed(t *testing.T) {
+	n := &Node{conns: make(map[net.Conn]struct{})}
+	n.closeConns()
+	server, client := net.Pipe()
+	defer client.Close()
+	done := make(chan struct{})
+	go func() {
+		n.serveConn(server)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("serveConn kept a connection accepted after the hard stop")
+	}
+}

@@ -20,7 +20,7 @@ import (
 // Every accepted fetch result comes back as a sequence of
 // length-prefixed little-endian binary frames:
 //
-//	header frame  (accepted, exec ms, column names, batch size, row count)
+//	header frame  (accepted, exec ms, column names, batch size, row count, seq)
 //	batch frame   (<= batch-size rows as typed columns)  — repeated
 //	end frame     (terminal marker: rows sent, batch count, error)
 //
@@ -90,8 +90,10 @@ func endFrame(buf []byte, hdr int) []byte {
 
 // appendFetchHeader appends the stream-opening header frame: accepted
 // flag, server-side exec time, column names, the batch size the server
-// will honor, and the total row count.
-func appendFetchHeader(buf []byte, id uint64, columns []string, execMs float64, batchRows int, totalRows int) []byte {
+// will honor, the total row count, and the outcome's sequence number in
+// the node's dedup window, which the client releases once it holds the
+// whole stream.
+func appendFetchHeader(buf []byte, id uint64, columns []string, execMs float64, batchRows int, totalRows int, seq uint64) []byte {
 	buf, hdr := beginFrame(buf, frameTypeHeader, id)
 	buf = append(buf, 1) // accepted; refusals never reach the frame lane
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(execMs))
@@ -102,6 +104,7 @@ func appendFetchHeader(buf []byte, id uint64, columns []string, execMs float64, 
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(batchRows))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(totalRows))
+	buf = binary.LittleEndian.AppendUint64(buf, seq)
 	return endFrame(buf, hdr)
 }
 
@@ -111,7 +114,7 @@ func appendFetchHeader(buf []byte, id uint64, columns []string, execMs float64, 
 // pass maxFramePayload. The node answers such a fetch with an error reply
 // before it packs or streams anything.
 func checkFetchHeader(columns []string) error {
-	size := 25 // accepted, exec ms, column count, batch size, row count
+	size := 33 // accepted, exec ms, column count, batch size, row count, seq
 	for i, name := range columns {
 		if len(name) > math.MaxUint16 {
 			return fmt.Errorf("cluster: result column %d is named by %d bytes, over the frame header's %d; alias it",
@@ -382,6 +385,7 @@ type frameHeader struct {
 	columns   []string
 	batchRows int
 	totalRows uint64
+	seq       uint64 // the outcome's number in the node's dedup window
 }
 
 // decodeFetchHeader parses a header-frame payload into h, reusing its
@@ -410,11 +414,13 @@ func decodeFetchHeader(p []byte, h *frameHeader) error {
 	}
 	batch, ok1 := c.u32()
 	total, ok2 := c.u64()
-	if !ok1 || !ok2 || c.remaining() != 0 {
+	seq, ok3 := c.u64()
+	if !ok1 || !ok2 || !ok3 || c.remaining() != 0 {
 		return fmt.Errorf("%w: header trailer", errFrameDecode)
 	}
 	h.batchRows = int(batch)
 	h.totalRows = total
+	h.seq = seq
 	return nil
 }
 

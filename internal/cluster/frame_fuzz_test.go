@@ -13,17 +13,23 @@ import (
 // maxLineBytes makes on the JSON lane — plus canonical frames: every
 // header, batch or end payload that decodes re-encodes to exactly the
 // same bytes, which is what shows the encoders and decoders are
-// inverses. Seeded with the golden frames of a mixed-kind result so
-// mutations start from valid streams.
+// inverses. Seeded with the golden frames of a mixed-kind result, and
+// headers carrying small and huge sequence numbers, so mutations start
+// from valid streams.
 func FuzzFrameDecode(f *testing.F) {
 	res := frameTestResult(9)
-	f.Add(appendFetchHeader(nil, 1, res.Columns, 2.5, 4, 9))
+	f.Add(appendFetchHeader(nil, 1, res.Columns, 2.5, 4, 9, 0))
+	// The header's last field is the outcome's dedup sequence number,
+	// which a window starting at 0 keeps small and a long-lived node
+	// does not.
+	f.Add(appendFetchHeader(nil, 1, res.Columns, 2.5, 4, 9, 41))
+	f.Add(appendFetchHeader(nil, 3, nil, 0, 4096, 0, 1<<63+5))
 	f.Add(appendFetchBatch(nil, 1, res, 0, 9))
 	f.Add(appendFetchBatch(nil, 1, res, 3, 5))
 	f.Add(appendFetchEnd(nil, 1, 9, 3, ""))
 	f.Add(appendFetchEnd(nil, 1, 4, 1, msgNodeStopping))
 	// A whole stream concatenated, and some degenerate inputs.
-	stream := appendFetchHeader(nil, 7, res.Columns, 1, 2, 9)
+	stream := appendFetchHeader(nil, 7, res.Columns, 1, 2, 9, 17)
 	for lo := 0; lo < 9; lo += 2 {
 		hi := lo + 2
 		if hi > 9 {
@@ -54,7 +60,7 @@ func FuzzFrameDecode(f *testing.F) {
 					if len(h.columns) > 1<<20 {
 						t.Fatalf("header decoded %d columns from %d bytes", len(h.columns), len(fm.payload))
 					}
-					re = appendFetchHeader(nil, fm.id, h.columns, h.execMs, h.batchRows, int(h.totalRows))
+					re = appendFetchHeader(nil, fm.id, h.columns, h.execMs, h.batchRows, int(h.totalRows), h.seq)
 				}
 			case frameTypeBatch:
 				if decodeFetchBatch(fm.payload, &blk) == nil {

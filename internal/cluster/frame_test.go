@@ -93,13 +93,13 @@ func TestFrameBatchRoundTrip(t *testing.T) {
 
 func TestFrameHeaderEndRoundTrip(t *testing.T) {
 	cols := []string{"a", "long_column_name", "ünïcode"}
-	buf := appendFetchHeader(nil, 7, cols, 12.25, 512, 9001)
+	buf := appendFetchHeader(nil, 7, cols, 12.25, 512, 9001, 1<<40+3)
 	fm := mustReadOneFrame(t, buf)
 	var h frameHeader
 	if err := decodeFetchHeader(fm.payload, &h); err != nil {
 		t.Fatalf("decode header: %v", err)
 	}
-	if h.execMs != 12.25 || h.batchRows != 512 || h.totalRows != 9001 ||
+	if h.execMs != 12.25 || h.batchRows != 512 || h.totalRows != 9001 || h.seq != 1<<40+3 ||
 		!reflect.DeepEqual(h.columns, cols) {
 		t.Fatalf("header round trip: %+v", h)
 	}
@@ -130,7 +130,7 @@ func mustReadOneFrame(t *testing.T, buf []byte) frameMsg {
 func TestFrameDecodeRejectsMalformed(t *testing.T) {
 	res := frameTestResult(9)
 	batch := appendFetchBatch(nil, 1, res, 0, 9)
-	header := appendFetchHeader(nil, 1, res.Columns, 1, 4, 9)
+	header := appendFetchHeader(nil, 1, res.Columns, 1, 4, 9, 0)
 	end := appendFetchEnd(nil, 1, 9, 3, "")
 
 	for name, golden := range map[string][]byte{"header": header, "batch": batch, "end": end} {
@@ -699,8 +699,10 @@ func goldenBatchBlock() *ColBlock {
 }
 
 // goldenBatchHex is the batch frame (request id 7) that the per-value
-// encoder this codec replaced wrote for goldenBatchBlock.
-const goldenBatchHex = "fa0102000700000000000000a10100000b00000005000000696e696969696e6969696909000000" +
+// encoder this codec replaced wrote for goldenBatchBlock. Its second
+// byte is the frame version, protocolVersion (2 since the fetch header
+// carries a sequence number); the payload is unchanged since then.
+const goldenBatchHex = "fa0202000700000000000000a10100000b00000005000000696e696969696e6969696909000000" +
 	"ffffffffffffffff00000000000000800700000000000000d6ffffffffffffff0000000000000000" +
 	"0300000000000000f7ffffffffffffffffffffffffffff7f02000000000000000000000000000000" +
 	"00000000000000006666666e66666e666666660000000009000000010000000000f87f0000000000" +
@@ -759,7 +761,7 @@ func TestFrameDecodeRejectsNonCanonical(t *testing.T) {
 			}
 		}
 	}
-	header := appendFetchHeader(nil, 1, []string{"a"}, 1, 4, 9)
+	header := appendFetchHeader(nil, 1, []string{"a"}, 1, 4, 9, 0)
 	for _, flag := range []byte{0, 2, 0xff} {
 		mut := append([]byte(nil), header...)
 		mut[frameHdrLen] = flag
@@ -783,7 +785,7 @@ func TestFetchStreamRejectsColumnCountMismatch(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			res.Rows = nil
 			fs := &fetchStream{sink: *accumulateSink(res)}
-			header := appendFetchHeader(nil, 1, res.Columns, 1, 4096, 1)
+			header := appendFetchHeader(nil, 1, res.Columns, 1, 4096, 1, 0)
 			if _, err := fs.onFrame(frameTypeHeader, header[frameHdrLen:]); err != nil {
 				t.Fatal(err)
 			}
@@ -820,7 +822,7 @@ func TestFetchStreamChecksHeaderCount(t *testing.T) {
 		fs := &fetchStream{sink: *fragmentSink(scratch, "frag")}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		header := appendFetchHeader(nil, 1, res.Columns, 1, 4096, tc.claim)
+		header := appendFetchHeader(nil, 1, res.Columns, 1, 4096, tc.claim, 0)
 		if _, err := fs.onFrame(frameTypeHeader, header[frameHdrLen:]); err != nil {
 			t.Fatalf("claim %d: header: %v", tc.claim, err)
 		}

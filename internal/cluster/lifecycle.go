@@ -56,6 +56,12 @@ type query struct {
 	afterNegotiate func(nodeID, sql string)
 }
 
+// errReleased reports a retransmit the node refused with CodeReleased:
+// the client had already released that outcome's result. Only a client
+// that re-sends a query it holds whole can see it; it is terminal, since
+// running the query anywhere else would run it twice.
+var errReleased = errors.New("cluster: outcome already released")
+
 // errUnplaced ends a oneRound lifecycle whose single round found no
 // taker; any other error from it is terminal for the query.
 var errUnplaced = errors.New("not placed this round")
@@ -256,7 +262,7 @@ func (l *lifecycle) round() (step, error) {
 			// the relation since it bid) impeaches the cache, not the
 			// query: ask the market. Our own verdicts — the sink aborted,
 			// the budget ran dry, rows already escaped — stay terminal.
-			if fromCache && !l.escaped() && !errors.Is(res.err, errStreamAbort) && !errors.Is(res.err, ErrRetryBudget) {
+			if fromCache && !l.escaped() && !errors.Is(res.err, errStreamAbort) && !errors.Is(res.err, ErrRetryBudget) && !errors.Is(res.err, errReleased) {
 				return stepRenegotiate, res.err
 			}
 			return stepFail, res.err
@@ -407,6 +413,12 @@ func (l *lifecycle) attempt(ns *nodeState) attemptResult {
 		res.rows = int64(rep.Execute.Rows)
 	}
 	l.shipped += res.rows
+	if res.kind == attemptOK && fs != nil && fs.done {
+		// The whole stream is here: the node's copy is no longer needed
+		// for a resume. A cut stream is not released, so its retransmit
+		// replays from the window.
+		ns.noteHeld(fs.header.seq)
+	}
 	// A failed attempt into a resettable sink leaves nothing behind, not
 	// even what a header declared before any row arrived.
 	if res.kind != attemptOK && fs != nil && fs.gotHeader && q.sink.reset != nil {
@@ -458,6 +470,11 @@ func (c *Client) classifyReply(ns *nodeState, op, code, envErr string, has bool,
 		// The node answered — healthy — but this message can never fit.
 		ns.breaker.success()
 		return attemptFatal, fmt.Errorf("cluster: %s: %w", ns.label(), ErrTooLarge)
+	case CodeReleased:
+		// A duplicate of an outcome this client released: it ran once,
+		// and the node no longer holds its result.
+		ns.breaker.success()
+		return attemptFatal, fmt.Errorf("cluster: %s: %w", ns.label(), errReleased)
 	}
 	switch {
 	case envErr != "":

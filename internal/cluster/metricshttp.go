@@ -39,6 +39,9 @@ func (n *Node) MetricsHandler() http.Handler {
 		// Load gauges are sampled at scrape time, not at the last write.
 		gauges[metrics.InflightWork] = float64(n.working.Load())
 		gauges[metrics.QueueDepth] = float64(len(n.execCh))
+		entries, retained := n.dedup.size()
+		gauges[metrics.DedupEntries] = float64(entries)
+		gauges[metrics.DedupRetainedBytes] = float64(retained)
 		names = names[:0]
 		for name := range gauges {
 			names = append(names, name)

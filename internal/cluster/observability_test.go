@@ -222,6 +222,8 @@ func TestMetricsHandlerExposition(t *testing.T) {
 		"qa_market_offers_total",
 		"qa_market_rejects_total",
 		"qa_market_epoch",
+		"# TYPE qa_dedup_entries gauge",
+		"qa_dedup_retained_bytes{node=",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)

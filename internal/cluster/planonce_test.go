@@ -137,7 +137,7 @@ func TestSmallFetchReplyIsOneWrite(t *testing.T) {
 		if conn.writes != 1 {
 			t.Errorf("a %d-row reply took %d writes, want 1", n, conn.writes)
 		}
-		want := appendFetchHeader(nil, 5, res.Columns, 0.25, 4096, n)
+		want := appendFetchHeader(nil, 5, res.Columns, 0.25, 4096, n, 0)
 		batches := 0
 		if n > 0 {
 			want = appendFetchBatchCols(want, 5, &res)

@@ -335,6 +335,7 @@ type pool struct {
 	addr  string
 	hello *hello
 	wc    *wireCounter // nil disables byte accounting
+	rel   *releases    // the node's queued releases, dropped at each dial
 
 	mu     sync.Mutex
 	slots  []*mconn
@@ -342,8 +343,8 @@ type pool struct {
 	closed bool
 }
 
-func newPool(addr string, h *hello, size int, wc *wireCounter) *pool {
-	return &pool{addr: addr, hello: h, wc: wc, slots: make([]*mconn, size)}
+func newPool(addr string, h *hello, size int, wc *wireCounter, rel *releases) *pool {
+	return &pool{addr: addr, hello: h, wc: wc, rel: rel, slots: make([]*mconn, size)}
 }
 
 // get returns a live connection from the next slot, dialing (and saying
@@ -378,6 +379,10 @@ func (p *pool) get(timeout time.Duration) (*mconn, error) {
 		nc.fail(err)
 		return nil, err
 	}
+	// The new connection may reach a restarted node, whose window numbers
+	// its outcomes afresh: numbers queued before it was dialed must not
+	// ride it. They are dropped, and their records age out by TTL.
+	p.rel.take()
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -415,13 +420,44 @@ func (p *pool) closeAll() {
 // long execution in flight, and keeps the per-op connection accounting
 // that the resilience tests pin (one control dial + one data dial per
 // healthy negotiate→execute exchange).
+//
+// rel is shared by both lanes: the node's session is the run, not the
+// connection, so a release rides the next negotiate, execute or fetch
+// to the node on whichever connection it takes.
 type nodeTransport struct {
 	control *pool
 	data    *pool
+	rel     *releases
 }
 
 func newNodeTransport(addr string, h *hello, size int, wc *wireCounter) *nodeTransport {
-	return &nodeTransport{control: newPool(addr, h, size, wc), data: newPool(addr, h, size, wc)}
+	rel := &releases{}
+	return &nodeTransport{control: newPool(addr, h, size, wc, rel), data: newPool(addr, h, size, wc, rel), rel: rel}
+}
+
+// releases queues the sequence numbers of one node's fetch outcomes
+// that the client holds whole, until a request to the node carries
+// them. A release that is lost — its request failed, or a dial dropped
+// it — costs nothing but memory: the node keeps the result until its
+// TTL, as if no release existed.
+type releases struct {
+	mu   sync.Mutex
+	seqs []uint64
+}
+
+func (r *releases) add(seq uint64) {
+	r.mu.Lock()
+	r.seqs = append(r.seqs, seq)
+	r.mu.Unlock()
+}
+
+// take empties the queue and returns what it held (nil when empty).
+func (r *releases) take() []uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	seqs := r.seqs
+	r.seqs = nil
+	return seqs
 }
 
 // lane picks the pool for an op.

@@ -403,15 +403,15 @@ func TestDedupWindowEvictsAtTTL(t *testing.T) {
 	key := func(sql string) dedupKey { return d.key("run", false, 1, sql) }
 	settle := func(sql string, cacheable bool) {
 		t.Helper()
-		if _, hit, owner := d.claim(key(sql), nil); hit || !owner {
+		if _, _, hit, owner := d.claim(key(sql), nil); hit || !owner {
 			t.Fatalf("claim(%s): hit=%v owner=%v, want a fresh owner", sql, hit, owner)
 		}
-		d.settle(key(sql), executeReply{Accepted: cacheable}, nil, cacheable)
+		d.settle(key(sql), d.run("run"), executeReply{Accepted: cacheable}, nil, cacheable)
 	}
 	settle("old", true)
 	settle("refused", false) // never cached, never queued
 	settle("young", true)
-	if got := d.size(); got != 2 {
+	if got, _ := d.size(); got != 2 {
 		t.Fatalf("window holds %d entries, want the 2 cacheable ones", got)
 	}
 	if d.ring[0].key != key("old") {
@@ -419,24 +419,26 @@ func TestDedupWindowEvictsAtTTL(t *testing.T) {
 	}
 	d.ring[0].at -= 2 * time.Minute
 	settle("newer", true)
-	if _, hit, _ := d.claim(key("young"), nil); !hit {
+	if _, _, hit, _ := d.claim(key("young"), nil); !hit {
 		t.Fatal("an entry inside its TTL was evicted")
 	}
 	if _, ok := d.settled[key("old")]; ok {
 		t.Fatal("an expired entry survived the next settle")
 	}
 	d.sweep(time.Now().Add(2 * time.Minute))
-	if got := d.size(); got != 0 {
+	if got, _ := d.size(); got != 0 {
 		t.Fatalf("sweep past every TTL left %d entries", got)
 	}
 }
 
 // TestDedupWindowBytesPerOutcome pins what the window costs a busy
-// node: every fetch's outcome stays for the whole TTL, so its bytes
-// times the query rate times the TTL are resident. The outcome is
-// small-fetch's — a one-join star query grouped into 8 rows of (grp, n,
-// total) — and the count is everything the window holds for it: record,
-// index slot and ring entry.
+// node. The outcome is small-fetch's — a one-join star query grouped
+// into 8 rows of (grp, n, total) — and the count is everything the
+// window holds for it: record, index slot and ring entry. A cached
+// outcome is held until its client releases it, or its TTL if the
+// release never comes; a released one keeps only its key, which the
+// window holds for the TTL, so its bytes times the query rate times the
+// TTL are what stays resident.
 func TestDedupWindowBytesPerOutcome(t *testing.T) {
 	rows := make([]sqldb.Row, 8)
 	for g := range rows {
@@ -449,26 +451,48 @@ func TestDedupWindowBytesPerOutcome(t *testing.T) {
 		runID   = "r-1760000000000000000-1"
 		sql     = "SELECT r3.grp, COUNT(*) AS n, SUM(r3.v) AS total FROM r3 JOIN v5 ON r3.k = v5.k WHERE r3.v > 42 GROUP BY r3.grp ORDER BY r3.grp"
 	)
+	heap := func() int64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
 	d := newDedupWindow(time.Hour)
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
+	run := d.run(runID)
+	seqs := make([]uint64, 0, entries)
+	before := heap()
 	for i := int64(0); i < entries; i++ {
 		key := d.key(runID, true, i, sql)
-		if _, _, owner := d.claim(key, nil); !owner {
+		if _, _, _, owner := d.claim(key, nil); !owner {
 			t.Fatalf("query %d: not the owner", i)
 		}
-		d.settle(key, executeReply{Accepted: true, ExecMs: 0.0123}, &res, true)
+		seqs = append(seqs, d.settle(key, run, executeReply{Accepted: true, ExecMs: 0.0123}, &res, true))
 	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	if got := d.size(); got != entries {
+	held := heap()
+	got, retained := d.size()
+	if got != entries {
 		t.Fatalf("window holds %d outcomes, want %d", got, entries)
 	}
-	perEntry := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / entries
+	if record := int64(cap(d.ring[0].rec.packed)); retained != entries*record {
+		t.Fatalf("dedup_retained_bytes = %d, want %d records of %d bytes", retained, entries, record)
+	}
+	perEntry := float64(held-before) / entries
 	t.Logf("%.0f heap bytes per cached 8-row outcome", perEntry)
 	if perEntry > 500 {
 		t.Fatalf("a cached 8-row outcome holds %.0f heap bytes, budget is 500", perEntry)
 	}
+
+	d.release(run, seqs)
+	released := heap()
+	got, retained = d.size()
+	if got != entries || retained != 0 {
+		t.Fatalf("after release the window holds %d keys retaining %d bytes, want %d keys and 0 bytes", got, retained, entries)
+	}
+	perKey := float64(released-before) / entries
+	t.Logf("%.0f heap bytes per released key", perKey)
+	if perKey > 160 {
+		t.Fatalf("a released key holds %.0f heap bytes, budget is 160", perKey)
+	}
 	runtime.KeepAlive(d)
+	runtime.KeepAlive(seqs)
 }

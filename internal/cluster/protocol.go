@@ -35,7 +35,9 @@ const (
 // protocolVersion is the one version of the RPC protocol this build
 // speaks. A client's hello carries it and every binary frame's version
 // byte repeats it; a node refuses a hello with any other version.
-const protocolVersion = 1
+// Version 2 added the fetch header's sequence number and the request's
+// release list.
+const protocolVersion = 2
 
 // hello opens every connection a client dials: the protocol version
 // plus what stays constant for the client's whole run. The node keeps
@@ -85,6 +87,12 @@ type request struct {
 	// refusal (draining, overload at the admission gate, no hello)
 	// carries no Batch and answers every query of the window.
 	Batch []batchQuery `json:"batch,omitempty"`
+	// Release names fetch outcomes this client now holds whole, by the
+	// sequence numbers their header frames carried. It rides the next
+	// negotiate, execute or fetch to that node; the node drops the
+	// results and keeps the keys, under the session's run, once the
+	// request is answered.
+	Release []uint64 `json:"release,omitempty"`
 }
 
 // batchQuery is one additional query of a batched call-for-proposals.
@@ -253,6 +261,12 @@ const (
 	// retry of the same message cannot succeed either, so the error is
 	// terminal, not a resubmit.
 	CodeTooLarge = "too_large"
+	// CodeReleased refuses a duplicate execute or fetch whose outcome
+	// the client already released: the node kept its key, not its
+	// result, so the query cannot be replayed and must not run again. A
+	// client that keeps the release rule never sees it; one that does is
+	// told so by a healthy node, and retrying cannot help.
+	CodeReleased = "released"
 	// CodeProtocol refuses a hello of a protocol version this node does
 	// not speak (the node then closes the connection), and a negotiate,
 	// execute or fetch on a connection that opened with no hello. Such a
@@ -265,11 +279,12 @@ const (
 // may safely resubmit it elsewhere.
 const msgNodeStopping = "node shutting down"
 
-// msgOverloaded and msgExpired are the human-readable halves of the
-// typed overload/expired refusals.
+// msgOverloaded, msgExpired and msgReleased are the human-readable
+// halves of the typed overload, expired and released refusals.
 const (
 	msgOverloaded = "node overloaded"
 	msgExpired    = "deadline cannot be met"
+	msgReleased   = "outcome already released by this client"
 )
 
 // reply is the union envelope sent back by the server.

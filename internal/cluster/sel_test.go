@@ -90,7 +90,7 @@ func selBlock(t *testing.T, sql string) *ColBlock {
 
 // streamBytes is streamFetch's encoding of a result, frame after frame.
 func streamBytes(res *ColBlock, batchRows int) []byte {
-	buf := appendFetchHeader(nil, 9, res.Columns, 1.5, batchRows, res.Rows)
+	buf := appendFetchHeader(nil, 9, res.Columns, 1.5, batchRows, res.Rows, 0)
 	var cur driver.Cursor
 	var batch ColBlock
 	for res.NextBatch(&cur, batchRows, &batch) {
@@ -139,7 +139,11 @@ func TestSelFetchSameRowsOnEveryEncoding(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Twice: the second is the dedup window's copy, re-streamed.
+			// A client that held the first stream whole would have released
+			// it; this one drops the release, as a client does that lost the
+			// first reply and sends the fetch again.
 			for attempt := 0; attempt < 2; attempt++ {
+				c.lookup(node.Addr()).transport.rel.take()
 				res, out := c.Fetch(int64(id+1), sql)
 				if out.Err != nil {
 					t.Fatalf("Fetch: %v", out.Err)

@@ -203,6 +203,10 @@ type Node struct {
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{} // live client connections, severed on hard stop
+	// severed is set by closeConns: a connection accepted just before the
+	// stop and tracked after it would otherwise never be closed, and its
+	// serveConn would hold shutdown's wg.Wait until the client hung up.
+	severed bool
 
 	draining       atomic.Bool  // drain started: refuse new work, finish in-flight
 	inflight       atomic.Int64 // requests being handled (drain waits on this)
@@ -478,10 +482,16 @@ func (n *Node) waitIdle(budget time.Duration) bool {
 	return n.inflight.Load() == 0
 }
 
-func (n *Node) trackConn(c net.Conn) {
+// trackConn registers a live connection, or reports false once
+// closeConns has run.
+func (n *Node) trackConn(c net.Conn) bool {
 	n.connMu.Lock()
+	defer n.connMu.Unlock()
+	if n.severed {
+		return false
+	}
 	n.conns[c] = struct{}{}
-	n.connMu.Unlock()
+	return true
 }
 
 func (n *Node) untrackConn(c net.Conn) {
@@ -494,6 +504,7 @@ func (n *Node) untrackConn(c net.Conn) {
 // unblock during hard stop even against clients that never hang up.
 func (n *Node) closeConns() {
 	n.connMu.Lock()
+	n.severed = true
 	for c := range n.conns {
 		c.Close()
 	}
@@ -616,7 +627,10 @@ func (n *Node) acceptLoop() {
 // market participant should learn the node is saturated, not wait blind
 // on a stalled TCP window.
 func (n *Node) serveConn(conn net.Conn) {
-	n.trackConn(conn)
+	if !n.trackConn(conn) {
+		conn.Close()
+		return
+	}
 	defer n.untrackConn(conn)
 	var handlers sync.WaitGroup
 	defer conn.Close()
@@ -675,6 +689,11 @@ func (n *Node) serveConn(conn net.Conn) {
 				wmu.Lock()
 				err = writeMsg(w, rep)
 				wmu.Unlock()
+			}
+			if len(req.Release) > 0 && sess != nil {
+				// Off the reply's latency path: the results named here
+				// are already whole on the client.
+				n.dedup.release(n.dedup.run(sess.RunID), req.Release)
 			}
 			n.inflight.Add(-1)
 			if err != nil {
@@ -766,12 +785,12 @@ func (n *Node) handleWork(req *request, sess *hello, rep *reply) {
 			rep.Batch = append(rep.Batch, bp)
 		}
 	default: // execute, fetch
-		er, res, code := n.execute(req, sess)
+		er, res, seq, code := n.execute(req, sess)
 		rep.Code = code
 		if req.Op == "fetch" && code == "" && er.Accepted && er.Err == "" {
 			// The result leaves as a frame stream, encoded by the writer;
 			// refusals and errors answer in the JSON envelope below.
-			rep.stream = &frameStream{res: res, execMs: er.ExecMs, batch: n.cfg.fetchBatchRows}
+			rep.stream = &frameStream{res: res, execMs: er.ExecMs, batch: n.cfg.fetchBatchRows, seq: seq}
 			return
 		}
 		rep.Execute = &er
@@ -964,38 +983,45 @@ func cacheableOutcome(rep executeReply, code string) bool {
 }
 
 // execute runs an execute or a fetch: a fetch is an execute that keeps
-// its result, which the caller streams as frames. The outcome goes
-// through the dedup window under the session's run id, result included,
-// so a retransmit — a frame-stream resume among them — replays the
-// identical rows.
-func (n *Node) execute(req *request, sess *hello) (rep executeReply, res *ColBlock, code string) {
+// its result, which the caller streams as frames under the outcome's
+// sequence number seq. The outcome goes through the dedup window under
+// the session's run id, result included, so a retransmit — a
+// frame-stream resume among them — replays the identical rows until the
+// client releases them; a duplicate after that is refused with
+// CodeReleased.
+func (n *Node) execute(req *request, sess *hello) (rep executeReply, res *ColBlock, seq uint64, code string) {
 	fetch := req.Op == "fetch"
 	key := n.dedup.key(sess.RunID, fetch, req.QueryID, req.SQL)
-	if rec, hit, _ := n.dedup.claim(key, n.stopCh); hit {
+	if rec, seq, hit, _ := n.dedup.claim(key, n.stopCh); hit {
 		n.health.Inc(metrics.DedupHitsTotal)
+		if rec.released() {
+			return executeReply{Err: msgReleased}, nil, 0, CodeReleased
+		}
 		rep, res = rec.outcome()
-		return rep, res, ""
+		return rep, res, seq, ""
 	}
-	defer func() { n.dedup.settle(key, rep, res, cacheableOutcome(rep, code)) }()
+	defer func() {
+		seq = n.dedup.settle(key, n.dedup.run(sess.RunID), rep, res, cacheableOutcome(rep, code))
+	}()
 	st, estMs, _, err := n.estimate(req.SQL)
 	if err != nil {
-		return executeReply{Err: err.Error()}, nil, ""
+		return executeReply{Err: err.Error()}, nil, 0, ""
 	}
 	job, rep, code := n.admit(req, sess.Mechanism, st, estMs, fetch)
 	if job == nil {
-		return rep, nil, code
+		return rep, nil, 0, code
 	}
 	select {
 	case rep = <-job.reply:
 	case <-n.stopCh:
-		return executeReply{Err: msgNodeStopping}, nil, ""
+		return executeReply{Err: msgNodeStopping}, nil, 0, ""
 	}
 	if job.result != nil {
 		if err := checkFetchHeader(job.result.Columns); err != nil {
-			return executeReply{Err: err.Error()}, nil, ""
+			return executeReply{Err: err.Error()}, nil, 0, ""
 		}
 	}
-	return rep, job.result, expiredCode(rep)
+	return rep, job.result, 0, expiredCode(rep)
 }
 
 // expiredCode maps the executor's queued-too-long drop onto the typed
@@ -1183,6 +1209,9 @@ func (n *Node) nodeStats() NodeStats {
 	n.mu.Unlock()
 	n.health.SetGauge(metrics.InflightWork, float64(n.working.Load()))
 	n.health.SetGauge(metrics.QueueDepth, float64(len(n.execCh)))
+	entries, retained := n.dedup.size()
+	n.health.SetGauge(metrics.DedupEntries, float64(entries))
+	n.health.SetGauge(metrics.DedupRetainedBytes, float64(retained))
 	health := n.health.Snapshot()
 	if ts := n.lastCheckpoint.Load(); ts > 0 {
 		health[metrics.CheckpointAgeMs] = float64(time.Now().UnixMilli() - ts)

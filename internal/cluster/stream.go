@@ -33,7 +33,8 @@ import (
 type frameStream struct {
 	res    *ColBlock
 	execMs float64
-	batch  int // max rows per batch frame
+	batch  int    // max rows per batch frame
+	seq    uint64 // the outcome's number in the dedup window
 }
 
 // errStreamAbort wraps an error returned by a streamed fetch's sink:
@@ -80,7 +81,7 @@ func (n *Node) streamFetch(conn net.Conn, w *bufio.Writer, wmu *sync.Mutex, id u
 		res = &ColBlock{}
 	}
 	total := res.Rows
-	buf := appendFetchHeader(fb.b[:0], id, res.Columns, fs.execMs, fs.batch, total)
+	buf := appendFetchHeader(fb.b[:0], id, res.Columns, fs.execMs, fs.batch, total, fs.seq)
 	fb.b = buf[:0]
 	if err := writeFrame(w, wmu, buf, false); err != nil {
 		return err

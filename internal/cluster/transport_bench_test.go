@@ -125,7 +125,7 @@ func resetFetchStream(fs *fetchStream) {
 // the server runs in production. Returns the rows delivered to the
 // sink.
 func benchFrameRoundTrip(blk *ColBlock, batch int, fb *frameBuf, src *bytes.Reader, br *bufio.Reader, fs *fetchStream, cur *driver.Cursor, chunk *ColBlock) (int64, error) {
-	buf := appendFetchHeader(fb.b[:0], 1, blk.Columns, 1, batch, blk.Rows)
+	buf := appendFetchHeader(fb.b[:0], 1, blk.Columns, 1, batch, blk.Rows, 0)
 	cur.Row = 0
 	for blk.NextBatch(cur, batch, chunk) {
 		buf = appendFetchBatchCols(buf, 1, chunk)

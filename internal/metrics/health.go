@@ -91,6 +91,13 @@ const (
 	// QueueDepth is the server's current executor-queue depth (jobs
 	// admitted but not yet running).
 	QueueDepth = "queue_depth"
+	// DedupEntries is the server's current count of at-most-once dedup
+	// keys, in flight or settled, released or not.
+	DedupEntries = "dedup_entries"
+	// DedupRetainedBytes is what the server's dedup window holds for the
+	// outcomes its clients have not released yet: packed small results
+	// and the selection vectors of large ones.
+	DedupRetainedBytes = "dedup_retained_bytes"
 )
 
 // Health is a concurrency-safe named counter/gauge set for
