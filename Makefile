@@ -126,26 +126,37 @@ onerow:
 # lost execute or fetch reply is retransmitted to the same node, whose
 # dedup window replays the outcome, and never renegotiated elsewhere.
 # It fails when a Go file names the deleted policy switch or the
-# exported knobs that only tests set, or when qaload grows its
-# shard-probing off-switch back. The conformance row "lost under
+# exported knobs that only tests set (ShareQueueState among them), or
+# when qaload grows its shard-probing off-switch back. The conformance row "lost under
 # AtMostOnce" keeps its name from when the policy was a switch.
 oneonce:
-	@if grep -rnwE 'AtMostOnce|ExecRetries|NoShardProbe' --include='*.go' . \
+	@if grep -rnwE 'AtMostOnce|ExecRetries|NoShardProbe|ShareQueueState' --include='*.go' . \
 		| grep -v 'name: "lost under AtMostOnce"'; \
 	then echo 'oneonce: a lost-reply policy or a test-only client knob is exported again (see DESIGN.md §12, "Lost replies")'; exit 1; fi
 	@if grep -niE 'noshard' cmd/qaload/*.go; \
 	then echo 'oneonce: qaload defines -noshard again; a static view (no -refresh) probes every member'; exit 1; fi
 
-# onewire keeps one handshake: a client connection opens with a hello
-# that carries the protocol version, the run id and the mechanism, and
-# no request or reply field repeats them or keeps its own old-peer rule.
-# It fails when a non-test internal/cluster file declares run_id,
-# mechanism, fetch_batch or node_id on request or reply, or when a Go
-# file names the deleted per-field versions or the old-peer stub mode.
+# onewire keeps one handshake and one framing. A client connection opens
+# with a hello that carries the run id and the mechanism, and every
+# message in both directions is a frame whose header carries the one
+# request id and the one protocol version; no request, reply or hello
+# field repeats them or keeps its own old-peer rule. It fails when a
+# non-test internal/cluster file declares run_id, mechanism,
+# fetch_batch, node_id or id on request or reply, or v on hello; names
+# the deleted line bound or its error; or peeks at a connection to tell
+# two framings apart; or when a Go file names the deleted per-field
+# versions or the old-peer stub mode.
+clustersrc := $(filter-out %_test.go,$(wildcard internal/cluster/*.go))
+
 onewire:
-	@if awk '/^type (request|reply) struct/,/^}/' $$(ls internal/cluster/*.go | grep -v '_test\.go$$') \
+	@if awk '/^type (request|reply) struct/,/^}/' $(clustersrc) \
 		| grep -E 'json:"(run_id|mechanism|fetch_batch|node_id)'; \
 	then echo 'onewire: request or reply carries a field the hello carries (see DESIGN.md §9, "One handshake")'; exit 1; fi
+	@if awk '/^type (request|reply) struct/,/^}/' $(clustersrc) | grep -E 'json:"id[",]' \
+		|| awk '/^type hello struct/,/^}/' $(clustersrc) | grep -E 'json:"v[",]'; \
+	then echo 'onewire: a message carries an id or a version of its own; the frame header holds both (see DESIGN.md §9, "One framing")'; exit 1; fi
+	@if grep -nwE 'maxLineBytes|errLineTooLong' $(clustersrc) || grep -nE '\.Peek\(' $(clustersrc); \
+	then echo 'onewire: a second framing is back: a line bound, or a reader that peeks to pick one (see DESIGN.md §9, "One framing")'; exit 1; fi
 	@if grep -rnwE 'traceV|gossipV|batchAware' --include='*.go' .; \
 	then echo 'onewire: a per-field protocol version or the old-peer stub mode is back (see DESIGN.md §9, "One handshake")'; exit 1; fi
 

@@ -173,8 +173,8 @@ func TestBatchedWindowOverloadIsTyped(t *testing.T) {
 	}
 }
 
-// rawExchange sends one raw request line to addr and returns the raw
-// reply line, as a node gossiping with addr would.
+// rawExchange sends one raw request message to addr and returns the
+// raw reply JSON, as a node gossiping with addr would.
 func rawExchange(t *testing.T, addr string, req any) []byte {
 	t.Helper()
 	conn, err := net.DialTimeout("tcp", addr, time.Second)
@@ -183,15 +183,15 @@ func rawExchange(t *testing.T, addr string, req any) []byte {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	w := bufio.NewWriter(conn)
-	if err := writeMsg(w, req); err != nil {
+	if err := writeMsg(bufio.NewWriter(conn), 1, maxRequestBytes, req); err != nil {
 		t.Fatal(err)
 	}
-	line, err := bufio.NewReader(conn).ReadBytes('\n')
-	if err != nil {
-		t.Fatal(err)
+	fm, err := readFrame(bufio.NewReader(conn), maxFramePayload)
+	if err != nil || fm.typ != frameTypeMsg {
+		t.Fatalf("reply frame of type %d (err %v), want a message", fm.typ, err)
 	}
-	return bytes.TrimRight(line, "\n")
+	defer fm.release()
+	return bytes.Clone(fm.payload)
 }
 
 // seedBidClient builds a cache-enabled client against addr (no RPCs

@@ -318,7 +318,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	c := &Client{
 		cfg:         cfg,
 		health:      metrics.NewHealth(),
-		hello:       hello{V: protocolVersion, RunID: cfg.RunID, Mechanism: cfg.Mechanism},
+		hello:       hello{RunID: cfg.RunID, Mechanism: cfg.Mechanism},
 		view:        make(map[string]*nodeState, len(cfg.Addrs)),
 		removedInc:  make(map[string]uint64),
 		rpcCounts:   make(map[string]int64),

@@ -208,15 +208,12 @@ func TestFetchRefusalsAnswerInJSON(t *testing.T) {
 				}
 
 				conn, r := dialGreeted(t, n.Addr(), MechGreedy)
-				if err := writeMsg(bufio.NewWriter(conn), &request{Op: "fetch", SQL: sql, DeadlineMs: 10_000}); err != nil {
+				if err := writeMsg(bufio.NewWriter(conn), 1, maxRequestBytes, &request{Op: "fetch", SQL: sql, DeadlineMs: 10_000}); err != nil {
 					t.Fatal(err)
-				}
-				if first, err := r.Peek(1); err != nil || first[0] == frameMagic {
-					t.Fatalf("refused fetch answered with %q (err %v), want JSON", first, err)
 				}
 				var rep reply
-				if err := readMsg(r, &rep); err != nil {
-					t.Fatal(err)
+				if _, err := recvMsg(r, &rep); err != nil {
+					t.Fatalf("refused fetch: %v, want a message frame", err)
 				}
 				// The node-wide gates (inflight, drain) refuse in the envelope
 				// itself, everything past them in its execute reply.

@@ -2,6 +2,10 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"math/rand"
 	"net"
 	"strings"
@@ -83,16 +87,23 @@ func TestMalformedRequests(t *testing.T) {
 	}
 	defer node.Close()
 
-	garbage := []string{
+	lines := []string{
 		"this is not json\n",
 		"{\"op\": 12}\n",
 		"{\"op\": \"nonsense\"}\n",
 		"{\"op\": \"execute\"}\n",                     // missing SQL
 		"{\"op\": \"negotiate\", \"sql\": \"???\"}\n", // unparseable SQL
 		strings.Repeat("x", 1<<16) + "\n",
-		// Over the request-line cap: a hostile client streaming an
-		// endless line must be cut off at maxLineBytes, not buffered.
-		"{\"op\": \"negotiate\", \"sql\": \"" + strings.Repeat("y", maxLineBytes+1024) + "\"}\n",
+		// Over the request bound: a hostile client announcing an endless
+		// request must be cut off at maxRequestBytes, not buffered.
+		"{\"op\": \"negotiate\", \"sql\": \"" + strings.Repeat("y", maxRequestBytes+1024) + "\"}\n",
+	}
+	// Each line is thrown raw, the newline-delimited form this protocol
+	// no longer reads, and as the payload of a well-formed message frame.
+	var garbage []string
+	for _, g := range lines {
+		buf, hdr := beginFrame(nil, frameTypeMsg, 1)
+		garbage = append(garbage, g, string(endFrame(append(buf, g...), hdr)))
 	}
 	for i, g := range garbage {
 		conn, err := net.DialTimeout("tcp", node.Addr(), time.Second)
@@ -102,7 +113,7 @@ func TestMalformedRequests(t *testing.T) {
 		if _, err := conn.Write([]byte(g)); err == nil {
 			// Read whatever comes back (error reply or close) and move on.
 			conn.SetReadDeadline(time.Now().Add(500 * time.Millisecond))
-			bufio.NewReader(conn).ReadBytes('\n')
+			readFrame(bufio.NewReader(conn), maxFramePayload)
 		}
 		conn.Close()
 	}
@@ -117,21 +128,45 @@ func TestMalformedRequests(t *testing.T) {
 	}
 }
 
-// TestReadMsgLineCap exercises the request-line bound directly: lines
-// up to maxLineBytes parse, anything longer is rejected without being
-// accumulated.
-func TestReadMsgLineCap(t *testing.T) {
-	okLine := `{"sql": "` + strings.Repeat("a", 4096) + `"}` + "\n"
+// TestRequestFrameBound exercises the request bound: a request of up to
+// maxRequestBytes is read whole, and a header announcing more is
+// refused from the header alone. A node answers it with the typed
+// too_large refusal at once, before any payload has arrived, and hangs
+// up.
+func TestRequestFrameBound(t *testing.T) {
+	sql := strings.Repeat("a", maxRequestBytes-64)
+	var buf bytes.Buffer
+	if err := writeMsg(bufio.NewWriter(&buf), 1, maxRequestBytes, &request{Op: "negotiate", SQL: sql}); err != nil {
+		t.Fatal(err)
+	}
 	var req request
-	if err := readMsg(bufio.NewReaderSize(strings.NewReader(okLine), 64), &req); err != nil {
-		t.Fatalf("multi-fragment line under the cap rejected: %v", err)
+	if _, err := recvMsg(bufio.NewReaderSize(&buf, 64), &req); err != nil || req.SQL != sql {
+		t.Fatalf("request under the bound: %d-byte SQL back, err %v", len(req.SQL), err)
 	}
-	if len(req.SQL) != 4096 {
-		t.Fatalf("payload truncated to %d bytes", len(req.SQL))
+
+	hdr, _ := beginFrame(nil, frameTypeMsg, 9)
+	binary.LittleEndian.PutUint32(hdr[12:], maxRequestBytes+1)
+	if _, err := readFrame(bufio.NewReader(bytes.NewReader(hdr)), maxRequestBytes); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("header over the bound: got %v, want %v", err, ErrTooLarge)
 	}
-	longLine := strings.Repeat("b", maxLineBytes+1) + "\n"
-	if err := readMsg(bufio.NewReaderSize(strings.NewReader(longLine), 64), &req); err != errLineTooLong {
-		t.Fatalf("over-limit line: got %v, want errLineTooLong", err)
+
+	_, _, addr, _ := protectionQuery(t)
+	conn, err := net.DialTimeout("tcp", addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Write(hdr); err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReader(conn)
+	var rep reply
+	if id, err := recvMsg(r, &rep); err != nil || rep.Code != CodeTooLarge || id != 9 {
+		t.Fatalf("header over the bound answered %+v under id %d (err %v), want code %q under id 9", rep, id, err, CodeTooLarge)
+	}
+	if _, err := r.ReadByte(); err != io.EOF {
+		t.Fatalf("connection still open after the refusal (read err %v)", err)
 	}
 }
 

@@ -3,19 +3,22 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
-// FuzzFrameDecode throws arbitrary bytes at the full frame read path:
-// readFrame's header validation, then whichever payload decoder the
-// type byte selects, then row materialization. The invariant is
-// "error, never panic, never unbounded allocation" — the same promise
-// maxLineBytes makes on the JSON lane — plus canonical frames: every
+// FuzzFrameDecode throws arbitrary bytes at both frame read paths. The
+// node's: readFrame at the request bound, then each message frame
+// decoded as a request. The client's: readFrame at the frame bound,
+// then whichever payload decoder the type byte selects, then row
+// materialization. The invariant is "error, never panic, never an
+// allocation beyond the reader's bound", plus canonical frames: every
 // header, batch or end payload that decodes re-encodes to exactly the
 // same bytes, which is what shows the encoders and decoders are
-// inverses. Seeded with the golden frames of a mixed-kind result, and
-// headers carrying small and huge sequence numbers, so mutations start
-// from valid streams.
+// inverses. Seeded with the golden frames of a mixed-kind result,
+// headers carrying small and huge sequence numbers, request messages,
+// and a header announcing more than the request bound, so mutations
+// start from valid streams.
 func FuzzFrameDecode(f *testing.F) {
 	res := frameTestResult(9)
 	f.Add(appendFetchHeader(nil, 1, res.Columns, 2.5, 4, 9, 0))
@@ -41,17 +44,45 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(appendFetchBatchCols(nil, 7, goldenBatchBlock()))
 	f.Add([]byte{frameMagic})
 	f.Add([]byte{})
+	// A connection's opening, a hello and a batched CFP carrying a
+	// release, and a request header over the bound with some payload.
+	var msgs bytes.Buffer
+	if err := writeMsg(bufio.NewWriter(&msgs), 1, maxRequestBytes, &request{Op: "hello", Hello: &hello{RunID: "fuzz", Mechanism: MechQANT}},
+		&request{Op: "negotiate", SQL: "SELECT a FROM t", DeadlineMs: 50, Batch: []batchQuery{{QueryID: 2, SQL: "SELECT b FROM t"}}, Release: []uint64{3, 1 << 40}}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(msgs.Bytes())
+	over, hdr := beginFrame(nil, frameTypeMsg, 1)
+	over = append(over, `{"op":"stats"}`...)
+	binary.LittleEndian.PutUint32(over[hdr+12:], maxRequestBytes+1)
+	f.Add(over)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bufio.NewReader(bytes.NewReader(data))
+		for {
+			fm, err := readFrame(r, maxRequestBytes)
+			if err != nil {
+				break
+			}
+			if len(fm.payload) > maxRequestBytes {
+				t.Fatalf("node read a %d-byte payload, over the %d-byte request bound", len(fm.payload), maxRequestBytes)
+			}
+			var req request
+			decodeMsg(fm, &req)
+		}
+
+		r = bufio.NewReader(bytes.NewReader(data))
 		var (
 			h   frameHeader
 			blk ColBlock
 		)
 		for {
-			fm, err := readFrame(r)
+			fm, err := readFrame(r, maxFramePayload)
 			if err != nil {
 				return
+			}
+			if len(fm.payload) > maxFramePayload {
+				t.Fatalf("client read a %d-byte payload, over the %d-byte frame bound", len(fm.payload), maxFramePayload)
 			}
 			var re []byte
 			switch fm.typ {

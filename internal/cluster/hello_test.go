@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"io"
 	"net"
@@ -11,7 +12,7 @@ import (
 
 // startStub runs a minimal wire-speaking fake node: it accepts every
 // hello as node "stub" and answers every other request with answer's
-// reply, echoing the request id so both transports' framing works
+// reply, under the request's frame id so both transports' framing works
 // against it.
 func startStub(t *testing.T, answer func(req *request) reply) string {
 	t.Helper()
@@ -32,15 +33,15 @@ func startStub(t *testing.T, answer func(req *request) reply) string {
 				w := bufio.NewWriter(conn)
 				for {
 					var req request
-					if err := readMsg(r, &req); err != nil {
+					id, err := recvMsg(r, &req)
+					if err != nil {
 						return
 					}
 					rep := reply{Hello: &helloReply{NodeID: "stub"}}
 					if req.Op != "hello" {
 						rep = answer(&req)
 					}
-					rep.ID = req.ID
-					if err := writeMsg(w, &rep); err != nil {
+					if err := writeMsg(w, id, maxFramePayload, &rep); err != nil {
 						return
 					}
 				}
@@ -48,6 +49,15 @@ func startStub(t *testing.T, answer func(req *request) reply) string {
 		}
 	}()
 	return ln.Addr().String()
+}
+
+// recvMsg reads one message frame into v and returns its id.
+func recvMsg(r *bufio.Reader, v any) (uint64, error) {
+	fm, err := readFrame(r, maxFramePayload)
+	if err != nil {
+		return 0, err
+	}
+	return fm.id, decodeMsg(fm, v)
 }
 
 // dialGreeted dials addr and says hello as run "raw": a hand-driven
@@ -61,13 +71,13 @@ func dialGreeted(t *testing.T, addr string, mech Mechanism) (net.Conn, *bufio.Re
 	}
 	t.Cleanup(func() { conn.Close() })
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	h := &hello{V: protocolVersion, RunID: "raw", Mechanism: mech}
-	if err := writeMsg(bufio.NewWriter(conn), &request{Op: "hello", Hello: h}); err != nil {
+	h := &hello{RunID: "raw", Mechanism: mech}
+	if err := writeMsg(bufio.NewWriter(conn), 1, maxRequestBytes, &request{Op: "hello", Hello: h}); err != nil {
 		t.Fatal(err)
 	}
 	r := bufio.NewReader(conn)
 	var rep reply
-	if err := readMsg(r, &rep); err != nil || rep.Hello == nil {
+	if _, err := recvMsg(r, &rep); err != nil || rep.Hello == nil {
 		t.Fatalf("hello: %+v (err %v)", rep, err)
 	}
 	return conn, r
@@ -93,22 +103,22 @@ func TestWorkWithoutHelloRefused(t *testing.T) {
 		{Op: "fetch", SQL: sql, QueryID: 2},
 		{Op: "negotiate", SQL: sql, Batch: []batchQuery{{QueryID: 3, SQL: sql}}},
 	} {
-		if err := writeMsg(w, &req); err != nil {
+		if err := writeMsg(w, 1, maxRequestBytes, &req); err != nil {
 			t.Fatal(err)
 		}
 		var rep reply
-		if err := readMsg(r, &rep); err != nil {
+		if _, err := recvMsg(r, &rep); err != nil {
 			t.Fatalf("%s: %v", req.Op, err)
 		}
 		if rep.Code != CodeProtocol || rep.Execute != nil || rep.Negotiate != nil || rep.Batch != nil {
 			t.Fatalf("%s without a hello answered %+v, want the %q refusal alone", req.Op, rep, CodeProtocol)
 		}
 	}
-	if err := writeMsg(w, &request{Op: "stats"}); err != nil {
+	if err := writeMsg(w, 1, maxRequestBytes, &request{Op: "stats"}); err != nil {
 		t.Fatal(err)
 	}
 	var rep reply
-	if err := readMsg(r, &rep); err != nil || rep.Stats == nil {
+	if _, err := recvMsg(r, &rep); err != nil || rep.Stats == nil {
 		t.Fatalf("stats without a hello: %+v (err %v)", rep, err)
 	}
 	if got := node.Executed(); got != 0 {
@@ -117,18 +127,18 @@ func TestWorkWithoutHelloRefused(t *testing.T) {
 
 	// Once the connection says hello, the same batched CFP is solved and
 	// answered positionally, an infeasible rider included.
-	h := &hello{V: protocolVersion, RunID: "raw", Mechanism: MechGreedy}
-	if err := writeMsg(w, &request{Op: "hello", Hello: h}, &request{
+	h := &hello{RunID: "raw", Mechanism: MechGreedy}
+	if err := writeMsg(w, 1, maxRequestBytes, &request{Op: "hello", Hello: h}, &request{
 		Op: "negotiate", SQL: sql,
 		Batch: []batchQuery{{QueryID: 7, SQL: sql}, {QueryID: 8, SQL: "SELECT nope FROM missing"}},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	var hrep, nrep reply
-	if err := readMsg(r, &hrep); err != nil || hrep.Hello == nil {
+	if _, err := recvMsg(r, &hrep); err != nil || hrep.Hello == nil {
 		t.Fatalf("hello: %+v (err %v)", hrep, err)
 	}
-	if err := readMsg(r, &nrep); err != nil {
+	if _, err := recvMsg(r, &nrep); err != nil {
 		t.Fatal(err)
 	}
 	if nrep.Negotiate == nil || !nrep.Negotiate.Feasible || len(nrep.Batch) != 2 {
@@ -139,10 +149,11 @@ func TestWorkWithoutHelloRefused(t *testing.T) {
 	}
 }
 
-// TestHelloVersionMismatch: a node refuses a hello of another protocol
+// TestHelloVersionMismatch: a node refuses a frame of another protocol
 // version with the typed code and closes the connection, and a client
-// whose only offering node refuses its hello fails the query with a
-// typed error after one round, having run it nowhere.
+// whose only offering node refuses its hello — or answers it in another
+// version's frames — fails the query with a typed error after one
+// round, having run it nowhere.
 func TestHelloVersionMismatch(t *testing.T) {
 	_, node, addr, sql := protectionQuery(t)
 
@@ -153,40 +164,95 @@ func TestHelloVersionMismatch(t *testing.T) {
 		}
 		defer conn.Close()
 		conn.SetDeadline(time.Now().Add(5 * time.Second))
-		w := bufio.NewWriter(conn)
-		h := &hello{V: protocolVersion + 1, RunID: "future", Mechanism: MechQANT}
-		if err := writeMsg(w, &request{Op: "hello", Hello: h}); err != nil {
+		var buf bytes.Buffer
+		if err := writeMsg(bufio.NewWriter(&buf), 1, maxRequestBytes, &request{Op: "hello", Hello: &hello{RunID: "future", Mechanism: MechQANT}}); err != nil {
+			t.Fatal(err)
+		}
+		frame := buf.Bytes()
+		frame[1] = protocolVersion + 1
+		if _, err := conn.Write(frame); err != nil {
 			t.Fatal(err)
 		}
 		r := bufio.NewReader(conn)
 		var rep reply
-		if err := readMsg(r, &rep); err != nil {
+		id, err := recvMsg(r, &rep)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Code != CodeProtocol || rep.Hello != nil {
-			t.Fatalf("hello v%d answered %+v, want the %q refusal", h.V, rep, CodeProtocol)
+		if rep.Code != CodeProtocol || rep.Hello != nil || id != 1 {
+			t.Fatalf("hello v%d answered %+v under id %d, want the %q refusal under id 1", frame[1], rep, id, CodeProtocol)
 		}
 		if _, err := r.ReadByte(); err != io.EOF {
 			t.Fatalf("connection still open after the refusal (read err %v)", err)
 		}
 	})
 
-	t.Run("client", func(t *testing.T) {
-		c, err := NewClient(ClientConfig{Addrs: []string{addr}, Mechanism: MechQANT, PeriodMs: 10, MaxRetries: 5})
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name   string
+		toNode bool
+	}{
+		{"client", true},                      // a client from another protocol version
+		{"client-reads-other-version", false}, // a node from another protocol version
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewClient(ClientConfig{Addrs: []string{versionProxy(t, addr, tc.toNode)}, Mechanism: MechQANT, PeriodMs: 10, MaxRetries: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			out := c.Run(1, sql)
+			if !errors.Is(out.Err, errHelloRefused) {
+				t.Fatalf("err = %v, want %v", out.Err, errHelloRefused)
+			}
+			if out.Retries != 0 {
+				t.Errorf("retries = %d: resubmitted to a node that cannot serve the client", out.Retries)
+			}
+			if got := node.Executed(); got != 0 {
+				t.Fatalf("node executed %d queries for a refused client, want 0", got)
+			}
+		})
+	}
+}
+
+// versionProxy relays connections to addr and stamps another protocol
+// version into the first frame header that crosses it towards the node
+// (toNode) or back to the client: a peer of another version, as far as
+// the other end can tell.
+func versionProxy(t *testing.T, addr string, toNode bool) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	relay := func(dst, src net.Conn, stamp bool) {
+		defer dst.Close()
+		if stamp {
+			var hdr [frameHdrLen]byte
+			if _, err := io.ReadFull(src, hdr[:]); err != nil {
+				return
+			}
+			hdr[1] = protocolVersion + 1
+			if _, err := dst.Write(hdr[:]); err != nil {
+				return
+			}
 		}
-		defer c.Close()
-		c.hello.V = protocolVersion + 1 // a client from another protocol version
-		out := c.Run(1, sql)
-		if !errors.Is(out.Err, errHelloRefused) {
-			t.Fatalf("err = %v, want %v", out.Err, errHelloRefused)
+		io.Copy(dst, src)
+	}
+	go func() {
+		for {
+			client, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			server, err := net.Dial("tcp", addr)
+			if err != nil {
+				client.Close()
+				continue
+			}
+			go relay(server, client, toNode)
+			go relay(client, server, !toNode)
 		}
-		if out.Retries != 0 {
-			t.Errorf("retries = %d: resubmitted to a node that cannot serve the client", out.Retries)
-		}
-		if got := node.Executed(); got != 0 {
-			t.Fatalf("node executed %d queries for a refused client, want 0", got)
-		}
-	})
+	}()
+	return ln.Addr().String()
 }

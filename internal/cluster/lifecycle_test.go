@@ -69,7 +69,7 @@ func startLifeFed(t *testing.T, timeout time.Duration) *lifeFed {
 		mock := driver.NewMock(driver.NewLegacy(db), driver.MockConfig{})
 		n, err := StartNode("127.0.0.1:0", NodeConfig{
 			Driver: mock, NodeID: id, Slowdown: slowdown, MsPerCostUnit: 0.05,
-			ShareQueueState: true, fetchBatchRows: 1,
+			shareQueueState: true, fetchBatchRows: 1,
 			// One period outlasts the test: supply moves only when a row's
 			// script moves it.
 			PeriodMs: 60_000, Market: market.DefaultConfig(1),

@@ -52,7 +52,7 @@ func TestOnePreparePerQuery(t *testing.T) {
 		{"fetch retransmit", request{Op: "fetch", SQL: sql, QueryID: 2}, 3, 0, 0},
 	} {
 		prepares, execs := mock.Prepares(), mock.Executions()
-		if err := writeMsg(w, &step.req); err != nil {
+		if err := writeMsg(w, 1, maxRequestBytes, &step.req); err != nil {
 			t.Fatal(err)
 		}
 		if rows := readReplyRows(t, r, step.name); rows != step.rows {
@@ -67,31 +67,35 @@ func TestOnePreparePerQuery(t *testing.T) {
 	}
 }
 
-// readReplyRows reads one successful reply — a JSON message or a frame
-// stream — and returns the rows it reports (none for a negotiate).
+// readReplyRows reads one successful reply — a message or a result
+// frame stream — and returns the rows it reports (none for a negotiate).
 func readReplyRows(t *testing.T, r *bufio.Reader, step string) int {
 	t.Helper()
-	first, err := r.Peek(1)
-	if err != nil {
-		t.Fatalf("%s: %v", step, err)
-	}
-	if first[0] == frameMagic {
-		fs := &fetchStream{sink: fetchSink{block: func(*ColBlock) error { return nil }}}
-		for !fs.done {
-			fm, err := readFrame(r)
-			if err != nil {
-				t.Fatalf("%s: %v", step, err)
-			}
-			_, err = fs.onFrame(fm.typ, fm.payload)
-			fm.release()
-			if err != nil {
-				t.Fatalf("%s: %v", step, err)
-			}
+	fs := &fetchStream{sink: fetchSink{block: func(*ColBlock) error { return nil }}}
+	for {
+		fm, err := readFrame(r, maxFramePayload)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
 		}
-		return int(fs.end.rows)
+		if fm.typ == frameTypeMsg {
+			return replyRows(t, fm, step)
+		}
+		_, err = fs.onFrame(fm.typ, fm.payload)
+		fm.release()
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		if fs.done {
+			return int(fs.end.rows)
+		}
 	}
+}
+
+// replyRows decodes a reply message and returns the rows it reports.
+func replyRows(t *testing.T, fm frameMsg, step string) int {
+	t.Helper()
 	var rep reply
-	if err := readMsg(r, &rep); err != nil {
+	if err := decodeMsg(fm, &rep); err != nil {
 		t.Fatalf("%s: %v", step, err)
 	}
 	switch {

@@ -210,12 +210,12 @@ func TestSeveredFetchReleasedAfterEnd(t *testing.T) {
 	}
 	// The bytes the data connection carries up to two whole batches: the
 	// hello's answer, then the stream's header and batch frames.
-	hello, err := json.Marshal(reply{ID: 1, Hello: &helloReply{NodeID: node.ID()}})
+	hello, err := json.Marshal(reply{Hello: &helloReply{NodeID: node.ID()}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	stream := streamBytesUpTo(selBlock(t, selTestWide), batchRows, 2)
-	cut := len(hello) + 1 + len(stream) + 1
+	cut := frameHdrLen + len(hello) + len(stream) + 1
 	// Connection 0 is the control lane's (the negotiate), 1 the data
 	// lane's fetch; the retransmit's re-dial passes untouched.
 	p, err := faultnet.Start("127.0.0.1:0", node.Addr(), func(i int) faultnet.Plan {

@@ -34,21 +34,22 @@ func TestMarketStateCheckpoint(t *testing.T) {
 			t.Fatalf("query %d: %v", qi, out.Err)
 		}
 	}
-	st0, err := client.Stats(addrs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st0.Market.Classes) == 0 {
-		t.Skip("node 0 learned no classes in this layout")
-	}
 	data, err := nodes[0].MarketState()
 	if err != nil {
 		t.Fatalf("MarketState: %v", err)
 	}
+	// The checkpoint itself is the reference: node 0 keeps trading and
+	// ticking after it was taken.
+	ps, _ := pricerStateOf(t, data)
+	if len(ps.Classes) == 0 {
+		t.Skip("node 0 learned no classes in this layout")
+	}
 
-	// Fresh node over the same data, restored from the checkpoint.
+	// Fresh node over the same data, restored from the checkpoint. Its
+	// period is far longer than the test, so no pricer tick moves a price
+	// between the restore and the stats read.
 	restored, err := StartNode("127.0.0.1:0", NodeConfig{
-		DB: ds.DBs[0], MsPerCostUnit: 0.02, PeriodMs: 50,
+		DB: ds.DBs[0], MsPerCostUnit: 0.02, PeriodMs: 600_000,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -65,13 +66,13 @@ func TestMarketStateCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st1.Market.Classes) != len(st0.Market.Classes) {
-		t.Fatalf("restored %d classes, want %d", len(st1.Market.Classes), len(st0.Market.Classes))
+	if len(st1.Market.Classes) != len(ps.Classes) {
+		t.Fatalf("restored %d classes, want %d", len(st1.Market.Classes), len(ps.Classes))
 	}
 	restoredPrices := classPrices(st1)
-	for sig, p := range classPrices(st0) {
-		if got, ok := restoredPrices[sig]; !ok || got != p {
-			t.Errorf("class %s: restored price %g, want %g", sig, got, p)
+	for sig, idx := range ps.Classes {
+		if got, ok := restoredPrices[sig]; !ok || got != ps.Prices[idx] {
+			t.Errorf("class %s: restored price %g, want %g", sig, got, ps.Prices[idx])
 		}
 	}
 }

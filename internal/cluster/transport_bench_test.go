@@ -136,7 +136,7 @@ func benchFrameRoundTrip(blk *ColBlock, batch int, fb *frameBuf, src *bytes.Read
 	br.Reset(src)
 	resetFetchStream(fs)
 	for !fs.done {
-		fm, err := readFrame(br)
+		fm, err := readFrame(br, maxFramePayload)
 		if err != nil {
 			return fs.delivered, err
 		}
