@@ -126,27 +126,35 @@ onerow:
 # lost execute or fetch reply is retransmitted to the same node, whose
 # dedup window replays the outcome, and never renegotiated elsewhere.
 # It fails when a Go file names the deleted policy switch or the
-# exported knobs that only tests set (ShareQueueState among them), or
-# when qaload grows its shard-probing off-switch back. The conformance row "lost under
+# exported knobs that only tests set (ShareQueueState and PoolSize among
+# them), or when qaload grows its shard-probing off-switch or its
+# -poolsize flag back. The conformance row "lost under
 # AtMostOnce" keeps its name from when the policy was a switch.
 oneonce:
-	@if grep -rnwE 'AtMostOnce|ExecRetries|NoShardProbe|ShareQueueState' --include='*.go' . \
+	@if grep -rnwE 'AtMostOnce|ExecRetries|NoShardProbe|ShareQueueState|PoolSize' --include='*.go' . \
 		| grep -v 'name: "lost under AtMostOnce"'; \
 	then echo 'oneonce: a lost-reply policy or a test-only client knob is exported again (see DESIGN.md §12, "Lost replies")'; exit 1; fi
 	@if grep -niE 'noshard' cmd/qaload/*.go; \
 	then echo 'oneonce: qaload defines -noshard again; a static view (no -refresh) probes every member'; exit 1; fi
+	@if grep -niE 'poolsize' cmd/qaload/*.go; \
+	then echo 'oneonce: qaload defines -poolsize again; connections per lane are a test hook'; exit 1; fi
 
-# onewire keeps one handshake and one framing. A client connection opens
-# with a hello that carries the run id and the mechanism, and every
-# message in both directions is a frame whose header carries the one
-# request id and the one protocol version; no request, reply or hello
-# field repeats them or keeps its own old-peer rule. It fails when a
-# non-test internal/cluster file declares run_id, mechanism,
-# fetch_batch, node_id or id on request or reply, or v on hello; names
-# the deleted line bound or its error; or peeks at a connection to tell
-# two framings apart; or when a Go file names the deleted per-field
-# versions or the old-peer stub mode.
+# onewire keeps one handshake, one framing and one client transport. A
+# client connection opens with a hello that carries the run id and the
+# mechanism, and every message in both directions is a frame whose
+# header carries the one request id and the one protocol version; no
+# request, reply or hello field repeats them or keeps its own old-peer
+# rule. Every client RPC rides the node's pooled connections; only
+# node-to-node gossip dials per exchange (freshRPC), with no hello. It
+# fails when a non-test internal/cluster file declares run_id,
+# mechanism, fetch_batch, node_id or id on request or reply, or v on
+# hello; names the deleted line bound or its error; or peeks at a
+# connection to tell two framings apart; or names the deleted
+# dial-per-RPC hook freshDial; or when freshRPC takes a hello or a frame
+# callback again, or a client file calls it; or when a Go file names the
+# deleted per-field versions or the old-peer stub mode.
 clustersrc := $(filter-out %_test.go,$(wildcard internal/cluster/*.go))
+clientsrc := $(addprefix internal/cluster/,client.go members.go lifecycle.go batcher.go distributed.go)
 
 onewire:
 	@if awk '/^type (request|reply) struct/,/^}/' $(clustersrc) \
@@ -159,5 +167,9 @@ onewire:
 	then echo 'onewire: a second framing is back: a line bound, or a reader that peeks to pick one (see DESIGN.md §9, "One framing")'; exit 1; fi
 	@if grep -rnwE 'traceV|gossipV|batchAware' --include='*.go' .; \
 	then echo 'onewire: a per-field protocol version or the old-peer stub mode is back (see DESIGN.md §9, "One handshake")'; exit 1; fi
+	@if grep -nw 'freshDial' $(clustersrc) \
+		|| grep -nE 'func freshRPC\([^)]*(\*hello|frameFunc)' $(clustersrc) \
+		|| grep -nE '\bfreshRPC\(' $(clientsrc); \
+	then echo 'onewire: a second client transport is back: a dial per RPC beside the pools (see DESIGN.md §9, "Connection pool lifecycle")'; exit 1; fi
 
 ci: build vet oneledger onelane onekinds onerow oneonce onewire test race benchsmoke loadsmoke fuzzsmoke

@@ -38,7 +38,6 @@ type options struct {
 	nodes       string
 	selfNodes   int
 	mechanism   string
-	poolSize    int
 	clients     int
 	queries     int
 	mode        string
@@ -122,7 +121,6 @@ func main() {
 	flag.StringVar(&o.nodes, "nodes", "", "comma-separated server addresses (empty: self-host)")
 	flag.IntVar(&o.selfNodes, "selfnodes", 3, "nodes to self-host in-process when -nodes is empty")
 	flag.StringVar(&o.mechanism, "mechanism", "greedy", "allocation mechanism: greedy | qa-nt")
-	flag.IntVar(&o.poolSize, "poolsize", 0, "connections per node per lane (0: default)")
 	flag.IntVar(&o.clients, "clients", 8, "concurrent workers (closed mode)")
 	flag.IntVar(&o.queries, "queries", 200, "total queries to run (closed mode)")
 	flag.StringVar(&o.mode, "mode", "closed", "load mode: closed | open")
@@ -261,7 +259,6 @@ func run(o *options) (*loadReport, error) {
 		Mechanism:    cluster.Mechanism(o.mechanism),
 		PeriodMs:     o.period,
 		Timeout:      30 * time.Second,
-		PoolSize:     o.poolSize,
 		Tracer:       tracer,
 		QueryTimeout: o.deadline,
 		RetryBudget:  o.retryBudget,

@@ -138,7 +138,7 @@ func TestBatchedWindowOverloadIsTyped(t *testing.T) {
 	n := startSingleNode(t, func(cfg *NodeConfig) { cfg.MaxInflight = 1 })
 	n.working.Add(1) // the only slot is held
 	c, err := NewClient(ClientConfig{
-		Addrs: []string{n.Addr()}, Mechanism: MechGreedy, freshDial: true,
+		Addrs: []string{n.Addr()}, Mechanism: MechGreedy,
 		BatchWindow: 200 * time.Millisecond, batchLimit: 2,
 	})
 	if err != nil {
@@ -274,8 +274,7 @@ func TestBidCacheTypedRefusalsInvalidate(t *testing.T) {
 			srv := startScriptedServer(t, code)
 			c, err := NewClient(ClientConfig{
 				Addrs: []string{srv.addr}, Mechanism: MechGreedy,
-				freshDial: true, BidCacheTTL: time.Minute,
-				PeriodMs: 1, MaxRetries: 1,
+				BidCacheTTL: time.Minute, PeriodMs: 1, MaxRetries: 1,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -309,7 +308,7 @@ func TestBidCacheHitSkipsNegotiate(t *testing.T) {
 	srv := startScriptedServer(t, "")
 	c, err := NewClient(ClientConfig{
 		Addrs: []string{srv.addr}, Mechanism: MechGreedy,
-		freshDial: true, BidCacheTTL: time.Minute,
+		BidCacheTTL: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -343,7 +342,7 @@ func TestBidCacheHitSkipsNegotiate(t *testing.T) {
 func TestBatchedWindowSharesOneRPC(t *testing.T) {
 	srv := startScriptedServer(t, "")
 	c, err := NewClient(ClientConfig{
-		Addrs: []string{srv.addr}, Mechanism: MechGreedy, freshDial: true,
+		Addrs: []string{srv.addr}, Mechanism: MechGreedy,
 		BatchWindow: 300 * time.Millisecond, batchLimit: 3,
 	})
 	if err != nil {

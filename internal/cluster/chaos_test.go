@@ -317,29 +317,30 @@ func TestChaosSoakExecutesOnce(t *testing.T) {
 	}
 
 	// Severed replies: a one-node lane whose proxy cuts every execute
-	// reply after one byte. Under the fresh transport each query is the
-	// connection triple [negotiate, execute (cut), retransmit], and the
+	// reply after one byte. Each query runs on a client of its own, so its
+	// connections are the triple [control: negotiate, data: execute (cut
+	// one byte past the hello's answer), data: retransmit], and the
 	// retransmit must be answered from the node's dedup window.
 	cut := proxy(addrs[0], func(conn int) faultnet.Plan {
 		if conn%3 == 1 {
-			return faultnet.Plan{TruncateReplyAfter: 1}
+			return faultnet.Plan{TruncateReplyAfter: helloBytes(t, nodes[0]) + 1}
 		}
 		return faultnet.Plan{}
 	})
-	dc, err := NewClient(ClientConfig{
-		Addrs: []string{cut.Addr()}, freshDial: true,
-		PeriodMs: 20, Timeout: 2 * time.Second,
-		execRetries: 4,
-		Jitter:      rand.New(rand.NewSource(65)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(dc.Close)
 	tabs := ds.DBs[0].Tables() // the lane sees node 0 alone
 	severed := &soakTally{}
 	for i := 0; i < 3; i++ {
+		dc, err := NewClient(ClientConfig{
+			Addrs:    []string{cut.Addr()},
+			PeriodMs: 20, Timeout: 2 * time.Second,
+			execRetries: 4,
+			Jitter:      rand.New(rand.NewSource(65)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		severed.classify(t, "severed reply", dc.Run(qid.Add(1), "SELECT * FROM "+tabs[i%len(tabs)]))
+		dc.Close()
 	}
 	if severed.completed != 3 {
 		t.Fatalf("severed reply: %v, want 3 completed", severed)
@@ -373,9 +374,10 @@ func TestChaosSoakExecutesOnce(t *testing.T) {
 	// on d0 and d1, so no node answers the join whole. The faster big
 	// node b0 refuses every connection for the first half of the lane;
 	// the faster dim node d0 has its first fragment reply cut after one
-	// byte — under the fresh transport d0 sees the first join as conn 0
-	// whole-query negotiate, 1 big negotiate, 2 dim negotiate, 3 the dim
-	// fetch.
+	// byte. d0's data lane is warmed before the first join, so its
+	// connections 0 and 1 are the data lane's two slots: the first dim
+	// fetch rides connection 0, cut one byte past the hello's answer, and
+	// its retransmit rides connection 1.
 	const big = `CREATE TABLE big (id INT, k INT, v FLOAT);
 		INSERT INTO big VALUES (1, 1, 5.0), (2, 1, 7.5), (3, 2, 1.0), (4, 3, 9.0), (5, 3, 2.5), (6, 4, 4.0)`
 	const dim = `CREATE TABLE dim (k INT, name TEXT);
@@ -386,15 +388,14 @@ func TestChaosSoakExecutesOnce(t *testing.T) {
 	})
 	b0 := proxy(splitAddrs[0], nil)
 	d0 := proxy(splitAddrs[2], func(conn int) faultnet.Plan {
-		if conn == 3 {
-			return faultnet.Plan{TruncateReplyAfter: 1}
+		if conn == 0 {
+			return faultnet.Plan{TruncateReplyAfter: helloBytes(t, split[2]) + 1}
 		}
 		return faultnet.Plan{}
 	})
 	jc, err := NewClient(ClientConfig{
-		Addrs:     []string{b0.Addr(), splitAddrs[1], d0.Addr(), splitAddrs[3]},
-		freshDial: true,
-		PeriodMs:  20, maxBackoffMs: 160, MaxRetries: 300,
+		Addrs:    []string{b0.Addr(), splitAddrs[1], d0.Addr(), splitAddrs[3]},
+		PeriodMs: 20, maxBackoffMs: 160, MaxRetries: 300,
 		Timeout: 250 * time.Millisecond, breakerThreshold: 2,
 		breakerCooldown: 300 * time.Millisecond,
 		execRetries:     4,
@@ -404,6 +405,7 @@ func TestChaosSoakExecutesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(jc.Close)
+	jc.warmLane(t, jc.lookup(d0.Addr()), "fetch")
 	d := NewDistributor(jc)
 	joins := &soakTally{}
 	b0.SetRefuse(true)

@@ -37,11 +37,6 @@ type ClientConfig struct {
 	// Timeout bounds each RPC except execution; an execute or fetch RPC,
 	// which blocks for the query's whole run time, gets twenty times it.
 	Timeout time.Duration
-	// PoolSize is how many connections each per-node, per-lane pool
-	// holds (default 2). The client keeps two lanes per node — control
-	// (negotiate/stats) and data (execute/fetch) — so a short RPC timing
-	// out never evicts a connection carrying a long execution.
-	PoolSize int
 	// ViewRefresh, when positive, makes the client poll a live node's
 	// merged membership table (the "members" op) this often and fold
 	// it into its view: joiners are added, left/dead members pruned
@@ -102,11 +97,11 @@ type ClientConfig struct {
 	// Test hooks, left zero outside the package's tests: validate fills
 	// in the product values given in parentheses.
 	//
-	// freshDial makes every RPC dial its own connection (freshRPC)
-	// instead of riding the per-node pools: the reference the package's
-	// tests compare the pools against, and what scripted servers that
-	// answer one request per connection need.
-	freshDial         bool
+	// poolSize is how many connections each per-node, per-lane pool
+	// holds. The client keeps two lanes per node — control
+	// (negotiate/stats) and data (execute/fetch) — so a short RPC timing
+	// out never evicts a connection carrying a long execution.
+	poolSize          int           // connections per node per lane (2)
 	maxBackoffMs      int64         // retry backoff cap (8*PeriodMs)
 	execTimeoutFactor int           // Timeout multiple for execute and fetch RPCs (20)
 	breakerThreshold  int           // consecutive failures that open a node's breaker (3)
@@ -145,8 +140,8 @@ func (c *ClientConfig) validate() error {
 	if c.breakerCooldown <= 0 {
 		c.breakerCooldown = 2 * time.Second
 	}
-	if c.PoolSize <= 0 {
-		c.PoolSize = 2
+	if c.poolSize <= 0 {
+		c.poolSize = 2
 	}
 	if c.ViewRefresh < 0 {
 		return fmt.Errorf("cluster: ViewRefresh %v is negative", c.ViewRefresh)
@@ -216,9 +211,10 @@ type nodeState struct {
 	filter    *catalog.RelationFilter
 	filterEnc string
 
-	// transport is the two-lane pooled transport (nil under
-	// freshDial). Guarded by mu because a member can move to a
-	// new address across a restart.
+	// transport is the two-lane pooled transport. It is set at creation
+	// and stays set until the client's Close, pruned member or not, so
+	// an in-flight query keeps its connections; only a move to a new
+	// address across a restart swaps it, under mu.
 	transport *nodeTransport
 
 	// Per-op RPC latency histograms, populated lazily.
@@ -274,8 +270,9 @@ type Client struct {
 	// address until the node's first reply resolves it). removedInc
 	// remembers the incarnation at which a member was pruned, so a
 	// slower peer's stale table cannot resurrect it. retired holds
-	// transports of pruned members until Close — in-flight RPCs on
-	// them finish or fail on their own.
+	// the transports of members that left the view, and those an
+	// address move replaced, until Close: in-flight RPCs keep riding
+	// them.
 	viewMu     sync.RWMutex
 	view       map[string]*nodeState
 	removedInc map[string]uint64
@@ -299,9 +296,9 @@ type Client struct {
 	rpcMu     sync.Mutex
 	rpcCounts map[string]int64
 
-	// wire tallies bytes on every client-owned connection (pooled and
-	// fresh), the denominator-free raw wire cost qaload's bytes_per_query
-	// report divides down.
+	// wire tallies bytes on every client-owned connection, the
+	// denominator-free raw wire cost qaload's bytes_per_query report
+	// divides down.
 	wire *wireCounter
 
 	stopRefresh chan struct{}
@@ -350,22 +347,24 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 // newNodeState builds the per-member state (breaker, transport,
 // histograms) for a node entering the view.
 func (c *Client) newNodeState(id, addr string, resolved bool) *nodeState {
-	ns := &nodeState{
-		breaker:  newBreaker(c.cfg.breakerThreshold, c.cfg.breakerCooldown, c.noteTransition),
-		id:       id,
-		addr:     addr,
-		resolved: resolved,
-		state:    "seed",
-		lat:      make(map[string]*metrics.Histogram),
+	return &nodeState{
+		breaker:   newBreaker(c.cfg.breakerThreshold, c.cfg.breakerCooldown, c.noteTransition),
+		id:        id,
+		addr:      addr,
+		resolved:  resolved,
+		state:     "seed",
+		transport: c.newTransport(addr),
+		lat:       make(map[string]*metrics.Histogram),
 	}
-	if !c.cfg.freshDial {
-		ns.transport = newNodeTransport(addr, &c.hello, c.cfg.PoolSize, c.wire)
-	}
-	return ns
+}
+
+// newTransport builds the pooled transport to one member's address.
+func (c *Client) newTransport(addr string) *nodeTransport {
+	return newNodeTransport(addr, &c.hello, c.cfg.poolSize, c.wire)
 }
 
 // WireBytes reports the total bytes read and written on the client's
-// connections (pooled and per-RPC fresh dials alike) since creation.
+// connections since creation.
 func (c *Client) WireBytes() (in, out int64) {
 	return c.wire.in.Load(), c.wire.out.Load()
 }
@@ -380,11 +379,7 @@ func (c *Client) Close() {
 		transports := c.retired
 		c.retired = nil
 		for _, ns := range c.view {
-			ns.mu.Lock()
-			if ns.transport != nil {
-				transports = append(transports, ns.transport)
-			}
-			ns.mu.Unlock()
+			transports = append(transports, ns.pools())
 		}
 		c.viewMu.Unlock()
 		for _, nt := range transports {
@@ -444,12 +439,7 @@ func (c *Client) learnID(ns *nodeState, id string) {
 	if other, ok := c.view[id]; ok && other != ns {
 		// Two seed addresses resolved to the same node: keep the entry
 		// that answered, retire the duplicate's transport.
-		other.mu.Lock()
-		if other.transport != nil {
-			c.retired = append(c.retired, other.transport)
-			other.transport = nil
-		}
-		other.mu.Unlock()
+		c.retired = append(c.retired, other.pools())
 	}
 	if c.view[old] == ns {
 		delete(c.view, old)
@@ -849,12 +839,10 @@ func (c *Client) pruneLocked(id string, incarnation uint64) {
 	if prev, ok := c.removedInc[id]; !ok || incarnation > prev {
 		c.removedInc[id] = incarnation
 	}
-	ns.mu.Lock()
-	if ns.transport != nil {
-		c.retired = append(c.retired, ns.transport)
-		ns.transport = nil
-	}
-	ns.mu.Unlock()
+	// The transport stays on the member: a query that picked it before
+	// it left keeps its connections and queued releases for the
+	// retransmits it may still owe. Close shuts it.
+	c.retired = append(c.retired, ns.pools())
 }
 
 // aggregateNodeErrors folds per-node failures into one error naming
@@ -880,47 +868,36 @@ func aggregateNodeErrors(members []*nodeState, outs []negOutcome) error {
 func (c *Client) rpcOn(ns *nodeState, req *request, rep *reply, timeout time.Duration, onFrame frameFunc) error {
 	start := time.Now()
 	c.countRPC(req.Op)
-	ns.mu.Lock()
-	nt, addr := ns.transport, ns.addr
-	ns.mu.Unlock()
-	var (
-		id  string
-		err error
-	)
-	if nt != nil {
-		var mc *mconn
-		if mc, err = nt.lane(req.Op).get(timeout); err != nil {
-			// A get failure, a refused hello included, precedes the request.
-			err = fmt.Errorf("%w: %w", errNotSent, err)
-		} else {
-			if req.Op == "negotiate" || req.Op == "execute" || req.Op == "fetch" {
-				// Taken after get: a dial drops what was queued before it.
-				req.Release = nt.rel.take()
-			}
-			id = mc.nodeID
-			err = mc.call(req, rep, timeout, onFrame)
-		}
-	} else {
-		id, err = freshRPC(addr, &c.hello, req, rep, timeout, c.wire, onFrame)
+	nt := ns.pools()
+	mc, err := nt.lane(req.Op).get(timeout)
+	if err != nil {
+		// A get failure, a refused hello included, precedes the request.
+		return fmt.Errorf("%w: %w", errNotSent, err)
 	}
-	c.learnID(ns, id)
+	if req.Op == "negotiate" || req.Op == "execute" || req.Op == "fetch" {
+		// Taken after get: a dial drops what was queued before it.
+		req.Release = nt.rel.take()
+	}
+	err = mc.call(req, rep, timeout, onFrame)
+	c.learnID(ns, mc.nodeID)
 	if err == nil {
 		ns.observe(req.Op, msSince(start))
 	}
 	return err
 }
 
+// pools returns the member's pooled transport.
+func (ns *nodeState) pools() *nodeTransport {
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
+	return ns.transport
+}
+
 // noteHeld queues a release for a fetch outcome the client now holds
 // whole: its end frame arrived clean and the rows matched the header.
-// Without a pooled transport (the dial-per-RPC test hook) there is no
-// next request to carry it, and the node keeps the result until its TTL.
+// The next negotiate, execute or fetch to the node carries it.
 func (ns *nodeState) noteHeld(seq uint64) {
-	ns.mu.Lock()
-	nt := ns.transport
-	ns.mu.Unlock()
-	if nt != nil {
-		nt.rel.add(seq)
-	}
+	ns.pools().rel.add(seq)
 }
 
 // countRPC tallies one RPC attempt under its op. Unlike the latency

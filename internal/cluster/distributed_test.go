@@ -254,12 +254,17 @@ func TestDistributedNoOfferWaitHonorsDeadline(t *testing.T) {
 // lost attempt on the floor and run the query again as fragments.
 func TestDistributedFastPathLostReplyUnderAtMostOnce(t *testing.T) {
 	client, nodes, proxies := splitFederationBehindProxies(t, ClientConfig{
-		Mechanism: MechGreedy, PeriodMs: 20, freshDial: true,
+		Mechanism: MechGreedy, PeriodMs: 20,
 		Timeout: 100 * time.Millisecond, execTimeoutFactor: 1,
 		execRetries: 1,
 	})
 	d := NewDistributor(client)
-	d.afterNegotiate = func(string, string) { proxies[0].Partition(faultnet.ServerToClient) }
+	// The fetch is written on a data connection that is already up, so
+	// the partition swallows its reply and not the hello's.
+	d.afterNegotiate = func(nodeID, _ string) {
+		client.warmLane(t, client.lookup(nodeID), "fetch")
+		proxies[0].Partition(faultnet.ServerToClient)
+	}
 	_, err := d.Run(1, "SELECT COUNT(*) FROM orders")
 	if !errors.Is(err, ErrOutcomeUnknown) {
 		t.Fatalf("err = %v, want ErrOutcomeUnknown", err)

@@ -26,28 +26,28 @@ func startDrainingStub(t *testing.T) string {
 }
 
 // breakerOps are the client ops the typed-reply audits drive: every
-// wire op, with fetch under both sink kinds.
+// wire op, with fetch under both sink kinds. op is the wire op sent.
 var breakerOps = []struct {
-	name string
-	call func(t *testing.T, c *Client) error
+	name, op string
+	call     func(t *testing.T, c *Client) error
 }{
-	{"negotiate", func(t *testing.T, c *Client) error {
+	{"negotiate", "negotiate", func(t *testing.T, c *Client) error {
 		_, _, err := c.negotiateAll("SELECT 1 FROM t", nil, time.Time{})
 		return err
 	}},
-	{"execute", func(t *testing.T, c *Client) error {
+	{"execute", "execute", func(t *testing.T, c *Client) error {
 		_, _, err := c.executeOn(c.nodes()[0], 1, "SELECT 1 FROM t", nil, time.Time{})
 		return err
 	}},
-	{"fetch", func(t *testing.T, c *Client) error {
+	{"fetch", "fetch", func(t *testing.T, c *Client) error {
 		q := query{id: 1, sql: "SELECT 1 FROM t", sink: accumulateSink(&sqldb.Result{})}
 		return c.begin(q).attempt(c.nodes()[0]).err
 	}},
-	{"fetch-each", func(t *testing.T, c *Client) error {
+	{"fetch-each", "fetch", func(t *testing.T, c *Client) error {
 		q := query{id: 1, sql: "SELECT 1 FROM t", sink: &fetchSink{block: func(*ColBlock) error { return nil }}}
 		return c.begin(q).attempt(c.nodes()[0]).err
 	}},
-	{"stats", func(t *testing.T, c *Client) error {
+	{"stats", "stats", func(t *testing.T, c *Client) error {
 		_, err := c.Stats(c.nodes()[0].address())
 		return err
 	}},
@@ -55,16 +55,15 @@ var breakerOps = []struct {
 
 // TestDrainingTripsBreakerOnEveryOp is the audit the draining satellite
 // asks for: every client op that receives a typed draining reply must
-// trip the node's breaker the same way, under both transports.
+// trip the node's breaker the same way, on a warm lane and a cold one.
 func TestDrainingTripsBreakerOnEveryOp(t *testing.T) {
 	for _, transport := range transports {
 		for _, op := range breakerOps {
 			t.Run(transport.name+"/"+op.name, func(t *testing.T) {
 				addr := startDrainingStub(t)
 				c, err := NewClient(ClientConfig{
-					Addrs:     []string{addr},
-					Timeout:   2 * time.Second,
-					freshDial: transport.fresh,
+					Addrs:   []string{addr},
+					Timeout: 2 * time.Second,
 					// High threshold proves the open circuit came from the
 					// typed trip, not accumulated failures.
 					breakerThreshold: 100,
@@ -73,6 +72,7 @@ func TestDrainingTripsBreakerOnEveryOp(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer c.Close()
+				transport.prepare(t, c, c.nodes()[0], op.op)
 				if err := op.call(t, c); err == nil {
 					t.Fatalf("%s against draining node succeeded", op.name)
 				}
@@ -104,9 +104,8 @@ func TestMarketRefusalsDoNotTripBreaker(t *testing.T) {
 				t.Run(transport.name+"/"+refusal.code+"/"+op.name, func(t *testing.T) {
 					addr := startCodedStub(t, refusal.code, refusal.msg)
 					c, err := NewClient(ClientConfig{
-						Addrs:     []string{addr},
-						Timeout:   2 * time.Second,
-						freshDial: transport.fresh,
+						Addrs:   []string{addr},
+						Timeout: 2 * time.Second,
 						// Threshold 1: a single failure charged to the breaker
 						// would open it, so a closed breaker after the call
 						// proves the refusal was not charged at all.
@@ -116,6 +115,7 @@ func TestMarketRefusalsDoNotTripBreaker(t *testing.T) {
 						t.Fatal(err)
 					}
 					defer c.Close()
+					transport.prepare(t, c, c.nodes()[0], op.op)
 					op.call(t, c)
 					if st := c.nodes()[0].breaker.snapshot(); st != breakerClosed {
 						t.Fatalf("breaker after typed %s %s = %v, want closed", refusal.code, op.name, st)
@@ -163,9 +163,10 @@ func TestMarketRefusalsDoNotTripBreaker(t *testing.T) {
 
 // TestFetchRefusalsAnswerInJSON: a fetch that does not run to a result
 // is answered in the JSON envelope an execute gets, never in frames, and
-// the client classifies it over either transport as it classifies the
-// execute's: market refusals leave the breaker closed and may move on, a
-// draining or stopping node opens it, and a SQL error is terminal.
+// the client classifies it on a warm lane and a cold one as it
+// classifies the execute's: market refusals leave the breaker closed
+// and may move on, a draining or stopping node opens it, and a SQL
+// error is terminal.
 func TestFetchRefusalsAnswerInJSON(t *testing.T) {
 	cases := []struct {
 		name, sql, code string
@@ -194,8 +195,9 @@ func TestFetchRefusalsAnswerInJSON(t *testing.T) {
 		for _, tc := range cases {
 			t.Run(transport.name+"/"+tc.name, func(t *testing.T) {
 				n, c, _ := selFederation(t, nil, 0, ClientConfig{
-					freshDial: transport.fresh, QueryTimeout: 10 * time.Second, breakerThreshold: 1,
+					QueryTimeout: 10 * time.Second, breakerThreshold: 1,
 				})
+				transport.prepare(t, c, c.nodes()[0], "fetch")
 				// A stopped executor leaves CloseNow nothing to do; finish the
 				// stop it began.
 				t.Cleanup(func() { n.CloseNow(); n.ln.Close(); n.closeConns(); n.wg.Wait() })

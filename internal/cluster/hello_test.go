@@ -3,6 +3,7 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"net"
@@ -12,8 +13,8 @@ import (
 
 // startStub runs a minimal wire-speaking fake node: it accepts every
 // hello as node "stub" and answers every other request with answer's
-// reply, under the request's frame id so both transports' framing works
-// against it.
+// reply, under the request's frame id, one request at a time per
+// connection.
 func startStub(t *testing.T, answer func(req *request) reply) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -255,4 +256,16 @@ func versionProxy(t *testing.T, addr string, toNode bool) string {
 		}
 	}()
 	return ln.Addr().String()
+}
+
+// helloBytes is how many bytes node n's answer to a hello takes on the
+// wire: a fault that cuts a connection this far in hits the first reply
+// after it.
+func helloBytes(t *testing.T, n *Node) int {
+	t.Helper()
+	b, err := json.Marshal(reply{Hello: &helloReply{NodeID: n.ID()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frameHdrLen + len(b)
 }

@@ -89,8 +89,7 @@ func startLifeFed(t *testing.T, timeout time.Duration) *lifeFed {
 	f.b, f.mockB, f.proxyB = start("B", 40)
 	c, err := NewClient(ClientConfig{
 		Addrs:     []string{f.proxyA.Addr(), f.proxyB.Addr()},
-		Mechanism: MechQANT, freshDial: true,
-		PeriodMs: 10, Timeout: timeout, execTimeoutFactor: 1,
+		Mechanism: MechQANT, PeriodMs: 10, Timeout: timeout, execTimeoutFactor: 1,
 		QueryTimeout: 20 * time.Second, execRetries: 2,
 		RetryBudget: 1e-6, retryBurst: lifeBurst, BidCacheTTL: time.Minute,
 		Jitter: rand.New(rand.NewSource(7)),
@@ -101,6 +100,12 @@ func startLifeFed(t *testing.T, timeout time.Duration) *lifeFed {
 	t.Cleanup(c.Close)
 	f.c = c
 	return f
+}
+
+// warmA opens A's data lane, so the attempt's request is written on a
+// connection whose hello is already answered.
+func (f *lifeFed) warmA() {
+	f.c.warmLane(f.t, f.c.lookup("A"), "execute")
 }
 
 // tokensTaken reads how many retry tokens the client has spent.
@@ -211,18 +216,31 @@ func TestLifecycleConformance(t *testing.T) {
 		{name: "not sent",
 			arm:  func(f *lifeFed) { f.proxyA.Close() },
 			want: lifeWant{rounds: 1, failovers: 1, tokens: 1, node: "B"}},
+		{name: "lost at the hello", brisk: true,
+			// A's data lane is cold: the attempt dials, and A's answer to the
+			// hello is lost. The request was never written, so A cannot have
+			// run it: fail over to B at once.
+			arm:  func(f *lifeFed) { f.proxyA.Partition(faultnet.ServerToClient) },
+			want: lifeWant{rounds: 1, failovers: 1, tokens: 1, node: "B"}},
 		{name: "lost", brisk: true,
 			// The request never reaches A, but a silent node looks the same
 			// whichever way the bytes went: the client cannot rule out that
-			// A ran it, so this is a lost reply too.
-			arm:  func(f *lifeFed) { f.proxyA.Partition(faultnet.ClientToServer) },
+			// A ran it, so this is a lost reply too. The lane is up first,
+			// so the partition takes the request and not the hello.
+			arm: func(f *lifeFed) {
+				f.warmA()
+				f.proxyA.Partition(faultnet.ClientToServer)
+			},
 			want: lifeWant{rounds: 1, tokens: 2, breakerA: breakerOpen, err: ErrOutcomeUnknown, bUntouched: true}},
 		{name: "lost under AtMostOnce", brisk: true,
 			// The query ran on A and its replies are lost. At-most-once is
 			// the only lost-reply policy (the row keeps its name from when
 			// it was a switch): retransmit to A, and when the replies stay
 			// lost give up rather than run it on B too.
-			arm:  func(f *lifeFed) { f.proxyA.Partition(faultnet.ServerToClient) },
+			arm: func(f *lifeFed) {
+				f.warmA()
+				f.proxyA.Partition(faultnet.ServerToClient)
+			},
 			want: lifeWant{rounds: 1, tokens: 2, breakerA: breakerOpen, err: ErrOutcomeUnknown, bUntouched: true}},
 		{name: "fatal",
 			arm:  func(f *lifeFed) { f.mockA.FailNextExec(1) },

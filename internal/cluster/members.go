@@ -206,14 +206,9 @@ func (c *Client) updateMember(ns *nodeState, m membership.Member) {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	if ns.addr != m.Addr && m.Addr != "" {
-		if ns.transport != nil {
-			c.retired = append(c.retired, ns.transport)
-			ns.transport = nil
-		}
+		c.retired = append(c.retired, ns.transport)
 		ns.addr = m.Addr
-		if !c.cfg.freshDial {
-			ns.transport = newNodeTransport(m.Addr, &c.hello, c.cfg.PoolSize, c.wire)
-		}
+		ns.transport = c.newTransport(m.Addr)
 	}
 	ns.state = m.State.String()
 	ns.incarnation = m.Incarnation

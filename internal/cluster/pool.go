@@ -15,11 +15,11 @@ import (
 // RPCs ride one connection concurrently, and a reader goroutine demuxes
 // replies to the waiting callers. Connections dial lazily and are
 // evicted on any protocol error or RPC timeout — a stream that lost a
-// reply is suspect, and re-dialing keeps the breaker's dials-per-window
-// accounting identical to dialing per RPC (freshRPC).
+// reply is suspect, and re-dialing keeps the breaker's accounting at
+// one dial per timed-out probe.
 
 // Transport-layer errors. All of them count as node failures for the
-// circuit breaker, exactly like a dial error on the fresh path.
+// circuit breaker, exactly like a dial error.
 var (
 	// errRPCTimeout reports no reply within the caller's budget. The
 	// connection is evicted: its stream may still deliver the reply
@@ -131,9 +131,11 @@ func (mc *mconn) call(req *request, rep *reply, timeout time.Duration, onFrame f
 	ch := make(chan rpcResult, depth)
 	mc.mu.Lock()
 	if mc.dead {
+		// The connection died after the pool handed it out, before a
+		// byte of this request was written: the node never saw it.
 		err := mc.deadErr
 		mc.mu.Unlock()
-		return err
+		return fmt.Errorf("%w: %w", errNotSent, err)
 	}
 	mc.nextID++
 	id := mc.nextID
@@ -328,7 +330,7 @@ func (mc *mconn) isDead() bool {
 type pool struct {
 	addr  string
 	hello *hello
-	wc    *wireCounter // nil disables byte accounting
+	wc    *wireCounter // the client's byte tally
 	rel   *releases    // the node's queued releases, dropped at each dial
 
 	mu     sync.Mutex

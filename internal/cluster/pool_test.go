@@ -1,15 +1,20 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
 	"sync"
 	"testing"
 	"time"
 )
 
-// testTransport names one of the two RPC paths a test can run a client
-// over: the per-node pools, or a dial per RPC (freshDial).
+// testTransport names the state a test's first RPC finds its lane in:
+// "pooled" rides a connection a previous exchange left open, "fresh"
+// dials its connection and says hello first. They are the two branches
+// of pool.get, and a typed answer must classify the same on both.
 type testTransport struct {
 	name  string
 	fresh bool
@@ -17,13 +22,39 @@ type testTransport struct {
 
 var transports = []testTransport{{"pooled", false}, {"fresh", true}}
 
-// runTransportWorkload stands up a fresh 3-node federation, drives it
-// with nClients goroutines × nQueries sequential queries each, and
-// returns each query's result cardinality keyed by query id. The
-// dataset, templates, and per-goroutine SQL streams are all seeded, so
-// two invocations see byte-identical workloads.
-func runTransportWorkload(t *testing.T, transport testTransport, nClients, nQueries int) map[int64]int {
+// prepare readies ns's lane for op as the transport names: a pooled
+// test warms it, a fresh one leaves it cold.
+func (tt testTransport) prepare(t testing.TB, c *Client, ns *nodeState, op string) {
 	t.Helper()
+	if !tt.fresh {
+		c.warmLane(t, ns, op)
+	}
+}
+
+// warmLane opens every connection of ns's lane for op, hello answered,
+// so the op's next request is written on a connection already up: a
+// fault armed after it hits the request, not the hello. A fault on a
+// cold lane hits the hello's own round trip, which leaves the request
+// unsent.
+func (c *Client) warmLane(t testing.TB, ns *nodeState, op string) {
+	t.Helper()
+	lane := ns.pools().lane(op)
+	for range c.cfg.poolSize {
+		if _, err := lane.get(5 * time.Second); err != nil {
+			t.Fatalf("warming the %s lane of %s: %v", op, ns.label(), err)
+		}
+	}
+}
+
+// TestConcurrentTransportsAgree is the stress test of the pooled
+// transport: N goroutines × M queries against a 3-node federation,
+// race-clean, multiplexed on the per-node pools, every answer's
+// cardinality matching the row engine over the same dataset, and no
+// connection left open after Close. The dataset, templates, and
+// per-goroutine SQL streams are all seeded, so every run sees a
+// byte-identical workload.
+func TestConcurrentTransportsAgree(t *testing.T) {
+	const nClients, nQueries = 8, 5
 	ds, nodes, addrs := startTestFederation(t, []float64{1, 2, 3}, nil)
 	templates, err := ds.GenerateTemplates(8, 2, rand.New(rand.NewSource(23)))
 	if err != nil {
@@ -34,13 +65,13 @@ func runTransportWorkload(t *testing.T, transport testTransport, nClients, nQuer
 		Mechanism: MechGreedy, // always offers: results depend only on the data
 		PeriodMs:  25,
 		Timeout:   5 * time.Second,
-		freshDial: transport.fresh,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	rows := make(map[int64]int)
+	sqls := make(map[int64]string)
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for g := 0; g < nClients; g++ {
@@ -53,20 +84,19 @@ func runTransportWorkload(t *testing.T, transport testTransport, nClients, nQuer
 				sql := templates[rng.Intn(len(templates))].Instantiate(rng)
 				out := client.Run(id, sql)
 				if out.Err != nil {
-					t.Errorf("transport %s query %d: %v", transport.name, id, out.Err)
+					t.Errorf("query %d: %v", id, out.Err)
 					return
 				}
 				mu.Lock()
-				rows[id] = out.Rows
+				rows[id], sqls[id] = out.Rows, sql
 				mu.Unlock()
 			}
 		}(g)
 	}
 	wg.Wait()
 
-	// No leaked connections: closing the client must drop every tracked
-	// server-side connection (the fresh transport already hung up per
-	// RPC; the pooled one severs its persistent conns here).
+	// No leaked connections: closing the client must sever every
+	// persistent connection it holds.
 	client.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -78,34 +108,33 @@ func runTransportWorkload(t *testing.T, transport testTransport, nClients, nQuer
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("transport %s: %d connections still open after Close", transport.name, open)
+			t.Fatalf("%d connections still open after Close", open)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	return rows
-}
 
-// TestConcurrentTransportsAgree is the stress satellite: N goroutines ×
-// M RPCs against a 3-node federation, race-clean, with fresh-dial and
-// pooled transports producing identical results and leaking nothing.
-func TestConcurrentTransportsAgree(t *testing.T) {
-	const nClients, nQueries = 8, 5
-	pooled := runTransportWorkload(t, transports[0], nClients, nQueries)
-	fresh := runTransportWorkload(t, transports[1], nClients, nQueries)
-	if len(pooled) != nClients*nQueries || len(fresh) != nClients*nQueries {
-		t.Fatalf("completed pooled=%d fresh=%d, want %d", len(pooled), len(fresh), nClients*nQueries)
+	if len(rows) != nClients*nQueries {
+		t.Fatalf("completed %d queries, want %d", len(rows), nClients*nQueries)
 	}
-	for id, want := range fresh {
-		if got := pooled[id]; got != want {
-			t.Errorf("query %d: pooled rows=%d fresh rows=%d", id, got, want)
+	// The oracle: any replica that holds a query's relations answers it
+	// alike, so the first one the row engine can run it on is the truth.
+	for id, got := range rows {
+		want := -1
+		for _, db := range ds.DBs {
+			if res, err := db.Query(sqls[id]); err == nil {
+				want = len(res.Rows)
+				break
+			}
+		}
+		if got != want {
+			t.Errorf("query %d (%s): %d rows, the row engine says %d", id, sqls[id], got, want)
 		}
 	}
 }
 
 // TestPooledReusesConnections pins the point of the pool: a burst of
-// sequential RPCs must not dial per RPC. With PoolSize 2 and two lanes
-// the client needs at most 4 connections to one node, where the fresh
-// transport would have dialed once per exchange.
+// sequential RPCs must not dial per RPC. With two connections per lane
+// and two lanes the client needs at most 4 connections to one node.
 func TestPooledReusesConnections(t *testing.T) {
 	_, nodes, addrs := startTestFederation(t, []float64{1}, nil)
 	client, err := NewClient(ClientConfig{
@@ -141,7 +170,7 @@ func TestMultiplexedPipelining(t *testing.T) {
 	_, _, addrs := startTestFederation(t, []float64{1}, nil)
 	client, err := NewClient(ClientConfig{
 		Addrs: addrs, Mechanism: MechGreedy, PeriodMs: 25,
-		Timeout: 5 * time.Second, PoolSize: 1,
+		Timeout: 5 * time.Second, poolSize: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -169,5 +198,41 @@ func TestMultiplexedPipelining(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// writeFailConn is a connection whose every write fails.
+type writeFailConn struct{ net.Conn }
+
+func (writeFailConn) Write([]byte) (int, error) { return 0, errors.New("broken pipe") }
+
+// TestDeadConnectionCallIsNotSent: a call on a connection that died
+// after the pool handed it out writes nothing, so the node never saw
+// the request and failing over is safe. A write that fails after the
+// call registered may have put bytes on the wire: a lost reply.
+func TestDeadConnectionCallIsNotSent(t *testing.T) {
+	ns := &nodeState{breaker: newBreaker(3, time.Second, nil), id: "n", addr: "n"}
+	for _, tc := range []struct {
+		name string
+		mc   func(conn net.Conn) *mconn
+		want attemptKind
+	}{
+		{"dead before the call", func(conn net.Conn) *mconn {
+			mc := newMconn(conn)
+			mc.fail(io.EOF)
+			return mc
+		}, attemptNotSent},
+		{"write fails", func(conn net.Conn) *mconn { return newMconn(writeFailConn{conn}) }, attemptLost},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			server, client := net.Pipe()
+			defer server.Close()
+			mc := tc.mc(client)
+			defer mc.fail(errPoolClosed)
+			err := mc.call(&request{Op: "execute"}, &reply{}, time.Second, nil)
+			if kind, err := classifyTransport(ns, "execute", err); kind != tc.want {
+				t.Fatalf("kind = %v (%v), want %v", kind, err, tc.want)
+			}
+		})
 	}
 }

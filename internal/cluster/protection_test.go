@@ -45,7 +45,7 @@ func TestSeveredReplyRetryExecutesOnce(t *testing.T) {
 	defer p.Close()
 
 	c, err := NewClient(ClientConfig{
-		Addrs: []string{p.Addr()}, freshDial: true,
+		Addrs:   []string{p.Addr()},
 		Timeout: 100 * time.Millisecond, execTimeoutFactor: 2,
 		execRetries: 2,
 	})
@@ -57,7 +57,9 @@ func TestSeveredReplyRetryExecutesOnce(t *testing.T) {
 
 	// Sever the reply lane: the request arrives and executes, the answer
 	// vanishes. The client must classify this as a lost (not unsent)
-	// attempt — the query may have run.
+	// attempt — the query may have run. The data lane is up first, so the
+	// partition swallows the execute's reply and not the hello's.
+	c.warmLane(t, ns, "execute")
 	p.Partition(faultnet.ServerToClient)
 	rep, kind, err := c.executeOn(ns, 1, sql, nil, time.Time{})
 	if kind != attemptLost {
@@ -87,6 +89,8 @@ func TestSeveredReplyRetryExecutesOnce(t *testing.T) {
 	// Under a partition that never heals, the lifecycle's same-node
 	// retransmits (settle) exhaust and the client reports the outcome
 	// unknown instead of failing over — the query still ran exactly once.
+	// The lane is re-warmed: the timeout above evicted a connection.
+	c.warmLane(t, ns, "execute")
 	p.Partition(faultnet.ServerToClient)
 	l := c.begin(query{id: 3, sql: sql})
 	res := l.settle(ns)
@@ -127,7 +131,7 @@ func TestFailoverToRunnerUp(t *testing.T) {
 	_, node, addr, sql := protectionQuery(t)
 	stub := startWinningStub(t)
 	c, err := NewClient(ClientConfig{
-		Addrs: []string{stub, addr}, freshDial: true,
+		Addrs:   []string{stub, addr},
 		Timeout: 2 * time.Second, breakerThreshold: 1,
 	})
 	if err != nil {
@@ -175,7 +179,7 @@ func TestAdmissionOverloadTypedReply(t *testing.T) {
 	}
 	defer node.Close()
 	c, err := NewClient(ClientConfig{
-		Addrs: []string{node.Addr()}, freshDial: true, Timeout: 2 * time.Second,
+		Addrs: []string{node.Addr()}, Timeout: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

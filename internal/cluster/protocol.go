@@ -320,14 +320,13 @@ var ErrTooLarge = errors.New("cluster: message exceeds wire size limit")
 // nothing sent after the hello has run.
 var errHelloRefused = errors.New("cluster: node refused the hello")
 
-// dial connects with a timeout, tallying the connection's traffic on wc
-// when set.
+// dial connects with a timeout, tallying the connection's traffic on wc.
 func dial(addr string, timeout time.Duration, wc *wireCounter) (net.Conn, error) {
 	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err == nil && wc != nil {
-		conn = &countedConn{Conn: conn, wc: wc}
+	if err != nil {
+		return nil, err
 	}
-	return conn, err
+	return &countedConn{Conn: conn, wc: wc}, nil
 }
 
 // helloID reads the node's answer to a hello: the node ID it names.

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
 	"reflect"
 	"testing"
@@ -39,7 +38,7 @@ func selNode(t *testing.T, batchRows int) *Node {
 // connections that are already up.
 func selClient(t *testing.T, addr string, ccfg ClientConfig) *Client {
 	t.Helper()
-	ccfg.Addrs, ccfg.PeriodMs, ccfg.PoolSize = []string{addr}, 50, 1
+	ccfg.Addrs, ccfg.PeriodMs, ccfg.poolSize = []string{addr}, 50, 1
 	c, err := NewClient(ccfg)
 	if err != nil {
 		t.Fatal(err)
@@ -210,12 +209,8 @@ func TestSeveredFetchReleasedAfterEnd(t *testing.T) {
 	}
 	// The bytes the data connection carries up to two whole batches: the
 	// hello's answer, then the stream's header and batch frames.
-	hello, err := json.Marshal(reply{Hello: &helloReply{NodeID: node.ID()}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	stream := streamBytesUpTo(selBlock(t, selTestWide), batchRows, 2)
-	cut := frameHdrLen + len(hello) + len(stream) + 1
+	cut := helloBytes(t, node) + len(stream) + 1
 	// Connection 0 is the control lane's (the negotiate), 1 the data
 	// lane's fetch; the retransmit's re-dial passes untouched.
 	p, err := faultnet.Start("127.0.0.1:0", node.Addr(), func(i int) faultnet.Plan {
@@ -300,4 +295,68 @@ func TestDialDropsQueuedReleases(t *testing.T) {
 	if so, _ := node.dedup.record(seq); so.rec.released() {
 		t.Fatal("a release queued before a dial rode the new connection")
 	}
+}
+
+// TestPrunedMemberKeepsItsPool: the view refresher prunes a member while
+// a fetch to it is in flight, and the stream then dies mid-result. The
+// query keeps the member's pooled transport: its retransmit re-dials
+// only the connection that died, later requests ride the pool rather
+// than a dial each, and the release of the result the client then holds
+// whole reaches the node.
+func TestPrunedMemberKeepsItsPool(t *testing.T) {
+	node := selNode(t, 1) // a frame per row: the stream can be cut after one
+	p, err := faultnet.Start("127.0.0.1:0", node.Addr(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	c := selClient(t, p.Addr(), ClientConfig{execRetries: 2, Timeout: 2 * time.Second})
+	ns := c.lookup(p.Addr())
+
+	node.frameSever.Store(1)
+	pruned := false
+	var got []sqldb.Row
+	out := c.FetchEach(1, selTestNarrow, func(blk *ColBlock) error {
+		if !pruned {
+			pruned = true
+			// The refresher hears that the member left.
+			c.applyMembers(&membersReply{Members: []wireMember{
+				{ID: node.ID(), Addr: p.Addr(), Incarnation: 1, State: "left"},
+			}})
+		}
+		var err error
+		got, err = blk.AppendRows(got)
+		return err
+	})
+	if !pruned {
+		t.Fatal("the fetch delivered nothing")
+	}
+	if out.Err != nil || len(got) != 20 {
+		t.Fatalf("fetch across the prune: err %v, %d rows; want all 20", out.Err, len(got))
+	}
+	if out.Retries == 0 || node.Executed() != 1 {
+		t.Fatalf("retries %d, executed %d: want a retransmit replayed from the window", out.Retries, node.Executed())
+	}
+	if c.lookup(ns.nodeID()) == ns {
+		t.Fatal("the member is still in the view")
+	}
+	// The negotiate, the fetch, and the one re-dial of the data
+	// connection the cut killed.
+	if n := p.Accepted(); n != 3 {
+		t.Fatalf("%d connections for a negotiate, a fetch and one retransmit, want 3", n)
+	}
+
+	// Requests that a query holding the pruned member still owes it ride
+	// the pool, and the first carries the release.
+	seq := node.dedup.lastSeq()
+	for _, op := range []string{"negotiate", "stats", "stats"} {
+		var rep reply
+		if err := c.rpcOn(ns, &request{Op: op, SQL: selTestNarrow}, &rep, time.Second, nil); err != nil {
+			t.Fatalf("%s on the pruned member: %v", op, err)
+		}
+	}
+	if n := p.Accepted(); n != 3 {
+		t.Fatalf("three more requests dialed %d connections, want none", n-3)
+	}
+	waitReleased(t, node, seq)
 }

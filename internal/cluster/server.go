@@ -395,7 +395,7 @@ func (n *Node) gossipWith(addr string) {
 		timeout = 200 * time.Millisecond
 	}
 	var rep reply
-	if _, err := freshRPC(addr, nil, req, &rep, timeout, nil, nil); err != nil {
+	if err := freshRPC(addr, req, &rep, timeout); err != nil {
 		n.health.Inc(metrics.GossipFailuresTotal)
 		return
 	}
@@ -424,10 +424,32 @@ func (n *Node) broadcastLeave() {
 		go func(addr string) {
 			defer wg.Done()
 			var rep reply
-			_, _ = freshRPC(addr, nil, req, &rep, 250*time.Millisecond, nil, nil)
+			_ = freshRPC(addr, req, &rep, 250*time.Millisecond)
 		}(m.Addr)
 	}
 	wg.Wait()
+}
+
+// freshRPC is one gossip exchange: dial, send the request, read its one
+// reply message, hang up. Gossip needs no hello, and its traffic is no
+// client's wire cost.
+func freshRPC(addr string, req *request, rep *reply, timeout time.Duration) error {
+	conn, err := net.DialTimeout("tcp", addr, timeout)
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
+		return err
+	}
+	if err := writeMsg(bufio.NewWriter(conn), 1, maxRequestBytes, req); err != nil {
+		return err
+	}
+	fm, err := readReply(bufio.NewReader(conn))
+	if err != nil {
+		return err
+	}
+	return decodeMsg(fm, rep)
 }
 
 // Close stops the node gracefully: new work is refused with a typed

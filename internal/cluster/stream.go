@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"time"
 
 	"github.com/qamarket/qamarket/internal/driver"
 	"github.com/qamarket/qamarket/internal/metrics"
@@ -15,8 +14,8 @@ import (
 
 // This file holds the two halves of a streamed fetch: the server's
 // frame writer (streamFetch, invoked by serveConn for every accepted
-// fetch) and the client's frame consumer (fetchStream, fed by mconn.call
-// or freshRPC).
+// fetch) and the client's frame consumer (fetchStream, fed by
+// mconn.call).
 //
 // Memory stays O(batch) on both sides by construction: the server
 // appends one batch into a pooled buffer and hands it to the
@@ -196,8 +195,8 @@ type fetchStream struct {
 	end       frameEnd
 }
 
-// onFrame consumes one frame; it is the callback handed to mconn.call /
-// freshRPC. done=true ends the stream.
+// onFrame consumes one frame; it is the callback handed to mconn.call.
+// done=true ends the stream.
 func (fs *fetchStream) onFrame(typ byte, payload []byte) (bool, error) {
 	switch typ {
 	case frameTypeHeader:
@@ -272,67 +271,3 @@ type frameFunc func(typ byte, payload []byte) (done bool, err error)
 // expected one message, or a message frame that should have been a
 // request: the peer broke the protocol.
 var errUnexpectedFrame = errors.New("cluster: unexpected result frame where a message belongs")
-
-// freshRPC is the dial-per-RPC transport: dial, send the request
-// behind a hello (when h is set; node-to-node gossip sends none), read
-// the answers, hang up. It returns the node ID the hello reply named.
-// The request's answer is one reply message, landing in rep, or — for a
-// fetch, whose caller passes onFrame — result frames fed to onFrame
-// until it reports done; each frame's type tells them apart. Each frame
-// renews the read deadline, a progress bound like the pooled path's
-// per-frame timer. A failed dial or a refused hello wraps errNotSent:
-// the request never ran (a node stops reading after a refusal), which
-// the failover ladder uses to fail over without double-execution risk.
-// The hello and the request leave in one write, so a lost or malformed
-// hello reply is a lost reply. wc, when set, tallies the traffic
-// (server-side gossip exchanges are not a client's wire cost).
-func freshRPC(addr string, h *hello, req *request, rep *reply, timeout time.Duration, wc *wireCounter, onFrame frameFunc) (nodeID string, err error) {
-	conn, err := dial(addr, timeout, wc)
-	if err != nil {
-		return "", fmt.Errorf("%w: %v", errNotSent, err)
-	}
-	defer conn.Close()
-	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-		return "", err
-	}
-	msgs := []any{req}
-	if h != nil {
-		msgs = []any{&request{Op: "hello", Hello: h}, req}
-	}
-	if err := writeMsg(bufio.NewWriter(conn), 0, maxRequestBytes, msgs...); err != nil {
-		return "", err
-	}
-	r := bufio.NewReader(conn)
-	if h != nil {
-		var hr reply
-		fm, err := readReply(r)
-		if err == nil {
-			err = decodeMsg(fm, &hr)
-		}
-		if err == nil {
-			nodeID, err = helloID(&hr)
-		}
-		if errors.Is(err, errHelloRefused) {
-			return "", fmt.Errorf("%w: %w", errNotSent, err)
-		} else if err != nil {
-			return "", err
-		}
-	}
-	for {
-		fm, err := readReply(r)
-		if err != nil {
-			return nodeID, err
-		}
-		if fm.typ == frameTypeMsg || onFrame == nil {
-			return nodeID, decodeMsg(fm, rep)
-		}
-		done, ferr := onFrame(fm.typ, fm.payload)
-		fm.release()
-		if ferr != nil || done {
-			return nodeID, ferr
-		}
-		if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-			return nodeID, err
-		}
-	}
-}

@@ -33,10 +33,10 @@ func startBenchNode(b *testing.B) (*Node, string) {
 	return n, n.Addr()
 }
 
-func benchClient(b *testing.B, addr string, transport testTransport) *Client {
+func benchClient(b *testing.B, addr string) *Client {
 	b.Helper()
 	c, err := NewClient(ClientConfig{
-		Addrs: []string{addr}, Timeout: 5 * time.Second, freshDial: transport.fresh,
+		Addrs: []string{addr}, Timeout: 5 * time.Second,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -45,49 +45,40 @@ func benchClient(b *testing.B, addr string, transport testTransport) *Client {
 	return c
 }
 
-// BenchmarkTransportRPC measures one sequential stats exchange: the
-// pooled transport saves the dial round trip the fresh one pays per op.
+// BenchmarkTransportRPC measures one sequential stats exchange on a
+// pooled connection that is already up.
 func BenchmarkTransportRPC(b *testing.B) {
-	for _, transport := range transports {
-		b.Run(transport.name, func(b *testing.B) {
-			_, addr := startBenchNode(b)
-			c := benchClient(b, addr, transport)
-			if _, err := c.Stats(addr); err != nil { // warm the pool / plan caches
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.Stats(addr); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	_, addr := startBenchNode(b)
+	c := benchClient(b, addr)
+	if _, err := c.Stats(addr); err != nil { // warm the pool / plan caches
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Stats(addr); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // BenchmarkTransportConcurrent is the acceptance benchmark's shape:
-// 8 concurrent callers per proc hammering one node. Multiplexing lets
-// the pooled transport overlap RPCs on a handful of connections where
-// the fresh transport pays a dial each.
+// 8 concurrent callers per proc hammering one node, their RPCs
+// multiplexed on a handful of pooled connections.
 func BenchmarkTransportConcurrent(b *testing.B) {
-	for _, transport := range transports {
-		b.Run(transport.name, func(b *testing.B) {
-			_, addr := startBenchNode(b)
-			c := benchClient(b, addr, transport)
+	_, addr := startBenchNode(b)
+	c := benchClient(b, addr)
+	if _, err := c.Stats(addr); err != nil {
+		b.Fatal(err)
+	}
+	b.SetParallelism(8)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
 			if _, err := c.Stats(addr); err != nil {
 				b.Fatal(err)
 			}
-			b.SetParallelism(8)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if _, err := c.Stats(addr); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
-	}
+		}
+	})
 }
 
 // benchResult builds the acceptance criterion's 1,000-row, 4-column
