@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench benchsmoke loadsmoke fuzzsmoke oneledger onelane onekinds onerow oneonce onewire ci
+.PHONY: all build test vet race bench benchsmoke loadsmoke fuzzsmoke oneledger onelane onekinds onerow oneonce onewire onedoor ci
 
 all: build test
 
@@ -72,7 +72,7 @@ fuzzsmoke:
 # are observers, and trading through them would admit work the account
 # never sees. The files let through build fixed textbook sets with no
 # ledger behind them (Figure 1, the examples, the benchmark's Agent
-# replay, the facade's doc comment). It also keeps eq. (4) on one
+# replay). It also keeps eq. (4) on one
 # solver, economics.TimeBudgetSupplySet's greedy-by-density: it fails
 # when a Go file names the deleted DP solver or its plumbing, or the
 # deleted economics extras that no figure used. And it keeps one buyer,
@@ -81,7 +81,7 @@ fuzzsmoke:
 # offers or bids, or brings back alloc's estimatedFinish.
 oneledger:
 	@if grep -rnE 'TimeBudgetSupplySet\{' --include='*.go' . \
-		| grep -vE '^\./(internal/market/|benchmark/|examples/|internal/experiments/figure1\.go:|qamarket\.go:[0-9]+://)|_test\.go:'; \
+		| grep -vE '^\./(internal/market/|benchmark/|examples/|internal/experiments/figure1\.go:)|_test\.go:'; \
 	then echo 'oneledger: a time-budget supply set is built outside internal/market (see DESIGN.md, "One QA-NT seller")'; exit 1; fi
 	@if grep -rnE '\.Agent\(\)\.(Offer|Accept)\(|Agents\(\)\[[^]]*\]\.(Offer|Accept)\(' --include='*.go' . \
 		| grep -vE '^\./internal/market/|_test\.go:'; \
@@ -172,4 +172,20 @@ onewire:
 		|| grep -nE '\bfreshRPC\(' $(clientsrc); \
 	then echo 'onewire: a second client transport is back: a dial per RPC beside the pools (see DESIGN.md §9, "Connection pool lifecycle")'; exit 1; fi
 
-ci: build vet oneledger onelane onekinds onerow oneonce onewire test race benchsmoke loadsmoke fuzzsmoke
+# onedoor keeps one way into the module: its binaries, examples and
+# benchmark. There is no importable package, no second simulator CLI
+# beside qabench, and no arrival-trace file: every arrival stream is a
+# pure function of its seed. It fails when a non-test Go file sits at
+# the repo root, when cmd/qasim is back, or when a Go file names the
+# deleted trace codec.
+rootsrc := $(filter-out %_test.go,$(wildcard *.go))
+
+onedoor:
+	@if [ -n "$(rootsrc)" ]; \
+	then echo 'onedoor: $(rootsrc) at the repo root; the module has no importable package (see DESIGN.md §1)'; exit 1; fi
+	@if [ -e cmd/qasim ]; \
+	then echo 'onedoor: cmd/qasim is back; qabench -only <figure> -seed N runs one simulated comparison (see DESIGN.md §1)'; exit 1; fi
+	@if grep -rnwE 'SaveTrace|LoadTrace|WriteCSV|ReadCSV' --include='*.go' .; \
+	then echo 'onedoor: an arrival-trace file codec is back; arrivals are regenerated from their seed (see DESIGN.md §1)'; exit 1; fi
+
+ci: build vet oneledger onelane onekinds onerow oneonce onewire onedoor test race benchsmoke loadsmoke fuzzsmoke

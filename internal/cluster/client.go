@@ -212,9 +212,9 @@ type nodeState struct {
 	filterEnc string
 
 	// transport is the two-lane pooled transport. It is set at creation
-	// and stays set until the client's Close, pruned member or not, so
-	// an in-flight query keeps its connections; only a move to a new
-	// address across a restart swaps it, under mu.
+	// and stays set, pruned member or not, so a query that holds it
+	// keeps its connections; only a move to a new address across a
+	// restart swaps it, under mu.
 	transport *nodeTransport
 
 	// Per-op RPC latency histograms, populated lazily.
@@ -271,12 +271,11 @@ type Client struct {
 	// remembers the incarnation at which a member was pruned, so a
 	// slower peer's stale table cannot resurrect it. retired holds
 	// the transports of members that left the view, and those an
-	// address move replaced, until Close: in-flight RPCs keep riding
-	// them.
+	// address move replaced, while a query still holds them.
 	viewMu     sync.RWMutex
 	view       map[string]*nodeState
 	removedInc map[string]uint64
-	retired    []*nodeTransport
+	retired    map[*nodeTransport]struct{}
 
 	// jitterMu serializes the backoff RNG (rand.Rand is not
 	// concurrency-safe and concurrent Runs may back off together).
@@ -318,6 +317,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		hello:       hello{RunID: cfg.RunID, Mechanism: cfg.Mechanism},
 		view:        make(map[string]*nodeState, len(cfg.Addrs)),
 		removedInc:  make(map[string]uint64),
+		retired:     make(map[*nodeTransport]struct{}),
 		rpcCounts:   make(map[string]int64),
 		wire:        &wireCounter{},
 		stopRefresh: make(chan struct{}),
@@ -376,14 +376,12 @@ func (c *Client) Close() {
 		close(c.stopRefresh)
 		c.refreshWG.Wait()
 		c.viewMu.Lock()
-		transports := c.retired
-		c.retired = nil
-		for _, ns := range c.view {
-			transports = append(transports, ns.pools())
-		}
-		c.viewMu.Unlock()
-		for _, nt := range transports {
+		defer c.viewMu.Unlock()
+		for nt := range c.retired {
 			nt.close()
+		}
+		for _, ns := range c.view {
+			ns.pools().close()
 		}
 	})
 }
@@ -439,7 +437,7 @@ func (c *Client) learnID(ns *nodeState, id string) {
 	if other, ok := c.view[id]; ok && other != ns {
 		// Two seed addresses resolved to the same node: keep the entry
 		// that answered, retire the duplicate's transport.
-		c.retired = append(c.retired, other.pools())
+		c.retireLocked(other.pools())
 	}
 	if c.view[old] == ns {
 		delete(c.view, old)
@@ -839,10 +837,42 @@ func (c *Client) pruneLocked(id string, incarnation uint64) {
 	if prev, ok := c.removedInc[id]; !ok || incarnation > prev {
 		c.removedInc[id] = incarnation
 	}
-	// The transport stays on the member: a query that picked it before
+	// The transport stays on the member: a query that sent on it before
 	// it left keeps its connections and queued releases for the
-	// retransmits it may still owe. Close shuts it.
-	c.retired = append(c.retired, ns.pools())
+	// retransmits it may still owe, until the last such query ends.
+	c.retireLocked(ns.pools())
+}
+
+// retireLocked takes a transport out of the view: it closes now if no
+// query holds it, else when the last holder drops it. Callers hold
+// viewMu.
+func (c *Client) retireLocked(nt *nodeTransport) {
+	if nt.holds == 0 {
+		nt.close()
+		return
+	}
+	c.retired[nt] = struct{}{}
+}
+
+// holdTransport pins a transport for a query until dropTransport.
+func (c *Client) holdTransport(nt *nodeTransport) {
+	c.viewMu.Lock()
+	nt.holds++
+	c.viewMu.Unlock()
+}
+
+// dropTransport ends a query's hold, closing a retired transport that
+// nothing holds any more.
+func (c *Client) dropTransport(nt *nodeTransport) {
+	c.viewMu.Lock()
+	defer c.viewMu.Unlock()
+	if nt.holds--; nt.holds > 0 {
+		return
+	}
+	if _, retired := c.retired[nt]; retired {
+		delete(c.retired, nt)
+		nt.close()
+	}
 }
 
 // aggregateNodeErrors folds per-node failures into one error naming

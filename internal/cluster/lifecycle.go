@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/qamarket/qamarket/internal/metrics"
@@ -136,6 +137,10 @@ type lifecycle struct {
 	// shipped counts rows the sink holds (for execute, the cardinality
 	// the winner reported). It is the skip offset of a resume.
 	shipped int64
+	// held are the transports the query has sent on. It holds them until
+	// run ends, so a member pruned meanwhile keeps the connections a
+	// retransmit or a queued release still needs.
+	held []*nodeTransport
 }
 
 // begin opens a lifecycle. Unless the query is a Distributor's (sub), it
@@ -166,6 +171,9 @@ func (c *Client) begin(q query) *lifecycle {
 // result's column names.
 func (l *lifecycle) run() (Outcome, []string) {
 	l.out.Err = l.loop()
+	for _, nt := range l.held {
+		l.c.dropTransport(nt)
+	}
 	l.out.TotalMs = msSince(l.out.Submitted)
 	if l.out.Err != nil {
 		l.root.Annotate("error: %v", l.out.Err)
@@ -384,6 +392,10 @@ func (l *lifecycle) attempt(ns *nodeState) attemptResult {
 	if q.sink != nil {
 		fs = &fetchStream{sink: *q.sink, skip: l.shipped}
 		onFrame = fs.onFrame
+	}
+	if nt := ns.pools(); !slices.Contains(l.held, nt) {
+		c.holdTransport(nt)
+		l.held = append(l.held, nt)
 	}
 	err := c.rpcOn(ns, req, &rep, c.cfg.execTimeout(), onFrame)
 

@@ -206,7 +206,7 @@ func (c *Client) updateMember(ns *nodeState, m membership.Member) {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	if ns.addr != m.Addr && m.Addr != "" {
-		c.retired = append(c.retired, ns.transport)
+		c.retireLocked(ns.transport)
 		ns.addr = m.Addr
 		ns.transport = c.newTransport(m.Addr)
 	}

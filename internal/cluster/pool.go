@@ -420,10 +420,15 @@ func (p *pool) closeAll() {
 // rel is shared by both lanes: the node's session is the run, not the
 // connection, so a release rides the next negotiate, execute or fetch
 // to the node on whichever connection it takes.
+//
+// holds counts the queries that sent on the transport and have not
+// ended, under the client's viewMu: a retired transport closes when the
+// last of them ends (Client.dropTransport).
 type nodeTransport struct {
 	control *pool
 	data    *pool
 	rel     *releases
+	holds   int
 }
 
 func newNodeTransport(addr string, h *hello, size int, wc *wireCounter) *nodeTransport {

@@ -312,6 +312,12 @@ func TestPrunedMemberKeepsItsPool(t *testing.T) {
 	defer p.Close()
 	c := selClient(t, p.Addr(), ClientConfig{execRetries: 2, Timeout: 2 * time.Second})
 	ns := c.lookup(p.Addr())
+	// The follow-up requests below stand for a second query that sent
+	// to the member before it left: they hold its transport as that
+	// query would, from before the fetch until they are done.
+	nt := ns.pools()
+	c.holdTransport(nt)
+	defer c.dropTransport(nt)
 
 	node.frameSever.Store(1)
 	pruned := false
@@ -359,4 +365,48 @@ func TestPrunedMemberKeepsItsPool(t *testing.T) {
 		t.Fatalf("three more requests dialed %d connections, want none", n-3)
 	}
 	waitReleased(t, node, seq)
+}
+
+// TestPrunedMemberClosesItsPool: a pruned member's pooled connections
+// close once no query holds them — at once when the member is idle, and
+// when the last query that sent to it ends otherwise — and the client
+// keeps nothing of the transport.
+func TestPrunedMemberClosesItsPool(t *testing.T) {
+	for _, midQuery := range []bool{false, true} {
+		node := selNode(t, 1)
+		c := selClient(t, node.Addr(), ClientConfig{Timeout: 2 * time.Second})
+		prune := func() {
+			c.applyMembers(&membersReply{Members: []wireMember{
+				{ID: node.ID(), Addr: node.Addr(), Incarnation: 1, State: "left"},
+			}})
+		}
+		pruned := false
+		out := c.FetchEach(1, selTestNarrow, func(blk *ColBlock) error {
+			if midQuery && !pruned {
+				pruned = true
+				prune()
+			}
+			return nil
+		})
+		if out.Err != nil {
+			t.Fatalf("midQuery=%v: fetch: %v", midQuery, out.Err)
+		}
+		if midQuery && !pruned {
+			t.Fatal("the fetch delivered nothing")
+		}
+		if !midQuery {
+			if n := node.OpenConns(); n != 2 {
+				t.Fatalf("%d open connections after a negotiate and a fetch, want 2", n)
+			}
+			prune()
+		}
+		waitFor(t, 5*time.Second, func() bool { return node.OpenConns() == 0 },
+			"the pruned member's connections stayed open")
+		c.viewMu.RLock()
+		left := len(c.retired)
+		c.viewMu.RUnlock()
+		if left != 0 {
+			t.Fatalf("midQuery=%v: the client still keeps %d retired transports", midQuery, left)
+		}
+	}
 }

@@ -2,7 +2,7 @@
 // tables and figures are asserted by internal/experiments' tests and
 // regenerated by cmd/qabench (-paper for the full scale); the
 // end-to-end benchmark is `go run ./benchmark`.
-package qamarket
+package experiments_test
 
 import (
 	"math/rand"
