@@ -139,20 +139,26 @@ oneonce:
 	@if grep -niE 'poolsize' cmd/qaload/*.go; \
 	then echo 'oneonce: qaload defines -poolsize again; connections per lane are a test hook'; exit 1; fi
 
-# onewire keeps one handshake, one framing and one client transport. A
-# client connection opens with a hello that carries the run id and the
-# mechanism, and every message in both directions is a frame whose
-# header carries the one request id and the one protocol version; no
-# request, reply or hello field repeats them or keeps its own old-peer
-# rule. Every client RPC rides the node's pooled connections; only
-# node-to-node gossip dials per exchange (freshRPC), with no hello. It
-# fails when a non-test internal/cluster file declares run_id,
-# mechanism, fetch_batch, node_id or id on request or reply, or v on
-# hello; names the deleted line bound or its error; or peeks at a
-# connection to tell two framings apart; or names the deleted
-# dial-per-RPC hook freshDial; or when freshRPC takes a hello or a frame
-# callback again, or a client file calls it; or when a Go file names the
-# deleted per-field versions or the old-peer stub mode.
+# onewire keeps one handshake, one framing and one client transport.
+# Every connection, gossip's included, opens with a hello that carries
+# the run id and the mechanism, whose answer names the node and its
+# incarnation (boot), and every message in both directions is a frame
+# whose header carries the one request id and the one protocol version;
+# no request, reply or hello field repeats them or keeps its own
+# old-peer rule. Every client RPC rides the node's pooled connections;
+# only node-to-node gossip dials per exchange (freshRPC), its hello and
+# request in one flush. It fails when a non-test internal/cluster file
+# declares run_id, mechanism, fetch_batch, node_id or id on request or
+# reply, or v on hello; names the deleted line bound or its error; or
+# peeks at a connection to tell two framings apart; or names the deleted
+# dial-per-RPC hook freshDial; or when freshRPC takes a frame callback
+# again, or a client file calls it; or when a Go file names the deleted
+# per-field versions or the old-peer stub mode. It also fails when
+# gossipPayload or membersReply names its sender again (from, self),
+# when a non-test internal/cluster file serves a connection that never
+# said hello ("no hello on this connection"), or when pool.get takes
+# the queued releases with no boot comparison: only another incarnation
+# drops them.
 clustersrc := $(filter-out %_test.go,$(wildcard internal/cluster/*.go))
 clientsrc := $(addprefix internal/cluster/,client.go members.go lifecycle.go batcher.go distributed.go)
 
@@ -168,9 +174,16 @@ onewire:
 	@if grep -rnwE 'traceV|gossipV|batchAware' --include='*.go' .; \
 	then echo 'onewire: a per-field protocol version or the old-peer stub mode is back (see DESIGN.md §9, "One handshake")'; exit 1; fi
 	@if grep -nw 'freshDial' $(clustersrc) \
-		|| grep -nE 'func freshRPC\([^)]*(\*hello|frameFunc)' $(clustersrc) \
+		|| grep -nE 'func freshRPC\([^)]*frameFunc' $(clustersrc) \
 		|| grep -nE '\bfreshRPC\(' $(clientsrc); \
 	then echo 'onewire: a second client transport is back: a dial per RPC beside the pools (see DESIGN.md §9, "Connection pool lifecycle")'; exit 1; fi
+	@if awk '/^type (gossipPayload|membersReply) struct/,/^}/' $(clustersrc) | grep -E 'json:"(from|self)[",]'; \
+	then echo 'onewire: gossip or members names its sender again; the hello names the peer (see DESIGN.md §9, "One handshake")'; exit 1; fi
+	@if grep -n 'no hello on this connection' $(clustersrc); \
+	then echo 'onewire: a connection that never said hello is served again (see DESIGN.md §9, "One handshake")'; exit 1; fi
+	@get=$$(awk '/^func \(p \*pool\) get\(/,/^}/' internal/cluster/pool.go); \
+	if echo "$$get" | grep -n 'rel\.take(' && ! echo "$$get" | grep -qiE 'boot[[:alnum:]_.]*[[:space:]]*[!=]=|[!=]=[[:space:]]*[[:alnum:]_.]*boot'; \
+	then echo 'onewire: a dial drops the queued releases whatever incarnation it meets (see DESIGN.md §12, "At-most-once execution")'; exit 1; fi
 
 # onedoor keeps one way into the module: its binaries, examples and
 # benchmark. There is no importable package, no second simulator CLI

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -173,20 +172,15 @@ func TestBatchedWindowOverloadIsTyped(t *testing.T) {
 	}
 }
 
-// rawExchange sends one raw request message to addr and returns the
-// raw reply JSON, as a node gossiping with addr would.
+// rawExchange sends one raw request message to addr behind a hello and
+// returns the raw reply JSON, as a node gossiping with addr would.
 func rawExchange(t *testing.T, addr string, req any) []byte {
 	t.Helper()
-	conn, err := net.DialTimeout("tcp", addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	conn, r := dialGreeted(t, addr, "")
 	if err := writeMsg(bufio.NewWriter(conn), 1, maxRequestBytes, req); err != nil {
 		t.Fatal(err)
 	}
-	fm, err := readFrame(bufio.NewReader(conn), maxFramePayload)
+	fm, err := readFrame(r, maxFramePayload)
 	if err != nil || fm.typ != frameTypeMsg {
 		t.Fatalf("reply frame of type %d (err %v), want a message", fm.typ, err)
 	}

@@ -23,8 +23,9 @@ import (
 // checkpoint. Throughout, the client must keep completing queries
 // (every relation has 2 copies, so any single outage leaves everything
 // feasible), the breaker must bound how many timeouts the dead node
-// charges, and the restarted node must resume its checkpointed price
-// table.
+// charges, the restarted node must resume its checkpointed price
+// table, and the nodes, both of node 2's incarnations counted, must
+// have executed exactly the queries that completed.
 func TestChaosPartitionCrashRestart(t *testing.T) {
 	ds, nodes, addrs := startTestFederation(t, []float64{1, 1, 1}, nil)
 
@@ -74,9 +75,10 @@ func TestChaosPartitionCrashRestart(t *testing.T) {
 		dialsInWindow int
 		windowElapsed time.Duration
 		fileState     []byte
+		restarted     *Node
 	)
 	const total = 34
-	completedAfterRecovery := 0
+	completed, completedAfterRecovery := 0, 0
 	for qi := 0; qi < total; qi++ {
 		switch qi {
 		case 8:
@@ -103,7 +105,7 @@ func TestChaosPartitionCrashRestart(t *testing.T) {
 			// resume assertion is not racing a period tick.
 			windowElapsed = time.Since(crashStart)
 			dialsInWindow = p2.Accepted() - dialsAtCrash
-			restarted, err := StartNode("127.0.0.1:0", NodeConfig{
+			restarted, err = StartNode("127.0.0.1:0", NodeConfig{
 				DB: ds.DBs[2], MsPerCostUnit: 0.02, PeriodMs: 60_000,
 				Market: market.DefaultConfig(1),
 			})
@@ -135,6 +137,7 @@ func TestChaosPartitionCrashRestart(t *testing.T) {
 			t.Errorf("query %d failed: %v", qi, out.Err)
 			continue
 		}
+		completed++
 		if qi >= 27 {
 			completedAfterRecovery++
 		}
@@ -164,6 +167,9 @@ func TestChaosPartitionCrashRestart(t *testing.T) {
 	}
 	if completedAfterRecovery != total-27 {
 		t.Errorf("only %d/%d queries completed after full recovery", completedAfterRecovery, total-27)
+	}
+	if executed := nodes[0].Executed() + nodes[1].Executed() + nodes[2].Executed() + restarted.Executed(); executed != completed {
+		t.Errorf("nodes executed %d queries across both of node 2's incarnations, want the %d that completed", executed, completed)
 	}
 	t.Logf("window=%v dials=%d (cap %d) health=%v", windowElapsed, dialsInWindow, maxDials, health)
 }

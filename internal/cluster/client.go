@@ -508,6 +508,10 @@ var (
 // did not run there, so failing over to another node is always safe.
 var errNotSent = errors.New("request not sent")
 
+// errRestarted reports a retransmit not sent because it met another
+// incarnation of the node, whose dedup window cannot replay the outcome.
+var errRestarted = errors.New("cluster: node restarted since the request was sent")
+
 // tokenBucket is the client-wide retry budget: `rate` tokens per second
 // refill up to `burst`; every retry round, runner-up failover, and
 // retransmit takes one token. Time-based rather than count-based so a
@@ -799,7 +803,7 @@ func (c *Client) negotiateAll(sql string, tc *traceCtx, deadline time.Time) (pro
 // breaker — unless the request was refused for its size before it was
 // written, which says nothing about the node.
 func (c *Client) askNegotiate(ns *nodeState, req *request, rep *reply) (out negOutcome, answered bool) {
-	if err := c.rpcOn(ns, req, rep, c.cfg.Timeout, nil); err != nil {
+	if err := c.rpcOn(ns, req, rep, c.cfg.Timeout, nil, nil); err != nil {
 		if !errors.Is(err, ErrTooLarge) {
 			ns.breaker.failure()
 		}
@@ -892,24 +896,36 @@ func aggregateNodeErrors(members []*nodeState, outs []negOutcome) error {
 // latency of successful RPCs (failures are already counted by the
 // breaker and retry metrics) in the member's per-op histogram. A
 // connection's hello names the node, which resolves the member's stable
-// ID. A fetch passes onFrame and ends with its frames consumed, or with
-// a JSON envelope in rep (a refusal or an error); every other op gets
-// one JSON reply.
-func (c *Client) rpcOn(ns *nodeState, req *request, rep *reply, timeout time.Duration, onFrame frameFunc) error {
+// ID, and its incarnation. A fetch passes onFrame and ends with its
+// frames consumed, or with a JSON envelope in rep (a refusal or an
+// error); every other op gets one JSON reply. A non-nil boot pins the
+// exchange to one incarnation: 0 learns the one the connection reached,
+// and a connection to any other than a nonzero boot sends nothing
+// (errRestarted).
+func (c *Client) rpcOn(ns *nodeState, req *request, rep *reply, timeout time.Duration, onFrame frameFunc, boot *uint64) error {
 	start := time.Now()
 	c.countRPC(req.Op)
 	nt := ns.pools()
 	mc, err := nt.lane(req.Op).get(timeout)
+	if err == nil && boot != nil && *boot != 0 && mc.peer.Boot != *boot {
+		err = errRestarted
+	}
 	if err != nil {
 		// A get failure, a refused hello included, precedes the request.
 		return fmt.Errorf("%w: %w", errNotSent, err)
 	}
+	if boot != nil {
+		*boot = mc.peer.Boot
+	}
 	if req.Op == "negotiate" || req.Op == "execute" || req.Op == "fetch" {
-		// Taken after get: a dial drops what was queued before it.
-		req.Release = nt.rel.take()
+		req.Release = nt.rel.take(mc.peer.Boot)
 	}
 	err = mc.call(req, rep, timeout, onFrame)
-	c.learnID(ns, mc.nodeID)
+	if len(req.Release) > 0 && (errors.Is(err, ErrTooLarge) || errors.Is(err, errNotSent)) {
+		// Refused before a byte was written: the next request carries them.
+		nt.rel.add(mc.peer.Boot, req.Release...)
+	}
+	c.learnID(ns, mc.peer.NodeID)
 	if err == nil {
 		ns.observe(req.Op, msSince(start))
 	}
@@ -921,13 +937,6 @@ func (ns *nodeState) pools() *nodeTransport {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	return ns.transport
-}
-
-// noteHeld queues a release for a fetch outcome the client now holds
-// whole: its end frame arrived clean and the rows matched the header.
-// The next negotiate, execute or fetch to the node carries it.
-func (ns *nodeState) noteHeld(seq uint64) {
-	ns.pools().rel.add(seq)
 }
 
 // countRPC tallies one RPC attempt under its op. Unlike the latency
@@ -1006,7 +1015,7 @@ func (c *Client) Stats(node string) (*NodeStats, error) {
 		return nil, fmt.Errorf("cluster: unknown node %q", node)
 	}
 	var rep reply
-	if err := c.rpcOn(ns, &request{Op: "stats"}, &rep, c.cfg.Timeout, nil); err != nil {
+	if err := c.rpcOn(ns, &request{Op: "stats"}, &rep, c.cfg.Timeout, nil, nil); err != nil {
 		return nil, err
 	}
 	if rep.Code == CodeDraining {
@@ -1036,7 +1045,7 @@ func (c *Client) TraceSpans(traceID int64) []trace.Span {
 		go func(i int, ns *nodeState) {
 			defer wg.Done()
 			var rep reply
-			if err := c.rpcOn(ns, &request{Op: "spans", QueryID: traceID}, &rep, c.cfg.Timeout, nil); err != nil {
+			if err := c.rpcOn(ns, &request{Op: "spans", QueryID: traceID}, &rep, c.cfg.Timeout, nil, nil); err != nil {
 				return
 			}
 			if rep.Err == "" && rep.Spans != nil {

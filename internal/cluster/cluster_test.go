@@ -308,7 +308,7 @@ func TestHistoryEstimatorConverges(t *testing.T) {
 	}
 	// After an execution the estimate must come from history.
 	var rep reply
-	if err := client.rpcOn(client.lookup(addrs[0]), &request{Op: "negotiate", SQL: sql}, &rep, time.Second, nil); err != nil {
+	if err := client.rpcOn(client.lookup(addrs[0]), &request{Op: "negotiate", SQL: sql}, &rep, time.Second, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if rep.Negotiate == nil || !rep.Negotiate.FromCache {

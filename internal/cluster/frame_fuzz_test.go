@@ -4,21 +4,23 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"testing"
 )
 
 // FuzzFrameDecode throws arbitrary bytes at both frame read paths. The
 // node's: readFrame at the request bound, then each message frame
 // decoded as a request. The client's: readFrame at the frame bound,
-// then whichever payload decoder the type byte selects, then row
+// then whichever payload decoder the type byte selects (a message is a
+// reply, read as a hello's answer when it carries one), then row
 // materialization. The invariant is "error, never panic, never an
 // allocation beyond the reader's bound", plus canonical frames: every
 // header, batch or end payload that decodes re-encodes to exactly the
 // same bytes, which is what shows the encoders and decoders are
 // inverses. Seeded with the golden frames of a mixed-kind result,
-// headers carrying small and huge sequence numbers, request messages,
-// and a header announcing more than the request bound, so mutations
-// start from valid streams.
+// headers carrying small and huge sequence numbers, request messages, a
+// hello's answer naming the node's boot, and a header announcing more
+// than the request bound, so mutations start from valid streams.
 func FuzzFrameDecode(f *testing.F) {
 	res := frameTestResult(9)
 	f.Add(appendFetchHeader(nil, 1, res.Columns, 2.5, 4, 9, 0))
@@ -52,6 +54,11 @@ func FuzzFrameDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(msgs.Bytes())
+	var answer bytes.Buffer
+	if err := writeMsg(bufio.NewWriter(&answer), 1, maxFramePayload, &reply{Hello: &helloReply{NodeID: "n1", Boot: 1<<63 + 5}}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(answer.Bytes())
 	over, hdr := beginFrame(nil, frameTypeMsg, 1)
 	over = append(over, `{"op":"stats"}`...)
 	binary.LittleEndian.PutUint32(over[hdr+12:], maxRequestBytes+1)
@@ -86,6 +93,11 @@ func FuzzFrameDecode(f *testing.F) {
 			}
 			var re []byte
 			switch fm.typ {
+			case frameTypeMsg:
+				var rep reply
+				if json.Unmarshal(fm.payload, &rep) == nil && rep.Hello != nil {
+					helloOf(&rep)
+				}
 			case frameTypeHeader:
 				if decodeFetchHeader(fm.payload, &h) == nil {
 					if len(h.columns) > 1<<20 {

@@ -704,7 +704,7 @@ func goldenBatchBlock() *ColBlock {
 // encoder this codec replaced wrote for goldenBatchBlock. Its second
 // byte is the frame version, protocolVersion (3 since every message is
 // a frame); the payload is unchanged since then.
-const goldenBatchHex = "fa0302000700000000000000a10100000b00000005000000696e696969696e6969696909000000" +
+const goldenBatchHex = "fa0402000700000000000000a10100000b00000005000000696e696969696e6969696909000000" +
 	"ffffffffffffffff00000000000000800700000000000000d6ffffffffffffff0000000000000000" +
 	"0300000000000000f7ffffffffffffffffffffffffffff7f02000000000000000000000000000000" +
 	"00000000000000006666666e66666e666666660000000009000000010000000000f87f0000000000" +

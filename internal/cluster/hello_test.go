@@ -84,61 +84,65 @@ func dialGreeted(t *testing.T, addr string, mech Mechanism) (net.Conn, *bufio.Re
 	return conn, r
 }
 
-// TestWorkWithoutHelloRefused: a connection that never said hello has
-// no run id to dedup under, so the node refuses its execute and fetch
-// with the typed protocol code and runs neither. Before the hello, a
-// request that left out its run id ran with no dedup at all. The batch
-// of a batched CFP shares the refusal, and the observability ops still
-// answer on the same connection.
+// TestWorkWithoutHelloRefused: every connection opens with a hello, so
+// a connection whose first frame is anything else runs nothing. Each op
+// gets the typed protocol refusal under its id, and the node hangs up:
+// an execute or fetch that left out its run id would run with no dedup
+// at all, and a gossip push that named no peer would be merged unseen.
+// Once a connection has said hello, a batched CFP on it is solved and
+// answered positionally.
 func TestWorkWithoutHelloRefused(t *testing.T) {
 	_, node, addr, sql := protectionQuery(t)
-	conn, err := net.DialTimeout("tcp", addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	r, w := bufio.NewReader(conn), bufio.NewWriter(conn)
+	stranger := []wireMember{{ID: "stranger", Addr: "127.0.0.1:9", Incarnation: 1, Heartbeat: 1, State: "alive"}}
 	for _, req := range []request{
+		{Op: "negotiate", SQL: sql, Batch: []batchQuery{{QueryID: 3, SQL: sql}}},
 		{Op: "execute", SQL: sql, QueryID: 1},
 		{Op: "fetch", SQL: sql, QueryID: 2},
-		{Op: "negotiate", SQL: sql, Batch: []batchQuery{{QueryID: 3, SQL: sql}}},
+		{Op: "stats"},
+		{Op: "members"},
+		{Op: "spans"},
+		{Op: "gossip", Gossip: &gossipPayload{Members: stranger}},
 	} {
-		if err := writeMsg(w, 1, maxRequestBytes, &req); err != nil {
+		conn, err := net.DialTimeout("tcp", addr, time.Second)
+		if err != nil {
 			t.Fatal(err)
 		}
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if err := writeMsg(bufio.NewWriter(conn), 5, maxRequestBytes, &req); err != nil {
+			t.Fatal(err)
+		}
+		r := bufio.NewReader(conn)
 		var rep reply
-		if _, err := recvMsg(r, &rep); err != nil {
+		id, err := recvMsg(r, &rep)
+		if err != nil {
 			t.Fatalf("%s: %v", req.Op, err)
 		}
-		if rep.Code != CodeProtocol || rep.Execute != nil || rep.Negotiate != nil || rep.Batch != nil {
-			t.Fatalf("%s without a hello answered %+v, want the %q refusal alone", req.Op, rep, CodeProtocol)
+		if rep.Code != CodeProtocol || id != 5 || rep.Hello != nil || rep.Execute != nil || rep.Negotiate != nil ||
+			rep.Batch != nil || rep.Stats != nil || rep.Members != nil || rep.Spans != nil || rep.Gossip != nil {
+			t.Fatalf("%s as a first frame answered %+v under id %d, want the %q refusal alone under id 5", req.Op, rep, id, CodeProtocol)
 		}
-	}
-	if err := writeMsg(w, 1, maxRequestBytes, &request{Op: "stats"}); err != nil {
-		t.Fatal(err)
-	}
-	var rep reply
-	if _, err := recvMsg(r, &rep); err != nil || rep.Stats == nil {
-		t.Fatalf("stats without a hello: %+v (err %v)", rep, err)
+		if _, err := r.ReadByte(); err != io.EOF {
+			t.Fatalf("%s: connection still open after the refusal (read err %v)", req.Op, err)
+		}
+		conn.Close()
 	}
 	if got := node.Executed(); got != 0 {
-		t.Fatalf("node executed %d queries for a connection with no hello, want 0", got)
+		t.Fatalf("node executed %d queries for connections with no hello, want 0", got)
+	}
+	for _, m := range node.Members() {
+		if m.ID == "stranger" {
+			t.Fatal("the node merged a gossip push that came with no hello")
+		}
 	}
 
-	// Once the connection says hello, the same batched CFP is solved and
-	// answered positionally, an infeasible rider included.
-	h := &hello{RunID: "raw", Mechanism: MechGreedy}
-	if err := writeMsg(w, 1, maxRequestBytes, &request{Op: "hello", Hello: h}, &request{
+	conn, r := dialGreeted(t, addr, MechGreedy)
+	if err := writeMsg(bufio.NewWriter(conn), 1, maxRequestBytes, &request{
 		Op: "negotiate", SQL: sql,
 		Batch: []batchQuery{{QueryID: 7, SQL: sql}, {QueryID: 8, SQL: "SELECT nope FROM missing"}},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	var hrep, nrep reply
-	if _, err := recvMsg(r, &hrep); err != nil || hrep.Hello == nil {
-		t.Fatalf("hello: %+v (err %v)", hrep, err)
-	}
+	var nrep reply
 	if _, err := recvMsg(r, &nrep); err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +267,7 @@ func versionProxy(t *testing.T, addr string, toNode bool) string {
 // after it.
 func helloBytes(t *testing.T, n *Node) int {
 	t.Helper()
-	b, err := json.Marshal(reply{Hello: &helloReply{NodeID: n.ID()}})
+	b, err := json.Marshal(reply{Hello: &helloReply{NodeID: n.ID(), Boot: n.boot}})
 	if err != nil {
 		t.Fatal(err)
 	}

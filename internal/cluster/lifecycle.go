@@ -22,8 +22,9 @@ import (
 // The lost-reply rule. A request that was sent but whose reply never
 // arrived may have run. The only legal continuation is a retransmit to
 // the same node, whose dedup window replays the original outcome; when
-// the retransmits run out the query fails with ErrOutcomeUnknown rather
-// than run anywhere else, which could execute it twice.
+// the retransmits run out, or the node restarted and its window with
+// it, the query fails with ErrOutcomeUnknown rather than run anywhere
+// else, which could execute it twice.
 //
 // The partial-delivery rule. A sink without reset hands rows to the
 // caller as they arrive, and they cannot be taken back. Once such a sink
@@ -141,6 +142,9 @@ type lifecycle struct {
 	// run ends, so a member pruned meanwhile keeps the connections a
 	// retransmit or a queued release still needs.
 	held []*nodeTransport
+	// boot is the incarnation the current candidate's first send
+	// reached (0 before it); a retransmit is written only to it.
+	boot uint64
 }
 
 // begin opens a lifecycle. Unless the query is a Distributor's (sub), it
@@ -324,10 +328,13 @@ func (l *lifecycle) admit() (pr proposals, fromCache bool, err error) {
 // escaped to the caller (the partial-delivery rule). A refused or unsent
 // retransmit does not prove the original never ran — the admission gate
 // answers before the dedup window — so those keep retransmitting. A
+// retransmit that meets another incarnation of the node is not sent and
+// ends the retransmits: the new window cannot replay the outcome. A
 // lost reply the retransmits cannot resolve comes back as attemptLost
 // wrapping ErrOutcomeUnknown; escaped rows that cannot be resumed, as
 // attemptFatal.
 func (l *lifecycle) settle(ns *nodeState) attemptResult {
+	l.boot = 0
 	res := l.attempt(ns)
 	settled := res.kind == attemptOK || res.kind == attemptFatal
 	if settled || !(l.escaped() || res.kind == attemptLost) {
@@ -340,6 +347,9 @@ func (l *lifecycle) settle(ns *nodeState) attemptResult {
 		res = l.attempt(ns)
 		if res.kind == attemptOK || res.kind == attemptFatal {
 			return res
+		}
+		if errors.Is(res.err, errRestarted) {
+			break
 		}
 	}
 	if l.escaped() {
@@ -397,7 +407,7 @@ func (l *lifecycle) attempt(ns *nodeState) attemptResult {
 		c.holdTransport(nt)
 		l.held = append(l.held, nt)
 	}
-	err := c.rpcOn(ns, req, &rep, c.cfg.execTimeout(), onFrame)
+	err := c.rpcOn(ns, req, &rep, c.cfg.execTimeout(), onFrame, &l.boot)
 
 	// The answer is an accepted fetch's complete frame stream or a JSON
 	// envelope. A fetch envelope never carries an accepted result: one
@@ -426,10 +436,12 @@ func (l *lifecycle) attempt(ns *nodeState) attemptResult {
 	}
 	l.shipped += res.rows
 	if res.kind == attemptOK && fs != nil && fs.done {
-		// The whole stream is here: the node's copy is no longer needed
-		// for a resume. A cut stream is not released, so its retransmit
-		// replays from the window.
-		ns.noteHeld(fs.header.seq)
+		// The whole stream is here (its end frame arrived clean and the
+		// rows matched the header): the node's copy is no longer needed
+		// for a resume, and the next request to the incarnation that
+		// issued it releases it. A cut stream is not released, so its
+		// retransmit replays from the window.
+		ns.pools().rel.add(l.boot, fs.header.seq)
 	}
 	// A failed attempt into a resettable sink leaves nothing behind, not
 	// even what a header declared before any row arrived.
@@ -453,6 +465,11 @@ func classifyTransport(ns *nodeState, op string, err error) (attemptKind, error)
 		// Our own sink refused the data; node and transport are fine.
 		ns.breaker.success()
 		kind = attemptFatal
+	case errors.Is(err, errRestarted):
+		// A new incarnation answered the hello: the node is up, and the
+		// request went nowhere.
+		ns.breaker.success()
+		kind = attemptNotSent
 	case errors.Is(err, errNotSent):
 		ns.breaker.failure()
 		kind = attemptNotSent

@@ -37,6 +37,9 @@ type lifeFed struct {
 	mockA, mockB   *driver.Mock
 	proxyA, proxyB *faultnet.Proxy
 	c              *Client
+	// mockA2 drives the incarnation restartA put behind A's proxy; nil
+	// until a row restarts A.
+	mockA2 *driver.Mock
 }
 
 const (
@@ -57,27 +60,7 @@ func startLifeFed(t *testing.T, timeout time.Duration) *lifeFed {
 	t.Helper()
 	f := &lifeFed{t: t}
 	start := func(id string, slowdown float64) (*Node, *driver.Mock, *faultnet.Proxy) {
-		db := sqldb.Open()
-		for _, q := range []string{
-			"CREATE TABLE t (a INT, b TEXT)",
-			"INSERT INTO t VALUES (1, 'w'), (2, 'x'), (3, 'y'), (4, 'z')",
-		} {
-			if _, _, err := db.Exec(q); err != nil {
-				t.Fatal(err)
-			}
-		}
-		mock := driver.NewMock(driver.NewLegacy(db), driver.MockConfig{})
-		n, err := StartNode("127.0.0.1:0", NodeConfig{
-			Driver: mock, NodeID: id, Slowdown: slowdown, MsPerCostUnit: 0.05,
-			shareQueueState: true, fetchBatchRows: 1,
-			// One period outlasts the test: supply moves only when a row's
-			// script moves it.
-			PeriodMs: 60_000, Market: market.DefaultConfig(1),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { n.CloseNow() })
+		n, mock := f.startNode(id, slowdown)
 		p, err := faultnet.Start("127.0.0.1:0", n.Addr(), nil)
 		if err != nil {
 			t.Fatal(err)
@@ -102,10 +85,65 @@ func startLifeFed(t *testing.T, timeout time.Duration) *lifeFed {
 	return f
 }
 
+// startNode starts one node over a fault-injecting mock driver.
+func (f *lifeFed) startNode(id string, slowdown float64) (*Node, *driver.Mock) {
+	db := sqldb.Open()
+	for _, q := range []string{
+		"CREATE TABLE t (a INT, b TEXT)",
+		"INSERT INTO t VALUES (1, 'w'), (2, 'x'), (3, 'y'), (4, 'z')",
+	} {
+		if _, _, err := db.Exec(q); err != nil {
+			f.t.Fatal(err)
+		}
+	}
+	mock := driver.NewMock(driver.NewLegacy(db), driver.MockConfig{})
+	n, err := StartNode("127.0.0.1:0", NodeConfig{
+		Driver: mock, NodeID: id, Slowdown: slowdown, MsPerCostUnit: 0.05,
+		shareQueueState: true, fetchBatchRows: 1,
+		// One period outlasts the test: supply moves only when a row's
+		// script moves it.
+		PeriodMs: 60_000, Market: market.DefaultConfig(1),
+	})
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	f.t.Cleanup(func() { n.CloseNow() })
+	return n, mock
+}
+
 // warmA opens A's data lane, so the attempt's request is written on a
 // connection whose hello is already answered.
 func (f *lifeFed) warmA() {
 	f.c.warmLane(f.t, f.c.lookup("A"), "execute")
+}
+
+// loseRepliesA opens A's data lane through a link that loses every
+// reply: A runs what the lane carries, and the client hears nothing.
+func (f *lifeFed) loseRepliesA() {
+	link, err := faultnet.Start("127.0.0.1:0", f.a.Addr(), nil)
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	f.t.Cleanup(func() { link.Close() })
+	f.proxyA.SetTarget(link.Addr())
+	f.warmA()
+	link.Partition(faultnet.ServerToClient)
+}
+
+// restartA puts a new incarnation of A, restored from A's market state,
+// behind A's proxy: every connection dialed from now on reaches it, as
+// after a crash and a checkpoint restore at the same address.
+func (f *lifeFed) restartA() {
+	state, err := f.a.MarketState()
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	n, mock := f.startNode("A", 1)
+	if err := n.RestoreMarketState(state); err != nil {
+		f.t.Fatal(err)
+	}
+	f.mockA2 = mock
+	f.proxyA.SetTarget(n.Addr())
 }
 
 // tokensTaken reads how many retry tokens the client has spent.
@@ -270,6 +308,26 @@ func TestLifecycleConformance(t *testing.T) {
 			want: lifeWant{rounds: 1, tokens: 2, breakerA: breakerOpen, err: ErrOutcomeUnknown, bUntouched: true},
 			// Rows escaped and A cannot resume: terminal, and untyped.
 			wantCallback: &lifeWant{rounds: 1, tokens: 2, breakerA: breakerOpen, err: errLifeFatal, bUntouched: true}},
+		{name: "lost, node restarted before the retransmit", brisk: true,
+			// A runs the query and its replies are lost, and a restored
+			// incarnation has taken A's address. The lane's other warm
+			// connection still reaches A, so the first retransmit goes to A
+			// and is lost too; the second dials, meets another boot and is
+			// not sent: the new window cannot replay the outcome, and running
+			// the query there would run it twice.
+			arm: func(f *lifeFed) {
+				f.loseRepliesA()
+				f.restartA()
+			},
+			want: lifeWant{rounds: 1, tokens: 2, err: ErrOutcomeUnknown, bUntouched: true}},
+		{name: "lost after partial delivery, node restarted", fetchOnly: true,
+			arm:     func(f *lifeFed) { f.a.frameSever.Store(1) },
+			onBlock: func(f *lifeFed) { f.restartA() },
+			// The retransmit meets another boot and is not sent: the outcome
+			// is unknown to a resettable sink.
+			want: lifeWant{rounds: 1, tokens: 1, err: ErrOutcomeUnknown, bUntouched: true},
+			// Rows escaped and A cannot resume: terminal, and untyped.
+			wantCallback: &lifeWant{rounds: 1, tokens: 1, err: errLifeFatal, bUntouched: true}},
 	}
 	for _, row := range rows {
 		for _, op := range lifeOps {
@@ -356,6 +414,9 @@ func TestLifecycleConformance(t *testing.T) {
 				execA, execB := f.mockA.Executions()-execA0, f.mockB.Executions()-execB0
 				if execA+execB > 1 {
 					t.Errorf("executed %d times (A %d, B %d), want at most once", execA+execB, execA, execB)
+				}
+				if f.mockA2 != nil && f.mockA2.Executions() != 0 {
+					t.Errorf("A's new incarnation executed %d queries, want none", f.mockA2.Executions())
 				}
 				if want.bUntouched && execB != 0 {
 					t.Errorf("runner-up executed %d queries, want none", execB)

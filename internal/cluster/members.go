@@ -65,7 +65,7 @@ func (c *Client) RefreshView() error {
 	var lastErr error
 	for _, ns := range c.nodes() {
 		var rep reply
-		if err := c.rpcOn(ns, &request{Op: "members"}, &rep, c.cfg.Timeout, nil); err != nil {
+		if err := c.rpcOn(ns, &request{Op: "members"}, &rep, c.cfg.Timeout, nil, nil); err != nil {
 			lastErr = err
 			continue
 		}

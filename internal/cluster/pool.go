@@ -78,8 +78,8 @@ const streamChanDepth = 8
 // receives the terminal error, and the pool dials a replacement on next
 // use.
 type mconn struct {
-	conn   net.Conn
-	nodeID string // named by the node's answer to the connection's hello
+	conn net.Conn
+	peer helloReply // the node's answer to the connection's hello: who answered it
 
 	wmu sync.Mutex // serializes request writes
 	w   *bufio.Writer
@@ -331,7 +331,6 @@ type pool struct {
 	addr  string
 	hello *hello
 	wc    *wireCounter // the client's byte tally
-	rel   *releases    // the node's queued releases, dropped at each dial
 
 	mu     sync.Mutex
 	slots  []*mconn
@@ -339,8 +338,8 @@ type pool struct {
 	closed bool
 }
 
-func newPool(addr string, h *hello, size int, wc *wireCounter, rel *releases) *pool {
-	return &pool{addr: addr, hello: h, wc: wc, rel: rel, slots: make([]*mconn, size)}
+func newPool(addr string, h *hello, size int, wc *wireCounter) *pool {
+	return &pool{addr: addr, hello: h, wc: wc, slots: make([]*mconn, size)}
 }
 
 // get returns a live connection from the next slot, dialing (and saying
@@ -369,16 +368,12 @@ func (p *pool) get(timeout time.Duration) (*mconn, error) {
 	nc := newMconn(conn)
 	var rep reply
 	if err = nc.call(&request{Op: "hello", Hello: p.hello}, &rep, timeout, nil); err == nil {
-		nc.nodeID, err = helloID(&rep)
+		nc.peer, err = helloOf(&rep)
 	}
 	if err != nil {
 		nc.fail(err)
 		return nil, err
 	}
-	// The new connection may reach a restarted node, whose window numbers
-	// its outcomes afresh: numbers queued before it was dialed must not
-	// ride it. They are dropped, and their records age out by TTL.
-	p.rel.take()
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -419,7 +414,7 @@ func (p *pool) closeAll() {
 //
 // rel is shared by both lanes: the node's session is the run, not the
 // connection, so a release rides the next negotiate, execute or fetch
-// to the node on whichever connection it takes.
+// to the node's incarnation on whichever connection it takes.
 //
 // holds counts the queries that sent on the transport and have not
 // ended, under the client's viewMu: a retired transport closes when the
@@ -432,32 +427,42 @@ type nodeTransport struct {
 }
 
 func newNodeTransport(addr string, h *hello, size int, wc *wireCounter) *nodeTransport {
-	rel := &releases{}
-	return &nodeTransport{control: newPool(addr, h, size, wc, rel), data: newPool(addr, h, size, wc, rel), rel: rel}
+	return &nodeTransport{control: newPool(addr, h, size, wc), data: newPool(addr, h, size, wc), rel: &releases{}}
 }
 
 // releases queues the sequence numbers of one node's fetch outcomes
 // that the client holds whole, until a request to the node carries
-// them. A release that is lost — its request failed, or a dial dropped
-// it — costs nothing but memory: the node keeps the result until its
-// TTL, as if no release existed.
+// them. A restarted node numbers its outcomes afresh, so the queue holds
+// the numbers of one incarnation, named by its boot, and another boot
+// drops them. A release that is lost — its request failed, or the node
+// restarted — costs nothing but memory: the node keeps the result until
+// its TTL, as if no release existed.
 type releases struct {
 	mu   sync.Mutex
+	boot uint64
 	seqs []uint64
 }
 
-func (r *releases) add(seq uint64) {
+// add queues numbers that incarnation boot issued.
+func (r *releases) add(boot uint64, seqs ...uint64) {
 	r.mu.Lock()
-	r.seqs = append(r.seqs, seq)
+	if boot != r.boot {
+		r.boot, r.seqs = boot, nil
+	}
+	r.seqs = append(r.seqs, seqs...)
 	r.mu.Unlock()
 }
 
-// take empties the queue and returns what it held (nil when empty).
-func (r *releases) take() []uint64 {
+// take empties the queue and returns what it held for a request to
+// incarnation boot (nil when empty, or held for another).
+func (r *releases) take(boot uint64) []uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	seqs := r.seqs
 	r.seqs = nil
+	if boot != r.boot {
+		return nil
+	}
 	return seqs
 }
 

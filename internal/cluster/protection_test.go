@@ -110,6 +110,87 @@ func TestSeveredReplyRetryExecutesOnce(t *testing.T) {
 	}
 }
 
+// TestRestartBeforeRetransmitExecutesOnce: an execute reaches the node
+// and runs, its reply is lost, and before the client retransmits, the
+// node crashes and a new incarnation restored from its checkpoint takes
+// its address. The new incarnation's dedup window is empty, so it would
+// run the retransmit as a new query: the query would run twice and the
+// client see a clean success. Its hello names another boot, so the
+// retransmit is never written and the query ends with ErrOutcomeUnknown
+// at once, having run once in all.
+func TestRestartBeforeRetransmitExecutesOnce(t *testing.T) {
+	ds, node, addr, sql := protectionQuery(t)
+	// The client dials front, which a restart retargets; until then front
+	// reaches the node through link, which loses every reply.
+	link, err := faultnet.Start("127.0.0.1:0", addr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer link.Close()
+	front, err := faultnet.Start("127.0.0.1:0", link.Addr(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer front.Close()
+	// One connection per lane: the crash kills the only data connection,
+	// so the retransmit dials.
+	c, err := NewClient(ClientConfig{
+		Addrs: []string{front.Addr()}, Timeout: 5 * time.Second, execTimeoutFactor: 1, execRetries: 2, poolSize: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ns := c.nodes()[0]
+	c.warmLane(t, ns, "execute")
+	link.Partition(faultnet.ServerToClient)
+
+	restartedCh := make(chan *Node, 1)
+	go func() {
+		defer close(restartedCh)
+		for deadline := time.Now().Add(5 * time.Second); node.Executed() == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Error("the node never ran the query")
+				return
+			}
+		}
+		state, err := node.MarketState()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		restarted, err := StartNode("127.0.0.1:0", NodeConfig{
+			DB: ds.DBs[0], MsPerCostUnit: 0.02, PeriodMs: 50, Market: market.DefaultConfig(1),
+		})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		t.Cleanup(func() { restarted.Close() })
+		if err := restarted.RestoreMarketState(state); err != nil {
+			t.Error(err)
+		}
+		front.SetTarget(restarted.Addr())
+		restartedCh <- restarted
+		node.CloseNow() // the crash cuts the connection whose reply was lost
+	}()
+	l := c.begin(query{id: 1, sql: sql})
+	res := l.settle(ns)
+	restarted := <-restartedCh
+	if restarted == nil {
+		t.FailNow()
+	}
+	if got := node.Executed() + restarted.Executed(); got != 1 || restarted.Executed() != 0 {
+		t.Fatalf("executed %d times (new incarnation %d), want once, on the old one", got, restarted.Executed())
+	}
+	if res.kind != attemptLost || !errors.Is(res.err, ErrOutcomeUnknown) {
+		t.Fatalf("kind = %v err = %v, want attemptLost/ErrOutcomeUnknown", res.kind, res.err)
+	}
+	if l.out.Retries != 1 {
+		t.Fatalf("settle charged %d retransmits, want the one that met the new incarnation", l.out.Retries)
+	}
+}
+
 // startWinningStub runs a server that always wins negotiation (a
 // near-zero estimate) and then refuses every execute with a typed
 // overload — the deterministic bait for the failover ladder.

@@ -34,23 +34,27 @@ const (
 // speaks: every frame's header carries it (frame.go), and a node refuses
 // a frame of any other version. Version 2 added the fetch header's
 // sequence number and the request's release list; version 3 framed
-// every message.
-const protocolVersion = 3
+// every message; version 4 made the hello every connection's first
+// message and named the node's incarnation in its answer.
+const protocolVersion = 4
 
-// hello opens every connection a client dials: what stays constant for
-// the client's whole run. The node keeps it as the connection's
-// session, and negotiate, execute and fetch take the run id
-// (at-most-once dedup) and the mechanism from it. Stats, members, spans
-// and node-to-node gossip need no hello.
+// hello opens every connection: what stays constant for the peer's
+// whole run. The node keeps it as the connection's session, and
+// negotiate, execute and fetch take the run id (at-most-once dedup) and
+// the mechanism from it. A node gossiping says hello under its own
+// NodeID.
 type hello struct {
 	RunID     string    `json:"run_id"`
 	Mechanism Mechanism `json:"mechanism"`
 }
 
-// helloReply accepts a hello and names the answering node, so a client
-// learns each seed address's stable ID when it first connects.
+// helloReply accepts a hello and says who answered it: the node's
+// stable ID, which a client learns for each seed address when it first
+// connects, and this incarnation's boot nonce, random at StartNode and
+// never checkpointed, so a restarted node answers with another one.
 type helloReply struct {
 	NodeID string `json:"node_id"`
+	Boot   uint64 `json:"boot"`
 }
 
 // request is one RPC from client to server. It travels as a message
@@ -78,8 +82,8 @@ type request struct {
 	// SQL/QueryID/DeadlineMs fields describe the first query exactly as
 	// an unbatched negotiate would, and Batch holds the rest of the
 	// coalesced window. The reply answers them positionally. A node-wide
-	// refusal (draining, overload at the admission gate, no hello)
-	// carries no Batch and answers every query of the window.
+	// refusal (draining, overload at the admission gate) carries no Batch
+	// and answers every query of the window.
 	Batch []batchQuery `json:"batch,omitempty"`
 	// Release names fetch outcomes this client now holds whole, by the
 	// sequence numbers their header frames carried. It rides the next
@@ -146,15 +150,14 @@ type wireMember struct {
 }
 
 // gossipPayload rides both directions of a push-pull gossip exchange.
+// The connection's hello already names the sender.
 type gossipPayload struct {
-	From    string       `json:"from"`
 	Members []wireMember `json:"members"`
 }
 
 // membersReply answers the "members" op with the node's merged view,
 // for clients refreshing their live view and for qactl -members.
 type membersReply struct {
-	Self    string       `json:"self"`
 	Members []wireMember `json:"members"`
 }
 
@@ -262,10 +265,9 @@ const (
 	// told so by a healthy node, and retrying cannot help.
 	CodeReleased = "released"
 	// CodeProtocol refuses a frame of a protocol version this node does
-	// not speak, or a hello with no run id (the node then closes the
-	// connection), and a negotiate, execute or fetch on a connection that
-	// opened with no hello. Such a peer cannot serve the client at all,
-	// so retrying cannot help.
+	// not speak, a hello with no run id, or a first frame that is not a
+	// hello; the node then closes the connection. Such a peer cannot
+	// serve the client at all, so retrying cannot help.
 	CodeProtocol = "protocol"
 )
 
@@ -283,8 +285,8 @@ const (
 )
 
 // msgHelloRefused is the human-readable half of the typed protocol
-// refusal of a frame of another version or a hello without a run id.
-var msgHelloRefused = fmt.Sprintf("hello refused: this node speaks protocol version %d", protocolVersion)
+// refusal.
+var msgHelloRefused = fmt.Sprintf("hello refused: a connection opens with a hello of protocol version %d", protocolVersion)
 
 // reply is the union envelope sent back by the server, in a message
 // frame under the request's id.
@@ -329,13 +331,13 @@ func dial(addr string, timeout time.Duration, wc *wireCounter) (net.Conn, error)
 	return &countedConn{Conn: conn, wc: wc}, nil
 }
 
-// helloID reads the node's answer to a hello: the node ID it names.
-func helloID(rep *reply) (string, error) {
+// helloOf reads the node's answer to a hello: who answered it.
+func helloOf(rep *reply) (helloReply, error) {
 	switch {
 	case rep.Code == CodeProtocol:
-		return "", fmt.Errorf("%w: %s", errHelloRefused, rep.Err)
+		return helloReply{}, fmt.Errorf("%w: %s", errHelloRefused, rep.Err)
 	case rep.Hello == nil:
-		return "", fmt.Errorf("cluster: malformed hello reply: %s", rep.Err)
+		return helloReply{}, fmt.Errorf("cluster: malformed hello reply: %s", rep.Err)
 	}
-	return rep.Hello.NodeID, nil
+	return *rep.Hello, nil
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -33,9 +34,8 @@ func selNode(t *testing.T, batchRows int) *Node {
 	return n
 }
 
-// selClient starts a client on addr with one connection per lane: a
-// dial drops the releases queued before it, so the tests' releases ride
-// connections that are already up.
+// selClient starts a client on addr with one connection per lane, so a
+// test knows which connection each request rides.
 func selClient(t *testing.T, addr string, ccfg ClientConfig) *Client {
 	t.Helper()
 	ccfg.Addrs, ccfg.PeriodMs, ccfg.poolSize = []string{addr}, 50, 1
@@ -101,7 +101,7 @@ func TestReleasedDuplicateIsRefused(t *testing.T) {
 			// A negotiate carries the release; it runs nothing.
 			ns := c.lookup(node.Addr())
 			var rep reply
-			if err := c.rpcOn(ns, &request{Op: "negotiate", SQL: sql}, &rep, time.Second, nil); err != nil {
+			if err := c.rpcOn(ns, &request{Op: "negotiate", SQL: sql}, &rep, time.Second, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 			waitReleased(t, node, seq)
@@ -139,19 +139,19 @@ func TestReleaseNamesOnlyTheRunsOwn(t *testing.T) {
 		t.Fatal(out.Err)
 	}
 	seq := node.dedup.lastSeq()
-	owner.lookup(node.Addr()).transport.rel.take() // the owner never releases it
+	owner.lookup(node.Addr()).transport.rel.take(node.boot) // the owner never releases it
 	// The other run names the owner's number, and numbers nobody issued.
 	ons := other.lookup(node.Addr())
 	for _, s := range []uint64{seq, seq + 1, seq + 1000, seq - 1, 1 << 63} {
-		ons.transport.rel.add(s)
+		ons.transport.rel.add(node.boot, s)
 	}
 	var rep reply
-	if err := other.rpcOn(ons, &request{Op: "negotiate", SQL: selTestNarrow}, &rep, time.Second, nil); err != nil {
+	if err := other.rpcOn(ons, &request{Op: "negotiate", SQL: selTestNarrow}, &rep, time.Second, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	// The release is applied after the reply is written; a second
 	// exchange on the same connection is answered after it.
-	if err := other.rpcOn(ons, &request{Op: "negotiate", SQL: selTestNarrow}, &rep, time.Second, nil); err != nil {
+	if err := other.rpcOn(ons, &request{Op: "negotiate", SQL: selTestNarrow}, &rep, time.Second, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if so, _ := node.dedup.record(seq); so.rec.released() {
@@ -250,10 +250,10 @@ func TestSeveredFetchReleasedAfterEnd(t *testing.T) {
 	if so, _ := node.dedup.record(seq); so.rec.released() {
 		t.Fatal("the result was released before a request carried the release")
 	}
-	if q := c.lookup(p.Addr()).transport.rel.take(); !reflect.DeepEqual(q, []uint64{seq}) {
+	if q := c.lookup(p.Addr()).transport.rel.take(node.boot); !reflect.DeepEqual(q, []uint64{seq}) {
 		t.Fatalf("queued releases %v, want the resumed stream's %d only", q, seq)
 	}
-	c.lookup(p.Addr()).transport.rel.add(seq)
+	c.lookup(p.Addr()).transport.rel.add(node.boot, seq)
 	if out := c.Run(2, selTestNarrow); out.Err != nil {
 		t.Fatal(out.Err)
 	}
@@ -274,27 +274,89 @@ func streamBytesUpTo(res *ColBlock, batchRows, batches int) []byte {
 
 // TestDialDropsQueuedReleases: a number only means something to the
 // node incarnation that issued it, and a restarted node numbers its
-// outcomes from 0 again. So a connection dialed after a release was
-// queued — it may reach a restarted node — drops the queue instead of
-// carrying it, and the record stays until its TTL.
+// outcomes from 0 again. So the queue rides a re-dialed connection that
+// meets the same incarnation, and a connection that meets another one
+// drops it, whose record then stays until its TTL.
 func TestDialDropsQueuedReleases(t *testing.T) {
+	t.Run("same boot carries it", func(t *testing.T) {
+		node := selNode(t, 0)
+		c := selClient(t, node.Addr(), ClientConfig{})
+		if _, out := c.Fetch(1, selTestNarrow); out.Err != nil {
+			t.Fatal(out.Err)
+		}
+		seq := node.dedup.lastSeq()
+		nt := c.lookup(node.Addr()).transport
+		nt.control.slots[0].fail(errors.New("connection lost")) // the next negotiate re-dials
+		if out := c.Run(2, selTestWide); out.Err != nil {
+			t.Fatal(out.Err)
+		}
+		waitReleased(t, node, seq)
+		if q := nt.rel.take(node.boot); len(q) != 0 {
+			t.Fatalf("releases %v still queued after a request carried them", q)
+		}
+	})
+
+	t.Run("new boot drops it", func(t *testing.T) {
+		node := selNode(t, 0)
+		p, err := faultnet.Start("127.0.0.1:0", node.Addr(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		c := selClient(t, p.Addr(), ClientConfig{RunID: "run"})
+		if _, out := c.Fetch(1, selTestNarrow); out.Err != nil {
+			t.Fatal(out.Err)
+		}
+		seq := node.dedup.lastSeq()
+		node.CloseNow()
+		// The new incarnation's own first outcome under the same run takes
+		// the number the queued release names.
+		restarted := selNode(t, 0)
+		other := selClient(t, restarted.Addr(), ClientConfig{RunID: "run"})
+		if out := other.Run(7, selTestWide); out.Err != nil {
+			t.Fatal(out.Err)
+		}
+		if got := restarted.dedup.lastSeq(); got != seq {
+			t.Fatalf("the new incarnation numbered its first outcome %d, want %d", got, seq)
+		}
+		p.SetTarget(restarted.Addr())
+		if out := c.Run(2, selTestWide); out.Err != nil {
+			t.Fatal(out.Err)
+		}
+		nt := c.lookup(p.Addr()).transport
+		if q := nt.rel.take(restarted.boot); len(q) != 0 {
+			t.Fatalf("releases %v still queued after a dial met a new incarnation", q)
+		}
+		// A release is applied after its request is answered; this one is
+		// answered after it.
+		var rep reply
+		if err := c.rpcOn(c.lookup(p.Addr()), &request{Op: "negotiate", SQL: selTestNarrow}, &rep, time.Second, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if so, _ := restarted.dedup.record(seq); so.rec.released() {
+			t.Fatal("a release the old incarnation issued dropped the new one's outcome")
+		}
+	})
+}
+
+// TestRefusedRequestKeepsItsReleases: a request refused before a byte
+// of it was written (here for its size) hands its releases back, and
+// the next request carries them.
+func TestRefusedRequestKeepsItsReleases(t *testing.T) {
 	node := selNode(t, 0)
 	c := selClient(t, node.Addr(), ClientConfig{})
 	if _, out := c.Fetch(1, selTestNarrow); out.Err != nil {
 		t.Fatal(out.Err)
 	}
 	seq := node.dedup.lastSeq()
-	nt := c.lookup(node.Addr()).transport
-	nt.control.slots[0].fail(errors.New("connection lost")) // the next negotiate re-dials
-	if out := c.Run(2, selTestWide); out.Err != nil {
+	big := "SELECT a FROM big WHERE d = '" + strings.Repeat("x", maxRequestBytes) + "'"
+	if out := c.Run(2, big); !errors.Is(out.Err, ErrTooLarge) {
+		t.Fatalf("oversize query: err = %v, want %v", out.Err, ErrTooLarge)
+	}
+	if out := c.Run(3, selTestWide); out.Err != nil {
 		t.Fatal(out.Err)
 	}
-	if q := nt.rel.take(); len(q) != 0 {
-		t.Fatalf("releases %v still queued after a dial", q)
-	}
-	if so, _ := node.dedup.record(seq); so.rec.released() {
-		t.Fatal("a release queued before a dial rode the new connection")
-	}
+	waitReleased(t, node, seq)
 }
 
 // TestPrunedMemberKeepsItsPool: the view refresher prunes a member while
@@ -357,7 +419,7 @@ func TestPrunedMemberKeepsItsPool(t *testing.T) {
 	seq := node.dedup.lastSeq()
 	for _, op := range []string{"negotiate", "stats", "stats"} {
 		var rep reply
-		if err := c.rpcOn(ns, &request{Op: op, SQL: selTestNarrow}, &rep, time.Second, nil); err != nil {
+		if err := c.rpcOn(ns, &request{Op: op, SQL: selTestNarrow}, &rep, time.Second, nil, nil); err != nil {
 			t.Fatalf("%s on the pruned member: %v", op, err)
 		}
 	}

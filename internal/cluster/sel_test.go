@@ -143,7 +143,7 @@ func TestSelFetchSameRowsOnEveryEncoding(t *testing.T) {
 			// it; this one drops the release, as a client does that lost the
 			// first reply and sends the fetch again.
 			for attempt := 0; attempt < 2; attempt++ {
-				c.lookup(node.Addr()).transport.rel.take()
+				c.lookup(node.Addr()).transport.rel.take(node.boot)
 				res, out := c.Fetch(int64(id+1), sql)
 				if out.Err != nil {
 					t.Fatalf("Fetch: %v", out.Err)

@@ -184,6 +184,7 @@ type Node struct {
 	health *metrics.Health
 	reg    *membership.Registry
 	epoch  atomic.Uint64 // pricer periods elapsed (the market's age)
+	boot   uint64        // this incarnation's nonce, named in every hello answer
 
 	// tracer retains recent query-lifecycle spans in a ring buffer;
 	// qactl -trace collects them via the "spans" op. Spans record only
@@ -263,6 +264,7 @@ func StartNode(addr string, cfg NodeConfig) (*Node, error) {
 		cfg:     cfg,
 		ln:      ln,
 		pricer:  pricer,
+		boot:    rand.Uint64() | 1, // odd: 0 names no incarnation
 		health:  metrics.NewHealth(),
 		tracer:  trace.NewRecorder(cfg.NodeID, trace.DefaultCapacity, time.Now),
 		opHist:  make(map[string]*metrics.Histogram),
@@ -386,16 +388,13 @@ func (n *Node) gossipLoop() {
 // peer's. Exchanges ride fresh connections — gossip is rare and tiny,
 // and must not compete with query traffic for pooled lanes.
 func (n *Node) gossipWith(addr string) {
-	req := &request{Op: "gossip", Gossip: &gossipPayload{
-		From:    n.cfg.NodeID,
-		Members: toWireMembers(n.reg.Members()),
-	}}
+	req := &request{Op: "gossip", Gossip: &gossipPayload{Members: toWireMembers(n.reg.Members())}}
 	timeout := 2 * time.Duration(n.cfg.GossipPeriodMs) * time.Millisecond
 	if timeout < 200*time.Millisecond {
 		timeout = 200 * time.Millisecond
 	}
 	var rep reply
-	if err := freshRPC(addr, req, &rep, timeout); err != nil {
+	if err := freshRPC(addr, &hello{RunID: n.cfg.NodeID}, req, &rep, timeout); err != nil {
 		n.health.Inc(metrics.GossipFailuresTotal)
 		return
 	}
@@ -411,10 +410,8 @@ func (n *Node) gossipWith(addr string) {
 func (n *Node) broadcastLeave() {
 	n.reg.Leave()
 	peers := n.reg.Live()
-	req := &request{Op: "gossip", Gossip: &gossipPayload{
-		From:    n.cfg.NodeID,
-		Members: toWireMembers(n.reg.Members()),
-	}}
+	h := &hello{RunID: n.cfg.NodeID}
+	req := &request{Op: "gossip", Gossip: &gossipPayload{Members: toWireMembers(n.reg.Members())}}
 	var wg sync.WaitGroup
 	for _, m := range peers {
 		if m.ID == n.cfg.NodeID {
@@ -424,16 +421,17 @@ func (n *Node) broadcastLeave() {
 		go func(addr string) {
 			defer wg.Done()
 			var rep reply
-			_ = freshRPC(addr, req, &rep, 250*time.Millisecond)
+			_ = freshRPC(addr, h, req, &rep, 250*time.Millisecond)
 		}(m.Addr)
 	}
 	wg.Wait()
 }
 
-// freshRPC is one gossip exchange: dial, send the request, read its one
-// reply message, hang up. Gossip needs no hello, and its traffic is no
-// client's wire cost.
-func freshRPC(addr string, req *request, rep *reply, timeout time.Duration) error {
+// freshRPC is one gossip exchange: dial, send the node's hello and the
+// request in one flush, read both answers, hang up. It costs no round
+// trip more than the request alone, and its traffic is no client's wire
+// cost.
+func freshRPC(addr string, h *hello, req *request, rep *reply, timeout time.Duration) error {
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return err
@@ -442,14 +440,23 @@ func freshRPC(addr string, req *request, rep *reply, timeout time.Duration) erro
 	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
 		return err
 	}
-	if err := writeMsg(bufio.NewWriter(conn), 1, maxRequestBytes, req); err != nil {
+	if err := writeMsg(bufio.NewWriter(conn), 1, maxRequestBytes, &request{Op: "hello", Hello: h}, req); err != nil {
 		return err
 	}
-	fm, err := readReply(bufio.NewReader(conn))
-	if err != nil {
-		return err
+	r := bufio.NewReader(conn)
+	for i, v := range []*reply{{}, rep} {
+		fm, err := readReply(r)
+		if err == nil {
+			err = decodeMsg(fm, v)
+		}
+		if err == nil && i == 0 {
+			_, err = helloOf(v)
+		}
+		if err != nil {
+			return err
+		}
 	}
-	return decodeMsg(fm, rep)
+	return nil
 }
 
 // Close stops the node gracefully: new work is refused with a typed
@@ -636,13 +643,14 @@ func (n *Node) acceptLoop() {
 	}
 }
 
-// serveConn handles one client connection, reading requests as message
-// frames no larger than maxRequestBytes. A hello is answered before the
-// next frame is read and becomes the connection's session. Other
-// requests run on their own goroutines with the session as it stood, so
-// a client can keep many RPCs in flight on one connection; replies carry
-// the request's frame id, share the connection's writer under a mutex
-// and complete in finish order. Work-op concurrency is bounded node-wide
+// serveConn handles one connection, reading requests as message frames
+// no larger than maxRequestBytes. The first frame must be a hello: it is
+// answered before the next frame is read and becomes the connection's
+// session, and any other first frame is refused and the connection
+// closed. Other requests run on their own goroutines with the session as
+// it stood, so a client can keep many RPCs in flight on one connection;
+// replies carry the request's frame id, share the connection's writer
+// under a mutex and complete in finish order. Work-op concurrency is bounded node-wide
 // by the MaxInflight admission gate in handle (excess answered with a
 // typed overload refusal), not by per-connection backpressure: a refused
 // market participant should learn the node is saturated, not wait blind
@@ -664,7 +672,7 @@ func (n *Node) serveConn(conn net.Conn) {
 		defer wmu.Unlock()
 		return writeMsg(w, id, maxFramePayload, rep)
 	}
-	var sess *hello // the connection's hello; nil until one arrives
+	var sess *hello // the connection's hello; nil only before the first frame
 	for {
 		var req request
 		fm, err := readFrame(r, maxRequestBytes)
@@ -685,9 +693,9 @@ func (n *Node) serveConn(conn net.Conn) {
 			}
 			return // client closed, refused frame, or protocol error; drop the conn
 		}
-		if req.Op == "hello" {
-			rep := &reply{Hello: &helloReply{NodeID: n.cfg.NodeID}}
-			if h := req.Hello; h == nil || h.RunID == "" {
+		if sess == nil || req.Op == "hello" {
+			rep := &reply{Hello: &helloReply{NodeID: n.cfg.NodeID, Boot: n.boot}}
+			if h := req.Hello; req.Op != "hello" || h == nil || h.RunID == "" {
 				rep = &reply{Err: msgHelloRefused, Code: CodeProtocol}
 			}
 			if err := send(fm.id, rep); err != nil || rep.Hello == nil {
@@ -714,7 +722,7 @@ func (n *Node) serveConn(conn net.Conn) {
 			} else {
 				err = send(id, rep)
 			}
-			if len(req.Release) > 0 && sess != nil {
+			if len(req.Release) > 0 {
 				// Off the reply's latency path: the results named here
 				// are already whole on the client.
 				n.dedup.release(n.dedup.run(sess.RunID), req.Release)
@@ -731,7 +739,7 @@ func (n *Node) serveConn(conn net.Conn) {
 
 // handle runs one request through the drain gate and its op handler,
 // recording server-side handling latency per op. sess is the
-// connection's hello, which the work ops require.
+// connection's hello.
 func (n *Node) handle(req *request, sess *hello) *reply {
 	start := time.Now()
 	defer func() { n.observeOp(req.Op, msSince(start)) }()
@@ -748,10 +756,6 @@ func (n *Node) handle(req *request, sess *hello) *reply {
 	default:
 		switch req.Op {
 		case "negotiate", "execute", "fetch":
-			if sess == nil {
-				rep.Err, rep.Code = "no hello on this connection", CodeProtocol
-				break
-			}
 			n.handleWork(req, sess, &rep)
 		case "stats":
 			sr := n.nodeStats()
@@ -827,15 +831,12 @@ func (n *Node) handleGossip(req *request) *gossipPayload {
 	if req.Gossip != nil {
 		n.reg.Merge(fromWireMembers(req.Gossip.Members))
 	}
-	return &gossipPayload{
-		From:    n.cfg.NodeID,
-		Members: toWireMembers(n.reg.Members()),
-	}
+	return &gossipPayload{Members: toWireMembers(n.reg.Members())}
 }
 
 // handleMembers serves the node's merged membership view.
 func (n *Node) handleMembers() *membersReply {
-	return &membersReply{Self: n.cfg.NodeID, Members: toWireMembers(n.reg.Members())}
+	return &membersReply{Members: toWireMembers(n.reg.Members())}
 }
 
 // handleSpans serves the node's retained spans for one trace (or the
