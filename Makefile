@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench benchsmoke loadsmoke fuzzsmoke oneledger onelane onekinds onerow oneonce onewire onedoor ci
+.PHONY: all build test vet race bench benchsmoke loadsmoke examplesmoke fuzzsmoke oneledger onelane onekinds onerow oneonce onewire onedoor ci
 
 all: build test
 
@@ -35,6 +35,19 @@ benchsmoke:
 loadsmoke:
 	$(GO) run ./cmd/qaload -selfnodes 2 -clients 4 -queries 24 -mix 3 -mspercost 0.005 -period 25
 
+# examplesmoke runs the two market examples: both must exit cleanly,
+# quickstart must show the Section 3.3 narrative's end, q1 entering
+# N1's supply vector once its refusals have raised its price, and
+# pricedynamics' agents must serve every query of every period
+# (Proposition 3.1 on the Figure 1 market).
+examplesmoke:
+	@out=$$($(GO) run ./examples/quickstart) || { echo "$$out"; echo 'examplesmoke: examples/quickstart failed'; exit 1; }; \
+	if ! echo "$$out" | grep -qF '<- q1 entered the supply vector'; \
+	then echo "$$out"; echo 'examplesmoke: examples/quickstart never put q1 in the supply vector'; exit 1; fi
+	@out=$$($(GO) run ./examples/pricedynamics) || { echo "$$out"; echo 'examplesmoke: examples/pricedynamics failed'; exit 1; }; \
+	if ! echo "$$out" | grep -qF '; 0 queries went unserved'; \
+	then echo "$$out"; echo 'examplesmoke: examples/pricedynamics left queries unserved'; exit 1; fi
+
 # fuzzsmoke runs the seven fuzzers briefly on every CI run, each with
 # its committed corpus as regression seeds. FuzzFrameDecode holds the
 # binary lane's malformed-input promise ("error, never panic, never
@@ -67,12 +80,17 @@ fuzzsmoke:
 	$(GO) test ./internal/sqldb -run '^$$' -fuzz '^FuzzLikeMatch$$' -fuzztime 5s
 
 # oneledger keeps the capacity ledger in one place: only internal/market
-# (Seller.supplySet) may turn a budget into a time-budget supply set,
-# and only a Seller may sell from one — Seller.Agent() and QANT.Agents()
-# are observers, and trading through them would admit work the account
-# never sees. The files let through build fixed textbook sets with no
-# ledger behind them (Figure 1, the examples, the benchmark's Agent
-# replay). It also keeps eq. (4) on one
+# (Seller.replan) may turn a budget into a time-budget supply set, and
+# market.Seller is the one QA-NT trader — there is no bare Agent to
+# trade past the ledger, no Seller.Agent() or QANT.Agents() to reach
+# one, and NewAgent — the paper's agent, a Seller over a fixed supply
+# set with no savings — is built only by internal/market, the
+# pricedynamics example and the benchmark's replay. The
+# files let through build fixed textbook sets with no ledger behind
+# them (Figure 1, the pricedynamics example's tâtonnement, the
+# benchmark). It fails when internal/economics declares an interface or
+# anything declares a Preference type: the module has one supply set
+# and one preference. It also keeps eq. (4) on one
 # solver, economics.TimeBudgetSupplySet's greedy-by-density: it fails
 # when a Go file names the deleted DP solver or its plumbing, or the
 # deleted economics extras that no figure used. And it keeps one buyer,
@@ -81,11 +99,14 @@ fuzzsmoke:
 # offers or bids, or brings back alloc's estimatedFinish.
 oneledger:
 	@if grep -rnE 'TimeBudgetSupplySet\{' --include='*.go' . \
-		| grep -vE '^\./(internal/market/|benchmark/|examples/|internal/experiments/figure1\.go:)|_test\.go:'; \
+		| grep -vE '^\./(internal/market/|benchmark/|examples/pricedynamics/|internal/experiments/figure1\.go:)|_test\.go:'; \
 	then echo 'oneledger: a time-budget supply set is built outside internal/market (see DESIGN.md, "One QA-NT seller")'; exit 1; fi
-	@if grep -rnE '\.Agent\(\)\.(Offer|Accept)\(|Agents\(\)\[[^]]*\]\.(Offer|Accept)\(' --include='*.go' . \
-		| grep -vE '^\./internal/market/|_test\.go:'; \
-	then echo 'oneledger: a seller is traded through its observer, past the ledger (see DESIGN.md, "One QA-NT seller")'; exit 1; fi
+	@if grep -nE '^type Agent struct' internal/market/*.go \
+		|| grep -rnE 'func \(s \*Seller\) Agent\(|\bAgents\(\)' --include='*.go' . \
+		|| grep -rnE '\bNewAgent\(' --include='*.go' . | grep -vE '^\./(benchmark|internal/market|examples/pricedynamics)/'; \
+	then echo 'oneledger: a second QA-NT trader or a way to reach one is back; market.Seller is the only one (see DESIGN.md, "One QA-NT seller")'; exit 1; fi
+	@if grep -nE '\binterface[[:space:]]*\{' internal/economics/*.go || grep -rnE '^type Preference\b' --include='*.go' .; \
+	then echo 'oneledger: an abstract supply set or preference is back; economics speaks TimeBudgetSupplySet and ThroughputPreference (see DESIGN.md, "One QA-NT seller")'; exit 1; fi
 	@if grep -rnwE 'ExactTimeBudgetSupplySet|DPScratch|NewExactSeller|SupportingPrices|VerifySTWE|EquitableSplit' --include='*.go' .; \
 	then echo 'oneledger: a second eq. (4) solver or a deleted economics extra is back (see DESIGN.md, "One QA-NT seller")'; exit 1; fi
 	@if grep -rnE '\bestimatedFinish\b|\b(QueueMs|EstimateMs)\b[[:space:]]*[-+<>]|[-+<>][[:space:]]*[[:alnum:]_.]*\b(QueueMs|EstimateMs)\b|(sort|slices)\.[[:alnum:]]+\((offers|bids|ladder|ranked)\b' --include='*.go' . \
@@ -201,4 +222,4 @@ onedoor:
 	@if grep -rnwE 'SaveTrace|LoadTrace|WriteCSV|ReadCSV' --include='*.go' .; \
 	then echo 'onedoor: an arrival-trace file codec is back; arrivals are regenerated from their seed (see DESIGN.md §1)'; exit 1; fi
 
-ci: build vet oneledger onelane onekinds onerow oneonce onewire onedoor test race benchsmoke loadsmoke fuzzsmoke
+ci: build vet oneledger onelane onekinds onerow oneonce onewire onedoor test race benchsmoke loadsmoke examplesmoke fuzzsmoke

@@ -5,7 +5,9 @@
 // q1 and five q2 per period. The umpire-based tâtonnement process of
 // eq. (6) finds the equilibrium prices centrally; the decentralized
 // QA-NT agents converge to a supply profile with the same aggregate by
-// reacting only to their own trading failures (Proposition 3.1).
+// reacting only to their own trading failures (Proposition 3.1). Both
+// are the paper's agents (market.NewAgent): each period is the same
+// supply set S_i, and nothing is saved from one period to the next.
 package main
 
 import (
@@ -25,7 +27,7 @@ func main() {
 	demand := []vector.Quantity{{1, 5}, {0, 0}} // steady per-period demand
 
 	// Centralized reference: the umpire's tâtonnement.
-	sets := []economics.SupplySet{
+	sets := []economics.TimeBudgetSupplySet{
 		economics.TimeBudgetSupplySet{Cost: costs[0], Budget: 500},
 		economics.TimeBudgetSupplySet{Cost: costs[1], Budget: 500},
 	}
@@ -37,28 +39,30 @@ func main() {
 		res.Iterations, res.Prices, vector.Sum(res.Supply))
 
 	// Decentralized QA-NT: each node adjusts only its own prices.
-	agents := make([]*market.Agent, 2)
+	agents := make([]*market.Seller, 2)
 	for i := range agents {
-		a, err := market.NewAgent(economics.TimeBudgetSupplySet{Cost: costs[i], Budget: 500}, market.DefaultConfig(2))
+		s, err := market.NewAgent(sets[i], market.DefaultConfig(2))
 		if err != nil {
 			log.Fatal(err)
 		}
-		agents[i] = a
+		agents[i] = s
 	}
 	fmt.Println("period |       N1 prices       supply |       N2 prices       supply | unserved")
-	for period := 1; period <= 15; period++ {
-		for _, a := range agents {
-			a.BeginPeriod()
+	const periods = 15
+	onlyQ2, withQ1, unserved := 0, 0, 0 // periods N1 planned q2 alone and N2 planned some q1; queries nobody took
+	for period := 1; period <= periods; period++ {
+		for _, s := range agents {
+			s.BeginPeriod()
 		}
 		// Serve the period's demand: for each query, take the first
 		// offering node (clients are indifferent here).
-		unserved := 0
+		missed := 0
 		for class, want := range []int{1, 5} {
 			for q := 0; q < want; q++ {
 				served := false
-				for _, a := range agents {
-					if a.Offer(class) {
-						if err := a.Accept(class); err != nil {
+				for _, s := range agents {
+					if s.Offer(class) {
+						if err := s.Accept(class); err != nil {
 							log.Fatal(err)
 						}
 						served = true
@@ -66,7 +70,7 @@ func main() {
 					}
 				}
 				if !served {
-					unserved++
+					missed++
 				}
 			}
 		}
@@ -74,11 +78,20 @@ func main() {
 			period,
 			agents[0].Prices(), agents[0].PlannedSupply(),
 			agents[1].Prices(), agents[1].PlannedSupply(),
-			unserved)
-		for _, a := range agents {
-			a.EndPeriod()
+			missed)
+		unserved += missed
+		if p := agents[0].PlannedSupply(); p[0] == 0 && p[1] > 0 {
+			onlyQ2++
+		}
+		if agents[1].PlannedSupply()[0] > 0 {
+			withQ1++
+		}
+		for _, s := range agents {
+			s.EndPeriod()
 		}
 	}
-	fmt.Println("\nboth processes steer N1 toward q2 and N2 toward q1 — the")
+	fmt.Printf("\nN1 planned q2 alone in %d of %d periods, N2 planned q1 in %d; %d queries went unserved:\n",
+		onlyQ2, periods, withQ1, unserved)
+	fmt.Println("both processes steer N1 toward q2 and N2 toward q1 — the")
 	fmt.Println("allocation of Figure 1's QA strategy — without exchanging prices.")
 }

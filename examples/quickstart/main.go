@@ -11,23 +11,21 @@ import (
 	"fmt"
 	"log"
 
-	"github.com/qamarket/qamarket/internal/economics"
 	"github.com/qamarket/qamarket/internal/market"
 )
 
 func main() {
-	// N1's supply set: any mix of q1 (400 ms) and q2 (100 ms) queries
-	// fitting a 500 ms period.
-	set := economics.TimeBudgetSupplySet{Cost: []float64{400, 100}, Budget: 500}
-	agent, err := market.NewAgent(set, market.DefaultConfig(2))
+	// N1's seller: every 500 ms period it can sell any mix of q1
+	// (400 ms) and q2 (100 ms) queries that fits the period.
+	seller, err := market.NewSeller(market.DefaultConfig(2), 500, []float64{400, 100})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	for period := 1; period <= 12; period++ {
-		agent.BeginPeriod()
-		supply := agent.PlannedSupply()
-		fmt.Printf("period %2d: prices %v supply %v", period, agent.Prices(), supply)
+		seller.BeginPeriod()
+		supply := seller.PlannedSupply()
+		fmt.Printf("period %2d: prices %v supply %v", period, seller.Prices(), supply)
 		if supply[0] > 0 {
 			fmt.Println("  <- q1 entered the supply vector")
 			return
@@ -38,14 +36,14 @@ func main() {
 		// so each failure raises q1's price) and buyers for all the q2
 		// supply (so q2's price holds).
 		for i := 0; i < 4; i++ {
-			agent.Offer(0)
+			seller.Offer(0)
 		}
-		for agent.Offer(1) {
-			if err := agent.Accept(1); err != nil {
+		for seller.Offer(1) {
+			if err := seller.Accept(1); err != nil {
 				log.Fatal(err)
 			}
 		}
-		agent.EndPeriod()
+		seller.EndPeriod()
 	}
 	fmt.Println("q1 never entered the supply vector (unexpected)")
 }

@@ -184,14 +184,14 @@ func TestQANTPeriodLifecycle(t *testing.T) {
 	v := figure1View()
 	m := NewQANT(market.DefaultConfig(2))
 	m.OnPeriodStart(v)
-	if m.Agents() == nil {
-		t.Fatal("agents not initialized")
+	if m.Sellers() == nil {
+		t.Fatal("sellers not initialized")
 	}
-	p0 := m.Agents()[0].Prices()
+	p0 := m.Sellers()[0].Prices()
 	// End the period with unsold supply: prices must drop.
 	m.OnPeriodEnd(v)
 	m.OnPeriodStart(v)
-	p1 := m.Agents()[0].Prices()
+	p1 := m.Sellers()[0].Prices()
 	if !(p1[1] < p0[1]) {
 		t.Errorf("unsold q2 price did not drop: %v -> %v", p0, p1)
 	}

@@ -3,6 +3,7 @@ package alloc
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/qamarket/qamarket/internal/market"
 )
@@ -60,21 +61,10 @@ func (m *QANT) Traits() Traits {
 	}
 }
 
-// Agents exposes the per-node agents for observability (price traces in
-// the examples and experiments); non-adopters have a nil entry. It
+// Sellers exposes the per-node sellers for observability (price traces
+// in the experiments and tests); non-adopters have a nil entry. It
 // returns nil before the first period.
-func (m *QANT) Agents() []*market.Agent {
-	if m.sellers == nil {
-		return nil
-	}
-	agents := make([]*market.Agent, len(m.sellers))
-	for n, s := range m.sellers {
-		if s != nil {
-			agents[n] = s.Agent()
-		}
-	}
-	return agents
-}
+func (m *QANT) Sellers() []*market.Seller { return slices.Clone(m.sellers) }
 
 // OnPeriodStart implements Periodic: every seller opens its period.
 func (m *QANT) OnPeriodStart(v View) {

@@ -118,6 +118,8 @@ func (c *ClientConfig) validate() error {
 	}
 	if c.Mechanism == "" {
 		c.Mechanism = MechGreedy
+	} else if err := c.Mechanism.check(); err != nil {
+		return err
 	}
 	if c.PeriodMs <= 0 {
 		c.PeriodMs = 500

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -151,6 +153,58 @@ func TestWorkWithoutHelloRefused(t *testing.T) {
 	}
 	if b := nrep.Batch; b[0].Negotiate == nil || !b[0].Negotiate.Feasible || b[1].Negotiate == nil || b[1].Negotiate.Feasible {
 		t.Errorf("riders answered %+v and %+v, want a proposal and an infeasible reply", b[0], b[1])
+	}
+}
+
+// TestUnknownMechanismRefused: a node runs any mechanism but qa-nt as
+// greedy, so a misspelt name ("qant") would always be offered and never
+// charged to the node's market. A client refuses to start with one, and
+// a node answers a hello naming one with the typed protocol refusal and
+// hangs up, before the execute behind it runs or trades.
+func TestUnknownMechanismRefused(t *testing.T) {
+	_, node, addr, sql := protectionQuery(t)
+	c, err := NewClient(ClientConfig{Addrs: []string{addr}, Mechanism: "qant"})
+	if err == nil {
+		c.Close()
+		t.Fatal(`NewClient accepted mechanism "qant"`)
+	}
+	if msg := err.Error(); !strings.Contains(msg, `"greedy"`) || !strings.Contains(msg, `"qa-nt"`) {
+		t.Errorf("the refusal %q does not name both mechanisms", msg)
+	}
+
+	before := node.MarketTelemetry().Stats
+	conn, err := net.DialTimeout("tcp", addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	w := bufio.NewWriter(conn)
+	if err := writeMsg(w, 1, maxRequestBytes, &request{Op: "hello", Hello: &hello{RunID: "raw", Mechanism: "qant"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeMsg(w, 2, maxRequestBytes, &request{Op: "execute", SQL: sql, QueryID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReader(conn)
+	var rep reply
+	id, err := recvMsg(r, &rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Code != CodeProtocol || rep.Hello != nil || id != 1 || !strings.Contains(rep.Err, `"qant"`) {
+		t.Fatalf(`hello naming "qant" answered %+v under id %d, want the %q refusal under id 1`, rep, id, CodeProtocol)
+	}
+	// The node closes with the execute still unread, so the kernel may
+	// answer that close with a reset instead of a FIN: both are a close.
+	if _, err := r.ReadByte(); err != io.EOF && !errors.Is(err, syscall.ECONNRESET) {
+		t.Fatalf("connection still open after the refusal (read err %v)", err)
+	}
+	if got := node.Executed(); got != 0 {
+		t.Errorf("node executed %d queries behind a refused hello, want 0", got)
+	}
+	if after := node.MarketTelemetry().Stats; after != before {
+		t.Errorf("market counters moved %+v → %+v", before, after)
 	}
 }
 

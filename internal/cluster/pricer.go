@@ -103,7 +103,7 @@ type ClassTelemetry struct {
 
 // MarketTelemetry is a per-period snapshot of one node's market state
 // for the exposition layer: every known class with its price and
-// supply picture, plus the agent's lifetime trading counters. Classes
+// supply picture, plus the seller's lifetime trading counters. Classes
 // are sorted by signature so repeated scrapes render identically.
 type MarketTelemetry struct {
 	// Epoch is the market's age in pricer periods; the Node accessor
@@ -120,13 +120,13 @@ type MarketTelemetry struct {
 func (p *pricer) telemetry() MarketTelemetry {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	tel := p.seller.Agent().Telemetry()
+	tel := p.seller.Telemetry()
 	out := MarketTelemetry{CarryMs: p.seller.Carry()}
 	if tel.Classes == 0 {
 		return out
 	}
 	out.Active = tel.Active
-	out.Stats = p.seller.Agent().Stats()
+	out.Stats = tel.Stats
 	out.Classes = make([]ClassTelemetry, 0, len(p.classes))
 	for sig, idx := range p.classes {
 		out.Classes = append(out.Classes, ClassTelemetry{

@@ -30,6 +30,15 @@ const (
 	MechQANT   Mechanism = "qa-nt"
 )
 
+// check refuses a name other than the two: a node runs anything but
+// qa-nt as greedy, so a misspelt name would sell outside its market.
+func (m Mechanism) check() error {
+	if m != MechGreedy && m != MechQANT {
+		return fmt.Errorf("cluster: unknown mechanism %q (want %q or %q)", m, MechGreedy, MechQANT)
+	}
+	return nil
+}
+
 // protocolVersion is the one version of the RPC protocol this build
 // speaks: every frame's header carries it (frame.go), and a node refuses
 // a frame of any other version. Version 2 added the fetch header's
@@ -265,9 +274,10 @@ const (
 	// told so by a healthy node, and retrying cannot help.
 	CodeReleased = "released"
 	// CodeProtocol refuses a frame of a protocol version this node does
-	// not speak, a hello with no run id, or a first frame that is not a
-	// hello; the node then closes the connection. Such a peer cannot
-	// serve the client at all, so retrying cannot help.
+	// not speak, a hello with no run id or with an unknown mechanism, or
+	// a first frame that is not a hello; the node then closes the
+	// connection. Such a peer cannot serve the client at all, so
+	// retrying cannot help.
 	CodeProtocol = "protocol"
 )
 

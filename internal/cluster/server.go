@@ -697,6 +697,8 @@ func (n *Node) serveConn(conn net.Conn) {
 			rep := &reply{Hello: &helloReply{NodeID: n.cfg.NodeID, Boot: n.boot}}
 			if h := req.Hello; req.Op != "hello" || h == nil || h.RunID == "" {
 				rep = &reply{Err: msgHelloRefused, Code: CodeProtocol}
+			} else if err := h.Mechanism.check(); h.Mechanism != "" && err != nil { // gossip names none
+				rep = &reply{Err: "hello refused: " + err.Error(), Code: CodeProtocol}
 			}
 			if err := send(fm.id, rep); err != nil || rep.Hello == nil {
 				return

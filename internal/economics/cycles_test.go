@@ -12,7 +12,7 @@ import (
 // overshoots and cycles, exhausting the iteration budget.
 func TestTatonnementLambdaTradeoff(t *testing.T) {
 	demand := []vector.Quantity{{1, 5}, {0, 0}}
-	sets := []SupplySet{
+	sets := []TimeBudgetSupplySet{
 		TimeBudgetSupplySet{Cost: []float64{400, 100}, Budget: 500},
 		TimeBudgetSupplySet{Cost: []float64{450, 500}, Budget: 500},
 	}
@@ -28,7 +28,7 @@ func TestTatonnementLambdaTradeoff(t *testing.T) {
 	// Use a demand no vertex matches so the process must balance two
 	// classes at once — the regime where overshoot cycles.
 	hardDemand := []vector.Quantity{{1, 3}, {0, 0}}
-	hardSets := []SupplySet{TimeBudgetSupplySet{Cost: []float64{200, 100}, Budget: 500}}
+	hardSets := []TimeBudgetSupplySet{TimeBudgetSupplySet{Cost: []float64{200, 100}, Budget: 500}}
 	if _, err := Tatonnement(hardDemand, hardSets, vector.NewPrices(2, 1), huge); err == nil {
 		t.Error("vertex-incompatible demand with huge lambda should not converge")
 	}
@@ -45,7 +45,7 @@ func TestTatonnementLambdaTradeoff(t *testing.T) {
 // fewer iterations on the Figure 1 market.
 func TestTatonnementIterationCount(t *testing.T) {
 	demand := []vector.Quantity{{1, 5}, {0, 0}}
-	sets := []SupplySet{
+	sets := []TimeBudgetSupplySet{
 		TimeBudgetSupplySet{Cost: []float64{400, 100}, Budget: 500},
 		TimeBudgetSupplySet{Cost: []float64{450, 500}, Budget: 500},
 	}

@@ -1,13 +1,15 @@
 // Package economics implements the microeconomic machinery of Section 3
 // of the paper: excess demand (Def. 2), market competitive equilibrium
-// (Def. 3), the centralized tâtonnement process of eq. (6), the
-// non-tâtonnement trading rule (Def. 4) and Pareto dominance/optimality
-// (Def. 1).
+// (Def. 3), the centralized tâtonnement process of eq. (6) and Pareto
+// dominance/optimality (Def. 1).
 //
-// The package is deliberately independent of query processing: it works
-// on abstract supply sets and preference relations so its properties can
-// be tested against textbook examples as well as the query market built
-// on top of it by internal/market.
+// The package is deliberately independent of query processing. It
+// speaks the one supply set and the one preference the paper's query
+// market has: S_i is what fits a period's time budget at per-class
+// costs (TimeBudgetSupplySet), and a node prefers consuming more
+// queries (ThroughputPreference). Its properties are tested against
+// the paper's textbook examples as well as the query market built on
+// top of it by internal/market.
 package economics
 
 import (
@@ -17,28 +19,11 @@ import (
 	"github.com/qamarket/qamarket/internal/vector"
 )
 
-// SupplySet describes the feasible supply vectors S_i of one node
-// (Section 2.2). Implementations must be deterministic.
-type SupplySet interface {
-	// Feasible reports whether s is an element of the supply set.
-	Feasible(s vector.Quantity) bool
-	// BestResponse solves eq. (4): it returns a supply vector in the set
-	// maximizing p·s (a profit-maximizing "first order conditions"
-	// solution). Ties may be broken arbitrarily but deterministically.
-	BestResponse(p vector.Prices) vector.Quantity
-}
-
-// Preference is a preference relation over consumption vectors
-// (the >=_i of Section 2.2). It returns:
-//
-//	+1 if a is strictly preferred to b,
-//	 0 if the node is indifferent,
-//	-1 if b is strictly preferred to a.
-type Preference func(a, b vector.Quantity) int
-
-// ThroughputPreference is the preference relation the paper adopts:
-// a node prefers consuming as many queries as possible regardless of
-// their class (c >=_i c' iff sum(c) >= sum(c')).
+// ThroughputPreference is the preference relation >=_i of Section 2.2
+// the paper adopts for every node: a node prefers consuming as many
+// queries as possible regardless of their class (c >=_i c' iff
+// sum(c) >= sum(c')). It returns +1 if a is strictly preferred to b, 0
+// if the node is indifferent and -1 if b is strictly preferred to a.
 func ThroughputPreference(a, b vector.Quantity) int {
 	ta, tb := a.Total(), b.Total()
 	switch {
@@ -107,16 +92,16 @@ func (a Allocation) Valid(demand []vector.Quantity) error {
 	return nil
 }
 
-// Dominates implements Def. 1: allocation a Pareto dominates b under the
-// given per-node preferences iff every node weakly prefers a's
-// consumption vector and at least one strictly prefers it.
-func Dominates(a, b Allocation, prefs []Preference) bool {
-	if len(a.Consumption) != len(b.Consumption) || len(prefs) != len(a.Consumption) {
+// Dominates implements Def. 1: allocation a Pareto dominates b iff
+// every node weakly prefers a's consumption vector under
+// ThroughputPreference and at least one strictly prefers it.
+func Dominates(a, b Allocation) bool {
+	if len(a.Consumption) != len(b.Consumption) {
 		return false
 	}
 	strict := false
 	for i := range a.Consumption {
-		switch prefs[i](a.Consumption[i], b.Consumption[i]) {
+		switch ThroughputPreference(a.Consumption[i], b.Consumption[i]) {
 		case -1:
 			return false
 		case 1:
@@ -128,7 +113,8 @@ func Dominates(a, b Allocation, prefs []Preference) bool {
 
 // ExcessDemand computes z(p) of Def. 2 given per-node demand and supply
 // vectors: z_k = sum_i d_ik - s_ik. Note that prices enter only through
-// the supply vectors, which callers obtain from SupplySet.BestResponse.
+// the supply vectors, which callers obtain from
+// TimeBudgetSupplySet.BestResponse.
 func ExcessDemand(demand, supply []vector.Quantity) vector.Quantity {
 	d := vector.Sum(demand)
 	s := vector.Sum(supply)
@@ -181,7 +167,7 @@ type TatonnementResult struct {
 // Demanded quantities are capped at demand when computing excess so that
 // over-supplied classes push prices down, matching Def. 2 with the
 // convention s_ik counts offered capacity.
-func Tatonnement(demand []vector.Quantity, sets []SupplySet, p0 vector.Prices, cfg TatonnementConfig) (TatonnementResult, error) {
+func Tatonnement(demand []vector.Quantity, sets []TimeBudgetSupplySet, p0 vector.Prices, cfg TatonnementConfig) (TatonnementResult, error) {
 	if cfg.Lambda <= 0 {
 		return TatonnementResult{}, errors.New("economics: lambda must be positive")
 	}
@@ -212,45 +198,6 @@ func Tatonnement(demand []vector.Quantity, sets []SupplySet, p0 vector.Prices, c
 		p.Normalize()
 	}
 	return res, ErrNoConvergence
-}
-
-// TradeCheck implements the non-tâtonnement trading rule of Def. 4.
-// It reports whether buyer i and seller j may increase their consumption
-// and supply vectors by delta at the current state:
-//
-//  1. the seller's new supply vector must remain feasible, and
-//  2. the trade must exhaust all possibilities of other trade: no
-//     feasible extension epsilon of the seller's supply would leave the
-//     buyer strictly better off than trading delta.
-//
-// Rule 2 is verified against the buyer's residual demand: a trade
-// exhausts other possibilities iff either the buyer's demand for the
-// traded classes is fully covered or the seller cannot feasibly supply
-// more of a class the buyer still wants.
-type TradeCheck struct {
-	Seller SupplySet
-}
-
-// Allowed evaluates Def. 4 for a proposed trade delta given the seller's
-// current supply commitment sj and the buyer's remaining (unmet) demand.
-func (tc TradeCheck) Allowed(sj, delta, remaining vector.Quantity) bool {
-	next := sj.Add(delta)
-	if !next.IsValid() || !tc.Seller.Feasible(next) {
-		return false // rule 1
-	}
-	// Rule 2: if the buyer still wants more of some class and the seller
-	// could feasibly add one more unit of it on top of the trade, the
-	// trade does not exhaust all possibilities.
-	for k := range remaining {
-		if remaining[k] > delta[k] {
-			probe := next.Clone()
-			probe[k]++
-			if tc.Seller.Feasible(probe) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 func maxAbs(q vector.Quantity) int {

@@ -11,8 +11,8 @@ import (
 // figure1Sets builds the supply sets of the paper's motivating example
 // for one 500 ms period: N1 evaluates q1 in 400 ms and q2 in 100 ms,
 // N2 in 450 ms and 500 ms.
-func figure1Sets() []EnumerableSupplySet {
-	return []EnumerableSupplySet{
+func figure1Sets() []TimeBudgetSupplySet {
+	return []TimeBudgetSupplySet{
 		TimeBudgetSupplySet{Cost: []float64{400, 100}, Budget: 500},
 		TimeBudgetSupplySet{Cost: []float64{450, 500}, Budget: 500},
 	}
@@ -82,17 +82,16 @@ func TestAllocationValid(t *testing.T) {
 }
 
 func TestDominates(t *testing.T) {
-	prefs := []Preference{ThroughputPreference, ThroughputPreference}
 	// The paper's Section 2.2 comparison: QA (5,1) dominates LB (2,1).
 	lb := Allocation{Consumption: []vector.Quantity{{1, 1}, {1, 0}}}
 	qa := Allocation{Consumption: []vector.Quantity{{0, 5}, {1, 0}}}
-	if !Dominates(qa, lb, prefs) {
+	if !Dominates(qa, lb) {
 		t.Error("QA allocation should dominate LB (Section 2.2)")
 	}
-	if Dominates(lb, qa, prefs) {
+	if Dominates(lb, qa) {
 		t.Error("LB should not dominate QA")
 	}
-	if Dominates(qa, qa, prefs) {
+	if Dominates(qa, qa) {
 		t.Error("an allocation must not dominate itself")
 	}
 }
@@ -102,7 +101,6 @@ func TestFigure1LBNotParetoQAPareto(t *testing.T) {
 	// 1×q1.
 	demand := []vector.Quantity{{1, 6}, {1, 0}}
 	sets := figure1Sets()
-	prefs := []Preference{ThroughputPreference, ThroughputPreference}
 
 	// LB consumed (1,1) at N1 and (1,0) at N2 (3 queries total).
 	lb := Allocation{
@@ -112,7 +110,7 @@ func TestFigure1LBNotParetoQAPareto(t *testing.T) {
 	if err := lb.Valid(demand); err != nil {
 		t.Fatalf("LB allocation invalid: %v", err)
 	}
-	if IsParetoOptimal(lb, demand, sets, prefs) {
+	if IsParetoOptimal(lb, demand, sets) {
 		t.Error("the paper states the LB allocation is not Pareto optimal")
 	}
 
@@ -125,7 +123,7 @@ func TestFigure1LBNotParetoQAPareto(t *testing.T) {
 	if err := qa.Valid(demand); err != nil {
 		t.Fatalf("QA allocation invalid: %v", err)
 	}
-	if !IsParetoOptimal(qa, demand, sets, prefs) {
+	if !IsParetoOptimal(qa, demand, sets) {
 		t.Error("the QA allocation should be Pareto optimal")
 	}
 }
@@ -188,7 +186,7 @@ func TestTatonnementConvergesSimpleMarket(t *testing.T) {
 	// One buyer demands 5×q2 and 1×q1; two sellers as in Figure 1. The
 	// system can exactly produce that demand, so equilibrium exists.
 	demand := []vector.Quantity{{1, 5}, {0, 0}}
-	sets := []SupplySet{
+	sets := []TimeBudgetSupplySet{
 		TimeBudgetSupplySet{Cost: []float64{400, 100}, Budget: 500},
 		TimeBudgetSupplySet{Cost: []float64{450, 500}, Budget: 500},
 	}
@@ -210,7 +208,7 @@ func TestTatonnementRejectsBadInput(t *testing.T) {
 		t.Error("empty market accepted")
 	}
 	demand := []vector.Quantity{{1}}
-	sets := []SupplySet{TimeBudgetSupplySet{Cost: []float64{100}, Budget: 500}}
+	sets := []TimeBudgetSupplySet{TimeBudgetSupplySet{Cost: []float64{100}, Budget: 500}}
 	cfg := DefaultTatonnement()
 	cfg.Lambda = 0
 	if _, err := Tatonnement(demand, sets, vector.NewPrices(1, 1), cfg); err == nil {
@@ -222,37 +220,12 @@ func TestTatonnementNoConvergence(t *testing.T) {
 	// Demand that can never be met (10 queries of a class that fits at
 	// most 1 per period in the whole system) cannot reach z=0.
 	demand := []vector.Quantity{{10}}
-	sets := []SupplySet{TimeBudgetSupplySet{Cost: []float64{400}, Budget: 500}}
+	sets := []TimeBudgetSupplySet{TimeBudgetSupplySet{Cost: []float64{400}, Budget: 500}}
 	cfg := DefaultTatonnement()
 	cfg.MaxIterations = 50
 	_, err := Tatonnement(demand, sets, vector.NewPrices(1, 1), cfg)
 	if err != ErrNoConvergence {
 		t.Errorf("err = %v, want ErrNoConvergence", err)
-	}
-}
-
-func TestTradeCheck(t *testing.T) {
-	seller := TimeBudgetSupplySet{Cost: []float64{400, 100}, Budget: 500}
-	tc := TradeCheck{Seller: seller}
-	zero := vector.New(2)
-
-	// Infeasible trade: two q1 (800ms) break rule 1.
-	if tc.Allowed(zero, vector.Quantity{2, 0}, vector.Quantity{2, 0}) {
-		t.Error("infeasible trade allowed")
-	}
-	// Trade of 1×q1 while the buyer still wants q2 the seller could add:
-	// violates rule 2 (does not exhaust other trade).
-	if tc.Allowed(zero, vector.Quantity{1, 0}, vector.Quantity{1, 3}) {
-		t.Error("non-exhaustive trade allowed")
-	}
-	// Trade of 1×q1 + 1×q2 saturates the seller: allowed.
-	if !tc.Allowed(zero, vector.Quantity{1, 1}, vector.Quantity{1, 3}) {
-		t.Error("exhaustive trade rejected")
-	}
-	// Trade covering the buyer's whole remaining demand: allowed even if
-	// the seller has slack.
-	if !tc.Allowed(zero, vector.Quantity{0, 2}, vector.Quantity{0, 2}) {
-		t.Error("demand-covering trade rejected")
 	}
 }
 
@@ -284,23 +257,22 @@ func TestQuickFindDominatingSound(t *testing.T) {
 			{rng.Intn(3), rng.Intn(6)},
 			{rng.Intn(3), rng.Intn(3)},
 		}
-		sets := []EnumerableSupplySet{
+		sets := []TimeBudgetSupplySet{
 			TimeBudgetSupplySet{Cost: []float64{float64(100 + rng.Intn(400)), float64(50 + rng.Intn(200))}, Budget: 500},
 			TimeBudgetSupplySet{Cost: []float64{float64(100 + rng.Intn(400)), float64(50 + rng.Intn(200))}, Budget: 500},
 		}
-		prefs := []Preference{ThroughputPreference, ThroughputPreference}
 		base := Allocation{
 			Supply:      []vector.Quantity{{0, 0}, {0, 0}},
 			Consumption: []vector.Quantity{{0, 0}, {0, 0}},
 		}
-		dom := FindDominating(base, demand, sets, prefs)
+		dom := FindDominating(base, demand, sets)
 		if dom == nil {
 			continue
 		}
 		if err := dom.Valid(demand); err != nil {
 			t.Fatalf("trial %d: dominating allocation invalid: %v", trial, err)
 		}
-		if !Dominates(*dom, base, prefs) {
+		if !Dominates(*dom, base) {
 			t.Fatalf("trial %d: returned allocation does not dominate", trial)
 		}
 	}

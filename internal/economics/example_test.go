@@ -11,7 +11,7 @@ import (
 // two-node market under a steady demand of one q1 and five q2.
 func ExampleTatonnement() {
 	demand := []vector.Quantity{{1, 5}, {0, 0}}
-	sets := []economics.SupplySet{
+	sets := []economics.TimeBudgetSupplySet{
 		economics.TimeBudgetSupplySet{Cost: []float64{400, 100}, Budget: 500}, // N1
 		economics.TimeBudgetSupplySet{Cost: []float64{450, 500}, Budget: 500}, // N2
 	}
@@ -30,10 +30,9 @@ func ExampleTatonnement() {
 // ExampleDominates verifies the paper's Section 2.2 claim that the QA
 // allocation Pareto-dominates the load balancer's.
 func ExampleDominates() {
-	prefs := []economics.Preference{economics.ThroughputPreference, economics.ThroughputPreference}
 	lb := economics.Allocation{Consumption: []vector.Quantity{{1, 1}, {1, 0}}}
 	qa := economics.Allocation{Consumption: []vector.Quantity{{0, 5}, {1, 0}}}
-	fmt.Println(economics.Dominates(qa, lb, prefs))
+	fmt.Println(economics.Dominates(qa, lb))
 	// Output:
 	// true
 }

@@ -4,24 +4,13 @@ import (
 	"github.com/qamarket/qamarket/internal/vector"
 )
 
-// EnumerableSupplySet extends SupplySet with exhaustive enumeration of
-// its elements, enabling brute-force Pareto verification on small
-// markets (used by tests and by the Figure 1/2 re-enactments).
-type EnumerableSupplySet interface {
-	SupplySet
-	// Enumerate returns every feasible supply vector. The slice must not
-	// be mutated by callers.
-	Enumerate() []vector.Quantity
-}
-
 // IsParetoOptimal reports whether alloc is Pareto optimal (Def. 1) with
-// respect to the given demand vectors, enumerable supply sets and
-// preference relations, by exhaustively searching for a dominating
+// respect to the given demand vectors and supply sets, every node
+// preferring throughput, by exhaustively searching for a dominating
 // feasible allocation. Exponential in the number of nodes; intended for
 // the small instances used in verification.
-func IsParetoOptimal(alloc Allocation, demand []vector.Quantity, sets []EnumerableSupplySet, prefs []Preference) bool {
-	dom := FindDominating(alloc, demand, sets, prefs)
-	return dom == nil
+func IsParetoOptimal(alloc Allocation, demand []vector.Quantity, sets []TimeBudgetSupplySet) bool {
+	return FindDominating(alloc, demand, sets) == nil
 }
 
 // FindDominating searches for a feasible allocation that Pareto
@@ -29,7 +18,7 @@ func IsParetoOptimal(alloc Allocation, demand []vector.Quantity, sets []Enumerab
 // Section 2.2: each node's supply comes from its supply set, the
 // aggregate supply equals the aggregate consumption, and each node's
 // consumption is bounded by its demand.
-func FindDominating(alloc Allocation, demand []vector.Quantity, sets []EnumerableSupplySet, prefs []Preference) *Allocation {
+func FindDominating(alloc Allocation, demand []vector.Quantity, sets []TimeBudgetSupplySet) *Allocation {
 	choices := make([][]vector.Quantity, len(sets))
 	for i, s := range sets {
 		choices[i] = s.Enumerate()
@@ -41,9 +30,9 @@ func FindDominating(alloc Allocation, demand []vector.Quantity, sets []Enumerabl
 			supply[i] = choices[i][idx[i]]
 		}
 		agg := vector.Sum(supply)
-		if cons := findDominatingSplit(agg, demand, alloc.Consumption, prefs); cons != nil {
+		if cons := findDominatingSplit(agg, demand, alloc.Consumption); cons != nil {
 			cand := Allocation{Supply: supply, Consumption: cons}
-			if Dominates(cand, alloc, prefs) {
+			if Dominates(cand, alloc) {
 				out := cand.Clone()
 				return &out
 			}
@@ -57,10 +46,10 @@ func FindDominating(alloc Allocation, demand []vector.Quantity, sets []Enumerabl
 // findDominatingSplit exhaustively searches for a split of the
 // aggregate supply agg into per-node consumption vectors c_i <= d_i
 // with sum c_i = agg such that every node weakly prefers its share over
-// base[i] and at least one strictly prefers it. It returns nil when no
+// base[i] by throughput and at least one strictly prefers it. It returns nil when no
 // such split exists. Exponential in nodes × classes × quantities;
 // strictly a verification tool for small instances.
-func findDominatingSplit(agg vector.Quantity, demand, base []vector.Quantity, prefs []Preference) []vector.Quantity {
+func findDominatingSplit(agg vector.Quantity, demand, base []vector.Quantity) []vector.Quantity {
 	n := len(demand)
 	k := agg.Len()
 	cons := make([]vector.Quantity, n)
@@ -74,12 +63,12 @@ func findDominatingSplit(agg vector.Quantity, demand, base []vector.Quantity, pr
 			}
 			cons[node] = left.Clone()
 			for i := range cons {
-				if prefs[i](cons[i], base[i]) < 0 {
+				if ThroughputPreference(cons[i], base[i]) < 0 {
 					return false
 				}
 			}
 			for i := range cons {
-				if prefs[i](cons[i], base[i]) > 0 {
+				if ThroughputPreference(cons[i], base[i]) > 0 {
 					return true
 				}
 			}
@@ -132,7 +121,7 @@ type TimeBudgetSupplySet struct {
 	Budget float64   // period capacity, ms
 }
 
-// Feasible implements SupplySet.
+// Feasible reports whether s is an element of the supply set.
 func (t TimeBudgetSupplySet) Feasible(s vector.Quantity) bool {
 	if len(s) != len(t.Cost) || !s.IsValid() {
 		return false
@@ -150,8 +139,8 @@ func (t TimeBudgetSupplySet) Feasible(s vector.Quantity) bool {
 	return used <= t.Budget+1e-9
 }
 
-// BestResponse implements SupplySet by solving the unbounded knapsack of
-// eq. (4) greedily by value density p_k / cost_k. The greedy solution is
+// BestResponse solves eq. (4), max p·s over the set, as an unbounded
+// knapsack solved greedily by value density p_k / cost_k. The greedy solution is
 // the integer rounding of the exact continuous optimum (which puts the
 // whole budget on the densest class); Section 5.1 attributes QA-NT's
 // small-load losses to exactly this integer rounding.
@@ -171,8 +160,10 @@ func (t TimeBudgetSupplySet) BestResponse(p vector.Prices) vector.Quantity {
 	return s
 }
 
-// Enumerate implements EnumerableSupplySet by depth-first enumeration of
-// all feasible integer mixes. Only safe for small budgets/class counts.
+// Enumerate returns every feasible supply vector, by depth-first
+// enumeration of all integer mixes, for brute-force Pareto verification
+// on small markets (the tests and the Figure 1/2 re-enactments). Only
+// safe for small budgets/class counts.
 func (t TimeBudgetSupplySet) Enumerate() []vector.Quantity {
 	var out []vector.Quantity
 	cur := vector.New(len(t.Cost))

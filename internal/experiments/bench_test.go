@@ -14,7 +14,6 @@ import (
 	"github.com/qamarket/qamarket/internal/catalog"
 	"github.com/qamarket/qamarket/internal/costmodel"
 	"github.com/qamarket/qamarket/internal/desim"
-	"github.com/qamarket/qamarket/internal/economics"
 	"github.com/qamarket/qamarket/internal/experiments"
 	"github.com/qamarket/qamarket/internal/market"
 	"github.com/qamarket/qamarket/internal/sim"
@@ -152,30 +151,30 @@ func BenchmarkAblationClasses(b *testing.B) {
 	}
 }
 
-// BenchmarkAgentPeriod measures the raw cost of one full market period
-// of a 100-class agent (solve eq. 4, trade, settle).
-func BenchmarkAgentPeriod(b *testing.B) {
+// BenchmarkSellerPeriod measures the raw cost of one full market period
+// of a 100-class seller (solve eq. 4, trade, settle).
+func BenchmarkSellerPeriod(b *testing.B) {
 	const k = 100
 	cost := make([]float64, k)
 	rng := rand.New(rand.NewSource(5))
 	for i := range cost {
 		cost[i] = 100 + rng.Float64()*1900
 	}
-	agent, err := market.NewAgent(economics.TimeBudgetSupplySet{Cost: cost, Budget: 500}, market.DefaultConfig(k))
+	seller, err := market.NewSeller(market.DefaultConfig(k), 500, cost)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		agent.BeginPeriod()
+		seller.BeginPeriod()
 		for c := 0; c < 16; c++ {
-			if agent.Offer(c % k) {
-				if err := agent.Accept(c % k); err != nil {
+			if seller.Offer(c % k) {
+				if err := seller.Accept(c % k); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
-		agent.EndPeriod()
+		seller.EndPeriod()
 	}
 }
 

@@ -82,11 +82,10 @@ type Figure2Result struct {
 // than hardcoding the paper's conclusions.
 func Figure2() Figure2Result {
 	demand := []vector.Quantity{{1, 6}, {1, 0}}
-	sets := []economics.EnumerableSupplySet{
+	sets := []economics.TimeBudgetSupplySet{
 		economics.TimeBudgetSupplySet{Cost: figure1Cost[0][:], Budget: 500},
 		economics.TimeBudgetSupplySet{Cost: figure1Cost[1][:], Budget: 500},
 	}
-	prefs := []economics.Preference{economics.ThroughputPreference, economics.ThroughputPreference}
 
 	lb := economics.Allocation{
 		Supply:      []vector.Quantity{{1, 1}, {1, 0}},
@@ -102,9 +101,9 @@ func Figure2() Figure2Result {
 		QASupply: qa.AggregateSupply(),
 		LBExcess: economics.ExcessDemand(demand, lb.Supply),
 		QAExcess: economics.ExcessDemand(demand, qa.Supply),
-		LBPareto: economics.IsParetoOptimal(lb, demand, sets, prefs),
-		QAPareto: economics.IsParetoOptimal(qa, demand, sets, prefs),
+		LBPareto: economics.IsParetoOptimal(lb, demand, sets),
+		QAPareto: economics.IsParetoOptimal(qa, demand, sets),
 	}
-	res.Dominates = economics.Dominates(qa, lb, prefs)
+	res.Dominates = economics.Dominates(qa, lb)
 	return res
 }

@@ -86,10 +86,10 @@ func hashOverloadRun(h hash.Hash, mech *alloc.QANT) error {
 	for _, smp := range col.Samples() {
 		fmt.Fprintf(h, "%+v\n", smp)
 	}
-	for n, a := range mech.Agents() {
-		if a != nil {
-			fmt.Fprintf(h, "node %d %+v:", n, a.Stats())
-			hashFloats(h, a.Prices()...)
+	for n, s := range mech.Sellers() {
+		if s != nil {
+			fmt.Fprintf(h, "node %d %+v:", n, s.Stats())
+			hashFloats(h, s.Prices()...)
 		}
 	}
 	return nil

@@ -3,33 +3,37 @@ package market_test
 import (
 	"fmt"
 
-	"github.com/qamarket/qamarket/internal/economics"
 	"github.com/qamarket/qamarket/internal/market"
 )
 
-// ExampleAgent walks one full market period of the paper's node N1
+// ExampleSeller walks one full market period of the paper's node N1
 // (400 ms q1, 100 ms q2, 500 ms period).
-func ExampleAgent() {
-	set := economics.TimeBudgetSupplySet{Cost: []float64{400, 100}, Budget: 500}
-	agent, _ := market.NewAgent(set, market.DefaultConfig(2))
+func ExampleSeller() {
+	seller, _ := market.NewSeller(market.DefaultConfig(2), 500, []float64{400, 100})
 
-	agent.BeginPeriod()
-	fmt.Println("supply:", agent.PlannedSupply())
+	seller.BeginPeriod()
+	fmt.Println("supply:", seller.PlannedSupply())
 
 	// A client asks for one q2: offered and accepted.
-	if agent.Offer(1) {
-		_ = agent.Accept(1)
+	if seller.Offer(1) {
+		_ = seller.Accept(1)
 	}
 	// A client asks for one q1: refused (not in the supply vector), so
 	// q1's private price rises by λ·p.
-	agent.Offer(0)
-	fmt.Println("prices after refusal:", agent.Prices())
+	seller.Offer(0)
+	fmt.Println("prices after refusal:", seller.Prices())
 
-	// Period ends with 4 unsold q2: its price falls by 4·λ·p.
-	agent.EndPeriod()
-	fmt.Println("prices after settlement:", agent.Prices())
+	// Period ends with 4 unsold q2: its price falls by 4·λ·p, and the
+	// 400 ms left unsold are saved for the next period.
+	seller.EndPeriod()
+	fmt.Println("prices after settlement:", seller.Prices())
+	fmt.Println("carry:", seller.Carry())
+	seller.BeginPeriod()
+	fmt.Println("next supply:", seller.PlannedSupply())
 	// Output:
 	// supply: (0, 5)
 	// prices after refusal: (1.100, 1.000)
 	// prices after settlement: (1.100, 0.600)
+	// carry: 400
+	// next supply: (0, 9)
 }

@@ -9,15 +9,15 @@ import (
 	"github.com/qamarket/qamarket/internal/vector"
 )
 
-// TestInvariantsUnderRandomTrading drives an agent with random demand
-// sequences for many periods and checks the structural invariants the
-// rest of the system relies on:
+// TestInvariantsUnderRandomTrading drives an agent (NewAgent) with
+// random demand sequences for many periods and checks the structural
+// invariants the rest of the system relies on:
 //
 //  1. prices stay within [floor, cap] and remain valid (positive,
 //     finite) forever;
 //  2. the planned supply vector is always feasible;
 //  3. accepted work never exceeds the planned supply, whatever the
-//     activation threshold (a bare agent only ever sells its plan);
+//     activation threshold (an agent only ever sells its plan);
 //  4. Offer never returns true for a class the node cannot evaluate.
 func TestInvariantsUnderRandomTrading(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
@@ -94,57 +94,79 @@ func TestInvariantsUnderRandomTrading(t *testing.T) {
 // expressible as a best response of the supply set (a vertex of the
 // knapsack — integer non-convexity makes some demands unreachable, the
 // very "rounding error" Section 5.1 discusses), the non-tâtonnement
-// process converges to supplying exactly the demand.
+// process converges to supplying exactly the demand. The paper's agent
+// (NewAgent, a fixed supply set) does so even when refused queries are
+// lost. A node's seller (NewSeller) banks the time refused demand left
+// unsold, so it is checked where its clients put it: refused queries
+// come back in the next period, as the paper's clients (§3.3) and
+// alloc.QANT resubmit them, and the savings pay off that backlog.
 func TestExcessDemandConvergence(t *testing.T) {
-	set := economics.TimeBudgetSupplySet{Cost: []float64{200, 100}, Budget: 500}
-	agent, err := NewAgent(set, DefaultConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Steady demand: 2×class0 + 1×class1 per period — exactly the
-	// knapsack vertex the solver picks once p0 >= 2·p1.
-	demand := vector.Quantity{2, 1}
-	converged := 0
-	for period := 0; period < 400; period++ {
-		agent.BeginPeriod()
-		served := vector.New(2)
-		for c, n := range demand {
-			for q := 0; q < n; q++ {
-				if agent.Offer(c) {
-					if err := agent.Accept(c); err != nil {
-						t.Fatal(err)
+	for _, tc := range []struct {
+		name     string
+		resubmit bool
+		build    func() (*Seller, error)
+	}{
+		{"agent, refused demand lost", false, func() (*Seller, error) {
+			return NewAgent(economics.TimeBudgetSupplySet{Cost: []float64{200, 100}, Budget: 500}, DefaultConfig(2))
+		}},
+		{"seller, refused demand resubmitted", true, func() (*Seller, error) {
+			return NewSeller(DefaultConfig(2), 500, []float64{200, 100})
+		}},
+	} {
+		agent, err := tc.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Steady demand: 2×class0 + 1×class1 per period — exactly the
+		// knapsack vertex the solver picks once p0 >= 2·p1.
+		demand := vector.Quantity{2, 1}
+		backlog := vector.New(2)
+		converged := 0
+		for period := 0; period < 400; period++ {
+			agent.BeginPeriod()
+			want := demand.Add(backlog)
+			served := vector.New(2)
+			for c, n := range want {
+				for q := 0; q < n; q++ {
+					if agent.Offer(c) {
+						if err := agent.Accept(c); err != nil {
+							t.Fatal(err)
+						}
+						served[c]++
 					}
-					served[c]++
 				}
 			}
+			if tc.resubmit {
+				backlog = want.Sub(served)
+			}
+			if backlog.IsZero() && served.Equal(demand) {
+				converged++
+			} else {
+				converged = 0
+			}
+			agent.EndPeriod()
 		}
-		if served.Equal(demand) {
-			converged++
-		} else {
-			converged = 0
+		// The market must settle into serving the full demand persistently.
+		if converged < 50 {
+			t.Errorf("%s: demand served in only the last %d consecutive periods; market did not converge", tc.name, converged)
 		}
-		agent.EndPeriod()
-	}
-	// The market must settle into serving the full demand persistently.
-	if converged < 50 {
-		t.Errorf("demand served in only the last %d consecutive periods; market did not converge", converged)
 	}
 }
 
-// TestPriceSignalsAreLocal verifies autonomy: one agent's trading never
-// touches another agent (no shared state), and an agent's prices are a
-// function of its own history alone — feed a second agent the same
+// TestPriceSignalsAreLocal verifies autonomy: one seller's trading never
+// touches another seller (no shared state), and a seller's prices are a
+// function of its own history alone — feed a second seller the same
 // history and it arrives at the same prices.
 func TestPriceSignalsAreLocal(t *testing.T) {
-	mk := func() *Agent {
-		a, err := NewAgent(economics.TimeBudgetSupplySet{Cost: []float64{100}, Budget: 500}, DefaultConfig(1))
+	mk := func() *Seller {
+		a, err := NewSeller(DefaultConfig(1), 500, []float64{100})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return a
 	}
 	// One period: sell out, then ten refusals raise the price.
-	trade := func(a *Agent) {
+	trade := func(a *Seller) {
 		a.BeginPeriod()
 		for i := 0; i < 10; i++ {
 			for a.Offer(0) {
@@ -236,7 +258,7 @@ func checkSellerLedger(t *testing.T, data []byte) {
 	const eps = 1e-6
 	costs = append([]float64(nil), costs...)
 	carry, spent := 0.0, 0.0
-	startPrice := s.Agent().Prices()
+	startPrice := s.Prices()
 	limit := func() float64 {
 		l := period
 		for _, c := range costs {
@@ -245,7 +267,7 @@ func checkSellerLedger(t *testing.T, data []byte) {
 		return l
 	}
 	maxRaise := math.Pow(1+cfg.Lambda, float64(cfg.MaxAdjustsPerPeriod))
-	last := s.Agent().Stats()
+	last := s.Stats()
 
 	for step := 0; len(in.data) > 0 && step < 2000; step++ {
 		op, k := in.next()%16, 0
@@ -296,28 +318,27 @@ func checkSellerLedger(t *testing.T, data []byte) {
 				t.Fatalf("step %d: boundary settled carry %g, model says %g", step, s.Carry(), carry)
 			}
 			s.BeginPeriod()
-			startPrice = s.Agent().Prices()
+			startPrice = s.Prices()
 		}
 
-		a := s.Agent()
-		budget := a.set.(economics.TimeBudgetSupplySet).Budget // what the current plan was solved against
+		budget := s.budget // what the current plan was solved against
 		onOfferMs, plannedMs, onPlanMs := 0.0, 0.0, 0.0
 		for c := range costs {
 			if s.Cost(c) != costs[c] {
 				t.Fatalf("step %d: class %d costs %g, model says %g", step, c, s.Cost(c), costs[c])
 			}
-			if a.supply[c] < 0 || a.supply[c] > a.planned[c] {
-				t.Fatalf("step %d: class %d has %d left of %d planned", step, c, a.supply[c], a.planned[c])
+			if s.supply[c] < 0 || s.supply[c] > s.planned[c] {
+				t.Fatalf("step %d: class %d has %d left of %d planned", step, c, s.supply[c], s.planned[c])
 			}
-			onOfferMs += float64(a.supply[c]) * costs[c]
-			plannedMs += float64(a.planned[c]) * costs[c]
-			onPlanMs += float64(a.planned[c]-a.supply[c]) * costs[c]
-			if a.prices[c] < cfg.PriceFloor || a.prices[c] > cfg.PriceCap || math.IsNaN(a.prices[c]) {
-				t.Fatalf("step %d: price[%d] = %g outside [%g, %g]", step, c, a.prices[c], cfg.PriceFloor, cfg.PriceCap)
+			onOfferMs += float64(s.supply[c]) * costs[c]
+			plannedMs += float64(s.planned[c]) * costs[c]
+			onPlanMs += float64(s.planned[c]-s.supply[c]) * costs[c]
+			if s.prices[c] < cfg.PriceFloor || s.prices[c] > cfg.PriceCap || math.IsNaN(s.prices[c]) {
+				t.Fatalf("step %d: price[%d] = %g outside [%g, %g]", step, c, s.prices[c], cfg.PriceFloor, cfg.PriceCap)
 			}
-			if cfg.MaxAdjustsPerPeriod > 0 && a.prices[c] > startPrice[c]*maxRaise*(1+eps) {
+			if cfg.MaxAdjustsPerPeriod > 0 && s.prices[c] > startPrice[c]*maxRaise*(1+eps) {
 				t.Fatalf("step %d: price[%d] rose %g → %g in one period, over %d raises of λ=%g",
-					step, c, startPrice[c], a.prices[c], cfg.MaxAdjustsPerPeriod, cfg.Lambda)
+					step, c, startPrice[c], s.prices[c], cfg.MaxAdjustsPerPeriod, cfg.Lambda)
 			}
 		}
 		left := period + carry - spent
@@ -341,7 +362,7 @@ func checkSellerLedger(t *testing.T, data []byte) {
 		if s.Carry() > limit()+eps {
 			t.Fatalf("step %d: carry %g above its cap %g", step, s.Carry(), limit())
 		}
-		st := a.Stats()
+		st := s.Stats()
 		if st.Periods < last.Periods || st.Offers < last.Offers || st.Accepts < last.Accepts || st.Rejects < last.Rejects ||
 			st.Unsold < last.Unsold || st.PriceUps < last.PriceUps || st.PriceDns < last.PriceDns {
 			t.Fatalf("step %d: lifetime counters went backwards: %+v → %+v", step, last, st)

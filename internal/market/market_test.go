@@ -8,43 +8,35 @@ import (
 	"github.com/qamarket/qamarket/internal/vector"
 )
 
-func newTestAgent(t *testing.T, cost []float64, budget float64, cfg Config) *Agent {
-	t.Helper()
-	set := economics.TimeBudgetSupplySet{Cost: cost, Budget: budget}
-	a, err := NewAgent(set, cfg)
-	if err != nil {
-		t.Fatalf("NewAgent: %v", err)
-	}
-	return a
-}
-
 func TestConfigValidation(t *testing.T) {
-	set := economics.TimeBudgetSupplySet{Cost: []float64{100}, Budget: 500}
 	cases := []struct {
 		name string
 		cfg  Config
 		ok   bool
 	}{
 		{"valid", Config{Classes: 1, Lambda: 0.1}, true},
-		{"zero classes", Config{Classes: 0, Lambda: 0.1}, false},
+		{"zero classes: the cost table sets K", Config{Classes: 0, Lambda: 0.1}, true},
 		{"zero lambda", Config{Classes: 1, Lambda: 0}, false},
 		{"lambda one", Config{Classes: 1, Lambda: 1}, false},
 		{"floor above cap", Config{Classes: 1, Lambda: 0.1, PriceFloor: 10, PriceCap: 1}, false},
 	}
 	for _, c := range cases {
-		_, err := NewAgent(set, c.cfg)
+		_, err := NewSeller(c.cfg, 500, []float64{100})
 		if (err == nil) != c.ok {
 			t.Errorf("%s: err = %v, want ok=%t", c.name, err, c.ok)
 		}
-	}
-	if _, err := NewAgent(nil, Config{Classes: 1, Lambda: 0.1}); err == nil {
-		t.Error("nil supply set accepted")
 	}
 }
 
 func TestBeginPeriodSolvesEq4(t *testing.T) {
 	// Figure 1's N1: with equal prices the best response is 5×q2.
-	a := newTestAgent(t, []float64{400, 100}, 500, DefaultConfig(2))
+	a, err := NewSeller(DefaultConfig(2), 500, []float64{400, 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !a.PlannedSupply().IsZero() {
+		t.Fatalf("planned %v before the first period", a.PlannedSupply())
+	}
 	a.BeginPeriod()
 	if want := (vector.Quantity{0, 5}); !a.PlannedSupply().Equal(want) {
 		t.Errorf("planned supply %v, want %v", a.PlannedSupply(), want)
@@ -52,8 +44,7 @@ func TestBeginPeriodSolvesEq4(t *testing.T) {
 }
 
 func TestOfferAcceptConsumesSupply(t *testing.T) {
-	a := newTestAgent(t, []float64{400, 100}, 500, DefaultConfig(2))
-	a.BeginPeriod()
+	a := newTestSeller(t, DefaultConfig(2), 500, 400, 100)
 	for i := 0; i < 5; i++ {
 		if !a.Offer(1) {
 			t.Fatalf("offer %d refused with supply remaining", i)
@@ -76,11 +67,10 @@ func TestOfferAcceptConsumesSupply(t *testing.T) {
 
 func TestRejectionRaisesPrice(t *testing.T) {
 	cfg := DefaultConfig(2)
-	a := newTestAgent(t, []float64{400, 100}, 500, cfg)
-	a.BeginPeriod()
+	a := newTestSeller(t, cfg, 500, 400, 100)
 	p0 := a.Prices()
-	// Class 0 is not in the supply vector: the request is refused and
-	// its price rises by λ·p.
+	// Class 0 is not in the supply vector and pricing is active: the
+	// request is refused and its price rises by λ·p.
 	if a.Offer(0) {
 		t.Fatal("unexpected offer for unsupplied class")
 	}
@@ -96,8 +86,7 @@ func TestRejectionRaisesPrice(t *testing.T) {
 
 func TestUnsoldSupplyCutsPrice(t *testing.T) {
 	cfg := DefaultConfig(2)
-	a := newTestAgent(t, []float64{400, 100}, 500, cfg)
-	a.BeginPeriod() // supply (0,5), nothing sold
+	a := newTestSeller(t, cfg, 500, 400, 100) // supply (0,5), nothing sold
 	p0 := a.Prices()
 	a.EndPeriod()
 	p1 := a.Prices()
@@ -111,22 +100,25 @@ func TestUnsoldSupplyCutsPrice(t *testing.T) {
 	if a.Stats().Unsold != 5 {
 		t.Errorf("unsold = %d, want 5", a.Stats().Unsold)
 	}
+	if a.Carry() != 500 {
+		t.Errorf("carry = %g, want the unsold 500 ms", a.Carry())
+	}
 }
 
 func TestPriceFloorAndCap(t *testing.T) {
 	cfg := DefaultConfig(1)
 	cfg.PriceFloor = 0.5
 	cfg.PriceCap = 2
-	a := newTestAgent(t, []float64{600}, 500, cfg) // class never fits: always rejected
-	a.BeginPeriod()
+	a := newTestSeller(t, cfg, 500, 600) // class does not fit the first period: always rejected
 	for i := 0; i < 100; i++ {
 		a.Offer(0)
 	}
 	if p := a.Prices()[0]; p > cfg.PriceCap {
 		t.Errorf("price %g exceeds cap %g", p, cfg.PriceCap)
 	}
-	// Now drive the price down with unsold periods.
-	b := newTestAgent(t, []float64{100}, 500, cfg)
+	// Now drive the price down with unsold periods (savings only make
+	// more of them unsold).
+	b := newTestSeller(t, cfg, 500, 100)
 	for i := 0; i < 100; i++ {
 		b.BeginPeriod()
 		b.EndPeriod()
@@ -139,7 +131,10 @@ func TestPriceFloorAndCap(t *testing.T) {
 func TestMaxAdjustsPerPeriod(t *testing.T) {
 	cfg := DefaultConfig(1)
 	cfg.MaxAdjustsPerPeriod = 3
-	a := newTestAgent(t, []float64{600}, 500, cfg)
+	a, err := NewAgent(economics.TimeBudgetSupplySet{Cost: []float64{600}, Budget: 500}, cfg) // class never fits
+	if err != nil {
+		t.Fatal(err)
+	}
 	a.BeginPeriod()
 	for i := 0; i < 10; i++ {
 		a.Offer(0)
@@ -163,7 +158,7 @@ func TestMarketDynamicsShiftSupply(t *testing.T) {
 	// The Section 3.3 narrative: N1 initially supplies only q2; if q1
 	// demand keeps failing, q1's price rises until N1 starts supplying
 	// q1 as well.
-	a := newTestAgent(t, []float64{400, 100}, 500, DefaultConfig(2))
+	a := newTestSeller(t, DefaultConfig(2), 500, 400, 100)
 	for period := 0; period < 100; period++ {
 		a.BeginPeriod()
 		if a.PlannedSupply()[0] > 0 {
@@ -184,8 +179,7 @@ func TestMarketDynamicsShiftSupply(t *testing.T) {
 }
 
 func TestOfferPanicsOnBadClass(t *testing.T) {
-	a := newTestAgent(t, []float64{100}, 500, DefaultConfig(1))
-	a.BeginPeriod()
+	a := newTestSeller(t, DefaultConfig(1), 500, 100)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-range class did not panic")

@@ -76,7 +76,7 @@ func TestSellerReplansRemainingCapacity(t *testing.T) {
 	sell(t, s, 0, 3)
 	s.AddClass(10) // re-plan with 60ms already spent
 	plannedMs := 0.0
-	for c, n := range s.Agent().PlannedSupply() {
+	for c, n := range s.PlannedSupply() {
 		plannedMs += float64(n) * s.Cost(c)
 	}
 	if plannedMs > 40+1e-9 {
@@ -99,12 +99,12 @@ func TestSellerTelemetrySurvivesReplan(t *testing.T) {
 		s := newTestSeller(t, DefaultConfig(1), 100, 20)
 		sell(t, s, 0, 2)
 		change(s)
-		if got := s.Agent().Telemetry().Accepted; !vector.Quantity(got).Equal(vector.Quantity{2, 0}) {
+		if got := s.Telemetry().Accepted; !vector.Quantity(got).Equal(vector.Quantity{2, 0}) {
 			t.Errorf("%s: the period's sales read %v afterwards, want [2 0]", name, got)
 		}
 		s.EndPeriod()
 		s.BeginPeriod()
-		if got := s.Agent().Accepted(); !got.IsZero() {
+		if got := s.Accepted(); !got.IsZero() {
 			t.Errorf("%s: sales %v carried into the next period", name, got)
 		}
 	}
@@ -118,15 +118,14 @@ func TestActivationThreshold(t *testing.T) {
 	cfg := DefaultConfig(2)
 	cfg.ActivationThreshold = 5
 	s := newTestSeller(t, cfg, 500, 400, 100)
-	a := s.Agent()
-	if a.Active() {
-		t.Fatal("agent active below threshold")
+	if s.Active() {
+		t.Fatal("seller active below threshold")
 	}
 	// Inactive: class 0 is on offer although the plan, (0, 5) at equal
 	// prices, excludes it. Selling it re-plans the 100 ms left.
 	sell(t, s, 0, 1)
-	if want := (vector.Quantity{0, 1}); !a.RemainingSupply().Equal(want) {
-		t.Fatalf("after an off-plan sale %v is on offer, want %v", a.RemainingSupply(), want)
+	if want := (vector.Quantity{0, 1}); !s.RemainingSupply().Equal(want) {
+		t.Fatalf("after an off-plan sale %v is on offer, want %v", s.RemainingSupply(), want)
 	}
 	if s.Offer(0) {
 		t.Error("inactive seller offered 400 ms with 100 ms left")
@@ -136,12 +135,12 @@ func TestActivationThreshold(t *testing.T) {
 	}
 	// Force a price over the threshold: pricing activates, and exactly
 	// the re-planned remainder is on offer — not the period's first plan.
-	a.prices[0] = 10
-	if !a.Active() {
-		t.Fatal("agent inactive above threshold")
+	s.prices[0] = 10
+	if !s.Active() {
+		t.Fatal("seller inactive above threshold")
 	}
-	if want := (vector.Quantity{0, 1}); !a.RemainingSupply().Equal(want) {
-		t.Fatalf("crossing the threshold put %v on offer, want %v", a.RemainingSupply(), want)
+	if want := (vector.Quantity{0, 1}); !s.RemainingSupply().Equal(want) {
+		t.Fatalf("crossing the threshold put %v on offer, want %v", s.RemainingSupply(), want)
 	}
 	sell(t, s, 1, 1)
 	if s.Offer(0) || s.Offer(1) {
@@ -196,11 +195,11 @@ func TestThresholdFlipNeverOversells(t *testing.T) {
 				}
 				spent += tc.costs[k]
 				if spent > budget {
-					t.Fatalf("sold %gms of a %gms budget (active: %t)", spent, budget, s.Agent().Active())
+					t.Fatalf("sold %gms of a %gms budget (active: %t)", spent, budget, s.Active())
 				}
 				return true
 			}
-			if s.Agent().Active() {
+			if s.Active() {
 				t.Fatal("seller starts active")
 			}
 			if !buy(tc.first) {
@@ -213,7 +212,7 @@ func TestThresholdFlipNeverOversells(t *testing.T) {
 					buy(k)
 				}
 			}
-			if !s.Agent().Active() {
+			if !s.Active() {
 				t.Fatal("refusals never activated pricing; the flip was not exercised")
 			}
 			s.EndPeriod()
@@ -224,7 +223,8 @@ func TestThresholdFlipNeverOversells(t *testing.T) {
 	}
 }
 
-// TestSellerGrowthKeepsAgentState pins what replacing the agent on a
+// TestSellerGrowthKeepsAgentState pins what replacing the agent (the
+// prices and counters a seller once kept in a separate object) on a
 // class arrival or a cost drift used to lose: lifetime counters, learned
 // prices and the per-period price-adjustment allowance.
 func TestSellerGrowthKeepsAgentState(t *testing.T) {
@@ -238,7 +238,7 @@ func TestSellerGrowthKeepsAgentState(t *testing.T) {
 		}
 	}
 	// One raise allowed per period: 1 → 1.1 however many refusals.
-	before, price := s.Agent().Stats(), s.Agent().Prices()[0]
+	before, price := s.Stats(), s.Prices()[0]
 	if price != 1.1 || before.Offers != 2 || before.Rejects != 3 || before.PriceUps != 1 {
 		t.Fatalf("setup: price %g, stats %+v", price, before)
 	}
@@ -247,18 +247,18 @@ func TestSellerGrowthKeepsAgentState(t *testing.T) {
 		"cost drift":    func() { s.Recost(0, 500) },
 	} {
 		change()
-		if got := s.Agent().Stats(); got != before {
+		if got := s.Stats(); got != before {
 			t.Errorf("%s changed lifetime stats: %+v, want %+v", name, got, before)
 		}
 		if s.Offer(0) {
 			t.Fatalf("%s: class 0 offered with the budget spent", name)
 		}
 		before.Rejects++
-		if got := s.Agent().Prices()[0]; got != price {
+		if got := s.Prices()[0]; got != price {
 			t.Errorf("%s reopened the adjust allowance: price %g, want %g", name, got, price)
 		}
 	}
-	if got := s.Agent().Prices()[1]; got != 1 {
+	if got := s.Prices()[1]; got != 1 {
 		t.Errorf("new class priced %g, want the initial price", got)
 	}
 }
@@ -271,11 +271,11 @@ func TestSellerIdleWithoutClasses(t *testing.T) {
 		s.EndPeriod()
 		s.BeginPeriod()
 	}
-	if s.Carry() != 0 || s.Agent().Stats().Periods != 0 {
-		t.Fatalf("classless seller: carry %g, periods %d", s.Carry(), s.Agent().Stats().Periods)
+	if s.Carry() != 0 || s.Stats().Periods != 0 {
+		t.Fatalf("classless seller: carry %g, periods %d", s.Carry(), s.Stats().Periods)
 	}
 	k := s.AddClass(30)
-	if got := s.Agent().PlannedSupply()[k]; got != 3 {
+	if got := s.PlannedSupply()[k]; got != 3 {
 		t.Fatalf("first class planned %d, want 3 (one period's budget)", got)
 	}
 }
@@ -310,21 +310,21 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := b.Restore(parsed); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	pa, pb := a.Agent().Prices(), b.Agent().Prices()
+	pa, pb := a.Prices(), b.Prices()
 	for i := range pa {
 		if pa[i] != pb[i] {
 			t.Errorf("price[%d] %g != %g after restore", i, pb[i], pa[i])
 		}
 	}
-	if b.Agent().Stats() != a.Agent().Stats() {
-		t.Errorf("stats not carried: %+v vs %+v", b.Agent().Stats(), a.Agent().Stats())
+	if b.Stats() != a.Stats() {
+		t.Errorf("stats not carried: %+v vs %+v", b.Stats(), a.Stats())
 	}
 	if b.Carry() != a.Carry() || b.Cost(0) != 400 || b.Cost(1) != 100 {
 		t.Errorf("ledger not carried: carry %g vs %g, costs %g %g", b.Carry(), a.Carry(), b.Cost(0), b.Cost(1))
 	}
 	// The restored seller plans the same supply vector.
-	if !a.Agent().PlannedSupply().Equal(b.Agent().PlannedSupply()) {
-		t.Errorf("restored supply %v != original %v", b.Agent().PlannedSupply(), a.Agent().PlannedSupply())
+	if !a.PlannedSupply().Equal(b.PlannedSupply()) {
+		t.Errorf("restored supply %v != original %v", b.PlannedSupply(), a.PlannedSupply())
 	}
 }
 
@@ -377,7 +377,7 @@ func TestRestoreValidation(t *testing.T) {
 	if err := s.Restore(Snapshot{Costs: []float64{100, 700}}); err != nil {
 		t.Fatalf("price-less snapshot refused: %v", err)
 	}
-	if p := s.Agent().Prices(); p[0] != 1 || p[1] != 1 {
+	if p := s.Prices(); p[0] != 1 || p[1] != 1 {
 		t.Errorf("price-less snapshot restored prices %v, want initial", p)
 	}
 }

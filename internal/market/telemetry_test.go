@@ -3,17 +3,10 @@ package market
 import (
 	"reflect"
 	"testing"
-
-	"github.com/qamarket/qamarket/internal/economics"
 )
 
 func TestAgentTelemetry(t *testing.T) {
-	set := economics.TimeBudgetSupplySet{Cost: []float64{100, 100}, Budget: 300}
-	a, err := NewAgent(set, Config{Classes: 2, Lambda: 0.1})
-	if err != nil {
-		t.Fatalf("NewAgent: %v", err)
-	}
-	a.BeginPeriod()
+	a := newTestSeller(t, Config{Lambda: 0.1}, 300, 100, 100)
 	if !a.Offer(0) {
 		t.Fatal("offer 0 refused")
 	}
@@ -52,11 +45,11 @@ func TestAgentTelemetry(t *testing.T) {
 		}
 	}
 
-	// The snapshot is a copy: mutating it must not touch the agent.
+	// The snapshot is a copy: mutating it must not touch the seller.
 	tel.Prices[0] = 999
 	tel.Remaining[0] = 999
 	if a.Prices()[0] == 999 || a.RemainingSupply()[0] == 999 {
-		t.Fatal("telemetry mutation leaked into the agent")
+		t.Fatal("telemetry mutation leaked into the seller")
 	}
 
 	// Telemetry agrees with the accessor API it aggregates.
@@ -67,8 +60,8 @@ func TestAgentTelemetry(t *testing.T) {
 	if !reflect.DeepEqual(tel2.Remaining, []int(a.RemainingSupply())) {
 		t.Fatalf("remaining diverges: %v vs %v", tel2.Remaining, a.RemainingSupply())
 	}
-	if s := a.Stats(); tel2.Offers != s.Offers || tel2.Rejects != s.Rejects || tel2.Periods != s.Periods {
-		t.Fatalf("stats diverge: %+v vs %+v", tel2, s)
+	if tel2.Stats != a.Stats() {
+		t.Fatalf("stats diverge: %+v vs %+v", tel2.Stats, a.Stats())
 	}
 
 	a.EndPeriod()

@@ -67,7 +67,7 @@ func TestQANTConvergesToParetoOptimalPeriods(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !mech.Agents()[0].Active() {
+			if !mech.Sellers()[0].Active() {
 				t.Fatal("the overload never activated N1's pricing")
 			}
 			checkSettledPeriodsPareto(t, col, periods/2, periods-5)
@@ -101,17 +101,17 @@ func TestLearningSellersConvergeToParetoOptimalPeriods(t *testing.T) {
 				t.Fatal(err)
 			}
 			for n, s := range mech.sellers {
-				if got := len(s.Agent().Prices()); got != 2 {
+				if got := len(s.Prices()); got != 2 {
 					t.Fatalf("node %d ended with %d classes, want 2 (q1 learned through AddClass)", n, got)
 				}
 				if s.Cost(1) != figure1Costs[n][0] {
 					t.Fatalf("node %d: q1 estimate %g was never corrected to %g", n, s.Cost(1), figure1Costs[n][0])
 				}
-				if st := s.Agent().Stats(); st.Periods < periods {
+				if st := s.Stats(); st.Periods < periods {
 					t.Fatalf("node %d: lifetime counters lost across growth: %+v", n, st)
 				}
 			}
-			if !mech.sellers[0].Agent().Active() {
+			if !mech.sellers[0].Active() {
 				t.Fatal("the overload never activated N1's pricing")
 			}
 			checkSettledPeriodsPareto(t, col, periods/2, periods-5)
@@ -226,11 +226,10 @@ func checkSettledPeriodsPareto(t *testing.T, col *metrics.Collector, from, to in
 		startedAt[k][s.Class]++
 	}
 	demand := []vector.Quantity{{2, 6}}
-	sets := []economics.EnumerableSupplySet{
+	sets := []economics.TimeBudgetSupplySet{
 		economics.TimeBudgetSupplySet{Cost: figure1Costs[0], Budget: 500},
 		economics.TimeBudgetSupplySet{Cost: figure1Costs[1], Budget: 500},
 	}
-	prefs := []economics.Preference{economics.ThroughputPreference}
 
 	optimal, checked := 0, 0
 	for p := from; p < to; p++ {
@@ -256,7 +255,7 @@ func checkSettledPeriodsPareto(t *testing.T, col *metrics.Collector, from, to in
 			Supply:      []vector.Quantity{s0, s1},
 			Consumption: []vector.Quantity{agg},
 		}
-		if economics.IsParetoOptimal(allocn, demand, sets, prefs) {
+		if economics.IsParetoOptimal(allocn, demand, sets) {
 			optimal++
 		}
 	}
