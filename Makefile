@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench benchsmoke loadsmoke examplesmoke fuzzsmoke oneledger onelane onekinds onerow oneonce onewire onedoor ci
+.PHONY: all build test vet race bench benchsmoke loadsmoke examplesmoke fuzzsmoke oneledger onelane onekinds onerow oneonce onewire onedoor oneclock ci
 
 all: build test
 
@@ -222,4 +222,20 @@ onedoor:
 	@if grep -rnwE 'SaveTrace|LoadTrace|WriteCSV|ReadCSV' --include='*.go' .; \
 	then echo 'onedoor: an arrival-trace file codec is back; arrivals are regenerated from their seed (see DESIGN.md §1)'; exit 1; fi
 
-ci: build vet oneledger onelane onekinds onerow oneonce onewire onedoor test race benchsmoke loadsmoke examplesmoke fuzzsmoke
+# oneclock keeps one clock in internal/cluster: the node and the client
+# read time through the clock interface in clock.go, which validate
+# fills with the wall clock and the package's tests replace with a fake
+# they advance by hand; only socket deadlines and dial timeouts stay on
+# the wall. It fails when a non-test internal/cluster file other than
+# clock.go calls the time package's clock directly, when breaker keeps a
+# now field of its own again, or when newBidCache takes a clock again
+# (the cache's callers pass it the client's now).
+oneclock:
+	@if grep -nE '\btime\.(Now|Since|Until|Sleep|After|AfterFunc|NewTimer|NewTicker|Tick)\b' $(filter-out internal/cluster/clock.go,$(clustersrc)); \
+	then echo 'oneclock: a direct wall-clock read, sleep, timer or ticker in internal/cluster; use the node'"'"'s or the client'"'"'s clock (see DESIGN.md §7, "One clock")'; exit 1; fi
+	@if awk '/^type breaker struct/,/^}/' internal/cluster/breaker.go | grep -nE '^[[:space:]]*now[[:space:],]'; \
+	then echo 'oneclock: breaker has its own now hook again; it runs on the client'"'"'s clock (see DESIGN.md §7, "One clock")'; exit 1; fi
+	@if grep -nE 'func newBidCache\([^)]*(,|\bclock\b|\bnow\b|time\.Time)' $(clustersrc); \
+	then echo 'oneclock: newBidCache takes a clock again; put and get take the client'"'"'s now (see DESIGN.md §7, "One clock")'; exit 1; fi
+
+ci: build vet oneledger onelane onekinds onerow oneonce onewire onedoor oneclock test race benchsmoke loadsmoke examplesmoke fuzzsmoke

@@ -136,9 +136,10 @@ func (s *scriptedServer) requests() []request {
 func TestBatchedWindowOverloadIsTyped(t *testing.T) {
 	n := startSingleNode(t, func(cfg *NodeConfig) { cfg.MaxInflight = 1 })
 	n.working.Add(1) // the only slot is held
+	clk := newFakeClock()
 	c, err := NewClient(ClientConfig{
 		Addrs: []string{n.Addr()}, Mechanism: MechGreedy,
-		BatchWindow: 200 * time.Millisecond, batchLimit: 2,
+		BatchWindow: 200 * time.Millisecond, batchLimit: 2, clock: clk,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -151,9 +152,13 @@ func TestBatchedWindowOverloadIsTyped(t *testing.T) {
 		wg.Add(1)
 		go func(i int, sql string) {
 			defer wg.Done()
-			results[i], _, errs[i] = c.batches.negotiate(int64(i), sql, classKey(sql), nil, time.Time{})
+			results[i], _, errs[i] = c.neg.negotiate(int64(i), sql, classKey(sql), nil, time.Time{})
 		}(i, sql)
-		time.Sleep(20 * time.Millisecond) // second call rides the first's window
+		if i == 0 {
+			// The lead's window timer is armed, so the window is open; the
+			// second call rides it and seals it at batchLimit.
+			clk.blockUntil(1)
+		}
 	}
 	wg.Wait()
 	if got := c.RPCCounts()["negotiate"]; got != 1 {
@@ -188,11 +193,13 @@ func rawExchange(t *testing.T, addr string, req any) []byte {
 	return bytes.Clone(fm.payload)
 }
 
-// seedBidClient builds a cache-enabled client against addr (no RPCs
-// are made) and returns it with the seed node's state.
-func seedBidClient(t *testing.T, addr string, ttl time.Duration) (*Client, *nodeState) {
+// seedBidClient builds a cache-enabled client on a fake clock against
+// addr (no RPCs are made) and returns it with the seed node's state and
+// the clock.
+func seedBidClient(t *testing.T, addr string, ttl time.Duration) (*Client, *nodeState, *fakeClock) {
 	t.Helper()
-	c, err := NewClient(ClientConfig{Addrs: []string{addr}, BidCacheTTL: ttl})
+	clk := newFakeClock()
+	c, err := NewClient(ClientConfig{Addrs: []string{addr}, BidCacheTTL: ttl, clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,16 +208,16 @@ func seedBidClient(t *testing.T, addr string, ttl time.Duration) (*Client, *node
 	if ns == nil {
 		t.Fatal("seed node missing from view")
 	}
-	return c, ns
+	return c, ns, clk
 }
 
 func TestBidCacheEpochBumpInvalidates(t *testing.T) {
-	c, ns := seedBidClient(t, "127.0.0.1:9", time.Minute)
+	c, ns, _ := seedBidClient(t, "127.0.0.1:9", time.Minute)
 	ns.mu.Lock()
 	ns.epoch = 3
 	ns.mu.Unlock()
 	class := classKey("SELECT a FROM t1 WHERE a > 5")
-	c.bids.put(class, []*nodeState{ns})
+	c.bids.put(class, []*nodeState{ns}, c.cfg.clock.now())
 	if got := c.cachedLadder(class); len(got) != 1 || got[0] != ns {
 		t.Fatalf("fresh entry not returned: %v", got)
 	}
@@ -235,9 +242,9 @@ func TestBidCacheEpochBumpInvalidates(t *testing.T) {
 }
 
 func TestBidCacheMemberEvictionInvalidates(t *testing.T) {
-	c, ns := seedBidClient(t, "127.0.0.1:9", time.Minute)
+	c, ns, _ := seedBidClient(t, "127.0.0.1:9", time.Minute)
 	class := classKey("SELECT a FROM t1")
-	c.bids.put(class, []*nodeState{ns})
+	c.bids.put(class, []*nodeState{ns}, c.cfg.clock.now())
 	c.viewMu.Lock()
 	c.pruneLocked(ns.nodeID(), 1)
 	c.viewMu.Unlock()
@@ -250,10 +257,10 @@ func TestBidCacheMemberEvictionInvalidates(t *testing.T) {
 }
 
 func TestBidCacheTTLExpires(t *testing.T) {
-	c, ns := seedBidClient(t, "127.0.0.1:9", time.Millisecond)
+	c, ns, clk := seedBidClient(t, "127.0.0.1:9", time.Millisecond)
 	class := classKey("SELECT a FROM t1")
-	c.bids.put(class, []*nodeState{ns})
-	time.Sleep(5 * time.Millisecond)
+	c.bids.put(class, []*nodeState{ns}, c.cfg.clock.now())
+	clk.advance(5 * time.Millisecond)
 	if got := c.cachedLadder(class); got != nil {
 		t.Fatalf("TTL did not expire the entry: %v", got)
 	}
@@ -277,7 +284,7 @@ func TestBidCacheTypedRefusalsInvalidate(t *testing.T) {
 			sql := "SELECT a FROM t1 WHERE a > 5"
 			class := classKey(sql)
 			// Seed the cache the way a successful round would.
-			c.bids.put(class, []*nodeState{c.lookup(srv.addr)})
+			c.bids.put(class, []*nodeState{c.lookup(srv.addr)}, c.cfg.clock.now())
 			out := c.Run(1, sql)
 			if out.Err == nil {
 				t.Fatal("refused query reported success")
@@ -335,9 +342,10 @@ func TestBidCacheHitSkipsNegotiate(t *testing.T) {
 // per node, not three.
 func TestBatchedWindowSharesOneRPC(t *testing.T) {
 	srv := startScriptedServer(t, "")
+	clk := newFakeClock()
 	c, err := NewClient(ClientConfig{
 		Addrs: []string{srv.addr}, Mechanism: MechGreedy,
-		BatchWindow: 300 * time.Millisecond, batchLimit: 3,
+		BatchWindow: 300 * time.Millisecond, batchLimit: 3, clock: clk,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -350,9 +358,11 @@ func TestBatchedWindowSharesOneRPC(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			sql := "SELECT a FROM t1 WHERE a > 5"
-			_, _, errs[i] = c.batches.negotiate(int64(i), sql, classKey(sql), nil, time.Time{})
+			_, _, errs[i] = c.neg.negotiate(int64(i), sql, classKey(sql), nil, time.Time{})
 		}(i)
-		time.Sleep(20 * time.Millisecond)
+		if i == 0 {
+			clk.blockUntil(1) // the lead's window is open
+		}
 	}
 	wg.Wait()
 	for i, err := range errs {
@@ -476,7 +486,7 @@ func TestCacheAdmittedFetchRefusedRenegotiatesAtOnce(t *testing.T) {
 		"typed overload": func(f *lifeFed) { f.a.working.Add(int64(f.a.cfg.MaxInflight)) },
 		"supply race lost": func(f *lifeFed) {
 			// QA-NT registers the class on A's first offer; then sell A out.
-			if _, _, err := f.c.negotiateAll(lifeSQL, nil, time.Time{}); err != nil {
+			if _, _, err := f.c.neg.negotiate(0, lifeSQL, "", nil, time.Time{}); err != nil {
 				f.t.Fatal(err)
 			}
 			st, _, _, _ := f.a.estimate(lifeSQL)
@@ -487,7 +497,7 @@ func TestCacheAdmittedFetchRefusedRenegotiatesAtOnce(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			f := startLifeFed(t, lifePatient)
 			class := classKey(lifeSQL)
-			f.c.bids.put(class, []*nodeState{f.c.lookup(f.proxyA.Addr())}) // A alone, as a won round would cache it
+			f.c.bids.put(class, []*nodeState{f.c.lookup(f.proxyA.Addr())}, f.c.cfg.clock.now()) // A alone, as a won round would cache it
 			refuse(f)
 			rounds0 := f.c.RPCCounts()["negotiate"]
 			res, out := f.c.Fetch(1, lifeSQL)
@@ -554,6 +564,11 @@ func TestDistributorFragmentsRideBidCache(t *testing.T) {
 // fan-out sends ~100, every query must complete, and the nodes, departed ones included, must have executed
 // exactly what the client completed: cache-admitted and batch-negotiated
 // queries keep the at-most-once contract of fully negotiated ones.
+//
+// The nodes share one fake clock that the test never advances, so no
+// market period ends and no gossip round runs during the workload: every
+// node's epoch stays put, and the negotiate count no longer follows how
+// many period ticks the host's scheduling let land inside the run.
 func TestHundredNodeAmortizedNegotiation(t *testing.T) {
 	const nodes, queries, workers = 100, 120, 8
 	rng := rand.New(rand.NewSource(17))
@@ -567,14 +582,15 @@ func TestHundredNodeAmortizedNegotiation(t *testing.T) {
 	fleet := make([]*Node, nodes)
 	addrs := make([]string, nodes)
 	var seeds []string
+	clk := newFakeClock()
 	for i := range fleet {
 		// Every node joins through scale-000, whose table is the client's
-		// view, so nothing here waits on gossip rounds; a slow gossip clock
-		// keeps 100 nodes pushing 100-member tables from taking both cores
-		// under the race detector.
+		// view, so nothing here waits on gossip rounds, which never come on
+		// the stopped clock. The cost unit is so small that every execution
+		// stretch rounds to zero nanoseconds and never waits on that clock.
 		fleet[i] = startGossipNode(t, ds.DBs[i], fmt.Sprintf("scale-%03d", i), seeds,
 			1+3*float64(i)/(nodes-1), func(cfg *NodeConfig) {
-				cfg.MsPerCostUnit, cfg.PeriodMs, cfg.GossipPeriodMs = 0.0001, 50, 2000
+				cfg.MsPerCostUnit, cfg.clock = 1e-12, clk
 			})
 		addrs[i] = fleet[i].Addr()
 		seeds = addrs[:1]
@@ -657,6 +673,11 @@ func TestHundredNodeAmortizedNegotiation(t *testing.T) {
 	}
 	wg.Wait()
 
+	for _, n := range fleet {
+		if e := n.Epoch(); e != 0 {
+			t.Errorf("node %s reached epoch %d on a clock that never moved", n.ID(), e)
+		}
+	}
 	health := client.Health()
 	if health[metrics.BidCacheHitsTotal] == 0 {
 		t.Errorf("the bid cache admitted no query (misses %v): cached admission is dead", health[metrics.BidCacheMissesTotal])

@@ -7,9 +7,13 @@ import (
 	"time"
 
 	"github.com/qamarket/qamarket/internal/metrics"
+	"github.com/qamarket/qamarket/internal/trace"
 )
 
-// negotiator coalesces same-class call-for-proposals into batched
+// negotiator is the client's one call-for-proposals entry: every
+// lifecycle's negotiation round goes through negotiate, which opens the
+// query's negotiate span. With BatchWindow zero the round fans out at
+// once. With it positive, same-class CFPs coalesce into batched
 // negotiate RPCs: the first query of a class to need a CFP opens a
 // window and leads it; queries of the class arriving within BatchWindow
 // ride along; the sealed window fans out ONE RPC per probed node (the
@@ -33,6 +37,7 @@ type batchItem struct {
 	deadline time.Time
 
 	pr      proposals
+	probed  int // nodes the round asked
 	elapsed time.Duration
 	err     error
 }
@@ -50,33 +55,65 @@ func newNegotiator(c *Client) *negotiator {
 	return &negotiator{c: c, windows: make(map[string]*batchWindow)}
 }
 
-// negotiate gets one query its proposal round through the class's
-// window: opening and leading one if none is accepting, riding
-// otherwise. Blocks until the round completes (at most BatchWindow plus
-// the fan-out itself).
+// negotiate gets one query its proposal round: the current probe set
+// (the live view, shard-trimmed by the query's relations) ranked by
+// estimated completion. It returns an aggregate error naming every
+// node's failure when none is reachable; typed overload/expired refusals
+// count as reachable. Under a batch window it blocks for at most
+// BatchWindow plus the fan-out itself.
 func (g *negotiator) negotiate(queryID int64, sql, class string, tc *traceCtx, deadline time.Time) (proposals, time.Duration, error) {
+	c := g.c
+	var sp *trace.Active
+	if tc != nil {
+		sp = c.startSpan(tc.ID, tc.Span, "negotiate")
+		defer sp.Finish()
+		tc = childCtx(tc, sp)
+	}
 	it := &batchItem{queryID: queryID, sql: sql, tc: tc, deadline: deadline}
+	if c.cfg.BatchWindow > 0 {
+		g.coalesce(it, class)
+	} else {
+		c.fanout([]*batchItem{it})
+	}
+	if sp != nil {
+		switch best := it.pr.best(); {
+		case it.err != nil:
+			sp.Annotate("no node reachable")
+		case best != nil:
+			sp.Annotate("winner=%s of %d nodes (%d offers)", best.nodeID(), it.probed, len(it.pr.ranked))
+		default:
+			sp.Annotate("no offer from %d nodes (%d overloaded, %d expired)", it.probed, it.pr.overloads, it.pr.expireds)
+		}
+	}
+	return it.pr, it.elapsed, it.err
+}
+
+// coalesce runs the item's round through the class's window: opening and
+// leading one if none is accepting, riding otherwise. The window's timer
+// runs on the client's clock.
+func (g *negotiator) coalesce(it *batchItem, class string) {
+	c := g.c
 	g.mu.Lock()
 	if w := g.windows[class]; w != nil {
 		// Ride the open window.
 		w.items = append(w.items, it)
-		if len(w.items) >= g.c.cfg.batchLimit {
+		if len(w.items) >= c.cfg.batchLimit {
 			// Full: seal now and stop admitting; the leader fans out.
 			delete(g.windows, class)
 			close(w.full)
 		}
 		g.mu.Unlock()
-		g.c.health.Inc(metrics.BatchCoalescedTotal)
+		c.health.Inc(metrics.BatchCoalescedTotal)
 		<-w.done
-		return it.pr, it.elapsed, it.err
+		return
 	}
 	w := &batchWindow{items: []*batchItem{it}, full: make(chan struct{}), done: make(chan struct{})}
 	g.windows[class] = w
 	g.mu.Unlock()
 	// Lead: hold the window open for late same-class arrivals, then seal.
-	timer := time.NewTimer(g.c.cfg.BatchWindow)
+	timer := c.cfg.clock.newTimer(c.cfg.BatchWindow)
 	select {
-	case <-timer.C:
+	case <-timer.C():
 	case <-w.full:
 	}
 	timer.Stop()
@@ -86,25 +123,23 @@ func (g *negotiator) negotiate(queryID int64, sql, class string, tc *traceCtx, d
 	}
 	items := w.items
 	g.mu.Unlock()
-	g.c.health.Inc(metrics.BatchWindowsTotal)
-	g.c.fanout(items)
+	c.health.Inc(metrics.BatchWindowsTotal)
+	c.fanout(items)
 	close(w.done)
-	return it.pr, it.elapsed, it.err
 }
 
 // fanout runs one proposal round for a sealed window of same-class
 // queries (a plain CFP is a window of one): one CFP per probed node,
-// per-query classification, per-query ranking. It reports how many
-// nodes it probed.
-func (c *Client) fanout(items []*batchItem) int {
-	start := time.Now()
+// per-query classification, per-query ranking.
+func (c *Client) fanout(items []*batchItem) {
+	start := c.cfg.clock.now()
 	// Same class ⇒ same relations: probe once for the whole window.
 	members := c.probeSet(items[0].sql)
 	if len(members) == 0 {
 		for _, it := range items {
 			it.err = errors.New("cluster: membership view is empty")
 		}
-		return 0
+		return
 	}
 	// grid[qi][mi] is query qi's outcome at member mi.
 	grid := make([][]negOutcome, len(items))
@@ -126,9 +161,9 @@ func (c *Client) fanout(items []*batchItem) int {
 		}(mi, ns)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
+	elapsed := c.cfg.clock.since(start)
 	for qi, it := range items {
-		it.elapsed = elapsed
+		it.elapsed, it.probed = elapsed, len(members)
 		pr, reachable := rankOffers(members, grid[qi])
 		if reachable {
 			it.pr = pr
@@ -136,7 +171,6 @@ func (c *Client) fanout(items []*batchItem) int {
 		}
 		it.err = hopeless(aggregateNodeErrors(members, grid[qi]), grid[qi])
 	}
-	return len(members)
 }
 
 // hopeless types a round's "no node reachable" error when no resubmit
@@ -165,11 +199,11 @@ func hopeless(err error, outs []negOutcome) error {
 func (c *Client) askNode(items []*batchItem, ns *nodeState, grid [][]negOutcome, mi int) {
 	lead := items[0]
 	req := &request{
-		Op: "negotiate", SQL: lead.sql, Trace: lead.tc, DeadlineMs: remainingMs(lead.deadline),
+		Op: "negotiate", SQL: lead.sql, Trace: lead.tc, DeadlineMs: c.remainingMs(lead.deadline),
 	}
 	for _, it := range items[1:] {
 		req.Batch = append(req.Batch, batchQuery{
-			QueryID: it.queryID, SQL: it.sql, DeadlineMs: remainingMs(it.deadline),
+			QueryID: it.queryID, SQL: it.sql, DeadlineMs: c.remainingMs(it.deadline),
 		})
 	}
 	var (

@@ -23,7 +23,6 @@ import (
 // error from a cached candidate — invalidate explicitly via the client.
 type bidCache struct {
 	ttl     time.Duration
-	now     func() time.Time
 	mu      sync.Mutex
 	entries map[string]*bidEntry
 }
@@ -40,19 +39,15 @@ type bidEntry struct {
 	expires time.Time
 }
 
-// newBidCache builds the cache. The clock is injectable (matching the
-// trace recorder's explicit-clock pattern) so TTL expiry is testable
-// deterministically; nil means the wall clock.
-func newBidCache(ttl time.Duration, now func() time.Time) *bidCache {
-	if now == nil {
-		now = time.Now
-	}
-	return &bidCache{ttl: ttl, now: now, entries: make(map[string]*bidEntry)}
+// newBidCache builds the cache. It keeps no clock: put and get take the
+// client's now.
+func newBidCache(ttl time.Duration) *bidCache {
+	return &bidCache{ttl: ttl, entries: make(map[string]*bidEntry)}
 }
 
-// put caches a fresh proposal round's ladder for the class, stamping
-// each candidate's current epoch.
-func (b *bidCache) put(class string, ranked []*nodeState) {
+// put caches a fresh proposal round's ladder for the class at now,
+// stamping each candidate's current epoch.
+func (b *bidCache) put(class string, ranked []*nodeState, now time.Time) {
 	bids := make([]cachedBid, len(ranked))
 	for i, ns := range ranked {
 		ns.mu.Lock()
@@ -60,22 +55,22 @@ func (b *bidCache) put(class string, ranked []*nodeState) {
 		ns.mu.Unlock()
 	}
 	b.mu.Lock()
-	b.entries[class] = &bidEntry{bids: bids, expires: b.now().Add(b.ttl)}
+	b.entries[class] = &bidEntry{bids: bids, expires: now.Add(b.ttl)}
 	b.mu.Unlock()
 }
 
-// get returns the class's cached ladder when every stamp still holds
-// under valid, nil otherwise. Any stale rung — or an expired TTL —
+// get returns the class's cached ladder when, at now, every stamp still
+// holds under valid, nil otherwise. Any stale rung — or an expired TTL —
 // invalidates the whole entry (reported via dropped): a partially stale
 // ladder was ranked against prices that no longer exist.
-func (b *bidCache) get(class string, valid func(ns *nodeState, epoch uint64) bool) (ranked []*nodeState, dropped bool) {
+func (b *bidCache) get(class string, now time.Time, valid func(ns *nodeState, epoch uint64) bool) (ranked []*nodeState, dropped bool) {
 	b.mu.Lock()
 	e := b.entries[class]
 	b.mu.Unlock()
 	if e == nil {
 		return nil, false
 	}
-	if b.now().After(e.expires) {
+	if now.After(e.expires) {
 		return nil, b.invalidate(class)
 	}
 	ranked = make([]*nodeState, len(e.bids))
@@ -121,7 +116,7 @@ func (c *Client) cachedLadder(class string) []*nodeState {
 	if c.bids == nil {
 		return nil
 	}
-	ranked, dropped := c.bids.get(class, c.bidStillValid)
+	ranked, dropped := c.bids.get(class, c.cfg.clock.now(), c.bidStillValid)
 	if dropped {
 		c.health.Inc(metrics.BidCacheInvalidationsTotal)
 	}

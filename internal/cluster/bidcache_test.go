@@ -5,44 +5,44 @@ import (
 	"time"
 )
 
-// TestBidCacheDeterministicExpiry drives TTL expiry with a manual
-// clock: before the deadline the ladder is served, one tick past it
-// the entry dies (and reports the drop so the invalidation counter can
-// fire). The wall clock is never consulted.
+// TestBidCacheDeterministicExpiry drives TTL expiry on the fake clock:
+// before the deadline the ladder is served, one tick past it the entry
+// dies (and reports the drop so the invalidation counter can fire). The
+// wall clock is never consulted.
 func TestBidCacheDeterministicExpiry(t *testing.T) {
-	now := time.Unix(1000, 0)
-	cache := newBidCache(50*time.Millisecond, func() time.Time { return now })
+	clk := newFakeClock()
+	cache := newBidCache(50 * time.Millisecond)
 	ns := &nodeState{id: "n1", epoch: 3}
 	always := func(*nodeState, uint64) bool { return true }
 
-	cache.put("classA", []*nodeState{ns})
-	if ranked, dropped := cache.get("classA", always); len(ranked) != 1 || dropped {
+	cache.put("classA", []*nodeState{ns}, clk.now())
+	if ranked, dropped := cache.get("classA", clk.now(), always); len(ranked) != 1 || dropped {
 		t.Fatalf("fresh entry: got %d rungs, dropped=%v; want 1, false", len(ranked), dropped)
 	}
 
-	now = now.Add(50 * time.Millisecond) // exactly at the deadline: still valid
-	if ranked, _ := cache.get("classA", always); len(ranked) != 1 {
+	clk.advance(50 * time.Millisecond) // exactly at the deadline: still valid
+	if ranked, _ := cache.get("classA", clk.now(), always); len(ranked) != 1 {
 		t.Fatalf("entry died at its deadline instead of after it")
 	}
 
-	now = now.Add(time.Nanosecond) // one tick past: expired
-	if ranked, dropped := cache.get("classA", always); ranked != nil || !dropped {
+	clk.advance(time.Nanosecond) // one tick past: expired
+	if ranked, dropped := cache.get("classA", clk.now(), always); ranked != nil || !dropped {
 		t.Fatalf("expired entry: got %v, dropped=%v; want nil, true", ranked, dropped)
 	}
-	if ranked, dropped := cache.get("classA", always); ranked != nil || dropped {
+	if ranked, dropped := cache.get("classA", clk.now(), always); ranked != nil || dropped {
 		t.Fatalf("second lookup after expiry: got %v, dropped=%v; want nil, false (already gone)", ranked, dropped)
 	}
 }
 
 // TestBidCacheEpochStampInvalidation pins the stamp-revalidation rule
-// under the injected clock: a single stale rung kills the whole
-// ladder even well inside the TTL.
+// on the fake clock: a single stale rung kills the whole ladder even
+// well inside the TTL.
 func TestBidCacheEpochStampInvalidation(t *testing.T) {
-	now := time.Unix(2000, 0)
-	cache := newBidCache(time.Hour, func() time.Time { return now })
+	clk := newFakeClock()
+	cache := newBidCache(time.Hour)
 	a := &nodeState{id: "a", epoch: 1}
 	b := &nodeState{id: "b", epoch: 7}
-	cache.put("classA", []*nodeState{a, b})
+	cache.put("classA", []*nodeState{a, b}, clk.now())
 
 	b.mu.Lock()
 	b.epoch = 8 // b started a new pricing period since the stamp
@@ -52,7 +52,7 @@ func TestBidCacheEpochStampInvalidation(t *testing.T) {
 		defer ns.mu.Unlock()
 		return ns.epoch == epoch
 	}
-	if ranked, dropped := cache.get("classA", valid); ranked != nil || !dropped {
+	if ranked, dropped := cache.get("classA", clk.now(), valid); ranked != nil || !dropped {
 		t.Fatalf("stale-stamped ladder survived: got %v, dropped=%v", ranked, dropped)
 	}
 }

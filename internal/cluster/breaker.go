@@ -37,7 +37,7 @@ func (s breakerState) String() string {
 type breaker struct {
 	threshold int
 	cooldown  time.Duration
-	now       func() time.Time            // injectable clock for tests
+	clk       clock                       // the client's: cooldowns run on it
 	onChange  func(from, to breakerState) // optional transition hook
 
 	mu       sync.Mutex
@@ -47,11 +47,11 @@ type breaker struct {
 	probing  bool      // a half-open probe is in flight
 }
 
-func newBreaker(threshold int, cooldown time.Duration, onChange func(from, to breakerState)) *breaker {
+func newBreaker(threshold int, cooldown time.Duration, clk clock, onChange func(from, to breakerState)) *breaker {
 	return &breaker{
 		threshold: threshold,
 		cooldown:  cooldown,
-		now:       time.Now,
+		clk:       clk,
 		onChange:  onChange,
 	}
 }
@@ -66,7 +66,7 @@ func (b *breaker) allow() bool {
 	case breakerClosed:
 		return true
 	case breakerOpen:
-		if b.now().Sub(b.openedAt) < b.cooldown {
+		if b.clk.since(b.openedAt) < b.cooldown {
 			return false
 		}
 		b.transitionLocked(breakerHalfOpen)
@@ -132,7 +132,7 @@ func (b *breaker) snapshot() breakerState {
 }
 
 func (b *breaker) openLocked() {
-	b.openedAt = b.now()
+	b.openedAt = b.clk.now()
 	b.failures = 0
 	b.transitionLocked(breakerOpen)
 }

@@ -5,19 +5,12 @@ import (
 	"time"
 )
 
-// fakeClock is a manually advanced clock for breaker tests.
-type fakeClock struct{ t time.Time }
-
-func (f *fakeClock) now() time.Time          { return f.t }
-func (f *fakeClock) advance(d time.Duration) { f.t = f.t.Add(d) }
-
 func newTestBreaker(threshold int, cooldown time.Duration) (*breaker, *fakeClock, *[]string) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := newFakeClock()
 	var transitions []string
-	b := newBreaker(threshold, cooldown, func(from, to breakerState) {
+	b := newBreaker(threshold, cooldown, clk, func(from, to breakerState) {
 		transitions = append(transitions, from.String()+">"+to.String())
 	})
-	b.now = clk.now
 	return b, clk, &transitions
 }
 

@@ -90,17 +90,16 @@ func StartCheckpointer(n *Node, path string, every time.Duration) (*Checkpointer
 		stopCh: make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	go c.loop()
+	go c.loop(n.cfg.clock.newTicker(every))
 	return c, nil
 }
 
-func (c *Checkpointer) loop() {
+func (c *Checkpointer) loop(t ticker) {
 	defer close(c.done)
-	t := time.NewTicker(c.every)
 	defer t.Stop()
 	for {
 		select {
-		case <-t.C:
+		case <-t.C():
 			if err := c.Checkpoint(); err != nil {
 				// Keep serving; a missed checkpoint only widens the
 				// recovery gap, visible as checkpoint_age_ms in stats.

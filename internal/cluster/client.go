@@ -110,6 +110,7 @@ type ClientConfig struct {
 	retryBurst        float64       // retry bucket capacity (16)
 	batchLimit        int           // queries that seal a batch window early (16)
 	noShardProbe      bool          // fan every CFP out to the whole view (false)
+	clock             clock         // where the client reads time (the wall clock)
 }
 
 func (c *ClientConfig) validate() error {
@@ -148,14 +149,17 @@ func (c *ClientConfig) validate() error {
 	if c.ViewRefresh < 0 {
 		return fmt.Errorf("cluster: ViewRefresh %v is negative", c.ViewRefresh)
 	}
+	if c.clock == nil {
+		c.clock = wallClock{}
+	}
 	if c.Jitter == nil {
-		c.Jitter = rand.New(rand.NewSource(time.Now().UnixNano()))
+		c.Jitter = rand.New(rand.NewSource(c.clock.now().UnixNano()))
 	}
 	if c.QueryTimeout < 0 {
 		return fmt.Errorf("cluster: QueryTimeout %v is negative", c.QueryTimeout)
 	}
 	if c.RunID == "" {
-		c.RunID = fmt.Sprintf("r-%d-%d", time.Now().UnixNano(), runIDSeq.Add(1))
+		c.RunID = fmt.Sprintf("r-%d-%d", c.clock.now().UnixNano(), runIDSeq.Add(1))
 	}
 	if c.execRetries <= 0 {
 		c.execRetries = 2
@@ -287,10 +291,11 @@ type Client struct {
 	// is zero (unlimited retries, the pre-protection behavior).
 	retry *tokenBucket
 
-	// bids is the winning-bid cache (nil with BidCacheTTL zero) and
-	// batches the per-class CFP coalescer (nil with BatchWindow zero).
-	bids    *bidCache
-	batches *negotiator
+	// bids is the winning-bid cache (nil with BidCacheTTL zero); neg is
+	// the one call-for-proposals entry, which coalesces same-class CFPs
+	// when BatchWindow is positive.
+	bids *bidCache
+	neg  *negotiator
 
 	// rpcMu guards rpcCounts, the per-op count of RPC attempts (sent or
 	// failed), the numerator of the amortization metric qaload reports.
@@ -325,14 +330,12 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		stopRefresh: make(chan struct{}),
 	}
 	if cfg.RetryBudget > 0 {
-		c.retry = newTokenBucket(cfg.RetryBudget, cfg.retryBurst)
+		c.retry = newTokenBucket(cfg.RetryBudget, cfg.retryBurst, cfg.clock)
 	}
 	if cfg.BidCacheTTL > 0 {
-		c.bids = newBidCache(cfg.BidCacheTTL, nil)
+		c.bids = newBidCache(cfg.BidCacheTTL)
 	}
-	if cfg.BatchWindow > 0 {
-		c.batches = newNegotiator(c)
-	}
+	c.neg = newNegotiator(c)
 	for _, addr := range cfg.Addrs {
 		if _, dup := c.view[addr]; dup {
 			continue
@@ -350,7 +353,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 // histograms) for a node entering the view.
 func (c *Client) newNodeState(id, addr string, resolved bool) *nodeState {
 	return &nodeState{
-		breaker:   newBreaker(c.cfg.breakerThreshold, c.cfg.breakerCooldown, c.noteTransition),
+		breaker:   newBreaker(c.cfg.breakerThreshold, c.cfg.breakerCooldown, c.cfg.clock, c.noteTransition),
 		id:        id,
 		addr:      addr,
 		resolved:  resolved,
@@ -362,7 +365,7 @@ func (c *Client) newNodeState(id, addr string, resolved bool) *nodeState {
 
 // newTransport builds the pooled transport to one member's address.
 func (c *Client) newTransport(addr string) *nodeTransport {
-	return newNodeTransport(addr, &c.hello, c.cfg.poolSize, c.wire)
+	return newNodeTransport(addr, &c.hello, c.cfg.poolSize, c.wire, c.cfg.clock)
 }
 
 // WireBytes reports the total bytes read and written on the client's
@@ -520,21 +523,22 @@ var errRestarted = errors.New("cluster: node restarted since the request was sen
 // long run earns back its budget while a retry storm cannot.
 type tokenBucket struct {
 	mu     sync.Mutex
+	clk    clock
 	rate   float64
 	burst  float64
 	tokens float64
 	last   time.Time
 }
 
-func newTokenBucket(rate, burst float64) *tokenBucket {
-	return &tokenBucket{rate: rate, burst: burst, tokens: burst, last: time.Now()}
+func newTokenBucket(rate, burst float64, clk clock) *tokenBucket {
+	return &tokenBucket{clk: clk, rate: rate, burst: burst, tokens: burst, last: clk.now()}
 }
 
 // take consumes one token, reporting false when the bucket is dry.
 func (tb *tokenBucket) take() bool {
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
-	now := time.Now()
+	now := tb.clk.now()
 	tb.tokens += now.Sub(tb.last).Seconds() * tb.rate
 	if tb.tokens > tb.burst {
 		tb.tokens = tb.burst
@@ -628,7 +632,7 @@ func (c *Client) FetchEach(queryID int64, sql string, fn func(*ColBlock) error) 
 func (c *Client) sleepBackoff(round int, deadline time.Time) {
 	d := c.backoffDelay(round)
 	if !deadline.IsZero() {
-		if rem := time.Until(deadline); rem < d {
+		if rem := c.cfg.clock.until(deadline); rem < d {
 			d = rem
 		}
 	}
@@ -636,7 +640,7 @@ func (c *Client) sleepBackoff(round int, deadline time.Time) {
 		return
 	}
 	c.health.Add(metrics.BackoffMsTotal, int64(d/time.Millisecond))
-	time.Sleep(d)
+	c.cfg.clock.sleep(d)
 }
 
 func (c *Client) backoffDelay(round int) time.Duration {
@@ -687,11 +691,11 @@ func (p proposals) refusalError() error {
 // request carries on the wire. A set-but-already-passed deadline
 // travels as 1ms — still shed server-side — rather than 0, which would
 // mean "no deadline".
-func remainingMs(deadline time.Time) int64 {
+func (c *Client) remainingMs(deadline time.Time) int64 {
 	if deadline.IsZero() {
 		return 0
 	}
-	rem := time.Until(deadline)
+	rem := c.cfg.clock.until(deadline)
 	if rem < time.Millisecond {
 		return 1
 	}
@@ -772,32 +776,6 @@ func rankOffers(members []*nodeState, outs []negOutcome) (proposals, bool) {
 		pr.ranked = append(pr.ranked, members[i])
 	}
 	return pr, reachable
-}
-
-// negotiateAll broadcasts the call-for-proposals to the current probe
-// set (the live view, shard-trimmed by the query's relations) and ranks
-// the offering nodes by estimated completion — a CFP window of one,
-// fanned out at once. It returns an aggregate error naming every node's
-// failure when none is reachable; typed overload/expired refusals count
-// as reachable.
-func (c *Client) negotiateAll(sql string, tc *traceCtx, deadline time.Time) (proposals, time.Duration, error) {
-	var sp *trace.Active
-	if tc != nil {
-		sp = c.startSpan(tc.ID, tc.Span, "negotiate")
-		defer sp.Finish()
-		tc = childCtx(tc, sp)
-	}
-	it := &batchItem{sql: sql, tc: tc, deadline: deadline}
-	probed := c.fanout([]*batchItem{it})
-	switch best := it.pr.best(); {
-	case it.err != nil:
-		sp.Annotate("no node reachable")
-	case best != nil:
-		sp.Annotate("winner=%s of %d nodes (%d offers)", best.nodeID(), probed, len(it.pr.ranked))
-	default:
-		sp.Annotate("no offer from %d nodes (%d overloaded, %d expired)", probed, it.pr.overloads, it.pr.expireds)
-	}
-	return it.pr, it.elapsed, it.err
 }
 
 // askNegotiate sends one CFP to one node and classifies the answer;
@@ -905,7 +883,7 @@ func aggregateNodeErrors(members []*nodeState, outs []negOutcome) error {
 // and a connection to any other than a nonzero boot sends nothing
 // (errRestarted).
 func (c *Client) rpcOn(ns *nodeState, req *request, rep *reply, timeout time.Duration, onFrame frameFunc, boot *uint64) error {
-	start := time.Now()
+	start := c.cfg.clock.now()
 	c.countRPC(req.Op)
 	nt := ns.pools()
 	mc, err := nt.lane(req.Op).get(timeout)
@@ -929,7 +907,7 @@ func (c *Client) rpcOn(ns *nodeState, req *request, rep *reply, timeout time.Dur
 	}
 	c.learnID(ns, mc.peer.NodeID)
 	if err == nil {
-		ns.observe(req.Op, msSince(start))
+		ns.observe(req.Op, millis(c.cfg.clock.since(start)))
 	}
 	return err
 }

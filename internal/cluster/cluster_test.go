@@ -299,7 +299,7 @@ func TestHistoryEstimatorConverges(t *testing.T) {
 	}
 	sql := templates[0].Instantiate(rng)
 	// First negotiation: estimate comes from the plan cost.
-	pr1, _, err := client.negotiateAll(sql, nil, time.Time{})
+	pr1, _, err := client.neg.negotiate(0, sql, "", nil, time.Time{})
 	if err != nil || pr1.best() == nil {
 		t.Fatalf("negotiate: node=%v err=%v", pr1.best(), err)
 	}
@@ -336,7 +336,7 @@ func TestLinkLatencySlowsNegotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if _, _, err := client.negotiateAll("SELECT a FROM t", nil, time.Time{}); err != nil {
+	if _, _, err := client.neg.negotiate(0, "SELECT a FROM t", "", nil, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed < 50*time.Millisecond {

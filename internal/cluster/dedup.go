@@ -169,6 +169,7 @@ type dedupWindow struct {
 	mu   sync.Mutex
 	seed maphash.Seed
 	ttl  time.Duration
+	clk  clock // the node's
 	// base is the origin of settle times: durations since it keep the
 	// monotonic clock at a third of a time.Time's size.
 	base time.Time
@@ -199,11 +200,12 @@ type settledOutcome struct {
 	rec dedupRecord
 }
 
-func newDedupWindow(ttl time.Duration) *dedupWindow {
+func newDedupWindow(ttl time.Duration, clk clock) *dedupWindow {
 	return &dedupWindow{
 		seed:    maphash.MakeSeed(),
 		ttl:     ttl,
-		base:    time.Now(),
+		clk:     clk,
+		base:    clk.now(),
 		flights: make(map[dedupKey]chan struct{}),
 		settled: make(map[dedupKey]uint64),
 	}
@@ -285,7 +287,7 @@ func (d *dedupWindow) settle(key dedupKey, run uint64, rep executeReply, res *Co
 	if done != nil {
 		close(done)
 	}
-	now := time.Since(d.base)
+	now := d.clk.since(d.base)
 	if cacheable {
 		d.settled[key] = seq
 		d.ring = append(d.ring, settledOutcome{key, run, now, rec})
@@ -314,9 +316,9 @@ func (d *dedupWindow) release(run uint64, seqs []uint64) {
 // sweep evicts settled entries older than the TTL. settle does the same
 // on a busy node; the node's period loop calls this so an idle one lets
 // go too. Unsettled (in-flight) entries are never evicted.
-func (d *dedupWindow) sweep(now time.Time) {
+func (d *dedupWindow) sweep() {
 	d.mu.Lock()
-	d.evictLocked(now.Sub(d.base))
+	d.evictLocked(d.clk.since(d.base))
 	d.mu.Unlock()
 }
 

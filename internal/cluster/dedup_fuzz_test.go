@@ -54,7 +54,8 @@ func FuzzDedupWindow(f *testing.F) {
 		bytes    int64
 	}
 	f.Fuzz(func(t *testing.T, script []byte) {
-		d := newDedupWindow(ttl)
+		clk := newFakeClock()
+		d := newDedupWindow(ttl, clk)
 		runIDs := []string{"r0", "r1", "r2", "r3"}
 		key := func(k int) dedupKey { return d.key(runIDs[k/perRun], true, int64(k%perRun), "SELECT 1") }
 		var (
@@ -138,12 +139,10 @@ func FuzzDedupWindow(f *testing.F) {
 				}
 			case 3: // advance the clock by arg%8+1 minutes
 				step := time.Duration(arg%8+1) * time.Minute
-				d.mu.Lock()
-				d.base = d.base.Add(-step)
-				d.mu.Unlock()
+				clk.advance(step)
 				now += step
 			case 4:
-				d.sweep(time.Now())
+				d.sweep()
 				evict()
 			}
 			entries, retained := d.size()

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"time"
 
 	"github.com/qamarket/qamarket/internal/engine"
 	"github.com/qamarket/qamarket/internal/sqldb"
@@ -69,7 +68,8 @@ func (out *DistOutcome) book(o Outcome) {
 // ordinary protocol (result rows are still fetched, since the caller
 // wants them).
 func (d *Distributor) Run(queryID int64, sql string) (DistOutcome, error) {
-	start := time.Now()
+	clk := d.client.cfg.clock
+	start := clk.now()
 	stmt, err := sqldb.Parse(sql)
 	if err != nil {
 		return DistOutcome{}, err
@@ -109,7 +109,7 @@ func (d *Distributor) Run(queryID int64, sql string) (DistOutcome, error) {
 		case o.Err == nil:
 			whole.Columns = columns
 			out.Result = whole
-			out.TotalMs = msSince(start)
+			out.TotalMs = millis(clk.since(start))
 			return out, nil
 		case !errors.Is(o.Err, errUnplaced):
 			return DistOutcome{}, o.Err
@@ -174,7 +174,7 @@ func (d *Distributor) Run(queryID int64, sql string) (DistOutcome, error) {
 		return DistOutcome{}, fmt.Errorf("cluster: local join: %w", err)
 	}
 	out.Result = res
-	out.TotalMs = msSince(start)
+	out.TotalMs = millis(clk.since(start))
 	return out, nil
 }
 
@@ -350,8 +350,4 @@ func rewriteLocal(sel *sqldb.SelectStmt, residual []sqldb.Expr) *sqldb.SelectStm
 		}
 	}
 	return &local
-}
-
-func msSince(t time.Time) float64 {
-	return float64(time.Since(t)) / float64(time.Millisecond)
 }

@@ -32,7 +32,7 @@ var breakerOps = []struct {
 	call     func(t *testing.T, c *Client) error
 }{
 	{"negotiate", "negotiate", func(t *testing.T, c *Client) error {
-		_, _, err := c.negotiateAll("SELECT 1 FROM t", nil, time.Time{})
+		_, _, err := c.neg.negotiate(0, "SELECT 1 FROM t", "", nil, time.Time{})
 		return err
 	}},
 	{"execute", "execute", func(t *testing.T, c *Client) error {

@@ -152,7 +152,7 @@ type lifecycle struct {
 // for fetches — under which negotiate/execute/fetch spans hang directly.
 func (c *Client) begin(q query) *lifecycle {
 	l := &lifecycle{c: c, q: q, deadline: q.deadline, tc: q.tc}
-	l.out = Outcome{QueryID: q.id, Submitted: time.Now()}
+	l.out = Outcome{QueryID: q.id, Submitted: c.cfg.clock.now()}
 	if !q.sub {
 		if c.cfg.QueryTimeout > 0 {
 			l.deadline = l.out.Submitted.Add(c.cfg.QueryTimeout)
@@ -165,7 +165,7 @@ func (c *Client) begin(q query) *lifecycle {
 			l.tc = childCtx(&traceCtx{ID: q.id}, l.root)
 		}
 	}
-	if c.bids != nil || c.batches != nil {
+	if c.bids != nil || c.cfg.BatchWindow > 0 {
 		l.class = classKey(q.sql)
 	}
 	return l
@@ -178,7 +178,7 @@ func (l *lifecycle) run() (Outcome, []string) {
 	for _, nt := range l.held {
 		l.c.dropTransport(nt)
 	}
-	l.out.TotalMs = msSince(l.out.Submitted)
+	l.out.TotalMs = millis(l.c.cfg.clock.since(l.out.Submitted))
 	if l.out.Err != nil {
 		l.root.Annotate("error: %v", l.out.Err)
 	} else {
@@ -192,7 +192,7 @@ func (l *lifecycle) loop() error {
 	c, id := l.c, l.q.id
 	unreachable := 0 // consecutive rounds in which no node answered
 	for round := 0; ; round++ {
-		if !l.deadline.IsZero() && !time.Now().Before(l.deadline) {
+		if !l.deadline.IsZero() && !c.cfg.clock.now().Before(l.deadline) {
 			return fmt.Errorf("cluster: query %d: %w after %d rounds", id, ErrExpired, round)
 		}
 		next, err := l.round()
@@ -299,24 +299,20 @@ func (l *lifecycle) round() (step, error) {
 }
 
 // admit finds the query its ranked candidates: the class's cached
-// ladder, else a seat in the class's batched CFP window, else a plain
-// fan-out. A cached ladder skips the negotiate RPCs entirely — the
-// terminal op burns supply on its own, so the market stays consistent.
+// ladder, else a call for proposals (the negotiator's, which seats it in
+// the class's batch window when there is one). A cached ladder skips the
+// negotiate RPCs entirely — the terminal op burns supply on its own, so
+// the market stays consistent.
 func (l *lifecycle) admit() (pr proposals, fromCache bool, err error) {
 	c := l.c
 	if ranked := c.cachedLadder(l.class); ranked != nil {
 		l.root.Annotate("bid cache hit (%d candidates)", len(ranked))
 		return proposals{ranked: ranked}, true, nil
 	}
-	var took time.Duration
-	if c.batches != nil {
-		pr, took, err = c.batches.negotiate(l.q.id, l.q.sql, l.class, l.tc, l.deadline)
-	} else {
-		pr, took, err = c.negotiateAll(l.q.sql, l.tc, l.deadline)
-	}
-	l.out.AssignMs += float64(took) / float64(time.Millisecond)
+	pr, took, err := c.neg.negotiate(l.q.id, l.q.sql, l.class, l.tc, l.deadline)
+	l.out.AssignMs += millis(took)
 	if err == nil && c.bids != nil && len(pr.ranked) > 0 {
-		c.bids.put(l.class, pr.ranked)
+		c.bids.put(l.class, pr.ranked, c.cfg.clock.now())
 	}
 	return pr, false, err
 }
@@ -392,7 +388,7 @@ func (l *lifecycle) attempt(ns *nodeState) attemptResult {
 		defer sp.Finish()
 		tc = childCtx(tc, sp)
 	}
-	req := &request{Op: op, SQL: q.sql, QueryID: q.id, Trace: tc, DeadlineMs: remainingMs(l.deadline)}
+	req := &request{Op: op, SQL: q.sql, QueryID: q.id, Trace: tc, DeadlineMs: c.remainingMs(l.deadline)}
 	var (
 		rep     reply
 		fs      *fetchStream // a fetch's frame consumer

@@ -103,17 +103,19 @@ func (c *Client) refreshLoop() {
 		if !c.hasUnresolvedSeed() {
 			break
 		}
+		t := c.cfg.clock.newTimer(delay)
 		select {
-		case <-time.After(delay):
+		case <-t.C():
 		case <-c.stopRefresh:
+			t.Stop()
 			return
 		}
 	}
-	t := time.NewTicker(c.cfg.ViewRefresh)
+	t := c.cfg.clock.newTicker(c.cfg.ViewRefresh)
 	defer t.Stop()
 	for {
 		select {
-		case <-t.C:
+		case <-t.C():
 			_ = c.RefreshView()
 		case <-c.stopRefresh:
 			return

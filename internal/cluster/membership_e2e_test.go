@@ -399,7 +399,7 @@ func TestStaticViewIgnoresDraining(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, _, err := c.negotiateAll("SELECT 1 FROM t", nil, time.Time{}); err == nil {
+	if _, _, err := c.neg.negotiate(0, "SELECT 1 FROM t", "", nil, time.Time{}); err == nil {
 		t.Fatal("draining stub negotiated successfully")
 	}
 	if len(c.nodes()) != 1 {

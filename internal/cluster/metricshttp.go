@@ -3,7 +3,6 @@ package cluster
 import (
 	"net/http"
 	"sort"
-	"time"
 
 	"github.com/qamarket/qamarket/internal/metrics"
 )
@@ -33,15 +32,7 @@ func (n *Node) MetricsHandler() http.Handler {
 			p.Counter("qa_"+metrics.SanitizeMetricName(name), node, float64(health[name]))
 		}
 		gauges := n.health.Gauges()
-		if ts := n.lastCheckpoint.Load(); ts > 0 {
-			gauges[metrics.CheckpointAgeMs] = float64(time.Now().UnixMilli() - ts)
-		}
-		// Load gauges are sampled at scrape time, not at the last write.
-		gauges[metrics.InflightWork] = float64(n.working.Load())
-		gauges[metrics.QueueDepth] = float64(len(n.execCh))
-		entries, retained := n.dedup.size()
-		gauges[metrics.DedupEntries] = float64(entries)
-		gauges[metrics.DedupRetainedBytes] = float64(retained)
+		n.sampleGauges(gauges)
 		names = names[:0]
 		for name := range gauges {
 			names = append(names, name)

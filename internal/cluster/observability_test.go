@@ -4,10 +4,13 @@ import (
 	"io"
 	"math/rand"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/qamarket/qamarket/internal/metrics"
 	"github.com/qamarket/qamarket/internal/trace"
 )
 
@@ -255,5 +258,130 @@ func TestMetricsHandlerExposition(t *testing.T) {
 		if n1[i] != n2[i] {
 			t.Fatalf("scrape order differs at line %d: %q vs %q", i, n1[i], n2[i])
 		}
+	}
+}
+
+// TestBatchedWindowTracesEveryQuery: a batched round enters through the
+// negotiator like an unbatched one, so every traced query of a window
+// gets its own negotiate span, and the node's solve spans for the whole
+// window parent under the lead's.
+func TestBatchedWindowTracesEveryQuery(t *testing.T) {
+	node := startSingleNode(t, nil)
+	clk := newFakeClock()
+	tracer := trace.NewRecorder("client", 0, clk.now)
+	c, err := NewClient(ClientConfig{
+		Addrs: []string{node.Addr()}, Mechanism: MechGreedy, Tracer: tracer,
+		BatchWindow: 200 * time.Millisecond, batchLimit: 2, clock: clk,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	outs := make([]Outcome, 2)
+	var wg sync.WaitGroup
+	for i, sql := range []string{"SELECT a FROM t WHERE a > 1", "SELECT a FROM t WHERE a > 2"} {
+		wg.Add(1)
+		go func(i int, sql string) {
+			defer wg.Done()
+			outs[i] = c.Run(int64(i+1), sql)
+		}(i, sql)
+		if i == 0 {
+			clk.blockUntil(1) // query 1 leads an open window; query 2 rides and seals it
+		}
+	}
+	wg.Wait()
+	for i, out := range outs {
+		if out.Err != nil {
+			t.Fatalf("query %d: %v", i+1, out.Err)
+		}
+	}
+	if got := c.RPCCounts()["negotiate"]; got != 1 {
+		t.Fatalf("window of 2 cost %d negotiate RPCs, want one batched CFP", got)
+	}
+	negotiate := map[int64][]trace.Span{}
+	for id := int64(1); id <= 2; id++ {
+		for _, s := range tracer.Spans(id) {
+			if s.Name == "negotiate" {
+				negotiate[id] = append(negotiate[id], s)
+			}
+		}
+		if len(negotiate[id]) != 1 {
+			t.Fatalf("query %d has %d negotiate spans, want 1", id, len(negotiate[id]))
+		}
+	}
+	lead := negotiate[1][0]
+	var solves int
+	for _, s := range node.tracer.All() {
+		if s.Name != "solve" {
+			continue
+		}
+		solves++
+		if s.TraceID != lead.TraceID || s.Parent != lead.ID {
+			t.Errorf("solve span under trace %d span %q, want the lead's negotiate (trace %d span %q)", s.TraceID, s.Parent, lead.TraceID, lead.ID)
+		}
+	}
+	if solves != 2 {
+		t.Errorf("the node recorded %d solve spans, want one per query of the window", solves)
+	}
+}
+
+// TestScrapeAndStatsAgreeOnGauges: /metrics and the stats op sample the
+// scrape-time gauges through one function on the node's clock, so with
+// that clock stopped a scrape and a stats reply read the same checkpoint
+// age, in-flight work, queue depth and dedup window.
+func TestScrapeAndStatsAgreeOnGauges(t *testing.T) {
+	clk := newFakeClock()
+	// A cost unit this small stretches no execution: queries run without
+	// waiting on the stopped clock.
+	node := startSingleNode(t, func(cfg *NodeConfig) { cfg.MsPerCostUnit, cfg.clock = 1e-12, clk })
+	client, err := NewClient(ClientConfig{Addrs: []string{node.Addr()}, Mechanism: MechGreedy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if out := client.Run(1, "SELECT COUNT(*) FROM t"); out.Err != nil {
+		t.Fatal(out.Err)
+	}
+	node.noteCheckpoint()
+	clk.advance(1500 * time.Millisecond)
+
+	st, err := client.Stats(node.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(node.MetricsHandler())
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scraped := map[string]float64{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && strings.HasPrefix(f[0], "qa_") {
+			v, err := strconv.ParseFloat(f[1], 64)
+			if err != nil {
+				t.Fatalf("scrape line %q: %v", line, err)
+			}
+			scraped[f[0][:strings.IndexByte(f[0]+"{", '{')]] = v
+		}
+	}
+	for _, name := range []string{metrics.CheckpointAgeMs, metrics.InflightWork, metrics.QueueDepth, metrics.DedupEntries, metrics.DedupRetainedBytes} {
+		stat, ok := st.Health[name]
+		scrape, scrapedOK := scraped["qa_"+metrics.SanitizeMetricName(name)]
+		if !ok || !scrapedOK || stat != scrape {
+			t.Errorf("%s: stats %v (present %v), scrape %v (present %v)", name, stat, ok, scrape, scrapedOK)
+		}
+	}
+	if age := st.Health[metrics.CheckpointAgeMs]; age != 1500 {
+		t.Errorf("checkpoint age %vms on a clock moved 1500ms since the checkpoint", age)
+	}
+	if st.Health[metrics.DedupEntries] != 1 || st.Health[metrics.DedupRetainedBytes] == 0 {
+		t.Errorf("dedup gauges %v entries, %v bytes; want the executed query's outcome",
+			st.Health[metrics.DedupEntries], st.Health[metrics.DedupRetainedBytes])
 	}
 }

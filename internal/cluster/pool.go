@@ -80,6 +80,7 @@ const streamChanDepth = 8
 type mconn struct {
 	conn net.Conn
 	peer helloReply // the node's answer to the connection's hello: who answered it
+	clk  clock      // the client's: RPC timeouts run on it
 
 	wmu sync.Mutex // serializes request writes
 	w   *bufio.Writer
@@ -96,9 +97,10 @@ type mconn struct {
 	deadErr error
 }
 
-func newMconn(conn net.Conn) *mconn {
+func newMconn(conn net.Conn, clk clock) *mconn {
 	mc := &mconn{
 		conn:    conn,
+		clk:     clk,
 		w:       bufio.NewWriter(conn),
 		deadCh:  make(chan struct{}),
 		pending: make(map[uint64]chan rpcResult),
@@ -143,7 +145,7 @@ func (mc *mconn) call(req *request, rep *reply, timeout time.Duration, onFrame f
 	mc.mu.Unlock()
 
 	mc.wmu.Lock()
-	mc.conn.SetWriteDeadline(time.Now().Add(timeout))
+	mc.conn.SetWriteDeadline(wallDeadline(timeout))
 	err := writeMsg(mc.w, id, maxRequestBytes, req)
 	mc.wmu.Unlock()
 	if err != nil {
@@ -156,7 +158,7 @@ func (mc *mconn) call(req *request, rep *reply, timeout time.Duration, onFrame f
 		return err
 	}
 
-	timer := time.NewTimer(timeout)
+	timer := mc.clk.newTimer(timeout)
 	defer timer.Stop()
 	for {
 		var res rpcResult
@@ -171,7 +173,7 @@ func (mc *mconn) call(req *request, rep *reply, timeout time.Duration, onFrame f
 			case res = <-ch:
 			case <-dead:
 				return mc.terminalErr()
-			case <-timer.C:
+			case <-timer.C():
 				mc.unregister(id)
 				mc.fail(errRPCTimeout)
 				return fmt.Errorf("%w after %v", errRPCTimeout, timeout)
@@ -331,6 +333,7 @@ type pool struct {
 	addr  string
 	hello *hello
 	wc    *wireCounter // the client's byte tally
+	clk   clock        // the client's
 
 	mu     sync.Mutex
 	slots  []*mconn
@@ -338,8 +341,8 @@ type pool struct {
 	closed bool
 }
 
-func newPool(addr string, h *hello, size int, wc *wireCounter) *pool {
-	return &pool{addr: addr, hello: h, wc: wc, slots: make([]*mconn, size)}
+func newPool(addr string, h *hello, size int, wc *wireCounter, clk clock) *pool {
+	return &pool{addr: addr, hello: h, wc: wc, clk: clk, slots: make([]*mconn, size)}
 }
 
 // get returns a live connection from the next slot, dialing (and saying
@@ -365,7 +368,7 @@ func (p *pool) get(timeout time.Duration) (*mconn, error) {
 	if err != nil {
 		return nil, err
 	}
-	nc := newMconn(conn)
+	nc := newMconn(conn, p.clk)
 	var rep reply
 	if err = nc.call(&request{Op: "hello", Hello: p.hello}, &rep, timeout, nil); err == nil {
 		nc.peer, err = helloOf(&rep)
@@ -426,8 +429,8 @@ type nodeTransport struct {
 	holds   int
 }
 
-func newNodeTransport(addr string, h *hello, size int, wc *wireCounter) *nodeTransport {
-	return &nodeTransport{control: newPool(addr, h, size, wc), data: newPool(addr, h, size, wc), rel: &releases{}}
+func newNodeTransport(addr string, h *hello, size int, wc *wireCounter, clk clock) *nodeTransport {
+	return &nodeTransport{control: newPool(addr, h, size, wc, clk), data: newPool(addr, h, size, wc, clk), rel: &releases{}}
 }
 
 // releases queues the sequence numbers of one node's fetch outcomes

@@ -211,18 +211,18 @@ func (writeFailConn) Write([]byte) (int, error) { return 0, errors.New("broken p
 // the request and failing over is safe. A write that fails after the
 // call registered may have put bytes on the wire: a lost reply.
 func TestDeadConnectionCallIsNotSent(t *testing.T) {
-	ns := &nodeState{breaker: newBreaker(3, time.Second, nil), id: "n", addr: "n"}
+	ns := &nodeState{breaker: newBreaker(3, time.Second, wallClock{}, nil), id: "n", addr: "n"}
 	for _, tc := range []struct {
 		name string
 		mc   func(conn net.Conn) *mconn
 		want attemptKind
 	}{
 		{"dead before the call", func(conn net.Conn) *mconn {
-			mc := newMconn(conn)
+			mc := newMconn(conn, wallClock{})
 			mc.fail(io.EOF)
 			return mc
 		}, attemptNotSent},
-		{"write fails", func(conn net.Conn) *mconn { return newMconn(writeFailConn{conn}) }, attemptLost},
+		{"write fails", func(conn net.Conn) *mconn { return newMconn(writeFailConn{conn}, wallClock{}) }, attemptLost},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			server, client := net.Pipe()

@@ -198,9 +198,11 @@ func TestTelemetryKeepsThePeriodsSales(t *testing.T) {
 // admit against a second counter, so the plan it enforced after the
 // flip sold the off-plan milliseconds again.)
 func TestNodeNeverOversellsAcrossActivation(t *testing.T) {
-	// One period outlasts the test, so the market moves only when the
-	// script moves it. A sale takes its cost in wall-clock time, so the
-	// node starts the period restored deep in debt, with leftMs to sell.
+	// The node runs on a fake clock that moves only when a sale's
+	// execution needs it to, by exactly the sale's cost. One period
+	// outlasts every sale, so the market moves only when the script moves
+	// it; the node starts the period restored deep in debt, with leftMs
+	// to sell.
 	const periodMs, leftMs = 60_000, 256
 	db := sqldb.Open()
 	for _, q := range []string{"CREATE TABLE t (a INT)", "CREATE TABLE u (a INT)"} {
@@ -220,7 +222,8 @@ func TestNodeNeverOversellsAcrossActivation(t *testing.T) {
 	const cheap, dear = "SELECT a FROM t", "SELECT a FROM u" // 16 ms and 64 ms at 2 ms a cost unit
 	cfg := market.DefaultConfig(1)
 	cfg.Lambda, cfg.ActivationThreshold = 0.3, 1.5 // two refusals activate pricing
-	n, err := StartNode("127.0.0.1:0", NodeConfig{DB: db, MsPerCostUnit: 2, PeriodMs: periodMs, Market: cfg})
+	clk := newFakeClock()
+	n, err := StartNode("127.0.0.1:0", NodeConfig{DB: db, MsPerCostUnit: 2, PeriodMs: periodMs, Market: cfg, clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,15 +241,29 @@ func TestNodeNeverOversellsAcrossActivation(t *testing.T) {
 	t.Cleanup(c.Close)
 
 	// cheap is met first and gets the plan; dear is then on offer only
-	// because pricing is inactive and it still fits.
+	// because pricing is inactive and it still fits. A sold query parks
+	// the executor on the clock beside the period and gossip tickers;
+	// advancing its estimate runs it, so its execution history is its
+	// plan's cost and no class is ever re-costed.
 	id := int64(0)
-	buy := func(sql string) bool { id++; return c.Run(id, sql).Err == nil }
+	buy := func(sql string) bool {
+		id++
+		fin := make(chan error, 1)
+		go func() { fin <- c.Run(id, sql).Err }()
+		select {
+		case err := <-fin:
+			return err == nil
+		case <-clk.armed(3):
+		}
+		_, estMs, _, err := n.estimate(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clk.advance(time.Duration(estMs * float64(time.Millisecond)))
+		return <-fin == nil
+	}
 	if !buy(cheap) || !buy(dear) || !buy(dear) {
 		t.Fatal("inactive node refused work that fits what is left")
-	}
-	quoted := map[string]float64{}
-	for _, cl := range n.MarketTelemetry().Classes {
-		quoted[cl.Signature] = cl.CostMs
 	}
 	if n.MarketTelemetry().Active {
 		t.Fatal("pricing active before any refusal")
@@ -262,24 +279,68 @@ func TestNodeNeverOversellsAcrossActivation(t *testing.T) {
 	if !tel.Active {
 		t.Fatalf("refusals never activated pricing: %+v", tel)
 	}
-	soldMs, sales, recosted := 0.0, 0, false
+	soldMs, sales := 0.0, 0
 	for _, cl := range tel.Classes {
 		soldMs += float64(cl.Accepted) * cl.CostMs
 		sales += cl.Accepted
-		recosted = recosted || cl.CostMs != quoted[cl.Signature]
 	}
 	if sales != int(n.Executed()) || sales < 4 {
 		t.Errorf("telemetry counts %d sales this period, the node executed %d", sales, n.Executed())
 	}
-	// Accepted·CostMs is what the ledger charged unless a stalled host
-	// made execution history re-cost a class mid-test.
-	if budget := periodMs + tel.CarryMs; !recosted && soldMs > budget+1e-9 {
+	if budget := periodMs + tel.CarryMs; soldMs > budget+1e-9 {
 		t.Errorf("the period sold %.0f ms of a %.0f ms budget: %+v", soldMs, budget, tel.Classes)
 	}
-	// Re-costed or not: a period that sold no more than it had closes
-	// without debt.
+	// A period that sold no more than it had closes without debt.
 	n.pricer.tick()
 	if carry := n.MarketTelemetry().CarryMs; carry < -1e-9 {
 		t.Errorf("the period closed %.0f ms in debt: it sold past its budget", -carry)
+	}
+}
+
+// TestZeroMsPerCostUnitMeansOne pins MsPerCostUnit's default: left at 0
+// it is 1, not "no stretch". The factor also turns a plan's cost into
+// the estimate the seller prices, and the seller cannot evaluate a class
+// that costs nothing, so at a true 0 a QA-NT node would refuse every
+// query and never execute one to learn a history from. Left at 0, a
+// QA-NT node offers and sells a one-row query.
+func TestZeroMsPerCostUnitMeansOne(t *testing.T) {
+	db := sqldb.Open()
+	for _, q := range []string{"CREATE TABLE t (a INT)", "INSERT INTO t VALUES (1)"} {
+		if _, _, err := db.Exec(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clk := newFakeClock()
+	n, err := StartNode("127.0.0.1:0", NodeConfig{DB: db, clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.CloseNow() })
+	if n.cfg.MsPerCostUnit != 1 {
+		t.Fatalf("MsPerCostUnit left at 0 became %g, want 1", n.cfg.MsPerCostUnit)
+	}
+	c, err := NewClient(ClientConfig{Addrs: []string{n.Addr()}, Mechanism: MechQANT, MaxRetries: 1, PeriodMs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	const sql = "SELECT a FROM t"
+	_, estMs, _, err := n.estimate(sql)
+	if err != nil || estMs <= 0 {
+		t.Fatalf("estimate %gms (err %v), want a positive cost", estMs, err)
+	}
+	done := make(chan Outcome, 1)
+	go func() { done <- c.Run(1, sql) }()
+	select {
+	case out := <-done:
+		t.Fatalf("the query never reached execution: %v", out.Err)
+	case <-clk.armed(3): // the period and gossip tickers, and the execution stretch
+	}
+	clk.advance(time.Duration(estMs * float64(time.Millisecond)))
+	if out := <-done; out.Err != nil || out.Rows != 1 {
+		t.Fatalf("rows %d, err %v; want the one row", out.Rows, out.Err)
+	}
+	if st := n.MarketTelemetry().Stats; st.Offers != 1 || st.Accepts != 1 {
+		t.Errorf("market offered %d and sold %d, want 1 and 1", st.Offers, st.Accepts)
 	}
 }

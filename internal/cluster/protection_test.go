@@ -484,7 +484,8 @@ func TestDedupWindowPacksSmallResults(t *testing.T) {
 // first settle after its TTL, not at the next periodic sweep — the
 // window's footprint follows rate × TTL.
 func TestDedupWindowEvictsAtTTL(t *testing.T) {
-	d := newDedupWindow(time.Minute)
+	clk := newFakeClock()
+	d := newDedupWindow(time.Minute, clk)
 	key := func(sql string) dedupKey { return d.key("run", false, 1, sql) }
 	settle := func(sql string, cacheable bool) {
 		t.Helper()
@@ -510,7 +511,8 @@ func TestDedupWindowEvictsAtTTL(t *testing.T) {
 	if _, ok := d.settled[key("old")]; ok {
 		t.Fatal("an expired entry survived the next settle")
 	}
-	d.sweep(time.Now().Add(2 * time.Minute))
+	clk.advance(2 * time.Minute)
+	d.sweep()
 	if got, _ := d.size(); got != 0 {
 		t.Fatalf("sweep past every TTL left %d entries", got)
 	}
@@ -542,7 +544,7 @@ func TestDedupWindowBytesPerOutcome(t *testing.T) {
 		runtime.ReadMemStats(&m)
 		return int64(m.HeapAlloc)
 	}
-	d := newDedupWindow(time.Hour)
+	d := newDedupWindow(time.Hour, wallClock{})
 	run := d.run(runID)
 	seqs := make([]uint64, 0, entries)
 	before := heap()

@@ -166,7 +166,7 @@ func TestReleaseNamesOnlyTheRunsOwn(t *testing.T) {
 	}
 
 	// In the window: unknown, evicted and foreign numbers change nothing.
-	d := newDedupWindow(time.Minute)
+	d := newDedupWindow(time.Minute, wallClock{})
 	runA, runB := d.run("a"), d.run("b")
 	settle := func(run uint64, id int64) uint64 {
 		key := d.key("r", true, id, "q")

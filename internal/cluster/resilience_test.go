@@ -177,24 +177,34 @@ func TestBreakerLimitsDialsToDeadNode(t *testing.T) {
 	}
 }
 
-// TestGracefulDrainFinishesInFlight drives the drain protocol: a query
-// running when Close starts must complete, while new work is refused
-// with the typed draining reply.
+// TestGracefulDrainFinishesInFlight drives the drain protocol on the
+// node's fake clock: a query running when Close starts must complete,
+// while new work is refused with the typed draining reply, and Close
+// returns once the query's outcome is in — woken by it, not by a poll or
+// a further advance.
 func TestGracefulDrainFinishesInFlight(t *testing.T) {
-	// Expensive enough (~hundreds of ms) that the drain demonstrably
-	// overlaps the execution.
-	node := startSingleNode(t, func(cfg *NodeConfig) { cfg.MsPerCostUnit = 3; cfg.DrainTimeout = 5 * time.Second })
+	clk := newFakeClock()
+	node := startSingleNode(t, func(cfg *NodeConfig) {
+		cfg.MsPerCostUnit, cfg.DrainTimeout, cfg.clock = 3, 5*time.Second, clk
+	})
+	const sql = "SELECT COUNT(*) FROM t"
+	_, estMs, _, err := node.estimate(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
 	client, err := NewClient(ClientConfig{Addrs: []string{node.Addr()}, Mechanism: MechGreedy, Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan Outcome, 1)
-	go func() { done <- client.Run(1, "SELECT COUNT(*) FROM t") }()
-	time.Sleep(60 * time.Millisecond) // let the query reach execution
+	go func() { done <- client.Run(1, sql) }()
+	// The period and gossip tickers, then the executor's stretch: the
+	// query is executing.
+	clk.blockUntil(3)
 
 	closed := make(chan struct{})
 	go func() { node.Close(); close(closed) }()
-	time.Sleep(30 * time.Millisecond) // let the drain begin
+	clk.blockUntil(4) // the drain's DrainTimeout timer: the drain has begun
 	if !node.Draining() {
 		t.Fatal("node not draining after Close started")
 	}
@@ -208,7 +218,7 @@ func TestGracefulDrainFinishesInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out2 := late.Run(2, "SELECT COUNT(*) FROM t")
+	out2 := late.Run(2, sql)
 	if out2.Err == nil {
 		t.Error("draining node accepted new work")
 	} else if msg := out2.Err.Error(); !strings.Contains(msg, "draining") && !strings.Contains(msg, "breaker open") {
@@ -216,10 +226,19 @@ func TestGracefulDrainFinishesInFlight(t *testing.T) {
 		// breaker); later rounds may see the open breaker instead.
 		t.Errorf("draining refusal not surfaced: %v", out2.Err)
 	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned with a query still executing")
+	default:
+	}
 
+	clk.advance(time.Duration(estMs * float64(time.Millisecond))) // the query's whole run
 	out := <-done
 	if out.Err != nil {
 		t.Errorf("in-flight query killed by drain: %v", out.Err)
+	}
+	if out.ExecMs != estMs {
+		t.Errorf("the query ran %gms on the node's clock, want its estimate %gms", out.ExecMs, estMs)
 	}
 	<-closed
 	if got := node.health.Counter(metrics.DrainsTotal); got != 1 {

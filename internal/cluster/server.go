@@ -48,7 +48,11 @@ type NodeConfig struct {
 	IOSlowdown, CPUSlowdown float64
 	// MsPerCostUnit converts planner cost units into baseline execution
 	// milliseconds. It scales the whole experiment's time axis; tests
-	// use small values so runs take seconds, not minutes.
+	// use small values so runs take seconds, not minutes. Zero or less
+	// means 1, not "no stretch": the same factor turns a plan's cost into
+	// the estimate the seller prices, and the seller cannot evaluate a
+	// class that costs nothing, so at 0 a QA-NT node would refuse every
+	// query and, never executing one, never learn a history to price by.
 	MsPerCostUnit float64
 	// PeriodMs is the market period T for the node's QA-NT agent.
 	PeriodMs int64
@@ -124,6 +128,10 @@ type NodeConfig struct {
 	Market market.Config
 	// Logf, when set, receives diagnostic messages.
 	Logf func(format string, args ...any)
+
+	// clock (test hook) is where the node reads time; validate fills in
+	// the wall clock.
+	clock clock
 }
 
 func (c *NodeConfig) validate() error {
@@ -173,6 +181,9 @@ func (c *NodeConfig) validate() error {
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
+	if c.clock == nil {
+		c.clock = wallClock{}
+	}
 	return nil
 }
 
@@ -209,10 +220,11 @@ type Node struct {
 	// serveConn would hold shutdown's wg.Wait until the client hung up.
 	severed bool
 
-	draining       atomic.Bool  // drain started: refuse new work, finish in-flight
-	inflight       atomic.Int64 // requests being handled (drain waits on this)
-	working        atomic.Int64 // work ops admitted (bounded by MaxInflight)
-	lastCheckpoint atomic.Int64 // unix ms of the last market-state checkpoint; 0 = never
+	draining       atomic.Bool   // drain started: refuse new work, finish in-flight
+	inflight       atomic.Int64  // requests being handled (drain waits on this)
+	idle           chan struct{} // during a drain, signalled when inflight reaches 0
+	working        atomic.Int64  // work ops admitted (bounded by MaxInflight)
+	lastCheckpoint atomic.Int64  // unix ms of the last market-state checkpoint; 0 = never
 
 	// dedup is the at-most-once window for execute/fetch retransmits.
 	dedup *dedupWindow
@@ -266,11 +278,12 @@ func StartNode(addr string, cfg NodeConfig) (*Node, error) {
 		pricer:  pricer,
 		boot:    rand.Uint64() | 1, // odd: 0 names no incarnation
 		health:  metrics.NewHealth(),
-		tracer:  trace.NewRecorder(cfg.NodeID, trace.DefaultCapacity, time.Now),
+		tracer:  trace.NewRecorder(cfg.NodeID, trace.DefaultCapacity, cfg.clock.now),
 		opHist:  make(map[string]*metrics.Histogram),
 		history: make(map[string]float64),
 		conns:   make(map[net.Conn]struct{}),
-		dedup:   newDedupWindow(cfg.DedupWindow),
+		dedup:   newDedupWindow(cfg.DedupWindow, cfg.clock),
+		idle:    make(chan struct{}, 1),
 		execCh:  make(chan *execJob, cfg.MaxQueue),
 		stopCh:  make(chan struct{}),
 	}
@@ -299,11 +312,13 @@ func StartNode(addr string, cfg NodeConfig) (*Node, error) {
 		ln.Close()
 		return nil, err
 	}
+	// The loops' tickers are armed before StartNode returns, so a test
+	// clock advanced right after it fires them.
 	n.wg.Add(4)
 	go n.acceptLoop()
 	go n.execLoop()
-	go n.periodLoop()
-	go n.gossipLoop()
+	go n.periodLoop(cfg.clock.newTicker(time.Duration(cfg.PeriodMs) * time.Millisecond))
+	go n.gossipLoop(cfg.clock.newTicker(time.Duration(cfg.GossipPeriodMs) * time.Millisecond))
 	return n, nil
 }
 
@@ -355,20 +370,19 @@ func (n *Node) ID() string { return n.cfg.NodeID }
 func (n *Node) Members() []membership.Member { return n.reg.Members() }
 
 // gossipLoop drives the anti-entropy rounds: announce to the join
-// seeds, then every period tick the failure detector and push-pull the
+// seeds, then every tick of t the failure detector and push-pull the
 // member table with a few random live peers.
-func (n *Node) gossipLoop() {
+func (n *Node) gossipLoop(t ticker) {
 	defer n.wg.Done()
 	for _, seed := range n.cfg.Seeds {
 		if seed != "" && seed != n.Addr() {
 			go n.gossipWith(seed)
 		}
 	}
-	t := time.NewTicker(time.Duration(n.cfg.GossipPeriodMs) * time.Millisecond)
 	defer t.Stop()
 	for {
 		select {
-		case <-t.C:
+		case <-t.C():
 			sum := n.reg.Tick()
 			n.health.Inc(metrics.GossipRoundsTotal)
 			if sum.Evicted > 0 {
@@ -437,7 +451,7 @@ func freshRPC(addr string, h *hello, req *request, rep *reply, timeout time.Dura
 		return err
 	}
 	defer conn.Close()
-	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
+	if err := conn.SetDeadline(wallDeadline(timeout)); err != nil {
 		return err
 	}
 	if err := writeMsg(bufio.NewWriter(conn), 1, maxRequestBytes, &request{Op: "hello", Hello: h}, req); err != nil {
@@ -499,16 +513,32 @@ func (n *Node) shutdown(drainFor time.Duration) error {
 	return err
 }
 
-// waitIdle polls until no query is in flight or the budget runs out.
+// waitIdle waits until no query is in flight or the budget runs out on
+// the node's clock. It wakes when the last in-flight request finishes
+// (doneInflight), not on a poll.
 func (n *Node) waitIdle(budget time.Duration) bool {
-	deadline := time.Now().Add(budget)
-	for time.Now().Before(deadline) {
-		if n.inflight.Load() == 0 {
-			return true
+	t := n.cfg.clock.newTimer(budget)
+	defer t.Stop()
+	for n.inflight.Load() != 0 {
+		select {
+		case <-n.idle:
+		case <-t.C():
+			return n.inflight.Load() == 0
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
-	return n.inflight.Load() == 0
+	return true
+}
+
+// doneInflight ends one in-flight request. The last one to end during a
+// drain wakes waitIdle; the channel's one slot keeps the signal for a
+// drain that has not reached its wait yet.
+func (n *Node) doneInflight() {
+	if n.inflight.Add(-1) == 0 && n.draining.Load() {
+		select {
+		case n.idle <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // trackConn registers a live connection, or reports false once
@@ -714,7 +744,7 @@ func (n *Node) serveConn(conn net.Conn) {
 			defer handlers.Done()
 			rep := n.handle(&req, sess)
 			if n.cfg.LinkLatency > 0 {
-				time.Sleep(n.cfg.LinkLatency)
+				n.cfg.clock.sleep(n.cfg.LinkLatency)
 			}
 			var err error
 			if rep.stream != nil {
@@ -729,7 +759,7 @@ func (n *Node) serveConn(conn net.Conn) {
 				// are already whole on the client.
 				n.dedup.release(n.dedup.run(sess.RunID), req.Release)
 			}
-			n.inflight.Add(-1)
+			n.doneInflight()
 			if err != nil {
 				// The write path is broken; close the conn so the reader
 				// unblocks and the remaining handlers drain.
@@ -743,8 +773,8 @@ func (n *Node) serveConn(conn net.Conn) {
 // recording server-side handling latency per op. sess is the
 // connection's hello.
 func (n *Node) handle(req *request, sess *hello) *reply {
-	start := time.Now()
-	defer func() { n.observeOp(req.Op, msSince(start)) }()
+	start := n.cfg.clock.now()
+	defer func() { n.observeOp(req.Op, millis(n.cfg.clock.since(start))) }()
 	var rep reply
 	switch {
 	case n.draining.Load() && req.Op != "stats" && req.Op != "gossip" && req.Op != "members" && req.Op != "spans":
@@ -946,7 +976,7 @@ func (n *Node) negotiate(req *request, mech Mechanism) (negotiateReply, string) 
 		// Planning a query shape for the first time takes real time on
 		// a slow machine; clients waiting for every node's reply absorb
 		// the slowest planner's latency. Repeats hit the plan cache.
-		time.Sleep(time.Duration(estMs * n.cfg.ExplainFraction * float64(time.Millisecond)))
+		n.cfg.clock.sleep(time.Duration(estMs * n.cfg.ExplainFraction * float64(time.Millisecond)))
 	}
 	offer := true
 	if mech == MechQANT {
@@ -989,11 +1019,11 @@ func (n *Node) shedExpired(req *request, estMs float64) string {
 
 // jobDeadline converts the request's relative budget into the absolute
 // instant the executor checks at dequeue.
-func jobDeadline(req *request) time.Time {
+func (n *Node) jobDeadline(req *request) time.Time {
 	if req.DeadlineMs <= 0 {
 		return time.Time{}
 	}
-	return time.Now().Add(time.Duration(req.DeadlineMs) * time.Millisecond)
+	return n.cfg.clock.now().Add(time.Duration(req.DeadlineMs) * time.Millisecond)
 }
 
 // cacheableOutcome decides whether an execute/fetch outcome may be
@@ -1080,7 +1110,7 @@ func (n *Node) admit(req *request, mech Mechanism, st driver.Statement, estMs fl
 		return nil, executeReply{Accepted: false}, ""
 	}
 	job := &execJob{stmt: st, reply: make(chan executeReply, 1), estMs: estMs,
-		withRows: withRows, trace: req.Trace, queued: time.Now(), deadline: jobDeadline(req)}
+		withRows: withRows, trace: req.Trace, queued: n.cfg.clock.now(), deadline: n.jobDeadline(req)}
 	n.mu.Lock()
 	n.backlogMs += estMs
 	n.mu.Unlock()
@@ -1124,7 +1154,8 @@ func (n *Node) execLoop() {
 }
 
 func (n *Node) runJob(job *execJob) {
-	queued := time.Now()
+	clk := n.cfg.clock
+	queued := clk.now()
 	if !job.deadline.IsZero() && queued.After(job.deadline) {
 		// The deadline passed while the job sat queued: running it now
 		// would waste executor time on an answer nobody is waiting for.
@@ -1133,7 +1164,7 @@ func (n *Node) runJob(job *execJob) {
 		return
 	}
 	hints := job.stmt.Hints()
-	start := time.Now()
+	start := clk.now()
 	blk, err := job.stmt.Execute()
 	if err != nil {
 		n.recordJobError(job, queued, err)
@@ -1150,10 +1181,10 @@ func (n *Node) runJob(job *execJob) {
 		n.mu.Unlock()
 	}
 	target := time.Duration(targetMs * float64(time.Millisecond))
-	if elapsed := time.Since(start); elapsed < target {
-		time.Sleep(target - elapsed)
+	if elapsed := clk.since(start); elapsed < target {
+		clk.sleep(target - elapsed)
 	}
-	execMs := float64(time.Since(start)) / float64(time.Millisecond)
+	execMs := millis(clk.since(start))
 	if job.withRows {
 		job.result = blk
 	}
@@ -1175,8 +1206,7 @@ func (n *Node) runJob(job *execJob) {
 		if qstart.IsZero() {
 			qstart = queued
 		}
-		n.tracer.Record(job.trace.ID, job.trace.Span, "queue", qstart,
-			float64(start.Sub(qstart))/float64(time.Millisecond), "")
+		n.tracer.Record(job.trace.ID, job.trace.Span, "queue", qstart, millis(start.Sub(qstart)), "")
 		n.tracer.Record(job.trace.ID, job.trace.Span, "exec", start, execMs,
 			fmt.Sprintf("sig=%s rows=%d", sig, blk.Rows))
 	}
@@ -1184,7 +1214,7 @@ func (n *Node) runJob(job *execJob) {
 		Accepted: true,
 		Rows:     blk.Rows,
 		ExecMs:   execMs,
-		WaitMs:   float64(start.Sub(queued)) / float64(time.Millisecond),
+		WaitMs:   millis(start.Sub(queued)),
 	})
 }
 
@@ -1194,7 +1224,7 @@ func (n *Node) recordJobError(job *execJob, queued time.Time, err error) {
 	if job.trace == nil {
 		return
 	}
-	n.tracer.Record(job.trace.ID, job.trace.Span, "exec", queued, msSince(queued), "error: "+err.Error())
+	n.tracer.Record(job.trace.ID, job.trace.Span, "exec", queued, millis(n.cfg.clock.since(queued)), "error: "+err.Error())
 }
 
 func (n *Node) finishJob(job *execJob, rep executeReply) {
@@ -1204,19 +1234,19 @@ func (n *Node) finishJob(job *execJob, rep executeReply) {
 	job.reply <- rep
 }
 
-// periodLoop drives the QA-NT market clock.
-func (n *Node) periodLoop() {
+// periodLoop drives the QA-NT market period: one pricer tick per tick
+// of t.
+func (n *Node) periodLoop(t ticker) {
 	defer n.wg.Done()
-	t := time.NewTicker(time.Duration(n.cfg.PeriodMs) * time.Millisecond)
 	defer t.Stop()
 	for {
 		select {
-		case <-t.C:
+		case <-t.C():
 			n.pricer.tick()
 			// The market epoch the member row advertises is the count
 			// of pricer periods this agent has lived through.
 			n.reg.SetEpoch(n.epoch.Add(1))
-			n.dedup.sweep(time.Now())
+			n.dedup.sweep()
 		case <-n.stopCh:
 			return
 		}
@@ -1226,7 +1256,7 @@ func (n *Node) periodLoop() {
 // noteCheckpoint records a successful market-state checkpoint for the
 // checkpoint-age gauge. The Checkpointer calls it after each write.
 func (n *Node) noteCheckpoint() {
-	n.lastCheckpoint.Store(time.Now().UnixMilli())
+	n.lastCheckpoint.Store(n.cfg.clock.now().UnixMilli())
 	n.health.Inc(metrics.CheckpointsTotal)
 }
 
@@ -1234,14 +1264,22 @@ func (n *Node) nodeStats() NodeStats {
 	n.mu.Lock()
 	executed := n.executed
 	n.mu.Unlock()
-	n.health.SetGauge(metrics.InflightWork, float64(n.working.Load()))
-	n.health.SetGauge(metrics.QueueDepth, float64(len(n.execCh)))
-	entries, retained := n.dedup.size()
-	n.health.SetGauge(metrics.DedupEntries, float64(entries))
-	n.health.SetGauge(metrics.DedupRetainedBytes, float64(retained))
 	health := n.health.Snapshot()
-	if ts := n.lastCheckpoint.Load(); ts > 0 {
-		health[metrics.CheckpointAgeMs] = float64(time.Now().UnixMilli() - ts)
-	}
+	n.sampleGauges(health)
 	return NodeStats{Executed: executed, Health: health, Market: n.MarketTelemetry()}
+}
+
+// sampleGauges writes the gauges read at sample time, not at a last
+// write, into g: checkpoint age on the node's clock, in-flight work,
+// queue depth, and the dedup window's entries and retained bytes. The
+// stats op and /metrics both sample through it.
+func (n *Node) sampleGauges(g map[string]float64) {
+	if ts := n.lastCheckpoint.Load(); ts > 0 {
+		g[metrics.CheckpointAgeMs] = float64(n.cfg.clock.now().UnixMilli() - ts)
+	}
+	g[metrics.InflightWork] = float64(n.working.Load())
+	g[metrics.QueueDepth] = float64(len(n.execCh))
+	entries, retained := n.dedup.size()
+	g[metrics.DedupEntries] = float64(entries)
+	g[metrics.DedupRetainedBytes] = float64(retained)
 }

@@ -45,11 +45,11 @@ func TestMarketStateCheckpoint(t *testing.T) {
 		t.Skip("node 0 learned no classes in this layout")
 	}
 
-	// Fresh node over the same data, restored from the checkpoint. Its
-	// period is far longer than the test, so no pricer tick moves a price
-	// between the restore and the stats read.
+	// Fresh node over the same data, restored from the checkpoint. It
+	// keeps the default period on a fake clock nobody advances, so no
+	// pricer tick moves a price between the restore and the stats read.
 	restored, err := StartNode("127.0.0.1:0", NodeConfig{
-		DB: ds.DBs[0], MsPerCostUnit: 0.02, PeriodMs: 600_000,
+		DB: ds.DBs[0], MsPerCostUnit: 0.02, clock: newFakeClock(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -62,6 +62,7 @@ func TestMarketStateCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer client2.Close()
 	st1, err := client2.Stats(restored.Addr())
 	if err != nil {
 		t.Fatal(err)
