@@ -48,7 +48,7 @@ examplesmoke:
 	if ! echo "$$out" | grep -qF '; 0 queries went unserved'; \
 	then echo "$$out"; echo 'examplesmoke: examples/pricedynamics left queries unserved'; exit 1; fi
 
-# fuzzsmoke runs the seven fuzzers briefly on every CI run, each with
+# fuzzsmoke runs the eight fuzzers briefly on every CI run, each with
 # its committed corpus as regression seeds. FuzzFrameDecode holds the
 # binary lane's malformed-input promise ("error, never panic, never
 # unbounded allocation"); FuzzDedupWindow drives the at-most-once window
@@ -59,7 +59,10 @@ examplesmoke:
 # scripts, with and without the activation threshold, against an
 # independent model of the one capacity account; FuzzKeyTable drives the engine's key table through add / find
 # scripts over numbers and texts against a Go map and a first-appearance
-# slice; FuzzCompareKernel holds the comparison kernels of scans and
+# slice; FuzzAppendBlock drives the engine's ingest of decoded batches
+# through Reserve, with a header's row count that may lie, and AppendBlock
+# against FillFromRows/AppendRows as the model (a broken block refused
+# whole, a sound one read back bit for bit); FuzzCompareKernel holds the comparison kernels of scans and
 # filters (refine, which compiles its compare per operator, and
 # compareConst) to the general form, ordering.holds, over arbitrary float64 and int64 bits and
 # constants, mirrored or not; FuzzParse holds the SQL front end to
@@ -68,13 +71,14 @@ examplesmoke:
 # matches everything, a pattern without wildcards matches only itself".
 # Five seconds finds shallow regressions; run any unbounded
 # (`go test -fuzz <name> <pkg>`) when touching frame.go, dedup.go, seller.go,
-# group.go, the comparison kernels, lexer.go, parser.go or the LIKE
+# group.go, ingest.go, the comparison kernels, lexer.go, parser.go or the LIKE
 # matcher.
 fuzzsmoke:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime 5s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzDedupWindow$$' -fuzztime 5s
 	$(GO) test ./internal/market -run '^$$' -fuzz '^FuzzSellerLedger$$' -fuzztime 5s
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzKeyTable$$' -fuzztime 5s
+	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzAppendBlock$$' -fuzztime 5s
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzCompareKernel$$' -fuzztime 5s
 	$(GO) test ./internal/sqldb -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s
 	$(GO) test ./internal/sqldb -run '^$$' -fuzz '^FuzzLikeMatch$$' -fuzztime 5s
@@ -125,13 +129,19 @@ onelane:
 	then echo 'onelane: FetchEnc/FrameV are back; a fetch result has one lane (see DESIGN.md §9, "Two lanes")'; exit 1; fi
 
 # onekinds keeps one kind-byte counter: driver.CountKinds, which counts
-# a run of kind bytes with one vectorized pass per kind present. It fails
-# when a non-test file outside internal/driver tallies kind bytes itself
-# — an ni++ / nf += 1 / "ni, ni+1" counter or a [256]int histogram.
+# a run of kind bytes with one vectorized pass per kind present, and
+# beside it driver.SingleKind, which reads a column's one kind — the
+# frame lane's column mode — from those tallies. It fails when a non-test
+# file outside internal/driver tallies kind bytes itself — an ni++ /
+# nf += 1 / "ni, ni+1" counter or a [256]int histogram — or scans them
+# for uniformity, calling bytes.Count or bytes.IndexFunc over kinds.
 onekinds:
 	@if grep -rnE '\b(ni|nf|ns|nb)(\+\+|[[:space:]]*\+=)|\b(ni|nf|ns|nb),[[:space:]]*(ni|nf|ns|nb)[[:space:]]*\+[[:space:]]*1\b|\[256\]int' --include='*.go' . \
 		| grep -vE '^\./internal/driver/|_test\.go:'; \
 	then echo 'onekinds: kind bytes are counted outside driver.CountKinds (see DESIGN.md §15, "Block = wire format")'; exit 1; fi
+	@if grep -rnE 'bytes\.(Count|IndexFunc)\([^,)]*\b[Kk]inds\b' --include='*.go' . \
+		| grep -vE '^\./internal/driver/|_test\.go:'; \
+	then echo 'onekinds: kind bytes are scanned for a column'"'"'s kind outside driver.CountKinds and driver.SingleKind (see DESIGN.md §15, "Block = wire format")'; exit 1; fi
 
 # onerow keeps one product executor: every node runs the vectorized
 # engine (cluster.NodeConfig.DB builds engine.FromDB), and sqldb's row

@@ -169,17 +169,18 @@ func checkFetchHeader(columns []string) error {
 }
 
 // appendFittingBatch appends one batch frame carrying as many leading
-// rows of blk as fit in maxFramePayload and returns how many it took:
-// all of them, unless their texts are huge, in which case the count
-// halves until the payload size fits, and only then is the frame
-// encoded. Zero means blk's first row alone is over the limit; buf then
-// comes back unchanged. piece is the cut's scratch.
+// rows of blk as its reader accepts and returns how many it took: all of
+// them, unless their texts are huge, in which case the count halves
+// until the planned payload fits maxFramePayload, and only then is the
+// frame encoded. Zero means blk's first row alone is over the limit; buf
+// then comes back unchanged. piece is the cut's scratch.
 func appendFittingBatch(buf []byte, id uint64, blk, piece *ColBlock) ([]byte, int) {
+	var stack [8]colPlan
 	src := blk
 	for {
-		size := batchPayloadSize(src)
+		plan, size := planBatch(stack[:0], src)
 		if size <= maxFramePayload {
-			return appendBatchSized(buf, id, src, size), src.Rows
+			return appendBatchPlanned(buf, id, src, plan, size), src.Rows
 		}
 		if src.Rows == 1 {
 			return buf, 0
@@ -191,36 +192,89 @@ func appendFittingBatch(buf []byte, id uint64, blk, piece *ColBlock) ([]byte, in
 	}
 }
 
-// batchPayloadSize is the exact payload length of blk's batch frame.
-func batchPayloadSize(blk *ColBlock) int {
+// colPlan is how one column of a batch goes on the wire, settled once
+// per batch so that sizing and filling the frame each walk the values
+// once.
+type colPlan struct {
+	mode       byte  // the column's one value kind, or 0: per-row kind bytes follow
+	base       int64 // the ints' minimum, which their deltas count up from
+	intW, lenW int   // bytes per int delta and per text length
+	blob       int   // the texts' bytes
+}
+
+// planBatch plans each column of blk into plan, reusing it, and returns
+// it with the batch's exact payload length. A column's kind comes from
+// its typed arrays' lengths (driver.SingleKind); its ints' range and its
+// longest text set their widths.
+func planBatch(plan []colPlan, blk *ColBlock) ([]colPlan, int) {
+	plan = resize(plan, len(blk.Cols))
 	size := 8 // row and column counts
 	for j := range blk.Cols {
-		col := &blk.Cols[j]
-		size += len(col.Kinds) + 20 + 8*(len(col.Ints)+len(col.Floats)) + 4*len(col.Texts) + (len(col.Bools)+7)/8
-		for _, t := range col.Texts {
-			size += len(t)
+		col, pl := &blk.Cols[j], &plan[j]
+		*pl = colPlan{mode: driver.SingleKind(blk.Rows, len(col.Ints), len(col.Floats), len(col.Texts), len(col.Bools))}
+		// mode, then the counts of ints, floats, texts, text blob and bools
+		size += 21 + 8*len(col.Floats) + (len(col.Bools)+7)/8
+		if pl.mode == 0 {
+			size += len(col.Kinds)
+		}
+		if len(col.Ints) > 0 {
+			lo, hi := col.Ints[0], col.Ints[0]
+			for _, v := range col.Ints {
+				lo, hi = min(lo, v), max(hi, v)
+			}
+			pl.base, pl.intW = lo, uintWidth(uint64(hi-lo))
+			size += 9 + pl.intW*len(col.Ints) // base and width, then the deltas
+		}
+		if len(col.Texts) > 0 {
+			longest := 0
+			for _, t := range col.Texts {
+				pl.blob += len(t)
+				longest = max(longest, len(t))
+			}
+			pl.lenW = uintWidth(uint64(longest))
+			size += 1 + pl.lenW*len(col.Texts) + pl.blob // width, lengths, blob
 		}
 	}
-	return size
+	return plan, size
+}
+
+// uintWidth is the fewest of 1, 2, 4 or 8 bytes that hold v.
+func uintWidth(v uint64) int {
+	switch {
+	case v <= math.MaxUint8:
+		return 1
+	case v <= math.MaxUint16:
+		return 2
+	case v <= math.MaxUint32:
+		return 4
+	}
+	return 8
 }
 
 // appendFetchBatchCols appends one batch frame carrying blk's rows as
-// typed columns: per column, one kind byte per row (the driver's kind
-// alphabet), then the non-null values of each type in row order — ints
-// and floats as fixed 8-byte words, texts as a length table plus one
-// concatenated blob (so the client can decode all of a column's strings
-// with a single allocation), bools as packed bits with zero padding.
-// Driver blocks already hold exactly this layout, so encoding moves
-// arrays, not values: the payload is sized and reserved once, the kind
-// bytes and text bytes are copied, and every word is written by index —
-// no append and no switch per value, and no transposition.
+// typed columns. Per column: a mode byte, which is the column's one value
+// kind (the driver's kind byte for int, float, text or bool) when every
+// row has it, or else 0 and one kind byte per row behind it — a column
+// that mixes kinds or holds NULLs; then the non-null values of
+// each type in row order — ints frame-of-reference, as their minimum and
+// each value's difference from it at the fewest bytes that hold the
+// largest; floats as 8-byte words; texts as a length table at the fewest
+// bytes that hold the longest, plus one concatenated blob (so the client
+// can decode all of a column's strings with a single allocation); bools
+// as packed bits with zero padding. Driver blocks hold the same typed
+// arrays, so encoding moves arrays, not values: the payload is planned,
+// sized and reserved once, the kind bytes and text bytes are copied, and
+// every word is written by index — no append and no switch per value,
+// and no transposition.
 func appendFetchBatchCols(buf []byte, id uint64, blk *ColBlock) []byte {
-	return appendBatchSized(buf, id, blk, batchPayloadSize(blk))
+	var stack [8]colPlan
+	plan, size := planBatch(stack[:0], blk)
+	return appendBatchPlanned(buf, id, blk, plan, size)
 }
 
-// appendBatchSized is appendFetchBatchCols with the payload size, which
-// must be batchPayloadSize(blk), already known.
-func appendBatchSized(buf []byte, id uint64, blk *ColBlock, size int) []byte {
+// appendBatchPlanned is appendFetchBatchCols with blk's plan and payload
+// size, planBatch's results, already known.
+func appendBatchPlanned(buf []byte, id uint64, blk *ColBlock, plan []colPlan, size int) []byte {
 	buf = slices.Grow(buf, frameHdrLen+size)
 	buf, hdr := beginFrame(buf, frameTypeBatch, id)
 	start := len(buf)
@@ -231,14 +285,20 @@ func appendBatchSized(buf []byte, id uint64, blk *ColBlock, size int) []byte {
 	le.PutUint32(p[4:], uint32(len(blk.Cols)))
 	o := 8
 	for j := range blk.Cols {
-		col := &blk.Cols[j]
-		o += copy(p[o:], col.Kinds)
+		col, pl := &blk.Cols[j], &plan[j]
+		p[o] = pl.mode
+		o++
+		if pl.mode == 0 {
+			o += copy(p[o:], col.Kinds)
+		}
 
 		le.PutUint32(p[o:], uint32(len(col.Ints)))
 		o += 4
-		for _, v := range col.Ints {
-			le.PutUint64(p[o:o+8], uint64(v))
-			o += 8
+		if len(col.Ints) > 0 {
+			le.PutUint64(p[o:], uint64(pl.base))
+			p[o+8] = byte(pl.intW)
+			o += 9
+			o += putDeltas(p[o:], col.Ints, uint64(pl.base), pl.intW)
 		}
 
 		le.PutUint32(p[o:], uint32(len(col.Floats)))
@@ -248,24 +308,72 @@ func appendBatchSized(buf []byte, id uint64, blk *ColBlock, size int) []byte {
 			o += 8
 		}
 
-		// count, blob length, length table, blob: the blob length is
-		// patched once the texts are copied.
 		le.PutUint32(p[o:], uint32(len(col.Texts)))
-		lens := p[o+8 : o+8+4*len(col.Texts)]
-		blob := o + 8 + len(lens)
-		end := blob
-		for i, t := range col.Texts {
-			le.PutUint32(lens[4*i:], uint32(len(t)))
-			end += copy(p[end:], t)
+		le.PutUint32(p[o+4:], uint32(pl.blob))
+		o += 8
+		if len(col.Texts) > 0 {
+			p[o] = byte(pl.lenW)
+			o++
+			o += putTexts(p[o:], col.Texts, pl.lenW)
 		}
-		le.PutUint32(p[o+4:], uint32(end-blob))
-		o = end
 
 		le.PutUint32(p[o:], uint32(len(col.Bools)))
 		o += 4
 		o += packBools(p[o:], col.Bools)
 	}
 	return endFrame(buf, hdr)
+}
+
+// putDeltas writes each of ints less base in w bytes and returns the
+// bytes written.
+func putDeltas(dst []byte, ints []int64, base uint64, w int) int {
+	le := binary.LittleEndian
+	switch w {
+	case 1:
+		dst = dst[:len(ints)]
+		for i, v := range ints {
+			dst[i] = byte(uint64(v) - base)
+		}
+	case 2:
+		for i, v := range ints {
+			le.PutUint16(dst[2*i:], uint16(uint64(v)-base))
+		}
+	case 4:
+		for i, v := range ints {
+			le.PutUint32(dst[4*i:], uint32(uint64(v)-base))
+		}
+	default:
+		for i, v := range ints {
+			le.PutUint64(dst[8*i:], uint64(v)-base)
+		}
+	}
+	return w * len(ints)
+}
+
+// putTexts writes the length of each of texts in w bytes, then the texts
+// themselves behind the table, and returns the bytes written.
+func putTexts(dst []byte, texts []string, w int) int {
+	le := binary.LittleEndian
+	end := w * len(texts)
+	switch w {
+	case 1:
+		lens := dst[:len(texts)]
+		for i, t := range texts {
+			lens[i] = byte(len(t))
+			end += copy(dst[end:], t)
+		}
+	case 2:
+		for i, t := range texts {
+			le.PutUint16(dst[2*i:], uint16(len(t)))
+			end += copy(dst[end:], t)
+		}
+	default:
+		for i, t := range texts {
+			le.PutUint32(dst[4*i:], uint32(len(t)))
+			end += copy(dst[end:], t)
+		}
+	}
+	return end
 }
 
 // packBools writes bs to dst as bits, least significant first, eight to
@@ -524,12 +632,17 @@ type (
 )
 
 // decodeFetchBatch parses a batch-frame payload into blk, reusing its
-// buffers, and validates every count against the kind bytes so a
+// buffers, and validates every count against the column's kinds so a
 // malformed frame is an error, never a panic. It moves arrays, not
-// values: CountKinds sizes each typed array once, which is then filled
-// by index. It accepts only the encoder's own bytes — a bool column's
-// padding bits must be zero — so a payload that decodes re-encodes to
-// itself (FuzzFrameDecode holds that).
+// values: a column of one value kind has its count from the mode byte,
+// any other CountKinds once, and each typed array is sized once and
+// filled by index. A column of one value kind fills Col.Kinds with it,
+// so what comes out is the same block whatever the wire spent on it. It
+// accepts only the encoder's own bytes — per-row kinds only for a column
+// that mixes kinds or holds NULLs, ints based at their minimum, int and
+// text-length widths no wider than they need, and zero bool padding
+// bits — so a payload that decodes re-encodes to itself
+// (FuzzFrameDecode holds that).
 func decodeFetchBatch(p []byte, blk *ColBlock) error {
 	c := cursor{p: p}
 	nrows, ok1 := c.u32()
@@ -537,11 +650,12 @@ func decodeFetchBatch(p []byte, blk *ColBlock) error {
 	if !ok1 || !ok2 {
 		return fmt.Errorf("%w: batch prefix", errFrameDecode)
 	}
-	// A column costs at least one kind byte per row plus 20 bytes of
-	// count fields (ints, floats, texts+blob, bools) even when empty, so
-	// the claimed shape is bounded by the payload length — reject before
-	// allocating anything.
-	if uint64(ncols)*(uint64(nrows)+20) > uint64(c.remaining()) {
+	// A column costs at least its mode byte and 20 bytes of counts (ints,
+	// floats, texts+blob, bools), and at least a bit a row: a kind byte
+	// (mode 0), an int delta or text length of a byte or more, a float's
+	// 8 bytes, a bool's bit. So the payload bounds the cells, to 8 a byte,
+	// before anything is sized from what the counts claim.
+	if uint64(ncols)*(21+(uint64(nrows)+7)/8) > uint64(c.remaining()) {
 		return fmt.Errorf("%w: batch claims %d×%d cells in %d bytes", errFrameDecode, nrows, ncols, c.remaining())
 	}
 	if cap(blk.Cols) < int(ncols) {
@@ -549,34 +663,71 @@ func decodeFetchBatch(p []byte, blk *ColBlock) error {
 	}
 	blk.Cols = blk.Cols[:ncols]
 	blk.Rows = int(nrows)
+	n := int(nrows)
 	le := binary.LittleEndian
 	for j := range blk.Cols {
 		col := &blk.Cols[j]
-		kinds, ok := c.bytes(int(nrows))
+		mode, ok := c.u8()
 		if !ok {
-			return fmt.Errorf("%w: column %d kinds", errFrameDecode, j)
+			return fmt.Errorf("%w: column %d mode", errFrameDecode, j)
 		}
-		ni, nf, ns, nb, known := driver.CountKinds(kinds)
-		if !known {
-			return fmt.Errorf("%w: column %d has a byte that is no kind", errFrameDecode, j)
+		var ni, nf, ns, nb int
+		switch mode {
+		case 0:
+			kinds, ok := c.bytes(n)
+			if !ok {
+				return fmt.Errorf("%w: column %d kinds", errFrameDecode, j)
+			}
+			var known bool
+			if ni, nf, ns, nb, known = driver.CountKinds(kinds); !known {
+				return fmt.Errorf("%w: column %d has a byte that is no kind", errFrameDecode, j)
+			}
+			col.Kinds = append(col.Kinds[:0], kinds...)
+		case driver.KindByteInt:
+			ni = n
+		case driver.KindByteFloat:
+			nf = n
+		case driver.KindByteText:
+			ns = n
+		case driver.KindByteBool:
+			nb = n
 		}
-		col.Kinds = append(col.Kinds[:0], kinds...)
+		// Mode 0 must mix kinds or hold NULLs, and any other mode must be
+		// the value kind of every row, of which there must be some.
+		if driver.SingleKind(n, ni, nf, ns, nb) != mode {
+			return fmt.Errorf("%w: column %d's mode %#x is not its one kind", errFrameDecode, j, mode)
+		}
+		if mode != 0 {
+			col.Kinds = resize(col.Kinds, n)
+			fillBytes(col.Kinds, mode)
+		}
 
 		cnt, ok := c.u32()
-		if !ok || int(cnt) != ni || c.remaining() < ni*8 {
+		if !ok || int(cnt) != ni {
 			return fmt.Errorf("%w: column %d ints", errFrameDecode, j)
 		}
-		w, _ := c.bytes(ni * 8)
-		col.Ints = resize(col.Ints, ni)
-		for i := range col.Ints {
-			col.Ints[i] = int64(le.Uint64(w[8*i:]))
+		col.Ints = col.Ints[:0]
+		if ni > 0 {
+			base, ok1 := c.u64()
+			w, ok2 := c.u8()
+			if !ok1 || !ok2 || (w != 1 && w != 2 && w != 4 && w != 8) || c.remaining() < ni*int(w) {
+				return fmt.Errorf("%w: column %d ints", errFrameDecode, j)
+			}
+			deltas, _ := c.bytes(ni * int(w))
+			col.Ints = resize(col.Ints, ni)
+			lo, hi := getDeltas(col.Ints, deltas, base, int(w))
+			// The base is the minimum, so some delta is 0 and none carries
+			// a value past MaxInt64; the width is the least the largest needs.
+			if lo != 0 || hi > math.MaxInt64-base || uintWidth(hi) != int(w) {
+				return fmt.Errorf("%w: column %d ints are not based at their minimum in the fewest bytes", errFrameDecode, j)
+			}
 		}
 
 		cnt, ok = c.u32()
 		if !ok || int(cnt) != nf || c.remaining() < nf*8 {
 			return fmt.Errorf("%w: column %d floats", errFrameDecode, j)
 		}
-		w, _ = c.bytes(nf * 8)
+		w, _ := c.bytes(nf * 8)
 		col.Floats = resize(col.Floats, nf)
 		for i := range col.Floats {
 			col.Floats[i] = math.Float64frombits(le.Uint64(w[8*i:]))
@@ -584,10 +735,19 @@ func decodeFetchBatch(p []byte, blk *ColBlock) error {
 
 		cnt, ok = c.u32()
 		blobLen, ok2 := c.u32()
-		if !ok || !ok2 || int(cnt) != ns || c.remaining() < ns*4 {
+		if !ok || !ok2 || int(cnt) != ns {
 			return fmt.Errorf("%w: column %d text table", errFrameDecode, j)
 		}
-		lens, _ := c.bytes(ns * 4)
+		var lens []byte
+		lenW := 0
+		if ns > 0 {
+			w, ok := c.u8()
+			lenW = int(w)
+			if !ok || (w != 1 && w != 2 && w != 4) || c.remaining() < ns*lenW {
+				return fmt.Errorf("%w: column %d text table", errFrameDecode, j)
+			}
+			lens, _ = c.bytes(ns * lenW)
+		}
 		blobBytes, ok := c.bytes(int(blobLen))
 		if !ok {
 			return fmt.Errorf("%w: column %d text blob", errFrameDecode, j)
@@ -597,17 +757,12 @@ func decodeFetchBatch(p []byte, blk *ColBlock) error {
 		// path's only steady-state allocation.
 		blob := string(blobBytes)
 		col.Texts = resize(col.Texts, ns)
-		off := 0
-		for i := range col.Texts {
-			l := int(le.Uint32(lens[4*i:]))
-			if l < 0 || l > len(blob)-off {
-				return fmt.Errorf("%w: column %d text lengths exceed blob", errFrameDecode, j)
-			}
-			col.Texts[i] = blob[off : off+l]
-			off += l
+		longest, ok := cutTexts(col.Texts, blob, lens, lenW)
+		if !ok {
+			return fmt.Errorf("%w: column %d text lengths do not add up to its blob", errFrameDecode, j)
 		}
-		if off != len(blob) {
-			return fmt.Errorf("%w: column %d text blob not consumed", errFrameDecode, j)
+		if ns > 0 && uintWidth(uint64(longest)) != lenW {
+			return fmt.Errorf("%w: column %d text lengths are not in the fewest bytes", errFrameDecode, j)
 		}
 
 		cnt, ok = c.u32()
@@ -635,6 +790,91 @@ func decodeFetchBatch(p []byte, blk *ColBlock) error {
 		return fmt.Errorf("%w: %d trailing batch bytes", errFrameDecode, c.remaining())
 	}
 	return nil
+}
+
+// fillBytes sets every byte of k to b, doubling the filled prefix with
+// each copy.
+func fillBytes(k []byte, b byte) {
+	if len(k) == 0 {
+		return
+	}
+	k[0] = b
+	for n := 1; n < len(k); n *= 2 {
+		copy(k[n:], k[:n])
+	}
+}
+
+// getDeltas sets dst to base plus each w-byte delta of src and returns
+// the smallest and largest delta.
+func getDeltas(dst []int64, src []byte, base uint64, w int) (lo, hi uint64) {
+	le := binary.LittleEndian
+	lo = math.MaxUint64
+	switch w {
+	case 1:
+		src = src[:len(dst)]
+		for i, b := range src {
+			d := uint64(b)
+			lo, hi = min(lo, d), max(hi, d)
+			dst[i] = int64(base + d)
+		}
+	case 2:
+		for i := range dst {
+			d := uint64(le.Uint16(src[2*i:]))
+			lo, hi = min(lo, d), max(hi, d)
+			dst[i] = int64(base + d)
+		}
+	case 4:
+		for i := range dst {
+			d := uint64(le.Uint32(src[4*i:]))
+			lo, hi = min(lo, d), max(hi, d)
+			dst[i] = int64(base + d)
+		}
+	default:
+		for i := range dst {
+			d := le.Uint64(src[8*i:])
+			lo, hi = min(lo, d), max(hi, d)
+			dst[i] = int64(base + d)
+		}
+	}
+	return lo, hi
+}
+
+// cutTexts sets dst to consecutive substrings of blob whose lengths are
+// lens' w-byte entries, and returns the longest; ok is false unless they
+// take exactly the whole blob.
+func cutTexts(dst []string, blob string, lens []byte, w int) (longest int, ok bool) {
+	le := binary.LittleEndian
+	off := 0
+	cut := func(i, l int) bool {
+		if l > len(blob)-off {
+			return false
+		}
+		dst[i] = blob[off : off+l]
+		off += l
+		longest = max(longest, l)
+		return true
+	}
+	switch w {
+	case 1:
+		for i, l := range lens[:len(dst)] {
+			if !cut(i, int(l)) {
+				return 0, false
+			}
+		}
+	case 2:
+		for i := range dst {
+			if !cut(i, int(le.Uint16(lens[2*i:]))) {
+				return 0, false
+			}
+		}
+	case 4:
+		for i := range dst {
+			if !cut(i, int(le.Uint32(lens[4*i:]))) {
+				return 0, false
+			}
+		}
+	}
+	return longest, off == len(blob)
 }
 
 // resize returns s with length n, reusing its array when it is big

@@ -5,7 +5,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"math"
+	"strings"
 	"testing"
+
+	"github.com/qamarket/qamarket/internal/sqldb"
 )
 
 // FuzzFrameDecode throws arbitrary bytes at both frame read paths. The
@@ -14,10 +18,14 @@ import (
 // then whichever payload decoder the type byte selects (a message is a
 // reply, read as a hello's answer when it carries one), then row
 // materialization. The invariant is "error, never panic, never an
-// allocation beyond the reader's bound", plus canonical frames: every
+// allocation beyond the reader's bound" — a payload's bytes, and a
+// batch's cells, at most eight to each byte the batch spends (a bool
+// column of one kind costs a bit a row) — plus canonical frames: every
 // header, batch or end payload that decodes re-encodes to exactly the
 // same bytes, which is what shows the encoders and decoders are
-// inverses. Seeded with the golden frames of a mixed-kind result,
+// inverses. Seeded with the golden frames of a mixed-kind result and a
+// result whose every column but its NULLs has one value kind, a batch in each column mode
+// at each int and text-length width,
 // headers carrying small and huge sequence numbers, request messages, a
 // hello's answer naming the node's boot, and a header announcing more
 // than the request bound, so mutations start from valid streams.
@@ -44,6 +52,10 @@ func FuzzFrameDecode(f *testing.F) {
 	}
 	f.Add(appendFetchEnd(stream, 7, 9, 5, ""))
 	f.Add(appendFetchBatchCols(nil, 7, goldenBatchBlock()))
+	f.Add(appendFetchBatchCols(nil, 7, goldenUniformBlock()))
+	for _, seed := range layoutSeeds() {
+		f.Add(appendFetchBatchCols(nil, 7, seed))
+	}
 	f.Add([]byte{frameMagic})
 	f.Add([]byte{})
 	// A connection's opening, a hello and a batched CFP carrying a
@@ -107,7 +119,7 @@ func FuzzFrameDecode(f *testing.F) {
 				}
 			case frameTypeBatch:
 				if decodeFetchBatch(fm.payload, &blk) == nil {
-					if blk.Rows*len(blk.Cols) > len(fm.payload) {
+					if blk.Rows*len(blk.Cols) > 8*len(fm.payload) {
 						t.Fatalf("batch decoded %d cells from %d bytes", blk.Rows*len(blk.Cols), len(fm.payload))
 					}
 					if _, err := blk.AppendRows(nil); err != nil {
@@ -126,4 +138,35 @@ func FuzzFrameDecode(f *testing.F) {
 			fm.release()
 		}
 	})
+}
+
+// layoutSeeds are one-column blocks, one per choice the batch layout
+// makes: each column mode (a single value kind, and per-row kinds for
+// NULLs throughout and for mixed kinds), each int delta width from a
+// negative base and each text-length width.
+func layoutSeeds() []*ColBlock {
+	in, fl, tx, bo, nul := sqldb.NewInt, sqldb.NewFloat, sqldb.NewText, sqldb.NewBool, sqldb.Null
+	col := func(vals ...sqldb.Value) *ColBlock {
+		rows := make([]sqldb.Row, len(vals))
+		for i, v := range vals {
+			rows[i] = sqldb.Row{v}
+		}
+		var blk ColBlock
+		blk.FillFromRows([]string{"c"}, rows)
+		return &blk
+	}
+	seeds := []*ColBlock{
+		col(fl(0.5), fl(-1)),
+		col(tx("ab"), tx("")),
+		col(bo(true), bo(false), bo(true)),
+		col(nul, nul, nul),
+		col(in(1), nul, fl(2), tx("x"), bo(true)),
+	}
+	for _, span := range []int64{0, math.MaxUint8 + 1, math.MaxUint16 + 1, math.MaxUint32 + 1} {
+		seeds = append(seeds, col(in(-7), in(-7+span), in(-6)))
+	}
+	for _, n := range []int{3, math.MaxUint8 + 1, math.MaxUint16 + 1} {
+		seeds = append(seeds, col(tx(strings.Repeat("x", n)), tx("")))
+	}
+	return seeds
 }

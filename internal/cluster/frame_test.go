@@ -3,6 +3,7 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -700,44 +701,87 @@ func goldenBatchBlock() *ColBlock {
 	return &blk
 }
 
-// goldenBatchHex is the batch frame (request id 7) that the per-value
-// encoder this codec replaced wrote for goldenBatchBlock. Its second
-// byte is the frame version, protocolVersion (3 since every message is
-// a frame); the payload is unchanged since then.
-const goldenBatchHex = "fa0402000700000000000000a10100000b00000005000000696e696969696e6969696909000000" +
-	"ffffffffffffffff00000000000000800700000000000000d6ffffffffffffff0000000000000000" +
-	"0300000000000000f7ffffffffffffffffffffffffffff7f02000000000000000000000000000000" +
-	"00000000000000006666666e66666e666666660000000009000000010000000000f87f0000000000" +
-	"000080000000000000f83f000000000000f07f00000000000002c000000000000000009c7500883c" +
-	"e4377e000000000000f0bf000000000000084000000000000000000000000073736e7373736e7373" +
-	"737300000000000000000900000012000000000000000100000009000000030000000000000001000" +
-	"000030000000000000001000000616ec3a46d652de29c9378797a71e29c937a000000006262626" +
-	"26e62626262626e0000000000000000000000000000000009000000ad01696673626e696673626e" +
-	"69030000000500000000000000faffffffffffffff000000000000000002000000000000000000e0" +
-	"bf000000000000f0ff020000000500000005000000000000006d697865640200000001"
+// goldenUniformBlock is a block whose every column has one kind, each
+// value kind written once for the column: ints from a negative base in
+// 2-byte deltas, floats with NaN and −0, texts (an empty one among
+// them) with 1-byte lengths, five bools (a partial last byte); and
+// NULLs throughout, which keep their per-row kind bytes.
+func goldenUniformBlock() *ColBlock {
+	in, fl, tx, bo, nul := sqldb.NewInt, sqldb.NewFloat, sqldb.NewText, sqldb.NewBool, sqldb.Null
+	rows := []sqldb.Row{
+		{in(-300), fl(1.5), tx("näme-✓"), bo(true), nul},
+		{in(-1), fl(math.NaN()), tx(""), bo(false), nul},
+		{in(200), fl(math.Copysign(0, -1)), tx("a"), bo(true), nul},
+		{in(-300), fl(-2.25), tx("xyz"), bo(true), nul},
+		{in(7), fl(1e300), tx("q"), bo(false), nul},
+	}
+	var blk ColBlock
+	blk.FillFromRows([]string{"i", "f", "s", "b", "n"}, rows)
+	return &blk
+}
+
+// goldenBatchHex and goldenUniformHex are the batch frames (request id
+// 7) of goldenBatchBlock and goldenUniformBlock. The second byte is the
+// frame version, protocolVersion; the payload layout is version 5's,
+// which writes a column of one value kind without per-row kind bytes,
+// ints as deltas from their minimum and text lengths at the width the
+// longest needs.
+const (
+	goldenBatchHex = "fa0502000700000000000000840100000b0000000500000000696e696969696e6969696909000000" +
+		"000000000000008008ffffffffffffff7f00000000000000000700000000000080d6ffffffffffff" +
+		"7f00000000000000800300000000000080f7ffffffffffff7fffffffffffffffff02000000000000" +
+		"8000000000000000000000000000000000006666666e66666e666666660000000009000000010000" +
+		"000000f87f0000000000000080000000000000f83f000000000000f07f00000000000002c0000000" +
+		"00000000009c7500883ce4377e000000000000f0bf00000000000008400000000000000000000000" +
+		"000073736e7373736e73737373000000000000000009000000120000000100010903000103000161" +
+		"6ec3a46d652de29c9378797a71e29c937a0000000000626262626e62626262626e00000000000000" +
+		"00000000000000000009000000ad0100696673626e696673626e6903000000faffffffffffffff01" +
+		"0b000602000000000000000000e0bf000000000000f0ff02000000050000000105006d6978656402" +
+		"00000001"
+	goldenUniformHex = "fa0502000700000000000000c600000005000000050000006905000000d4feffffffffffff020000" +
+		"2b01f4010000330100000000000000000000000000000000660000000005000000000000000000f8" +
+		"3f010000000000f87f000000000000008000000000000002c09c7500883ce4377e00000000000000" +
+		"0000000000730000000000000000050000000e0000000109000103016ec3a46d652de29c93617879" +
+		"7a71000000006200000000000000000000000000000000050000000d006e6e6e6e6e000000000000" +
+		"0000000000000000000000000000"
+)
 
 // TestFrameBatchGoldenBytes pins the batch layout itself, not only the
-// round trip: the encoder must write the committed bytes, and they must
-// decode back to the block.
+// round trip: the encoder must write the committed bytes, planBatch
+// must size them exactly, and they must decode back to a block that
+// re-encodes to them.
 func TestFrameBatchGoldenBytes(t *testing.T) {
-	want, err := hex.DecodeString(goldenBatchHex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blk := goldenBatchBlock()
-	if got := appendFetchBatchCols(nil, 7, blk); !bytes.Equal(got, want) {
-		t.Fatalf("batch frame differs from the golden bytes:\n got %x\nwant %x", got, want)
-	}
-	if size := batchPayloadSize(blk); size != len(want)-frameHdrLen {
-		t.Fatalf("batchPayloadSize = %d, the frame carries %d", size, len(want)-frameHdrLen)
-	}
-	var back ColBlock
-	if err := decodeFetchBatch(want[frameHdrLen:], &back); err != nil {
-		t.Fatal(err)
-	}
-	back.Columns = blk.Columns
-	if got := appendFetchBatchCols(nil, 7, &back); !bytes.Equal(got, want) {
-		t.Fatalf("decoded golden batch re-encodes to %x", got)
+	for _, tc := range []struct {
+		name string
+		blk  *ColBlock
+		hex  string
+	}{
+		{"mixed", goldenBatchBlock(), goldenBatchHex},
+		{"uniform", goldenUniformBlock(), goldenUniformHex},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := hex.DecodeString(tc.hex)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := appendFetchBatchCols(nil, 7, tc.blk); !bytes.Equal(got, want) {
+				t.Fatalf("batch frame differs from the golden bytes:\n got %x\nwant %x", got, want)
+			}
+			if _, size := planBatch(nil, tc.blk); size != len(want)-frameHdrLen {
+				t.Fatalf("planBatch sizes %d bytes, the frame carries %d", size, len(want)-frameHdrLen)
+			}
+			var back ColBlock
+			if err := decodeFetchBatch(want[frameHdrLen:], &back); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(back.Cols[len(back.Cols)-1].Kinds, tc.blk.Cols[len(tc.blk.Cols)-1].Kinds) {
+				t.Fatalf("last column decodes to kinds %q, want %q", back.Cols[len(back.Cols)-1].Kinds, tc.blk.Cols[len(tc.blk.Cols)-1].Kinds)
+			}
+			back.Columns = tc.blk.Columns
+			if got := appendFetchBatchCols(nil, 7, &back); !bytes.Equal(got, want) {
+				t.Fatalf("decoded golden batch re-encodes to %x", got)
+			}
+		})
 	}
 }
 
@@ -795,6 +839,42 @@ func TestFetchStreamRejectsColumnCountMismatch(t *testing.T) {
 			if !errors.Is(err, errFrameDecode) || fs.recv != 0 || fs.delivered != 0 || len(res.Rows) != 0 {
 				t.Fatalf("err = %v after %d received and %d delivered rows (%d accumulated), want errFrameDecode and none",
 					err, fs.recv, fs.delivered, len(res.Rows))
+			}
+		})
+	}
+}
+
+// TestFetchStreamRefusesRowsItsBytesLack: every column of a batch costs
+// at least a bit a row, so a one-column batch of a few bytes claiming
+// 2^26−1 rows — a run of NULLs written once for the column, or bools
+// with their bits missing — is refused before a row is sized, let alone
+// delivered to the sink.
+func TestFetchStreamRefusesRowsItsBytesLack(t *testing.T) {
+	le := binary.LittleEndian
+	counts := make([]byte, 20) // ints, floats, texts, blob, bools: all 0
+	bools := append(make([]byte, 16), le.AppendUint32(nil, maxFramePayload-1)...)
+	for name, col := range map[string][]byte{
+		"NULL mode": append([]byte{driver.KindByteNull}, counts...),
+		"bool mode": append(append([]byte{driver.KindByteBool}, bools...), 0xff),
+	} {
+		t.Run(name, func(t *testing.T) {
+			res := &sqldb.Result{Columns: []string{"a"}}
+			fs := &fetchStream{sink: *accumulateSink(res)}
+			header := appendFetchHeader(nil, 1, res.Columns, 1, 4096, maxFramePayload-1, 0)
+			if _, err := fs.onFrame(frameTypeHeader, header[frameHdrLen:]); err != nil {
+				t.Fatal(err)
+			}
+			batch := append(le.AppendUint32(le.AppendUint32(nil, maxFramePayload-1), 1), col...)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := fs.onFrame(frameTypeBatch, batch)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, errFrameDecode) || fs.recv != 0 || fs.delivered != 0 || len(res.Rows) != 0 {
+				t.Fatalf("err = %v after %d received and %d delivered rows (%d accumulated), want errFrameDecode and none",
+					err, fs.recv, fs.delivered, len(res.Rows))
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+				t.Fatalf("refusing a %d-byte batch allocated %d bytes", len(batch), grew)
 			}
 		})
 	}

@@ -44,8 +44,11 @@ func (m Mechanism) check() error {
 // a frame of any other version. Version 2 added the fetch header's
 // sequence number and the request's release list; version 3 framed
 // every message; version 4 made the hello every connection's first
-// message and named the node's incarnation in its answer.
-const protocolVersion = 4
+// message and named the node's incarnation in its answer; version 5
+// wrote a batch column of one value kind without per-row kind bytes,
+// its ints as deltas from their minimum and its text lengths in the
+// fewest bytes that hold them.
+const protocolVersion = 5
 
 // hello opens every connection: what stays constant for the peer's
 // whole run. The node keeps it as the connection's session, and

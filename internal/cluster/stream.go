@@ -88,9 +88,9 @@ func (n *Node) streamFetch(conn net.Conn, w *bufio.Writer, wmu *sync.Mutex, id u
 	n.health.Add(metrics.FetchBytesTotal, int64(len(buf)))
 
 	// The result is already columnar: NextBatch re-slices the driver
-	// block's typed arrays per batch and appendFetchBatchCols copies
-	// them straight onto the wire — no row materialization anywhere on
-	// the server's hot path.
+	// block's typed arrays per batch and appendFittingBatch writes them
+	// straight onto the wire — no row materialization anywhere on the
+	// server's hot path.
 	var (
 		sent         uint64
 		batches      int

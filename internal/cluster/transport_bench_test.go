@@ -175,7 +175,8 @@ func selFragment(rows int) *ColBlock {
 // streamed decode. "acceptance" is the 1,000-row mixed result in
 // 256-row batches whose allocation budget TestFetchFrameAllocs pins;
 // "bulk" is bulk-fetch's 4,096-row batches aliasing storage; "sel" is a
-// 20,000-row dist-join fragment that carries its selection.
+// 20,000-row dist-join fragment that carries its selection. Beside the
+// time per row it reports the stream's frame bytes per row, wire-B/row.
 func BenchmarkFetchFrameRoundTrip(b *testing.B) {
 	for _, bc := range []struct {
 		name  string
@@ -218,6 +219,7 @@ func BenchmarkFetchFrameRoundTrip(b *testing.B) {
 			}
 			b.SetBytes(int64(bytesPerOp))
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blk.Rows), "ns/row")
+			b.ReportMetric(float64(bytesPerOp)/float64(blk.Rows), "wire-B/row")
 		})
 	}
 }

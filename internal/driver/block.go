@@ -306,6 +306,30 @@ func CountKinds(kinds []byte) (ni, nf, ns, nb int, ok bool) {
 	return n[0], n[1], n[2], n[3], left == 0
 }
 
+// SingleKind is the value kind every one of n rows has, given
+// CountKinds' tallies of their kind bytes — or a well-formed column's
+// typed-array lengths, which are those tallies — or 0 when the rows mix
+// kinds, hold only NULLs, or there are none. A column of one value kind
+// is what the frame lane writes without per-row kind bytes; its values
+// still cost at least a bit a row, so the bytes a frame spends keep
+// bounding its rows. A NULL costs no value bytes, so a column of NULLs
+// keeps its kind bytes.
+func SingleKind(n, ni, nf, ns, nb int) byte {
+	switch {
+	case n == 0:
+		return 0
+	case ni == n:
+		return KindByteInt
+	case nf == n:
+		return KindByteFloat
+	case ns == n:
+		return KindByteText
+	case nb == n:
+		return KindByteBool
+	}
+	return 0
+}
+
 // FillFromRows loads already-materialized rows into the block, reusing
 // its buffers — the transposition bridge for row-producing sources (the
 // legacy driver). Cells beyond a short row encode as NULL.
