@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench benchsmoke loadsmoke examplesmoke fuzzsmoke oneledger onelane onekinds onerow oneonce onewire onedoor oneclock ci
+.PHONY: all build test vet race bench benchsmoke loadsmoke examplesmoke fuzzsmoke oneledger onelane onekinds onerow oneonce onewire onedoor oneclock onenet ci
 
 all: build test
 
@@ -48,10 +48,15 @@ examplesmoke:
 	if ! echo "$$out" | grep -qF '; 0 queries went unserved'; \
 	then echo "$$out"; echo 'examplesmoke: examples/pricedynamics left queries unserved'; exit 1; fi
 
-# fuzzsmoke runs the eight fuzzers briefly on every CI run, each with
+# fuzzsmoke runs the nine fuzzers briefly on every CI run, each with
 # its committed corpus as regression seeds. FuzzFrameDecode holds the
 # binary lane's malformed-input promise ("error, never panic, never
-# unbounded allocation"); FuzzDedupWindow drives the at-most-once window
+# unbounded allocation"); FuzzServeConn feeds a node on the in-memory
+# network arbitrary first and later frames — JSON requests, hellos and
+# gossip pushes, unknown fields included — and holds the request path to
+# "never panic, a first frame that is not an accepted hello is refused
+# and the connection closed having run nothing, a gossip merge never
+# drops a known member"; FuzzDedupWindow drives the at-most-once window
 # through claim / settle / release / sweep scripts against a map model
 # (never two owners of a settled key within its TTL, never a payload
 # after release); FuzzSellerLedger drives market.Seller through
@@ -70,11 +75,12 @@ examplesmoke:
 # case-insensitive, errors at a rune boundary"; FuzzLikeMatch holds the LIKE matcher to "never panic, '%'
 # matches everything, a pattern without wildcards matches only itself".
 # Five seconds finds shallow regressions; run any unbounded
-# (`go test -fuzz <name> <pkg>`) when touching frame.go, dedup.go, seller.go,
+# (`go test -fuzz <name> <pkg>`) when touching frame.go, server.go, dedup.go, seller.go,
 # group.go, ingest.go, the comparison kernels, lexer.go, parser.go or the LIKE
 # matcher.
 fuzzsmoke:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime 5s
+	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzServeConn$$' -fuzztime 5s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzDedupWindow$$' -fuzztime 5s
 	$(GO) test ./internal/market -run '^$$' -fuzz '^FuzzSellerLedger$$' -fuzztime 5s
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzKeyTable$$' -fuzztime 5s
@@ -144,7 +150,8 @@ onekinds:
 	then echo 'onekinds: kind bytes are scanned for a column'"'"'s kind outside driver.CountKinds and driver.SingleKind (see DESIGN.md §15, "Block = wire format")'; exit 1; fi
 
 # onerow keeps one product executor: every node runs the vectorized
-# engine (cluster.NodeConfig.DB builds engine.FromDB), and sqldb's row
+# engine (callers hand a row store to cluster.NodeConfig.Driver as
+# engine.FromDB), and sqldb's row
 # engine is that engine's oracle only. It fails when a non-test file
 # outside internal/driver and benchmark wraps the row engine or the
 # fault mock as a driver, or picks an executor by name.
@@ -205,7 +212,7 @@ onewire:
 	@if grep -rnwE 'traceV|gossipV|batchAware' --include='*.go' .; \
 	then echo 'onewire: a per-field protocol version or the old-peer stub mode is back (see DESIGN.md §9, "One handshake")'; exit 1; fi
 	@if grep -nw 'freshDial' $(clustersrc) \
-		|| grep -nE 'func freshRPC\([^)]*frameFunc' $(clustersrc) \
+		|| grep -nE 'func (\([^)]*\) )?freshRPC\([^)]*frameFunc' $(clustersrc) \
 		|| grep -nE '\bfreshRPC\(' $(clientsrc); \
 	then echo 'onewire: a second client transport is back: a dial per RPC beside the pools (see DESIGN.md §9, "Connection pool lifecycle")'; exit 1; fi
 	@if awk '/^type (gossipPayload|membersReply) struct/,/^}/' $(clustersrc) | grep -E 'json:"(from|self)[",]'; \
@@ -235,8 +242,8 @@ onedoor:
 # oneclock keeps one clock in internal/cluster: the node and the client
 # read time through the clock interface in clock.go, which validate
 # fills with the wall clock and the package's tests replace with a fake
-# they advance by hand; only socket deadlines and dial timeouts stay on
-# the wall. It fails when a non-test internal/cluster file other than
+# they advance by hand or let advance itself; connection deadlines are
+# times on it too. It fails when a non-test internal/cluster file other than
 # clock.go calls the time package's clock directly, when breaker keeps a
 # now field of its own again, or when newBidCache takes a clock again
 # (the cache's callers pass it the client's now).
@@ -248,4 +255,17 @@ oneclock:
 	@if grep -nE 'func newBidCache\([^)]*(,|\bclock\b|\bnow\b|time\.Time)' $(clustersrc); \
 	then echo 'oneclock: newBidCache takes a clock again; put and get take the client'"'"'s now (see DESIGN.md §7, "One clock")'; exit 1; fi
 
-ci: build vet oneledger onelane onekinds onerow oneonce onewire onedoor oneclock test race benchsmoke loadsmoke examplesmoke fuzzsmoke
+# onenet keeps one network in internal/cluster: the node's listener, the
+# client's pooled connections and gossip's fresh exchanges all go through
+# the network interface in network.go, which validate fills with TCP and
+# the package's tests replace with an in-memory one. It fails when a
+# non-test internal/cluster file other than network.go calls net.Listen
+# or a net.Dial function, or when any Go file names wallDeadline, the
+# socket deadline that read the wall clock beside the injected one.
+onenet:
+	@if grep -nE '\bnet\.(Listen|Dial)[[:alnum:]]*\(' $(filter-out internal/cluster/network.go,$(clustersrc)); \
+	then echo 'onenet: a socket opened outside the network interface in internal/cluster; listen and dial through the node'"'"'s or the client'"'"'s network (see DESIGN.md §7, "One clock")'; exit 1; fi
+	@if grep -rnw 'wallDeadline' --include='*.go' .; \
+	then echo 'onenet: wallDeadline is back; a connection deadline is a time on the node'"'"'s or the client'"'"'s clock (see DESIGN.md §7, "One clock")'; exit 1; fi
+
+ci: build vet oneledger onelane onekinds onerow oneonce onewire onedoor oneclock onenet test race benchsmoke loadsmoke examplesmoke fuzzsmoke

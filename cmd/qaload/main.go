@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"github.com/qamarket/qamarket/internal/cluster"
+	"github.com/qamarket/qamarket/internal/engine"
 	"github.com/qamarket/qamarket/internal/market"
 	"github.com/qamarket/qamarket/internal/metrics"
 	"github.com/qamarket/qamarket/internal/trace"
@@ -207,7 +208,7 @@ func run(o *options) (*loadReport, error) {
 				spread = float64(i) / float64(o.selfNodes-1)
 			}
 			cfg := cluster.NodeConfig{
-				DB:            ds.DBs[i],
+				Driver:        engine.FromDB(ds.DBs[i]),
 				Slowdown:      1 + 13*spread,
 				MsPerCostUnit: o.msPerCost,
 				PeriodMs:      o.period,

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/qamarket/qamarket/internal/cluster"
+	"github.com/qamarket/qamarket/internal/engine"
 	"github.com/qamarket/qamarket/internal/sqldb"
 )
 
@@ -43,7 +44,7 @@ func main() {
 	var addrs []string
 	for i, db := range []*sqldb.DB{ordersDB, customersDB} {
 		node, err := cluster.StartNode("127.0.0.1:0", cluster.NodeConfig{
-			DB: db, MsPerCostUnit: 0.05, PeriodMs: 100,
+			Driver: engine.FromDB(db), MsPerCostUnit: 0.05, PeriodMs: 100,
 		})
 		if err != nil {
 			log.Fatal(err)

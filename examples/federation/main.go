@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/qamarket/qamarket/internal/cluster"
+	"github.com/qamarket/qamarket/internal/engine"
 	"github.com/qamarket/qamarket/internal/market"
 )
 
@@ -31,7 +32,7 @@ func main() {
 	var addrs []string
 	for i := 0; i < 3; i++ {
 		node, err := cluster.StartNode("127.0.0.1:0", cluster.NodeConfig{
-			DB:            ds.DBs[i],
+			Driver:        engine.FromDB(ds.DBs[i]),
 			IOSlowdown:    slow[i].io,
 			CPUSlowdown:   slow[i].cpu,
 			MsPerCostUnit: 0.02,

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/qamarket/qamarket/internal/cluster"
+	"github.com/qamarket/qamarket/internal/engine"
 	"github.com/qamarket/qamarket/internal/market"
 )
 
@@ -386,7 +387,7 @@ func TestClassArrivalIsNotARestart(t *testing.T) {
 	// A period far longer than the test: no tick interleaves, and the
 	// budget covers every query below.
 	node, err := cluster.StartNode("127.0.0.1:0", cluster.NodeConfig{
-		DB: ds.DBs[0], MsPerCostUnit: 0.02, PeriodMs: 600_000, Market: market.DefaultConfig(1),
+		Driver: engine.FromDB(ds.DBs[0]), MsPerCostUnit: 0.02, PeriodMs: 600_000, Market: market.DefaultConfig(1),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"github.com/qamarket/qamarket/internal/engine"
 )
 
 // BenchmarkAblationInformation is the information-structure ablation:
@@ -50,7 +52,8 @@ func informationRun(b *testing.B, share bool) float64 {
 	slow := []float64{1, 3, 9}
 	for i := 0; i < p.Nodes; i++ {
 		n, err := StartNode("127.0.0.1:0", NodeConfig{
-			DB: ds.DBs[i], Slowdown: slow[i], MsPerCostUnit: 0.02,
+			network: memWall,
+			Driver:  engine.FromDB(ds.DBs[i]), Slowdown: slow[i], MsPerCostUnit: 0.02,
 			PeriodMs: 50, shareQueueState: share,
 		})
 		if err != nil {
@@ -60,7 +63,8 @@ func informationRun(b *testing.B, share bool) float64 {
 		addrs[i] = n.Addr()
 	}
 	client, err := NewClient(ClientConfig{
-		Addrs: addrs, Mechanism: MechGreedy, PeriodMs: 50,
+		network: memWall,
+		Addrs:   addrs, Mechanism: MechGreedy, PeriodMs: 50,
 		Timeout: 5 * time.Second,
 	})
 	if err != nil {

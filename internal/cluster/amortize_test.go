@@ -138,7 +138,8 @@ func TestBatchedWindowOverloadIsTyped(t *testing.T) {
 	n.working.Add(1) // the only slot is held
 	clk := newFakeClock()
 	c, err := NewClient(ClientConfig{
-		Addrs: []string{n.Addr()}, Mechanism: MechGreedy,
+		network: newMemNet(clk),
+		Addrs:   []string{n.Addr()}, Mechanism: MechGreedy,
 		BatchWindow: 200 * time.Millisecond, batchLimit: 2, clock: clk,
 	})
 	if err != nil {
@@ -199,7 +200,7 @@ func rawExchange(t *testing.T, addr string, req any) []byte {
 func seedBidClient(t *testing.T, addr string, ttl time.Duration) (*Client, *nodeState, *fakeClock) {
 	t.Helper()
 	clk := newFakeClock()
-	c, err := NewClient(ClientConfig{Addrs: []string{addr}, BidCacheTTL: ttl, clock: clk})
+	c, err := NewClient(ClientConfig{network: newMemNet(clk), Addrs: []string{addr}, BidCacheTTL: ttl, clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +275,8 @@ func TestBidCacheTypedRefusalsInvalidate(t *testing.T) {
 		t.Run(code, func(t *testing.T) {
 			srv := startScriptedServer(t, code)
 			c, err := NewClient(ClientConfig{
-				Addrs: []string{srv.addr}, Mechanism: MechGreedy,
+				network: memWall,
+				Addrs:   []string{srv.addr}, Mechanism: MechGreedy,
 				BidCacheTTL: time.Minute, PeriodMs: 1, MaxRetries: 1,
 			})
 			if err != nil {
@@ -308,7 +310,8 @@ func TestBidCacheTypedRefusalsInvalidate(t *testing.T) {
 func TestBidCacheHitSkipsNegotiate(t *testing.T) {
 	srv := startScriptedServer(t, "")
 	c, err := NewClient(ClientConfig{
-		Addrs: []string{srv.addr}, Mechanism: MechGreedy,
+		network: memWall,
+		Addrs:   []string{srv.addr}, Mechanism: MechGreedy,
 		BidCacheTTL: time.Minute,
 	})
 	if err != nil {
@@ -344,7 +347,8 @@ func TestBatchedWindowSharesOneRPC(t *testing.T) {
 	srv := startScriptedServer(t, "")
 	clk := newFakeClock()
 	c, err := NewClient(ClientConfig{
-		Addrs: []string{srv.addr}, Mechanism: MechGreedy,
+		network: newMemNet(clk),
+		Addrs:   []string{srv.addr}, Mechanism: MechGreedy,
 		BatchWindow: 300 * time.Millisecond, batchLimit: 3, clock: clk,
 	})
 	if err != nil {
@@ -404,7 +408,7 @@ func TestShardProbeReadsNonASCIIRelations(t *testing.T) {
 // relation is skipped, members without filters are kept, and an
 // all-excluded round falls back to the full view.
 func TestShardProbeSkipsInfeasibleNodes(t *testing.T) {
-	c, err := NewClient(ClientConfig{Addrs: []string{"127.0.0.1:7", "127.0.0.1:8", "127.0.0.1:9"}})
+	c, err := NewClient(ClientConfig{network: memWall, Addrs: []string{"127.0.0.1:7", "127.0.0.1:8", "127.0.0.1:9"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +501,7 @@ func TestCacheAdmittedFetchRefusedRenegotiatesAtOnce(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			f := startLifeFed(t, lifePatient)
 			class := classKey(lifeSQL)
-			f.c.bids.put(class, []*nodeState{f.c.lookup(f.proxyA.Addr())}, f.c.cfg.clock.now()) // A alone, as a won round would cache it
+			f.c.bids.put(class, []*nodeState{f.c.lookup(f.frontA)}, f.c.cfg.clock.now()) // A alone, as a won round would cache it
 			refuse(f)
 			rounds0 := f.c.RPCCounts()["negotiate"]
 			res, out := f.c.Fetch(1, lifeSQL)
@@ -526,7 +530,7 @@ func TestCacheAdmittedFetchRefusedRenegotiatesAtOnce(t *testing.T) {
 // ladders — and each completed join still executes exactly two
 // subqueries.
 func TestDistributorFragmentsRideBidCache(t *testing.T) {
-	client, nodes, _ := splitFederationBehindProxies(t, ClientConfig{
+	client, nodes, _ := splitFederationBehindLinks(t, ClientConfig{
 		Mechanism: MechGreedy, PeriodMs: 50, Timeout: 5 * time.Second, BidCacheTTL: time.Minute,
 	})
 	d := NewDistributor(client)
@@ -565,13 +569,39 @@ func TestDistributorFragmentsRideBidCache(t *testing.T) {
 // exactly what the client completed: cache-admitted and batch-negotiated
 // queries keep the at-most-once contract of fully negotiated ones.
 //
-// The nodes share one fake clock that the test never advances, so no
-// market period ends and no gossip round runs during the workload: every
-// node's epoch stays put, and the negotiate count no longer follows how
-// many period ticks the host's scheduling let land inside the run.
+// The whole run is on fake clocks and the in-memory network, so with
+// one worker it is a function of its seed: the test runs it twice and
+// the two runs must make the same negotiate RPCs, hit the cache as often
+// and complete the same queries. A third run drives it with eight
+// workers, whose batch windows coalesce and whose order is the
+// scheduler's, and asserts the rest.
 func TestHundredNodeAmortizedNegotiation(t *testing.T) {
-	const nodes, queries, workers = 100, 120, 8
-	rng := rand.New(rand.NewSource(17))
+	var runs [2]hundredNodeTally
+	for i := range runs {
+		t.Run(fmt.Sprintf("run%d", i), func(t *testing.T) { runs[i] = hundredNodeRun(t, 17, 1) })
+	}
+	if runs[0] != runs[1] {
+		t.Errorf("two runs of one seed differ: %+v then %+v", runs[0], runs[1])
+	}
+	t.Run("concurrent", func(t *testing.T) { hundredNodeRun(t, 17, 8) })
+}
+
+// hundredNodeTally is what one hundredNodeRun did.
+type hundredNodeTally struct {
+	completed, negotiates int64
+	cacheHits, skips      float64
+}
+
+// hundredNodeRun is one run of TestHundredNodeAmortizedNegotiation's
+// scenario from seed, with workers closed-loop workers. The nodes share
+// one fake clock that the run never advances, so no market period ends
+// and no gossip round runs: every node's epoch stays put. The client has
+// a fake clock of its own that advances itself, which fires its batch
+// windows; with one worker the order of events is the seed's alone. The
+// client's view is refreshed by hand, on the run's schedule.
+func hundredNodeRun(t *testing.T, seed int64, workers int) hundredNodeTally {
+	const nodes, queries = 100, 120
+	rng := rand.New(rand.NewSource(seed))
 	ds, err := GenerateDataset(DatasetParams{
 		Nodes: nodes, Tables: 20, Views: 30, RowsPerTable: 10,
 		MinCopies: 2, MaxCopies: 3,
@@ -582,16 +612,15 @@ func TestHundredNodeAmortizedNegotiation(t *testing.T) {
 	fleet := make([]*Node, nodes)
 	addrs := make([]string, nodes)
 	var seeds []string
-	clk := newFakeClock()
+	nodeClk, clientClk := newFakeClock(), newFakeClock()
+	clientClk.autoAdvance(t)
 	for i := range fleet {
 		// Every node joins through scale-000, whose table is the client's
 		// view, so nothing here waits on gossip rounds, which never come on
 		// the stopped clock. The cost unit is so small that every execution
 		// stretch rounds to zero nanoseconds and never waits on that clock.
-		fleet[i] = startGossipNode(t, ds.DBs[i], fmt.Sprintf("scale-%03d", i), seeds,
-			1+3*float64(i)/(nodes-1), func(cfg *NodeConfig) {
-				cfg.MsPerCostUnit, cfg.clock = 1e-12, clk
-			})
+		fleet[i] = startGossipNode(t, nodeClk, ds.DBs[i], fmt.Sprintf("scale-%03d", i), seeds,
+			1+3*float64(i)/(nodes-1), func(cfg *NodeConfig) { cfg.MsPerCostUnit = 1e-12 })
 		addrs[i] = fleet[i].Addr()
 		seeds = addrs[:1]
 	}
@@ -607,26 +636,35 @@ func TestHundredNodeAmortizedNegotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The joins are the nodes' own goroutines, on no clock: the client
+	// starts once scale-000 has heard every one.
+	settle(t, func() bool { return len(fleet[0].Members()) == nodes }, "the fleet never joined scale-000")
+
 	// Greedy: the mix concentrates every class on its 1-3 holders, where
 	// market supply races retry for whole periods; the cache, batcher and
-	// prober run the same under both mechanisms.
+	// prober run the same under both mechanisms. The client is seeded
+	// with scale-000 alone, whose table is the whole fleet, and the view
+	// refresher's period outlasts the run: the view moves when the run
+	// refreshes it.
 	client, err := NewClient(ClientConfig{
-		Addrs:     addrs,
+		network:   newMemNet(clientClk),
+		clock:     clientClk,
+		Addrs:     addrs[:1],
 		Mechanism: MechGreedy,
 		PeriodMs:  50, MaxRetries: 300,
 		Timeout:     2 * time.Second,
-		ViewRefresh: 100 * time.Millisecond,
+		ViewRefresh: time.Hour,
 		BatchWindow: 2 * time.Millisecond,
 		BidCacheTTL: 300 * time.Millisecond,
 		execRetries: 4,
-		Jitter:      rand.New(rand.NewSource(18)),
+		Jitter:      rand.New(rand.NewSource(seed + 1)),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
 	// Shard probing starts from a converged view, not a race against it.
-	waitFor(t, 10*time.Second, func() bool {
+	waitFor(t, clientClk, 10*time.Second, func() bool {
 		members := client.Members()
 		for _, m := range members {
 			if m.CatalogFilter == "" {
@@ -647,20 +685,22 @@ func TestHundredNodeAmortizedNegotiation(t *testing.T) {
 	if len(churn) < 2 {
 		t.Fatal("the dataset left no two data-less nodes to churn")
 	}
-	var completed atomic.Int64
-	var next atomic.Int64
+	var completed, next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			wrng := rand.New(rand.NewSource(19 + int64(w)))
+			wrng := rand.New(rand.NewSource(seed + 2 + int64(w)))
 			for id := next.Add(1); id <= queries; id = next.Add(1) {
 				if id == queries/2 {
-					// Two members leave while every other worker has a query
-					// in flight.
+					// Two members leave mid-run, while every other worker
+					// has a query in flight, and the client hears of it.
 					churn[0].Close()
 					churn[1].Close()
+					if err := client.RefreshView(); err != nil {
+						t.Error(err)
+					}
 				}
 				sql := templates[wrng.Intn(len(templates))].Instantiate(wrng)
 				if out := client.Run(id, sql); out.Err != nil {
@@ -701,4 +741,6 @@ func TestHundredNodeAmortizedNegotiation(t *testing.T) {
 	t.Logf("completed %d, negotiate RPCs %d, cache hits %v, invalidations %v, batch windows %v, coalesced %v, shard skips %v",
 		completed.Load(), negotiates, health[metrics.BidCacheHitsTotal], health[metrics.BidCacheInvalidationsTotal],
 		health[metrics.BatchWindowsTotal], health[metrics.BatchCoalescedTotal], health[metrics.ShardSkipsTotal])
+	return hundredNodeTally{completed: completed.Load(), negotiates: negotiates,
+		cacheHits: health[metrics.BidCacheHitsTotal], skips: health[metrics.ShardSkipsTotal]}
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/qamarket/qamarket/internal/engine"
 	"github.com/qamarket/qamarket/internal/faultnet"
 	"github.com/qamarket/qamarket/internal/market"
 	"github.com/qamarket/qamarket/internal/metrics"
@@ -27,20 +28,15 @@ import (
 // table, and the nodes, both of node 2's incarnations counted, must
 // have executed exactly the queries that completed.
 func TestChaosPartitionCrashRestart(t *testing.T) {
-	ds, nodes, addrs := startTestFederation(t, []float64{1, 1, 1}, nil)
+	// On loopback TCP: this is the cluster test that keeps the fault
+	// links, the crash and the restart on the kernel's sockets.
+	ds, nodes, addrs := startTestFederation(t, []float64{1, 1, 1}, func(_ int, cfg *NodeConfig) { cfg.network = tcpNetwork{} })
 
 	// Node 1 sits behind a partitionable link; node 2 behind a link that
 	// will blackhole while the node is down (crashed-but-routable).
-	p1, err := faultnet.Start("127.0.0.1:0", addrs[1], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p1.Close()
-	p2, err := faultnet.Start("127.0.0.1:0", addrs[2], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p2.Close()
+	links := newLinkNet(tcpNetwork{})
+	p1, front1 := links.link(t, addrs[1], nil)
+	p2, front2 := links.link(t, addrs[2], nil)
 
 	ckptPath := filepath.Join(t.TempDir(), "node2.json")
 	ckpt, err := StartCheckpointer(nodes[2], ckptPath, 25*time.Millisecond)
@@ -54,7 +50,8 @@ func TestChaosPartitionCrashRestart(t *testing.T) {
 		cooldown  = 300 * time.Millisecond
 	)
 	client, err := NewClient(ClientConfig{
-		Addrs: []string{addrs[0], p1.Addr(), p2.Addr()}, Mechanism: MechQANT,
+		network: links,
+		Addrs:   []string{addrs[0], front1, front2}, Mechanism: MechQANT,
 		PeriodMs: 20, maxBackoffMs: 160, MaxRetries: 300,
 		breakerThreshold: threshold, breakerCooldown: cooldown,
 		Timeout: timeout,
@@ -98,15 +95,16 @@ func TestChaosPartitionCrashRestart(t *testing.T) {
 			nodes[2].CloseNow()
 			p2.SetBlackhole(true)
 			crashStart = time.Now()
-			dialsAtCrash = p2.Accepted()
+			dialsAtCrash = p2.Dials()
 		case 27:
-			// Restart node 2 over the same data, resuming the checkpoint.
-			// The long market period parks its price clock so the
-			// resume assertion is not racing a period tick.
+			// Restart node 2 over the same data on its address, resuming
+			// the checkpoint. The long market period parks its price clock
+			// so the resume assertion is not racing a period tick.
 			windowElapsed = time.Since(crashStart)
-			dialsInWindow = p2.Accepted() - dialsAtCrash
-			restarted, err = StartNode("127.0.0.1:0", NodeConfig{
-				DB: ds.DBs[2], MsPerCostUnit: 0.02, PeriodMs: 60_000,
+			dialsInWindow = p2.Dials() - dialsAtCrash
+			restarted, err = StartNode(addrs[2], NodeConfig{
+				network: tcpNetwork{},
+				Driver:  engine.FromDB(ds.DBs[2]), MsPerCostUnit: 0.02, PeriodMs: 60_000,
 				Market: market.DefaultConfig(1),
 			})
 			if err != nil {
@@ -127,7 +125,6 @@ func TestChaosPartitionCrashRestart(t *testing.T) {
 			if !bytes.Equal(gotState, fileState) {
 				t.Errorf("restarted node did not resume the checkpointed price table:\n got %s\nfile %s", gotState, fileState)
 			}
-			p2.SetTarget(restarted.Addr())
 			p2.SetBlackhole(false)
 		}
 		out := client.Run(int64(qi), templates[qi%len(templates)].Instantiate(rng))
@@ -213,20 +210,17 @@ func (s *soakTally) String() string {
 // and faultnet plans are pure functions of the connection index, so a
 // failure reproduces.
 func TestChaosSoakExecutesOnce(t *testing.T) {
-	proxy := func(target string, plan faultnet.Schedule) *faultnet.Proxy {
-		t.Helper()
-		p, err := faultnet.Start("127.0.0.1:0", target, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { p.Close() })
-		return p
-	}
+	clk := autoClock(t)
+	links := newLinkNet(newMemNet(clk))
 	// Deliberately small capacity — one executor each, two admitted work
 	// requests, a two-deep queue — so single-digit workers saturate a node.
-	small := func(_ int, cfg *NodeConfig) { cfg.PeriodMs, cfg.MaxInflight, cfg.MaxQueue = 20, 2, 2 }
+	small := func(_ int, cfg *NodeConfig) { cfg.PeriodMs, cfg.MaxInflight, cfg.MaxQueue, cfg.clock = 20, 2, 2, clk }
 	ds, nodes, addrs := startTestFederation(t, []float64{8, 10, 12}, small)
-	proxies := []*faultnet.Proxy{proxy(addrs[0], nil), proxy(addrs[1], nil), proxy(addrs[2], nil)}
+	nodeLinks := make([]*faultnet.Link, 3)
+	fronts := make([]string, 3)
+	for i, addr := range addrs {
+		nodeLinks[i], fronts[i] = links.link(t, addr, nil)
+	}
 	var qid atomic.Int64
 
 	// The fault phases need every query to survive one outage, and a join
@@ -259,7 +253,9 @@ func TestChaosSoakExecutesOnce(t *testing.T) {
 	// nodes would exceed a 20 ms period's supply and never offer, and
 	// the subject here is the protection layer, not price dynamics.
 	client, err := NewClient(ClientConfig{
-		Addrs:    []string{proxies[0].Addr(), proxies[1].Addr(), proxies[2].Addr()},
+		network:  links,
+		clock:    clk,
+		Addrs:    fronts,
 		PeriodMs: 20, maxBackoffMs: 160, MaxRetries: 300,
 		Timeout: 250 * time.Millisecond, breakerThreshold: 2,
 		breakerCooldown: 300 * time.Millisecond,
@@ -290,6 +286,8 @@ func TestChaosSoakExecutesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	oc, err := NewClient(ClientConfig{
+		network:  newMemNet(clk),
+		clock:    clk,
 		Addrs:    slowAddr,
 		PeriodMs: 20, MaxRetries: 300,
 		Timeout: 250 * time.Millisecond, breakerThreshold: 100,
@@ -322,12 +320,12 @@ func TestChaosSoakExecutesOnce(t *testing.T) {
 		t.Fatalf("overload: 24 queries against a saturated node shed none with a typed refusal: %v", overload)
 	}
 
-	// Severed replies: a one-node lane whose proxy cuts every execute
+	// Severed replies: a one-node lane whose link cuts every execute
 	// reply after one byte. Each query runs on a client of its own, so its
 	// connections are the triple [control: negotiate, data: execute (cut
 	// one byte past the hello's answer), data: retransmit], and the
 	// retransmit must be answered from the node's dedup window.
-	cut := proxy(addrs[0], func(conn int) faultnet.Plan {
+	_, cut := links.link(t, addrs[0], func(conn int) faultnet.Plan {
 		if conn%3 == 1 {
 			return faultnet.Plan{TruncateReplyAfter: helloBytes(t, nodes[0]) + 1}
 		}
@@ -337,7 +335,9 @@ func TestChaosSoakExecutesOnce(t *testing.T) {
 	severed := &soakTally{}
 	for i := 0; i < 3; i++ {
 		dc, err := NewClient(ClientConfig{
-			Addrs:    []string{cut.Addr()},
+			network:  links,
+			clock:    clk,
+			Addrs:    []string{cut},
 			PeriodMs: 20, Timeout: 2 * time.Second,
 			execRetries: 4,
 			Jitter:      rand.New(rand.NewSource(65)),
@@ -360,14 +360,14 @@ func TestChaosSoakExecutesOnce(t *testing.T) {
 	for i, sql := range sqls[10:34] {
 		switch i {
 		case 4:
-			proxies[1].Partition(faultnet.ClientToServer)
+			nodeLinks[1].Partition(faultnet.ClientToServer)
 		case 10:
-			proxies[1].Heal()
+			nodeLinks[1].Heal()
 		case 14:
-			proxies[2].Sever()
-			proxies[2].SetRefuse(true)
+			nodeLinks[2].Sever()
+			nodeLinks[2].SetRefuse(true)
 		case 20:
-			proxies[2].SetRefuse(false)
+			nodeLinks[2].SetRefuse(false)
 		}
 		outage.classify(t, "partition+crash", client.Run(qid.Add(1), sql))
 	}
@@ -389,18 +389,20 @@ func TestChaosSoakExecutesOnce(t *testing.T) {
 	const dim = `CREATE TABLE dim (k INT, name TEXT);
 		INSERT INTO dim VALUES (1, 'ada'), (2, 'bob'), (3, 'cyd'), (4, 'dee')`
 	_, split, splitAddrs := startTestFederation(t, []float64{1, 20, 1, 20}, func(i int, cfg *NodeConfig) {
-		cfg.DB = loadScripts(t, []string{big, big, dim, dim}[i])
-		cfg.MsPerCostUnit, cfg.PeriodMs = 0.05, 20
+		cfg.Driver = engine.FromDB(loadScripts(t, []string{big, big, dim, dim}[i]))
+		cfg.MsPerCostUnit, cfg.PeriodMs, cfg.clock = 0.05, 20, clk
 	})
-	b0 := proxy(splitAddrs[0], nil)
-	d0 := proxy(splitAddrs[2], func(conn int) faultnet.Plan {
+	b0, b0Front := links.link(t, splitAddrs[0], nil)
+	_, d0Front := links.link(t, splitAddrs[2], func(conn int) faultnet.Plan {
 		if conn == 0 {
 			return faultnet.Plan{TruncateReplyAfter: helloBytes(t, split[2]) + 1}
 		}
 		return faultnet.Plan{}
 	})
 	jc, err := NewClient(ClientConfig{
-		Addrs:    []string{b0.Addr(), splitAddrs[1], d0.Addr(), splitAddrs[3]},
+		network:  links,
+		clock:    clk,
+		Addrs:    []string{b0Front, splitAddrs[1], d0Front, splitAddrs[3]},
 		PeriodMs: 20, maxBackoffMs: 160, MaxRetries: 300,
 		Timeout: 250 * time.Millisecond, breakerThreshold: 2,
 		breakerCooldown: 300 * time.Millisecond,
@@ -411,7 +413,7 @@ func TestChaosSoakExecutesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(jc.Close)
-	jc.warmLane(t, jc.lookup(d0.Addr()), "fetch")
+	jc.warmLane(t, jc.lookup(d0Front), "fetch")
 	d := NewDistributor(jc)
 	joins := &soakTally{}
 	b0.SetRefuse(true)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/qamarket/qamarket/internal/engine"
 	"github.com/qamarket/qamarket/internal/metrics"
 )
 
@@ -73,9 +74,12 @@ func TestCheckpointerRejectsBadConfig(t *testing.T) {
 // table recorded in the checkpoint and keep trading without a market
 // reset.
 func TestCrashRestartResumesPriceTable(t *testing.T) {
-	ds, nodes, addrs := startTestFederation(t, []float64{1, 2}, nil)
+	clk := autoClock(t)
+	ds, nodes, addrs := startTestFederation(t, []float64{1, 2}, onClock(clk))
 	client, err := NewClient(ClientConfig{
-		Addrs: addrs, Mechanism: MechQANT, PeriodMs: 50, MaxRetries: 100, Timeout: 5 * time.Second,
+		network: newMemNet(clk),
+		clock:   clk,
+		Addrs:   addrs, Mechanism: MechQANT, PeriodMs: 50, MaxRetries: 100, Timeout: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +102,7 @@ func TestCrashRestartResumesPriceTable(t *testing.T) {
 	}
 	// Let the periodic writer tick at least once, then verify its
 	// heartbeat is visible through the stats op.
-	time.Sleep(60 * time.Millisecond)
+	clk.sleep(60 * time.Millisecond)
 	preCrash, err := client.Stats(addrs[0])
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +134,9 @@ func TestCrashRestartResumesPriceTable(t *testing.T) {
 	// parks the restored node's price clock so the assertions below are
 	// not racing a period tick.
 	restarted, err := StartNode("127.0.0.1:0", NodeConfig{
-		DB: ds.DBs[0], MsPerCostUnit: 0.02, PeriodMs: 60_000,
+		network: newMemNet(clk),
+		clock:   clk,
+		Driver:  engine.FromDB(ds.DBs[0]), MsPerCostUnit: 0.02, PeriodMs: 60_000,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +166,9 @@ func TestCrashRestartResumesPriceTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	client2, err := NewClient(ClientConfig{
-		Addrs: []string{restarted.Addr(), addrs[1]}, Mechanism: MechQANT,
+		network: newMemNet(clk),
+		clock:   clk,
+		Addrs:   []string{restarted.Addr(), addrs[1]}, Mechanism: MechQANT,
 		PeriodMs: 50, MaxRetries: 100, Timeout: 5 * time.Second,
 	})
 	if err != nil {

@@ -111,6 +111,7 @@ type ClientConfig struct {
 	batchLimit        int           // queries that seal a batch window early (16)
 	noShardProbe      bool          // fan every CFP out to the whole view (false)
 	clock             clock         // where the client reads time (the wall clock)
+	network           network       // where the client dials (TCP)
 }
 
 func (c *ClientConfig) validate() error {
@@ -149,8 +150,8 @@ func (c *ClientConfig) validate() error {
 	if c.ViewRefresh < 0 {
 		return fmt.Errorf("cluster: ViewRefresh %v is negative", c.ViewRefresh)
 	}
-	if c.clock == nil {
-		c.clock = wallClock{}
+	if err := pairNetwork(&c.network, &c.clock); err != nil {
+		return err
 	}
 	if c.Jitter == nil {
 		c.Jitter = rand.New(rand.NewSource(c.clock.now().UnixNano()))
@@ -365,7 +366,7 @@ func (c *Client) newNodeState(id, addr string, resolved bool) *nodeState {
 
 // newTransport builds the pooled transport to one member's address.
 func (c *Client) newTransport(addr string) *nodeTransport {
-	return newNodeTransport(addr, &c.hello, c.cfg.poolSize, c.wire, c.cfg.clock)
+	return newNodeTransport(addr, &c.hello, c.cfg.poolSize, c.wire, c.cfg.clock, c.cfg.network)
 }
 
 // WireBytes reports the total bytes read and written on the client's

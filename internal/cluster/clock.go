@@ -6,14 +6,15 @@ import "time"
 // timer and ticker in the package goes through one (make oneclock keeps
 // it so): the market period, gossip rounds, the execution stretch, the
 // drain budget, batch windows, bid-cache TTLs, breaker cooldowns, retry
-// backoff, RPC timeouts and every span and latency stamp. NodeConfig.clock
-// and ClientConfig.clock carry it and validate fills in wallClock, so
-// only the package's tests ever run on another: fakeClock, which moves
-// only when a test advances it.
+// backoff, RPC timeouts, connection deadlines and every span and latency
+// stamp. NodeConfig.clock and ClientConfig.clock carry it and validate
+// fills in wallClock, so only the package's tests ever run on another:
+// fakeClock, which moves only when a test advances it.
 //
-// Two things stay on the wall. Socket deadlines (wallDeadline) and dial
-// timeouts are enforced by the kernel against real time, so a clock a
-// test moves by hand cannot move them.
+// A connection deadline is a time on this clock, enforced by the
+// network the node or client runs on (network.go): TCP enforces it on
+// the wall, which is why TCP pairs only with wallClock, and the tests'
+// in-memory network arms it as a timer on the test's clock.
 type clock interface {
 	now() time.Time
 	since(t time.Time) time.Duration
@@ -54,11 +55,6 @@ func (t wallTimer) C() <-chan time.Time { return t.Timer.C }
 type wallTicker struct{ *time.Ticker }
 
 func (t wallTicker) C() <-chan time.Time { return t.Ticker.C }
-
-// wallDeadline is the socket deadline d from now. It reads the wall
-// clock, not an injected one: the kernel enforces the deadline against
-// real time.
-func wallDeadline(d time.Duration) time.Time { return time.Now().Add(d) }
 
 // millis converts a duration to fractional milliseconds, the unit of
 // every latency the package reports.

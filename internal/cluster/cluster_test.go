@@ -6,14 +6,16 @@ import (
 	"testing"
 	"time"
 
+	"github.com/qamarket/qamarket/internal/engine"
 	"github.com/qamarket/qamarket/internal/market"
 	"github.com/qamarket/qamarket/internal/sqldb"
 )
 
 // startTestFederation spins up n nodes over a small dataset with the
-// given per-node slowdowns. The time scale is compressed so the whole
-// suite stays fast. mutate, when set, edits node i's config on top of
-// these defaults before the node starts.
+// given per-node slowdowns, on the in-memory network unless mutate names
+// another. The time scale is compressed so the whole suite stays fast.
+// mutate, when set, edits node i's config on top of these defaults
+// before the node starts.
 func startTestFederation(t *testing.T, slowdowns []float64, mutate func(i int, cfg *NodeConfig)) (*Dataset, []*Node, []string) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(17))
@@ -37,7 +39,7 @@ func startTestFederation(t *testing.T, slowdowns []float64, mutate func(i int, c
 	addrs := make([]string, len(slowdowns))
 	for i := range slowdowns {
 		cfg := NodeConfig{
-			DB:            ds.DBs[i],
+			Driver:        engine.FromDB(ds.DBs[i]),
 			Slowdown:      slowdowns[i],
 			MsPerCostUnit: 0.02,
 			PeriodMs:      50,
@@ -46,6 +48,7 @@ func startTestFederation(t *testing.T, slowdowns []float64, mutate func(i int, c
 		if mutate != nil {
 			mutate(i, &cfg)
 		}
+		onMem(&cfg)
 		n, err := StartNode("127.0.0.1:0", cfg)
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
@@ -145,7 +148,7 @@ func TestTemplatesAreEvaluableSomewhere(t *testing.T) {
 
 func TestNegotiateExecuteRoundTrip(t *testing.T) {
 	ds, nodes, addrs := startTestFederation(t, []float64{1, 1, 1}, nil)
-	client, err := NewClient(ClientConfig{Addrs: addrs, Mechanism: MechGreedy, PeriodMs: 50})
+	client, err := NewClient(ClientConfig{network: memWall, Addrs: addrs, Mechanism: MechGreedy, PeriodMs: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +185,8 @@ func TestNegotiateExecuteRoundTrip(t *testing.T) {
 func TestInfeasibleQueryFails(t *testing.T) {
 	_, _, addrs := startTestFederation(t, []float64{1, 1}, nil)
 	client, err := NewClient(ClientConfig{
-		Addrs: addrs, Mechanism: MechGreedy, PeriodMs: 20, MaxRetries: 2,
+		network: memWall,
+		Addrs:   addrs, Mechanism: MechGreedy, PeriodMs: 20, MaxRetries: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +201,7 @@ func TestGreedyPrefersFastNode(t *testing.T) {
 	// Node 0 is 10x slower: on an idle system the greedy client must
 	// route to a fast replica whenever one holds the data.
 	ds, nodes, addrs := startTestFederation(t, []float64{10, 1, 1}, nil)
-	client, err := NewClient(ClientConfig{Addrs: addrs, Mechanism: MechGreedy, PeriodMs: 50})
+	client, err := NewClient(ClientConfig{network: memWall, Addrs: addrs, Mechanism: MechGreedy, PeriodMs: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,9 +241,12 @@ func TestGreedyPrefersFastNode(t *testing.T) {
 }
 
 func TestQANTServesWorkload(t *testing.T) {
-	ds, nodes, addrs := startTestFederation(t, []float64{1, 2, 4}, nil)
+	clk := autoClock(t)
+	ds, nodes, addrs := startTestFederation(t, []float64{1, 2, 4}, onClock(clk))
 	client, err := NewClient(ClientConfig{
-		Addrs: addrs, Mechanism: MechQANT, PeriodMs: 50, MaxRetries: 100,
+		network: newMemNet(clk),
+		clock:   clk,
+		Addrs:   addrs, Mechanism: MechQANT, PeriodMs: 50, MaxRetries: 100,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +262,7 @@ func TestQANTServesWorkload(t *testing.T) {
 			tpl := templates[qi%len(templates)]
 			done <- client.Run(int64(qi), tpl.Instantiate(rand.New(rand.NewSource(int64(qi)))))
 		}(qi)
-		time.Sleep(10 * time.Millisecond)
+		clk.sleep(10 * time.Millisecond)
 	}
 	completed := 0
 	for i := 0; i < 20; i++ {
@@ -288,7 +295,7 @@ func TestQANTServesWorkload(t *testing.T) {
 
 func TestHistoryEstimatorConverges(t *testing.T) {
 	ds, _, addrs := startTestFederation(t, []float64{1}, nil)
-	client, err := NewClient(ClientConfig{Addrs: addrs, Mechanism: MechGreedy, PeriodMs: 50})
+	client, err := NewClient(ClientConfig{network: memWall, Addrs: addrs, Mechanism: MechGreedy, PeriodMs: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,13 +332,14 @@ func TestLinkLatencySlowsNegotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 	slow, err := StartNode("127.0.0.1:0", NodeConfig{
-		DB: db, MsPerCostUnit: 0.01, PeriodMs: 50, LinkLatency: 60 * time.Millisecond,
+		network: memWall,
+		Driver:  engine.FromDB(db), MsPerCostUnit: 0.01, PeriodMs: 50, LinkLatency: 60 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer slow.Close()
-	client, err := NewClient(ClientConfig{Addrs: []string{slow.Addr()}, Mechanism: MechGreedy})
+	client, err := NewClient(ClientConfig{network: memWall, Addrs: []string{slow.Addr()}, Mechanism: MechGreedy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +357,7 @@ func TestNodeCloseIsClean(t *testing.T) {
 	if _, _, err := db.Exec("CREATE TABLE t (a INT)"); err != nil {
 		t.Fatal(err)
 	}
-	n, err := StartNode("127.0.0.1:0", NodeConfig{DB: db})
+	n, err := StartNode("127.0.0.1:0", NodeConfig{network: memWall, Driver: engine.FromDB(db)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,10 +367,10 @@ func TestNodeCloseIsClean(t *testing.T) {
 }
 
 func TestClientConfigValidation(t *testing.T) {
-	if _, err := NewClient(ClientConfig{}); err == nil {
+	if _, err := NewClient(ClientConfig{network: memWall}); err == nil {
 		t.Error("empty address list accepted")
 	}
-	c, err := NewClient(ClientConfig{Addrs: []string{"127.0.0.1:9"}})
+	c, err := NewClient(ClientConfig{network: memWall, Addrs: []string{"127.0.0.1:9"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +380,7 @@ func TestClientConfigValidation(t *testing.T) {
 }
 
 func TestNodeConfigValidation(t *testing.T) {
-	if _, err := StartNode("127.0.0.1:0", NodeConfig{}); err == nil {
+	if _, err := StartNode("127.0.0.1:0", NodeConfig{network: memWall}); err == nil {
 		t.Error("nil DB accepted")
 	}
 }

@@ -33,14 +33,22 @@ func federationOver(t testing.TB, drivers ...driver.Driver) *Client {
 }
 
 // startOver is federationOver with the caller's client settings and the
-// nodes returned. gossiped joins the nodes into one membership and has
-// the client refresh its view from it; it returns once every member's
-// relation filter has reached the client.
+// nodes returned, on the in-memory network and the client's clock.
+// gossiped joins the nodes into one membership and has the client
+// refresh its view from it, by default on a fake clock that advances
+// itself; it returns once every member's relation filter has reached
+// the client.
 func startOver(t testing.TB, ccfg ClientConfig, gossiped bool, batchRows int, drivers ...driver.Driver) (*Client, []*Node) {
 	t.Helper()
+	clk := ccfg.clock
+	if clk == nil && gossiped {
+		clk = autoClock(t)
+	} else if clk == nil {
+		clk = wallClock{}
+	}
 	var nodes []*Node
 	for i, d := range drivers {
-		cfg := NodeConfig{Driver: d, MsPerCostUnit: 1e-9, PeriodMs: 50, fetchBatchRows: batchRows}
+		cfg := NodeConfig{clock: clk, network: newMemNet(clk), Driver: d, MsPerCostUnit: 1e-9, PeriodMs: 50, fetchBatchRows: batchRows}
 		if gossiped {
 			cfg.NodeID, cfg.GossipPeriodMs = fmt.Sprintf("g%d", i), 15
 			if i > 0 {
@@ -58,13 +66,14 @@ func startOver(t testing.TB, ccfg ClientConfig, gossiped bool, batchRows int, dr
 	if gossiped {
 		ccfg.ViewRefresh = 20 * time.Millisecond
 	}
+	ccfg.clock, ccfg.network = clk, newMemNet(clk)
 	client, err := NewClient(ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(client.Close)
 	if gossiped {
-		waitFor(t, 10*time.Second, func() bool {
+		waitFor(t, clk.(*fakeClock), 10*time.Second, func() bool {
 			filtered := 0
 			for _, m := range client.Members() {
 				if m.State == "alive" && m.CatalogFilter != "" {

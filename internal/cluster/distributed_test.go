@@ -17,10 +17,11 @@ import (
 )
 
 // splitFederation builds two nodes with disjoint tables so a join
-// across them is evaluable nowhere as a whole.
+// across them is evaluable nowhere as a whole, on the wall clock: its
+// tests read how long negotiation took.
 func splitFederation(t *testing.T, mech Mechanism) (*Client, []*Node) {
 	t.Helper()
-	client, nodes, _ := splitFederationBehindProxies(t, ClientConfig{Mechanism: mech, PeriodMs: 50, Timeout: 5 * time.Second})
+	client, nodes, _ := splitFederationBehindLinks(t, ClientConfig{Mechanism: mech, PeriodMs: 50, Timeout: 5 * time.Second, clock: wallClock{}})
 	return client, nodes
 }
 
@@ -33,33 +34,36 @@ INSERT INTO orders VALUES (1, 10, 5.0), (2, 10, 7.5), (3, 20, 1.0), (4, 30, 9.0)
 INSERT INTO customers VALUES (10, 'ada', TRUE), (20, 'bob', FALSE), (30, 'cyd', TRUE)`
 )
 
-// splitFederationBehindProxies is splitFederation with a fault-injecting
-// proxy in front of each node and the caller's client settings.
-func splitFederationBehindProxies(t *testing.T, ccfg ClientConfig) (*Client, []*Node, []*faultnet.Proxy) {
+// splitFederationBehindLinks is splitFederation with a fault-injecting
+// link in front of each node and the caller's client settings, all on
+// the client's clock: by default a fake one that advances itself.
+func splitFederationBehindLinks(t *testing.T, ccfg ClientConfig) (*Client, []*Node, []*faultnet.Link) {
 	t.Helper()
+	clk := ccfg.clock
+	if clk == nil {
+		clk = autoClock(t)
+	}
+	nw := newLinkNet(newMemNet(clk))
 	var nodes []*Node
-	var proxies []*faultnet.Proxy
+	var links []*faultnet.Link
 	for _, db := range []*sqldb.DB{loadScripts(t, splitOrders), loadScripts(t, splitCustomers)} {
-		n, err := StartNode("127.0.0.1:0", NodeConfig{DB: db, MsPerCostUnit: 0.01, PeriodMs: 50})
+		n, err := StartNode("127.0.0.1:0", NodeConfig{clock: clk, network: newMemNet(clk), Driver: engine.FromDB(db), MsPerCostUnit: 0.01, PeriodMs: 50})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { n.Close() })
-		p, err := faultnet.Start("127.0.0.1:0", n.Addr(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { p.Close() })
+		l, front := nw.link(t, n.Addr(), nil)
 		nodes = append(nodes, n)
-		proxies = append(proxies, p)
-		ccfg.Addrs = append(ccfg.Addrs, p.Addr())
+		links = append(links, l)
+		ccfg.Addrs = append(ccfg.Addrs, front)
 	}
+	ccfg.network, ccfg.clock = nw, clk
 	client, err := NewClient(ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(client.Close)
-	return client, nodes, proxies
+	return client, nodes, links
 }
 
 func TestDistributedJoinAcrossNodes(t *testing.T) {
@@ -168,7 +172,7 @@ func TestDistributedUnderQANT(t *testing.T) {
 }
 
 func TestDistributedRejectsNonSelect(t *testing.T) {
-	client, _ := splitFederation(t, MechGreedy)
+	client, _, _ := splitFederationBehindLinks(t, ClientConfig{Mechanism: MechGreedy, PeriodMs: 50, Timeout: 5 * time.Second})
 	d := NewDistributor(client)
 	if _, err := d.Run(1, "INSERT INTO orders VALUES (9, 9, 9.0)"); err == nil {
 		t.Error("non-SELECT accepted")
@@ -187,15 +191,17 @@ const distJoinSQL = `SELECT customers.name, SUM(orders.amount) AS total
 // backs off and resubmits instead of failing the join on the spot (which
 // it did while it carried its own copy of the loop).
 func TestDistributedBacksOffWhileUnreachable(t *testing.T) {
-	client, _, proxies := splitFederationBehindProxies(t, ClientConfig{
+	client, _, links := splitFederationBehindLinks(t, ClientConfig{
 		Mechanism: MechGreedy, PeriodMs: 20, Timeout: time.Second,
 		breakerThreshold: 100, // the partition must not outlast itself as open breakers
 		Jitter:           rand.New(rand.NewSource(3)),
 	})
-	for _, p := range proxies {
+	for _, p := range links {
 		p.SetRefuse(true)
 	}
-	// Heal once the client has provably sat out a round.
+	// Heal once the client has provably sat out a round: it has counted
+	// the retry, and the clock has moved since.
+	clk := client.cfg.clock.(*fakeClock)
 	returned, healed := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(healed)
@@ -203,10 +209,10 @@ func TestDistributedBacksOffWhileUnreachable(t *testing.T) {
 			select {
 			case <-returned:
 				return
-			case <-time.After(time.Millisecond):
+			case <-clk.nextMove():
 			}
 		}
-		for _, p := range proxies {
+		for _, p := range links {
 			p.SetRefuse(false)
 		}
 	}()
@@ -233,17 +239,18 @@ func TestDistributedBacksOffWhileUnreachable(t *testing.T) {
 // expiry afterwards.
 func TestDistributedNoOfferWaitHonorsDeadline(t *testing.T) {
 	const period = 2 * time.Second
-	client, _, _ := splitFederationBehindProxies(t, ClientConfig{
+	client, _, _ := splitFederationBehindLinks(t, ClientConfig{
 		Mechanism: MechGreedy, PeriodMs: period.Milliseconds(), Timeout: time.Second,
 		QueryTimeout: 100 * time.Millisecond,
 	})
-	start := time.Now()
+	clk := client.cfg.clock
+	start := clk.now()
 	_, err := NewDistributor(client).Run(1,
 		"SELECT * FROM nowhere JOIN customers ON nowhere.id = customers.id")
 	if !errors.Is(err, ErrExpired) {
 		t.Fatalf("err = %v, want ErrExpired", err)
 	}
-	if took := time.Since(start); took > period/2 {
+	if took := clk.since(start); took > period/2 {
 		t.Fatalf("expiry surfaced after %v: the wait ignored the %v deadline", took, client.cfg.QueryTimeout)
 	}
 }
@@ -253,7 +260,7 @@ func TestDistributedNoOfferWaitHonorsDeadline(t *testing.T) {
 // at-most-once) and the Distributor must say so. It used to drop the
 // lost attempt on the floor and run the query again as fragments.
 func TestDistributedFastPathLostReplyUnderAtMostOnce(t *testing.T) {
-	client, nodes, proxies := splitFederationBehindProxies(t, ClientConfig{
+	client, nodes, links := splitFederationBehindLinks(t, ClientConfig{
 		Mechanism: MechGreedy, PeriodMs: 20,
 		Timeout: 100 * time.Millisecond, execTimeoutFactor: 1,
 		execRetries: 1,
@@ -263,7 +270,7 @@ func TestDistributedFastPathLostReplyUnderAtMostOnce(t *testing.T) {
 	// the partition swallows its reply and not the hello's.
 	d.afterNegotiate = func(nodeID, _ string) {
 		client.warmLane(t, client.lookup(nodeID), "fetch")
-		proxies[0].Partition(faultnet.ServerToClient)
+		links[0].Partition(faultnet.ServerToClient)
 	}
 	_, err := d.Run(1, "SELECT COUNT(*) FROM orders")
 	if !errors.Is(err, ErrOutcomeUnknown) {
@@ -460,11 +467,13 @@ func TestDistributorFragmentSeveredConcurrently(t *testing.T) {
 // TestDistributorReportsFromOrderFirstFailure: when two fragments fail,
 // the error names the earlier FROM entry although it fails last — its
 // node dies only after the later entry's node has died and that
-// fragment has had time to give up — because outcomes are merged in
-// FROM order once every fragment has finished.
+// fragment has had time to give up (200 ms on a clock that moves only
+// once nothing else can) — because outcomes are merged in FROM order
+// once every fragment has finished.
 func TestDistributorReportsFromOrderFirstFailure(t *testing.T) {
 	client, nodes, _ := threeWaySplit(t, 0, ClientConfig{
 		Mechanism: MechGreedy, PeriodMs: 20, Timeout: time.Second, MaxRetries: 1,
+		clock: autoClock(t),
 	})
 	d := NewDistributor(client)
 	var killSales, killCustomers sync.Once
@@ -479,7 +488,7 @@ func TestDistributorReportsFromOrderFirstFailure(t *testing.T) {
 		case strings.Contains(sql, "FROM sales"):
 			killSales.Do(func() {
 				<-customersDown
-				time.Sleep(200 * time.Millisecond)
+				client.cfg.clock.sleep(200 * time.Millisecond)
 				nodes[0].CloseNow()
 			})
 		}

@@ -62,6 +62,7 @@ func TestDrainingTripsBreakerOnEveryOp(t *testing.T) {
 			t.Run(transport.name+"/"+op.name, func(t *testing.T) {
 				addr := startDrainingStub(t)
 				c, err := NewClient(ClientConfig{
+					network: memWall,
 					Addrs:   []string{addr},
 					Timeout: 2 * time.Second,
 					// High threshold proves the open circuit came from the
@@ -104,6 +105,7 @@ func TestMarketRefusalsDoNotTripBreaker(t *testing.T) {
 				t.Run(transport.name+"/"+refusal.code+"/"+op.name, func(t *testing.T) {
 					addr := startCodedStub(t, refusal.code, refusal.msg)
 					c, err := NewClient(ClientConfig{
+						network: memWall,
 						Addrs:   []string{addr},
 						Timeout: 2 * time.Second,
 						// Threshold 1: a single failure charged to the breaker
@@ -136,13 +138,14 @@ func TestMarketRefusalsDoNotTripBreaker(t *testing.T) {
 			continue
 		}
 		t.Run("transport-error/"+op.name, func(t *testing.T) {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			ln, err := memWall.listen("127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
 			}
 			addr := ln.Addr().String()
 			ln.Close() // nothing listens here anymore: dials are refused
 			c, err := NewClient(ClientConfig{
+				network:          memWall,
 				Addrs:            []string{addr},
 				Timeout:          500 * time.Millisecond,
 				breakerThreshold: 1,

@@ -32,6 +32,8 @@ import (
 //     injected message without the inner engine running, and the
 //     resubmission after it succeeds.
 func TestMixedExecutorFleet(t *testing.T) {
+	clk := newFakeClock()
+	clk.autoAdvance(t)
 	rng := rand.New(rand.NewSource(91))
 	ds, err := GenerateDataset(DatasetParams{
 		Nodes: 3, Tables: 5, Views: 6, RowsPerTable: 60,
@@ -53,18 +55,18 @@ func TestMixedExecutorFleet(t *testing.T) {
 	var nodes []*Node
 	var seeds []string
 	for i, id := range ids {
-		nodes = append(nodes, startGossipNode(t, ds.DBs[i], id, seeds, 4, func(cfg *NodeConfig) {
+		nodes = append(nodes, startGossipNode(t, clk, ds.DBs[i], id, seeds, 4, func(cfg *NodeConfig) {
 			cfg.GossipPeriodMs = 40
 			switch id {
 			case "batched":
 				cfg.fetchBatchRows = 16 // a wide scan is a multi-frame stream
 			case "mock":
-				cfg.DB, cfg.Driver = nil, mock
+				cfg.Driver = mock
 			}
 		}))
 		seeds = []string{nodes[0].Addr()}
 	}
-	waitFor(t, 5*time.Second, func() bool { return everyTable(nodes, ids...) },
+	waitFor(t, clk, 5*time.Second, func() bool { return everyTable(nodes, ids...) },
 		"the three nodes never converged into one federation")
 
 	templates, err := ds.GenerateTemplates(5, 1, rng)
@@ -79,6 +81,8 @@ func TestMixedExecutorFleet(t *testing.T) {
 	client := func(seed int64, timeout time.Duration, addrs ...string) *Client {
 		t.Helper()
 		c, err := NewClient(ClientConfig{
+			network:  newMemNet(clk),
+			clock:    clk,
 			Addrs:    addrs,
 			PeriodMs: 20, MaxRetries: 100,
 			Timeout: timeout, execTimeoutFactor: 1, breakerThreshold: 100,
@@ -140,8 +144,8 @@ func TestMixedExecutorFleet(t *testing.T) {
 	// dedup window must hand it the one execution's outcome.
 	var glacial *driver.Mock
 	slow := startSingleNode(t, func(cfg *NodeConfig) {
-		glacial = driver.NewMock(driver.NewLegacy(cfg.DB), driver.MockConfig{ExecDelay: 400 * time.Millisecond})
-		cfg.Driver = glacial
+		glacial = driver.NewMock(hookedDriver{Driver: cfg.Driver, before: func() { clk.sleep(400 * time.Millisecond) }}, driver.MockConfig{})
+		cfg.Driver, cfg.clock = glacial, clk
 	})
 	qid++
 	sout := client(97, 100*time.Millisecond, slow.Addr()).Run(qid, "SELECT a, b FROM t")
@@ -149,7 +153,7 @@ func TestMixedExecutorFleet(t *testing.T) {
 		t.Fatalf("glacial engine: %v, want completion through the dedup window", sout.Err)
 	}
 	if sout.Retries == 0 {
-		t.Fatal("glacial engine: no retransmits; ExecDelay did not outlast the RPC timeout")
+		t.Fatal("glacial engine: no retransmits; the engine's delay did not outlast the RPC timeout")
 	}
 	if got := glacial.Executions(); got != 1 {
 		t.Fatalf("glacial engine executed %d times under retransmits, want 1", got)
@@ -173,17 +177,17 @@ func TestMixedExecutorFleet(t *testing.T) {
 	}
 }
 
-// TestNodeFromDBRunsVectorEngine: a node configured with only a row
-// store (startSingleNode sets DB and no Driver) copies it into the
-// vectorized engine, prepares through that engine, and keeps no
-// reference to the row store.
+// TestNodeFromDBRunsVectorEngine: a node given a row store's data the
+// one way there is (startSingleNode passes engine.FromDB(db) as its
+// Driver) runs the vectorized engine and prepares through it, and a node
+// given no Driver does not start.
 func TestNodeFromDBRunsVectorEngine(t *testing.T) {
 	n := startSingleNode(t, nil)
 	if _, ok := n.cfg.Driver.(*engine.DB); !ok {
 		t.Fatalf("node built from DB runs %T, want *engine.DB", n.cfg.Driver)
 	}
-	if n.cfg.DB != nil {
-		t.Fatal("node keeps its *sqldb.DB after copying it into the engine")
+	if _, err := StartNode("127.0.0.1:0", NodeConfig{network: memWall}); err == nil {
+		t.Fatal("a node with no Driver started")
 	}
 	st, _, _, err := n.estimate("SELECT a, b FROM t WHERE a = 1")
 	if err != nil {
@@ -201,7 +205,7 @@ func TestNodeFromDBRunsVectorEngine(t *testing.T) {
 // heartbeat update — with every other field intact, and gossips the
 // row on without it.
 func TestGossipRowWithExecutorNameMerges(t *testing.T) {
-	n := startGossipNode(t, selTestDB(t), "new", nil, 1, func(cfg *NodeConfig) {
+	n := startGossipNode(t, newFakeClock(), selTestDB(t), "new", nil, 1, func(cfg *NodeConfig) {
 		cfg.GossipPeriodMs = 60_000 // no round runs while the test looks
 	})
 	filter := catalog.NewRelationFilter([]string{"fact", "dim"}).Encode()

@@ -7,20 +7,23 @@ import (
 	"errors"
 	"io"
 	"math/rand"
-	"net"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/qamarket/qamarket/internal/engine"
 	"github.com/qamarket/qamarket/internal/sqldb"
 )
 
 // TestNodeFailureMidWorkload kills one node partway through a workload
 // and verifies the client keeps completing queries on the survivors.
 func TestNodeFailureMidWorkload(t *testing.T) {
-	ds, nodes, addrs := startTestFederation(t, []float64{1, 1, 1}, nil)
+	clk := autoClock(t)
+	ds, nodes, addrs := startTestFederation(t, []float64{1, 1, 1}, onClock(clk))
 	client, err := NewClient(ClientConfig{
-		Addrs: addrs, Mechanism: MechGreedy, PeriodMs: 50, Timeout: 2 * time.Second,
+		network: newMemNet(clk),
+		clock:   clk,
+		Addrs:   addrs, Mechanism: MechGreedy, PeriodMs: 50, Timeout: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +59,8 @@ func TestNodeFailureMidWorkload(t *testing.T) {
 // TestAllNodesDown verifies a clean client error when nobody answers.
 func TestAllNodesDown(t *testing.T) {
 	client, err := NewClient(ClientConfig{
-		Addrs: []string{"127.0.0.1:1", "127.0.0.1:2"}, Mechanism: MechGreedy,
+		network: memWall,
+		Addrs:   []string{"127.0.0.1:1", "127.0.0.1:2"}, Mechanism: MechGreedy,
 		PeriodMs: 20, MaxRetries: 1, Timeout: 200 * time.Millisecond,
 	})
 	if err != nil {
@@ -74,6 +78,7 @@ func TestAllNodesDown(t *testing.T) {
 // TestMalformedRequests throws protocol garbage at a node and checks
 // it survives and keeps serving well-formed clients.
 func TestMalformedRequests(t *testing.T) {
+	clk := autoClock(t)
 	db := sqldb.Open()
 	if _, _, err := db.Exec("CREATE TABLE t (a INT)"); err != nil {
 		t.Fatal(err)
@@ -81,7 +86,7 @@ func TestMalformedRequests(t *testing.T) {
 	if _, _, err := db.Exec("INSERT INTO t VALUES (1)"); err != nil {
 		t.Fatal(err)
 	}
-	node, err := StartNode("127.0.0.1:0", NodeConfig{DB: db, MsPerCostUnit: 0.001})
+	node, err := StartNode("127.0.0.1:0", NodeConfig{network: memWall, Driver: engine.FromDB(db), MsPerCostUnit: 0.001})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,19 +111,19 @@ func TestMalformedRequests(t *testing.T) {
 		garbage = append(garbage, g, string(endFrame(append(buf, g...), hdr)))
 	}
 	for i, g := range garbage {
-		conn, err := net.DialTimeout("tcp", node.Addr(), time.Second)
+		conn, err := memWall.dial(node.Addr(), time.Second)
 		if err != nil {
 			t.Fatalf("dial %d: %v", i, err)
 		}
 		if _, err := conn.Write([]byte(g)); err == nil {
 			// Read whatever comes back (error reply or close) and move on.
-			conn.SetReadDeadline(time.Now().Add(500 * time.Millisecond))
+			conn.SetReadDeadline(clk.now().Add(500 * time.Millisecond))
 			readFrame(bufio.NewReader(conn), maxFramePayload)
 		}
 		conn.Close()
 	}
 	// The node must still answer a healthy client.
-	client, err := NewClient(ClientConfig{Addrs: []string{node.Addr()}, Mechanism: MechGreedy})
+	client, err := NewClient(ClientConfig{network: newMemNet(clk), clock: clk, Addrs: []string{node.Addr()}, Mechanism: MechGreedy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +155,8 @@ func TestRequestFrameBound(t *testing.T) {
 		t.Fatalf("header over the bound: got %v, want %v", err, ErrTooLarge)
 	}
 
-	_, _, addr, _ := protectionQuery(t)
-	conn, err := net.DialTimeout("tcp", addr, time.Second)
+	_, _, addr, _ := protectionQuery(t, nil)
+	conn, err := memWall.dial(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +178,8 @@ func TestRequestFrameBound(t *testing.T) {
 // TestConcurrentClientsShareOneMarket runs several clients against the
 // same QA-NT federation at once; accounting must stay exact.
 func TestConcurrentClientsShareOneMarket(t *testing.T) {
-	ds, nodes, addrs := startTestFederation(t, []float64{1, 2}, nil)
+	clk := autoClock(t)
+	ds, nodes, addrs := startTestFederation(t, []float64{1, 2}, onClock(clk))
 	rng := rand.New(rand.NewSource(55))
 	templates, err := ds.GenerateTemplates(4, 1, rng)
 	if err != nil {
@@ -185,7 +191,9 @@ func TestConcurrentClientsShareOneMarket(t *testing.T) {
 	for c := 0; c < clients; c++ {
 		go func(c int) {
 			client, err := NewClient(ClientConfig{
-				Addrs: addrs, Mechanism: MechQANT, PeriodMs: 50,
+				network: newMemNet(clk),
+				clock:   clk,
+				Addrs:   addrs, Mechanism: MechQANT, PeriodMs: 50,
 				MaxRetries: 100, Timeout: 5 * time.Second,
 			})
 			if err != nil {

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bytes"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -24,6 +26,7 @@ type fakeClock struct {
 	t       time.Time
 	waiters []*fakeWaiter // armed, in arming order
 	blocked []fakeBlock   // blockUntil calls still waiting
+	moved   chan struct{} // closed and renewed by every advance
 }
 
 // fakeWaiter is one armed timer, ticker or sleep.
@@ -39,7 +42,9 @@ type fakeBlock struct {
 	ch chan struct{}
 }
 
-func newFakeClock() *fakeClock { return &fakeClock{t: time.Unix(1_000_000, 0)} }
+func newFakeClock() *fakeClock {
+	return &fakeClock{t: time.Unix(1_000_000, 0), moved: make(chan struct{})}
+}
 
 func (f *fakeClock) now() time.Time {
 	f.mu.Lock()
@@ -133,6 +138,138 @@ func (f *fakeClock) advance(d time.Duration) {
 		}
 	}
 	f.t = end
+	close(f.moved)
+	f.moved = make(chan struct{})
+}
+
+// nextMove returns a channel closed by the next advance.
+func (f *fakeClock) nextMove() <-chan struct{} {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.moved
+}
+
+// autoAdvance moves the clock to its next deadline whenever every other
+// goroutine of the test binary is blocked, until the test ends: time
+// passes only when the program under test can do nothing more before a
+// timer fires, so a timeout fires exactly when nothing could have beaten
+// it, without its wait. It polls for that idleness — a goroutine dump
+// once the in-memory network has been quiet for a pause, the pause
+// growing while a dump finds work under way — so a program that waits
+// on the wall, in a real sleep or on a real socket, has no place on a
+// clock that advances itself.
+func (f *fakeClock) autoAdvance(t testing.TB) {
+	stop, done := make(chan struct{}), make(chan struct{})
+	t.Cleanup(func() {
+		close(stop)
+		<-done
+	})
+	go func() {
+		defer close(done)
+		buf := make([]byte, 64<<10)
+		const minPause, maxPause = 20 * time.Microsecond, time.Millisecond
+		pause := minPause
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			// The dump stops the world: take it only once a pause has
+			// passed with no byte moving on the in-memory network.
+			seen := memActivity.Load()
+			time.Sleep(pause)
+			if _, armed := f.untilNext(); !armed || memActivity.Load() != seen {
+				continue
+			}
+			var idle bool
+			if idle, buf = othersBlocked(buf); !idle {
+				pause = min(2*pause, maxPause)
+				continue
+			}
+			if d, ok := f.untilNext(); ok {
+				f.advance(d)
+			}
+			pause = minPause
+		}
+	}()
+}
+
+// untilNext is how far the earliest armed waiter lies ahead, if any is.
+func (f *fakeClock) untilNext() (time.Duration, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.waiters) == 0 {
+		return 0, false
+	}
+	next := f.waiters[0].at
+	for _, w := range f.waiters[1:] {
+		if w.at.Before(next) {
+			next = w.at
+		}
+	}
+	return next.Sub(f.t), true
+}
+
+// othersBlocked reports whether every goroutine but the advancers
+// (this one and any parallel test's) is parked on something only another
+// goroutine or the clock can release: a channel, a select, a lock or a
+// socket. Any other state — running, runnable, a system call, a wall
+// sleep, a GC assist — is work under way. buf is the dump's scratch,
+// returned grown when the dump outgrew it.
+func othersBlocked(buf []byte) (bool, []byte) {
+	dumpMu.Lock()
+	defer dumpMu.Unlock()
+	n := runtime.Stack(buf, true)
+	for n == len(buf) {
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
+	}
+next:
+	for _, g := range bytes.Split(buf[:n], []byte("\n\n")) {
+		if bytes.Contains(g, []byte(").autoAdvance.")) {
+			continue
+		}
+		state := g[bytes.IndexByte(g, '[')+1:]
+		for _, parked := range parkedStates {
+			if bytes.HasPrefix(state, []byte(parked)) {
+				continue next
+			}
+		}
+		return false, buf
+	}
+	return true, buf
+}
+
+// parkedStates are the goroutine states (as runtime.Stack names them)
+// that wait on another goroutine, the clock or a socket. A bare
+// "semacquire" is not one: the runtime parks an allocating goroutine on
+// a semaphore while the collector runs, and it wakes with no one's help.
+var parkedStates = []string{
+	"chan receive", "chan send", "select", "sync.Mutex.Lock",
+	"sync.RWMutex.Lock", "sync.RWMutex.RLock", "sync.Cond.Wait", "sync.WaitGroup.Wait",
+	"IO wait", "finalizer wait",
+}
+
+// dumpMu keeps parallel tests' advancers from dumping at once.
+var dumpMu sync.Mutex
+
+// waitFor waits until cond holds, re-checking it after each advance of
+// clk, and fails once d has passed on clk. The clock must be moving: by
+// autoAdvance, or by the test.
+func waitFor(t testing.TB, clk *fakeClock, d time.Duration, cond func() bool, msg string) {
+	t.Helper()
+	end := clk.now().Add(d)
+	for {
+		moved := clk.nextMove()
+		if cond() {
+			return
+		}
+		if !clk.now().Before(end) {
+			t.Fatal(msg)
+		}
+		<-moved
+	}
 }
 
 // blockUntil waits until at least n waiters are armed on the clock.
@@ -220,4 +357,16 @@ func TestFakeClockFiresInDeadlineOrder(t *testing.T) {
 	if got := (<-tick.C()).Sub(start); got != 60*time.Millisecond {
 		t.Errorf("the ticker's next tick fired at %v, want 60ms (the 40ms one was dropped unread)", got)
 	}
+}
+
+// autoClock is a fake clock that advances itself for the rest of t.
+func autoClock(t testing.TB) *fakeClock {
+	clk := newFakeClock()
+	clk.autoAdvance(t)
+	return clk
+}
+
+// onClock is a startTestFederation mutate that puts every node on clk.
+func onClock(clk *fakeClock) func(int, *NodeConfig) {
+	return func(_ int, cfg *NodeConfig) { cfg.clock = clk }
 }

@@ -297,7 +297,7 @@ func fetchFederation(t *testing.T, batchRows int, ccfg ClientConfig) (*Node, *Cl
 	if err != nil {
 		t.Fatal(err)
 	}
-	ccfg.Addrs = addrs
+	ccfg.Addrs, ccfg.network = addrs, memWall
 	if ccfg.PeriodMs == 0 {
 		ccfg.PeriodMs = 50
 	}
@@ -460,10 +460,10 @@ func TestPartialStreamResume(t *testing.T) {
 // breaker never trips (the node is healthy; retrying cannot shrink the
 // request).
 func TestOversizedRequestTypedRefusal(t *testing.T) {
-	_, _, addr, _ := protectionQuery(t)
+	_, _, addr, _ := protectionQuery(t, nil)
 
 	t.Run("raw-wire", func(t *testing.T) {
-		conn, err := net.DialTimeout("tcp", addr, time.Second)
+		conn, err := memWall.dial(addr, time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -486,7 +486,7 @@ func TestOversizedRequestTypedRefusal(t *testing.T) {
 	})
 
 	t.Run("client-classification", func(t *testing.T) {
-		c, err := NewClient(ClientConfig{Addrs: []string{addr}, PeriodMs: 50})
+		c, err := NewClient(ClientConfig{network: memWall, Addrs: []string{addr}, PeriodMs: 50})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -562,12 +562,12 @@ func frameLimitNode(t *testing.T, rows int, ccfg ClientConfig) (*Node, *Client) 
 	if err := db.AppendTableRows("t", data); err != nil {
 		t.Fatal(err)
 	}
-	n, err := StartNode("127.0.0.1:0", NodeConfig{DB: db, MsPerCostUnit: 1e-6, PeriodMs: 50})
+	n, err := StartNode("127.0.0.1:0", NodeConfig{network: memWall, Driver: engine.FromDB(db), MsPerCostUnit: 1e-6, PeriodMs: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { n.CloseNow() })
-	ccfg.Addrs, ccfg.PeriodMs, ccfg.MaxRetries = []string{n.Addr()}, 50, 2
+	ccfg.Addrs, ccfg.PeriodMs, ccfg.MaxRetries, ccfg.network = []string{n.Addr()}, 50, 2, memWall
 	c, err := NewClient(ccfg)
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,7 @@ import (
 // connection.
 func startStub(t *testing.T, answer func(req *request) reply) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := memWall.listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,9 +66,15 @@ func recvMsg(r *bufio.Reader, v any) (uint64, error) {
 // dialGreeted dials addr and says hello as run "raw": a hand-driven
 // client connection in the state every pooled one starts in. The
 // returned reader holds whatever followed the hello reply.
-func dialGreeted(t *testing.T, addr string, mech Mechanism) (net.Conn, *bufio.Reader) {
+func dialGreeted(t testing.TB, addr string, mech Mechanism) (net.Conn, *bufio.Reader) {
 	t.Helper()
-	conn, err := net.DialTimeout("tcp", addr, time.Second)
+	return dialGreetedOn(t, memWall, addr, mech)
+}
+
+// dialGreetedOn is dialGreeted on the network nw.
+func dialGreetedOn(t testing.TB, nw network, addr string, mech Mechanism) (net.Conn, *bufio.Reader) {
+	t.Helper()
+	conn, err := nw.dial(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +100,7 @@ func dialGreeted(t *testing.T, addr string, mech Mechanism) (net.Conn, *bufio.Re
 // Once a connection has said hello, a batched CFP on it is solved and
 // answered positionally.
 func TestWorkWithoutHelloRefused(t *testing.T) {
-	_, node, addr, sql := protectionQuery(t)
+	_, node, addr, sql := protectionQuery(t, func(_ int, cfg *NodeConfig) { cfg.network = tcpNetwork{} })
 	stranger := []wireMember{{ID: "stranger", Addr: "127.0.0.1:9", Incarnation: 1, Heartbeat: 1, State: "alive"}}
 	for _, req := range []request{
 		{Op: "negotiate", SQL: sql, Batch: []batchQuery{{QueryID: 3, SQL: sql}}},
@@ -137,7 +143,7 @@ func TestWorkWithoutHelloRefused(t *testing.T) {
 		}
 	}
 
-	conn, r := dialGreeted(t, addr, MechGreedy)
+	conn, r := dialGreetedOn(t, tcpNetwork{}, addr, MechGreedy)
 	if err := writeMsg(bufio.NewWriter(conn), 1, maxRequestBytes, &request{
 		Op: "negotiate", SQL: sql,
 		Batch: []batchQuery{{QueryID: 7, SQL: sql}, {QueryID: 8, SQL: "SELECT nope FROM missing"}},
@@ -162,8 +168,8 @@ func TestWorkWithoutHelloRefused(t *testing.T) {
 // a node answers a hello naming one with the typed protocol refusal and
 // hangs up, before the execute behind it runs or trades.
 func TestUnknownMechanismRefused(t *testing.T) {
-	_, node, addr, sql := protectionQuery(t)
-	c, err := NewClient(ClientConfig{Addrs: []string{addr}, Mechanism: "qant"})
+	_, node, addr, sql := protectionQuery(t, nil)
+	c, err := NewClient(ClientConfig{network: memWall, Addrs: []string{addr}, Mechanism: "qant"})
 	if err == nil {
 		c.Close()
 		t.Fatal(`NewClient accepted mechanism "qant"`)
@@ -173,7 +179,7 @@ func TestUnknownMechanismRefused(t *testing.T) {
 	}
 
 	before := node.MarketTelemetry().Stats
-	conn, err := net.DialTimeout("tcp", addr, time.Second)
+	conn, err := memWall.dial(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,10 +220,10 @@ func TestUnknownMechanismRefused(t *testing.T) {
 // version's frames — fails the query with a typed error after one
 // round, having run it nowhere.
 func TestHelloVersionMismatch(t *testing.T) {
-	_, node, addr, sql := protectionQuery(t)
+	_, node, addr, sql := protectionQuery(t, nil)
 
 	t.Run("raw-wire", func(t *testing.T) {
-		conn, err := net.DialTimeout("tcp", addr, time.Second)
+		conn, err := memWall.dial(addr, time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +260,7 @@ func TestHelloVersionMismatch(t *testing.T) {
 		{"client-reads-other-version", false}, // a node from another protocol version
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := NewClient(ClientConfig{Addrs: []string{versionProxy(t, addr, tc.toNode)}, Mechanism: MechQANT, PeriodMs: 10, MaxRetries: 5})
+			c, err := NewClient(ClientConfig{network: memWall, Addrs: []string{versionProxy(t, addr, tc.toNode)}, Mechanism: MechQANT, PeriodMs: 10, MaxRetries: 5})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -279,7 +285,7 @@ func TestHelloVersionMismatch(t *testing.T) {
 // the other end can tell.
 func versionProxy(t *testing.T, addr string, toNode bool) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := memWall.listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +310,7 @@ func versionProxy(t *testing.T, addr string, toNode bool) string {
 			if err != nil {
 				return
 			}
-			server, err := net.Dial("tcp", addr)
+			server, err := memWall.dial(addr, time.Second)
 			if err != nil {
 				client.Close()
 				continue

@@ -27,17 +27,20 @@ func (c *Client) executeOn(ns *nodeState, id int64, sql string, tc *traceCtx, de
 }
 
 // lifeFed is the conformance fixture: two real nodes over fault-
-// injecting mock drivers, each behind a fault-injecting proxy. Node A is
+// injecting mock drivers, each behind a fault-injecting link. Node A is
 // forty times faster than B, so a proposal round ranks A first unless A
 // reports a backlog; the script under test is what A does with the query
 // it won.
 type lifeFed struct {
-	t              *testing.T
-	a, b           *Node
-	mockA, mockB   *driver.Mock
-	proxyA, proxyB *faultnet.Proxy
-	c              *Client
-	// mockA2 drives the incarnation restartA put behind A's proxy; nil
+	t            *testing.T
+	a, b         *Node
+	mockA, mockB *driver.Mock
+	linkA, linkB *faultnet.Link
+	frontA       string   // the address that dials A through linkA
+	net          *linkNet // the client's
+	clk          *fakeClock
+	c            *Client
+	// mockA2 drives the incarnation restartA put behind A's front; nil
 	// until a row restarts A.
 	mockA2 *driver.Mock
 }
@@ -47,31 +50,28 @@ const (
 	lifeRows  = 4
 	lifeBurst = 50 // retry tokens the client starts with
 
-	// The client's RPC timeout is the fixture's only wall-clock bound.
-	// Nothing scripted reaches lifePatient, so a loaded host cannot turn
-	// B's 16 ms answer into a lost reply and a second proposal round. A
-	// row whose script swallows replies has to sit the timeout out, and
-	// asks for lifeBrisk.
+	// The client's RPC timeout. Nothing scripted reaches lifePatient, so
+	// B's 16 ms answer can never read as a lost reply and a second
+	// proposal round. A row whose script swallows replies sits the timeout
+	// out, and asks for lifeBrisk; the fixture's clock advances itself, so
+	// sitting it out costs no wall time.
 	lifePatient = 10 * time.Second
 	lifeBrisk   = 150 * time.Millisecond
 )
 
 func startLifeFed(t *testing.T, timeout time.Duration) *lifeFed {
 	t.Helper()
-	f := &lifeFed{t: t}
-	start := func(id string, slowdown float64) (*Node, *driver.Mock, *faultnet.Proxy) {
-		n, mock := f.startNode(id, slowdown)
-		p, err := faultnet.Start("127.0.0.1:0", n.Addr(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { p.Close() })
-		return n, mock, p
-	}
-	f.a, f.mockA, f.proxyA = start("A", 1)
-	f.b, f.mockB, f.proxyB = start("B", 40)
+	f := &lifeFed{t: t, clk: autoClock(t)}
+	f.net = newLinkNet(newMemNet(f.clk))
+	f.a, f.mockA = f.startNode("127.0.0.1:0", "A", 1)
+	f.b, f.mockB = f.startNode("127.0.0.1:0", "B", 40)
+	var frontB string
+	f.linkA, f.frontA = f.net.link(t, f.a.Addr(), nil)
+	f.linkB, frontB = f.net.link(t, f.b.Addr(), nil)
 	c, err := NewClient(ClientConfig{
-		Addrs:     []string{f.proxyA.Addr(), f.proxyB.Addr()},
+		network:   f.net,
+		clock:     f.clk,
+		Addrs:     []string{f.frontA, frontB},
 		Mechanism: MechQANT, PeriodMs: 10, Timeout: timeout, execTimeoutFactor: 1,
 		QueryTimeout: 20 * time.Second, execRetries: 2,
 		RetryBudget: 1e-6, retryBurst: lifeBurst, BidCacheTTL: time.Minute,
@@ -85,8 +85,8 @@ func startLifeFed(t *testing.T, timeout time.Duration) *lifeFed {
 	return f
 }
 
-// startNode starts one node over a fault-injecting mock driver.
-func (f *lifeFed) startNode(id string, slowdown float64) (*Node, *driver.Mock) {
+// startNode starts one node on addr over a fault-injecting mock driver.
+func (f *lifeFed) startNode(addr, id string, slowdown float64) (*Node, *driver.Mock) {
 	db := sqldb.Open()
 	for _, q := range []string{
 		"CREATE TABLE t (a INT, b TEXT)",
@@ -97,12 +97,14 @@ func (f *lifeFed) startNode(id string, slowdown float64) (*Node, *driver.Mock) {
 		}
 	}
 	mock := driver.NewMock(driver.NewLegacy(db), driver.MockConfig{})
-	n, err := StartNode("127.0.0.1:0", NodeConfig{
+	n, err := StartNode(addr, NodeConfig{
+		network: newMemNet(f.clk), clock: f.clk,
 		Driver: mock, NodeID: id, Slowdown: slowdown, MsPerCostUnit: 0.05,
 		shareQueueState: true, fetchBatchRows: 1,
 		// One period outlasts the test: supply moves only when a row's
-		// script moves it.
-		PeriodMs: 60_000, Market: market.DefaultConfig(1),
+		// script moves it. No gossip round runs either: the nodes never
+		// meet, and the clock has nothing to step through.
+		PeriodMs: 60_000, GossipPeriodMs: 60_000, Market: market.DefaultConfig(1),
 	})
 	if err != nil {
 		f.t.Fatal(err)
@@ -120,30 +122,34 @@ func (f *lifeFed) warmA() {
 // loseRepliesA opens A's data lane through a link that loses every
 // reply: A runs what the lane carries, and the client hears nothing.
 func (f *lifeFed) loseRepliesA() {
-	link, err := faultnet.Start("127.0.0.1:0", f.a.Addr(), nil)
-	if err != nil {
-		f.t.Fatal(err)
-	}
-	f.t.Cleanup(func() { link.Close() })
-	f.proxyA.SetTarget(link.Addr())
+	link := f.net.relink(f.t, f.frontA, f.a.Addr(), nil)
 	f.warmA()
 	link.Partition(faultnet.ServerToClient)
 }
 
+// cutA takes A's front down: open connections severed, new ones refused.
+func (f *lifeFed) cutA() {
+	f.linkA.SetRefuse(true)
+	f.linkA.Sever()
+}
+
 // restartA puts a new incarnation of A, restored from A's market state,
-// behind A's proxy: every connection dialed from now on reaches it, as
-// after a crash and a checkpoint restore at the same address.
+// on A's address, as after a crash and a checkpoint restore, and gives
+// A's front a fresh link to it: every connection dialed from now on
+// reaches it. The old incarnation, its listener closed, keeps the
+// connections it has.
 func (f *lifeFed) restartA() {
 	state, err := f.a.MarketState()
 	if err != nil {
 		f.t.Fatal(err)
 	}
-	n, mock := f.startNode("A", 1)
+	f.a.ln.Close()
+	n, mock := f.startNode(f.a.Addr(), "A", 1)
 	if err := n.RestoreMarketState(state); err != nil {
 		f.t.Fatal(err)
 	}
 	f.mockA2 = mock
-	f.proxyA.SetTarget(n.Addr())
+	f.net.relink(f.t, f.frontA, n.Addr(), nil)
 }
 
 // tokensTaken reads how many retry tokens the client has spent.
@@ -252,13 +258,13 @@ func TestLifecycleConformance(t *testing.T) {
 			arm:  func(f *lifeFed) { f.a.draining.Store(true) },
 			want: lifeWant{rounds: 1, failovers: 1, tokens: 1, invalidations: 1, breakerA: breakerOpen, node: "B"}},
 		{name: "not sent",
-			arm:  func(f *lifeFed) { f.proxyA.Close() },
+			arm:  func(f *lifeFed) { f.cutA() },
 			want: lifeWant{rounds: 1, failovers: 1, tokens: 1, node: "B"}},
 		{name: "lost at the hello", brisk: true,
 			// A's data lane is cold: the attempt dials, and A's answer to the
 			// hello is lost. The request was never written, so A cannot have
 			// run it: fail over to B at once.
-			arm:  func(f *lifeFed) { f.proxyA.Partition(faultnet.ServerToClient) },
+			arm:  func(f *lifeFed) { f.linkA.Partition(faultnet.ServerToClient) },
 			want: lifeWant{rounds: 1, failovers: 1, tokens: 1, node: "B"}},
 		{name: "lost", brisk: true,
 			// The request never reaches A, but a silent node looks the same
@@ -267,7 +273,7 @@ func TestLifecycleConformance(t *testing.T) {
 			// so the partition takes the request and not the hello.
 			arm: func(f *lifeFed) {
 				f.warmA()
-				f.proxyA.Partition(faultnet.ClientToServer)
+				f.linkA.Partition(faultnet.ClientToServer)
 			},
 			want: lifeWant{rounds: 1, tokens: 2, breakerA: breakerOpen, err: ErrOutcomeUnknown, bUntouched: true}},
 		{name: "lost under AtMostOnce", brisk: true,
@@ -277,7 +283,7 @@ func TestLifecycleConformance(t *testing.T) {
 			// lost give up rather than run it on B too.
 			arm: func(f *lifeFed) {
 				f.warmA()
-				f.proxyA.Partition(faultnet.ServerToClient)
+				f.linkA.Partition(faultnet.ServerToClient)
 			},
 			want: lifeWant{rounds: 1, tokens: 2, breakerA: breakerOpen, err: ErrOutcomeUnknown, bUntouched: true}},
 		{name: "fatal",
@@ -302,7 +308,7 @@ func TestLifecycleConformance(t *testing.T) {
 			want: lifeWant{rounds: 1, tokens: 1, node: "A", bUntouched: true}},
 		{name: "lost after partial delivery, node gone", fetchOnly: true,
 			arm:     func(f *lifeFed) { f.a.frameSever.Store(1) },
-			onBlock: func(f *lifeFed) { f.proxyA.Close() },
+			onBlock: func(f *lifeFed) { f.cutA() },
 			// A cannot be reached again: the query may have run there, so a
 			// resettable sink's outcome is unknown. B is never asked.
 			want: lifeWant{rounds: 1, tokens: 2, breakerA: breakerOpen, err: ErrOutcomeUnknown, bUntouched: true},

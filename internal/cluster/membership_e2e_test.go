@@ -7,29 +7,19 @@ import (
 	"testing"
 	"time"
 
+	"github.com/qamarket/qamarket/internal/engine"
 	"github.com/qamarket/qamarket/internal/sqldb"
 )
 
-// waitFor polls cond until it holds or the deadline passes.
-func waitFor(t testing.TB, d time.Duration, cond func() bool, msg string) {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatal(msg)
-}
-
 // startGossipNode is startTestFederation's membership-aware sibling:
-// explicit node ID, join seeds, and a compressed gossip clock. mutate,
-// when set, edits the config on top of these defaults.
-func startGossipNode(t *testing.T, db *sqldb.DB, id string, seeds []string, slowdown float64, mutate func(*NodeConfig)) *Node {
+// explicit node ID, join seeds, and a compressed gossip period on clk,
+// over the in-memory network. mutate, when set, edits the config on top
+// of these defaults.
+func startGossipNode(t *testing.T, clk *fakeClock, db *sqldb.DB, id string, seeds []string, slowdown float64, mutate func(*NodeConfig)) *Node {
 	t.Helper()
 	cfg := NodeConfig{
-		DB:                 db,
+		clock:              clk,
+		Driver:             engine.FromDB(db),
 		Slowdown:           slowdown,
 		MsPerCostUnit:      0.01,
 		PeriodMs:           25,
@@ -43,6 +33,7 @@ func startGossipNode(t *testing.T, db *sqldb.DB, id string, seeds []string, slow
 	if mutate != nil {
 		mutate(&cfg)
 	}
+	onMem(&cfg)
 	n, err := StartNode("127.0.0.1:0", cfg)
 	if err != nil {
 		t.Fatalf("node %s: %v", id, err)
@@ -107,6 +98,8 @@ func everyTable(nodes []*Node, live ...string) bool {
 // rounds. Each step must converge on every member's table, not just on
 // the seed's.
 func TestChurnJoinAndEviction(t *testing.T) {
+	clk := newFakeClock()
+	clk.autoAdvance(t)
 	rng := rand.New(rand.NewSource(17))
 	ds, err := GenerateDataset(DatasetParams{
 		Nodes: 4, Tables: 6, Views: 10, RowsPerTable: 60,
@@ -117,14 +110,16 @@ func TestChurnJoinAndEviction(t *testing.T) {
 	}
 
 	// Founding members: n0 starts a federation of one, n1 and n2 join it.
-	n0 := startGossipNode(t, ds.DBs[0], "n0", nil, 4, nil)
-	n1 := startGossipNode(t, ds.DBs[1], "n1", []string{n0.Addr()}, 4, nil)
-	n2 := startGossipNode(t, ds.DBs[2], "n2", []string{n0.Addr()}, 4, nil)
-	waitFor(t, 5*time.Second, func() bool { return everyTable([]*Node{n0, n1, n2}, "n0", "n1", "n2") },
+	n0 := startGossipNode(t, clk, ds.DBs[0], "n0", nil, 4, nil)
+	n1 := startGossipNode(t, clk, ds.DBs[1], "n1", []string{n0.Addr()}, 4, nil)
+	n2 := startGossipNode(t, clk, ds.DBs[2], "n2", []string{n0.Addr()}, 4, nil)
+	waitFor(t, clk, 5*time.Second, func() bool { return everyTable([]*Node{n0, n1, n2}, "n0", "n1", "n2") },
 		"founding members never converged on every founder's table")
 
 	// The client knows one seed address; gossip must hand it the rest.
 	client, err := NewClient(ClientConfig{
+		network:     newMemNet(clk),
+		clock:       clk,
 		Addrs:       []string{n0.Addr()},
 		Mechanism:   MechGreedy,
 		PeriodMs:    25,
@@ -136,7 +131,7 @@ func TestChurnJoinAndEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	waitFor(t, 5*time.Second, func() bool {
+	waitFor(t, clk, 5*time.Second, func() bool {
 		return clientHasLive(client, "n1") && clientHasLive(client, "n2")
 	}, "client never discovered n1/n2 from its single seed")
 
@@ -152,10 +147,10 @@ func TestChurnJoinAndEviction(t *testing.T) {
 
 	// Elastic entry: a faster node joins the live market. The client must
 	// pick it up and start routing work to it without a restart.
-	n3 := startGossipNode(t, ds.DBs[3], "n3", []string{n0.Addr()}, 1, nil)
-	waitFor(t, 5*time.Second, func() bool { return everyTable([]*Node{n0, n1, n2, n3}, "n0", "n1", "n2", "n3") },
+	n3 := startGossipNode(t, clk, ds.DBs[3], "n3", []string{n0.Addr()}, 1, nil)
+	waitFor(t, clk, 5*time.Second, func() bool { return everyTable([]*Node{n0, n1, n2, n3}, "n0", "n1", "n2", "n3") },
 		"late joiner n3 never converged on every table")
-	waitFor(t, 5*time.Second, func() bool { return clientHasLive(client, "n3") },
+	waitFor(t, clk, 5*time.Second, func() bool { return clientHasLive(client, "n3") },
 		"client never discovered the late joiner n3")
 	for _, m := range client.Members() {
 		if m.ID == "n3" && m.CatalogDigest == "" {
@@ -180,9 +175,9 @@ func TestChurnJoinAndEviction(t *testing.T) {
 	// Crash (no drain, no goodbye): the failure detector must suspect
 	// and evict n1, and the client view must follow.
 	n1.CloseNow()
-	waitFor(t, 10*time.Second, func() bool { return everyTable([]*Node{n0, n2, n3}, "n0", "n2", "n3") },
+	waitFor(t, clk, 10*time.Second, func() bool { return everyTable([]*Node{n0, n2, n3}, "n0", "n2", "n3") },
 		"crashed n1 never evicted from every survivor's table")
-	waitFor(t, 10*time.Second, func() bool { return !clientHas(client, "n1") },
+	waitFor(t, clk, 10*time.Second, func() bool { return !clientHas(client, "n1") },
 		"crashed n1 never pruned from the client view")
 
 	// The surviving market keeps serving, and nothing lands on the corpse.
@@ -213,12 +208,16 @@ func TestGracefulLeavePrunesBeforeEviction(t *testing.T) {
 	if _, _, err := db.Exec("INSERT INTO t VALUES (1)"); err != nil {
 		t.Fatal(err)
 	}
-	n0 := startGossipNode(t, db, "g0", nil, 1, nil)
-	n1 := startGossipNode(t, db, "g1", []string{n0.Addr()}, 1, nil)
-	waitFor(t, 5*time.Second, func() bool { return liveIDs(n0)["g1"] },
+	clk := newFakeClock()
+	clk.autoAdvance(t)
+	n0 := startGossipNode(t, clk, db, "g0", nil, 1, nil)
+	n1 := startGossipNode(t, clk, db, "g1", []string{n0.Addr()}, 1, nil)
+	waitFor(t, clk, 5*time.Second, func() bool { return liveIDs(n0)["g1"] },
 		"g1 never joined")
 
 	client, err := NewClient(ClientConfig{
+		network:     newMemNet(clk),
+		clock:       clk,
 		Addrs:       []string{n0.Addr()},
 		PeriodMs:    25,
 		Timeout:     2 * time.Second,
@@ -228,7 +227,7 @@ func TestGracefulLeavePrunesBeforeEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	waitFor(t, 5*time.Second, func() bool { return clientHasLive(client, "g1") },
+	waitFor(t, clk, 5*time.Second, func() bool { return clientHasLive(client, "g1") },
 		"client never saw g1")
 
 	// Graceful leave: the goodbye gossip must mark g1 left on g0 without
@@ -237,7 +236,7 @@ func TestGracefulLeavePrunesBeforeEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	var leftSeen atomic.Bool
-	waitFor(t, 5*time.Second, func() bool {
+	waitFor(t, clk, 5*time.Second, func() bool {
 		for _, m := range n0.Members() {
 			if m.ID == "g1" {
 				if m.State.String() == "left" {
@@ -248,7 +247,7 @@ func TestGracefulLeavePrunesBeforeEviction(t *testing.T) {
 		}
 		return leftSeen.Load() // tombstone may already have expired
 	}, "g0 never learned g1's goodbye")
-	waitFor(t, 5*time.Second, func() bool { return !clientHas(client, "g1") },
+	waitFor(t, clk, 5*time.Second, func() bool { return !clientHas(client, "g1") },
 		"client never pruned the departed g1")
 }
 
@@ -284,7 +283,8 @@ func TestDistributorRetriesAcrossDeparture(t *testing.T) {
 	addrs := make([]string, 3)
 	for i, db := range []*sqldb.DB{ordersA, ordersB, customers} {
 		n, err := StartNode("127.0.0.1:0", NodeConfig{
-			DB: db, MsPerCostUnit: 0.01, PeriodMs: 25, NodeID: []string{"dA", "dB", "dC"}[i],
+			network: memWall,
+			Driver:  engine.FromDB(db), MsPerCostUnit: 0.01, PeriodMs: 25, NodeID: []string{"dA", "dB", "dC"}[i],
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -294,7 +294,8 @@ func TestDistributorRetriesAcrossDeparture(t *testing.T) {
 		t.Cleanup(func() { n.Close() })
 	}
 	client, err := NewClient(ClientConfig{
-		Addrs: addrs, Mechanism: MechGreedy, PeriodMs: 25,
+		network: memWall,
+		Addrs:   addrs, Mechanism: MechGreedy, PeriodMs: 25,
 		MaxRetries: 50, Timeout: 2 * time.Second,
 	})
 	if err != nil {
@@ -353,12 +354,12 @@ func TestClientResolvesStableIDs(t *testing.T) {
 	if _, _, err := db.Exec("CREATE TABLE t (a INT)"); err != nil {
 		t.Fatal(err)
 	}
-	node, err := StartNode("127.0.0.1:0", NodeConfig{DB: db, NodeID: "stable-1", MsPerCostUnit: 0.01})
+	node, err := StartNode("127.0.0.1:0", NodeConfig{network: memWall, Driver: engine.FromDB(db), NodeID: "stable-1", MsPerCostUnit: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer node.Close()
-	client, err := NewClient(ClientConfig{Addrs: []string{node.Addr()}})
+	client, err := NewClient(ClientConfig{network: memWall, Addrs: []string{node.Addr()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +395,7 @@ func TestClientResolvesStableIDs(t *testing.T) {
 // the view (the pre-membership behavior resilience tests depend on).
 func TestStaticViewIgnoresDraining(t *testing.T) {
 	addr := startDrainingStub(t)
-	c, err := NewClient(ClientConfig{Addrs: []string{addr}, Timeout: time.Second})
+	c, err := NewClient(ClientConfig{network: memWall, Addrs: []string{addr}, Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +431,8 @@ func TestClientFirstViewArrivesWithTheFederation(t *testing.T) {
 	var seeds, addrs []string
 	for i, id := range []string{"n0", "n1", "n2", "n3"} {
 		n, err := StartNode("127.0.0.1:0", NodeConfig{
-			DB: ds.DBs[i], MsPerCostUnit: 0.01, PeriodMs: 25,
+			network: memWall,
+			Driver:  engine.FromDB(ds.DBs[i]), MsPerCostUnit: 0.01, PeriodMs: 25,
 			NodeID: id, Seeds: seeds, GossipPeriodMs: 100,
 		})
 		if err != nil {
@@ -442,7 +444,8 @@ func TestClientFirstViewArrivesWithTheFederation(t *testing.T) {
 	}
 	started := time.Now()
 	client, err := NewClient(ClientConfig{
-		Addrs: addrs, Mechanism: MechQANT, PeriodMs: 25, ViewRefresh: 100 * time.Millisecond,
+		network: memWall,
+		Addrs:   addrs, Mechanism: MechQANT, PeriodMs: 25, ViewRefresh: 100 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

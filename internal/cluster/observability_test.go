@@ -58,8 +58,9 @@ func TestStartNodeDerivesStableFallbackID(t *testing.T) {
 func TestBackoffJitterSeeded(t *testing.T) {
 	mk := func(seed int64) *Client {
 		c, err := NewClient(ClientConfig{
-			Addrs:  []string{"127.0.0.1:1"},
-			Jitter: rand.New(rand.NewSource(seed)),
+			network: memWall,
+			Addrs:   []string{"127.0.0.1:1"},
+			Jitter:  rand.New(rand.NewSource(seed)),
 		})
 		if err != nil {
 			t.Fatalf("NewClient: %v", err)
@@ -105,6 +106,7 @@ func TestQueryTraceEndToEnd(t *testing.T) {
 			ds, nodes, addrs := startTestFederation(t, []float64{1, 4}, nil)
 			tracer := trace.NewRecorder("client", 0, nil)
 			client, err := NewClient(ClientConfig{
+				network:   memWall,
 				Addrs:     addrs,
 				Mechanism: mech,
 				PeriodMs:  50,
@@ -166,7 +168,7 @@ func TestQueryTraceEndToEnd(t *testing.T) {
 
 			// Untraced clients leave no server-side spans: the trace field is
 			// omitted and id-less requests still execute (old-client interop).
-			plain, err := NewClient(ClientConfig{Addrs: addrs, Mechanism: mech, PeriodMs: 50})
+			plain, err := NewClient(ClientConfig{network: memWall, Addrs: addrs, Mechanism: mech, PeriodMs: 50})
 			if err != nil {
 				t.Fatalf("NewClient: %v", err)
 			}
@@ -188,7 +190,7 @@ func TestQueryTraceEndToEnd(t *testing.T) {
 
 func TestMetricsHandlerExposition(t *testing.T) {
 	ds, nodes, addrs := startTestFederation(t, []float64{1}, nil)
-	client, err := NewClient(ClientConfig{Addrs: addrs, Mechanism: MechQANT, PeriodMs: 50})
+	client, err := NewClient(ClientConfig{network: memWall, Addrs: addrs, Mechanism: MechQANT, PeriodMs: 50})
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
 	}
@@ -270,7 +272,8 @@ func TestBatchedWindowTracesEveryQuery(t *testing.T) {
 	clk := newFakeClock()
 	tracer := trace.NewRecorder("client", 0, clk.now)
 	c, err := NewClient(ClientConfig{
-		Addrs: []string{node.Addr()}, Mechanism: MechGreedy, Tracer: tracer,
+		network: newMemNet(clk),
+		Addrs:   []string{node.Addr()}, Mechanism: MechGreedy, Tracer: tracer,
 		BatchWindow: 200 * time.Millisecond, batchLimit: 2, clock: clk,
 	})
 	if err != nil {
@@ -334,7 +337,7 @@ func TestScrapeAndStatsAgreeOnGauges(t *testing.T) {
 	// A cost unit this small stretches no execution: queries run without
 	// waiting on the stopped clock.
 	node := startSingleNode(t, func(cfg *NodeConfig) { cfg.MsPerCostUnit, cfg.clock = 1e-12, clk })
-	client, err := NewClient(ClientConfig{Addrs: []string{node.Addr()}, Mechanism: MechGreedy})
+	client, err := NewClient(ClientConfig{network: memWall, Addrs: []string{node.Addr()}, Mechanism: MechGreedy})
 	if err != nil {
 		t.Fatal(err)
 	}

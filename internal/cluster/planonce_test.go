@@ -29,7 +29,8 @@ func TestOnePreparePerQuery(t *testing.T) {
 	}
 	mock := driver.NewMock(driver.NewLegacy(db), driver.MockConfig{})
 	node, err := StartNode("127.0.0.1:0", NodeConfig{
-		Driver: mock, MsPerCostUnit: 1e-6, PeriodMs: 60_000, Market: market.DefaultConfig(1),
+		network: memWall,
+		Driver:  mock, MsPerCostUnit: 1e-6, PeriodMs: 60_000, Market: market.DefaultConfig(1),
 	})
 	if err != nil {
 		t.Fatal(err)

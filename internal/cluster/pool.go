@@ -145,7 +145,7 @@ func (mc *mconn) call(req *request, rep *reply, timeout time.Duration, onFrame f
 	mc.mu.Unlock()
 
 	mc.wmu.Lock()
-	mc.conn.SetWriteDeadline(wallDeadline(timeout))
+	mc.conn.SetWriteDeadline(mc.clk.now().Add(timeout))
 	err := writeMsg(mc.w, id, maxRequestBytes, req)
 	mc.wmu.Unlock()
 	if err != nil {
@@ -334,6 +334,7 @@ type pool struct {
 	hello *hello
 	wc    *wireCounter // the client's byte tally
 	clk   clock        // the client's
+	nw    network      // the client's
 
 	mu     sync.Mutex
 	slots  []*mconn
@@ -341,8 +342,8 @@ type pool struct {
 	closed bool
 }
 
-func newPool(addr string, h *hello, size int, wc *wireCounter, clk clock) *pool {
-	return &pool{addr: addr, hello: h, wc: wc, clk: clk, slots: make([]*mconn, size)}
+func newPool(addr string, h *hello, size int, wc *wireCounter, clk clock, nw network) *pool {
+	return &pool{addr: addr, hello: h, wc: wc, clk: clk, nw: nw, slots: make([]*mconn, size)}
 }
 
 // get returns a live connection from the next slot, dialing (and saying
@@ -364,11 +365,11 @@ func (p *pool) get(timeout time.Duration) (*mconn, error) {
 	}
 	p.mu.Unlock()
 
-	conn, err := dial(p.addr, timeout, p.wc)
+	conn, err := p.nw.dial(p.addr, timeout)
 	if err != nil {
 		return nil, err
 	}
-	nc := newMconn(conn, p.clk)
+	nc := newMconn(&countedConn{Conn: conn, wc: p.wc}, p.clk)
 	var rep reply
 	if err = nc.call(&request{Op: "hello", Hello: p.hello}, &rep, timeout, nil); err == nil {
 		nc.peer, err = helloOf(&rep)
@@ -429,8 +430,8 @@ type nodeTransport struct {
 	holds   int
 }
 
-func newNodeTransport(addr string, h *hello, size int, wc *wireCounter, clk clock) *nodeTransport {
-	return &nodeTransport{control: newPool(addr, h, size, wc, clk), data: newPool(addr, h, size, wc, clk), rel: &releases{}}
+func newNodeTransport(addr string, h *hello, size int, wc *wireCounter, clk clock, nw network) *nodeTransport {
+	return &nodeTransport{control: newPool(addr, h, size, wc, clk, nw), data: newPool(addr, h, size, wc, clk, nw), rel: &releases{}}
 }
 
 // releases queues the sequence numbers of one node's fetch outcomes

@@ -54,13 +54,15 @@ func (c *Client) warmLane(t testing.TB, ns *nodeState, op string) {
 // per-goroutine SQL streams are all seeded, so every run sees a
 // byte-identical workload.
 func TestConcurrentTransportsAgree(t *testing.T) {
+	clk := autoClock(t)
 	const nClients, nQueries = 8, 5
-	ds, nodes, addrs := startTestFederation(t, []float64{1, 2, 3}, nil)
+	ds, nodes, addrs := startTestFederation(t, []float64{1, 2, 3}, onClock(clk))
 	templates, err := ds.GenerateTemplates(8, 2, rand.New(rand.NewSource(23)))
 	if err != nil {
 		t.Fatalf("templates: %v", err)
 	}
 	client, err := NewClient(ClientConfig{
+		network:   memWall,
 		Addrs:     addrs,
 		Mechanism: MechGreedy, // always offers: results depend only on the data
 		PeriodMs:  25,
@@ -98,20 +100,13 @@ func TestConcurrentTransportsAgree(t *testing.T) {
 	// No leaked connections: closing the client must sever every
 	// persistent connection it holds.
 	client.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	settle(t, func() bool {
 		open := 0
 		for _, n := range nodes {
-			open += n.OpenConns()
+			open += n.openConns()
 		}
-		if open == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d connections still open after Close", open)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+		return open == 0
+	}, "connections still open after Close")
 
 	if len(rows) != nClients*nQueries {
 		t.Fatalf("completed %d queries, want %d", len(rows), nClients*nQueries)
@@ -138,7 +133,8 @@ func TestConcurrentTransportsAgree(t *testing.T) {
 func TestPooledReusesConnections(t *testing.T) {
 	_, nodes, addrs := startTestFederation(t, []float64{1}, nil)
 	client, err := NewClient(ClientConfig{
-		Addrs: addrs, Mechanism: MechGreedy, PeriodMs: 25,
+		network: memWall,
+		Addrs:   addrs, Mechanism: MechGreedy, PeriodMs: 25,
 		Timeout: 5 * time.Second,
 	})
 	if err != nil {
@@ -150,7 +146,7 @@ func TestPooledReusesConnections(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if open := nodes[0].OpenConns(); open > 4 {
+	if open := nodes[0].openConns(); open > 4 {
 		t.Fatalf("pooled transport holds %d conns after 20 RPCs, want <= 4", open)
 	}
 	// The latency histogram saw every exchange.
@@ -169,7 +165,8 @@ func TestPooledReusesConnections(t *testing.T) {
 func TestMultiplexedPipelining(t *testing.T) {
 	_, _, addrs := startTestFederation(t, []float64{1}, nil)
 	client, err := NewClient(ClientConfig{
-		Addrs: addrs, Mechanism: MechGreedy, PeriodMs: 25,
+		network: memWall,
+		Addrs:   addrs, Mechanism: MechGreedy, PeriodMs: 25,
 		Timeout: 5 * time.Second, poolSize: 1,
 	})
 	if err != nil {
@@ -235,4 +232,11 @@ func TestDeadConnectionCallIsNotSent(t *testing.T) {
 			}
 		})
 	}
+}
+
+// openConns reports how many client connections the node tracks.
+func (n *Node) openConns() int {
+	n.connMu.Lock()
+	defer n.connMu.Unlock()
+	return len(n.conns)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/qamarket/qamarket/internal/engine"
 	"github.com/qamarket/qamarket/internal/market"
 	"github.com/qamarket/qamarket/internal/sqldb"
 )
@@ -223,7 +224,7 @@ func TestNodeNeverOversellsAcrossActivation(t *testing.T) {
 	cfg := market.DefaultConfig(1)
 	cfg.Lambda, cfg.ActivationThreshold = 0.3, 1.5 // two refusals activate pricing
 	clk := newFakeClock()
-	n, err := StartNode("127.0.0.1:0", NodeConfig{DB: db, MsPerCostUnit: 2, PeriodMs: periodMs, Market: cfg, clock: clk})
+	n, err := StartNode("127.0.0.1:0", NodeConfig{network: newMemNet(clk), Driver: engine.FromDB(db), MsPerCostUnit: 2, PeriodMs: periodMs, Market: cfg, clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,8 @@ func TestNodeNeverOversellsAcrossActivation(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, err := NewClient(ClientConfig{
-		Addrs: []string{n.Addr()}, Mechanism: MechQANT,
+		network: memWall,
+		Addrs:   []string{n.Addr()}, Mechanism: MechQANT,
 		PeriodMs: 1, MaxRetries: 1, Timeout: 10 * time.Second,
 	})
 	if err != nil {
@@ -311,7 +313,7 @@ func TestZeroMsPerCostUnitMeansOne(t *testing.T) {
 		}
 	}
 	clk := newFakeClock()
-	n, err := StartNode("127.0.0.1:0", NodeConfig{DB: db, clock: clk})
+	n, err := StartNode("127.0.0.1:0", NodeConfig{network: newMemNet(clk), Driver: engine.FromDB(db), clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +321,7 @@ func TestZeroMsPerCostUnitMeansOne(t *testing.T) {
 	if n.cfg.MsPerCostUnit != 1 {
 		t.Fatalf("MsPerCostUnit left at 0 became %g, want 1", n.cfg.MsPerCostUnit)
 	}
-	c, err := NewClient(ClientConfig{Addrs: []string{n.Addr()}, Mechanism: MechQANT, MaxRetries: 1, PeriodMs: 1})
+	c, err := NewClient(ClientConfig{network: memWall, Addrs: []string{n.Addr()}, Mechanism: MechQANT, MaxRetries: 1, PeriodMs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

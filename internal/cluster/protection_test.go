@@ -3,13 +3,14 @@ package cluster
 import (
 	"errors"
 	"math/rand"
-	"net"
 	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/qamarket/qamarket/internal/driver"
+	"github.com/qamarket/qamarket/internal/engine"
 	"github.com/qamarket/qamarket/internal/faultnet"
 	"github.com/qamarket/qamarket/internal/market"
 	"github.com/qamarket/qamarket/internal/metrics"
@@ -17,10 +18,11 @@ import (
 )
 
 // protectionQuery returns a one-node federation plus a query that is
-// feasible on it, the shared fixture of the protection tests.
-func protectionQuery(t *testing.T) (*Dataset, *Node, string, string) {
+// feasible on it, the shared fixture of the protection tests; mutate is
+// startTestFederation's.
+func protectionQuery(t *testing.T, mutate func(int, *NodeConfig)) (*Dataset, *Node, string, string) {
 	t.Helper()
-	ds, nodes, addrs := startTestFederation(t, []float64{1}, nil)
+	ds, nodes, addrs := startTestFederation(t, []float64{1}, mutate)
 	rng := rand.New(rand.NewSource(41))
 	templates, err := ds.GenerateTemplates(4, 1, rng)
 	if err != nil {
@@ -30,22 +32,22 @@ func protectionQuery(t *testing.T) (*Dataset, *Node, string, string) {
 }
 
 // TestSeveredReplyRetryExecutesOnce is the regression test the at-most-
-// once tentpole exists for: a faultnet proxy drops the execute reply on
+// once tentpole exists for: a faultnet link drops the execute reply on
 // the floor (the server ran the query, the client saw a timeout), and
 // the client's retransmit to the same node must return the original
 // outcome from the dedup window instead of executing the query again.
 // Before the dedup window existed, the retry re-ran the query and the
 // node's executed count came back 2.
 func TestSeveredReplyRetryExecutesOnce(t *testing.T) {
-	_, node, addr, sql := protectionQuery(t)
-	p, err := faultnet.Start("127.0.0.1:0", addr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
+	clk := autoClock(t)
+	_, node, addr, sql := protectionQuery(t, onClock(clk))
+	links := newLinkNet(newMemNet(clk))
+	p, front := links.link(t, addr, nil)
 
 	c, err := NewClient(ClientConfig{
-		Addrs:   []string{p.Addr()},
+		network: links,
+		clock:   clk,
+		Addrs:   []string{front},
 		Timeout: 100 * time.Millisecond, execTimeoutFactor: 2,
 		execRetries: 2,
 	})
@@ -119,23 +121,27 @@ func TestSeveredReplyRetryExecutesOnce(t *testing.T) {
 // retransmit is never written and the query ends with ErrOutcomeUnknown
 // at once, having run once in all.
 func TestRestartBeforeRetransmitExecutesOnce(t *testing.T) {
-	ds, node, addr, sql := protectionQuery(t)
-	// The client dials front, which a restart retargets; until then front
-	// reaches the node through link, which loses every reply.
-	link, err := faultnet.Start("127.0.0.1:0", addr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer link.Close()
-	front, err := faultnet.Start("127.0.0.1:0", link.Addr(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer front.Close()
+	// ran hears the node run the query, which it counts at once: its
+	// execution stretches to no time.
+	ran := make(chan struct{}, 1)
+	ds, node, addr, sql := protectionQuery(t, func(_ int, cfg *NodeConfig) {
+		cfg.Driver, cfg.MsPerCostUnit = hookedDriver{Driver: cfg.Driver, after: func() {
+			select {
+			case ran <- struct{}{}:
+			default:
+			}
+		}}, 1e-12
+	})
+	// The client dials front, which reaches the node through a link that
+	// loses every reply until the restart points front at a fresh link to
+	// the same address.
+	links := newLinkNet(memWall)
+	link, front := links.link(t, addr, nil)
 	// One connection per lane: the crash kills the only data connection,
 	// so the retransmit dials.
 	c, err := NewClient(ClientConfig{
-		Addrs: []string{front.Addr()}, Timeout: 5 * time.Second, execTimeoutFactor: 1, execRetries: 2, poolSize: 1,
+		network: links,
+		Addrs:   []string{front}, Timeout: 5 * time.Second, execTimeoutFactor: 1, execRetries: 2, poolSize: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -148,19 +154,22 @@ func TestRestartBeforeRetransmitExecutesOnce(t *testing.T) {
 	restartedCh := make(chan *Node, 1)
 	go func() {
 		defer close(restartedCh)
-		for deadline := time.Now().Add(5 * time.Second); node.Executed() == 0; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Error("the node never ran the query")
-				return
-			}
+		<-ran
+		for node.Executed() == 0 { // counted as the executor returns
+			runtime.Gosched()
 		}
 		state, err := node.MarketState()
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		restarted, err := StartNode("127.0.0.1:0", NodeConfig{
-			DB: ds.DBs[0], MsPerCostUnit: 0.02, PeriodMs: 50, Market: market.DefaultConfig(1),
+		// The new incarnation takes the address before the crash cuts the
+		// connection whose reply was lost, so the retransmit that cut sets
+		// off meets it: the old listener goes first.
+		node.ln.Close()
+		restarted, err := StartNode(addr, NodeConfig{
+			network: memWall,
+			Driver:  engine.FromDB(ds.DBs[0]), MsPerCostUnit: 0.02, PeriodMs: 50, Market: market.DefaultConfig(1),
 		})
 		if err != nil {
 			t.Error(err)
@@ -170,7 +179,7 @@ func TestRestartBeforeRetransmitExecutesOnce(t *testing.T) {
 		if err := restarted.RestoreMarketState(state); err != nil {
 			t.Error(err)
 		}
-		front.SetTarget(restarted.Addr())
+		links.relink(t, front, addr, nil)
 		restartedCh <- restarted
 		node.CloseNow() // the crash cuts the connection whose reply was lost
 	}()
@@ -209,9 +218,10 @@ func startWinningStub(t *testing.T) string {
 // client must execute on the runner-up from the same proposal round —
 // one failover, no renegotiation, no breaker trip.
 func TestFailoverToRunnerUp(t *testing.T) {
-	_, node, addr, sql := protectionQuery(t)
+	_, node, addr, sql := protectionQuery(t, nil)
 	stub := startWinningStub(t)
 	c, err := NewClient(ClientConfig{
+		network: memWall,
 		Addrs:   []string{stub, addr},
 		Timeout: 2 * time.Second, breakerThreshold: 1,
 	})
@@ -244,7 +254,8 @@ func TestFailoverToRunnerUp(t *testing.T) {
 // gets the typed overload (never a hang, never a transport error), and
 // the books balance.
 func TestAdmissionOverloadTypedReply(t *testing.T) {
-	ds, _, _, _ := protectionQuery(t)
+	clk := autoClock(t)
+	ds, _, _, _ := protectionQuery(t, onClock(clk))
 	rng := rand.New(rand.NewSource(43))
 	templates, err := ds.GenerateTemplates(4, 1, rng)
 	if err != nil {
@@ -252,7 +263,9 @@ func TestAdmissionOverloadTypedReply(t *testing.T) {
 	}
 	sql := templates[0].Instantiate(rng)
 	node, err := StartNode("127.0.0.1:0", NodeConfig{
-		DB: ds.DBs[0], Slowdown: 30, MsPerCostUnit: 0.02, PeriodMs: 50,
+		network: newMemNet(clk),
+		clock:   clk,
+		Driver:  engine.FromDB(ds.DBs[0]), Slowdown: 30, MsPerCostUnit: 0.02, PeriodMs: 50,
 		Market: market.DefaultConfig(1), MaxInflight: 1, MaxQueue: 4,
 	})
 	if err != nil {
@@ -260,7 +273,9 @@ func TestAdmissionOverloadTypedReply(t *testing.T) {
 	}
 	defer node.Close()
 	c, err := NewClient(ClientConfig{
-		Addrs: []string{node.Addr()}, Timeout: 2 * time.Second,
+		network: newMemNet(clk),
+		clock:   clk,
+		Addrs:   []string{node.Addr()}, Timeout: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -322,7 +337,7 @@ func TestAdmissionOverloadTypedReply(t *testing.T) {
 // at admission, and a client-side QueryTimeout turns into a terminal
 // ErrExpired instead of a retry storm.
 func TestDeadlineShedsBeforeExecution(t *testing.T) {
-	ds, _, _, _ := protectionQuery(t)
+	ds, _, _, _ := protectionQuery(t, nil)
 	rng := rand.New(rand.NewSource(47))
 	templates, err := ds.GenerateTemplates(4, 1, rng)
 	if err != nil {
@@ -331,7 +346,8 @@ func TestDeadlineShedsBeforeExecution(t *testing.T) {
 	sql := templates[0].Instantiate(rng)
 	// Slowdown 50 puts every estimate far above the budgets below.
 	node, err := StartNode("127.0.0.1:0", NodeConfig{
-		DB: ds.DBs[0], Slowdown: 50, MsPerCostUnit: 0.02, PeriodMs: 20,
+		network: memWall,
+		Driver:  engine.FromDB(ds.DBs[0]), Slowdown: 50, MsPerCostUnit: 0.02, PeriodMs: 20,
 		Market: market.DefaultConfig(1),
 	})
 	if err != nil {
@@ -340,7 +356,8 @@ func TestDeadlineShedsBeforeExecution(t *testing.T) {
 	defer node.Close()
 
 	c, err := NewClient(ClientConfig{
-		Addrs: []string{node.Addr()}, Timeout: 2 * time.Second,
+		network: memWall,
+		Addrs:   []string{node.Addr()}, Timeout: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -358,7 +375,8 @@ func TestDeadlineShedsBeforeExecution(t *testing.T) {
 	}
 
 	tc, err := NewClient(ClientConfig{
-		Addrs: []string{node.Addr()}, Timeout: 2 * time.Second,
+		network: memWall,
+		Addrs:   []string{node.Addr()}, Timeout: 2 * time.Second,
 		PeriodMs: 10, QueryTimeout: 40 * time.Millisecond,
 	})
 	if err != nil {
@@ -378,7 +396,7 @@ func TestDeadlineShedsBeforeExecution(t *testing.T) {
 // whose deadline passed while it sat in the queue is dropped at dequeue
 // with the expired error instead of burning executor time.
 func TestQueuedJobExpiresAtDequeue(t *testing.T) {
-	_, node, _, sql := protectionQuery(t)
+	_, node, _, sql := protectionQuery(t, nil)
 	st, _, _, err := node.estimate(sql)
 	if err != nil {
 		t.Fatal(err)
@@ -408,7 +426,7 @@ func TestQueuedJobExpiresAtDequeue(t *testing.T) {
 // dead federation into a fast typed failure instead of MaxRetries
 // rounds of timeouts.
 func TestRetryBudgetExhausted(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := memWall.listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +434,8 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	ln.Close() // dials are refused instantly
 
 	c, err := NewClient(ClientConfig{
-		Addrs: []string{addr}, Timeout: 200 * time.Millisecond,
+		network: memWall,
+		Addrs:   []string{addr}, Timeout: 200 * time.Millisecond,
 		PeriodMs: 10, MaxRetries: 50, breakerThreshold: 1,
 		RetryBudget: 0.0001, retryBurst: 1,
 	})
@@ -582,4 +601,35 @@ func TestDedupWindowBytesPerOutcome(t *testing.T) {
 	}
 	runtime.KeepAlive(d)
 	runtime.KeepAlive(seqs)
+}
+
+// hookedDriver runs before ahead of every execution and after behind
+// it; either may be nil.
+type hookedDriver struct {
+	driver.Driver
+	before, after func()
+}
+
+func (d hookedDriver) Prepare(sql string) (driver.Statement, error) {
+	st, err := d.Driver.Prepare(sql)
+	if err != nil {
+		return nil, err
+	}
+	return hookedStmt{st, d}, nil
+}
+
+type hookedStmt struct {
+	driver.Statement
+	d hookedDriver
+}
+
+func (s hookedStmt) Execute() (*driver.Block, error) {
+	if s.d.before != nil {
+		s.d.before()
+	}
+	blk, err := s.Statement.Execute()
+	if s.d.after != nil {
+		s.d.after()
+	}
+	return blk, err
 }

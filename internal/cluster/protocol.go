@@ -14,8 +14,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"net"
-	"time"
 
 	"github.com/qamarket/qamarket/internal/membership"
 	"github.com/qamarket/qamarket/internal/trace"
@@ -334,15 +332,6 @@ var ErrTooLarge = errors.New("cluster: message exceeds wire size limit")
 // all. The node closes the connection without reading further, so
 // nothing sent after the hello has run.
 var errHelloRefused = errors.New("cluster: node refused the hello")
-
-// dial connects with a timeout, tallying the connection's traffic on wc.
-func dial(addr string, timeout time.Duration, wc *wireCounter) (net.Conn, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	return &countedConn{Conn: conn, wc: wc}, nil
-}
 
 // helloOf reads the node's answer to a hello: who answered it.
 func helloOf(rep *reply) (helloReply, error) {

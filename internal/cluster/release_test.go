@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -24,7 +25,8 @@ import (
 func selNode(t *testing.T, batchRows int) *Node {
 	t.Helper()
 	n, err := StartNode("127.0.0.1:0", NodeConfig{
-		Driver: engine.FromDB(selTestDB(t)), MsPerCostUnit: 0.02, PeriodMs: 50,
+		network: memWall,
+		Driver:  engine.FromDB(selTestDB(t)), MsPerCostUnit: 0.02, PeriodMs: 50,
 		Market: market.DefaultConfig(1), fetchBatchRows: batchRows,
 	})
 	if err != nil {
@@ -39,6 +41,9 @@ func selNode(t *testing.T, batchRows int) *Node {
 func selClient(t *testing.T, addr string, ccfg ClientConfig) *Client {
 	t.Helper()
 	ccfg.Addrs, ccfg.PeriodMs, ccfg.poolSize = []string{addr}, 50, 1
+	if ccfg.network == nil {
+		ccfg.network = memWall
+	}
 	c, err := NewClient(ccfg)
 	if err != nil {
 		t.Fatal(err)
@@ -68,15 +73,10 @@ func (d *dedupWindow) lastSeq() uint64 {
 // after it has answered the request that carried it.
 func waitReleased(t *testing.T, n *Node, seq uint64) {
 	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		if so, ok := n.dedup.record(seq); ok && so.rec.released() {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("outcome %d was never released", seq)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	settle(t, func() bool {
+		so, ok := n.dedup.record(seq)
+		return ok && so.rec.released()
+	}, fmt.Sprintf("outcome %d was never released", seq))
 }
 
 // TestReleasedDuplicateIsRefused: once the client has released a fetch,
@@ -196,7 +196,7 @@ func TestReleaseNamesOnlyTheRunsOwn(t *testing.T) {
 	}
 }
 
-// TestSeveredFetchReleasedAfterEnd: a faultnet proxy cuts the fetch
+// TestSeveredFetchReleasedAfterEnd: a faultnet link cuts the fetch
 // stream after two batches. The retransmit resumes from the window,
 // which still holds the result, and the client releases it only once
 // the resumed stream's end frame has arrived.
@@ -213,17 +213,14 @@ func TestSeveredFetchReleasedAfterEnd(t *testing.T) {
 	cut := helloBytes(t, node) + len(stream) + 1
 	// Connection 0 is the control lane's (the negotiate), 1 the data
 	// lane's fetch; the retransmit's re-dial passes untouched.
-	p, err := faultnet.Start("127.0.0.1:0", node.Addr(), func(i int) faultnet.Plan {
+	links := newLinkNet(memWall)
+	_, front := links.link(t, node.Addr(), func(i int) faultnet.Plan {
 		if i == 1 {
 			return faultnet.Plan{TruncateReplyAfter: cut}
 		}
 		return faultnet.Plan{}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	c := selClient(t, p.Addr(), ClientConfig{execRetries: 3, Timeout: 2 * time.Second})
+	c := selClient(t, front, ClientConfig{network: links, execRetries: 3, Timeout: 2 * time.Second})
 
 	var got []sqldb.Row
 	var seq uint64
@@ -250,10 +247,10 @@ func TestSeveredFetchReleasedAfterEnd(t *testing.T) {
 	if so, _ := node.dedup.record(seq); so.rec.released() {
 		t.Fatal("the result was released before a request carried the release")
 	}
-	if q := c.lookup(p.Addr()).transport.rel.take(node.boot); !reflect.DeepEqual(q, []uint64{seq}) {
+	if q := c.lookup(front).transport.rel.take(node.boot); !reflect.DeepEqual(q, []uint64{seq}) {
 		t.Fatalf("queued releases %v, want the resumed stream's %d only", q, seq)
 	}
-	c.lookup(p.Addr()).transport.rel.add(node.boot, seq)
+	c.lookup(front).transport.rel.add(node.boot, seq)
 	if out := c.Run(2, selTestNarrow); out.Err != nil {
 		t.Fatal(out.Err)
 	}
@@ -278,6 +275,7 @@ func streamBytesUpTo(res *ColBlock, batchRows, batches int) []byte {
 // meets the same incarnation, and a connection that meets another one
 // drops it, whose record then stays until its TTL.
 func TestDialDropsQueuedReleases(t *testing.T) {
+	clk := autoClock(t)
 	t.Run("same boot carries it", func(t *testing.T) {
 		node := selNode(t, 0)
 		c := selClient(t, node.Addr(), ClientConfig{})
@@ -298,39 +296,43 @@ func TestDialDropsQueuedReleases(t *testing.T) {
 
 	t.Run("new boot drops it", func(t *testing.T) {
 		node := selNode(t, 0)
-		p, err := faultnet.Start("127.0.0.1:0", node.Addr(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer p.Close()
-		c := selClient(t, p.Addr(), ClientConfig{RunID: "run"})
+		addr := node.Addr()
+		c := selClient(t, addr, ClientConfig{RunID: "run"})
 		if _, out := c.Fetch(1, selTestNarrow); out.Err != nil {
 			t.Fatal(out.Err)
 		}
 		seq := node.dedup.lastSeq()
 		node.CloseNow()
-		// The new incarnation's own first outcome under the same run takes
-		// the number the queued release names.
-		restarted := selNode(t, 0)
-		other := selClient(t, restarted.Addr(), ClientConfig{RunID: "run"})
+		// A new incarnation takes the address, and its own first outcome
+		// under the same run takes the number the queued release names.
+		restarted, err := StartNode(addr, NodeConfig{
+			network: newMemNet(clk),
+			clock:   clk,
+			Driver:  engine.FromDB(selTestDB(t)), MsPerCostUnit: 0.02, PeriodMs: 50,
+			Market: market.DefaultConfig(1),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { restarted.Close() })
+		other := selClient(t, addr, ClientConfig{RunID: "run"})
 		if out := other.Run(7, selTestWide); out.Err != nil {
 			t.Fatal(out.Err)
 		}
 		if got := restarted.dedup.lastSeq(); got != seq {
 			t.Fatalf("the new incarnation numbered its first outcome %d, want %d", got, seq)
 		}
-		p.SetTarget(restarted.Addr())
 		if out := c.Run(2, selTestWide); out.Err != nil {
 			t.Fatal(out.Err)
 		}
-		nt := c.lookup(p.Addr()).transport
+		nt := c.lookup(addr).transport
 		if q := nt.rel.take(restarted.boot); len(q) != 0 {
 			t.Fatalf("releases %v still queued after a dial met a new incarnation", q)
 		}
 		// A release is applied after its request is answered; this one is
 		// answered after it.
 		var rep reply
-		if err := c.rpcOn(c.lookup(p.Addr()), &request{Op: "negotiate", SQL: selTestNarrow}, &rep, time.Second, nil, nil); err != nil {
+		if err := c.rpcOn(c.lookup(addr), &request{Op: "negotiate", SQL: selTestNarrow}, &rep, time.Second, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		if so, _ := restarted.dedup.record(seq); so.rec.released() {
@@ -367,13 +369,10 @@ func TestRefusedRequestKeepsItsReleases(t *testing.T) {
 // whole reaches the node.
 func TestPrunedMemberKeepsItsPool(t *testing.T) {
 	node := selNode(t, 1) // a frame per row: the stream can be cut after one
-	p, err := faultnet.Start("127.0.0.1:0", node.Addr(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	c := selClient(t, p.Addr(), ClientConfig{execRetries: 2, Timeout: 2 * time.Second})
-	ns := c.lookup(p.Addr())
+	links := newLinkNet(memWall)
+	p, front := links.link(t, node.Addr(), nil)
+	c := selClient(t, front, ClientConfig{network: links, execRetries: 2, Timeout: 2 * time.Second})
+	ns := c.lookup(front)
 	// The follow-up requests below stand for a second query that sent
 	// to the member before it left: they hold its transport as that
 	// query would, from before the fetch until they are done.
@@ -389,7 +388,7 @@ func TestPrunedMemberKeepsItsPool(t *testing.T) {
 			pruned = true
 			// The refresher hears that the member left.
 			c.applyMembers(&membersReply{Members: []wireMember{
-				{ID: node.ID(), Addr: p.Addr(), Incarnation: 1, State: "left"},
+				{ID: node.ID(), Addr: front, Incarnation: 1, State: "left"},
 			}})
 		}
 		var err error
@@ -410,7 +409,7 @@ func TestPrunedMemberKeepsItsPool(t *testing.T) {
 	}
 	// The negotiate, the fetch, and the one re-dial of the data
 	// connection the cut killed.
-	if n := p.Accepted(); n != 3 {
+	if n := p.Dials(); n != 3 {
 		t.Fatalf("%d connections for a negotiate, a fetch and one retransmit, want 3", n)
 	}
 
@@ -423,7 +422,7 @@ func TestPrunedMemberKeepsItsPool(t *testing.T) {
 			t.Fatalf("%s on the pruned member: %v", op, err)
 		}
 	}
-	if n := p.Accepted(); n != 3 {
+	if n := p.Dials(); n != 3 {
 		t.Fatalf("three more requests dialed %d connections, want none", n-3)
 	}
 	waitReleased(t, node, seq)
@@ -457,12 +456,12 @@ func TestPrunedMemberClosesItsPool(t *testing.T) {
 			t.Fatal("the fetch delivered nothing")
 		}
 		if !midQuery {
-			if n := node.OpenConns(); n != 2 {
+			if n := node.openConns(); n != 2 {
 				t.Fatalf("%d open connections after a negotiate and a fetch, want 2", n)
 			}
 			prune()
 		}
-		waitFor(t, 5*time.Second, func() bool { return node.OpenConns() == 0 },
+		settle(t, func() bool { return node.openConns() == 0 },
 			"the pruned member's connections stayed open")
 		c.viewMu.RLock()
 		left := len(c.retired)

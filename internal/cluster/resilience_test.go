@@ -5,13 +5,14 @@ import (
 	"testing"
 	"time"
 
+	"github.com/qamarket/qamarket/internal/engine"
 	"github.com/qamarket/qamarket/internal/faultnet"
 	"github.com/qamarket/qamarket/internal/metrics"
 	"github.com/qamarket/qamarket/internal/sqldb"
 )
 
-// startSingleNode builds one node over a tiny table with the given
-// config tweaks applied on top of test defaults.
+// startSingleNode builds one node over a tiny table, on the in-memory
+// network, with the given config tweaks applied on top of test defaults.
 func startSingleNode(t *testing.T, mutate func(*NodeConfig)) *Node {
 	t.Helper()
 	db := sqldb.Open()
@@ -23,10 +24,11 @@ func startSingleNode(t *testing.T, mutate func(*NodeConfig)) *Node {
 			t.Fatal(err)
 		}
 	}
-	cfg := NodeConfig{DB: db, MsPerCostUnit: 0.01, PeriodMs: 50}
+	cfg := NodeConfig{Driver: engine.FromDB(db), MsPerCostUnit: 0.01, PeriodMs: 50}
 	if mutate != nil {
 		mutate(&cfg)
 	}
+	onMem(&cfg)
 	n, err := StartNode("127.0.0.1:0", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +38,7 @@ func startSingleNode(t *testing.T, mutate func(*NodeConfig)) *Node {
 }
 
 func TestExecTimeoutFactorValidation(t *testing.T) {
-	c, err := NewClient(ClientConfig{Addrs: []string{"127.0.0.1:9"}})
+	c, err := NewClient(ClientConfig{network: memWall, Addrs: []string{"127.0.0.1:9"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +48,7 @@ func TestExecTimeoutFactorValidation(t *testing.T) {
 	if got, want := c.cfg.execTimeout(), 20*c.cfg.Timeout; got != want {
 		t.Errorf("execTimeout = %v, want %v", got, want)
 	}
-	c, err = NewClient(ClientConfig{Addrs: []string{"127.0.0.1:9"}, execTimeoutFactor: 5, Timeout: time.Second})
+	c, err = NewClient(ClientConfig{network: memWall, Addrs: []string{"127.0.0.1:9"}, execTimeoutFactor: 5, Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +57,7 @@ func TestExecTimeoutFactorValidation(t *testing.T) {
 	}
 	// The test hooks' product values: what every client outside the
 	// package's tests runs with.
-	c, err = NewClient(ClientConfig{Addrs: []string{"127.0.0.1:9"}, PeriodMs: 100})
+	c, err = NewClient(ClientConfig{network: memWall, Addrs: []string{"127.0.0.1:9"}, PeriodMs: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +69,7 @@ func TestExecTimeoutFactorValidation(t *testing.T) {
 }
 
 func TestBackoffDelayBounds(t *testing.T) {
-	c, err := NewClient(ClientConfig{Addrs: []string{"127.0.0.1:9"}, PeriodMs: 20, maxBackoffMs: 160})
+	c, err := NewClient(ClientConfig{network: memWall, Addrs: []string{"127.0.0.1:9"}, PeriodMs: 20, maxBackoffMs: 160})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,15 +96,15 @@ func TestBackoffDelayBounds(t *testing.T) {
 // recovers. The client must retry through the failures with bounded
 // backoff and complete the query.
 func TestRetryAgainstFlakyServer(t *testing.T) {
-	node := startSingleNode(t, nil)
-	proxy, err := faultnet.Start("127.0.0.1:0", node.Addr(), faultnet.RefuseFirst(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
+	clk := autoClock(t)
+	node := startSingleNode(t, func(cfg *NodeConfig) { cfg.clock = clk })
+	links := newLinkNet(newMemNet(clk))
+	flaky, front := links.link(t, node.Addr(), faultnet.RefuseFirst(4))
 
 	client, err := NewClient(ClientConfig{
-		Addrs: []string{proxy.Addr()}, Mechanism: MechGreedy,
+		network: links,
+		clock:   clk,
+		Addrs:   []string{front}, Mechanism: MechGreedy,
 		PeriodMs: 20, maxBackoffMs: 80, MaxRetries: 20,
 		// Keep the breaker out of the way: this test isolates the
 		// backoff path.
@@ -112,9 +114,9 @@ func TestRetryAgainstFlakyServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
+	start := clk.now()
 	out := client.Run(1, "SELECT COUNT(*) FROM t")
-	elapsed := time.Since(start)
+	elapsed := clk.since(start)
 	if out.Err != nil {
 		t.Fatalf("query through flaky link failed: %v", out.Err)
 	}
@@ -136,24 +138,24 @@ func TestRetryAgainstFlakyServer(t *testing.T) {
 		t.Errorf("query completed in %v; backoff sleeps not applied", elapsed)
 	}
 	// 4 refused + 1 negotiate + 1 execute.
-	if got := proxy.Accepted(); got != 6 {
-		t.Errorf("proxy accepted %d connections, want 6", got)
+	if got := flaky.Dials(); got != 6 {
+		t.Errorf("the link dialed %d connections, want 6", got)
 	}
 }
 
 // TestBreakerLimitsDialsToDeadNode verifies the core breaker economy: a
 // dead node costs one timeout per breaker window, not one per query.
 func TestBreakerLimitsDialsToDeadNode(t *testing.T) {
-	node := startSingleNode(t, nil)
-	dead, err := faultnet.Start("127.0.0.1:0", node.Addr(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dead.Close()
+	clk := autoClock(t)
+	node := startSingleNode(t, func(cfg *NodeConfig) { cfg.clock = clk })
+	links := newLinkNet(newMemNet(clk))
+	dead, deadAddr := links.link(t, node.Addr(), nil)
 	dead.SetBlackhole(true) // crashed-but-routable: every dial times out
 
 	client, err := NewClient(ClientConfig{
-		Addrs: []string{node.Addr(), dead.Addr()}, Mechanism: MechGreedy,
+		network: links,
+		clock:   clk,
+		Addrs:   []string{node.Addr(), deadAddr}, Mechanism: MechGreedy,
 		PeriodMs: 20, MaxRetries: 5,
 		breakerThreshold: 2, breakerCooldown: time.Minute,
 		Timeout: 150 * time.Millisecond,
@@ -168,7 +170,7 @@ func TestBreakerLimitsDialsToDeadNode(t *testing.T) {
 	}
 	// Threshold 2 and a one-minute window: exactly 2 timeouts total, no
 	// matter how many queries ran.
-	if got := dead.Accepted(); got != 2 {
+	if got := dead.Dials(); got != 2 {
 		t.Errorf("dead node was dialed %d times, want 2 (breaker threshold)", got)
 	}
 	health := client.Health()
@@ -192,7 +194,7 @@ func TestGracefulDrainFinishesInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := NewClient(ClientConfig{Addrs: []string{node.Addr()}, Mechanism: MechGreedy, Timeout: 2 * time.Second})
+	client, err := NewClient(ClientConfig{network: memWall, Addrs: []string{node.Addr()}, Mechanism: MechGreedy, Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,14 +207,15 @@ func TestGracefulDrainFinishesInFlight(t *testing.T) {
 	closed := make(chan struct{})
 	go func() { node.Close(); close(closed) }()
 	clk.blockUntil(4) // the drain's DrainTimeout timer: the drain has begun
-	if !node.Draining() {
+	if !node.draining.Load() {
 		t.Fatal("node not draining after Close started")
 	}
 
 	// New work during the drain: typed refusal, terminal for a
 	// single-node federation.
 	late, err := NewClient(ClientConfig{
-		Addrs: []string{node.Addr()}, Mechanism: MechGreedy,
+		network: memWall,
+		Addrs:   []string{node.Addr()}, Mechanism: MechGreedy,
 		PeriodMs: 10, MaxRetries: 2, Timeout: 500 * time.Millisecond,
 	})
 	if err != nil {
@@ -253,7 +256,8 @@ func TestGracefulDrainFinishesInFlight(t *testing.T) {
 // node's failure instead of just the first one.
 func TestAggregatedUnreachableError(t *testing.T) {
 	client, err := NewClient(ClientConfig{
-		Addrs: []string{"127.0.0.1:1", "127.0.0.1:2"}, Mechanism: MechGreedy,
+		network: memWall,
+		Addrs:   []string{"127.0.0.1:1", "127.0.0.1:2"}, Mechanism: MechGreedy,
 		PeriodMs: 10, MaxRetries: 1, Timeout: 200 * time.Millisecond,
 	})
 	if err != nil {
@@ -275,7 +279,7 @@ func TestAggregatedUnreachableError(t *testing.T) {
 // existing stats op.
 func TestStatsHealthExposed(t *testing.T) {
 	node := startSingleNode(t, nil)
-	client, err := NewClient(ClientConfig{Addrs: []string{node.Addr()}})
+	client, err := NewClient(ClientConfig{network: memWall, Addrs: []string{node.Addr()}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,8 @@ func selFederation(t *testing.T, drv driver.Driver, batchRows int, ccfg ClientCo
 		drv = engine.FromDB(db)
 	}
 	n, err := StartNode("127.0.0.1:0", NodeConfig{
-		Driver: drv, MsPerCostUnit: 0.02, PeriodMs: 50, Market: market.DefaultConfig(1),
+		network: memWall,
+		Driver:  drv, MsPerCostUnit: 0.02, PeriodMs: 50, Market: market.DefaultConfig(1),
 		fetchBatchRows: batchRows,
 	})
 	if err != nil {
@@ -67,7 +68,7 @@ func selFederation(t *testing.T, drv driver.Driver, batchRows int, ccfg ClientCo
 	}
 	t.Cleanup(func() { n.Close() })
 	ccfg.Addrs = []string{n.Addr()}
-	ccfg.PeriodMs = 50
+	ccfg.PeriodMs, ccfg.network = 50, memWall
 	c, err := NewClient(ccfg)
 	if err != nil {
 		t.Fatal(err)

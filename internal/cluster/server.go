@@ -15,25 +15,19 @@ import (
 
 	"github.com/qamarket/qamarket/internal/catalog"
 	"github.com/qamarket/qamarket/internal/driver"
-	"github.com/qamarket/qamarket/internal/engine"
 	"github.com/qamarket/qamarket/internal/market"
 	"github.com/qamarket/qamarket/internal/membership"
 	"github.com/qamarket/qamarket/internal/metrics"
-	"github.com/qamarket/qamarket/internal/sqldb"
 	"github.com/qamarket/qamarket/internal/trace"
 )
 
 // NodeConfig parameterizes one federation server.
 type NodeConfig struct {
-	// DB is the node's local database (tables, views, data). When
-	// Driver is nil the node copies it into the vectorized engine
-	// (engine.FromDB) and drops this reference, so the node holds its
-	// data once; callers that set Driver directly may leave DB nil.
-	DB *sqldb.DB
-	// Driver is the node's storage executor. Every query the node
+	// Driver is the node's data and its executor. Every query the node
 	// plans or runs goes through it: Prepare supplies the cost hints
 	// the QA-NT estimator prices, Execute produces the columnar block
-	// the frame lane ships. Nil selects the vectorized engine over DB.
+	// the frame lane ships. A node over a sqldb database takes
+	// engine.FromDB(db), the vectorized engine holding a copy of it.
 	Driver driver.Driver
 	// Slowdown models node heterogeneity: the node's execution time is
 	// Slowdown times the baseline (the paper's slowest PC was ~14x the
@@ -129,18 +123,16 @@ type NodeConfig struct {
 	// Logf, when set, receives diagnostic messages.
 	Logf func(format string, args ...any)
 
-	// clock (test hook) is where the node reads time; validate fills in
-	// the wall clock.
-	clock clock
+	// clock and network (test hooks) are where the node reads time and
+	// where it listens and dials; validate fills in the wall clock and
+	// TCP.
+	clock   clock
+	network network
 }
 
 func (c *NodeConfig) validate() error {
 	if c.Driver == nil {
-		if c.DB == nil {
-			return errors.New("cluster: NodeConfig.DB is nil")
-		}
-		c.Driver = engine.FromDB(c.DB)
-		c.DB = nil
+		return errors.New("cluster: NodeConfig.Driver is nil")
 	}
 	if c.Slowdown < 1 {
 		c.Slowdown = 1
@@ -181,10 +173,7 @@ func (c *NodeConfig) validate() error {
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
-	if c.clock == nil {
-		c.clock = wallClock{}
-	}
-	return nil
+	return pairNetwork(&c.network, &c.clock)
 }
 
 // Node is one running federation server.
@@ -265,7 +254,7 @@ func StartNode(addr string, cfg NodeConfig) (*Node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := cfg.network.listen(addr)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: listen %s: %w", addr, err)
 	}
@@ -408,7 +397,7 @@ func (n *Node) gossipWith(addr string) {
 		timeout = 200 * time.Millisecond
 	}
 	var rep reply
-	if err := freshRPC(addr, &hello{RunID: n.cfg.NodeID}, req, &rep, timeout); err != nil {
+	if err := n.freshRPC(addr, &hello{RunID: n.cfg.NodeID}, req, &rep, timeout); err != nil {
 		n.health.Inc(metrics.GossipFailuresTotal)
 		return
 	}
@@ -435,7 +424,7 @@ func (n *Node) broadcastLeave() {
 		go func(addr string) {
 			defer wg.Done()
 			var rep reply
-			_ = freshRPC(addr, h, req, &rep, 250*time.Millisecond)
+			_ = n.freshRPC(addr, h, req, &rep, 250*time.Millisecond)
 		}(m.Addr)
 	}
 	wg.Wait()
@@ -444,14 +433,15 @@ func (n *Node) broadcastLeave() {
 // freshRPC is one gossip exchange: dial, send the node's hello and the
 // request in one flush, read both answers, hang up. It costs no round
 // trip more than the request alone, and its traffic is no client's wire
-// cost.
-func freshRPC(addr string, h *hello, req *request, rep *reply, timeout time.Duration) error {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+// cost. Its deadline is on the node's clock, the one its network pairs
+// with.
+func (n *Node) freshRPC(addr string, h *hello, req *request, rep *reply, timeout time.Duration) error {
+	conn, err := n.cfg.network.dial(addr, timeout)
 	if err != nil {
 		return err
 	}
 	defer conn.Close()
-	if err := conn.SetDeadline(wallDeadline(timeout)); err != nil {
+	if err := conn.SetDeadline(n.cfg.clock.now().Add(timeout)); err != nil {
 		return err
 	}
 	if err := writeMsg(bufio.NewWriter(conn), 1, maxRequestBytes, &request{Op: "hello", Hello: h}, req); err != nil {
@@ -483,9 +473,6 @@ func (n *Node) Close() error { return n.shutdown(n.cfg.DrainTimeout) }
 // CloseNow stops the node without draining: in-flight queries get a
 // "node shutting down" reply. Tests use it to simulate a crash.
 func (n *Node) CloseNow() error { return n.shutdown(0) }
-
-// Draining reports whether the node is refusing new work.
-func (n *Node) Draining() bool { return n.draining.Load() }
 
 func (n *Node) shutdown(drainFor time.Duration) error {
 	var err error
@@ -568,14 +555,6 @@ func (n *Node) closeConns() {
 		c.Close()
 	}
 	n.connMu.Unlock()
-}
-
-// OpenConns reports how many client connections the node currently
-// tracks. Tests use it to assert pooled transports do not leak.
-func (n *Node) OpenConns() int {
-	n.connMu.Lock()
-	defer n.connMu.Unlock()
-	return len(n.conns)
 }
 
 // Executed returns how many queries the node has run.

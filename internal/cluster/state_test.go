@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/qamarket/qamarket/internal/engine"
 	"github.com/qamarket/qamarket/internal/market"
 )
 
@@ -17,9 +18,12 @@ import (
 // (classes, prices, history) survives a save/restore cycle onto a
 // fresh node.
 func TestMarketStateCheckpoint(t *testing.T) {
-	ds, nodes, addrs := startTestFederation(t, []float64{1, 2}, nil)
+	clk := autoClock(t)
+	ds, nodes, addrs := startTestFederation(t, []float64{1, 2}, onClock(clk))
 	client, err := NewClient(ClientConfig{
-		Addrs: addrs, Mechanism: MechQANT, PeriodMs: 50, MaxRetries: 50, Timeout: 5 * time.Second,
+		network: newMemNet(clk),
+		clock:   clk,
+		Addrs:   addrs, Mechanism: MechQANT, PeriodMs: 50, MaxRetries: 50, Timeout: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -48,8 +52,10 @@ func TestMarketStateCheckpoint(t *testing.T) {
 	// Fresh node over the same data, restored from the checkpoint. It
 	// keeps the default period on a fake clock nobody advances, so no
 	// pricer tick moves a price between the restore and the stats read.
+	still := newFakeClock()
 	restored, err := StartNode("127.0.0.1:0", NodeConfig{
-		DB: ds.DBs[0], MsPerCostUnit: 0.02, clock: newFakeClock(),
+		network: newMemNet(still),
+		Driver:  engine.FromDB(ds.DBs[0]), MsPerCostUnit: 0.02, clock: still,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +64,7 @@ func TestMarketStateCheckpoint(t *testing.T) {
 	if err := restored.RestoreMarketState(data); err != nil {
 		t.Fatalf("RestoreMarketState: %v", err)
 	}
-	client2, err := NewClient(ClientConfig{Addrs: []string{restored.Addr()}, Mechanism: MechQANT})
+	client2, err := NewClient(ClientConfig{network: newMemNet(clk), clock: clk, Addrs: []string{restored.Addr()}, Mechanism: MechQANT})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/qamarket/qamarket/internal/driver"
+	"github.com/qamarket/qamarket/internal/engine"
 	"github.com/qamarket/qamarket/internal/market"
 	"github.com/qamarket/qamarket/internal/sqldb"
 )
@@ -24,7 +25,7 @@ func startBenchNode(b *testing.B) (*Node, string) {
 		b.Fatal(err)
 	}
 	n, err := StartNode("127.0.0.1:0", NodeConfig{
-		DB: ds.DBs[0], MsPerCostUnit: 0.001, PeriodMs: 50, Market: market.DefaultConfig(1),
+		Driver: engine.FromDB(ds.DBs[0]), MsPerCostUnit: 0.001, PeriodMs: 50, Market: market.DefaultConfig(1),
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/qamarket/qamarket/internal/cluster"
+	"github.com/qamarket/qamarket/internal/engine"
 )
 
 // ChurnOptions sizes the elastic-membership experiment: a founding
@@ -83,7 +84,7 @@ func Churn(opt ChurnOptions) (ChurnResult, error) {
 
 	start := func(i int, id string, seeds []string, slowdown float64) (*cluster.Node, error) {
 		return cluster.StartNode("127.0.0.1:0", cluster.NodeConfig{
-			DB:             ds.DBs[i],
+			Driver:         engine.FromDB(ds.DBs[i]),
 			Slowdown:       slowdown,
 			MsPerCostUnit:  opt.MsPerCostUnit,
 			PeriodMs:       opt.PeriodMs,

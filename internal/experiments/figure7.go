@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/qamarket/qamarket/internal/cluster"
+	"github.com/qamarket/qamarket/internal/engine"
 	"github.com/qamarket/qamarket/internal/market"
 )
 
@@ -143,7 +144,7 @@ func figure7Run(opt Figure7Options, ds *cluster.Dataset, templates []cluster.Que
 		mcfg := market.DefaultConfig(1)
 		mcfg.ActivationThreshold = opt.ActivationThreshold
 		cfg := cluster.NodeConfig{
-			DB:              ds.DBs[i],
+			Driver:          engine.FromDB(ds.DBs[i]),
 			Slowdown:        opt.Slowdowns[i],
 			MsPerCostUnit:   opt.MsPerCostUnit,
 			PeriodMs:        opt.PeriodMs,

@@ -9,6 +9,7 @@ import (
 
 	"github.com/qamarket/qamarket/internal/autoscale"
 	"github.com/qamarket/qamarket/internal/cluster"
+	"github.com/qamarket/qamarket/internal/engine"
 )
 
 // FlashCrowdOptions sizes the elasticity experiment: the same
@@ -211,7 +212,7 @@ func flashCrowdLeg(opt FlashCrowdOptions, ds *cluster.Dataset, templates []clust
 	rng := rand.New(rand.NewSource(seed))
 	start := func(i int, id string, seeds []string) (*cluster.Node, error) {
 		return cluster.StartNode("127.0.0.1:0", cluster.NodeConfig{
-			DB:             ds.DBs[i],
+			Driver:         engine.FromDB(ds.DBs[i]),
 			Slowdown:       opt.Slowdown,
 			MsPerCostUnit:  opt.MsPerCostUnit,
 			PeriodMs:       opt.PeriodMs,

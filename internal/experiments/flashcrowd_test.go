@@ -9,6 +9,7 @@ import (
 
 	"github.com/qamarket/qamarket/internal/autoscale"
 	"github.com/qamarket/qamarket/internal/cluster"
+	"github.com/qamarket/qamarket/internal/engine"
 )
 
 // TestFlashCrowdScalesAndBehaves runs the elasticity experiment at test
@@ -82,7 +83,7 @@ func TestScalerDrainsAndExecutesOnce(t *testing.T) {
 	}
 	start := func(i int, id string, seeds []string) (*cluster.Node, error) {
 		return cluster.StartNode("127.0.0.1:0", cluster.NodeConfig{
-			DB: ds.DBs[i], Slowdown: 3, MsPerCostUnit: 0.01, PeriodMs: periodMs,
+			Driver: engine.FromDB(ds.DBs[i]), Slowdown: 3, MsPerCostUnit: 0.01, PeriodMs: periodMs,
 			NodeID: id, Seeds: seeds, GossipPeriodMs: 15, MembershipSeed: 31 + int64(i),
 		})
 	}

@@ -1,42 +1,40 @@
-// Package faultnet is a deterministic fault-injection TCP proxy for
-// testing the federation's failure domains without sleeps or real
-// crashes. A Proxy sits between a cluster client and one server node
-// and injects faults at two levels:
+// Package faultnet injects deterministic faults into the connections a
+// test dials, for testing the federation's failure domains without
+// sleeps or real crashes. A Link wraps the dials to one target address
+// on any network (TCP, or a test's in-memory one) and injects faults at
+// two levels:
 //
-//   - A per-connection Plan, chosen by a Schedule from the connection's
-//     arrival index (and nothing else), so a seeded test replays the
-//     exact same fault sequence every run: refuse the dial, black-hole
-//     all traffic, add latency, or truncate the reply after N bytes.
-//   - Dynamic proxy-wide switches flipped mid-test: one-way partitions
+//   - A per-dial Plan, chosen by a Schedule from the dial's index to the
+//     target (and nothing else), so a seeded test replays the exact same
+//     fault sequence every run: refuse the connection, black-hole it, or
+//     truncate the reply after N bytes.
+//   - Dynamic link-wide switches flipped mid-test: one-way partitions
 //     (drop every byte traveling one direction while the connection
-//     stays open, like an asymmetric link failure) and black-holing of
-//     new connections (accept, then never forward — the client pays a
-//     full timeout, like a crashed-but-routable host).
+//     stays open, like an asymmetric link failure), black-holing and
+//     refusing of new connections, and severing every open one.
 //
-// The proxy target is retargetable (SetTarget), so a test can "restart"
-// a backend on a new ephemeral port while clients keep dialing the same
-// frontend address.
+// Faults fail where a TCP peer's would: a refused or black-holed dial
+// still succeeds, and the failure shows on the first exchange (the
+// hello), as a reset or as a reply that never comes. A target that
+// restarts binds its address again, and the link reaches it there.
 package faultnet
 
 import (
 	"errors"
-	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Direction names a traffic direction through the proxy.
+// Direction names a traffic direction through a link.
 type Direction int
 
-// Traffic directions for partitions and truncation.
+// Traffic directions for partitions.
 const (
-	// ClientToServer is traffic from the dialing client toward the
-	// proxied backend.
+	// ClientToServer is traffic from the dialer toward the target.
 	ClientToServer Direction = iota
-	// ServerToClient is reply traffic from the backend to the client.
+	// ServerToClient is reply traffic from the target to the dialer.
 	ServerToClient
 )
 
@@ -47,273 +45,257 @@ func (d Direction) String() string {
 	return "server->client"
 }
 
-// Plan is the fault schedule for one proxied connection.
+// Plan is the fault schedule for one dialed connection.
 type Plan struct {
-	// Refuse closes the accepted connection immediately without dialing
-	// the backend: the client sees a connection reset.
+	// Refuse never reaches the target: the connection is reset on its
+	// first read or write.
 	Refuse bool
-	// Blackhole accepts the connection and reads (discarding) client
-	// bytes but never dials the backend nor replies: the client blocks
-	// until its own deadline fires.
+	// Blackhole never reaches the target: writes are swallowed and
+	// reads wait until the dialer closes the connection, like a crashed
+	// host that still routes.
 	Blackhole bool
-	// Latency is added before each chunk is forwarded, per direction.
-	Latency time.Duration
-	// TruncateReplyAfter, when positive, forwards only that many
-	// server->client bytes and then closes both sides, modeling a
+	// TruncateReplyAfter, when positive, delivers only that many
+	// server->client bytes and then closes the connection, modeling a
 	// mid-reply connection loss.
 	TruncateReplyAfter int
 }
 
-// Schedule picks the Plan for the i-th accepted connection (0-based).
-// It must be a pure function of the index so runs are reproducible; any
+// Schedule picks the Plan for the i-th dial to the target (0-based). It
+// must be a pure function of the index so runs are reproducible; any
 // seeding is baked into the closure by the caller.
-type Schedule func(conn int) Plan
+type Schedule func(dial int) Plan
 
 // PassThrough is the no-fault schedule.
 func PassThrough(int) Plan { return Plan{} }
 
-// RefuseFirst refuses the first n connections and passes the rest.
+// RefuseFirst refuses the first n dials and passes the rest.
 func RefuseFirst(n int) Schedule {
-	return func(conn int) Plan { return Plan{Refuse: conn < n} }
+	return func(dial int) Plan { return Plan{Refuse: dial < n} }
 }
 
-// Proxy is one running fault-injection proxy.
-type Proxy struct {
-	ln net.Listener
+// Dialer is the network a Link wraps: it dials an address.
+type Dialer func(addr string, timeout time.Duration) (net.Conn, error)
+
+// Link is the fault-injecting way to one target.
+type Link struct {
+	dial   Dialer
+	target string
 
 	mu       sync.Mutex
-	target   string
 	schedule Schedule
-	conns    map[net.Conn]struct{}
-	accepted int
+	conns    map[net.Conn]struct{} // open connections, for Sever
+	dials    int
 
-	dropC2S  atomic.Bool // one-way partition: drop client->server bytes
-	dropS2C  atomic.Bool // one-way partition: drop server->client bytes
-	blackole atomic.Bool // black-hole every new connection
-	refuse   atomic.Bool // refuse (close) every new connection at accept
-
-	dialTimeout time.Duration
-	stopCh      chan struct{}
-	stopOnce    sync.Once
-	wg          sync.WaitGroup
+	dropC2S   atomic.Bool // one-way partition: drop client->server bytes
+	dropS2C   atomic.Bool // one-way partition: drop server->client bytes
+	blackhole atomic.Bool // black-hole every new connection
+	refuse    atomic.Bool // refuse every new connection
 }
 
-// Start listens on addr (use "127.0.0.1:0" for an ephemeral port) and
-// proxies every accepted connection to target under the given schedule
+// New returns a link to target over dial, under the given schedule
 // (nil = PassThrough).
-func Start(addr, target string, schedule Schedule) (*Proxy, error) {
+func New(dial Dialer, target string, schedule Schedule) (*Link, error) {
 	if target == "" {
 		return nil, errors.New("faultnet: empty target address")
 	}
 	if schedule == nil {
 		schedule = PassThrough
 	}
-	ln, err := net.Listen("tcp", addr)
+	return &Link{dial: dial, target: target, schedule: schedule, conns: make(map[net.Conn]struct{})}, nil
+}
+
+// Dials returns how many connections have been dialed through the link.
+func (l *Link) Dials() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.dials
+}
+
+// Dial connects to the target through the link's faults. Only a
+// passing dial reaches the target; when the target itself cannot be
+// reached, the connection is refused as a planned refusal is.
+func (l *Link) Dial(timeout time.Duration) (net.Conn, error) {
+	l.mu.Lock()
+	plan := l.schedule(l.dials)
+	l.dials++
+	l.mu.Unlock()
+	if plan.Refuse || l.refuse.Load() {
+		return newStub(l, true), nil
+	}
+	if plan.Blackhole || l.blackhole.Load() {
+		return l.track(newStub(l, false)), nil
+	}
+	c, err := l.dial(l.target, timeout)
 	if err != nil {
-		return nil, fmt.Errorf("faultnet: listen %s: %w", addr, err)
+		return newStub(l, true), nil
 	}
-	p := &Proxy{
-		ln:          ln,
-		target:      target,
-		schedule:    schedule,
-		conns:       make(map[net.Conn]struct{}),
-		dialTimeout: 2 * time.Second,
-		stopCh:      make(chan struct{}),
-	}
-	p.wg.Add(1)
-	go p.acceptLoop()
-	return p, nil
-}
-
-// Addr returns the proxy's frontend address, the one clients dial.
-func (p *Proxy) Addr() string { return p.ln.Addr().String() }
-
-// Accepted returns how many connections the proxy has accepted so far.
-func (p *Proxy) Accepted() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.accepted
-}
-
-// SetTarget retargets future connections, e.g. onto a restarted backend
-// listening on a new ephemeral port. In-flight connections keep their
-// old backend.
-func (p *Proxy) SetTarget(target string) {
-	p.mu.Lock()
-	p.target = target
-	p.mu.Unlock()
+	return l.track(&conn{Conn: c, l: l, budget: plan.TruncateReplyAfter}), nil
 }
 
 // Partition starts dropping all bytes traveling in the given direction
 // while connections stay open — an asymmetric link failure.
-func (p *Proxy) Partition(d Direction) {
+func (l *Link) Partition(d Direction) {
 	if d == ClientToServer {
-		p.dropC2S.Store(true)
+		l.dropC2S.Store(true)
 	} else {
-		p.dropS2C.Store(true)
+		l.dropS2C.Store(true)
 	}
 }
 
 // Heal removes all partitions.
-func (p *Proxy) Heal() {
-	p.dropC2S.Store(false)
-	p.dropS2C.Store(false)
+func (l *Link) Heal() {
+	l.dropC2S.Store(false)
+	l.dropS2C.Store(false)
 }
 
-// SetBlackhole toggles black-holing of new connections: accepted but
-// never forwarded nor answered, like a crashed host that still routes.
-func (p *Proxy) SetBlackhole(on bool) { p.blackole.Store(on) }
+// SetBlackhole toggles black-holing of new connections: dialed but
+// never reaching the target nor answered, like a crashed host that
+// still routes.
+func (l *Link) SetBlackhole(on bool) { l.blackhole.Store(on) }
 
-// SetRefuse toggles refusing new connections: accepted then closed
-// immediately, so the dialer sees a fast connection reset — a crashed
-// process whose host is still up, the cheap-failure counterpart to the
-// full-timeout blackhole.
-func (p *Proxy) SetRefuse(on bool) { p.refuse.Store(on) }
+// SetRefuse toggles refusing new connections: reset at once, so the
+// dialer fails fast — a crashed process whose host is still up, the
+// cheap-failure counterpart to the full-timeout blackhole.
+func (l *Link) SetRefuse(on bool) { l.refuse.Store(on) }
 
-// Sever closes every currently proxied connection while the listener
-// keeps running: an instantaneous crash of all established streams.
-// Combine with SetRefuse to keep the "process" down, or leave new
-// dials passing to model a blip that killed in-flight replies only.
-func (p *Proxy) Sever() {
-	p.mu.Lock()
-	for c := range p.conns {
+// Sever closes every open connection through the link: an instantaneous
+// crash of all established streams. Combine with SetRefuse to keep the
+// "process" down, or leave new dials passing to model a blip that
+// killed in-flight replies only.
+func (l *Link) Sever() {
+	l.mu.Lock()
+	open := make([]net.Conn, 0, len(l.conns))
+	for c := range l.conns {
+		open = append(open, c)
+	}
+	l.mu.Unlock()
+	for _, c := range open {
 		c.Close()
 	}
-	p.mu.Unlock()
 }
 
-// Close stops the proxy and severs every proxied connection.
-func (p *Proxy) Close() error {
-	var err error
-	p.stopOnce.Do(func() {
-		close(p.stopCh)
-		err = p.ln.Close()
-		p.mu.Lock()
-		for c := range p.conns {
-			c.Close()
+func (l *Link) track(c net.Conn) net.Conn {
+	l.mu.Lock()
+	l.conns[c] = struct{}{}
+	l.mu.Unlock()
+	return c
+}
+
+func (l *Link) untrack(c net.Conn) {
+	l.mu.Lock()
+	delete(l.conns, c)
+	l.mu.Unlock()
+}
+
+// conn is a connection that reached the target, under the link's
+// partitions and its plan's truncation. Its deadlines are the wrapped
+// connection's.
+type conn struct {
+	net.Conn
+	l      *Link
+	budget int // server->client bytes left to deliver before the cut; 0 = no cut
+	cut    bool
+}
+
+func (c *conn) Write(p []byte) (int, error) {
+	if c.l.dropC2S.Load() {
+		return len(p), nil // lost on the link; the connection stays up
+	}
+	return c.Conn.Write(p)
+}
+
+func (c *conn) Read(p []byte) (int, error) {
+	if c.cut {
+		return 0, errReset
+	}
+	for {
+		n, err := c.Conn.Read(p)
+		if n > 0 && c.l.dropS2C.Load() {
+			if err != nil {
+				return 0, err
+			}
+			continue // lost on the link
 		}
-		p.mu.Unlock()
-		p.wg.Wait()
+		if c.budget > 0 && n >= c.budget {
+			n, c.cut = c.budget, true
+			c.Conn.Close()
+			return n, nil
+		}
+		if c.budget > 0 {
+			c.budget -= n
+		}
+		return n, err
+	}
+}
+
+func (c *conn) Close() error {
+	c.l.untrack(c)
+	return c.Conn.Close()
+}
+
+// errReset is what a refused or truncated connection reads and writes.
+var errReset = errors.New("faultnet: connection reset")
+
+// stub is a connection that never reaches the target: refused (reset
+// at once) or black-holed (writes swallowed, reads wait for Close).
+type stub struct {
+	l     *Link
+	reset bool
+	done  chan struct{}
+	once  sync.Once
+}
+
+func newStub(l *Link, reset bool) *stub { return &stub{l: l, reset: reset, done: make(chan struct{})} }
+
+func (s *stub) Read([]byte) (int, error) {
+	if s.reset {
+		return 0, errReset
+	}
+	<-s.done
+	return 0, net.ErrClosed
+}
+
+func (s *stub) Write(p []byte) (int, error) {
+	if s.reset {
+		return 0, errReset
+	}
+	select {
+	case <-s.done:
+		return 0, net.ErrClosed
+	default:
+		return len(p), nil
+	}
+}
+
+func (s *stub) Close() error {
+	s.once.Do(func() {
+		close(s.done)
+		s.l.untrack(s)
 	})
-	return err
+	return nil
 }
 
-func (p *Proxy) acceptLoop() {
-	defer p.wg.Done()
-	for {
-		conn, err := p.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		p.mu.Lock()
-		idx := p.accepted
-		p.accepted++
-		target := p.target
-		plan := p.schedule(idx)
-		p.mu.Unlock()
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			p.serve(conn, target, plan)
-		}()
+func (s *stub) LocalAddr() net.Addr  { return addr(s.l.target) }
+func (s *stub) RemoteAddr() net.Addr { return addr(s.l.target) }
+
+// A black hole's writes never block, so a write deadline holds; a read
+// deadline would need a clock the link does not have, so a read waits
+// for the dialer to give up and Close, as a pooled client's RPC timer
+// does.
+func (s *stub) SetDeadline(t time.Time) error    { return s.SetReadDeadline(t) }
+func (s *stub) SetWriteDeadline(time.Time) error { return nil }
+
+func (s *stub) SetReadDeadline(t time.Time) error {
+	if t.IsZero() || s.reset {
+		return nil
 	}
+	return errNoReadDeadline
 }
 
-func (p *Proxy) serve(client net.Conn, target string, plan Plan) {
-	if plan.Refuse || p.refuse.Load() {
-		client.Close()
-		return
-	}
-	if plan.Blackhole || p.blackole.Load() {
-		p.track(client)
-		defer p.untrack(client)
-		defer client.Close()
-		// Swallow client bytes until it gives up or the proxy closes.
-		io.Copy(io.Discard, client)
-		return
-	}
-	server, err := net.DialTimeout("tcp", target, p.dialTimeout)
-	if err != nil {
-		client.Close()
-		return
-	}
-	p.track(client)
-	p.track(server)
-	defer p.untrack(client)
-	defer p.untrack(server)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		p.pump(server, client, ClientToServer, plan, 0)
-	}()
-	go func() {
-		defer wg.Done()
-		p.pump(client, server, ServerToClient, plan, plan.TruncateReplyAfter)
-	}()
-	wg.Wait()
-	client.Close()
-	server.Close()
-}
+var errNoReadDeadline = errors.New("faultnet: a black-holed connection has no read deadline; close it to give up")
 
-// pump forwards src -> dst in direction d, honoring latency, dynamic
-// partitions, and an optional byte budget (0 = unlimited) after which
-// both sides are severed.
-func (p *Proxy) pump(dst, src net.Conn, d Direction, plan Plan, budget int) {
-	buf := make([]byte, 32<<10)
-	sent := 0
-	for {
-		n, err := src.Read(buf)
-		if n > 0 {
-			if p.partitioned(d) {
-				// Swallow the bytes: the connection stays up, the data
-				// never arrives.
-			} else {
-				chunk := buf[:n]
-				if plan.Latency > 0 {
-					select {
-					case <-time.After(plan.Latency):
-					case <-p.stopCh:
-						return
-					}
-				}
-				if budget > 0 && sent+len(chunk) >= budget {
-					dst.Write(chunk[:budget-sent])
-					dst.Close()
-					src.Close()
-					return
-				}
-				if _, werr := dst.Write(chunk); werr != nil {
-					return
-				}
-				sent += len(chunk)
-			}
-		}
-		if err != nil {
-			// Propagate EOF/teardown to the other side's reader.
-			if tc, ok := dst.(*net.TCPConn); ok {
-				tc.CloseWrite()
-			}
-			return
-		}
-	}
-}
+// addr names a stub's ends by the link's target.
+type addr string
 
-func (p *Proxy) partitioned(d Direction) bool {
-	if d == ClientToServer {
-		return p.dropC2S.Load()
-	}
-	return p.dropS2C.Load()
-}
-
-func (p *Proxy) track(c net.Conn) {
-	p.mu.Lock()
-	p.conns[c] = struct{}{}
-	p.mu.Unlock()
-}
-
-func (p *Proxy) untrack(c net.Conn) {
-	p.mu.Lock()
-	delete(p.conns, c)
-	p.mu.Unlock()
-}
+func (a addr) Network() string { return "faultnet" }
+func (a addr) String() string  { return string(a) }

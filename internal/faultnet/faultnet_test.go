@@ -17,6 +17,12 @@ func startEcho(t *testing.T) (string, func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return echoOn(t, ln)
+}
+
+// echoOn serves line echo on ln until the returned closer runs.
+func echoOn(t *testing.T, ln net.Listener) (string, func()) {
+	t.Helper()
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -43,17 +49,36 @@ func startEcho(t *testing.T) (string, func()) {
 			}()
 		}
 	}()
-	return ln.Addr().String(), func() { ln.Close(); wg.Wait() }
+	var once sync.Once
+	return ln.Addr().String(), func() { once.Do(func() { ln.Close(); wg.Wait() }) }
 }
 
-func roundTrip(t *testing.T, addr, msg string, timeout time.Duration) (string, error) {
+func tcpDial(addr string, timeout time.Duration) (net.Conn, error) {
+	return net.DialTimeout("tcp", addr, timeout)
+}
+
+func newLink(t *testing.T, target string, s Schedule) *Link {
 	t.Helper()
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+	l, err := New(tcpDial, target, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(l.Sever)
+	return l
+}
+
+// roundTrip sends one line through the link and reads the echo. It gives
+// up after timeout by closing the connection, as a pooled client's RPC
+// timer does.
+func roundTrip(t *testing.T, l *Link, msg string, timeout time.Duration) (string, error) {
+	t.Helper()
+	conn, err := l.Dial(timeout)
 	if err != nil {
 		return "", err
 	}
 	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(timeout))
+	giveUp := time.AfterFunc(timeout, func() { conn.Close() })
+	defer giveUp.Stop()
 	if _, err := conn.Write([]byte(msg + "\n")); err != nil {
 		return "", err
 	}
@@ -63,31 +88,23 @@ func roundTrip(t *testing.T, addr, msg string, timeout time.Duration) (string, e
 func TestPassThrough(t *testing.T) {
 	addr, stop := startEcho(t)
 	defer stop()
-	p, err := Start("127.0.0.1:0", addr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	got, err := roundTrip(t, p.Addr(), "hello", time.Second)
+	l := newLink(t, addr, nil)
+	got, err := roundTrip(t, l, "hello", time.Second)
 	if err != nil || got != "hello\n" {
 		t.Fatalf("roundTrip: %q, %v", got, err)
 	}
-	if p.Accepted() != 1 {
-		t.Errorf("accepted %d connections, want 1", p.Accepted())
+	if l.Dials() != 1 {
+		t.Errorf("dialed %d connections, want 1", l.Dials())
 	}
 }
 
 func TestRefuseFirstIsDeterministic(t *testing.T) {
 	addr, stop := startEcho(t)
 	defer stop()
-	p, err := Start("127.0.0.1:0", addr, RefuseFirst(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
+	l := newLink(t, addr, RefuseFirst(3))
 	failures := 0
 	for i := 0; i < 5; i++ {
-		if _, err := roundTrip(t, p.Addr(), "x", time.Second); err != nil {
+		if _, err := roundTrip(t, l, "x", time.Second); err != nil {
 			failures++
 		}
 	}
@@ -96,40 +113,16 @@ func TestRefuseFirstIsDeterministic(t *testing.T) {
 	}
 }
 
-func TestLatencyInjection(t *testing.T) {
-	addr, stop := startEcho(t)
-	defer stop()
-	p, err := Start("127.0.0.1:0", addr, func(int) Plan {
-		return Plan{Latency: 50 * time.Millisecond}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	start := time.Now()
-	if _, err := roundTrip(t, p.Addr(), "slow", 2*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	// 50ms each way.
-	if elapsed := time.Since(start); elapsed < 90*time.Millisecond {
-		t.Errorf("latency not injected: round trip took %v", elapsed)
-	}
-}
-
 func TestOneWayPartitionAndHeal(t *testing.T) {
 	addr, stop := startEcho(t)
 	defer stop()
-	p, err := Start("127.0.0.1:0", addr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	p.Partition(ClientToServer)
-	if _, err := roundTrip(t, p.Addr(), "lost", 200*time.Millisecond); err == nil {
+	l := newLink(t, addr, nil)
+	l.Partition(ClientToServer)
+	if _, err := roundTrip(t, l, "lost", 200*time.Millisecond); err == nil {
 		t.Error("request crossed a client->server partition")
 	}
-	p.Heal()
-	got, err := roundTrip(t, p.Addr(), "back", time.Second)
+	l.Heal()
+	got, err := roundTrip(t, l, "back", time.Second)
 	if err != nil || got != "back\n" {
 		t.Fatalf("after heal: %q, %v", got, err)
 	}
@@ -138,21 +131,17 @@ func TestOneWayPartitionAndHeal(t *testing.T) {
 func TestBlackholeTimesOutClient(t *testing.T) {
 	addr, stop := startEcho(t)
 	defer stop()
-	p, err := Start("127.0.0.1:0", addr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	p.SetBlackhole(true)
+	l := newLink(t, addr, nil)
+	l.SetBlackhole(true)
 	start := time.Now()
-	if _, err := roundTrip(t, p.Addr(), "void", 150*time.Millisecond); err == nil {
+	if _, err := roundTrip(t, l, "void", 150*time.Millisecond); err == nil {
 		t.Fatal("blackholed connection produced a reply")
 	}
 	if elapsed := time.Since(start); elapsed < 100*time.Millisecond {
 		t.Errorf("client failed fast (%v); blackhole must force a timeout", elapsed)
 	}
-	p.SetBlackhole(false)
-	if _, err := roundTrip(t, p.Addr(), "alive", time.Second); err != nil {
+	l.SetBlackhole(false)
+	if _, err := roundTrip(t, l, "alive", time.Second); err != nil {
 		t.Fatalf("after blackhole lifted: %v", err)
 	}
 }
@@ -160,14 +149,10 @@ func TestBlackholeTimesOutClient(t *testing.T) {
 func TestTruncateReply(t *testing.T) {
 	addr, stop := startEcho(t)
 	defer stop()
-	p, err := Start("127.0.0.1:0", addr, func(int) Plan {
+	l := newLink(t, addr, func(int) Plan {
 		return Plan{TruncateReplyAfter: 4}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	got, err := roundTrip(t, p.Addr(), strings.Repeat("z", 64), time.Second)
+	got, err := roundTrip(t, l, strings.Repeat("z", 64), time.Second)
 	if err == nil {
 		t.Fatalf("truncated reply parsed as a full line: %q", got)
 	}
@@ -176,29 +161,59 @@ func TestTruncateReply(t *testing.T) {
 	}
 }
 
-func TestSetTargetRetargetsNewConnections(t *testing.T) {
-	addrA, stopA := startEcho(t)
+// TestLinkReachesRebindAfterRestart: a target that "crashes" and comes
+// back on the same address is reached again, and a dial while it is
+// down is refused on the connection, not at the dial.
+func TestLinkReachesRebindAfterRestart(t *testing.T) {
+	addr, stopA := startEcho(t)
 	defer stopA()
-	p, err := Start("127.0.0.1:0", addrA, nil)
+	l := newLink(t, addr, nil)
+	if _, err := roundTrip(t, l, "a", time.Second); err != nil {
+		t.Fatal(err)
+	}
+	stopA() // target "crashes"
+	if _, err := roundTrip(t, l, "down", time.Second); err == nil {
+		t.Fatal("a dial to a downed target was answered")
+	}
+	ln, err := net.Listen("tcp", addr) // target "restarts" on its address
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("rebinding %s: %v", addr, err)
 	}
-	defer p.Close()
-	if _, err := roundTrip(t, p.Addr(), "a", time.Second); err != nil {
-		t.Fatal(err)
-	}
-	stopA() // backend "crashes"
-	addrB, stopB := startEcho(t)
+	_, stopB := echoOn(t, ln)
 	defer stopB()
-	p.SetTarget(addrB) // backend "restarts" on a new port
-	got, err := roundTrip(t, p.Addr(), "b", time.Second)
+	got, err := roundTrip(t, l, "b", time.Second)
 	if err != nil || got != "b\n" {
-		t.Fatalf("after retarget: %q, %v", got, err)
+		t.Fatalf("after restart: %q, %v", got, err)
 	}
 }
 
-func TestStartRejectsEmptyTarget(t *testing.T) {
-	if _, err := Start("127.0.0.1:0", "", nil); err == nil {
+func TestNewRejectsEmptyTarget(t *testing.T) {
+	if _, err := New(tcpDial, "", nil); err == nil {
 		t.Error("empty target accepted")
+	}
+}
+
+// TestSeverClosesOpenConnections: Sever cuts every open stream, black
+// holes included, and new dials pass.
+func TestSeverClosesOpenConnections(t *testing.T) {
+	addr, stop := startEcho(t)
+	defer stop()
+	l := newLink(t, addr, func(i int) Plan { return Plan{Blackhole: i == 1} })
+	live, err := l.Dial(time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hole, err := l.Dial(time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Sever()
+	for name, c := range map[string]net.Conn{"live": live, "black hole": hole} {
+		if _, err := c.Read(make([]byte, 1)); err == nil {
+			t.Errorf("%s connection read after Sever", name)
+		}
+	}
+	if got, err := roundTrip(t, l, "again", time.Second); err != nil || got != "again\n" {
+		t.Fatalf("after sever: %q, %v", got, err)
 	}
 }
