@@ -35,11 +35,13 @@ benchsmoke:
 loadsmoke:
 	$(GO) run ./cmd/qaload -selfnodes 2 -clients 4 -queries 24 -mix 3 -mspercost 0.005 -period 25
 
-# examplesmoke runs the two market examples: both must exit cleanly,
+# examplesmoke runs the three market examples: each must exit cleanly,
 # quickstart must show the Section 3.3 narrative's end, q1 entering
-# N1's supply vector once its refusals have raised its price, and
+# N1's supply vector once its refusals have raised its price,
 # pricedynamics' agents must serve every query of every period
-# (Proposition 3.1 on the Figure 1 market).
+# (Proposition 3.1 on the Figure 1 market), and overloadsim, which
+# drives the simulator at twice its capacity, must print a qa-nt row
+# (the simulator fails a run that leaves any query unserved).
 examplesmoke:
 	@out=$$($(GO) run ./examples/quickstart) || { echo "$$out"; echo 'examplesmoke: examples/quickstart failed'; exit 1; }; \
 	if ! echo "$$out" | grep -qF '<- q1 entered the supply vector'; \
@@ -47,6 +49,9 @@ examplesmoke:
 	@out=$$($(GO) run ./examples/pricedynamics) || { echo "$$out"; echo 'examplesmoke: examples/pricedynamics failed'; exit 1; }; \
 	if ! echo "$$out" | grep -qF '; 0 queries went unserved'; \
 	then echo "$$out"; echo 'examplesmoke: examples/pricedynamics left queries unserved'; exit 1; fi
+	@out=$$($(GO) run ./examples/overloadsim) || { echo "$$out"; echo 'examplesmoke: examples/overloadsim failed'; exit 1; }; \
+	if ! echo "$$out" | grep -qE '^qa-nt +mean '; \
+	then echo "$$out"; echo 'examplesmoke: examples/overloadsim printed no qa-nt row'; exit 1; fi
 
 # fuzzsmoke runs the nine fuzzers briefly on every CI run, each with
 # its committed corpus as regression seeds. FuzzFrameDecode holds the

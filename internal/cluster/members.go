@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"sort"
 	"time"
 
 	"github.com/qamarket/qamarket/internal/catalog"
@@ -60,10 +61,14 @@ func (c *Client) Members() []MemberInfo {
 // gossiped as left or dead are pruned. The background refresher calls
 // this every ViewRefresh; tools can call it once for an on-demand
 // view. The first reachable node wins — its table is already the
-// merged federation view.
+// merged federation view. The configured addresses are asked first, in
+// the order they were configured, then every other member by ID: an
+// unresolved seed's ID is its address, and sorting "mem:10000" before
+// "mem:9950" would ask whichever seed sorts first, however partial its
+// table.
 func (c *Client) RefreshView() error {
 	var lastErr error
-	for _, ns := range c.nodes() {
+	for _, ns := range c.refreshOrder() {
 		var rep reply
 		if err := c.rpcOn(ns, &request{Op: "members"}, &rep, c.cfg.Timeout, nil, nil); err != nil {
 			lastErr = err
@@ -84,6 +89,29 @@ func (c *Client) RefreshView() error {
 		lastErr = errors.New("cluster: membership view is empty")
 	}
 	return lastErr
+}
+
+// refreshOrder lists the view in the order RefreshView asks it.
+func (c *Client) refreshOrder() []*nodeState {
+	nodes := c.nodes()
+	first := make(map[string]int, len(c.cfg.Addrs))
+	for i, addr := range c.cfg.Addrs {
+		if _, dup := first[addr]; !dup {
+			first[addr] = i
+		}
+	}
+	rank := make(map[*nodeState]int, len(nodes))
+	for _, ns := range nodes {
+		ns.mu.Lock()
+		r, configured := first[ns.addr]
+		ns.mu.Unlock()
+		if !configured {
+			r = len(c.cfg.Addrs)
+		}
+		rank[ns] = r
+	}
+	sort.SliceStable(nodes, func(i, j int) bool { return rank[nodes[i]] < rank[nodes[j]] })
+	return nodes
 }
 
 // refreshLoop polls the membership view until Close: at once, then —

@@ -468,3 +468,50 @@ func TestClientFirstViewArrivesWithTheFederation(t *testing.T) {
 	}
 	t.Logf("first whole view after %v", time.Since(started))
 }
+
+// TestRefreshViewAsksSeedsInConfiguredOrder: a client seeded with
+// addresses that straddle a digit boundary asks them in the order they
+// were configured, not in the order their provisional IDs sort. Node b
+// ("edge:10000", which sorts before "edge:9950") holds a partial table:
+// c joined through a after b last heard from a, and the fake clock is
+// never advanced, so no gossip round tells b. The first refresh must
+// still see every member.
+func TestRefreshViewAsksSeedsInConfiguredOrder(t *testing.T) {
+	clk := newFakeClock()
+	db := sqldb.Open()
+	start := func(addr, id string, seeds ...string) *Node {
+		cfg := NodeConfig{
+			clock: clk, Driver: engine.FromDB(db), MsPerCostUnit: 0.01, PeriodMs: 25,
+			NodeID: id, Seeds: seeds, GossipPeriodMs: 15,
+		}
+		onMem(&cfg)
+		n, err := StartNode(addr, cfg)
+		if err != nil {
+			t.Fatalf("node %s: %v", id, err)
+		}
+		t.Cleanup(func() { n.Close() })
+		return n
+	}
+	b := start("edge:10000", "b")
+	a := start("edge:9950", "a", b.Addr())
+	settle(t, func() bool { return len(liveIDs(b)) == 2 }, "a never joined b")
+	start("127.0.0.1:0", "c", a.Addr())
+	settle(t, func() bool { return len(liveIDs(a)) == 3 }, "c never joined a")
+	if liveIDs(b)["c"] {
+		t.Fatal("b heard of c: its table is not partial")
+	}
+
+	client, err := NewClient(ClientConfig{clock: clk, network: newMemNet(clk), Addrs: []string{a.Addr(), b.Addr()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if err := client.RefreshView(); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"a", "b", "c"} {
+		if !clientHasLive(client, id) {
+			t.Errorf("first refresh missed %s: %+v", id, client.Members())
+		}
+	}
+}

@@ -41,12 +41,12 @@ func TestGoldenSimulatorOutput(t *testing.T) {
 			hashPoints(h, res.Points)
 			return err
 		}},
-		{"figure6", "c395c8a252fe090e", func(h hash.Hash) error {
+		{"figure6", "f2415540fc6f5a0c", func(h hash.Hash) error {
 			res, err := Figure6(Quick())
 			hashPoints(h, res.Points)
 			return err
 		}},
-		{"sim partial adoption", "9b355bb50d75805c", func(h hash.Hash) error {
+		{"sim partial adoption", "13c565db27238466", func(h hash.Hash) error {
 			mech := alloc.NewQANT(market.DefaultConfig(2))
 			mech.Adopters = make(map[int]bool)
 			for n := 0; n < Quick().Nodes; n += 2 {
@@ -82,9 +82,10 @@ func hashOverloadRun(h hash.Hash, mech *alloc.QANT) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(h, "%+v\n", sum)
+	fmt.Fprintf(h, "%d queries, mean %016x\n", sum.Completed, math.Float64bits(sum.MeanRespMs))
 	for _, smp := range col.Samples() {
-		fmt.Fprintf(h, "%+v\n", smp)
+		fmt.Fprintf(h, "class %d origin %d node %d arrival %d start %d finish %d resubmits %d executed %d\n",
+			smp.Class, smp.Origin, smp.Node, smp.ArrivalMs, smp.StartMs, smp.FinishMs, smp.Resubmits, smp.ExecutedMs)
 	}
 	for n, s := range mech.Sellers() {
 		if s != nil {

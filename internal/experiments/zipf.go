@@ -43,9 +43,8 @@ func figure6Fixture(s Scale) (*catalog.Catalog, []costmodel.Template, error) {
 	return cat, ts, nil
 }
 
-// Figure6 sweeps the Zipf workload intensity. Queries per sweep point
-// scale down for short gaps so each point's virtual horizon stays
-// bounded.
+// Figure6 sweeps the Zipf workload intensity: every sweep point runs
+// s.Queries queries, so the short gaps are the deep overload.
 func Figure6(s Scale) (Figure6Result, error) {
 	cat, ts, err := figure6Fixture(s)
 	if err != nil {

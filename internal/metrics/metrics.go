@@ -7,7 +7,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Sample records one completed query.
@@ -18,7 +17,6 @@ type Sample struct {
 	ArrivalMs  int64 // when the query entered the system
 	StartMs    int64 // when execution began
 	FinishMs   int64 // when execution completed
-	AssignMs   int64 // time spent choosing the executing node
 	Resubmits  int   // times the query was pushed to a later period
 	ExecutedMs int64 // pure execution time at the node
 }
@@ -29,15 +27,10 @@ func (s Sample) ResponseMs() int64 { return s.FinishMs - s.ArrivalMs }
 // Collector accumulates samples for one experiment run.
 type Collector struct {
 	samples []Sample
-	dropped int
 }
 
 // Add records a completed query.
 func (c *Collector) Add(s Sample) { c.samples = append(c.samples, s) }
-
-// Drop records a query that never completed within the experiment
-// horizon (still queued at the end).
-func (c *Collector) Drop() { c.dropped++ }
 
 // Samples returns the recorded samples (not a copy; callers must not
 // mutate).
@@ -46,49 +39,23 @@ func (c *Collector) Samples() []Sample { return c.samples }
 // Completed returns how many queries finished.
 func (c *Collector) Completed() int { return len(c.samples) }
 
-// Dropped returns how many queries never finished.
-func (c *Collector) Dropped() int { return c.dropped }
-
 // Summary condenses a run into the figures' reporting quantities.
 type Summary struct {
-	Completed   int
-	Dropped     int
-	MeanRespMs  float64
-	MedianMs    float64
-	P95Ms       float64
-	MaxMs       int64
-	MeanAssign  float64
-	MeanResub   float64
-	TotalExecMs int64
+	Completed  int
+	MeanRespMs float64
 }
 
 // Summarize computes the summary statistics of the run.
 func (c *Collector) Summarize() Summary {
-	s := Summary{Completed: len(c.samples), Dropped: c.dropped}
-	if len(c.samples) == 0 {
+	s := Summary{Completed: len(c.samples)}
+	if s.Completed == 0 {
 		return s
 	}
-	resp := make([]int64, len(c.samples))
-	var sum, asum int64
-	var rsum int
-	for i, smp := range c.samples {
-		r := smp.ResponseMs()
-		resp[i] = r
-		sum += r
-		asum += smp.AssignMs
-		rsum += smp.Resubmits
-		s.TotalExecMs += smp.ExecutedMs
-		if r > s.MaxMs {
-			s.MaxMs = r
-		}
+	var sum int64
+	for _, smp := range c.samples {
+		sum += smp.ResponseMs()
 	}
-	sort.Slice(resp, func(i, j int) bool { return resp[i] < resp[j] })
-	n := float64(len(resp))
-	s.MeanRespMs = float64(sum) / n
-	s.MedianMs = percentile(resp, 0.5)
-	s.P95Ms = percentile(resp, 0.95)
-	s.MeanAssign = float64(asum) / n
-	s.MeanResub = float64(rsum) / n
+	s.MeanRespMs = float64(sum) / float64(s.Completed)
 	return s
 }
 
@@ -125,21 +92,4 @@ func Normalize(means map[string]float64, reference string) (map[string]float64, 
 		out[k] = v / ref
 	}
 	return out, nil
-}
-
-func percentile(sorted []int64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	if len(sorted) == 1 {
-		return float64(sorted[0])
-	}
-	pos := p * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return float64(sorted[lo])
-	}
-	frac := pos - float64(lo)
-	return float64(sorted[lo])*(1-frac) + float64(sorted[hi])*frac
 }

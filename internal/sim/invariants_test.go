@@ -12,7 +12,7 @@ import (
 // TestInvariantsAcrossMechanisms runs every mechanism over randomized
 // workloads and checks the simulator's accounting invariants:
 //
-//  1. conservation: completed + dropped == arrivals;
+//  1. conservation: every arrival completes;
 //  2. causality: finish >= start >= arrival for every sample;
 //  3. response time >= pure execution time;
 //  4. samples reference valid nodes and classes.
@@ -47,9 +47,9 @@ func TestInvariantsAcrossMechanisms(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", mech.Name(), err)
 			}
-			if col.Completed()+col.Dropped() != len(arrivals) {
-				t.Errorf("seed %d %s: %d + %d != %d arrivals",
-					seed, mech.Name(), col.Completed(), col.Dropped(), len(arrivals))
+			if col.Completed() != len(arrivals) {
+				t.Errorf("seed %d %s: %d of %d arrivals completed",
+					seed, mech.Name(), col.Completed(), len(arrivals))
 			}
 			for _, s := range col.Samples() {
 				if s.FinishMs < s.StartMs || s.StartMs < s.ArrivalMs {

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 
 	"github.com/qamarket/qamarket/internal/alloc"
 	"github.com/qamarket/qamarket/internal/catalog"
@@ -23,17 +24,6 @@ type Config struct {
 	Templates []costmodel.Template
 	// PeriodMs is the allocation period T (500 ms in the experiments).
 	PeriodMs int64
-	// NetworkLatencyMs is added between assignment and execution start,
-	// modeling the allocation round-trip. Default 0 (the paper's
-	// simulator measures execution, not messaging).
-	NetworkLatencyMs int64
-	// MaxResubmits drops a query after this many deferred periods
-	// (guards against queries no node will ever take). Default 10,000.
-	MaxResubmits int
-	// HardCapMs aborts the run if the virtual clock passes it, as a
-	// backstop against runaway retry loops. Default: last arrival +
-	// 10 minutes of virtual time.
-	HardCapMs int64
 	// CostOverride, when non-nil, supplies the per-node per-class
 	// execution costs directly ([node][class] milliseconds, +Inf for
 	// "cannot evaluate"), bypassing the cost model. Controlled
@@ -53,9 +43,6 @@ func (c *Config) validate() error {
 	if c.PeriodMs <= 0 {
 		return errors.New("sim: PeriodMs must be positive")
 	}
-	if c.MaxResubmits == 0 {
-		c.MaxResubmits = 10000
-	}
 	return nil
 }
 
@@ -64,13 +51,12 @@ func (c *Config) validate() error {
 // each job caches its completion event so steady-state execution
 // schedules without allocating closures.
 type job struct {
-	q        alloc.Query
-	node     int
-	costMs   float64
-	startMs  int64
-	assignMs int64
-	f        *Federation
-	done     desim.Event // fires f.complete(job); built once per job object
+	q       alloc.Query
+	node    int
+	costMs  float64
+	startMs int64
+	f       *Federation
+	done    desim.Event // fires f.complete(job); built once per job object
 }
 
 // nodeState models one RDBMS: a FIFO queue drained sequentially. The
@@ -98,7 +84,6 @@ type Federation struct {
 	retrySpare  []alloc.Query // recycled backing array for retry
 	jobFree     []*job        // completed jobs awaiting reuse
 	outstanding int
-	periodOn    bool
 }
 
 // New builds a federation around the mechanism. Costs for every
@@ -179,19 +164,18 @@ func (v view) Backlog(node int) float64 {
 }
 
 // Run feeds the arrival stream through the mechanism and returns the
-// collected metrics once every query has completed, been dropped, or
-// the hard cap was hit. Arrivals must be sorted by time.
+// collected metrics once every query has completed. Arrivals must be
+// sorted by time. A query ends only by completing: a run still waiting
+// at its bound (see bound) returns an error naming every waiting class
+// and its count, and a class no node can evaluate is refused before any
+// event runs.
 func (f *Federation) Run(arrivals []workload.Arrival) (*metrics.Collector, error) {
 	if len(arrivals) == 0 {
 		return &f.col, nil
 	}
-	for i := 1; i < len(arrivals); i++ {
-		if arrivals[i].At < arrivals[i-1].At {
-			return nil, fmt.Errorf("sim: arrivals not sorted at index %d", i)
-		}
-	}
-	if f.cfg.HardCapMs == 0 {
-		f.cfg.HardCapMs = arrivals[len(arrivals)-1].At + 10*60*1000
+	end, err := f.bound(arrivals)
+	if err != nil {
+		return nil, err
 	}
 	f.outstanding = len(arrivals)
 	for i, a := range arrivals {
@@ -204,38 +188,78 @@ func (f *Federation) Run(arrivals []workload.Arrival) (*metrics.Collector, error
 		})
 	}
 	f.startPeriodClock()
-	f.eng.Run()
-	// Anything still queued or retrying at the hard cap is dropped.
-	for f.outstanding > 0 {
-		f.col.Drop()
-		f.outstanding--
+	f.eng.RunUntil(end)
+	if f.outstanding > 0 {
+		return nil, f.waiting(end)
 	}
 	return &f.col, nil
 }
 
+// bound checks the arrivals and returns the virtual time by which every
+// query must have completed: the last arrival plus, for each query, its
+// class's dearest finite cost and one period. That is about what one
+// capable node would need to save for and run every query serially, so
+// only a mechanism that strands a query reaches it.
+func (f *Federation) bound(arrivals []workload.Arrival) (desim.Time, error) {
+	dearest := make([]float64, len(f.feas))
+	for c, nodes := range f.feas {
+		for _, n := range nodes {
+			dearest[c] = math.Max(dearest[c], math.Ceil(f.cost[n][c]))
+		}
+	}
+	end := float64(arrivals[len(arrivals)-1].At)
+	for i, a := range arrivals {
+		if i > 0 && a.At < arrivals[i-1].At {
+			return 0, fmt.Errorf("sim: arrivals not sorted at index %d", i)
+		}
+		if a.Class < 0 || a.Class >= len(f.feas) || len(f.feas[a.Class]) == 0 {
+			return 0, fmt.Errorf("sim: no node can evaluate class %d", a.Class)
+		}
+		end += dearest[a.Class] + float64(f.cfg.PeriodMs)
+	}
+	return desim.Time(end), nil
+}
+
+// waiting reports the queries still outstanding at the bound, per class.
+func (f *Federation) waiting(end desim.Time) error {
+	counts := make([]int, len(f.feas))
+	for _, q := range f.retry {
+		counts[q.Class]++
+	}
+	for _, ns := range f.nodes {
+		if ns.running != nil {
+			counts[ns.running.q.Class]++
+		}
+		for _, j := range ns.queue[ns.head:] {
+			counts[j.q.Class]++
+		}
+	}
+	var classes []string
+	for c, n := range counts {
+		if n > 0 {
+			classes = append(classes, fmt.Sprintf("class %d: %d", c, n))
+		}
+	}
+	return fmt.Errorf("sim: %s: %d queries still waiting at the bound of %d ms (%s)",
+		f.mech.Name(), f.outstanding, end, strings.Join(classes, ", "))
+}
+
 // startPeriodClock drives the mechanism's period lifecycle. The clock
-// re-arms itself only while work remains, so the event queue drains and
-// Run terminates.
+// ticks for as long as any query is outstanding, so the event queue
+// drains once the last one completes.
 func (f *Federation) startPeriodClock() {
-	if _, ok := f.mech.(alloc.Periodic); ok {
-		f.periodOn = true
+	p, periodic := f.mech.(alloc.Periodic)
+	if periodic {
+		p.OnPeriodStart(view{f})
 	}
-	if f.periodOn {
-		f.mech.(alloc.Periodic).OnPeriodStart(view{f})
-	}
-	var tick func(now desim.Time)
-	tick = func(now desim.Time) {
-		if f.periodOn {
-			p := f.mech.(alloc.Periodic)
+	f.eng.Every(desim.Time(f.cfg.PeriodMs), func(desim.Time) bool {
+		if periodic {
 			p.OnPeriodEnd(view{f})
 			p.OnPeriodStart(view{f})
 		}
 		f.flushRetries()
-		if f.outstanding > 0 && int64(now) < f.cfg.HardCapMs {
-			f.eng.After(desim.Time(f.cfg.PeriodMs), tick)
-		}
-	}
-	f.eng.After(desim.Time(f.cfg.PeriodMs), tick)
+		return f.outstanding > 0
+	})
 }
 
 // flushRetries re-dispatches the queries deferred to this period. The
@@ -264,16 +288,12 @@ func (f *Federation) newJob() *job {
 	return j
 }
 
-// dispatch runs one allocation round for the query.
+// dispatch runs one allocation round for the query and queues it on the
+// chosen node, starting it there if the node is idle.
 func (f *Federation) dispatch(q alloc.Query) {
 	d := f.mech.Assign(q, view{f})
 	if d.Retry {
 		q.Resubmits++
-		if q.Resubmits > f.cfg.MaxResubmits {
-			f.col.Drop()
-			f.outstanding--
-			return
-		}
 		f.retry = append(f.retry, q)
 		return
 	}
@@ -285,21 +305,12 @@ func (f *Federation) dispatch(q alloc.Query) {
 		panic(fmt.Sprintf("sim: mechanism %s sent class %d to incapable node %d", f.mech.Name(), q.Class, d.Node))
 	}
 	j := f.newJob()
-	j.q, j.node, j.costMs, j.assignMs = q, d.Node, cost, f.cfg.NetworkLatencyMs
-	if f.cfg.NetworkLatencyMs > 0 {
-		f.eng.After(desim.Time(f.cfg.NetworkLatencyMs), func(desim.Time) { f.enqueue(j) })
-	} else {
-		f.enqueue(j)
-	}
-}
-
-// enqueue places the job on its node and starts it if the node is idle.
-func (f *Federation) enqueue(j *job) {
-	ns := f.nodes[j.node]
-	ns.pendingMs += j.costMs
+	j.q, j.node, j.costMs = q, d.Node, cost
+	ns := f.nodes[d.Node]
+	ns.pendingMs += cost
 	ns.queue = append(ns.queue, j)
 	if ns.running == nil {
-		f.startNext(j.node)
+		f.startNext(d.Node)
 	}
 }
 
@@ -343,7 +354,6 @@ func (f *Federation) complete(j *job) {
 		ArrivalMs:  j.q.Arrival,
 		StartMs:    j.startMs,
 		FinishMs:   now,
-		AssignMs:   j.assignMs,
 		Resubmits:  j.q.Resubmits,
 		ExecutedMs: now - j.startMs,
 	})

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/qamarket/qamarket/internal/alloc"
@@ -82,8 +84,8 @@ func TestSingleQueryLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if col.Completed() != 1 || col.Dropped() != 0 {
-		t.Fatalf("completed=%d dropped=%d", col.Completed(), col.Dropped())
+	if col.Completed() != 1 {
+		t.Fatalf("completed=%d", col.Completed())
 	}
 	s := col.Samples()[0]
 	if s.Node != 0 {
@@ -125,46 +127,48 @@ func TestFIFOQueuePerNode(t *testing.T) {
 	}
 }
 
-func TestNetworkLatencyAddsToResponse(t *testing.T) {
+// deferAll is a mechanism that never sells: every query it sees waits
+// for the next period.
+type deferAll struct{}
+
+func (deferAll) Name() string                                  { return "defer-all" }
+func (deferAll) Traits() alloc.Traits                          { return alloc.Traits{} }
+func (deferAll) Assign(alloc.Query, alloc.View) alloc.Decision { return alloc.Decision{Retry: true} }
+
+func TestDeferringForeverFailsAtTheBound(t *testing.T) {
 	c, ts := tinyFixture(t)
-	base, err := New(Config{Catalog: c, Templates: ts, PeriodMs: 500}, alloc.NewGreedy())
+	fed, err := New(Config{Catalog: c, Templates: ts, PeriodMs: 500}, deferAll{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	colA, err := base.Run([]workload.Arrival{{At: 0, Class: 0}})
-	if err != nil {
-		t.Fatal(err)
+	col, err := fed.Run([]workload.Arrival{{At: 0, Class: 1}, {At: 10, Class: 0}, {At: 20, Class: 1}})
+	if err == nil {
+		t.Fatalf("a run that never sells returned %d samples and no error", col.Completed())
 	}
-	lat, err := New(Config{Catalog: c, Templates: ts, PeriodMs: 500, NetworkLatencyMs: 40}, alloc.NewGreedy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	colB, err := lat.Run([]workload.Arrival{{At: 0, Class: 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff := colB.Samples()[0].ResponseMs() - colA.Samples()[0].ResponseMs()
-	if diff != 40 {
-		t.Errorf("latency added %d ms, want 40", diff)
+	for _, want := range []string{"defer-all", "3 queries still waiting", "class 0: 1", "class 1: 2"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
 	}
 }
 
-func TestInfeasibleEverywhereDropsAfterMaxResubmits(t *testing.T) {
+func TestUnevaluableClassRefusedBeforeTheRun(t *testing.T) {
 	c, ts := tinyFixture(t)
 	delete(c.Nodes[0].Holds, 0)
 	delete(c.Nodes[1].Holds, 0)
-	fed, err := New(Config{
-		Catalog: c, Templates: ts, PeriodMs: 500, MaxResubmits: 3, HardCapMs: 60000,
-	}, alloc.NewGreedy())
+	fed, err := New(Config{Catalog: c, Templates: ts, PeriodMs: 500}, alloc.NewGreedy())
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, err := fed.Run([]workload.Arrival{{At: 0, Class: 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if col.Dropped() != 1 || col.Completed() != 0 {
-		t.Errorf("dropped=%d completed=%d, want 1/0", col.Dropped(), col.Completed())
+	// Class 2 has no template, so no node can evaluate it either.
+	for _, class := range []int{0, 2} {
+		_, err = fed.Run([]workload.Arrival{{At: 0, Class: 1}, {At: 0, Class: class}})
+		if want := fmt.Sprintf("no node can evaluate class %d", class); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("err = %v, want %q", err, want)
+		}
+		if fed.eng.Fired() != 0 {
+			t.Errorf("%d events ran before the refusal", fed.eng.Fired())
+		}
 	}
 }
 
@@ -183,11 +187,8 @@ func TestQANTRunsToCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if col.Completed()+col.Dropped() != 50 {
-		t.Fatalf("accounting: %d + %d != 50", col.Completed(), col.Dropped())
-	}
-	if col.Completed() < 45 {
-		t.Errorf("only %d of 50 completed on an underloaded system", col.Completed())
+	if col.Completed() != len(as) {
+		t.Errorf("%d of %d completed on an underloaded system", col.Completed(), len(as))
 	}
 }
 

@@ -61,13 +61,10 @@ func runMechanism(t *testing.T, cat *catalog.Catalog, ts []costmodel.Template, m
 		t.Fatalf("run %s: %v", mech.Name(), err)
 	}
 	sum := col.Summarize()
-	if sum.Completed == 0 {
-		t.Fatalf("%s completed no queries", mech.Name())
+	if sum.Completed != len(arrivals) {
+		t.Fatalf("%s: %d of %d arrivals completed", mech.Name(), sum.Completed, len(arrivals))
 	}
-	if sum.Completed+sum.Dropped != len(arrivals) {
-		t.Fatalf("%s: %d completed + %d dropped != %d arrivals", mech.Name(), sum.Completed, sum.Dropped, len(arrivals))
-	}
-	t.Logf("%-18s mean=%8.1fms completed=%d dropped=%d", mech.Name(), sum.MeanRespMs, sum.Completed, sum.Dropped)
+	t.Logf("%-18s mean=%8.1fms completed=%d", mech.Name(), sum.MeanRespMs, sum.Completed)
 	return sum.MeanRespMs
 }
 
