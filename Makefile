@@ -53,10 +53,16 @@ examplesmoke:
 	if ! echo "$$out" | grep -qE '^qa-nt +mean '; \
 	then echo "$$out"; echo 'examplesmoke: examples/overloadsim printed no qa-nt row'; exit 1; fi
 
-# fuzzsmoke runs the nine fuzzers briefly on every CI run, each with
+# fuzzsmoke runs the ten fuzzers briefly on every CI run, each with
 # its committed corpus as regression seeds. FuzzFrameDecode holds the
 # binary lane's malformed-input promise ("error, never panic, never
-# unbounded allocation"); FuzzServeConn feeds a node on the in-memory
+# unbounded allocation"); FuzzReplyDemux feeds a client connection's
+# demux arbitrary frame sequences while a unary call and a streamed
+# fetch wait on it, and holds it to "never panic, every call returns,
+# the demux ends with its input, no batch past its header's row count
+# reaches the sink" — its coverage moves with goroutine scheduling, so
+# each new input is minimized for at most 50 runs, not for a minute;
+# FuzzServeConn feeds a node on the in-memory
 # network arbitrary first and later frames — JSON requests, hellos and
 # gossip pushes, unknown fields included — and holds the request path to
 # "never panic, a first frame that is not an accepted hello is refused
@@ -80,11 +86,12 @@ examplesmoke:
 # case-insensitive, errors at a rune boundary"; FuzzLikeMatch holds the LIKE matcher to "never panic, '%'
 # matches everything, a pattern without wildcards matches only itself".
 # Five seconds finds shallow regressions; run any unbounded
-# (`go test -fuzz <name> <pkg>`) when touching frame.go, server.go, dedup.go, seller.go,
+# (`go test -fuzz <name> <pkg>`) when touching frame.go, pool.go, stream.go, server.go, dedup.go, seller.go,
 # group.go, ingest.go, the comparison kernels, lexer.go, parser.go or the LIKE
 # matcher.
 fuzzsmoke:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime 5s
+	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzReplyDemux$$' -fuzztime 5s -fuzzminimizetime 50x
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzServeConn$$' -fuzztime 5s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzDedupWindow$$' -fuzztime 5s
 	$(GO) test ./internal/market -run '^$$' -fuzz '^FuzzSellerLedger$$' -fuzztime 5s

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -200,12 +201,91 @@ type colPlan struct {
 	base       int64 // the ints' minimum, which their deltas count up from
 	intW, lenW int   // bytes per int delta and per text length
 	blob       int   // the texts' bytes
+	floats     floatScale
+}
+
+// floatScale is how a column's floats travel. A zero w means raw 8-byte
+// words. Otherwise every float times 2^k is an integer, k is the least
+// such, and each of those integers goes as its difference from base,
+// their minimum, in w bytes.
+type floatScale struct {
+	w, k int
+	base int64
+}
+
+// maxFloatScale is the largest k a scaled float column carries, so that
+// 2^k is a float and scaling takes one multiplication each way. Only a
+// column of subnormal values finer than 2^-1023 needs more; it goes raw.
+const maxFloatScale = 1023
+
+// scaleFloats plans fs, which must not be empty, in one pass with no
+// branch on a value: the least k, the minimum and the maximum. The
+// floats scale when each is finite and not −0, k is at most
+// maxFloatScale, each times 2^k is at most 2^53 in magnitude, and the
+// scaled range fits 1, 2 or 4 bytes; then scaling is exact both ways
+// and the decoder gives back the same bits. Otherwise they go raw.
+func scaleFloats(fs []float64) floatScale {
+	// least is 1075 plus the least exponent of a value's lowest set bit.
+	// The ends come from the bits' largest as a signed and as an
+	// unsigned integer and their least as an unsigned one (floatEnds),
+	// which is cheaper than comparing floats.
+	least := math.MaxInt32
+	maxS, maxU, minU := int64(math.MinInt64), uint64(0), uint64(math.MaxUint64)
+	for _, v := range fs {
+		b := math.Float64bits(v)
+		mag := b &^ (1 << 63)
+		// v's lowest set bit is worth 2^(max(e,1) − 1075 + tz), where e is
+		// its exponent field and tz counts its significand's trailing
+		// zeros, the implicit bit included. +0 has none and asks for no
+		// k (MaxInt32); −0 asks for k = 1076, past any, which sends the
+		// column raw (−1).
+		at := max(int(mag>>52), 1) + bits.TrailingZeros64(mag|1<<52)
+		zeroAt := int(int64(b)>>32) ^ math.MaxInt32
+		if mag == 0 {
+			at = zeroAt
+		}
+		least = min(least, at)
+		maxS, maxU, minU = max(maxS, int64(b)), max(maxU, b), min(minU, b)
+	}
+	k := max(1075-least, 0)
+	lo, hi := floatEnds(maxS, maxU, minU)
+	// NaN's bits order past ±Inf's, so an end holds any of them, and
+	// none is within the bound.
+	if k > maxFloatScale || !(max(-lo, hi) <= math.Ldexp(1, 53-k)) {
+		return floatScale{}
+	}
+	up := math.Ldexp(1, k)
+	base := int64(lo * up)
+	w := uintWidth(uint64(int64(hi*up) - base))
+	if w == 8 {
+		return floatScale{}
+	}
+	return floatScale{w: w, k: k, base: base}
+}
+
+// floatEnds finds the least and the greatest of some floats from their
+// bits' largest as a signed integer and largest and least as unsigned
+// ones. Bits order as their floats do among floats with the sign clear,
+// and in reverse among those with it set, which are the larger as
+// unsigned and the negative as signed. So the greatest is the largest
+// signed when its sign is clear, else the least unsigned; and the least
+// is the largest unsigned when its sign is set, else the least
+// unsigned.
+func floatEnds(maxS int64, maxU, minU uint64) (lo, hi float64) {
+	lo, hi = math.Float64frombits(minU), math.Float64frombits(minU)
+	if maxS >= 0 {
+		hi = math.Float64frombits(uint64(maxS))
+	}
+	if maxU >= 1<<63 {
+		lo = math.Float64frombits(maxU)
+	}
+	return lo, hi
 }
 
 // planBatch plans each column of blk into plan, reusing it, and returns
 // it with the batch's exact payload length. A column's kind comes from
-// its typed arrays' lengths (driver.SingleKind); its ints' range and its
-// longest text set their widths.
+// its typed arrays' lengths (driver.SingleKind); its ints' range, its
+// floats' scale and its longest text set their widths.
 func planBatch(plan []colPlan, blk *ColBlock) ([]colPlan, int) {
 	plan = resize(plan, len(blk.Cols))
 	size := 8 // row and column counts
@@ -213,7 +293,7 @@ func planBatch(plan []colPlan, blk *ColBlock) ([]colPlan, int) {
 		col, pl := &blk.Cols[j], &plan[j]
 		*pl = colPlan{mode: driver.SingleKind(blk.Rows, len(col.Ints), len(col.Floats), len(col.Texts), len(col.Bools))}
 		// mode, then the counts of ints, floats, texts, text blob and bools
-		size += 21 + 8*len(col.Floats) + (len(col.Bools)+7)/8
+		size += 21 + (len(col.Bools)+7)/8
 		if pl.mode == 0 {
 			size += len(col.Kinds)
 		}
@@ -224,6 +304,14 @@ func planBatch(plan []colPlan, blk *ColBlock) ([]colPlan, int) {
 			}
 			pl.base, pl.intW = lo, uintWidth(uint64(hi-lo))
 			size += 9 + pl.intW*len(col.Ints) // base and width, then the deltas
+		}
+		if len(col.Floats) > 0 {
+			pl.floats = scaleFloats(col.Floats)
+			if pl.floats.w == 0 {
+				size += 1 + 8*len(col.Floats) // width 0, then the words
+			} else {
+				size += 11 + pl.floats.w*len(col.Floats) // width, k and base, then the deltas
+			}
 		}
 		if len(col.Texts) > 0 {
 			longest := 0
@@ -258,7 +346,10 @@ func uintWidth(v uint64) int {
 // that mixes kinds or holds NULLs; then the non-null values of
 // each type in row order — ints frame-of-reference, as their minimum and
 // each value's difference from it at the fewest bytes that hold the
-// largest; floats as 8-byte words; texts as a length table at the fewest
+// largest; floats the same way once scaled, when each times the least
+// power of two 2^k that makes them all integers is one of at most 2^53
+// (then as k, their minimum and the differences), else as 8-byte words
+// (see scaleFloats); texts as a length table at the fewest
 // bytes that hold the longest, plus one concatenated blob (so the client
 // can decode all of a column's strings with a single allocation); bools
 // as packed bits with zero padding. Driver blocks hold the same typed
@@ -303,9 +394,20 @@ func appendBatchPlanned(buf []byte, id uint64, blk *ColBlock, plan []colPlan, si
 
 		le.PutUint32(p[o:], uint32(len(col.Floats)))
 		o += 4
-		for _, v := range col.Floats {
-			le.PutUint64(p[o:o+8], math.Float64bits(v))
-			o += 8
+		if fl := pl.floats; len(col.Floats) > 0 {
+			p[o] = byte(fl.w)
+			o++
+			if fl.w == 0 {
+				for _, v := range col.Floats {
+					le.PutUint64(p[o:o+8], math.Float64bits(v))
+					o += 8
+				}
+			} else {
+				le.PutUint16(p[o:], uint16(fl.k))
+				le.PutUint64(p[o+2:], uint64(fl.base))
+				o += 10
+				o += putScaled(p[o:], col.Floats, fl)
+			}
 		}
 
 		le.PutUint32(p[o:], uint32(len(col.Texts)))
@@ -348,6 +450,34 @@ func putDeltas(dst []byte, ints []int64, base uint64, w int) int {
 		}
 	}
 	return w * len(ints)
+}
+
+// putScaled writes each of floats times 2^fl.k, less fl.base, in fl.w
+// bytes and returns the bytes written.
+func putScaled(dst []byte, floats []float64, fl floatScale) int {
+	le := binary.LittleEndian
+	up := math.Ldexp(1, fl.k)
+	base := uint64(fl.base)
+	switch fl.w {
+	case 1:
+		dst = dst[:len(floats)]
+		for i, v := range floats {
+			dst[i] = byte(uint64(int64(v*up)) - base)
+		}
+	case 2:
+		dst = dst[:2*len(floats)]
+		for _, v := range floats {
+			le.PutUint16(dst[:2:2], uint16(uint64(int64(v*up))-base))
+			dst = dst[2:]
+		}
+	default:
+		dst = dst[:4*len(floats)]
+		for _, v := range floats {
+			le.PutUint32(dst[:4:4], uint32(uint64(int64(v*up))-base))
+			dst = dst[4:]
+		}
+	}
+	return fl.w * len(floats)
 }
 
 // putTexts writes the length of each of texts in w bytes, then the texts
@@ -639,9 +769,11 @@ type (
 // filled by index. A column of one value kind fills Col.Kinds with it,
 // so what comes out is the same block whatever the wire spent on it. It
 // accepts only the encoder's own bytes — per-row kinds only for a column
-// that mixes kinds or holds NULLs, ints based at their minimum, int and
-// text-length widths no wider than they need, and zero bool padding
-// bits — so a payload that decodes re-encodes to itself
+// that mixes kinds or holds NULLs, ints based at their minimum, floats
+// scaled whenever they scale, by the least power of two and from their
+// minimum, int, float and text-length widths no wider than they need,
+// and zero bool padding bits — so a payload that decodes re-encodes to
+// itself
 // (FuzzFrameDecode holds that).
 func decodeFetchBatch(p []byte, blk *ColBlock) error {
 	c := cursor{p: p}
@@ -652,9 +784,10 @@ func decodeFetchBatch(p []byte, blk *ColBlock) error {
 	}
 	// A column costs at least its mode byte and 20 bytes of counts (ints,
 	// floats, texts+blob, bools), and at least a bit a row: a kind byte
-	// (mode 0), an int delta or text length of a byte or more, a float's
-	// 8 bytes, a bool's bit. So the payload bounds the cells, to 8 a byte,
-	// before anything is sized from what the counts claim.
+	// (mode 0), an int delta, scaled float delta or text length of a byte
+	// or more, a raw float's 8 bytes, a bool's bit. So the payload bounds
+	// the cells, to 8 a byte, before anything is sized from what the
+	// counts claim.
 	if uint64(ncols)*(21+(uint64(nrows)+7)/8) > uint64(c.remaining()) {
 		return fmt.Errorf("%w: batch claims %d×%d cells in %d bytes", errFrameDecode, nrows, ncols, c.remaining())
 	}
@@ -664,7 +797,6 @@ func decodeFetchBatch(p []byte, blk *ColBlock) error {
 	blk.Cols = blk.Cols[:ncols]
 	blk.Rows = int(nrows)
 	n := int(nrows)
-	le := binary.LittleEndian
 	for j := range blk.Cols {
 		col := &blk.Cols[j]
 		mode, ok := c.u8()
@@ -724,13 +856,14 @@ func decodeFetchBatch(p []byte, blk *ColBlock) error {
 		}
 
 		cnt, ok = c.u32()
-		if !ok || int(cnt) != nf || c.remaining() < nf*8 {
+		if !ok || int(cnt) != nf {
 			return fmt.Errorf("%w: column %d floats", errFrameDecode, j)
 		}
-		w, _ := c.bytes(nf * 8)
 		col.Floats = resize(col.Floats, nf)
-		for i := range col.Floats {
-			col.Floats[i] = math.Float64frombits(le.Uint64(w[8*i:]))
+		if nf > 0 {
+			if why := getFloats(&c, col.Floats); why != "" {
+				return fmt.Errorf("%w: column %d floats %s", errFrameDecode, j, why)
+			}
 		}
 
 		cnt, ok = c.u32()
@@ -790,6 +923,90 @@ func decodeFetchBatch(p []byte, blk *ColBlock) error {
 		return fmt.Errorf("%w: %d trailing batch bytes", errFrameDecode, c.remaining())
 	}
 	return nil
+}
+
+// getFloats reads a column's float section, after its count, into dst:
+// a width byte, then either raw 8-byte words (width 0) or k, the base
+// and one delta per float in that width, which decodes as
+// (base + delta)·2^-k.
+// It returns "" for a section the encoder writes, else why not: a
+// section cut short or in no layout, or one the encoder writes
+// otherwise — scaled by more than the least power of two, based below
+// the minimum or in a wider width than the largest delta needs, or raw
+// where the floats scale.
+func getFloats(c *cursor, dst []float64) (why string) {
+	const (
+		cut          = "are cut short or in no layout"
+		noncanonical = "are not scaled by the least power of two from their minimum in the fewest bytes"
+	)
+	w, ok := c.u8()
+	if !ok {
+		return cut
+	}
+	if w == 0 {
+		words, ok := c.bytes(8 * len(dst))
+		if !ok {
+			return cut
+		}
+		for i := range dst {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(words[8*i:]))
+		}
+		if scaleFloats(dst).w != 0 {
+			return noncanonical
+		}
+		return ""
+	}
+	k, ok1 := c.u16()
+	base, ok2 := c.u64()
+	if !ok1 || !ok2 || (w != 1 && w != 2 && w != 4) || k > maxFloatScale || c.remaining() < len(dst)*int(w) {
+		return cut
+	}
+	deltas, _ := c.bytes(len(dst) * int(w))
+	lo, hi, or := getScaled(dst, deltas, base, int(k), int(w))
+	// The base is the least scaled value and none passes 2^53 in
+	// magnitude; the width is the least the largest delta needs; and
+	// unless k is 0, some scaled value is odd, or a smaller k would do:
+	// the base itself, which a zero delta carries, or base + an odd
+	// delta.
+	if b := int64(base); lo != 0 || b < -1<<53 || b > 1<<53 || hi > uint64(1<<53-b) ||
+		uintWidth(hi) != int(w) || (k > 0 && (base|or)&1 == 0) {
+		return noncanonical
+	}
+	return ""
+}
+
+// getScaled sets dst to base plus each w-byte delta of src, times 2^-k,
+// and returns the smallest and largest delta and the OR of them all.
+func getScaled(dst []float64, src []byte, base uint64, k, w int) (lo, hi, or uint64) {
+	le := binary.LittleEndian
+	down := math.Ldexp(1, -k)
+	lo = math.MaxUint64
+	switch w {
+	case 1:
+		src = src[:len(dst)]
+		for i, b := range src {
+			d := uint64(b)
+			lo, hi, or = min(lo, d), max(hi, d), or|d
+			dst[i] = float64(int64(base+d)) * down
+		}
+	case 2:
+		src = src[:2*len(dst)]
+		for i := range dst {
+			d := uint64(le.Uint16(src[:2:2]))
+			src = src[2:]
+			lo, hi, or = min(lo, d), max(hi, d), or|d
+			dst[i] = float64(int64(base+d)) * down
+		}
+	default:
+		src = src[:4*len(dst)]
+		for i := range dst {
+			d := uint64(le.Uint32(src[:4:4]))
+			src = src[4:]
+			lo, hi, or = min(lo, d), max(hi, d), or|d
+			dst[i] = float64(int64(base+d)) * down
+		}
+	}
+	return lo, hi, or
 }
 
 // fillBytes sets every byte of k to b, doubling the filled prefix with

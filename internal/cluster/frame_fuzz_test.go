@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/qamarket/qamarket/internal/driver"
 	"github.com/qamarket/qamarket/internal/sqldb"
 )
 
@@ -23,8 +24,9 @@ import (
 // column of one kind costs a bit a row) — plus canonical frames: every
 // header, batch or end payload that decodes re-encodes to exactly the
 // same bytes, which is what shows the encoders and decoders are
-// inverses. Seeded with the golden frames of a mixed-kind result and a
-// result whose every column but its NULLs has one value kind, a batch in each column mode
+// inverses. Seeded with the golden frames of a mixed-kind result, a
+// result whose every column but its NULLs has one value kind and a
+// result whose floats travel scaled, a batch in each column mode
 // at each int and text-length width,
 // headers carrying small and huge sequence numbers, request messages, a
 // hello's answer naming the node's boot, and a header announcing more
@@ -53,6 +55,7 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(appendFetchEnd(stream, 7, 9, 5, ""))
 	f.Add(appendFetchBatchCols(nil, 7, goldenBatchBlock()))
 	f.Add(appendFetchBatchCols(nil, 7, goldenUniformBlock()))
+	f.Add(appendFetchBatchCols(nil, 7, goldenScaledBlock()))
 	for _, seed := range layoutSeeds() {
 		f.Add(appendFetchBatchCols(nil, 7, seed))
 	}
@@ -143,7 +146,8 @@ func FuzzFrameDecode(f *testing.F) {
 // layoutSeeds are one-column blocks, one per choice the batch layout
 // makes: each column mode (a single value kind, and per-row kinds for
 // NULLs throughout and for mixed kinds), each int delta width from a
-// negative base and each text-length width.
+// negative base, each text-length width, and the float columns of
+// floatColumns, scaled and raw.
 func layoutSeeds() []*ColBlock {
 	in, fl, tx, bo, nul := sqldb.NewInt, sqldb.NewFloat, sqldb.NewText, sqldb.NewBool, sqldb.Null
 	col := func(vals ...sqldb.Value) *ColBlock {
@@ -168,5 +172,46 @@ func layoutSeeds() []*ColBlock {
 	for _, n := range []int{3, math.MaxUint8 + 1, math.MaxUint16 + 1} {
 		seeds = append(seeds, col(tx(strings.Repeat("x", n)), tx("")))
 	}
+	for _, fc := range floatColumns() {
+		var blk ColBlock
+		blk.Rows = len(fc.vals)
+		blk.Cols = []Col{{Floats: fc.vals}}
+		blk.Cols[0].Kinds = bytes.Repeat([]byte{driver.KindByteFloat}, len(fc.vals))
+		seeds = append(seeds, &blk)
+	}
 	return seeds
+}
+
+// floatColumns are float columns, one per case the float section tells
+// apart, each with the width it travels in: 0 for raw words, else the
+// bytes a scaled delta takes.
+func floatColumns() []struct {
+	name string
+	vals []float64
+	w    int
+} {
+	const two53 = 1 << 53
+	least := math.SmallestNonzeroFloat64
+	return []struct {
+		name string
+		vals []float64
+		w    int
+	}{
+		{"halves", []float64{0.5, 1, 1.5}, 1},
+		{"dyadic", []float64{-1.25, 0.75, 3.5, 100.125}, 2},
+		{"integral", []float64{0, 7, -3, 1e6}, 4},
+		{"negative", []float64{-8, -0.5, -1000.25}, 2},
+		{"one tenth alone", []float64{0.1}, 1},
+		{"tenths", []float64{0.1, 0.2, 0.3}, 0},
+		{"negative zero", []float64{0.5, math.Copysign(0, -1)}, 0},
+		{"NaN and infinities", []float64{1, math.NaN(), math.Float64frombits(0x7ff8000000000abc), math.Inf(1), math.Inf(-1)}, 0},
+		{"subnormal", []float64{math.Ldexp(1, -1023), math.Ldexp(3, -1023), 0}, 1},
+		{"subnormal finer than 2^-1023", []float64{least, 3 * least}, 0},
+		{"range past 4 bytes", []float64{0, 1 << 32}, 0},
+		{"at +2^53", []float64{two53, two53 - 1, two53 - 2}, 1},
+		{"at -2^53", []float64{-two53, -two53 + 1}, 1},
+		{"past 2^53", []float64{two53 + 2, two53}, 0},
+		{"past 2^53 once scaled", []float64{1<<52 + 1, 0.5}, 0},
+		{"across ±2^53", []float64{-two53, two53}, 0},
+	}
 }

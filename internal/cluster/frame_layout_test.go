@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -66,11 +67,15 @@ func TestBatchFrameBytesPerShape(t *testing.T) {
 		rows      int
 		want      int
 	}{
-		{"bulk a,b,c,d", "SELECT a, b, c, d FROM big", 4096, 57958},
-		{"bulk a,b", "SELECT a, b FROM big", 4096, 36923},
+		// b, a multiple of 0.5 below 8,192, travels as 2-byte deltas of
+		// 2b: 6 bytes a row less than raw words, for an 11-byte scale.
+		{"bulk a,b,c,d", "SELECT a, b, c, d FROM big", 4096, 33393},
+		{"bulk a,b", "SELECT a, b FROM big", 4096, 12358},
 		{"bulk c", "SELECT c FROM big", 4096, 20510},
-		{"dist-join fragment", "SELECT a, b FROM big WHERE b >= 1000 AND b < 4000", 4096, 36923},
-		{"small-fetch", "SELECT grp, COUNT(*) AS n, SUM(v) AS total FROM star GROUP BY grp", 8, 169},
+		{"dist-join fragment", "SELECT a, b FROM big WHERE b >= 1000 AND b < 4000", 4096, 12358},
+		// total sums random floats, which scale by no power of two short
+		// of 2^53: raw words, behind a width byte.
+		{"small-fetch", "SELECT grp, COUNT(*) AS n, SUM(v) AS total FROM star GROUP BY grp", 8, 170},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := e.Query(tc.sql)
@@ -141,6 +146,20 @@ func TestFrameDecodeRefusesHostileBatches(t *testing.T) {
 		n := uint32(len(lens)) / uint32(w)
 		return cat([]byte{driver.KindByteText}, none, none, u32(n), u32(uint32(len(blob))), []byte{w}, lens, []byte(blob), none)
 	}
+	// floatCol is a uniform float column: width w, scale k and base, then
+	// the deltas as given.
+	floatCol := func(n uint32, w byte, k uint16, base int64, deltas ...byte) []byte {
+		return cat([]byte{driver.KindByteFloat}, none, u32(n), []byte{w}, le.AppendUint16(nil, k), le.AppendUint64(nil, uint64(base)), deltas, none, none, none)
+	}
+	rawFloatCol := func(vals ...float64) []byte {
+		col := cat([]byte{driver.KindByteFloat}, none, u32(uint32(len(vals))), []byte{0})
+		for _, v := range vals {
+			col = le.AppendUint64(col, math.Float64bits(v))
+		}
+		return cat(col, none, none, none)
+	}
+	eight := make([]byte, 16)
+	eight[8] = 1
 	for _, tc := range []struct {
 		name    string
 		payload []byte
@@ -162,6 +181,16 @@ func TestFrameDecodeRefusesHostileBatches(t *testing.T) {
 		{"text width 8", batch(1, 1, textCol(8, []byte{1, 0, 0, 0, 0, 0, 0, 0}, "a")), "text table"},
 		{"blob for an absent kind", batch(1, 1, cat([]byte{0, driver.KindByteNull}, none, none, none, u32(3), none, []byte("abc"))), "blob"},
 		{"ints missing from a column of ints", batch(1, 1, cat([]byte{driver.KindByteInt}, none, none, none, none, none), []byte{0}), "ints"},
+		{"float scale not the least", batch(2, 1, floatCol(2, 1, 1, 2, 0, 2)), "least power of two"},
+		{"float scale of a zero column", batch(1, 1, floatCol(1, 1, 1, 0, 0)), "least power of two"},
+		{"float base below the minimum", batch(2, 1, floatCol(2, 1, 0, 5, 1, 2)), "minimum"},
+		{"float width wider than needed", batch(2, 1, floatCol(2, 2, 0, 0, 0, 0, 1, 0)), "fewest bytes"},
+		{"float width 8", batch(2, 1, floatCol(2, 8, 0, 0, eight...)), "no layout"},
+		{"float width 3", batch(1, 1, floatCol(1, 3, 0, 0, 0, 0, 0)), "no layout"},
+		{"float scale past 2^1023", batch(1, 1, floatCol(1, 1, 1024, 1, 0)), "no layout"},
+		{"scaled float past 2^53", batch(2, 1, floatCol(2, 1, 0, 1<<53, 0, 1)), "minimum"},
+		{"scaled float below -2^53", batch(2, 1, floatCol(2, 1, 0, -1<<53-1, 1, 0)), "minimum"},
+		{"raw floats that scale", batch(2, 1, rawFloatCol(0.5, 1)), "least power of two"},
 		{"floats for an absent kind", batch(1, 1, cat([]byte{0, driver.KindByteNull}, none, u32(1), le.AppendUint64(nil, 0), none, none, none)), "floats"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -175,6 +204,36 @@ func TestFrameDecodeRefusesHostileBatches(t *testing.T) {
 			}
 			if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
 				t.Fatalf("refusing a %d-byte payload allocated %d bytes", len(tc.payload), grew)
+			}
+		})
+	}
+}
+
+// TestFloatColumnsRoundTripBitExact: every float comes back with its
+// own bits — NaN payloads, −0, infinities and subnormals among them —
+// each column travels in the width it should, raw or scaled, and the
+// decoded block re-encodes to the same bytes.
+func TestFloatColumnsRoundTripBitExact(t *testing.T) {
+	for _, fc := range floatColumns() {
+		t.Run(fc.name, func(t *testing.T) {
+			kinds := make([]byte, len(fc.vals))
+			fillBytes(kinds, driver.KindByteFloat)
+			blk := &ColBlock{Rows: len(fc.vals), Cols: []Col{{Kinds: kinds, Floats: fc.vals}}}
+			if w := scaleFloats(fc.vals).w; w != fc.w {
+				t.Fatalf("travels in width %d, want %d", w, fc.w)
+			}
+			frame := appendFetchBatchCols(nil, 1, blk)
+			var back ColBlock
+			if err := decodeFetchBatch(frame[frameHdrLen:], &back); err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range fc.vals {
+				if got := back.Cols[0].Floats[i]; math.Float64bits(got) != math.Float64bits(v) {
+					t.Fatalf("float %d: %v (%#x) comes back as %v (%#x)", i, v, math.Float64bits(v), got, math.Float64bits(got))
+				}
+			}
+			if re := appendFetchBatchCols(nil, 1, &back); !bytes.Equal(re, frame) {
+				t.Fatalf("decoded column re-encodes to\n%x\nnot\n%x", re, frame)
 			}
 		})
 	}

@@ -133,7 +133,8 @@ func TestFrameDecodeRejectsMalformed(t *testing.T) {
 	header := appendFetchHeader(nil, 1, res.Columns, 1, 4, 9, 0)
 	end := appendFetchEnd(nil, 1, 9, 3, "")
 
-	for name, golden := range map[string][]byte{"header": header, "batch": batch, "end": end} {
+	scaled := appendFetchBatchCols(nil, 1, goldenScaledBlock())
+	for name, golden := range map[string][]byte{"header": header, "batch": batch, "scaled batch": scaled, "end": end} {
 		for cut := 0; cut < len(golden); cut++ {
 			r := bufio.NewReader(strings.NewReader(string(golden[:cut])))
 			if fm, err := readFrame(r, maxFramePayload); err == nil {
@@ -720,30 +721,54 @@ func goldenUniformBlock() *ColBlock {
 	return &blk
 }
 
-// goldenBatchHex and goldenUniformHex are the batch frames (request id
-// 7) of goldenBatchBlock and goldenUniformBlock. The second byte is the
-// frame version, protocolVersion; the payload layout is version 5's,
-// which writes a column of one value kind without per-row kind bytes,
-// ints as deltas from their minimum and text lengths at the width the
-// longest needs.
+// goldenScaledBlock is a block whose floats travel scaled: quarters from
+// a negative base in 1-byte deltas (k = 2), whole numbers spanning 2-byte
+// deltas (k = 0, a zero among them), and halves between NULLs and an
+// int, whose kind bytes travel per row.
+func goldenScaledBlock() *ColBlock {
+	in, fl, nul := sqldb.NewInt, sqldb.NewFloat, sqldb.Null
+	rows := []sqldb.Row{
+		{fl(-1.25), fl(300), fl(0.5)},
+		{fl(0.75), fl(0), nul},
+		{fl(-1.25), fl(-2), in(4)},
+		{fl(2), fl(1000), fl(-3.5)},
+	}
+	var blk ColBlock
+	blk.FillFromRows([]string{"q", "w", "h"}, rows)
+	return &blk
+}
+
+// goldenBatchHex, goldenUniformHex and goldenScaledHex are the batch
+// frames (request id 7) of goldenBatchBlock, goldenUniformBlock and
+// goldenScaledBlock. The second byte is the frame version,
+// protocolVersion; the payload layout is version 6's, which writes a
+// column of one value kind without per-row kind bytes, ints as deltas
+// from their minimum, floats as a width byte and then either raw words
+// (width 0: the first two blocks' floats hold NaN, −0, ±Inf or 1e300) or
+// the least scale k and deltas from the scaled minimum, and text lengths
+// at the width the longest needs.
 const (
-	goldenBatchHex = "fa0502000700000000000000840100000b0000000500000000696e696969696e6969696909000000" +
+	goldenBatchHex = "fa0602000700000000000000860100000b0000000500000000696e696969696e6969696909000000" +
 		"000000000000008008ffffffffffffff7f00000000000000000700000000000080d6ffffffffffff" +
 		"7f00000000000000800300000000000080f7ffffffffffff7fffffffffffffffff02000000000000" +
-		"8000000000000000000000000000000000006666666e66666e666666660000000009000000010000" +
-		"000000f87f0000000000000080000000000000f83f000000000000f07f00000000000002c0000000" +
-		"00000000009c7500883ce4377e000000000000f0bf00000000000008400000000000000000000000" +
-		"000073736e7373736e73737373000000000000000009000000120000000100010903000103000161" +
-		"6ec3a46d652de29c9378797a71e29c937a0000000000626262626e62626262626e00000000000000" +
-		"00000000000000000009000000ad0100696673626e696673626e6903000000faffffffffffffff01" +
-		"0b000602000000000000000000e0bf000000000000f0ff02000000050000000105006d6978656402" +
-		"00000001"
-	goldenUniformHex = "fa0502000700000000000000c600000005000000050000006905000000d4feffffffffffff020000" +
-		"2b01f4010000330100000000000000000000000000000000660000000005000000000000000000f8" +
-		"3f010000000000f87f000000000000008000000000000002c09c7500883ce4377e00000000000000" +
-		"0000000000730000000000000000050000000e0000000109000103016ec3a46d652de29c93617879" +
-		"7a71000000006200000000000000000000000000000000050000000d006e6e6e6e6e000000000000" +
-		"0000000000000000000000000000"
+		"8000000000000000000000000000000000006666666e66666e666666660000000009000000000100" +
+		"00000000f87f0000000000000080000000000000f83f000000000000f07f00000000000002c00000" +
+		"0000000000009c7500883ce4377e000000000000f0bf000000000000084000000000000000000000" +
+		"00000073736e7373736e737373730000000000000000090000001200000001000109030001030001" +
+		"616ec3a46d652de29c9378797a71e29c937a0000000000626262626e62626262626e000000000000" +
+		"0000000000000000000009000000ad0100696673626e696673626e6903000000faffffffffffffff" +
+		"010b00060200000000000000000000e0bf000000000000f0ff02000000050000000105006d697865" +
+		"640200000001"
+	goldenUniformHex = "fa0602000700000000000000c700000005000000050000006905000000d4feffffffffffff020000" +
+		"2b01f401000033010000000000000000000000000000000066000000000500000000000000000000" +
+		"f83f010000000000f87f000000000000008000000000000002c09c7500883ce4377e000000000000" +
+		"000000000000730000000000000000050000000e0000000109000103016ec3a46d652de29c936178" +
+		"797a71000000006200000000000000000000000000000000050000000d006e6e6e6e6e0000000000" +
+		"000000000000000000000000000000"
+	goldenScaledHex = "fa0602000700000000000000840000000400000003000000660000000004000000010200fbffffff" +
+		"ffffffff0008000d000000000000000000000000660000000004000000020000feffffffffffffff" +
+		"2e0102000000ea0300000000000000000000000000666e6966010000000400000000000000010002" +
+		"000000010100f9ffffffffffffff0800000000000000000000000000"
 )
 
 // TestFrameBatchGoldenBytes pins the batch layout itself, not only the
@@ -758,6 +783,7 @@ func TestFrameBatchGoldenBytes(t *testing.T) {
 	}{
 		{"mixed", goldenBatchBlock(), goldenBatchHex},
 		{"uniform", goldenUniformBlock(), goldenUniformHex},
+		{"scaled", goldenScaledBlock(), goldenScaledHex},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want, err := hex.DecodeString(tc.hex)
@@ -883,9 +909,10 @@ func TestFetchStreamRefusesRowsItsBytesLack(t *testing.T) {
 // TestFetchStreamChecksHeaderCount: the header's row count sizes the
 // Distributor's scratch tables, so a clean end frame must agree with it
 // — a header that announces more (or fewer) rows than the stream
-// carries is malformed — while an end frame carrying an error may stop
-// short of it. A header announcing 2^40 rows sizes the fragment's table
-// to the clamp, not to the claim.
+// carries is malformed, and a batch that passes the count is refused
+// before it reaches the sink — while an end frame carrying an error may
+// stop short of it. A header announcing 2^40 rows sizes the fragment's
+// table to the clamp, not to the claim.
 func TestFetchStreamChecksHeaderCount(t *testing.T) {
 	res := frameTestResult(3)
 	batch := appendFetchBatch(nil, 1, res, 0, 3)
@@ -908,7 +935,14 @@ func TestFetchStreamChecksHeaderCount(t *testing.T) {
 		if _, err := fs.onFrame(frameTypeHeader, header[frameHdrLen:]); err != nil {
 			t.Fatalf("claim %d: header: %v", tc.claim, err)
 		}
-		if _, err := fs.onFrame(frameTypeBatch, batch[frameHdrLen:]); err != nil {
+		_, err := fs.onFrame(frameTypeBatch, batch[frameHdrLen:])
+		if over := tc.claim < 3; over {
+			if !errors.Is(err, errFrameDecode) || fs.delivered != 0 {
+				t.Errorf("claim %d: a 3-row batch: err = %v after %d delivered rows, want errFrameDecode and none", tc.claim, err, fs.delivered)
+			}
+			continue
+		}
+		if err != nil {
 			t.Fatalf("claim %d: batch: %v", tc.claim, err)
 		}
 		runtime.ReadMemStats(&after)
@@ -917,7 +951,7 @@ func TestFetchStreamChecksHeaderCount(t *testing.T) {
 			t.Errorf("claim %d: header and one batch allocated %d bytes", tc.claim, grew)
 		}
 		end := appendFetchEnd(nil, 1, 3, 1, tc.endErr)
-		_, err := fs.onFrame(frameTypeEnd, end[frameHdrLen:])
+		_, err = fs.onFrame(frameTypeEnd, end[frameHdrLen:])
 		if tc.ok != (err == nil) || (err != nil && !errors.Is(err, errFrameDecode)) {
 			t.Errorf("claim %d, end error %q: err = %v, want ok=%t or errFrameDecode", tc.claim, tc.endErr, err, tc.ok)
 		}

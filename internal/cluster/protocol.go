@@ -45,8 +45,10 @@ func (m Mechanism) check() error {
 // message and named the node's incarnation in its answer; version 5
 // wrote a batch column of one value kind without per-row kind bytes,
 // its ints as deltas from their minimum and its text lengths in the
-// fewest bytes that hold them.
-const protocolVersion = 5
+// fewest bytes that hold them; version 6 sends a float column whose
+// values are integers once multiplied by a power of two 2^k as k and
+// those integers' deltas from their minimum, like ints.
+const protocolVersion = 6
 
 // hello opens every connection: what stays constant for the peer's
 // whole run. The node keeps it as the connection's session, and

@@ -223,9 +223,15 @@ func (fs *fetchStream) onFrame(typ byte, payload []byte) (bool, error) {
 		}
 		// A batch carries the header's columns, and rows only through
 		// them: a zero-column batch costs 8 bytes whatever rows it claims.
+		// Nor does it carry rows past the header's count, which sized the
+		// sink's tables: no row beyond it reaches the sink.
 		if ncols := len(fs.block.Cols); ncols != len(fs.header.columns) || (ncols == 0 && fs.block.Rows > 0) {
 			return false, fmt.Errorf("%w: batch of %d rows × %d columns under a %d-column header",
 				errFrameDecode, fs.block.Rows, ncols, len(fs.header.columns))
+		}
+		if fs.recv+uint64(fs.block.Rows) > fs.header.totalRows {
+			return false, fmt.Errorf("%w: batch of %d rows after %d, under a header announcing %d",
+				errFrameDecode, fs.block.Rows, fs.recv, fs.header.totalRows)
 		}
 		fs.batches++
 		fs.recv += uint64(fs.block.Rows)

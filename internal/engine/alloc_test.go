@@ -66,10 +66,15 @@ func TestSelectAllocBudget(t *testing.T) {
 	// state: the first run fills the selection pool, and the collector
 	// is held off while the runs are counted — a cycle empties every
 	// sync.Pool, and one ~100 KB selection allocated again is over
-	// 2 KB a run, twice the per-column budget below.
+	// 2 KB a run, twice the per-column budget below. The bytes are
+	// counted on one P, as testing.AllocsPerRun counts allocations: a
+	// goroutine that moves to another P between a selection's Put and
+	// its Get misses the pooled one, since a P's private slot cannot be
+	// stolen, and allocates it again.
 	measure := func(sql string, wantRows int) (allocs, bytes float64) {
 		t.Helper()
 		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		st, err := e.Prepare(sql)
 		if err != nil {
 			t.Fatal(err)

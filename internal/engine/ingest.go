@@ -43,14 +43,23 @@ func (e *DB) AppendBlock(name string, blk *driver.Block) error {
 		c, v := &blk.Cols[j], t.vecs[j]
 		// A row's offset is the count of earlier rows of its kind, taken
 		// from the cursor its kind byte selects; NULL's never moves off 0.
+		// In a column of one value kind, which the checks above have
+		// counted, the offsets just count up from that kind's cursor.
 		next := [len(cursorStep)]int32{0, int32(len(v.ints)), int32(len(v.floats)), int32(len(v.texts)), int32(len(v.bools))}
 		base := len(v.offs)
 		v.offs = growTo(v.offs, len(c.Kinds), t.reserve)[:base+len(c.Kinds)]
 		offs := v.offs[base:]
-		for r, k := range c.Kinds {
-			cur := kindCursor[k]
-			offs[r] = next[cur]
-			next[cur] += cursorStep[cur]
+		if kind := driver.SingleKind(blk.Rows, len(c.Ints), len(c.Floats), len(c.Texts), len(c.Bools)); kind != 0 {
+			start := next[kindCursor[kind]]
+			for r := range offs {
+				offs[r] = start + int32(r)
+			}
+		} else {
+			for r, k := range c.Kinds {
+				cur := kindCursor[k]
+				offs[r] = next[cur]
+				next[cur] += cursorStep[cur]
+			}
 		}
 		v.kinds = append(growTo(v.kinds, len(c.Kinds), t.reserve), c.Kinds...)
 		v.ints = append(growTo(v.ints, len(c.Ints), t.reserve), c.Ints...)
