@@ -64,9 +64,10 @@ examplesmoke:
 # each new input is minimized for at most 50 runs, not for a minute;
 # FuzzServeConn feeds a node on the in-memory
 # network arbitrary first and later frames — JSON requests, hellos and
-# gossip pushes, unknown fields included — and holds the request path to
-# "never panic, a first frame that is not an accepted hello is refused
-# and the connection closed having run nothing, a gossip merge never
+# gossip pushes, unknown fields included, and binary work requests — and
+# holds the request path to "never panic, a first frame that is not an
+# accepted hello is refused and the connection closed having run
+# nothing, so is a work op in a JSON message frame, a gossip merge never
 # drops a known member"; FuzzDedupWindow drives the at-most-once window
 # through claim / settle / release / sweep scripts against a map model
 # (never two owners of a settled key within its TTL, never a payload
@@ -86,7 +87,7 @@ examplesmoke:
 # case-insensitive, errors at a rune boundary"; FuzzLikeMatch holds the LIKE matcher to "never panic, '%'
 # matches everything, a pattern without wildcards matches only itself".
 # Five seconds finds shallow regressions; run any unbounded
-# (`go test -fuzz <name> <pkg>`) when touching frame.go, pool.go, stream.go, server.go, dedup.go, seller.go,
+# (`go test -fuzz <name> <pkg>`) when touching frame.go, reqframe.go, pool.go, stream.go, server.go, dedup.go, seller.go,
 # group.go, ingest.go, the comparison kernels, lexer.go, parser.go or the LIKE
 # matcher.
 fuzzsmoke:

@@ -213,7 +213,7 @@ func TestFetchRefusalsAnswerInJSON(t *testing.T) {
 				}
 
 				conn, r := dialGreeted(t, n.Addr(), MechGreedy)
-				if err := writeMsg(bufio.NewWriter(conn), 1, maxRequestBytes, &request{Op: "fetch", SQL: sql, DeadlineMs: 10_000}); err != nil {
+				if err := writeRequest(bufio.NewWriter(conn), 1, &request{Op: "fetch", SQL: sql, DeadlineMs: 10_000}); err != nil {
 					t.Fatal(err)
 				}
 				var rep reply

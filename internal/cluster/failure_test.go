@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -141,11 +142,11 @@ func TestMalformedRequests(t *testing.T) {
 func TestRequestFrameBound(t *testing.T) {
 	sql := strings.Repeat("a", maxRequestBytes-64)
 	var buf bytes.Buffer
-	if err := writeMsg(bufio.NewWriter(&buf), 1, maxRequestBytes, &request{Op: "negotiate", SQL: sql}); err != nil {
+	if err := writeRequest(bufio.NewWriter(&buf), 1, &request{Op: "negotiate", SQL: sql}); err != nil {
 		t.Fatal(err)
 	}
 	var req request
-	if _, err := recvMsg(bufio.NewReaderSize(&buf, 64), &req); err != nil || req.SQL != sql {
+	if _, err := recvRequest(bufio.NewReaderSize(&buf, 64), &req); err != nil || req.SQL != sql {
 		t.Fatalf("request under the bound: %d-byte SQL back, err %v", len(req.SQL), err)
 	}
 
@@ -172,6 +173,58 @@ func TestRequestFrameBound(t *testing.T) {
 	}
 	if _, err := r.ReadByte(); err != io.EOF {
 		t.Fatalf("connection still open after the refusal (read err %v)", err)
+	}
+}
+
+// TestLyingHeaderCostsWhatWasSent: a reader sizes a payload's buffer by
+// the bytes that arrive, not by the length a header announces. A header
+// announcing a reader's whole bound with 10 bytes behind it and then EOF
+// costs a client (64 MiB bound) and a node (1 MiB) well under a MiB.
+// Once a pooled buffer has grown, a payload that fits is read straight
+// into it, with no allocation at all.
+func TestLyingHeaderCostsWhatWasSent(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, tc := range []struct {
+		name  string
+		limit int
+		read  func(*bufio.Reader) (frameMsg, error)
+	}{
+		{"client", maxFramePayload, readReply},
+		{"node", maxRequestBytes, func(r *bufio.Reader) (frameMsg, error) { return readFrame(r, maxRequestBytes) }},
+	} {
+		hdr, _ := beginFrame(nil, frameTypeMsg, 1)
+		binary.LittleEndian.PutUint32(hdr[12:], uint32(tc.limit))
+		r := bufio.NewReader(bytes.NewReader(append(hdr, make([]byte, 10)...)))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := tc.read(r)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("%s: %v, want %v", tc.name, err, io.ErrUnexpectedEOF)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Fatalf("%s: a header announcing %d bytes before 10 cost %d bytes of allocation", tc.name, tc.limit, got)
+		}
+	}
+
+	if raceEnabled {
+		return // sync.Pool drops items at random under the race detector
+	}
+	frame, hdr := beginFrame(nil, frameTypeMsg, 1)
+	frame = endFrame(append(frame, make([]byte, 100_000)...), hdr)
+	var src bytes.Reader
+	br := bufio.NewReader(&src)
+	allocs := testing.AllocsPerRun(20, func() {
+		src.Reset(frame)
+		br.Reset(&src)
+		fm, err := readReply(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fm.release()
+	})
+	if allocs != 0 {
+		t.Fatalf("reading a frame into a grown pooled buffer costs %.0f allocs, want 0", allocs)
 	}
 }
 

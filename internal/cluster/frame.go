@@ -17,11 +17,13 @@ import (
 
 // One framing. Every message on a connection, in both directions, is a
 // length-prefixed little-endian frame with the same 16-byte header. A
-// request, and every reply that carries no result rows, is one message
-// frame whose payload is the request or reply envelope as JSON; a
-// client's connection opens with the hello message, which carries the
-// run id and the mechanism once for the connection. Every accepted
-// fetch result comes back as a sequence of binary frames instead:
+// work request — negotiate, execute or fetch — is one binary request
+// frame (reqframe.go); every other request, and every reply that
+// carries no result rows, is one message frame whose payload is the
+// request or reply envelope as JSON. A client's connection opens with
+// the hello message, which carries the run id and the mechanism once
+// for the connection. Every accepted fetch result comes back as a
+// sequence of binary frames:
 //
 //	header frame  (accepted, exec ms, column names, batch size, row count, seq)
 //	batch frame   (<= batch-size rows as typed columns)  — repeated
@@ -38,7 +40,7 @@ import (
 //	offset  size  field
 //	0       1     magic (0xFA)
 //	1       1     version (protocolVersion)
-//	2       1     type (1 header, 2 batch, 3 end, 4 message)
+//	2       1     type (1 header, 2 batch, 3 end, 4 message, 5 request)
 //	3       1     flags (reserved, 0)
 //	4       8     request id (the reply's frames echo the request's)
 //	12      4     payload length
@@ -49,6 +51,7 @@ const (
 	frameTypeBatch  = 2
 	frameTypeEnd    = 3
 	frameTypeMsg    = 4
+	frameTypeReq    = 5
 	frameHdrLen     = 16
 	// maxFramePayload bounds one frame's payload as a client reads it, so
 	// a corrupt length prefix cannot make it allocate gigabytes. Writers
@@ -74,8 +77,12 @@ var errFrameVersion = fmt.Errorf("%w: frame of another protocol version", errHel
 // frameBuf is a pooled, grown-once byte buffer shared by frame writers
 // (one per stream) and frame readers (one per in-flight frame). Pooling
 // keeps the steady-state fetch path allocation-free: after warm-up the
-// same backing arrays carry every stream.
-type frameBuf struct{ b []byte }
+// same backing arrays carry every stream. A reader reads a frame's
+// header into hdr, so that no frame costs an allocation of its own.
+type frameBuf struct {
+	hdr [frameHdrLen]byte
+	b   []byte
+}
 
 var frameBufPool = sync.Pool{New: func() any { return new(frameBuf) }}
 
@@ -562,48 +569,84 @@ func (fm *frameMsg) release() {
 }
 
 // readFrame reads one complete frame whose payload is at most limit
-// bytes. The header is checked before anything is allocated: a frame
+// bytes. The header is checked before the payload is read: a frame
 // whose magic, version or type is wrong, or whose payload would pass
-// limit, is refused with its payload unread, so a corrupt or hostile
-// prefix cannot balloon memory. A refused frame's fm still carries the
-// header's type and id, so a node can answer the request it refuses.
+// limit, is refused with its payload unread. Nor is the payload's
+// buffer sized from the header alone: a pooled buffer big enough takes
+// it whole, and a smaller one grows as the bytes arrive, so a lying
+// length costs what was sent, not what was announced. A refused
+// frame's fm still carries the header's type and id, so a node can
+// answer the request it refuses.
 func readFrame(r *bufio.Reader, limit int) (fm frameMsg, err error) {
-	var hdr [frameHdrLen]byte
+	fb := getFrameBuf()
+	hdr := &fb.hdr
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		putFrameBuf(fb)
 		return frameMsg{}, err
-	}
-	if hdr[0] != frameMagic {
-		return frameMsg{}, fmt.Errorf("%w: magic %#x", errFrameDecode, hdr[0])
 	}
 	fm.typ, fm.id = hdr[2], binary.LittleEndian.Uint64(hdr[4:12])
 	plen := binary.LittleEndian.Uint32(hdr[12:16])
 	switch {
+	case hdr[0] != frameMagic:
+		err = fmt.Errorf("%w: magic %#x", errFrameDecode, hdr[0])
+		fm = frameMsg{}
 	case hdr[1] != protocolVersion:
-		return fm, fmt.Errorf("%w: version %d, this build speaks %d", errFrameVersion, hdr[1], protocolVersion)
-	case fm.typ < frameTypeHeader || fm.typ > frameTypeMsg:
-		return fm, fmt.Errorf("%w: type %d", errFrameDecode, fm.typ)
+		err = fmt.Errorf("%w: version %d, this build speaks %d", errFrameVersion, hdr[1], protocolVersion)
+	case fm.typ < frameTypeHeader || fm.typ > frameTypeReq:
+		err = fmt.Errorf("%w: type %d", errFrameDecode, fm.typ)
 	case uint64(plen) > uint64(limit):
-		return fm, fmt.Errorf("%w: %d-byte frame payload, over the %d-byte bound", ErrTooLarge, plen, limit)
+		err = fmt.Errorf("%w: %d-byte frame payload, over the %d-byte bound", ErrTooLarge, plen, limit)
 	}
-	fm.fb = getFrameBuf()
-	if cap(fm.fb.b) < int(plen) {
-		fm.fb.b = make([]byte, plen)
+	if err != nil {
+		putFrameBuf(fb)
+		return fm, err
 	}
-	fm.payload = fm.fb.b[:plen]
-	if _, err := io.ReadFull(r, fm.payload); err != nil {
+	fm.fb = fb
+	if fm.payload, err = readPayload(r, fb.b[:0], int(plen)); err != nil {
 		fm.release()
 		return frameMsg{}, err
 	}
+	fm.fb.b = fm.payload
 	return fm, nil
 }
 
+// minPayloadGrowth is the first size readPayload grows a small buffer to.
+const minPayloadGrowth = 4 << 10
+
+// readPayload reads n bytes into buf, which is empty: straight into it
+// when it has room, else growing it, at most doubling, only as the
+// bytes arrive.
+func readPayload(r io.Reader, buf []byte, n int) ([]byte, error) {
+	if cap(buf) >= n {
+		buf = buf[:n]
+		_, err := io.ReadFull(r, buf)
+		return buf, err
+	}
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), max(cap(buf), minPayloadGrowth)))
+		}
+		end := min(cap(buf), n)
+		if _, err := io.ReadFull(r, buf[len(buf):end]); err != nil {
+			return buf, err
+		}
+		buf = buf[:end]
+	}
+	return buf, nil
+}
+
 // readReply reads one frame of a node's answer. A correct node caps its
-// frames at maxFramePayload, so one past it is malformed: the node's
-// fault, charged to its breaker, not an ErrTooLarge of the client's own.
+// frames at maxFramePayload and never sends a request frame, so either
+// is malformed: the node's fault, charged to its breaker, not an
+// ErrTooLarge of the client's own.
 func readReply(r *bufio.Reader) (frameMsg, error) {
 	fm, err := readFrame(r, maxFramePayload)
-	if errors.Is(err, ErrTooLarge) {
+	switch {
+	case errors.Is(err, ErrTooLarge):
 		err = fmt.Errorf("%w: %v", errFrameDecode, err)
+	case err == nil && fm.typ == frameTypeReq:
+		fm.release()
+		return frameMsg{}, fmt.Errorf("%w: a request frame in a reply", errFrameDecode)
 	}
 	return fm, err
 }
@@ -665,13 +708,31 @@ func (c *cursor) u64() (uint64, bool) {
 	return v, true
 }
 
+// uvarint reads an unsigned varint written in its fewest bytes: a
+// longer spelling of the same value, whose last byte is 0, is refused.
 func (c *cursor) uvarint() (uint64, bool) {
 	v, n := binary.Uvarint(c.p[c.off:])
-	if n <= 0 {
+	if n <= 0 || (n > 1 && c.p[c.off+n-1] == 0) {
 		return 0, false
 	}
 	c.off += n
 	return v, true
+}
+
+// varint reads a zigzag signed varint in its fewest bytes.
+func (c *cursor) varint() (int64, bool) {
+	u, ok := c.uvarint()
+	return int64(u>>1) ^ -int64(u&1), ok
+}
+
+// str reads a uvarint length and that many bytes as a string.
+func (c *cursor) str() (string, bool) {
+	n, ok := c.uvarint()
+	if !ok || n > uint64(c.remaining()) {
+		return "", false
+	}
+	b, _ := c.bytes(int(n))
+	return string(b), true
 }
 
 func (c *cursor) bytes(n int) ([]byte, bool) {
@@ -830,8 +891,7 @@ func decodeFetchBatch(p []byte, blk *ColBlock) error {
 			return fmt.Errorf("%w: column %d's mode %#x is not its one kind", errFrameDecode, j, mode)
 		}
 		if mode != 0 {
-			col.Kinds = resize(col.Kinds, n)
-			fillBytes(col.Kinds, mode)
+			col.Kinds = driver.FillKinds(col.Kinds, mode, n)
 		}
 
 		cnt, ok := c.u32()
@@ -1007,18 +1067,6 @@ func getScaled(dst []float64, src []byte, base uint64, k, w int) (lo, hi, or uin
 		}
 	}
 	return lo, hi, or
-}
-
-// fillBytes sets every byte of k to b, doubling the filled prefix with
-// each copy.
-func fillBytes(k []byte, b byte) {
-	if len(k) == 0 {
-		return
-	}
-	k[0] = b
-	for n := 1; n < len(k); n *= 2 {
-		copy(k[n:], k[:n])
-	}
 }
 
 // getDeltas sets dst to base plus each w-byte delta of src and returns

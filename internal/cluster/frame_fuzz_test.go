@@ -14,23 +14,25 @@ import (
 )
 
 // FuzzFrameDecode throws arbitrary bytes at both frame read paths. The
-// node's: readFrame at the request bound, then each message frame
-// decoded as a request. The client's: readFrame at the frame bound,
-// then whichever payload decoder the type byte selects (a message is a
-// reply, read as a hello's answer when it carries one), then row
-// materialization. The invariant is "error, never panic, never an
+// node's: readFrame at the request bound, then each request frame or
+// message frame decoded as a request. The client's: readFrame at the
+// frame bound, then whichever payload decoder the type byte selects (a
+// message is a reply, read as a hello's answer when it carries one),
+// then row materialization. The invariant is "error, never panic, never an
 // allocation beyond the reader's bound" — a payload's bytes, and a
 // batch's cells, at most eight to each byte the batch spends (a bool
 // column of one kind costs a bit a row) — plus canonical frames: every
-// header, batch or end payload that decodes re-encodes to exactly the
-// same bytes, which is what shows the encoders and decoders are
-// inverses. Seeded with the golden frames of a mixed-kind result, a
+// request, header, batch or end payload that decodes re-encodes to
+// exactly the same bytes, which is what shows the encoders and decoders
+// are inverses. Seeded with the golden frames of a mixed-kind result, a
 // result whose every column but its NULLs has one value kind and a
 // result whose floats travel scaled, a batch in each column mode
 // at each int and text-length width,
-// headers carrying small and huge sequence numbers, request messages, a
-// hello's answer naming the node's boot, and a header announcing more
-// than the request bound, so mutations start from valid streams.
+// headers carrying small and huge sequence numbers, a hello message and
+// request frames of each work op — a batched, traced CFP carrying
+// releases among them — a hello's answer naming the node's boot, and a
+// header announcing more than the request bound, so mutations start
+// from valid streams.
 func FuzzFrameDecode(f *testing.F) {
 	res := frameTestResult(9)
 	f.Add(appendFetchHeader(nil, 1, res.Columns, 2.5, 4, 9, 0))
@@ -61,14 +63,18 @@ func FuzzFrameDecode(f *testing.F) {
 	}
 	f.Add([]byte{frameMagic})
 	f.Add([]byte{})
-	// A connection's opening, a hello and a batched CFP carrying a
-	// release, and a request header over the bound with some payload.
+	// A connection's opening, a hello and a batched, traced CFP carrying
+	// releases; each work op alone; and a request header over the bound
+	// with some payload.
 	var msgs bytes.Buffer
-	if err := writeMsg(bufio.NewWriter(&msgs), 1, maxRequestBytes, &request{Op: "hello", Hello: &hello{RunID: "fuzz", Mechanism: MechQANT}},
-		&request{Op: "negotiate", SQL: "SELECT a FROM t", DeadlineMs: 50, Batch: []batchQuery{{QueryID: 2, SQL: "SELECT b FROM t"}}, Release: []uint64{3, 1 << 40}}); err != nil {
+	if err := writeMsg(bufio.NewWriter(&msgs), 1, maxRequestBytes, &request{Op: "hello", Hello: &hello{RunID: "fuzz", Mechanism: MechQANT}}); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(msgs.Bytes())
+	f.Add(appendRequest(msgs.Bytes(), 2, &request{Op: "negotiate", SQL: "SELECT a FROM t", QueryID: -3, DeadlineMs: 50,
+		Batch:   []batchQuery{{QueryID: 2, SQL: "SELECT b FROM t"}, {QueryID: 1 << 40, DeadlineMs: -1}},
+		Release: []uint64{3, 1 << 40}, Trace: &traceCtx{ID: 9, Span: "s1"}}))
+	f.Add(appendRequest(nil, 3, &request{Op: "execute", SQL: "SELECT a FROM t", QueryID: 1}))
+	f.Add(appendRequest(nil, 4, smallFetchRequest()))
 	var answer bytes.Buffer
 	if err := writeMsg(bufio.NewWriter(&answer), 1, maxFramePayload, &reply{Hello: &helloReply{NodeID: "n1", Boot: 1<<63 + 5}}); err != nil {
 		f.Fatal(err)
@@ -90,7 +96,16 @@ func FuzzFrameDecode(f *testing.F) {
 				t.Fatalf("node read a %d-byte payload, over the %d-byte request bound", len(fm.payload), maxRequestBytes)
 			}
 			var req request
-			decodeMsg(fm, &req)
+			if fm.typ != frameTypeReq {
+				decodeMsg(fm, &req)
+				continue
+			}
+			if decodeRequest(fm.payload, &req) == nil {
+				if re := appendRequest(nil, fm.id, &req); !bytes.Equal(re[frameHdrLen:], fm.payload) {
+					t.Fatalf("request payload decodes, but re-encodes differently:\n got %x\nwant %x", re[frameHdrLen:], fm.payload)
+				}
+			}
+			fm.release()
 		}
 
 		r = bufio.NewReader(bytes.NewReader(data))

@@ -216,8 +216,7 @@ func TestFrameDecodeRefusesHostileBatches(t *testing.T) {
 func TestFloatColumnsRoundTripBitExact(t *testing.T) {
 	for _, fc := range floatColumns() {
 		t.Run(fc.name, func(t *testing.T) {
-			kinds := make([]byte, len(fc.vals))
-			fillBytes(kinds, driver.KindByteFloat)
+			kinds := driver.FillKinds(nil, driver.KindByteFloat, len(fc.vals))
 			blk := &ColBlock{Rows: len(fc.vals), Cols: []Col{{Kinds: kinds, Floats: fc.vals}}}
 			if w := scaleFloats(fc.vals).w; w != fc.w {
 				t.Fatalf("travels in width %d, want %d", w, fc.w)

@@ -339,13 +339,13 @@ func TestFetchFrameMatchesJSON(t *testing.T) {
 	})
 }
 
-// checkRawFetchFrames writes a bare fetch message to node, after the
-// hello, and checks the answer is a result frame stream carrying want.
+// checkRawFetchFrames writes a bare fetch request frame to node, after
+// the hello, and checks the answer is a result frame stream carrying want.
 func checkRawFetchFrames(t *testing.T, node *Node, sql string, want *sqldb.Result) {
 	t.Helper()
 	conn, r := dialGreeted(t, node.Addr(), MechGreedy)
-	msg := map[string]any{"op": "fetch", "sql": sql, "query_id": 1}
-	if err := writeMsg(bufio.NewWriter(conn), 1, maxRequestBytes, msg); err != nil {
+	msg := &request{Op: "fetch", SQL: sql, QueryID: 1}
+	if err := writeRequest(bufio.NewWriter(conn), 1, msg); err != nil {
 		t.Fatal(err)
 	}
 	raw := &sqldb.Result{}
@@ -473,9 +473,8 @@ func TestOversizedRequestTypedRefusal(t *testing.T) {
 		// Handcraft a >1MiB request that a current client's own pre-write
 		// check would refuse to send. The node answers from the header and
 		// hangs up with most of the payload unread, so the write may fail.
-		big, hdr := beginFrame(nil, frameTypeMsg, 1)
-		big = endFrame(fmt.Appendf(big, `{"op":"negotiate","sql":"SELECT 1 FROM t WHERE x = '%s'"}`,
-			strings.Repeat("a", maxRequestBytes)), hdr)
+		big := appendRequest(nil, 1, &request{Op: "negotiate",
+			SQL: "SELECT 1 FROM t WHERE x = '" + strings.Repeat("a", maxRequestBytes) + "'"})
 		go conn.Write(big)
 		var rep reply
 		if _, err := recvMsg(bufio.NewReader(conn), &rep); err != nil {
@@ -741,14 +740,15 @@ func goldenScaledBlock() *ColBlock {
 // goldenBatchHex, goldenUniformHex and goldenScaledHex are the batch
 // frames (request id 7) of goldenBatchBlock, goldenUniformBlock and
 // goldenScaledBlock. The second byte is the frame version,
-// protocolVersion; the payload layout is version 6's, which writes a
+// protocolVersion (7, which left the batch payload as it was); the
+// payload layout is version 6's, which writes a
 // column of one value kind without per-row kind bytes, ints as deltas
 // from their minimum, floats as a width byte and then either raw words
 // (width 0: the first two blocks' floats hold NaN, −0, ±Inf or 1e300) or
 // the least scale k and deltas from the scaled minimum, and text lengths
 // at the width the longest needs.
 const (
-	goldenBatchHex = "fa0602000700000000000000860100000b0000000500000000696e696969696e6969696909000000" +
+	goldenBatchHex = "fa0702000700000000000000860100000b0000000500000000696e696969696e6969696909000000" +
 		"000000000000008008ffffffffffffff7f00000000000000000700000000000080d6ffffffffffff" +
 		"7f00000000000000800300000000000080f7ffffffffffff7fffffffffffffffff02000000000000" +
 		"8000000000000000000000000000000000006666666e66666e666666660000000009000000000100" +
@@ -759,13 +759,13 @@ const (
 		"0000000000000000000009000000ad0100696673626e696673626e6903000000faffffffffffffff" +
 		"010b00060200000000000000000000e0bf000000000000f0ff02000000050000000105006d697865" +
 		"640200000001"
-	goldenUniformHex = "fa0602000700000000000000c700000005000000050000006905000000d4feffffffffffff020000" +
+	goldenUniformHex = "fa0702000700000000000000c700000005000000050000006905000000d4feffffffffffff020000" +
 		"2b01f401000033010000000000000000000000000000000066000000000500000000000000000000" +
 		"f83f010000000000f87f000000000000008000000000000002c09c7500883ce4377e000000000000" +
 		"000000000000730000000000000000050000000e0000000109000103016ec3a46d652de29c936178" +
 		"797a71000000006200000000000000000000000000000000050000000d006e6e6e6e6e0000000000" +
 		"000000000000000000000000000000"
-	goldenScaledHex = "fa0602000700000000000000840000000400000003000000660000000004000000010200fbffffff" +
+	goldenScaledHex = "fa0702000700000000000000840000000400000003000000660000000004000000010200fbffffff" +
 		"ffffffff0008000d000000000000000000000000660000000004000000020000feffffffffffffff" +
 		"2e0102000000ea0300000000000000000000000000666e6966010000000400000000000000010002" +
 		"000000010100f9ffffffffffffff0800000000000000000000000000"

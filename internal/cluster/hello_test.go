@@ -36,7 +36,7 @@ func startStub(t *testing.T, answer func(req *request) reply) string {
 				w := bufio.NewWriter(conn)
 				for {
 					var req request
-					id, err := recvMsg(r, &req)
+					id, err := recvRequest(r, &req)
 					if err != nil {
 						return
 					}
@@ -52,6 +52,20 @@ func startStub(t *testing.T, answer func(req *request) reply) string {
 		}
 	}()
 	return ln.Addr().String()
+}
+
+// recvRequest reads one request, a request frame or a message frame as
+// its op travels, into req and returns its id.
+func recvRequest(r *bufio.Reader, req *request) (uint64, error) {
+	fm, err := readFrame(r, maxRequestBytes)
+	if err != nil {
+		return 0, err
+	}
+	if fm.typ == frameTypeReq {
+		defer fm.release()
+		return fm.id, decodeRequest(fm.payload, req)
+	}
+	return fm.id, decodeMsg(fm, req)
 }
 
 // recvMsg reads one message frame into v and returns its id.
@@ -116,7 +130,7 @@ func TestWorkWithoutHelloRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 		conn.SetDeadline(time.Now().Add(5 * time.Second))
-		if err := writeMsg(bufio.NewWriter(conn), 5, maxRequestBytes, &req); err != nil {
+		if err := writeRequest(bufio.NewWriter(conn), 5, &req); err != nil {
 			t.Fatal(err)
 		}
 		r := bufio.NewReader(conn)
@@ -144,7 +158,7 @@ func TestWorkWithoutHelloRefused(t *testing.T) {
 	}
 
 	conn, r := dialGreetedOn(t, tcpNetwork{}, addr, MechGreedy)
-	if err := writeMsg(bufio.NewWriter(conn), 1, maxRequestBytes, &request{
+	if err := writeRequest(bufio.NewWriter(conn), 1, &request{
 		Op: "negotiate", SQL: sql,
 		Batch: []batchQuery{{QueryID: 7, SQL: sql}, {QueryID: 8, SQL: "SELECT nope FROM missing"}},
 	}); err != nil {
@@ -159,6 +173,32 @@ func TestWorkWithoutHelloRefused(t *testing.T) {
 	}
 	if b := nrep.Batch; b[0].Negotiate == nil || !b[0].Negotiate.Feasible || b[1].Negotiate == nil || b[1].Negotiate.Feasible {
 		t.Errorf("riders answered %+v and %+v, want a proposal and an infeasible reply", b[0], b[1])
+	}
+}
+
+// TestWorkInJSONRefused: negotiate, execute and fetch have one
+// encoding, the request frame. The same op in a JSON message frame, after
+// a hello the node accepted, gets the typed protocol refusal under its
+// id, and the node hangs up having run nothing.
+func TestWorkInJSONRefused(t *testing.T) {
+	_, node, addr, sql := protectionQuery(t, nil)
+	for _, op := range []string{"negotiate", "execute", "fetch"} {
+		conn, r := dialGreeted(t, addr, MechGreedy)
+		msg := map[string]any{"op": op, "sql": sql, "query_id": 1}
+		if err := writeMsg(bufio.NewWriter(conn), 4, maxRequestBytes, msg); err != nil {
+			t.Fatal(err)
+		}
+		var rep reply
+		id, err := recvMsg(r, &rep)
+		if err != nil || id != 4 || rep.Code != CodeProtocol || rep.Err != msgWorkInJSON {
+			t.Fatalf("%s in a message frame answered %+v under id %d (err %v), want the %q refusal under id 4", op, rep, id, err, CodeProtocol)
+		}
+		if _, err := r.ReadByte(); err != io.EOF {
+			t.Fatalf("%s: connection still open after the refusal (read err %v)", op, err)
+		}
+	}
+	if got := node.Executed(); got != 0 {
+		t.Fatalf("node executed %d queries sent as JSON, want 0", got)
 	}
 }
 
@@ -185,11 +225,18 @@ func TestUnknownMechanismRefused(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	w := bufio.NewWriter(conn)
+	// The hello and the execute behind it leave in one write: the node
+	// hangs up once it has refused the hello, and a second write could
+	// meet the closed connection.
+	var out bytes.Buffer
+	w := bufio.NewWriter(&out)
 	if err := writeMsg(w, 1, maxRequestBytes, &request{Op: "hello", Hello: &hello{RunID: "raw", Mechanism: "qant"}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeMsg(w, 2, maxRequestBytes, &request{Op: "execute", SQL: sql, QueryID: 1}); err != nil {
+	if err := writeRequest(w, 2, &request{Op: "execute", SQL: sql, QueryID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(out.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	r := bufio.NewReader(conn)

@@ -53,7 +53,7 @@ func TestOnePreparePerQuery(t *testing.T) {
 		{"fetch retransmit", request{Op: "fetch", SQL: sql, QueryID: 2}, 3, 0, 0},
 	} {
 		prepares, execs := mock.Prepares(), mock.Executions()
-		if err := writeMsg(w, 1, maxRequestBytes, &step.req); err != nil {
+		if err := writeRequest(w, 1, &step.req); err != nil {
 			t.Fatal(err)
 		}
 		if rows := readReplyRows(t, r, step.name); rows != step.rows {

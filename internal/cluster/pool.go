@@ -146,7 +146,7 @@ func (mc *mconn) call(req *request, rep *reply, timeout time.Duration, onFrame f
 
 	mc.wmu.Lock()
 	mc.conn.SetWriteDeadline(mc.clk.now().Add(timeout))
-	err := writeMsg(mc.w, id, maxRequestBytes, req)
+	err := writeRequest(mc.w, id, req)
 	mc.wmu.Unlock()
 	if err != nil {
 		mc.unregister(id)

@@ -47,8 +47,9 @@ func (m Mechanism) check() error {
 // its ints as deltas from their minimum and its text lengths in the
 // fewest bytes that hold them; version 6 sends a float column whose
 // values are integers once multiplied by a power of two 2^k as k and
-// those integers' deltas from their minimum, like ints.
-const protocolVersion = 6
+// those integers' deltas from their minimum, like ints; version 7 sends
+// negotiate, execute and fetch as binary request frames (reqframe.go).
+const protocolVersion = 7
 
 // hello opens every connection: what stays constant for the peer's
 // whole run. The node keeps it as the connection's session, and
@@ -69,11 +70,13 @@ type helloReply struct {
 	Boot   uint64 `json:"boot"`
 }
 
-// request is one RPC from client to server. It travels as a message
-// frame, whose header carries the request id the reply echoes.
+// request is one RPC from client to server. A work op — negotiate,
+// execute or fetch — travels as a request frame (reqframe.go) carrying
+// the fields below that have no JSON name; every other op travels as a
+// message frame of JSON. Either header carries the request id the reply
+// echoes.
 type request struct {
 	Op      string `json:"op"` // "hello", "negotiate", "execute", "fetch", "stats", ...
-	SQL     string `json:"sql,omitempty"`
 	QueryID int64  `json:"query_id,omitempty"`
 	// Hello is the payload of the "hello" op, a connection's first message.
 	Hello *hello `json:"hello,omitempty"`
@@ -81,14 +84,17 @@ type request struct {
 	// (anti-entropy push-pull; the reply carries the receiver's table
 	// back).
 	Gossip *gossipPayload `json:"gossip,omitempty"`
+
+	// SQL is the query a work op negotiates, executes or fetches.
+	SQL string `json:"-"`
 	// Trace carries the client's trace context when the query is being
 	// traced; untraced requests omit it.
-	Trace *traceCtx `json:"trace,omitempty"`
+	Trace *traceCtx `json:"-"`
 	// DeadlineMs is the query's remaining time budget in milliseconds
 	// when the request left the client. It is relative, not a wall-clock
 	// instant, so federations need no clock sync; the cost is that time
 	// on the wire is not charged. Zero means "no deadline".
-	DeadlineMs int64 `json:"deadline_ms,omitempty"`
+	DeadlineMs int64 `json:"-"`
 	// Batch carries the additional queries of a batched
 	// call-for-proposals on a "negotiate" op: the request's own
 	// SQL/QueryID/DeadlineMs fields describe the first query exactly as
@@ -96,22 +102,22 @@ type request struct {
 	// coalesced window. The reply answers them positionally. A node-wide
 	// refusal (draining, overload at the admission gate) carries no Batch
 	// and answers every query of the window.
-	Batch []batchQuery `json:"batch,omitempty"`
+	Batch []batchQuery `json:"-"`
 	// Release names fetch outcomes this client now holds whole, by the
 	// sequence numbers their header frames carried. It rides the next
 	// negotiate, execute or fetch to that node; the node drops the
 	// results and keeps the keys, under the session's run, once the
 	// request is answered.
-	Release []uint64 `json:"release,omitempty"`
+	Release []uint64 `json:"-"`
 }
 
 // batchQuery is one additional query of a batched call-for-proposals.
 type batchQuery struct {
-	QueryID int64  `json:"query_id,omitempty"`
-	SQL     string `json:"sql"`
+	QueryID int64
+	SQL     string
 	// DeadlineMs is the query's own remaining budget (the batch's
 	// queries may carry different deadlines).
-	DeadlineMs int64 `json:"deadline_ms,omitempty"`
+	DeadlineMs int64
 }
 
 // batchProposal answers one batchQuery: the proposal, or the typed
@@ -128,8 +134,8 @@ type batchProposal struct {
 // trace ID names the traced query, Span is the client-side span that
 // server spans hang under in the assembled tree.
 type traceCtx struct {
-	ID   int64  `json:"id"`
-	Span string `json:"span,omitempty"`
+	ID   int64
+	Span string
 }
 
 // spansReply answers the "spans" op with the node's retained spans for
@@ -277,10 +283,11 @@ const (
 	// told so by a healthy node, and retrying cannot help.
 	CodeReleased = "released"
 	// CodeProtocol refuses a frame of a protocol version this node does
-	// not speak, a hello with no run id or with an unknown mechanism, or
-	// a first frame that is not a hello; the node then closes the
-	// connection. Such a peer cannot serve the client at all, so
-	// retrying cannot help.
+	// not speak, a hello with no run id or with an unknown mechanism, a
+	// first frame that is not a hello, or a work op in a message frame
+	// instead of a request frame; the node then closes the connection.
+	// Such a peer cannot serve the client at all, so retrying cannot
+	// help.
 	CodeProtocol = "protocol"
 )
 
@@ -297,9 +304,13 @@ const (
 	msgReleased   = "outcome already released by this client"
 )
 
-// msgHelloRefused is the human-readable half of the typed protocol
-// refusal.
-var msgHelloRefused = fmt.Sprintf("hello refused: a connection opens with a hello of protocol version %d", protocolVersion)
+// msgHelloRefused and msgWorkInJSON are the human-readable halves of
+// the typed protocol refusal: of a connection's first frame, and of a
+// work op in a message frame.
+var (
+	msgHelloRefused = fmt.Sprintf("hello refused: a connection opens with a hello of protocol version %d", protocolVersion)
+	msgWorkInJSON   = fmt.Sprintf("request refused: negotiate, execute and fetch travel as request frames of protocol version %d", protocolVersion)
+)
 
 // reply is the union envelope sent back by the server, in a message
 // frame under the request's id.

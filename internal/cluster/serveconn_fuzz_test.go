@@ -14,14 +14,17 @@ import (
 
 // FuzzServeConn feeds a node arbitrary frames as a connection's first
 // and later messages, over the in-memory network: no socket per input.
-// The node runs on a fake clock nobody advances, so no period, gossip
-// round or execution stretch moves between inputs. It holds the request
-// path to three promises:
+// The first is a message frame; the later one a request frame when
+// binary is set, else a message frame. The node runs on a fake clock
+// nobody advances, so no period, gossip round or execution stretch moves
+// between inputs. It holds the request path to four promises:
 //
 //   - no input panics the node (the fuzzer would report it);
 //   - a first frame that is not a hello the node accepts is refused —
 //     the typed protocol refusal or nothing — and the connection closed,
 //     having run nothing;
+//   - a work op in a message frame gets the typed protocol refusal and
+//     the connection closes, having run nothing;
 //   - a gossip merge never drops a member the node knows.
 func FuzzServeConn(f *testing.F) {
 	for _, seed := range [][2]string{
@@ -37,7 +40,20 @@ func FuzzServeConn(f *testing.F) {
 		{`{"op":"hello"}`, ``},
 		{`not json`, `{"op":"members"}`},
 	} {
-		f.Add([]byte(seed[0]), []byte(seed[1]))
+		f.Add([]byte(seed[0]), []byte(seed[1]), false)
+	}
+	// Work ops as request frames, the way a client sends them, each
+	// behind a hello that lets it run.
+	for _, seed := range []struct {
+		hello string
+		req   *request
+	}{
+		{`{"op":"hello","hello":{"run_id":"r","mechanism":"qa-nt"}}`, &request{Op: "negotiate", SQL: "SELECT a FROM t", DeadlineMs: 50,
+			Batch: []batchQuery{{QueryID: 2, SQL: "SELECT b FROM t"}, {SQL: "SELECT nope FROM t"}}, Trace: &traceCtx{ID: 1, Span: "s"}}},
+		{`{"op":"hello","hello":{"run_id":"r"}}`, &request{Op: "execute", SQL: "SELECT a, b FROM t", QueryID: 1, Release: []uint64{1}}},
+		{`{"op":"hello","hello":{"run_id":"r","mechanism":"greedy"}}`, &request{Op: "fetch", SQL: "SELECT a, b FROM t", QueryID: 2}},
+	} {
+		f.Add([]byte(seed.hello), appendRequest(nil, 2, seed.req)[frameHdrLen:], true)
 	}
 
 	db := sqldb.Open()
@@ -69,7 +85,7 @@ func FuzzServeConn(f *testing.F) {
 	}
 	conn.Close()
 
-	f.Fuzz(func(t *testing.T, first, later []byte) {
+	f.Fuzz(func(t *testing.T, first, later []byte, binary bool) {
 		known := make(map[string]bool)
 		for _, m := range node.Members() {
 			known[m.ID] = true
@@ -85,13 +101,13 @@ func FuzzServeConn(f *testing.F) {
 		w := bufio.NewWriter(conn)
 		// A write the node has hung up on fails here and shows as EOF on
 		// the read that follows, which is what the checks read.
-		writeRaw := func(id uint64, payload []byte) {
-			buf, hdr := beginFrame(nil, frameTypeMsg, id)
+		writeRaw := func(id uint64, typ byte, payload []byte) {
+			buf, hdr := beginFrame(nil, typ, id)
 			_, _ = w.Write(endFrame(append(buf, payload...), hdr))
 			_ = w.Flush()
 		}
 		r := bufio.NewReader(conn)
-		writeRaw(1, first)
+		writeRaw(1, frameTypeMsg, first)
 
 		var req request
 		accepted := json.Unmarshal(first, &req) == nil && req.Op == "hello" && req.Hello != nil &&
@@ -116,7 +132,24 @@ func FuzzServeConn(f *testing.F) {
 			if _, err := recvMsg(r, &rep); err != nil || rep.Hello == nil || rep.Hello.NodeID != "fuzz" {
 				t.Fatalf("hello %q answered %+v (err %v)", first, rep, err)
 			}
-			writeRaw(2, later)
+			typ := byte(frameTypeMsg)
+			if binary {
+				typ = frameTypeReq
+			}
+			writeRaw(2, typ, later)
+			var req request
+			if !binary && json.Unmarshal(later, &req) == nil && workOp(req.Op) != 0 {
+				var rep reply
+				if _, err := recvMsg(r, &rep); err != nil || rep.Code != CodeProtocol {
+					t.Fatalf("%s in a message frame answered %+v (err %v), want the protocol refusal", later, rep, err)
+				}
+				if _, err := readFrame(r, maxFramePayload); !errors.Is(err, io.EOF) {
+					t.Fatalf("%s in a message frame: the connection stayed open (read err %v)", later, err)
+				}
+				if got := node.Executed(); got != executed {
+					t.Fatalf("%s in a message frame ran %d queries", later, got-executed)
+				}
+			}
 			// Read to the request's last frame: a message, or a fetch
 			// stream's end; an unreadable request closes the connection.
 			for {

@@ -78,9 +78,15 @@ func (b *Block) Dense() *Block {
 }
 
 // gather overwrites c, reusing its buffers, with rows sel of the
-// row-aligned column src.
+// row-aligned column src. A column of one value kind, which is what
+// SingleKind reads from its typed arrays' lengths, has its kind bytes
+// filled with that kind rather than gathered row by row.
 func (c *Col) gather(src *Col, sel []int32) {
-	c.Kinds = pick(c.Kinds, src.Kinds, sel)
+	if k := SingleKind(len(src.Kinds), len(src.Ints), len(src.Floats), len(src.Texts), len(src.Bools)); k != 0 {
+		c.Kinds = FillKinds(c.Kinds, k, len(sel))
+	} else {
+		c.Kinds = pick(c.Kinds, src.Kinds, sel)
+	}
 	c.Ints = pick(c.Ints, src.Ints, sel)
 	c.Floats = pick(c.Floats, src.Floats, sel)
 	c.Texts = pick(c.Texts, src.Texts, sel)
@@ -96,6 +102,20 @@ func pick[T any](dst, src []T, sel []int32) []T {
 	dst = slices.Grow(dst[:0], len(sel))[:len(sel)]
 	for k, i := range sel {
 		dst[k] = src[i]
+	}
+	return dst
+}
+
+// FillKinds overwrites dst, reusing its array, with n copies of the
+// kind byte k, doubling the filled prefix with each copy: the kind bytes
+// of a column of one value kind.
+func FillKinds(dst []byte, k byte, n int) []byte {
+	dst = slices.Grow(dst[:0], n)[:n]
+	if n > 0 {
+		dst[0] = k
+		for m := 1; m < n; m *= 2 {
+			copy(dst[m:], dst[:m])
+		}
 	}
 	return dst
 }

@@ -186,6 +186,39 @@ func TestBlockNextBatchGatherSparesAliasedOut(t *testing.T) {
 	sameRows(t, "dense block after a selection reused its batch", mustRows(t, dense), cases[0].want)
 }
 
+// TestGatherKinds: gather fills the kind bytes of a column of one value
+// kind with that kind and gathers everyone else's row by row — a column
+// of NULLs, one that holds some NULLs and one that mixes kinds — into
+// buffers it reuses, shorter or longer than the selection.
+func TestGatherKinds(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		src  Col
+	}{
+		{"ints", Col{Kinds: []byte("iiii"), Ints: []int64{1, 2, 3, 4}}},
+		{"floats", Col{Kinds: []byte("ffff"), Floats: []float64{1, 2, 3, 4}}},
+		{"texts", Col{Kinds: []byte("ssss"), Texts: []string{"a", "b", "c", "d"}}},
+		{"bools", Col{Kinds: []byte("bbbb"), Bools: []bool{true, false, true, false}}},
+		{"all NULL", Col{Kinds: []byte("nnnn")}},
+		{"some NULL", Col{Kinds: []byte("inin"), Ints: []int64{1, 2}}},
+		{"mixed", Col{Kinds: []byte("ifif"), Ints: []int64{1, 2}, Floats: []float64{1, 2}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Every typed array holds at least two values, so these picks
+			// stay inside them; only the kinds are read here.
+			sel := []int32{1, 0, 1}
+			want := []byte{tc.src.Kinds[1], tc.src.Kinds[0], tc.src.Kinds[1]}
+			for _, prior := range [][]byte{nil, []byte("x"), []byte("xxxxxxxx")} {
+				c := Col{Kinds: prior}
+				c.gather(&tc.src, sel)
+				if !bytes.Equal(c.Kinds, want) {
+					t.Fatalf("over %q: kinds %q, want %q", prior, c.Kinds, want)
+				}
+			}
+		})
+	}
+}
+
 func TestBlockDropAndTruncateAgreeWithDense(t *testing.T) {
 	for _, c := range blockCases(300) {
 		n := len(c.want)
