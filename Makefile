@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench benchsmoke loadsmoke examplesmoke fuzzsmoke oneledger onelane onekinds onerow oneonce onewire onedoor oneclock onenet ci
+.PHONY: all build test vet race bench benchsmoke loadsmoke examplesmoke fuzzsmoke oneledger onelane onekinds onerow oneonce onewire onedoor oneclock onenet onereach ci
 
 all: build test
 
@@ -281,4 +281,18 @@ onenet:
 	@if grep -rnw 'wallDeadline' --include='*.go' .; \
 	then echo 'onenet: wallDeadline is back; a connection deadline is a time on the node'"'"'s or the client'"'"'s clock (see DESIGN.md §7, "One clock")'; exit 1; fi
 
-ci: build vet oneledger onelane onekinds onerow oneonce onewire onedoor oneclock onenet test race benchsmoke loadsmoke examplesmoke fuzzsmoke
+# onereach keeps nothing in the product tree without a product caller:
+# it fails on an exported top-level name or method under internal/ that
+# no non-test Go file in the module uses, and on an exported field of a
+# *Config or *Options struct that no non-test file sets. Move what only
+# tests need into a _test.go file, turn an option every caller leaves
+# at one value into a constant, or name it in the test's allowlist with
+# a reason (test support such as faultnet and driver.Mock, sort.Interface
+# methods, seams that tests in other packages read). It matches by name,
+# so it can miss an unreached name but never flags a reached one, and it
+# fails on an allowlist entry that allows nothing. The scan is
+# internal/reach_test.go, so `go test ./...` runs it too.
+onereach:
+	$(GO) test -count=1 -run '^TestEveryExportHasAProductCaller$$' ./internal/
+
+ci: build vet oneledger onelane onekinds onerow oneonce onewire onedoor oneclock onenet onereach test race benchsmoke loadsmoke examplesmoke fuzzsmoke

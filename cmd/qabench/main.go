@@ -12,16 +12,21 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"github.com/qamarket/qamarket/internal/experiments"
 	"github.com/qamarket/qamarket/internal/plot"
 )
 
+// experimentNames are the names -only accepts, in the order qabench
+// prints the experiments.
+var experimentNames = []string{"fig1", "fig2", "fig3", "fig4", "fig5a", "fig5b", "fig5c", "fig6", "table2", "table3", "static", "partial", "fig7"}
+
 func main() {
 	paper := flag.Bool("paper", false, "run the full Table 3 scale (100 nodes, 10,000 queries)")
 	seed := flag.Int64("seed", 1, "master RNG seed")
-	only := flag.String("only", "", "comma-separated experiments to run: fig1,fig2,fig3,fig4,fig5a,fig5b,fig5c,fig6,fig7,table2,table3,static,partial")
+	only := flag.String("only", "", "comma-separated experiments to run: "+strings.Join(experimentNames, ","))
 	skipReal := flag.Bool("skip-real", false, "skip the real TCP cluster experiment (figure 7)")
 	svgDir := flag.String("svg", "", "also render each figure as an SVG into this directory")
 	parallel := flag.Int("parallel", 0, "worker-pool width for sweep points (0 = GOMAXPROCS, 1 = sequential; output is identical at any width)")
@@ -29,31 +34,50 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
+	selected := map[string]bool{}
+	if *only != "" {
+		for _, sel := range strings.Split(*only, ",") {
+			name := strings.ToLower(strings.TrimSpace(sel))
+			if !slices.Contains(experimentNames, name) {
+				fmt.Fprintf(os.Stderr, "qabench: -only: unknown experiment %q; valid: %s\n", sel, strings.Join(experimentNames, ", "))
+				os.Exit(2)
+			}
+			selected[name] = true
+		}
+	}
+	want := func(name string) bool { return *only == "" || selected[name] }
+
+	// die reports a failure and exits. os.Exit skips deferred calls, so
+	// it stops the CPU profile itself: a failed run still leaves a whole
+	// profile behind.
+	stopProfile := func() {}
+	die := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "qabench: "+format+"\n", args...)
+		stopProfile()
+		os.Exit(1)
+	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "qabench: %v\n", err)
-			os.Exit(1)
+			die("%v", err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "qabench: %v\n", err)
-			os.Exit(1)
+			die("%v", err)
 		}
+		stopProfile = pprof.StopCPUProfile
 		defer pprof.StopCPUProfile()
 	}
 	if *memProfile != "" {
 		defer func() {
 			f, err := os.Create(*memProfile)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "qabench: %v\n", err)
-				os.Exit(1)
+				die("%v", err)
 			}
 			defer f.Close()
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "qabench: %v\n", err)
-				os.Exit(1)
+				die("%v", err)
 			}
 		}()
 	}
@@ -63,13 +87,11 @@ func main() {
 			return
 		}
 		if err := os.MkdirAll(*svgDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "qabench: %v\n", err)
-			os.Exit(1)
+			die("%v", err)
 		}
 		path := filepath.Join(*svgDir, name+".svg")
 		if err := c.WriteFile(path, bars); err != nil {
-			fmt.Fprintf(os.Stderr, "qabench: rendering %s: %v\n", name, err)
-			os.Exit(1)
+			die("rendering %s: %v", name, err)
 		}
 		fmt.Printf("(wrote %s)\n", path)
 	}
@@ -81,21 +103,7 @@ func main() {
 	scale.Seed = *seed
 	scale.Parallel = *parallel
 
-	want := func(name string) bool {
-		if *only == "" {
-			return true
-		}
-		for _, sel := range strings.Split(*only, ",") {
-			if strings.EqualFold(strings.TrimSpace(sel), name) {
-				return true
-			}
-		}
-		return false
-	}
-	fail := func(name string, err error) {
-		fmt.Fprintf(os.Stderr, "qabench: %s: %v\n", name, err)
-		os.Exit(1)
-	}
+	fail := func(name string, err error) { die("%s: %v", name, err) }
 
 	if want("fig1") {
 		r := experiments.Figure1()

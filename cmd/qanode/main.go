@@ -47,9 +47,6 @@ func main() {
 		nodeID       = flag.String("id", "", "stable node identity in the membership registry (empty = random)")
 		join         = flag.String("join", "", "comma-separated addresses of existing federation members to announce to")
 		gossipPeriod = flag.Int64("gossip-period", 250, "anti-entropy gossip round length in ms")
-		gossipFanout = flag.Int("gossip-fanout", 2, "live peers contacted per gossip round")
-		suspectAfter = flag.Int("suspect-after", 3, "stalled gossip rounds before a member is suspected")
-		evictAfter   = flag.Int("evict-after", 3, "further stalled rounds before a suspect is evicted")
 		metricsAddr  = flag.String("metrics-addr", "", "serve Prometheus text metrics on this address (/metrics, plus /debug/pprof); empty disables")
 		maxInflight  = flag.Int("max-inflight", 0, "max concurrently handled work requests before typed overload refusals (0 = default 256)")
 		maxQueue     = flag.Int("max-queue", 0, "executor queue depth before typed overload refusals (0 = default 256)")
@@ -65,26 +62,23 @@ func main() {
 	}
 	mcfg := market.Config{Lambda: *lambda, InitialPrice: 1, ActivationThreshold: *threshold, Classes: 1}
 	node, err := cluster.StartNode(*addr, cluster.NodeConfig{
-		Driver:             db,
-		Slowdown:           *slow,
-		IOSlowdown:         *ioSlow,
-		CPUSlowdown:        *cpuSlow,
-		MsPerCostUnit:      *msPerUnit,
-		PeriodMs:           *period,
-		LinkLatency:        *latency,
-		ExecNoise:          *noise,
-		NoiseSeed:          time.Now().UnixNano(),
-		DrainTimeout:       *drainBudget,
-		MaxInflight:        *maxInflight,
-		MaxQueue:           *maxQueue,
-		DedupWindow:        *dedupWindow,
-		Market:             mcfg,
-		NodeID:             *nodeID,
-		Seeds:              splitSeeds(*join),
-		GossipPeriodMs:     *gossipPeriod,
-		GossipFanout:       *gossipFanout,
-		SuspectAfterRounds: *suspectAfter,
-		EvictAfterRounds:   *evictAfter,
+		Driver:         db,
+		Slowdown:       *slow,
+		IOSlowdown:     *ioSlow,
+		CPUSlowdown:    *cpuSlow,
+		MsPerCostUnit:  *msPerUnit,
+		PeriodMs:       *period,
+		LinkLatency:    *latency,
+		ExecNoise:      *noise,
+		NoiseSeed:      time.Now().UnixNano(),
+		DrainTimeout:   *drainBudget,
+		MaxInflight:    *maxInflight,
+		MaxQueue:       *maxQueue,
+		DedupWindow:    *dedupWindow,
+		Market:         mcfg,
+		NodeID:         *nodeID,
+		Seeds:          splitSeeds(*join),
+		GossipPeriodMs: *gossipPeriod,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},

@@ -105,9 +105,9 @@ func buy(q Query, v View, sellers []*market.Seller) Decision {
 }
 
 // ScanFeasible returns the ascending indices in [0, n) satisfying
-// feasible. It is the one feasibility scan in the repo: ScanFeasibleNodes
-// delegates to it, the simulator builds its per-class index with it, and
-// the live client's shard probe filters its CFP fan-out through it.
+// feasible. It is the one feasibility scan in the repo: the simulator
+// builds its per-class index with it, and the live client's shard probe
+// filters its CFP fan-out through it.
 func ScanFeasible(n int, feasible func(int) bool) []int {
 	var out []int
 	for i := 0; i < n; i++ {
@@ -116,11 +116,4 @@ func ScanFeasible(n int, feasible func(int) bool) []int {
 		}
 	}
 	return out
-}
-
-// ScanFeasibleNodes builds the ascending feasible-node list for class by
-// scanning every node. View implementations without a precomputed index
-// can delegate their FeasibleNodes to it.
-func ScanFeasibleNodes(v View, class int) []int {
-	return ScanFeasible(v.NumNodes(), func(n int) bool { return v.Feasible(n, class) })
 }

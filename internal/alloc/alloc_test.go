@@ -24,7 +24,7 @@ func (v *fakeView) Cost(n, c int) float64  { return v.cost[n][c] }
 func (v *fakeView) Backlog(n int) float64  { return v.backlog[n] }
 func (v *fakeView) PeriodMs() int64        { return v.period }
 func (v *fakeView) FeasibleNodes(c int) []int {
-	return ScanFeasibleNodes(v, c)
+	return ScanFeasible(v.NumNodes(), func(n int) bool { return v.Feasible(n, c) })
 }
 
 var inf = math.Inf(1)

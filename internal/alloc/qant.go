@@ -61,9 +61,9 @@ func (m *QANT) Traits() Traits {
 	}
 }
 
-// Sellers exposes the per-node sellers for observability (price traces
-// in the experiments and tests); non-adopters have a nil entry. It
-// returns nil before the first period.
+// Sellers exposes the per-node sellers to tests in other packages (the
+// simulator's golden digest and Pareto checks); non-adopters have a nil
+// entry. It returns nil before the first period.
 func (m *QANT) Sellers() []*market.Seller { return slices.Clone(m.sellers) }
 
 // OnPeriodStart implements Periodic: every seller opens its period.

@@ -70,6 +70,10 @@ func (out *DistOutcome) book(o Outcome) {
 func (d *Distributor) Run(queryID int64, sql string) (DistOutcome, error) {
 	clk := d.client.cfg.clock
 	start := clk.now()
+	// The root span opens first, so the plan's parse is charged to the
+	// query like every other step of it.
+	root := d.client.startSpan(queryID, "", "run")
+	defer root.Finish()
 	stmt, err := sqldb.Parse(sql)
 	if err != nil {
 		return DistOutcome{}, err
@@ -83,8 +87,6 @@ func (d *Distributor) Run(queryID int64, sql string) (DistOutcome, error) {
 		rels[i] = ref.Table
 	}
 	out := DistOutcome{PerNode: make(map[string]int)}
-	root := d.client.startSpan(queryID, "", "run")
-	defer root.Finish()
 
 	// A distributed evaluation shares one root span and one deadline
 	// across the lifecycles of its subqueries.

@@ -112,7 +112,15 @@ func sameCells(got, want *sqldb.Result, ordered bool) error {
 	if !ordered {
 		byKey := func(rows []sqldb.Row) []sqldb.Row {
 			rows = append([]sqldb.Row(nil), rows...)
-			sort.SliceStable(rows, func(i, j int) bool { return sqldb.RowKey(rows[i]) < sqldb.RowKey(rows[j]) })
+			key := func(r sqldb.Row) string {
+				var b strings.Builder
+				for _, v := range r {
+					b.WriteString(v.GroupKey())
+					b.WriteByte('|')
+				}
+				return b.String()
+			}
+			sort.SliceStable(rows, func(i, j int) bool { return key(rows[i]) < key(rows[j]) })
 			return rows
 		}
 		g, w = byKey(g), byKey(w)

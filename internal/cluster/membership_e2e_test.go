@@ -18,17 +18,14 @@ import (
 func startGossipNode(t *testing.T, clk *fakeClock, db *sqldb.DB, id string, seeds []string, slowdown float64, mutate func(*NodeConfig)) *Node {
 	t.Helper()
 	cfg := NodeConfig{
-		clock:              clk,
-		Driver:             engine.FromDB(db),
-		Slowdown:           slowdown,
-		MsPerCostUnit:      0.01,
-		PeriodMs:           25,
-		NodeID:             id,
-		Seeds:              seeds,
-		GossipPeriodMs:     15,
-		SuspectAfterRounds: 3,
-		EvictAfterRounds:   3,
-		MembershipSeed:     int64(len(id)) + int64(id[len(id)-1]),
+		clock:          clk,
+		Driver:         engine.FromDB(db),
+		Slowdown:       slowdown,
+		MsPerCostUnit:  0.01,
+		PeriodMs:       25,
+		NodeID:         id,
+		Seeds:          seeds,
+		GossipPeriodMs: 15,
 	}
 	if mutate != nil {
 		mutate(&cfg)

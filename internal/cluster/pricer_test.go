@@ -111,21 +111,21 @@ func TestDriftFloorZeroCostClass(t *testing.T) {
 // seller fixes by construction: offer used to replace the agent on a
 // class arrival or a cost drift, which zeroed its lifetime Stats (the
 // autoscaler read that as a node restart; benchmark window deltas could
-// go negative) and its per-period adjustment counts (a second raise
-// landed in the same period under MaxAdjustsPerPeriod 1).
+// go negative) and its learned prices. Each refusal after the change
+// raises the learned price by one step of λ.
 func TestObserveKeepsStatsMonotoneAndAdjustCap(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		sig    string  // what is requested mid-period
 		costMs float64 // and at what cost estimate
 		costA  float64 // class a's cost estimate afterwards
+		raises int     // refusals of class a from then on
 	}{
-		{"class arrival", "b", 10, 20},
-		{"cost drift", "a", 400, 400},
+		{"class arrival", "b", 10, 20, 1},
+		{"cost drift", "a", 400, 400, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := market.DefaultConfig(1)
-			cfg.MaxAdjustsPerPeriod = 1
 			p := newTestPricer(t, cfg, 100)
 			for i := 0; i < 2; i++ {
 				if !p.offer("a", 20) || !p.accept("a") {
@@ -140,8 +140,8 @@ func TestObserveKeepsStatsMonotoneAndAdjustCap(t *testing.T) {
 				}
 			}
 			before := p.telemetry()
-			if before.Stats.Rejects == 0 || before.Stats.PriceUps != 1 {
-				t.Fatalf("setup: want refusals and exactly one raise, got %+v", before.Stats)
+			if before.Stats.Rejects == 0 || before.Stats.PriceUps != before.Stats.Rejects {
+				t.Fatalf("setup: want refusals and one raise for each, got %+v", before.Stats)
 			}
 			p.offer(tc.sig, tc.costMs)
 			if p.offer("a", tc.costA) {
@@ -162,8 +162,12 @@ func TestObserveKeepsStatsMonotoneAndAdjustCap(t *testing.T) {
 				t.Fatal("class a missing from telemetry")
 				return 0
 			}
-			if got, want := priceOf(after), priceOf(before); got != want {
-				t.Errorf("second raise in one period under MaxAdjustsPerPeriod 1: price %g, want %g", got, want)
+			want := priceOf(before)
+			for i := 0; i < tc.raises; i++ {
+				want += cfg.Lambda * want
+			}
+			if got := priceOf(after); got != want {
+				t.Errorf("class a's price is %g after %d refusals, want %g: the change lost the learned price", got, tc.raises, want)
 			}
 		})
 	}

@@ -104,19 +104,10 @@ type NodeConfig struct {
 	Seeds []string
 	// GossipPeriodMs is the anti-entropy gossip round length (default
 	// 250ms). Each round the node ticks its failure detector and
-	// push-pulls its member table with GossipFanout random live peers.
+	// push-pulls its member table with a few random live peers, chosen
+	// by an RNG seeded from NodeID, so a fixed topology gossips
+	// deterministically (internal/membership holds the round counts).
 	GossipPeriodMs int64
-	// GossipFanout is how many peers each gossip round contacts
-	// (default 2).
-	GossipFanout int
-	// SuspectAfterRounds is how many gossip rounds without heartbeat
-	// progress mark a member suspect (default 3); EvictAfterRounds is
-	// how many further stalled rounds evict it (default 3).
-	SuspectAfterRounds, EvictAfterRounds int
-	// MembershipSeed seeds the gossip target-selection RNG. Zero
-	// derives a per-node seed from NodeID, so a fixed topology gossips
-	// deterministically.
-	MembershipSeed int64
 	// Market configures the QA-NT agent (Classes is managed dynamically
 	// and may be left zero).
 	Market market.Config
@@ -279,12 +270,6 @@ func StartNode(addr string, cfg NodeConfig) (*Node, error) {
 	if cfg.ExecNoise > 0 {
 		n.noise = rand.New(rand.NewSource(cfg.NoiseSeed))
 	}
-	seed := cfg.MembershipSeed
-	if seed == 0 {
-		h := fnv.New64a()
-		h.Write([]byte(cfg.NodeID))
-		seed = int64(h.Sum64())
-	}
 	n.reg, err = membership.New(membership.Config{
 		Self: membership.Member{
 			ID:            cfg.NodeID,
@@ -292,10 +277,6 @@ func StartNode(addr string, cfg NodeConfig) (*Node, error) {
 			CatalogDigest: catalogDigest(cfg.Driver),
 			CatalogFilter: catalogFilter(cfg.Driver),
 		},
-		Fanout:       cfg.GossipFanout,
-		SuspectAfter: cfg.SuspectAfterRounds,
-		EvictAfter:   cfg.EvictAfterRounds,
-		Rand:         rand.New(rand.NewSource(seed)),
 	})
 	if err != nil {
 		ln.Close()

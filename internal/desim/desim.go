@@ -58,19 +58,11 @@ type Engine struct {
 	now    Time
 	seq    uint64
 	events []*item // min-heap ordered by (at, seq)
-	fired  uint64
 	free   []*item // recycled items awaiting reuse
 }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
-
-// Fired returns how many events have executed so far.
-func (e *Engine) Fired() uint64 { return e.fired }
-
-// Pending returns the number of events still queued (including any
-// cancelled events not yet reaped).
-func (e *Engine) Pending() int { return len(e.events) }
 
 // At schedules run to fire at absolute time at. Scheduling in the past
 // panics: it is always a logic error in a discrete-event model.
@@ -124,7 +116,6 @@ func (e *Engine) Step() bool {
 			continue
 		}
 		e.now = it.at
-		e.fired++
 		run := it.run
 		// Recycle before running: the common rolling-tick pattern (an
 		// event re-arming itself from its own callback) reuses this very

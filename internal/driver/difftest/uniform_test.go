@@ -62,17 +62,19 @@ func buildUniformDataset(rng *rand.Rand) string {
 	return sb.String()
 }
 
-// openUniform loads the twin into both engines.
-func openUniform(t *testing.T, rng *rand.Rand) (*driver.Legacy, *engine.DB) {
+// openUniform loads the twin into both engines; oracle is the row
+// engine's raw handle.
+func openUniform(t *testing.T, rng *rand.Rand) (row *driver.Legacy, oracle *sqldb.DB, vec *engine.DB) {
 	t.Helper()
 	script := buildUniformDataset(rng)
-	row, vec := driver.NewLegacy(sqldb.Open()), engine.Open()
+	oracle, vec = sqldb.Open(), engine.Open()
+	row = driver.NewLegacy(oracle)
 	for name, d := range map[string]driver.Driver{"row": row, "vector": vec} {
 		if _, err := driver.ExecScript(d, script); err != nil {
 			t.Fatalf("loading dataset into %s: %v", name, err)
 		}
 	}
-	return row, vec
+	return row, oracle, vec
 }
 
 // mixKeys appends rows to u2 whose INT key column k holds floats, one
@@ -81,7 +83,7 @@ func openUniform(t *testing.T, rng *rand.Rand) (*driver.Legacy, *engine.DB) {
 // query found uniform a moment ago. The row engine has no such ingest —
 // it coerces on the way in — so the oracle's copies are appended as
 // ints and then overwritten through TableRows' live rows.
-func mixKeys(t *testing.T, row *driver.Legacy, vec *engine.DB) {
+func mixKeys(t *testing.T, oracle *sqldb.DB, vec *engine.DB) {
 	t.Helper()
 	mixed := []sqldb.Row{
 		{sqldb.NewFloat(3), sqldb.NewText("beta"), sqldb.NewFloat(1.5)},
@@ -97,10 +99,10 @@ func mixKeys(t *testing.T, row *driver.Legacy, vec *engine.DB) {
 	for i, r := range mixed {
 		placeholders[i] = sqldb.Row{sqldb.NewInt(0), r[1], r[2]}
 	}
-	if err := row.DB().AppendTableRows("u2", placeholders); err != nil {
+	if err := oracle.AppendTableRows("u2", placeholders); err != nil {
 		t.Fatal(err)
 	}
-	live, _ := row.DB().TableRows("u2")
+	live, _ := oracle.TableRows("u2")
 	for i, r := range mixed {
 		live[len(live)-len(mixed)+i][0] = r[0]
 	}
@@ -111,12 +113,12 @@ func mixKeys(t *testing.T, row *driver.Legacy, vec *engine.DB) {
 // 1,200 more after u2.k has turned mixed under the engine's feet.
 func TestDifferentialUniform(t *testing.T) {
 	rng := rand.New(rand.NewSource(seed + 2))
-	row, vec := openUniform(t, rng)
+	row, oracle, vec := openUniform(t, rng)
 	g := &qgen{rng: rng}
 	var errs, ran int
 	for _, phase := range []string{"uniform", "mixed keys"} {
 		if phase == "mixed keys" {
-			mixKeys(t, row, vec)
+			mixKeys(t, oracle, vec)
 		}
 		for i := 0; i < nQueries; i++ {
 			same, failed := compareOne(t, row, vec, usub.Replace(g.query()), i)
@@ -140,7 +142,7 @@ func TestDifferentialUniform(t *testing.T) {
 // compare positionally and, unlike the generated runs, an error must
 // match to the letter: each of these raises on one known row.
 func TestDifferentialPinned(t *testing.T) {
-	row, vec := openUniform(t, rand.New(rand.NewSource(seed+3)))
+	row, oracle, vec := openUniform(t, rand.New(rand.NewSource(seed+3)))
 	check := func(t *testing.T, sql string, wantErr bool, minRows int) {
 		t.Helper()
 		same, failed := compareOne(t, row, vec, sql, 0)
@@ -224,7 +226,7 @@ func TestDifferentialPinned(t *testing.T) {
 	})
 	// After the ingest u2.k is ints and floats: 3 and 3.0 are one key.
 	t.Run("keys turned mixed", func(t *testing.T) {
-		mixKeys(t, row, vec)
+		mixKeys(t, oracle, vec)
 		check(t, "SELECT k, COUNT(*) FROM u2 GROUP BY k", false, 2)
 		check(t, "SELECT u1.a, u2.k, u2.e FROM u1 JOIN u2 ON u1.a = u2.k WHERE u1.a >= 3", false, 2)
 		check(t, "SELECT k FROM u2 WHERE k < 5 AND f < 50", false, 2)
@@ -239,7 +241,7 @@ func TestDifferentialPinned(t *testing.T) {
 // and again after u2.k has turned mixed (boxed keys), positionally and
 // with error text to the letter, like TestDifferentialPinned.
 func TestDifferentialJoinOutput(t *testing.T) {
-	row, vec := openUniform(t, rand.New(rand.NewSource(seed+4)))
+	row, oracle, vec := openUniform(t, rand.New(rand.NewSource(seed+4)))
 	for _, d := range []driver.Driver{row, vec} {
 		if _, err := driver.ExecScript(d, "CREATE VIEW j1 AS SELECT u1.a AS a, u1.c AS c, u2.f AS f, u1.b + u2.f AS s FROM u1 JOIN u2 ON u1.a = u2.k WHERE u1.b < 20"); err != nil {
 			t.Fatal(err)
@@ -316,7 +318,7 @@ func TestDifferentialJoinOutput(t *testing.T) {
 	}
 	for _, phase := range []string{"uniform", "mixed keys"} {
 		if phase == "mixed keys" {
-			mixKeys(t, row, vec)
+			mixKeys(t, oracle, vec)
 		}
 		xy, fact, dim := count("SELECT COUNT(*) FROM u2 x JOIN u2 y ON x.f = y.f"), count("SELECT COUNT(*) FROM u1 JOIN u2 ON u1.a = u2.k"), count("SELECT COUNT(*) FROM u2")
 		if xy >= t1Rows || fact <= dim {

@@ -17,10 +17,6 @@ type Legacy struct {
 // usable directly; the driver adds no state of its own.
 func NewLegacy(db *sqldb.DB) *Legacy { return &Legacy{db: db} }
 
-// DB exposes the wrapped engine for callers that need the raw handle
-// (local oracles in tests, dataset loaders).
-func (l *Legacy) DB() *sqldb.DB { return l.db }
-
 // Tables lists base tables, sorted.
 func (l *Legacy) Tables() []string { return l.db.Tables() }
 

@@ -14,7 +14,6 @@ package economics
 
 import (
 	"errors"
-	"fmt"
 
 	"github.com/qamarket/qamarket/internal/vector"
 )
@@ -60,38 +59,6 @@ func (a Allocation) Clone() Allocation {
 // AggregateSupply returns s = sum_i s_i (eq. 1).
 func (a Allocation) AggregateSupply() vector.Quantity { return vector.Sum(a.Supply) }
 
-// AggregateConsumption returns c = sum_i c_i (eq. 1).
-func (a Allocation) AggregateConsumption() vector.Quantity { return vector.Sum(a.Consumption) }
-
-// Valid checks the structural feasibility constraints of eq. (3) against
-// the given demand vectors: every c_i <= d_i component-wise, every vector
-// is in N^K, and aggregate supply equals aggregate consumption.
-func (a Allocation) Valid(demand []vector.Quantity) error {
-	if len(a.Supply) != len(a.Consumption) {
-		return fmt.Errorf("economics: %d supply vs %d consumption vectors", len(a.Supply), len(a.Consumption))
-	}
-	if len(demand) != len(a.Consumption) {
-		return fmt.Errorf("economics: %d demand vs %d consumption vectors", len(demand), len(a.Consumption))
-	}
-	for i, c := range a.Consumption {
-		if !c.IsValid() {
-			return fmt.Errorf("economics: node %d consumption %v outside N^K", i, c)
-		}
-		if !c.LEQ(demand[i]) {
-			return fmt.Errorf("economics: node %d consumes %v beyond demand %v", i, c, demand[i])
-		}
-	}
-	for i, s := range a.Supply {
-		if !s.IsValid() {
-			return fmt.Errorf("economics: node %d supply %v outside N^K", i, s)
-		}
-	}
-	if s, c := a.AggregateSupply(), a.AggregateConsumption(); !s.Equal(c) {
-		return fmt.Errorf("economics: aggregate supply %v != aggregate consumption %v", s, c)
-	}
-	return nil
-}
-
 // Dominates implements Def. 1: allocation a Pareto dominates b iff
 // every node weakly prefers a's consumption vector under
 // ThroughputPreference and at least one strictly prefers it.
@@ -119,12 +86,6 @@ func ExcessDemand(demand, supply []vector.Quantity) vector.Quantity {
 	d := vector.Sum(demand)
 	s := vector.Sum(supply)
 	return d.Sub(s)
-}
-
-// InEquilibrium reports whether the market is in competitive equilibrium
-// (Def. 3): excess demand is zero in every class.
-func InEquilibrium(demand, supply []vector.Quantity) bool {
-	return ExcessDemand(demand, supply).IsZero()
 }
 
 // TatonnementConfig controls the centralized umpire iteration of eq. (6).

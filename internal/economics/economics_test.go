@@ -1,6 +1,7 @@
 package economics
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -276,4 +277,39 @@ func TestQuickFindDominatingSound(t *testing.T) {
 			t.Fatalf("trial %d: returned allocation does not dominate", trial)
 		}
 	}
+}
+
+// Valid checks the structural feasibility constraints of eq. (3) against
+// the given demand vectors: every c_i <= d_i component-wise, every vector
+// is in N^K, and aggregate supply equals aggregate consumption.
+func (a Allocation) Valid(demand []vector.Quantity) error {
+	if len(a.Supply) != len(a.Consumption) {
+		return fmt.Errorf("economics: %d supply vs %d consumption vectors", len(a.Supply), len(a.Consumption))
+	}
+	if len(demand) != len(a.Consumption) {
+		return fmt.Errorf("economics: %d demand vs %d consumption vectors", len(demand), len(a.Consumption))
+	}
+	for i, c := range a.Consumption {
+		if !c.IsValid() {
+			return fmt.Errorf("economics: node %d consumption %v outside N^K", i, c)
+		}
+		if !c.LEQ(demand[i]) {
+			return fmt.Errorf("economics: node %d consumes %v beyond demand %v", i, c, demand[i])
+		}
+	}
+	for i, s := range a.Supply {
+		if !s.IsValid() {
+			return fmt.Errorf("economics: node %d supply %v outside N^K", i, s)
+		}
+	}
+	if s, c := a.AggregateSupply(), vector.Sum(a.Consumption); !s.Equal(c) {
+		return fmt.Errorf("economics: aggregate supply %v != aggregate consumption %v", s, c)
+	}
+	return nil
+}
+
+// InEquilibrium reports whether the market is in competitive equilibrium
+// (Def. 3): excess demand is zero in every class.
+func InEquilibrium(demand, supply []vector.Quantity) bool {
+	return ExcessDemand(demand, supply).IsZero()
 }

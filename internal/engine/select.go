@@ -9,9 +9,9 @@ import (
 
 // SelectDriver returns the vectorized engine over a copy of db; "vector"
 // is the only name it knows. It stays only because benchmark/fed.go
-// calls it: a node built from cluster.NodeConfig.DB already gets
-// FromDB(DB), and the next change to the benchmark calls FromDB there
-// and deletes this function.
+// calls it: every other caller builds a node's driver as FromDB(db) in
+// cluster.NodeConfig.Driver, and the next change to the benchmark does
+// the same there and deletes this function.
 func SelectDriver(name string, db *sqldb.DB) (driver.Driver, error) {
 	if name != "vector" {
 		return nil, fmt.Errorf("unknown driver %q (want vector)", name)

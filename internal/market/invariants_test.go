@@ -227,9 +227,7 @@ func (s *ledgerStream) cost() float64 { return float64(s.next()) * 3 }
 //     [0, planned];
 //  3. carry never exceeds max(T, dearest class), and every period
 //     boundary settles it to exactly what the model computes;
-//  4. prices stay valid and within [PriceFloor, PriceCap], and no class
-//     is raised more than MaxAdjustsPerPeriod times in a period however
-//     often the period is re-planned;
+//  4. prices stay valid and within [PriceFloor, PriceCap];
 //  5. lifetime counters never decrease.
 //
 // TestSellerLedgerUnderRandomTrading feeds it seeded random scripts and
@@ -238,7 +236,7 @@ func checkSellerLedger(t *testing.T, data []byte) {
 	in := &ledgerStream{data: data}
 	cfg := DefaultConfig(0)
 	cfg.Lambda = 0.02 + float64(in.next()%48)/100
-	cfg.MaxAdjustsPerPeriod = in.next() % 4
+	in.next() // once a per-period raise cap; still read, so committed inputs drive the same scripts
 	if in.next()%2 == 1 {
 		cfg.ActivationThreshold = 1.5
 	}
@@ -258,7 +256,6 @@ func checkSellerLedger(t *testing.T, data []byte) {
 	const eps = 1e-6
 	costs = append([]float64(nil), costs...)
 	carry, spent := 0.0, 0.0
-	startPrice := s.Prices()
 	limit := func() float64 {
 		l := period
 		for _, c := range costs {
@@ -266,7 +263,6 @@ func checkSellerLedger(t *testing.T, data []byte) {
 		}
 		return l
 	}
-	maxRaise := math.Pow(1+cfg.Lambda, float64(cfg.MaxAdjustsPerPeriod))
 	last := s.Stats()
 
 	for step := 0; len(in.data) > 0 && step < 2000; step++ {
@@ -287,7 +283,6 @@ func checkSellerLedger(t *testing.T, data []byte) {
 		switch {
 		case len(costs) == 0 && op < 13, op == 10 && len(costs) < 10:
 			costs = append(costs, in.cost())
-			startPrice = append(startPrice, cfg.InitialPrice)
 			if got := s.AddClass(costs[len(costs)-1]); got != len(costs)-1 {
 				t.Fatalf("step %d: AddClass returned %d, want %d", step, got, len(costs)-1)
 			}
@@ -318,7 +313,6 @@ func checkSellerLedger(t *testing.T, data []byte) {
 				t.Fatalf("step %d: boundary settled carry %g, model says %g", step, s.Carry(), carry)
 			}
 			s.BeginPeriod()
-			startPrice = s.Prices()
 		}
 
 		budget := s.budget // what the current plan was solved against
@@ -335,10 +329,6 @@ func checkSellerLedger(t *testing.T, data []byte) {
 			onPlanMs += float64(s.planned[c]-s.supply[c]) * costs[c]
 			if s.prices[c] < cfg.PriceFloor || s.prices[c] > cfg.PriceCap || math.IsNaN(s.prices[c]) {
 				t.Fatalf("step %d: price[%d] = %g outside [%g, %g]", step, c, s.prices[c], cfg.PriceFloor, cfg.PriceCap)
-			}
-			if cfg.MaxAdjustsPerPeriod > 0 && s.prices[c] > startPrice[c]*maxRaise*(1+eps) {
-				t.Fatalf("step %d: price[%d] rose %g → %g in one period, over %d raises of λ=%g",
-					step, c, startPrice[c], s.prices[c], cfg.MaxAdjustsPerPeriod, cfg.Lambda)
 			}
 		}
 		left := period + carry - spent

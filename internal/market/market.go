@@ -49,11 +49,6 @@ type Config struct {
 	// them when some price exceeds the threshold (a decentralized signal
 	// that the system is overloaded). Zero means "always active".
 	ActivationThreshold float64
-	// MaxAdjustsPerPeriod bounds how many upward adjustments a single
-	// class may receive within one period, preventing price blow-up when
-	// thousands of requests for one class arrive in one τ. Zero means
-	// unbounded (the literal paper listing).
-	MaxAdjustsPerPeriod int
 }
 
 func (c *Config) applyDefaults() error {

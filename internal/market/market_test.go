@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"github.com/qamarket/qamarket/internal/economics"
 	"github.com/qamarket/qamarket/internal/vector"
 )
 
@@ -125,32 +124,6 @@ func TestPriceFloorAndCap(t *testing.T) {
 	}
 	if p := b.Prices()[0]; p < cfg.PriceFloor {
 		t.Errorf("price %g below floor %g", p, cfg.PriceFloor)
-	}
-}
-
-func TestMaxAdjustsPerPeriod(t *testing.T) {
-	cfg := DefaultConfig(1)
-	cfg.MaxAdjustsPerPeriod = 3
-	a, err := NewAgent(economics.TimeBudgetSupplySet{Cost: []float64{600}, Budget: 500}, cfg) // class never fits
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.BeginPeriod()
-	for i := 0; i < 10; i++ {
-		a.Offer(0)
-	}
-	want := 1.0
-	for i := 0; i < 3; i++ {
-		want *= 1 + cfg.Lambda
-	}
-	if p := a.Prices()[0]; math.Abs(p-want) > 1e-12 {
-		t.Errorf("price %g, want %g (3 adjustments max)", p, want)
-	}
-	a.EndPeriod()
-	a.BeginPeriod()
-	a.Offer(0) // the cap resets each period
-	if a.Stats().PriceUps != 4 {
-		t.Errorf("PriceUps = %d, want 4", a.Stats().PriceUps)
 	}
 }
 

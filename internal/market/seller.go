@@ -51,7 +51,6 @@ type Seller struct {
 	supply   vector.Quantity // remaining offers in the current period
 	planned  vector.Quantity // supply vector chosen by the last solve of eq. (4)
 	accepted vector.Quantity // sales in the current period, reset by BeginPeriod
-	adjusts  []int           // upward adjustments per class this period
 	stats    Stats           // lifetime counters
 
 	period float64   // T in milliseconds
@@ -81,7 +80,7 @@ func NewSeller(cfg Config, periodMs float64, costs []float64) (*Seller, error) {
 // install makes a (validated) snapshot the seller's state, at the start
 // of a period nobody has traded in.
 func (s *Seller) install(snap Snapshot) {
-	s.prices, s.supply, s.planned, s.accepted, s.adjusts = nil, nil, nil, nil, nil
+	s.prices, s.supply, s.planned, s.accepted = nil, nil, nil, nil
 	s.costs, s.stats, s.carry, s.used = nil, snap.Stats, snap.Carry, 0
 	for _, c := range snap.Costs {
 		s.grow(c)
@@ -93,14 +92,13 @@ func (s *Seller) install(snap Snapshot) {
 // grow appends a class costing costMs to every per-class vector, in
 // place: the new class starts at the initial price with nothing
 // planned, while the other classes keep their prices, their remaining
-// supply, their per-period adjustment counts and the lifetime counters.
+// supply and the lifetime counters.
 func (s *Seller) grow(costMs float64) {
 	s.costs = append(s.costs, costMs)
 	s.prices = append(s.prices, s.cfg.InitialPrice)
 	s.supply = append(s.supply, 0)
 	s.planned = append(s.planned, 0)
 	s.accepted = append(s.accepted, 0)
-	s.adjusts = append(s.adjusts, 0)
 }
 
 // left is the account: what remains of T + carry after this period's
@@ -122,8 +120,8 @@ func (s *Seller) capCarry() {
 
 // replan solves eq. (4) over what is left, or over nothing while the
 // node is in debt, and puts the result on offer. This is the one place
-// a budget becomes a supply set. Prices, this period's sales and
-// adjustment counts and the lifetime counters stay.
+// a budget becomes a supply set. Prices, this period's sales and the
+// lifetime counters stay.
 func (s *Seller) replan() {
 	s.budget = max(s.left(), 0)
 	s.planned = economics.TimeBudgetSupplySet{Cost: s.costs, Budget: s.budget}.BestResponse(s.prices)
@@ -218,10 +216,6 @@ func (s *Seller) Carry() float64 { return s.carry }
 // observability; QA-NT never sends prices to other nodes.
 func (s *Seller) Prices() vector.Prices { return s.prices.Clone() }
 
-// RemainingSupply returns a copy of the unsold portion of the current
-// period's supply vector.
-func (s *Seller) RemainingSupply() vector.Quantity { return s.supply.Clone() }
-
 // PlannedSupply returns a copy of the supply vector chosen by the last
 // solve of eq. (4) (its s_i*): BeginPeriod's, or a mid-period re-plan
 // over what was left.
@@ -257,19 +251,13 @@ func (s *Seller) EndPeriod() {
 }
 
 // BeginPeriod opens the next period: it solves eq. (4) over T + carry
-// against the current private prices and resets the period's sales and
-// adjustment counts.
+// against the current private prices and resets the period's sales.
 func (s *Seller) BeginPeriod() {
 	s.replan()
 	clear(s.accepted)
-	clear(s.adjusts)
 }
 
 func (s *Seller) raise(k int) {
-	if s.cfg.MaxAdjustsPerPeriod > 0 && s.adjusts[k] >= s.cfg.MaxAdjustsPerPeriod {
-		return
-	}
-	s.adjusts[k]++
 	s.prices[k] += s.cfg.Lambda * s.prices[k]
 	if s.prices[k] > s.cfg.PriceCap {
 		s.prices[k] = s.cfg.PriceCap
@@ -295,7 +283,7 @@ func (s *Seller) mustClass(k int) {
 // Snapshot is a seller's persistent state: everything a node needs to
 // resume its market position after a restart. Learned prices are the
 // valuable part — they encode the node's view of the demand it has seen.
-// Per-period state (remaining supply, adjustment counts, work accepted)
+// Per-period state (remaining supply, work accepted)
 // is deliberately excluded: a restore always begins a fresh period.
 type Snapshot struct {
 	Costs []float64 `json:"costs"`

@@ -124,8 +124,8 @@ func TestActivationThreshold(t *testing.T) {
 	// Inactive: class 0 is on offer although the plan, (0, 5) at equal
 	// prices, excludes it. Selling it re-plans the 100 ms left.
 	sell(t, s, 0, 1)
-	if want := (vector.Quantity{0, 1}); !s.RemainingSupply().Equal(want) {
-		t.Fatalf("after an off-plan sale %v is on offer, want %v", s.RemainingSupply(), want)
+	if want := (vector.Quantity{0, 1}); !s.supply.Equal(want) {
+		t.Fatalf("after an off-plan sale %v is on offer, want %v", s.supply, want)
 	}
 	if s.Offer(0) {
 		t.Error("inactive seller offered 400 ms with 100 ms left")
@@ -139,8 +139,8 @@ func TestActivationThreshold(t *testing.T) {
 	if !s.Active() {
 		t.Fatal("seller inactive above threshold")
 	}
-	if want := (vector.Quantity{0, 1}); !s.RemainingSupply().Equal(want) {
-		t.Fatalf("crossing the threshold put %v on offer, want %v", s.RemainingSupply(), want)
+	if want := (vector.Quantity{0, 1}); !s.supply.Equal(want) {
+		t.Fatalf("crossing the threshold put %v on offer, want %v", s.supply, want)
 	}
 	sell(t, s, 1, 1)
 	if s.Offer(0) || s.Offer(1) {
@@ -225,22 +225,24 @@ func TestThresholdFlipNeverOversells(t *testing.T) {
 
 // TestSellerGrowthKeepsAgentState pins what replacing the agent (the
 // prices and counters a seller once kept in a separate object) on a
-// class arrival or a cost drift used to lose: lifetime counters, learned
-// prices and the per-period price-adjustment allowance.
+// class arrival or a cost drift used to lose: lifetime counters and
+// learned prices.
 func TestSellerGrowthKeepsAgentState(t *testing.T) {
 	cfg := DefaultConfig(1)
-	cfg.MaxAdjustsPerPeriod = 1
 	s := newTestSeller(t, cfg, 100, 50)
 	sell(t, s, 0, 2)
+	raised := func(p float64) float64 { return p + cfg.Lambda*p }
+	price := 1.0
 	for i := 0; i < 3; i++ {
 		if s.Offer(0) {
 			t.Fatal("offer beyond the period's supply")
 		}
+		price = raised(price)
 	}
-	// One raise allowed per period: 1 → 1.1 however many refusals.
-	before, price := s.Stats(), s.Prices()[0]
-	if price != 1.1 || before.Offers != 2 || before.Rejects != 3 || before.PriceUps != 1 {
-		t.Fatalf("setup: price %g, stats %+v", price, before)
+	// Every refusal raises the price: 1 → 1.1 → 1.21 → 1.331.
+	before := s.Stats()
+	if got := s.Prices()[0]; got != price || before.Offers != 2 || before.Rejects != 3 || before.PriceUps != 3 {
+		t.Fatalf("setup: price %g (want %g), stats %+v", got, price, before)
 	}
 	for name, change := range map[string]func(){
 		"class arrival": func() { s.AddClass(10) },
@@ -254,8 +256,10 @@ func TestSellerGrowthKeepsAgentState(t *testing.T) {
 			t.Fatalf("%s: class 0 offered with the budget spent", name)
 		}
 		before.Rejects++
+		before.PriceUps++
+		price = raised(price)
 		if got := s.Prices()[0]; got != price {
-			t.Errorf("%s reopened the adjust allowance: price %g, want %g", name, got, price)
+			t.Errorf("%s lost the learned price: price %g after one more refusal, want %g", name, got, price)
 		}
 	}
 	if got := s.Prices()[1]; got != 1 {

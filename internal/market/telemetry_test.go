@@ -48,7 +48,7 @@ func TestAgentTelemetry(t *testing.T) {
 	// The snapshot is a copy: mutating it must not touch the seller.
 	tel.Prices[0] = 999
 	tel.Remaining[0] = 999
-	if a.Prices()[0] == 999 || a.RemainingSupply()[0] == 999 {
+	if a.Prices()[0] == 999 || a.supply[0] == 999 {
 		t.Fatal("telemetry mutation leaked into the seller")
 	}
 
@@ -57,8 +57,8 @@ func TestAgentTelemetry(t *testing.T) {
 	if !reflect.DeepEqual(tel2.Prices, []float64(a.Prices())) {
 		t.Fatalf("prices diverge: %v vs %v", tel2.Prices, a.Prices())
 	}
-	if !reflect.DeepEqual(tel2.Remaining, []int(a.RemainingSupply())) {
-		t.Fatalf("remaining diverges: %v vs %v", tel2.Remaining, a.RemainingSupply())
+	if !reflect.DeepEqual(tel2.Remaining, []int(a.supply)) {
+		t.Fatalf("remaining diverges: %v vs %v", tel2.Remaining, a.supply)
 	}
 	if tel2.Stats != a.Stats() {
 		t.Fatalf("stats diverge: %+v vs %+v", tel2.Stats, a.Stats())

@@ -31,10 +31,10 @@ const (
 	// StateAlive is a member whose heartbeat is progressing.
 	StateAlive State = iota
 	// StateSuspect is a member whose heartbeat stalled for
-	// SuspectAfter rounds; it may still refute.
+	// suspectAfter rounds; it may still refute.
 	StateSuspect
 	// StateDead is a suspect whose heartbeat stayed stalled for
-	// EvictAfter further rounds: evicted from the live view.
+	// evictAfter further rounds: evicted from the live view.
 	StateDead
 	// StateLeft is a member that announced a graceful departure. It
 	// outranks Dead so a clean goodbye is never rewritten as a crash.
@@ -105,24 +105,29 @@ type Member struct {
 	Epoch uint64
 }
 
+// The protocol's round counts. Every node runs the same ones: a
+// federation whose members disagreed on them would suspect each other
+// on different schedules.
+const (
+	// fanout is how many random live peers each gossip round pushes to.
+	fanout = 2
+	// suspectAfter is how many rounds without heartbeat progress move
+	// an alive member to suspect.
+	suspectAfter = 3
+	// evictAfter is how many further stalled rounds move a suspect to
+	// dead.
+	evictAfter = 3
+	// tombstoneAfter is how many rounds a dead/left row is retained
+	// before it is forgotten. Tombstones keep slower peers' stale
+	// "alive" claims from resurrecting a departed member.
+	tombstoneAfter = 24
+)
+
 // Config parameterizes a Registry.
 type Config struct {
 	// Self seeds the registry's own row. ID and Addr are required;
 	// Incarnation defaults to 1 and State is forced to alive.
 	Self Member
-	// Fanout is how many random live peers each gossip round pushes
-	// to (default 2).
-	Fanout int
-	// SuspectAfter is how many rounds without heartbeat progress move
-	// an alive member to suspect (default 3).
-	SuspectAfter int
-	// EvictAfter is how many further stalled rounds move a suspect to
-	// dead (default 3).
-	EvictAfter int
-	// TombstoneAfter is how many rounds a dead/left row is retained
-	// before it is forgotten (default 24). Tombstones keep slower
-	// peers' stale "alive" claims from resurrecting a departed member.
-	TombstoneAfter int
 	// Rand drives target selection. Defaults to a source seeded from
 	// the member ID, so a fixed topology gossips deterministically.
 	Rand *rand.Rand
@@ -141,16 +146,12 @@ type entry struct {
 // Registry is one node's membership table. All methods are safe for
 // concurrent use.
 type Registry struct {
-	mu             sync.Mutex
-	self           string
-	fanout         int
-	suspectAfter   int
-	evictAfter     int
-	tombstoneAfter int
-	rng            *rand.Rand
-	members        map[string]*entry
-	left           bool
-	version        uint64
+	mu      sync.Mutex
+	self    string
+	rng     *rand.Rand
+	members map[string]*entry
+	left    bool
+	version uint64
 }
 
 // TickSummary reports what one failure-detector round changed.
@@ -169,18 +170,6 @@ func New(cfg Config) (*Registry, error) {
 	if cfg.Self.Addr == "" {
 		return nil, errors.New("membership: Config.Self.Addr is empty")
 	}
-	if cfg.Fanout <= 0 {
-		cfg.Fanout = 2
-	}
-	if cfg.SuspectAfter <= 0 {
-		cfg.SuspectAfter = 3
-	}
-	if cfg.EvictAfter <= 0 {
-		cfg.EvictAfter = 3
-	}
-	if cfg.TombstoneAfter <= 0 {
-		cfg.TombstoneAfter = 24
-	}
 	if cfg.Rand == nil {
 		h := fnv.New64a()
 		h.Write([]byte(cfg.Self.ID))
@@ -192,13 +181,9 @@ func New(cfg Config) (*Registry, error) {
 	}
 	self.State = StateAlive
 	r := &Registry{
-		self:           self.ID,
-		fanout:         cfg.Fanout,
-		suspectAfter:   cfg.SuspectAfter,
-		evictAfter:     cfg.EvictAfter,
-		tombstoneAfter: cfg.TombstoneAfter,
-		rng:            cfg.Rand,
-		members:        map[string]*entry{self.ID: {m: self}},
+		self:    self.ID,
+		rng:     cfg.Rand,
+		members: map[string]*entry{self.ID: {m: self}},
 	}
 	return r, nil
 }
@@ -273,7 +258,7 @@ func (r *Registry) Live() []Member {
 	return out
 }
 
-// Targets picks up to Fanout random live peers (never self) to gossip
+// Targets picks up to fanout random live peers (never self) to gossip
 // with this round. Suspects are included so they get the chance to
 // refute before eviction.
 func (r *Registry) Targets() []Member {
@@ -287,8 +272,8 @@ func (r *Registry) Targets() []Member {
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].ID < cands[j].ID })
 	r.rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-	if len(cands) > r.fanout {
-		cands = cands[:r.fanout]
+	if len(cands) > fanout {
+		cands = cands[:fanout]
 	}
 	return cands
 }
@@ -313,14 +298,14 @@ func (r *Registry) Tick() TickSummary {
 		switch e.m.State {
 		case StateAlive:
 			e.stalled++
-			if e.stalled >= r.suspectAfter {
+			if e.stalled >= suspectAfter {
 				e.m.State = StateSuspect
 				sum.Suspected++
 				changed = true
 			}
 		case StateSuspect:
 			e.stalled++
-			if e.stalled >= r.suspectAfter+r.evictAfter {
+			if e.stalled >= suspectAfter+evictAfter {
 				e.m.State = StateDead
 				e.buried = 0
 				sum.Evicted++
@@ -328,7 +313,7 @@ func (r *Registry) Tick() TickSummary {
 			}
 		case StateDead, StateLeft:
 			e.buried++
-			if e.buried >= r.tombstoneAfter {
+			if e.buried >= tombstoneAfter {
 				delete(r.members, id)
 				changed = true
 			}

@@ -62,7 +62,7 @@ func TestMergeAddsAndOrdersByIncarnation(t *testing.T) {
 func TestSuspectThenEvictAfterConfiguredRounds(t *testing.T) {
 	r := newTestReg(t, "a", 1)
 	r.Merge([]Member{{ID: "b", Addr: "x", Incarnation: 1, State: StateAlive}})
-	// Default SuspectAfter=3: two quiet rounds keep it alive...
+	// suspectAfter=3: two quiet rounds keep it alive...
 	r.Tick()
 	r.Tick()
 	if b, _ := find(r.Members(), "b"); b.State != StateAlive {
@@ -75,7 +75,7 @@ func TestSuspectThenEvictAfterConfiguredRounds(t *testing.T) {
 	if b, _ := find(r.Members(), "b"); b.State != StateSuspect {
 		t.Fatalf("not suspect: %+v", b)
 	}
-	// EvictAfter=3 more stalled rounds mark it dead.
+	// evictAfter=3 more stalled rounds mark it dead.
 	r.Tick()
 	r.Tick()
 	if sum := r.Tick(); sum.Evicted != 1 {
@@ -149,22 +149,17 @@ func TestLeftOutranksDeadAtSameIncarnation(t *testing.T) {
 }
 
 func TestTombstonesExpire(t *testing.T) {
-	r, err := New(Config{
-		Self:           Member{ID: "a", Addr: "x"},
-		TombstoneAfter: 2,
-		Rand:           rand.New(rand.NewSource(1)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newTestReg(t, "a", 1)
 	r.Merge([]Member{{ID: "b", Addr: "x", Incarnation: 1, State: StateLeft}})
-	r.Tick()
+	for i := 1; i < tombstoneAfter; i++ {
+		r.Tick()
+	}
 	if _, ok := find(r.Members(), "b"); !ok {
 		t.Fatal("tombstone expired early")
 	}
 	r.Tick()
 	if _, ok := find(r.Members(), "b"); ok {
-		t.Fatal("tombstone retained past TombstoneAfter")
+		t.Fatal("tombstone retained past tombstoneAfter")
 	}
 }
 
@@ -215,11 +210,11 @@ func TestRejoinAfterRestoreRefutesTombstone(t *testing.T) {
 }
 
 func TestSimulateConvergenceDeterministicAndBounded(t *testing.T) {
-	c1, err := SimulateConvergence(8, 7)
+	c1, err := simulateConvergence(8, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := SimulateConvergence(8, 7)
+	c2, err := simulateConvergence(8, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,8 +225,8 @@ func TestSimulateConvergenceDeterministicAndBounded(t *testing.T) {
 	if c1.JoinRounds <= 0 || c1.JoinRounds > 32 {
 		t.Fatalf("join rounds %d out of expected range", c1.JoinRounds)
 	}
-	// Eviction needs at least SuspectAfter+EvictAfter=6 quiet rounds.
-	if c1.EvictRounds < 6 || c1.EvictRounds > 64 {
+	// Eviction needs at least suspectAfter+evictAfter quiet rounds.
+	if c1.EvictRounds < suspectAfter+evictAfter || c1.EvictRounds > 64 {
 		t.Fatalf("evict rounds %d out of expected range", c1.EvictRounds)
 	}
 }
@@ -253,7 +248,7 @@ func TestParseStateRoundTrip(t *testing.T) {
 func BenchmarkMembershipConvergence(b *testing.B) {
 	var last Convergence
 	for i := 0; i < b.N; i++ {
-		c, err := SimulateConvergence(16, 11)
+		c, err := simulateConvergence(16, 11)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -126,15 +126,10 @@ func (h *Histogram) Count() uint64 {
 	return h.count
 }
 
-// Quantile returns the q-quantile (q in [0,1]) in milliseconds: the
-// geometric midpoint of the bucket holding the q·count-th observation,
-// clamped to the observed [min, max]. Returns 0 on an empty histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.quantileLocked(q)
-}
-
+// quantileLocked returns the q-quantile (q in [0,1]) in milliseconds:
+// the geometric midpoint of the bucket holding the q·count-th
+// observation, clamped to the observed [min, max]. Returns 0 on an empty
+// histogram. Callers hold h.mu.
 func (h *Histogram) quantileLocked(q float64) float64 {
 	if h.count == 0 {
 		return 0

@@ -208,3 +208,10 @@ func TestHistogramBucketMapping(t *testing.T) {
 		t.Fatal("huge value must land in overflow bucket")
 	}
 }
+
+// Quantile is quantileLocked under the histogram's lock.
+func (h *Histogram) Quantile(q float64) float64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.quantileLocked(q)
+}

@@ -33,7 +33,8 @@ type Collector struct {
 func (c *Collector) Add(s Sample) { c.samples = append(c.samples, s) }
 
 // Samples returns the recorded samples (not a copy; callers must not
-// mutate).
+// mutate). Only tests read them one by one: the simulator's golden
+// digest and invariant checks.
 func (c *Collector) Samples() []Sample { return c.samples }
 
 // Completed returns how many queries finished.

@@ -55,17 +55,9 @@ func (c *Chart) dims() (w, h float64) {
 	return float64(c.Width), float64(c.Height)
 }
 
-// Line renders the chart as a line plot with markers.
-func (c *Chart) Line() (string, error) {
-	return c.render(false)
-}
-
-// Bars renders the chart as a grouped bar plot: each series contributes
-// one bar per x position; x values are treated as category indices.
-func (c *Chart) Bars() (string, error) {
-	return c.render(true)
-}
-
+// render draws the chart as a line plot with markers or, with bars, as
+// a grouped bar plot: each series contributes one bar per x position,
+// and x values are treated as category indices.
 func (c *Chart) render(bars bool) (string, error) {
 	if len(c.Series) == 0 {
 		return "", fmt.Errorf("plot: chart %q has no series", c.Title)

@@ -21,7 +21,7 @@ func lineChart() *Chart {
 }
 
 func TestLineSVGWellFormed(t *testing.T) {
-	svg, err := lineChart().Line()
+	svg, err := lineChart().render(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestLineSVGWellFormed(t *testing.T) {
 
 func TestBarsSVGWellFormed(t *testing.T) {
 	c := lineChart()
-	svg, err := c.Bars()
+	svg, err := c.render(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,15 +53,15 @@ func TestBarsSVGWellFormed(t *testing.T) {
 
 func TestEmptyChartRejected(t *testing.T) {
 	c := &Chart{Title: "empty"}
-	if _, err := c.Line(); err == nil {
+	if _, err := c.render(false); err == nil {
 		t.Error("empty chart rendered")
 	}
 	bad := &Chart{Series: []Series{{Name: "x", X: []float64{1}, Y: nil}}}
-	if _, err := bad.Line(); err == nil {
+	if _, err := bad.render(false); err == nil {
 		t.Error("mismatched series rendered")
 	}
 	empty := &Chart{Series: []Series{{Name: "x"}}}
-	if _, err := empty.Line(); err == nil {
+	if _, err := empty.render(false); err == nil {
 		t.Error("zero-length series rendered")
 	}
 }
@@ -73,7 +73,7 @@ func TestLogXMonotone(t *testing.T) {
 			{Name: "sweep", X: []float64{10, 100, 1000, 10000}, Y: []float64{1, 1.1, 1.2, 1.0}},
 		},
 	}
-	svg, err := c.Line()
+	svg, err := c.render(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestMapSeries(t *testing.T) {
 func TestEscape(t *testing.T) {
 	c := lineChart()
 	c.Title = `<script>&`
-	svg, err := c.Line()
+	svg, err := c.render(false)
 	if err != nil {
 		t.Fatal(err)
 	}

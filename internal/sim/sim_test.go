@@ -166,8 +166,8 @@ func TestUnevaluableClassRefusedBeforeTheRun(t *testing.T) {
 		if want := fmt.Sprintf("no node can evaluate class %d", class); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("err = %v, want %q", err, want)
 		}
-		if fed.eng.Fired() != 0 {
-			t.Errorf("%d events ran before the refusal", fed.eng.Fired())
+		if fed.eng.Now() != 0 || fed.eng.Step() {
+			t.Errorf("events were queued or ran before the refusal (clock at %d)", fed.eng.Now())
 		}
 	}
 }

@@ -15,9 +15,6 @@ import (
 // Numeric values of equal magnitude share a key.
 func (v Value) GroupKey() string { return v.groupKey() }
 
-// RowKey serializes a whole row for DISTINCT bookkeeping.
-func RowKey(r Row) string { return rowKey(r) }
-
 // AsFloat coerces numeric values to float64 for mixed arithmetic,
 // reporting false for non-numeric kinds.
 func (v Value) AsFloat() (float64, bool) { return v.asFloat() }

@@ -52,18 +52,6 @@ func (db *DB) createIndex(s *CreateIndexStmt) error {
 	return nil
 }
 
-// Indexes returns the names of all indexes, sorted by name order of
-// creation is not guaranteed; callers sort if needed.
-func (db *DB) Indexes() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.indexes))
-	for n := range db.indexes {
-		out = append(out, n)
-	}
-	return out
-}
-
 // lookupIndex finds an index on (table, column), if any. Caller holds
 // at least a read lock.
 func (db *DB) lookupIndex(table, column string) *index {

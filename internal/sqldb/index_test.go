@@ -114,8 +114,8 @@ func TestIndexErrors(t *testing.T) {
 			t.Errorf("accepted %s", q)
 		}
 	}
-	if got := db.Indexes(); len(got) != 1 || got[0] != "ev_kind" {
-		t.Errorf("Indexes() = %v", got)
+	if len(db.indexes) != 1 || db.indexes["ev_kind"] == nil {
+		t.Errorf("indexes = %v, want only ev_kind", db.indexes)
 	}
 }
 
